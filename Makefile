@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke
+.PHONY: build test race lint bench-check fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,12 @@ race:
 lint:
 	$(GO) build -o bin/gstored-lint ./cmd/gstored-lint
 	$(GO) vet -vettool=$(CURDIR)/bin/gstored-lint ./...
+
+# bench-check builds, vets and tests the benchmark module against this
+# tree, exactly as CI does: bench/ imports the tree's packages, so a
+# changed symbol fails here instead of in a benchmark run.
+bench-check:
+	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke mirrors CI's 10-second-per-target fuzz window.
 fuzz-smoke:

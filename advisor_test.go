@@ -1,6 +1,7 @@
 package gstored
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -31,7 +32,7 @@ func feedMix(t *testing.T, db *DB, ds *Dataset, mix map[string]int) *QueryLog {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.QueryGraph(q)
+		res, err := db.QueryGraphContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

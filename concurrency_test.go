@@ -33,7 +33,7 @@ func TestZeroConfigRunsFullSystem(t *testing.T) {
 		t.Errorf("zero-config execution ran %v, want ModeFull", res.Stats.Mode)
 	}
 	// And it must agree with an explicit ModeFull run.
-	full, err := db.QueryMode(lq1.SPARQL, ModeFull)
+	full, err := queryMode(db, lq1.SPARQL, ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestConcurrentQueries(t *testing.T) {
 	baseline := make(map[key]string)
 	for _, bq := range ds.Queries {
 		for _, m := range modes {
-			res, err := db.QueryMode(bq.SPARQL, m)
+			res, err := queryMode(db, bq.SPARQL, m)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", bq.Name, m, err)
 			}
@@ -79,7 +79,7 @@ func TestConcurrentQueries(t *testing.T) {
 				wg.Add(1)
 				go func(bq BenchQuery, m Mode) {
 					defer wg.Done()
-					res, err := db.QueryMode(bq.SPARQL, m)
+					res, err := queryMode(db, bq.SPARQL, m)
 					if err != nil {
 						errs <- fmt.Errorf("%s/%v: %w", bq.Name, m, err)
 						return
@@ -112,7 +112,11 @@ func TestQueryContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.QueryContext(ctx, lq1.SPARQL); !errors.Is(err, context.Canceled) {
+	q, err := db.Parse(lq1.SPARQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.QueryGraphContext(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled query = %v, want context.Canceled", err)
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,8 +29,12 @@ func main() {
 		"mode", "total ms", "LPMs", "retained", "features", "joinAttempts", "ship KB", "matches")
 
 	modes := []gstored.Mode{gstored.ModeBasic, gstored.ModeLA, gstored.ModeLO, gstored.ModeFull}
+	q, err := db.Parse(bq.SPARQL)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, mode := range modes {
-		res, err := db.QueryMode(bq.SPARQL, mode)
+		res, err := db.QueryGraphModeContext(context.Background(), q, mode)
 		if err != nil {
 			log.Fatal(err)
 		}

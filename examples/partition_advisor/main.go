@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -87,7 +88,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := db.QueryGraph(q)
+		res, err := db.QueryGraphContext(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -735,49 +735,25 @@ func (db *DB) ParseReadOnly(sparqlText string) (*QueryGraph, error) {
 	return sparql.ParseReadOnly(sparqlText, db.Graph.Dict)
 }
 
-// Query parses and executes SPARQL text under the configured mode.
+// Query parses and executes SPARQL text under the configured mode — the
+// text-level convenience over Parse + QueryGraphContext.
 //
 // DB is safe for concurrent use: any number of goroutines may issue
 // queries against the same database simultaneously.
 func (db *DB) Query(sparqlText string) (*Result, error) {
-	//lint:allow ctxflow Query is the documented context-free entry point; QueryContext is the threaded variant
-	return db.QueryContext(context.Background(), sparqlText)
-}
-
-// QueryContext is Query with cooperative cancellation: when ctx is
-// canceled or its deadline passes, execution stops promptly and the
-// context's error is returned.
-func (db *DB) QueryContext(ctx context.Context, sparqlText string) (*Result, error) {
 	q, err := db.Parse(sparqlText)
 	if err != nil {
 		return nil, err
 	}
-	return db.QueryGraphContext(ctx, q)
+	//lint:allow ctxflow Query is the documented context-free entry point; QueryGraphContext is the threaded variant
+	return db.QueryGraphContext(context.Background(), q)
 }
 
-// QueryGraph executes a compiled query under the configured mode.
-func (db *DB) QueryGraph(q *QueryGraph) (*Result, error) {
-	return db.QueryGraphMode(q, db.mode())
-}
-
-// QueryGraphContext is QueryGraph with cooperative cancellation.
+// QueryGraphContext executes a compiled query under the configured mode
+// with cooperative cancellation: when ctx is canceled or its deadline
+// passes, execution stops promptly and the context's error is returned.
 func (db *DB) QueryGraphContext(ctx context.Context, q *QueryGraph) (*Result, error) {
 	return db.QueryGraphModeContext(ctx, q, db.mode())
-}
-
-// QueryMode parses and executes SPARQL text under an explicit mode.
-func (db *DB) QueryMode(sparqlText string, mode Mode) (*Result, error) {
-	q, err := db.Parse(sparqlText)
-	if err != nil {
-		return nil, err
-	}
-	return db.QueryGraphMode(q, mode)
-}
-
-// QueryGraphMode executes a compiled query under an explicit mode.
-func (db *DB) QueryGraphMode(q *QueryGraph, mode Mode) (*Result, error) {
-	//lint:allow ctxflow QueryGraphMode is the documented context-free entry point; QueryGraphModeContext is the threaded variant
-	return db.QueryGraphModeContext(context.Background(), q, mode)
 }
 
 // QueryGraphModeContext executes a compiled query under an explicit mode
@@ -785,22 +761,7 @@ func (db *DB) QueryGraphMode(q *QueryGraph, mode Mode) (*Result, error) {
 func (db *DB) QueryGraphModeContext(ctx context.Context, q *QueryGraph, mode Mode) (*Result, error) {
 	// One state load pins a consistent cluster generation for the whole
 	// execution, even if Repartition swaps mid-flight.
-	return db.load().eng.ExecuteContext(ctx, q, engine.Config{
-		Mode:              mode,
-		CandidateBits:     db.cfg.CandidateBits,
-		MaxPartialMatches: db.cfg.MaxPartialMatches,
-		EvalWorkers:       db.cfg.EvalWorkers,
-	})
-}
-
-// QueryStream parses sparqlText and executes it in unordered
-// first-row-early delivery mode; see QueryGraphStreamContext.
-func (db *DB) QueryStream(ctx context.Context, sparqlText string, emit func(Row) bool) (*Result, error) {
-	q, err := db.Parse(sparqlText)
-	if err != nil {
-		return nil, err
-	}
-	return db.QueryGraphStreamContext(ctx, q, emit)
+	return db.load().eng.ExecuteContext(ctx, q, db.engineConfig(mode))
 }
 
 // QueryGraphStreamContext executes a compiled query in unordered
@@ -813,12 +774,18 @@ func (db *DB) QueryStream(ctx context.Context, sparqlText string, emit func(Row)
 // from emit stops the execution. The returned Result carries statistics
 // only — Rows is nil — and row order varies between runs.
 func (db *DB) QueryGraphStreamContext(ctx context.Context, q *QueryGraph, emit func(Row) bool) (*Result, error) {
-	return db.load().eng.ExecuteStream(ctx, q, engine.Config{
-		Mode:              db.mode(),
+	return db.load().eng.ExecuteStream(ctx, q, db.engineConfig(db.mode()), emit)
+}
+
+// engineConfig is the engine configuration every query entry point runs
+// under.
+func (db *DB) engineConfig(mode Mode) engine.Config {
+	return engine.Config{
+		Mode:              mode,
 		CandidateBits:     db.cfg.CandidateBits,
 		MaxPartialMatches: db.cfg.MaxPartialMatches,
 		EvalWorkers:       db.cfg.EvalWorkers,
-	}, emit)
+	}
 }
 
 // Mode reports the engine mode queries run under: the configured mode,

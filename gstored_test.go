@@ -2,9 +2,19 @@ package gstored
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
+
+// queryMode parses text and runs it under an explicit mode.
+func queryMode(db *DB, text string, mode Mode) (*Result, error) {
+	q, err := db.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	return db.QueryGraphModeContext(context.Background(), q, mode)
+}
 
 func TestOpenAndQueryQuickstart(t *testing.T) {
 	g := NewGraph()
@@ -67,7 +77,7 @@ func TestQueryModesAgree(t *testing.T) {
 	}
 	var want string
 	for _, mode := range []Mode{ModeBasic, ModeLA, ModeLO, ModeFull} {
-		res, err := db.QueryMode(bq.SPARQL, mode)
+		res, err := queryMode(db, bq.SPARQL, mode)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

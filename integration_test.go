@@ -30,7 +30,7 @@ func centralizedAnswer(t *testing.T, ds *Dataset, sparqlText string) []string {
 
 func distributedAnswer(t *testing.T, db *DB, sparqlText string, mode Mode) []string {
 	t.Helper()
-	res, err := db.QueryMode(sparqlText, mode)
+	res, err := queryMode(db, sparqlText, mode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,12 +16,10 @@ import (
 //
 // Detection is structural (testdata packages are self-contained, so
 // import paths cannot anchor it): a method named Do on a type named
-// Pool, or Parallel/ParallelPool/ParallelErr on a type named Cluster.
+// Pool, or ParallelPool on a type named Cluster.
 var poolRunnerMethods = map[string]string{
 	"Do":           "Pool",
-	"Parallel":     "Cluster",
 	"ParallelPool": "Cluster",
-	"ParallelErr":  "Cluster",
 }
 
 // isPoolRunnerCall reports whether call invokes a pool-runner method.

@@ -26,7 +26,7 @@ import (
 //     function's CFG, with `defer done()` recognized as closing every
 //     path past its registration point;
 //   - a closer taken in the spawning scope but invoked inside a
-//     pool-worker closure (Pool.Do, Cluster.Parallel*): workers run
+//     pool-worker closure (Pool.Do, Cluster.ParallelPool): workers run
 //     concurrently and possibly many times, so the span would be closed
 //     once per worker — each worker must open its own span, or the pair
 //     must close in the spawning scope.

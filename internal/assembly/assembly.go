@@ -16,10 +16,9 @@
 package assembly
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
+	"gstored/internal/key"
 	"gstored/internal/partial"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
@@ -32,17 +31,10 @@ type Result struct {
 	EdgeVars []rdf.TermID
 }
 
-// Key canonically identifies the result row.
+// Key canonically identifies the result row (layout: package key).
 func (r Result) Key() string {
-	var b strings.Builder
-	for _, v := range r.Vec {
-		fmt.Fprintf(&b, "%d,", v)
-	}
-	b.WriteByte('|')
-	for _, v := range r.EdgeVars {
-		fmt.Fprintf(&b, "%d,", v)
-	}
-	return b.String()
+	var buf [128]byte
+	return string(key.Terms(key.Terms(buf[:0], r.Vec), r.EdgeVars))
 }
 
 // Stats reports work performed by an assembly run.
@@ -112,6 +104,7 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 	}
 
 	var steps uint
+	var kbuf [128]byte // member-set key scratch
 	// Complete matches are deduplicated by row key: distinct member sets
 	// can assemble into identical rows. With Emit set only the key set is
 	// retained; otherwise the results themselves accumulate.
@@ -125,7 +118,7 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 	for root := 0; root < len(pms); root++ {
 		init := stateFrom(pms[root], root, q)
 		frontier := []*joinState{init}
-		seen := map[string]bool{memberKey(init.members): true}
+		seen := map[string]bool{string(key.Ints(kbuf[:0], init.members)): true}
 		for len(frontier) > 0 {
 			if opts.Cancel != nil {
 				if steps&0xff == 0 && opts.Cancel() {
@@ -141,11 +134,11 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 				if !ok {
 					continue
 				}
-				key := memberKey(ns.members)
-				if seen[key] {
+				mk := key.Ints(kbuf[:0], ns.members)
+				if seen[string(mk)] { // lookup by converted bytes does not allocate
 					continue
 				}
-				seen[key] = true
+				seen[string(mk)] = true
 				stats.States++
 				if ns.sign == full {
 					// Theorem 4: full sign cover implies all edges matched.
@@ -292,29 +285,9 @@ func (s *joinState) extend(pm *partial.Match, idx int, q *query.Graph) (*joinSta
 	return ns, true
 }
 
-func memberKey(members []int) string {
-	var b strings.Builder
-	for _, m := range members {
-		fmt.Fprintf(&b, "%d,", m)
-	}
-	return b.String()
-}
-
 func fullSign(n int) uint64 {
 	if n >= 64 {
 		return ^uint64(0)
 	}
 	return (uint64(1) << uint(n)) - 1
-}
-
-// GroupBySign builds the LEC-feature-based local partial match groups of
-// Definition 11 (used for reporting and by tests; the assembly itself
-// enforces sign disjointness per join, which subsumes Theorem 5's
-// same-group-never-joins rule).
-func GroupBySign(pms []*partial.Match) map[uint64][]int {
-	groups := make(map[uint64][]int)
-	for i, pm := range pms {
-		groups[pm.Sign] = append(groups[pm.Sign], i)
-	}
-	return groups
 }

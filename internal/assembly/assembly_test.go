@@ -104,24 +104,6 @@ func TestAssemblyEmpty(t *testing.T) {
 	}
 }
 
-func TestGroupBySign(t *testing.T) {
-	_, pms := paperPMs(t)
-	groups := GroupBySign(pms)
-	// Fig. 3 signs: 00101 ×2, 01010 ×2, 11010 ×3, 10000 ×1 → 4 groups
-	// (maximal grouping; Example 8 shows the same four groups after
-	// pruning).
-	if len(groups) != 4 {
-		t.Fatalf("got %d sign groups, want 4", len(groups))
-	}
-	sizes := map[int]int{}
-	for _, g := range groups {
-		sizes[len(g)]++
-	}
-	if sizes[3] != 1 || sizes[2] != 2 || sizes[1] != 1 {
-		t.Errorf("group sizes = %v", sizes)
-	}
-}
-
 // TestDistributedEqualsCentralized: on random graphs, partitionings and a
 // fixed query, local complete matches + assembled crossing matches must
 // equal the centralized answer set.

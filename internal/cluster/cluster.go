@@ -1,15 +1,14 @@
 // Package cluster hosts the paper's distributed environment (§VIII-A: a
 // 12-machine MPI cluster): the Site interface the coordinator scatters
 // stage work through, the in-process implementation (one LocalSite per
-// fragment, parallel stage execution on goroutines), and a byte-accurate
-// network meter for the data-shipment numbers the paper reports, plus a
-// configurable link model that converts shipments into communication-time
-// estimates. The remote package provides the other Site implementation:
-// worker processes reached over an RPC transport.
+// fragment, parallel stage execution on the evaluation pool), and a
+// byte/message counter for the data-shipment numbers the paper reports,
+// plus a configurable link model that converts shipments into
+// communication-time estimates. The remote package provides the other
+// Site implementation: worker processes reached over an RPC transport.
 package cluster
 
 import (
-	"sync"
 	"time"
 
 	"gstored/internal/fragment"
@@ -31,73 +30,37 @@ var DefaultLink = LinkModel{
 	BytesPerSecond:    117 << 20,
 }
 
-// Network meters every shipment between sites and the coordinator. For
-// in-process sites the engine feeds it §IX cost-model estimates; for
-// remote sites it receives the real transport byte counts the RPC layer
-// measured.
+// Network counts one execution's shipment between the sites and the
+// coordinator — the wire traffic the site replies measured, or the §IX
+// cost-model estimate when nothing crossed a socket — and prices it
+// under the link model. It is not safe for concurrent use: the engine
+// counts after each stage's barrier.
 type Network struct {
-	Link LinkModel
-
-	mu       sync.Mutex
-	bytes    int64
-	messages int64
+	Link     LinkModel
+	Bytes    int64
+	Messages int64
 }
 
-// NewNetwork returns a meter with the default link model.
+// NewNetwork returns a counter with the default link model.
 func NewNetwork() *Network { return &Network{Link: DefaultLink} }
 
-// Ship records one message of n bytes.
-func (n *Network) Ship(bytes int) {
-	n.mu.Lock()
-	n.bytes += int64(bytes)
-	n.messages++
-	n.mu.Unlock()
-}
-
-// Count records measured traffic: bytes over messages frames. The RPC
-// transport reports its real wire totals through this.
+// Count records bytes shipped over messages messages.
 func (n *Network) Count(bytes, messages int64) {
-	n.mu.Lock()
-	n.bytes += bytes
-	n.messages += messages
-	n.mu.Unlock()
+	n.Bytes += bytes
+	n.Messages += messages
 }
 
-// Broadcast records one message of n bytes to each of k receivers.
-func (n *Network) Broadcast(bytes, k int) {
-	n.mu.Lock()
-	n.bytes += int64(bytes) * int64(k)
-	n.messages += int64(k)
-	n.mu.Unlock()
-}
-
-// Bytes returns the total bytes shipped so far.
-func (n *Network) Bytes() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.bytes
-}
-
-// Messages returns the number of messages shipped so far.
-func (n *Network) Messages() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.messages
-}
-
-// EstimateTime converts the metered traffic into a communication-time
+// EstimateTime converts the counted traffic into a communication-time
 // estimate under the link model, assuming messages serialize through the
 // coordinator (the pessimistic case the paper's data-shipment metric
 // bounds).
 func (n *Network) EstimateTime() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	link := n.Link
 	if link.BytesPerSecond == 0 {
 		link = DefaultLink
 	}
-	transfer := time.Duration(float64(n.bytes) / link.BytesPerSecond * float64(time.Second))
-	return transfer + time.Duration(n.messages)*link.LatencyPerMessage
+	transfer := time.Duration(float64(n.Bytes) / link.BytesPerSecond * float64(time.Second))
+	return transfer + time.Duration(n.Messages)*link.LatencyPerMessage
 }
 
 // Cluster is the deployment the engine scatters through: one Site per
@@ -111,10 +74,6 @@ type Cluster struct {
 	// keeps it in both modes: it owns the data, plans against the global
 	// cardinality table, and ships fragments to workers from it.
 	Graph *fragment.Distributed
-	// Wired reports that the sites return real transport byte counts
-	// (remote mode): the engine then meters those instead of the §IX
-	// cost-model estimates it applies to in-process sites.
-	Wired bool
 }
 
 // New builds an in-process cluster over the fragments of d.
@@ -124,43 +83,17 @@ func New(d *fragment.Distributed) *Cluster {
 
 // NewWithSites builds a cluster over explicit Site implementations.
 // Sites must be ordered by ID with IDs matching d's fragment IDs.
-// Wired is inferred: any non-LocalSite implementation is assumed to
-// report real transport bytes.
 func NewWithSites(d *fragment.Distributed, sites []Site) *Cluster {
-	c := &Cluster{Net: NewNetwork(), Dict: d.Dict, Graph: d, Sites: sites}
-	for _, s := range sites {
-		if _, local := s.(*LocalSite); !local {
-			c.Wired = true
-			break
-		}
-	}
-	return c
-}
-
-// Parallel runs fn on every site concurrently — one goroutine per site,
-// like the paper's per-machine processes — and returns the stage's
-// wall-clock duration (the slowest site, since stages are barriers).
-// fn receives the site's index alongside the site; indexes equal site
-// IDs for clusters built by New/NewWithSites.
-func (c *Cluster) Parallel(fn func(i int, s Site)) time.Duration {
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i, s := range c.Sites {
-		wg.Add(1)
-		go func(i int, s Site) {
-			defer wg.Done()
-			fn(i, s)
-		}(i, s)
-	}
-	wg.Wait()
-	return time.Since(start)
+	return &Cluster{Net: NewNetwork(), Dict: d.Dict, Graph: d, Sites: sites}
 }
 
 // ParallelPool runs fn on every site through the given worker pool and
-// returns the stage's wall-clock duration. Unlike Parallel, concurrency
-// is bounded by the pool's width rather than the site count, and a
-// sequential pool (nil or width 1) visits sites strictly in site order
-// — the property the -eval-workers=1 oracle relies on.
+// returns the stage's wall-clock duration (stages are barriers). fn
+// receives the site's index alongside the site; indexes equal site IDs
+// for clusters built by New/NewWithSites. Concurrency is bounded by the
+// pool's width, and a sequential pool (nil or width 1) visits sites
+// strictly in site order — the property the -eval-workers=1 oracle
+// relies on.
 func (c *Cluster) ParallelPool(p *pool.Pool, fn func(i int, s Site)) time.Duration {
 	start := time.Now()
 	tasks := make([]func(), len(c.Sites))
@@ -169,17 +102,4 @@ func (c *Cluster) ParallelPool(p *pool.Pool, fn func(i int, s Site)) time.Durati
 	}
 	p.Do(tasks...)
 	return time.Since(start)
-}
-
-// ParallelErr is Parallel for site functions that can fail; the first
-// non-nil error (by site order) is returned alongside the duration.
-func (c *Cluster) ParallelErr(fn func(i int, s Site) error) (time.Duration, error) {
-	errs := make([]error, len(c.Sites))
-	d := c.Parallel(func(i int, s Site) { errs[i] = fn(i, s) })
-	for _, err := range errs {
-		if err != nil {
-			return d, err
-		}
-	}
-	return d, nil
 }

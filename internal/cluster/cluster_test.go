@@ -8,6 +8,7 @@ import (
 
 	"gstored/internal/fragment"
 	"gstored/internal/paperexample"
+	"gstored/internal/pool"
 )
 
 func build(t *testing.T) *Cluster {
@@ -25,9 +26,6 @@ func TestClusterSites(t *testing.T) {
 	if len(c.Sites) != 3 {
 		t.Fatalf("%d sites", len(c.Sites))
 	}
-	if c.Wired {
-		t.Error("in-process cluster reports Wired")
-	}
 	for i, s := range c.Sites {
 		local, ok := s.(*LocalSite)
 		if !ok {
@@ -42,7 +40,7 @@ func TestClusterSites(t *testing.T) {
 func TestParallelRunsEverySite(t *testing.T) {
 	c := build(t)
 	var n int32
-	d := c.Parallel(func(i int, s Site) { atomic.AddInt32(&n, 1) })
+	d := c.ParallelPool(pool.New(3), func(i int, s Site) { atomic.AddInt32(&n, 1) })
 	if n != 3 {
 		t.Errorf("ran on %d sites", n)
 	}
@@ -50,27 +48,6 @@ func TestParallelRunsEverySite(t *testing.T) {
 		t.Error("non-positive duration")
 	}
 }
-
-func TestParallelErr(t *testing.T) {
-	c := build(t)
-	wantErr := &testErr{}
-	_, err := c.ParallelErr(func(i int, s Site) error {
-		if s.ID() == 1 {
-			return wantErr
-		}
-		return nil
-	})
-	if err != wantErr {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := c.ParallelErr(func(i int, s Site) error { return nil }); err != nil {
-		t.Errorf("unexpected err %v", err)
-	}
-}
-
-type testErr struct{}
-
-func (*testErr) Error() string { return "boom" }
 
 func TestLocalSwapGeneration(t *testing.T) {
 	c := build(t)
@@ -121,19 +98,12 @@ func TestLocalSwapGeneration(t *testing.T) {
 
 func TestNetworkMetering(t *testing.T) {
 	n := NewNetwork()
-	n.Ship(100)
-	n.Ship(50)
-	n.Broadcast(10, 4)
-	if n.Bytes() != 190 {
-		t.Errorf("bytes = %d, want 190", n.Bytes())
-	}
-	if n.Messages() != 6 {
-		t.Errorf("messages = %d, want 6", n.Messages())
+	n.Count(150, 2)
+	n.Count(40, 4)
+	if n.Bytes != 190 || n.Messages != 6 {
+		t.Errorf("bytes = %d, messages = %d, want 190, 6", n.Bytes, n.Messages)
 	}
 	n.Count(810, 4)
-	if n.Bytes() != 1000 || n.Messages() != 10 {
-		t.Errorf("after Count: bytes = %d, messages = %d, want 1000, 10", n.Bytes(), n.Messages())
-	}
 	est := n.EstimateTime()
 	if est <= 0 {
 		t.Error("estimate should be positive")
@@ -146,21 +116,8 @@ func TestNetworkMetering(t *testing.T) {
 
 func TestNetworkEstimateZeroModel(t *testing.T) {
 	n := &Network{} // zero link model must fall back to defaults
-	n.Ship(1 << 20)
+	n.Count(1<<20, 1)
 	if n.EstimateTime() <= 0 {
 		t.Error("zero-model estimate should fall back to DefaultLink")
-	}
-}
-
-func TestNetworkConcurrentShip(t *testing.T) {
-	n := NewNetwork()
-	c := build(t)
-	c.Parallel(func(i int, s Site) {
-		for j := 0; j < 1000; j++ {
-			n.Ship(1)
-		}
-	})
-	if n.Bytes() != 3000 {
-		t.Errorf("bytes = %d, want 3000", n.Bytes())
 	}
 }

@@ -21,17 +21,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gstored/internal/assembly"
 	"gstored/internal/candidates"
 	"gstored/internal/cluster"
 	"gstored/internal/fragment"
+	"gstored/internal/key"
 	"gstored/internal/lec"
 	"gstored/internal/partial"
 	"gstored/internal/pool"
@@ -93,15 +92,10 @@ type Config struct {
 // Row is one result row: bindings indexed by query variable.
 type Row []rdf.TermID
 
-// Key canonically identifies a row.
+// Key canonically identifies a row (layout: package key).
 func (r Row) Key() string {
-	var b strings.Builder
-	b.Grow(8 * len(r))
-	for _, v := range r {
-		b.WriteString(strconv.FormatUint(uint64(v), 10))
-		b.WriteByte(',')
-	}
-	return b.String()
+	var buf [64]byte
+	return string(key.Terms(buf[:0], r))
 }
 
 // Stats mirrors the per-stage columns of Tables I–III.
@@ -287,7 +281,7 @@ func projectRow(q *query.Graph, row Row, buf Row) Row {
 }
 
 // Engine evaluates SPARQL BGP queries over a simulated cluster. It is
-// safe for concurrent use: every execution meters its traffic on a
+// safe for concurrent use: every execution counts its traffic on a
 // private Network, fragments and stores are immutable after
 // construction, and the shared dictionary is lock-protected.
 type Engine struct {
@@ -308,17 +302,6 @@ func NewWithSites(d *fragment.Distributed, sites []cluster.Site) *Engine {
 	return &Engine{Cluster: cluster.NewWithSites(d, sites)}
 }
 
-// newNet returns a fresh per-execution network meter inheriting the
-// cluster's link model. Concurrent Executes must not share a meter: the
-// per-stage shipment deltas in Stats would interleave.
-func (e *Engine) newNet() *cluster.Network {
-	net := cluster.NewNetwork()
-	if e.Cluster.Net != nil {
-		net.Link = e.Cluster.Net.Link
-	}
-	return net
-}
-
 // Execute runs q under cfg and returns all matches with per-stage
 // statistics. Disconnected queries are evaluated per weakly connected
 // component and recombined by cross product (Section II-A: "all connected
@@ -331,72 +314,28 @@ func (e *Engine) Execute(q *query.Graph, cfg Config) (*Result, error) {
 // ExecuteContext is Execute with cooperative cancellation: when ctx is
 // canceled or times out, the distributed stages stop promptly and the
 // context's error is returned.
+//
+// Ordered delivery is a collecting sink over run: every row is
+// materialized (sites emit concurrently), then sorted canonically —
+// numeric TermID order, slot by slot — and the solution modifiers apply
+// on the sorted sequence. Deterministic output, no early termination.
 func (e *Engine) ExecuteContext(ctx context.Context, q *query.Graph, cfg Config) (*Result, error) {
-	// The parent graph must validate before the component split: a
-	// hand-built graph with, say, a negative LIMIT would otherwise slip
-	// past per-component validation (SplitComponents strips modifiers)
-	// and blow up in the final modifier slice.
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if comps := query.SplitComponents(q); len(comps) > 1 {
-		return e.executeComponents(ctx, q, comps, cfg, nil)
-	}
-	if err := validateForExec(q, &cfg); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	start := time.Now()
-	net := e.newNet()
-	p := pool.New(cfg.EvalWorkers)
-	plan := planOrder(e.Cluster.Graph.Global, q)
-	stats := Stats{Mode: cfg.Mode, Plan: plan, EvalWorkers: p.Workers()}
-
-	// Initialization: every site receives the full query graph. In worker
-	// mode the query travels inside each RPC request and is metered there
-	// as real wire bytes.
-	if !e.Cluster.Wired {
-		net.Broadcast(querySize(q), len(e.Cluster.Sites))
-	}
-
-	// Ordered mode materializes every row (sites emit concurrently), then
-	// sorts canonically and applies the solution modifiers on the sorted
-	// sequence — deterministic output, no early termination. Collection
-	// takes one mutex per row where the pre-streaming code batched per
-	// site; per-row matching work dominates the uncontended lock (the
-	// 168k-row serve benchmark moved within noise), and one row-at-a-time
-	// sink shape is what lets ExecuteStream share these producers.
 	var mu sync.Mutex
 	var rows []Row
-	collect := func(r Row) bool {
+	stats, err := e.run(ctx, q, cfg, func(r Row) bool {
 		mu.Lock()
 		rows = append(rows, r)
 		mu.Unlock()
 		return true
-	}
-	if center, ok := q.StarCenter(); ok && !cfg.DisableStarFastPath {
-		stats.StarFastPath = true
-		if err := e.runStar(ctx, q, center, plan, p, net, &stats, collect); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := e.runDistributed(ctx, q, cfg, plan, p, net, &stats, collect); err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-
 	sortRows(rows)
 	rows = applyModifiers(q, rows)
 	stats.NumMatches = len(rows)
 	stats.TotalTime = time.Since(start)
-	stats.TotalShipment = net.Bytes()
-	stats.Messages = net.Messages()
-	stats.EstimatedCommTime = net.EstimateTime()
 	return &Result{Query: q, Rows: rows, Stats: stats}, nil
 }
 
@@ -416,86 +355,83 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Graph, cfg Config)
 // DISTINCT covering the full answer, different row subsets — any such
 // subset is a correct SPARQL answer for an unordered query).
 func (e *Engine) ExecuteStream(ctx context.Context, q *query.Graph, cfg Config, emit func(Row) bool) (*Result, error) {
-	if err := validateForExec(q, &cfg); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	start := time.Now()
+	// The sink reads q's modifiers before run validates the rest.
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
 	// The sink cancels sctx once it is satisfied; every distributed stage
 	// polls it, so partial evaluation, assembly, and sibling sites stop
 	// instead of completing work nobody will read.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	sink := newStreamSink(q, emit, cancel)
-
-	// fail distinguishes the sink's own cancellation (the success path)
-	// from the parent's timeout/disconnect and from genuine site errors —
-	// once the sink has its rows, errors raced in by still-draining
-	// stages are moot.
-	fail := func(runErr error) error {
-		if sink.finished() {
-			return nil
-		}
+	stats, err := e.run(sctx, q, cfg, sink.push)
+	// The sink's own cancellation is the success path: once it has its
+	// rows, errors raced in by still-draining stages are moot. Otherwise
+	// the parent's timeout/disconnect outranks the site error it caused.
+	if err != nil && !sink.finished() {
 		if perr := ctx.Err(); perr != nil {
-			return perr
+			return nil, perr
 		}
-		return runErr
-	}
-
-	if comps := query.SplitComponents(q); len(comps) > 1 {
-		// Component shipment and stage times aggregate inside
-		// executeComponents (each component runs the full ordered
-		// pipeline); only the final cross product streams.
-		res, err := e.executeComponents(sctx, q, comps, cfg, sink.push)
-		if err != nil {
-			if ferr := fail(err); ferr != nil {
-				return nil, ferr
-			}
-			res = &Result{Query: q, Stats: Stats{Mode: cfg.Mode}}
-		}
-		stats := res.Stats
-		stats.EarlyStop = sink.finished()
-		stats.NumMatches = sink.emitted
-		stats.TotalTime = time.Since(start)
-		return &Result{Query: q, Stats: stats}, nil
-	}
-
-	net := e.newNet()
-	p := pool.New(cfg.EvalWorkers)
-	plan := planOrder(e.Cluster.Graph.Global, q)
-	stats := Stats{Mode: cfg.Mode, Plan: plan, EvalWorkers: p.Workers()}
-	if !e.Cluster.Wired {
-		net.Broadcast(querySize(q), len(e.Cluster.Sites))
-	}
-
-	var runErr error
-	if center, ok := q.StarCenter(); ok && !cfg.DisableStarFastPath {
-		stats.StarFastPath = true
-		runErr = e.runStar(sctx, q, center, plan, p, net, &stats, sink.push)
-		if runErr == nil {
-			runErr = sctx.Err()
-		}
-	} else {
-		runErr = e.runDistributed(sctx, q, cfg, plan, p, net, &stats, sink.push)
-	}
-	if runErr != nil {
-		if ferr := fail(runErr); ferr != nil {
-			return nil, ferr
-		}
+		return nil, err
 	}
 	stats.EarlyStop = sink.finished()
 	stats.NumMatches = sink.emitted
 	stats.TotalTime = time.Since(start)
-	stats.TotalShipment = net.Bytes()
-	stats.Messages = net.Messages()
-	stats.EstimatedCommTime = net.EstimateTime()
 	return &Result{Query: q, Stats: stats}, nil
 }
 
-// validateForExec is the shared admission check of both execution paths;
-// it also resolves the zero Mode to Full.
+// run is the one execution path: validation, the component split, the
+// evaluation pool, the plan, the star-vs-distributed dispatch and the
+// shipment totals. Every match goes to out as it is produced; the two
+// exported entry points differ only in the sink they pass (and stamp
+// TotalTime, which for ordered delivery includes the sort). The returned
+// Stats are meaningful on error too: a streaming sink that stopped the
+// run reads them.
+func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut) (Stats, error) {
+	if err := validateForExec(q, &cfg); err != nil {
+		return Stats{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return Stats{Mode: cfg.Mode}, err
+	}
+	if comps := query.SplitComponents(q); len(comps) > 1 {
+		return e.executeComponents(ctx, q, comps, cfg, out)
+	}
+	p := pool.New(cfg.EvalWorkers)
+	plan := planOrder(e.Cluster.Graph.Global, q)
+	stats := Stats{Mode: cfg.Mode, Plan: plan, EvalWorkers: p.Workers()}
+	net := cluster.NewNetwork()
+	if e.Cluster.Net != nil {
+		net.Link = e.Cluster.Net.Link
+	}
+	var ship shipCounts
+	var err error
+	if center, ok := q.StarCenter(); ok && !cfg.DisableStarFastPath {
+		stats.StarFastPath = true
+		err = e.runStar(ctx, q, center, plan, p, net, &stats, out)
+	} else {
+		err = e.runDistributed(ctx, q, cfg, plan, p, net, &stats, &ship, out)
+	}
+	// The one metering decision: traffic the site replies measured at a
+	// socket stands as shipped; when nothing crossed one (in-process
+	// sites report zero) the §IX model prices the same exchange.
+	if net.Bytes > 0 {
+		for i := range stats.Fragments {
+			stats.Fragments[i].ShipmentBytes = stats.Fragments[i].WireBytes
+		}
+	} else {
+		modelShipment(q, &stats, &ship, net)
+	}
+	stats.TotalShipment = net.Bytes
+	stats.Messages = net.Messages
+	stats.EstimatedCommTime = net.EstimateTime()
+	return stats, err
+}
+
+// validateForExec is the admission check of run; it also resolves the
+// zero Mode to Full.
 func validateForExec(q *query.Graph, cfg *Config) error {
 	if err := q.Validate(); err != nil {
 		return err
@@ -627,32 +563,8 @@ func (s *streamSink) finished() bool {
 	return s.done
 }
 
-// sortRows orders rows canonically by their keys. Keys are precomputed
-// once per row: building them inside the comparison closure costs
-// O(n log n) string constructions, which dominated the tail of
-// large-result queries.
-func sortRows(rows []Row) {
-	if len(rows) < 2 {
-		return
-	}
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = r.Key()
-	}
-	sort.Sort(&rowSorter{rows: rows, keys: keys})
-}
-
-type rowSorter struct {
-	rows []Row
-	keys []string
-}
-
-func (s *rowSorter) Len() int           { return len(s.rows) }
-func (s *rowSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *rowSorter) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
+// sortRows orders rows canonically: numeric TermID order, slot by slot.
+func sortRows(rows []Row) { slices.SortFunc(rows, slices.Compare[Row]) }
 
 // runStar evaluates a star query locally at every site, restricting the
 // center to internal vertices: crossing-edge replicas make each star match
@@ -663,99 +575,78 @@ func (s *rowSorter) Swap(i, j int) {
 // boundary: in-process sites evaluate on this goroutine's pool, remote
 // sites run the same request on their worker and stream rows back.
 func (e *Engine) runStar(ctx context.Context, q *query.Graph, center int, plan []PlanEdge, p *pool.Pool, net *cluster.Network, stats *Stats, out rowOut) error {
-	var total atomic.Int64
 	tr := trace.FromContext(ctx)
-	wired := e.Cluster.Wired
 	frags := make([]FragmentStats, len(e.Cluster.Sites))
-	errs := make([]error, len(e.Cluster.Sites))
+	stats.Fragments = frags
+	reps := make([]cluster.PartialReply, len(frags))
+	errs := make([]error, len(frags))
 	req := cluster.PartialRequest{
 		Query: q, Star: true, Center: center,
 		Order: planEdgeOrder(plan), Pool: p,
 	}
-	dur := e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
+	stats.PartialTime = e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
 		siteStart := time.Now()
-		rep, err := s.PartialEval(ctx, req, func(row []rdf.TermID) bool {
+		reps[i], errs[i] = s.PartialEval(ctx, req, func(row []rdf.TermID) bool {
 			return out(Row(row))
 		})
-		siteWall := time.Since(siteStart)
+		frags[i] = FragmentStats{Site: s.ID(), Wall: time.Since(siteStart)}
 		// For a remote site this span includes the wire round trip — the
 		// real per-site timing, not the link-model estimate.
-		tr.Span("partial", s.ID(), siteStart, siteWall)
-		if err != nil {
-			errs[i] = err
-			frags[i].Site = s.ID()
-			return
-		}
-		// Results travel to the coordinator: measured bytes when wired,
-		// the §IX row-size estimate in-process.
-		ship := int64(rowBytes(q) * rep.LocalMatches)
-		msgs := int64(1)
-		if wired {
-			ship, msgs = rep.Wire, rep.WireMessages
-		}
-		net.Count(ship, msgs)
-		frags[i] = FragmentStats{
-			Site: s.ID(), LocalMatches: rep.LocalMatches, ShipmentBytes: ship,
-			WireBytes: rep.Wire, Wall: siteWall, Tasks: rep.Tasks, Busy: rep.Busy,
-		}
-		total.Add(int64(rep.LocalMatches))
+		tr.Span("partial", s.ID(), siteStart, frags[i].Wall)
 	})
-	stats.PartialTime = dur
-	stats.NumLocalMatches = int(total.Load())
-	stats.Fragments = frags
+	// A sink that stopped the run still reads what was scanned and
+	// shipped up to that point, so the replies count before the context
+	// check.
+	var firstErr error
+	for i, rep := range reps {
+		if errs[i] != nil {
+			if firstErr == nil {
+				firstErr = errs[i]
+			}
+			continue
+		}
+		net.Count(rep.Wire, rep.WireMessages)
+		frags[i].LocalMatches = rep.LocalMatches
+		frags[i].WireBytes = rep.Wire
+		frags[i].Tasks = rep.Tasks
+		frags[i].Busy = rep.Busy
+		stats.NumLocalMatches += rep.LocalMatches
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return firstErr
 }
 
 // runDistributed is the two-stage partial evaluation and assembly flow.
 // Local complete matches stream into out during partial evaluation and
 // assembled crossing matches stream during assembly, so a streaming sink
-// sees its first row before the run completes.
-func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config, plan []PlanEdge, p *pool.Pool, net *cluster.Network, stats *Stats, out rowOut) error {
+// sees its first row before the run completes. Each site reply's wire
+// traffic is counted on net after its stage's barrier; what the §IX model
+// prices instead is recorded in ship.
+func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config, plan []PlanEdge, p *pool.Pool, net *cluster.Network, stats *Stats, ship *shipCounts, out rowOut) error {
 	k := len(e.Cluster.Sites)
 	tr := trace.FromContext(ctx)
-	wired := e.Cluster.Wired
 	frags := make([]FragmentStats, k)
 	for i, s := range e.Cluster.Sites {
 		frags[i].Site = s.ID()
 	}
+	stats.Fragments = frags
 
 	// Stage 0 (Full only): assemble variables' internal candidates.
-	var union *candidates.SiteVectors
 	if cfg.Mode >= Full {
 		bits := cfg.CandidateBits
 		if bits == 0 {
 			bits = candidates.DefaultBits
 		}
-		candMark := net.Bytes()
-		siteVecs := make([]*candidates.SiteVectors, k)
+		creps := make([]cluster.CandidatesReply, k)
 		cerrs := make([]error, k)
 		creq := cluster.CandidatesRequest{Query: q, Bits: bits}
-		dur := e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
+		stats.CandidatesTime = e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
 			siteStart := time.Now()
-			rep, err := s.Candidates(ctx, creq)
+			creps[i], cerrs[i] = s.Candidates(ctx, creq)
 			siteWall := time.Since(siteStart)
 			tr.Span("candidates", s.ID(), siteStart, siteWall)
-			if err != nil {
-				cerrs[i] = err
-				return
-			}
-			siteVecs[i] = rep.Vectors
-			ship := int64(rep.Vectors.ShipmentBytes())
-			msgs := int64(1)
-			if wired {
-				ship, msgs = rep.Wire, rep.WireMessages
-			}
-			net.Count(ship, msgs)
-			frags[i].ShipmentBytes += ship
-			frags[i].WireBytes += rep.Wire
 			frags[i].Wall += siteWall
 			frags[i].Tasks++
 			frags[i].Busy += siteWall
@@ -763,29 +654,27 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, err := range cerrs {
-			if err != nil {
-				return err
+		siteVecs := make([]*candidates.SiteVectors, k)
+		for i, rep := range creps {
+			if cerrs[i] != nil {
+				return cerrs[i]
 			}
+			siteVecs[i] = rep.Vectors
+			net.Count(rep.Wire, rep.WireMessages)
+			frags[i].WireBytes += rep.Wire
+			stats.CandidatesShipment += rep.Wire
 		}
-		u, err := candidates.Union(siteVecs, q, bits)
+		union, err := candidates.Union(siteVecs, q, bits)
 		if err != nil {
 			return err
 		}
-		union = u
-		if !wired {
-			// Broadcast of the union back to the sites. In worker mode the
-			// union rides inside each PartialEval request and is metered
-			// there as real request bytes.
-			net.Broadcast(union.ShipmentBytes(), k)
-		}
-		stats.CandidatesTime = dur
-		stats.CandidatesShipment = net.Bytes() - candMark
+		// The union travels back to the sites inside each PartialEval
+		// request.
+		ship.vectors, ship.union = siteVecs, union
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	shipMark := net.Bytes()
 
 	// Stage 1: partial evaluation — local complete matches plus local
 	// partial matches at every site in parallel. Local complete matches
@@ -794,32 +683,28 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	serrs := make([]error, k)
 	req := cluster.PartialRequest{
 		Query: q, Order: planEdgeOrder(plan), EdgeRank: planEdgeRank(plan),
-		Union: union, MaxMatches: cfg.MaxPartialMatches, Pool: p,
+		Union: ship.union, MaxMatches: cfg.MaxPartialMatches, Pool: p,
 	}
-	dur := e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
+	stats.PartialTime = e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
 		siteStart := time.Now()
-		rep, err := s.PartialEval(ctx, req, func(row []rdf.TermID) bool {
+		outs[i], serrs[i] = s.PartialEval(ctx, req, func(row []rdf.TermID) bool {
 			return out(Row(row))
 		})
 		siteWall := time.Since(siteStart)
 		tr.Span("partial", s.ID(), siteStart, siteWall)
-		outs[i], serrs[i] = rep, err
 		frags[i].Wall += siteWall
+	})
+	for i, rep := range outs {
+		net.Count(rep.Wire, rep.WireMessages)
+		frags[i].WireBytes += rep.Wire
 		frags[i].Tasks += rep.Tasks
 		frags[i].Busy += rep.Busy
-		frags[i].WireBytes += rep.Wire
-		if wired {
-			net.Count(rep.Wire, rep.WireMessages)
-			frags[i].ShipmentBytes += rep.Wire
-		}
-	})
-	stats.PartialTime = dur
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var nLocal int
 	var pms []*partial.Match
-	for i := range outs {
+	for i, rep := range outs {
 		if err := serrs[i]; err != nil {
 			if errors.Is(err, partial.ErrCanceled) {
 				if cerr := ctx.Err(); cerr != nil {
@@ -828,57 +713,33 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 			}
 			return err
 		}
-		nLocal += outs[i].LocalMatches
-		pms = append(pms, outs[i].Matches...)
-		frags[i].LocalMatches = outs[i].LocalMatches
-		frags[i].PartialMatches = len(outs[i].Matches)
-		if !wired {
-			frags[i].ShipmentBytes += int64(rowBytes(q) * outs[i].LocalMatches)
-		}
+		pms = append(pms, rep.Matches...)
+		frags[i].LocalMatches = rep.LocalMatches
+		frags[i].PartialMatches = len(rep.Matches)
+		stats.NumLocalMatches += rep.LocalMatches
 	}
-	stats.NumLocalMatches = nLocal
 	stats.NumPartialMatches = len(pms)
-	if !wired {
-		net.Ship(rowBytes(q) * nLocal) // local matches to coordinator
-	}
 
 	// Stage 2 (LO, Full): LEC features travel instead of partial matches;
-	// the coordinator joins features and broadcasts the survivors. In
-	// worker mode the partial matches already crossed the wire in stage 1
-	// (the transport ships them with the reply), so the feature exchange
-	// is a coordinator-local pruning step with no traffic of its own.
+	// the coordinator joins features and broadcasts the survivors. Over
+	// the RPC transport the partial matches already crossed the wire in
+	// stage 1 (they ride the reply), so there the feature exchange is a
+	// coordinator-local pruning step with no traffic of its own.
 	kept := pms
 	if cfg.Mode >= LO {
 		lecStart := time.Now()
 		features, featureOf := lec.Compute(pms)
 		stats.NumLECFeatures = len(features)
-		if !wired {
-			for _, f := range features {
-				fb := f.EstimateBytes(len(q.Vertices))
-				net.Ship(fb)
-				// Features are computed from (and, in the paper's
-				// deployment, shipped by) the site owning their partial
-				// matches.
-				frags[f.Frag].ShipmentBytes += int64(fb)
-			}
-		}
 		res := lec.Prune(features, q)
-		if !wired {
-			// Verdict bitmap back to each site.
-			net.Broadcast((len(features)+7)/8, k)
-		}
 		kept = kept[:0:0]
 		for i, pm := range pms {
 			if res.Retained[featureOf[i]] {
 				kept = append(kept, pm)
 			}
 		}
-		lecWall := time.Since(lecStart)
-		tr.Span("lec", trace.Coordinator, lecStart, lecWall)
-		stats.LECTime = lecWall
-		if !wired {
-			stats.LECShipment = net.Bytes() - shipMark
-		}
+		ship.features, ship.pruned = features, true
+		stats.LECTime = time.Since(lecStart)
+		tr.Span("lec", trace.Coordinator, lecStart, stats.LECTime)
 	}
 	stats.NumRetainedPartialMatches = len(kept)
 	if err := ctx.Err(); err != nil {
@@ -887,39 +748,95 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 
 	// Stage 3: surviving partial matches travel to the coordinator and are
 	// assembled (Algorithm 3, or the [18] baseline join for Basic).
-	asmMark := net.Bytes()
 	for _, pm := range kept {
 		frags[pm.Frag].RetainedPartialMatches++
-		if !wired {
-			pb := pm.EstimateBytes()
-			net.Ship(pb)
-			frags[pm.Frag].ShipmentBytes += int64(pb)
-		}
 	}
+	ship.kept = kept
 	asmStart := time.Now()
-	cancel := cancelFunc(ctx)
 	// Emit streams each crossing match straight into out as it is found,
 	// so no intermediate []assembly.Result is materialized; the ordered
 	// path's terminal canonical sort covers the unordered emission, and a
 	// streaming sink can stop the assembly mid-join.
 	_, asmStats := assembly.Assemble(kept, q, assembly.Options{
 		UseLEC: cfg.Mode >= LA,
-		Cancel: cancel,
+		Cancel: cancelFunc(ctx),
 		Emit: func(cm assembly.Result) bool {
 			return out(rowFromAssembly(q, cm))
 		},
 	})
-	asmWall := time.Since(asmStart)
-	tr.Span("assembly", trace.Coordinator, asmStart, asmWall)
-	stats.AssemblyTime = asmWall
-	stats.Fragments = frags
+	stats.AssemblyTime = time.Since(asmStart)
+	tr.Span("assembly", trace.Coordinator, asmStart, stats.AssemblyTime)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	stats.AssemblyShipment = net.Bytes() - asmMark
 	stats.JoinAttempts = asmStats.JoinAttempts
 	stats.NumCrossingMatches = asmStats.Results
 	return nil
+}
+
+// shipCounts are the quantities of one distributed execution that the
+// §IX shipment model prices; the stages record them as they run and
+// modelShipment turns them into bytes once. Local matches are already in
+// Stats.Fragments.
+type shipCounts struct {
+	vectors  []*candidates.SiteVectors // per-site candidate vectors (Full)
+	union    *candidates.SiteVectors   // their union, broadcast back (Full)
+	features []*lec.Feature            // LEC features shipped (LO, Full)
+	pruned   bool                      // the LEC stage ran
+	kept     []*partial.Match          // partial matches shipped for assembly
+}
+
+// modelShipment is the §IX cost model of one in-process execution: what
+// the paper's deployment would have shipped for the exchange that just
+// ran, counted on net and attributed per stage and per fragment
+// (coordinator-side broadcasts are not attributed to a fragment).
+func modelShipment(q *query.Graph, stats *Stats, ship *shipCounts, net *cluster.Network) {
+	frags := stats.Fragments
+	k := int64(len(frags))
+	// Initialization: every site receives the full query graph.
+	net.Count(int64(querySize(q))*k, k)
+	// Stage 0: one candidate-vector message per site, the union back to each.
+	if ship.union != nil {
+		stats.CandidatesShipment = int64(ship.union.ShipmentBytes()) * k
+		for i, v := range ship.vectors {
+			b := int64(v.ShipmentBytes())
+			frags[i].ShipmentBytes += b
+			stats.CandidatesShipment += b
+		}
+		net.Count(stats.CandidatesShipment, 2*k)
+	}
+	// Stage 1: local matches to the coordinator — one reply per site on
+	// the star path, one gathered message on the distributed path.
+	var local int64
+	for i := range frags {
+		b := int64(rowBytes(q) * frags[i].LocalMatches)
+		frags[i].ShipmentBytes += b
+		local += b
+	}
+	if stats.StarFastPath {
+		net.Count(local, k)
+	} else {
+		net.Count(local, 1)
+	}
+	// Stage 2: one message per LEC feature, from the site owning its
+	// partial matches, and the verdict bitmap back to each site. The
+	// stage's shipment column includes the local rows that precede it.
+	if ship.pruned {
+		stats.LECShipment = local + int64((len(ship.features)+7)/8)*k
+		for _, f := range ship.features {
+			fb := int64(f.EstimateBytes(len(q.Vertices)))
+			frags[f.Frag].ShipmentBytes += fb
+			stats.LECShipment += fb
+		}
+		net.Count(stats.LECShipment-local, int64(len(ship.features))+k)
+	}
+	// Stage 3: one message per retained partial match.
+	for _, pm := range ship.kept {
+		pb := int64(pm.EstimateBytes())
+		frags[pm.Frag].ShipmentBytes += pb
+		stats.AssemblyShipment += pb
+	}
+	net.Count(stats.AssemblyShipment, int64(len(ship.kept)))
 }
 
 // executeComponents evaluates each weakly connected component separately
@@ -927,25 +844,21 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 // variables shared between components (vertex variables cannot be shared
 // — a shared vertex would connect the components).
 //
-// With a non-nil out the final component's cross product streams: each
-// complete combined row goes to out as it is merged (component
-// sub-results — and, for three or more components, the intermediate
-// pairwise products — still materialize; only the last merge, which can
-// dwarf them all, never does), production stops the moment out
-// declines, and the returned Result carries the aggregate stats with
-// nil Rows. Component sub-queries carry no solution
-// modifiers (SplitComponents drops them with the projection), so
-// modifiers apply exactly once: here for the ordered path, in the
-// caller's sink for the streaming path.
-func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []query.Component, cfg Config, out rowOut) (*Result, error) {
-	start := time.Now()
+// The final component's cross product streams: each complete combined
+// row goes to out as it is merged (component sub-results — and, for
+// three or more components, the intermediate pairwise products — still
+// materialize; only the last merge, which can dwarf them all, never
+// does), and production stops the moment out declines. Component
+// sub-queries carry no solution modifiers (SplitComponents drops them
+// with the projection), so modifiers apply exactly once, in the caller's
+// sink. The returned Stats aggregate the component runs.
+func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []query.Component, cfg Config, out rowOut) (Stats, error) {
 	combined := []Row{make(Row, len(q.Vars))}
-	var agg Stats
-	agg.Mode = cfg.Mode
+	agg := Stats{Mode: cfg.Mode}
 	for ci, comp := range comps {
 		res, err := e.ExecuteContext(ctx, comp.Query, cfg)
 		if err != nil {
-			return nil, err
+			return agg, err
 		}
 		s := res.Stats
 		agg.CandidatesTime += s.CandidatesTime
@@ -967,7 +880,7 @@ func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []
 		agg.Fragments = mergeFragments(agg.Fragments, s.Fragments)
 		agg.EvalWorkers = s.EvalWorkers // identical across components
 
-		streamLast := out != nil && ci == len(comps)-1
+		last := ci == len(comps)-1
 		var next []Row
 		var ops uint
 		for _, base := range combined {
@@ -976,7 +889,7 @@ func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []
 				// context so timeouts still bite here.
 				if ops&0xfff == 0 {
 					if err := ctx.Err(); err != nil {
-						return nil, err
+						return agg, err
 					}
 				}
 				ops++
@@ -996,30 +909,19 @@ func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []
 				if !ok {
 					continue
 				}
-				if streamLast {
-					if !out(merged) {
-						agg.TotalTime = time.Since(start)
-						return &Result{Query: q, Stats: agg}, nil
-					}
-				} else {
+				if !last {
 					next = append(next, merged)
+				} else if !out(merged) {
+					return agg, nil
 				}
 			}
-		}
-		if streamLast {
-			agg.TotalTime = time.Since(start)
-			return &Result{Query: q, Stats: agg}, nil
 		}
 		combined = next
 		if len(combined) == 0 {
 			break
 		}
 	}
-	sortRows(combined)
-	combined = applyModifiers(q, combined)
-	agg.NumMatches = len(combined)
-	agg.TotalTime = time.Since(start)
-	return &Result{Query: q, Rows: combined, Stats: agg}, nil
+	return agg, nil
 }
 
 // cancelFunc adapts ctx into the polling hook the store and partial

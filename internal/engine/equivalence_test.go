@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gstored/internal/fragment"
@@ -133,6 +134,9 @@ func sameMultiset(a, b []string) bool {
 //
 //   - Ordered delivery is deterministic: identical row sequences
 //     regardless of worker count.
+//   - Ordered delivery equals the streamed rows collected, sorted with
+//     sortRows and passed through applyModifiers — the definition of the
+//     ordered path, checked from outside it.
 //   - Unordered delivery without LIMIT/OFFSET: identical row multisets.
 //   - Unordered delivery under LIMIT/OFFSET without DISTINCT may pick a
 //     different (equally correct) row subset, so the harness checks
@@ -174,6 +178,27 @@ func TestCrossModeEquivalence(t *testing.T) {
 				par := orderedKeys(t, env.eng, q, 4)
 				if fmt.Sprint(par) != fmt.Sprint(oracle) {
 					t.Fatalf("ordered parallel diverged from sequential oracle\n got %d rows\nwant %d rows", len(par), len(oracle))
+				}
+
+				// Ordered delivery is nothing more than the streamed multiset
+				// collected, canonically sorted, and run through the modifiers.
+				var rows []Row
+				if _, err := env.eng.ExecuteStream(context.Background(), env.shape(t, shape, nil),
+					Config{Mode: Full, EvalWorkers: 4}, func(r Row) bool {
+						rows = append(rows, slices.Clone(r))
+						return true
+					}); err != nil {
+					t.Fatal(err)
+				}
+				sortRows(rows)
+				var viaSink []string
+				buf := newProjectionBuffer(q)
+				for _, r := range applyModifiers(q, rows) {
+					viaSink = append(viaSink, projectRow(q, r, buf).Key())
+				}
+				if !slices.Equal(viaSink, oracle) {
+					t.Fatalf("ordered output is not collect + sortRows + applyModifiers over the streamed rows (%d vs %d rows)",
+						len(viaSink), len(oracle))
 				}
 
 				for _, workers := range []int{1, 4} {

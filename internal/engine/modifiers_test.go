@@ -326,3 +326,15 @@ func TestOrderedModifiersDeterministic(t *testing.T) {
 		t.Errorf("ordered modifier runs differ:\n%v\n%v", resultKeys(a), resultKeys(b))
 	}
 }
+
+// TestSortRowsNumericOrder pins the canonical row order: numeric TermID
+// order slot by slot, not the order of the IDs' decimal spellings (which
+// put 10 before 9).
+func TestSortRowsNumericOrder(t *testing.T) {
+	rows := []Row{{10, 1}, {9, 7}, {2, 300}, {2, 31}, {100, 0}}
+	sortRows(rows)
+	want := []Row{{2, 31}, {2, 300}, {9, 7}, {10, 1}, {100, 0}}
+	if fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Errorf("sortRows = %v, want %v", rows, want)
+	}
+}

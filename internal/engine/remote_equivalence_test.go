@@ -80,13 +80,6 @@ func TestRemoteSiteEquivalence(t *testing.T) {
 	env := newEquivEnv(t)
 	remoteEng := newRemoteEngine(t, env)
 
-	if !remoteEng.Cluster.Wired {
-		t.Fatal("remote engine not marked wired")
-	}
-	if env.eng.Cluster.Wired {
-		t.Fatal("in-process engine marked wired")
-	}
-
 	for _, shape := range []string{"star", "path", "cross", "disconnected"} {
 		t.Run(shape, func(t *testing.T) {
 			q := env.shape(t, shape, nil)
@@ -133,8 +126,13 @@ func TestRemoteWireAccounting(t *testing.T) {
 	for _, fs := range res.Stats.Fragments {
 		wire += fs.WireBytes
 	}
-	if wire <= 0 {
-		t.Errorf("per-fragment wire bytes = %d, want > 0", wire)
+	if wire <= 0 || wire != res.Stats.TotalShipment {
+		t.Errorf("per-fragment wire bytes sum to %d, total shipment %d; want equal and > 0", wire, res.Stats.TotalShipment)
+	}
+	for _, fs := range res.Stats.Fragments {
+		if fs.ShipmentBytes != fs.WireBytes {
+			t.Errorf("site %d: shipment %d != measured wire %d", fs.Site, fs.ShipmentBytes, fs.WireBytes)
+		}
 	}
 
 	local, err := env.eng.Execute(q, Config{Mode: Full, EvalWorkers: 4})

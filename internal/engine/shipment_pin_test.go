@@ -1,0 +1,101 @@
+package engine
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"gstored/internal/fragment"
+	"gstored/internal/partition"
+	"gstored/internal/query"
+	"gstored/internal/store"
+	"gstored/internal/workload"
+)
+
+// shipmentPin is one execution's deterministic shipment counters.
+type shipmentPin struct {
+	total, msgs, cand, lec, asm int64
+	frags                       []int64 // Fragments[i].ShipmentBytes
+}
+
+func pinOf(s Stats) shipmentPin {
+	p := shipmentPin{
+		total: s.TotalShipment, msgs: s.Messages,
+		cand: s.CandidatesShipment, lec: s.LECShipment, asm: s.AssemblyShipment,
+	}
+	for _, fs := range s.Fragments {
+		p.frags = append(p.frags, fs.ShipmentBytes)
+	}
+	return p
+}
+
+// shipmentPins are the §IX model counters of in-process executions at
+// EvalWorkers 1, captured from the commit before the metering moved out
+// of the stages into one post-assembly function. They depend only on
+// the data, the query and the mode, never on timing.
+var shipmentPins = map[string]shipmentPin{
+	"paper/gStoreD-Basic": {808, 12, 0, 0, 496, []int64{180, 196, 120}},
+	"paper/gStoreD-LA":    {808, 12, 0, 0, 496, []int64{180, 196, 120}},
+	"paper/gStoreD-LO":    {914, 21, 0, 166, 436, []int64{243, 254, 102}},
+	"paper/gStoreD":       {50045, 26, 49152, 145, 436, []int64{8435, 8446, 8273}},
+	"LQ1/gStoreD-Basic":   {7776, 122, 0, 0, 7488, []int64{1600, 1664, 1792, 2432}},
+	"LQ1/gStoreD-LA":      {7776, 122, 0, 0, 7488, []int64{1600, 1664, 1792, 2432}},
+	"LQ1/gStoreD-LO":      {6725, 158, 0, 4389, 2048, []int64{1373, 1474, 1484, 2046}},
+	"LQ1/gStoreD":         {53288, 97, 49152, 1800, 2048, []int64{6962, 7100, 6999, 7339}},
+	"LQ2/gStoreD-Basic":   {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}},
+	"LQ2/gStoreD-LA":      {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}},
+	"LQ2/gStoreD-LO":      {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}},
+	"LQ2/gStoreD":         {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}},
+	"LQ6/gStoreD-Basic":   {320, 5, 0, 0, 0, []int64{0, 0, 0, 0}},
+	"LQ6/gStoreD-LA":      {320, 5, 0, 0, 0, []int64{0, 0, 0, 0}},
+	"LQ6/gStoreD-LO":      {320, 9, 0, 0, 0, []int64{0, 0, 0, 0}},
+	"LQ6/gStoreD":         {33088, 17, 32768, 0, 0, []int64{4096, 4096, 4096, 4096}},
+	"LQ7/gStoreD-Basic":   {19896, 304, 0, 0, 19576, []int64{4080, 7120, 4008, 4368}},
+	"LQ7/gStoreD-LA":      {19896, 304, 0, 0, 19576, []int64{4080, 7120, 4008, 4368}},
+	"LQ7/gStoreD-LO":      {27938, 585, 0, 9154, 18464, []int64{5770, 9473, 5733, 6494}},
+	"LQ7/gStoreD":         {92991, 578, 65536, 8671, 18464, []int64{13777, 17560, 13777, 14649}},
+}
+
+// TestShipmentCountersPinned: in-process shipment accounting — total,
+// messages, per-stage and per-fragment — is unchanged to the byte.
+func TestShipmentCountersPinned(t *testing.T) {
+	type run struct {
+		name string
+		e    *Engine
+		q    *query.Graph
+	}
+	ex, pe := paperEngine(t)
+	runs := []run{{"paper", pe, ex.Query}}
+
+	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 1, Seed: 7})
+	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := New(d)
+	for _, name := range []string{"LQ1", "LQ2", "LQ6", "LQ7"} {
+		bq, err := ds.Query(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := bq.Parse(ds.Graph.Dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{name, le, q})
+	}
+
+	for _, r := range runs {
+		for _, mode := range allModes {
+			res, err := r.e.Execute(r.q, Config{Mode: mode, EvalWorkers: 1})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", r.name, mode, err)
+			}
+			key := fmt.Sprintf("%s/%v", r.name, mode)
+			got := pinOf(res.Stats)
+			if want, ok := shipmentPins[key]; !ok || !reflect.DeepEqual(got, want) {
+				t.Errorf("%q: {%d, %d, %d, %d, %d, %#v},", key, got.total, got.msgs, got.cand, got.lec, got.asm, got.frags)
+			}
+		}
+	}
+}

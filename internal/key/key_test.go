@@ -1,0 +1,201 @@
+package key_test
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"gstored/internal/assembly"
+	"gstored/internal/engine"
+	"gstored/internal/key"
+	"gstored/internal/lec"
+	"gstored/internal/partial"
+	"gstored/internal/rdf"
+)
+
+// Identity predicates: the fields each Key() is documented to cover.
+
+func sameMatch(a, b *partial.Match) bool {
+	return a.Frag == b.Frag && slices.Equal(a.Vec, b.Vec) && slices.Equal(a.EdgeVars, b.EdgeVars) &&
+		a.MatchedEdges == b.MatchedEdges && slices.Equal(a.Crossing, b.Crossing)
+}
+
+func sameFeature(a, b *lec.Feature) bool {
+	return a.Frag == b.Frag && slices.Equal(a.Mappings, b.Mappings)
+}
+
+func sameResult(a, b assembly.Result) bool {
+	return slices.Equal(a.Vec, b.Vec) && slices.Equal(a.EdgeVars, b.EdgeVars)
+}
+
+func members(ns []int) string { return string(key.Ints(nil, ns)) }
+
+// TestKeyBoundaries is the table of adversarial variable-length cases a
+// separator-free layout must still keep apart: every pair differs in
+// identity and must differ in key.
+func TestKeyBoundaries(t *testing.T) {
+	c1 := partial.CrossEdge{QEdge: 1, S: 2, P: 3, O: 4}
+	c0 := partial.CrossEdge{} // all-zero mapping: NoTerm endpoints, edge 0
+	matches := [][2]*partial.Match{
+		// An element moves across the Vec / EdgeVars boundary.
+		{{Vec: []rdf.TermID{1, 2}, EdgeVars: []rdf.TermID{3}}, {Vec: []rdf.TermID{1}, EdgeVars: []rdf.TermID{2, 3}}},
+		{{Vec: []rdf.TermID{1}}, {EdgeVars: []rdf.TermID{1}}},
+		// NoTerm slots are values, not padding.
+		{{Vec: []rdf.TermID{rdf.NoTerm, 1}}, {Vec: []rdf.TermID{1, rdf.NoTerm}}},
+		{{Vec: []rdf.TermID{rdf.NoTerm}}, {Vec: nil}},
+		{{Vec: []rdf.TermID{1}}, {Vec: []rdf.TermID{1, rdf.NoTerm}}},
+		// Crossing lists of different lengths, the longer one zero-extended.
+		{{Crossing: []partial.CrossEdge{c1}}, {Crossing: []partial.CrossEdge{c1, c0}}},
+		{{Crossing: nil}, {Crossing: []partial.CrossEdge{c0}}},
+		// MatchedEdges against the Crossing count that follows it.
+		{{MatchedEdges: 1}, {Crossing: []partial.CrossEdge{c0}}},
+		// A trailing EdgeVars slot against the MatchedEdges that follows it.
+		{{EdgeVars: []rdf.TermID{0, 0}, MatchedEdges: 0}, {EdgeVars: []rdf.TermID{0}, MatchedEdges: 1 << 32}},
+		{{Frag: 1}, {Frag: 256}},
+		// Multi-digit values the decimal form kept apart with commas.
+		{{Vec: []rdf.TermID{1, 23}}, {Vec: []rdf.TermID{12, 3}}},
+	}
+	for i, p := range matches {
+		if sameMatch(p[0], p[1]) {
+			t.Fatalf("match case %d is not a distinct pair", i)
+		}
+		if p[0].Key() == p[1].Key() {
+			t.Errorf("match case %d: distinct matches share a key", i)
+		}
+	}
+
+	features := [][2]*lec.Feature{
+		{{Frag: 1, Mappings: []partial.CrossEdge{c1}}, {Frag: 2, Mappings: []partial.CrossEdge{c1}}},
+		{{Mappings: []partial.CrossEdge{c1}}, {Mappings: []partial.CrossEdge{c1, c0}}},
+		{{Mappings: nil}, {Mappings: []partial.CrossEdge{c0}}},
+		{{Mappings: []partial.CrossEdge{{QEdge: 1, S: 23}}}, {Mappings: []partial.CrossEdge{{QEdge: 12, S: 3}}}},
+	}
+	for i, p := range features {
+		if p[0].Key() == p[1].Key() {
+			t.Errorf("feature case %d: distinct features share a key", i)
+		}
+	}
+	// The sign is implied by (fragment, g) — Theorem 1 — and stays out.
+	if (&lec.Feature{Frag: 1, Sign: 5}).Key() != (&lec.Feature{Frag: 1, Sign: 9}).Key() {
+		t.Error("feature key depends on Sign")
+	}
+
+	sets := [][2][]int{{{1, 23}, {12, 3}}, {{}, {0}}, {{0}, {0, 0}}, {{1, 2}, {2, 1}}, {{256}, {1}}}
+	for i, p := range sets {
+		if members(p[0]) == members(p[1]) {
+			t.Errorf("member-set case %d: %v and %v share a key", i, p[0], p[1])
+		}
+	}
+
+	rows := [][2]engine.Row{{{1, 0}, {1}}, {{0}, {}}, {{1, 23}, {12, 3}}, {{0, 1}, {1, 0}}}
+	for i, p := range rows {
+		if p[0].Key() == p[1].Key() {
+			t.Errorf("row case %d: %v and %v share a key", i, p[0], p[1])
+		}
+		ra, rb := assembly.Result{Vec: p[0]}, assembly.Result{Vec: p[1]}
+		if ra.Key() == rb.Key() {
+			t.Errorf("result case %d: distinct results share a key", i)
+		}
+	}
+	if (assembly.Result{Vec: []rdf.TermID{1, 2}, EdgeVars: []rdf.TermID{3}}).Key() ==
+		(assembly.Result{Vec: []rdf.TermID{1}, EdgeVars: []rdf.TermID{2, 3}}).Key() {
+		t.Error("result key lets an element cross the Vec / EdgeVars boundary")
+	}
+}
+
+// Random identities are drawn from tiny domains (lengths 0-2, values
+// 0-2), and the second of a pair is the first with at most one field
+// redrawn, so equal pairs and one-field near misses both turn up often.
+
+func randTerms(r *rand.Rand) []rdf.TermID {
+	ts := make([]rdf.TermID, r.Intn(3))
+	for i := range ts {
+		ts[i] = rdf.TermID(r.Intn(3))
+	}
+	return ts
+}
+
+func randCrossing(r *rand.Rand) []partial.CrossEdge {
+	cs := make([]partial.CrossEdge, r.Intn(3))
+	for i := range cs {
+		cs[i] = partial.CrossEdge{QEdge: r.Intn(2), S: rdf.TermID(r.Intn(2)), P: rdf.TermID(r.Intn(2)), O: rdf.TermID(r.Intn(2))}
+	}
+	return cs
+}
+
+func randMatchPair(r *rand.Rand) (a, b *partial.Match) {
+	a = &partial.Match{
+		Frag: r.Intn(2), Vec: randTerms(r), EdgeVars: randTerms(r),
+		MatchedEdges: uint64(r.Intn(2)), Crossing: randCrossing(r),
+		Sign: r.Uint64(), // derived, not part of the identity
+	}
+	c := *a
+	b = &c
+	switch r.Intn(6) {
+	case 0:
+		b.Frag = r.Intn(2)
+	case 1:
+		b.Vec = randTerms(r)
+	case 2:
+		b.EdgeVars = randTerms(r)
+	case 3:
+		b.MatchedEdges = uint64(r.Intn(2))
+	case 4:
+		b.Crossing = randCrossing(r)
+	}
+	b.Sign = r.Uint64()
+	return a, b
+}
+
+// TestKeysInjective: for every keyed type, two values get equal keys iff
+// their identity fields are equal.
+func TestKeysInjective(t *testing.T) {
+	equalSeen := 0
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		ma, mb := randMatchPair(r)
+		if sameMatch(ma, mb) {
+			equalSeen++
+		}
+		if (ma.Key() == mb.Key()) != sameMatch(ma, mb) {
+			t.Logf("match %+v vs %+v", ma, mb)
+			return false
+		}
+		fa := &lec.Feature{Frag: ma.Frag, Mappings: ma.Crossing, Sign: ma.Sign}
+		fb := &lec.Feature{Frag: mb.Frag, Mappings: mb.Crossing, Sign: mb.Sign}
+		if (fa.Key() == fb.Key()) != sameFeature(fa, fb) {
+			t.Logf("feature %+v vs %+v", fa, fb)
+			return false
+		}
+		xa, xb := assembly.Result{Vec: ma.Vec, EdgeVars: ma.EdgeVars}, assembly.Result{Vec: mb.Vec, EdgeVars: mb.EdgeVars}
+		if (xa.Key() == xb.Key()) != sameResult(xa, xb) {
+			t.Logf("result %+v vs %+v", xa, xb)
+			return false
+		}
+		if (engine.Row(ma.Vec).Key() == engine.Row(mb.Vec).Key()) != slices.Equal(ma.Vec, mb.Vec) {
+			t.Logf("row %v vs %v", ma.Vec, mb.Vec)
+			return false
+		}
+		na, nb := r.Perm(r.Intn(4)), r.Perm(r.Intn(4))
+		if (members(na) == members(nb)) != slices.Equal(na, nb) {
+			t.Logf("members %v vs %v", na, nb)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Error(err)
+	}
+	if equalSeen < 1000 {
+		t.Fatalf("only %d equal pairs drawn; the domains no longer collide", equalSeen)
+	}
+}
+
+// TestKeyOrderIsNumeric: equal-length keys order like their fields, the
+// property assembly's materialized output and the docs rely on.
+func TestKeyOrderIsNumeric(t *testing.T) {
+	if !(engine.Row{9}.Key() < engine.Row{10}.Key()) || !(engine.Row{2, 300}.Key() < engine.Row{10, 1}.Key()) {
+		t.Error("row keys do not order numerically")
+	}
+}

@@ -6,10 +6,9 @@
 package lec
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
+	"gstored/internal/key"
 	"gstored/internal/partial"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
@@ -31,12 +30,8 @@ type Feature struct {
 // Key canonically identifies the feature (fragment + g; the sign is
 // implied, Theorem 1).
 func (f *Feature) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "F%d", f.Frag)
-	for _, m := range f.Mappings {
-		fmt.Fprintf(&b, "|%d:%d-%d-%d", m.QEdge, m.S, m.P, m.O)
-	}
-	return b.String()
+	var buf [128]byte
+	return string(partial.AppendCrossing(key.Int(buf[:0], f.Frag), f.Mappings))
 }
 
 // EstimateBytes approximates the wire size of the feature for data-shipment
@@ -54,11 +49,11 @@ func Compute(pms []*partial.Match) (features []*Feature, featureOf []int) {
 	featureOf = make([]int, len(pms))
 	for i, pm := range pms {
 		f := &Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign}
-		key := f.Key()
-		fi, ok := index[key]
+		fk := f.Key()
+		fi, ok := index[fk]
 		if !ok {
 			fi = len(features)
-			index[key] = fi
+			index[fk] = fi
 			features = append(features, f)
 		}
 		features[fi].PMs = append(features[fi].PMs, i)
@@ -91,64 +86,6 @@ func Joinable(a, b *Feature) bool {
 		}
 	}
 	return shared
-}
-
-// Group is a LEC feature group (Definition 10): features sharing a LECSign.
-// Theorem 5: two features with equal signs are never joinable, so joins
-// only happen across groups.
-type Group struct {
-	Sign     uint64
-	Features []int // indices into the feature slice
-}
-
-// GroupBySign partitions features into LECSign groups, ordered by
-// ascending sign.
-func GroupBySign(features []*Feature) []Group {
-	bySign := make(map[uint64]*Group)
-	for i, f := range features {
-		g, ok := bySign[f.Sign]
-		if !ok {
-			g = &Group{Sign: f.Sign}
-			bySign[f.Sign] = g
-		}
-		g.Features = append(g.Features, i)
-	}
-	out := make([]Group, 0, len(bySign))
-	for _, g := range bySign {
-		out = append(out, *g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Sign < out[j].Sign })
-	return out
-}
-
-// JoinGraph builds the group-level join graph: vertices are groups, with
-// an edge when some pair of their features is joinable. Returned as an
-// adjacency matrix.
-func JoinGraph(features []*Feature, groups []Group) [][]bool {
-	n := len(groups)
-	adj := make([][]bool, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if groupsJoinable(features, groups[i], groups[j]) {
-				adj[i][j], adj[j][i] = true, true
-			}
-		}
-	}
-	return adj
-}
-
-func groupsJoinable(features []*Feature, a, b Group) bool {
-	for _, fi := range a.Features {
-		for _, fj := range b.Features {
-			if Joinable(features[fi], features[fj]) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // PruneResult reports the outcome of Prune.
@@ -185,6 +122,7 @@ func Prune(features []*Feature, q *query.Graph) PruneResult {
 		return res
 	}
 	full := fullSign(len(q.Vertices))
+	var kbuf [128]byte // member-set key scratch
 
 	// Index: mapping -> features containing it, for connected expansion.
 	byMapping := make(map[partial.CrossEdge][]int)
@@ -224,7 +162,7 @@ func Prune(features []*Feature, q *query.Graph) PruneResult {
 			continue
 		}
 		frontier := []*joinState{init}
-		seen := map[string]bool{memberKey(init.members): true}
+		seen := map[string]bool{string(key.Ints(kbuf[:0], init.members)): true}
 		for len(frontier) > 0 && !res.Overflowed {
 			s := frontier[len(frontier)-1]
 			frontier = frontier[:len(frontier)-1]
@@ -233,11 +171,11 @@ func Prune(features []*Feature, q *query.Graph) PruneResult {
 				if !ok {
 					continue
 				}
-				key := memberKey(ns.members)
-				if seen[key] {
+				mk := key.Ints(kbuf[:0], ns.members)
+				if seen[string(mk)] { // lookup by converted bytes does not allocate
 					continue
 				}
-				seen[key] = true
+				seen[string(mk)] = true
 				res.States++
 				if res.States > maxPruneStates {
 					res.Overflowed = true
@@ -268,14 +206,6 @@ func fullSign(n int) uint64 {
 		return ^uint64(0)
 	}
 	return (uint64(1) << uint(n)) - 1
-}
-
-func memberKey(members []int) string {
-	var b strings.Builder
-	for _, m := range members {
-		fmt.Fprintf(&b, "%d,", m)
-	}
-	return b.String()
 }
 
 // applyMapping folds one crossing-edge mapping into the per-vertex and

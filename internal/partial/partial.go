@@ -10,11 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"gstored/internal/fragment"
+	"gstored/internal/key"
 	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
@@ -54,22 +54,28 @@ type Match struct {
 
 // Key returns a canonical identity for deduplication: fragment,
 // serialization vector, edge-variable bindings, matched edges and crossing
-// edge mappings.
+// edge mappings (layout: package key).
 func (m *Match) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "F%d|", m.Frag)
-	for _, v := range m.Vec {
-		fmt.Fprintf(&b, "%d,", v)
+	var buf [192]byte // typical keys fit, so only string(b) allocates
+	b := key.Int(buf[:0], m.Frag)
+	b = key.Terms(b, m.Vec)
+	b = key.Terms(b, m.EdgeVars)
+	b = key.Uint64(b, m.MatchedEdges)
+	return string(AppendCrossing(b, m.Crossing))
+}
+
+// AppendCrossing appends the crossing-edge mappings cs to key b as one
+// length-prefixed section; LEC features share it (their g is a match's
+// Crossing).
+func AppendCrossing(b []byte, cs []CrossEdge) []byte {
+	b = key.Len(b, len(cs))
+	for _, c := range cs {
+		b = key.Int(b, c.QEdge)
+		b = key.Term(b, c.S)
+		b = key.Term(b, c.P)
+		b = key.Term(b, c.O)
 	}
-	b.WriteByte('|')
-	for _, v := range m.EdgeVars {
-		fmt.Fprintf(&b, "%d,", v)
-	}
-	fmt.Fprintf(&b, "|%x|", m.MatchedEdges)
-	for _, c := range m.Crossing {
-		fmt.Fprintf(&b, "%d:%d-%d-%d;", c.QEdge, c.S, c.P, c.O)
-	}
-	return b.String()
+	return b
 }
 
 // EstimateBytes approximates the wire size of the match for data-shipment
@@ -244,11 +250,11 @@ func computeParallel(f *fragment.Fragment, q *query.Graph, opts Options, inc [][
 	var out []*Match
 	for _, ms := range outs {
 		for _, m := range ms {
-			key := m.Key()
-			if seen[key] {
+			mk := m.Key()
+			if seen[mk] {
 				continue
 			}
-			seen[key] = true
+			seen[mk] = true
 			out = append(out, m)
 		}
 	}
@@ -523,11 +529,11 @@ func (en *enumerator) finalize() {
 			m.Sign |= 1 << uint(i)
 		}
 	}
-	key := m.Key()
-	if en.seen[key] {
+	mk := m.Key()
+	if en.seen[mk] {
 		return
 	}
-	en.seen[key] = true
+	en.seen[mk] = true
 	en.out = append(en.out, m)
 	if en.opts.MaxMatches > 0 && len(en.out) > en.opts.MaxMatches {
 		en.err = ErrTooManyMatches{Limit: en.opts.MaxMatches}

@@ -3,9 +3,13 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -85,6 +89,63 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if got.Op != want.Op || got.Site != want.Site || got.Epoch != want.Epoch || fmt.Sprint(got.Order) != fmt.Sprint(want.Order) {
 		t.Errorf("round trip = %+v, want %+v", got, want)
+	}
+}
+
+// TestReadFrameDoesNotTrustLengthPrefix: a header declaring maxFrame
+// followed by a 10-byte body is an error that costs what arrived, not
+// what was declared — the prefix comes off an unauthenticated socket.
+func TestReadFrameDoesNotTrustLengthPrefix(t *testing.T) {
+	var garbage bytes.Buffer
+	if err := binary.Write(&garbage, binary.BigEndian, uint32(maxFrame)); err != nil {
+		t.Fatal(err)
+	}
+	garbage.WriteString("0123456789")
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var got request
+	n, err := readFrame(&garbage, &got)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("readFrame = %d, %v; want io.ErrUnexpectedEOF", n, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("truncated maxFrame frame allocated %d bytes, want < 1 MiB", alloc)
+	}
+
+	// One past the limit is still rejected from the header alone.
+	var over bytes.Buffer
+	if err := binary.Write(&over, binary.BigEndian, uint32(maxFrame+1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readFrame(&over, &got); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("oversized frame error = %v, want the limit rejection", err)
+	}
+}
+
+// TestFrameRoundTripAcrossChunks: a frame larger than frameChunk takes
+// the incremental-growth path and must decode identically.
+func TestFrameRoundTripAcrossChunks(t *testing.T) {
+	want := request{Op: opPartial, Order: make([]int, 3*frameChunk)}
+	for i := range want.Order {
+		want.Order[i] = i * 7919
+	}
+	var buf bytes.Buffer
+	wrote, err := writeFrame(&buf, &want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrote <= 2*frameChunk {
+		t.Fatalf("fixture frame is %d bytes; want several chunks", wrote)
+	}
+	var got request
+	read, err := readFrame(&buf, &got)
+	if err != nil || read != wrote {
+		t.Fatalf("readFrame = %d, %v; want %d, nil", read, err, wrote)
+	}
+	if !slices.Equal(got.Order, want.Order) {
+		t.Error("multi-chunk frame decoded differently")
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"gstored/internal/candidates"
 	"gstored/internal/cluster"
@@ -38,6 +39,10 @@ const (
 // maxFrame bounds a single frame; a corrupt length prefix must not turn
 // into an arbitrary allocation.
 const maxFrame = 1 << 30
+
+// frameChunk is the most readFrame allocates ahead of the bytes it has
+// received; frames up to this size are read into one exact allocation.
+const frameChunk = 64 << 10
 
 // request is the coordinator→worker frame: the op discriminator plus the
 // fields that op reads. Everything is serializable by construction — the
@@ -163,9 +168,16 @@ func readFrame(r io.Reader, v any) (int64, error) {
 	if n > maxFrame {
 		return 4, fmt.Errorf("remote: %d-byte frame exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 4, err
+	// The prefix is unauthenticated: the buffer grows only as body bytes
+	// actually arrive, so a garbage header cannot buy a maxFrame allocation.
+	body := make([]byte, 0, min(int(n), frameChunk))
+	for len(body) < int(n) {
+		body = slices.Grow(body, min(int(n)-len(body), frameChunk))
+		m, err := io.ReadFull(r, body[len(body):min(cap(body), int(n))])
+		body = body[:len(body)+m]
+		if err != nil {
+			return 4, err
+		}
 	}
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
 		return int64(4 + n), err

@@ -83,8 +83,11 @@ func TestQueryLimitOffsetEndToEnd(t *testing.T) {
 func TestQueryStreamEndToEnd(t *testing.T) {
 	db := dupDB(t)
 	var n int
-	res, err := db.QueryStream(context.Background(),
-		`SELECT DISTINCT ?y WHERE { ?x <http://ex/knows> ?y } LIMIT 1`,
+	q, err := db.Parse(`SELECT DISTINCT ?y WHERE { ?x <http://ex/knows> ?y } LIMIT 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.QueryGraphStreamContext(context.Background(), q,
 		func(row Row) bool {
 			n++
 			if len(row) != 1 {

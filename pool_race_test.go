@@ -56,7 +56,7 @@ func TestPoolQueriesDuringSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.QueryGraph(pathQ)
+	want, err := db.QueryGraphContext(context.Background(), pathQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPoolQueriesDuringSwaps(t *testing.T) {
 				default:
 				}
 				if ordered {
-					res, err := db.QueryGraph(pathQ)
+					res, err := db.QueryGraphContext(context.Background(), pathQ)
 					if err != nil {
 						report(err)
 						return

@@ -221,7 +221,11 @@ func TestWorkerKilledMidQuery(t *testing.T) {
 	defer cancel()
 	rows := 0
 	start := time.Now()
-	_, err = db.QueryStream(ctx, starQuery, func(r Row) bool {
+	starQ, err := db.Parse(starQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = db.QueryGraphStreamContext(ctx, starQ, func(r Row) bool {
 		rows++
 		if rows == 1 {
 			stop()
