@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint bench-check fuzz-smoke
+.PHONY: build test race fmt-check lint bench-check fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fmt-check fails when gofmt would rewrite a tracked Go file (analyzer
+# testdata aside: its fixtures are laid out for their diagnostics).
+fmt-check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"
 
 # lint drives the eight invariant analyzers (genswap, ctxflow, spanpair,
 # metriclabel, looseerr, lockpath, chanleak, deferloop) through the vet

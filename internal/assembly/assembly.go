@@ -1,24 +1,23 @@
 // Package assembly joins local partial matches into complete crossing
-// matches (Section V). Two algorithms are provided with identical
-// semantics:
+// matches (Section V) by walking lec.Closure over them. Two algorithms
+// share that walk and therefore their semantics:
 //
-//   - LEC: Algorithm 3 — partial matches are grouped by LECSign
-//     (Definition 11), candidate join partners are found through a
-//     crossing-edge index, and combinations grow canonically from their
-//     minimum-index member so each connected combination is visited once.
+//   - LEC (Options.UseLEC): Algorithm 3 — candidate join partners are found
+//     through a crossing-edge index.
 //   - Basic: the partitioning-based join of Peng et al. [18] that the
-//     paper's gStoreD-Basic ablation uses — same closure, but partners are
-//     discovered by scanning all partial matches and testing full
-//     joinability pairwise, with no sign grouping and no edge index.
+//     paper's gStoreD-Basic ablation uses — partners are discovered by
+//     scanning all partial matches and testing joinability pairwise.
 //
 // Joins always re-check serialization-vector compatibility, as required by
-// the join conditions of [18] (see DESIGN.md fidelity note 1).
+// the join conditions of [18] (see DESIGN.md "One join closure").
 package assembly
 
 import (
+	"slices"
 	"sort"
 
 	"gstored/internal/key"
+	"gstored/internal/lec"
 	"gstored/internal/partial"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
@@ -61,233 +60,73 @@ type Options struct {
 	Emit func(Result) bool
 }
 
-// LEC assembles pms with the LEC-feature-based Algorithm 3.
-func LEC(pms []*partial.Match, q *query.Graph) ([]Result, Stats) {
-	return Assemble(pms, q, Options{UseLEC: true})
-}
-
-// Basic assembles pms with the baseline join of [18].
-func Basic(pms []*partial.Match, q *query.Graph) ([]Result, Stats) {
-	return Assemble(pms, q, Options{})
-}
-
-// joinState is a partially assembled crossing match.
-type joinState struct {
-	vec     []rdf.TermID
-	evb     []rdf.TermID
-	sign    uint64
-	matched uint64
-	members []int
-	// qmap records, per query edge, the crossing edge covering it
-	// (S == NoTerm when none yet); used by the indexed expansion.
-	qmap []partial.CrossEdge
-}
-
-// Assemble joins the partial matches into complete crossing matches.
+// Assemble joins the partial matches into complete crossing matches: the
+// lec.Closure over single partial matches, each state carrying its merged
+// vector and edge-variable bindings as a Result, with partners found
+// through the crossing-edge index (UseLEC) or by scanning every larger
+// index.
 func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Stats) {
-	useLEC := opts.UseLEC
 	var stats Stats
-	if len(pms) == 0 {
-		return nil, stats
-	}
-	full := fullSign(len(q.Vertices))
-
-	// Crossing-edge index for the LEC variant's connected expansion.
-	var byMapping map[partial.CrossEdge][]int
-	if useLEC {
-		byMapping = make(map[partial.CrossEdge][]int)
-		for i, pm := range pms {
-			for _, c := range pm.Crossing {
-				byMapping[c] = append(byMapping[c], i)
-			}
-		}
-	}
-
-	var steps uint
-	var kbuf [128]byte // member-set key scratch
+	var out []Result
 	// Complete matches are deduplicated by row key: distinct member sets
-	// can assemble into identical rows. With Emit set only the key set is
-	// retained; otherwise the results themselves accumulate.
-	var results map[string]Result
-	var emitted map[string]bool
-	if opts.Emit != nil {
-		emitted = make(map[string]bool)
-	} else {
-		results = make(map[string]Result)
-	}
-	for root := 0; root < len(pms); root++ {
-		init := stateFrom(pms[root], root, q)
-		frontier := []*joinState{init}
-		seen := map[string]bool{string(key.Ints(kbuf[:0], init.members)): true}
-		for len(frontier) > 0 {
-			if opts.Cancel != nil {
-				if steps&0xff == 0 && opts.Cancel() {
-					return nil, stats
-				}
-				steps++
+	// can assemble into identical rows.
+	done := make(map[string]bool)
+	c := lec.Closure[Result]{
+		Q: q, Items: make([]lec.Item, len(pms)), AllPairs: !opts.UseLEC, Cancel: opts.Cancel,
+		// A root's payload aliases its partial match; Join never writes
+		// to its input.
+		Root: func(i int) Result { return Result{pms[i].Vec, pms[i].EdgeVars} },
+		Join: func(r Result, i int) (Result, bool) {
+			if !compatible(r.Vec, pms[i].Vec) || !compatible(r.EdgeVars, pms[i].EdgeVars) {
+				return Result{}, false
 			}
-			s := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			for _, cand := range candidates(s, pms, byMapping, root, useLEC, &stats) {
-				ns, ok := s.extend(pms[cand], cand, q)
-				stats.JoinAttempts++
-				if !ok {
-					continue
-				}
-				mk := key.Ints(kbuf[:0], ns.members)
-				if seen[string(mk)] { // lookup by converted bytes does not allocate
-					continue
-				}
-				seen[string(mk)] = true
-				stats.States++
-				if ns.sign == full {
-					// Theorem 4: full sign cover implies all edges matched.
-					r := Result{Vec: ns.vec, EdgeVars: ns.evb}
-					rk := r.Key()
-					if opts.Emit != nil {
-						if !emitted[rk] {
-							emitted[rk] = true
-							stats.Results++
-							if !opts.Emit(r) {
-								return nil, stats
-							}
-						}
-					} else {
-						results[rk] = r
-					}
-					continue
-				}
-				frontier = append(frontier, ns)
+			return Result{merge(r.Vec, pms[i].Vec), merge(r.EdgeVars, pms[i].EdgeVars)}, true
+		},
+		Complete: func(_ []int, r Result) bool {
+			rk := r.Key()
+			if done[rk] {
+				return true
 			}
-		}
+			done[rk] = true
+			stats.Results++
+			if opts.Emit != nil {
+				return opts.Emit(r)
+			}
+			out = append(out, r)
+			return true
+		},
 	}
-	if opts.Emit != nil {
+	for i, pm := range pms {
+		c.Items[i] = lec.Item{Sign: pm.Sign, Mappings: pm.Crossing}
+	}
+	finished := c.Run()
+	stats.JoinAttempts, stats.States = c.Attempts, c.States
+	if !finished {
 		return nil, stats
-	}
-	out := make([]Result, 0, len(results))
-	for _, r := range results {
-		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	stats.Results = len(out)
 	return out, stats
 }
 
-func stateFrom(pm *partial.Match, idx int, q *query.Graph) *joinState {
-	s := &joinState{
-		vec:     append([]rdf.TermID(nil), pm.Vec...),
-		evb:     append([]rdf.TermID(nil), pm.EdgeVars...),
-		sign:    pm.Sign,
-		matched: pm.MatchedEdges,
-		members: []int{idx},
-		qmap:    make([]partial.CrossEdge, len(q.Edges)),
+// compatible reports whether two serialization vectors agree wherever
+// both are non-NULL — the vector condition of [18], which the closure's
+// crossing-edge checks do not imply for internal vertices.
+func compatible(a, b []rdf.TermID) bool {
+	for i, v := range b {
+		if v != rdf.NoTerm && a[i] != rdf.NoTerm && a[i] != v {
+			return false
+		}
 	}
-	for _, c := range pm.Crossing {
-		s.qmap[c.QEdge] = c
-	}
-	return s
+	return true
 }
 
-// candidates proposes partial matches to join into s. The LEC variant
-// looks up only PMs sharing a crossing-edge mapping; the basic variant
-// proposes everything with a larger index.
-func candidates(s *joinState, pms []*partial.Match, byMapping map[partial.CrossEdge][]int, root int, useLEC bool, stats *Stats) []int {
-	in := make(map[int]bool, len(s.members))
-	for _, m := range s.members {
-		in[m] = true
-	}
-	var out []int
-	if useLEC {
-		seen := map[int]bool{}
-		for qe := range s.qmap {
-			if s.qmap[qe].S == rdf.NoTerm {
-				continue
-			}
-			for _, i := range byMapping[s.qmap[qe]] {
-				if i <= root || in[i] || seen[i] {
-					continue
-				}
-				seen[i] = true
-				out = append(out, i)
-			}
-		}
-		sort.Ints(out)
-		return out
-	}
-	// Basic: scan everything; sharing is re-discovered inside extend (the
-	// connectivity requirement still applies), burning the join attempts
-	// the LEC index avoids.
-	for i := root + 1; i < len(pms); i++ {
-		if !in[i] {
-			out = append(out, i)
+// merge returns a copy of a overlaid with the non-NULL entries of b.
+func merge(a, b []rdf.TermID) []rdf.TermID {
+	out := slices.Clone(a)
+	for i, v := range b {
+		if v != rdf.NoTerm {
+			out[i] = v
 		}
 	}
 	return out
-}
-
-// extend joins pm into s. The join conditions of [18] apply: the two sides
-// must share at least one crossing edge mapped to the same query edge, no
-// query edge may be covered by two different crossing edges, the LECSigns
-// must be disjoint, and the serialization vectors (and edge-variable
-// bindings) must agree wherever both are non-NULL.
-func (s *joinState) extend(pm *partial.Match, idx int, q *query.Graph) (*joinState, bool) {
-	if s.sign&pm.Sign != 0 {
-		return nil, false
-	}
-	shared := false
-	for _, c := range pm.Crossing {
-		cur := s.qmap[c.QEdge]
-		if cur.S == rdf.NoTerm {
-			continue
-		}
-		if cur == c {
-			shared = true
-		} else {
-			return nil, false // same query edge, different crossing edge
-		}
-	}
-	if !shared {
-		return nil, false
-	}
-	// Vector compatibility.
-	for i, v := range pm.Vec {
-		if v != rdf.NoTerm && s.vec[i] != rdf.NoTerm && s.vec[i] != v {
-			return nil, false
-		}
-	}
-	for i, v := range pm.EdgeVars {
-		if v != rdf.NoTerm && s.evb[i] != rdf.NoTerm && s.evb[i] != v {
-			return nil, false
-		}
-	}
-	ns := &joinState{
-		vec:     append([]rdf.TermID(nil), s.vec...),
-		evb:     append([]rdf.TermID(nil), s.evb...),
-		sign:    s.sign | pm.Sign,
-		matched: s.matched | pm.MatchedEdges,
-		members: append(append([]int(nil), s.members...), idx),
-		qmap:    append([]partial.CrossEdge(nil), s.qmap...),
-	}
-	sort.Ints(ns.members)
-	for i, v := range pm.Vec {
-		if v != rdf.NoTerm {
-			ns.vec[i] = v
-		}
-	}
-	for i, v := range pm.EdgeVars {
-		if v != rdf.NoTerm {
-			ns.evb[i] = v
-		}
-	}
-	for _, c := range pm.Crossing {
-		ns.qmap[c.QEdge] = c
-	}
-	return ns, true
-}
-
-func fullSign(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(n)) - 1
 }

@@ -3,6 +3,7 @@ package assembly
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -60,11 +61,11 @@ func TestPaperAssembly(t *testing.T) {
 	want := append([][5]int(nil), paperexample.ExpectedCrossingMatches...)
 	sort.Slice(want, func(i, j int) bool { return fmt.Sprint(want[i]) < fmt.Sprint(want[j]) })
 
-	lecRes, lecStats := LEC(pms, ex.Query)
+	lecRes, lecStats := Assemble(pms, ex.Query, Options{UseLEC: true})
 	if got := resultVecs(ex, lecRes); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("LEC assembly:\n got %v\nwant %v", got, want)
 	}
-	basicRes, basicStats := Basic(pms, ex.Query)
+	basicRes, basicStats := Assemble(pms, ex.Query, Options{})
 	if got := resultVecs(ex, basicRes); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Basic assembly:\n got %v\nwant %v", got, want)
 	}
@@ -89,8 +90,8 @@ func TestAssemblyAfterPruning(t *testing.T) {
 	if len(kept) != 7 {
 		t.Fatalf("pruning kept %d of 8 partial matches, want 7", len(kept))
 	}
-	all, _ := LEC(pms, ex.Query)
-	pruned, _ := LEC(kept, ex.Query)
+	all, _ := Assemble(pms, ex.Query, Options{UseLEC: true})
+	pruned, _ := Assemble(kept, ex.Query, Options{UseLEC: true})
 	if fmt.Sprint(resultVecs(ex, all)) != fmt.Sprint(resultVecs(ex, pruned)) {
 		t.Error("pruning changed assembly results")
 	}
@@ -98,15 +99,52 @@ func TestAssemblyAfterPruning(t *testing.T) {
 
 func TestAssemblyEmpty(t *testing.T) {
 	ex := paperexample.New()
-	rs, stats := LEC(nil, ex.Query)
+	rs, stats := Assemble(nil, ex.Query, Options{UseLEC: true})
 	if len(rs) != 0 || stats.States != 0 {
 		t.Errorf("unexpected output on empty input")
 	}
 }
 
-// TestDistributedEqualsCentralized: on random graphs, partitionings and a
-// fixed query, local complete matches + assembled crossing matches must
-// equal the centralized answer set.
+// queryShapes are the query graphs TestDistributedEqualsCentralized draws
+// from: between them they exercise a branching vertex, a cycle, two query
+// edges between one pair of vertices and an edge-label variable.
+var queryShapes = [][][3]string{
+	{{"?x", "p0", "?y"}, {"?y", "p1", "?z"}},
+	{{"?x", "p0", "?y"}, {"?y", "p1", "?z"}, {"?x", "p1", "?w"}},
+	{{"?x", "p0", "?y"}, {"?y", "p1", "?z"}, {"?z", "p0", "?x"}},
+	{{"?x", "p0", "?y"}, {"?x", "p1", "?y"}},
+	{{"?x", "?p", "?y"}, {"?y", "p1", "?z"}},
+}
+
+func buildShape(dict *rdf.Dictionary, shape [][3]string) *query.Graph {
+	node := func(s string) query.Node {
+		if s[0] == '?' {
+			return query.Var(s[1:])
+		}
+		return query.IRI(s)
+	}
+	b := query.NewBuilder(dict)
+	for _, t := range shape {
+		b.Triple(node(t[0]), node(t[1]), node(t[2]))
+	}
+	return b.MustBuild()
+}
+
+// answerKey identifies one answer by its vertex assignment and its
+// edge-label variable bindings; vars is indexed by query variable.
+func answerKey(q *query.Graph, vertices, vars []rdf.TermID) string {
+	labels := make([]rdf.TermID, 0, len(q.EdgeVars()))
+	for _, ev := range q.EdgeVars() {
+		labels = append(labels, vars[ev])
+	}
+	return fmt.Sprint(vertices, labels)
+}
+
+// TestDistributedEqualsCentralized: on random graphs, partitionings and
+// query shapes, local complete matches + assembled crossing matches must
+// equal the centralized answer set of store.Match — the oracle that shares
+// no join code with assembly — for LEC assembly, the Basic join and
+// Prune-then-LEC alike.
 func TestDistributedEqualsCentralized(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -117,15 +155,13 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 			g.AddIRIs(fmt.Sprintf("v%d", r.Intn(nv)), fmt.Sprintf("p%d", r.Intn(2)), fmt.Sprintf("v%d", r.Intn(nv)))
 		}
 		st := store.FromGraph(g)
-		q := query.NewBuilder(g.Dict).
-			Triple(query.Var("x"), query.IRI("p0"), query.Var("y")).
-			Triple(query.Var("y"), query.IRI("p1"), query.Var("z")).
-			MustBuild()
+		shape := r.Intn(len(queryShapes))
+		q := buildShape(g.Dict, queryShapes[shape])
 
 		// Centralized answers.
 		want := map[string]bool{}
 		for _, b := range st.Match(q) {
-			want[fmt.Sprint(b.Vertices)] = true
+			want[answerKey(q, b.Vertices, b.Vars)] = true
 		}
 
 		k := 2 + r.Intn(3)
@@ -145,7 +181,7 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 			f.Store.MatchFunc(q, store.MatchOptions{
 				VertexFilter: func(qv int, u rdf.TermID) bool { return f.IsInternal(u) },
 			}, func(b store.Binding) bool {
-				got[fmt.Sprint(b.Vertices)] = true
+				got[answerKey(q, b.Vertices, b.Vars)] = true
 				return true
 			})
 			ms, err := partial.Compute(f, q, partial.Options{})
@@ -154,27 +190,35 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 			}
 			pms = append(pms, ms...)
 		}
-		for _, variant := range []func([]*partial.Match, *query.Graph) ([]Result, Stats){LEC, Basic} {
-			results, _ := variant(pms, q)
+		features, featureOf := lec.Compute(pms)
+		pruned := lec.Prune(features, q)
+		var kept []*partial.Match
+		for i, pm := range pms {
+			if pruned.Retained[featureOf[i]] {
+				kept = append(kept, pm)
+			}
+		}
+		for _, pipeline := range []struct {
+			name   string
+			pms    []*partial.Match
+			useLEC bool
+		}{{"LEC", pms, true}, {"Basic", pms, false}, {"Prune-then-LEC", kept, true}} {
+			results, _ := Assemble(pipeline.pms, q, Options{UseLEC: pipeline.useLEC})
 			merged := map[string]bool{}
 			for k := range got {
 				merged[k] = true
 			}
 			for _, res := range results {
-				merged[fmt.Sprint(res.Vec)] = true
+				merged[answerKey(q, res.Vec, res.EdgeVars)] = true
 			}
-			if len(merged) != len(want) {
+			if !reflect.DeepEqual(merged, want) {
+				t.Logf("seed %d, shape %d, %s: %d answers, centralized has %d", seed, shape, pipeline.name, len(merged), len(want))
 				return false
-			}
-			for k := range want {
-				if !merged[k] {
-					return false
-				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
 }
@@ -221,8 +265,8 @@ func TestPruningNeverLosesResultsProperty(t *testing.T) {
 				kept = append(kept, pm)
 			}
 		}
-		full, _ := LEC(pms, q)
-		pruned, _ := LEC(kept, q)
+		full, _ := Assemble(pms, q, Options{UseLEC: true})
+		pruned, _ := Assemble(kept, q, Options{UseLEC: true})
 		if len(full) != len(pruned) {
 			return false
 		}

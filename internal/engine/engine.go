@@ -730,7 +730,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		lecStart := time.Now()
 		features, featureOf := lec.Compute(pms)
 		stats.NumLECFeatures = len(features)
-		res := lec.Prune(features, q)
+		res := lec.Prune(features, q, cancelFunc(ctx))
 		kept = kept[:0:0]
 		for i, pm := range pms {
 			if res.Retained[featureOf[i]] {
@@ -924,8 +924,8 @@ func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []
 	return agg, nil
 }
 
-// cancelFunc adapts ctx into the polling hook the store and partial
-// layers accept; nil when ctx can never be canceled, so the hot matching
+// cancelFunc adapts ctx into the polling hook the store, partial, lec and
+// assembly layers accept; nil when ctx can never be canceled, so the hot
 // loops skip the poll entirely.
 func cancelFunc(ctx context.Context) func() bool {
 	if ctx.Done() == nil {

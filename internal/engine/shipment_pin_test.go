@@ -12,10 +12,14 @@ import (
 	"gstored/internal/workload"
 )
 
-// shipmentPin is one execution's deterministic shipment counters.
+// shipmentPin is one execution's deterministic counters: §IX shipment
+// bytes, then the work of the LEC and assembly stages.
 type shipmentPin struct {
 	total, msgs, cand, lec, asm int64
 	frags                       []int64 // Fragments[i].ShipmentBytes
+	// JoinAttempts, NumLECFeatures, NumRetainedPartialMatches,
+	// NumCrossingMatches
+	attempts, features, retained, crossing int
 }
 
 func pinOf(s Stats) shipmentPin {
@@ -26,6 +30,8 @@ func pinOf(s Stats) shipmentPin {
 	for _, fs := range s.Fragments {
 		p.frags = append(p.frags, fs.ShipmentBytes)
 	}
+	p.attempts, p.features = s.JoinAttempts, s.NumLECFeatures
+	p.retained, p.crossing = s.NumRetainedPartialMatches, s.NumCrossingMatches
 	return p
 }
 
@@ -34,26 +40,26 @@ func pinOf(s Stats) shipmentPin {
 // of the stages into one post-assembly function. They depend only on
 // the data, the query and the mode, never on timing.
 var shipmentPins = map[string]shipmentPin{
-	"paper/gStoreD-Basic": {808, 12, 0, 0, 496, []int64{180, 196, 120}},
-	"paper/gStoreD-LA":    {808, 12, 0, 0, 496, []int64{180, 196, 120}},
-	"paper/gStoreD-LO":    {914, 21, 0, 166, 436, []int64{243, 254, 102}},
-	"paper/gStoreD":       {50045, 26, 49152, 145, 436, []int64{8435, 8446, 8273}},
-	"LQ1/gStoreD-Basic":   {7776, 122, 0, 0, 7488, []int64{1600, 1664, 1792, 2432}},
-	"LQ1/gStoreD-LA":      {7776, 122, 0, 0, 7488, []int64{1600, 1664, 1792, 2432}},
-	"LQ1/gStoreD-LO":      {6725, 158, 0, 4389, 2048, []int64{1373, 1474, 1484, 2046}},
-	"LQ1/gStoreD":         {53288, 97, 49152, 1800, 2048, []int64{6962, 7100, 6999, 7339}},
-	"LQ2/gStoreD-Basic":   {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}},
-	"LQ2/gStoreD-LA":      {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}},
-	"LQ2/gStoreD-LO":      {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}},
-	"LQ2/gStoreD":         {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}},
-	"LQ6/gStoreD-Basic":   {320, 5, 0, 0, 0, []int64{0, 0, 0, 0}},
-	"LQ6/gStoreD-LA":      {320, 5, 0, 0, 0, []int64{0, 0, 0, 0}},
-	"LQ6/gStoreD-LO":      {320, 9, 0, 0, 0, []int64{0, 0, 0, 0}},
-	"LQ6/gStoreD":         {33088, 17, 32768, 0, 0, []int64{4096, 4096, 4096, 4096}},
-	"LQ7/gStoreD-Basic":   {19896, 304, 0, 0, 19576, []int64{4080, 7120, 4008, 4368}},
-	"LQ7/gStoreD-LA":      {19896, 304, 0, 0, 19576, []int64{4080, 7120, 4008, 4368}},
-	"LQ7/gStoreD-LO":      {27938, 585, 0, 9154, 18464, []int64{5770, 9473, 5733, 6494}},
-	"LQ7/gStoreD":         {92991, 578, 65536, 8671, 18464, []int64{13777, 17560, 13777, 14649}},
+	"paper/gStoreD-Basic": {808, 12, 0, 0, 496, []int64{180, 196, 120}, 38, 0, 8, 4},
+	"paper/gStoreD-LA":    {808, 12, 0, 0, 496, []int64{180, 196, 120}, 13, 0, 8, 4},
+	"paper/gStoreD-LO":    {914, 21, 0, 166, 436, []int64{243, 254, 102}, 13, 7, 7, 4},
+	"paper/gStoreD":       {50045, 26, 49152, 145, 436, []int64{8435, 8446, 8273}, 13, 6, 7, 4},
+	"LQ1/gStoreD-Basic":   {7776, 122, 0, 0, 7488, []int64{1600, 1664, 1792, 2432}, 8254, 0, 117, 13},
+	"LQ1/gStoreD-LA":      {7776, 122, 0, 0, 7488, []int64{1600, 1664, 1792, 2432}, 293, 0, 117, 13},
+	"LQ1/gStoreD-LO":      {6725, 158, 0, 4389, 2048, []int64{1373, 1474, 1484, 2046}, 46, 117, 32, 13},
+	"LQ1/gStoreD":         {53288, 97, 49152, 1800, 2048, []int64{6962, 7100, 6999, 7339}, 46, 48, 32, 13},
+	"LQ2/gStoreD-Basic":   {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}, 0, 0, 0, 0},
+	"LQ2/gStoreD-LA":      {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}, 0, 0, 0, 0},
+	"LQ2/gStoreD-LO":      {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}, 0, 0, 0, 0},
+	"LQ2/gStoreD":         {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}, 0, 0, 0, 0},
+	"LQ6/gStoreD-Basic":   {320, 5, 0, 0, 0, []int64{0, 0, 0, 0}, 0, 0, 0, 0},
+	"LQ6/gStoreD-LA":      {320, 5, 0, 0, 0, []int64{0, 0, 0, 0}, 0, 0, 0, 0},
+	"LQ6/gStoreD-LO":      {320, 9, 0, 0, 0, []int64{0, 0, 0, 0}, 0, 0, 0, 0},
+	"LQ6/gStoreD":         {33088, 17, 32768, 0, 0, []int64{4096, 4096, 4096, 4096}, 0, 0, 0, 0},
+	"LQ7/gStoreD-Basic":   {19896, 304, 0, 0, 19576, []int64{4080, 7120, 4008, 4368}, 129830, 0, 299, 115},
+	"LQ7/gStoreD-LA":      {19896, 304, 0, 0, 19576, []int64{4080, 7120, 4008, 4368}, 2187, 0, 299, 115},
+	"LQ7/gStoreD-LO":      {27938, 585, 0, 9154, 18464, []int64{5770, 9473, 5733, 6494}, 2136, 294, 282, 115},
+	"LQ7/gStoreD":         {92991, 578, 65536, 8671, 18464, []int64{13777, 17560, 13777, 14649}, 2136, 279, 282, 115},
 }
 
 // TestShipmentCountersPinned: in-process shipment accounting — total,
@@ -94,7 +100,7 @@ func TestShipmentCountersPinned(t *testing.T) {
 			key := fmt.Sprintf("%s/%v", r.name, mode)
 			got := pinOf(res.Stats)
 			if want, ok := shipmentPins[key]; !ok || !reflect.DeepEqual(got, want) {
-				t.Errorf("%q: {%d, %d, %d, %d, %d, %#v},", key, got.total, got.msgs, got.cand, got.lec, got.asm, got.frags)
+				t.Errorf("%q: {%d, %d, %d, %d, %d, %#v, %d, %d, %d, %d},", key, got.total, got.msgs, got.cand, got.lec, got.asm, got.frags, got.attempts, got.features, got.retained, got.crossing)
 			}
 		}
 	}

@@ -1,11 +1,14 @@
 package lec
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"gstored/internal/fragment"
 	"gstored/internal/paperexample"
 	"gstored/internal/partial"
+	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
 
@@ -101,6 +104,33 @@ func TestExample7Groups(t *testing.T) {
 	}
 }
 
+// Joinable is Definition 9 written out independently of Closure.step, on
+// two original (un-joined) features: different fragments, at least one
+// shared crossing-edge mapping, no query edge mapped to two different
+// crossing edges, and disjoint LECSigns.
+func Joinable(a, b *Feature) bool {
+	if a.Frag == b.Frag {
+		return false
+	}
+	if a.Sign&b.Sign != 0 {
+		return false
+	}
+	shared := false
+	for _, ma := range a.Mappings {
+		for _, mb := range b.Mappings {
+			if ma.QEdge != mb.QEdge {
+				continue
+			}
+			if ma == mb {
+				shared = true
+			} else {
+				return false // same query edge, different crossing edge
+			}
+		}
+	}
+	return shared
+}
+
 // TestJoinableDefinition9 exercises each condition on the running example.
 func TestJoinableDefinition9(t *testing.T) {
 	ex, pms, features, featureOf := paperFeatures(t)
@@ -166,6 +196,28 @@ func TestTheorem5(t *testing.T) {
 	}
 }
 
+// TestStepMatchesDefinition9: on every ordered pair of the running
+// example's features the closure's one join step accepts exactly the pairs
+// the reference Joinable accepts.
+func TestStepMatchesDefinition9(t *testing.T) {
+	ex, _, features, _ := paperFeatures(t)
+	c := Closure[struct{}]{Q: ex.Query}
+	for _, f := range features {
+		c.Items = append(c.Items, Item{Sign: f.Sign, Mappings: f.Mappings})
+	}
+	for i, a := range features {
+		for j, b := range features {
+			var s, next state[struct{}]
+			if !c.start(i, &s) {
+				t.Fatalf("feature %d contradicts itself", i)
+			}
+			if got, want := c.step(&s, j, &next), Joinable(a, b); got != want {
+				t.Errorf("step(%d, %d) = %v, Definition 9 says %v", i, j, got, want)
+			}
+		}
+	}
+}
+
 // TestPrunePaperExample: Algorithm 2 filters out PM2_3 (Section IV-C) and
 // keeps everything else, as every other partial match participates in a
 // complete match (Example 8 groups).
@@ -204,6 +256,75 @@ func TestPruneEmpty(t *testing.T) {
 	res := Prune(nil, ex.Query)
 	if len(res.Retained) != 0 || res.States != 0 {
 		t.Errorf("unexpected result on empty input: %+v", res)
+	}
+}
+
+// chainFeatures builds, over a five-vertex path query, k features of each
+// of five kinds whose closure has about 6k² states: A_j and B_j share the
+// crossing edge a_j→h1, every B_j joins every C_l over h1→h2, C_l joins
+// D_l joins E_l, and only A+B+C+D+E covers the query.
+func chainFeatures(k int) ([]*Feature, *query.Graph) {
+	d := rdf.NewDictionary()
+	v := func(i int) query.Node { return query.Var(fmt.Sprint("x", i)) }
+	b := query.NewBuilder(d)
+	for i := 0; i < 4; i++ {
+		b.Triple(v(i), query.IRI("p"), v(i+1))
+	}
+	q := b.MustBuild()
+	const h1, h2, tail = 1, 2, 3
+	edge := func(qe, s, o int) partial.CrossEdge {
+		return partial.CrossEdge{QEdge: qe, S: rdf.TermID(s), O: rdf.TermID(o)}
+	}
+	kinds := make([][]*Feature, 5)
+	for j := 0; j < k; j++ {
+		a, c := 100+j, 100+k+j
+		for kind, ms := range [][]partial.CrossEdge{
+			{edge(0, a, h1)},
+			{edge(0, a, h1), edge(1, h1, h2)},
+			{edge(1, h1, h2), edge(2, h2, c)},
+			{edge(2, h2, c), edge(3, c, tail)},
+			{edge(3, c, tail)},
+		} {
+			sign := uint64(1) << uint(q.Edges[0].From)
+			if kind > 0 {
+				sign = uint64(1) << uint(q.Edges[kind-1].To)
+			}
+			kinds[kind] = append(kinds[kind], &Feature{Frag: kind, Mappings: ms, Sign: sign})
+		}
+	}
+	var features []*Feature
+	for _, fs := range kinds {
+		features = append(features, fs...)
+	}
+	return features, q
+}
+
+// TestPruneCancel: the walk polls its cancel hook, so a canceled query
+// stops pruning within a few hundred expansions instead of walking the
+// whole closure; a nil hook changes nothing.
+func TestPruneCancel(t *testing.T) {
+	features, q := chainFeatures(50)
+	full := Prune(features, q)
+	if full.States < 10000 || full.Overflowed {
+		t.Fatalf("closure too small to test cancellation: %+v", full.States)
+	}
+	for i, r := range full.Retained {
+		if !r {
+			t.Fatalf("feature %d pruned, every chain feature completes", i)
+		}
+	}
+	if got := Prune(features, q, nil); got.States != full.States || !reflect.DeepEqual(got.Retained, full.Retained) {
+		t.Errorf("nil hook: %d states, want %d", got.States, full.States)
+	}
+	polls := 0
+	got := Prune(features, q, func() bool { polls++; return polls == 2 })
+	if polls != 2 || got.States*10 >= full.States {
+		t.Errorf("canceled on poll 2 of %d: walked %d of %d states", polls, got.States, full.States)
+	}
+	for i, r := range got.Retained {
+		if !r {
+			t.Fatalf("canceled prune dropped feature %d; an unfinished walk must retain everything", i)
+		}
 	}
 }
 

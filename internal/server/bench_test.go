@@ -1,14 +1,12 @@
 package server
 
 // Serving benchmarks over an httptest server on LUBM scale 1, reporting
-// queries/sec and bytes allocated per query, persisted to the repo-root
-// BENCH_serve.json so the serving perf trajectory is tracked across PRs.
-// BenchmarkWriteJSON compares the streaming serializer against the
+// queries/sec and bytes allocated per query. BenchmarkWriteJSON compares the streaming serializer against the
 // pre-streaming materialize-then-encode baseline (kept below as the
 // reference implementation) on an identical 100k-row result.
 //
-// CI runs these as a -benchtime=1x smoke under -race; real numbers come
-// from `go test -bench . -benchmem ./internal/server`.
+// CI runs these as a -benchtime=1x smoke under -race; the serve-path
+// numbers that gate PRs come from BENCHMARK.json's workloads, not from here.
 
 import (
 	"encoding/json"
@@ -17,7 +15,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -59,62 +56,10 @@ func benchServer(b *testing.B) (*Server, *httptest.Server) {
 	return benchEnv.srv, benchEnv.ts
 }
 
-// benchRecord is one row of BENCH_serve.json.
-type benchRecord struct {
-	NsPerOp       float64 `json:"ns_per_op"`
-	QPS           float64 `json:"queries_per_sec,omitempty"`
-	BytesPerOp    float64 `json:"bytes_alloc_per_op,omitempty"`
-	TTFBNs        float64 `json:"ttfb_ns,omitempty"`
-	RowsPerQuery  int     `json:"rows_per_query,omitempty"`
-	TriplesPerSec float64 `json:"triples_per_sec,omitempty"`
-	Note          string  `json:"note,omitempty"`
-}
-
-var benchOut struct {
-	mu      sync.Mutex
-	results map[string]benchRecord
-}
-
-// recordBench folds one finished benchmark into BENCH_serve.json at the
-// repo root, merging over the entries already on disk so a partial run
-// (-bench picking one benchmark) refreshes its own rows without erasing
-// the rest. Failure to write is only logged: the benchmark may run from
-// an extracted test binary with no repo around it.
-func recordBench(b *testing.B, name string, rec benchRecord) {
-	benchOut.mu.Lock()
-	defer benchOut.mu.Unlock()
-	if benchOut.results == nil {
-		benchOut.results = make(map[string]benchRecord)
-		var prev struct {
-			Results map[string]benchRecord `json:"results"`
-		}
-		if data, err := os.ReadFile("../../BENCH_serve.json"); err == nil {
-			if json.Unmarshal(data, &prev) == nil {
-				for k, v := range prev.Results {
-					benchOut.results[k] = v
-				}
-			}
-		}
-	}
-	benchOut.results[name] = rec
-	doc := struct {
-		Benchmark string                 `json:"benchmark"`
-		Dataset   string                 `json:"dataset"`
-		Results   map[string]benchRecord `json:"results"`
-	}{Benchmark: "serve", Dataset: "lubm-1", Results: benchOut.results}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_serve.json", append(data, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_serve.json not written: %v", err)
-	}
-}
-
 // measureLoop runs fn b.N times, measuring wall time and heap allocation
 // across the loop (client and server share the process, so bytes/op is
 // the full request round trip).
-func measureLoop(b *testing.B, fn func()) (nsPerOp, qps, bytesPerOp float64) {
+func measureLoop(b *testing.B, fn func()) (nsPerOp float64) {
 	b.Helper()
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -128,12 +73,9 @@ func measureLoop(b *testing.B, fn func()) (nsPerOp, qps, bytesPerOp float64) {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	n := float64(b.N)
-	nsPerOp = float64(elapsed.Nanoseconds()) / n
-	qps = n / elapsed.Seconds()
-	bytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / n
-	b.ReportMetric(qps, "queries/sec")
-	b.ReportMetric(bytesPerOp, "alloc-bytes/query")
-	return
+	b.ReportMetric(n/elapsed.Seconds(), "queries/sec")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "alloc-bytes/query")
+	return float64(elapsed.Nanoseconds()) / n
 }
 
 func benchGet(b *testing.B, base, sparql string) {
@@ -158,11 +100,7 @@ func BenchmarkServeCachedSmall(b *testing.B) {
 	_, ts := benchServer(b)
 	q := fmt.Sprintf(`SELECT ?x ?y WHERE { ?x <%sadvisor> ?y }`, ub)
 	benchGet(b, ts.URL, q) // prime the cache
-	ns, qps, bytes := measureLoop(b, func() { benchGet(b, ts.URL, q) })
-	recordBench(b, "serve_cached_small", benchRecord{
-		NsPerOp: ns, QPS: qps, BytesPerOp: bytes,
-		Note: "cache-hit path, 24-row result",
-	})
+	measureLoop(b, func() { benchGet(b, ts.URL, q) })
 }
 
 // largeCrossQuery multiplies four disconnected patterns into 168,885
@@ -188,20 +126,16 @@ const largeCrossRows = 168885
 func BenchmarkServeLargeStreaming(b *testing.B) {
 	srv, ts := benchServer(b)
 	q := largeCrossQuery()
-	ns, qps, bytes := measureLoop(b, func() { benchGet(b, ts.URL, q) })
+	measureLoop(b, func() { benchGet(b, ts.URL, q) })
 	if srv.metrics.CacheBypass.Load() == 0 {
 		b.Fatal("large query did not take the bypass path")
 	}
-	recordBench(b, "serve_large_streaming", benchRecord{
-		NsPerOp: ns, QPS: qps, BytesPerOp: bytes, RowsPerQuery: largeCrossRows,
-		Note: "cold >=100k-row SELECT per op: engine + streamed JSON, cache bypassed",
-	})
 }
 
-// getTTFB issues one request and returns (time to the first body byte,
-// total request time). The serializers flush after the first row, so the
+// getTTFB issues one request and returns the time to the first body
+// byte. The serializers flush after the first row, so the
 // first byte marks the first delivered row, not just response headers.
-func getTTFB(b *testing.B, base, sparql string) (ttfb, total time.Duration) {
+func getTTFB(b *testing.B, base, sparql string) time.Duration {
 	b.Helper()
 	start := time.Now()
 	resp, err := http.Get(base + "/sparql?query=" + url.QueryEscape(sparql))
@@ -213,14 +147,14 @@ func getTTFB(b *testing.B, base, sparql string) (ttfb, total time.Duration) {
 	if _, err := resp.Body.Read(one[:]); err != nil && err != io.EOF {
 		b.Fatal(err)
 	}
-	ttfb = time.Since(start)
+	ttfb := time.Since(start)
 	if resp.StatusCode != http.StatusOK {
 		b.Fatalf("status %d", resp.StatusCode)
 	}
 	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		b.Fatal(err)
 	}
-	return ttfb, time.Since(start)
+	return ttfb
 }
 
 // BenchmarkServeTTFB is the tentpole's headline number: time-to-first-
@@ -231,27 +165,18 @@ func getTTFB(b *testing.B, base, sparql string) (ttfb, total time.Duration) {
 // engine every op (the result exceeds the cache row cap; unordered never
 // caches), so the delta is purely the delivery mode.
 func BenchmarkServeTTFB(b *testing.B) {
-	run := func(b *testing.B, base, name, note string) {
-		var ttfbSum, totalSum time.Duration
+	run := func(b *testing.B, base string) {
+		var ttfbSum time.Duration
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ttfb, total := getTTFB(b, base, largeCrossQuery())
-			ttfbSum += ttfb
-			totalSum += total
+			ttfbSum += getTTFB(b, base, largeCrossQuery())
 		}
 		b.StopTimer()
-		n := float64(b.N)
-		ttfbNs := float64(ttfbSum.Nanoseconds()) / n
-		b.ReportMetric(ttfbNs, "ttfb-ns/op")
-		recordBench(b, name, benchRecord{
-			NsPerOp: float64(totalSum.Nanoseconds()) / n, TTFBNs: ttfbNs,
-			RowsPerQuery: largeCrossRows, Note: note,
-		})
+		b.ReportMetric(float64(ttfbSum.Nanoseconds())/float64(b.N), "ttfb-ns/op")
 	}
 	b.Run("ordered", func(b *testing.B) {
 		_, ts := benchServer(b)
-		run(b, ts.URL, "serve_ttfb_ordered_100k",
-			"default delivery: full materialize + canonical sort before the first byte")
+		run(b, ts.URL)
 	})
 	b.Run("unordered", func(b *testing.B) {
 		benchServer(b) // ensure the shared LUBM(1) db exists
@@ -261,8 +186,7 @@ func BenchmarkServeTTFB(b *testing.B) {
 			ts.Close()
 			srv.Close()
 		}()
-		run(b, ts.URL, "serve_ttfb_unordered_100k",
-			"first-row-early delivery: first byte ships with the first merged row")
+		run(b, ts.URL)
 	})
 }
 
@@ -271,8 +195,8 @@ func BenchmarkServeTTFB(b *testing.B) {
 // server (tracing off) and one with the slow-query log wide open
 // (threshold 0, discard sink) — the configuration under which every
 // request allocates a trace, records every span, and marshals one JSON
-// record. The cached pair is the ≤5% regression target: a cache hit
-// does no engine work, so it has the least room to hide tracing cost.
+// record. A cache hit does no engine work, so the cached pair has the
+// least room to hide tracing cost.
 func BenchmarkServeTracing(b *testing.B) {
 	benchServer(b) // ensure the shared LUBM(1) db exists
 	cachedQ := fmt.Sprintf(`SELECT ?x ?y WHERE { ?x <%sadvisor> ?y }`, ub)
@@ -300,49 +224,29 @@ func BenchmarkServeTracing(b *testing.B) {
 		ts, done := newServer(Config{})
 		defer done()
 		benchGet(b, ts.URL, cachedQ) // prime
-		ns, qps, bytes := measureLoop(b, func() { benchGet(b, ts.URL, cachedQ) })
-		recordBench(b, "serve_cached_tracing_off", benchRecord{
-			NsPerOp: ns, QPS: qps, BytesPerOp: bytes,
-			Note: "cache-hit path, tracing/slow-log disabled",
-		})
+		measureLoop(b, func() { benchGet(b, ts.URL, cachedQ) })
 	})
 	b.Run("cached_on", func(b *testing.B) {
 		ts, done := newServer(traced)
 		defer done()
 		benchGet(b, ts.URL, cachedQ)
-		ns, qps, bytes := measureLoop(b, func() { benchGet(b, ts.URL, cachedQ) })
-		recordBench(b, "serve_cached_tracing_on", benchRecord{
-			NsPerOp: ns, QPS: qps, BytesPerOp: bytes,
-			Note: "cache-hit path with tracing armed (slow-log 250ms threshold, not reached); target <=5% below serve_cached_tracing_off qps",
-		})
+		measureLoop(b, func() { benchGet(b, ts.URL, cachedQ) })
 	})
 	b.Run("cached_log_all", func(b *testing.B) {
 		ts, done := newServer(logAll)
 		defer done()
 		benchGet(b, ts.URL, cachedQ)
-		ns, qps, bytes := measureLoop(b, func() { benchGet(b, ts.URL, cachedQ) })
-		recordBench(b, "serve_cached_slowlog_all", benchRecord{
-			NsPerOp: ns, QPS: qps, BytesPerOp: bytes,
-			Note: "cache-hit path with slow-query threshold 0: one JSON record marshaled per hit (diagnosis mode, exempt from the 5% target)",
-		})
+		measureLoop(b, func() { benchGet(b, ts.URL, cachedQ) })
 	})
 	b.Run("cold_off", func(b *testing.B) {
 		ts, done := newServer(Config{CacheEntries: -1})
 		defer done()
-		ns, qps, bytes := measureLoop(b, func() { benchGet(b, ts.URL, coldQ) })
-		recordBench(b, "serve_cold_tracing_off", benchRecord{
-			NsPerOp: ns, QPS: qps, BytesPerOp: bytes,
-			Note: "uncached distributed non-star query, tracing/slow-log disabled",
-		})
+		measureLoop(b, func() { benchGet(b, ts.URL, coldQ) })
 	})
 	b.Run("cold_on", func(b *testing.B) {
 		ts, done := newServer(Config{CacheEntries: -1, SlowQueryLog: io.Discard})
 		defer done()
-		ns, qps, bytes := measureLoop(b, func() { benchGet(b, ts.URL, coldQ) })
-		recordBench(b, "serve_cold_tracing_on", benchRecord{
-			NsPerOp: ns, QPS: qps, BytesPerOp: bytes,
-			Note: "uncached distributed non-star query with per-site spans, fragment stats, and a JSON line per query",
-		})
+		measureLoop(b, func() { benchGet(b, ts.URL, coldQ) })
 	})
 }
 
@@ -352,8 +256,8 @@ func BenchmarkServeTracing(b *testing.B) {
 // product (the tentpole's cold acceptance scenario).
 func shapeQueries() map[string]string {
 	return map[string]string{
-		"star": fmt.Sprintf(`SELECT ?x ?y ?z WHERE { ?x <%sadvisor> ?y . ?x <%smemberOf> ?z }`, ub, ub),
-		"path": fmt.Sprintf(`SELECT ?x ?y ?z ?w WHERE { ?x <%sadvisor> ?y . ?y <%sworksFor> ?z . ?w <%smemberOf> ?z }`, ub, ub, ub),
+		"star":  fmt.Sprintf(`SELECT ?x ?y ?z WHERE { ?x <%sadvisor> ?y . ?x <%smemberOf> ?z }`, ub, ub),
+		"path":  fmt.Sprintf(`SELECT ?x ?y ?z ?w WHERE { ?x <%sadvisor> ?y . ?y <%sworksFor> ?z . ?w <%smemberOf> ?z }`, ub, ub, ub),
 		"cross": largeCrossQuery(),
 	}
 }
@@ -374,13 +278,7 @@ func BenchmarkServeCold(b *testing.B) {
 		b.Run("cold_"+shape, func(b *testing.B) {
 			ts, done := newServer(Config{CacheEntries: -1})
 			defer done()
-			ns, qps, bytes := measureLoop(b, func() { benchGet(b, ts.URL, q) })
-			rec := benchRecord{NsPerOp: ns, QPS: qps, BytesPerOp: bytes,
-				Note: "cache disabled: engine + streamed JSON every op"}
-			if shape == "cross" {
-				rec.RowsPerQuery = largeCrossRows
-			}
-			recordBench(b, "serve_cold_"+shape, rec)
+			measureLoop(b, func() { benchGet(b, ts.URL, q) })
 		})
 		b.Run("warm_"+shape, func(b *testing.B) {
 			// CacheMaxRows negative lifts the row cap so even the 168k-row
@@ -388,13 +286,7 @@ func BenchmarkServeCold(b *testing.B) {
 			ts, done := newServer(Config{CacheMaxRows: -1})
 			defer done()
 			benchGet(b, ts.URL, q) // prime
-			ns, qps, bytes := measureLoop(b, func() { benchGet(b, ts.URL, q) })
-			rec := benchRecord{NsPerOp: ns, QPS: qps, BytesPerOp: bytes,
-				Note: "primed cache, uncapped rows: serialization-only hit path"}
-			if shape == "cross" {
-				rec.RowsPerQuery = largeCrossRows
-			}
-			recordBench(b, "serve_warm_"+shape, rec)
+			measureLoop(b, func() { benchGet(b, ts.URL, q) })
 		})
 	}
 }
@@ -448,7 +340,7 @@ func BenchmarkUpdate(b *testing.B) {
 	post(ins.String())
 	post(del.String())
 	baseline := db.NumTriples()
-	ns, _, bytes := measureLoop(b, func() {
+	ns := measureLoop(b, func() {
 		post(ins.String())
 		post(del.String())
 	})
@@ -457,10 +349,6 @@ func BenchmarkUpdate(b *testing.B) {
 	}
 	tps := float64(2*updateBatch) / (ns / float64(time.Second))
 	b.ReportMetric(tps, "triples/sec")
-	recordBench(b, "update_throughput", benchRecord{
-		NsPerOp: ns, BytesPerOp: bytes, TriplesPerSec: tps,
-		Note: fmt.Sprintf("insert+delete cycle of %d triples per op on LUBM(1), 4 sites: parse, incremental index + touched-fragment rebuild, epoch swap, cache flush", updateBatch),
-	})
 }
 
 // synthResult builds an n-row, 3-var materialized row set for the
@@ -484,24 +372,17 @@ func synthResult(n int) (*rdf.Dictionary, []string, []engine.Row) {
 func BenchmarkWriteJSON(b *testing.B) {
 	dict, vars, rows := synthResult(100_000)
 	b.Run("streaming", func(b *testing.B) {
-		ns, _, bytes := measureLoop(b, func() {
+		measureLoop(b, func() {
 			if err := WriteResultsJSON(io.Discard, dict, vars, SliceSeq(rows)); err != nil {
 				b.Fatal(err)
 			}
 		})
-		recordBench(b, "write_json_streaming_100k", benchRecord{
-			NsPerOp: ns, BytesPerOp: bytes, RowsPerQuery: len(rows),
-		})
 	})
 	b.Run("materialized", func(b *testing.B) {
-		ns, _, bytes := measureLoop(b, func() {
+		measureLoop(b, func() {
 			if err := writeResultsJSONMaterialized(io.Discard, dict, vars, rows); err != nil {
 				b.Fatal(err)
 			}
-		})
-		recordBench(b, "write_json_materialized_100k", benchRecord{
-			NsPerOp: ns, BytesPerOp: bytes, RowsPerQuery: len(rows),
-			Note: "pre-streaming baseline: full document built in memory",
 		})
 	})
 }
@@ -509,13 +390,10 @@ func BenchmarkWriteJSON(b *testing.B) {
 // BenchmarkWriteTSV measures the streaming TSV writer on the same rows.
 func BenchmarkWriteTSV(b *testing.B) {
 	dict, vars, rows := synthResult(100_000)
-	ns, _, bytes := measureLoop(b, func() {
+	measureLoop(b, func() {
 		if err := WriteResultsTSV(io.Discard, dict, vars, SliceSeq(rows)); err != nil {
 			b.Fatal(err)
 		}
-	})
-	recordBench(b, "write_tsv_streaming_100k", benchRecord{
-		NsPerOp: ns, BytesPerOp: bytes, RowsPerQuery: len(rows),
 	})
 }
 

@@ -18,8 +18,8 @@ import (
 // execution — so diagnosing a query costs exactly one run, not a
 // results run plus an instrumented rerun.
 type ExplainReport struct {
-	Query        string   `json:"query"`
-	CanonicalKey string   `json:"canonical_key"`
+	Query        string `json:"query"`
+	CanonicalKey string `json:"canonical_key"`
 	// Pattern is the compiled BGP rendered back to text — what the
 	// engine actually matched after parsing, canonicalization aside.
 	Pattern    string   `json:"pattern"`
@@ -82,9 +82,9 @@ type ExplainStage struct {
 
 // ExplainFragment is one site's row of the per-fragment breakdown.
 type ExplainFragment struct {
-	Site                   int     `json:"site"`
-	LocalMatches           int     `json:"local_matches"`
-	PartialMatches         int     `json:"partial_matches"`
+	Site                   int   `json:"site"`
+	LocalMatches           int   `json:"local_matches"`
+	PartialMatches         int   `json:"partial_matches"`
 	RetainedPartialMatches int   `json:"retained_partial_matches"`
 	ShipmentBytes          int64 `json:"shipment_bytes"`
 	// WireBytes is the real transport traffic of the site's RPCs (request

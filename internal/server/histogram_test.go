@@ -60,12 +60,12 @@ func TestWriteHistogramsExposition(t *testing.T) {
 		t.Errorf("missing header:\n%s", out)
 	}
 	for _, want := range []string{
-		`test_seconds_bucket{kind="a",le="0.001"} 1`,  // 1ms lands exactly on the bound
-		`test_seconds_bucket{kind="a",le="1"} 2`,      // cumulative: both observations
-		`test_seconds_bucket{kind="a",le="+Inf"} 2`,   // mandatory +Inf
-		`test_seconds_count{kind="a"} 2`,              // equals +Inf
-		`test_seconds_sum{kind="a"} 1.001`,            // 1ms + 1s
-		`test_seconds_bucket{kind="b",le="30"} 0`,     // a minute exceeds every bound
+		`test_seconds_bucket{kind="a",le="0.001"} 1`, // 1ms lands exactly on the bound
+		`test_seconds_bucket{kind="a",le="1"} 2`,     // cumulative: both observations
+		`test_seconds_bucket{kind="a",le="+Inf"} 2`,  // mandatory +Inf
+		`test_seconds_count{kind="a"} 2`,             // equals +Inf
+		`test_seconds_sum{kind="a"} 1.001`,           // 1ms + 1s
+		`test_seconds_bucket{kind="b",le="30"} 0`,    // a minute exceeds every bound
 		`test_seconds_bucket{kind="b",le="+Inf"} 1`,
 		`test_seconds_count{kind="b"} 1`,
 	} {

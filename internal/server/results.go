@@ -94,7 +94,7 @@ func WriteResultsJSON(w io.Writer, dict *rdf.Dictionary, vars []string, rows Row
 	for i, name := range vars {
 		keys[i] = append(appendJSONString(nil, name), ':')
 	}
-	cache := make(map[rdf.TermID][]byte)
+	cells := termCells{dict: dict, render: appendTermJSON}
 	var buf []byte
 	var werr error
 	n := 0
@@ -109,17 +109,9 @@ func WriteResultsJSON(w io.Writer, dict *rdf.Dictionary, vars []string, rows Row
 			if i >= len(row) || row[i] == rdf.NoTerm {
 				continue
 			}
-			tb, ok := cache[row[i]]
-			if !ok {
-				t, found := dict.Decode(row[i])
-				if !found {
-					werr = fmt.Errorf("server: row references unknown term ID %d", row[i])
-					return false
-				}
-				tb = appendTermJSON(nil, t)
-				if len(cache) < termRenderCacheCap {
-					cache[row[i]] = tb
-				}
+			var tb []byte
+			if tb, werr = cells.get(row[i]); werr != nil {
+				return false
 			}
 			if !first {
 				buf = append(buf, ',')
@@ -150,6 +142,32 @@ func WriteResultsJSON(w io.Writer, dict *rdf.Dictionary, vars []string, rows Row
 // pathological result with millions of distinct terms cannot hold the
 // whole rendering in memory; past the cap, terms render per occurrence.
 const termRenderCacheCap = 1 << 16
+
+// termCells is that cache: the cells of one response, each distinct term
+// decoded and rendered once by the format's cell renderer.
+type termCells struct {
+	dict   *rdf.Dictionary
+	render func([]byte, rdf.Term) []byte
+	cells  map[rdf.TermID][]byte
+}
+
+func (c *termCells) get(id rdf.TermID) ([]byte, error) {
+	if tb, ok := c.cells[id]; ok {
+		return tb, nil
+	}
+	t, found := c.dict.Decode(id)
+	if !found {
+		return nil, fmt.Errorf("server: row references unknown term ID %d", id)
+	}
+	tb := c.render(nil, t)
+	if c.cells == nil {
+		c.cells = make(map[rdf.TermID][]byte)
+	}
+	if len(c.cells) < termRenderCacheCap {
+		c.cells[id] = tb
+	}
+	return tb, nil
+}
 
 // appendTermJSON renders one term exactly as json.Marshal renders
 // jsonTerm: fields in declaration order, empty Lang/Datatype omitted.
@@ -252,7 +270,8 @@ func appendJSONString(b []byte, s string) []byte {
 // Format: a header of '?'-prefixed variable names, then one line per
 // binding with terms in N-Triples syntax and empty fields for unbound
 // variables, streamed with a periodic http.Flusher flush when w supports
-// it.
+// it. Terms render once per distinct ID, through the same bounded
+// per-response cache as the JSON writer.
 func WriteResultsTSV(w io.Writer, dict *rdf.Dictionary, vars []string, rows RowSeq) error {
 	// One reused line buffer: the per-row allocation profile must stay
 	// flat no matter how many rows stream through.
@@ -269,6 +288,7 @@ func WriteResultsTSV(w io.Writer, dict *rdf.Dictionary, vars []string, rows RowS
 		return err
 	}
 	flusher, _ := w.(http.Flusher)
+	cells := termCells{dict: dict, render: appendTSVTerm}
 	var werr error
 	n := 0
 	rows(func(row engine.Row) bool {
@@ -280,12 +300,11 @@ func WriteResultsTSV(w io.Writer, dict *rdf.Dictionary, vars []string, rows RowS
 			if i >= len(row) || row[i] == rdf.NoTerm {
 				continue
 			}
-			t, ok := dict.Decode(row[i])
-			if !ok {
-				werr = fmt.Errorf("server: row references unknown term ID %d", row[i])
+			var tb []byte
+			if tb, werr = cells.get(row[i]); werr != nil {
 				return false
 			}
-			writeTSVTerm(&b, t)
+			b.Write(tb)
 		}
 		b.WriteByte('\n')
 		if _, err := w.Write(b.Bytes()); err != nil {
@@ -301,19 +320,19 @@ func WriteResultsTSV(w io.Writer, dict *rdf.Dictionary, vars []string, rows RowS
 	return werr
 }
 
-// writeTSVTerm renders one term into a TSV cell. Term.String applies the
+// appendTSVTerm renders one term as a TSV cell. Term.String applies the
 // N-Triples escapes the SPARQL 1.1 TSV format requires inside literals
 // (\t, \n, \r, \", \\), so a literal containing a raw tab or newline can
 // never shift later columns. IRIs and blank-node labels are rendered
 // verbatim by Term.String, though — such control characters are illegal
 // there, but a malformed term that smuggled one through the dictionary
 // must still not corrupt the table shape, so they are escaped here too.
-func writeTSVTerm(b *bytes.Buffer, t rdf.Term) {
+func appendTSVTerm(b []byte, t rdf.Term) []byte {
 	s := t.String()
 	if strings.ContainsAny(s, "\t\n\r") {
 		s = tsvCellSanitizer.Replace(s)
 	}
-	b.WriteString(s)
+	return append(b, s...)
 }
 
 var tsvCellSanitizer = strings.NewReplacer("\t", `\t`, "\n", `\n`, "\r", `\r`)

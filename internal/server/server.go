@@ -151,17 +151,17 @@ type Server struct {
 	// depth); nil on read-only servers. Sized like MaxInFlight so one
 	// knob governs both admission bounds.
 	updateSlots chan struct{}
-	slowLog     *slowLogger // nil when slow-query logging is disabled
+	slowLog     *slowLogger   // nil when slow-query logging is disabled
 	epoch       atomic.Uint64 // last cluster epoch the cache was synced to
 	// heartbeats records when each site last answered a health probe
 	// (healthz and metrics both probe); the healthz table reports it so
 	// a down site shows how stale its last good answer is.
 	heartMu    sync.Mutex
 	heartbeats map[int]time.Time
-	flights     flightGroup
-	metrics     Metrics
-	mux         *http.ServeMux
-	started     time.Time
+	flights    flightGroup
+	metrics    Metrics
+	mux        *http.ServeMux
+	started    time.Time
 }
 
 // New builds a server over db. The db must outlive the server.

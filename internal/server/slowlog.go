@@ -31,11 +31,11 @@ type SlowQueryRecord struct {
 
 	// Engine-side fields; absent for servings that ran no engine (cache
 	// hits carry the stats of the execution that populated the entry).
-	ShipmentBytes int64              `json:"shipment_bytes,omitempty"`
-	Messages      int64              `json:"messages,omitempty"`
-	Stages        []ExplainStage     `json:"stages,omitempty"`
-	Fragments     []ExplainFragment  `json:"fragments,omitempty"`
-	Trace         []trace.Span       `json:"trace,omitempty"`
+	ShipmentBytes int64             `json:"shipment_bytes,omitempty"`
+	Messages      int64             `json:"messages,omitempty"`
+	Stages        []ExplainStage    `json:"stages,omitempty"`
+	Fragments     []ExplainFragment `json:"fragments,omitempty"`
+	Trace         []trace.Span      `json:"trace,omitempty"`
 }
 
 // slowLogger emits one JSON line per query at or over the threshold.
