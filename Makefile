@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check lint bench-check fuzz-smoke
+.PHONY: build test race fmt-check lint bench-check loc fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,17 @@ lint:
 # changed symbol fails here instead of in a benchmark run.
 bench-check:
 	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints net non-test Go lines per package and in total — the figure
+# every PR reports in CHANGES.md. Root module only: bench/ is its own
+# module (the measuring instrument) and analyzer testdata is fixture
+# input. Untracked files count, ignored ones do not.
+loc:
+	@git ls-files --cached --others --exclude-standard '*.go' \
+		| grep -v -e '_test\.go$$' -e '^bench/' -e '^internal/analysis/testdata/' \
+		| while read -r f; do [ -f "$$f" ] && echo "$$(wc -l < "$$f") $$(dirname "$$f")"; done \
+		| awk '{ n[$$2] += $$1; t += $$1 } END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' \
+		| sort -k2
 
 # fuzz-smoke mirrors CI's 10-second-per-target fuzz window.
 fuzz-smoke:

@@ -223,7 +223,7 @@ func serveMain(args []string) {
 		cacheRows   = fs.Int("cache-max-rows", 0, "max projected rows admitted per cache entry; larger results stream uncached (0 = default 65536, negative = uncapped)")
 		timeout     = fs.Duration("timeout", 30*time.Second, "per-query time limit")
 		maxInFlight = fs.Int("max-inflight", 64, "admitted-query limit before shedding with 503")
-		workers     = fs.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
+		workers     = fs.Int("workers", 0, "queries executing concurrently (0 = GOMAXPROCS)")
 		evalWork    = fs.Int("eval-workers", 0, "per-query evaluation worker pool size bounding intra-query parallelism (0 = GOMAXPROCS, 1 = sequential)")
 		unordered   = fs.Bool("unordered", false, "first-row-early delivery: stream rows as produced (no canonical sort, LIMIT cancels remaining work, cache bypassed)")
 		writable    = fs.Bool("writable", false, "accept SPARQL updates (INSERT DATA / DELETE DATA) via POST /sparql; read-only (403) otherwise")

@@ -22,6 +22,12 @@ import (
 //   - the range variable of a loop over a declared set,
 //   - a named constant whose value is a member of some declared set.
 //
+// A set may also be declared by an imported package, so a list owned
+// elsewhere (engine.StageNames) is drawn from rather than re-declared:
+// an imported package-level `<X>Names` variable of type [N]string is a
+// declared set — its members are not visible from here, but the array
+// type fixes how many series it can mint.
+//
 // Sinks checked:
 //   - the `label:` field of *Histogram struct literals,
 //   - Printf-family format strings containing `{name=%q}` or
@@ -219,10 +225,8 @@ func labelValueOK(pass *Pass, sets map[types.Object]map[string]bool, e ast.Expr)
 	}
 	switch x := e.(type) {
 	case *ast.IndexExpr:
-		if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-			if _, isSet := sets[pass.TypesInfo.Uses[id]]; isSet {
-				return ""
-			}
+		if isLabelSet(pass, sets, x.X) {
+			return ""
 		}
 	case *ast.Ident:
 		obj := pass.TypesInfo.Uses[x]
@@ -231,6 +235,28 @@ func labelValueOK(pass *Pass, sets map[types.Object]map[string]bool, e ast.Expr)
 		}
 	}
 	return "value is not provably bounded"
+}
+
+// isLabelSet reports whether e names a declared label set: one of this
+// package's, or an imported package-level `<X>Names` string array.
+func isLabelSet(pass *Pass, sets map[types.Object]map[string]bool, e ast.Expr) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		_, ok := sets[pass.TypesInfo.Uses[x]]
+		return ok
+	case *ast.SelectorExpr:
+		v, ok := pass.TypesInfo.Uses[x.Sel].(*types.Var)
+		if !ok || v.Pkg() == nil || v.Pkg() == pass.Pkg || v.Parent() != v.Pkg().Scope() || !strings.HasSuffix(v.Name(), "Names") {
+			return false
+		}
+		arr, ok := v.Type().Underlying().(*types.Array)
+		if !ok {
+			return false
+		}
+		elem, ok := arr.Elem().Underlying().(*types.Basic)
+		return ok && elem.Kind() == types.String
+	}
+	return false
 }
 
 // rangesOverSet reports whether obj is defined as the value variable of
@@ -251,10 +277,8 @@ func rangesOverSet(pass *Pass, sets map[types.Object]map[string]bool, obj types.
 				if !ok || pass.TypesInfo.Defs[id] != obj {
 					continue
 				}
-				if setID, ok := ast.Unparen(rs.X).(*ast.Ident); ok {
-					if _, isSet := sets[pass.TypesInfo.Uses[setID]]; isSet {
-						found = true
-					}
+				if isLabelSet(pass, sets, rs.X) {
+					found = true
 				}
 			}
 			return true

@@ -5,6 +5,8 @@ package metriclabel
 import (
 	"fmt"
 	"io"
+
+	"gstored/internal/engine"
 )
 
 // outcomeNames is a declared label set: package-level, *Names suffix,
@@ -35,4 +37,15 @@ func unboundedEmission(w io.Writer, dyn string) {
 	fmt.Fprintf(w, "queries_total{outcome=%q} 1\n", dyn)  // want `metric label outcome value dyn`
 	_ = labeledHistogram{label: "unknown"}                // want `not a member of any declared label set`
 	fmt.Fprintf(w, "queries_total{outcome=%q} 1\n", "xx") // want `not a member of any declared label set`
+}
+
+// importedSet draws labels from a set another package declares: an
+// imported package-level <X>Names string array is as fixed as a local
+// one, and re-declaring it here would be a second stage list.
+func importedSet(w io.Writer) {
+	for i, name := range engine.StageNames {
+		fmt.Fprintf(w, "stage_seconds_total{stage=%q} %d\n", name, i)
+	}
+	_ = labeledHistogram{label: engine.StageNames[engine.StageLEC]}
+	_ = labeledHistogram{label: engine.StageLEC.String()} // want `metric label value engine.StageLEC.String\(\)`
 }

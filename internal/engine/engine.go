@@ -98,6 +98,42 @@ func (r Row) Key() string {
 	return string(key.Terms(buf[:0], r))
 }
 
+// Stage is one column group of the paper's Tables I–III, in pipeline
+// order. This is the only declaration of the stage list: trace spans,
+// /metrics, EXPLAIN and the slow log all iterate it, so a new stage is
+// one row here (and one in Stats.Stages).
+type Stage int
+
+const (
+	StageCandidates Stage = iota
+	StagePartial
+	StageLEC
+	StageAssembly
+	NumStages
+)
+
+// StageNames are the stages' span and label names.
+var StageNames = [NumStages]string{"candidates", "partial", "lec", "assembly"}
+
+func (s Stage) String() string { return StageNames[s] }
+
+// StageStat is one stage's row of the per-stage table.
+type StageStat struct {
+	Name     string
+	Time     time.Duration
+	Shipment int64
+}
+
+// Stages views the per-stage fields as the table they mirror.
+func (s *Stats) Stages() [NumStages]StageStat {
+	return [NumStages]StageStat{
+		StageCandidates: {StageCandidates.String(), s.CandidatesTime, s.CandidatesShipment},
+		StagePartial:    {StagePartial.String(), s.PartialTime, 0},
+		StageLEC:        {StageLEC.String(), s.LECTime, s.LECShipment},
+		StageAssembly:   {StageAssembly.String(), s.AssemblyTime, s.AssemblyShipment},
+	}
+}
+
 // Stats mirrors the per-stage columns of Tables I–III.
 type Stats struct {
 	Mode         Mode
@@ -592,7 +628,7 @@ func (e *Engine) runStar(ctx context.Context, q *query.Graph, center int, plan [
 		frags[i] = FragmentStats{Site: s.ID(), Wall: time.Since(siteStart)}
 		// For a remote site this span includes the wire round trip — the
 		// real per-site timing, not the link-model estimate.
-		tr.Span("partial", s.ID(), siteStart, frags[i].Wall)
+		tr.Span(StagePartial.String(), s.ID(), siteStart, frags[i].Wall)
 	})
 	// A sink that stopped the run still reads what was scanned and
 	// shipped up to that point, so the replies count before the context
@@ -646,7 +682,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 			siteStart := time.Now()
 			creps[i], cerrs[i] = s.Candidates(ctx, creq)
 			siteWall := time.Since(siteStart)
-			tr.Span("candidates", s.ID(), siteStart, siteWall)
+			tr.Span(StageCandidates.String(), s.ID(), siteStart, siteWall)
 			frags[i].Wall += siteWall
 			frags[i].Tasks++
 			frags[i].Busy += siteWall
@@ -691,7 +727,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 			return out(Row(row))
 		})
 		siteWall := time.Since(siteStart)
-		tr.Span("partial", s.ID(), siteStart, siteWall)
+		tr.Span(StagePartial.String(), s.ID(), siteStart, siteWall)
 		frags[i].Wall += siteWall
 	})
 	for i, rep := range outs {
@@ -739,7 +775,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		}
 		ship.features, ship.pruned = features, true
 		stats.LECTime = time.Since(lecStart)
-		tr.Span("lec", trace.Coordinator, lecStart, stats.LECTime)
+		tr.Span(StageLEC.String(), trace.Coordinator, lecStart, stats.LECTime)
 	}
 	stats.NumRetainedPartialMatches = len(kept)
 	if err := ctx.Err(); err != nil {
@@ -765,7 +801,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		},
 	})
 	stats.AssemblyTime = time.Since(asmStart)
-	tr.Span("assembly", trace.Coordinator, asmStart, stats.AssemblyTime)
+	tr.Span(StageAssembly.String(), trace.Coordinator, asmStart, stats.AssemblyTime)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -126,8 +126,7 @@ func (s *Server) handleAdvisor(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, snap, err := s.advise(ks)
 	if err != nil {
-		s.metrics.Errors.Add(1)
-		http.Error(w, fmt.Sprintf("advisor failed: %v", err), http.StatusInternalServerError)
+		s.fail(w, "advisor", err)
 		return
 	}
 	var resp advisorResponse
@@ -151,10 +150,7 @@ func (s *Server) handleAdvisor(w http.ResponseWriter, r *http.Request) {
 			WorkloadCost: costJSON(c.WorkloadCost),
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil && r.Context().Err() != nil {
-		s.metrics.ClientDisconnects.Add(1)
-	}
+	s.writeJSON(w, r, resp, "")
 }
 
 // repartitionRequest is the optional POST /repartition body. An empty
@@ -194,8 +190,7 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 		}
 		rec, _, aerr := s.advise(ks)
 		if aerr != nil {
-			s.metrics.Errors.Add(1)
-			http.Error(w, fmt.Sprintf("advisor failed: %v", aerr), http.StatusInternalServerError)
+			s.fail(w, "advisor", aerr)
 			return
 		}
 		assign = rec.Assignment
@@ -211,8 +206,7 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if err := s.db.Repartition(assign); err != nil {
-		s.metrics.Errors.Add(1)
-		http.Error(w, fmt.Sprintf("repartition failed: %v", err), http.StatusInternalServerError)
+		s.fail(w, "repartition", err)
 		return
 	}
 	s.metrics.Repartitions.Add(1)
@@ -224,15 +218,11 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 	// One consistent snapshot: a racing swap must not tear the tuple
 	// (though it may report the racer's generation rather than ours).
 	strategy, k, epoch := s.db.ClusterInfo()
-	w.Header().Set("Content-Type", "application/json")
-	err = json.NewEncoder(w).Encode(map[string]any{
+	s.writeJSON(w, r, map[string]any{
 		"applied": map[string]any{
 			"strategy": strategy,
 			"k":        k,
 		},
 		"epoch": epoch,
-	})
-	if err != nil && r.Context().Err() != nil {
-		s.metrics.ClientDisconnects.Add(1)
-	}
+	}, "")
 }

@@ -63,27 +63,21 @@ func NewCache(capacity int) *Cache {
 }
 
 // Get returns the entry for key, marking it most recently used.
-func (c *Cache) Get(key string) (*CachedResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheItem).res, true
-}
+func (c *Cache) Get(key string) (*CachedResult, bool) { return c.get(key, true) }
 
 // recheck is Get for the leader's post-join double-check: a hit counts
 // (and refreshes LRU) like any other, but a miss is not re-counted — the
 // request's original Get already recorded it.
-func (c *Cache) recheck(key string) (*CachedResult, bool) {
+func (c *Cache) recheck(key string) (*CachedResult, bool) { return c.get(key, false) }
+
+func (c *Cache) get(key string, countMiss bool) (*CachedResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
+		if countMiss {
+			c.misses++
+		}
 		return nil, false
 	}
 	c.hits++

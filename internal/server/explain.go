@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"time"
@@ -104,7 +103,8 @@ type ExplainFragment struct {
 // answered this query had it arrived without explain=1. The explain
 // execution itself bypasses both (it must run the engine to produce a
 // trace) and leaves them untouched: no entry is stored, no LRU position
-// refreshed, no hit/miss counted.
+// refreshed, no hit/miss counted — a diagnostic probe must not evict the
+// working set or skew the advisor.
 type ExplainCache struct {
 	Enabled bool `json:"enabled"`
 	// Disposition is "hit" (a resident entry would have answered),
@@ -153,14 +153,9 @@ func BuildExplain(db *gstored.DB, q *gstored.QueryGraph, text string, res *gstor
 		ShipmentBytes: s.TotalShipment,
 		Messages:      s.Messages,
 		EstCommMillis: millis(s.EstimatedCommTime),
-		Stages: []ExplainStage{
-			{Stage: "candidates", Millis: millis(s.CandidatesTime), ShipmentBytes: s.CandidatesShipment},
-			{Stage: "partial", Millis: millis(s.PartialTime)},
-			{Stage: "lec", Millis: millis(s.LECTime), ShipmentBytes: s.LECShipment},
-			{Stage: "assembly", Millis: millis(s.AssemblyTime), ShipmentBytes: s.AssemblyShipment},
-		},
-		Fragments: explainFragments(s.Fragments),
-		Trace:     tr.Spans(),
+		Stages:        explainStages(&s),
+		Fragments:     explainFragments(s.Fragments),
+		Trace:         tr.Spans(),
 	}
 	if q.HasLimit {
 		l := q.Limit
@@ -176,6 +171,15 @@ func explainOrder(q *gstored.QueryGraph, plan []gstored.PlanEdge) []ExplainOrder
 	out := make([]ExplainOrderStep, len(plan))
 	for k, pe := range plan {
 		out[k] = ExplainOrderStep{Edge: pe.Edge, Pattern: q.EdgeString(pe.Edge), Est: pe.Est}
+	}
+	return out
+}
+
+func explainStages(s *gstored.Stats) []ExplainStage {
+	stages := s.Stages()
+	out := make([]ExplainStage, len(stages))
+	for i, st := range stages {
+		out[i] = ExplainStage{Stage: st.Name, Millis: millis(st.Time), ShipmentBytes: st.Shipment}
 	}
 	return out
 }
@@ -223,18 +227,16 @@ func explainRequested(r *http.Request) bool {
 	return false
 }
 
-// handleExplain answers /sparql?explain=1: one real engine execution
-// with a trace attached, serialized as the ExplainReport instead of the
+// explain answers /sparql?explain=1: one real engine execution with a
+// trace attached, serialized as the ExplainReport instead of the
 // bindings. The execution is admitted and clocked like any query (it
-// runs on the worker pool under the query timeout, counts as an engine
-// run, and feeds the per-stage histograms) but deliberately leaves the
-// cache, singleflight, and workload log untouched — a diagnostic probe
-// must not evict the working set or skew the advisor.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, q *gstored.QueryGraph, text string, tr *trace.Trace, start time.Time) {
+// holds a scheduler slot under the query timeout, counts as an engine
+// run, and feeds the per-stage histograms) but leaves the cache,
+// singleflight, and workload log untouched (see ExplainCache).
+func (rq *request) explain() {
+	s := rq.s
 	cache := ExplainCache{Enabled: s.cache != nil, Disposition: "disabled", Cacheable: true}
-	logKey := s.logKey(q)
-	epoch := s.syncEpoch()
-	key := cacheKey(epoch, logKey)
+	key := cacheKey(rq.epoch, rq.logKey)
 	if s.cache != nil {
 		cache.Disposition = "miss"
 		if s.cache.Peek(key) {
@@ -243,48 +245,27 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, q *gstore
 	}
 	cache.SharedFlight = s.flights.pending(key)
 
-	execCtx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-	execCtx = trace.NewContext(execCtx, tr)
-
 	delivery := "ordered"
 	if s.cfg.Unordered {
 		delivery = "unordered"
 	}
-	var res *gstored.Result
-	var engineWall time.Duration
-	err := s.sched.Run(execCtx, func(ctx context.Context) error {
-		engineStart := time.Now()
-		var qerr error
+	res, err := rq.execute(rq.r.Context(), func(ctx context.Context) (*gstored.Result, error) {
 		if s.cfg.Unordered {
 			// Mirror the serving mode: the trace should show the same
 			// execution shape (streaming sinks, LIMIT cancellation) a
 			// real unordered request runs, with the rows discarded.
-			res, qerr = s.db.QueryGraphStreamContext(ctx, q, func(gstored.Row) bool { return true })
-		} else {
-			res, qerr = s.db.QueryGraphContext(ctx, q)
+			return s.db.QueryGraphStreamContext(ctx, rq.q, func(gstored.Row) bool { return true })
 		}
-		engineWall = time.Since(engineStart)
-		return qerr
+		return s.db.QueryGraphContext(ctx, rq.q)
 	})
 	if err != nil {
-		s.failQuery(w, err)
-		s.finishQuery(outcomeError, start, logKey, epoch, nil, 0, tr)
+		rq.fail(err)
 		return
 	}
-	s.metrics.Queries.Add(1)
-	s.metrics.EngineRuns.Add(1)
-	s.metrics.Observe(res.Stats, engineWall)
 	if s.cache != nil {
 		cache.Cacheable = s.cacheable(res)
 	}
 
-	rep := BuildExplain(s.db, q, text, res, tr, delivery, cache)
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if encErr := enc.Encode(rep); encErr != nil && r.Context().Err() != nil {
-		s.metrics.ClientDisconnects.Add(1)
-	}
-	s.finishQuery(outcomeExplain, start, logKey, epoch, &res.Stats, res.Stats.NumMatches, tr)
+	s.writeJSON(rq.w, rq.r, BuildExplain(s.db, rq.q, rq.text, res, rq.tr, delivery, cache), "  ")
+	rq.finish(outcomeExplain, &res.Stats, res.Stats.NumMatches)
 }

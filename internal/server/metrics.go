@@ -32,17 +32,15 @@ type Metrics struct {
 	TriplesInserted   atomic.Int64 // triples added by updates (set semantics)
 	TriplesDeleted    atomic.Int64 // triples removed by updates (set semantics)
 
-	// Engine per-stage aggregates across executed (non-cached) queries,
-	// mirroring the paper's Tables I–III columns.
-	CandidatesNanos atomic.Int64
-	PartialNanos    atomic.Int64
-	LECNanos        atomic.Int64
-	AssemblyNanos   atomic.Int64
-	ShipmentBytes   atomic.Int64
-	Messages        atomic.Int64 // simulated inter-site messages
-	CommNanos       atomic.Int64 // estimated communication time under the link model
-	PartialMatches  atomic.Int64
-	Matches         atomic.Int64
+	// Engine aggregates across executed (non-cached) queries, mirroring
+	// the paper's Tables I–III columns; StageNanos is indexed by
+	// engine.Stage.
+	StageNanos     [engine.NumStages]atomic.Int64
+	ShipmentBytes  atomic.Int64
+	Messages       atomic.Int64 // simulated inter-site messages
+	CommNanos      atomic.Int64 // estimated communication time under the link model
+	PartialMatches atomic.Int64
+	Matches        atomic.Int64
 
 	// QueryDurations are client-facing request latencies (parse through
 	// last response byte) bucketed by how the request was answered; the
@@ -51,7 +49,7 @@ type Metrics struct {
 	QueryDurations [numOutcomes]Histogram
 	// StageDurations distribute per-stage engine wall time over executed
 	// (non-cached) queries, one histogram per paper stage.
-	StageDurations [len(stageNames)]Histogram
+	StageDurations [engine.NumStages]Histogram
 }
 
 // queryOutcome labels a request latency observation with how the
@@ -70,31 +68,18 @@ const (
 
 var outcomeNames = [numOutcomes]string{"hit", "miss", "coalesced", "stream", "explain", "error"}
 
-// stageNames are the per-stage histogram labels, ordered like the
-// paper's pipeline.
-var stageNames = [...]string{"candidates", "partial", "lec", "assembly"}
-
 // Observe folds one completed engine execution into the aggregates.
 func (m *Metrics) Observe(s engine.Stats, wall time.Duration) {
 	m.QueryNanos.Add(int64(wall))
-	m.CandidatesNanos.Add(int64(s.CandidatesTime))
-	m.PartialNanos.Add(int64(s.PartialTime))
-	m.LECNanos.Add(int64(s.LECTime))
-	m.AssemblyNanos.Add(int64(s.AssemblyTime))
 	m.ShipmentBytes.Add(s.TotalShipment)
 	m.Messages.Add(s.Messages)
 	m.CommNanos.Add(int64(s.EstimatedCommTime))
 	m.PartialMatches.Add(int64(s.NumPartialMatches))
 	m.Matches.Add(int64(s.NumMatches))
-	for i, d := range [...]time.Duration{s.CandidatesTime, s.PartialTime, s.LECTime, s.AssemblyTime} {
-		m.StageDurations[i].Observe(d)
+	for i, st := range s.Stages() {
+		m.StageNanos[i].Add(int64(st.Time))
+		m.StageDurations[i].Observe(st.Time)
 	}
-}
-
-// ObserveOutcome records one request's client-facing latency under its
-// outcome label.
-func (m *Metrics) ObserveOutcome(o queryOutcome, wall time.Duration) {
-	m.QueryDurations[o].Observe(wall)
 }
 
 func writeMetric(w io.Writer, name, help, typ string, value any) {
@@ -163,15 +148,9 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 		}
 	}
 
-	stageNanos := [len(stageNames)]int64{
-		m.CandidatesNanos.Load(),
-		m.PartialNanos.Load(),
-		m.LECNanos.Load(),
-		m.AssemblyNanos.Load(),
-	}
 	fmt.Fprintf(w, "# HELP gstored_stage_seconds_total Engine time per paper stage.\n# TYPE gstored_stage_seconds_total counter\n")
-	for i, name := range stageNames {
-		fmt.Fprintf(w, "gstored_stage_seconds_total{stage=%q} %v\n", name, seconds(stageNanos[i]))
+	for i, name := range engine.StageNames {
+		fmt.Fprintf(w, "gstored_stage_seconds_total{stage=%q} %v\n", name, seconds(m.StageNanos[i].Load()))
 	}
 	writeMetric(w, "gstored_shipment_bytes_total", "Simulated inter-site data shipment.", "counter", m.ShipmentBytes.Load())
 	writeMetric(w, "gstored_messages_total", "Simulated inter-site messages (shipments and broadcasts).", "counter", m.Messages.Load())
@@ -186,9 +165,9 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	writeHistograms(w, "gstored_query_duration_seconds",
 		"Client-facing request latency (parse through last response byte) by how the request was answered.",
 		"outcome", queryHists)
-	stageHists := make([]labeledHistogram, len(stageNames))
+	stageHists := make([]labeledHistogram, engine.NumStages)
 	for i := range m.StageDurations {
-		stageHists[i] = labeledHistogram{label: stageNames[i], h: &m.StageDurations[i]}
+		stageHists[i] = labeledHistogram{label: engine.StageNames[i], h: &m.StageDurations[i]}
 	}
 	writeHistograms(w, "gstored_stage_duration_seconds",
 		"Engine wall time per paper stage per executed (non-cached) query.",

@@ -122,6 +122,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	body, _ := io.ReadAll(mresp.Body)
+	checkGolden(t, "metrics.golden", maskMetrics(body))
 
 	type family struct {
 		help, typ bool
@@ -341,10 +342,12 @@ func TestExplainEndToEnd(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("explain Content-Type = %q", ct)
 	}
+	body, _ := io.ReadAll(resp.Body)
 	var rep ExplainReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "explain.golden", jsonShape(t, body))
 
 	if rep.Plan != "distributed" {
 		t.Errorf("plan = %q, want distributed", rep.Plan)
@@ -498,6 +501,7 @@ func TestSlowLogThresholdZero(t *testing.T) {
 		}
 		recs = append(recs, rec)
 	}
+	checkGolden(t, "slowlog.golden", jsonShape(t, []byte(lines[0]))+"--- hit ---\n"+jsonShape(t, []byte(lines[1])))
 	if recs[0].Outcome != "miss" || recs[1].Outcome != "hit" {
 		t.Errorf("outcomes = %q, %q; want miss, hit", recs[0].Outcome, recs[1].Outcome)
 	}

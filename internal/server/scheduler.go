@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrOverloaded is returned by Scheduler.Run when the in-flight limit is
@@ -12,39 +11,40 @@ import (
 // sheds load instead of queueing without bound.
 var ErrOverloaded = errors.New("server: query load limit reached")
 
-// ErrClosed is returned for tasks abandoned by Close.
+// ErrClosed is returned for calls abandoned by Close.
 var ErrClosed = errors.New("server: scheduler closed")
 
-// Scheduler is a bounded concurrent query scheduler: a fixed pool of
-// worker goroutines consuming an admission-controlled queue. At most
-// maxInFlight tasks are admitted (queued + running); beyond that Run
-// fails fast with ErrOverloaded. Tasks run under the caller's context,
-// and a task whose context expires while still queued is never started.
+// slots is a counting semaphore: a send takes a slot, a receive returns
+// it, len is the number held.
+type slots chan struct{}
+
+// tryAcquire takes a slot if one is free and never blocks.
+func (s slots) tryAcquire() bool {
+	select {
+	case s <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+func (s slots) release() { <-s }
+
+// Scheduler bounds concurrent query execution with two counters and no
+// goroutines of its own: fn runs on the goroutine that called Run. At
+// most maxInFlight calls are admitted (waiting + running); beyond that
+// Run fails fast with ErrOverloaded. At most workers of the admitted
+// calls run at once; the rest wait for a slot.
 type Scheduler struct {
-	tasks    chan *schedTask
-	quit     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	// mu serializes enqueueing against Close: Run holds it shared while
-	// admitting and enqueueing, Close takes it exclusively to flip
-	// closed, so no task can slip into the queue after the final drain.
-	mu     sync.RWMutex
-	closed bool
-
-	maxInFlight int64
-	inFlight    atomic.Int64
+	admitted  slots
+	running   slots
+	quit      chan struct{}
+	closeOnce sync.Once
 }
 
-type schedTask struct {
-	ctx  context.Context
-	fn   func(context.Context) error
-	err  error
-	done chan struct{}
-}
-
-// NewScheduler starts a pool of workers goroutines admitting at most
-// maxInFlight concurrent tasks. Both arguments must be positive.
+// NewScheduler returns a scheduler running at most workers calls at
+// once and admitting at most maxInFlight. Both arguments must be
+// positive.
 func NewScheduler(workers, maxInFlight int) *Scheduler {
 	if workers <= 0 {
 		workers = 1
@@ -52,102 +52,64 @@ func NewScheduler(workers, maxInFlight int) *Scheduler {
 	if maxInFlight < workers {
 		maxInFlight = workers
 	}
-	s := &Scheduler{
-		// The queue holds every admitted task, so enqueueing after
-		// admission never blocks.
-		tasks:       make(chan *schedTask, maxInFlight),
-		quit:        make(chan struct{}),
-		maxInFlight: int64(maxInFlight),
+	return &Scheduler{
+		admitted: make(slots, maxInFlight),
+		running:  make(slots, workers),
+		quit:     make(chan struct{}),
 	}
-	s.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go s.worker()
-	}
-	return s
 }
 
-// Run submits fn and waits for it to finish, returning its error.
-// It fails fast with ErrOverloaded when the in-flight limit is reached,
-// and returns ctx's error without running fn when ctx expires before a
-// worker picks the task up.
+// Run runs fn under ctx on the caller's goroutine and returns its error.
+// A call whose context expires while it waits for a slot returns ctx's
+// error at once, and fn never runs.
 func (s *Scheduler) Run(ctx context.Context, fn func(context.Context) error) error {
-	t, err := s.submit(ctx, fn)
-	if err != nil {
+	if s.closed() {
+		return ErrClosed
+	}
+	if !s.admitted.tryAcquire() {
+		return ErrOverloaded
+	}
+	defer s.admitted.release()
+	select {
+	case s.running <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.quit:
+		return ErrClosed
+	}
+	defer s.running.release()
+	// select picks at random among ready cases, so a slot may have been
+	// taken although the scheduler closed or ctx expired meanwhile.
+	if s.closed() {
+		return ErrClosed
+	}
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	<-t.done
-	return t.err
+	return fn(ctx)
 }
 
-func (s *Scheduler) submit(ctx context.Context, fn func(context.Context) error) (*schedTask, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
+func (s *Scheduler) closed() bool {
+	select {
+	case <-s.quit:
+		return true
+	default:
+		return false
 	}
-	if s.inFlight.Add(1) > s.maxInFlight {
-		s.inFlight.Add(-1)
-		return nil, ErrOverloaded
-	}
-	// The queue holds maxInFlight tasks, so this send cannot block.
-	t := &schedTask{ctx: ctx, fn: fn, done: make(chan struct{})}
-	s.tasks <- t
-	return t, nil
 }
 
-// InFlight reports the number of admitted tasks (queued plus running).
-func (s *Scheduler) InFlight() int64 { return s.inFlight.Load() }
+// InFlight reports the number of admitted calls (waiting plus running).
+func (s *Scheduler) InFlight() int64 { return int64(len(s.admitted)) }
 
-// Close stops the workers and fails any still-queued tasks with
-// ErrClosed. Tasks already running finish normally; Run calls after
-// Close fail with ErrClosed.
+// Close fails waiting calls with ErrClosed and returns once every
+// running call has finished; Run calls after Close fail with ErrClosed.
 func (s *Scheduler) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.quit) })
-	s.wg.Wait()
-	// Workers race their final drain against in-flight submits; with
-	// closed now visible no new task can arrive, so one last sweep
-	// unblocks any straggler.
-	s.drain()
-}
-
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			s.drain()
-			return
-		case t := <-s.tasks:
-			s.exec(t)
+	s.closeOnce.Do(func() {
+		close(s.quit)
+		// Taking every slot waits out the calls that hold one, and keeps
+		// them taken: no call can start once Close has returned.
+		for i := 0; i < cap(s.running); i++ {
+			s.running <- struct{}{}
 		}
-	}
-}
-
-func (s *Scheduler) exec(t *schedTask) {
-	defer func() {
-		s.inFlight.Add(-1)
-		close(t.done)
-	}()
-	if err := t.ctx.Err(); err != nil {
-		t.err = err // expired while queued; don't start
-		return
-	}
-	t.err = t.fn(t.ctx)
-}
-
-// drain fails queued tasks after Close so their submitters unblock.
-func (s *Scheduler) drain() {
-	for {
-		select {
-		case t := <-s.tasks:
-			t.err = ErrClosed
-			s.inFlight.Add(-1)
-			close(t.done)
-		default:
-			return
-		}
-	}
+	})
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -130,5 +131,88 @@ func TestSchedulerCloseFailsQueuedTasks(t *testing.T) {
 	// Run after Close must fail fast, not hang on a dead worker pool.
 	if err := s.Run(context.Background(), func(context.Context) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Run after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestSchedulerExpiredWaiterReturnsAtOnce: a call waiting for a slot
+// returns its context's error when the context expires, while the slot
+// it waited for is still occupied — an expired request is answered at
+// its deadline, not when somebody else's query happens to finish.
+func TestSchedulerExpiredWaiterReturnsAtOnce(t *testing.T) {
+	s := NewScheduler(1, 4)
+	defer s.Close()
+
+	release := make(chan struct{})
+	defer close(release)
+	started := make(chan struct{})
+	go s.Run(context.Background(), func(context.Context) error {
+		close(started)
+		<-release
+		return nil
+	})
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- s.Run(ctx, func(context.Context) error {
+			t.Error("expired call must not run")
+			return nil
+		})
+	}()
+	for s.InFlight() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("expired waiting call = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("expired call still waiting: it is held until the occupied slot frees")
+	}
+	if n := s.InFlight(); n != 1 {
+		t.Errorf("in-flight after the waiter left = %d, want 1 (the running call)", n)
+	}
+}
+
+// TestSchedulerStartsNoGoroutines: the scheduler is two counters on the
+// caller's goroutine — constructing one and running calls through it
+// leaves the goroutine count where it was.
+func TestSchedulerStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewScheduler(4, 8)
+	defer s.Close()
+	for i := 0; i < 16; i++ {
+		if err := s.Run(context.Background(), func(context.Context) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines: %d before NewScheduler, %d after 16 Runs", before, after)
+	}
+}
+
+// TestSchedulerPanicReleasesSlot: a panicking fn gives back its slot and
+// its in-flight count on the way up, so the next call is admitted and
+// runs instead of finding the scheduler wedged.
+func TestSchedulerPanicReleasesSlot(t *testing.T) {
+	s := NewScheduler(1, 1)
+	defer s.Close()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("panic did not propagate to the caller")
+			}
+		}()
+		s.Run(context.Background(), func(context.Context) error { panic("boom") })
+	}()
+	if n := s.InFlight(); n != 0 {
+		t.Errorf("in-flight after a panicking call = %d, want 0", n)
+	}
+	ran := false
+	if err := s.Run(context.Background(), func(context.Context) error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("Run after a panicking call = %v, ran = %v", err, ran)
 	}
 }

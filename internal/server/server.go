@@ -55,6 +55,7 @@ import (
 
 	"gstored"
 	"gstored/internal/querylog"
+	"gstored/internal/sparql"
 	"gstored/internal/trace"
 )
 
@@ -63,9 +64,10 @@ type Config struct {
 	// MaxInFlight bounds admitted queries (queued + running); requests
 	// beyond it receive 503 (default 64). On writable servers the same
 	// bound caps concurrently admitted update requests (which serialize
-	// on the DB's swap mutex rather than the query worker pool).
+	// on the DB's swap mutex rather than on the query slots).
 	MaxInFlight int
-	// Workers is the query worker pool size (default GOMAXPROCS).
+	// Workers bounds the queries executing concurrently; admitted
+	// requests beyond it wait for a slot (default GOMAXPROCS).
 	Workers int
 	// QueryTimeout cancels queries running longer than this (default 30s).
 	QueryTimeout time.Duration
@@ -138,7 +140,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server serves SPARQL queries over HTTP. Create with New; it implements
-// http.Handler and must be Closed to stop the worker pool.
+// http.Handler and must be Closed to stop admitting queries.
 type Server struct {
 	db      *gstored.DB
 	cfg     Config
@@ -148,9 +150,9 @@ type Server struct {
 	logSink *querylog.Writer
 	// updateSlots bounds concurrently admitted update requests (writers
 	// serialize on the DB's swap mutex, so admitted slots measure queue
-	// depth); nil on read-only servers. Sized like MaxInFlight so one
-	// knob governs both admission bounds.
-	updateSlots chan struct{}
+	// depth). Sized like MaxInFlight so one knob governs both admission
+	// bounds.
+	updateSlots slots
 	slowLog     *slowLogger   // nil when slow-query logging is disabled
 	epoch       atomic.Uint64 // last cluster epoch the cache was synced to
 	// heartbeats records when each site last answered a health probe
@@ -168,12 +170,13 @@ type Server struct {
 func New(db *gstored.DB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		db:         db,
-		cfg:        cfg,
-		sched:      NewScheduler(cfg.Workers, cfg.MaxInFlight),
-		mux:        http.NewServeMux(),
-		started:    time.Now(),
-		heartbeats: make(map[int]time.Time),
+		db:          db,
+		cfg:         cfg,
+		sched:       NewScheduler(cfg.Workers, cfg.MaxInFlight),
+		updateSlots: make(slots, cfg.MaxInFlight),
+		mux:         http.NewServeMux(),
+		started:     time.Now(),
+		heartbeats:  make(map[int]time.Time),
 	}
 	if cfg.CacheEntries > 0 {
 		s.cache = NewCache(cfg.CacheEntries)
@@ -183,9 +186,6 @@ func New(db *gstored.DB, cfg Config) *Server {
 	}
 	if cfg.QueryLogSink != nil {
 		s.logSink = querylog.NewWriter(cfg.QueryLogSink)
-	}
-	if cfg.Writable {
-		s.updateSlots = make(chan struct{}, cfg.MaxInFlight)
 	}
 	if cfg.SlowQueryLog != nil {
 		s.slowLog = &slowLogger{w: cfg.SlowQueryLog, threshold: cfg.SlowQueryThreshold, drops: &s.metrics.SlowLogDrops}
@@ -204,8 +204,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops the scheduler's worker pool. In-flight queries finish;
-// queued ones fail with ErrClosed.
+// Close closes the scheduler. Running queries finish; waiting ones fail
+// with ErrClosed.
 func (s *Server) Close() { s.sched.Close() }
 
 // Metrics exposes the server's counters; intended for tests and embedding.
@@ -352,29 +352,151 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	tr.Span("parse", trace.Coordinator, parseStart, time.Since(parseStart))
 	if err != nil {
 		s.metrics.Errors.Add(1)
-		s.metrics.ObserveOutcome(outcomeError, time.Since(start))
+		s.metrics.QueryDurations[outcomeError].Observe(time.Since(start))
 		http.Error(w, fmt.Sprintf("parse error: %v", err), http.StatusBadRequest)
 		return
 	}
 
-	if explain {
-		s.handleExplain(w, r, q, text, tr, start)
-		return
+	rq := &request{s: s, w: w, r: r, q: q, text: text, tr: tr, start: start, logKey: s.logKey(q), epoch: s.syncEpoch()}
+	rq.contentType, _ = negotiate(r)
+	switch {
+	case explain:
+		rq.explain()
+	case s.cfg.Unordered:
+		rq.stream()
+	default:
+		rq.ordered()
 	}
-	if s.cfg.Unordered {
-		s.streamQuery(w, r, q, text, tr, start)
-		return
-	}
+}
 
-	logKey := s.logKey(q)
-	epoch := s.syncEpoch()
-	key := cacheKey(epoch, logKey)
+// request is one parsed /sparql query on its way through the serving
+// pipeline. There is one way to reach the engine (execute), one way to
+// fail (fail) and one way to be accounted (finish); ordered, stream and
+// explain are the three callers, and differ only in the sink they hand
+// the engine and the outcome they finish with.
+type request struct {
+	s           *Server
+	w           http.ResponseWriter
+	r           *http.Request
+	q           *gstored.QueryGraph
+	text        string
+	tr          *trace.Trace // nil when neither EXPLAIN nor the slow log will read it
+	start       time.Time
+	logKey      string // workload-log key
+	epoch       uint64 // cluster generation the request was admitted under
+	contentType string // negotiated result serialization
+}
+
+// execute admits the request and runs the engine: the per-query timeout
+// and the trace ride on ctx, the scheduler admits or sheds the call, and
+// run — the caller's engine invocation, sink included — is clocked
+// without its admission wait, which would inflate
+// gstored_query_seconds_total exactly under saturation. Every execution
+// that produced a result is folded into the engine counters here, also
+// when run reports an error next to it (a stream whose client vanished).
+func (rq *request) execute(ctx context.Context, run func(context.Context) (*gstored.Result, error)) (*gstored.Result, error) {
+	s := rq.s
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.QueryTimeout)
+	defer cancel()
+	if rq.tr != nil {
+		ctx = trace.NewContext(ctx, rq.tr)
+	}
+	var res *gstored.Result
+	var wall time.Duration
+	err := s.sched.Run(ctx, func(ctx context.Context) (err error) {
+		start := time.Now()
+		res, err = run(ctx)
+		wall = time.Since(start)
+		return err
+	})
+	if res != nil {
+		s.metrics.EngineRuns.Add(1)
+		// An early termination is a delivered LIMIT: Stats.EarlyStop is
+		// also set when the consumer (a vanished client) declined rows,
+		// which is a disconnect, not a satisfied query.
+		if res.Stats.EarlyStop && rq.q.HasLimit && res.Stats.NumMatches == rq.q.Limit {
+			s.metrics.EarlyStops.Add(1)
+		}
+		s.metrics.Observe(res.Stats, wall)
+	}
+	return res, err
+}
+
+// fail answers with err's status and accounts the request as failed.
+func (rq *request) fail(err error) {
+	rq.s.failQuery(rq.w, err)
+	rq.finish(outcomeError, nil, 0)
+}
+
+// finish accounts one request after its response is written. Answered
+// requests count in Queries and — EXPLAIN probes aside, which must not
+// skew the advisor — feed the workload log; every request lands in its
+// outcome's client-facing latency histogram and, when the threshold is
+// met, in the slow-query log. stats is the execution that produced the
+// rows: a cached or coalesced serving passes the stats of the run it
+// shares (nil when only rows survived), which keeps crossing weights
+// proportional to the traffic actually served.
+func (rq *request) finish(o queryOutcome, stats *gstored.Stats, rows int) {
+	s := rq.s
+	if o != outcomeError {
+		s.metrics.Queries.Add(1)
+	}
+	if o != outcomeError && o != outcomeExplain {
+		if s.qlog != nil {
+			var observed gstored.Stats
+			if stats != nil {
+				observed = *stats
+			}
+			s.qlog.Observe(rq.logKey, rq.text, rq.q, observed)
+		}
+		if s.logSink != nil {
+			if err := s.logSink.Append(querylog.Record{Query: rq.text}); err != nil {
+				s.metrics.Errors.Add(1)
+			}
+		}
+	}
+	wall := time.Since(rq.start)
+	s.metrics.QueryDurations[o].Observe(wall)
+	s.slowLog.maybeLog(o, wall, rq.logKey, rq.epoch, stats, rows, rq.tr)
+}
+
+// serialize writes rows to w in the negotiated format.
+func (rq *request) serialize(w io.Writer, rows RowSeq) error {
+	defer rq.tr.StartSpan("serialize", trace.Coordinator)()
+	vars := projectionNames(rq.s.db, rq.q)
+	if rq.contentType == ContentTypeTSV {
+		return WriteResultsTSV(w, rq.s.db.Graph.Dict, vars, rows)
+	}
+	return WriteResultsJSON(w, rq.s.db.Graph.Dict, vars, rows)
+}
+
+// answer sends materialized rows under the given X-Cache state and
+// accounts the request as o.
+func (rq *request) answer(rows RowSeq, state cacheState, o queryOutcome, stats *gstored.Stats, n int) {
+	rq.w.Header().Set("Content-Type", rq.contentType)
+	rq.w.Header().Set("X-Cache", string(state))
+	if err := rq.serialize(rq.w, rows); err != nil {
+		// Headers are gone; all we can do is abort the stream. A write
+		// that died because the client hung up mid-download is the
+		// client's fault, not an error operators should page on.
+		if rq.r.Context().Err() != nil {
+			rq.s.metrics.ClientDisconnects.Add(1)
+		} else {
+			rq.s.metrics.Errors.Add(1)
+		}
+	}
+	rq.finish(o, stats, n)
+}
+
+// ordered answers in the deterministic canonical order, through the
+// result cache and singleflight: cache → join a flight → (as leader)
+// recheck the cache → run the engine detached from the own client.
+func (rq *request) ordered() {
+	s := rq.s
+	key := cacheKey(rq.epoch, rq.logKey)
 	if s.cache != nil {
 		if hit, ok := s.cache.Get(key); ok {
-			s.metrics.Queries.Add(1)
-			s.observe(logKey, text, q, hit.Stats)
-			s.writeRows(w, r, q, SliceSeq(hit.Rows), cacheHit, tr)
-			s.finishQuery(outcomeHit, start, logKey, epoch, &hit.Stats, len(hit.Rows), tr)
+			rq.answer(SliceSeq(hit.Rows), cacheHit, outcomeHit, &hit.Stats, len(hit.Rows))
 			return
 		}
 	}
@@ -384,29 +506,21 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		// Singleflight: an identical query is already executing; wait for
 		// its outcome instead of running the engine again.
 		s.metrics.Coalesced.Add(1)
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
+		ctx, cancel := context.WithTimeout(rq.r.Context(), s.cfg.QueryTimeout)
 		defer cancel()
 		select {
 		case <-fl.done:
 		case <-ctx.Done():
-			s.failQuery(w, ctx.Err())
-			s.finishQuery(outcomeError, start, logKey, epoch, nil, 0, tr)
+			rq.fail(ctx.Err())
 			return
 		}
-		if fl.err != nil {
-			s.failQuery(w, fl.err)
-			s.finishQuery(outcomeError, start, logKey, epoch, nil, 0, tr)
-			return
-		}
-		s.metrics.Queries.Add(1)
-		if fl.res != nil {
-			s.observe(logKey, text, q, fl.res.Stats)
-			s.writeRows(w, r, q, fl.res.EachProjected, cacheCoalesced, tr)
-			s.finishQuery(outcomeCoalesced, start, logKey, epoch, &fl.res.Stats, fl.res.Stats.NumMatches, tr)
-		} else {
-			s.observe(logKey, text, q, gstored.Stats{})
-			s.writeRows(w, r, q, SliceSeq(fl.rows), cacheCoalesced, tr)
-			s.finishQuery(outcomeCoalesced, start, logKey, epoch, nil, len(fl.rows), tr)
+		switch {
+		case fl.err != nil:
+			rq.fail(fl.err)
+		case fl.res != nil:
+			rq.answer(fl.res.EachProjected, cacheCoalesced, outcomeCoalesced, &fl.res.Stats, fl.res.Stats.NumMatches)
+		default:
+			rq.answer(SliceSeq(fl.rows), cacheCoalesced, outcomeCoalesced, nil, len(fl.rows))
 		}
 		return
 	}
@@ -419,36 +533,16 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		if hit, ok := s.cache.recheck(key); ok {
 			fl.rows = hit.Rows
 			s.flights.finish(key, fl)
-			s.metrics.Queries.Add(1)
-			s.observe(logKey, text, q, hit.Stats)
-			s.writeRows(w, r, q, SliceSeq(hit.Rows), cacheHit, tr)
-			s.finishQuery(outcomeHit, start, logKey, epoch, &hit.Stats, len(hit.Rows), tr)
+			rq.answer(SliceSeq(hit.Rows), cacheHit, outcomeHit, &hit.Stats, len(hit.Rows))
 			return
 		}
 	}
 
-	// The leader's execution context detaches from its client's
-	// disconnect once waiters have coalesced onto the flight: their
-	// queries must not fail because the leader hung up. While the flight
-	// is uncontended, a disconnect still cancels the engine cooperatively.
-	execCtx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), s.cfg.QueryTimeout)
-	defer cancel()
-	if tr != nil {
-		execCtx = trace.NewContext(execCtx, tr)
-	}
-	stop := context.AfterFunc(r.Context(), func() {
-		s.flights.cancelIfUnwaited(fl, cancel)
-	})
-	defer stop()
-
-	res, err := s.execute(execCtx, key, fl, q)
+	res, err := rq.lead(key, fl)
 	if err != nil {
-		s.failQuery(w, err)
-		s.finishQuery(outcomeError, start, logKey, epoch, nil, 0, tr)
+		rq.fail(err)
 		return
 	}
-	s.metrics.Queries.Add(1)
-	s.observe(logKey, text, q, res.Stats)
 	state := cacheMiss
 	if s.cache != nil && !s.cacheable(res) {
 		state = cacheBypass
@@ -457,35 +551,32 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	// Stream straight off the engine result: rows are projected one at a
 	// time into a reused buffer, so the serve path adds no per-request
 	// copy of the result set.
-	s.writeRows(w, r, q, res.EachProjected, state, tr)
-	s.finishQuery(outcomeMiss, start, logKey, epoch, &res.Stats, res.Len(), tr)
+	rq.answer(res.EachProjected, state, outcomeMiss, &res.Stats, res.Len())
 }
 
-// finishQuery closes out one answered (or failed) query: the
-// client-facing latency lands in the outcome-labeled histogram, and the
-// slow-query log gets its structured line when the threshold is met.
-func (s *Server) finishQuery(o queryOutcome, start time.Time, logKey string, epoch uint64, stats *gstored.Stats, rows int, tr *trace.Trace) {
-	wall := time.Since(start)
-	s.metrics.ObserveOutcome(o, wall)
-	if s.slowLog != nil {
-		s.slowLog.maybeLog(o, wall, logKey, epoch, stats, rows, tr)
-	}
-}
-
-// observe feeds one answered query into the workload log and, when
-// configured, the offline JSONL sink. Cached and coalesced servings pass
-// the stats of the execution that produced the rows (zero stats when
-// only rows survived), which keeps crossing weights proportional to the
-// traffic actually served.
-func (s *Server) observe(logKey, text string, q *gstored.QueryGraph, stats gstored.Stats) {
-	if s.qlog != nil {
-		s.qlog.Observe(logKey, text, q, stats)
-	}
-	if s.logSink != nil {
-		if err := s.logSink.Append(querylog.Record{Query: text}); err != nil {
-			s.metrics.Errors.Add(1)
+// lead runs the engine as the singleflight leader for key and publishes
+// the outcome: the cache entry first (when the result is small enough to
+// admit), then the flight itself, so a request arriving after the flight
+// retires either hits the cache or legitimately becomes the next leader.
+func (rq *request) lead(key string, fl *flight) (res *gstored.Result, err error) {
+	s := rq.s
+	defer func() {
+		if err == nil && s.cache != nil && s.cacheable(res) {
+			s.cache.Put(key, &CachedResult{Rows: res.Project(), Stats: res.Stats})
 		}
-	}
+		fl.res, fl.err = res, err
+		s.flights.finish(key, fl)
+	}()
+	// The execution detaches from its client's disconnect once waiters
+	// have coalesced onto the flight: their queries must not fail because
+	// the leader hung up. While the flight is uncontended, a disconnect
+	// still cancels the engine cooperatively.
+	ctx, cancel := context.WithCancel(context.WithoutCancel(rq.r.Context()))
+	defer cancel()
+	defer context.AfterFunc(rq.r.Context(), func() { s.flights.cancelIfUnwaited(key, fl, cancel) })()
+	return rq.execute(ctx, func(ctx context.Context) (*gstored.Result, error) {
+		return s.db.QueryGraphContext(ctx, rq.q)
+	})
 }
 
 // syncEpoch returns the current cluster epoch, flushing the result
@@ -505,15 +596,12 @@ func (s *Server) syncEpoch() uint64 {
 				s.cache.Flush()
 				s.metrics.CacheFlushes.Add(1)
 			}
-			if s.qlog != nil {
-				// Crossing statistics in the workload log were measured
-				// against the fragments the old generation cut; age them so
-				// the advisor is not steered by a layout that no longer
-				// exists. last is 0 only before the first sync, when there is
-				// nothing observed to age.
-				if last > 0 && e > last {
-					s.qlog.AdvanceEpoch(e - last)
-				}
+			// Crossing statistics in the workload log were measured against
+			// the fragments the old generation cut; age them so the advisor
+			// is not steered by a layout that no longer exists. last is 0
+			// only before the first sync, when there is nothing to age.
+			if s.qlog != nil && last > 0 {
+				s.qlog.AdvanceEpoch(e - last)
 			}
 			return e
 		}
@@ -525,79 +613,45 @@ func (s *Server) cacheable(res *gstored.Result) bool {
 	return s.cfg.CacheMaxRows < 0 || res.Len() <= s.cfg.CacheMaxRows
 }
 
-// execute runs the engine as the singleflight leader for key and
-// publishes the outcome: the cache entry first (when the result is small
-// enough to admit), then the flight itself, so a request arriving after
-// the flight retires either hits the cache or legitimately becomes the
-// next leader.
-func (s *Server) execute(ctx context.Context, key string, fl *flight, q *gstored.QueryGraph) (res *gstored.Result, err error) {
-	defer func() {
-		if err == nil && s.cache != nil && s.cacheable(res) {
-			s.cache.Put(key, &CachedResult{Rows: res.Project(), Stats: res.Stats})
-		}
-		fl.res, fl.err = res, err
-		s.flights.finish(key, fl)
-	}()
-	var engineWall time.Duration
-	err = s.sched.Run(ctx, func(ctx context.Context) error {
-		// Clock the engine run alone — admission-queue wait would
-		// inflate gstored_query_seconds_total exactly under saturation.
-		start := time.Now()
-		var qerr error
-		res, qerr = s.db.QueryGraphContext(ctx, q)
-		engineWall = time.Since(start)
-		return qerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.EngineRuns.Add(1)
-	s.metrics.Observe(res.Stats, engineWall)
-	return res, nil
-}
-
-// failQuery maps scheduler and engine errors to HTTP statuses: overload
-// to 503 (with Retry-After, so well-behaved clients back off), deadline
-// expiry to 504, cancellation by the client to 499-style 503, anything
-// else to 500.
-func (s *Server) failQuery(w http.ResponseWriter, err error) {
-	s.countFailure(err)
+// classify is the one error table: what a failed operation (query,
+// update, advisor run, repartition) is answered with, and the counter it
+// moves. A client's own disconnect (context.Canceled) is not a server
+// fault: it counts in gstored_client_disconnects_total, never in
+// gstored_query_errors_total, so dashboards alerting on the error rate
+// don't page because clients hung up. Shutdown abandonment is
+// server-side, so it stays in Errors; so does a syntax error, though
+// that one is the client's to fix.
+func (s *Server) classify(op string, err error) (status int, counter *atomic.Int64, reason string) {
+	m := &s.metrics
+	var syntax *sparql.SyntaxError
 	switch {
 	case errors.Is(err, ErrOverloaded):
+		return http.StatusServiceUnavailable, &m.Rejected, op + " load limit reached, retry later"
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, &m.Timeouts, fmt.Sprintf("%s exceeded the %v time limit", op, s.cfg.QueryTimeout)
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable, &m.ClientDisconnects, op + " canceled"
+	case errors.Is(err, ErrClosed):
+		return http.StatusServiceUnavailable, &m.Errors, "server shutting down"
+	case errors.As(err, &syntax):
+		return http.StatusBadRequest, &m.Errors, fmt.Sprintf("%s failed: %v", op, err)
+	default:
+		return http.StatusInternalServerError, &m.Errors, fmt.Sprintf("%s failed: %v", op, err)
+	}
+}
+
+// fail counts err and answers it; overload carries Retry-After, so
+// well-behaved clients back off.
+func (s *Server) fail(w http.ResponseWriter, op string, err error) {
+	status, counter, reason := s.classify(op, err)
+	counter.Add(1)
+	if errors.Is(err, ErrOverloaded) {
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, "query load limit reached, retry later", http.StatusServiceUnavailable)
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, fmt.Sprintf("query exceeded the %v time limit", s.cfg.QueryTimeout), http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		http.Error(w, "query canceled", http.StatusServiceUnavailable)
-	case errors.Is(err, ErrClosed):
-		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-	default:
-		http.Error(w, fmt.Sprintf("query failed: %v", err), http.StatusInternalServerError)
 	}
+	http.Error(w, reason, status)
 }
 
-// countFailure classifies a failed query into the failure counters,
-// arm for arm with failQuery's status switch — keep the two aligned. A
-// client's own disconnect (context.Canceled) is not a server fault: it
-// counts in gstored_client_disconnects_total, never in
-// gstored_query_errors_total, so operator dashboards alerting on the
-// error rate don't page because clients hung up.
-func (s *Server) countFailure(err error) {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		s.metrics.Rejected.Add(1)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.Timeouts.Add(1)
-	case errors.Is(err, context.Canceled):
-		s.metrics.ClientDisconnects.Add(1)
-	case errors.Is(err, ErrClosed):
-		// Shutdown abandonment is server-side, so it stays in Errors.
-		s.metrics.Errors.Add(1)
-	default:
-		s.metrics.Errors.Add(1)
-	}
-}
+func (s *Server) failQuery(w http.ResponseWriter, err error) { s.fail(w, "query", err) }
 
 // cacheState is the X-Cache response header value: how the result
 // reached the client relative to the cache and singleflight layers.
@@ -611,40 +665,6 @@ const (
 	cacheStream    cacheState = "STREAM"    // unordered first-row-early delivery; cache not consulted
 )
 
-// projectedVars returns q's projected variable names without the '?'.
-func (s *Server) projectedVars(q *gstored.QueryGraph) []string {
-	vars := make([]string, 0, len(q.Vars))
-	for _, col := range s.db.Columns(q) {
-		vars = append(vars, strings.TrimPrefix(col, "?"))
-	}
-	return vars
-}
-
-func (s *Server) writeRows(w http.ResponseWriter, r *http.Request, q *gstored.QueryGraph, rows RowSeq, state cacheState, tr *trace.Trace) {
-	vars := s.projectedVars(q)
-	contentType, tsv := negotiate(r)
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("X-Cache", string(state))
-	done := tr.StartSpan("serialize", trace.Coordinator)
-	var err error
-	if tsv {
-		err = WriteResultsTSV(w, s.db.Graph.Dict, vars, rows)
-	} else {
-		err = WriteResultsJSON(w, s.db.Graph.Dict, vars, rows)
-	}
-	done()
-	if err != nil {
-		// Headers are gone; all we can do is abort the stream. A write
-		// that died because the client hung up mid-download is the
-		// client's fault, not an error operators should page on.
-		if r.Context().Err() != nil {
-			s.metrics.ClientDisconnects.Add(1)
-		} else {
-			s.metrics.Errors.Add(1)
-		}
-	}
-}
-
 // deferredResponse buffers the response body until commit proves the
 // execution can answer: the serializer's document head lands in the
 // buffer, and the first result row (or a fully successful empty run)
@@ -656,7 +676,7 @@ func (s *Server) writeRows(w http.ResponseWriter, r *http.Request, q *gstored.Qu
 // first-row production.
 type deferredResponse struct {
 	w         http.ResponseWriter
-	header    func() // sets success headers; runs at commit, so an error reply never carries them
+	header    http.Header // success headers; set at commit, so an error reply never carries them
 	buf       bytes.Buffer
 	committed bool
 	aborted   bool
@@ -689,8 +709,8 @@ func (d *deferredResponse) commit() {
 		return
 	}
 	d.committed = true
-	if d.header != nil {
-		d.header()
+	for k, v := range d.header {
+		d.w.Header()[k] = v
 	}
 	if d.buf.Len() > 0 {
 		_, d.err = d.w.Write(d.buf.Bytes())
@@ -709,72 +729,48 @@ func (d *deferredResponse) Flush() {
 	}
 }
 
-// streamQuery answers q in unordered first-row-early delivery mode: the
-// serializer runs inside the scheduled worker and pulls rows straight
-// off the engine's streaming execution, so the first row reaches the
-// client while distributed evaluation is still in progress, and a LIMIT
-// cancels the remaining work the moment it is satisfied. The cache and
+// stream answers in unordered first-row-early delivery mode: the
+// serializer runs inside the scheduled call and pulls rows straight off
+// the engine's streaming execution, so the first row reaches the client
+// while distributed evaluation is still in progress, and a LIMIT cancels
+// the remaining work the moment it is satisfied. The cache and
 // singleflight layers are not consulted (X-Cache: STREAM) — nothing is
 // materialized to store, and a truncated unordered answer is one
 // execution's arbitrary row subset, not "the" result. The workload log
-// still observes every streamed query.
-//
-// The response commits with the first row (deferredResponse): failures
-// before that — admission rejection, queued-context expiry, an engine
-// error with no rows yet — report their usual statuses; a failure after
-// the first row can only truncate the stream mid-document.
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *gstored.QueryGraph, text string, tr *trace.Trace, start time.Time) {
-	logKey := s.logKey(q)
-	epoch := s.syncEpoch()
-	vars := s.projectedVars(q)
-	contentType, tsv := negotiate(r)
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-	if tr != nil {
-		ctx = trace.NewContext(ctx, tr)
-	}
-
-	// Serialization runs inside a bounded scheduler worker, and a write
-	// blocked on a stalled client is not context-aware — without a write
-	// deadline, `Workers` slow-loris readers would pin the whole pool.
-	// The response write deadline mirrors the per-query deadline, so the
-	// timeout really does bound the stream end to end; it is cleared on
-	// the way out so a keep-alive connection's next response is unscoped.
-	rc := http.NewResponseController(w)
-	if dl, ok := ctx.Deadline(); ok {
-		if rc.SetWriteDeadline(dl) == nil {
+// still observes every streamed query. The response commits with the
+// first row (deferredResponse): only failures before that — admission
+// rejection, queued-context expiry, an engine error with no rows yet —
+// can still report their usual statuses.
+func (rq *request) stream() {
+	s := rq.s
+	dw := &deferredResponse{w: rq.w, header: http.Header{"Content-Type": {rq.contentType}, "X-Cache": {string(cacheStream)}}}
+	// The clocked run is the whole streaming pipeline: emit blocks on
+	// serialization, so unlike the ordered path the engine wall time
+	// includes response-write backpressure from slow clients — in a
+	// synchronous engine→client pipeline the two are inseparable (and the
+	// serialize span covers both, the engine's stage spans inside it).
+	res, err := rq.execute(rq.r.Context(), func(ctx context.Context) (*gstored.Result, error) {
+		// Serialization holds a scheduler slot, and a write blocked on a
+		// stalled client is not context-aware — without a write deadline,
+		// `Workers` slow-loris readers would pin every slot. The response
+		// write deadline mirrors the per-query deadline, so the timeout
+		// really does bound the stream end to end; it is cleared on the
+		// way out so a keep-alive connection's next response is unscoped.
+		rc := http.NewResponseController(rq.w)
+		if dl, ok := ctx.Deadline(); ok && rc.SetWriteDeadline(dl) == nil {
 			// Best-effort: if clearing fails the connection is already
 			// unusable and the server will close it.
 			defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
 		}
-	}
-
-	var res *gstored.Result
-	var engineErr, writeErr error
-	var engineWall time.Duration
-	dw := &deferredResponse{w: w, header: func() {
-		w.Header().Set("Content-Type", contentType)
-		w.Header().Set("X-Cache", string(cacheStream))
-	}}
-	err := s.sched.Run(ctx, func(ctx context.Context) error {
-		// engineWall clocks the whole streaming pipeline: emit blocks on
-		// serialization, so unlike the ordered path this wall time
-		// includes response-write backpressure from slow clients — in a
-		// synchronous engine→client pipeline the two are inseparable.
-		start := time.Now()
-		first := true
-		rows := RowSeq(func(yield func(gstored.Row) bool) {
-			res, engineErr = s.db.QueryGraphStreamContext(ctx, q, func(row gstored.Row) bool {
-				dw.commit() // release status + document head before the row
+		var res *gstored.Result
+		var engineErr error
+		writeErr := rq.serialize(dw, func(yield func(gstored.Row) bool) {
+			res, engineErr = s.db.QueryGraphStreamContext(ctx, rq.q, func(row gstored.Row) bool {
+				// The first row commits the response: status, document
+				// head and row one reach the client together, at
+				// first-row production.
 				ok := yield(row)
-				if first {
-					// Flush again now that the first row's bytes are
-					// serialized: the client sees row one itself, not
-					// just the document head, at first-row production.
-					first = false
-					dw.Flush()
-				}
+				dw.commit()
 				return ok
 			})
 			if engineErr != nil {
@@ -785,78 +781,45 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, q *gstored.
 				dw.abort()
 			}
 		})
-		// In streaming delivery serialization and engine execution are one
-		// synchronous pipeline, so this span covers both; the engine's own
-		// stage spans (recorded via the context) sit inside it.
-		done := tr.StartSpan("serialize", trace.Coordinator)
-		if tsv {
-			writeErr = WriteResultsTSV(dw, s.db.Graph.Dict, vars, rows)
-		} else {
-			writeErr = WriteResultsJSON(dw, s.db.Graph.Dict, vars, rows)
-		}
-		done()
-		engineWall = time.Since(start)
-		if engineErr != nil {
-			return engineErr
-		}
 		if writeErr == nil {
 			writeErr = dw.err
 		}
-		if writeErr != nil {
+		switch {
+		case engineErr != nil:
+			return nil, engineErr
+		case writeErr != nil && ctx.Err() != nil:
 			// The engine succeeded but the response didn't: a vanished
 			// client surfaces as the context's cancellation, a genuine
 			// serialization fault as itself.
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			return writeErr
+			return res, ctx.Err()
+		case writeErr != nil:
+			return res, writeErr
 		}
 		// A successful empty result commits here — a complete, honest
 		// zero-binding document.
 		dw.commit()
-		return dw.err
+		return res, dw.err
 	})
 	if err != nil {
 		if !dw.committed {
 			// Nothing reached the client; a full status reply is possible.
-			s.failQuery(w, err)
-			s.finishQuery(outcomeError, start, logKey, epoch, nil, 0, tr)
+			rq.fail(err)
 			return
 		}
-		// The stream is already committed; count the failure and abort.
-		// When the engine itself completed (e.g. the client vanished and
-		// the sink stopped the run), still record the execution it
-		// performed — the query was answered engine-side, so it counts
-		// like the ordered path's pre-write accounting does, and the
-		// workload log must see the work even though the answer never
-		// fully shipped.
-		s.countFailure(err)
-		if res != nil {
-			s.metrics.Queries.Add(1)
-			s.recordStreamRun(logKey, text, q, res, engineWall)
-			s.finishQuery(outcomeStream, start, logKey, epoch, &res.Stats, res.Stats.NumMatches, tr)
-		} else {
-			s.finishQuery(outcomeError, start, logKey, epoch, nil, 0, tr)
+		// The stream is already committed: count the failure; the stream
+		// stays truncated.
+		_, counter, _ := s.classify("query", err)
+		counter.Add(1)
+		if res == nil {
+			rq.finish(outcomeError, nil, 0)
+			return
 		}
-		return
+		// The engine itself completed (e.g. the client vanished and the
+		// sink stopped the run): the query was answered engine-side, so it
+		// is accounted like any stream, and the workload log sees the work
+		// even though the answer never fully shipped.
 	}
-	s.metrics.Queries.Add(1)
-	s.recordStreamRun(logKey, text, q, res, engineWall)
-	s.finishQuery(outcomeStream, start, logKey, epoch, &res.Stats, res.Stats.NumMatches, tr)
-}
-
-// recordStreamRun folds one completed streaming engine execution into
-// the engine counters and the workload log. An execution counts as an
-// early termination only when it was stopped by a delivered LIMIT —
-// Stats.EarlyStop is also set when the consumer (a vanished client)
-// declined rows, which is a disconnect, not a satisfied query.
-func (s *Server) recordStreamRun(logKey, text string, q *gstored.QueryGraph, res *gstored.Result, engineWall time.Duration) {
-	s.metrics.EngineRuns.Add(1)
-	if res.Stats.EarlyStop && q.HasLimit && res.Stats.NumMatches == q.Limit {
-		s.metrics.EarlyStops.Add(1)
-	}
-	s.metrics.Observe(res.Stats, engineWall)
-	s.observe(logKey, text, q, res.Stats)
+	rq.finish(outcomeStream, &res.Stats, res.Stats.NumMatches)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -913,8 +876,18 @@ type healthSite struct {
 	Error         string `json:"error,omitempty"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// writeJSON answers v as the JSON body, indented by indent. A write that
+// died because the client hung up counts as that client's disconnect.
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, v any, indent string) {
 	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", indent)
+	if err := enc.Encode(v); err != nil && r.Context().Err() != nil {
+		s.metrics.ClientDisconnects.Add(1)
+	}
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	strategy, sites, epoch := s.db.ClusterInfo()
 	status, beats := s.probeSites(r.Context())
 	table := make([]healthSite, len(status))
@@ -931,7 +904,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			healthy = "degraded"
 		}
 	}
-	err := json.NewEncoder(w).Encode(map[string]any{
+	s.writeJSON(w, r, map[string]any{
 		"status": healthy,
 		// NumTriples reads the live generation's index: unlike Graph.Len
 		// it is safe against (and reflects) concurrent updates.
@@ -942,8 +915,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"mode":       s.db.Mode().String(),
 		"writable":   s.cfg.Writable,
 		"site_table": table,
-	})
-	if err != nil && r.Context().Err() != nil {
-		s.metrics.ClientDisconnects.Add(1)
-	}
+	}, "")
 }

@@ -56,10 +56,14 @@ func (g *flightGroup) join(key string) (*flight, bool) {
 // finish retires the flight and wakes its waiters. The leader must set
 // the flight's payload (res/rows/err) and make the result visible to
 // late arrivals (the cache Put) before calling finish: once the key is
-// removed, the next join starts a fresh engine run.
+// removed, the next join starts a fresh engine run. The key is removed
+// only while it still maps to fl — an abandoned flight was retired at
+// its cancellation, and the entry there now may belong to its successor.
 func (g *flightGroup) finish(key string, fl *flight) {
 	g.mu.Lock()
-	delete(g.m, key)
+	if g.m[key] == fl {
+		delete(g.m, key)
+	}
 	g.mu.Unlock()
 	close(fl.done)
 }
@@ -75,16 +79,19 @@ func (g *flightGroup) pending(key string) bool {
 	return ok
 }
 
-// cancelIfUnwaited invokes cancel only when fl has no waiters,
-// serialized against join (which increments the count under the same
-// lock): a concurrent joiner either becomes visible here — and the run
-// survives the leader's disconnect — or it joined after the cancel
-// decision, which is indistinguishable from joining after the leader
-// hung up with no one else interested.
-func (g *flightGroup) cancelIfUnwaited(fl *flight, cancel func()) {
+// cancelIfUnwaited abandons fl — invokes cancel and retires the flight
+// from the group — only when it has no waiters, serialized against join
+// (which increments the count under the same lock): a concurrent joiner
+// either becomes visible here, and the run survives the leader's
+// disconnect, or finds the key free and leads a fresh run of its own. No
+// request can join a flight whose execution is already canceled.
+func (g *flightGroup) cancelIfUnwaited(key string, fl *flight, cancel func()) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if fl.waiters.Load() == 0 {
 		cancel()
+		if g.m[key] == fl {
+			delete(g.m, key)
+		}
 	}
 }

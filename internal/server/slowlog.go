@@ -45,20 +45,15 @@ type slowLogger struct {
 	mu        sync.Mutex
 	w         io.Writer
 	threshold time.Duration
-	// drops counts lines lost to marshal or sink failures (nil when the
-	// owner does not track them): a silent slow-log gap during an
-	// incident is itself an incident signal worth scraping.
+	// drops counts lines lost to marshal or sink failures: a silent
+	// slow-log gap during an incident is itself an incident signal worth
+	// scraping.
 	drops *atomic.Int64
 }
 
-func (l *slowLogger) noteDrop() {
-	if l.drops != nil {
-		l.drops.Add(1)
-	}
-}
-
+// maybeLog is a no-op on a nil logger (slow-query logging disabled).
 func (l *slowLogger) maybeLog(o queryOutcome, wall time.Duration, key string, epoch uint64, stats *gstored.Stats, rows int, tr *trace.Trace) {
-	if wall < l.threshold {
+	if l == nil || wall < l.threshold {
 		return
 	}
 	rec := SlowQueryRecord{
@@ -73,17 +68,12 @@ func (l *slowLogger) maybeLog(o queryOutcome, wall time.Duration, key string, ep
 	if stats != nil {
 		rec.ShipmentBytes = stats.TotalShipment
 		rec.Messages = stats.Messages
-		rec.Stages = []ExplainStage{
-			{Stage: "candidates", Millis: millis(stats.CandidatesTime), ShipmentBytes: stats.CandidatesShipment},
-			{Stage: "partial", Millis: millis(stats.PartialTime)},
-			{Stage: "lec", Millis: millis(stats.LECTime), ShipmentBytes: stats.LECShipment},
-			{Stage: "assembly", Millis: millis(stats.AssemblyTime), ShipmentBytes: stats.AssemblyShipment},
-		}
+		rec.Stages = explainStages(stats)
 		rec.Fragments = explainFragments(stats.Fragments)
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
-		l.noteDrop()
+		l.drops.Add(1)
 		return
 	}
 	line = append(line, '\n')
@@ -94,7 +84,7 @@ func (l *slowLogger) maybeLog(o queryOutcome, wall time.Duration, key string, ep
 	_, werr := l.w.Write(line)
 	l.mu.Unlock()
 	if werr != nil {
-		l.noteDrop()
+		l.drops.Add(1)
 	}
 }
 

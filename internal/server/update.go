@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 )
@@ -36,55 +34,33 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, text strin
 		http.Error(w, "missing 'update' parameter", http.StatusBadRequest)
 		return
 	}
-	// Writes skip the query scheduler but not admission control: they
-	// serialize on the DB's swap mutex, so without a cap a flood of
-	// update POSTs piles goroutines and bodies onto the lock unboundedly.
-	// Shed beyond MaxInFlight queued writers, like queries shed.
-	select {
-	case s.updateSlots <- struct{}{}:
-		defer func() { <-s.updateSlots }()
-	default:
-		s.metrics.Rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "update load limit reached, retry later", http.StatusServiceUnavailable)
+	// Not the scheduler, but still admission control: without a cap a
+	// flood of update POSTs piles goroutines and bodies onto the swap
+	// mutex unboundedly. Shed beyond MaxInFlight queued writers.
+	if !s.updateSlots.tryAcquire() {
+		s.fail(w, "update", ErrOverloaded)
 		return
 	}
+	defer s.updateSlots.release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
 	defer cancel()
 	stats, err := s.db.Update(ctx, text)
 	if err != nil {
-		// Updates get their own status mapping rather than failQuery's:
-		// the client must be told its update (not "query") failed, though
-		// the shared counters classify the failure the same way.
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(ctx.Err(), context.DeadlineExceeded):
-			s.metrics.Timeouts.Add(1)
-			http.Error(w, fmt.Sprintf("update exceeded the %v time limit", s.cfg.QueryTimeout), http.StatusGatewayTimeout)
-		case errors.Is(err, context.Canceled), errors.Is(ctx.Err(), context.Canceled):
-			s.metrics.ClientDisconnects.Add(1)
-			http.Error(w, "update canceled", http.StatusServiceUnavailable)
-		default:
-			s.metrics.Errors.Add(1)
-			http.Error(w, fmt.Sprintf("update failed: %v", err), http.StatusBadRequest)
-		}
+		// Only a syntax error is the client's fault; a worker down at
+		// prepare or commit, or a failed delta, is a 500 like any engine
+		// fault. An update that failed under an expired context is
+		// classified by the expiry, whatever error surfaced it.
+		s.fail(w, "update", errors.Join(err, ctx.Err()))
 		return
 	}
 	s.metrics.Updates.Add(1)
 	s.metrics.TriplesInserted.Add(int64(stats.Inserted))
 	s.metrics.TriplesDeleted.Add(int64(stats.Deleted))
-	if stats.Inserted > 0 || stats.Deleted > 0 {
-		// Flush the dead generation's cache entries now instead of at the
-		// next query's lazy sync.
-		s.syncEpoch()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	err = json.NewEncoder(w).Encode(map[string]any{
+	s.syncEpoch() // eager flush; a no-op update left the epoch, so the cache, alone
+	s.writeJSON(w, r, map[string]any{
 		"inserted":          stats.Inserted,
 		"deleted":           stats.Deleted,
 		"rebuilt_fragments": stats.RebuiltFragments,
 		"epoch":             stats.Epoch,
-	})
-	if err != nil && r.Context().Err() != nil {
-		s.metrics.ClientDisconnects.Add(1)
-	}
+	}, "")
 }

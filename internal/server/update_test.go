@@ -4,11 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strings"
 	"sync"
 	"testing"
+
+	"gstored"
+	"gstored/internal/remote"
 )
 
 // postUpdate sends text as an application/sparql-update body.
@@ -290,5 +294,51 @@ func TestServeDuringUpdate(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestUpdateWorkerDownIs500: only a syntax error is the client's fault.
+// An update that fails because a fragment-hosting worker is down at the
+// generation swap is a server fault — 500 and gstored_query_errors_total,
+// like any engine fault — and leaves the epoch where it was.
+func TestUpdateWorkerDownIs500(t *testing.T) {
+	w := remote.NewWorker(0)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- w.Serve(ln) }()
+
+	g := gstored.NewGraph()
+	g.AddIRIs("http://ex/alice", "http://ex/knows", "http://ex/bob")
+	g.AddIRIs("http://ex/bob", "http://ex/knows", "http://ex/carol")
+	db, err := gstored.Open(g, gstored.Config{Sites: 2, Workers: []string{ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = db.Close() }() // the transport is already torn down
+	srv, ts := newTestServer(t, db, Config{Writable: true})
+	e0 := db.Epoch()
+
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("worker serve: %v", err)
+	}
+
+	resp, _ := postUpdate(t, ts.URL, `INSERT DATA { <http://ex/carol> <http://ex/knows> <http://ex/alice> }`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("update with its worker down: status = %d, want 500", resp.StatusCode)
+	}
+	if got := srv.metrics.Errors.Load(); got != 1 {
+		t.Errorf("gstored_query_errors_total = %d, want 1", got)
+	}
+	if got := srv.metrics.Updates.Load(); got != 0 {
+		t.Errorf("gstored_updates_total = %d after a failed update", got)
+	}
+	if db.Epoch() != e0 {
+		t.Errorf("failed update advanced the epoch %d -> %d", e0, db.Epoch())
 	}
 }
