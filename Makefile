@@ -47,3 +47,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzLexer$$' -fuzztime=10s ./internal/sparql/
 	$(GO) test -run=NONE -fuzz='^FuzzReadNTriples$$' -fuzztime=10s ./internal/rdf/
 	$(GO) test -run=NONE -fuzz='^FuzzCFG$$' -fuzztime=10s ./internal/analysis/
+	$(GO) test -run=NONE -fuzz='^FuzzApplyDelta$$' -fuzztime=10s ./internal/fragment/

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -267,20 +268,30 @@ func Open(g *Graph, cfg Config) (*DB, error) {
 		}
 		db.workers = coord
 	}
-	// The initial ship is epoch 1's two-phase broadcast with every
-	// fragment touched: workers stage their fragments at prepare and
-	// start serving at commit; in-process the same path just builds the
-	// LocalSite handles.
+	// The initial ship is epoch 1's two-phase broadcast with every fragment
+	// touched: workers stage their fragments at prepare and serve them from
+	// commit; in-process the same path just builds the LocalSite handles.
 	//lint:allow ctxflow Open is the documented context-free constructor; the ship is bounded by the transport's own deadlines
-	sites, err := db.swapGenerations(context.Background(), nil, dist, 1, nil)
-	if err != nil {
+	if err := db.publish(context.Background(), &dbState{}, dist, assign.StrategyName, nil); err != nil {
 		if db.workers != nil {
 			_ = db.workers.Close() // already failing; connection cleanup is best-effort
 		}
 		return nil, err
 	}
-	db.state.Store(&dbState{dist: dist, eng: engine.NewWithSites(dist, sites), sites: sites, strategy: assign.StrategyName, epoch: 1})
 	return db, nil
+}
+
+// publish makes dist the generation after prev (the zero dbState before
+// the first): the two-phase broadcast of the touched fragments (nil =
+// all), an engine over the site handles it returns, then the one atomic
+// store readers load. On error nothing is stored. Writers hold swapMu.
+func (db *DB) publish(ctx context.Context, prev *dbState, dist *fragment.Distributed, strategy string, touched []int) error {
+	sites, err := db.swapGenerations(ctx, prev.sites, dist, prev.epoch+1, touched)
+	if err != nil {
+		return err
+	}
+	db.state.Store(&dbState{dist: dist, eng: engine.NewWithSites(dist, sites), sites: sites, strategy: strategy, epoch: prev.epoch + 1})
+	return nil
 }
 
 // Close releases the worker connections of a worker-mode database; for a
@@ -306,55 +317,55 @@ func (db *DB) newSite(id int) cluster.Site {
 
 // swapGenerations is the two-phase epoch broadcast: phase one prepares
 // every site of the new generation — shipping the fragment where the
-// delta touched it (touched lists rebuilt fragment IDs; nil means all,
-// as does any change in site count), carrying the resident fragment
-// forward where it did not — and phase two commits, atomically advancing
-// each site to the new epoch. A site that lost its state answers either
-// phase with cluster.ErrNeedSync and gets the full fragment re-shipped
-// before the broadcast proceeds; any other failure aborts the swap with
-// the previous generation still live everywhere (workers prune only at
-// commit, and a staged epoch that never commits is harmless).
+// delta touched it (touched lists those fragment IDs; nil means all, as
+// does any change in site count), carrying the resident fragment forward
+// where it did not — and phase two commits, atomically advancing each
+// site to the new epoch. A site that lost its state answers either phase
+// with cluster.ErrNeedSync and gets the full fragment re-shipped before
+// the broadcast proceeds; any other failure aborts the swap. A failed
+// prepare leaves the previous generation live everywhere (workers prune
+// only at commit, and a staged epoch that never commits is harmless). A
+// failed commit at site j does not: the sites before j already serve an
+// epoch the coordinator abandons and will reuse — ROADMAP item 4, open.
 func (db *DB) swapGenerations(ctx context.Context, prev []cluster.Site, dist *fragment.Distributed, epoch uint64, touched []int) ([]cluster.Site, error) {
-	k := len(dist.Fragments)
-	all := touched == nil || len(prev) != k
-	isTouched := make(map[int]bool, len(touched))
-	for _, id := range touched {
-		isTouched[id] = true
+	all := touched == nil || len(prev) != len(dist.Fragments)
+	// prepare stages f, or with nil the resident fragment, at site i; a
+	// site with nothing to carry forward (restarted, never shipped, missed
+	// the first prepare) gets the full fragment.
+	prepare := func(s cluster.Site, i int, f *fragment.Fragment) (cluster.Site, error) {
+		next, err := s.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: epoch, Fragment: f})
+		if errors.Is(err, cluster.ErrNeedSync) {
+			next, err = s.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: epoch, Fragment: dist.Fragments[i]})
+		}
+		return next, err
 	}
 
 	// Phase 1: prepare. Sites stage the new generation without serving it.
-	staged := make([]cluster.Site, k)
-	for i := 0; i < k; i++ {
+	staged := make([]cluster.Site, len(dist.Fragments))
+	for i := range staged {
 		s := db.newSite(i)
 		if i < len(prev) {
 			s = prev[i]
 		}
-		var payload *fragment.Fragment
-		if all || isTouched[i] {
-			payload = dist.Fragments[i]
+		var f *fragment.Fragment
+		if all || slices.Contains(touched, i) {
+			f = dist.Fragments[i]
 		}
-		next, err := s.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: epoch, Fragment: payload})
-		if errors.Is(err, cluster.ErrNeedSync) {
-			// The site cannot carry its fragment forward (restarted or
-			// never shipped): re-sync with the full fragment.
-			next, err = s.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: epoch, Fragment: dist.Fragments[i]})
-		}
-		if err != nil {
+		var err error
+		if staged[i], err = prepare(s, i, f); err != nil {
 			return nil, fmt.Errorf("gstored: prepare epoch %d at site %d: %w", epoch, i, err)
 		}
-		staged[i] = next
 	}
 
 	// Phase 2: commit. Every site activates the staged epoch; a site that
 	// missed the prepare (lost message, restart between phases) says so,
-	// gets the full fragment, and commits on the retry.
+	// is prepared again with the full fragment, and commits on the retry.
 	for i, s := range staged {
-		committed, err := s.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: epoch})
+		commit := cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: epoch}
+		committed, err := s.SwapGeneration(ctx, commit)
 		if errors.Is(err, cluster.ErrNeedSync) {
-			var next cluster.Site
-			next, err = s.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: epoch, Fragment: dist.Fragments[i]})
-			if err == nil {
-				committed, err = next.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: epoch})
+			if s, err = prepare(s, i, dist.Fragments[i]); err == nil {
+				committed, err = s.SwapGeneration(ctx, commit)
 			}
 		}
 		if err != nil {
@@ -432,12 +443,7 @@ func (db *DB) Repartition(a *Assignment) error {
 	// A repartition rebuilds every fragment, so the epoch broadcast ships
 	// them all (touched nil = all).
 	//lint:allow ctxflow Repartition is the documented context-free admin entry point, matching its existing signature
-	sites, err := db.swapGenerations(context.Background(), prev.sites, dist, prev.epoch+1, nil)
-	if err != nil {
-		return err
-	}
-	db.state.Store(&dbState{dist: dist, eng: engine.NewWithSites(dist, sites), sites: sites, strategy: name, epoch: prev.epoch + 1})
-	return nil
+	return db.publish(context.Background(), prev, dist, name, nil)
 }
 
 // UpdateStats reports what one committed Update changed.
@@ -448,7 +454,7 @@ type UpdateStats struct {
 	Inserted int
 	Deleted  int
 	// RebuiltFragments is how many fragments the delta touched — only
-	// their stores, vertex sets and crossing replicas were rebuilt; every
+	// their stores, vertex sets and crossing lists were patched; every
 	// other fragment is shared with the previous generation.
 	RebuiltFragments int
 	// Epoch is the generation serving the post-update data. A no-op
@@ -475,12 +481,13 @@ type UpdateStats struct {
 // that changes nothing (all inserts present, all deletes absent) swaps
 // nothing and keeps the current epoch, so caches stay warm.
 //
-// Cost: fragment rebuilding is proportional to the fragments the delta
-// touches, but each update also pays a vertex-count-proportional shallow
-// copy of the global index's adjacency maps, and a delete additionally
-// filters the Graph.Triples view (triple-count-proportional). Updates
-// are cheap next to a repartition, not next to a point write in a
-// storage engine; batch them when throughput matters.
+// Cost: index work is proportional to the delta — the global store and
+// each touched fragment splice only the adjacency it names — plus a
+// vertex-count-proportional shallow copy of their adjacency maps (what
+// keeps the previous generation immutable). A delete also filters the
+// Graph.Triples view (triple-count-proportional), and in worker mode a
+// touched fragment still travels whole. Updates are cheap next to a
+// repartition, not next to a point write; batch them for throughput.
 func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error) {
 	u, err := sparql.ParseUpdate(updateText)
 	if err != nil {
@@ -547,9 +554,8 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 			deleted = append(deleted, rdf.Triple{S: s, P: p, O: o})
 		}
 	}
-	stats := UpdateStats{Epoch: cur.epoch}
 	if len(inserted) == 0 && len(deleted) == 0 {
-		return stats, nil
+		return UpdateStats{Epoch: cur.epoch}, nil
 	}
 	// Cancellation is cooperative at phase boundaries: checked here
 	// before the index/fragment builds, and again before the commit
@@ -564,7 +570,7 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 
 	newStore := st.Apply(inserted, deleted)
 	assign := cur.dist.Assignment.WithVertices(dict, tripleEndpoints(inserted))
-	newDist, rebuilt, err := cur.dist.ApplyDelta(newStore, assign, inserted, deleted)
+	newDist, touchedFrags, err := cur.dist.ApplyDelta(newStore, assign, inserted, deleted)
 	if err != nil {
 		return UpdateStats{}, err
 	}
@@ -573,11 +579,9 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
 	}
-	// Two-phase epoch broadcast over the delta: only the rebuilt
-	// fragments travel; every untouched site re-tags its resident
-	// fragment under the new epoch at prepare.
-	sites, err := db.swapGenerations(ctx, cur.sites, newDist, cur.epoch+1, rebuilt)
-	if err != nil {
+	// Only the touched fragments travel; every untouched site re-tags its
+	// resident fragment under the new epoch at prepare.
+	if err := db.publish(ctx, cur, newDist, cur.strategy, touchedFrags); err != nil {
 		return UpdateStats{}, err
 	}
 
@@ -598,11 +602,7 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 	}
 	db.Graph.Triples = append(db.Graph.Triples, inserted...)
 
-	db.state.Store(&dbState{dist: newDist, eng: engine.NewWithSites(newDist, sites), sites: sites, strategy: cur.strategy, epoch: cur.epoch + 1})
-	stats.Inserted, stats.Deleted = len(inserted), len(deleted)
-	stats.RebuiltFragments = len(rebuilt)
-	stats.Epoch = cur.epoch + 1
-	return stats, nil
+	return UpdateStats{Inserted: len(inserted), Deleted: len(deleted), RebuiltFragments: len(touchedFrags), Epoch: cur.epoch + 1}, nil
 }
 
 func sortTriples(ts []rdf.Triple) {

@@ -36,6 +36,7 @@ import (
 	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
+	"gstored/internal/store"
 	"gstored/internal/trace"
 )
 
@@ -186,6 +187,20 @@ type Stats struct {
 	Plan []PlanEdge
 	// EvalWorkers is the resolved width of the evaluation worker pool.
 	EvalWorkers int
+}
+
+// PlanEdge is one step of the compiled edge-evaluation order; the
+// planner lives with the cardinality table it reads (store.Plan).
+type PlanEdge = store.PlanEdge
+
+// planEdgeRank inverts the plan into rank-per-edge, the form
+// partial.Options.EdgeRank takes.
+func planEdgeRank(plan []PlanEdge) []int {
+	rank := make([]int, len(plan))
+	for k, pe := range plan {
+		rank[pe.Edge] = k
+	}
+	return rank
 }
 
 // FragmentStats is one site's share of an execution: what it matched,
@@ -436,7 +451,7 @@ func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut
 		return e.executeComponents(ctx, q, comps, cfg, out)
 	}
 	p := pool.New(cfg.EvalWorkers)
-	plan := planOrder(e.Cluster.Graph.Global, q)
+	plan := e.Cluster.Graph.Global.Plan(q)
 	stats := Stats{Mode: cfg.Mode, Plan: plan, EvalWorkers: p.Workers()}
 	net := cluster.NewNetwork()
 	if e.Cluster.Net != nil {
@@ -618,7 +633,7 @@ func (e *Engine) runStar(ctx context.Context, q *query.Graph, center int, plan [
 	errs := make([]error, len(frags))
 	req := cluster.PartialRequest{
 		Query: q, Star: true, Center: center,
-		Order: planEdgeOrder(plan), Pool: p,
+		Order: store.EdgeOrder(plan), Pool: p,
 	}
 	stats.PartialTime = e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
 		siteStart := time.Now()
@@ -718,7 +733,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	outs := make([]cluster.PartialReply, k)
 	serrs := make([]error, k)
 	req := cluster.PartialRequest{
-		Query: q, Order: planEdgeOrder(plan), EdgeRank: planEdgeRank(plan),
+		Query: q, Order: store.EdgeOrder(plan), EdgeRank: planEdgeRank(plan),
 		Union: ship.union, MaxMatches: cfg.MaxPartialMatches, Pool: p,
 	}
 	stats.PartialTime = e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {

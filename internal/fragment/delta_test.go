@@ -12,15 +12,53 @@ import (
 	"gstored/internal/store"
 )
 
+// snapshot is a deep copy of everything a Fragment is: V_i, the crossing
+// list in order, the edge count, and its store read through every index
+// (Triples walks out, In walks in, ByPred and Stats the per-predicate
+// tables). Two fragments are the same iff their snapshots are DeepEqual,
+// and a snapshot shares no memory with the fragment it was taken from.
+type snapshot struct {
+	Internal         []rdf.TermID
+	Crossing         []rdf.Triple
+	NumInternalEdges int
+	NumExtended      int
+	Triples, In      []rdf.Triple
+	ByPred           map[rdf.TermID][]rdf.Triple
+	Stats            map[rdf.TermID]store.PredStat
+}
+
+func snapshotOf(f *Fragment) snapshot {
+	s := snapshot{
+		Internal:         f.InternalVertices(),
+		Crossing:         append([]rdf.Triple{}, f.Crossing...),
+		NumInternalEdges: f.NumInternalEdges,
+		NumExtended:      f.NumExtended(),
+		Triples:          f.Store.Triples(),
+		In:               []rdf.Triple{},
+		ByPred:           map[rdf.TermID][]rdf.Triple{},
+		Stats:            map[rdf.TermID]store.PredStat{},
+	}
+	for _, o := range f.Store.Vertices() {
+		for _, he := range f.Store.In(o) {
+			s.In = append(s.In, rdf.Triple{S: he.V, P: he.P, O: o})
+		}
+	}
+	for _, p := range f.Store.Predicates() {
+		s.ByPred[p] = append([]rdf.Triple{}, f.Store.TriplesWith(p)...)
+		s.Stats[p], _ = f.Store.Stats().Pred(p)
+	}
+	return s
+}
+
 // checkDeltaEquivalent applies the delta incrementally and compares
-// against a full Build over the post-delta store: the two must agree
-// fragment by fragment on internal/extended vertex sets, internal edge
-// counts, crossing multisets, and indexed triples — and the incremental
-// result must pass CheckInvariants on its own.
+// against a full Build over the post-delta store: the two must be the
+// same fragment by fragment — crossing lists in the same order, stores
+// with the same triples and per-predicate statistics — and the
+// incremental result must pass CheckInvariants on its own.
 func checkDeltaEquivalent(t *testing.T, d *Distributed, a *partition.Assignment, inserted, deleted []rdf.Triple) *Distributed {
 	t.Helper()
 	newGlobal := d.Global.Apply(inserted, deleted)
-	got, rebuilt, err := d.ApplyDelta(newGlobal, a, inserted, deleted)
+	got, touched, err := d.ApplyDelta(newGlobal, a, inserted, deleted)
 	if err != nil {
 		t.Fatalf("ApplyDelta: %v", err)
 	}
@@ -31,51 +69,74 @@ func checkDeltaEquivalent(t *testing.T, d *Distributed, a *partition.Assignment,
 	if err != nil {
 		t.Fatalf("reference Build: %v", err)
 	}
-	if len(rebuilt) > len(d.Fragments) {
-		t.Errorf("rebuilt %d of %d fragments", len(rebuilt), len(d.Fragments))
+	if !sort.IntsAreSorted(touched) {
+		t.Errorf("touched IDs not sorted: %v", touched)
 	}
-	if !sort.IntsAreSorted(rebuilt) {
-		t.Errorf("rebuilt IDs not sorted: %v", rebuilt)
-	}
-	for _, id := range rebuilt {
+	isTouched := make(map[int]bool)
+	for _, id := range touched {
 		if id < 0 || id >= len(d.Fragments) {
-			t.Errorf("rebuilt ID %d out of range", id)
+			t.Fatalf("touched ID %d out of range", id)
 		}
+		isTouched[id] = true
 	}
 	for i := range want.Fragments {
 		gf, wf := got.Fragments[i], want.Fragments[i]
-		if !reflect.DeepEqual(gf.internal, wf.internal) {
-			t.Errorf("fragment %d internal = %v, want %v", i, gf.internal, wf.internal)
+		if !isTouched[i] && gf != d.Fragments[i] {
+			t.Errorf("fragment %d is not listed as touched but was replaced", i)
 		}
-		if !reflect.DeepEqual(gf.extended, wf.extended) && !(len(gf.extended) == 0 && len(wf.extended) == 0) {
-			t.Errorf("fragment %d extended = %v, want %v", i, gf.extended, wf.extended)
+		if gs, ws := snapshotOf(gf), snapshotOf(wf); !reflect.DeepEqual(gs, ws) {
+			t.Errorf("fragment %d after delta = %+v\nfrom-scratch Build  = %+v", i, gs, ws)
 		}
-		if gf.NumInternalEdges != wf.NumInternalEdges {
-			t.Errorf("fragment %d internal edges = %d, want %d", i, gf.NumInternalEdges, wf.NumInternalEdges)
-		}
-		if !sameTripleMultiset(gf.Crossing, wf.Crossing) {
-			t.Errorf("fragment %d crossing = %v, want %v", i, gf.Crossing, wf.Crossing)
-		}
-		if !reflect.DeepEqual(gf.Store.Triples(), wf.Store.Triples()) {
-			t.Errorf("fragment %d store triples = %v, want %v", i, gf.Store.Triples(), wf.Store.Triples())
+		if !reflect.DeepEqual(gf.Store.Stats(), wf.Store.Stats()) {
+			t.Errorf("fragment %d store statistics differ from a from-scratch Build", i)
 		}
 	}
 	return got
 }
 
-func sameTripleMultiset(a, b []rdf.Triple) bool {
-	if len(a) != len(b) {
-		return false
+// deltaChain drives a sequence of deltas through ApplyDelta, each on top
+// of the last one's result, and checks two things after every step: the
+// newest generation equals Build of the post-delta store, and every
+// earlier generation still equals the snapshot taken while it was
+// current — a write into an adjacency list, a Crossing slice or a V_i
+// map shared between generations shows up as a changed old snapshot.
+type deltaChain struct {
+	dict *rdf.Dictionary
+	d    *Distributed
+	gens []*Distributed
+	was  [][]snapshot
+}
+
+func newDeltaChain(g *rdf.Graph, d *Distributed) *deltaChain {
+	c := &deltaChain{dict: g.Dict}
+	c.push(d)
+	return c
+}
+
+func (c *deltaChain) push(d *Distributed) {
+	snaps := make([]snapshot, len(d.Fragments))
+	for i, f := range d.Fragments {
+		snaps[i] = snapshotOf(f)
 	}
-	as := append([]rdf.Triple(nil), a...)
-	bs := append([]rdf.Triple(nil), b...)
-	sort.Slice(as, func(i, j int) bool { return as[i].Less(as[j]) })
-	sort.Slice(bs, func(i, j int) bool { return bs[i].Less(bs[j]) })
-	return reflect.DeepEqual(as, bs)
+	c.d, c.gens, c.was = d, append(c.gens, d), append(c.was, snaps)
+}
+
+func (c *deltaChain) step(t *testing.T, inserted, deleted []rdf.Triple) {
+	t.Helper()
+	a := c.d.Assignment.WithVertices(c.dict, endpointsOf(append(append([]rdf.Triple{}, inserted...), deleted...)))
+	c.push(checkDeltaEquivalent(t, c.d, a, inserted, deleted))
+	for g, d := range c.gens {
+		for i, f := range d.Fragments {
+			if now := snapshotOf(f); !reflect.DeepEqual(now, c.was[g][i]) {
+				t.Fatalf("step %d wrote into generation %d: fragment %d is now %+v\nwas %+v", len(c.gens)-1, g, i, now, c.was[g][i])
+			}
+		}
+	}
 }
 
 // deltaFixture builds a 3-fragment cluster over a small graph with both
-// internal and crossing edges.
+// internal and crossing edges, a self-loop, and one internal and one
+// crossing edge held twice (the store is a multigraph).
 func deltaFixture(t *testing.T) (*rdf.Graph, *Distributed, func(s, p, o string) rdf.Triple) {
 	t.Helper()
 	g := rdf.NewGraph()
@@ -85,7 +146,7 @@ func deltaFixture(t *testing.T) (*rdf.Graph, *Distributed, func(s, p, o string) 
 	for _, tr := range [][3]string{
 		{"a1", "p", "a2"}, {"a2", "p", "b1"}, {"b1", "q", "b2"},
 		{"b2", "q", "c1"}, {"c1", "p", "c2"}, {"c2", "r", "a1"},
-		{"a1", "q", "a1"},
+		{"a1", "q", "a1"}, {"c1", "p", "c2"}, {"a2", "p", "b1"},
 	} {
 		g.AddIRIs(tr[0], tr[1], tr[2])
 	}
@@ -222,4 +283,85 @@ func endpointsOf(ts []rdf.Triple) []rdf.TermID {
 		out = append(out, t.S, t.O)
 	}
 	return out
+}
+
+// deltaNames and deltaPreds are the vocabulary of the chain test and the
+// fuzz target: the fixture's vertices, one more per fragment letter, and
+// two names no fragment letter claims (WithVertices places those).
+var (
+	deltaNames = []string{"a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "x1", "x2"}
+	deltaPreds = []string{"p", "q", "r"}
+)
+
+// TestApplyDeltaChain is patch-on-patch ≡ from-scratch: 250 seeded
+// set-semantics deltas, each applied to the previous step's patched
+// fragments (never to a fresh Build), over a base graph with duplicate
+// edge instances. The vocabulary is small enough that vertices keep
+// appearing and vanishing and self-loops come and go.
+func TestApplyDeltaChain(t *testing.T) {
+	g, d, mk := deltaFixture(t)
+	c := newDeltaChain(g, d)
+	rng := rand.New(rand.NewSource(23))
+	var appeared, vanished, loops int
+	for step := 0; step < 250; step++ {
+		var inserted, deleted []rdf.Triple
+		inDelta := make(map[rdf.Triple]bool)
+		for i := rng.Intn(4); i > 0; i-- {
+			tr := mk(deltaNames[rng.Intn(len(deltaNames))], deltaPreds[rng.Intn(len(deltaPreds))], deltaNames[rng.Intn(len(deltaNames))])
+			if !c.d.Global.HasTriple(tr.S, tr.P, tr.O) && !inDelta[tr] {
+				inserted, inDelta[tr] = append(inserted, tr), true
+				if tr.S == tr.O {
+					loops++
+				}
+			}
+		}
+		all := c.d.Global.Triples()
+		for i := rng.Intn(4); i > 0 && len(all) > 0; i-- {
+			if tr := all[rng.Intn(len(all))]; !inDelta[tr] {
+				deleted, inDelta[tr] = append(deleted, tr), true
+			}
+		}
+		before := c.d.Global
+		c.step(t, inserted, deleted)
+		for _, v := range endpointsOf(append(inserted, deleted...)) {
+			switch was, is := before.HasVertex(v), c.d.Global.HasVertex(v); {
+			case !was && is:
+				appeared++
+			case was && !is:
+				vanished++
+			}
+		}
+	}
+	if appeared < 10 || vanished < 10 || loops < 5 {
+		t.Errorf("chain too tame to mean anything: %d vertices appeared, %d vanished, %d self-loops inserted", appeared, vanished, loops)
+	}
+}
+
+// FuzzApplyDelta decodes its input into a delta sequence over the
+// three-fragment fixture — four bytes an operation: bit 0 of the first
+// picks insert or delete, bit 1 closes the current delta, the other three
+// index subject, predicate and object — and runs the chain oracle. The
+// operations are applied as decoded, not normalized to set semantics:
+// repeated inserts, deletes of absent triples and a triple on both sides
+// of one delta are all legal for Store.Apply, so they must patch a
+// fragment exactly as they patch the graph it is a fragment of. The seed
+// corpus is testdata/fuzz/FuzzApplyDelta.
+func FuzzApplyDelta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			data = data[:256] // the oracle is quadratic in the chain length
+		}
+		g, d, mk := deltaFixture(t)
+		c := newDeltaChain(g, d)
+		var delta [2][]rdf.Triple
+		for ; len(data) >= 4; data = data[4:] {
+			tr := mk(deltaNames[int(data[1])%len(deltaNames)], deltaPreds[int(data[2])%len(deltaPreds)], deltaNames[int(data[3])%len(deltaNames)])
+			delta[data[0]&1] = append(delta[data[0]&1], tr)
+			if data[0]&2 != 0 {
+				c.step(t, delta[0], delta[1])
+				delta = [2][]rdf.Triple{}
+			}
+		}
+		c.step(t, delta[0], delta[1])
+	})
 }

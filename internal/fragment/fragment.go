@@ -6,51 +6,85 @@ package fragment
 
 import (
 	"fmt"
+	"slices"
 
 	"gstored/internal/partition"
 	"gstored/internal/rdf"
 	"gstored/internal/store"
 )
 
-// Fragment is F_i = (V_i ∪ V_i^e, E_i ∪ E_i^c, Σ_i). Its Store indexes the
-// internal edges together with the crossing-edge replicas, so local
-// matching sees exactly the fragment of Definition 1.
+// Fragment is F_i = (V_i ∪ V_i^e, E_i ∪ E_i^c, Σ_i), a pure function of
+// its edge set and V_i (Definition 1): newFragment is the one place that
+// function is written down. Its Store indexes the internal edges together
+// with the crossing-edge replicas, so local matching sees exactly the
+// fragment of Definition 1.
 type Fragment struct {
 	ID int
 
 	// Store indexes E_i ∪ E_i^c.
 	Store *store.Store
 
-	// internal is V_i; extended is V_i^e.
+	// internal is V_i. V_i^e is not stored: it is every other vertex of
+	// Store (see IsExtended).
 	internal map[rdf.TermID]bool
-	extended map[rdf.TermID]bool
 
-	// Crossing lists E_i^c: the crossing-edge replicas stored at this
-	// fragment, in deterministic order.
+	// Crossing lists E_i^c, the crossing-edge replicas stored at this
+	// fragment, in (S,P,O) order, one entry per edge instance.
 	Crossing []rdf.Triple
 
 	// NumInternalEdges is |E_i|.
 	NumInternalEdges int
 }
 
+// newFragment builds fragment id from triples = E_i ∪ E_i^c, which must
+// be in (S,P,O) order, and internal = V_i, which it keeps. An edge with
+// both endpoints in V_i is internal, one with exactly one is a crossing
+// replica; an edge with neither, an edge out of order and an internal
+// vertex with no edge are errors (the inputs may come off the wire).
+func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal map[rdf.TermID]bool) (*Fragment, error) {
+	f := &Fragment{ID: id, internal: internal}
+	for i, t := range triples {
+		if i > 0 && t.Less(triples[i-1]) {
+			return nil, fmt.Errorf("fragment %d: edge %v out of (S,P,O) order", id, t)
+		}
+		switch s, o := internal[t.S], internal[t.O]; {
+		case s && o:
+			f.NumInternalEdges++
+		case s || o:
+			f.Crossing = append(f.Crossing, t)
+		default:
+			return nil, fmt.Errorf("fragment %d: edge %v has no internal endpoint", id, t)
+		}
+	}
+	f.Store = store.New(dict, triples)
+	for v := range internal {
+		if !f.Store.HasVertex(v) {
+			return nil, fmt.Errorf("fragment %d: internal vertex %d has no edge", id, v)
+		}
+	}
+	return f, nil
+}
+
 // IsInternal reports whether v ∈ V_i.
 func (f *Fragment) IsInternal(v rdf.TermID) bool { return f.internal[v] }
 
-// IsExtended reports whether v ∈ V_i^e.
-func (f *Fragment) IsExtended(v rdf.TermID) bool { return f.extended[v] }
+// IsExtended reports whether v ∈ V_i^e: a vertex of the fragment that
+// is not internal is the far endpoint of a crossing edge.
+func (f *Fragment) IsExtended(v rdf.TermID) bool { return !f.internal[v] && f.Store.HasVertex(v) }
 
 // NumInternal returns |V_i|.
 func (f *Fragment) NumInternal() int { return len(f.internal) }
 
 // NumExtended returns |V_i^e|.
-func (f *Fragment) NumExtended() int { return len(f.extended) }
+func (f *Fragment) NumExtended() int { return f.Store.NumVertices() - len(f.internal) }
 
-// InternalVertices returns V_i (unsorted).
+// InternalVertices returns V_i in ascending ID order.
 func (f *Fragment) InternalVertices() []rdf.TermID {
 	out := make([]rdf.TermID, 0, len(f.internal))
 	for v := range f.internal {
 		out = append(out, v)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -78,53 +112,37 @@ func Build(st *store.Store, a *partition.Assignment) (*Distributed, error) {
 	if err := a.Validate(st); err != nil {
 		return nil, err
 	}
-	k := a.K
-	internal := make([]map[rdf.TermID]bool, k)
-	extended := make([]map[rdf.TermID]bool, k)
-	triples := make([][]rdf.Triple, k)
-	crossing := make([][]rdf.Triple, k)
-	internalEdges := make([]int, k)
-	for i := 0; i < k; i++ {
+	// One pass in (S,P,O) order buckets every edge at the fragments owning
+	// its endpoints — a crossing edge at both (Def. 1 items 3-4) — so each
+	// bucket arrives in the order newFragment wants.
+	internal := make([]map[rdf.TermID]bool, a.K)
+	triples := make([][]rdf.Triple, a.K)
+	for i := range internal {
 		internal[i] = make(map[rdf.TermID]bool)
-		extended[i] = make(map[rdf.TermID]bool)
-	}
-	for _, v := range st.Vertices() {
-		internal[a.FragmentOf(v)][v] = true
 	}
 	for _, s := range st.Vertices() {
 		fs := a.FragmentOf(s)
+		internal[fs][s] = true
 		for _, he := range st.Out(s) {
 			t := rdf.Triple{S: s, P: he.P, O: he.V}
-			fo := a.FragmentOf(he.V)
-			if fs == fo {
-				triples[fs] = append(triples[fs], t)
-				internalEdges[fs]++
-				continue
-			}
-			// Crossing edge: replicate at both fragments (Def. 1 items 3-4).
 			triples[fs] = append(triples[fs], t)
-			triples[fo] = append(triples[fo], t)
-			crossing[fs] = append(crossing[fs], t)
-			crossing[fo] = append(crossing[fo], t)
-			extended[fs][he.V] = true
-			extended[fo][s] = true
+			if fo := a.FragmentOf(he.V); fo != fs {
+				triples[fo] = append(triples[fo], t)
+			}
 		}
 	}
 	d := &Distributed{
 		Assignment: a,
 		Dict:       st.Dict,
 		Global:     st,
-		Fragments:  make([]*Fragment, k),
+		Fragments:  make([]*Fragment, a.K),
 	}
-	for i := 0; i < k; i++ {
-		d.Fragments[i] = &Fragment{
-			ID:               i,
-			Store:            store.New(st.Dict, triples[i]),
-			internal:         internal[i],
-			extended:         extended[i],
-			Crossing:         crossing[i],
-			NumInternalEdges: internalEdges[i],
+	for i := range d.Fragments {
+		f, err := newFragment(i, st.Dict, triples[i], internal[i])
+		if err != nil {
+			return nil, err
 		}
+		d.Fragments[i] = f
 	}
 	return d, nil
 }
@@ -141,8 +159,9 @@ func BuildWith(st *store.Store, strat partition.Strategy, k int) (*Distributed, 
 
 // CheckInvariants verifies Definition 1 on the built fragments: internal
 // vertex sets partition V; crossing edges are replicated at exactly the two
-// fragments owning their endpoints; extended vertices are exactly the far
-// endpoints of crossing edges. Intended for tests and debugging.
+// fragments owning their endpoints; the vertices a fragment's store holds
+// beyond V_i (its derived V_i^e) are exactly the far endpoints of its
+// crossing edges. Intended for tests and debugging.
 func (d *Distributed) CheckInvariants() error {
 	seen := make(map[rdf.TermID]int)
 	for _, f := range d.Fragments {
@@ -162,11 +181,7 @@ func (d *Distributed) CheckInvariants() error {
 	for _, f := range d.Fragments {
 		totalInternal += f.NumInternalEdges
 		totalCrossing += len(f.Crossing)
-		for v := range f.extended {
-			if f.internal[v] {
-				return fmt.Errorf("fragment %d: vertex %d both internal and extended", f.ID, v)
-			}
-		}
+		far := make(map[rdf.TermID]bool)
 		for _, t := range f.Crossing {
 			fs, okS := d.Assignment.Lookup(t.S)
 			fo, okO := d.Assignment.Lookup(t.O)
@@ -179,6 +194,14 @@ func (d *Distributed) CheckInvariants() error {
 			if fs != f.ID && fo != f.ID {
 				return fmt.Errorf("fragment %d: crossing edge %v touches neither endpoint", f.ID, t)
 			}
+			if fs == f.ID {
+				far[t.O] = true
+			} else {
+				far[t.S] = true
+			}
+		}
+		if len(far) != f.NumExtended() {
+			return fmt.Errorf("fragment %d: %d extended vertices, but its crossing edges have %d far endpoints", f.ID, f.NumExtended(), len(far))
 		}
 	}
 	if totalInternal+totalCrossing/2 != d.Global.Len() {

@@ -42,11 +42,13 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		}
 	})
 
-	t.Run("internal and extended", func(t *testing.T) {
+	t.Run("internal vertex outside the store", func(t *testing.T) {
 		ex, d := fresh()
-		d.Fragments[0].extended[ex.V[1]] = true
+		// V_i^e is derived as the store's vertices beyond V_i, so a V_i
+		// entry the store does not hold would miscount it.
+		d.Fragments[0].internal[ex.Graph.Dict.EncodeIRI("http://ex/ghost")] = true
 		if err := d.CheckInvariants(); err == nil {
-			t.Error("internal+extended overlap not detected")
+			t.Error("internal vertex with no edge in the fragment not detected")
 		}
 	})
 

@@ -1,74 +1,38 @@
 package fragment
 
 import (
-	"fmt"
-	"sort"
-
 	"gstored/internal/rdf"
-	"gstored/internal/store"
 )
 
-// Payload is the wire form of a Fragment: the serializable fields a
-// coordinator ships to the worker process that will host the fragment.
-// Everything is TermID-level — the dictionary never travels; workers
-// match and return rows as IDs and the coordinator resolves terms.
-// The extended vertex set is not carried: per Definition 1 it is exactly
-// the far endpoints of the crossing-edge replicas, so FromPayload
-// rederives it.
+// Payload is the wire form of a Fragment: the two inputs of newFragment,
+// which is everything a coordinator ships to the worker process that
+// will host the fragment. Everything is TermID-level — the dictionary
+// never travels; workers match and return rows as IDs and the
+// coordinator resolves terms. Crossing edges, edge counts and extended
+// vertices are not carried: the receiver derives them.
 type Payload struct {
 	ID int
 	// Triples is E_i ∪ E_i^c — the full edge set the fragment's store
-	// indexes, crossing replicas included.
+	// indexes, crossing replicas included — in (S,P,O) order.
 	Triples []rdf.Triple
 	// Internal is V_i in ascending ID order.
 	Internal []rdf.TermID
-	// Crossing is E_i^c in the fragment's deterministic order.
-	Crossing         []rdf.Triple
-	NumInternalEdges int
 }
 
 // Payload extracts the wire form of f.
 func (f *Fragment) Payload() *Payload {
-	internal := make([]rdf.TermID, 0, len(f.internal))
-	for v := range f.internal {
-		internal = append(internal, v)
-	}
-	sort.Slice(internal, func(i, j int) bool { return internal[i] < internal[j] })
-	return &Payload{
-		ID:               f.ID,
-		Triples:          f.Store.Triples(),
-		Internal:         internal,
-		Crossing:         f.Crossing,
-		NumInternalEdges: f.NumInternalEdges,
-	}
+	return &Payload{ID: f.ID, Triples: f.Store.Triples(), Internal: f.InternalVertices()}
 }
 
-// FromPayload rebuilds a Fragment from its wire form. The dictionary is
-// the receiver's own (typically empty at a worker — local evaluation is
-// pure TermID matching); it is not validated against the payload.
+// FromPayload rebuilds a Fragment from its wire form, which it treats as
+// outside input: newFragment rejects an edge set that is out of order or
+// holds an edge no vertex of Internal touches. The dictionary is the
+// receiver's own (typically empty at a worker — local evaluation is pure
+// TermID matching); it is not validated against the payload.
 func FromPayload(p *Payload, dict *rdf.Dictionary) (*Fragment, error) {
 	internal := make(map[rdf.TermID]bool, len(p.Internal))
 	for _, v := range p.Internal {
 		internal[v] = true
 	}
-	extended := make(map[rdf.TermID]bool)
-	for _, t := range p.Crossing {
-		in, out := internal[t.S], internal[t.O]
-		if in == out {
-			return nil, fmt.Errorf("fragment: payload crossing edge %v does not cross fragment %d", t, p.ID)
-		}
-		if in {
-			extended[t.O] = true
-		} else {
-			extended[t.S] = true
-		}
-	}
-	return &Fragment{
-		ID:               p.ID,
-		Store:            store.New(dict, p.Triples),
-		internal:         internal,
-		extended:         extended,
-		Crossing:         p.Crossing,
-		NumInternalEdges: p.NumInternalEdges,
-	}, nil
+	return newFragment(p.ID, dict, p.Triples, internal)
 }

@@ -340,7 +340,9 @@ func (en *enumerator) bind(qv int, u rdf.TermID) (func(), bool) {
 	if !v.IsVar() && v.Const != u {
 		return nil, false
 	}
-	if en.opts.ExtendedFilter != nil && en.f.IsExtended(u) {
+	// u comes off one of the fragment's own edges, so not internal means
+	// extended; IsExtended would re-check that u is in the fragment.
+	if en.opts.ExtendedFilter != nil && !en.f.IsInternal(u) {
 		if !en.opts.ExtendedFilter(qv, u) {
 			return nil, false
 		}

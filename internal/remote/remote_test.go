@@ -354,6 +354,54 @@ func TestSwapStateMachine(t *testing.T) {
 	}
 }
 
+// TestMalformedPrepareIsAnErrorFrame: a prepare whose payload contradicts
+// Definition 1 comes back as an error frame — the worker neither panics
+// nor drops the connection nor stages anything — and the site takes a
+// well-formed prepare afterwards.
+func TestMalformedPrepareIsAnErrorFrame(t *testing.T) {
+	ex := paperexample.New()
+	d, err := fragment.Build(ex.Store, ex.Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startWorker(t)
+	c, err := Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	s0 := c.NewSite(0).(*Site)
+
+	good := d.Fragments[0].Payload()
+	for name, bad := range map[string]*fragment.Payload{
+		"no internal endpoint": {Triples: good.Triples, Internal: good.Internal[:1]},
+		"out of order":         {Triples: append(slices.Clone(good.Triples[1:]), good.Triples[0]), Internal: good.Internal},
+		"no internal vertices": {Triples: good.Triples},
+	} {
+		_, _, messages, err := s0.call(ctx, &request{Op: opSwap, Epoch: 1, SwapPhase: int(cluster.SwapPrepare), Fragment: bad}, nil)
+		if err == nil || errors.Is(err, cluster.ErrNeedSync) || messages != 2 {
+			t.Fatalf("%s: err %v after %d frames, want an error reply frame", name, err, messages)
+		}
+	}
+	if info, err := s0.Stats(ctx); err != nil || info.Fragments != 0 {
+		t.Fatalf("after rejected prepares: %+v, %v; want a live worker hosting nothing", info, err)
+	}
+	if _, err := s0.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: 1}); !errors.Is(err, cluster.ErrNeedSync) {
+		t.Fatalf("commit after rejected prepares: %v, want need-sync (nothing staged)", err)
+	}
+	st, err := s0.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: 1, Fragment: d.Fragments[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = st.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Candidates(ctx, cluster.CandidatesRequest{Query: ex.Query, Bits: 1 << 10}); err != nil {
+		t.Errorf("query after a well-formed prepare: %v", err)
+	}
+}
+
 // TestSkipPrepareHook checks the lost-prepare simulation: the staged
 // handle exists client-side, the worker never saw the prepare, and the
 // commit answers need-sync.

@@ -323,6 +323,16 @@ func (w *Worker) handleStats(req *request, final *response) {
 // generations. Both phases answer need-sync when the required state is
 // missing, and both are idempotent so the transport may retry them.
 func (w *Worker) handleSwap(req *request, final *response) {
+	// Index a shipped fragment before taking w.mu: every query on this
+	// worker looks its generation up under that lock.
+	var shipped *fragment.Fragment
+	if req.Fragment != nil {
+		var err error
+		if shipped, err = fragment.FromPayload(req.Fragment, w.dict); err != nil {
+			final.setErr(err)
+			return
+		}
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	s := w.sites[req.Site]
@@ -332,13 +342,8 @@ func (w *Worker) handleSwap(req *request, final *response) {
 	}
 	switch cluster.SwapPhase(req.SwapPhase) {
 	case cluster.SwapPrepare:
-		if req.Fragment != nil {
-			f, err := fragment.FromPayload(req.Fragment, w.dict)
-			if err != nil {
-				final.setErr(err)
-				return
-			}
-			s.gens[req.Epoch] = f
+		if shipped != nil {
+			s.gens[req.Epoch] = shipped
 			final.Epoch = s.committed
 			return
 		}

@@ -33,8 +33,9 @@ type MatchOptions struct {
 	// Order overrides the edge evaluation order with a precompiled one
 	// (indices into q.Edges). The engine compiles orders against global
 	// cardinalities so every fragment evaluates the same selectivity-
-	// ordered plan. Invalid orders — wrong length or not a permutation —
-	// fall back to the store's own greedy order.
+	// ordered plan. Without one, or with an invalid one — wrong length or
+	// not a permutation — the store plans against its own cardinalities
+	// (Plan).
 	Order []int
 	// Pool, when non-nil with width > 1, splits the first edge's seed
 	// domain into contiguous chunks evaluated concurrently; yield may
@@ -68,7 +69,7 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 	}
 	order := opts.Order
 	if !validOrder(order, len(q.Edges)) {
-		order = edgeOrder(st, q)
+		order = EdgeOrder(st.Plan(q))
 	}
 	if opts.Pool.Workers() > 1 && connectedOrder(q, order) {
 		st.matchParallel(q, opts, order, yield)
@@ -223,84 +224,6 @@ type matcher struct {
 	// domain with one contiguous chunk of it (parallel evaluation).
 	seedT []rdf.Triple
 	seedV []rdf.TermID
-}
-
-// edgeOrder picks a connected evaluation order: the most selective edge
-// first, then greedy expansion preferring already-bound endpoints and
-// constant labels.
-func edgeOrder(st *Store, q *query.Graph) []int {
-	n := len(q.Edges)
-	picked := make([]bool, n)
-	bound := make([]bool, len(q.Vertices))
-	order := make([]int, 0, n)
-
-	estimate := func(i int) int {
-		e := q.Edges[i]
-		est := st.size + 1
-		if vf := q.Vertices[e.From]; !vf.IsVar() {
-			d := len(st.Out(vf.Const))
-			if !e.HasVarLabel() {
-				d = len(st.OutWith(vf.Const, e.Label))
-			}
-			if d < est {
-				est = d
-			}
-		}
-		if vt := q.Vertices[e.To]; !vt.IsVar() {
-			d := len(st.In(vt.Const))
-			if !e.HasVarLabel() {
-				d = len(st.InWith(vt.Const, e.Label))
-			}
-			if d < est {
-				est = d
-			}
-		}
-		if est == st.size+1 && !e.HasVarLabel() {
-			est = st.PredCount(e.Label)
-		}
-		return est
-	}
-
-	for len(order) < n {
-		best, bestScore := -1, -1
-		for i := 0; i < n; i++ {
-			if picked[i] {
-				continue
-			}
-			e := q.Edges[i]
-			connected := len(order) == 0 || bound[e.From] || bound[e.To]
-			if !connected {
-				continue
-			}
-			// Lower score = evaluated earlier. Both endpoints bound is a
-			// pure check (cheapest); then prefer small estimates.
-			var score int
-			switch {
-			case len(order) > 0 && bound[e.From] && bound[e.To]:
-				score = 0
-			case e.HasVarLabel():
-				score = 2*st.size + 2
-			default:
-				score = estimate(i) + 1
-			}
-			if best == -1 || score < bestScore {
-				best, bestScore = i, score
-			}
-		}
-		if best == -1 { // disconnected query: start a fresh component
-			for i := 0; i < n; i++ {
-				if !picked[i] {
-					best = i
-					break
-				}
-			}
-		}
-		picked[best] = true
-		order = append(order, best)
-		bound[q.Edges[best].From] = true
-		bound[q.Edges[best].To] = true
-	}
-	return order
 }
 
 // samePairGroups precomputes, per order position, the earlier positions

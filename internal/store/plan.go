@@ -1,9 +1,6 @@
-package engine
+package store
 
-import (
-	"gstored/internal/query"
-	"gstored/internal/store"
-)
+import "gstored/internal/query"
 
 // PlanEdge is one step of the compiled edge-evaluation order: the query
 // edge evaluated at that position and its selectivity estimate against
@@ -14,15 +11,15 @@ type PlanEdge struct {
 	Est  int64 `json:"est"`
 }
 
-// planOrder compiles the selectivity-ordered evaluation order for q
-// against the global store's per-predicate cardinality table
-// (store.Stats). It mirrors the greedy shape of the per-fragment
-// edgeOrder — most selective edge first, then connected expansion
-// preferring bound endpoints — but estimates against global counts, so
-// every fragment evaluates the same plan and the coordinator can
-// surface it through EXPLAIN. The order is passed to the sites via
-// MatchOptions.Order and partial.Options.EdgeRank.
-func planOrder(st *store.Store, q *query.Graph) []PlanEdge {
+// Plan compiles the selectivity-ordered evaluation order for q against
+// st's per-predicate cardinality table (Stats): most selective edge
+// first, then connected expansion preferring bound endpoints. It is the
+// only edge orderer. The engine plans once against the global store, so
+// every fragment evaluates the same plan and the coordinator can surface
+// it through EXPLAIN, and passes it to the sites as MatchOptions.Order
+// and partial.Options.EdgeRank; MatchFunc without an Order plans against
+// its own store.
+func (st *Store) Plan(q *query.Graph) []PlanEdge {
 	n := len(q.Edges)
 	if n == 0 {
 		return nil
@@ -98,7 +95,7 @@ func planOrder(st *store.Store, q *query.Graph) []PlanEdge {
 			}
 			est := estimate(i)
 			// Both endpoints already bound: a pure existence check, always
-			// cheapest. Variable labels are penalized like edgeOrder does.
+			// cheapest. Variable labels go last.
 			score := est + 1
 			switch {
 			case len(plan) > 0 && bound[e.From] && bound[e.To]:
@@ -138,22 +135,12 @@ func avgFanout(count, sources int) int64 {
 	return int64((count + sources - 1) / sources)
 }
 
-// planEdgeOrder extracts the evaluation order as edge indices, the form
+// EdgeOrder extracts the evaluation order as edge indices, the form
 // MatchOptions.Order takes.
-func planEdgeOrder(plan []PlanEdge) []int {
+func EdgeOrder(plan []PlanEdge) []int {
 	order := make([]int, len(plan))
 	for k, pe := range plan {
 		order[k] = pe.Edge
 	}
 	return order
-}
-
-// planEdgeRank inverts the plan into rank-per-edge, the form
-// partial.Options.EdgeRank takes.
-func planEdgeRank(plan []PlanEdge) []int {
-	rank := make([]int, len(plan))
-	for k, pe := range plan {
-		rank[pe.Edge] = k
-	}
-	return rank
 }
