@@ -48,3 +48,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadNTriples$$' -fuzztime=10s ./internal/rdf/
 	$(GO) test -run=NONE -fuzz='^FuzzCFG$$' -fuzztime=10s ./internal/analysis/
 	$(GO) test -run=NONE -fuzz='^FuzzApplyDelta$$' -fuzztime=10s ./internal/fragment/
+	$(GO) test -run=NONE -fuzz='^FuzzClosureIndex$$' -fuzztime=10s ./internal/lec/

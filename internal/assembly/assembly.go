@@ -1,24 +1,25 @@
 // Package assembly joins local partial matches into complete crossing
-// matches (Section V) by walking lec.Closure over them. Two algorithms
-// share that walk and therefore their semantics:
+// matches (Section V). Two algorithms:
 //
-//   - LEC (Options.UseLEC): Algorithm 3 — candidate join partners are found
-//     through a crossing-edge index.
+//   - LEC (Options.UseLEC): Algorithm 3 — the join runs over LEC features
+//     (lec.Walk) and only the feature combinations whose LECSigns cover the
+//     query are expanded into their member partial matches (Expand).
 //   - Basic: the partitioning-based join of Peng et al. [18] that the
-//     paper's gStoreD-Basic ablation uses — partners are discovered by
-//     scanning all partial matches and testing joinability pairwise.
+//     paper's gStoreD-Basic ablation uses — lec.Closure over single partial
+//     matches, partners discovered by scanning all of them and testing
+//     joinability pairwise.
 //
-// Joins always re-check serialization-vector compatibility, as required by
-// the join conditions of [18] (see DESIGN.md "One join closure").
+// Both re-check serialization-vector compatibility, as required by the
+// join conditions of [18] (see DESIGN.md "One join closure").
 package assembly
 
 import (
 	"slices"
-	"sort"
 
 	"gstored/internal/key"
 	"gstored/internal/lec"
 	"gstored/internal/partial"
+	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
@@ -38,19 +39,23 @@ func (r Result) Key() string {
 
 // Stats reports work performed by an assembly run.
 type Stats struct {
-	JoinAttempts int // pairwise compatibility tests
+	JoinAttempts int // join steps the closure walk tried
 	States       int // intermediate join states materialized
 	Results      int // complete matches (after dedup)
 }
 
-// Options tunes Assemble.
+// Options tunes Assemble and Expand.
 type Options struct {
 	// UseLEC selects the LEC-feature-based Algorithm 3 over the baseline
 	// join of [18].
 	UseLEC bool
+	// Pool, when wider than one, carries the feature walk of Algorithm 3
+	// (see lec.Closure.Pool); expansion and the Basic join are sequential.
+	Pool *pool.Pool
 	// Cancel, when non-nil, is polled periodically; returning true
 	// abandons the assembly, returning nil results (the partial stats
-	// still reflect the work done before cancellation).
+	// still reflect the work done before cancellation). With a Pool it
+	// must be safe for concurrent use.
 	Cancel func() bool
 	// Emit, when non-nil, receives each complete crossing match as it is
 	// discovered (deduplicated, in discovery order) instead of the match
@@ -60,52 +65,126 @@ type Options struct {
 	Emit func(Result) bool
 }
 
-// Assemble joins the partial matches into complete crossing matches: the
-// lec.Closure over single partial matches, each state carrying its merged
-// vector and edge-variable bindings as a Result, with partners found
-// through the crossing-edge index (UseLEC) or by scanning every larger
-// index.
+// collector is the one end of every assembly: complete matches are
+// deduplicated by row key — distinct member sets can assemble into
+// identical rows — then emitted or accumulated.
+type collector struct {
+	opts  Options
+	done  map[string]bool
+	out   []Result
+	stats Stats
+}
+
+func (c *collector) complete(r Result) bool {
+	var buf [128]byte
+	rk := key.Terms(key.Terms(buf[:0], r.Vec), r.EdgeVars)
+	if c.done[string(rk)] { // lookup by converted bytes does not allocate
+		return true
+	}
+	c.done[string(rk)] = true
+	c.stats.Results++
+	if c.opts.Emit != nil {
+		return c.opts.Emit(r)
+	}
+	c.out = append(c.out, r)
+	return true
+}
+
+// finish returns what the assembly accumulated, in canonical row order;
+// nil when it was abandoned.
+func (c *collector) finish(finished bool) ([]Result, Stats) {
+	if !finished {
+		return nil, c.stats
+	}
+	slices.SortFunc(c.out, func(a, b Result) int {
+		if d := slices.Compare(a.Vec, b.Vec); d != 0 {
+			return d
+		}
+		return slices.Compare(a.EdgeVars, b.EdgeVars)
+	})
+	return c.out, c.stats
+}
+
+// Assemble joins the partial matches into complete crossing matches. With
+// UseLEC it groups them into LEC features, walks the features once and
+// expands the complete combinations; otherwise it walks lec.Closure over
+// the single matches with every larger index as a partner, each state
+// carrying its merged vector and edge-variable bindings.
 func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Stats) {
-	var stats Stats
-	var out []Result
-	// Complete matches are deduplicated by row key: distinct member sets
-	// can assemble into identical rows.
-	done := make(map[string]bool)
+	if opts.UseLEC {
+		features, _ := lec.Compute(pms)
+		return Expand(pms, features, lec.Walk(features, q, opts.Pool, 0, opts.Cancel), q, opts)
+	}
+	col := collector{opts: opts, done: make(map[string]bool)}
 	c := lec.Closure[Result]{
-		Q: q, Items: make([]lec.Item, len(pms)), AllPairs: !opts.UseLEC, Cancel: opts.Cancel,
+		Q: q, Items: make([]lec.Item, len(pms)), AllPairs: true, Cancel: opts.Cancel,
 		// A root's payload aliases its partial match; Join never writes
 		// to its input.
-		Root: func(i int) Result { return Result{pms[i].Vec, pms[i].EdgeVars} },
-		Join: func(r Result, i int) (Result, bool) {
-			if !compatible(r.Vec, pms[i].Vec) || !compatible(r.EdgeVars, pms[i].EdgeVars) {
-				return Result{}, false
-			}
-			return Result{merge(r.Vec, pms[i].Vec), merge(r.EdgeVars, pms[i].EdgeVars)}, true
-		},
-		Complete: func(_ []int, r Result) bool {
-			rk := r.Key()
-			if done[rk] {
-				return true
-			}
-			done[rk] = true
-			stats.Results++
-			if opts.Emit != nil {
-				return opts.Emit(r)
-			}
-			out = append(out, r)
-			return true
-		},
+		Root:     func(i int) Result { return Result{pms[i].Vec, pms[i].EdgeVars} },
+		Join:     func(r Result, i int) (Result, bool) { return join(r, pms[i]) },
+		Complete: func(_ []int, r Result) bool { return col.complete(r) },
 	}
 	for i, pm := range pms {
 		c.Items[i] = lec.Item{Sign: pm.Sign, Mappings: pm.Crossing}
 	}
 	finished := c.Run()
-	stats.JoinAttempts, stats.States = c.Attempts, c.States
-	if !finished {
-		return nil, stats
+	col.stats.JoinAttempts, col.stats.States = c.Attempts, c.States
+	return col.finish(finished)
+}
+
+// Expand is the second half of Algorithm 3: walk is a finished feature
+// walk over features, which lec.Compute grouped from pms, and each of its
+// complete combinations becomes the cross product of its members' partial
+// matches, joined under the vector condition of [18] at every depth —
+// features abstract internal vertices away, so two members of joinable
+// features can still disagree on one. Only matches of retained features
+// are read. A walk that did not finish expands to nothing (nil results).
+func Expand(pms []*partial.Match, features []*lec.Feature, walk lec.PruneResult, q *query.Graph, opts Options) ([]Result, Stats) {
+	col := collector{opts: opts, done: make(map[string]bool)}
+	col.stats.JoinAttempts, col.stats.States = walk.Attempts, walk.States
+	var polls uint
+	var grow func(members []int, d int, r Result) bool
+	grow = func(members []int, d int, r Result) bool {
+		for _, pi := range features[members[d]].PMs {
+			if opts.Cancel != nil {
+				if polls&0xff == 0 && opts.Cancel() {
+					return false
+				}
+				polls++
+			}
+			// The first member's match is aliased, like a Basic root.
+			next, ok := Result{pms[pi].Vec, pms[pi].EdgeVars}, true
+			if d > 0 {
+				next, ok = join(r, pms[pi])
+			}
+			if !ok {
+				continue
+			}
+			if d == len(members)-1 {
+				ok = col.complete(next)
+			} else {
+				ok = grow(members, d+1, next)
+			}
+			if !ok {
+				return false
+			}
+		}
+		return true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out, stats
+	finished := walk.Finished
+	for k := 0; finished && k < walk.Combos.Len(); k++ {
+		finished = grow(walk.Combos.At(k), 0, Result{})
+	}
+	return col.finish(finished)
+}
+
+// join merges partial match pm into r when their serialization vectors
+// and edge-variable bindings are compatible; r is not modified.
+func join(r Result, pm *partial.Match) (Result, bool) {
+	if !compatible(r.Vec, pm.Vec) || !compatible(r.EdgeVars, pm.EdgeVars) {
+		return Result{}, false
+	}
+	return Result{merge(r.Vec, pm.Vec), merge(r.EdgeVars, pm.EdgeVars)}, true
 }
 
 // compatible reports whether two serialization vectors agree wherever
@@ -120,13 +199,18 @@ func compatible(a, b []rdf.TermID) bool {
 	return true
 }
 
-// merge returns a copy of a overlaid with the non-NULL entries of b.
+// merge returns a overlaid with the non-NULL entries of b: a itself when
+// b binds nothing a lacks (edge variables, typically), a copy otherwise.
 func merge(a, b []rdf.TermID) []rdf.TermID {
-	out := slices.Clone(a)
+	copied := false
 	for i, v := range b {
-		if v != rdf.NoTerm {
-			out[i] = v
+		if v == rdf.NoTerm || a[i] == v {
+			continue
 		}
+		if !copied {
+			a, copied = slices.Clone(a), true
+		}
+		a[i] = v
 	}
-	return out
+	return a
 }

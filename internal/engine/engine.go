@@ -772,19 +772,24 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	stats.NumPartialMatches = len(pms)
 
 	// Stage 2 (LO, Full): LEC features travel instead of partial matches;
-	// the coordinator joins features and broadcasts the survivors. Over
-	// the RPC transport the partial matches already crossed the wire in
-	// stage 1 (they ride the reply), so there the feature exchange is a
+	// the coordinator joins features and broadcasts the survivors. The
+	// walk that decides them is the query's only closure walk: it also
+	// finds the complete feature combinations stage 3 expands. Over the
+	// RPC transport the partial matches already crossed the wire in stage
+	// 1 (they ride the reply), so there the feature exchange is a
 	// coordinator-local pruning step with no traffic of its own.
 	kept := pms
+	var features []*lec.Feature
+	var walk lec.PruneResult
 	if cfg.Mode >= LO {
 		lecStart := time.Now()
-		features, featureOf := lec.Compute(pms)
+		var featureOf []int
+		features, featureOf = lec.Compute(pms)
 		stats.NumLECFeatures = len(features)
-		res := lec.Prune(features, q, cancelFunc(ctx))
+		walk = lec.Walk(features, q, p, lec.MaxPruneStates, cancelFunc(ctx))
 		kept = kept[:0:0]
 		for i, pm := range pms {
-			if res.Retained[featureOf[i]] {
+			if walk.Retained[featureOf[i]] {
 				kept = append(kept, pm)
 			}
 		}
@@ -798,7 +803,10 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	}
 
 	// Stage 3: surviving partial matches travel to the coordinator and are
-	// assembled (Algorithm 3, or the [18] baseline join for Basic).
+	// assembled: the expansion of stage 2's combinations (Algorithm 3), or
+	// — when no finished walk precedes it: LA, an overflowed stage 2 —
+	// assembly's own walk over what was kept, by LEC feature or, for
+	// Basic, the [18] baseline join.
 	for _, pm := range kept {
 		frags[pm.Frag].RetainedPartialMatches++
 	}
@@ -808,13 +816,22 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	// so no intermediate []assembly.Result is materialized; the ordered
 	// path's terminal canonical sort covers the unordered emission, and a
 	// streaming sink can stop the assembly mid-join.
-	_, asmStats := assembly.Assemble(kept, q, assembly.Options{
+	opts := assembly.Options{
 		UseLEC: cfg.Mode >= LA,
+		Pool:   p,
 		Cancel: cancelFunc(ctx),
 		Emit: func(cm assembly.Result) bool {
 			return out(rowFromAssembly(q, cm))
 		},
-	})
+	}
+	var asmStats assembly.Stats
+	if walk.Finished {
+		// Combinations index features, features index pms; every match
+		// they reach is in kept.
+		_, asmStats = assembly.Expand(pms, features, walk, q, opts)
+	} else {
+		_, asmStats = assembly.Assemble(kept, q, opts)
+	}
 	stats.AssemblyTime = time.Since(asmStart)
 	tr.Span(StageAssembly.String(), trace.Coordinator, asmStart, stats.AssemblyTime)
 	if err := ctx.Err(); err != nil {

@@ -2,12 +2,17 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"gstored/internal/fragment"
+	"gstored/internal/lec"
 	"gstored/internal/partition"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
@@ -44,8 +49,8 @@ func newEquivEnv(t *testing.T) *equivEnv {
 	return &equivEnv{dict: g.Dict, dist: d, eng: New(d)}
 }
 
-// shape builds one of the four structural query classes over the
-// fixture predicates. mod applies the modifier combination under test.
+// shape builds one of the structural query classes over the fixture
+// predicates. mod applies the modifier combination under test.
 func (env *equivEnv) shape(t *testing.T, name string, mod func(*query.Builder) *query.Builder) *query.Graph {
 	t.Helper()
 	b := query.NewBuilder(env.dict)
@@ -56,6 +61,17 @@ func (env *equivEnv) shape(t *testing.T, name string, mod func(*query.Builder) *
 	case "path":
 		b.Triple(query.Var("x"), query.IRI("http://ex.org/p0"), query.Var("y")).
 			Triple(query.Var("y"), query.IRI("http://ex.org/p1"), query.Var("z"))
+	case "chain":
+		// Three edges in a row: the shortest path that is not a star.
+		b.Triple(query.Var("x"), query.IRI("http://ex.org/p0"), query.Var("y")).
+			Triple(query.Var("y"), query.IRI("http://ex.org/p1"), query.Var("z")).
+			Triple(query.Var("z"), query.IRI("http://ex.org/p2"), query.Var("w"))
+	case "tree":
+		// Three edges, two at the root and one below it: not a star
+		// either, and covers of up to four LEC features.
+		b.Triple(query.Var("x"), query.IRI("http://ex.org/p0"), query.Var("y")).
+			Triple(query.Var("y"), query.IRI("http://ex.org/p1"), query.Var("z")).
+			Triple(query.Var("x"), query.IRI("http://ex.org/p2"), query.Var("w"))
 	case "cross":
 		// Two single-edge components: a pure cross product.
 		b.Triple(query.Var("x"), query.IRI("http://ex.org/p0"), query.Var("y")).
@@ -246,6 +262,124 @@ func TestCrossModeEquivalenceAllEngineModes(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(oracle) {
 				t.Fatalf("%s/%v: rows diverged from sequential Full oracle (%d vs %d rows)",
 					shape, mode, len(got), len(oracle))
+			}
+		}
+	}
+}
+
+// walkCounters are the Stats the LEC path's walk and expansion produce.
+func walkCounters(s Stats) [4]int {
+	return [4]int{s.JoinAttempts, s.NumLECFeatures, s.NumRetainedPartialMatches, s.NumCrossingMatches}
+}
+
+// TestWalkWidthEquivalence: the feature walk fans its roots out on the
+// evaluation pool, and nothing observable depends on the pool's width —
+// ordered rows are byte-identical, streamed rows multiset-equal and the
+// walk's counters equal at EvalWorkers 1, 2 and 8 — while every
+// non-star execution, in every mode, performs exactly one closure walk.
+func TestWalkWidthEquivalence(t *testing.T) {
+	env := newEquivEnv(t)
+	for _, shape := range []string{"chain", "tree"} {
+		q := env.shape(t, shape, nil)
+		for _, mode := range allModes {
+			var oracle []string
+			var counters [4]int
+			for _, workers := range []int{1, 2, 8} {
+				cfg := Config{Mode: mode, EvalWorkers: workers}
+				before := lec.Walks()
+				res, err := env.eng.Execute(q, cfg)
+				if err != nil {
+					t.Fatalf("%s/%v/%d: %v", shape, mode, workers, err)
+				}
+				if n := lec.Walks() - before; n != 1 {
+					t.Errorf("%s/%v/%d: %d closure walks, want exactly 1", shape, mode, workers, n)
+				}
+				var ordered, streamed []string
+				res.EachProjected(func(r Row) bool { ordered = append(ordered, r.Key()); return true })
+				sres, err := env.eng.ExecuteStream(context.Background(), q, cfg, func(r Row) bool {
+					streamed = append(streamed, r.Key())
+					return true
+				})
+				if err != nil {
+					t.Fatalf("%s/%v/%d streamed: %v", shape, mode, workers, err)
+				}
+				if workers == 1 {
+					oracle, counters = ordered, walkCounters(res.Stats)
+					if counters[3] == 0 {
+						t.Fatalf("%s: fixture assembles no crossing match", shape)
+					}
+				}
+				if !slices.Equal(ordered, oracle) {
+					t.Errorf("%s/%v/%d: ordered rows differ from width 1 (%d vs %d)", shape, mode, workers, len(ordered), len(oracle))
+				}
+				if !sameMultiset(streamed, oracle) {
+					t.Errorf("%s/%v/%d: streamed rows are not width 1's multiset (%d vs %d)", shape, mode, workers, len(streamed), len(oracle))
+				}
+				if got := walkCounters(res.Stats); got != counters {
+					t.Errorf("%s/%v/%d: ordered counters %v, width 1 has %v", shape, mode, workers, got, counters)
+				}
+				if got := walkCounters(sres.Stats); got != counters {
+					t.Errorf("%s/%v/%d: streamed counters %v, width 1 has %v", shape, mode, workers, got, counters)
+				}
+			}
+		}
+	}
+}
+
+// inWalkChunk accepts a stack inside a chunk of the closure walk.
+func inWalkChunk(functions []string) bool {
+	return slices.ContainsFunc(functions, func(f string) bool { return strings.Contains(f, "gstored/internal/lec.(*walker") })
+}
+
+// TestWalkStopsEarly: a cancellation that lands while eight chunks walk
+// ends the execution with the context's error and leaves no goroutine
+// behind; a LIMIT that is met mid-expansion (one crossing match past the
+// local ones — the walk itself emits nothing, so a LIMIT cannot be met
+// inside it) stops there, at every width.
+func TestWalkStopsEarly(t *testing.T) {
+	env := newEquivEnv(t)
+	q := env.shape(t, "tree", nil)
+	full, err := env.eng.Execute(q, Config{Mode: Full, EvalWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Stats.NumCrossingMatches < 2 {
+		t.Fatalf("fixture assembles %d crossing matches, want several", full.Stats.NumCrossingMatches)
+	}
+
+	goroutines := runtime.NumGoroutine()
+	for _, mode := range []Mode{LA, LO, Full} {
+		parent, cancel := context.WithCancel(context.Background())
+		_, err := env.eng.ExecuteContext(&stackCancelCtx{Context: parent, trip: inWalkChunk}, q, Config{Mode: mode, EvalWorkers: 8})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: err = %v, want context.Canceled from inside the walk", mode, err)
+		}
+	}
+	// A helper's deferred release runs a moment before it exits.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the canceled walks, %d before", runtime.NumGoroutine(), goroutines)
+		}
+	}
+
+	answer := multiset(resultKeys(full))
+	limited := env.shape(t, "tree", func(b *query.Builder) *query.Builder { return b.Limit(full.Stats.NumLocalMatches + 1) })
+	for _, workers := range []int{1, 2, 8} {
+		var rows []string
+		res, err := env.eng.ExecuteStream(context.Background(), limited, Config{Mode: Full, EvalWorkers: workers}, func(r Row) bool {
+			rows = append(rows, r.Key())
+			return true
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(rows) != limited.Limit || !res.Stats.EarlyStop {
+			t.Errorf("workers=%d: %d rows, early stop %v; want %d rows and an early stop", workers, len(rows), res.Stats.EarlyStop, limited.Limit)
+		}
+		for k, n := range multiset(rows) {
+			if n > answer[k] {
+				t.Errorf("workers=%d: a row emitted %d times, the answer has it %d times", workers, n, answer[k])
 			}
 		}
 	}

@@ -4,34 +4,47 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// lecCancelCtx becomes canceled at the first Err call made from inside
-// lec.Prune: a cancellation that lands while the LEC stage is walking
-// its closure, which only a walk that polls can notice.
-type lecCancelCtx struct {
+// stackCancelCtx becomes canceled at the first Err call whose call stack
+// trip accepts: a cancellation that lands while a chosen piece of code is
+// running, which only code that polls the context can notice.
+type stackCancelCtx struct {
 	context.Context
-	mu  sync.Mutex
-	err error
+	trip func(functions []string) bool
+	mu   sync.Mutex
+	err  error
 }
 
-func (c *lecCancelCtx) Err() error {
+func (c *stackCancelCtx) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err == nil {
 		pcs := make([]uintptr, 32)
 		frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
-		for more := true; more && c.err == nil; {
+		var functions []string
+		for more := true; more; {
 			var f runtime.Frame
-			if f, more = frames.Next(); strings.Contains(f.Function, "gstored/internal/lec.Prune") {
-				c.err = context.Canceled
-			}
+			f, more = frames.Next()
+			functions = append(functions, f.Function)
+		}
+		if c.trip(functions) {
+			c.err = context.Canceled
 		}
 	}
 	return c.err
+}
+
+// inLECStage accepts a stack inside the LEC stage's lec.Walk — not the
+// walk assembly runs for itself below LO.
+func inLECStage(functions []string) bool {
+	inWalk := slices.ContainsFunc(functions, func(f string) bool { return strings.HasSuffix(f, "gstored/internal/lec.Walk") })
+	inAssembly := slices.ContainsFunc(functions, func(f string) bool { return strings.Contains(f, "gstored/internal/assembly.") })
+	return inWalk && !inAssembly
 }
 
 // TestLECStageIsCancellable: the LEC pruning stage polls the execution
@@ -41,7 +54,7 @@ func TestLECStageIsCancellable(t *testing.T) {
 	ex, e := paperEngine(t)
 	for _, mode := range allModes {
 		parent, cancel := context.WithCancel(context.Background())
-		_, err := e.ExecuteContext(&lecCancelCtx{Context: parent}, ex.Query, Config{Mode: mode, EvalWorkers: 1})
+		_, err := e.ExecuteContext(&stackCancelCtx{Context: parent, trip: inLECStage}, ex.Query, Config{Mode: mode, EvalWorkers: 1})
 		cancel()
 		if mode >= LO {
 			if !errors.Is(err, context.Canceled) {

@@ -38,16 +38,22 @@ func pinOf(s Stats) shipmentPin {
 // shipmentPins are the §IX model counters of in-process executions at
 // EvalWorkers 1, captured from the commit before the metering moved out
 // of the stages into one post-assembly function. They depend only on
-// the data, the query and the mode, never on timing.
+// the data, the query and the mode, never on timing. The attempts column
+// of the LA/LO/Full rows was re-captured once, when the LEC path became
+// one feature-level walk on a side-split index: it now counts that walk's
+// join steps (over every feature in LA and LO, over the candidate-filtered
+// ones in Full) instead of a second, match-level walk over what pruning
+// kept — fewer on LQ7 and the paper example, more on LQ1's LO/Full rows,
+// whose old figure left the pruning walk's own steps uncounted.
 var shipmentPins = map[string]shipmentPin{
 	"paper/gStoreD-Basic": {808, 12, 0, 0, 496, []int64{180, 196, 120}, 38, 0, 8, 4},
-	"paper/gStoreD-LA":    {808, 12, 0, 0, 496, []int64{180, 196, 120}, 13, 0, 8, 4},
-	"paper/gStoreD-LO":    {914, 21, 0, 166, 436, []int64{243, 254, 102}, 13, 7, 7, 4},
-	"paper/gStoreD":       {50045, 26, 49152, 145, 436, []int64{8435, 8446, 8273}, 13, 6, 7, 4},
+	"paper/gStoreD-LA":    {808, 12, 0, 0, 496, []int64{180, 196, 120}, 5, 0, 8, 4},
+	"paper/gStoreD-LO":    {914, 21, 0, 166, 436, []int64{243, 254, 102}, 5, 7, 7, 4},
+	"paper/gStoreD":       {50045, 26, 49152, 145, 436, []int64{8435, 8446, 8273}, 5, 6, 7, 4},
 	"LQ1/gStoreD-Basic":   {7776, 122, 0, 0, 7488, []int64{1600, 1664, 1792, 2432}, 8254, 0, 117, 13},
-	"LQ1/gStoreD-LA":      {7776, 122, 0, 0, 7488, []int64{1600, 1664, 1792, 2432}, 293, 0, 117, 13},
-	"LQ1/gStoreD-LO":      {6725, 158, 0, 4389, 2048, []int64{1373, 1474, 1484, 2046}, 46, 117, 32, 13},
-	"LQ1/gStoreD":         {53288, 97, 49152, 1800, 2048, []int64{6962, 7100, 6999, 7339}, 46, 48, 32, 13},
+	"LQ1/gStoreD-LA":      {7776, 122, 0, 0, 7488, []int64{1600, 1664, 1792, 2432}, 121, 0, 117, 13},
+	"LQ1/gStoreD-LO":      {6725, 158, 0, 4389, 2048, []int64{1373, 1474, 1484, 2046}, 121, 117, 32, 13},
+	"LQ1/gStoreD":         {53288, 97, 49152, 1800, 2048, []int64{6962, 7100, 6999, 7339}, 56, 48, 32, 13},
 	"LQ2/gStoreD-Basic":   {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}, 0, 0, 0, 0},
 	"LQ2/gStoreD-LA":      {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}, 0, 0, 0, 0},
 	"LQ2/gStoreD-LO":      {3080, 8, 0, 0, 0, []int64{700, 720, 680, 660}, 0, 0, 0, 0},
@@ -57,9 +63,9 @@ var shipmentPins = map[string]shipmentPin{
 	"LQ6/gStoreD-LO":      {320, 9, 0, 0, 0, []int64{0, 0, 0, 0}, 0, 0, 0, 0},
 	"LQ6/gStoreD":         {33088, 17, 32768, 0, 0, []int64{4096, 4096, 4096, 4096}, 0, 0, 0, 0},
 	"LQ7/gStoreD-Basic":   {19896, 304, 0, 0, 19576, []int64{4080, 7120, 4008, 4368}, 129830, 0, 299, 115},
-	"LQ7/gStoreD-LA":      {19896, 304, 0, 0, 19576, []int64{4080, 7120, 4008, 4368}, 2187, 0, 299, 115},
-	"LQ7/gStoreD-LO":      {27938, 585, 0, 9154, 18464, []int64{5770, 9473, 5733, 6494}, 2136, 294, 282, 115},
-	"LQ7/gStoreD":         {92991, 578, 65536, 8671, 18464, []int64{13777, 17560, 13777, 14649}, 2136, 279, 282, 115},
+	"LQ7/gStoreD-LA":      {19896, 304, 0, 0, 19576, []int64{4080, 7120, 4008, 4368}, 605, 0, 299, 115},
+	"LQ7/gStoreD-LO":      {27938, 585, 0, 9154, 18464, []int64{5770, 9473, 5733, 6494}, 605, 294, 282, 115},
+	"LQ7/gStoreD":         {92991, 578, 65536, 8671, 18464, []int64{13777, 17560, 13777, 14649}, 595, 279, 282, 115},
 }
 
 // TestShipmentCountersPinned: in-process shipment accounting — total,

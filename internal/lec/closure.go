@@ -2,16 +2,21 @@ package lec
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"gstored/internal/key"
 	"gstored/internal/partial"
+	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
 
 // Item is what the join closure knows about one thing it combines — a LEC
-// feature or a single partial match: its LECSign and its crossing-edge
-// mappings (the function g of Definition 8).
+// feature, or a single partial match in the Basic join: its LECSign and
+// its crossing-edge mappings (the function g of Definition 8). A crossing
+// edge has exactly one endpoint inside the item's fragment, so of the two
+// endpoint bits of a mapping's query edge Sign holds exactly one; the
+// crossing-edge index relies on it.
 type Item struct {
 	Sign     uint64
 	Mappings []partial.CrossEdge
@@ -37,11 +42,20 @@ type Closure[P any] struct {
 	// states than this have been materialized.
 	MaxStates int
 	// Cancel, when non-nil, is polled every 256 expansions; returning
-	// true ends the walk.
+	// true ends the walk. With a Pool it must be safe for concurrent use.
 	Cancel func() bool
+	// Pool, when wider than one, walks contiguous chunks of roots
+	// concurrently: a combination belongs to its minimum-index member, so
+	// chunks share nothing but the read-only index. Each chunk buffers the
+	// combinations it completes and Complete receives them after the last
+	// chunk ends, in chunk order — the sequential order, as are the summed
+	// counters. A nil or one-wide pool walks inline and Complete sees each
+	// combination the moment it is found.
+	Pool *pool.Pool
 	// Root and Join build the payload of a one-item state and of a state
 	// extended by item i; Join may veto the extension and must not
-	// modify p. Both may be nil when P carries nothing.
+	// modify p. Both may be nil when P carries nothing; with a Pool they
+	// run concurrently.
 	Root func(i int) P
 	Join func(p P, i int) (P, bool)
 	// Complete receives each combination whose signs cover the query;
@@ -53,146 +67,363 @@ type Closure[P any] struct {
 	States     int  // distinct combinations materialized
 	Overflowed bool // MaxStates was exceeded
 
-	byMapping map[partial.CrossEdge][]int // crossing edge → items mapping it; nil when AllPairs
-	// stamp[i] == gen marks item i as a member of the state being
-	// expanded or as already proposed to it.
-	stamp []int
-	gen   int
-	buf   []int // partners scratch
+	// The read-only index every chunk shares. Mappings are interned to
+	// dense ids (edges[id] keeps what the join step reads of one); item i
+	// holds ids[off[i]:off[i+1]]; and, unless AllPairs,
+	// post[postOff[2*id+side]:postOff[2*id+side+1]] lists in ascending
+	// order the items holding mapping id whose internal endpoint is the
+	// query edge's From (side 0) or To (side 1).
+	edges   []mapping
+	off     []int32
+	ids     []int32
+	postOff []int32
+	post    []int32
 }
+
+// mapping is an interned crossing-edge mapping: its query edge and the
+// data vertices at the edge's two ends (the label took part in interning
+// and is not needed again).
+type mapping struct {
+	qedge int32
+	s, o  rdf.TermID
+}
+
+// walks counts Run calls in this process; see Walks.
+var walks atomic.Int64
+
+// Walks reports how many closure walks have started in this process. It
+// only ever grows: tests read it before and after an execution to hold
+// the engine to one walk per query.
+func Walks() int64 { return walks.Load() }
 
 // state is one combination: the union sign, the sorted member indices,
 // the crossing-edge endpoint bound to each query vertex (vbind) and the
-// crossing edge chosen for each query edge (qmap, S == rdf.NoTerm when
+// id of the crossing edge chosen for each query edge (qmap, -1 when
 // none).
 type state[P any] struct {
 	sign    uint64
 	members []int
 	vbind   []rdf.TermID
-	qmap    []partial.CrossEdge
+	qmap    []int32
 	payload P
+}
+
+// walker is one chunk's private half of a walk: its counters, the
+// candidate extension of the state being expanded (next), the depth-first
+// frontier, and the scratch of partner enumeration and the seen set.
+type walker[P any] struct {
+	c        *Closure[P]
+	full     uint64
+	complete func(members []int, p P) bool
+	stop     *atomic.Bool // set by the first chunk that ends the walk early
+
+	attempts, states int
+	overflowed       bool
+
+	next state[P]
+	// frontier is the depth-first stack; free holds the states it has
+	// finished with, whose slices push reuses.
+	frontier []state[P]
+	free     []state[P]
+	seen     map[string]bool
+	buf      []int // partners scratch
+	polls    uint
+
+	// What a chunk of a pooled walk completed, replayed by Run in chunk
+	// order: member sets back to back, ends[k] closing set k.
+	doneMembers []int
+	doneEnds    []int
+	donePayload []P
 }
 
 // Run walks the closure, reporting whether it ran to the end (false
 // after cancellation, overflow or a false return from Complete).
 func (c *Closure[P]) Run() bool {
-	full := fullSign(len(c.Q.Vertices))
-	if !c.AllPairs {
-		c.byMapping = make(map[partial.CrossEdge][]int)
-		for i, it := range c.Items {
-			for _, m := range it.Mappings {
-				c.byMapping[m] = append(c.byMapping[m], i)
+	walks.Add(1)
+	c.buildIndex()
+	var stop atomic.Bool
+	chunks := pool.Chunks(len(c.Items), 4*c.Pool.Workers())
+	if c.Pool.Workers() == 1 || len(chunks) < 2 {
+		w := c.newWalker(&stop)
+		w.complete = c.Complete
+		ok := w.run(0, len(c.Items))
+		c.Attempts, c.States, c.Overflowed = w.attempts, w.states, w.overflowed
+		return ok
+	}
+	ws := make([]*walker[P], len(chunks))
+	oks := make([]bool, len(chunks))
+	tasks := make([]func(), len(chunks))
+	for k, ch := range chunks {
+		tasks[k] = func() {
+			w := c.newWalker(&stop)
+			w.complete = w.record
+			ws[k] = w
+			if oks[k] = w.run(ch[0], ch[1]); !oks[k] {
+				stop.Store(true)
 			}
 		}
 	}
-	c.stamp = make([]int, len(c.Items))
-	var frontier []state[P]
-	var next state[P] // scratch: cloned only when a state joins the frontier
-	var polls uint
-	var kbuf [128]byte // member-set key scratch
+	c.Pool.Do(tasks...)
+	finished := true
+	for k, w := range ws {
+		c.Attempts += w.attempts
+		c.States += w.states
+		c.Overflowed = c.Overflowed || w.overflowed
+		finished = finished && oks[k]
+	}
+	// A chunk stops at the cap on its own count; the sum decides.
+	if c.MaxStates > 0 && c.States > c.MaxStates {
+		c.Overflowed = true
+	}
+	if !finished || c.Overflowed {
+		return false
+	}
+	for _, w := range ws {
+		lo := 0
+		for k, hi := range w.doneEnds {
+			if !c.Complete(w.doneMembers[lo:hi], w.donePayload[k]) {
+				return false
+			}
+			lo = hi
+		}
+	}
+	return true
+}
 
-	for root := range c.Items {
-		if !c.start(root, &next) {
+// buildIndex interns the items' mappings and, unless AllPairs, builds the
+// side-split posting lists.
+func (c *Closure[P]) buildIndex() {
+	total := 0
+	for _, it := range c.Items {
+		total += len(it.Mappings)
+	}
+	intern := make(map[partial.CrossEdge]int32, len(c.Items))
+	c.edges, c.ids = make([]mapping, 0, len(c.Items)), make([]int32, 0, total)
+	c.off = make([]int32, len(c.Items)+1)
+	for i, it := range c.Items {
+		for _, m := range it.Mappings {
+			id, ok := intern[m]
+			if !ok {
+				id = int32(len(c.edges))
+				intern[m] = id
+				c.edges = append(c.edges, mapping{int32(m.QEdge), m.S, m.O})
+			}
+			c.ids = append(c.ids, id)
+		}
+		c.off[i+1] = int32(len(c.ids))
+	}
+	if c.AllPairs {
+		return
+	}
+	// Counting sort of (item, mapping) pairs by (mapping, side): count,
+	// prefix-sum, then place in item order so every list is ascending.
+	c.postOff = make([]int32, 2*len(c.edges)+1)
+	for i := range c.Items {
+		for _, id := range c.ids[c.off[i]:c.off[i+1]] {
+			c.postOff[c.slot(i, id)+1]++
+		}
+	}
+	for s := 1; s < len(c.postOff); s++ {
+		c.postOff[s] += c.postOff[s-1]
+	}
+	c.post = make([]int32, len(c.ids))
+	for i := range c.Items {
+		for _, id := range c.ids[c.off[i]:c.off[i+1]] {
+			s := c.slot(i, id)
+			c.post[c.postOff[s]] = int32(i)
+			c.postOff[s]++
+		}
+	}
+	// Placing advanced every list's start to its end: shift back.
+	copy(c.postOff[1:], c.postOff)
+	c.postOff[0] = 0
+}
+
+// slot is the posting list of item i under mapping id: side 0 when the
+// item's internal endpoint is the query edge's From, side 1 when its To.
+func (c *Closure[P]) slot(i int, id int32) int32 {
+	if c.Items[i].Sign>>uint(c.Q.Edges[c.edges[id].qedge].From)&1 == 1 {
+		return 2 * id
+	}
+	return 2*id + 1
+}
+
+func (c *Closure[P]) newWalker(stop *atomic.Bool) *walker[P] {
+	return &walker[P]{c: c, full: fullSign(len(c.Q.Vertices)), stop: stop, seen: map[string]bool{}}
+}
+
+// record is the complete hook of a pooled chunk.
+func (w *walker[P]) record(members []int, p P) bool {
+	w.doneMembers = append(w.doneMembers, members...)
+	w.doneEnds = append(w.doneEnds, len(w.doneMembers))
+	w.donePayload = append(w.donePayload, p)
+	return true
+}
+
+// run walks the combinations rooted at items [lo, hi).
+func (w *walker[P]) run(lo, hi int) bool {
+	for root := lo; root < hi; root++ {
+		if !w.start(root) {
 			continue
 		}
-		if next.sign == full {
+		if w.next.sign == w.full {
 			// A single item can never be complete (it has a crossing
 			// edge, hence an extended endpoint vertex), but guard anyway.
-			if !c.Complete(next.members, next.payload) {
+			if !w.complete(w.next.members, w.next.payload) {
 				return false
 			}
 			continue
 		}
-		frontier = append(frontier[:0], next.clone())
-		seen := map[string]bool{}
-		for len(frontier) > 0 {
-			if c.Cancel != nil {
-				if polls&0xff == 0 && c.Cancel() {
-					return false
-				}
-				polls++
+		w.push()
+		// One root's large closure must not tax the roots after it:
+		// clearing a map costs its capacity, not its length.
+		if len(w.seen) > 256 {
+			w.seen = map[string]bool{}
+		} else if len(w.seen) > 0 {
+			clear(w.seen)
+		}
+		for len(w.frontier) > 0 {
+			if w.polls&0xff == 0 && (w.stop.Load() || w.c.Cancel != nil && w.c.Cancel()) {
+				return false
 			}
-			s := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			for _, i := range c.partners(&s, root) {
-				c.Attempts++
-				if !c.step(&s, i, &next) {
-					continue
-				}
-				mk := key.Ints(kbuf[:0], next.members)
-				if seen[string(mk)] { // lookup by converted bytes does not allocate
-					continue
-				}
-				if c.Join != nil {
-					var ok bool
-					if next.payload, ok = c.Join(s.payload, i); !ok {
-						continue
-					}
-				}
-				seen[string(mk)] = true
-				c.States++
-				if c.MaxStates > 0 && c.States > c.MaxStates {
-					c.Overflowed = true
-					return false
-				}
-				if next.sign == full {
-					// Nothing can extend a full cover: any further item
-					// overlaps its sign.
-					if !c.Complete(next.members, next.payload) {
-						return false
-					}
-					continue
-				}
-				frontier = append(frontier, next.clone())
+			w.polls++
+			s := w.frontier[len(w.frontier)-1]
+			w.frontier = w.frontier[:len(w.frontier)-1]
+			ok := w.expand(&s, root)
+			var zero P
+			s.payload = zero
+			w.free = append(w.free, s)
+			if !ok {
+				return false
 			}
 		}
 	}
 	return true
 }
 
-// partners lists, in ascending order, the items worth trying against s:
-// larger than the root (canonical-root enumeration), not already members
-// and — unless AllPairs — sharing a crossing-edge mapping with s
-// (connected growth). The result is valid until the next call.
-func (c *Closure[P]) partners(s *state[P], root int) []int {
-	c.gen++
-	for _, m := range s.members {
-		c.stamp[m] = c.gen
+// expand tries every partner of s, pushing the extensions that are new
+// and reporting the ones that cover the query.
+func (w *walker[P]) expand(s *state[P], root int) bool {
+	c := w.c
+	var kbuf [128]byte // member-set key scratch
+	for _, i := range w.partners(s, root) {
+		w.attempts++
+		if !w.step(s, i) {
+			continue
+		}
+		// A pair is reached once, from its root; only larger
+		// combinations have several growth orders to deduplicate.
+		var mk []byte
+		if len(w.next.members) > 2 {
+			mk = key.Ints(kbuf[:0], w.next.members)
+			if w.seen[string(mk)] { // lookup by converted bytes does not allocate
+				continue
+			}
+		}
+		if c.Join != nil {
+			var ok bool
+			if w.next.payload, ok = c.Join(s.payload, i); !ok {
+				continue
+			}
+		}
+		if mk != nil {
+			w.seen[string(mk)] = true
+		}
+		w.states++
+		if c.MaxStates > 0 && w.states > c.MaxStates {
+			w.overflowed = true
+			return false
+		}
+		if w.next.sign == w.full {
+			// Nothing can extend a full cover: any further item
+			// overlaps its sign.
+			if !w.complete(w.next.members, w.next.payload) {
+				return false
+			}
+			continue
+		}
+		w.push()
 	}
-	out := c.buf[:0]
+	return true
+}
+
+// push copies next onto the frontier, into the slices of a state the
+// walk has finished with when there is one.
+func (w *walker[P]) push() {
+	var s state[P]
+	if n := len(w.free); n > 0 {
+		s, w.free = w.free[n-1], w.free[:n-1]
+	}
+	s.sign, s.payload = w.next.sign, w.next.payload
+	s.members = append(s.members[:0], w.next.members...)
+	s.vbind = append(s.vbind[:0], w.next.vbind...)
+	s.qmap = append(s.qmap[:0], w.next.qmap...)
+	w.frontier = append(w.frontier, s)
+}
+
+// partners lists, in ascending order, the items worth trying against s:
+// larger than the root (canonical-root enumeration) and — unless AllPairs,
+// which proposes every non-member — holding one of s's mappings from the
+// side s's sign does not cover. A holder on a covered side overlaps s's
+// sign, members included, so a mapping covered on both sides proposes
+// nobody. The result is valid until the next call.
+func (w *walker[P]) partners(s *state[P], root int) []int {
+	c := w.c
+	out := w.buf[:0]
 	if c.AllPairs {
+		mi := 0
 		for i := root + 1; i < len(c.Items); i++ {
-			if c.stamp[i] != c.gen {
+			for mi < len(s.members) && s.members[mi] < i {
+				mi++
+			}
+			if mi == len(s.members) || s.members[mi] != i {
 				out = append(out, i)
 			}
 		}
-	} else {
-		for _, m := range s.qmap {
-			if m.S == rdf.NoTerm {
-				continue
-			}
-			for _, i := range c.byMapping[m] {
-				if i > root && c.stamp[i] != c.gen {
-					c.stamp[i] = c.gen
-					out = append(out, i)
-				}
-			}
-		}
-		slices.Sort(out)
+		w.buf = out
+		return out
 	}
-	c.buf = out
+	lists := 0
+	for e, id := range s.qmap {
+		if id < 0 {
+			continue
+		}
+		from := s.sign >> uint(c.Q.Edges[e].From) & 1
+		if from == s.sign>>uint(c.Q.Edges[e].To)&1 {
+			continue
+		}
+		// s covers From: ask for the holders whose internal end is To.
+		slot := 2*id + int32(from)
+		list := c.post[c.postOff[slot]:c.postOff[slot+1]]
+		k, _ := slices.BinarySearch(list, int32(root+1))
+		if k < len(list) {
+			lists++
+		}
+		for _, i := range list[k:] {
+			out = append(out, int(i))
+		}
+	}
+	if lists > 1 {
+		slices.Sort(out)
+		out = slices.Compact(out)
+	}
+	w.buf = out
 	return out
 }
 
-// start fills out with the one-item state of root, reporting false when
+// start fills next with the one-item state of root, reporting false when
 // the item's own mappings contradict each other.
-func (c *Closure[P]) start(root int, out *state[P]) bool {
+func (w *walker[P]) start(root int) bool {
+	c, out := w.c, &w.next
 	out.sign = c.Items[root].Sign
 	out.members = append(out.members[:0], root)
 	out.vbind = append(out.vbind[:0], make([]rdf.TermID, len(c.Q.Vertices))...)
-	out.qmap = append(out.qmap[:0], make([]partial.CrossEdge, len(c.Q.Edges))...)
-	for _, m := range c.Items[root].Mappings {
-		if !applyMapping(out.vbind, out.qmap, c.Q, m) {
+	out.qmap = out.qmap[:0]
+	for range c.Q.Edges {
+		out.qmap = append(out.qmap, -1)
+	}
+	for _, id := range c.ids[c.off[root]:c.off[root+1]] {
+		if !c.applyMapping(out.vbind, out.qmap, id) {
 			return false
 		}
 	}
@@ -207,36 +438,29 @@ func (c *Closure[P]) start(root int, out *state[P]) bool {
 // crossing-edge mapping, and no query edge ends up on two crossing edges
 // (Definition 9) nor any query vertex on two crossing-edge endpoints (a
 // check beyond Definition 9, see DESIGN.md "One join closure"). On
-// success out holds the extended state, payload aside.
-func (c *Closure[P]) step(s *state[P], i int, out *state[P]) bool {
-	it := &c.Items[i]
-	if s.sign&it.Sign != 0 {
+// success next holds the extended state, payload aside.
+func (w *walker[P]) step(s *state[P], i int) bool {
+	c, out := w.c, &w.next
+	if s.sign&c.Items[i].Sign != 0 {
 		return false
 	}
 	out.vbind = append(out.vbind[:0], s.vbind...)
 	out.qmap = append(out.qmap[:0], s.qmap...)
 	shared := false
-	for _, m := range it.Mappings {
-		if s.qmap[m.QEdge] == m {
+	for _, id := range c.ids[c.off[i]:c.off[i+1]] {
+		if s.qmap[c.edges[id].qedge] == id {
 			shared = true
-		} else if !applyMapping(out.vbind, out.qmap, c.Q, m) {
+		} else if !c.applyMapping(out.vbind, out.qmap, id) {
 			return false
 		}
 	}
 	if !shared {
 		return false
 	}
-	out.sign = s.sign | it.Sign
+	out.sign = s.sign | c.Items[i].Sign
 	at, _ := slices.BinarySearch(s.members, i)
 	out.members = slices.Insert(append(out.members[:0], s.members...), at, i)
 	return true
-}
-
-func (s state[P]) clone() state[P] {
-	s.members = slices.Clone(s.members)
-	s.vbind = slices.Clone(s.vbind)
-	s.qmap = slices.Clone(s.qmap)
-	return s
 }
 
 func fullSign(n int) uint64 {
@@ -246,21 +470,22 @@ func fullSign(n int) uint64 {
 	return (uint64(1) << uint(n)) - 1
 }
 
-// applyMapping folds one crossing-edge mapping into the per-vertex and
+// applyMapping folds crossing-edge mapping id into the per-vertex and
 // per-edge binding tables, reporting consistency.
-func applyMapping(vbind []rdf.TermID, qmap []partial.CrossEdge, q *query.Graph, m partial.CrossEdge) bool {
-	e := q.Edges[m.QEdge]
-	if cur := qmap[m.QEdge]; cur.S != rdf.NoTerm {
-		return cur == m // Definition 9 condition 3
+func (c *Closure[P]) applyMapping(vbind []rdf.TermID, qmap []int32, id int32) bool {
+	m := c.edges[id]
+	e := c.Q.Edges[m.qedge]
+	if cur := qmap[m.qedge]; cur >= 0 {
+		return cur == id // Definition 9 condition 3
 	}
-	if b := vbind[e.From]; b != rdf.NoTerm && b != m.S {
+	if b := vbind[e.From]; b != rdf.NoTerm && b != m.s {
 		return false
 	}
-	if b := vbind[e.To]; b != rdf.NoTerm && b != m.O {
+	if b := vbind[e.To]; b != rdf.NoTerm && b != m.o {
 		return false
 	}
-	qmap[m.QEdge] = m
-	vbind[e.From] = m.S
-	vbind[e.To] = m.O
+	qmap[m.qedge] = id
+	vbind[e.From] = m.s
+	vbind[e.To] = m.o
 	return true
 }

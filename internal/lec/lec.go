@@ -1,15 +1,18 @@
 // Package lec implements the paper's central contribution: local partial
 // match equivalence classes (Definitions 6-7), their compact LEC features
-// (Definition 8, Algorithm 1), LECSign groups and the join graph
-// (Definition 10), and the LEC-feature-based pruning of irrelevant partial
-// matches (Definition 9, Theorem 4, Algorithm 2). The join closure that
-// pruning walks over features is the one package assembly walks over
-// partial matches: Closure.
+// (Definition 8, Algorithm 1), and the one join closure over them
+// (Definition 9, Theorem 4): Walk grows every sign-disjoint,
+// mapping-consistent combination of features once, which yields both
+// Algorithm 2's pruning verdict and the complete combinations that
+// Algorithm 3 (package assembly) expands into crossing matches. Closure
+// is that search; the Basic join of [18] is the same search over single
+// partial matches.
 package lec
 
 import (
 	"gstored/internal/key"
 	"gstored/internal/partial"
+	"gstored/internal/pool"
 	"gstored/internal/query"
 )
 
@@ -30,7 +33,11 @@ type Feature struct {
 // implied, Theorem 1).
 func (f *Feature) Key() string {
 	var buf [128]byte
-	return string(partial.AppendCrossing(key.Int(buf[:0], f.Frag), f.Mappings))
+	return string(appendKey(buf[:0], f.Frag, f.Mappings))
+}
+
+func appendKey(b []byte, frag int, g []partial.CrossEdge) []byte {
+	return partial.AppendCrossing(key.Int(b, frag), g)
 }
 
 // EstimateBytes approximates the wire size of the feature for data-shipment
@@ -42,18 +49,19 @@ func (f *Feature) EstimateBytes(numQueryVertices int) int {
 
 // Compute runs Algorithm 1: a linear scan grouping partial matches into
 // equivalence classes keyed by (fragment, g). Features are returned in
-// first-seen order; FeatureOf[i] gives the feature index of pms[i].
+// first-seen order; FeatureOf[i] gives the feature index of pms[i]. Only
+// a first-seen class allocates (its Feature and its key).
 func Compute(pms []*partial.Match) (features []*Feature, featureOf []int) {
 	index := make(map[string]int)
 	featureOf = make([]int, len(pms))
+	var buf [128]byte
 	for i, pm := range pms {
-		f := &Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign}
-		fk := f.Key()
-		fi, ok := index[fk]
+		fk := appendKey(buf[:0], pm.Frag, pm.Crossing)
+		fi, ok := index[string(fk)] // lookup by converted bytes does not allocate
 		if !ok {
 			fi = len(features)
-			index[fk] = fi
-			features = append(features, f)
+			index[string(fk)] = fi
+			features = append(features, &Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign})
 		}
 		features[fi].PMs = append(features[fi].PMs, i)
 		featureOf[i] = fi
@@ -61,49 +69,92 @@ func Compute(pms []*partial.Match) (features []*Feature, featureOf []int) {
 	return features, featureOf
 }
 
-// PruneResult reports the outcome of Prune.
+// Combos is a list of feature-index sets, each ascending, stored back to
+// back.
+type Combos struct {
+	members []int
+	ends    []int
+}
+
+// Len reports the number of sets.
+func (c *Combos) Len() int { return len(c.ends) }
+
+// At returns set k; the slice aliases the list.
+func (c *Combos) At(k int) []int {
+	lo := 0
+	if k > 0 {
+		lo = c.ends[k-1]
+	}
+	return c.members[lo:c.ends[k]]
+}
+
+// PruneResult reports the outcome of a feature walk.
 type PruneResult struct {
 	// Retained[i] is true when features[i] can contribute to a complete
 	// match (the set RS of Algorithm 2, provenance-precise).
 	Retained []bool
-	// States counts the join states explored.
-	States int
+	// Combos are the complete combinations themselves — every set of
+	// features whose LECSigns cover the query — in discovery order. They
+	// are what Algorithm 3 expands into crossing matches; empty unless
+	// Finished.
+	Combos Combos
+	// Finished reports that the walk ran to its end. One that was
+	// canceled or overflowed proves nothing: everything is retained and
+	// no combination is reported.
+	Finished bool
+	// Attempts counts the join steps tried, States the join states
+	// explored.
+	Attempts, States int
 	// Overflowed reports that the state cap was hit.
 	Overflowed bool
 }
 
-// maxPruneStates caps the feature-join state space.
-const maxPruneStates = 1 << 20
+// MaxPruneStates caps the feature-join state space of the pruning stage.
+const MaxPruneStates = 1 << 20
 
 // Prune implements Algorithm 2 as the Closure over features: when a
 // combination's signs union to all-ones (Theorem 4), its members are
 // retained. Partial matches whose features are not retained can be
 // discarded before shipment (Theorem 3/4 guarantee no final match is
-// lost). The first cancel hook, if any, is polled by the walk; a walk
-// that does not finish — canceled, or past maxPruneStates — proves
-// nothing, so every feature is retained (safe, just not effective).
+// lost). The first cancel hook, if any, is polled by the walk. Prune is
+// the sequential Walk under MaxPruneStates.
 func Prune(features []*Feature, q *query.Graph, cancel ...func() bool) PruneResult {
+	var hook func() bool
+	if len(cancel) > 0 {
+		hook = cancel[0]
+	}
+	return Walk(features, q, nil, MaxPruneStates, hook)
+}
+
+// Walk is the one feature-level walk of the LEC path: Algorithm 2's
+// pruning verdict and the complete combinations Algorithm 3 expands come
+// out of the same Closure run. Root chunks fan out on p (nil walks
+// inline); maxStates caps the states materialized (0: no cap); cancel,
+// when non-nil, is polled by the walk. A walk that does not finish —
+// canceled, or past the cap — retains every feature (safe, just not
+// effective) and reports no combination.
+func Walk(features []*Feature, q *query.Graph, p *pool.Pool, maxStates int, cancel func() bool) PruneResult {
 	res := PruneResult{Retained: make([]bool, len(features))}
 	c := Closure[struct{}]{
-		Q: q, Items: make([]Item, len(features)), MaxStates: maxPruneStates,
+		Q: q, Items: make([]Item, len(features)), MaxStates: maxStates, Cancel: cancel, Pool: p,
 		Complete: func(members []int, _ struct{}) bool {
 			for _, m := range members {
 				res.Retained[m] = true
 			}
+			res.Combos.members = append(res.Combos.members, members...)
+			res.Combos.ends = append(res.Combos.ends, len(res.Combos.members))
 			return true
 		},
 	}
 	for i, f := range features {
 		c.Items[i] = Item{Sign: f.Sign, Mappings: f.Mappings}
 	}
-	if len(cancel) > 0 {
-		c.Cancel = cancel[0]
-	}
-	if !c.Run() {
+	if res.Finished = c.Run(); !res.Finished {
 		for i := range res.Retained {
 			res.Retained[i] = true
 		}
+		res.Combos = Combos{}
 	}
-	res.States, res.Overflowed = c.States, c.Overflowed
+	res.Attempts, res.States, res.Overflowed = c.Attempts, c.States, c.Overflowed
 	return res
 }

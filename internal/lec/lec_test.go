@@ -3,11 +3,13 @@ package lec
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gstored/internal/fragment"
 	"gstored/internal/paperexample"
 	"gstored/internal/partial"
+	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
@@ -205,13 +207,16 @@ func TestStepMatchesDefinition9(t *testing.T) {
 	for _, f := range features {
 		c.Items = append(c.Items, Item{Sign: f.Sign, Mappings: f.Mappings})
 	}
+	c.buildIndex()
+	w := c.newWalker(nil)
 	for i, a := range features {
 		for j, b := range features {
-			var s, next state[struct{}]
-			if !c.start(i, &s) {
+			if !w.start(i) {
 				t.Fatalf("feature %d contradicts itself", i)
 			}
-			if got, want := c.step(&s, j, &next), Joinable(a, b); got != want {
+			s := w.next
+			w.next = state[struct{}]{}
+			if got, want := w.step(&s, j), Joinable(a, b); got != want {
 				t.Errorf("step(%d, %d) = %v, Definition 9 says %v", i, j, got, want)
 			}
 		}
@@ -351,4 +356,118 @@ func TestFeatureBytes(t *testing.T) {
 	if two.EstimateBytes(5) <= one.EstimateBytes(5) {
 		t.Error("feature size not monotone in mappings")
 	}
+}
+
+// TestWalkWidthInvariance: chunking roots over a pool changes nothing a
+// caller can see — verdicts, counters and the combinations in their
+// sequential order — and an unfinished pooled walk (canceled, or past its
+// cap at any chunk or in the sum) still retains everything and reports no
+// combination.
+func TestWalkWidthInvariance(t *testing.T) {
+	features, q := chainFeatures(12)
+	features = append(features, &Feature{Frag: 9, Sign: 1, Mappings: []partial.CrossEdge{{QEdge: 0, S: 7, O: 8}}}) // joins nothing: pruned
+	seq := Walk(features, q, nil, 0, nil)
+	if !seq.Finished || seq.Combos.Len() == 0 || seq.Retained[len(features)-1] {
+		t.Fatalf("sequential oracle: finished %v, %d combinations, stray retained %v", seq.Finished, seq.Combos.Len(), seq.Retained[len(features)-1])
+	}
+	for _, width := range []int{2, 3, 8} {
+		p := pool.New(width)
+		if got := Walk(features, q, p, 0, nil); !reflect.DeepEqual(got, seq) {
+			t.Errorf("width %d: attempts %d states %d combos %d, sequential %d %d %d", width,
+				got.Attempts, got.States, got.Combos.Len(), seq.Attempts, seq.States, seq.Combos.Len())
+		}
+		for name, got := range map[string]PruneResult{
+			"canceled":   Walk(features, q, p, 0, func() bool { return true }),
+			"capped":     Walk(features, q, p, seq.States-1, nil),
+			"capped low": Walk(features, q, p, 3, nil),
+		} {
+			if got.Finished || got.Combos.Len() != 0 || slices.Contains(got.Retained, false) {
+				t.Errorf("width %d %s: finished %v, %d combinations, something pruned %v", width, name,
+					got.Finished, got.Combos.Len(), slices.Contains(got.Retained, false))
+			}
+			if wantOverflow := name != "canceled"; got.Overflowed != wantOverflow {
+				t.Errorf("width %d %s: Overflowed = %v", width, name, got.Overflowed)
+			}
+		}
+		if got := Walk(features, q, p, seq.States, nil); !got.Finished || got.Overflowed {
+			t.Errorf("width %d: a cap of exactly the closure's %d states overflowed", width, seq.States)
+		}
+	}
+}
+
+// fuzzQueries are the query graphs FuzzClosureIndex draws from: a path, a
+// triangle and a pair of parallel edges.
+func fuzzQueries() []*query.Graph {
+	var out []*query.Graph
+	for _, shape := range [][][2]int{{{0, 1}, {1, 2}, {2, 3}}, {{0, 1}, {1, 2}, {2, 0}}, {{0, 1}, {0, 1}, {1, 2}}} {
+		b := query.NewBuilder(rdf.NewDictionary())
+		for i, e := range shape {
+			b.Triple(query.Var(fmt.Sprint("v", e[0])), query.IRI(fmt.Sprint("p", i)), query.Var(fmt.Sprint("v", e[1])))
+		}
+		out = append(out, b.MustBuild())
+	}
+	return out
+}
+
+// FuzzClosureIndex: on random small item sets the walk that asks the
+// side-split crossing-edge index for partners completes exactly the
+// member sets the walk that tries every pair completes, sequentially and
+// chunked. Items are drawn under the one precondition the index has
+// (Item): each mapping's query edge has exactly one endpoint in Sign.
+func FuzzClosureIndex(f *testing.F) {
+	// A two- and a three-item cover of the path plus a near miss; the
+	// triangle's three corners; the parallel edges' two halves.
+	f.Add([]byte{0, 0x23, 0, 0x2c, 0, 0x11, 0, 0x56, 0, 0x48, 0, 0x2c, 0x04})
+	f.Add([]byte{1, 0x51, 0, 0x32, 0, 0x64, 0, 0x32, 0x02})
+	f.Add([]byte{2, 0x31, 0, 0x36, 0, 0x31, 0x01})
+	queries := fuzzQueries()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		q := queries[int(data[0])%len(queries)]
+		data = data[1:]
+		if len(data) > 48 {
+			data = data[:48] // 24 items: AllPairs stays small
+		}
+		// Two bytes an item: which vertices are internal (low nibble of the
+		// first), which query edges with exactly one internal endpoint are
+		// mapped (its high nibble), and which of two data vertices each
+		// query vertex is bound to (the second).
+		var items []Item
+		for ; len(data) >= 2; data = data[2:] {
+			it := Item{Sign: uint64(data[0]) & fullSign(len(q.Vertices))}
+			bound := func(v int) rdf.TermID { return rdf.TermID(10*(v+1) + int(data[1]>>uint(v)&1)) }
+			for e, qe := range q.Edges {
+				if data[0]>>(4+uint(e))&1 == 1 && it.Sign>>uint(qe.From)&1 != it.Sign>>uint(qe.To)&1 {
+					it.Mappings = append(it.Mappings, partial.CrossEdge{QEdge: e, S: bound(qe.From), P: 1, O: bound(qe.To)})
+				}
+			}
+			if len(it.Mappings) > 0 {
+				items = append(items, it)
+			}
+		}
+		walk := func(allPairs bool, p *pool.Pool) map[string]bool {
+			sets := map[string]bool{}
+			c := Closure[struct{}]{Q: q, Items: items, AllPairs: allPairs, Pool: p,
+				Complete: func(members []int, _ struct{}) bool {
+					if sets[fmt.Sprint(members)] {
+						t.Errorf("member set %v completed twice", members)
+					}
+					sets[fmt.Sprint(members)] = true
+					return true
+				}}
+			if !c.Run() {
+				t.Fatal("uncapped, uncanceled walk did not finish")
+			}
+			return sets
+		}
+		want := walk(true, nil)
+		if got := walk(false, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("index walk completed %v, all-pairs walk %v", got, want)
+		}
+		if got := walk(false, pool.New(3)); !reflect.DeepEqual(got, want) {
+			t.Errorf("chunked index walk completed %v, all-pairs walk %v", got, want)
+		}
+	})
 }

@@ -7,8 +7,10 @@
 package partial
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -200,6 +202,7 @@ func computeParallel(f *fragment.Fragment, q *query.Graph, opts Options, inc [][
 	cancel := opts.Cancel
 	poll := func() bool { return stop.Load() || (cancel != nil && cancel()) }
 	outs := make([][]*Match, len(chunks))
+	keys := make([][]string, len(chunks))
 	errs := make([]error, len(chunks))
 	tasks := make([]func(), len(chunks))
 	for i, ch := range chunks {
@@ -217,6 +220,7 @@ func computeParallel(f *fragment.Fragment, q *query.Graph, opts Options, inc [][
 			en := newEnumerator(f, q, chunkOpts, inc)
 			errs[i] = en.run(f.Crossing[ch[0]:ch[1]], seedOrder)
 			outs[i] = en.out
+			keys[i] = en.keys
 			if errs[i] != nil {
 				stop.Store(true)
 			}
@@ -248,9 +252,9 @@ func computeParallel(f *fragment.Fragment, q *query.Graph, opts Options, inc [][
 	}
 	seen := make(map[string]bool)
 	var out []*Match
-	for _, ms := range outs {
-		for _, m := range ms {
-			mk := m.Key()
+	for i, ms := range outs {
+		for j, m := range ms {
+			mk := keys[i][j]
 			if seen[mk] {
 				continue
 			}
@@ -279,6 +283,7 @@ type enumerator struct {
 
 	seen  map[string]bool
 	out   []*Match
+	keys  []string // keys[i] is out[i].Key(): the chunk merge dedups on it again
 	steps uint
 	err   error
 }
@@ -513,18 +518,8 @@ func (en *enumerator) finalize() {
 	if len(m.Crossing) == 0 {
 		return
 	}
-	sort.Slice(m.Crossing, func(a, b int) bool {
-		x, y := m.Crossing[a], m.Crossing[b]
-		if x.QEdge != y.QEdge {
-			return x.QEdge < y.QEdge
-		}
-		if x.S != y.S {
-			return x.S < y.S
-		}
-		if x.P != y.P {
-			return x.P < y.P
-		}
-		return x.O < y.O
+	slices.SortFunc(m.Crossing, func(x, y CrossEdge) int {
+		return cmp.Or(cmp.Compare(x.QEdge, y.QEdge), cmp.Compare(x.S, y.S), cmp.Compare(x.P, y.P), cmp.Compare(x.O, y.O))
 	})
 	for i, u := range m.Vec {
 		if u != rdf.NoTerm && en.f.IsInternal(u) {
@@ -537,6 +532,7 @@ func (en *enumerator) finalize() {
 	}
 	en.seen[mk] = true
 	en.out = append(en.out, m)
+	en.keys = append(en.keys, mk)
 	if en.opts.MaxMatches > 0 && len(en.out) > en.opts.MaxMatches {
 		en.err = ErrTooManyMatches{Limit: en.opts.MaxMatches}
 	}

@@ -40,6 +40,9 @@ type Metrics struct {
 	Messages       atomic.Int64 // simulated inter-site messages
 	CommNanos      atomic.Int64 // estimated communication time under the link model
 	PartialMatches atomic.Int64
+	LECFeatures    atomic.Int64 // LEC features the pruning stage joined
+	PrunedMatches  atomic.Int64 // partial matches LEC pruning kept off the wire
+	JoinAttempts   atomic.Int64 // join steps of the closure walks
 	Matches        atomic.Int64
 
 	// QueryDurations are client-facing request latencies (parse through
@@ -75,6 +78,9 @@ func (m *Metrics) Observe(s engine.Stats, wall time.Duration) {
 	m.Messages.Add(s.Messages)
 	m.CommNanos.Add(int64(s.EstimatedCommTime))
 	m.PartialMatches.Add(int64(s.NumPartialMatches))
+	m.LECFeatures.Add(int64(s.NumLECFeatures))
+	m.PrunedMatches.Add(int64(s.NumPartialMatches - s.NumRetainedPartialMatches))
+	m.JoinAttempts.Add(int64(s.JoinAttempts))
 	m.Matches.Add(int64(s.NumMatches))
 	for i, st := range s.Stages() {
 		m.StageNanos[i].Add(int64(st.Time))
@@ -156,6 +162,9 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	writeMetric(w, "gstored_messages_total", "Simulated inter-site messages (shipments and broadcasts).", "counter", m.Messages.Load())
 	writeMetric(w, "gstored_estimated_comm_seconds_total", "Estimated communication time of the metered traffic under the cluster link model.", "counter", seconds(m.CommNanos.Load()))
 	writeMetric(w, "gstored_partial_matches_total", "Local partial matches enumerated.", "counter", m.PartialMatches.Load())
+	writeMetric(w, "gstored_lec_features_total", "LEC features joined by the pruning stage.", "counter", m.LECFeatures.Load())
+	writeMetric(w, "gstored_partial_matches_pruned_total", "Local partial matches LEC pruning discarded before shipment.", "counter", m.PrunedMatches.Load())
+	writeMetric(w, "gstored_join_attempts_total", "Join steps tried by the closure walks.", "counter", m.JoinAttempts.Load())
 	writeMetric(w, "gstored_matches_total", "Result rows produced by the engine.", "counter", m.Matches.Load())
 
 	queryHists := make([]labeledHistogram, numOutcomes)

@@ -291,6 +291,17 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if _, ok := samples["gstored_estimated_comm_seconds_total"]; !ok {
 		t.Error("gstored_estimated_comm_seconds_total missing")
 	}
+	// The LEC path's work counters sit beside the partial-match count.
+	// The path query is evaluated in Full mode, so features are joined
+	// and join steps tried; nothing need be pruned.
+	for _, name := range []string{"gstored_partial_matches_total", "gstored_lec_features_total", "gstored_join_attempts_total"} {
+		if v := samples[name][""]; v <= 0 {
+			t.Errorf("%s = %v, want > 0", name, v)
+		}
+	}
+	if v, ok := samples["gstored_partial_matches_pruned_total"][""]; !ok || v < 0 || v > samples["gstored_partial_matches_total"][""] {
+		t.Errorf("gstored_partial_matches_pruned_total = %v (present %v), want within [0, partial matches]", v, ok)
+	}
 	// Stage histograms saw the engine runs (miss + explain = 2).
 	if got := samples["gstored_stage_duration_seconds_count"][`{stage="partial"}`]; got < 2 {
 		t.Errorf(`stage_duration count{stage="partial"} = %v, want >= 2`, got)
