@@ -140,8 +140,6 @@ type Config struct {
 	// Mode is the engine optimization level; the zero value runs the full
 	// system (ModeFull).
 	Mode Mode
-	// CandidateBits sizes the Section VI bit vectors (0 = default 64 Ki).
-	CandidateBits int
 	// MaxPartialMatches aborts runaway queries (0 = unlimited).
 	MaxPartialMatches int
 	// EvalWorkers bounds each query execution's evaluation worker pool
@@ -782,7 +780,6 @@ func (db *DB) QueryGraphStreamContext(ctx context.Context, q *QueryGraph, emit f
 func (db *DB) engineConfig(mode Mode) engine.Config {
 	return engine.Config{
 		Mode:              mode,
-		CandidateBits:     db.cfg.CandidateBits,
 		MaxPartialMatches: db.cfg.MaxPartialMatches,
 		EvalWorkers:       db.cfg.EvalWorkers,
 	}

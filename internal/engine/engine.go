@@ -75,9 +75,6 @@ func (m Mode) String() string {
 // Config tunes Execute.
 type Config struct {
 	Mode Mode
-	// CandidateBits is the per-variable bit-vector length for the Full
-	// mode (0 = candidates.DefaultBits).
-	CandidateBits int
 	// MaxPartialMatches aborts runaway partial evaluations (0 = no limit).
 	MaxPartialMatches int
 	// EvalWorkers bounds the per-execution worker pool that evaluates
@@ -686,13 +683,9 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 
 	// Stage 0 (Full only): assemble variables' internal candidates.
 	if cfg.Mode >= Full {
-		bits := cfg.CandidateBits
-		if bits == 0 {
-			bits = candidates.DefaultBits
-		}
 		creps := make([]cluster.CandidatesReply, k)
 		cerrs := make([]error, k)
-		creq := cluster.CandidatesRequest{Query: q, Bits: bits}
+		creq := cluster.CandidatesRequest{Query: q, Bits: candidates.DefaultBits}
 		stats.CandidatesTime = e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
 			siteStart := time.Now()
 			creps[i], cerrs[i] = s.Candidates(ctx, creq)
@@ -715,7 +708,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 			frags[i].WireBytes += rep.Wire
 			stats.CandidatesShipment += rep.Wire
 		}
-		union, err := candidates.Union(siteVecs, q, bits)
+		union, err := candidates.Union(siteVecs, q, creq.Bits)
 		if err != nil {
 			return err
 		}

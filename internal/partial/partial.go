@@ -3,15 +3,19 @@
 // It implements the evaluation algorithm of Peng et al. [18] that this
 // paper builds on — crossing-edge-seeded expansion which, by construction,
 // satisfies Definition 5's six conditions (see Verify for an independent
-// checker used by the tests).
+// checker used by the tests) — as a driver of the site's own search
+// (store.Search): the enumerator picks the edge Definition 5 forces next
+// and the shared step matches it. A match reachable from several of its
+// crossing edges is kept only under the first of them in seed order, so
+// each is built once and chunks of the seed list need no merge.
 package partial
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -20,6 +24,7 @@ import (
 	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
+	"gstored/internal/store"
 )
 
 // MaxQuerySize bounds query vertices and edges so signatures fit in uint64
@@ -116,9 +121,8 @@ type Options struct {
 	// search is exhaustive — but good ranks prune dead branches earlier.
 	EdgeRank []int
 	// Pool, when non-nil with width > 1, splits the fragment's crossing-
-	// edge seed list into contiguous chunks enumerated concurrently and
-	// merges the per-chunk matches in chunk order with global
-	// deduplication, so the returned set equals the sequential one.
+	// edge seed list into contiguous chunks enumerated concurrently; the
+	// chunks' matches end to end are the sequential result, in order.
 	Pool *pool.Pool
 	// OnTask, when non-nil, receives the wall time of each enumeration
 	// task (one per seed chunk; exactly one for a sequential run). It
@@ -136,8 +140,31 @@ func (e ErrTooManyMatches) Error() string {
 	return fmt.Sprintf("partial: more than %d local partial matches", e.Limit)
 }
 
-// Compute enumerates all local partial matches of q in fragment f.
+// Compute enumerates all local partial matches of q in fragment f, each
+// once, in seed order: by the first (crossing edge, query edge) pair it
+// contains, crossing edges in f.Crossing order and query edges in rank
+// order.
 func Compute(f *fragment.Fragment, q *query.Graph, opts Options) ([]*Match, error) {
+	ens, err := enumerate(f, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	if len(ens) == 1 {
+		return ens[0].out, nil
+	}
+	// No match is found by two chunks (see finalize): the result is the
+	// chunks' matches end to end.
+	outs := make([][]*Match, len(ens))
+	for i, en := range ens {
+		outs[i] = en.out
+	}
+	return slices.Concat(outs...), nil
+}
+
+// enumerate runs one enumerator per contiguous chunk of the seed list
+// f.Crossing on the pool — a sequential run is the one-chunk case — and
+// returns them in chunk order, or the first error.
+func enumerate(f *fragment.Fragment, q *query.Graph, opts Options) ([]*enumerator, error) {
 	if len(q.Vertices) > MaxQuerySize || len(q.Edges) > MaxQuerySize {
 		return nil, fmt.Errorf("partial: query exceeds %d vertices/edges", MaxQuerySize)
 	}
@@ -147,81 +174,43 @@ func Compute(f *fragment.Fragment, q *query.Graph, opts Options) ([]*Match, erro
 		seedOrder[i] = i
 	}
 	if rank := opts.EdgeRank; len(rank) == len(q.Edges) {
-		sort.SliceStable(seedOrder, func(a, b int) bool { return rank[seedOrder[a]] < rank[seedOrder[b]] })
+		byRank := func(a, b int) int { return cmp.Compare(rank[a], rank[b]) }
+		slices.SortStableFunc(seedOrder, byRank)
 		for qv := range inc {
-			sort.SliceStable(inc[qv], func(a, b int) bool { return rank[inc[qv][a]] < rank[inc[qv][b]] })
+			slices.SortStableFunc(inc[qv], byRank)
 		}
 	}
-	chunks := pool.Chunks(len(f.Crossing), 4*opts.Pool.Workers())
-	if opts.Pool.Workers() > 1 && len(chunks) > 1 {
-		return computeParallel(f, q, opts, inc, seedOrder, chunks)
+	seedPos := make([]int, len(seedOrder))
+	for pos, qe := range seedOrder {
+		seedPos[qe] = pos
 	}
-	if opts.OnTask != nil {
-		start := time.Now()
-		defer func() { opts.OnTask(time.Since(start)) }()
+	chunks := [][2]int{{0, len(f.Crossing)}}
+	if w := opts.Pool.Workers(); w > 1 && len(f.Crossing) > 0 {
+		chunks = pool.Chunks(len(f.Crossing), 4*w)
 	}
-	en := newEnumerator(f, q, opts, inc)
-	if err := en.run(f.Crossing, seedOrder); err != nil {
-		return nil, err
-	}
-	return en.out, nil
-}
-
-func newEnumerator(f *fragment.Fragment, q *query.Graph, opts Options, inc [][]int) *enumerator {
-	return &enumerator{
-		f:    f,
-		q:    q,
-		opts: opts,
-		vec:  make([]rdf.TermID, len(q.Vertices)),
-		evb:  make([]rdf.TermID, len(q.Vars)),
-		lab:  make([]rdf.TermID, len(q.Edges)),
-		inc:  inc,
-		seen: make(map[string]bool),
-	}
-}
-
-// run seeds an expansion from every (crossing triple, query edge) pair.
-func (en *enumerator) run(crossing []rdf.Triple, seedOrder []int) error {
-	for _, ct := range crossing {
-		for _, qe := range seedOrder {
-			if err := en.seed(ct, qe); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// computeParallel enumerates contiguous chunks of the crossing-edge
-// seed list concurrently. Each chunk keeps a private seen set; the
-// merge walks chunks in index order with a global keep-first
-// deduplication, so the returned match set equals the sequential one
-// and the output order is deterministic for a fixed chunking.
-func computeParallel(f *fragment.Fragment, q *query.Graph, opts Options, inc [][]int, seedOrder []int, chunks [][2]int) ([]*Match, error) {
 	var stop atomic.Bool
-	cancel := opts.Cancel
-	poll := func() bool { return stop.Load() || (cancel != nil && cancel()) }
-	outs := make([][]*Match, len(chunks))
-	keys := make([][]string, len(chunks))
-	errs := make([]error, len(chunks))
+	var count atomic.Int64
+	ens := make([]*enumerator, len(chunks))
 	tasks := make([]func(), len(chunks))
 	for i, ch := range chunks {
+		en := &enumerator{
+			Search: store.NewSearch(f.Store, q), f: f, q: q, opts: opts,
+			inc: inc, seedOrder: seedOrder, seedPos: seedPos, stop: &stop, count: &count,
+		}
+		en.Admit = en.admit
+		en.Next = en.expand
+		ens[i] = en
 		tasks[i] = func() {
 			if stop.Load() {
-				errs[i] = ErrCanceled
+				en.err = ErrCanceled
 				return
 			}
 			var start time.Time
 			if opts.OnTask != nil {
 				start = time.Now()
 			}
-			chunkOpts := opts
-			chunkOpts.Cancel = poll
-			en := newEnumerator(f, q, chunkOpts, inc)
-			errs[i] = en.run(f.Crossing[ch[0]:ch[1]], seedOrder)
-			outs[i] = en.out
-			keys[i] = en.keys
-			if errs[i] != nil {
+			en.run(ch[0], ch[1])
+			if en.err != nil {
 				stop.Store(true)
 			}
 			if opts.OnTask != nil {
@@ -233,182 +222,86 @@ func computeParallel(f *fragment.Fragment, q *query.Graph, opts Options, inc [][
 	// A real error beats the cancellations it caused in other chunks;
 	// among real errors the lowest chunk index wins, deterministically.
 	var firstErr error
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, ErrCanceled) {
-			firstErr = err
-			break
+	for _, en := range ens {
+		if en.err != nil && (firstErr == nil || (errors.Is(firstErr, ErrCanceled) && !errors.Is(en.err, ErrCanceled))) {
+			firstErr = en.err
 		}
 	}
-	if firstErr == nil {
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	seen := make(map[string]bool)
-	var out []*Match
-	for i, ms := range outs {
-		for j, m := range ms {
-			mk := keys[i][j]
-			if seen[mk] {
-				continue
-			}
-			seen[mk] = true
-			out = append(out, m)
-		}
-	}
-	// The per-chunk valve bounds each chunk; the exact global check runs
-	// after deduplication so the threshold semantics match sequential.
-	if opts.MaxMatches > 0 && len(out) > opts.MaxMatches {
-		return nil, ErrTooManyMatches{Limit: opts.MaxMatches}
-	}
-	return out, nil
+	return ens, firstErr
 }
 
+// enumerator drives a store.Search by Definition 5: from a crossing edge
+// matched to a query edge, every query edge incident to an internally
+// mapped vertex must be matched (condition 5), and nothing else may be.
+// Admission lets internal vertices through and asks the Section VI
+// filter about extended ones.
 type enumerator struct {
+	store.Search
 	f    *fragment.Fragment
 	q    *query.Graph
 	opts Options
 
-	vec     []rdf.TermID // current vertex bindings
-	evb     []rdf.TermID // edge-label variable bindings
-	lab     []rdf.TermID // concrete label per matched query edge
-	matched uint64       // bitmask of matched query edges
-	inc     [][]int      // incident edge lists per query vertex
+	inc       [][]int // incident edge lists per query vertex, in rank order
+	seedOrder []int   // query edges in rank order
+	seedPos   []int   // seedPos[qe] is qe's place in seedOrder
 
-	seen  map[string]bool
+	// The seed the current expansion grew from.
+	seedT  rdf.Triple
+	seedQE int
+
 	out   []*Match
-	keys  []string // keys[i] is out[i].Key(): the chunk merge dedups on it again
 	steps uint
 	err   error
+	stop  *atomic.Bool  // shared: some chunk failed
+	count *atomic.Int64 // shared: matches kept so far, for MaxMatches
 }
 
-// seed starts an expansion from crossing triple ct matched to query edge qe.
-func (en *enumerator) seed(ct rdf.Triple, qe int) error {
-	e := en.q.Edges[qe]
-	if !en.labelCompatible(e, ct.P) {
-		return nil
-	}
-	undoS, ok := en.bind(e.From, ct.S)
-	if !ok {
-		return nil
-	}
-	if e.From == e.To && ct.S != ct.O {
-		undoS()
-		return nil
-	}
-	var undoO func()
-	if e.From != e.To {
-		undoO, ok = en.bind(e.To, ct.O)
-		if !ok {
-			undoS()
-			return nil
+// run seeds an expansion from every (crossing edge, query edge) pair of
+// f.Crossing[lo:hi]. A second instance of a crossing edge seeds the same
+// expansions as the first, so it is skipped — by looking at the
+// fragment's list, not the chunk's: the first instance may sit in the
+// chunk before.
+func (en *enumerator) run(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if i > 0 && en.f.Crossing[i] == en.f.Crossing[i-1] {
+			continue
+		}
+		en.seedT = en.f.Crossing[i]
+		for _, qe := range en.seedOrder {
+			if en.Stop {
+				return
+			}
+			en.seedQE = qe
+			en.Seed(qe, en.seedT)
 		}
 	}
-	undoE, ok := en.matchEdge(qe, ct.S, ct.P, ct.O)
-	if ok {
-		en.expand()
-		undoE()
-	}
-	if undoO != nil {
-		undoO()
-	}
-	undoS()
-	return en.err
 }
 
-func (en *enumerator) labelCompatible(e query.Edge, p rdf.TermID) bool {
-	if e.HasVarLabel() {
-		bound := en.evb[e.LabelVar]
-		return bound == rdf.NoTerm || bound == p
-	}
-	return e.Label == p
+// admit enforces the extended-candidate filter; u comes off one of the
+// fragment's own edges, so not internal means extended.
+func (en *enumerator) admit(qv int, u rdf.TermID) bool {
+	return en.opts.ExtendedFilter == nil || en.f.IsInternal(u) || en.opts.ExtendedFilter(qv, u)
 }
 
-// bind assigns query vertex qv to data vertex u, enforcing Definition 5
-// conditions 1-2 (constants match themselves or NULL) and the extended-
-// candidate filter. Binding an already-bound vertex succeeds only on
-// agreement.
-func (en *enumerator) bind(qv int, u rdf.TermID) (func(), bool) {
-	if cur := en.vec[qv]; cur != rdf.NoTerm {
-		if cur == u {
-			return func() {}, true
-		}
-		return nil, false
-	}
-	v := en.q.Vertices[qv]
-	if !v.IsVar() && v.Const != u {
-		return nil, false
-	}
-	// u comes off one of the fragment's own edges, so not internal means
-	// extended; IsExtended would re-check that u is in the fragment.
-	if en.opts.ExtendedFilter != nil && !en.f.IsInternal(u) {
-		if !en.opts.ExtendedFilter(qv, u) {
-			return nil, false
-		}
-	}
-	en.vec[qv] = u
-	return func() { en.vec[qv] = rdf.NoTerm }, true
-}
-
-// matchEdge records query edge qe as matched by data edge (s,p,o), binding
-// the label variable when present and enforcing the multi-edge injectivity
-// of Definition 3 within parallel query edges.
-func (en *enumerator) matchEdge(qe int, s, p, o rdf.TermID) (func(), bool) {
-	e := en.q.Edges[qe]
-	// Injectivity across parallel query edges sharing the ordered pair.
-	usedSame := 0
-	for j, f := range en.q.Edges {
-		if j != qe && en.matched&(1<<uint(j)) != 0 && f.From == e.From && f.To == e.To && en.lab[j] == p {
-			usedSame++
-		}
-	}
-	if usedSame > 0 && en.f.Store.CountTriples(s, p, o) <= usedSame {
-		return nil, false
-	}
-	var boundVar bool
-	if e.HasVarLabel() && en.evb[e.LabelVar] == rdf.NoTerm {
-		en.evb[e.LabelVar] = p
-		boundVar = true
-	}
-	en.matched |= 1 << uint(qe)
-	en.lab[qe] = p
-	lv := e.LabelVar
-	return func() {
-		en.matched &^= 1 << uint(qe)
-		en.lab[qe] = rdf.NoTerm
-		if boundVar {
-			en.evb[lv] = rdf.NoTerm
-		}
-	}, true
-}
-
-// expand drives the worklist: find a query vertex bound to an internal
-// vertex with an unmatched incident edge (condition 5 forces matching it);
-// if none remains, finalize the current partial match.
+// expand finds a query vertex bound to an internal vertex with an
+// unmatched incident edge and matches that edge against the vertex's
+// adjacency: internal vertices see all their edges (Definition 1), so if
+// no data edge fits, the candidate dies — exactly condition 5. When no
+// such edge remains the candidate is a local partial match.
 func (en *enumerator) expand() {
-	if en.err != nil {
+	if en.steps&0xff == 0 && (en.stop.Load() || (en.opts.Cancel != nil && en.opts.Cancel())) {
+		en.err = ErrCanceled
+		en.Stop = true
 		return
 	}
-	if en.opts.Cancel != nil {
-		if en.steps&0xff == 0 && en.opts.Cancel() {
-			en.err = ErrCanceled
-			return
-		}
-		en.steps++
-	}
-	for qv, u := range en.vec {
+	en.steps++
+	for qv, u := range en.Vertex {
 		if u == rdf.NoTerm || !en.f.IsInternal(u) {
 			continue
 		}
 		for _, ei := range en.inc[qv] {
-			if en.matched&(1<<uint(ei)) == 0 {
-				en.matchIncident(qv, ei)
+			if en.Label[ei] == rdf.NoTerm {
+				en.Extend(ei)
 				return
 			}
 		}
@@ -416,124 +309,53 @@ func (en *enumerator) expand() {
 	en.finalize()
 }
 
-// matchIncident matches the unmatched query edge ei incident to the
-// internally-bound query vertex qv, branching over the data edges adjacent
-// to vec[qv]. Internal vertices see all their edges (Definition 1), so if
-// no data edge fits, this partial candidate dies — exactly condition 5.
-func (en *enumerator) matchIncident(qv, ei int) {
-	e := en.q.Edges[ei]
-	u := en.vec[qv]
-	st := en.f.Store
-
-	tryEdge := func(s, p, o rdf.TermID, otherQV int, other rdf.TermID) {
-		if en.err != nil {
-			return
-		}
-		if !en.labelCompatible(e, p) {
-			return
-		}
-		undoB, ok := en.bind(otherQV, other)
-		if !ok {
-			return
-		}
-		undoE, ok := en.matchEdge(ei, s, p, o)
-		if ok {
-			en.expand()
-			undoE()
-		}
-		undoB()
-	}
-
-	if e.From == qv {
-		adj := st.Out(u)
-		if !e.HasVarLabel() {
-			adj = st.OutWith(u, e.Label)
-		}
-		var prev rdf.TermID
-		prevV := rdf.NoTerm
-		for _, he := range adj {
-			if he.P == prev && he.V == prevV {
-				continue // duplicate instance
-			}
-			prev, prevV = he.P, he.V
-			if e.From == e.To && he.V != u {
-				continue
-			}
-			tryEdge(u, he.P, he.V, e.To, he.V)
-		}
-		return
-	}
-	// e.To == qv (incoming edge).
-	adj := st.In(u)
-	if !e.HasVarLabel() {
-		adj = st.InWith(u, e.Label)
-	}
-	var prev rdf.TermID
-	prevV := rdf.NoTerm
-	for _, he := range adj {
-		if he.P == prev && he.V == prevV {
-			continue
-		}
-		prev, prevV = he.P, he.V
-		tryEdge(he.V, he.P, u, e.From, he.V)
-	}
-}
-
-// finalize validates the remaining Definition 5 conditions and records the
-// match.
+// finalize records the current candidate, unless an earlier seed found
+// it already. A local partial match is weakly connected through its
+// internally mapped vertices (condition 6) and every edge incident to
+// those is forced (condition 5), so the expansion from any crossing
+// edge it contains reaches it: keeping it only under the first of them
+// in seed order keeps it exactly once, across chunks too.
 func (en *enumerator) finalize() {
-	// Condition 3: an unmatched query edge may only have a NULL endpoint or
-	// two extended endpoints. (Internal endpoints are impossible here —
-	// expand() exhausts them — but verify defensively.)
+	first := en.seedPos[en.seedQE]
+	var matched, crossing uint64
 	for i, e := range en.q.Edges {
-		if en.matched&(1<<uint(i)) != 0 {
+		if en.Label[i] == rdf.NoTerm {
 			continue
 		}
-		fu, fw := en.vec[e.From], en.vec[e.To]
-		if fu == rdf.NoTerm || fw == rdf.NoTerm {
+		matched |= 1 << uint(i)
+		s, o := en.Vertex[e.From], en.Vertex[e.To]
+		if !en.f.IsCrossing(s, o) {
 			continue
 		}
-		if en.f.IsInternal(fu) || en.f.IsInternal(fw) {
-			return // condition 5 violated; unreachable by construction
+		crossing |= 1 << uint(i)
+		t := rdf.Triple{S: s, P: en.Label[i], O: o}
+		if t.Less(en.seedT) || (t == en.seedT && en.seedPos[i] < first) {
+			return
 		}
+	}
+	if en.opts.MaxMatches > 0 && en.count.Add(1) > int64(en.opts.MaxMatches) {
+		en.err = ErrTooManyMatches{Limit: en.opts.MaxMatches}
+		en.Stop = true
+		return
 	}
 	m := &Match{
 		Frag:         en.f.ID,
-		Vec:          append([]rdf.TermID(nil), en.vec...),
-		EdgeVars:     append([]rdf.TermID(nil), en.evb...),
-		MatchedEdges: en.matched,
+		Vec:          append([]rdf.TermID(nil), en.Vertex...),
+		EdgeVars:     append([]rdf.TermID(nil), en.EdgeVar...),
+		Crossing:     make([]CrossEdge, 0, bits.OnesCount64(crossing)),
+		MatchedEdges: matched,
 	}
+	// Query edges in index order, at most one crossing edge each: Crossing
+	// comes out sorted by (QEdge, S, P, O).
 	for i, e := range en.q.Edges {
-		if en.matched&(1<<uint(i)) == 0 {
-			continue
-		}
-		s, o := en.vec[e.From], en.vec[e.To]
-		if en.f.IsCrossing(s, o) {
-			m.Crossing = append(m.Crossing, CrossEdge{QEdge: i, S: s, P: en.lab[i], O: o})
+		if crossing&(1<<uint(i)) != 0 {
+			m.Crossing = append(m.Crossing, CrossEdge{QEdge: i, S: en.Vertex[e.From], P: en.Label[i], O: en.Vertex[e.To]})
 		}
 	}
-	// Condition 4: at least one crossing edge (the seed guarantees it, but
-	// a seed whose expansion became all-internal would be a complete local
-	// match, which belongs to the local stage, not here).
-	if len(m.Crossing) == 0 {
-		return
-	}
-	slices.SortFunc(m.Crossing, func(x, y CrossEdge) int {
-		return cmp.Or(cmp.Compare(x.QEdge, y.QEdge), cmp.Compare(x.S, y.S), cmp.Compare(x.P, y.P), cmp.Compare(x.O, y.O))
-	})
 	for i, u := range m.Vec {
 		if u != rdf.NoTerm && en.f.IsInternal(u) {
 			m.Sign |= 1 << uint(i)
 		}
 	}
-	mk := m.Key()
-	if en.seen[mk] {
-		return
-	}
-	en.seen[mk] = true
 	en.out = append(en.out, m)
-	en.keys = append(en.keys, mk)
-	if en.opts.MaxMatches > 0 && len(en.out) > en.opts.MaxMatches {
-		en.err = ErrTooManyMatches{Limit: en.opts.MaxMatches}
-	}
 }

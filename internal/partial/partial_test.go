@@ -3,6 +3,8 @@ package partial
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,9 +13,11 @@ import (
 	"gstored/internal/fragment"
 	"gstored/internal/paperexample"
 	"gstored/internal/partition"
+	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
 	"gstored/internal/store"
+	"gstored/internal/workload"
 )
 
 // vecOf converts a Match vector to paper vertex numbers for comparison
@@ -289,52 +293,286 @@ func TestQueryTooLarge(t *testing.T) {
 	}
 }
 
-// TestComputeAlwaysVerifies: on random graphs and partitionings, every
-// emitted partial match satisfies Definition 5 per the independent checker.
-func TestComputeAlwaysVerifies(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := rdf.NewGraph()
-		nv := 4 + r.Intn(12)
-		ne := 6 + r.Intn(24)
-		for i := 0; i < ne; i++ {
-			g.AddIRIs(fmt.Sprintf("v%d", r.Intn(nv)), fmt.Sprintf("p%d", r.Intn(3)), fmt.Sprintf("v%d", r.Intn(nv)))
+// definitionMatches enumerates the local partial matches of q in f
+// straight from Definition 5: every assignment of query vertices to
+// {NULL} ∪ V(F_i) and of label variables to {unbound} ∪ predicates,
+// with the edge matching that assignment forces — an edge is matched
+// exactly when both endpoints are bound and one is internal — kept when
+// a label variable is bound exactly if an edge carrying it is matched,
+// parallel query edges find enough edge instances (Def. 3), and Verify
+// accepts. Keys are returned sorted.
+func definitionMatches(f *fragment.Fragment, q *query.Graph) []string {
+	domain := append([]rdf.TermID{rdf.NoTerm}, f.Store.Vertices()...)
+	labels := append([]rdf.TermID{rdf.NoTerm}, f.Store.Predicates()...)
+	labelVars := q.EdgeVars()
+	vec := make([]rdf.TermID, len(q.Vertices))
+	evs := make([]rdf.TermID, len(q.Vars))
+	var keys []string
+	check := func() {
+		m := &Match{Frag: f.ID, Vec: slices.Clone(vec), EdgeVars: slices.Clone(evs)}
+		type slot struct {
+			from, to int
+			p        rdf.TermID
 		}
-		st := store.FromGraph(g)
-		k := 2 + r.Intn(3)
-		a := &partition.Assignment{K: k, Frag: map[rdf.TermID]int{}}
-		for _, v := range st.Vertices() {
-			a.Frag[v] = r.Intn(k)
+		uses := make(map[slot]int) // query edges per (vertex pair, label)
+		bound := make(map[int]bool)
+		for i, e := range q.Edges {
+			s, o := vec[e.From], vec[e.To]
+			if s == rdf.NoTerm || o == rdf.NoTerm || !(f.IsInternal(s) || f.IsInternal(o)) {
+				continue
+			}
+			p := e.Label
+			if e.HasVarLabel() {
+				p = evs[e.LabelVar]
+				bound[e.LabelVar] = true
+			}
+			m.MatchedEdges |= 1 << uint(i)
+			if f.IsCrossing(s, o) {
+				m.Crossing = append(m.Crossing, CrossEdge{QEdge: i, S: s, P: p, O: o})
+			}
+			sl := slot{e.From, e.To, p}
+			if uses[sl]++; uses[sl] > f.Store.CountTriples(s, p, o) {
+				return
+			}
 		}
-		d, err := fragment.Build(st, a)
+		for _, lv := range labelVars {
+			if bound[lv] != (evs[lv] != rdf.NoTerm) {
+				return
+			}
+		}
+		for i, u := range vec {
+			if u != rdf.NoTerm && f.IsInternal(u) {
+				m.Sign |= 1 << uint(i)
+			}
+		}
+		if Verify(f, q, m) == nil {
+			keys = append(keys, m.Key())
+		}
+	}
+	var assignLabels func(k int)
+	assignLabels = func(k int) {
+		if k == len(labelVars) {
+			check()
+			return
+		}
+		for _, p := range labels {
+			evs[labelVars[k]] = p
+			assignLabels(k + 1)
+		}
+	}
+	var assign func(qv int)
+	assign = func(qv int) {
+		if qv == len(q.Vertices) {
+			assignLabels(0)
+			return
+		}
+		for _, u := range domain {
+			vec[qv] = u
+			assign(qv + 1)
+		}
+	}
+	assign(0)
+	sort.Strings(keys)
+	return keys
+}
+
+// checkAgainstDefinition reports how Compute's output for f differs
+// from Definition 5's at the given pool widths, the first of which is 1:
+// every match verifies, no key appears twice, the key set is the
+// definition's, and the chunked runs return what the sequential one
+// does, in its order. It returns the number of matches.
+func checkAgainstDefinition(f *fragment.Fragment, q *query.Graph, widths ...int) (int, error) {
+	want := definitionMatches(f, q)
+	var seq []*Match
+	for _, width := range widths {
+		ms, err := Compute(f, q, Options{Pool: pool.New(width)})
 		if err != nil {
-			return false
+			return 0, err
 		}
-		q := query.NewBuilder(g.Dict).
-			Triple(query.Var("x"), query.IRI("p0"), query.Var("y")).
-			Triple(query.Var("y"), query.IRI("p1"), query.Var("z")).
-			Triple(query.Var("z"), query.IRI("p2"), query.Var("w")).
-			MustBuild()
+		if width == 1 {
+			seq = ms
+		} else if !reflect.DeepEqual(ms, seq) {
+			return 0, fmt.Errorf("F%d: width %d returns %d matches, differing from width 1's %d", f.ID, width, len(ms), len(seq))
+		}
+	}
+	keys := make([]string, len(seq))
+	for i, m := range seq {
+		if err := Verify(f, q, m); err != nil {
+			return 0, fmt.Errorf("F%d: %v fails Definition 5: %v", f.ID, m.Vec, err)
+		}
+		keys[i] = m.Key()
+	}
+	sort.Strings(keys)
+	if !slices.Equal(keys, want) {
+		return 0, fmt.Errorf("F%d: Compute finds %d matches (%d distinct), Definition 5 has %d", f.ID, len(keys), len(slices.Compact(slices.Clone(keys))), len(want))
+	}
+	return len(want), nil
+}
+
+// TestComputeAlwaysVerifies: on random multigraphs and partitionings —
+// second edge instances included, and one crossing edge always doubled so
+// that at width 8 a chunk ends and the next begins on the same triple —
+// Compute returns exactly the matches Definition 5 has, once each, at
+// every width.
+func TestComputeAlwaysVerifies(t *testing.T) {
+	x, y, z, w := query.Var("x"), query.Var("y"), query.Var("z"), query.Var("w")
+	p0, p1, p2 := query.IRI("p0"), query.IRI("p1"), query.IRI("p2")
+	shapes := map[string][][3]query.Node{
+		"path":           {{x, p0, y}, {y, p1, z}, {z, p2, w}},
+		"label variable": {{x, query.Var("l"), y}, {y, query.Var("l"), z}, {z, p0, w}},
+		"parallel edges": {{x, p0, y}, {x, query.Var("l"), y}, {y, p1, z}},
+	}
+	for name, patterns := range shapes {
+		t.Run(name, func(t *testing.T) {
+			matches, straddles := 0, 0
+			prop := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				g := rdf.NewGraph()
+				nv := 3 + r.Intn(6)
+				ne := 6 + r.Intn(14)
+				for i := 0; i < ne; i++ {
+					g.AddIRIs(fmt.Sprintf("v%d", r.Intn(nv)), fmt.Sprintf("p%d", r.Intn(3)), fmt.Sprintf("v%d", r.Intn(nv)))
+				}
+				g.Triples = append(g.Triples, g.Triples[:r.Intn(4)]...) // second instances
+				k := 2 + r.Intn(3)
+				a := &partition.Assignment{K: k, Frag: map[rdf.TermID]int{}}
+				for _, tr := range g.Triples {
+					for _, v := range []rdf.TermID{tr.S, tr.O} {
+						if _, ok := a.Frag[v]; !ok {
+							a.Frag[v] = r.Intn(k)
+						}
+					}
+				}
+				for _, tr := range g.Triples {
+					if a.Frag[tr.S] != a.Frag[tr.O] {
+						g.Triples = append(g.Triples, tr) // a doubled crossing edge
+						break
+					}
+				}
+				d, err := fragment.Build(store.FromGraph(g), a)
+				if err != nil {
+					t.Log(err)
+					return false
+				}
+				b := query.NewBuilder(g.Dict)
+				for _, p := range patterns {
+					b.Triple(p[0], p[1], p[2])
+				}
+				q := b.MustBuild()
+				for _, f := range d.Fragments {
+					n, err := checkAgainstDefinition(f, q, 1, 2, 8)
+					if err != nil {
+						t.Logf("seed %d: %v", seed, err)
+						return false
+					}
+					matches += n
+					// 32 chunks at width 8: with at most that many crossing
+					// edges every chunk is one triple, and a doubled edge
+					// straddles a boundary.
+					for i := 1; i < len(f.Crossing) && len(f.Crossing) <= 32; i++ {
+						if f.Crossing[i] == f.Crossing[i-1] {
+							straddles++
+						}
+					}
+				}
+				return true
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+				t.Error(err)
+			}
+			if matches == 0 || straddles == 0 {
+				t.Errorf("%d matches and %d chunk-straddling duplicates: the case was not exercised", matches, straddles)
+			}
+		})
+	}
+}
+
+// TestMaxMatchesBoundsTheWholeSite: the runaway valve counts a site's
+// matches, not a chunk's. At any width Compute fails once the site as a
+// whole passes the limit, having kept no more than limit matches plus at
+// most one in flight per chunk (it used to allow limit per chunk: 32×
+// at width 8).
+func TestMaxMatchesBoundsTheWholeSite(t *testing.T) {
+	d, q := lubm1LQ7(t)
+	const limit = 5
+	for _, width := range []int{1, 2, 8} {
+		for _, f := range d.Fragments {
+			ens, err := enumerate(f, q, Options{MaxMatches: limit, Pool: pool.New(width)})
+			if err != (ErrTooManyMatches{Limit: limit}) {
+				t.Fatalf("width %d F%d: err = %v, want ErrTooManyMatches{%d}", width, f.ID, err, limit)
+			}
+			kept := 0
+			for _, en := range ens {
+				kept += len(en.out)
+			}
+			if kept > limit+len(ens) {
+				t.Errorf("width %d F%d: %d chunks kept %d matches under a limit of %d", width, f.ID, len(ens), kept, limit)
+			}
+			if _, err := Compute(f, q, Options{MaxMatches: limit, Pool: pool.New(width)}); err != (ErrTooManyMatches{Limit: limit}) {
+				t.Errorf("width %d F%d: Compute err = %v", width, f.ID, err)
+			}
+		}
+	}
+	// At the limit exactly, nothing fails.
+	for _, f := range d.Fragments {
+		all, err := Compute(f, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Compute(f, q, Options{MaxMatches: len(all), Pool: pool.New(8)})
+		if err != nil || len(got) != len(all) {
+			t.Errorf("F%d: limit = match count %d: %d matches, err %v", f.ID, len(all), len(got), err)
+		}
+	}
+}
+
+// lubm1LQ7 is LUBM(1) under hash partitioning into four fragments with
+// its least selective complex query: 299 partial matches, a third of
+// them reachable from two crossing edges.
+func lubm1LQ7(t *testing.T) (*fragment.Distributed, *query.Graph) {
+	t.Helper()
+	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 1, Seed: 7})
+	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bq, err := ds.Query("LQ7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := bq.Parse(ds.Graph.Dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, q
+}
+
+// TestComputeAllocations pins what enumerating each match once, on a
+// search that restores its slots in line, bought on the heap: LUBM(1)
+// LQ7 at width 1 allocates at most half of what the tree before it did
+// (PARENT, measured the same way on that commit), where every match was
+// built once per crossing edge it contains and every step allocated its
+// undo closures.
+func TestComputeAllocations(t *testing.T) {
+	d, q := lubm1LQ7(t)
+	matches := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		matches = 0
 		for _, f := range d.Fragments {
 			ms, err := Compute(f, q, Options{})
 			if err != nil {
-				return false
+				t.Fatal(err)
 			}
-			seen := map[string]bool{}
-			for _, m := range ms {
-				if Verify(f, q, m) != nil {
-					return false
-				}
-				if seen[m.Key()] {
-					return false // duplicates escaped dedup
-				}
-				seen[m.Key()] = true
-			}
+			matches += len(ms)
 		}
-		return true
+	})
+	const parent = 4984
+	t.Logf("%.0f allocations for %d matches", allocs, matches)
+	if matches != 299 {
+		t.Errorf("%d matches, want 299", matches)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	if allocs > parent/2 {
+		t.Errorf("%.0f allocations, want at most half of the parent's %d", allocs, parent)
 	}
 }
 

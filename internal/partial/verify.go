@@ -147,7 +147,7 @@ func checkInternalConnectivity(f *fragment.Fragment, q *query.Graph, m *Match) e
 
 func checkMatchedConnectivity(q *query.Graph, m *Match) error {
 	// Vertices participating in matched edges must form one connected
-	// component through matched edges.
+	// component through matched edges, and only they are bound.
 	part := make(map[int]bool)
 	for i, e := range q.Edges {
 		if m.MatchedEdges&(1<<uint(i)) != 0 {
@@ -157,6 +157,11 @@ func checkMatchedConnectivity(q *query.Graph, m *Match) error {
 	}
 	if len(part) == 0 {
 		return fmt.Errorf("no matched edges")
+	}
+	for qv, u := range m.Vec {
+		if u != rdf.NoTerm && !part[qv] {
+			return fmt.Errorf("v%d bound to %d but on no matched edge", qv+1, u)
+		}
 	}
 	var first int
 	for v := range part {

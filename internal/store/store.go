@@ -2,6 +2,13 @@
 // paper's architecture (the role played by gStore [25]): an in-memory,
 // adjacency-indexed multigraph with signature-style candidate filtering and
 // backtracking subgraph-homomorphism matching for BGP queries (Def. 3).
+//
+// The backtracking itself is Search: the binding slots and the one edge
+// step of Def. 3, with the multi-edge injectivity rule written once. Two
+// drivers decide which edge it takes next — the matcher here (MatchFunc:
+// the plan's fixed edge order) and the local-partial-match enumerator of
+// package partial (Definition 5's forced edges) — so a site's partial
+// evaluation is its own matcher run a little further, as in [18].
 package store
 
 import (
@@ -201,17 +208,6 @@ func (st *Store) signatureOK(q *query.Graph, qv int, u rdf.TermID) bool {
 		}
 	}
 	return true
-}
-
-// CheckVertex reports whether data vertex u is a viable match for query
-// vertex qv: constants must be equal; variables must pass the signature
-// test.
-func (st *Store) CheckVertex(q *query.Graph, qv int, u rdf.TermID) bool {
-	v := q.Vertices[qv]
-	if !v.IsVar() {
-		return v.Const == u
-	}
-	return st.signatureOK(q, qv, u)
 }
 
 // Candidates computes C(Q, v): the set of vertices that could match query
