@@ -480,9 +480,10 @@ type UpdateStats struct {
 // nothing and keeps the current epoch, so caches stay warm.
 //
 // Cost: index work is proportional to the delta — the global store and
-// each touched fragment splice only the adjacency it names — plus a
-// vertex-count-proportional shallow copy of their adjacency maps (what
-// keeps the previous generation immutable). A delete also filters the
+// each touched fragment copy only the adjacency shards it names and
+// splice only the adjacency it names (the previous generation keeps its
+// own and stays immutable) — plus, per touched fragment, a copy of its
+// vertex set and crossing list. A delete also filters the
 // Graph.Triples view (triple-count-proportional), and in worker mode a
 // touched fragment still travels whole. Updates are cheap next to a
 // repartition, not next to a point write; batch them for throughput.

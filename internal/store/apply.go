@@ -1,6 +1,7 @@
 package store
 
 import (
+	"maps"
 	"sort"
 
 	"gstored/internal/rdf"
@@ -9,9 +10,10 @@ import (
 // Apply returns a new immutable Store reflecting st with every instance
 // of each triple in deleted removed and each triple in inserted added as
 // one instance. st itself is never modified — executions holding it keep
-// a consistent snapshot — and the cost is proportional to the vertex
-// count (one shallow map copy) plus the adjacency actually touched, not
-// to a full re-index of the graph.
+// a consistent snapshot — and the cost is proportional to the delta: the
+// adjacency shards its endpoints fall in are copied (the rest are shared
+// with st) and only the adjacency actually touched is spliced. A delta
+// that adds or removes a vertex also copies the sorted vertex list.
 //
 // Callers are expected to pass a set-semantics delta: inserted triples
 // not yet present and deleted triples that are (DB.Update normalizes its
@@ -23,21 +25,15 @@ import (
 func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 	next := &Store{
 		Dict:   st.Dict,
-		out:    make(map[rdf.TermID][]HalfEdge, len(st.out)),
-		in:     make(map[rdf.TermID][]HalfEdge, len(st.in)),
+		out:    st.out,
+		in:     st.in,
 		byPred: make(map[rdf.TermID][]rdf.Triple, len(st.byPred)),
 		size:   st.size,
 	}
-	// Shallow copy: untouched keys share their (immutable) slices with st.
-	for v, adj := range st.out {
-		next.out[v] = adj
-	}
-	for v, adj := range st.in {
-		next.in[v] = adj
-	}
-	for p, ts := range st.byPred {
-		next.byPred[p] = ts
-	}
+	maps.Copy(next.byPred, st.byPred)
+	// Shards and predicate lists still alias st's until edit, the drop*
+	// and the insert* helpers copy the ones the delta writes.
+	var ownOut, ownIn [adjShards]bool
 
 	// Deletions first: remove every instance from the touched adjacency
 	// slices (copy-on-write) and every entry from the deduplicated byPred
@@ -55,16 +51,17 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 		}
 		delSet[t] = true
 		next.size -= n
-		next.out[t.S] = dropHalfEdges(next.out[t.S], HalfEdge{t.P, t.O})
-		next.in[t.O] = dropHalfEdges(next.in[t.O], HalfEdge{t.P, t.S})
+		out, in := next.out.edit(t.S, &ownOut), next.in.edit(t.O, &ownIn)
+		out[t.S] = dropHalfEdges(out[t.S], HalfEdge{t.P, t.O})
+		in[t.O] = dropHalfEdges(in[t.O], HalfEdge{t.P, t.S})
 		next.byPred[t.P] = dropTriple(next.byPred[t.P], t)
 		// Emptied entries are removed outright so derived views (e.g.
 		// Predicates) match a from-scratch build of the same graph.
-		if len(next.out[t.S]) == 0 {
-			delete(next.out, t.S)
+		if len(out[t.S]) == 0 {
+			delete(out, t.S)
 		}
-		if len(next.in[t.O]) == 0 {
-			delete(next.in, t.O)
+		if len(in[t.O]) == 0 {
+			delete(in, t.O)
 		}
 		if len(next.byPred[t.P]) == 0 {
 			delete(next.byPred, t.P)
@@ -75,8 +72,9 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 	// new, into the deduplicated byPred list.
 	for _, t := range inserted {
 		next.size++
-		next.out[t.S] = insertHalfEdge(next.out[t.S], st.out[t.S], HalfEdge{t.P, t.O})
-		next.in[t.O] = insertHalfEdge(next.in[t.O], st.in[t.O], HalfEdge{t.P, t.S})
+		out, in := next.out.edit(t.S, &ownOut), next.in.edit(t.O, &ownIn)
+		out[t.S] = insertHalfEdge(out[t.S], st.out.of(t.S), HalfEdge{t.P, t.O})
+		in[t.O] = insertHalfEdge(in[t.O], st.in.of(t.O), HalfEdge{t.P, t.S})
 		next.byPred[t.P] = insertTriple(next.byPred[t.P], st.byPred[t.P], t)
 	}
 
@@ -107,7 +105,7 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 		for _, v := range [2]rdf.TermID{t.S, t.O} {
 			// st.HasVertex guards the arithmetic below: only a vertex the
 			// old graph actually had can be "removed" from it.
-			if !added[v] && st.HasVertex(v) && len(next.out[v]) == 0 && len(next.in[v]) == 0 {
+			if !added[v] && st.HasVertex(v) && len(next.out.of(v)) == 0 && len(next.in.of(v)) == 0 {
 				removed[v] = true
 			}
 		}

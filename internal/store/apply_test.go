@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -141,6 +142,62 @@ func TestApplyUntouchedAdjacencyIsShared(t *testing.T) {
 	b := dict.EncodeIRI("b")
 	if len(st.Out(b)) == 0 || &st.Out(b)[0] != &got.Out(b)[0] {
 		t.Error("untouched adjacency was copied instead of shared")
+	}
+}
+
+// TestApplyCopiesOnlyTouchedShards pins what makes Apply's cost follow
+// the delta on a graph whose shards each hold several vertices: over a
+// chain of random deltas every generation equals a from-scratch build,
+// shares every adjacency shard the delta's endpoints do not fall in with
+// the generation before it, and leaves that generation as it was.
+func TestApplyCopiesOnlyTouchedShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dict := rdf.NewDictionary()
+	name := func(i int) rdf.TermID { return dict.EncodeIRI(fmt.Sprintf("v%d", i)) }
+	pred := func(i int) rdf.TermID { return dict.EncodeIRI(fmt.Sprintf("p%d", i)) }
+	const vertices = 5 * adjShards
+	var base []rdf.Triple
+	for i := 0; i < 4*vertices; i++ {
+		base = append(base, rdf.Triple{S: name(rng.Intn(vertices)), P: pred(rng.Intn(3)), O: name(rng.Intn(vertices))})
+	}
+	shardPtr := func(m map[rdf.TermID][]HalfEdge) uintptr { return reflect.ValueOf(m).Pointer() }
+	st := New(dict, base)
+	for step := 0; step < 40; step++ {
+		var inserted, deleted []rdf.Triple
+		for i := 0; i < 4; i++ {
+			// A quarter of the inserts name a vertex the graph has not seen.
+			tr := rdf.Triple{S: name(rng.Intn(vertices + vertices/4)), P: pred(rng.Intn(3)), O: name(rng.Intn(vertices))}
+			if !st.HasTriple(tr.S, tr.P, tr.O) && !slices.Contains(inserted, tr) {
+				inserted = append(inserted, tr)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			deleted = append(deleted, base[rng.Intn(len(base))])
+		}
+		before := st.Triples()
+		next := applyEquivalent(t, dict, base, inserted, deleted)
+		touchedOut, touchedIn := map[rdf.TermID]bool{}, map[rdf.TermID]bool{}
+		for _, tr := range append(inserted, deleted...) {
+			touchedOut[tr.S%adjShards], touchedIn[tr.O%adjShards] = true, true
+		}
+		// applyEquivalent applied the delta to its own New(dict, base); do the
+		// same to the chained store, whose shards the identities below refer to.
+		chained := st.Apply(inserted, deleted)
+		if !reflect.DeepEqual(chained.Triples(), next.Triples()) {
+			t.Fatalf("step %d: the chained store and a fresh one disagree after the same delta", step)
+		}
+		for i := range rdf.TermID(adjShards) {
+			if !touchedOut[i] && shardPtr(chained.out[i]) != shardPtr(st.out[i]) {
+				t.Errorf("step %d: out shard %d copied though no subject of the delta falls in it", step, i)
+			}
+			if !touchedIn[i] && shardPtr(chained.in[i]) != shardPtr(st.in[i]) {
+				t.Errorf("step %d: in shard %d copied though no object of the delta falls in it", step, i)
+			}
+		}
+		if !reflect.DeepEqual(st.Triples(), before) {
+			t.Fatalf("step %d: Apply wrote to the generation it was applied to", step)
+		}
+		st, base = chained, chained.Triples()
 	}
 }
 

@@ -221,7 +221,7 @@ func (m *matcher) step() {
 		}
 	}
 	for _, s := range vs {
-		adj := m.st.out[s]
+		adj := m.st.out.of(s)
 		for i, he := range adj {
 			if i > 0 && he == adj[i-1] {
 				continue

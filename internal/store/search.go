@@ -112,7 +112,7 @@ func (s *Search) Extend(ei int) {
 			return
 		}
 		// Open label variable: each distinct label between u and w.
-		adj := s.st.out[u]
+		adj := s.st.out.of(u)
 		for i, he := range adj {
 			if he.V != w || (i > 0 && he == adj[i-1]) {
 				continue
@@ -125,9 +125,9 @@ func (s *Search) Extend(ei int) {
 		return
 	}
 	forward := u != rdf.NoTerm
-	adj, free := s.st.in[w], e.From
+	adj, free := s.st.in.of(w), e.From
 	if forward {
-		adj, free = s.st.out[u], e.To
+		adj, free = s.st.out.of(u), e.To
 	}
 	if p != rdf.NoTerm {
 		adj = predRange(adj, p)

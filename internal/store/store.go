@@ -12,6 +12,7 @@
 package store
 
 import (
+	"maps"
 	"sort"
 
 	"gstored/internal/query"
@@ -23,6 +24,31 @@ type HalfEdge struct {
 	P, V rdf.TermID
 }
 
+// adjShards is how many ways an adjacency index is split. A delta of a
+// few triples names a few vertices, so Apply copies that many of the 256
+// shards and the new generation shares the rest with the old one.
+const adjShards = 256
+
+// adjacency maps a vertex to its half-edges, sharded by vertex ID. A nil
+// shard is empty.
+type adjacency [adjShards]map[rdf.TermID][]HalfEdge
+
+func (a *adjacency) of(v rdf.TermID) []HalfEdge { return a[v%adjShards][v] }
+
+// edit returns v's shard for writing. The first edit of a shard replaces
+// it by a copy and marks it owned, so whoever shared it before never sees
+// the write.
+func (a *adjacency) edit(v rdf.TermID, owned *[adjShards]bool) map[rdf.TermID][]HalfEdge {
+	i := v % adjShards
+	if !owned[i] {
+		owned[i] = true
+		m := make(map[rdf.TermID][]HalfEdge, len(a[i]))
+		maps.Copy(m, a[i])
+		a[i] = m
+	}
+	return a[i]
+}
+
 // Store is an immutable, indexed RDF multigraph. Build one with New; the
 // zero value is an empty graph.
 type Store struct {
@@ -31,8 +57,8 @@ type Store struct {
 	// out[s] and in[o] are adjacency lists sorted by (P, V); duplicates are
 	// kept (RDF graphs are sets, but fragments replicate crossing edges and
 	// generators may emit multisets — matching treats entries as instances).
-	out map[rdf.TermID][]HalfEdge
-	in  map[rdf.TermID][]HalfEdge
+	out adjacency
+	in  adjacency
 
 	// byPred[p] lists the triples carrying predicate p.
 	byPred map[rdf.TermID][]rdf.Triple
@@ -49,24 +75,26 @@ type Store struct {
 func New(dict *rdf.Dictionary, triples []rdf.Triple) *Store {
 	st := &Store{
 		Dict:   dict,
-		out:    make(map[rdf.TermID][]HalfEdge),
-		in:     make(map[rdf.TermID][]HalfEdge),
 		byPred: make(map[rdf.TermID][]rdf.Triple),
 	}
 	vset := make(map[rdf.TermID]bool)
+	var ownOut, ownIn [adjShards]bool
 	for _, t := range triples {
-		st.out[t.S] = append(st.out[t.S], HalfEdge{t.P, t.O})
-		st.in[t.O] = append(st.in[t.O], HalfEdge{t.P, t.S})
+		out, in := st.out.edit(t.S, &ownOut), st.in.edit(t.O, &ownIn)
+		out[t.S] = append(out[t.S], HalfEdge{t.P, t.O})
+		in[t.O] = append(in[t.O], HalfEdge{t.P, t.S})
 		st.byPred[t.P] = append(st.byPred[t.P], t)
 		vset[t.S] = true
 		vset[t.O] = true
 	}
 	st.size = len(triples)
-	for _, adj := range st.out {
-		sortHalfEdges(adj)
-	}
-	for _, adj := range st.in {
-		sortHalfEdges(adj)
+	for i := range adjShards {
+		for _, adj := range st.out[i] {
+			sortHalfEdges(adj)
+		}
+		for _, adj := range st.in[i] {
+			sortHalfEdges(adj)
+		}
 	}
 	// byPred lists are used to seed matching: identical triples would seed
 	// identical bindings, so deduplicate (instance multiplicity stays
@@ -120,16 +148,16 @@ func (st *Store) HasVertex(v rdf.TermID) bool {
 
 // Out returns the outgoing adjacency of s (sorted by predicate then
 // object). Callers must not modify it.
-func (st *Store) Out(s rdf.TermID) []HalfEdge { return st.out[s] }
+func (st *Store) Out(s rdf.TermID) []HalfEdge { return st.out.of(s) }
 
 // In returns the incoming adjacency of o. Callers must not modify it.
-func (st *Store) In(o rdf.TermID) []HalfEdge { return st.in[o] }
+func (st *Store) In(o rdf.TermID) []HalfEdge { return st.in.of(o) }
 
 // OutWith returns the sub-slice of s's outgoing edges labeled p.
-func (st *Store) OutWith(s, p rdf.TermID) []HalfEdge { return predRange(st.out[s], p) }
+func (st *Store) OutWith(s, p rdf.TermID) []HalfEdge { return predRange(st.out.of(s), p) }
 
 // InWith returns the sub-slice of o's incoming edges labeled p.
-func (st *Store) InWith(o, p rdf.TermID) []HalfEdge { return predRange(st.in[o], p) }
+func (st *Store) InWith(o, p rdf.TermID) []HalfEdge { return predRange(st.in.of(o), p) }
 
 func predRange(adj []HalfEdge, p rdf.TermID) []HalfEdge {
 	lo := sort.Search(len(adj), func(i int) bool { return adj[i].P >= p })
@@ -173,7 +201,7 @@ func (st *Store) Predicates() []rdf.TermID {
 func (st *Store) Triples() []rdf.Triple {
 	out := make([]rdf.Triple, 0, st.size)
 	for _, s := range st.vertices {
-		for _, he := range st.out[s] {
+		for _, he := range st.out.of(s) {
 			out = append(out, rdf.Triple{S: s, P: he.P, O: he.V})
 		}
 	}
@@ -190,7 +218,7 @@ func (st *Store) signatureOK(q *query.Graph, qv int, u rdf.TermID) bool {
 	for _, e := range q.Edges {
 		if e.From == qv {
 			if e.HasVarLabel() {
-				if len(st.out[u]) == 0 {
+				if len(st.out.of(u)) == 0 {
 					return false
 				}
 			} else if len(st.OutWith(u, e.Label)) == 0 {
@@ -199,7 +227,7 @@ func (st *Store) signatureOK(q *query.Graph, qv int, u rdf.TermID) bool {
 		}
 		if e.To == qv {
 			if e.HasVarLabel() {
-				if len(st.in[u]) == 0 {
+				if len(st.in.of(u)) == 0 {
 					return false
 				}
 			} else if len(st.InWith(u, e.Label)) == 0 {
