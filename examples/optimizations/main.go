@@ -55,6 +55,6 @@ reading the table:
   LA    groups by LECSign and joins through a crossing-edge index (fewer attempts);
   LO    additionally ships LEC features first and prunes matches that cannot
         contribute to any complete match (Theorem 4);
-  full  additionally exchanges candidate bit vectors so false-positive partial
+  full  additionally exchanges candidate sets so false-positive partial
         matches are never generated at all (Section VI).`)
 }

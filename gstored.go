@@ -102,7 +102,7 @@ const (
 	ModeBasic = engine.Basic // partial evaluation and assembly of [18]
 	ModeLA    = engine.LA    // + LEC-feature-based assembly
 	ModeLO    = engine.LO    // + LEC-feature-based pruning
-	ModeFull  = engine.Full  // + internal-candidate bit vectors
+	ModeFull  = engine.Full  // + internal-candidate sets
 )
 
 // Term constructors.

@@ -1,18 +1,30 @@
 // Package candidates implements Section VI: assembling variables' internal
-// candidates. Each site compresses the internal candidate set C(Q, v) of
-// every variable vertex into a fixed-length hashed bit vector; the
-// coordinator ORs the per-site vectors and broadcasts the union, which the
-// partial-evaluation stage then uses to discard extended-vertex bindings
-// that are internal candidates at no site (Algorithm 4).
+// candidates. Each site computes the internal candidate set C(Q, v) of
+// every variable vertex, the coordinator unions the per-site sets and
+// broadcasts the union, and the partial-evaluation stage uses it to
+// discard extended-vertex bindings that are internal candidates at no site
+// (Algorithm 4).
 //
-// The vectors behave like Bloom filters with a single hash function: false
-// positives only, never false negatives, so filtering is always safe.
+// C(Q, v) checks a vertex's own adjacency: the labels of v's query edges
+// and the edges v shares with constants. A fragment holds every edge of an
+// internal vertex (Definition 1) but only the crossing edges of an
+// extended one, so the test is exact for internal vertices alone, and
+// those are the ones a site reports.
+//
+// A set travels in the smaller of two forms, decided per variable from
+// the set itself. The list form is the sorted IDs, varint-delta coded: it
+// is exact, so the filter built from it admits no false candidate. The
+// bits form is the paper's fixed-length hashed bit vector, a Bloom filter
+// with a single hash function: false positives only, never false
+// negatives. Filtering is safe under either. ShipmentBytes, the gob pair
+// of SiteVectors and the §IX model all price the one encoding of
+// codec.go.
 package candidates
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"gstored/internal/fragment"
 	"gstored/internal/query"
@@ -31,13 +43,18 @@ type BitVector struct {
 	n    int
 }
 
-// NewBitVector returns an all-zero vector of n bits (n must be positive
-// and is rounded up to a multiple of 64).
-func NewBitVector(n int) *BitVector {
+// vectorWords is the word count of an n-bit vector: n must be positive
+// (else DefaultBits) and is rounded up to a multiple of 64.
+func vectorWords(n int) int {
 	if n <= 0 {
 		n = DefaultBits
 	}
-	words := (n + 63) / 64
+	return (n + 63) / 64
+}
+
+// NewBitVector returns an all-zero vector of n bits (see vectorWords).
+func NewBitVector(n int) *BitVector {
+	words := vectorWords(n)
 	return &BitVector{bits: make([]uint64, words), n: words * 64}
 }
 
@@ -78,177 +95,185 @@ func (b *BitVector) Or(other *BitVector) error {
 	return nil
 }
 
-// Bytes reports the wire size of the vector.
-func (b *BitVector) Bytes() int { return len(b.bits) * 8 }
+// Form is the encoding a candidate set travels in.
+type Form int
 
-// GobEncode implements gob.GobEncoder: little-endian words after the bit
-// length, so candidate vectors can ride the coordinator↔worker RPC.
-func (b *BitVector) GobEncode() ([]byte, error) {
-	out := make([]byte, 8+8*len(b.bits))
-	binary.LittleEndian.PutUint64(out, uint64(b.n))
-	for i, w := range b.bits {
-		binary.LittleEndian.PutUint64(out[8+8*i:], w)
-	}
-	return out, nil
+const (
+	List Form = iota // sorted varint-delta IDs: exact
+	Bits             // hashed bit vector: false positives only
+	NumForms
+)
+
+// FormNames are the forms' report and label names.
+var FormNames = [NumForms]string{"list", "bits"}
+
+func (f Form) String() string { return FormNames[f] }
+
+// Set is one variable's candidate set in the smaller of its two forms.
+type Set struct {
+	ids  []rdf.TermID // List: strictly increasing
+	vec  *BitVector   // Bits; nil in the list form
+	size int          // encoded length in bytes
 }
 
-// GobDecode implements gob.GobDecoder.
-func (b *BitVector) GobDecode(data []byte) error {
-	if len(data) < 8 || len(data)%8 != 0 {
-		return fmt.Errorf("candidates: bit vector payload of %d bytes", len(data))
+// newSet holds ids (strictly increasing) as a list when that encodes
+// smaller than a bits-long vector, else hashed into one.
+func newSet(ids []rdf.TermID, bits int) *Set {
+	if size := listSize(ids); size < vectorSize(vectorWords(bits)) {
+		return &Set{ids: ids, size: size}
 	}
-	n := int(binary.LittleEndian.Uint64(data))
-	words := len(data)/8 - 1
-	if n != words*64 {
-		return fmt.Errorf("candidates: bit vector claims %d bits over %d words", n, words)
-	}
-	b.n = n
-	b.bits = make([]uint64, words)
-	for i := range b.bits {
-		b.bits[i] = binary.LittleEndian.Uint64(data[8+8*i:])
-	}
-	return nil
+	return hashedSet(ids, bits)
 }
 
-// PopCount returns the number of set bits (diagnostics).
-func (b *BitVector) PopCount() int {
+// hashedSet hashes ids into a bits-long vector.
+func hashedSet(ids []rdf.TermID, bits int) *Set {
+	vec := NewBitVector(bits)
+	for _, u := range ids {
+		vec.Set(u)
+	}
+	return &Set{vec: vec, size: vectorSize(len(vec.bits))}
+}
+
+// Form reports which form the set holds.
+func (s *Set) Form() Form {
+	if s.vec != nil {
+		return Bits
+	}
+	return List
+}
+
+// Count is the number of candidates of a list, the number of set bits of
+// a vector.
+func (s *Set) Count() int {
+	if s.vec == nil {
+		return len(s.ids)
+	}
 	c := 0
-	for _, w := range b.bits {
-		for ; w != 0; w &= w - 1 {
-			c++
-		}
+	for _, w := range s.vec.bits {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
 
-// SiteVectors holds one site's candidate bit vectors, indexed by query
-// vertex (nil for constant vertices).
+// Has reports whether u may be a candidate: exactly for a list, up to
+// hash collisions for a vector.
+func (s *Set) Has(u rdf.TermID) bool {
+	if s.vec != nil {
+		return s.vec.Test(u)
+	}
+	_, ok := slices.BinarySearch(s.ids, u)
+	return ok
+}
+
+// SiteVectors holds one site's candidate sets — or their union — indexed
+// by query vertex (nil for constant vertices).
 type SiteVectors struct {
-	Vectors []*BitVector
-}
-
-// GobEncode implements gob.GobEncoder. SiteVectors needs a custom
-// encoding because gob refuses nil pointers inside slices, and constant
-// query vertices legitimately have no vector: each slot is encoded as a
-// length-prefixed vector payload, zero length marking nil.
-func (s *SiteVectors) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(s.Vectors)))
-	buf.Write(hdr[:])
-	for _, v := range s.Vectors {
-		if v == nil {
-			binary.LittleEndian.PutUint64(hdr[:], 0)
-			buf.Write(hdr[:])
-			continue
-		}
-		b, err := v.GobEncode()
-		if err != nil {
-			return nil, err
-		}
-		binary.LittleEndian.PutUint64(hdr[:], uint64(len(b)))
-		buf.Write(hdr[:])
-		buf.Write(b)
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (s *SiteVectors) GobDecode(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("candidates: site-vectors payload of %d bytes", len(data))
-	}
-	n := binary.LittleEndian.Uint64(data)
-	data = data[8:]
-	if n > uint64(len(data)) { // each non-nil slot needs >= 8 bytes anyway
-		return fmt.Errorf("candidates: site-vectors claim %d slots in %d bytes", n, len(data))
-	}
-	s.Vectors = make([]*BitVector, n)
-	for i := range s.Vectors {
-		if len(data) < 8 {
-			return fmt.Errorf("candidates: truncated site-vectors payload")
-		}
-		vn := binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		if vn == 0 {
-			continue // nil slot: a constant vertex
-		}
-		if vn > uint64(len(data)) {
-			return fmt.Errorf("candidates: truncated site-vectors payload")
-		}
-		v := new(BitVector)
-		if err := v.GobDecode(data[:vn]); err != nil {
-			return err
-		}
-		s.Vectors[i] = v
-		data = data[vn:]
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("candidates: %d trailing bytes after site vectors", len(data))
-	}
-	return nil
-}
-
-// ShipmentBytes is the wire size of the site's vectors.
-func (s *SiteVectors) ShipmentBytes() int {
-	total := 0
-	for _, v := range s.Vectors {
-		if v != nil {
-			total += v.Bytes()
-		}
-	}
-	return total
+	Sets []*Set
 }
 
 // ComputeSite finds, for every variable query vertex, the internal
-// candidates C(Q, v) in fragment f and compresses them into bit vectors
-// (the site half of Algorithm 4).
+// candidates C(Q, v) in fragment f (the site half of Algorithm 4); bits
+// is the length of the hashed form.
 func ComputeSite(f *fragment.Fragment, q *query.Graph, bits int) *SiteVectors {
-	sv := &SiteVectors{Vectors: make([]*BitVector, len(q.Vertices))}
+	sv := &SiteVectors{Sets: make([]*Set, len(q.Vertices))}
 	for qv, v := range q.Vertices {
 		if !v.IsVar() {
 			continue
 		}
-		bv := NewBitVector(bits)
-		for _, u := range f.Store.Candidates(q, qv) {
-			if f.IsInternal(u) {
-				bv.Set(u)
-			}
-		}
-		sv.Vectors[qv] = bv
+		// Store.Candidates is exact for internal vertices only.
+		ids := f.Store.Candidates(q, qv)
+		ids = slices.DeleteFunc(ids, func(u rdf.TermID) bool { return !f.IsInternal(u) })
+		sv.Sets[qv] = newSet(ids, bits)
 	}
 	return sv
 }
 
-// Union ORs the per-site vectors per variable (the coordinator half of
-// Algorithm 4). All sites must use the same bit length.
+// Union merges the per-site sets per variable (the coordinator half of
+// Algorithm 4). Internal candidates are disjoint across sites, so the
+// union of lists is their merge; it stays a list while that is the
+// smaller form and is hashed into a bits-long vector otherwise, or when
+// some site sent a vector — all of which must be bits long.
 func Union(sites []*SiteVectors, q *query.Graph, bits int) (*SiteVectors, error) {
-	out := &SiteVectors{Vectors: make([]*BitVector, len(q.Vertices))}
+	out := &SiteVectors{Sets: make([]*Set, len(q.Vertices))}
 	for qv, v := range q.Vertices {
 		if !v.IsVar() {
 			continue
 		}
-		u := NewBitVector(bits)
-		for _, s := range sites {
-			if err := u.Or(s.Vectors[qv]); err != nil {
+		var ids []rdf.TermID
+		var vecs []*BitVector
+		for i, s := range sites {
+			if qv >= len(s.Sets) {
+				return nil, fmt.Errorf("candidates: site %d sent %d sets for %d query vertices", i, len(s.Sets), len(q.Vertices))
+			}
+			if set := s.Sets[qv]; set != nil {
+				ids = append(ids, set.ids...)
+				if set.vec != nil {
+					vecs = append(vecs, set.vec)
+				}
+			}
+		}
+		// A list takes more than a byte per ID: past the vector's size no
+		// merge can be the smaller form, and hashing needs no order.
+		if len(vecs) == 0 && len(ids) < vectorSize(vectorWords(bits)) {
+			slices.Sort(ids)
+			out.Sets[qv] = newSet(slices.Compact(ids), bits)
+			continue
+		}
+		u := hashedSet(ids, bits)
+		for _, vec := range vecs {
+			if err := u.vec.Or(vec); err != nil {
 				return nil, err
 			}
 		}
-		out.Vectors[qv] = u
+		out.Sets[qv] = u
 	}
 	return out, nil
 }
 
-// Filter adapts the union vectors to the partial-evaluation extended-
-// vertex filter: binding query vertex qv to extended vertex u is allowed
-// only if u is an internal candidate somewhere (bit set). Constant query
-// vertices are never filtered.
+// Filter adapts the union to the partial-evaluation extended-vertex
+// filter: binding query vertex qv to extended vertex u is allowed only if
+// u is an internal candidate somewhere. Constant query vertices are never
+// filtered.
 func (s *SiteVectors) Filter() func(qv int, u rdf.TermID) bool {
 	return func(qv int, u rdf.TermID) bool {
-		bv := s.Vectors[qv]
-		if bv == nil {
+		if qv >= len(s.Sets) || s.Sets[qv] == nil {
 			return true
 		}
-		return bv.Test(u)
+		return s.Sets[qv].Has(u)
 	}
+}
+
+// VarStat is one query variable's share of a stage-0 exchange.
+type VarStat struct {
+	Var       string // the variable's name
+	Form      Form   // of the union
+	Count     int    // the union's candidates (list) or set bits (bits)
+	BytesUp   int64  // the sites' sets, to the coordinator
+	BytesDown int64  // the union, back to every site
+}
+
+// Exchange attributes the bytes of one exchange — every site's sets up,
+// the union down to each — to the query's variables. framing is the rest
+// of the encodings: slot counts and the constant vertices' empty slots.
+// vars and framing sum to the ShipmentBytes of the messages.
+func Exchange(q *query.Graph, sites []*SiteVectors, union *SiteVectors) (vars []VarStat, framing int64) {
+	k := int64(len(sites))
+	framing = k * int64(union.ShipmentBytes())
+	for _, s := range sites {
+		framing += int64(s.ShipmentBytes())
+	}
+	for qv, u := range union.Sets {
+		if u == nil {
+			continue
+		}
+		st := VarStat{Var: q.Vars[q.Vertices[qv].Var], Form: u.Form(), Count: u.Count(), BytesDown: k * int64(u.size)}
+		for _, s := range sites {
+			if set := s.Sets[qv]; set != nil {
+				st.BytesUp += int64(set.size)
+			}
+		}
+		framing -= st.BytesUp + st.BytesDown
+		vars = append(vars, st)
+	}
+	return vars, framing
 }

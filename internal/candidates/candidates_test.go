@@ -1,14 +1,16 @@
 package candidates
 
 import (
-	"fmt"
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"gstored/internal/fragment"
 	"gstored/internal/paperexample"
 	"gstored/internal/partial"
+	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
 
@@ -23,11 +25,8 @@ func TestBitVectorBasics(t *testing.T) {
 			t.Errorf("bit for %d lost", id)
 		}
 	}
-	if bv.Bytes() != 16 {
-		t.Errorf("Bytes = %d, want 16", bv.Bytes())
-	}
-	if bv.PopCount() == 0 || bv.PopCount() > len(ids) {
-		t.Errorf("PopCount = %d", bv.PopCount())
+	if set := (&Set{vec: bv}); set.Count() == 0 || set.Count() > len(ids) || set.Form() != Bits {
+		t.Errorf("%v set counts %d bits for %d IDs", set.Form(), set.Count(), len(ids))
 	}
 }
 
@@ -128,8 +127,8 @@ func TestAlgorithm4OnPaperExample(t *testing.T) {
 }
 
 // TestFilterPrunesNonCandidates: a vertex that is no internal candidate
-// anywhere must be rejected (modulo hash collisions; with 2^20 bits and a
-// 20-vertex graph collisions are implausible).
+// anywhere must be rejected (the union of a 20-vertex graph's sets is a
+// list, so no hash collision can admit it).
 func TestFilterPrunesNonCandidates(t *testing.T) {
 	ex := paperexample.New()
 	d, err := fragment.Build(ex.Store, ex.Assignment)
@@ -203,98 +202,226 @@ func TestComputeSiteSkipsConstants(t *testing.T) {
 	ex := paperexample.New()
 	d, _ := fragment.Build(ex.Store, ex.Assignment)
 	sv := ComputeSite(d.Fragments[0], ex.Query, 512)
-	if sv.Vectors[4] != nil {
-		t.Error("constant query vertex received a candidate vector")
+	if sv.Sets[4] != nil {
+		t.Error("constant query vertex received a candidate set")
 	}
 	for qv := 0; qv < 4; qv++ {
-		if sv.Vectors[qv] == nil {
-			t.Errorf("variable vertex %d missing vector", qv)
+		if sv.Sets[qv] == nil {
+			t.Errorf("variable vertex %d missing its set", qv)
 		}
 	}
 }
 
+// encode is GobEncode with the pricing invariant checked: ShipmentBytes
+// is the length of what the encoder produces.
+func encode(t *testing.T, sv *SiteVectors) []byte {
+	t.Helper()
+	data, err := sv.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sv.ShipmentBytes() != len(data) {
+		t.Errorf("ShipmentBytes = %d, encoding is %d bytes", sv.ShipmentBytes(), len(data))
+	}
+	return data
+}
+
+// TestUnionShipmentAccounting: on the running example every site's sets
+// and their union are priced at their encoded length — a few bytes of
+// list each, where the flat vectors cost 4 × 512.
 func TestUnionShipmentAccounting(t *testing.T) {
 	ex := paperexample.New()
 	d, _ := fragment.Build(ex.Store, ex.Assignment)
-	sv := ComputeSite(d.Fragments[0], ex.Query, 1<<12)
-	// 4 variable vertices × (2^12 bits = 512 bytes).
-	if got := sv.ShipmentBytes(); got != 4*512 {
-		t.Errorf("ShipmentBytes = %d, want %d", got, 4*512)
+	var sites []*SiteVectors
+	for _, f := range d.Fragments {
+		sv := ComputeSite(f, ex.Query, 1<<12)
+		if n := len(encode(t, sv)); n >= 64 {
+			t.Errorf("F%d ships %d bytes for a handful of candidates", f.ID+1, n)
+		}
+		sites = append(sites, sv)
+	}
+	union, err := Union(sites, ex.Query, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode(t, union)
+	for qv, set := range union.Sets {
+		if set != nil && set.Form() != List {
+			t.Errorf("union of query vertex %d left the list form", qv)
+		}
+	}
+}
+
+// TestShipmentBytesIsEncodedLength covers each kind of slot alone and
+// together: a list, a vector, an empty set (one byte) and no set.
+func TestShipmentBytesIsEncodedLength(t *testing.T) {
+	list := newSet([]rdf.TermID{3, 4, 200, 70000}, DefaultBits)
+	dense := make([]rdf.TermID, 400)
+	for i := range dense {
+		dense[i] = rdf.TermID(1000 + 300*i)
+	}
+	vec := newSet(dense, 1<<10)
+	empty := newSet(nil, DefaultBits)
+	if list.Form() != List || vec.Form() != Bits || empty.Form() != List {
+		t.Fatalf("forms = %v, %v, %v; want list, bits, list", list.Form(), vec.Form(), empty.Form())
+	}
+	if list.size != 1+1+1+2+3 || empty.size != 1 || vec.size != 1+1+128 {
+		t.Errorf("slot sizes = %d, %d, %d", list.size, empty.size, vec.size)
+	}
+	for _, sets := range [][]*Set{{list}, {vec}, {empty}, {nil}, {nil, list, vec, nil, empty}, {}} {
+		sv := &SiteVectors{Sets: sets}
+		data := encode(t, sv)
+		var got SiteVectors
+		if err := got.GobDecode(data); err != nil {
+			t.Fatalf("%d slots: %v", len(sets), err)
+		}
+		if again := encode(t, &got); !bytes.Equal(again, data) {
+			t.Errorf("%d slots: decoded sets re-encode to %x, want %x", len(sets), again, data)
+		}
+	}
+}
+
+// siteSets deals n random IDs to k disjoint sites.
+func siteSets(r *rand.Rand, k, n, bits int) (sites []*SiteVectors, all []rdf.TermID) {
+	per := make([][]rdf.TermID, k)
+	for _, i := range r.Perm(8 * n)[:n] {
+		id, j := rdf.TermID(i+1), r.Intn(k)
+		per[j] = append(per[j], id)
+		all = append(all, id)
+	}
+	for _, ids := range per {
+		slices.Sort(ids)
+		sites = append(sites, &SiteVectors{Sets: []*Set{newSet(ids, bits)}})
+	}
+	slices.Sort(all)
+	return sites, all
+}
+
+// TestUnionForms: the same site lists union to a list under a long
+// vector length and to a vector under a short one. The list admits exactly
+// the sites' candidates; the vector admits those and false positives, never
+// fewer.
+func TestUnionForms(t *testing.T) {
+	q := query.NewBuilder(rdf.NewDictionary()).
+		Triple(query.Var("x"), query.Var("p"), query.Var("x")).MustBuild()
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		sites, all := siteSets(r, 4, 160, DefaultBits)
+		exact, err := Union(sites, q, DefaultBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashed, err := Union(sites, q, 1<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.Sets[0].Form() != List || hashed.Sets[0].Form() != Bits {
+			t.Fatalf("forms = %v, %v; want list, bits", exact.Sets[0].Form(), hashed.Sets[0].Form())
+		}
+		if exact.Sets[0].Count() != len(all) {
+			t.Fatalf("list union holds %d candidates, sites sent %d", exact.Sets[0].Count(), len(all))
+		}
+		inList, inBits := exact.Filter(), hashed.Filter()
+		falsePositives := 0
+		for u := rdf.TermID(1); u <= 8*160; u++ {
+			_, member := slices.BinarySearch(all, u)
+			if inList(0, u) != member {
+				t.Fatalf("list union admits %d: %v, member: %v", u, inList(0, u), member)
+			}
+			if member && !inBits(0, u) {
+				t.Fatalf("bits union lost candidate %d", u)
+			}
+			if !member && inBits(0, u) {
+				falsePositives++
+			}
+		}
+		if falsePositives == 0 {
+			t.Error("a 1 Ki-bit vector over 160 IDs admitted no false positive: is it hashed at all?")
+		}
+		// A site that had to send a vector makes the union one.
+		sites[0] = &SiteVectors{Sets: []*Set{hashedSet(all[:3], DefaultBits)}}
+		mixed, err := Union(sites, q, DefaultBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mixed.Sets[0].Form() != Bits {
+			t.Fatal("union over a vector stayed a list")
+		}
+		for _, u := range all[:3] {
+			if !mixed.Filter()(0, u) {
+				t.Fatalf("mixed union lost candidate %d", u)
+			}
+		}
 	}
 }
 
 func TestUnionLengthMismatch(t *testing.T) {
 	ex := paperexample.New()
-	d, _ := fragment.Build(ex.Store, ex.Assignment)
-	a := ComputeSite(d.Fragments[0], ex.Query, 64)
-	b := ComputeSite(d.Fragments[1], ex.Query, 128)
+	slots := len(ex.Query.Vertices)
+	a, b := &SiteVectors{Sets: make([]*Set, slots)}, &SiteVectors{Sets: make([]*Set, slots)}
+	a.Sets[0], b.Sets[0] = hashedSet([]rdf.TermID{1}, 64), hashedSet([]rdf.TermID{2}, 128)
+	for qv := 1; qv < 4; qv++ {
+		a.Sets[qv], b.Sets[qv] = newSet(nil, 64), newSet(nil, 64)
+	}
 	if _, err := Union([]*SiteVectors{a, b}, ex.Query, 64); err == nil {
 		t.Error("expected bit-length mismatch error")
 	}
-	_ = fmt.Sprint(a, b)
-}
-
-func TestBitVectorGobRoundTrip(t *testing.T) {
-	v := NewBitVector(256)
-	for _, id := range []rdf.TermID{1, 7, 42, 9999} {
-		v.Set(id)
-	}
-	data, err := v.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got BitVector
-	if err := got.GobDecode(data); err != nil {
-		t.Fatal(err)
-	}
-	if got.n != v.n || got.PopCount() != v.PopCount() {
-		t.Fatalf("round trip: %d bits / %d set, want %d / %d", got.n, got.PopCount(), v.n, v.PopCount())
-	}
-	for _, id := range []rdf.TermID{1, 7, 42, 9999} {
-		if !got.Test(id) {
-			t.Errorf("bit for term %d lost", id)
-		}
-	}
-	if err := got.GobDecode([]byte{1, 2, 3}); err == nil {
-		t.Error("truncated payload decoded")
-	}
-	if err := got.GobDecode(append(data, 0)); err == nil {
-		t.Error("misaligned payload decoded")
+	if _, err := Union([]*SiteVectors{a, {Sets: a.Sets[:2]}}, ex.Query, 64); err == nil {
+		t.Error("expected an error for a site with too few sets")
 	}
 }
 
 func TestSiteVectorsGobRoundTripWithNilSlots(t *testing.T) {
 	// Constant query vertices leave nil slots — the very case gob's
 	// default encoding rejects and the custom one must preserve.
-	sv := &SiteVectors{Vectors: make([]*BitVector, 4)}
-	sv.Vectors[0] = NewBitVector(128)
-	sv.Vectors[0].Set(5)
-	sv.Vectors[2] = NewBitVector(128)
-	sv.Vectors[2].Set(77)
-	data, err := sv.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv := &SiteVectors{Sets: make([]*Set, 4)}
+	sv.Sets[0] = hashedSet([]rdf.TermID{5}, 128)
+	sv.Sets[2] = newSet([]rdf.TermID{77}, 128)
+	data := encode(t, sv)
 	var got SiteVectors
 	if err := got.GobDecode(data); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Vectors) != 4 {
-		t.Fatalf("slot count = %d, want 4", len(got.Vectors))
+	if len(got.Sets) != 4 {
+		t.Fatalf("slot count = %d, want 4", len(got.Sets))
 	}
-	if got.Vectors[1] != nil || got.Vectors[3] != nil {
+	if got.Sets[1] != nil || got.Sets[3] != nil {
 		t.Error("nil slots did not survive the round trip")
 	}
-	if got.Vectors[0] == nil || !got.Vectors[0].Test(5) {
+	if got.Sets[0] == nil || got.Sets[0].Form() != Bits || !got.Sets[0].Has(5) {
 		t.Error("slot 0 lost its bit")
 	}
-	if got.Vectors[2] == nil || !got.Vectors[2].Test(77) {
-		t.Error("slot 2 lost its bit")
+	if got.Sets[2] == nil || got.Sets[2].Form() != List || !got.Sets[2].Has(77) || got.Sets[2].Has(5) {
+		t.Error("slot 2 lost its list")
 	}
 	if err := got.GobDecode(data[:len(data)-3]); err == nil {
 		t.Error("truncated payload decoded")
 	}
 	if err := got.GobDecode(append(data, 9)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// TestDecodeRejectsHostilePayloads: each payload is wrong in one way the
+// decoder must notice before it allocates or indexes for it.
+func TestDecodeRejectsHostilePayloads(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"empty":                  {},
+		"slot count beyond data": {0xff, 0xff, 0xff, 0xff, 0x0f, 0},
+		"list count beyond data": {1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1},
+		"word count beyond data": {1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0, 0, 0, 0},
+		"zero words":             {1, 1, 0},
+		"repeated ID":            {1, 4, 7, 0},
+		"ID past 32 bits":        {1, 4, 0xff, 0xff, 0xff, 0xff, 0x0f, 1},
+		"varint past 64 bits":    {1, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		"overlong varint":        {1, 3, 0x85, 0x00},
+		"overlong header":        {1, 0x82, 0x00},
+		"truncated list":         {1, 4, 7},
+		"trailing byte":          {1, 2, 0},
+	} {
+		var sv SiteVectors
+		if err := sv.GobDecode(data); err == nil {
+			t.Errorf("%s: %x decoded", name, data)
+		}
 	}
 }

@@ -31,7 +31,7 @@ type Site interface {
 	ID() int
 
 	// Candidates computes the site half of Algorithm 4: per-variable
-	// internal-candidate bit vectors over this site's fragment.
+	// internal-candidate sets over this site's fragment.
 	Candidates(ctx context.Context, req CandidatesRequest) (CandidatesReply, error)
 
 	// PartialEval runs the site-local evaluation stage: complete local
@@ -59,14 +59,15 @@ type Site interface {
 // fragment re-shipped before the epoch can commit.
 var ErrNeedSync = errors.New("cluster: site missed the prepare for this epoch")
 
-// CandidatesRequest asks a site for its Section VI candidate vectors.
+// CandidatesRequest asks a site for its Section VI candidate sets.
 type CandidatesRequest struct {
 	Query *query.Graph
-	// Bits is the per-variable bit-vector length.
+	// Bits is the length of the hashed form a set takes when its ID list
+	// would encode larger.
 	Bits int
 }
 
-// CandidatesReply carries one site's candidate vectors back.
+// CandidatesReply carries one site's candidate sets back.
 type CandidatesReply struct {
 	Vectors *candidates.SiteVectors
 	// Wire and WireMessages report the real transport traffic of the
@@ -91,7 +92,7 @@ type PartialRequest struct {
 	// matching; EdgeRank the per-edge rank partial evaluation expands by.
 	Order    []int
 	EdgeRank []int
-	// Union is the broadcast candidate-vector union (Full mode); the
+	// Union is the broadcast candidate-set union (Full mode); the
 	// site derives its extended-vertex filter from it. Nil below Full.
 	Union *candidates.SiteVectors
 	// MaxMatches aborts runaway partial evaluations (0 = no limit).

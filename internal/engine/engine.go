@@ -9,7 +9,7 @@
 //	LO    — + LEC-feature-based pruning (Section IV): features are shipped
 //	        and joined first; only surviving partial matches travel.
 //	Full  — + assembling variables' internal candidates (Section VI):
-//	        candidate bit vectors filter extended bindings before partial
+//	        candidate sets filter extended bindings before partial
 //	        evaluation.
 //
 // Star queries take the Section VIII-B fast path in every mode: each
@@ -53,7 +53,7 @@ const (
 	LA
 	// LO adds LEC-feature-based pruning on top of LA.
 	LO
-	// Full adds internal-candidate bit vectors on top of LO.
+	// Full adds internal-candidate sets on top of LO.
 	Full
 )
 
@@ -140,6 +140,13 @@ type Stats struct {
 	// Assembling variables' internal candidates (Section VI).
 	CandidatesTime     time.Duration
 	CandidatesShipment int64
+	// CandidateVars is the exchange per query variable and
+	// CandidateFraming what its encodings spend outside the sets; in
+	// process they sum to CandidatesShipment. Over RPC that is the socket
+	// measurement of the candidates calls instead — the union rides the
+	// partial-evaluation requests.
+	CandidateVars    []candidates.VarStat
+	CandidateFraming int64
 
 	// Partial evaluation (local complete matches + local partial matches).
 	PartialTime       time.Duration
@@ -712,6 +719,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		if err != nil {
 			return err
 		}
+		stats.CandidateVars, stats.CandidateFraming = candidates.Exchange(q, siteVecs, union)
 		// The union travels back to the sites inside each PartialEval
 		// request.
 		ship.vectors, ship.union = siteVecs, union
@@ -924,6 +932,8 @@ func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []
 		s := res.Stats
 		agg.CandidatesTime += s.CandidatesTime
 		agg.CandidatesShipment += s.CandidatesShipment
+		agg.CandidateVars = append(agg.CandidateVars, s.CandidateVars...)
+		agg.CandidateFraming += s.CandidateFraming
 		agg.PartialTime += s.PartialTime
 		agg.NumPartialMatches += s.NumPartialMatches
 		agg.LECTime += s.LECTime

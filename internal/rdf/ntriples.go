@@ -135,7 +135,7 @@ func cutTerm(s string) (Term, string, error) {
 		}
 		end = i
 	}
-	t, err := ParseTerm(s[:end])
+	t, err := parseTerm(s[:end])
 	if err != nil {
 		return Term{}, "", err
 	}

@@ -55,6 +55,10 @@ func TestReadNTriplesErrors(t *testing.T) {
 		{"too few terms", `<http://s> <http://p> .`, 1},
 		{"trailing garbage", `<http://s> <http://p> <http://o> <http://x> .`, 1},
 		{"second line bad", "<http://s> <http://p> <http://o> .\n<oops .\n", 2},
+		// A vertical tab is no separator: it is part of the third token,
+		// which once parsed as the IRI ">" and could not be read back.
+		{"vertical tab before a term", "<><>\v<>>.", 1},
+		{"vertical tab between terms", "<http://s>\v<http://p> <http://o> .", 1},
 	}
 	for _, c := range cases {
 		_, err := ReadNTriples(strings.NewReader(c.in))

@@ -131,7 +131,13 @@ func escapeLiteral(b *strings.Builder, s string) {
 // brackets, a quoted literal with optional @lang or ^^<datatype> suffix, or
 // a _:label blank node. It is the inverse of Term.String.
 func ParseTerm(s string) (Term, error) {
-	s = strings.TrimSpace(s)
+	return parseTerm(strings.TrimSpace(s))
+}
+
+// parseTerm parses a term that starts at s[0] and ends with s: the
+// N-Triples lexer cuts its tokens exactly, so anything it did not skip as
+// a separator (a vertical tab, say) is part of the token and an error.
+func parseTerm(s string) (Term, error) {
 	if s == "" {
 		return Term{}, fmt.Errorf("rdf: empty term")
 	}
@@ -140,7 +146,12 @@ func ParseTerm(s string) (Term, error) {
 		if !strings.HasSuffix(s, ">") || len(s) < 2 {
 			return Term{}, fmt.Errorf("rdf: unterminated IRI %q", s)
 		}
-		return NewIRI(s[1 : len(s)-1]), nil
+		iri := s[1 : len(s)-1]
+		if strings.IndexByte(iri, '>') >= 0 {
+			// Written back, the IRI would end at that '>'.
+			return Term{}, fmt.Errorf("rdf: '>' inside IRI %q", s)
+		}
+		return NewIRI(iri), nil
 	case '_':
 		if !strings.HasPrefix(s, "_:") || len(s) == 2 {
 			return Term{}, fmt.Errorf("rdf: malformed blank node %q", s)

@@ -56,6 +56,7 @@ func TestParseTermErrors(t *testing.T) {
 	bad := []string{
 		"",
 		"<http://no-close",
+		"<>>", // written back, the IRI would end at the first '>'
 		"_:",
 		`"unterminated`,
 		`"lit"@`,

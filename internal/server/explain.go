@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gstored"
+	"gstored/internal/engine"
 	"gstored/internal/trace"
 )
 
@@ -77,6 +78,25 @@ type ExplainStage struct {
 	Stage         string  `json:"stage"`
 	Millis        float64 `json:"ms"`
 	ShipmentBytes int64   `json:"shipment_bytes"`
+	// Vars and FramingBytes break the candidates stage (Full mode) down:
+	// one row per query variable, and what the encodings spend outside
+	// the variables' sets. In process they sum to shipment_bytes; over RPC
+	// that is the socket measurement of the candidates calls, and the
+	// union's bytes_down ride the partial-evaluation requests.
+	Vars         []ExplainCandidateVar `json:"vars,omitempty"`
+	FramingBytes int64                 `json:"framing_bytes,omitempty"`
+}
+
+// ExplainCandidateVar is one query variable's Section VI exchange: the
+// form its union took ("list" is exact, "bits" the hashed vector), the
+// union's candidate count (list) or set bits (bits), and the encoded
+// bytes of the sites' sets (up) and of the union to every site (down).
+type ExplainCandidateVar struct {
+	Var       string `json:"var"`
+	Form      string `json:"form"`
+	Count     int    `json:"count"`
+	BytesUp   int64  `json:"bytes_up"`
+	BytesDown int64  `json:"bytes_down"`
 }
 
 // ExplainFragment is one site's row of the per-fragment breakdown.
@@ -180,6 +200,13 @@ func explainStages(s *gstored.Stats) []ExplainStage {
 	out := make([]ExplainStage, len(stages))
 	for i, st := range stages {
 		out[i] = ExplainStage{Stage: st.Name, Millis: millis(st.Time), ShipmentBytes: st.Shipment}
+	}
+	cand := &out[engine.StageCandidates]
+	cand.FramingBytes = s.CandidateFraming
+	for _, v := range s.CandidateVars {
+		cand.Vars = append(cand.Vars, ExplainCandidateVar{
+			Var: v.Var, Form: v.Form.String(), Count: v.Count, BytesUp: v.BytesUp, BytesDown: v.BytesDown,
+		})
 	}
 	return out
 }

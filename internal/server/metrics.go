@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gstored/internal/candidates"
 	"gstored/internal/engine"
 )
 
@@ -44,6 +45,9 @@ type Metrics struct {
 	PrunedMatches  atomic.Int64 // partial matches LEC pruning kept off the wire
 	JoinAttempts   atomic.Int64 // join steps of the closure walks
 	Matches        atomic.Int64
+	// CandidateVars counts the query variables whose candidate union was
+	// broadcast, by the form it took; indexed by candidates.Form.
+	CandidateVars [candidates.NumForms]atomic.Int64
 
 	// QueryDurations are client-facing request latencies (parse through
 	// last response byte) bucketed by how the request was answered; the
@@ -82,6 +86,9 @@ func (m *Metrics) Observe(s engine.Stats, wall time.Duration) {
 	m.PrunedMatches.Add(int64(s.NumPartialMatches - s.NumRetainedPartialMatches))
 	m.JoinAttempts.Add(int64(s.JoinAttempts))
 	m.Matches.Add(int64(s.NumMatches))
+	for _, v := range s.CandidateVars {
+		m.CandidateVars[v.Form].Add(1)
+	}
 	for i, st := range s.Stages() {
 		m.StageNanos[i].Add(int64(st.Time))
 		m.StageDurations[i].Observe(st.Time)
@@ -166,6 +173,10 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	writeMetric(w, "gstored_partial_matches_pruned_total", "Local partial matches LEC pruning discarded before shipment.", "counter", m.PrunedMatches.Load())
 	writeMetric(w, "gstored_join_attempts_total", "Join steps tried by the closure walks.", "counter", m.JoinAttempts.Load())
 	writeMetric(w, "gstored_matches_total", "Result rows produced by the engine.", "counter", m.Matches.Load())
+	fmt.Fprintf(w, "# HELP gstored_candidate_vars_total Query variables whose candidate union was broadcast, by its form (list is exact, bits the hashed vector).\n# TYPE gstored_candidate_vars_total counter\n")
+	for i, name := range candidates.FormNames {
+		fmt.Fprintf(w, "gstored_candidate_vars_total{form=%q} %d\n", name, m.CandidateVars[i].Load())
+	}
 
 	queryHists := make([]labeledHistogram, numOutcomes)
 	for i := range m.QueryDurations {

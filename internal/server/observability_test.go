@@ -387,6 +387,21 @@ func TestExplainEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The candidates stage accounts for its own bytes: a row per query
+	// variable plus the encodings' framing, summing to what it shipped.
+	cand := rep.Stages[0]
+	sum := cand.FramingBytes
+	for _, v := range cand.Vars {
+		if v.Form != "list" && v.Form != "bits" {
+			t.Errorf("variable %s: form %q", v.Var, v.Form)
+		}
+		sum += v.BytesUp + v.BytesDown
+	}
+	if len(cand.Vars) != len(rep.Vars) || sum != cand.ShipmentBytes || sum == 0 {
+		t.Errorf("candidates stage: %d variable rows summing to %d bytes; want %d rows and shipment_bytes %d",
+			len(cand.Vars), sum, len(rep.Vars), cand.ShipmentBytes)
+	}
+
 	// Per-fragment rows: one per site, with wall time recorded.
 	if len(rep.Fragments) != 3 {
 		t.Fatalf("fragments = %+v, want 3 rows", rep.Fragments)

@@ -13,6 +13,7 @@ package store
 
 import (
 	"maps"
+	"slices"
 	"sort"
 
 	"gstored/internal/query"
@@ -238,10 +239,84 @@ func (st *Store) signatureOK(q *query.Graph, qv int, u rdf.TermID) bool {
 	return true
 }
 
-// Candidates computes C(Q, v): the set of vertices that could match query
-// vertex qv, per the signature test (Section VI uses exactly this set). The
-// result is sorted. For constant vertices it is the vertex itself when
-// present.
+// constantEnd reports the constant vertex c that query edge e joins qv
+// to, and whether e runs from qv to c rather than from c to qv. ok is
+// false when e does not join qv to a constant.
+func constantEnd(q *query.Graph, qv int, e query.Edge) (c rdf.TermID, outgoing, ok bool) {
+	switch {
+	case e.From == qv && !q.Vertices[e.To].IsVar():
+		return q.Vertices[e.To].Const, true, true
+	case e.To == qv && !q.Vertices[e.From].IsVar():
+		return q.Vertices[e.From].Const, false, true
+	}
+	return rdf.NoTerm, false, false
+}
+
+// anchor returns the adjacency of the constant vertex query edge e joins
+// qv to, narrowed to e's label: its far ends are the only vertices e
+// admits at qv. ok is false when e does not join qv to a constant.
+func (st *Store) anchor(q *query.Graph, qv int, e query.Edge) (adj []HalfEdge, ok bool) {
+	c, outgoing, ok := constantEnd(q, qv, e)
+	if !ok {
+		return nil, false
+	}
+	adj = st.out.of(c)
+	if outgoing {
+		adj = st.in.of(c)
+	}
+	if !e.HasVarLabel() {
+		adj = predRange(adj, e.Label)
+	}
+	return adj, true
+}
+
+// hasEdge reports whether some s→o edge instance could carry query edge
+// e: one labeled e.Label, or any at all when e's label is a variable.
+func (st *Store) hasEdge(e query.Edge, s, o rdf.TermID) bool {
+	if !e.HasVarLabel() {
+		return st.HasTriple(s, e.Label, o)
+	}
+	adj, far := st.out.of(s), o
+	if in := st.in.of(o); len(in) < len(adj) {
+		adj, far = in, s
+	}
+	for _, he := range adj {
+		if he.V == far {
+			return true
+		}
+	}
+	return false
+}
+
+// constantsOK is the neighbour half of gStore's signature: every query
+// edge between qv and a constant vertex must exist at u.
+func (st *Store) constantsOK(q *query.Graph, qv int, u rdf.TermID) bool {
+	for _, e := range q.Edges {
+		c, outgoing, ok := constantEnd(q, qv, e)
+		if !ok {
+			continue
+		}
+		s, o := c, u
+		if outgoing {
+			s, o = u, c
+		}
+		if !st.hasEdge(e, s, o) {
+			return false
+		}
+	}
+	return true
+}
+
+// Candidates computes C(Q, v): the vertices that could match query vertex
+// qv, per the signature test and the edges qv shares with constant
+// vertices (Section VI uses exactly this set). The result is sorted. For
+// constant vertices it is the vertex itself when present.
+//
+// Both tests read u's own adjacency, so the set is exact only for a vertex
+// whose every edge the store holds: any vertex of the global store, an
+// internal vertex of a fragment's store (Definition 1). An extended vertex
+// carries only its crossing edges there and may be dropped wrongly, which
+// is why package candidates keeps the internal vertices alone.
 func (st *Store) Candidates(q *query.Graph, qv int) []rdf.TermID {
 	v := q.Vertices[qv]
 	if !v.IsVar() {
@@ -250,44 +325,52 @@ func (st *Store) Candidates(q *query.Graph, qv int) []rdf.TermID {
 		}
 		return nil
 	}
-	// Seed from the most selective incident constant-label edge, falling
-	// back to all vertices. Pick the best edge first, then build its seed
-	// set once — not once per strictly-better edge encountered.
-	best, bestCount := -1, 0
+	// Seed from the smallest domain an incident edge offers: a constant
+	// neighbour's adjacency, a constant label's triple list, else every
+	// vertex. Pick the edge first, then build its seed set once.
+	var anchor []HalfEdge
+	label, n := -1, len(st.vertices)
 	for i, e := range q.Edges {
-		if e.HasVarLabel() {
-			continue
-		}
 		if e.From != qv && e.To != qv {
 			continue
 		}
-		if c := st.PredCount(e.Label); best < 0 || c < bestCount {
-			best, bestCount = i, c
+		if adj, ok := st.anchor(q, qv, e); ok {
+			if len(adj) == 0 {
+				return nil
+			}
+			if len(adj) <= n {
+				anchor, label, n = adj, -1, len(adj)
+			}
+		} else if c := st.PredCount(e.Label); !e.HasVarLabel() && c < n {
+			anchor, label, n = nil, i, c
 		}
 	}
-	seed := st.vertices
-	if best >= 0 {
-		e := q.Edges[best]
-		set := make(map[rdf.TermID]bool, bestCount)
+	seed := make([]rdf.TermID, 0, n)
+	switch {
+	case anchor != nil:
+		for _, he := range anchor {
+			seed = append(seed, he.V)
+		}
+	case label >= 0:
+		e := q.Edges[label]
 		for _, t := range st.byPred[e.Label] {
 			if e.From == qv {
-				set[t.S] = true
+				seed = append(seed, t.S)
 			}
 			if e.To == qv {
-				set[t.O] = true
+				seed = append(seed, t.O)
 			}
 		}
-		seed = make([]rdf.TermID, 0, len(set))
-		for u := range set {
-			seed = append(seed, u)
-		}
+	default:
+		seed = append(seed, st.vertices...)
 	}
-	out := make([]rdf.TermID, 0, len(seed))
+	slices.Sort(seed)
+	seed = slices.Compact(seed)
+	out := seed[:0]
 	for _, u := range seed {
-		if st.signatureOK(q, qv, u) {
+		if st.signatureOK(q, qv, u) && st.constantsOK(q, qv, u) {
 			out = append(out, u)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -355,6 +355,114 @@ func TestCandidates(t *testing.T) {
 	if c3 := st.Candidates(q3, 0); len(c3) != 0 {
 		t.Errorf("candidates(absent) = %v, want empty", c3)
 	}
+	// An edge to a constant must exist at the candidate, under its label
+	// or, for a variable label, under any.
+	carol, _ := g.Dict.Lookup(rdf.NewIRI("carol"))
+	for _, tc := range []struct {
+		name     string
+		s, p, o  query.Node
+		extra    []query.Node // one more pattern on ?x, when set
+		want     []rdf.TermID
+		wantDesc string
+	}{
+		{"constant object", query.Var("x"), query.IRI("knows"), query.IRI("carol"), nil, []rdf.TermID{alice, bob}, "alice, bob"},
+		{"constant object and signature", query.Var("x"), query.IRI("knows"), query.IRI("carol"),
+			[]query.Node{query.Var("w"), query.IRI("knows"), query.Var("x")}, []rdf.TermID{bob}, "bob"},
+		{"constant subject", query.IRI("alice"), query.IRI("knows"), query.Var("x"), nil, []rdf.TermID{bob, carol}, "bob, carol"},
+		{"variable label to a constant", query.Var("x"), query.Var("l"), query.IRI("alice"), nil, []rdf.TermID{carol}, "carol"},
+		{"variable label from a constant", query.IRI("carol"), query.Var("l"), query.Var("x"), nil, []rdf.TermID{alice}, "alice"},
+		{"no such edge", query.Var("x"), query.IRI("likes"), query.IRI("carol"), nil, nil, "nothing"},
+	} {
+		b := query.NewBuilder(g.Dict).Triple(tc.s, tc.p, tc.o)
+		if tc.extra != nil {
+			b.Triple(tc.extra[0], tc.extra[1], tc.extra[2])
+		}
+		qc := b.MustBuild()
+		xIdx := -1
+		for i, v := range qc.Vertices {
+			if v.IsVar() && qc.Vars[v.Var] == "x" {
+				xIdx = i
+			}
+		}
+		got := st.Candidates(qc, xIdx)
+		sort.Slice(tc.want, func(i, j int) bool { return tc.want[i] < tc.want[j] })
+		if !reflect.DeepEqual(got, tc.want) && len(got)+len(tc.want) > 0 {
+			t.Errorf("%s: candidates(?x) = %v, want %s", tc.name, got, tc.wantDesc)
+		}
+	}
+}
+
+// TestCandidatesKeepInternalBindings is the soundness net of the
+// constant-aware set on a fragment's store: a store over every edge with
+// an endpoint in a random V_i (Definition 1's E_i and E_i^c) must report,
+// for each variable, every V_i vertex some match on the whole graph binds
+// to it. Extended vertices are allowed to go missing: they do not see
+// their own edges.
+func TestCandidatesKeepInternalBindings(t *testing.T) {
+	x, y, z := query.Var("x"), query.Var("y"), query.Var("z")
+	p0, p1, a := query.IRI("p0"), query.IRI("p1"), query.Var("a")
+	v0, v1 := query.IRI("v0"), query.IRI("v1")
+	shapes := [][][3]query.Node{
+		{{x, p0, v0}, {x, p1, y}},
+		{{v0, p0, x}, {y, p1, x}},
+		{{x, a, v1}, {x, p0, y}},
+		{{v1, a, x}, {x, a, y}},
+		{{x, p0, v0}, {x, p1, y}, {y, p0, v1}},
+		{{x, p0, y}, {y, p1, z}, {z, a, v0}, {v1, p0, x}},
+		{{x, p0, v0}, {x, p0, v0}},
+		{{x, p0, x}, {x, a, v0}},
+	}
+	bound := 0
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := rdf.NewGraph()
+		randomGraphTriples(r, g, 6, 2, 10+r.Intn(10))
+		global := FromGraph(g)
+		internal := make(map[rdf.TermID]bool)
+		for _, u := range global.Vertices() {
+			internal[u] = r.Intn(2) == 0
+		}
+		var own []rdf.Triple
+		for _, tr := range g.Triples {
+			if internal[tr.S] || internal[tr.O] {
+				own = append(own, tr)
+			}
+		}
+		frag := New(g.Dict, own)
+		for _, sh := range shapes {
+			b := query.NewBuilder(g.Dict)
+			for _, p := range sh {
+				b.Triple(p[0], p[1], p[2])
+			}
+			q := b.MustBuild()
+			cands := make([]map[rdf.TermID]bool, len(q.Vertices))
+			for qv := range q.Vertices {
+				cands[qv] = make(map[rdf.TermID]bool)
+				for _, u := range frag.Candidates(q, qv) {
+					cands[qv][u] = true
+				}
+			}
+			for _, m := range global.Match(q) {
+				for qv, u := range m.Vertices {
+					if !q.Vertices[qv].IsVar() || !internal[u] {
+						continue
+					}
+					bound++
+					if !cands[qv][u] {
+						t.Logf("seed %d %s: internal vertex %d bound to query vertex %d is no candidate", seed, q, u, qv)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if bound == 0 {
+		t.Error("no match bound an internal vertex: the property was not exercised")
+	}
 }
 
 func TestMatchNoResults(t *testing.T) {
