@@ -16,9 +16,9 @@
 // is exact, so the filter built from it admits no false candidate. The
 // bits form is the paper's fixed-length hashed bit vector, a Bloom filter
 // with a single hash function: false positives only, never false
-// negatives. Filtering is safe under either. ShipmentBytes, the gob pair
-// of SiteVectors and the §IX model all price the one encoding of
-// codec.go.
+// negatives. Filtering is safe under either. ShipmentBytes, the RPC
+// frames (AppendBinary / Decode) and the §IX model all price the one
+// encoding of codec.go.
 package candidates
 
 import (

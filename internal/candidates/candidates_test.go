@@ -212,14 +212,11 @@ func TestComputeSiteSkipsConstants(t *testing.T) {
 	}
 }
 
-// encode is GobEncode with the pricing invariant checked: ShipmentBytes
-// is the length of what the encoder produces.
+// encode is AppendBinary with the pricing invariant checked:
+// ShipmentBytes is the length of what the encoder produces.
 func encode(t *testing.T, sv *SiteVectors) []byte {
 	t.Helper()
-	data, err := sv.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := sv.AppendBinary(nil)
 	if sv.ShipmentBytes() != len(data) {
 		t.Errorf("ShipmentBytes = %d, encoding is %d bytes", sv.ShipmentBytes(), len(data))
 	}
@@ -271,11 +268,11 @@ func TestShipmentBytesIsEncodedLength(t *testing.T) {
 	for _, sets := range [][]*Set{{list}, {vec}, {empty}, {nil}, {nil, list, vec, nil, empty}, {}} {
 		sv := &SiteVectors{Sets: sets}
 		data := encode(t, sv)
-		var got SiteVectors
-		if err := got.GobDecode(data); err != nil {
+		got, err := Decode(data)
+		if err != nil {
 			t.Fatalf("%d slots: %v", len(sets), err)
 		}
-		if again := encode(t, &got); !bytes.Equal(again, data) {
+		if again := encode(t, got); !bytes.Equal(again, data) {
 			t.Errorf("%d slots: decoded sets re-encode to %x, want %x", len(sets), again, data)
 		}
 	}
@@ -371,15 +368,15 @@ func TestUnionLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestSiteVectorsGobRoundTripWithNilSlots(t *testing.T) {
-	// Constant query vertices leave nil slots — the very case gob's
-	// default encoding rejects and the custom one must preserve.
+func TestSiteVectorsRoundTripWithNilSlots(t *testing.T) {
+	// Constant query vertices leave nil slots, which the encoding must
+	// preserve.
 	sv := &SiteVectors{Sets: make([]*Set, 4)}
 	sv.Sets[0] = hashedSet([]rdf.TermID{5}, 128)
 	sv.Sets[2] = newSet([]rdf.TermID{77}, 128)
 	data := encode(t, sv)
-	var got SiteVectors
-	if err := got.GobDecode(data); err != nil {
+	got, err := Decode(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Sets) != 4 {
@@ -394,10 +391,10 @@ func TestSiteVectorsGobRoundTripWithNilSlots(t *testing.T) {
 	if got.Sets[2] == nil || got.Sets[2].Form() != List || !got.Sets[2].Has(77) || got.Sets[2].Has(5) {
 		t.Error("slot 2 lost its list")
 	}
-	if err := got.GobDecode(data[:len(data)-3]); err == nil {
+	if _, err := Decode(data[:len(data)-3]); err == nil {
 		t.Error("truncated payload decoded")
 	}
-	if err := got.GobDecode(append(data, 9)); err == nil {
+	if _, err := Decode(append(data, 9)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
@@ -419,8 +416,7 @@ func TestDecodeRejectsHostilePayloads(t *testing.T) {
 		"truncated list":         {1, 4, 7},
 		"trailing byte":          {1, 2, 0},
 	} {
-		var sv SiteVectors
-		if err := sv.GobDecode(data); err == nil {
+		if _, err := Decode(data); err == nil {
 			t.Errorf("%s: %x decoded", name, data)
 		}
 	}

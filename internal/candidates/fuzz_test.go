@@ -58,15 +58,12 @@ func FuzzSiteVectorsDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Encoder output round-trips.
 		want := setsFrom(data)
-		enc, err := want.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := want.AppendBinary(nil)
 		if want.ShipmentBytes() != len(enc) {
 			t.Fatalf("ShipmentBytes = %d, encoding is %d bytes", want.ShipmentBytes(), len(enc))
 		}
-		var got SiteVectors
-		if err := got.GobDecode(enc); err != nil {
+		got, err := Decode(enc)
+		if err != nil {
 			t.Fatalf("decoding encoder output %x: %v", enc, err)
 		}
 		if len(got.Sets) != len(want.Sets) {
@@ -85,8 +82,8 @@ func FuzzSiteVectorsDecode(f *testing.F) {
 
 		// Arbitrary bytes decode to something no larger than themselves,
 		// in the one form their encoding has.
-		var sv SiteVectors
-		if err := sv.GobDecode(data); err != nil {
+		sv, err := Decode(data)
+		if err != nil {
 			return
 		}
 		held := len(sv.Sets)
@@ -107,11 +104,7 @@ func FuzzSiteVectorsDecode(f *testing.F) {
 		if held > len(data) {
 			t.Fatalf("%d input bytes decoded into %d slots, IDs and vector bytes", len(data), held)
 		}
-		again, err := sv.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, data) || sv.ShipmentBytes() != len(data) {
+		if again := sv.AppendBinary(nil); !bytes.Equal(again, data) || sv.ShipmentBytes() != len(data) {
 			t.Fatalf("%x decoded, but re-encodes to %x (priced %d)", data, again, sv.ShipmentBytes())
 		}
 	})

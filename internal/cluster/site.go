@@ -113,6 +113,11 @@ type PartialReply struct {
 	// Tasks and Busy attribute evaluation-pool work to the site.
 	Tasks int
 	Busy  time.Duration
+	// Eval is the evaluation's wall time on the clock of the process that
+	// ran it, reported by sites that are reached over a transport: what
+	// the caller's round trip took beyond it is the transport's share.
+	// Zero in-process, where the caller's own clock already times it.
+	Eval time.Duration
 	// Wire and WireMessages report real transport traffic (zero in-process).
 	Wire         int64
 	WireMessages int64

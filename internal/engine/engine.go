@@ -243,6 +243,21 @@ type FragmentStats struct {
 	// concurrently on the pool, so Busy/Wall estimates the intra-site
 	// parallel speedup the pool realized.
 	Busy time.Duration
+	// Transport is what the site's partial-evaluation round trips took
+	// beyond the evaluation itself, as timed by the process that ran it:
+	// encoding and decoding both ways, the socket, and the worker's
+	// queueing. Zero for in-process sites, which have no transport.
+	Transport time.Duration
+}
+
+// transport is the share of a site call's wall that the site did not
+// spend evaluating; a reply without an evaluation time of its own (an
+// in-process site's) has none.
+func transport(wall time.Duration, rep cluster.PartialReply) time.Duration {
+	if rep.Eval <= 0 {
+		return 0
+	}
+	return max(wall-rep.Eval, 0)
 }
 
 // mergeFragments folds per-site stats from one sub-execution into an
@@ -259,6 +274,7 @@ func mergeFragments(dst, src []FragmentStats) []FragmentStats {
 			dst[i].Wall += fs.Wall
 			dst[i].Tasks += fs.Tasks
 			dst[i].Busy += fs.Busy
+			dst[i].Transport += fs.Transport
 			continue
 		}
 		dst = append(dst, FragmentStats{})
@@ -645,6 +661,7 @@ func (e *Engine) runStar(ctx context.Context, q *query.Graph, center int, plan [
 			return out(Row(row))
 		})
 		frags[i] = FragmentStats{Site: s.ID(), Wall: time.Since(siteStart)}
+		frags[i].Transport = transport(frags[i].Wall, reps[i])
 		// For a remote site this span includes the wire round trip — the
 		// real per-site timing, not the link-model estimate.
 		tr.Span(StagePartial.String(), s.ID(), siteStart, frags[i].Wall)
@@ -745,6 +762,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		siteWall := time.Since(siteStart)
 		tr.Span(StagePartial.String(), s.ID(), siteStart, siteWall)
 		frags[i].Wall += siteWall
+		frags[i].Transport = transport(siteWall, outs[i])
 	})
 	for i, rep := range outs {
 		net.Count(rep.Wire, rep.WireMessages)

@@ -40,12 +40,12 @@ func Connect(addrs ...string) (*Coordinator, error) {
 	c := &Coordinator{}
 	for _, addr := range addrs {
 		l := &workerLink{addr: addr}
-		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+		nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err != nil {
 			_ = c.Close() // tearing down the partial connect; Close never fails
 			return nil, fmt.Errorf("remote: worker %s: %w", addr, err)
 		}
-		l.put(conn)
+		l.put(&conn{Conn: nc})
 		c.links = append(c.links, l)
 	}
 	return c, nil
@@ -84,43 +84,47 @@ type workerLink struct {
 	addr string
 
 	mu     sync.Mutex
-	idle   []net.Conn
+	idle   []*conn
 	closed bool
 }
 
-func (l *workerLink) get(ctx context.Context) (net.Conn, error) {
+func (l *workerLink) get(ctx context.Context) (*conn, error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil, fmt.Errorf("remote: coordinator closed")
 	}
 	if n := len(l.idle); n > 0 {
-		conn := l.idle[n-1]
+		c := l.idle[n-1]
 		l.idle = l.idle[:n-1]
 		l.mu.Unlock()
-		return conn, nil
+		return c, nil
 	}
 	l.mu.Unlock()
 	d := net.Dialer{Timeout: dialTimeout}
-	return d.DialContext(ctx, "tcp", l.addr)
+	nc, err := d.DialContext(ctx, "tcp", l.addr)
+	if err != nil {
+		return nil, err
+	}
+	return &conn{Conn: nc}, nil
 }
 
-func (l *workerLink) put(conn net.Conn) {
+func (l *workerLink) put(c *conn) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		_ = conn.Close() // raced with coordinator shutdown; nothing to report
+		_ = c.Close() // raced with coordinator shutdown; nothing to report
 		return
 	}
-	l.idle = append(l.idle, conn)
+	l.idle = append(l.idle, c)
 }
 
 func (l *workerLink) close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
-	for _, conn := range l.idle {
-		_ = conn.Close() // idle connections; no in-flight call to fail
+	for _, c := range l.idle {
+		_ = c.Close() // idle connections; no in-flight call to fail
 	}
 	l.idle = nil
 }
@@ -180,31 +184,31 @@ func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) 
 // both directions (>1 once a response frame arrived, which is what
 // disqualifies a retry).
 func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermID) bool) (resp response, wire, messages int64, err error) {
-	conn, err := s.link.get(ctx)
+	c, err := s.link.get(ctx)
 	if err != nil {
 		return response{}, 0, 0, err
 	}
 	healthy := false
 	defer func() {
-		if healthy && conn.SetDeadline(time.Time{}) == nil {
-			s.link.put(conn)
+		if healthy && c.SetDeadline(time.Time{}) == nil {
+			s.link.put(c)
 		} else {
-			_ = conn.Close() // connection is being discarded either way
+			_ = c.Close() // connection is being discarded either way
 		}
 	}()
 	if dl, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(dl); err != nil {
+		if err := c.SetDeadline(dl); err != nil {
 			return response{}, 0, 0, err
 		}
 	}
 	// A cancel (not just a deadline) must interrupt blocked reads, or a
 	// canceled query would hang until the worker answers.
 	stop := context.AfterFunc(ctx, func() {
-		_ = conn.SetDeadline(time.Unix(1, 0)) // poison pill; a closed conn fails the read anyway
+		_ = c.SetDeadline(time.Unix(1, 0)) // poison pill; a closed conn fails the read anyway
 	})
 	defer stop()
 
-	n, err := writeFrame(conn, req)
+	n, err := c.send(req)
 	wire += n
 	if err != nil {
 		return response{}, wire, messages, s.callErr(ctx, err)
@@ -212,13 +216,18 @@ func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermI
 	messages++
 	deliver := onRow != nil
 	for {
-		var frame response
-		n, err := readFrame(conn, &frame)
+		body, n, err := c.recv()
 		wire += n
 		if err != nil {
 			return response{}, wire, messages, s.callErr(ctx, err)
 		}
 		messages++
+		var frame response
+		if err := frame.decode(body); err != nil {
+			// A frame arrived, so this is not a transport failure to retry
+			// on a fresh connection: the peer speaks something else.
+			return response{}, wire, messages, s.callErr(ctx, err)
+		}
 		if frame.Done {
 			if ferr := frame.err(); ferr != nil {
 				// The transport did its job; the connection is clean.
@@ -278,6 +287,7 @@ func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit
 	rep.Matches = resp.Matches
 	rep.Tasks = resp.Tasks
 	rep.Busy = time.Duration(resp.BusyNS)
+	rep.Eval = time.Duration(resp.EvalNS)
 	return rep, nil
 }
 

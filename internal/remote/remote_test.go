@@ -8,16 +8,20 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"gstored/internal/candidates"
 	"gstored/internal/cluster"
 	"gstored/internal/fragment"
 	"gstored/internal/paperexample"
 	"gstored/internal/partial"
+	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
 
@@ -69,83 +73,75 @@ func deploy(t *testing.T, c *Coordinator, d *fragment.Distributed, epoch uint64)
 	return sites
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	want := request{Op: opPartial, Site: 3, Epoch: 7, Order: []int{2, 0, 1}}
-	go func() {
-		if _, err := writeFrame(client, &want); err != nil {
-			t.Errorf("writeFrame: %v", err)
-		}
-	}()
-	var got request
-	n, err := readFrame(server, &got)
-	if err != nil {
-		t.Fatalf("readFrame: %v", err)
-	}
-	if n <= 4 {
-		t.Errorf("frame consumed %d bytes", n)
-	}
-	if got.Op != want.Op || got.Site != want.Site || got.Epoch != want.Epoch || fmt.Sprint(got.Order) != fmt.Sprint(want.Order) {
-		t.Errorf("round trip = %+v, want %+v", got, want)
-	}
+// bufConn is a conn over a buffer: what one side sends the same side
+// receives, which is all the framing tests need.
+type bufConn struct {
+	net.Conn
+	buf bytes.Buffer
 }
+
+func (b *bufConn) Read(p []byte) (int, error)  { return b.buf.Read(p) }
+func (b *bufConn) Write(p []byte) (int, error) { return b.buf.Write(p) }
 
 // TestReadFrameDoesNotTrustLengthPrefix: a header declaring maxFrame
 // followed by a 10-byte body is an error that costs what arrived, not
 // what was declared — the prefix comes off an unauthenticated socket.
 func TestReadFrameDoesNotTrustLengthPrefix(t *testing.T) {
-	var garbage bytes.Buffer
-	if err := binary.Write(&garbage, binary.BigEndian, uint32(maxFrame)); err != nil {
+	garbage := &bufConn{}
+	if err := binary.Write(&garbage.buf, binary.BigEndian, uint32(maxFrame)); err != nil {
 		t.Fatal(err)
 	}
-	garbage.WriteString("0123456789")
+	garbage.buf.WriteString("0123456789")
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	var got request
-	n, err := readFrame(&garbage, &got)
+	_, n, err := (&conn{Conn: garbage}).recv()
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("readFrame = %d, %v; want io.ErrUnexpectedEOF", n, err)
+		t.Errorf("recv = %d, %v; want io.ErrUnexpectedEOF", n, err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Errorf("truncated maxFrame frame allocated %d bytes, want < 1 MiB", alloc)
 	}
 
 	// One past the limit is still rejected from the header alone.
-	var over bytes.Buffer
-	if err := binary.Write(&over, binary.BigEndian, uint32(maxFrame+1)); err != nil {
+	over := &bufConn{}
+	if err := binary.Write(&over.buf, binary.BigEndian, uint32(maxFrame+1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(&over, &got); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := (&conn{Conn: over}).recv(); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("oversized frame error = %v, want the limit rejection", err)
 	}
 }
 
 // TestFrameRoundTripAcrossChunks: a frame larger than frameChunk takes
-// the incremental-growth path and must decode identically.
+// the incremental-growth path and must decode identically; the small
+// frame after it reuses the grown buffers.
 func TestFrameRoundTripAcrossChunks(t *testing.T) {
 	want := request{Op: opPartial, Order: make([]int, 3*frameChunk)}
 	for i := range want.Order {
 		want.Order[i] = i * 7919
 	}
-	var buf bytes.Buffer
-	wrote, err := writeFrame(&buf, &want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrote <= 2*frameChunk {
-		t.Fatalf("fixture frame is %d bytes; want several chunks", wrote)
-	}
-	var got request
-	read, err := readFrame(&buf, &got)
-	if err != nil || read != wrote {
-		t.Fatalf("readFrame = %d, %v; want %d, nil", read, err, wrote)
-	}
-	if !slices.Equal(got.Order, want.Order) {
-		t.Error("multi-chunk frame decoded differently")
+	c := &conn{Conn: &bufConn{}}
+	for _, want := range []request{want, {Op: opStats, Site: 2}} {
+		wrote, err := c.send(&want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Order) > 0 && wrote <= 2*frameChunk {
+			t.Fatalf("fixture frame is %d bytes; want several chunks", wrote)
+		}
+		body, read, err := c.recv()
+		if err != nil || read != wrote {
+			t.Fatalf("recv = %d, %v; want %d, nil", read, err, wrote)
+		}
+		var got request
+		if err := got.decode(body); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("a %d-byte frame decoded differently", wrote)
+		}
 	}
 }
 
@@ -221,15 +217,7 @@ func TestRemoteSiteMatchesLocalSite(t *testing.T) {
 		if gotC.Wire <= 0 || gotC.WireMessages < 2 {
 			t.Errorf("site %d candidates wire = %d bytes / %d messages", i, gotC.Wire, gotC.WireMessages)
 		}
-		wantEnc, err := wantC.Vectors.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotEnc, err := gotC.Vectors.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantEnc, gotEnc) {
+		if !bytes.Equal(wantC.Vectors.AppendBinary(nil), gotC.Vectors.AppendBinary(nil)) {
 			t.Errorf("site %d candidate vectors diverged", i)
 		}
 
@@ -467,5 +455,233 @@ func TestCancellationInterruptsBlockedCall(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
+	}
+}
+
+// dialRaw opens a connection to a worker that the test frames by hand.
+func dialRaw(t *testing.T, addr string) *conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	return &conn{Conn: nc}
+}
+
+// roundTrip sends f on c and returns the final frame, having counted the
+// rows streamed ahead of it.
+func roundTrip(t *testing.T, c *conn, f frame) (final response, rows int) {
+	t.Helper()
+	if _, err := c.send(f); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		body, _, err := c.recv()
+		if err != nil {
+			t.Fatalf("the worker dropped the connection: %v", err)
+		}
+		var resp response
+		if err := resp.decode(body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Done {
+			return resp, rows
+		}
+		rows += len(resp.Rows)
+	}
+}
+
+// TestBadRequestIsAnErrorFrame: a request that is framed and encoded
+// correctly but cannot be evaluated — the first of them used to reach the
+// matcher with a nil query and take the whole worker process down — is
+// answered with an error frame, and the same connection then serves a
+// good request.
+func TestBadRequestIsAnErrorFrame(t *testing.T) {
+	ex := paperexample.New()
+	d, err := fragment.Build(ex.Store, ex.Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startWorker(t)
+	coord, err := Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	deploy(t, coord, d, 1)
+
+	q := ex.Query
+	edges, vertices := len(q.Edges), len(q.Vertices)
+	identity := make([]int, edges)
+	for i := range identity {
+		identity[i] = i
+	}
+	edit := func(f func(g *query.Graph)) *query.Graph {
+		g := *q
+		g.Edges, g.Vertices = slices.Clone(q.Edges), slices.Clone(q.Vertices)
+		f(&g)
+		return &g
+	}
+	c := dialRaw(t, addr)
+	for name, bad := range map[string]request{
+		"partial without a query":    {Op: opPartial},
+		"candidates without a query": {Op: opCandidates},
+		"query without edges":        {Op: opPartial, Query: &query.Graph{}},
+		"edge endpoint out of range": {Op: opPartial, Query: edit(func(g *query.Graph) { g.Edges[0].To = vertices })},
+		"variable out of range":      {Op: opCandidates, Query: edit(func(g *query.Graph) { g.Vertices[0].Var = len(q.Vars) })},
+		"query past MaxSize": {Op: opPartial, Query: edit(func(g *query.Graph) {
+			for len(g.Edges) <= query.MaxSize {
+				g.Edges = append(g.Edges, g.Edges[0])
+			}
+		})},
+		"order too short":        {Op: opPartial, Query: q, Order: identity[:edges-1]},
+		"order repeats an edge":  {Op: opPartial, Query: q, Order: append(slices.Clone(identity[:edges-1]), 0)},
+		"order names no edge":    {Op: opPartial, Query: q, Order: append(slices.Clone(identity[:edges-1]), edges)},
+		"too few edge ranks":     {Op: opPartial, Query: q, EdgeRank: identity[:edges-1]},
+		"star center past query": {Op: opPartial, Query: q, Star: true, Center: vertices},
+		"vector length past cap": {Op: opCandidates, Query: q, Bits: maxBits + 1},
+		"unknown op":             {Op: 9, Query: q},
+		"unknown swap phase":     {Op: opSwap, SwapPhase: 7},
+	} {
+		bad.Epoch = 1
+		final, _ := roundTrip(t, c, &bad)
+		if final.ErrKind != errGeneric || final.ErrMsg == "" {
+			t.Errorf("%s: answered %+v, want a generic error frame", name, final)
+		}
+	}
+
+	oracle := cluster.NewLocalSite(0, d.Fragments[0], 1)
+	want, err := oracle.PartialEval(context.Background(), cluster.PartialRequest{Query: q}, func([]rdf.TermID) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, rows := roundTrip(t, c, &request{Op: opPartial, Epoch: 1, Query: q, Order: identity, EdgeRank: identity})
+	if err := final.err(); err != nil {
+		t.Fatalf("good request after the bad ones: %v", err)
+	}
+	if rows != want.LocalMatches || final.LocalMatches != want.LocalMatches || len(final.Matches) != len(want.Matches) {
+		t.Errorf("good request: %d rows, %d local and %d partial matches; want %d and %d",
+			rows, final.LocalMatches, len(final.Matches), want.LocalMatches, len(want.Matches))
+	}
+	if final.EvalNS <= 0 {
+		t.Errorf("final frame reports an evaluation wall of %d ns", final.EvalNS)
+	}
+}
+
+// foreignFrame is a frame from a build whose wire version is 9.
+type foreignFrame struct{}
+
+func (foreignFrame) appendTo(b []byte) []byte { return append(b, 9<<1, 1, 2, 3) }
+
+// TestVersionSkewIsAnError: a peer from a build with another wire version
+// fails the call by name on both ends — the worker answers the foreign
+// request with an error frame and keeps serving, the client fails the
+// call on the foreign reply without retrying it.
+func TestVersionSkewIsAnError(t *testing.T) {
+	_, addr := startWorker(t)
+	c := dialRaw(t, addr)
+	final, _ := roundTrip(t, c, foreignFrame{})
+	if err := final.err(); err == nil || !strings.Contains(err.Error(), "remote: peer speaks wire version 9") {
+		t.Errorf("worker answered a foreign request with %v", err)
+	}
+	if final, _ := roundTrip(t, c, &request{Op: opStats}); final.err() != nil {
+		t.Errorf("stats after the foreign frame: %v", final.err())
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { served <- n }()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			peer := &conn{Conn: nc}
+			for {
+				if _, _, err := peer.recv(); err != nil {
+					break
+				}
+				n++
+				if _, err := peer.send(foreignFrame{}); err != nil {
+					break
+				}
+			}
+			nc.Close()
+		}
+	}()
+	coord, err := Connect(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = coord.NewSite(0).Stats(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "remote: peer speaks wire version 9") {
+		t.Errorf("client read a foreign reply as %v", err)
+	}
+	coord.Close()
+	ln.Close()
+	if n := <-served; n != 1 {
+		t.Errorf("the foreign peer saw %d requests, want 1 (a misread reply is not a transport failure to retry)", n)
+	}
+}
+
+// TestWireCostIsDeterministic: the bytes and frames a call costs are a
+// function of what it carries — identical calls against one generation
+// report identical Wire and WireMessages, whatever their timing and
+// deadline.
+func TestWireCostIsDeterministic(t *testing.T) {
+	ex := paperexample.New()
+	d, err := fragment.Build(ex.Store, ex.Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startWorker(t)
+	c, err := Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sites := deploy(t, c, d, 1)
+	vecs := make([]*candidates.SiteVectors, len(sites))
+	for i, s := range sites {
+		rep, err := s.Candidates(context.Background(), cluster.CandidatesRequest{Query: ex.Query, Bits: candidates.DefaultBits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs[i] = rep.Vectors
+	}
+	union, err := candidates.Union(vecs, ex.Query, candidates.DefaultBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sites {
+		var first cluster.PartialReply
+		for run, timeout := range []time.Duration{time.Minute, time.Hour, 0} {
+			ctx := context.Background()
+			if timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, timeout)
+				defer cancel()
+			}
+			rep, err := s.PartialEval(ctx, cluster.PartialRequest{Query: ex.Query, Union: union}, func([]rdf.TermID) bool { return true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				first = rep
+			} else if rep.Wire != first.Wire || rep.WireMessages != first.WireMessages {
+				t.Errorf("site %d run %d: %d bytes in %d frames, the first run cost %d in %d",
+					i, run, rep.Wire, rep.WireMessages, first.Wire, first.WireMessages)
+			}
+			if rep.Eval <= 0 {
+				t.Errorf("site %d: reply reports no evaluation wall", i)
+			}
+		}
 	}
 }

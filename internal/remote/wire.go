@@ -1,6 +1,6 @@
 // Package remote carries the coordinator↔site boundary across process
 // lines. It provides the three pieces worker mode needs: a
-// dependency-free RPC transport (length-prefixed gob frames over TCP,
+// dependency-free RPC transport (length-prefixed binary frames over TCP,
 // per-call deadlines from the caller's context, retry-on-transient,
 // connection reuse), the worker server that hosts fragments and answers
 // partial-evaluation RPCs with the same in-process evaluation code the
@@ -8,15 +8,26 @@
 // scatters through. Everything stays at the TermID level — the
 // dictionary never crosses the wire; workers match IDs and the
 // coordinator resolves terms.
+//
+// There are two frame types, request and response (wire.go), and one
+// encoding of each (codec.go): a 4-byte length, a tag byte naming the
+// wire version and the frame type, then the struct's fields in
+// declaration order as varints. What a frame costs is therefore a
+// function of the values it carries, the candidate sets inside it are the
+// very bytes the §IX model prices, and a peer from a build with another
+// encoding is refused by version instead of being misread. Both ends
+// treat what they read as hostile: a worker decodes a request with every
+// count checked against the bytes that arrived, then checks that the
+// request is one it can evaluate (request.check), and answers anything
+// else with an error frame on a connection that keeps serving.
 package remote
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"slices"
 
 	"gstored/internal/candidates"
@@ -27,8 +38,8 @@ import (
 	"gstored/internal/rdf"
 )
 
-// Operation discriminators; one request struct covers every call so the
-// wire needs no type registry beyond gob's own.
+// Operation discriminators; one request struct covers every call, so the
+// wire has two frame types and no registry.
 const (
 	opCandidates = 1
 	opPartial    = 2
@@ -40,13 +51,14 @@ const (
 // into an arbitrary allocation.
 const maxFrame = 1 << 30
 
-// frameChunk is the most readFrame allocates ahead of the bytes it has
-// received; frames up to this size are read into one exact allocation.
+// frameChunk is the most recv allocates ahead of the bytes it has
+// received.
 const frameChunk = 64 << 10
 
 // request is the coordinator→worker frame: the op discriminator plus the
 // fields that op reads. Everything is serializable by construction — the
-// Site interface contract keeps closures and shared state out.
+// Site interface contract keeps closures and shared state out. The
+// fields travel in this order.
 type request struct {
 	Op    int
 	Site  int
@@ -56,18 +68,20 @@ type request struct {
 	TimeoutNS int64
 
 	// Candidates / PartialEval:
-	Query      *query.Graph
-	Bits       int
 	Star       bool
+	Bits       int
 	Center     int
 	Order      []int
 	EdgeRank   []int
-	Union      *candidates.SiteVectors
 	MaxMatches int
 
 	// SwapGeneration:
 	SwapPhase int
-	Fragment  *fragment.Payload
+
+	// The optional fields travel last, each behind a presence bit.
+	Query    *query.Graph
+	Union    *candidates.SiteVectors
+	Fragment *fragment.Payload
 }
 
 // errKind maps the engine-visible error identities across the wire.
@@ -79,6 +93,7 @@ const (
 	errCanceled
 	errTooMany
 	errNeedSync
+	numErrKinds
 )
 
 // response is the worker→coordinator frame. PartialEval streams: zero or
@@ -94,8 +109,12 @@ type response struct {
 	Matches      []*partial.Match
 	Tasks        int
 	BusyNS       int64
-	Info         cluster.SiteInfo
-	Epoch        uint64
+	// EvalNS is the worker's own wall time for a PartialEval's evaluation,
+	// row batches written included and both ends' codec work excluded:
+	// what the round trip took beyond it is the transport's share.
+	EvalNS int64
+	Info   cluster.SiteInfo
+	Epoch  uint64
 
 	ErrKind  errKind
 	ErrMsg   string
@@ -137,50 +156,63 @@ func (r *response) err() error {
 	return errors.New(r.ErrMsg)
 }
 
-// writeFrame gob-encodes v and writes it length-prefixed (4-byte
-// big-endian). It returns the total bytes on the wire — the real
-// transport cost the metering reports. A fresh encoder per frame trades
-// a little redundancy (type descriptors resent) for framing that cannot
-// desynchronize: every frame decodes standalone.
-func writeFrame(w io.Writer, v any) (int64, error) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return 0, err
+// keepBuf is the largest frame buffer a connection holds on to between
+// frames; the occasional fragment-sized frame is not worth pinning its
+// megabytes to every pooled connection.
+const keepBuf = 1 << 20
+
+// conn is one connection and the two buffers its frames are built in and
+// read into. A connection carries one call at a time, so whoever holds
+// it owns both buffers; nothing decoded points into them.
+type conn struct {
+	net.Conn
+	out, in []byte
+}
+
+// frame is either frame type, as the encoder sees it.
+type frame interface{ appendTo(b []byte) []byte }
+
+// send writes f as one frame — 4-byte big-endian length, then the body —
+// and returns the total bytes on the wire, the real transport cost the
+// metering reports.
+func (c *conn) send(f frame) (int64, error) {
+	b := f.appendTo(append(c.out[:0], 0, 0, 0, 0))
+	if cap(b) <= keepBuf {
+		c.out = b
 	}
-	n := buf.Len() - 4
+	n := len(b) - 4
 	if n > maxFrame {
 		return 0, fmt.Errorf("remote: %d-byte frame exceeds limit", n)
 	}
-	binary.BigEndian.PutUint32(buf.Bytes(), uint32(n))
-	written, err := w.Write(buf.Bytes())
+	binary.BigEndian.PutUint32(b, uint32(n))
+	written, err := c.Write(b)
 	return int64(written), err
 }
 
-// readFrame reads one length-prefixed frame into v, returning the bytes
-// consumed.
-func readFrame(r io.Reader, v any) (int64, error) {
+// recv reads one frame and returns its body, which is valid until the
+// next recv, and the bytes consumed.
+func (c *conn) recv() ([]byte, int64, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
+	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+		return nil, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrame {
-		return 4, fmt.Errorf("remote: %d-byte frame exceeds limit", n)
+		return nil, 4, fmt.Errorf("remote: %d-byte frame exceeds limit", n)
 	}
 	// The prefix is unauthenticated: the buffer grows only as body bytes
 	// actually arrive, so a garbage header cannot buy a maxFrame allocation.
-	body := make([]byte, 0, min(int(n), frameChunk))
-	for len(body) < int(n) {
-		body = slices.Grow(body, min(int(n)-len(body), frameChunk))
-		m, err := io.ReadFull(r, body[len(body):min(cap(body), int(n))])
+	body := c.in[:0]
+	for len(body) < n {
+		body = slices.Grow(body, min(n-len(body), frameChunk))
+		m, err := io.ReadFull(c, body[len(body):min(cap(body), n)])
 		body = body[:len(body)+m]
 		if err != nil {
-			return 4, err
+			return nil, 4, err
 		}
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
-		return int64(4 + n), err
+	if cap(body) <= keepBuf {
+		c.in = body
 	}
-	return int64(4 + n), nil
+	return body, int64(4 + n), nil
 }

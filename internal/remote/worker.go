@@ -12,12 +12,18 @@ import (
 	"gstored/internal/fragment"
 	"gstored/internal/pool"
 	"gstored/internal/rdf"
+	"gstored/internal/store"
 )
 
 // rowBatch is how many streamed local-match rows share one frame: large
 // enough to amortize framing, small enough that the coordinator's sink
 // sees rows while the site is still producing.
 const rowBatch = 256
+
+// maxBits is the longest hashed candidate vector a request may ask a site
+// to build: 2 MiB a variable, where the engine asks for
+// candidates.DefaultBits.
+const maxBits = 1 << 24
 
 // keepEpochs is how many generations behind the committed epoch a worker
 // keeps resident, so executions that pinned a recent generation at the
@@ -147,26 +153,80 @@ func (w *Worker) Close() error {
 	return nil
 }
 
-// serveConn handles one connection's request loop. A decode failure is a
-// broken stream (the framing no longer lines up), so the connection
-// drops; handler errors travel back in the final response frame and the
+// serveConn handles one connection's request loop. A frame that does not
+// arrive whole is a broken stream, so the connection drops. A whole frame
+// that does not decode, or decodes to a request this worker cannot
+// evaluate, is the peer's mistake and leaves the framing intact: like a
+// handler error it travels back in the final response frame and the
 // connection keeps serving.
-func (w *Worker) serveConn(conn net.Conn) {
-	defer conn.Close()
+func (w *Worker) serveConn(nc net.Conn) {
+	defer nc.Close()
+	c := &conn{Conn: nc}
 	for {
-		var req request
-		if _, err := readFrame(conn, &req); err != nil {
+		body, _, err := c.recv()
+		if err != nil {
 			return
 		}
-		if !w.handle(conn, &req) {
+		var req request
+		err = req.decode(body)
+		if err == nil {
+			err = req.check()
+		}
+		if err != nil {
+			refusal := response{Done: true}
+			refusal.setErr(err)
+			if _, err := c.send(&refusal); err != nil {
+				return
+			}
+			continue
+		}
+		if !w.handle(c, &req) {
 			return
 		}
 	}
 }
 
-// handle dispatches one request, writing the response frame(s) to conn;
-// it reports whether the connection is still usable.
-func (w *Worker) handle(conn net.Conn, req *request) bool {
+// check reports why a decoded request cannot be evaluated. The decoder
+// vouches for the encoding only; this is what stands between a well-framed
+// request and the evaluation code, which indexes by what the request says.
+func (q *request) check() error {
+	switch q.Op {
+	case opStats:
+		return nil
+	case opSwap:
+		if p := cluster.SwapPhase(q.SwapPhase); p != cluster.SwapPrepare && p != cluster.SwapCommit {
+			return fmt.Errorf("remote: unknown swap phase %d", q.SwapPhase)
+		}
+		return nil
+	case opCandidates, opPartial:
+	default:
+		return fmt.Errorf("remote: unknown op %d", q.Op)
+	}
+	if q.Query == nil {
+		return errors.New("remote: request carries no query")
+	}
+	if err := q.Query.Validate(); err != nil {
+		return err
+	}
+	if q.Bits > maxBits {
+		return fmt.Errorf("remote: %d-bit candidate vectors exceed the %d-bit limit", q.Bits, maxBits)
+	}
+	edges := len(q.Query.Edges)
+	if len(q.Order) != 0 && !store.ValidOrder(q.Order, edges) {
+		return fmt.Errorf("remote: a %d-entry order is not a permutation of the query's %d edges", len(q.Order), edges)
+	}
+	if len(q.EdgeRank) != 0 && len(q.EdgeRank) != edges {
+		return fmt.Errorf("remote: %d edge ranks for %d edges", len(q.EdgeRank), edges)
+	}
+	if q.Star && (q.Center < 0 || q.Center >= len(q.Query.Vertices)) {
+		return fmt.Errorf("remote: star center %d is not one of the query's %d vertices", q.Center, len(q.Query.Vertices))
+	}
+	return nil
+}
+
+// handle dispatches one checked request, writing the response frame(s) to
+// c; it reports whether the connection is still usable.
+func (w *Worker) handle(c *conn, req *request) bool {
 	//lint:allow ctxflow the request frame is this context's root: the coordinator's deadline arrives as TimeoutNS, applied just below
 	ctx := context.Background()
 	if req.TimeoutNS > 0 {
@@ -176,26 +236,22 @@ func (w *Worker) handle(conn net.Conn, req *request) bool {
 	}
 	var final response
 	final.Done = true
-	ok := true
 	switch req.Op {
 	case opCandidates:
 		w.handleCandidates(ctx, req, &final)
 	case opPartial:
-		ok = w.handlePartial(ctx, conn, req, &final)
+		start := time.Now()
+		if !w.handlePartial(ctx, c, req, &final) {
+			return false
+		}
+		final.EvalNS = int64(time.Since(start))
 	case opStats:
 		w.handleStats(req, &final)
 	case opSwap:
 		w.handleSwap(req, &final)
-	default:
-		final.setErr(fmt.Errorf("remote: unknown op %d", req.Op))
 	}
-	if !ok {
-		return false
-	}
-	if _, err := writeFrame(conn, &final); err != nil {
-		return false
-	}
-	return true
+	_, err := c.send(&final)
+	return err == nil
 }
 
 // generation resolves the fragment serving (site, epoch); the error is
@@ -237,7 +293,7 @@ func (w *Worker) handleCandidates(ctx context.Context, req *request, final *resp
 // batches as they fill. It reports whether the connection survived: a
 // mid-stream write failure means the coordinator is gone, so production
 // stops and the connection drops.
-func (w *Worker) handlePartial(ctx context.Context, conn net.Conn, req *request, final *response) bool {
+func (w *Worker) handlePartial(ctx context.Context, c *conn, req *request, final *response) bool {
 	f, err := w.generation(req.Site, req.Epoch)
 	if err != nil {
 		final.setErr(err)
@@ -257,8 +313,8 @@ func (w *Worker) handlePartial(ctx context.Context, conn net.Conn, req *request,
 		if len(batch) == 0 {
 			return nil
 		}
-		_, werr := writeFrame(conn, &response{Rows: batch})
-		batch = nil
+		_, werr := c.send(&response{Rows: batch})
+		batch = batch[:0]
 		return werr
 	}
 	emit := func(row []rdf.TermID) bool {
@@ -374,7 +430,5 @@ func (w *Worker) handleSwap(req *request, final *response) {
 			}
 		}
 		final.Epoch = s.committed
-	default:
-		final.setErr(fmt.Errorf("remote: unknown swap phase %d", req.SwapPhase))
 	}
 }

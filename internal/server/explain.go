@@ -117,6 +117,10 @@ type ExplainFragment struct {
 	// worker pool delivered.
 	Tasks      int     `json:"tasks"`
 	BusyMillis float64 `json:"busy_ms"`
+	// TransportMillis is what the site's partial-evaluation round trips
+	// took beyond the worker's own evaluation (codec, socket, queueing);
+	// zero when the site is in-process.
+	TransportMillis float64 `json:"transport_ms"`
 }
 
 // ExplainCache reports how the cache and singleflight layers would have
@@ -224,6 +228,7 @@ func explainFragments(fs []gstored.FragmentStats) []ExplainFragment {
 			WallMillis:             millis(f.Wall),
 			Tasks:                  f.Tasks,
 			BusyMillis:             millis(f.Busy),
+			TransportMillis:        millis(f.Transport),
 		}
 	}
 	return out

@@ -40,6 +40,7 @@ type Metrics struct {
 	ShipmentBytes  atomic.Int64
 	Messages       atomic.Int64 // simulated inter-site messages
 	CommNanos      atomic.Int64 // estimated communication time under the link model
+	TransportNanos atomic.Int64 // remote round-trip time beyond the workers' own evaluation, summed over sites
 	PartialMatches atomic.Int64
 	LECFeatures    atomic.Int64 // LEC features the pruning stage joined
 	PrunedMatches  atomic.Int64 // partial matches LEC pruning kept off the wire
@@ -81,6 +82,9 @@ func (m *Metrics) Observe(s engine.Stats, wall time.Duration) {
 	m.ShipmentBytes.Add(s.TotalShipment)
 	m.Messages.Add(s.Messages)
 	m.CommNanos.Add(int64(s.EstimatedCommTime))
+	for _, f := range s.Fragments {
+		m.TransportNanos.Add(int64(f.Transport))
+	}
 	m.PartialMatches.Add(int64(s.NumPartialMatches))
 	m.LECFeatures.Add(int64(s.NumLECFeatures))
 	m.PrunedMatches.Add(int64(s.NumPartialMatches - s.NumRetainedPartialMatches))
@@ -168,6 +172,7 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	writeMetric(w, "gstored_shipment_bytes_total", "Simulated inter-site data shipment.", "counter", m.ShipmentBytes.Load())
 	writeMetric(w, "gstored_messages_total", "Simulated inter-site messages (shipments and broadcasts).", "counter", m.Messages.Load())
 	writeMetric(w, "gstored_estimated_comm_seconds_total", "Estimated communication time of the metered traffic under the cluster link model.", "counter", seconds(m.CommNanos.Load()))
+	writeMetric(w, "gstored_remote_transport_seconds_total", "Partial-evaluation round-trip time beyond the workers' own evaluation (codec, socket, queueing), summed over sites; zero in-process.", "counter", seconds(m.TransportNanos.Load()))
 	writeMetric(w, "gstored_partial_matches_total", "Local partial matches enumerated.", "counter", m.PartialMatches.Load())
 	writeMetric(w, "gstored_lec_features_total", "LEC features joined by the pruning stage.", "counter", m.LECFeatures.Load())
 	writeMetric(w, "gstored_partial_matches_pruned_total", "Local partial matches LEC pruning discarded before shipment.", "counter", m.PrunedMatches.Load())

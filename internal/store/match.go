@@ -75,7 +75,7 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 		return
 	}
 	order := opts.Order
-	if !validOrder(order, len(q.Edges)) {
+	if !ValidOrder(order, len(q.Edges)) {
 		order = EdgeOrder(st.Plan(q))
 	}
 	seedT, seedV := st.seedDomain(q.Edges[order[0]].Label)
@@ -136,8 +136,9 @@ func (st *Store) seedDomain(label rdf.TermID) ([]rdf.Triple, []rdf.TermID) {
 	return nil, st.vertices
 }
 
-// validOrder reports whether order is a permutation of [0, n).
-func validOrder(order []int, n int) bool {
+// ValidOrder reports whether order is a permutation of [0, n): an edge
+// order MatchFunc follows instead of planning its own.
+func ValidOrder(order []int, n int) bool {
 	if len(order) != n {
 		return false
 	}
