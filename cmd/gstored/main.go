@@ -121,9 +121,9 @@ func main() {
 		s := res.Stats
 		fmt.Fprintf(os.Stderr, "\n%s: %d matches (%d local, %d crossing) in %v\n",
 			s.Mode, s.NumMatches, s.NumLocalMatches, s.NumCrossingMatches, s.TotalTime)
-		fmt.Fprintf(os.Stderr, "stages: candidates %v (%d B), partial eval %v (%d LPMs), LEC %v (%d B, %d features, %d retained), assembly %v (%d B)\n",
+		fmt.Fprintf(os.Stderr, "stages: candidates %v (%d B), partial eval %v (%d B, %d LPMs), LEC %v (%d B, %d features, %d retained), assembly %v (%d B)\n",
 			s.CandidatesTime, s.CandidatesShipment,
-			s.PartialTime, s.NumPartialMatches,
+			s.PartialTime, s.PartialShipment, s.NumPartialMatches,
 			s.LECTime, s.LECShipment, s.NumLECFeatures, s.NumRetainedPartialMatches,
 			s.AssemblyTime, s.AssemblyShipment)
 		fmt.Fprintf(os.Stderr, "network: %d bytes in %d messages (est. comm time %v)\n",

@@ -71,8 +71,11 @@ func TestIntegrationAllWorkloads(t *testing.T) {
 }
 
 // TestIntegrationModesAgreeOnYAGOAndBTC: the four ablation modes agree on
-// the selective queries of the two heterogeneous datasets (the expensive
-// unselective ones are covered by the engine's property tests).
+// the selective queries of the two heterogeneous datasets (hash, 6 sites,
+// through the public API). The unselective YQ3 it skips — and YQ1–YQ4 and
+// BQ4–BQ7 at 12 sites under hash, semantic-hash and metis — are held to
+// one answer across the four modes and the three layouts by the row
+// digest of internal/engine's TestPaperTables, which executes them anyway.
 func TestIntegrationModesAgreeOnYAGOAndBTC(t *testing.T) {
 	for _, ds := range []*Dataset{GenerateYAGO(1), GenerateBTC(1)} {
 		db, err := Open(ds.Graph, Config{Sites: 6})

@@ -126,7 +126,7 @@ type StageStat struct {
 func (s *Stats) Stages() [NumStages]StageStat {
 	return [NumStages]StageStat{
 		StageCandidates: {StageCandidates.String(), s.CandidatesTime, s.CandidatesShipment},
-		StagePartial:    {StagePartial.String(), s.PartialTime, 0},
+		StagePartial:    {StagePartial.String(), s.PartialTime, s.PartialShipment},
 		StageLEC:        {StageLEC.String(), s.LECTime, s.LECShipment},
 		StageAssembly:   {StageAssembly.String(), s.AssemblyTime, s.AssemblyShipment},
 	}
@@ -149,7 +149,10 @@ type Stats struct {
 	CandidateFraming int64
 
 	// Partial evaluation (local complete matches + local partial matches).
+	// PartialShipment is the §IX price of the local complete matches' rows;
+	// over RPC they ride the stage's reply and are not priced apart.
 	PartialTime       time.Duration
+	PartialShipment   int64
 	NumPartialMatches int
 
 	// LEC-feature-based optimization (Section IV).
@@ -174,7 +177,10 @@ type Stats struct {
 	// ordered, materializing path.
 	EarlyStop bool
 
-	TotalTime         time.Duration
+	TotalTime time.Duration
+	// InitShipment is the §IX price of sending the query graph to every
+	// site; with the four stage shipments it sums to TotalShipment.
+	InitShipment      int64
 	TotalShipment     int64
 	Messages          int64
 	EstimatedCommTime time.Duration
@@ -881,7 +887,8 @@ func modelShipment(q *query.Graph, stats *Stats, ship *shipCounts, net *cluster.
 	frags := stats.Fragments
 	k := int64(len(frags))
 	// Initialization: every site receives the full query graph.
-	net.Count(int64(querySize(q))*k, k)
+	stats.InitShipment = int64(querySize(q)) * k
+	net.Count(stats.InitShipment, k)
 	// Stage 0: one candidate-vector message per site, the union back to each.
 	if ship.union != nil {
 		stats.CandidatesShipment = int64(ship.union.ShipmentBytes()) * k
@@ -894,28 +901,26 @@ func modelShipment(q *query.Graph, stats *Stats, ship *shipCounts, net *cluster.
 	}
 	// Stage 1: local matches to the coordinator — one reply per site on
 	// the star path, one gathered message on the distributed path.
-	var local int64
 	for i := range frags {
 		b := int64(rowBytes(q) * frags[i].LocalMatches)
 		frags[i].ShipmentBytes += b
-		local += b
+		stats.PartialShipment += b
 	}
 	if stats.StarFastPath {
-		net.Count(local, k)
+		net.Count(stats.PartialShipment, k)
 	} else {
-		net.Count(local, 1)
+		net.Count(stats.PartialShipment, 1)
 	}
 	// Stage 2: one message per LEC feature, from the site owning its
-	// partial matches, and the verdict bitmap back to each site. The
-	// stage's shipment column includes the local rows that precede it.
+	// partial matches, and the verdict bitmap back to each site.
 	if ship.pruned {
-		stats.LECShipment = local + int64((len(ship.features)+7)/8)*k
+		stats.LECShipment = int64((len(ship.features)+7)/8) * k
 		for _, f := range ship.features {
 			fb := int64(f.EstimateBytes(len(q.Vertices)))
 			frags[f.Frag].ShipmentBytes += fb
 			stats.LECShipment += fb
 		}
-		net.Count(stats.LECShipment-local, int64(len(ship.features))+k)
+		net.Count(stats.LECShipment, int64(len(ship.features))+k)
 	}
 	// Stage 3: one message per retained partial match.
 	for _, pm := range ship.kept {
@@ -953,6 +958,7 @@ func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []
 		agg.CandidateVars = append(agg.CandidateVars, s.CandidateVars...)
 		agg.CandidateFraming += s.CandidateFraming
 		agg.PartialTime += s.PartialTime
+		agg.PartialShipment += s.PartialShipment
 		agg.NumPartialMatches += s.NumPartialMatches
 		agg.LECTime += s.LECTime
 		agg.LECShipment += s.LECShipment
@@ -963,6 +969,7 @@ func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []
 		agg.JoinAttempts += s.JoinAttempts
 		agg.NumCrossingMatches += s.NumCrossingMatches
 		agg.NumLocalMatches += s.NumLocalMatches
+		agg.InitShipment += s.InitShipment
 		agg.TotalShipment += s.TotalShipment
 		agg.Messages += s.Messages
 		agg.EstimatedCommTime += s.EstimatedCommTime

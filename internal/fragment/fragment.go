@@ -101,8 +101,9 @@ type Distributed struct {
 	Fragments  []*Fragment
 	Assignment *partition.Assignment
 	Dict       *rdf.Dictionary
-	// Global is the store over the whole graph; kept for verification and
-	// for baselines (e.g. DREAM replicates the full graph at every site).
+	// Global is the store over the whole graph: the write path's source of
+	// truth (updates patch it, repartitioning rebuilds the fragments from
+	// it), the store the coordinator plans on, and the tests' oracle.
 	Global *store.Store
 }
 

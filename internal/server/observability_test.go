@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"gstored"
 	"gstored/internal/trace"
 )
 
@@ -457,6 +458,48 @@ func TestExplainEndToEnd(t *testing.T) {
 	normal, _ := getJSON(t, ts.URL, pathQuery)
 	if xc := normal.Header.Get("X-Cache"); xc != "MISS" {
 		t.Errorf("request after explain got X-Cache %q, want MISS (explain must not populate the cache)", xc)
+	}
+}
+
+// TestExplainStagesSumToShipment: every byte of an in-process report
+// belongs to a stage row or to the query broadcast. LQ7 under metis has
+// complete local matches beside its partial matches, so in LO mode the
+// partial, lec and assembly rows each carry their own bytes.
+func TestExplainStagesSumToShipment(t *testing.T) {
+	ds := gstored.GenerateLUBM(1)
+	db, err := gstored.Open(ds.Graph, gstored.Config{Sites: 4, Strategy: "metis", Mode: gstored.ModeLO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lq7, err := ds.Query("LQ7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, db, Config{})
+	resp, err := http.Get(ts.URL + "/sparql?explain=1&query=" + url.QueryEscape(lq7.SPARQL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rep ExplainReport
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(lq7.SPARQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := res.Stats.InitShipment
+	byStage := map[string]int64{}
+	for _, st := range rep.Stages {
+		sum += st.ShipmentBytes
+		byStage[st.Stage] = st.ShipmentBytes
+	}
+	if sum != rep.ShipmentBytes {
+		t.Errorf("init %d + stages %v = %d, report shipment_bytes = %d", res.Stats.InitShipment, byStage, sum, rep.ShipmentBytes)
+	}
+	if byStage["partial"] == 0 || byStage["lec"] == 0 || byStage["assembly"] == 0 {
+		t.Errorf("stages %v: want local rows, LEC features and retained matches all shipped", byStage)
 	}
 }
 
