@@ -16,12 +16,11 @@ race:
 fmt-check:
 	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"
 
-# lint drives the eight invariant analyzers (genswap, ctxflow, spanpair,
-# metriclabel, looseerr, lockpath, chanleak, deferloop) through the vet
-# protocol, exactly as CI does.
+# lint runs the four invariant analyzers (genswap, metriclabel, looseerr,
+# lockpath) over every package under the root, bench/ included, through
+# their one driver: TestModuleClean, which tier-1 runs too.
 lint:
-	$(GO) build -o bin/gstored-lint ./cmd/gstored-lint
-	$(GO) vet -vettool=$(CURDIR)/bin/gstored-lint ./...
+	$(GO) test -count=1 -run '^TestModuleClean$$' ./internal/analysis/
 
 # bench-check builds, vets and tests the benchmark module against this
 # tree, exactly as CI does: bench/ imports the tree's packages, so a
@@ -46,7 +45,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParseUpdate$$' -fuzztime=10s ./internal/sparql/
 	$(GO) test -run=NONE -fuzz='^FuzzLexer$$' -fuzztime=10s ./internal/sparql/
 	$(GO) test -run=NONE -fuzz='^FuzzReadNTriples$$' -fuzztime=10s ./internal/rdf/
-	$(GO) test -run=NONE -fuzz='^FuzzCFG$$' -fuzztime=10s ./internal/analysis/
 	$(GO) test -run=NONE -fuzz='^FuzzApplyDelta$$' -fuzztime=10s ./internal/fragment/
 	$(GO) test -run=NONE -fuzz='^FuzzClosureIndex$$' -fuzztime=10s ./internal/lec/
 	$(GO) test -run=NONE -fuzz='^FuzzCompute$$' -fuzztime=10s ./internal/partial/

@@ -269,7 +269,8 @@ func Open(g *Graph, cfg Config) (*DB, error) {
 	// The initial ship is epoch 1's two-phase broadcast with every fragment
 	// touched: workers stage their fragments at prepare and serve them from
 	// commit; in-process the same path just builds the LocalSite handles.
-	//lint:allow ctxflow Open is the documented context-free constructor; the ship is bounded by the transport's own deadlines
+	// Open takes no context: the ship is bounded by the transport's own
+	// deadlines.
 	if err := db.publish(context.Background(), &dbState{}, dist, assign.StrategyName, nil); err != nil {
 		if db.workers != nil {
 			_ = db.workers.Close() // already failing; connection cleanup is best-effort
@@ -440,7 +441,6 @@ func (db *DB) Repartition(a *Assignment) error {
 	}
 	// A repartition rebuilds every fragment, so the epoch broadcast ships
 	// them all (touched nil = all).
-	//lint:allow ctxflow Repartition is the documented context-free admin entry point, matching its existing signature
 	return db.publish(context.Background(), prev, dist, name, nil)
 }
 
@@ -744,7 +744,6 @@ func (db *DB) Query(sparqlText string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	//lint:allow ctxflow Query is the documented context-free entry point; QueryGraphContext is the threaded variant
 	return db.QueryGraphContext(context.Background(), q)
 }
 

@@ -1,72 +1,51 @@
-// Package analysis is gstored-lint: a suite of static analyzers that
-// machine-enforce the concurrency and observability invariants this
-// engine's correctness rests on but no compiler checks — one generation
-// snapshot per request scope (genswap), contexts flowing
-// coordinator→site (ctxflow), trace spans paired with their closers
-// (spanpair), bounded metric label sets (metriclabel), no silently
-// dropped errors (looseerr), lock/unlock pairing on every path with
-// swapMu outermost (lockpath), cancellable goroutine channel waits
-// (chanleak), and no defer accumulation in loops (deferloop).
+// Package analysis machine-enforces the invariants this engine's
+// correctness rests on and no compiler or stock linter checks: one
+// generation snapshot per request scope (genswap), bounded /metrics
+// label sets (metriclabel), no error result silently dropped by a call
+// statement (looseerr), and swapMu acquired outermost with its Unlock
+// deferred at once (lockpath).
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built entirely on the standard library's go/ast and
-// go/types, because this module is dependency-free by policy. Two
-// drivers run the analyzers: a standalone loader (Run, for
-// `gstored-lint ./...` and the analysistest harness) and a vet
-// unitchecker protocol adapter (UnitcheckerMain, for
-// `go vet -vettool=gstored-lint ./...`), both in this package.
-// spanpair, looseerr, and lockpath are path-sensitive: they run a
-// worklist dataflow (dataflow.go) over per-function control-flow
-// graphs (cfg.go), so a closer, error, or unlock skipped on just one
-// early-return path is still caught.
-//
-// # Suppressing a diagnostic
-//
-// Intentional violations are suppressed with a directive comment on the
-// flagged line or the line immediately above it:
-//
-//	//lint:allow <analyzer> <reason>
-//
-// The reason is mandatory: an allow that does not say why is itself
-// reported. Test files (*_test.go) are exempt from every analyzer —
-// tests legitimately use context.Background, double loads, and
-// immediately-invoked span closers.
+// go/types, because this module is dependency-free by policy. There is
+// one driver, the loader in load.go; TestModuleClean runs every analyzer
+// over every package it loads, and `make lint` is that test. The loader
+// never parses a *_test.go file, and no diagnostic can be suppressed: a
+// finding is fixed or the rule is changed.
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
-// An Analyzer describes one analysis pass: a name (used in diagnostics
-// and //lint:allow directives), one-line documentation, and the run
-// function.
+// An Analyzer describes one analysis pass: a name (used in
+// diagnostics), one-line documentation, and the run function.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
 }
 
-// All returns the full gstored-lint suite in reporting order.
+// All returns the full suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{GenSwap, CtxFlow, SpanPair, MetricLabel, LooseErr, LockPath, ChanLeak, DeferLoop}
+	return []*Analyzer{GenSwap, MetricLabel, LooseErr, LockPath}
 }
 
 // A Pass provides one analyzer everything it needs to inspect a single
 // type-checked package: syntax, types, and a Report sink.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report records one diagnostic. The driver wraps it with the
-	// //lint:allow suppression filter and the *_test.go exemption.
+	// Report records one diagnostic.
 	Report func(Diagnostic)
 }
 
@@ -79,105 +58,26 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
-	Analyzer string // filled in by the driver
-}
-
-// allowDirectives indexes //lint:allow comments: file → line →
-// analyzer names allowed there. A directive suppresses diagnostics on
-// its own line and on the line immediately following it (the idiomatic
-// placement: directive above the flagged statement).
-type allowDirectives struct {
-	fset  *token.FileSet
-	byPos map[string]map[int]map[string]bool
-	// malformed collects directives without a reason; the driver reports
-	// them so suppressions stay auditable.
-	malformed []Diagnostic
-}
-
-const allowPrefix = "//lint:allow "
-
-func collectAllows(fset *token.FileSet, files []*ast.File) *allowDirectives {
-	d := &allowDirectives{fset: fset, byPos: map[string]map[int]map[string]bool{}}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := c.Text
-				if !strings.HasPrefix(text, allowPrefix) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, allowPrefix))
-				name, reason, _ := strings.Cut(rest, " ")
-				if name == "" || strings.TrimSpace(reason) == "" {
-					d.malformed = append(d.malformed, Diagnostic{
-						Pos:      c.Pos(),
-						Message:  "malformed //lint:allow directive: want \"//lint:allow <analyzer> <reason>\"",
-						Analyzer: "lintdirective",
-					})
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				lines := d.byPos[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					d.byPos[pos.Filename] = lines
-				}
-				for _, line := range []int{pos.Line, pos.Line + 1} {
-					set := lines[line]
-					if set == nil {
-						set = map[string]bool{}
-						lines[line] = set
-					}
-					set[name] = true
-				}
-			}
-		}
-	}
-	return d
-}
-
-// allows reports whether a diagnostic from analyzer at pos is suppressed.
-func (d *allowDirectives) allows(analyzer string, pos token.Pos) bool {
-	p := d.fset.Position(pos)
-	return d.byPos[p.Filename][p.Line][analyzer]
-}
-
-// isTestFile reports whether pos sits in a *_test.go file; every
-// analyzer skips those.
-func isTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
+	Analyzer string // filled in by RunAnalyzers
 }
 
 // RunAnalyzers runs every analyzer over one loaded package and returns
-// the surviving diagnostics sorted by position. Suppression
-// (//lint:allow), the test-file exemption, and malformed-directive
-// reporting all happen here so the two drivers and the test harness
-// share one filter.
+// their diagnostics sorted by position.
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	allows := collectAllows(fset, files)
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:  a,
 			Fset:      fset,
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-		}
-		name := a.Name
-		pass.Report = func(d Diagnostic) {
-			d.Analyzer = name
-			if isTestFile(fset, d.Pos) || allows.allows(name, d.Pos) {
-				return
-			}
-			diags = append(diags, d)
+			Report: func(d Diagnostic) {
+				d.Analyzer = a.Name
+				diags = append(diags, d)
+			},
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-	}
-	for _, m := range allows.malformed {
-		if !isTestFile(fset, m.Pos) {
-			diags = append(diags, m)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
@@ -192,7 +92,14 @@ func newTypesInfo() *types.Info {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
 	}
+}
+
+// exprString renders an expression compactly for diagnostics.
+func exprString(e ast.Expr) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, token.NewFileSet(), e); err != nil {
+		return "<expr>"
+	}
+	return buf.String()
 }

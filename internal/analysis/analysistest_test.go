@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"path/filepath"
@@ -22,25 +21,13 @@ import (
 )
 
 func TestGenSwap(t *testing.T)     { runGolden(t, GenSwap) }
-func TestCtxFlow(t *testing.T)     { runGolden(t, CtxFlow) }
-func TestSpanPair(t *testing.T)    { runGolden(t, SpanPair) }
 func TestMetricLabel(t *testing.T) { runGolden(t, MetricLabel) }
 func TestLooseErr(t *testing.T)    { runGolden(t, LooseErr) }
 func TestLockPath(t *testing.T)    { runGolden(t, LockPath) }
-func TestChanLeak(t *testing.T)    { runGolden(t, ChanLeak) }
-func TestDeferLoop(t *testing.T)   { runGolden(t, DeferLoop) }
 
-// TestAllowDirective pins the suppression contract on the same golden
-// layout: a documented //lint:allow for the right analyzer silences the
-// line below; one naming a different analyzer does not.
-func TestAllowDirective(t *testing.T) { runGolden(t, LooseErr, "directive") }
-
-func runGolden(t *testing.T, a *Analyzer, dirname ...string) {
+func runGolden(t *testing.T, a *Analyzer) {
 	t.Helper()
 	name := a.Name
-	if len(dirname) > 0 {
-		name = dirname[0]
-	}
 	dir := filepath.Join("testdata", "src", name)
 	fset := token.NewFileSet()
 	files, err := ParseDir(fset, dir)
@@ -130,63 +117,4 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[stri
 		}
 	}
 	return wants
-}
-
-// TestMalformedAllowDirective checks that an //lint:allow without a
-// reason is itself reported and does not suppress anything: every
-// suppression must be auditable.
-func TestMalformedAllowDirective(t *testing.T) {
-	const src = `package p
-
-import "os"
-
-func f(file *os.File) {
-	//lint:allow looseerr
-	file.Close()
-}
-`
-	diags := runOnSource(t, "p.go", src)
-	var kinds []string
-	for _, d := range diags {
-		kinds = append(kinds, d.Analyzer)
-	}
-	if len(diags) != 2 || kinds[0] != "lintdirective" || kinds[1] != "looseerr" {
-		t.Fatalf("want one lintdirective and one looseerr diagnostic, got %v", kinds)
-	}
-}
-
-// TestTestFilesExempt checks that *_test.go files are exempt from every
-// analyzer.
-func TestTestFilesExempt(t *testing.T) {
-	const src = `package p
-
-import "os"
-
-func f(file *os.File) {
-	file.Close()
-}
-`
-	if diags := runOnSource(t, "p_test.go", src); len(diags) != 0 {
-		t.Fatalf("want no diagnostics in a _test.go file, got %v", diags)
-	}
-}
-
-func runOnSource(t *testing.T, filename, src string) []Diagnostic {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := newTypesInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check("p", fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunAnalyzers(fset, []*ast.File{f}, pkg, info, All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return diags
 }

@@ -13,7 +13,7 @@ import (
 	"strings"
 )
 
-// This file is the standalone driver: it loads and type-checks the
+// This file is the suite's one driver: it loads and type-checks the
 // module's packages without the go/packages machinery (this module is
 // dependency-free), resolving module-local imports by recursive loading
 // and standard-library imports through the source importer, which works

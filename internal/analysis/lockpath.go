@@ -1,89 +1,33 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
-)
+import "go/ast"
 
-// LockPath enforces, path-sensitively, the locking discipline the
-// engine's hot-swap machinery depends on: every sync.Mutex/RWMutex
-// Lock must reach an Unlock on every path to return — `defer
-// mu.Unlock()` immediately after the Lock is the canonical form — and
-// the swap mutex (`swapMu`, which serializes Repartition and Update)
-// must be acquired outermost: a path that takes any other lock before
-// swapMu inverts the order the rest of the module relies on and can
-// deadlock against the canonical order.
+// LockPath enforces the one lock order this module relies on: swapMu,
+// which serializes Repartition and Update, is the outermost lock. The
+// rule is syntactic, per function body (closures are their own bodies):
 //
-// Flagged, per function body (closures are their own bodies):
-//   - a return path on which a lock acquired in this body is still
-//     held and no deferred Unlock is pending;
-//   - acquiring a lock a path may already hold (self-deadlock), and
-//     acquiring a write Lock while a path holds the same RWMutex's
-//     read lock (or vice versa — both deadlock in one goroutine);
-//   - an Unlock a path can reach without the lock held (runtime
-//     fatal), when this body also Locks that mutex — bodies that only
-//     Unlock are the caller-holds-the-lock helper idiom and exempt;
-//   - an explicit Unlock when a deferred Unlock of the same mutex is
-//     already pending (double unlock at exit);
-//   - acquiring swapMu while any other lock is held (lock-order rule:
-//     swapMu outermost).
-//
-// Panic edges are exempt from the held-at-exit check: only deferred
-// Unlocks run during unwinding, which is one more reason defer is the
-// canonical form.
+//   - no other Lock or RLock call may precede X.swapMu.Lock() in the
+//     body — taken or taken-and-released, an earlier lock is either an
+//     inverted order or one refactor away from it;
+//   - the statement right after X.swapMu.Lock() must be
+//     `defer X.swapMu.Unlock()`, so every exit, panics included,
+//     releases it and nothing can run between the two.
 var LockPath = &Analyzer{
 	Name: "lockpath",
-	Doc:  "flags lock/unlock pairings that break on some path and lock acquisitions that invert the swapMu-outermost order",
+	Doc:  "flags a swapMu.Lock that is not the body's first lock or not followed directly by its deferred Unlock",
 	Run:  runLockPath,
-}
-
-// Lock-state bits: a bit is set when some path leaves the lock in that
-// state (the MeetUnion powerset encoding from dataflow.go).
-const (
-	lockU uint8 = 1 << iota // unlocked
-	lockL                   // locked, no deferred unlock pending
-	lockD                   // locked, deferred unlock pending (exit-safe)
-)
-
-// A lockKey identifies one lock within a body: the root variable of
-// the receiver chain plus the printed path (so db.mu and tx.mu stay
-// distinct even when both roots have the same type), with "/R" marking
-// the read side of an RWMutex.
-type lockKey struct {
-	root types.Object
-	path string
-}
-
-// lockOpKind classifies one lock call site.
-type lockOpKind int
-
-const (
-	opLock lockOpKind = iota
-	opUnlock
-)
-
-type lockOp struct {
-	kind lockOpKind
-	key  lockKey
-	read bool // RLock/RUnlock
-	call *ast.CallExpr
 }
 
 func runLockPath(pass *Pass) error {
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				lockPathBody(pass, fn.Body)
-			}
-		}
-		// Closures are separate bodies: a lock taken inside one must be
-		// released inside it (a closure returning with a lock held leaks
-		// it wherever the closure runs).
 		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				lockPathBody(pass, lit.Body)
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					checkSwapMu(pass, fn.Body)
+				}
+			case *ast.FuncLit:
+				checkSwapMu(pass, fn.Body)
 			}
 			return true
 		})
@@ -91,300 +35,78 @@ func runLockPath(pass *Pass) error {
 	return nil
 }
 
-// lockOpOf classifies call as a mutex operation, with ok=false for
-// everything else.
-func lockOpOf(pass *Pass, call *ast.CallExpr) (lockOp, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return lockOp{}, false
-	}
-	var kind lockOpKind
-	var read bool
-	switch sel.Sel.Name {
-	case "Lock":
-		kind = opLock
-	case "Unlock":
-		kind = opUnlock
-	case "RLock":
-		kind, read = opLock, true
-	case "RUnlock":
-		kind, read = opUnlock, true
-	default:
-		return lockOp{}, false
-	}
-	s := pass.TypesInfo.Selections[sel]
-	if s == nil || s.Kind() != types.MethodVal {
-		return lockOp{}, false
-	}
-	t := s.Recv()
-	for {
-		p, isPtr := t.(*types.Pointer)
-		if !isPtr {
-			break
-		}
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return lockOp{}, false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" || (obj.Name() != "Mutex" && obj.Name() != "RWMutex") {
-		return lockOp{}, false
-	}
-	root := chainRoot(pass, sel.X)
-	if root == nil {
-		return lockOp{}, false // receiver reached through a call/index: no stable identity
-	}
-	key := lockKey{root: root, path: exprString(sel.X)}
-	if read {
-		key.path += "/R"
-	}
-	return lockOp{kind: kind, key: key, read: read, call: call}, true
-}
-
-// lockBaseName returns the final selector segment of the lock's path —
-// "swapMu" for db.swapMu — used by the ordering rule.
-func lockBaseName(k lockKey) string {
-	path := strings.TrimSuffix(k.path, "/R")
-	if i := strings.LastIndexByte(path, '.'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
-// pairKey returns the other-mode key of an RWMutex (read↔write), used
-// by the self-deadlock rule.
-func pairKey(k lockKey) lockKey {
-	if strings.HasSuffix(k.path, "/R") {
-		return lockKey{root: k.root, path: strings.TrimSuffix(k.path, "/R")}
-	}
-	return lockKey{root: k.root, path: k.path + "/R"}
-}
-
-// lockOpsIn collects the lock operations performed by node, in
-// syntactic order, excluding nested function literals. RangeStmt nodes
-// contribute nothing: the CFG places their X expression in the
-// preceding block and their body statements in their own blocks, so
-// scanning the whole RangeStmt here would count those operations
-// twice.
-func lockOpsIn(pass *Pass, node ast.Node) []lockOp {
-	if _, ok := node.(*ast.RangeStmt); ok {
-		return nil
-	}
-	var ops []lockOp
-	ast.Inspect(node, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if op, ok := lockOpOf(pass, call); ok {
-				ops = append(ops, op)
-			}
-		}
-		return true
-	})
-	return ops
-}
-
-// deferredUnlocksIn collects unlock operations a defer statement
-// guarantees to run at exit — both `defer mu.Unlock()` and unlocks
-// inside a deferred closure (`defer func() { mu.Unlock() }()`).
-func deferredUnlocksIn(pass *Pass, d *ast.DeferStmt) []lockOp {
-	var ops []lockOp
-	ast.Inspect(d.Call, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if op, ok := lockOpOf(pass, call); ok && op.kind == opUnlock {
-				ops = append(ops, op)
-			}
-		}
-		return true
-	})
-	return ops
-}
-
-type lockFact = map[lockKey]uint8
-
-func lockPathBody(pass *Pass, body *ast.BlockStmt) {
-	// Pre-scan (skipping nested closures, which are analyzed as their
-	// own bodies): collect every lock key this body touches. Bodies
-	// without lock operations need no CFG, and the entry fact seeds
-	// every key as unlocked — with MeetUnion a missing key is ⊥
-	// ("unbound"), which would let a branch that never touched the lock
-	// vanish from the join instead of contributing its unlocked state.
-	locksTaken := map[lockKey]bool{}
-	allKeys := map[lockKey]bool{}
+// checkSwapMu applies both rules to one body.
+func checkSwapMu(pass *Pass, body *ast.BlockStmt) {
+	var first ast.Expr // receiver of the body's first Lock/RLock call
 	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if op, ok := lockOpOf(pass, call); ok {
-				allKeys[op.key] = true
-				if op.kind == opLock {
-					locksTaken[op.key] = true
-				}
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false // its own body
+		case *ast.BlockStmt:
+			checkSwapUnlock(pass, x.List)
+		case *ast.CaseClause:
+			checkSwapUnlock(pass, x.Body)
+		case *ast.CommClause:
+			checkSwapUnlock(pass, x.Body)
+		case *ast.CallExpr:
+			recv := lockReceiver(pass, x)
+			if recv == nil {
+				break
+			}
+			if first != nil && isSwapMu(recv) {
+				pass.Reportf(x.Pos(),
+					"swapMu acquired after %s was locked earlier in this body: swapMu is the outermost lock (Repartition/Update serialize on it before touching anything else); take it first",
+					exprString(first))
+			}
+			if first == nil {
+				first = recv
 			}
 		}
 		return true
 	})
-	if len(allKeys) == 0 {
-		return
-	}
-	entryFact := lockFact{}
-	for k := range allKeys {
-		entryFact[k] = lockU
-	}
+}
 
-	g := NewCFG(body)
-	transfer := func(b *Block, in lockFact) lockFact {
-		out := cloneBits(in)
-		for _, n := range b.Nodes {
-			applyLockNode(pass, n, out, nil)
-		}
-		return out
-	}
-	in := Solve(g, Forward, entryFact, MeetUnion[lockKey], transfer, BitsEqual[lockKey])
-
-	// Reporting pass: replay each reachable block from its in-fact with
-	// the diagnostics callback armed, checking returns and the fall-off
-	// end as they stream by. Panic exits are skipped: deferred unlocks
-	// still run there, and flagging unwinding paths would just force
-	// noise-suppressing allows on every assertion-style panic.
-	reportAt := func(pos token.Pos, st lockFact, where string) {
-		for key, bits := range st {
-			if bits&lockL != 0 {
-				pass.Reportf(pos,
-					"%s leaves %s locked on some path: defer the Unlock right after the Lock so every exit releases it",
-					where, strings.TrimSuffix(key.path, "/R")+lockMode(key))
-			}
-		}
-	}
-	for _, b := range g.Blocks {
-		st, ok := in[b]
+// checkSwapUnlock flags an X.swapMu.Lock() statement in stmts that is
+// not followed directly by `defer X.swapMu.Unlock()`.
+func checkSwapUnlock(pass *Pass, stmts []ast.Stmt) {
+	for i, s := range stmts {
+		es, ok := s.(*ast.ExprStmt)
 		if !ok {
-			continue // unreachable
-		}
-		st = cloneBits(st)
-		for _, n := range b.Nodes {
-			if ret, isRet := n.(*ast.ReturnStmt); isRet {
-				reportAt(ret.Pos(), st, "return")
-			}
-			applyLockNode(pass, n, st, func(op lockOp, bits uint8, deferred bool) {
-				reportLockOp(pass, op, bits, deferred, st, locksTaken)
-			})
-		}
-		// The fall-off end of the body is an implicit return.
-		if !b.Live {
 			continue
 		}
-		for _, s := range b.Succs {
-			if s == g.Exit {
-				if last := b.last(); last == nil || (!isReturn(last) && !isPanicNode(last)) {
-					reportAt(body.Rbrace, st, "function end")
+		call, ok := es.X.(*ast.CallExpr)
+		if !ok {
+			continue
+		}
+		recv := lockReceiver(pass, call)
+		if recv == nil || !isSwapMu(recv) {
+			continue
+		}
+		mu := exprString(recv)
+		if i+1 < len(stmts) {
+			if d, ok := stmts[i+1].(*ast.DeferStmt); ok && calleeName(pass, d.Call) == "(*sync.Mutex).Unlock" {
+				if sel, ok := d.Call.Fun.(*ast.SelectorExpr); ok && exprString(sel.X) == mu {
+					continue
 				}
 			}
 		}
+		pass.Reportf(call.Pos(), "%s.Lock() must be followed directly by `defer %s.Unlock()`: every exit, panics included, must release the outermost lock", mu, mu)
 	}
 }
 
-func lockMode(k lockKey) string {
-	if strings.HasSuffix(k.path, "/R") {
-		return " (read lock)"
-	}
-	return ""
-}
-
-func isReturn(n ast.Node) bool {
-	_, ok := n.(*ast.ReturnStmt)
-	return ok
-}
-
-func isPanicNode(n ast.Node) bool {
-	s, ok := n.(ast.Stmt)
-	return ok && isPanicStmt(s)
-}
-
-// applyLockNode applies node's lock effects to st in place. When check
-// is non-nil it receives each operation with the state bits holding
-// just before it, so the reporting pass sees exactly what the fixpoint
-// saw.
-func applyLockNode(pass *Pass, node ast.Node, st lockFact, check func(op lockOp, bits uint8, deferred bool)) {
-	if d, ok := node.(*ast.DeferStmt); ok {
-		for _, op := range deferredUnlocksIn(pass, d) {
-			if check != nil {
-				check(op, st[op.key], true)
-			}
-			// A deferred unlock makes the held lock exit-safe. Registered
-			// while unlocked it still runs at exit, so D (rather than U)
-			// also models the unusual defer-then-Lock order.
-			st[op.key] = lockD
-		}
-		return
-	}
-	for _, op := range lockOpsIn(pass, node) {
-		if check != nil {
-			check(op, st[op.key], false)
-		}
-		switch op.kind {
-		case opLock:
-			st[op.key] = lockL
-		case opUnlock:
-			st[op.key] = lockU
+// lockReceiver returns the mutex a Lock or RLock call on a sync.Mutex or
+// sync.RWMutex acquires, nil for any other call.
+func lockReceiver(pass *Pass, call *ast.CallExpr) ast.Expr {
+	switch calleeName(pass, call) {
+	case "(*sync.Mutex).Lock", "(*sync.RWMutex).Lock", "(*sync.RWMutex).RLock":
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			return sel.X
 		}
 	}
+	return nil
 }
 
-// reportLockOp diagnoses one lock operation given the state bits
-// before it.
-func reportLockOp(pass *Pass, op lockOp, bits uint8, deferred bool, st lockFact, locksTaken map[lockKey]bool) {
-	name := strings.TrimSuffix(op.key.path, "/R")
-	switch op.kind {
-	case opLock:
-		if bits&(lockL|lockD) != 0 {
-			pass.Reportf(op.call.Pos(),
-				"a path reaches this %s with %s already held: double acquisition self-deadlocks; release first or restructure the branches",
-				lockVerb(op), name)
-		} else if other := st[pairKey(op.key)]; other&(lockL|lockD) != 0 {
-			pass.Reportf(op.call.Pos(),
-				"a path reaches this %s of %s while holding its %s: read and write sides of one RWMutex deadlock within a goroutine",
-				lockVerb(op), name, otherMode(op))
-		}
-		if lockBaseName(op.key) == "swapMu" {
-			for key, b := range st {
-				if key != op.key && key != pairKey(op.key) && b&(lockL|lockD) != 0 {
-					pass.Reportf(op.call.Pos(),
-						"swapMu acquired while %s is held: swapMu is the outermost lock (Repartition/Update serialize on it before touching anything else); release %s first",
-						strings.TrimSuffix(key.path, "/R"), strings.TrimSuffix(key.path, "/R"))
-				}
-			}
-		}
-	case opUnlock:
-		if deferred {
-			return // registration point; effects checked via lockD
-		}
-		if bits&lockD != 0 {
-			pass.Reportf(op.call.Pos(),
-				"%s unlocked here but a deferred Unlock is already pending: the deferred one will unlock an unlocked mutex at exit (runtime fatal)",
-				name)
-		} else if bits == lockU && locksTaken[op.key] {
-			pass.Reportf(op.call.Pos(),
-				"a path reaches this Unlock of %s without the lock held: unlocking an unlocked mutex is a runtime fatal; make every path Lock before this point",
-				name)
-		}
-	}
-}
-
-func lockVerb(op lockOp) string {
-	if op.read {
-		return "RLock"
-	}
-	return "Lock"
-}
-
-func otherMode(op lockOp) string {
-	if op.read {
-		return "write lock"
-	}
-	return "read lock"
+func isSwapMu(recv ast.Expr) bool {
+	sel, ok := ast.Unparen(recv).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "swapMu"
 }

@@ -6,9 +6,8 @@ import (
 	"strings"
 )
 
-// LooseErr flags implicitly discarded errors — both call statements
-// that drop an error result outright and error variables bound from a
-// call that some path to return never consumes (see checkErrFlow). A
+// LooseErr flags call statements that drop an error result outright
+// (`go vet` has no such check, and staticcheck does not check it). A
 // dropped error in the serializer or slow-log path turns an I/O
 // failure into silent data loss: the handler reports success while
 // the client got half a response. The sanctioned way to drop an error
@@ -53,206 +52,7 @@ func runLooseErr(pass *Pass) error {
 			return true
 		})
 	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				checkErrFlow(pass, fn.Body)
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				checkErrFlow(pass, lit.Body)
-			}
-			return true
-		})
-	}
 	return nil
-}
-
-// Error-variable states for the path-sensitive check: a bit is set when
-// some path leaves the binding in that state.
-const (
-	errFresh uint8 = 1 << iota // assigned, not yet consumed
-	errRead                    // consumed: compared, returned, passed, reassigned-after-read
-)
-
-// checkErrFlow is the path-sensitive half of looseerr: an error-typed
-// variable bound from a call must be consumed — read in a condition,
-// returned, passed on, captured by a closure — on every path from the
-// assignment to every exit. The syntactic half above catches `w.Write(b)`
-// as a statement; this half catches
-//
-//	n, err := w.Write(b)
-//	if n > 0 { ... err ... }
-//	return nil   // err unread when n == 0
-//
-// where the binding launders the discard past any statement-level check.
-// Each tracked assignment flows through the function's CFG with states
-// Fresh/Read; a return (after its own operands are credited as reads)
-// or the fall-off end reached with Fresh possible is reported, as is an
-// overwrite of a binding no path has read (the first error is lost).
-// Variables declared outside the analyzed body (captured or named
-// results) are not tracked — their values outlive the body — and any
-// use inside a nested closure counts as a read, since the closure may
-// run on any schedule.
-func checkErrFlow(pass *Pass, body *ast.BlockStmt) {
-	errType := types.Universe.Lookup("error").Type()
-
-	// Collect tracked assignments: `err := f(...)` / `_, err = f(...)`
-	// directly in this body (closures are their own bodies), binding an
-	// error-typed variable that is itself declared in this body.
-	type trackInfo struct {
-		obj  types.Object
-		line int
-	}
-	keys := map[*ast.AssignStmt]trackInfo{}
-	byObj := map[types.Object][]*ast.AssignStmt{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		if _, isCall := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); !isCall {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			obj := pass.TypesInfo.Defs[id]
-			if obj == nil {
-				obj = pass.TypesInfo.Uses[id]
-			}
-			if obj == nil || obj.Type() == nil || !types.Identical(obj.Type(), errType) {
-				continue
-			}
-			if obj.Pos() < body.Pos() || obj.Pos() > body.End() {
-				continue // captured variable or named result: outlives this body
-			}
-			keys[as] = trackInfo{obj: obj, line: pass.Fset.Position(as.Pos()).Line}
-			byObj[obj] = append(byObj[obj], as)
-		}
-		return true
-	})
-	if len(keys) == 0 {
-		return
-	}
-
-	// readsIn returns the tracked objects node consumes. Direct LHS
-	// idents of an assignment are writes, not reads; everything else —
-	// including uses inside nested closures — counts.
-	readsIn := func(n ast.Node) []types.Object {
-		if _, ok := n.(*ast.RangeStmt); ok {
-			return nil // its X and body statements live in other blocks
-		}
-		var lhsIdents map[*ast.Ident]bool
-		if as, ok := n.(*ast.AssignStmt); ok {
-			lhsIdents = map[*ast.Ident]bool{}
-			for _, lhs := range as.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-					lhsIdents[id] = true
-				}
-			}
-		}
-		var objs []types.Object
-		ast.Inspect(n, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok && !lhsIdents[id] {
-				if obj := pass.TypesInfo.Uses[id]; obj != nil && byObj[obj] != nil {
-					objs = append(objs, obj)
-				}
-			}
-			return true
-		})
-		return objs
-	}
-
-	type errEvent struct {
-		kind string // "return", "overwrite"
-		pos  ast.Node
-		as   *ast.AssignStmt
-	}
-	apply := func(n ast.Node, st map[*ast.AssignStmt]uint8, report func(errEvent)) {
-		for _, obj := range readsIn(n) {
-			for _, as := range byObj[obj] {
-				st[as] = errRead
-			}
-		}
-		if as, isAssign := n.(*ast.AssignStmt); isAssign {
-			if info, tracked := keys[as]; tracked {
-				for _, other := range byObj[info.obj] {
-					if other == as {
-						continue
-					}
-					if st[other] == errFresh {
-						if report != nil {
-							report(errEvent{kind: "overwrite", pos: as, as: other})
-						}
-						st[other] = errRead // value gone either way; report once
-					}
-				}
-				st[as] = errFresh
-			}
-		}
-		if ret, isRet := n.(*ast.ReturnStmt); isRet && report != nil {
-			for as, bits := range st {
-				if bits&errFresh != 0 {
-					report(errEvent{kind: "return", pos: ret, as: as})
-				}
-			}
-		}
-	}
-
-	g := NewCFG(body)
-	transfer := func(b *Block, in map[*ast.AssignStmt]uint8) map[*ast.AssignStmt]uint8 {
-		out := cloneBits(in)
-		for _, n := range b.Nodes {
-			apply(n, out, nil)
-		}
-		return out
-	}
-	in := Solve(g, Forward, map[*ast.AssignStmt]uint8{}, MeetUnion[*ast.AssignStmt], transfer, BitsEqual[*ast.AssignStmt])
-
-	emit := func(e errEvent) {
-		info := keys[e.as]
-		switch e.kind {
-		case "return":
-			pass.Reportf(e.pos.Pos(),
-				"error %s from the call at line %d is unchecked on a path reaching this return: check it, return it, or discard it explicitly with `_ = %s`",
-				info.obj.Name(), info.line, info.obj.Name())
-		case "overwrite":
-			pass.Reportf(e.pos.Pos(),
-				"error %s from the call at line %d is overwritten before any path reads it: the first error is lost; check it before reassigning",
-				info.obj.Name(), info.line)
-		}
-	}
-	for _, b := range g.Blocks {
-		st, ok := in[b]
-		if !ok {
-			continue // unreachable
-		}
-		st = cloneBits(st)
-		for _, n := range b.Nodes {
-			apply(n, st, emit)
-		}
-		for _, s := range b.Succs {
-			if s == g.Exit {
-				if last := b.last(); last == nil || (!isReturn(last) && !isPanicNode(last)) {
-					for as, bits := range st {
-						if bits&errFresh != 0 {
-							info := keys[as]
-							pass.Reportf(body.Rbrace,
-								"error %s from the call at line %d is unchecked on a path reaching the end of the function: check it or discard it explicitly with `_ = %s`",
-								info.obj.Name(), info.line, info.obj.Name())
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 func checkDiscard(pass *Pass, call *ast.CallExpr, deferred bool) {
@@ -291,15 +91,8 @@ func resultsEndInError(t types.Type) bool {
 // table: "fmt.Fprintf", "(*strings.Builder).WriteString", or "" for
 // indirect calls.
 func calleeName(pass *Pass, call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := pass.TypesInfo.Uses[fun].(*types.Func); ok {
-			return f.FullName()
-		}
-	case *ast.SelectorExpr:
-		if f, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			return f.FullName()
-		}
+	if f := calleeFunc(pass, call); f != nil {
+		return f.FullName()
 	}
 	return ""
 }

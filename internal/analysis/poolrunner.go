@@ -5,14 +5,12 @@ import (
 	"go/types"
 )
 
-// Pool-worker closure pattern, shared by genswap and spanpair: a
-// FuncLit passed directly as an argument to a pool-runner call — the
-// bounded evaluation pool's Do, or the cluster fan-out helpers built on
-// it — runs concurrently with (and possibly inline on) the spawning
-// scope. Workers must inherit one generation snapshot and one span from
-// that scope: a worker taking its own generation load can straddle a
-// swap mid-query, and a worker closing the spawning scope's span closes
-// it once per worker.
+// Pool-worker closure pattern, used by genswap: a FuncLit passed
+// directly as an argument to a pool-runner call — the bounded
+// evaluation pool's Do, or the cluster fan-out helpers built on it —
+// runs concurrently with (and possibly inline on) the spawning scope.
+// Workers must inherit one generation snapshot from that scope: a
+// worker taking its own generation load can straddle a swap mid-query.
 //
 // Detection is structural (testdata packages are self-contained, so
 // import paths cannot anchor it): a method named Do on a type named

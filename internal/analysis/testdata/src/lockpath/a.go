@@ -1,17 +1,11 @@
-// Package lockpath is golden-file input: every Lock reaches an Unlock
-// on every path, defer is the canonical form, and swapMu is acquired
-// outermost.
+// Package lockpath is golden-file input: swapMu is the body's first
+// lock and its Unlock is deferred by the very next statement.
 package lockpath
 
-import (
-	"errors"
-	"sync"
-)
-
-var errBoom = errors.New("boom")
+import "sync"
 
 // DB mirrors the engine's lock layout: swapMu serializes swaps and is
-// the outermost lock; mu guards incidental state.
+// the outermost lock; mu and rw guard incidental state.
 type DB struct {
 	mu     sync.Mutex
 	swapMu sync.Mutex
@@ -19,137 +13,12 @@ type DB struct {
 	n      int
 }
 
-// canonical: Lock then defer Unlock.
-func (d *DB) canonical() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.n
-}
-
-// straightLine: explicit Unlock before the only return is fine.
-func (d *DB) straightLine() int {
-	d.mu.Lock()
-	n := d.n
-	d.mu.Unlock()
-	return n
-}
-
-// earlyReturnHolds: the error path returns with the lock held.
-func (d *DB) earlyReturnHolds(fail bool) error {
-	d.mu.Lock()
-	if fail {
-		return errBoom // want `return leaves d.mu locked on some path`
-	}
-	d.mu.Unlock()
-	return nil
-}
-
-// fallOffHolds: falling off the end of the function holds the lock.
-func (d *DB) fallOffHolds() {
-	d.mu.Lock()
-	d.n++
-} // want `function end leaves d.mu locked on some path`
-
-// bothBranchesUnlock: releasing on each branch is path-correct without
-// a defer.
-func (d *DB) bothBranchesUnlock(flip bool) {
-	d.mu.Lock()
-	if flip {
-		d.n++
-		d.mu.Unlock()
-	} else {
-		d.mu.Unlock()
-	}
-}
-
-// doubleLock: a path reaches the second Lock with the first held.
-func (d *DB) doubleLock(again bool) {
-	d.mu.Lock()
-	if again {
-		d.mu.Lock() // want `already held: double acquisition self-deadlocks`
-	}
-	d.mu.Unlock()
-}
-
-// loopLock: one Lock/Unlock pair per iteration converges to unlocked
-// at the loop head.
-func (d *DB) loopLock(n int) {
-	for i := 0; i < n; i++ {
-		d.mu.Lock()
-		d.n++
-		d.mu.Unlock()
-	}
-}
-
-// lockInLoopNoUnlock: the back edge re-locks an already-held mutex.
-func (d *DB) lockInLoopNoUnlock() {
-	for {
-		d.mu.Lock() // want `already held: double acquisition self-deadlocks`
-		d.n++
-	}
-}
-
-// unlockAfterDeferred: the deferred Unlock will fire on an already
-// unlocked mutex.
-func (d *DB) unlockAfterDeferred() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.n++
-	d.mu.Unlock() // want `deferred Unlock is already pending`
-}
-
-// doubleUnlock: the second Unlock fires unlocked on every path.
-func (d *DB) doubleUnlock() {
-	d.mu.Lock()
-	d.mu.Unlock()
-	d.mu.Unlock() // want `without the lock held`
-}
-
-// callerLocked: bodies that only Unlock are the caller-holds-the-lock
-// helper idiom and exempt.
-func (d *DB) callerLocked() {
-	d.n++
-	d.mu.Unlock()
-}
-
-// readEarlyReturn: RLock held on the early return path.
-func (d *DB) readEarlyReturn(fail bool) error {
-	d.rw.RLock()
-	if fail {
-		return errBoom // want `return leaves d.rw \(read lock\) locked on some path`
-	}
-	d.rw.RUnlock()
-	return nil
-}
-
-// upgradeDeadlock: taking the write lock while holding the read lock
-// of the same RWMutex deadlocks in one goroutine.
-func (d *DB) upgradeDeadlock() {
-	d.rw.RLock()
-	d.rw.Lock() // want `while holding its read lock`
-	d.rw.Unlock()
-	d.rw.RUnlock()
-}
-
-// readThenWrite: the double-checked idiom — release the read side
-// before taking the write side — is clean.
-func (d *DB) readThenWrite() {
-	d.rw.RLock()
-	n := d.n
-	d.rw.RUnlock()
-	if n == 0 {
-		d.rw.Lock()
-		defer d.rw.Unlock()
-		d.n = 1
-	}
-}
-
 // swapInnermost: acquiring swapMu while another lock is held inverts
 // the canonical order.
 func (d *DB) swapInnermost() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.swapMu.Lock() // want `swapMu acquired while d.mu is held`
+	d.swapMu.Lock() // want `swapMu acquired after d.mu was locked earlier in this body`
 	defer d.swapMu.Unlock()
 }
 
@@ -162,48 +31,49 @@ func (d *DB) swapOutermost() {
 	d.n++
 }
 
-// panicPathExempt: only deferred Unlocks run during unwinding, so the
-// explicit panic path is not flagged.
-func (d *DB) panicPathExempt(bad bool) {
-	d.mu.Lock()
-	if bad {
-		panic("invariant broken")
-	}
-	d.mu.Unlock()
+// noDeferredUnlock: an explicit Unlock leaves the lock held on any exit
+// before it.
+func (d *DB) noDeferredUnlock() {
+	d.swapMu.Lock() // want `d.swapMu.Lock\(\) must be followed directly by .defer d.swapMu.Unlock\(\)`
+	d.n++
+	d.swapMu.Unlock()
 }
 
-// closureOwnLock: closures are their own bodies; a leak inside one is
-// reported inside it.
-func (d *DB) closureOwnLock(fail bool) func() error {
-	return func() error {
+// deferNotDirect: a statement between the Lock and its deferred Unlock
+// can exit with the lock held.
+func (d *DB) deferNotDirect() {
+	d.swapMu.Lock() // want `must be followed directly by`
+	d.n++
+	defer d.swapMu.Unlock()
+}
+
+// earlierLockReleased: another lock earlier in the body is flagged even
+// when it was released before swapMu is taken.
+func (d *DB) earlierLockReleased() {
+	d.rw.RLock()
+	n := d.n
+	d.rw.RUnlock()
+	if n == 0 {
+		d.swapMu.Lock() // want `swapMu acquired after d.rw was locked earlier in this body`
+		defer d.swapMu.Unlock()
+		d.n = 1
+	}
+}
+
+// closureOwnBody: a lock inside a closure belongs to the closure's body,
+// not to the enclosing one.
+func (d *DB) closureOwnBody() func() {
+	read := func() int {
 		d.mu.Lock()
-		if fail {
-			return errBoom // want `return leaves d.mu locked on some path`
-		}
-		d.mu.Unlock()
-		return nil
+		defer d.mu.Unlock()
+		return d.n
 	}
-}
-
-// deferredClosureUnlock: an Unlock inside a deferred closure is
-// must-run.
-func (d *DB) deferredClosureUnlock() int {
-	d.mu.Lock()
-	defer func() {
+	d.swapMu.Lock()
+	defer d.swapMu.Unlock()
+	d.n = read()
+	return func() {
+		d.swapMu.Lock()
+		defer d.swapMu.Unlock()
 		d.n++
-		d.mu.Unlock()
-	}()
-	return d.n
-}
-
-// twoMutexes: distinct receivers track separately.
-func (d *DB) twoMutexes(other *DB, fail bool) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	other.mu.Lock()
-	if fail {
-		return errBoom // want `return leaves other.mu locked on some path`
 	}
-	other.mu.Unlock()
-	return nil
 }

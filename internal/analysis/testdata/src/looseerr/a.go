@@ -45,97 +45,3 @@ func handled(f *os.File) error {
 	}
 	return nil
 }
-
-// errSink gives the path-sensitive cases something error-typed to bind.
-func produce() (int, error) { return 0, nil }
-func errOnly() error        { return nil }
-func sinkInt(int)           {}
-
-// readOnOnePathOnly: the early return is only reachable with err
-// unchecked — the laundering shape the statement check cannot see.
-func readOnOnePathOnly(stop bool) error {
-	n, err := produce()
-	if stop {
-		return nil // want `error err from the call at line \d+ is unchecked on a path reaching this return`
-	}
-	if err != nil {
-		return err
-	}
-	sinkInt(n)
-	return nil
-}
-
-// checkedThenReturned: the canonical shape stays clean.
-func checkedThenReturned() error {
-	n, err := produce()
-	if err != nil {
-		return err
-	}
-	sinkInt(n)
-	return nil
-}
-
-// returnedDirectly: handing the error to the caller consumes it.
-func returnedDirectly() error {
-	err := errOnly()
-	return err
-}
-
-// fallOffUnchecked: only one branch looks at err.
-func fallOffUnchecked(deep bool) {
-	n, err := produce()
-	if deep {
-		if err != nil {
-			sinkInt(0)
-		}
-	}
-	sinkInt(n)
-} // want `error err from the call at line \d+ is unchecked on a path reaching the end of the function`
-
-// overwriteUnread: the first error is lost before any path reads it.
-func overwriteUnread() error {
-	_, err := produce()
-	err = errOnly() // want `error err from the call at line \d+ is overwritten before any path reads it`
-	return err
-}
-
-// reassignAfterRead: reusing the variable after checking it is the
-// idiom.
-func reassignAfterRead() error {
-	_, err := produce()
-	if err != nil {
-		return err
-	}
-	err = errOnly()
-	return err
-}
-
-// closureRead: a capture may run on any schedule and counts as a read.
-func closureRead() func() error {
-	_, err := produce()
-	return func() error { return err }
-}
-
-// deferredRead: deferred closures are must-run readers.
-func deferredRead() {
-	_, err := produce()
-	defer func() {
-		if err != nil {
-			sinkInt(1)
-		}
-	}()
-	sinkInt(0)
-}
-
-// loopRetry: reassignment each iteration after the previous value was
-// read stays clean.
-func loopRetry() error {
-	var err error
-	for i := 0; i < 3; i++ {
-		err = errOnly()
-		if err == nil {
-			break
-		}
-	}
-	return err
-}

@@ -384,7 +384,6 @@ func NewWithSites(d *fragment.Distributed, sites []cluster.Site) *Engine {
 // component and recombined by cross product (Section II-A: "all connected
 // components of Q are considered separately").
 func (e *Engine) Execute(q *query.Graph, cfg Config) (*Result, error) {
-	//lint:allow ctxflow Execute is the documented context-free entry point; ExecuteContext is the threaded variant
 	return e.ExecuteContext(context.Background(), q, cfg)
 }
 

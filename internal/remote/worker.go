@@ -227,7 +227,8 @@ func (q *request) check() error {
 // handle dispatches one checked request, writing the response frame(s) to
 // c; it reports whether the connection is still usable.
 func (w *Worker) handle(c *conn, req *request) bool {
-	//lint:allow ctxflow the request frame is this context's root: the coordinator's deadline arrives as TimeoutNS, applied just below
+	// The request frame is this context's root: the coordinator's
+	// deadline arrives as TimeoutNS, applied just below.
 	ctx := context.Background()
 	if req.TimeoutNS > 0 {
 		var cancel context.CancelFunc

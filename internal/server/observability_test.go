@@ -662,3 +662,41 @@ func TestRotatingWriter(t *testing.T) {
 		t.Error("write after Close succeeded")
 	}
 }
+
+// TestRotatingWriterSurvivesFailedRotation pins that a rotation whose
+// rename fails (here: <path>.1 is a non-empty directory) fails only the
+// write that triggered it; the records after it land in <path>.
+func TestRotatingWriterSurvivesFailedRotation(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "slow.jsonl")
+	if err := os.MkdirAll(filepath.Join(path+".1", "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewRotatingWriter(path, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	line := []byte(strings.Repeat("x", 99) + "\n")
+	for i := 0; i < 10; i++ { // 1000 bytes: just under the window
+		if _, err := w.Write(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Write(line); err == nil {
+		t.Fatal("the write that triggered the failed rotation succeeded")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := w.Write(line); err != nil {
+			t.Fatalf("write %d after the failed rotation: %v", i+1, err)
+		}
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 12 * len(line); len(b) != want {
+		t.Errorf("%s holds %d bytes, want %d (10 before the failed rotation, 2 after)", path, len(b), want)
+	}
+}

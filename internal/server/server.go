@@ -462,12 +462,14 @@ func (rq *request) finish(o queryOutcome, stats *gstored.Stats, rows int) {
 
 // serialize writes rows to w in the negotiated format.
 func (rq *request) serialize(w io.Writer, rows RowSeq) error {
-	defer rq.tr.StartSpan("serialize", trace.Coordinator)()
-	vars := projectionNames(rq.s.db, rq.q)
+	from := time.Now()
+	write := WriteResultsJSON
 	if rq.contentType == ContentTypeTSV {
-		return WriteResultsTSV(w, rq.s.db.Graph.Dict, vars, rows)
+		write = WriteResultsTSV
 	}
-	return WriteResultsJSON(w, rq.s.db.Graph.Dict, vars, rows)
+	err := write(w, rq.s.db.Graph.Dict, projectionNames(rq.s.db, rq.q), rows)
+	rq.tr.Span("serialize", trace.Coordinator, from, time.Since(from))
+	return err
 }
 
 // answer sends materialized rows under the given X-Cache state and

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -149,15 +150,26 @@ func (w *RotatingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// rotate moves the current file to <path>.1 and opens a fresh <path>.
+// A failed Close or Rename fails only the write that triggered it:
+// <path> is reopened for appending either way, and the size count
+// restarts so the next attempt comes one window later instead of
+// failing every write until restart.
 func (w *RotatingWriter) rotate() error {
-	if err := w.f.Close(); err != nil {
-		return err
+	err := w.f.Close()
+	if err == nil {
+		if rerr := os.Rename(w.path, w.path+".1"); rerr != nil && !os.IsNotExist(rerr) {
+			err = rerr
+		}
 	}
-	w.f = nil
-	if err := os.Rename(w.path, w.path+".1"); err != nil && !os.IsNotExist(err) {
-		return err
+	if oerr := w.open(); oerr != nil {
+		w.f = nil
+		return errors.Join(err, oerr)
 	}
-	return w.open()
+	if err != nil {
+		w.size = 0
+	}
+	return err
 }
 
 // Close closes the current file; further writes fail.

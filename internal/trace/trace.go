@@ -79,17 +79,6 @@ func (t *Trace) Span(stage string, fragment int, from time.Time, d time.Duration
 	t.mu.Unlock()
 }
 
-// StartSpan opens a stage span now and returns the function that closes
-// it; idiomatic as `defer tr.StartSpan("parse", trace.Coordinator)()`.
-// Nil-safe: a nil trace returns a no-op closer.
-func (t *Trace) StartSpan(stage string, fragment int) func() {
-	if t == nil {
-		return func() {}
-	}
-	from := time.Now()
-	return func() { t.Span(stage, fragment, from, time.Since(from)) }
-}
-
 // Spans returns a copy of the recorded spans ordered by start offset
 // (ties broken by fragment, then stage), so concurrent sites serialize
 // into a stable timeline. Nil-safe (returns nil).

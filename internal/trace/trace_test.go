@@ -10,7 +10,6 @@ import (
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.Span("partial", 0, time.Now(), time.Millisecond)
-	tr.StartSpan("parse", Coordinator)()
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil trace Spans() = %v, want nil", got)
 	}
@@ -56,20 +55,6 @@ func TestSpansOrderedByStart(t *testing.T) {
 		if spans[i].StartMicros < spans[i-1].StartMicros {
 			t.Errorf("spans out of order at %d: %d < %d", i, spans[i].StartMicros, spans[i-1].StartMicros)
 		}
-	}
-}
-
-func TestStartSpanMeasuresDuration(t *testing.T) {
-	tr := New()
-	done := tr.StartSpan("serialize", Coordinator)
-	time.Sleep(2 * time.Millisecond)
-	done()
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
-	}
-	if spans[0].DurationMicros < 1000 {
-		t.Errorf("duration %dus, want >= 1000us", spans[0].DurationMicros)
 	}
 }
 
