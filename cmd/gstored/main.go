@@ -2,8 +2,7 @@
 // sites, and either evaluates one SPARQL BGP query — printing the result
 // rows and the per-stage statistics of the paper's Tables I-III — or, with
 // the serve subcommand, answers a query stream over HTTP via the SPARQL
-// 1.1 Protocol. The advise subcommand replays a saved query log through
-// the workload-weighted Section VII cost model offline.
+// 1.1 Protocol.
 //
 // Usage:
 //
@@ -11,12 +10,11 @@
 //	gstored -data graph.nt -queryfile q.rq -sites 12 -strategy semantic-hash -mode full
 //	gstored explain -dataset lubm -query 'SELECT ?x WHERE { ?x <p> ?y }'
 //	gstored serve -data graph.nt -addr :8080 -sites 12 -strategy hash -mode full
-//	gstored serve -dataset lubm -scale 2 -addr :8080 -query-log queries.jsonl
+//	gstored serve -dataset lubm -scale 2 -addr :8080 -strategy best
 //	gstored serve -dataset lubm -addr :8080 -writable
 //	gstored serve -dataset lubm -addr :8080 -slow-query-ms 250 -slow-query-log slow.jsonl -debug-addr localhost:6060
 //	gstored worker -listen 127.0.0.1:8091
 //	gstored serve -dataset lubm -addr :8080 -site-workers 127.0.0.1:8091,127.0.0.1:8092
-//	gstored advise -dataset lubm -scale 2 -log queries.jsonl -k 4,8,12
 //
 // The explain subcommand executes one query with tracing attached and
 // prints the same JSON ExplainReport the server answers for
@@ -25,14 +23,14 @@
 //
 // The server exposes /sparql (GET query= or POST; with -writable, POSTed
 // application/sparql-update bodies apply INSERT DATA / DELETE DATA;
-// ?explain=1 returns the ExplainReport instead of bindings), /advisor
-// (workload-weighted partition recommendation), /repartition (online
-// hot-swap), /metrics (Prometheus text format: scheduler, cache,
-// query-log, per-stage engine counters and latency histograms) and
-// /healthz. With -slow-query-ms, queries at or over the threshold emit
-// structured JSON lines to -slow-query-log (a size-rotated file) or
-// stderr; with -debug-addr, net/http/pprof profiling is served on a
-// separate listener so profiling never shares a port with query traffic.
+// ?explain=1 returns the ExplainReport instead of bindings),
+// /repartition (online hot-swap to an explicit strategy and site count),
+// /metrics (Prometheus text format: scheduler, cache, per-stage engine
+// counters and latency histograms) and /healthz. With -slow-query-ms,
+// queries at or over the threshold emit structured JSON lines to
+// -slow-query-log (a size-rotated file) or stderr; with -debug-addr,
+// net/http/pprof profiling is served on a separate listener so profiling
+// never shares a port with query traffic.
 package main
 
 import (
@@ -44,7 +42,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -59,9 +56,6 @@ func main() {
 		switch os.Args[1] {
 		case "serve":
 			serveMain(os.Args[2:])
-			return
-		case "advise":
-			adviseMain(os.Args[2:])
 			return
 		case "explain":
 			explainMain(os.Args[2:])
@@ -227,9 +221,6 @@ func serveMain(args []string) {
 		evalWork    = fs.Int("eval-workers", 0, "per-query evaluation worker pool size bounding intra-query parallelism (0 = GOMAXPROCS, 1 = sequential)")
 		unordered   = fs.Bool("unordered", false, "first-row-early delivery: stream rows as produced (no canonical sort, LIMIT cancels remaining work, cache bypassed)")
 		writable    = fs.Bool("writable", false, "accept SPARQL updates (INSERT DATA / DELETE DATA) via POST /sparql; read-only (403) otherwise")
-		logCap      = fs.Int("query-log-cap", 0, "distinct queries tracked by the workload log feeding /advisor (0 = default 4096, negative disables)")
-		logFile     = fs.String("query-log", "", "append every answered query to this JSONL file (replayable by gstored advise)")
-		advisorKs   = fs.String("advisor-k", "", "comma-separated candidate site counts /advisor evaluates (default: current -sites)")
 		slowMs      = fs.Int("slow-query-ms", -1, "log queries whose wall time reaches this many milliseconds as structured JSON (0 logs every query, negative disables)")
 		slowLog     = fs.String("slow-query-log", "", "slow-query log file, size-rotated at -slow-query-log-max-bytes (default: stderr)")
 		slowLogMax  = fs.Int64("slow-query-log-max-bytes", 0, "rotate the slow-query log file at this size (0 = default 64 MiB)")
@@ -257,29 +248,13 @@ func serveMain(args []string) {
 	}
 	defer db.Close()
 	cfg := server.Config{
-		MaxInFlight:      *maxInFlight,
-		Workers:          *workers,
-		QueryTimeout:     *timeout,
-		CacheEntries:     *cache,
-		CacheMaxRows:     *cacheRows,
-		QueryLogCapacity: *logCap,
-		Unordered:        *unordered,
-		Writable:         *writable,
-	}
-	if *advisorKs != "" {
-		cfg.AdvisorKs = parseKList(*advisorKs)
-		if cfg.AdvisorKs == nil {
-			fmt.Fprintf(os.Stderr, "gstored serve: -advisor-k %q must list positive integers\n", *advisorKs)
-			os.Exit(2)
-		}
-	}
-	if *logFile != "" {
-		f, err := os.OpenFile(*logFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		cfg.QueryLogSink = f
+		MaxInFlight:  *maxInFlight,
+		Workers:      *workers,
+		QueryTimeout: *timeout,
+		CacheEntries: *cache,
+		CacheMaxRows: *cacheRows,
+		Unordered:    *unordered,
+		Writable:     *writable,
 	}
 	if *slowMs >= 0 {
 		cfg.SlowQueryThreshold = time.Duration(*slowMs) * time.Millisecond
@@ -326,116 +301,6 @@ func serveMain(args []string) {
 		IdleTimeout:       2 * time.Minute,
 	}
 	fail(hs.ListenAndServe())
-}
-
-// adviseMain replays a saved query log (JSONL, written by `gstored
-// serve -query-log`) against a dataset and prints the workload-weighted
-// Section VII cost table and the advisor's recommendation, next to what
-// the data-only model would pick.
-func adviseMain(args []string) {
-	fs := flag.NewFlagSet("gstored advise", flag.ExitOnError)
-	var (
-		dataPath   = fs.String("data", "", "N-Triples input file")
-		dataset    = fs.String("dataset", "", "generated benchmark dataset: lubm, yago, btc")
-		scale      = fs.Int("scale", 0, "dataset scale (universities for lubm; 0 = default)")
-		logPath    = fs.String("log", "", "saved query log to replay (JSONL; required)")
-		ks         = fs.String("k", "12", "comma-separated candidate site counts")
-		strategies = fs.String("strategies", "", "comma-separated strategies to evaluate (default: hash,semantic-hash,metis)")
-		smoothing  = fs.Float64("smoothing", 0, "weight floor for never-queried predicates (0 = default 0.01, negative = none)")
-	)
-	fs.Parse(args)
-	if (*dataPath == "") == (*dataset == "") {
-		fmt.Fprintln(os.Stderr, "gstored advise: provide exactly one of -data or -dataset")
-		os.Exit(2)
-	}
-	if *logPath == "" {
-		fmt.Fprintln(os.Stderr, "gstored advise: -log is required")
-		os.Exit(2)
-	}
-	candKs := parseKList(*ks)
-	if len(candKs) == 0 {
-		fmt.Fprintln(os.Stderr, "gstored advise: -k must list positive integers")
-		os.Exit(2)
-	}
-
-	g := loadGraph(*dataPath, *dataset, *scale)
-	// Sites/strategy here only seed the DB; the advisor evaluates every
-	// candidate independently of what is "live".
-	db, err := gstored.Open(g, gstored.Config{Sites: candKs[0]})
-	if err != nil {
-		fail(err)
-	}
-
-	f, err := os.Open(*logPath)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	qlog, replayed, skipped, err := gstored.ReplayQueryLog(db, f, 0)
-	if err != nil {
-		fail(err)
-	}
-	snap := qlog.Snapshot()
-	fmt.Printf("replayed %d queries (%d distinct, %d unparseable skipped) from %s\n\n",
-		replayed, snap.Distinct, skipped, *logPath)
-
-	w := snap.Workload(*smoothing)
-	if w.Empty() && replayed > 0 {
-		fmt.Println("note: the replayed workload carries no recognized constant predicates")
-		fmt.Println("      (queries whose predicates are absent from this dataset weigh nothing);")
-		fmt.Println("      the evaluation below degenerates to the data-only §VII model")
-		fmt.Println()
-	}
-	rec, err := db.AdviseStrategies(w, parseStrategyList(*strategies), candKs...)
-	if err != nil {
-		fail(err)
-	}
-
-	fmt.Printf("%-14s %4s %14s %14s %10s %12s\n", "strategy", "k", "workload cost", "data cost", "crossing", "w-crossing")
-	for _, c := range rec.Candidates {
-		fmt.Printf("%-14s %4d %14.1f %14.1f %10d %12.1f\n",
-			c.Strategy, c.K, c.WorkloadCost.Cost, c.DataCost.Cost,
-			c.DataCost.NumCrossing, c.WorkloadCost.WeightedCrossing)
-	}
-	fmt.Printf("\nworkload-weighted recommendation: %s, k=%d\n", rec.Strategy, rec.K)
-	fmt.Printf("data-only §VII selection:         %s, k=%d\n", rec.DataStrategy, rec.DataK)
-	if rec.Differs() {
-		fmt.Println("→ the observed workload changes the verdict; apply with POST /repartition")
-	} else {
-		fmt.Println("→ the workload agrees with the data-only model")
-	}
-}
-
-// parseKList parses a comma-separated list of positive integers; empty
-// or invalid input yields nil.
-func parseKList(s string) []int {
-	if s == "" {
-		return nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || k <= 0 {
-			return nil
-		}
-		out = append(out, k)
-	}
-	return out
-}
-
-// parseStrategyList splits a comma-separated strategy list (empty =
-// nil, meaning all three).
-func parseStrategyList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // loadGraph reads an N-Triples file or generates a benchmark dataset.

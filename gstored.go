@@ -37,7 +37,6 @@ import (
 	"gstored/internal/fragment"
 	"gstored/internal/partition"
 	"gstored/internal/query"
-	"gstored/internal/querylog"
 	"gstored/internal/rdf"
 	"gstored/internal/remote"
 	"gstored/internal/sparql"
@@ -80,18 +79,6 @@ type (
 	CostBreakdown = partition.CostBreakdown
 	// Assignment maps every graph vertex to its owning fragment.
 	Assignment = partition.Assignment
-	// Workload is per-predicate traversal frequency, the input to the
-	// workload-weighted Section VII cost model.
-	Workload = partition.Workload
-	// Recommendation is the partition advisor's verdict: the (strategy, k)
-	// minimizing the workload-weighted cost, with the full cost table.
-	Recommendation = partition.Recommendation
-	// PartitionCandidate is one evaluated (strategy, k) configuration.
-	PartitionCandidate = partition.Candidate
-	// QueryLog is a bounded record of the executed query workload.
-	QueryLog = querylog.Log
-	// QueryLogSnapshot is a point-in-time copy of a QueryLog.
-	QueryLogSnapshot = querylog.Snapshot
 )
 
 // NoTerm is the unbound sentinel in rows and serialization vectors.
@@ -325,7 +312,7 @@ func (db *DB) newSite(id int) cluster.Site {
 // prepare leaves the previous generation live everywhere (workers prune
 // only at commit, and a staged epoch that never commits is harmless). A
 // failed commit at site j does not: the sites before j already serve an
-// epoch the coordinator abandons and will reuse — ROADMAP item 4, open.
+// epoch the coordinator abandons and will reuse — ROADMAP item 7, open.
 func (db *DB) swapGenerations(ctx context.Context, prev []cluster.Site, dist *fragment.Distributed, epoch uint64, touched []int) ([]cluster.Site, error) {
 	all := touched == nil || len(prev) != len(dist.Fragments)
 	// prepare stages f, or with nil the resident fragment, at site i; a
@@ -619,79 +606,21 @@ func tripleEndpoints(ts []rdf.Triple) []rdf.TermID {
 // PlanPartition computes (without applying) an assignment of the
 // database's graph under the named strategy into k fragments. Feed the
 // result to Repartition, or inspect its cost first via PartitionCost.
+//
+// k may not exceed the live generation's vertex count: every fragment
+// beyond |V| would be empty, and building and shipping K fragments
+// allocates per fragment, so an unbounded k (POST /repartition takes it
+// from the client) could exhaust memory.
 func (db *DB) PlanPartition(strategyName string, k int) (*Assignment, error) {
 	strat, err := strategyByName(strategyName)
 	if err != nil {
 		return nil, err
 	}
-	if k <= 0 {
-		return nil, fmt.Errorf("gstored: invalid site count %d", k)
+	st := db.store()
+	if k <= 0 || k > st.NumVertices() {
+		return nil, fmt.Errorf("gstored: invalid site count %d (want 1 to %d, the vertex count)", k, st.NumVertices())
 	}
-	return strat.Partition(db.store(), k)
-}
-
-// Advise evaluates the paper's three partitioning strategies at each
-// candidate site count against an observed workload (see
-// QueryLogSnapshot.Workload) and recommends the configuration with the
-// smallest workload-weighted Section VII cost. With an empty workload
-// the recommendation coincides with the data-only Section VII choice.
-func (db *DB) Advise(w Workload, ks ...int) (*Recommendation, error) {
-	s := db.load()
-	if len(ks) == 0 {
-		ks = []int{len(s.dist.Fragments)}
-	}
-	return partition.Advisor{Strategies: Strategies()}.Advise(s.dist.Global, w, ks)
-}
-
-// AdviseStrategies is Advise restricted to the named strategies (nil or
-// empty means all three).
-func (db *DB) AdviseStrategies(w Workload, strategyNames []string, ks ...int) (*Recommendation, error) {
-	strategies := Strategies()
-	if len(strategyNames) > 0 {
-		strategies = strategies[:0:0]
-		for _, name := range strategyNames {
-			s, err := strategyByName(name)
-			if err != nil {
-				return nil, err
-			}
-			strategies = append(strategies, s)
-		}
-	}
-	s := db.load()
-	if len(ks) == 0 {
-		ks = []int{len(s.dist.Fragments)}
-	}
-	return partition.Advisor{Strategies: strategies}.Advise(s.dist.Global, w, ks)
-}
-
-// ReplayQueryLog reads a saved JSONL query log (written by the serving
-// layer) and replays it into a fresh QueryLog against db's dictionary:
-// each record is compiled with ParseReadOnly and observed under its
-// canonical key at its recorded multiplicity. Unparseable records are
-// counted in skipped rather than failing the replay (a served log can
-// contain queries from a different dataset or schema version). capacity
-// sizes the log (<= 0 selects the default).
-func ReplayQueryLog(db *DB, r io.Reader, capacity int) (log *QueryLog, replayed, skipped uint64, err error) {
-	records, err := querylog.ReadRecords(r)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	log = querylog.New(capacity)
-	for _, rec := range records {
-		q, perr := db.ParseReadOnly(rec.Query)
-		if perr != nil {
-			skipped++
-			continue
-		}
-		key := fmt.Sprintf("m%d|%s", db.Mode(), query.CanonicalKey(q))
-		n := rec.Count
-		if n == 0 {
-			n = 1
-		}
-		log.ObserveN(key, rec.Query, q, engine.Stats{}, n)
-		replayed += n
-	}
-	return log, replayed, skipped, nil
+	return strat.Partition(st, k)
 }
 
 // Epoch identifies the current cluster generation; Repartition and every
@@ -714,11 +643,6 @@ func (db *DB) ClusterInfo() (strategy string, sites int, epoch uint64) {
 	s := db.load()
 	return s.strategy, len(s.dist.Fragments), s.epoch
 }
-
-// NewQueryLog returns a bounded query-workload log (capacity <= 0
-// selects the default). Feed it each executed query and pass
-// log.Snapshot().Workload(0) to Advise.
-func NewQueryLog(capacity int) *QueryLog { return querylog.New(capacity) }
 
 // Parse compiles SPARQL text against the database dictionary, assigning
 // fresh dictionary IDs to constants the data has not seen.
@@ -850,12 +774,6 @@ func (db *DB) NumSites() int { return len(db.load().dist.Fragments) }
 // diagnostics and the experiment harness. The returned value is one
 // immutable generation — it does not follow a later Repartition.
 func (db *DB) Distributed() *fragment.Distributed { return db.load().dist }
-
-// Store exposes the indexed global graph the partitioner and advisor
-// evaluate against; intended for the serving layer and diagnostics. The
-// returned store is the current generation's immutable index — it does
-// not follow a later Update or Repartition.
-func (db *DB) Store() *store.Store { return db.store() }
 
 // store returns the live generation's global index.
 func (db *DB) store() *store.Store { return db.load().dist.Global }

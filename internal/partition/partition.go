@@ -58,7 +58,7 @@ func (a *Assignment) Lookup(v rdf.TermID) (int, bool) {
 // This is the incremental placement rule of the update path: a strategy-
 // faithful placement (e.g. re-running semantic hashing around the new
 // vertex) would need the strategy and its global context, which is what
-// full repartitioning is for — the advisor loop repairs any drift.
+// full repartitioning (DB.Repartition) is for.
 func (a *Assignment) WithVertices(dict *rdf.Dictionary, vs []rdf.TermID) *Assignment {
 	var fresh []rdf.TermID
 	for _, v := range vs {
@@ -241,22 +241,42 @@ type CostBreakdown struct {
 	Cost float64
 	// NumCrossing is |E^c|, the number of crossing edge instances.
 	NumCrossing int
-	// WeightedCrossing is Σ w(p) over crossing edge instances when the
-	// breakdown came from CostWorkload; equal to NumCrossing under Cost
-	// (every edge weighs 1).
-	WeightedCrossing float64
 	// FragmentEdges lists |E_i ∪ E_i^c| per fragment.
 	FragmentEdges []int
 }
 
 // Cost evaluates the Section VII partitioning cost of assignment a over the
-// graph in st. It is CostWorkload under the empty workload: every edge
-// weighs exactly 1, so the per-edge float accumulation stays integral
-// and the two models coincide bit-for-bit on shared ground (pinned by
-// TestCostWorkloadDegeneratesToCost) — one traversal loop to maintain,
-// not two.
+// graph in st. Crossing counts stay integers until the one division of
+// E_F(V), so the result does not depend on map iteration order.
 func Cost(st *store.Store, a *Assignment) CostBreakdown {
-	return CostWorkload(st, a, Workload{})
+	crossAt := make(map[rdf.TermID]int) // |N(v) ∩ E^c| per vertex
+	b := CostBreakdown{FragmentEdges: make([]int, a.K)}
+	for _, s := range st.Vertices() {
+		fs := a.FragmentOf(s)
+		for _, he := range st.Out(s) {
+			b.FragmentEdges[fs]++
+			fo := a.FragmentOf(he.V)
+			if fs == fo {
+				continue
+			}
+			b.NumCrossing++
+			crossAt[s]++
+			crossAt[he.V]++
+			b.FragmentEdges[fo]++
+		}
+	}
+	if b.NumCrossing > 0 {
+		sq := 0
+		for _, c := range crossAt {
+			sq += c * c
+		}
+		b.EV = float64(sq) / float64(2*b.NumCrossing)
+	}
+	for _, e := range b.FragmentEdges {
+		b.MaxFragmentEdges = max(b.MaxFragmentEdges, e)
+	}
+	b.Cost = b.EV * float64(b.MaxFragmentEdges)
+	return b
 }
 
 // SelectBest runs every strategy and returns the assignment with the

@@ -329,3 +329,24 @@ func TestCostEmptyAndNoCrossing(t *testing.T) {
 		t.Errorf("max fragment edges = %d", c.MaxFragmentEdges)
 	}
 }
+
+func TestAssignmentLookup(t *testing.T) {
+	st, a := fig8a()
+	for _, v := range st.Vertices() {
+		f, ok := a.Lookup(v)
+		if !ok {
+			t.Fatalf("covered vertex %d reported uncovered", v)
+		}
+		if f != a.FragmentOf(v) {
+			t.Fatalf("Lookup and FragmentOf disagree on %d", v)
+		}
+	}
+	unknown := rdf.TermID(1 << 30)
+	if _, ok := a.Lookup(unknown); ok {
+		t.Error("Lookup invented an owner for an uncovered vertex")
+	}
+	// FragmentOf's documented diagnostic fallback.
+	if got := a.FragmentOf(unknown); got != 0 {
+		t.Errorf("FragmentOf fallback = %d, want 0", got)
+	}
+}

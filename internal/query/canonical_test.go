@@ -128,8 +128,8 @@ func TestCanonicalKeyProjectionOrderMatters(t *testing.T) {
 // TestCanonicalKeyModifierCollision is the aliasing regression: before
 // modifiers were embedded in the key, SELECT DISTINCT and its plain twin
 // (and every LIMIT/OFFSET window of a query) canonicalized identically,
-// so the result cache, singleflight, and workload log would serve one
-// query's answer for the other.
+// so the result cache and singleflight would serve one query's answer
+// for the other.
 func TestCanonicalKeyModifierCollision(t *testing.T) {
 	dict := rdf.NewDictionary()
 	pattern := func(mod func(b *Builder)) *Graph {

@@ -66,8 +66,7 @@ func (s *Server) flightCount() int {
 // TestRequestAccounting sends one query down every way a /sparql
 // request can be answered and pins, per way, everything the serving
 // pipeline owes the outside: status, X-Cache, which counters move and by
-// how much, the slow-log outcome, and whether the workload log (the
-// advisor's input) observed the request.
+// how much, and the slow-log outcome.
 func TestRequestAccounting(t *testing.T) {
 	// get answers nil after reporting a transport error: it also runs off
 	// the test goroutine, where t.Fatal must not be called.
@@ -94,14 +93,13 @@ func TestRequestAccounting(t *testing.T) {
 		retryAfter bool
 		want       acct
 		outcomes   []string // slow-log outcomes, sorted
-		logged     uint64   // workload-log observations
 	}{
 		{name: "miss",
 			drive:  func(t *testing.T, _ *Server, ts string) *http.Response { return get(t, ts, "") },
-			status: 200, xcache: "MISS", want: acct{queries: 1, engineRuns: 1}, outcomes: []string{"miss"}, logged: 1},
+			status: 200, xcache: "MISS", want: acct{queries: 1, engineRuns: 1}, outcomes: []string{"miss"}},
 		{name: "hit", prime: true,
 			drive:  func(t *testing.T, _ *Server, ts string) *http.Response { return get(t, ts, "") },
-			status: 200, xcache: "HIT", want: acct{queries: 1}, outcomes: []string{"hit"}, logged: 1},
+			status: 200, xcache: "HIT", want: acct{queries: 1}, outcomes: []string{"hit"}},
 		{name: "coalesced", cfg: Config{Workers: 1, MaxInFlight: 8},
 			drive: func(t *testing.T, s *Server, ts string) *http.Response {
 				release := parkWorker(s)
@@ -117,10 +115,10 @@ func TestRequestAccounting(t *testing.T) {
 				}
 				return <-waiter
 			},
-			status: 200, xcache: "COALESCED", want: acct{queries: 2, engineRuns: 1}, outcomes: []string{"coalesced", "miss"}, logged: 2},
+			status: 200, xcache: "COALESCED", want: acct{queries: 2, engineRuns: 1}, outcomes: []string{"coalesced", "miss"}},
 		{name: "stream", cfg: Config{Unordered: true},
 			drive:  func(t *testing.T, _ *Server, ts string) *http.Response { return get(t, ts, "") },
-			status: 200, xcache: "STREAM", want: acct{queries: 1, engineRuns: 1}, outcomes: []string{"stream"}, logged: 1},
+			status: 200, xcache: "STREAM", want: acct{queries: 1, engineRuns: 1}, outcomes: []string{"stream"}},
 		{name: "explain",
 			drive:  func(t *testing.T, _ *Server, ts string) *http.Response { return get(t, ts, "explain=1&") },
 			status: 200, want: acct{queries: 1, engineRuns: 1}, outcomes: []string{"explain"}},
@@ -165,7 +163,7 @@ func TestRequestAccounting(t *testing.T) {
 			if row.prime {
 				get(t, ts.URL, "")
 			}
-			before, logBefore, linesBefore := snapshotAcct(&s.metrics), s.qlog.Total(), strings.Count(sink.String(), "\n")
+			before, linesBefore := snapshotAcct(&s.metrics), strings.Count(sink.String(), "\n")
 
 			resp := row.drive(t, s, ts.URL)
 			if resp != nil {
@@ -198,9 +196,6 @@ func TestRequestAccounting(t *testing.T) {
 			}
 			if got := snapshotAcct(&s.metrics).minus(before); got != row.want {
 				t.Errorf("counter deltas = %+v, want %+v", got, row.want)
-			}
-			if got := s.qlog.Total() - logBefore; got != row.logged {
-				t.Errorf("workload log observed %d requests, want %d", got, row.logged)
 			}
 		})
 	}

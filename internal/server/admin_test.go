@@ -9,55 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"gstored/internal/querylog"
 )
-
-// advisorDoc mirrors the /advisor response shape for decoding.
-type advisorDoc struct {
-	Current struct {
-		Strategy string `json:"strategy"`
-		K        int    `json:"k"`
-		Epoch    uint64 `json:"epoch"`
-	} `json:"current"`
-	Workload struct {
-		Queries  uint64 `json:"queries"`
-		Distinct int    `json:"distinct"`
-	} `json:"workload"`
-	Recommended struct {
-		Strategy string `json:"strategy"`
-		K        int    `json:"k"`
-	} `json:"recommended"`
-	DataOnly struct {
-		Strategy string `json:"strategy"`
-		K        int    `json:"k"`
-	} `json:"data_only"`
-	DiffersFromDataOnly bool `json:"differs_from_data_only"`
-	Candidates          []struct {
-		Strategy     string `json:"strategy"`
-		K            int    `json:"k"`
-		WorkloadCost struct {
-			Cost float64 `json:"cost"`
-		} `json:"workload_cost"`
-	} `json:"candidates"`
-}
-
-func getAdvisor(t *testing.T, base, params string) (*http.Response, advisorDoc) {
-	t.Helper()
-	resp, err := http.Get(base + "/advisor" + params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	var doc advisorDoc
-	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(body, &doc); err != nil {
-			t.Fatalf("bad advisor JSON (%s): %v", body, err)
-		}
-	}
-	return resp, doc
-}
 
 func postRepartition(t *testing.T, base, body string) (*http.Response, map[string]any) {
 	t.Helper()
@@ -98,55 +50,6 @@ func metricValue(t *testing.T, metrics, name string) string {
 	return ""
 }
 
-func TestAdvisorEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, testDB(t), Config{})
-	// Feed the workload log through the front door.
-	for i := 0; i < 3; i++ {
-		if resp, _ := getJSON(t, ts.URL, knowsChain); resp.StatusCode != http.StatusOK {
-			t.Fatal("query failed")
-		}
-	}
-	resp, doc := getAdvisor(t, ts.URL, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if doc.Current.K != 3 || doc.Current.Epoch != 1 {
-		t.Errorf("current = %+v, want k=3 epoch=1", doc.Current)
-	}
-	if doc.Workload.Queries != 3 || doc.Workload.Distinct != 1 {
-		t.Errorf("workload = %+v, want 3 queries / 1 distinct (cache hits must be observed too)", doc.Workload)
-	}
-	// Default candidates: 3 strategies × the current site count.
-	if len(doc.Candidates) != 3 {
-		t.Errorf("candidates = %d, want 3", len(doc.Candidates))
-	}
-	if doc.Recommended.Strategy == "" || doc.Recommended.K != 3 {
-		t.Errorf("recommended = %+v", doc.Recommended)
-	}
-
-	if resp, err := http.Post(ts.URL+"/advisor", "application/json", nil); err != nil {
-		t.Fatal(err)
-	} else if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /advisor = %d, want 405", resp.StatusCode)
-	}
-}
-
-func TestAdvisorKParameter(t *testing.T) {
-	_, ts := newTestServer(t, testDB(t), Config{})
-	resp, doc := getAdvisor(t, ts.URL, "?k=2,3")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if len(doc.Candidates) != 6 {
-		t.Errorf("candidates = %d, want 3 strategies × 2 ks", len(doc.Candidates))
-	}
-	for _, bad := range []string{"?k=abc", "?k=0", "?k=2,-1"} {
-		if resp, _ := getAdvisor(t, ts.URL, bad); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("GET /advisor%s = %d, want 400", bad, resp.StatusCode)
-		}
-	}
-}
-
 func TestRepartitionEndpoint(t *testing.T) {
 	db := testDB(t)
 	_, ts := newTestServer(t, db, Config{})
@@ -166,30 +69,31 @@ func TestRepartitionEndpoint(t *testing.T) {
 		t.Errorf("live cluster = (%s,%d)", db.Strategy(), db.NumSites())
 	}
 
-	// Advisor-driven: empty body applies the current recommendation.
-	resp, doc = postRepartition(t, ts.URL, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("advisor-driven status = %d", resp.StatusCode)
-	}
-	if doc["epoch"].(float64) != 3 {
-		t.Errorf("epoch after second swap = %v, want 3", doc["epoch"])
-	}
-
 	// Queries still answer correctly on the swapped cluster.
 	qresp, qdoc := getJSON(t, ts.URL, knowsChain)
 	if qresp.StatusCode != http.StatusOK || len(qdoc.Results.Bindings) != 1 {
 		t.Errorf("post-swap query: status %d, bindings %v", qresp.StatusCode, qdoc.Results.Bindings)
 	}
 
+	// Every rejected body leaves the live generation alone. A k above the
+	// vertex count could only add empty fragments, and an unbounded one
+	// would size per-fragment allocations from the client's number.
+	epoch := db.Epoch()
+	tooMany := fmt.Sprintf(`{"strategy": "hash", "k": %d}`, db.Distributed().Global.NumVertices()+1)
 	for body, want := range map[string]int{
+		``:                                http.StatusBadRequest, // an explicit body is required
 		`{"strategy": "hash"}`:            http.StatusBadRequest, // k missing
 		`{"k": 2}`:                        http.StatusBadRequest, // strategy missing
 		`{"strategy": "nope", "k": 2}`:    http.StatusBadRequest,
 		`{"strategy": "hash", "k": -1}`:   http.StatusBadRequest,
 		`{"strategy": "hash", "k": 2 ???`: http.StatusBadRequest,
+		tooMany:                           http.StatusBadRequest,
 	} {
 		if resp, _ := postRepartition(t, ts.URL, body); resp.StatusCode != want {
 			t.Errorf("POST /repartition %s = %d, want %d", body, resp.StatusCode, want)
+		}
+		if got := db.Epoch(); got != epoch {
+			t.Errorf("POST /repartition %s moved the epoch %d → %d", body, epoch, got)
 		}
 	}
 	if resp, err := http.Get(ts.URL + "/repartition"); err != nil {
@@ -287,34 +191,8 @@ func TestServeDuringRepartition(t *testing.T) {
 	}
 }
 
-// TestQueryLogSink checks the offline JSONL capture: every answered
-// query — cache hits included — lands in the sink, replayable by
-// querylog.ReadRecords.
-func TestQueryLogSink(t *testing.T) {
-	var buf syncBuffer
-	_, ts := newTestServer(t, testDB(t), Config{CacheEntries: 16, QueryLogSink: &buf})
-	for i := 0; i < 3; i++ {
-		if resp, _ := getJSON(t, ts.URL, knowsChain); resp.StatusCode != http.StatusOK {
-			t.Fatal("query failed")
-		}
-	}
-	recs, err := querylog.ReadRecords(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("sink captured %d records, want 3 (hits included)", len(recs))
-	}
-	for _, r := range recs {
-		if r.Query != knowsChain {
-			t.Errorf("sink record = %q", r.Query)
-		}
-	}
-}
-
-// syncBuffer guards a bytes.Buffer for concurrent appends; the
-// querylog.Writer serializes writes, but String may race with them in
-// principle, so keep the test well-defined.
+// syncBuffer guards a bytes.Buffer for concurrent appends: a sink's
+// writes may race with String, so keep the tests well-defined.
 type syncBuffer struct {
 	mu  sync.Mutex
 	buf bytes.Buffer
@@ -330,27 +208,4 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-// TestQueryLogDisabled: a negative capacity turns off workload capture;
-// the advisor still answers, over an empty workload.
-func TestQueryLogDisabled(t *testing.T) {
-	_, ts := newTestServer(t, testDB(t), Config{QueryLogCapacity: -1})
-	if resp, _ := getJSON(t, ts.URL, knowsChain); resp.StatusCode != http.StatusOK {
-		t.Fatal("query failed")
-	}
-	resp, doc := getAdvisor(t, ts.URL, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("advisor status = %d", resp.StatusCode)
-	}
-	if doc.Workload.Queries != 0 || doc.Workload.Distinct != 0 {
-		t.Errorf("workload = %+v, want empty when capture is disabled", doc.Workload)
-	}
-	if doc.DiffersFromDataOnly {
-		t.Error("empty workload should agree with the data-only model")
-	}
-	m := scrapeMetrics(t, ts.URL)
-	if got := metricValue(t, m, "gstored_querylog_entries"); got != "0" {
-		t.Errorf("gstored_querylog_entries = %s, want 0", got)
-	}
 }

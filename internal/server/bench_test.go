@@ -3,7 +3,7 @@ package server
 // BenchmarkServeTracing is the one serving benchmark BENCHMARK.json does
 // not supersede: no workload there runs with the slow-query log armed,
 // so this is the only in-tree measurement of what attaching a trace to
-// every request costs (ROADMAP item 5 replaces it with a paired-run
+// every request costs (ROADMAP item 9 replaces it with a paired-run
 // budget). CI runs it as a -benchtime=1x smoke under -race. Every other
 // serve-path number comes from BENCHMARK.json's workloads; the paths
 // those benchmarks drove stay under -race through the tests named in

@@ -128,7 +128,7 @@ type ExplainFragment struct {
 // execution itself bypasses both (it must run the engine to produce a
 // trace) and leaves them untouched: no entry is stored, no LRU position
 // refreshed, no hit/miss counted — a diagnostic probe must not evict the
-// working set or skew the advisor.
+// working set.
 type ExplainCache struct {
 	Enabled bool `json:"enabled"`
 	// Disposition is "hit" (a resident entry would have answered),
@@ -263,12 +263,12 @@ func explainRequested(r *http.Request) bool {
 // trace attached, serialized as the ExplainReport instead of the
 // bindings. The execution is admitted and clocked like any query (it
 // holds a scheduler slot under the query timeout, counts as an engine
-// run, and feeds the per-stage histograms) but leaves the cache,
-// singleflight, and workload log untouched (see ExplainCache).
+// run, and feeds the per-stage histograms) but leaves the cache and
+// singleflight untouched (see ExplainCache).
 func (rq *request) explain() {
 	s := rq.s
 	cache := ExplainCache{Enabled: s.cache != nil, Disposition: "disabled", Cacheable: true}
-	key := cacheKey(rq.epoch, rq.logKey)
+	key := cacheKey(rq.epoch, rq.key)
 	if s.cache != nil {
 		cache.Disposition = "miss"
 		if s.cache.Peek(key) {

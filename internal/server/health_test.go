@@ -7,9 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"gstored/internal/engine"
-	"gstored/internal/query"
 )
 
 // TestHealthzSiteTable checks the per-site table: one row per site with
@@ -76,42 +73,5 @@ func TestMetricsSiteUpGauge(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
-	}
-}
-
-// TestSyncEpochDecaysQueryLog: when the server notices an epoch advance
-// (here via repartition), the workload log's crossing statistics age so
-// the advisor is not weighted by the dead layout.
-func TestSyncEpochDecaysQueryLog(t *testing.T) {
-	db := testDB(t)
-	s, _ := newTestServer(t, db, Config{})
-
-	q, err := db.Parse(`SELECT ?x WHERE { ?x <http://ex/knows> ?y }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.qlog.Observe("k", "q", (*query.Graph)(q), engine.Stats{NumCrossingMatches: 8, NumPartialMatches: 8, TotalShipment: 800})
-	if got := s.qlog.Snapshot().CrossingMatches; got != 8 {
-		t.Fatalf("pre-decay crossing = %d", got)
-	}
-
-	a, err := db.PlanPartition("hash", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Repartition(a); err != nil {
-		t.Fatal(err)
-	}
-	// Any served request syncs the epoch; healthz does not, so use the
-	// query path.
-	if s.syncEpoch() != db.Epoch() {
-		t.Fatal("epoch did not sync")
-	}
-	snap := s.qlog.Snapshot()
-	if snap.CrossingMatches != 4 || snap.PartialMatches != 4 || snap.ShipmentBytes != 400 {
-		t.Errorf("post-decay stats = %d/%d/%d, want 4/4/400", snap.CrossingMatches, snap.PartialMatches, snap.ShipmentBytes)
-	}
-	if snap.Queries != 1 {
-		t.Errorf("frequency decayed: %d", snap.Queries)
 	}
 }

@@ -26,7 +26,6 @@ type Metrics struct {
 	Coalesced         atomic.Int64 // waiters served by a concurrent identical execution
 	CacheBypass       atomic.Int64 // results too large for the cache row cap, streamed uncached
 	EarlyStops        atomic.Int64 // unordered streaming executions cancelled once LIMIT was satisfied
-	AdvisorRuns       atomic.Int64 // /advisor evaluations of the workload-weighted cost model
 	Repartitions      atomic.Int64 // successful online partition hot-swaps
 	CacheFlushes      atomic.Int64 // result-cache flushes triggered by epoch advances
 	Updates           atomic.Int64 // SPARQL Update requests applied successfully
@@ -38,7 +37,7 @@ type Metrics struct {
 	// engine.Stage.
 	StageNanos     [engine.NumStages]atomic.Int64
 	ShipmentBytes  atomic.Int64
-	Messages       atomic.Int64 // simulated inter-site messages
+	Messages       atomic.Int64 // inter-site messages (socket frames with worker-hosted sites)
 	CommNanos      atomic.Int64 // estimated communication time under the link model
 	TransportNanos atomic.Int64 // remote round-trip time beyond the workers' own evaluation, summed over sites
 	PartialMatches atomic.Int64
@@ -106,12 +105,10 @@ func writeMetric(w io.Writer, name, help, typ string, value any) {
 func seconds(nanos int64) float64 { return float64(nanos) / float64(time.Second) }
 
 // Gauges carries the point-in-time values scraped alongside the
-// counters: workload-log occupancy and the cluster generation.
+// counters: the cluster generation and its sites.
 type Gauges struct {
-	QueryLogEntries int    // distinct queries resident in the workload log
-	QueryLogQueries uint64 // queries observed by the log, evicted included
-	Epoch           uint64 // current cluster generation (advances on repartition and data-changing update)
-	Sites           int    // current fragment/site count
+	Epoch uint64 // current cluster generation (advances on repartition and data-changing update)
+	Sites int    // current fragment/site count
 	// SiteUp maps site ID → whether the site answered the scrape's health
 	// probe (in-process sites always do; worker-hosted sites answer a
 	// real RPC round trip).
@@ -119,7 +116,7 @@ type Gauges struct {
 }
 
 // Write renders the counters, the cache statistics, and the scheduler
-// and advisor-loop gauges in the Prometheus text exposition format.
+// and cluster gauges in the Prometheus text exposition format.
 func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime time.Duration, g Gauges) {
 	writeMetric(w, "gstored_queries_total", "Queries answered, including cache hits.", "counter", m.Queries.Load())
 	writeMetric(w, "gstored_query_errors_total", "Queries failed by parse or execution errors (client disconnects excluded).", "counter", m.Errors.Load())
@@ -140,9 +137,6 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	writeMetric(w, "gstored_cache_entries", "Result-cache resident entries.", "gauge", cache.Entries)
 	writeMetric(w, "gstored_cache_flushes_total", "Result-cache flushes triggered by cluster epoch advances.", "counter", m.CacheFlushes.Load())
 
-	writeMetric(w, "gstored_querylog_entries", "Distinct queries resident in the workload log.", "gauge", g.QueryLogEntries)
-	writeMetric(w, "gstored_querylog_queries_total", "Queries observed by the workload log (evicted entries included).", "counter", g.QueryLogQueries)
-	writeMetric(w, "gstored_advisor_runs_total", "Workload-weighted partition advisor evaluations.", "counter", m.AdvisorRuns.Load())
 	writeMetric(w, "gstored_repartitions_total", "Online partition hot-swaps applied.", "counter", m.Repartitions.Load())
 	writeMetric(w, "gstored_updates_total", "SPARQL Update requests applied successfully (no-op updates included).", "counter", m.Updates.Load())
 	writeMetric(w, "gstored_triples_inserted_total", "Triples added by updates (set semantics: already-present inserts count nothing).", "counter", m.TriplesInserted.Load())
@@ -169,8 +163,8 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	for i, name := range engine.StageNames {
 		fmt.Fprintf(w, "gstored_stage_seconds_total{stage=%q} %v\n", name, seconds(m.StageNanos[i].Load()))
 	}
-	writeMetric(w, "gstored_shipment_bytes_total", "Simulated inter-site data shipment.", "counter", m.ShipmentBytes.Load())
-	writeMetric(w, "gstored_messages_total", "Simulated inter-site messages (shipments and broadcasts).", "counter", m.Messages.Load())
+	writeMetric(w, "gstored_shipment_bytes_total", "Inter-site data shipment: bytes measured at the socket with worker-hosted sites, priced by the §IX model in-process.", "counter", m.ShipmentBytes.Load())
+	writeMetric(w, "gstored_messages_total", "Inter-site messages (shipments and broadcasts): frames counted at the socket with worker-hosted sites, by the §IX model in-process.", "counter", m.Messages.Load())
 	writeMetric(w, "gstored_estimated_comm_seconds_total", "Estimated communication time of the metered traffic under the cluster link model.", "counter", seconds(m.CommNanos.Load()))
 	writeMetric(w, "gstored_remote_transport_seconds_total", "Partial-evaluation round-trip time beyond the workers' own evaluation (codec, socket, queueing), summed over sites; zero in-process.", "counter", seconds(m.TransportNanos.Load()))
 	writeMetric(w, "gstored_partial_matches_total", "Local partial matches enumerated.", "counter", m.PartialMatches.Load())

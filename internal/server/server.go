@@ -11,19 +11,15 @@
 //	                         with Config.Writable, form-urlencoded update= or an
 //	                         application/sparql-update body applies INSERT DATA /
 //	                         DELETE DATA (403 on read-only servers)
-//	GET  /advisor            workload-weighted partition advisor report (JSON)
-//	POST /repartition        apply a partitioning (or the advisor's pick) online
+//	POST /repartition        apply an explicit {"strategy", "k"} partitioning online
 //	GET  /metrics            Prometheus text exposition of serving + engine counters
 //	GET  /healthz            liveness probe with dataset summary
 //
-// Every answered query feeds a bounded query log (internal/querylog);
-// /advisor replays that log's predicate-touch frequencies through the
-// workload-weighted Section VII cost model and recommends a
-// (strategy, k); /repartition hot-swaps the cluster via DB.Repartition
-// while queries keep serving. The result cache is epoch-versioned:
-// cache and singleflight keys embed the cluster epoch, and the resident
-// cache is flushed when the epoch advances, so a pre-swap result can
-// never answer a post-swap query.
+// /repartition hot-swaps the cluster via DB.Repartition while queries
+// keep serving. The result cache is epoch-versioned: cache and
+// singleflight keys embed the cluster epoch, and the resident cache is
+// flushed when the epoch advances, so a pre-swap result can never answer
+// a post-swap query.
 //
 // Results are serialized as application/sparql-results+json (default) or
 // text/tab-separated-values, negotiated via the Accept header or a
@@ -54,7 +50,6 @@ import (
 	"time"
 
 	"gstored"
-	"gstored/internal/querylog"
 	"gstored/internal/sparql"
 	"gstored/internal/trace"
 )
@@ -80,16 +75,6 @@ type Config struct {
 	// evict the working set nor pin unbounded memory (default 65536;
 	// negative removes the cap).
 	CacheMaxRows int
-	// QueryLogCapacity bounds the distinct queries tracked by the
-	// workload log feeding /advisor (default querylog.DefaultCapacity;
-	// negative disables workload capture entirely).
-	QueryLogCapacity int
-	// AdvisorKs are the candidate site counts /advisor evaluates when
-	// the request does not pass ?k=; empty means the current site count.
-	AdvisorKs []int
-	// QueryLogSink, when non-nil, receives every answered query as a
-	// JSONL querylog.Record, replayable offline by `gstored advise`.
-	QueryLogSink io.Writer
 	// Writable enables the SPARQL 1.1 Update path: POST /sparql with an
 	// application/sparql-update body (or an update= form field) applies
 	// INSERT DATA / DELETE DATA as an atomic generation swap with an
@@ -142,12 +127,10 @@ func (c Config) withDefaults() Config {
 // Server serves SPARQL queries over HTTP. Create with New; it implements
 // http.Handler and must be Closed to stop admitting queries.
 type Server struct {
-	db      *gstored.DB
-	cfg     Config
-	sched   *Scheduler
-	cache   *Cache        // nil when caching is disabled
-	qlog    *querylog.Log // nil when workload capture is disabled
-	logSink *querylog.Writer
+	db    *gstored.DB
+	cfg   Config
+	sched *Scheduler
+	cache *Cache // nil when caching is disabled
 	// updateSlots bounds concurrently admitted update requests (writers
 	// serialize on the DB's swap mutex, so admitted slots measure queue
 	// depth). Sized like MaxInFlight so one knob governs both admission
@@ -181,18 +164,11 @@ func New(db *gstored.DB, cfg Config) *Server {
 	if cfg.CacheEntries > 0 {
 		s.cache = NewCache(cfg.CacheEntries)
 	}
-	if cfg.QueryLogCapacity >= 0 {
-		s.qlog = querylog.New(cfg.QueryLogCapacity)
-	}
-	if cfg.QueryLogSink != nil {
-		s.logSink = querylog.NewWriter(cfg.QueryLogSink)
-	}
 	if cfg.SlowQueryLog != nil {
 		s.slowLog = &slowLogger{w: cfg.SlowQueryLog, threshold: cfg.SlowQueryThreshold, drops: &s.metrics.SlowLogDrops}
 	}
 	s.epoch.Store(db.Epoch())
 	s.mux.HandleFunc("/sparql", s.handleSparql)
-	s.mux.HandleFunc("/advisor", s.handleAdvisor)
 	s.mux.HandleFunc("/repartition", s.handleRepartition)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -301,18 +277,18 @@ func negotiate(r *http.Request) (contentType string, tsv bool) {
 	return ContentTypeJSON, false
 }
 
-// logKey is the workload-log key: the canonical compiled query scoped
-// by engine mode — the same query is the same workload item across
-// repartitions, so the epoch stays out of it.
-func (s *Server) logKey(q *gstored.QueryGraph) string {
+// key identifies a query up to variable renaming and triple order: the
+// canonical compiled query scoped by engine mode. The slow log reports
+// it, and cacheKey scopes it to one epoch.
+func (s *Server) key(q *gstored.QueryGraph) string {
 	return fmt.Sprintf("m%d|%s", s.db.Mode(), s.db.CanonicalQueryKey(q))
 }
 
-// cacheKey scopes a log key to one cluster generation: a result
+// cacheKey scopes a query key to one cluster generation: a result
 // computed on a pre-swap cluster must never answer a post-swap request,
 // and a flight started pre-swap publishes only under its own epoch.
-func cacheKey(epoch uint64, logKey string) string {
-	return fmt.Sprintf("e%d|%s", epoch, logKey)
+func cacheKey(epoch uint64, key string) string {
+	return fmt.Sprintf("e%d|%s", epoch, key)
 }
 
 func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
@@ -357,7 +333,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rq := &request{s: s, w: w, r: r, q: q, text: text, tr: tr, start: start, logKey: s.logKey(q), epoch: s.syncEpoch()}
+	rq := &request{s: s, w: w, r: r, q: q, text: text, tr: tr, start: start, key: s.key(q), epoch: s.syncEpoch()}
 	rq.contentType, _ = negotiate(r)
 	switch {
 	case explain:
@@ -382,7 +358,7 @@ type request struct {
 	text        string
 	tr          *trace.Trace // nil when neither EXPLAIN nor the slow log will read it
 	start       time.Time
-	logKey      string // workload-log key
+	key         string // query key (Server.key), before cacheKey scopes it to the epoch
 	epoch       uint64 // cluster generation the request was admitted under
 	contentType string // negotiated result serialization
 }
@@ -429,35 +405,19 @@ func (rq *request) fail(err error) {
 }
 
 // finish accounts one request after its response is written. Answered
-// requests count in Queries and — EXPLAIN probes aside, which must not
-// skew the advisor — feed the workload log; every request lands in its
-// outcome's client-facing latency histogram and, when the threshold is
-// met, in the slow-query log. stats is the execution that produced the
-// rows: a cached or coalesced serving passes the stats of the run it
-// shares (nil when only rows survived), which keeps crossing weights
-// proportional to the traffic actually served.
+// requests count in Queries; every request lands in its outcome's
+// client-facing latency histogram and, when the threshold is met, in the
+// slow-query log. stats is the execution that produced the rows: a
+// cached or coalesced serving passes the stats of the run it shares (nil
+// when only rows survived).
 func (rq *request) finish(o queryOutcome, stats *gstored.Stats, rows int) {
 	s := rq.s
 	if o != outcomeError {
 		s.metrics.Queries.Add(1)
 	}
-	if o != outcomeError && o != outcomeExplain {
-		if s.qlog != nil {
-			var observed gstored.Stats
-			if stats != nil {
-				observed = *stats
-			}
-			s.qlog.Observe(rq.logKey, rq.text, rq.q, observed)
-		}
-		if s.logSink != nil {
-			if err := s.logSink.Append(querylog.Record{Query: rq.text}); err != nil {
-				s.metrics.Errors.Add(1)
-			}
-		}
-	}
 	wall := time.Since(rq.start)
 	s.metrics.QueryDurations[o].Observe(wall)
-	s.slowLog.maybeLog(o, wall, rq.logKey, rq.epoch, stats, rows, rq.tr)
+	s.slowLog.maybeLog(o, wall, rq.key, rq.epoch, stats, rows, rq.tr)
 }
 
 // serialize writes rows to w in the negotiated format.
@@ -495,7 +455,7 @@ func (rq *request) answer(rows RowSeq, state cacheState, o queryOutcome, stats *
 // recheck the cache → run the engine detached from the own client.
 func (rq *request) ordered() {
 	s := rq.s
-	key := cacheKey(rq.epoch, rq.logKey)
+	key := cacheKey(rq.epoch, rq.key)
 	if s.cache != nil {
 		if hit, ok := s.cache.Get(key); ok {
 			rq.answer(SliceSeq(hit.Rows), cacheHit, outcomeHit, &hit.Stats, len(hit.Rows))
@@ -598,13 +558,6 @@ func (s *Server) syncEpoch() uint64 {
 				s.cache.Flush()
 				s.metrics.CacheFlushes.Add(1)
 			}
-			// Crossing statistics in the workload log were measured against
-			// the fragments the old generation cut; age them so the advisor
-			// is not steered by a layout that no longer exists. last is 0
-			// only before the first sync, when there is nothing to age.
-			if s.qlog != nil && last > 0 {
-				s.qlog.AdvanceEpoch(e - last)
-			}
 			return e
 		}
 	}
@@ -616,7 +569,7 @@ func (s *Server) cacheable(res *gstored.Result) bool {
 }
 
 // classify is the one error table: what a failed operation (query,
-// update, advisor run, repartition) is answered with, and the counter it
+// update, repartition) is answered with, and the counter it
 // moves. A client's own disconnect (context.Canceled) is not a server
 // fault: it counts in gstored_client_disconnects_total, never in
 // gstored_query_errors_total, so dashboards alerting on the error rate
@@ -738,11 +691,10 @@ func (d *deferredResponse) Flush() {
 // the remaining work the moment it is satisfied. The cache and
 // singleflight layers are not consulted (X-Cache: STREAM) — nothing is
 // materialized to store, and a truncated unordered answer is one
-// execution's arbitrary row subset, not "the" result. The workload log
-// still observes every streamed query. The response commits with the
-// first row (deferredResponse): only failures before that — admission
-// rejection, queued-context expiry, an engine error with no rows yet —
-// can still report their usual statuses.
+// execution's arbitrary row subset, not "the" result. The response
+// commits with the first row (deferredResponse): only failures before
+// that — admission rejection, queued-context expiry, an engine error
+// with no rows yet — can still report their usual statuses.
 func (rq *request) stream() {
 	s := rq.s
 	dw := &deferredResponse{w: rq.w, header: http.Header{"Content-Type": {rq.contentType}, "X-Cache": {string(cacheStream)}}}
@@ -818,19 +770,14 @@ func (rq *request) stream() {
 		}
 		// The engine itself completed (e.g. the client vanished and the
 		// sink stopped the run): the query was answered engine-side, so it
-		// is accounted like any stream, and the workload log sees the work
-		// even though the answer never fully shipped.
+		// is accounted like any stream, though the answer never fully
+		// shipped.
 	}
 	rq.finish(outcomeStream, &res.Stats, res.Stats.NumMatches)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var logLen int
-	var logTotal uint64
-	if s.qlog != nil {
-		logLen, logTotal = s.qlog.Len(), s.qlog.Total()
-	}
 	_, sites, epoch := s.db.ClusterInfo()
 	status, _ := s.probeSites(r.Context())
 	up := make(map[int]bool, len(status))
@@ -838,11 +785,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		up[st.Site] = st.Up
 	}
 	s.metrics.Write(w, s.CacheStats(), s.sched.InFlight(), time.Since(s.started), Gauges{
-		QueryLogEntries: logLen,
-		QueryLogQueries: logTotal,
-		Epoch:           epoch,
-		Sites:           sites,
-		SiteUp:          up,
+		Epoch:  epoch,
+		Sites:  sites,
+		SiteUp: up,
 	})
 }
 

@@ -23,8 +23,8 @@ import (
 type SlowQueryRecord struct {
 	Time    string `json:"time"`
 	Outcome string `json:"outcome"`
-	// Key is the canonical workload key (mode + canonicalized query),
-	// the same key the cache, singleflight, and workload log use.
+	// Key is the canonical query key (mode + canonicalized query), the
+	// same key the cache and singleflight scope to the epoch.
 	Key        string  `json:"key"`
 	Epoch      uint64  `json:"epoch"`
 	WallMillis float64 `json:"wall_ms"`

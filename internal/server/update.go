@@ -21,10 +21,7 @@ import (
 // Updates run inline rather than through the query scheduler: they
 // serialize on the database's swap mutex anyway, touch only the delta's
 // fragments, and must not be shed by admission control meant to protect
-// query capacity. The workload log deliberately does not observe
-// updates — it models query traversal frequency for the partition
-// advisor (its crossing statistics do go stale as mutations drift the
-// data; see DESIGN.md).
+// query capacity.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, text string) {
 	if !s.cfg.Writable {
 		http.Error(w, "read-only endpoint: restart with -writable to accept updates", http.StatusForbidden)
