@@ -50,3 +50,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzCompute$$' -fuzztime=10s ./internal/partial/
 	$(GO) test -run=NONE -fuzz='^FuzzSiteVectorsDecode$$' -fuzztime=10s ./internal/candidates/
 	$(GO) test -run=NONE -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/remote/
+	$(GO) test -run=NONE -fuzz='^FuzzExecute$$' -fuzztime=10s ./internal/engine/

@@ -91,33 +91,33 @@ func (env *equivEnv) shape(t *testing.T, name string, mod func(*query.Builder) *
 	return b.MustBuild()
 }
 
-// orderedKeys runs the ordered path and returns the projected row keys
-// in their served order.
-func orderedKeys(t *testing.T, e *Engine, q *query.Graph, workers int) []string {
+// orderedKeys runs the ordered path in mode and returns the projected row
+// keys in their served order, with the run's stats.
+func orderedKeys(t *testing.T, e *Engine, q *query.Graph, mode Mode, workers int) ([]string, Stats) {
 	t.Helper()
-	res, err := e.Execute(q, Config{Mode: Full, EvalWorkers: workers})
+	res, err := e.Execute(q, Config{Mode: mode, EvalWorkers: workers})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v width %d: %v", mode, workers, err)
 	}
 	var keys []string
 	res.EachProjected(func(r Row) bool {
 		keys = append(keys, r.Key())
 		return true
 	})
-	return keys
+	return keys, res.Stats
 }
 
-// streamedKeys runs the unordered streaming path and returns emitted
-// projected row keys in emission order.
-func streamedKeys(t *testing.T, e *Engine, q *query.Graph, workers int) []string {
+// streamedKeys runs the unordered streaming path in mode and returns
+// emitted projected row keys in emission order.
+func streamedKeys(t *testing.T, e *Engine, q *query.Graph, mode Mode, workers int) []string {
 	t.Helper()
 	var keys []string
-	_, err := e.ExecuteStream(context.Background(), q, Config{Mode: Full, EvalWorkers: workers}, func(r Row) bool {
+	_, err := e.ExecuteStream(context.Background(), q, Config{Mode: mode, EvalWorkers: workers}, func(r Row) bool {
 		keys = append(keys, r.Key())
 		return true
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v width %d streamed: %v", mode, workers, err)
 	}
 	return keys
 }
@@ -179,11 +179,11 @@ func TestCrossModeEquivalence(t *testing.T) {
 		for _, m := range mods {
 			t.Run(shape+"/"+m.name, func(t *testing.T) {
 				q := env.shape(t, shape, m.mod)
-				oracle := orderedKeys(t, env.eng, q, 1)
+				oracle, _ := orderedKeys(t, env.eng, q, Full, 1)
 				// The unmodified answer bounds what subsetting modes may emit.
 				full := oracle
 				if m.subsetting || m.distinct {
-					full = orderedKeys(t, env.eng, env.shape(t, shape, nil), 1)
+					full, _ = orderedKeys(t, env.eng, env.shape(t, shape, nil), Full, 1)
 				}
 				if len(full) == 0 {
 					t.Fatalf("fixture produced no rows for %s", shape)
@@ -191,7 +191,7 @@ func TestCrossModeEquivalence(t *testing.T) {
 				fullSet := multiset(full)
 
 				// Ordered parallel must be byte-identical, row for row.
-				par := orderedKeys(t, env.eng, q, 4)
+				par, _ := orderedKeys(t, env.eng, q, Full, 4)
 				if fmt.Sprint(par) != fmt.Sprint(oracle) {
 					t.Fatalf("ordered parallel diverged from sequential oracle\n got %d rows\nwant %d rows", len(par), len(oracle))
 				}
@@ -218,7 +218,7 @@ func TestCrossModeEquivalence(t *testing.T) {
 				}
 
 				for _, workers := range []int{1, 4} {
-					got := streamedKeys(t, env.eng, q, workers)
+					got := streamedKeys(t, env.eng, q, Full, workers)
 					if len(got) != len(oracle) {
 						t.Fatalf("unordered workers=%d emitted %d rows, oracle has %d", workers, len(got), len(oracle))
 					}
@@ -251,14 +251,9 @@ func TestCrossModeEquivalenceAllEngineModes(t *testing.T) {
 	env := newEquivEnv(t)
 	for _, shape := range []string{"star", "path", "cross", "disconnected"} {
 		q := env.shape(t, shape, nil)
-		oracle := orderedKeys(t, env.eng, q, 1)
+		oracle, _ := orderedKeys(t, env.eng, q, Full, 1)
 		for _, mode := range allModes {
-			res, err := env.eng.Execute(q, Config{Mode: mode, EvalWorkers: 4})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", shape, mode, err)
-			}
-			var got []string
-			res.EachProjected(func(r Row) bool { got = append(got, r.Key()); return true })
+			got, _ := orderedKeys(t, env.eng, q, mode, 4)
 			if fmt.Sprint(got) != fmt.Sprint(oracle) {
 				t.Fatalf("%s/%v: rows diverged from sequential Full oracle (%d vs %d rows)",
 					shape, mode, len(got), len(oracle))

@@ -83,8 +83,8 @@ func TestRemoteSiteEquivalence(t *testing.T) {
 	for _, shape := range []string{"star", "path", "cross", "disconnected"} {
 		t.Run(shape, func(t *testing.T) {
 			q := env.shape(t, shape, nil)
-			want := orderedKeys(t, env.eng, q, 4)
-			got := orderedKeys(t, remoteEng, q, 4)
+			want, _ := orderedKeys(t, env.eng, q, Full, 4)
+			got, _ := orderedKeys(t, remoteEng, q, Full, 4)
 			if len(want) == 0 {
 				t.Fatalf("shape %s has no matches; fixture too sparse", shape)
 			}
@@ -96,7 +96,7 @@ func TestRemoteSiteEquivalence(t *testing.T) {
 			if len(got) != len(want) {
 				t.Fatalf("remote returned %d rows, local %d", len(got), len(want))
 			}
-			if !sameMultiset(streamedKeys(t, remoteEng, q, 4), want) {
+			if !sameMultiset(streamedKeys(t, remoteEng, q, Full, 4), want) {
 				t.Error("streamed multiset diverged from ordered oracle")
 			}
 		})

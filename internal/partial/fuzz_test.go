@@ -15,19 +15,25 @@ import (
 // input picks a query shape, two or three fragments, a fragment for each
 // of eight vertices, and up to twenty edges over three predicates; at
 // widths 1 and 3 Compute must return exactly the matches
-// definitionMatches has, each once.
+// definitionMatches has, each once. The shapes reach both seed domains.
 func FuzzCompute(f *testing.F) {
 	x, y, z, w := query.Var("x"), query.Var("y"), query.Var("z"), query.Var("w")
 	p0, p1, p2 := query.IRI("p0"), query.IRI("p1"), query.IRI("p2")
+	v0, v1, v2, v3 := query.IRI("v0"), query.IRI("v1"), query.IRI("v2"), query.IRI("v3")
 	shapes := [][][3]query.Node{
-		{{x, p0, y}, {y, p1, z}, {z, p2, w}},   // path
-		{{x, p0, y}, {y, p1, z}, {z, p2, x}},   // triangle
-		{{x, p0, y}, {x, p1, z}, {x, p2, w}},   // fork
-		{{x, query.Var("l"), y}, {y, p1, z}},   // path with a label variable
-		{{x, p0, y}, {x, query.Var("l"), y}},   // parallel edges
-		{{x, query.Var("l"), x}, {x, p0, y}},   // self-loop
-		{{query.IRI("v0"), p0, y}, {y, p1, z}}, // constant endpoint
+		{{x, p0, y}, {y, p1, z}, {z, p2, w}}, // path
+		{{x, p0, y}, {y, p1, z}, {z, p2, x}}, // triangle
+		{{x, p0, y}, {x, p1, z}, {x, p2, w}}, // fork
+		{{x, query.Var("l"), y}, {y, p1, z}}, // path with a label variable
+		{{x, p0, y}, {x, query.Var("l"), y}}, // parallel edges
+		{{x, query.Var("l"), x}, {x, p0, y}}, // self-loop
+		{{v0, p0, y}, {y, p1, z}},            // constant endpoint
 		{{x, p0, y}, {y, query.Var("l"), y}, {y, query.Var("l"), z}},
+		// Every variable joins a constant: the candidate seed domain.
+		{{x, p0, v1}, {x, p1, y}, {y, p2, v2}}, // LQ6's path
+		{{v0, p0, y}, {y, p1, z}, {z, p2, v0}}, // triangle through a constant
+		{{v0, query.Var("l"), y}, {y, p1, v3}}, // label variable at a constant
+		{{v0, p0, v1}, {v1, p1, y}},            // an edge with two constant ends
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const header = 2 + 8

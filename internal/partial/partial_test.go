@@ -497,7 +497,8 @@ func TestMaxMatchesBoundsTheWholeSite(t *testing.T) {
 	const limit = 5
 	for _, width := range []int{1, 2, 8} {
 		for _, f := range d.Fragments {
-			ens, err := enumerate(f, q, Options{MaxMatches: limit, Pool: pool.New(width)})
+			edges, masks := seedDomain(f, q)
+			ens, err := enumerate(f, q, edges, masks, Options{MaxMatches: limit, Pool: pool.New(width)})
 			if err != (ErrTooManyMatches{Limit: limit}) {
 				t.Fatalf("width %d F%d: err = %v, want ErrTooManyMatches{%d}", width, f.ID, err, limit)
 			}

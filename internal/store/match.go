@@ -40,9 +40,9 @@ type MatchOptions struct {
 	// Pool, when non-nil with width > 1, splits the first edge's seed
 	// domain into contiguous chunks evaluated concurrently; yield may
 	// then be called from multiple goroutines. Limit still bounds the
-	// global emission count and Cancel stops all workers. Orders that
-	// re-seed mid-way (disconnected patterns) run sequentially: chunked
-	// workers would each re-enumerate the later components in full.
+	// global emission count and Cancel stops all workers. A first edge
+	// with a constant end runs sequentially, and so does an order that
+	// re-seeds mid-way: chunks would each re-enumerate later components.
 	Pool *pool.Pool
 	// OnTask, when non-nil, receives the wall time of each evaluation
 	// task (one per seed chunk; exactly one for a sequential run). It
@@ -64,12 +64,14 @@ func (st *Store) Match(q *query.Graph) []Binding {
 // stops when yield returns false or opts.Limit is reached. The Binding
 // passed to yield is freshly allocated and may be retained.
 //
-// The search walks the plan order over the first edge's seed domain —
-// TriplesWith(label) for a constant label, the vertex set for a variable
-// one. With a pool that domain is split into contiguous chunks, each
-// walked by an independent matcher: every seed is owned by exactly one
-// chunk, so the union of chunk emissions equals the sequential result
-// multiset; emission order across chunks is unspecified.
+// The search walks the plan order. A first edge with a constant end is
+// extended from it, so the anchor Plan prices the edge at is its seed
+// domain, as for a later component's. Else it seeds from the triples with
+// its constant label, or every vertex for a variable one, which a pool
+// splits into contiguous chunks, each walked by an independent matcher:
+// every seed is owned by exactly one chunk, so the union of chunk
+// emissions equals the sequential result multiset; emission order across
+// chunks is unspecified.
 func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding) bool) {
 	if len(q.Edges) == 0 {
 		return
@@ -78,7 +80,7 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 	if !ValidOrder(order, len(q.Edges)) {
 		order = EdgeOrder(st.Plan(q))
 	}
-	seedT, seedV := st.seedDomain(q.Edges[order[0]].Label)
+	seedT, seedV := st.seedDomain(q, q.Edges[order[0]], q.Edges[order[0]].Label)
 	n := len(seedT) + len(seedV)
 	chunks := [][2]int{{0, n}}
 	if w := opts.Pool.Workers(); w > 1 && n > 0 && connectedOrder(q, order) {
@@ -126,11 +128,14 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 	opts.Pool.Do(tasks...)
 }
 
-// seedDomain returns what an edge with neither endpoint bound is matched
-// against: the triples carrying label, or — label open — every vertex,
-// whose outgoing edges are the candidates.
-func (st *Store) seedDomain(label rdf.TermID) ([]rdf.Triple, []rdf.TermID) {
-	if label != rdf.NoTerm {
+// seedDomain returns what unbound query edge e seeds from when it must
+// carry label: nothing with a constant end (step extends from it), else
+// the triples carrying label or, label open, every vertex's out-edges.
+func (st *Store) seedDomain(q *query.Graph, e query.Edge, label rdf.TermID) ([]rdf.Triple, []rdf.TermID) {
+	switch {
+	case !q.Vertices[e.From].IsVar() || !q.Vertices[e.To].IsVar():
+		return nil, nil
+	case label != rdf.NoTerm:
 		return st.byPred[label], nil
 	}
 	return nil, st.vertices
@@ -210,11 +215,14 @@ func (m *matcher) step() {
 		return
 	}
 	// Neither endpoint bound: the first edge, or the first edge of a new
-	// component of a disconnected pattern, which seeds from its whole
-	// domain.
+	// component of a disconnected pattern, which extends from its
+	// constant ends or else seeds from its whole domain.
+	if m.extendFromConstants(ei) {
+		return
+	}
 	ts, vs := m.seedT, m.seedV
 	if m.depth > 0 {
-		ts, vs = m.st.seedDomain(m.fixedLabel(e))
+		ts, vs = m.st.seedDomain(m.q, e, m.fixedLabel(e))
 	}
 	for _, t := range ts {
 		if m.Seed(ei, t); m.Stop {
@@ -232,6 +240,25 @@ func (m *matcher) step() {
 			}
 		}
 	}
+}
+
+// extendFromConstants binds the constant ends of unbound query edge ei
+// and, if admitted, extends ei from them (Extend walks a constant's
+// adjacency at the label, or probes); it reports whether ei has one.
+func (m *matcher) extendFromConstants(ei int) bool {
+	e := m.q.Edges[ei]
+	bound, admitted := false, true
+	for _, qv := range [2]int{e.From, e.To} {
+		if v := m.q.Vertices[qv]; !v.IsVar() {
+			m.Vertex[qv], bound = v.Const, true
+			admitted = admitted && m.Admit(qv, v.Const)
+		}
+	}
+	if bound && admitted {
+		m.Extend(ei)
+	}
+	m.Vertex[e.From], m.Vertex[e.To] = rdf.NoTerm, rdf.NoTerm
+	return bound
 }
 
 func (m *matcher) emit() {

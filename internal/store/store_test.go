@@ -604,6 +604,12 @@ func TestMatchAgainstBruteForce(t *testing.T) {
 		{"triangle", []pattern{{x, p0, y}, {y, p1, z}, {z, query.Var("a"), x}}, nil},
 		{"disconnected", []pattern{{x, p0, y}, {z, p1, w}}, nil},
 		{"disconnected shared label", []pattern{{x, query.Var("a"), y}, {z, query.Var("a"), w}}, nil},
+		// The second component re-seeds from a constant's anchor.
+		{"disconnected constant", []pattern{{x, p0, y}, {z, p1, query.IRI("v1")}}, nil},
+		{"disconnected constant shared label", []pattern{{x, query.Var("a"), y}, {z, query.Var("a"), query.IRI("v1")}}, nil},
+		{"two constant ends", []pattern{{query.IRI("v0"), p0, query.IRI("v1")}, {query.IRI("v1"), p1, y}}, nil},
+		{"constant subject label variable", []pattern{{query.IRI("v0"), query.Var("a"), y}, {y, query.Var("a"), z}}, nil},
+		{"self-loop at a constant", []pattern{{query.IRI("v0"), query.Var("a"), query.IRI("v0")}, {x, p0, query.IRI("v0")}}, nil},
 		{"vertex filter", []pattern{{x, p0, y}, {y, query.Var("a"), z}, {x, p1, w}},
 			func(qv int, u rdf.TermID) bool { return (int(u)+qv)%3 != 0 }},
 	}
