@@ -182,8 +182,8 @@ func explainMain(args []string) {
 }
 
 // workerMain runs a fragment-hosting worker process: it owns no data at
-// start, receives its fragments from the coordinator's two-phase epoch
-// broadcast, and serves candidate/partial-evaluation RPCs against them.
+// start, receives its fragments from the coordinator's epoch installs,
+// and serves candidate/partial-evaluation RPCs against them.
 // Point a coordinator at it with `gstored serve -site-workers host:port`.
 func workerMain(args []string) {
 	fs := flag.NewFlagSet("gstored worker", flag.ExitOnError)
@@ -197,7 +197,7 @@ func workerMain(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("worker listening on %s (fragments arrive with the first epoch broadcast)\n", ln.Addr())
+	fmt.Printf("worker listening on %s (fragments arrive with the first epoch install)\n", ln.Addr())
 	fail(w.Serve(ln))
 }
 

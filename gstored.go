@@ -253,9 +253,8 @@ func Open(g *Graph, cfg Config) (*DB, error) {
 		}
 		db.workers = coord
 	}
-	// The initial ship is epoch 1's two-phase broadcast with every fragment
-	// touched: workers stage their fragments at prepare and serve them from
-	// commit; in-process the same path just builds the LocalSite handles.
+	// The initial ship is epoch 1's install with every fragment touched;
+	// in-process the same path just builds the LocalSite handles.
 	// Open takes no context: the ship is bounded by the transport's own
 	// deadlines.
 	if err := db.publish(context.Background(), &dbState{}, dist, assign.StrategyName, nil); err != nil {
@@ -268,8 +267,8 @@ func Open(g *Graph, cfg Config) (*DB, error) {
 }
 
 // publish makes dist the generation after prev (the zero dbState before
-// the first): the two-phase broadcast of the touched fragments (nil =
-// all), an engine over the site handles it returns, then the one atomic
+// the first): the install of the touched fragments (nil = all) at every
+// site, an engine over the site handles it returns, then the one atomic
 // store readers load. On error nothing is stored. Writers hold swapMu.
 func (db *DB) publish(ctx context.Context, prev *dbState, dist *fragment.Distributed, strategy string, touched []int) error {
 	sites, err := db.swapGenerations(ctx, prev.sites, dist, prev.epoch+1, touched)
@@ -293,7 +292,7 @@ func (db *DB) Close() error {
 
 // newSite returns a fresh, empty Site handle for fragment id — an RPC
 // client bound to a worker in worker mode, a LocalSite otherwise. The
-// handle serves nothing until a prepare ships it a fragment.
+// handle serves nothing until an install ships it a fragment.
 func (db *DB) newSite(id int) cluster.Site {
 	if db.workers != nil {
 		return db.workers.NewSite(id)
@@ -301,65 +300,38 @@ func (db *DB) newSite(id int) cluster.Site {
 	return cluster.NewLocalSite(id, nil, 0)
 }
 
-// swapGenerations is the two-phase epoch broadcast: phase one prepares
-// every site of the new generation — shipping the fragment where the
-// delta touched it (touched lists those fragment IDs; nil means all, as
-// does any change in site count), carrying the resident fragment forward
-// where it did not — and phase two commits, atomically advancing each
-// site to the new epoch. A site that lost its state answers either phase
-// with cluster.ErrNeedSync and gets the full fragment re-shipped before
-// the broadcast proceeds; any other failure aborts the swap. A failed
-// prepare leaves the previous generation live everywhere (workers prune
-// only at commit, and a staged epoch that never commits is harmless). A
-// failed commit at site j does not: the sites before j already serve an
-// epoch the coordinator abandons and will reuse — ROADMAP item 7, open.
+// swapGenerations installs epoch at every site of the new generation:
+// the fragment where the delta touched it (touched lists those fragment
+// IDs; nil means all, as does any change in site count), otherwise the
+// site's resident fragment carried forward from the previous handle's
+// epoch. A site that cannot carry (restarted, never shipped) answers
+// cluster.ErrNeedSync and gets the full fragment; any other failure
+// aborts the swap. Nothing is published until every site installed, so
+// no query names the new epoch early, and an aborted swap leaves only
+// generations above the live epoch, which the next install of that epoch
+// overwrites.
 func (db *DB) swapGenerations(ctx context.Context, prev []cluster.Site, dist *fragment.Distributed, epoch uint64, touched []int) ([]cluster.Site, error) {
 	all := touched == nil || len(prev) != len(dist.Fragments)
-	// prepare stages f, or with nil the resident fragment, at site i; a
-	// site with nothing to carry forward (restarted, never shipped, missed
-	// the first prepare) gets the full fragment.
-	prepare := func(s cluster.Site, i int, f *fragment.Fragment) (cluster.Site, error) {
-		next, err := s.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: epoch, Fragment: f})
-		if errors.Is(err, cluster.ErrNeedSync) {
-			next, err = s.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: epoch, Fragment: dist.Fragments[i]})
-		}
-		return next, err
-	}
-
-	// Phase 1: prepare. Sites stage the new generation without serving it.
-	staged := make([]cluster.Site, len(dist.Fragments))
-	for i := range staged {
+	next := make([]cluster.Site, len(dist.Fragments))
+	for i, f := range dist.Fragments {
 		s := db.newSite(i)
 		if i < len(prev) {
 			s = prev[i]
 		}
-		var f *fragment.Fragment
+		var ship *fragment.Fragment
 		if all || slices.Contains(touched, i) {
-			f = dist.Fragments[i]
+			ship = f
 		}
-		var err error
-		if staged[i], err = prepare(s, i, f); err != nil {
-			return nil, fmt.Errorf("gstored: prepare epoch %d at site %d: %w", epoch, i, err)
-		}
-	}
-
-	// Phase 2: commit. Every site activates the staged epoch; a site that
-	// missed the prepare (lost message, restart between phases) says so,
-	// is prepared again with the full fragment, and commits on the retry.
-	for i, s := range staged {
-		commit := cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: epoch}
-		committed, err := s.SwapGeneration(ctx, commit)
-		if errors.Is(err, cluster.ErrNeedSync) {
-			if s, err = prepare(s, i, dist.Fragments[i]); err == nil {
-				committed, err = s.SwapGeneration(ctx, commit)
-			}
+		h, err := s.SwapGeneration(ctx, cluster.GenerationSwap{Epoch: epoch, Fragment: ship})
+		if ship == nil && errors.Is(err, cluster.ErrNeedSync) {
+			h, err = s.SwapGeneration(ctx, cluster.GenerationSwap{Epoch: epoch, Fragment: f})
 		}
 		if err != nil {
-			return nil, fmt.Errorf("gstored: commit epoch %d at site %d: %w", epoch, i, err)
+			return nil, fmt.Errorf("gstored: install epoch %d at site %d: %w", epoch, i, err)
 		}
-		staged[i] = committed
+		next[i] = h
 	}
-	return staged, nil
+	return next, nil
 }
 
 // SiteStatus is one site's row of SiteHealth.
@@ -368,7 +340,7 @@ type SiteStatus struct {
 	Site int
 	// Addr is the worker address serving the site, or "in-process".
 	Addr string
-	// Epoch is the site's committed generation.
+	// Epoch is the generation the site's handle serves.
 	Epoch uint64
 	// Fragments counts fragments resident at the serving process (a
 	// worker hosting three fragments reports 3 on each of its rows).
@@ -426,8 +398,8 @@ func (db *DB) Repartition(a *Assignment) error {
 	if name == "" {
 		name = prev.strategy
 	}
-	// A repartition rebuilds every fragment, so the epoch broadcast ships
-	// them all (touched nil = all).
+	// A repartition rebuilds every fragment, so the install ships them
+	// all (touched nil = all).
 	return db.publish(context.Background(), prev, dist, name, nil)
 }
 
@@ -566,7 +538,7 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 		return UpdateStats{}, err
 	}
 	// Only the touched fragments travel; every untouched site re-tags its
-	// resident fragment under the new epoch at prepare.
+	// resident fragment under the new epoch.
 	if err := db.publish(ctx, cur, newDist, cur.strategy, touchedFrags); err != nil {
 		return UpdateStats{}, err
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,18 +55,18 @@ func TestLocalSwapGeneration(t *testing.T) {
 	ctx := context.Background()
 	s := c.Sites[0]
 
-	// Prepare with a fragment payload yields a fresh handle at the new
-	// epoch; the old handle keeps serving its generation.
+	// Installing a fragment yields a fresh handle at the new epoch; the
+	// old handle keeps serving its generation.
 	replacement := c.Sites[1].(*LocalSite).Fragment()
-	next, err := s.SwapGeneration(ctx, GenerationSwap{Phase: SwapPrepare, Epoch: 2, Fragment: replacement})
+	next, err := s.SwapGeneration(ctx, GenerationSwap{Epoch: 2, Fragment: replacement})
 	if err != nil {
-		t.Fatalf("prepare: %v", err)
+		t.Fatalf("install: %v", err)
 	}
 	if next == s {
-		t.Error("prepare returned the receiver; want a fresh immutable handle")
+		t.Error("install returned the receiver; want a fresh immutable handle")
 	}
 	if got := next.(*LocalSite).Fragment(); got != replacement {
-		t.Error("prepared handle does not serve the shipped fragment")
+		t.Error("installed handle does not serve the shipped fragment")
 	}
 	if got := s.(*LocalSite).Fragment(); got.ID != 0 {
 		t.Error("old handle lost its fragment")
@@ -75,24 +76,21 @@ func TestLocalSwapGeneration(t *testing.T) {
 		t.Errorf("Stats = %+v, %v; want epoch 2", info, err)
 	}
 
-	// Prepare with nil carries the current fragment into the new epoch.
-	carried, err := s.SwapGeneration(ctx, GenerationSwap{Phase: SwapPrepare, Epoch: 2})
-	if err != nil {
-		t.Fatalf("carry prepare: %v", err)
-	}
-	if carried.(*LocalSite).Fragment() != s.(*LocalSite).Fragment() {
-		t.Error("nil-fragment prepare did not carry the current fragment")
-	}
-
-	// Commit is a no-op in-process (publication is the caller's atomic
-	// generation store).
-	committed, err := next.SwapGeneration(ctx, GenerationSwap{Phase: SwapCommit, Epoch: 2})
-	if err != nil || committed != next {
-		t.Errorf("commit = %v, %v; want receiver, nil", committed, err)
+	// A nil fragment carries the base handle's fragment into the new
+	// epoch; the phase a caller still spells is ignored.
+	for _, phase := range []SwapPhase{0, SwapPrepare, SwapCommit} {
+		carried, err := s.SwapGeneration(ctx, GenerationSwap{Phase: phase, Epoch: 2})
+		if err != nil {
+			t.Fatalf("phase %d carry: %v", phase, err)
+		}
+		if carried.(*LocalSite).Fragment() != s.(*LocalSite).Fragment() {
+			t.Errorf("phase %d: nil-fragment install did not carry the base fragment", phase)
+		}
 	}
 
-	if _, err := s.SwapGeneration(ctx, GenerationSwap{Phase: 0, Epoch: 2}); err == nil {
-		t.Error("unknown swap phase accepted")
+	// A handle with nothing to carry answers need-sync.
+	if _, err := NewLocalSite(0, nil, 0).SwapGeneration(ctx, GenerationSwap{Epoch: 1}); !errors.Is(err, ErrNeedSync) {
+		t.Errorf("carry from an empty handle: %v, want need-sync", err)
 	}
 }
 

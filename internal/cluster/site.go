@@ -17,11 +17,12 @@ import (
 )
 
 // Site is the coordinator↔site boundary: the operations the engine
-// scatters to every fragment host and the epoch control the generation
-// machinery broadcasts. Two implementations exist — LocalSite evaluates
-// in-process against a *fragment.Fragment (the default fast single-node
-// path, and the oracle the equivalence tests pin), and remote.Site
-// forwards each call over the RPC transport to a gstored worker process.
+// scatters to every fragment host and the epoch install the generation
+// machinery sends each of them. Two implementations exist — LocalSite
+// evaluates in-process against a *fragment.Fragment (the default fast
+// single-node path, and the oracle the equivalence tests pin), and
+// remote.Site forwards each call over the RPC transport to a gstored
+// worker process.
 // Everything that crosses this boundary is serializable data: the engine
 // may not hand a Site closures or shared mutable state, because a remote
 // implementation cannot ship them.
@@ -44,20 +45,24 @@ type Site interface {
 	// Stats reports the site's identity and liveness for health surfaces.
 	Stats(ctx context.Context) (SiteInfo, error)
 
-	// SwapGeneration is one phase of the two-phase epoch broadcast.
-	// Prepare stages the site's fragment for swap.Epoch and returns the
-	// Site handle that serves the staged generation; commit activates a
-	// staged epoch (the returned handle is the receiver). A site that is
-	// asked to commit (or to carry its current fragment forward) for an
-	// epoch it never staged returns an error wrapping ErrNeedSync; the
-	// coordinator then re-ships the full fragment and retries.
+	// SwapGeneration installs the site's generation for swap.Epoch and
+	// returns the Site handle that serves it. The receiver's own epoch is
+	// the base: a nil swap.Fragment carries the base generation's
+	// fragment forward (the delta left it untouched), a non-nil one
+	// replaces it. A site that does not hold the base (restarted, never
+	// shipped, or a fresh handle at epoch 0) returns an error wrapping
+	// ErrNeedSync, and the coordinator re-ships the full fragment.
+	// Install is idempotent, and publishing the new epoch is the
+	// coordinator's: no query names it before every site has installed it.
 	SwapGeneration(ctx context.Context, swap GenerationSwap) (Site, error)
 }
 
-// ErrNeedSync reports that a site missed the prepare phase for an epoch
-// (it was restarted, or the prepare was lost) and needs the full
-// fragment re-shipped before the epoch can commit.
-var ErrNeedSync = errors.New("cluster: site missed the prepare for this epoch")
+// ErrNeedSync reports that a site does not hold the generation a call
+// names — the base of a carry-forward install, or the epoch a query
+// pinned — because it was restarted or never shipped it. The
+// coordinator answers an install's need-sync by re-shipping the full
+// fragment.
+var ErrNeedSync = errors.New("cluster: site does not hold the generation")
 
 // CandidatesRequest asks a site for its Section VI candidate sets.
 type CandidatesRequest struct {
@@ -134,26 +139,25 @@ type SiteInfo struct {
 	Fragments int
 }
 
-// SwapPhase selects a phase of the two-phase epoch broadcast.
+// SwapPhase names the two calls of an earlier, two-phase broadcast. It
+// survives only for callers that still spell them; both Site
+// implementations ignore it, so a "commit" — an install of the
+// handle's own epoch with no fragment — is a no-op.
 type SwapPhase int
 
 const (
-	// SwapPrepare ships (or carries forward) the fragment for the new
-	// epoch; the site stages it without serving it.
 	SwapPrepare SwapPhase = iota + 1
-	// SwapCommit atomically activates a staged epoch.
 	SwapCommit
 )
 
-// GenerationSwap is one phase of the two-phase epoch broadcast applied
-// to one site.
+// GenerationSwap installs one site's generation for an epoch.
 type GenerationSwap struct {
+	// Phase is ignored (see SwapPhase).
 	Phase SwapPhase
 	Epoch uint64
-	// Fragment is the site's new fragment for Epoch in the prepare
-	// phase; nil when the delta left the fragment untouched (the site
-	// re-tags its current fragment under the new epoch — only changed
-	// fragments travel). Always nil at commit.
+	// Fragment is the site's fragment for Epoch; nil when the delta left
+	// it untouched, and the site then carries the handle's generation
+	// forward — only changed fragments travel.
 	Fragment *fragment.Fragment
 }
 
@@ -264,26 +268,21 @@ func (s *LocalSite) Stats(ctx context.Context) (SiteInfo, error) {
 	return SiteInfo{Site: s.id, Addr: "in-process", Epoch: s.epoch, Fragments: 1}, nil
 }
 
-// SwapGeneration implements Site. In-process, prepare is building the
-// next immutable handle (publication is the caller's atomic generation
-// store, which plays the role of the cluster-wide commit) and commit is
-// a no-op; the two-phase structure only grows teeth across the RPC
-// boundary, where prepare and commit can fail independently.
+// SwapGeneration implements Site. In-process, install is building the
+// next immutable handle; publication is the caller's atomic generation
+// store.
 func (s *LocalSite) SwapGeneration(ctx context.Context, swap GenerationSwap) (Site, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	switch swap.Phase {
-	case SwapPrepare:
-		f := swap.Fragment
-		if f == nil {
-			f = s.frag // untouched by the delta: carry into the new epoch
+	f := swap.Fragment
+	if f == nil {
+		if s.frag == nil {
+			return nil, fmt.Errorf("%w: site %d has nothing to carry into epoch %d", ErrNeedSync, s.id, swap.Epoch)
 		}
-		return &LocalSite{id: s.id, frag: f, epoch: swap.Epoch}, nil
-	case SwapCommit:
-		return s, nil
+		f = s.frag // untouched by the delta: carry into the new epoch
 	}
-	return nil, fmt.Errorf("cluster: unknown swap phase %d", swap.Phase)
+	return &LocalSite{id: s.id, frag: f, epoch: swap.Epoch}, nil
 }
 
 // cancelPoll adapts ctx into the polling hook the store and partial

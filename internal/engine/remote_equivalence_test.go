@@ -46,25 +46,16 @@ func newRemoteEngine(t *testing.T, env *equivEnv) *Engine {
 		}
 	})
 
-	// The initial ship is epoch 1's two-phase broadcast with every
-	// fragment touched, exactly as DB.Open drives it.
+	// The initial ship is epoch 1's install with every fragment touched,
+	// exactly as DB.Open drives it.
 	ctx := context.Background()
 	sites := make([]cluster.Site, len(env.dist.Fragments))
 	for i, f := range env.dist.Fragments {
-		s, err := coord.NewSite(i).SwapGeneration(ctx, cluster.GenerationSwap{
-			Phase: cluster.SwapPrepare, Epoch: 1, Fragment: f,
-		})
+		s, err := coord.NewSite(i).SwapGeneration(ctx, cluster.GenerationSwap{Epoch: 1, Fragment: f})
 		if err != nil {
-			t.Fatalf("prepare site %d: %v", i, err)
+			t.Fatalf("install site %d: %v", i, err)
 		}
 		sites[i] = s
-	}
-	for i, s := range sites {
-		cs, err := s.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: 1})
-		if err != nil {
-			t.Fatalf("commit site %d: %v", i, err)
-		}
-		sites[i] = cs
 	}
 	return NewWithSites(env.dist, sites)
 }

@@ -32,8 +32,8 @@ import (
 // over inserted vertices with Assignment.WithVertices). Endpoints the
 // assignment does not cover fail the call before anything is built.
 // The second result lists the IDs of the touched fragments in ascending
-// order — the two-phase epoch broadcast ships exactly these fragments to
-// their sites and lets every other site carry its fragment forward.
+// order — the epoch install ships exactly these fragments to their sites
+// and lets every other site carry its fragment forward.
 func (d *Distributed) ApplyDelta(newGlobal *store.Store, a *partition.Assignment, inserted, deleted []rdf.Triple) (*Distributed, []int, error) {
 	if a.K != len(d.Fragments) {
 		return nil, nil, fmt.Errorf("fragment: delta assignment has K=%d, cluster has %d fragments", a.K, len(d.Fragments))
@@ -66,7 +66,7 @@ func (d *Distributed) ApplyDelta(newGlobal *store.Store, a *partition.Assignment
 		Global:     newGlobal,
 		Fragments:  slices.Clone(d.Fragments), // untouched ones stay shared
 	}
-	ids := make([]int, 0, a.K) // non-nil even when empty: nil means "all" to the broadcast
+	ids := make([]int, 0, a.K) // non-nil even when empty: nil means "all" to the install
 	for i, share := range shares {
 		if len(share[0])+len(share[1]) > 0 {
 			next.Fragments[i] = d.Fragments[i].patched(newGlobal, a, share[0], share[1])

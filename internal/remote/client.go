@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gstored/internal/cluster"
-	"gstored/internal/fragment"
 	"gstored/internal/rdf"
 )
 
@@ -21,13 +20,6 @@ const dialTimeout = 5 * time.Second
 // round-robin by ID), and closes the pooled connections on shutdown.
 type Coordinator struct {
 	links []*workerLink
-
-	// SkipPrepare is a test hook: when it returns true the prepare RPC
-	// for that (site, epoch) is dropped on the floor — the staged handle
-	// is returned as if the prepare had been delivered — so the commit
-	// phase exercises the worker's missed-prepare resync path exactly as
-	// a lost message would.
-	SkipPrepare func(site int, epoch uint64) bool
 }
 
 // Connect dials each worker address once to verify it is reachable and
@@ -61,10 +53,11 @@ func (c *Coordinator) Addrs() []string {
 }
 
 // NewSite returns the Site handle for fragment id at epoch 0 (no
-// generation yet); the two-phase broadcast's prepare returns the handle
-// that serves a real epoch. Fragments map to workers round-robin.
+// generation yet, so nothing to carry forward); installing a fragment
+// through it returns the handle that serves a real epoch. Fragments map
+// to workers round-robin.
 func (c *Coordinator) NewSite(id int) cluster.Site {
-	return &Site{coord: c, link: c.links[id%len(c.links)], id: id}
+	return &Site{link: c.links[id%len(c.links)], id: id}
 }
 
 // Close drops every pooled connection. In-flight calls on checked-out
@@ -137,7 +130,6 @@ func (l *workerLink) close() {
 // addressing the generation they pinned (workers keep recent epochs
 // resident for exactly this).
 type Site struct {
-	coord *Coordinator
 	link  *workerLink
 	id    int
 	epoch uint64
@@ -303,28 +295,22 @@ func (s *Site) Stats(ctx context.Context) (cluster.SiteInfo, error) {
 	return info, nil
 }
 
-// SwapGeneration implements cluster.Site: it forwards the phase to the
-// worker and returns the handle bound to the staged epoch. The shipped
-// fragment travels as its wire payload; nil means carry-forward, which
-// the worker can refuse with need-sync if it holds nothing to carry.
+// SwapGeneration implements cluster.Site: it installs swap.Epoch at the
+// worker with this handle's epoch as the base and returns the handle
+// bound to the new epoch. The shipped fragment travels as its wire
+// payload; nil means carry the base forward, which the worker refuses
+// with need-sync if it does not hold the base. Installing the handle's
+// own epoch with no fragment is the identity and costs no round trip.
 func (s *Site) SwapGeneration(ctx context.Context, swap cluster.GenerationSwap) (cluster.Site, error) {
-	next := &Site{coord: s.coord, link: s.link, id: s.id, epoch: swap.Epoch}
-	if swap.Phase == cluster.SwapPrepare && s.coord != nil && s.coord.SkipPrepare != nil && s.coord.SkipPrepare(s.id, swap.Epoch) {
-		return next, nil // test hook: the prepare was "lost in transit"
-	}
-	var payload *fragment.Payload
-	if swap.Fragment != nil {
-		payload = swap.Fragment.Payload()
-	}
-	_, _, _, err := s.call(ctx, &request{
-		Op: opSwap, Epoch: swap.Epoch,
-		SwapPhase: int(swap.Phase), Fragment: payload,
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	if swap.Phase == cluster.SwapCommit {
+	if swap.Fragment == nil && swap.Epoch == s.epoch {
 		return s, nil
 	}
-	return next, nil
+	req := &request{Op: opSwap, Epoch: swap.Epoch, Base: s.epoch}
+	if swap.Fragment != nil {
+		req.Fragment = swap.Fragment.Payload()
+	}
+	if _, _, _, err := s.call(ctx, req, nil); err != nil {
+		return nil, err
+	}
+	return &Site{link: s.link, id: s.id, epoch: swap.Epoch}, nil
 }

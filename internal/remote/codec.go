@@ -36,7 +36,7 @@ import (
 // wireVersion is bumped by any change to the encoding; it travels in the
 // tag byte so that builds which disagree fail the call by name instead of
 // misreading each other.
-const wireVersion = 1
+const wireVersion = 2
 
 const (
 	tagRequest  = wireVersion << 1
@@ -186,7 +186,7 @@ func (q *request) appendTo(b []byte) []byte {
 	b = appendInts(b, q.Order)
 	b = appendInts(b, q.EdgeRank)
 	b = varint.AppendInt(b, q.MaxMatches)
-	b = varint.AppendInt(b, q.SwapPhase)
+	b = varint.Append(b, q.Base)
 	if q.Query != nil {
 		b = appendQuery(b, q.Query)
 	}
@@ -214,7 +214,7 @@ func (q *request) decode(body []byte) error {
 	q.Order = cutInts(r)
 	q.EdgeRank = cutInts(r)
 	q.MaxMatches = r.Int()
-	q.SwapPhase = r.Int()
+	q.Base = r.Uvarint()
 	if f&reqHasQuery != 0 {
 		q.Query = cutQuery(r)
 	}

@@ -114,16 +114,16 @@ func goldenFrames(t testing.TB) []namedFrame {
 		}),
 		req("stats request", request{Op: opStats, Site: 3, Epoch: 7}),
 		resp("stats reply", response{Done: true, Info: cluster.SiteInfo{Site: 3, Addr: "w:1", Epoch: 7, Fragments: 2}}),
-		req("swap prepare", request{
-			Op: opSwap, Site: 3, Epoch: 8, SwapPhase: int(cluster.SwapPrepare),
+		req("install request", request{
+			Op: opSwap, Site: 3, Epoch: 8, Base: 7,
 			Fragment: &fragment.Payload{
 				ID:       3,
 				Triples:  []rdf.Triple{{S: 17, P: 9, O: 70000}, {S: 17, P: 9, O: 70001}, {S: 300, P: 4, O: 17}},
 				Internal: []rdf.TermID{17, 300},
 			},
 		}),
-		req("swap commit", request{Op: opSwap, Site: 3, Epoch: 8, SwapPhase: int(cluster.SwapCommit)}),
-		resp("swap reply", response{Done: true, Epoch: 7}),
+		req("carry-forward install request", request{Op: opSwap, Site: 3, Epoch: 8, Base: 7}),
+		resp("install reply", response{Done: true, Epoch: 8}),
 		resp("error canceled", errFrame(partial.ErrCanceled)),
 		resp("error too many matches", errFrame(partial.ErrTooManyMatches{Limit: 100000})),
 		resp("error need-sync", errFrame(fmt.Errorf("%w: site 3 not resident", cluster.ErrNeedSync))),
@@ -184,7 +184,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{}, // nil Query, Union and Fragment
 		{
 			Op: opPartial, Site: 3, Epoch: math.MaxUint64, TimeoutNS: math.MaxInt64, Star: true, Bits: 1 << 14, Center: 2,
-			Order: []int{2, 0, 1}, EdgeRank: []int{1, 2, 0}, MaxMatches: 1 << 40, SwapPhase: 2,
+			Order: []int{2, 0, 1}, EdgeRank: []int{1, 2, 0}, MaxMatches: 1 << 40, Base: math.MaxUint64 - 1,
 			Query: fullQuery(), Union: fullVectors(t),
 			Fragment: &fragment.Payload{
 				ID: 5, Triples: []rdf.Triple{{S: 9, P: 1, O: math.MaxUint32}, {S: 3, P: 2, O: 1}}, Internal: []rdf.TermID{9, 3, math.MaxUint32},
@@ -396,7 +396,7 @@ func (g *gen) payload() *fragment.Payload {
 func (g *gen) request(t testing.TB) *request {
 	q := &request{
 		Op: g.int(), Site: g.int(), Epoch: g.u64(), TimeoutNS: int64(g.u64()), Star: g.bool(), Bits: g.int(),
-		Center: g.int(), Order: g.ints(), EdgeRank: g.ints(), MaxMatches: g.int(), SwapPhase: g.int(),
+		Center: g.int(), Order: g.ints(), EdgeRank: g.ints(), MaxMatches: g.int(), Base: g.u64(),
 	}
 	if g.bool() {
 		q.Query = g.query()

@@ -50,27 +50,30 @@ func startWorker(t *testing.T) (*Worker, string) {
 	return w, ln.Addr().String()
 }
 
-// deploy ships every fragment of the paper example to the worker set and
-// returns the committed sites.
+// deploy installs every fragment of the paper example at epoch on the
+// worker set and returns the sites serving it.
 func deploy(t *testing.T, c *Coordinator, d *fragment.Distributed, epoch uint64) []cluster.Site {
 	t.Helper()
-	ctx := context.Background()
 	sites := make([]cluster.Site, len(d.Fragments))
 	for i, f := range d.Fragments {
-		s, err := c.NewSite(i).SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: epoch, Fragment: f})
+		s, err := c.NewSite(i).SwapGeneration(context.Background(), cluster.GenerationSwap{Epoch: epoch, Fragment: f})
 		if err != nil {
-			t.Fatalf("prepare site %d: %v", i, err)
+			t.Fatalf("install site %d: %v", i, err)
 		}
 		sites[i] = s
 	}
-	for i, s := range sites {
-		cs, err := s.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: epoch})
-		if err != nil {
-			t.Fatalf("commit site %d: %v", i, err)
-		}
-		sites[i] = cs
-	}
 	return sites
+}
+
+// resident counts the generations w holds per site.
+func resident(w *Worker) map[int]int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := make(map[int]int, len(w.sites))
+	for site, gens := range w.sites {
+		n[site] = len(gens)
+	}
+	return n
 }
 
 // bufConn is a conn over a buffer: what one side sends the same side
@@ -272,17 +275,19 @@ func matchKeys(ms []*partial.Match) []string {
 	return keys
 }
 
-// TestSwapStateMachine drives the worker's two-phase behavior: queries
-// at unstaged epochs and commits without prepares answer need-sync,
-// carry-forward prepares reuse the committed fragment, commits prune old
-// generations but keep enough history for in-flight executions.
+// TestSwapStateMachine drives the worker's install: calls naming a
+// generation it does not hold answer need-sync, a carry-forward install
+// copies the named base and needs it resident, installs are idempotent,
+// an install overwrites the residue of an aborted one, and old
+// generations are pruned with enough history kept for in-flight
+// executions.
 func TestSwapStateMachine(t *testing.T) {
 	ex := paperexample.New()
 	d, err := fragment.Build(ex.Store, ex.Assignment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addr := startWorker(t)
+	w, addr := startWorker(t)
 	c, err := Connect(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -290,49 +295,50 @@ func TestSwapStateMachine(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 	s0 := c.NewSite(0)
+	req := cluster.CandidatesRequest{Query: ex.Query, Bits: 1 << 10}
+	install := func(h cluster.Site, e uint64, f *fragment.Fragment) (cluster.Site, error) {
+		return h.SwapGeneration(ctx, cluster.GenerationSwap{Epoch: e, Fragment: f})
+	}
 
-	// Query before any generation: need-sync.
-	if _, err := s0.Candidates(ctx, cluster.CandidatesRequest{Query: ex.Query, Bits: 1 << 10}); !errors.Is(err, cluster.ErrNeedSync) {
+	// Before any generation, queries, probes and carry-forward installs
+	// (a fresh handle's base is epoch 0: nothing to carry) need-sync.
+	if _, err := s0.Candidates(ctx, req); !errors.Is(err, cluster.ErrNeedSync) {
 		t.Fatalf("query on empty worker: %v, want need-sync", err)
 	}
-	// Commit without prepare: need-sync.
-	if _, err := s0.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: 1}); !errors.Is(err, cluster.ErrNeedSync) {
-		t.Fatalf("commit without prepare: %v, want need-sync", err)
+	if _, err := s0.Stats(ctx); !errors.Is(err, cluster.ErrNeedSync) {
+		t.Fatalf("probe on empty worker: %v, want need-sync", err)
 	}
-	// Carry-forward prepare with nothing committed: need-sync.
-	if _, err := s0.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: 1}); !errors.Is(err, cluster.ErrNeedSync) {
-		t.Fatalf("carry prepare on empty worker: %v, want need-sync", err)
+	if _, err := install(s0, 1, nil); !errors.Is(err, cluster.ErrNeedSync) {
+		t.Fatalf("carry install on empty worker: %v, want need-sync", err)
 	}
 
-	// Ship + commit epoch 1.
-	st, err := s0.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: 1, Fragment: d.Fragments[0]})
+	// Ship epoch 1, twice: the retry is harmless.
+	h1, err := install(s0, 1, d.Fragments[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err = st.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: 1}); err != nil {
-		t.Fatal(err)
+	if h1, err = install(s0, 1, d.Fragments[0]); err != nil {
+		t.Fatalf("retried install: %v", err)
 	}
-	// Idempotent commit retry.
-	if _, err := st.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: 1}); err != nil {
-		t.Fatalf("retried commit: %v", err)
+	if info, err := h1.Stats(ctx); err != nil || info.Epoch != 1 {
+		t.Fatalf("probe at epoch 1: %+v, %v", info, err)
+	}
+	// The identity install — a handle's own epoch, nothing shipped —
+	// returns the handle.
+	if same, err := install(h1, 1, nil); err != nil || same != h1 {
+		t.Fatalf("identity install = %v, %v; want the handle back", same, err)
 	}
 
 	// Carry forward through epochs 2..5; old epochs beyond the keep
 	// window must stop answering, recent ones must keep serving.
-	handles := map[uint64]cluster.Site{1: st}
+	handles := map[uint64]cluster.Site{1: h1}
 	for e := uint64(2); e <= 5; e++ {
-		h, err := handles[e-1].SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: e})
-		if err != nil {
-			t.Fatalf("carry prepare epoch %d: %v", e, err)
+		if handles[e], err = install(handles[e-1], e, nil); err != nil {
+			t.Fatalf("carry install epoch %d: %v", e, err)
 		}
-		if h, err = h.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: e}); err != nil {
-			t.Fatalf("commit epoch %d: %v", e, err)
-		}
-		handles[e] = h
 	}
-	req := cluster.CandidatesRequest{Query: ex.Query, Bits: 1 << 10}
 	if _, err := handles[5].Candidates(ctx, req); err != nil {
-		t.Errorf("committed epoch rejected: %v", err)
+		t.Errorf("installed epoch rejected: %v", err)
 	}
 	if _, err := handles[3].Candidates(ctx, req); err != nil {
 		t.Errorf("epoch within keep window rejected: %v", err)
@@ -340,19 +346,88 @@ func TestSwapStateMachine(t *testing.T) {
 	if _, err := handles[1].Candidates(ctx, req); !errors.Is(err, cluster.ErrNeedSync) {
 		t.Errorf("pruned epoch answered: %v", err)
 	}
+	// A pruned base cannot be carried.
+	if _, err := install(handles[1], 6, nil); !errors.Is(err, cluster.ErrNeedSync) {
+		t.Errorf("carry from a pruned base: %v, want need-sync", err)
+	}
+
+	// An aborted install leaves epoch 6 resident above the live epoch 5;
+	// the next install of 6 replaces it, here with another fragment.
+	if _, err := install(handles[5], 6, d.Fragments[1]); err != nil {
+		t.Fatal(err)
+	}
+	h6, err := install(handles[5], 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := h6.Candidates(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cluster.NewLocalSite(0, d.Fragments[0], 6).Candidates(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Vectors.AppendBinary(nil), want.Vectors.AppendBinary(nil)) {
+		t.Error("epoch 6 serves the aborted install's fragment, not epoch 5's carried forward")
+	}
+	if n := resident(w)[0]; n != keepEpochs+1 {
+		t.Errorf("%d generations resident, want %d", n, keepEpochs+1)
+	}
 }
 
-// TestMalformedPrepareIsAnErrorFrame: a prepare whose payload contradicts
-// Definition 1 comes back as an error frame — the worker neither panics
-// nor drops the connection nor stages anything — and the site takes a
-// well-formed prepare afterwards.
+// TestNewCoordinatorPrunesOldIncarnation: a coordinator that opens on a
+// worker an earlier coordinator filled installs epoch 1 over the old
+// epochs 1-4, and the worker keeps exactly the new generation per site —
+// none of the old incarnation's higher epochs survives to be served or
+// carried forward.
+func TestNewCoordinatorPrunesOldIncarnation(t *testing.T) {
+	ex := paperexample.New()
+	d, err := fragment.Build(ex.Store, ex.Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, addr := startWorker(t)
+	ctx := context.Background()
+
+	a, err := Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := deploy(t, a, d, 1)
+	for e := uint64(2); e <= 4; e++ {
+		for i, s := range sites {
+			if sites[i], err = s.SwapGeneration(ctx, cluster.GenerationSwap{Epoch: e}); err != nil {
+				t.Fatalf("coordinator A, epoch %d at site %d: %v", e, i, err)
+			}
+		}
+	}
+	a.Close()
+
+	b, err := Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	deploy(t, b, d, 1)
+	for site, n := range resident(w) {
+		if n != 1 {
+			t.Errorf("site %d holds %d generations after a new coordinator's epoch 1, want 1", site, n)
+		}
+	}
+}
+
+// TestMalformedPrepareIsAnErrorFrame: an install whose payload
+// contradicts Definition 1 comes back as an error frame — the worker
+// neither panics nor drops the connection nor installs anything — and
+// the site takes a well-formed install afterwards.
 func TestMalformedPrepareIsAnErrorFrame(t *testing.T) {
 	ex := paperexample.New()
 	d, err := fragment.Build(ex.Store, ex.Assignment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addr := startWorker(t)
+	w, addr := startWorker(t)
 	c, err := Connect(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -367,54 +442,20 @@ func TestMalformedPrepareIsAnErrorFrame(t *testing.T) {
 		"out of order":         {Triples: append(slices.Clone(good.Triples[1:]), good.Triples[0]), Internal: good.Internal},
 		"no internal vertices": {Triples: good.Triples},
 	} {
-		_, _, messages, err := s0.call(ctx, &request{Op: opSwap, Epoch: 1, SwapPhase: int(cluster.SwapPrepare), Fragment: bad}, nil)
+		_, _, messages, err := s0.call(ctx, &request{Op: opSwap, Epoch: 1, Fragment: bad}, nil)
 		if err == nil || errors.Is(err, cluster.ErrNeedSync) || messages != 2 {
 			t.Fatalf("%s: err %v after %d frames, want an error reply frame", name, err, messages)
 		}
 	}
-	if info, err := s0.Stats(ctx); err != nil || info.Fragments != 0 {
-		t.Fatalf("after rejected prepares: %+v, %v; want a live worker hosting nothing", info, err)
+	if n := len(resident(w)); n != 0 {
+		t.Fatalf("after rejected installs the worker hosts %d sites, want 0", n)
 	}
-	if _, err := s0.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: 1}); !errors.Is(err, cluster.ErrNeedSync) {
-		t.Fatalf("commit after rejected prepares: %v, want need-sync (nothing staged)", err)
-	}
-	st, err := s0.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: 1, Fragment: d.Fragments[0]})
+	st, err := s0.SwapGeneration(ctx, cluster.GenerationSwap{Epoch: 1, Fragment: d.Fragments[0]})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err = st.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Candidates(ctx, cluster.CandidatesRequest{Query: ex.Query, Bits: 1 << 10}); err != nil {
-		t.Errorf("query after a well-formed prepare: %v", err)
-	}
-}
-
-// TestSkipPrepareHook checks the lost-prepare simulation: the staged
-// handle exists client-side, the worker never saw the prepare, and the
-// commit answers need-sync.
-func TestSkipPrepareHook(t *testing.T) {
-	ex := paperexample.New()
-	d, err := fragment.Build(ex.Store, ex.Assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, addr := startWorker(t)
-	c, err := Connect(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	sites := deploy(t, c, d, 1)
-
-	c.SkipPrepare = func(site int, epoch uint64) bool { return site == 0 && epoch == 2 }
-	staged, err := sites[0].SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapPrepare, Epoch: 2, Fragment: d.Fragments[0]})
-	if err != nil {
-		t.Fatalf("skipped prepare should succeed client-side: %v", err)
-	}
-	if _, err := staged.SwapGeneration(ctx, cluster.GenerationSwap{Phase: cluster.SwapCommit, Epoch: 2}); !errors.Is(err, cluster.ErrNeedSync) {
-		t.Fatalf("commit after lost prepare: %v, want need-sync", err)
+		t.Errorf("query after a well-formed install: %v", err)
 	}
 }
 
@@ -542,7 +583,6 @@ func TestBadRequestIsAnErrorFrame(t *testing.T) {
 		"star center past query": {Op: opPartial, Query: q, Star: true, Center: vertices},
 		"vector length past cap": {Op: opCandidates, Query: q, Bits: maxBits + 1},
 		"unknown op":             {Op: 9, Query: q},
-		"unknown swap phase":     {Op: opSwap, SwapPhase: 7},
 	} {
 		bad.Epoch = 1
 		final, _ := roundTrip(t, c, &bad)
@@ -585,8 +625,9 @@ func TestVersionSkewIsAnError(t *testing.T) {
 	if err := final.err(); err == nil || !strings.Contains(err.Error(), "remote: peer speaks wire version 9") {
 		t.Errorf("worker answered a foreign request with %v", err)
 	}
-	if final, _ := roundTrip(t, c, &request{Op: opStats}); final.err() != nil {
-		t.Errorf("stats after the foreign frame: %v", final.err())
+	// The empty worker's own answer to a probe is need-sync.
+	if final, _ := roundTrip(t, c, &request{Op: opStats}); !errors.Is(final.err(), cluster.ErrNeedSync) {
+		t.Errorf("stats after the foreign frame: %v, want need-sync", final.err())
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

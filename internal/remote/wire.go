@@ -75,8 +75,9 @@ type request struct {
 	EdgeRank   []int
 	MaxMatches int
 
-	// SwapGeneration:
-	SwapPhase int
+	// SwapGeneration: the epoch of the generation a nil Fragment carries
+	// into Epoch (0 = none).
+	Base uint64
 
 	// The optional fields travel last, each behind a presence bit.
 	Query    *query.Graph
@@ -122,7 +123,7 @@ type response struct {
 }
 
 // setErr records err in the frame, preserving the identities the engine
-// dispatches on (cancellation, the partial-match limit, missed prepares).
+// dispatches on (cancellation, the partial-match limit, need-sync).
 func (r *response) setErr(err error) {
 	switch {
 	case err == nil:

@@ -25,26 +25,26 @@ const rowBatch = 256
 // candidates.DefaultBits.
 const maxBits = 1 << 24
 
-// keepEpochs is how many generations behind the committed epoch a worker
-// keeps resident, so executions that pinned a recent generation at the
-// coordinator finish against the fragment they started on.
+// keepEpochs is how many generations behind the last installed epoch a
+// worker keeps resident, so executions that pinned a recent generation at
+// the coordinator finish against the fragment they started on.
 const keepEpochs = 2
 
 // Worker hosts fragments for a coordinator: it loads them from the
-// coordinator's initial ship (the prepare+commit of the first epoch),
-// serves partial-evaluation RPCs against them with the same in-process
-// evaluation code the single-node path runs (a cluster.LocalSite per
-// resident generation — byte-identical semantics by construction), and
-// follows the two-phase epoch broadcast. A worker that missed the
-// prepare for an epoch answers the commit (and any query at that epoch)
-// with the need-sync error, and the coordinator re-ships the full
-// fragment.
+// coordinator's epoch installs, serves partial-evaluation RPCs against
+// them with the same in-process evaluation code the single-node path runs
+// (a cluster.LocalSite per resident generation — byte-identical semantics
+// by construction), and answers any call naming a generation it does not
+// hold with the need-sync error, after which the coordinator re-ships the
+// full fragment.
 type Worker struct {
 	dict *rdf.Dictionary
 	pool *pool.Pool
 
-	mu    sync.Mutex
-	sites map[int]*workerSite
+	mu sync.Mutex
+	// sites holds each hosted fragment's resident generations by epoch:
+	// the last installed epoch and up to keepEpochs before it.
+	sites map[int]map[uint64]*fragment.Fragment
 	ln    net.Listener
 	conns map[net.Conn]bool
 	done  bool
@@ -52,22 +52,13 @@ type Worker struct {
 	wg sync.WaitGroup
 }
 
-// workerSite is the generation state of one hosted fragment.
-type workerSite struct {
-	committed uint64
-	// gens holds the resident generations: the committed epoch, up to
-	// keepEpochs before it, and any staged (prepared, not yet committed)
-	// epochs above it.
-	gens map[uint64]*fragment.Fragment
-}
-
-// NewWorker returns an empty worker; fragments arrive via the epoch
-// broadcast. evalWorkers sizes its evaluation pool (0 = GOMAXPROCS).
+// NewWorker returns an empty worker; fragments arrive with the epoch
+// installs. evalWorkers sizes its evaluation pool (0 = GOMAXPROCS).
 func NewWorker(evalWorkers int) *Worker {
 	return &Worker{
 		dict:  rdf.NewDictionary(),
 		pool:  pool.New(evalWorkers),
-		sites: make(map[int]*workerSite),
+		sites: make(map[int]map[uint64]*fragment.Fragment),
 		conns: make(map[net.Conn]bool),
 	}
 }
@@ -191,12 +182,7 @@ func (w *Worker) serveConn(nc net.Conn) {
 // request and the evaluation code, which indexes by what the request says.
 func (q *request) check() error {
 	switch q.Op {
-	case opStats:
-		return nil
-	case opSwap:
-		if p := cluster.SwapPhase(q.SwapPhase); p != cluster.SwapPrepare && p != cluster.SwapCommit {
-			return fmt.Errorf("remote: unknown swap phase %d", q.SwapPhase)
-		}
+	case opStats, opSwap:
 		return nil
 	case opCandidates, opPartial:
 	default:
@@ -256,21 +242,16 @@ func (w *Worker) handle(c *conn, req *request) bool {
 }
 
 // generation resolves the fragment serving (site, epoch); the error is
-// need-sync when the epoch was never staged here, so the coordinator
+// need-sync when the epoch is not resident here, so the coordinator
 // knows a re-ship (not a retry) is the fix.
 //
 //gstored:genaccessor
 func (w *Worker) generation(site int, epoch uint64) (*fragment.Fragment, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s := w.sites[site]
-	if s == nil {
-		return nil, fmt.Errorf("%w: site %d not resident", cluster.ErrNeedSync, site)
-	}
-	f := s.gens[epoch]
+	f := w.sites[site][epoch]
 	if f == nil {
-		return nil, fmt.Errorf("%w: site %d has no generation for epoch %d (committed %d)",
-			cluster.ErrNeedSync, site, epoch, s.committed)
+		return nil, fmt.Errorf("%w: site %d has no generation for epoch %d", cluster.ErrNeedSync, site, epoch)
 	}
 	return f, nil
 }
@@ -363,73 +344,58 @@ func (w *Worker) handlePartial(ctx context.Context, c *conn, req *request, final
 	return true
 }
 
+// handleStats answers for the generation the handle names: a worker
+// that does not hold it (restarted, say) cannot serve the handle's
+// queries, so the probe fails with need-sync instead of reporting a live
+// site.
 func (w *Worker) handleStats(req *request, final *response) {
+	if _, err := w.generation(req.Site, req.Epoch); err != nil {
+		final.setErr(err)
+		return
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	info := cluster.SiteInfo{Site: req.Site, Fragments: len(w.sites)}
-	if s := w.sites[req.Site]; s != nil {
-		info.Epoch = s.committed
-	}
-	final.Info = info
+	final.Info = cluster.SiteInfo{Site: req.Site, Epoch: req.Epoch, Fragments: len(w.sites)}
 }
 
-// handleSwap is the worker half of the two-phase epoch broadcast.
-// Prepare stages a fragment for the epoch — from the shipped payload, or
-// by carrying the committed fragment forward when the delta left it
-// untouched. Commit atomically activates a staged epoch and prunes old
-// generations. Both phases answer need-sync when the required state is
-// missing, and both are idempotent so the transport may retry them.
+// handleSwap installs a site's generation for req.Epoch: the shipped
+// fragment, or with none the resident generation req.Base, which the new
+// epoch extends — need-sync when it is not resident. It then prunes every
+// generation above req.Epoch (residue of an install the coordinator
+// aborted, or of an earlier coordinator) and every one more than
+// keepEpochs below it. Installing is idempotent, so the transport may
+// retry it.
 func (w *Worker) handleSwap(req *request, final *response) {
 	// Index a shipped fragment before taking w.mu: every query on this
 	// worker looks its generation up under that lock.
-	var shipped *fragment.Fragment
+	var f *fragment.Fragment
 	if req.Fragment != nil {
 		var err error
-		if shipped, err = fragment.FromPayload(req.Fragment, w.dict); err != nil {
+		if f, err = fragment.FromPayload(req.Fragment, w.dict); err != nil {
 			final.setErr(err)
 			return
 		}
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s := w.sites[req.Site]
-	if s == nil {
-		s = &workerSite{gens: make(map[uint64]*fragment.Fragment)}
-		w.sites[req.Site] = s
+	gens := w.sites[req.Site]
+	if f == nil && req.Base != 0 {
+		f = gens[req.Base]
 	}
-	switch cluster.SwapPhase(req.SwapPhase) {
-	case cluster.SwapPrepare:
-		if shipped != nil {
-			s.gens[req.Epoch] = shipped
-			final.Epoch = s.committed
-			return
-		}
-		// Carry-forward: only valid when this worker holds the committed
-		// generation the new epoch extends.
-		cur := s.gens[s.committed]
-		if s.committed == 0 || cur == nil {
-			final.setErr(fmt.Errorf("%w: site %d cannot carry epoch %d forward (nothing committed)",
-				cluster.ErrNeedSync, req.Site, req.Epoch))
-			return
-		}
-		s.gens[req.Epoch] = cur
-		final.Epoch = s.committed
-	case cluster.SwapCommit:
-		if _, staged := s.gens[req.Epoch]; !staged {
-			if s.committed == req.Epoch {
-				final.Epoch = s.committed // retried commit: already active
-				return
-			}
-			final.setErr(fmt.Errorf("%w: site %d asked to commit epoch %d it never staged",
-				cluster.ErrNeedSync, req.Site, req.Epoch))
-			return
-		}
-		s.committed = req.Epoch
-		for e := range s.gens {
-			if e < s.committed && s.committed-e > keepEpochs {
-				delete(s.gens, e)
-			}
-		}
-		final.Epoch = s.committed
+	if f == nil {
+		final.setErr(fmt.Errorf("%w: site %d cannot carry epoch %d into %d (not resident)",
+			cluster.ErrNeedSync, req.Site, req.Base, req.Epoch))
+		return
 	}
+	if gens == nil {
+		gens = make(map[uint64]*fragment.Fragment)
+		w.sites[req.Site] = gens
+	}
+	gens[req.Epoch] = f
+	for e := range gens {
+		if e > req.Epoch || req.Epoch-e > keepEpochs {
+			delete(gens, e)
+		}
+	}
+	final.Epoch = req.Epoch
 }

@@ -44,9 +44,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, text strin
 	stats, err := s.db.Update(ctx, text)
 	if err != nil {
 		// Only a syntax error is the client's fault; a worker down at
-		// prepare or commit, or a failed delta, is a 500 like any engine
-		// fault. An update that failed under an expired context is
-		// classified by the expiry, whatever error surfaced it.
+		// install, or a failed delta, is a 500 like any engine fault.
+		// An update that failed under an expired context is classified
+		// by the expiry, whatever error surfaced it.
 		s.fail(w, "update", errors.Join(err, ctx.Err()))
 		return
 	}

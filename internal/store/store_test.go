@@ -369,6 +369,10 @@ func TestCandidates(t *testing.T) {
 		{"constant object and signature", query.Var("x"), query.IRI("knows"), query.IRI("carol"),
 			[]query.Node{query.Var("w"), query.IRI("knows"), query.Var("x")}, []rdf.TermID{bob}, "bob"},
 		{"constant subject", query.IRI("alice"), query.IRI("knows"), query.Var("x"), nil, []rdf.TermID{bob, carol}, "bob, carol"},
+		// Seeded from alice's knows targets {bob, carol}: carol has the
+		// signature, and only the edge to the second constant drops it.
+		{"joins two constants", query.Var("x"), query.Var("l"), query.IRI("carol"),
+			[]query.Node{query.IRI("alice"), query.IRI("knows"), query.Var("x")}, []rdf.TermID{bob}, "bob"},
 		{"variable label to a constant", query.Var("x"), query.Var("l"), query.IRI("alice"), nil, []rdf.TermID{carol}, "carol"},
 		{"variable label from a constant", query.IRI("carol"), query.Var("l"), query.Var("x"), nil, []rdf.TermID{alice}, "alice"},
 		{"no such edge", query.Var("x"), query.IRI("likes"), query.IRI("carol"), nil, nil, "nothing"},
