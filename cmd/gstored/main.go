@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"gstored"
+	"gstored/internal/engine"
 	"gstored/internal/remote"
 	"gstored/internal/server"
 	"gstored/internal/trace"
@@ -115,13 +116,14 @@ func main() {
 		s := res.Stats
 		fmt.Fprintf(os.Stderr, "\n%s: %d matches (%d local, %d crossing) in %v\n",
 			s.Mode, s.NumMatches, s.NumLocalMatches, s.NumCrossingMatches, s.TotalTime)
-		fmt.Fprintf(os.Stderr, "stages: candidates %v (%d B), partial eval %v (%d B, %d LPMs), LEC %v (%d B, %d features, %d retained), assembly %v (%d B)\n",
-			s.CandidatesTime, s.CandidatesShipment,
-			s.PartialTime, s.PartialShipment, s.NumPartialMatches,
-			s.LECTime, s.LECShipment, s.NumLECFeatures, s.NumRetainedPartialMatches,
-			s.AssemblyTime, s.AssemblyShipment)
-		fmt.Fprintf(os.Stderr, "network: %d bytes in %d messages (est. comm time %v)\n",
-			s.TotalShipment, s.Messages, s.EstimatedCommTime)
+		sep := "stages: "
+		for i, st := range s.Stages {
+			fmt.Fprintf(os.Stderr, "%s%s %v (%d B)", sep, engine.StageNames[i], st.Time, st.Shipment)
+			sep = ", "
+		}
+		fmt.Fprintf(os.Stderr, "\n%d LPMs, %d LEC features, %d retained\n",
+			s.NumPartialMatches, s.NumLECFeatures, s.NumRetainedPartialMatches)
+		fmt.Fprintf(os.Stderr, "network: %d bytes in %d messages\n", s.TotalShipment, s.Messages)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gstored/internal/fragment"
 	"gstored/internal/paperexample"
@@ -19,7 +18,7 @@ func build(t *testing.T) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(d)
+	return &Cluster{Sites: LocalSites(d, 1), Graph: d}
 }
 
 func TestClusterSites(t *testing.T) {
@@ -91,31 +90,5 @@ func TestLocalSwapGeneration(t *testing.T) {
 	// A handle with nothing to carry answers need-sync.
 	if _, err := NewLocalSite(0, nil, 0).SwapGeneration(ctx, GenerationSwap{Epoch: 1}); !errors.Is(err, ErrNeedSync) {
 		t.Errorf("carry from an empty handle: %v, want need-sync", err)
-	}
-}
-
-func TestNetworkMetering(t *testing.T) {
-	n := NewNetwork()
-	n.Count(150, 2)
-	n.Count(40, 4)
-	if n.Bytes != 190 || n.Messages != 6 {
-		t.Errorf("bytes = %d, messages = %d, want 190, 6", n.Bytes, n.Messages)
-	}
-	n.Count(810, 4)
-	est := n.EstimateTime()
-	if est <= 0 {
-		t.Error("estimate should be positive")
-	}
-	// 10 messages × 100µs dominates 1000 bytes of transfer.
-	if est < time.Millisecond {
-		t.Errorf("estimate %v below latency floor", est)
-	}
-}
-
-func TestNetworkEstimateZeroModel(t *testing.T) {
-	n := &Network{} // zero link model must fall back to defaults
-	n.Count(1<<20, 1)
-	if n.EstimateTime() <= 0 {
-		t.Error("zero-model estimate should fall back to DefaultLink")
 	}
 }

@@ -210,7 +210,7 @@ func (s *LocalSite) PartialEval(ctx context.Context, req PartialRequest, emit fu
 	// the per-site counters accumulate atomically.
 	var local, tasks, busy atomic.Int64
 	onTask := func(d time.Duration) { tasks.Add(1); busy.Add(int64(d)) }
-	cancel := cancelPoll(ctx)
+	cancel := CancelPoll(ctx)
 	vf := func(qv int, u rdf.TermID) bool { return frag.IsInternal(u) }
 	if req.Star {
 		// Star fast path: only the center is confined to internal
@@ -283,14 +283,4 @@ func (s *LocalSite) SwapGeneration(ctx context.Context, swap GenerationSwap) (Si
 		f = s.frag // untouched by the delta: carry into the new epoch
 	}
 	return &LocalSite{id: s.id, frag: f, epoch: swap.Epoch}, nil
-}
-
-// cancelPoll adapts ctx into the polling hook the store and partial
-// layers accept; nil when ctx can never be canceled, so the hot
-// matching loops skip the poll entirely.
-func cancelPoll(ctx context.Context) func() bool {
-	if ctx.Done() == nil {
-		return nil
-	}
-	return func() bool { return ctx.Err() != nil }
 }

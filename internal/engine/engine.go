@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -97,9 +96,9 @@ func (r Row) Key() string {
 }
 
 // Stage is one column group of the paper's Tables I–III, in pipeline
-// order. This is the only declaration of the stage list: trace spans,
-// /metrics, EXPLAIN and the slow log all iterate it, so a new stage is
-// one row here (and one in Stats.Stages).
+// order. This is the only declaration of the stage list: Stats.Stages is
+// indexed by it, and trace spans, /metrics, EXPLAIN and the slow log all
+// iterate it, so a new stage is one constant and one name here.
 type Stage int
 
 const (
@@ -117,55 +116,39 @@ func (s Stage) String() string { return StageNames[s] }
 
 // StageStat is one stage's row of the per-stage table.
 type StageStat struct {
-	Name     string
 	Time     time.Duration
 	Shipment int64
 }
 
-// Stages views the per-stage fields as the table they mirror.
-func (s *Stats) Stages() [NumStages]StageStat {
-	return [NumStages]StageStat{
-		StageCandidates: {StageCandidates.String(), s.CandidatesTime, s.CandidatesShipment},
-		StagePartial:    {StagePartial.String(), s.PartialTime, s.PartialShipment},
-		StageLEC:        {StageLEC.String(), s.LECTime, s.LECShipment},
-		StageAssembly:   {StageAssembly.String(), s.AssemblyTime, s.AssemblyShipment},
-	}
-}
-
-// Stats mirrors the per-stage columns of Tables I–III.
+// Stats is the ledger of one execution: the per-stage columns of Tables
+// I–III and the counters beside them. The stages add into it, so a
+// disconnected query's components accumulate in the same ledger.
 type Stats struct {
-	Mode         Mode
+	Mode Mode
+	// StarFastPath reports that a connected query took the §VIII-B star
+	// path; false for component-split executions.
 	StarFastPath bool
 
-	// Assembling variables' internal candidates (Section VI).
-	CandidatesTime     time.Duration
-	CandidatesShipment int64
-	// CandidateVars is the exchange per query variable and
-	// CandidateFraming what its encodings spend outside the sets; in
-	// process they sum to CandidatesShipment. Over RPC that is the socket
-	// measurement of the candidates calls instead — the union rides the
-	// partial-evaluation requests.
+	// Stages is the per-stage table, indexed by Stage. The candidates
+	// stage's shipment is §VI's exchange (over RPC, the socket measurement
+	// of the candidates calls); the partial stage's is the §IX price of
+	// the local complete matches' rows (over RPC they ride the stage's
+	// reply and are not priced apart).
+	Stages [NumStages]StageStat
+	// CandidateVars is the candidates stage's exchange per query variable
+	// and CandidateFraming what its encodings spend outside the sets; in
+	// process they sum to that stage's shipment. Over RPC the union rides
+	// the partial-evaluation requests.
 	CandidateVars    []candidates.VarStat
 	CandidateFraming int64
 
-	// Partial evaluation (local complete matches + local partial matches).
-	// PartialShipment is the §IX price of the local complete matches' rows;
-	// over RPC they ride the stage's reply and are not priced apart.
-	PartialTime       time.Duration
-	PartialShipment   int64
-	NumPartialMatches int
-
-	// LEC-feature-based optimization (Section IV).
-	LECTime                   time.Duration
-	LECShipment               int64
+	// Partial evaluation (local partial matches), LEC-feature-based
+	// pruning (Section IV) and LEC-feature-based assembly (Section V).
+	NumPartialMatches         int
 	NumLECFeatures            int
 	NumRetainedPartialMatches int
-
-	// LEC-feature-based assembly (Section V).
-	AssemblyTime       time.Duration
-	AssemblyShipment   int64
-	JoinAttempts       int
-	NumCrossingMatches int
+	JoinAttempts              int
+	NumCrossingMatches        int
 
 	NumLocalMatches int
 	NumMatches      int
@@ -179,16 +162,15 @@ type Stats struct {
 
 	TotalTime time.Duration
 	// InitShipment is the §IX price of sending the query graph to every
-	// site; with the four stage shipments it sums to TotalShipment.
-	InitShipment      int64
-	TotalShipment     int64
-	Messages          int64
-	EstimatedCommTime time.Duration
+	// site; with the stage shipments it sums to TotalShipment.
+	InitShipment  int64
+	TotalShipment int64
+	Messages      int64
 
 	// Fragments attributes the distributed stages to individual sites,
 	// so the slowest or chattiest site is identifiable (the aggregate
-	// fields above sum across sites and hide stragglers). Ordered by
-	// site ID; empty only for executions that ran no site stage.
+	// fields above sum across sites and hide stragglers). One row per
+	// site, ordered by site ID.
 	Fragments []FragmentStats
 
 	// Plan is the compiled selectivity-ordered edge-evaluation order
@@ -239,7 +221,7 @@ type FragmentStats struct {
 	WireBytes int64
 	// Wall is the site's wall-clock time across its per-site stages
 	// (candidate computation, matching, partial evaluation). Sites run
-	// concurrently, so these overlap rather than sum to PartialTime.
+	// concurrently, so these overlap rather than sum to the stage times.
 	Wall time.Duration
 	// Tasks counts the evaluation tasks this site's stages split into
 	// on the worker pool (seed chunks plus one per whole-site stage;
@@ -264,30 +246,6 @@ func transport(wall time.Duration, rep cluster.PartialReply) time.Duration {
 		return 0
 	}
 	return max(wall-rep.Eval, 0)
-}
-
-// mergeFragments folds per-site stats from one sub-execution into an
-// accumulator indexed by site ID, keeping the result ordered.
-func mergeFragments(dst, src []FragmentStats) []FragmentStats {
-	for _, fs := range src {
-		i := sort.Search(len(dst), func(i int) bool { return dst[i].Site >= fs.Site })
-		if i < len(dst) && dst[i].Site == fs.Site {
-			dst[i].LocalMatches += fs.LocalMatches
-			dst[i].PartialMatches += fs.PartialMatches
-			dst[i].RetainedPartialMatches += fs.RetainedPartialMatches
-			dst[i].ShipmentBytes += fs.ShipmentBytes
-			dst[i].WireBytes += fs.WireBytes
-			dst[i].Wall += fs.Wall
-			dst[i].Tasks += fs.Tasks
-			dst[i].Busy += fs.Busy
-			dst[i].Transport += fs.Transport
-			continue
-		}
-		dst = append(dst, FragmentStats{})
-		copy(dst[i+1:], dst[i:])
-		dst[i] = fs
-	}
-	return dst
 }
 
 // Result is a completed query execution.
@@ -358,17 +316,17 @@ func projectRow(q *query.Graph, row Row, buf Row) Row {
 }
 
 // Engine evaluates SPARQL BGP queries over a simulated cluster. It is
-// safe for concurrent use: every execution counts its traffic on a
-// private Network, fragments and stores are immutable after
-// construction, and the shared dictionary is lock-protected.
+// safe for concurrent use: every execution counts its traffic in its
+// own Stats, fragments and stores are immutable after construction, and
+// the shared dictionary is lock-protected.
 type Engine struct {
 	Cluster *cluster.Cluster
 }
 
-// New builds an engine (and its in-process cluster) over a distributed
-// graph.
+// New builds an engine over a distributed graph served by in-process
+// sites, one per fragment.
 func New(d *fragment.Distributed) *Engine {
-	return &Engine{Cluster: cluster.New(d)}
+	return NewWithSites(d, cluster.LocalSites(d, 1))
 }
 
 // NewWithSites builds an engine over a distributed graph served by
@@ -376,7 +334,7 @@ func New(d *fragment.Distributed) *Engine {
 // sites are RPC clients. Sites must be ordered by ID, one per fragment
 // of d.
 func NewWithSites(d *fragment.Distributed, sites []cluster.Site) *Engine {
-	return &Engine{Cluster: cluster.NewWithSites(d, sites)}
+	return &Engine{Cluster: &cluster.Cluster{Sites: sites, Graph: d}}
 }
 
 // Execute runs q under cfg and returns all matches with per-stage
@@ -472,38 +430,49 @@ func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut
 	if err := ctx.Err(); err != nil {
 		return Stats{Mode: cfg.Mode}, err
 	}
-	if comps := query.SplitComponents(q); len(comps) > 1 {
-		return e.executeComponents(ctx, q, comps, cfg, out)
-	}
 	p := pool.New(cfg.EvalWorkers)
-	plan := e.Cluster.Graph.Global.Plan(q)
-	stats := Stats{Mode: cfg.Mode, Plan: plan, EvalWorkers: p.Workers()}
-	net := cluster.NewNetwork()
-	if e.Cluster.Net != nil {
-		net.Link = e.Cluster.Net.Link
+	stats := Stats{Mode: cfg.Mode, EvalWorkers: p.Workers(), Fragments: make([]FragmentStats, len(e.Cluster.Sites))}
+	for i, s := range e.Cluster.Sites {
+		stats.Fragments[i].Site = s.ID()
 	}
-	var ship shipCounts
+	var ships []*shipCounts
 	var err error
-	if center, ok := q.StarCenter(); ok && !cfg.DisableStarFastPath {
-		stats.StarFastPath = true
-		err = e.runStar(ctx, q, center, plan, p, net, &stats, out)
+	if comps := query.SplitComponents(q); len(comps) > 1 {
+		ships, err = e.runComponents(ctx, q, comps, cfg, p, &stats, out)
 	} else {
-		err = e.runDistributed(ctx, q, cfg, plan, p, net, &stats, &ship, out)
+		stats.Plan = e.Cluster.Graph.Global.Plan(q)
+		var ship *shipCounts
+		ship, err = e.component(ctx, q, stats.Plan, cfg, p, &stats, out)
+		stats.StarFastPath = ship.star
+		ships = []*shipCounts{ship}
 	}
 	// The one metering decision: traffic the site replies measured at a
 	// socket stands as shipped; when nothing crossed one (in-process
-	// sites report zero) the §IX model prices the same exchange.
-	if net.Bytes > 0 {
+	// sites report zero) the §IX model prices the same exchange, one
+	// component at a time.
+	if stats.TotalShipment > 0 {
 		for i := range stats.Fragments {
 			stats.Fragments[i].ShipmentBytes = stats.Fragments[i].WireBytes
 		}
 	} else {
-		modelShipment(q, &stats, &ship, net)
+		for _, ship := range ships {
+			modelShipment(&stats, ship)
+		}
 	}
-	stats.TotalShipment = net.Bytes
-	stats.Messages = net.Messages
-	stats.EstimatedCommTime = net.EstimateTime()
 	return stats, err
+}
+
+// component evaluates one connected query graph — the star path or
+// partial evaluation and assembly — adding into stats, and returns what
+// the §IX model prices for it: on error too, the counts recorded up to
+// the failing stage.
+func (e *Engine) component(ctx context.Context, q *query.Graph, plan []PlanEdge, cfg Config, p *pool.Pool, stats *Stats, out rowOut) (*shipCounts, error) {
+	ship := &shipCounts{q: q, local: make([]int, len(stats.Fragments))}
+	if center, ok := q.StarCenter(); ok && !cfg.DisableStarFastPath {
+		ship.star = true
+		return ship, e.runStar(ctx, q, center, plan, p, stats, ship, out)
+	}
+	return ship, e.runDistributed(ctx, q, cfg, plan, p, stats, ship, out)
 }
 
 // validateForExec is the admission check of run; it also resolves the
@@ -650,26 +619,25 @@ func sortRows(rows []Row) { slices.SortFunc(rows, slices.Compare[Row]) }
 // stop through the shared cancel poll. The scatter goes through the Site
 // boundary: in-process sites evaluate on this goroutine's pool, remote
 // sites run the same request on their worker and stream rows back.
-func (e *Engine) runStar(ctx context.Context, q *query.Graph, center int, plan []PlanEdge, p *pool.Pool, net *cluster.Network, stats *Stats, out rowOut) error {
+func (e *Engine) runStar(ctx context.Context, q *query.Graph, center int, plan []PlanEdge, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
 	tr := trace.FromContext(ctx)
-	frags := make([]FragmentStats, len(e.Cluster.Sites))
-	stats.Fragments = frags
+	frags := stats.Fragments
 	reps := make([]cluster.PartialReply, len(frags))
 	errs := make([]error, len(frags))
 	req := cluster.PartialRequest{
 		Query: q, Star: true, Center: center,
 		Order: store.EdgeOrder(plan), Pool: p,
 	}
-	stats.PartialTime = e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
+	stats.Stages[StagePartial].Time += e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
 		siteStart := time.Now()
 		reps[i], errs[i] = s.PartialEval(ctx, req, func(row []rdf.TermID) bool {
 			return out(Row(row))
 		})
-		frags[i] = FragmentStats{Site: s.ID(), Wall: time.Since(siteStart)}
-		frags[i].Transport = transport(frags[i].Wall, reps[i])
-		// For a remote site this span includes the wire round trip — the
-		// real per-site timing, not the link-model estimate.
-		tr.Span(StagePartial.String(), s.ID(), siteStart, frags[i].Wall)
+		wall := time.Since(siteStart)
+		frags[i].Wall += wall
+		frags[i].Transport += transport(wall, reps[i])
+		// For a remote site this span includes the wire round trip.
+		tr.Span(StagePartial.String(), s.ID(), siteStart, wall)
 	})
 	// A sink that stopped the run still reads what was scanned and
 	// shipped up to that point, so the replies count before the context
@@ -682,11 +650,12 @@ func (e *Engine) runStar(ctx context.Context, q *query.Graph, center int, plan [
 			}
 			continue
 		}
-		net.Count(rep.Wire, rep.WireMessages)
-		frags[i].LocalMatches = rep.LocalMatches
-		frags[i].WireBytes = rep.Wire
-		frags[i].Tasks = rep.Tasks
-		frags[i].Busy = rep.Busy
+		stats.count(rep.Wire, rep.WireMessages)
+		frags[i].WireBytes += rep.Wire
+		ship.local[i] = rep.LocalMatches
+		frags[i].LocalMatches += rep.LocalMatches
+		frags[i].Tasks += rep.Tasks
+		frags[i].Busy += rep.Busy
 		stats.NumLocalMatches += rep.LocalMatches
 	}
 	if err := ctx.Err(); err != nil {
@@ -695,27 +664,29 @@ func (e *Engine) runStar(ctx context.Context, q *query.Graph, center int, plan [
 	return firstErr
 }
 
+// count adds shipped bytes and messages to the execution's totals.
+func (s *Stats) count(bytes, messages int64) {
+	s.TotalShipment += bytes
+	s.Messages += messages
+}
+
 // runDistributed is the two-stage partial evaluation and assembly flow.
 // Local complete matches stream into out during partial evaluation and
 // assembled crossing matches stream during assembly, so a streaming sink
 // sees its first row before the run completes. Each site reply's wire
-// traffic is counted on net after its stage's barrier; what the §IX model
-// prices instead is recorded in ship.
-func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config, plan []PlanEdge, p *pool.Pool, net *cluster.Network, stats *Stats, ship *shipCounts, out rowOut) error {
+// traffic is added to stats after its stage's barrier; what the §IX
+// model prices instead is recorded in ship.
+func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config, plan []PlanEdge, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
 	k := len(e.Cluster.Sites)
 	tr := trace.FromContext(ctx)
-	frags := make([]FragmentStats, k)
-	for i, s := range e.Cluster.Sites {
-		frags[i].Site = s.ID()
-	}
-	stats.Fragments = frags
+	frags := stats.Fragments
 
 	// Stage 0 (Full only): assemble variables' internal candidates.
 	if cfg.Mode >= Full {
 		creps := make([]cluster.CandidatesReply, k)
 		cerrs := make([]error, k)
 		creq := cluster.CandidatesRequest{Query: q, Bits: candidates.DefaultBits}
-		stats.CandidatesTime = e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
+		stats.Stages[StageCandidates].Time += e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
 			siteStart := time.Now()
 			creps[i], cerrs[i] = s.Candidates(ctx, creq)
 			siteWall := time.Since(siteStart)
@@ -733,15 +704,17 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 				return cerrs[i]
 			}
 			siteVecs[i] = rep.Vectors
-			net.Count(rep.Wire, rep.WireMessages)
+			stats.count(rep.Wire, rep.WireMessages)
 			frags[i].WireBytes += rep.Wire
-			stats.CandidatesShipment += rep.Wire
+			stats.Stages[StageCandidates].Shipment += rep.Wire
 		}
 		union, err := candidates.Union(siteVecs, q, creq.Bits)
 		if err != nil {
 			return err
 		}
-		stats.CandidateVars, stats.CandidateFraming = candidates.Exchange(q, siteVecs, union)
+		vars, framing := candidates.Exchange(q, siteVecs, union)
+		stats.CandidateVars = append(stats.CandidateVars, vars...)
+		stats.CandidateFraming += framing
 		// The union travels back to the sites inside each PartialEval
 		// request.
 		ship.vectors, ship.union = siteVecs, union
@@ -759,7 +732,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		Query: q, Order: store.EdgeOrder(plan), EdgeRank: planEdgeRank(plan),
 		Union: ship.union, MaxMatches: cfg.MaxPartialMatches, Pool: p,
 	}
-	stats.PartialTime = e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
+	stats.Stages[StagePartial].Time += e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
 		siteStart := time.Now()
 		outs[i], serrs[i] = s.PartialEval(ctx, req, func(row []rdf.TermID) bool {
 			return out(Row(row))
@@ -767,10 +740,10 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		siteWall := time.Since(siteStart)
 		tr.Span(StagePartial.String(), s.ID(), siteStart, siteWall)
 		frags[i].Wall += siteWall
-		frags[i].Transport = transport(siteWall, outs[i])
+		frags[i].Transport += transport(siteWall, outs[i])
 	})
 	for i, rep := range outs {
-		net.Count(rep.Wire, rep.WireMessages)
+		stats.count(rep.Wire, rep.WireMessages)
 		frags[i].WireBytes += rep.Wire
 		frags[i].Tasks += rep.Tasks
 		frags[i].Busy += rep.Busy
@@ -789,11 +762,12 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 			return err
 		}
 		pms = append(pms, rep.Matches...)
-		frags[i].LocalMatches = rep.LocalMatches
-		frags[i].PartialMatches = len(rep.Matches)
+		ship.local[i] = rep.LocalMatches
+		frags[i].LocalMatches += rep.LocalMatches
+		frags[i].PartialMatches += len(rep.Matches)
 		stats.NumLocalMatches += rep.LocalMatches
 	}
-	stats.NumPartialMatches = len(pms)
+	stats.NumPartialMatches += len(pms)
 
 	// Stage 2 (LO, Full): LEC features travel instead of partial matches;
 	// the coordinator joins features and broadcasts the survivors. The
@@ -809,8 +783,8 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		lecStart := time.Now()
 		var featureOf []int
 		features, featureOf = lec.Compute(pms)
-		stats.NumLECFeatures = len(features)
-		walk = lec.Walk(features, q, p, lec.MaxPruneStates, cancelFunc(ctx))
+		stats.NumLECFeatures += len(features)
+		walk = lec.Walk(features, q, p, lec.MaxPruneStates, cluster.CancelPoll(ctx))
 		kept = kept[:0:0]
 		for i, pm := range pms {
 			if walk.Retained[featureOf[i]] {
@@ -818,10 +792,11 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 			}
 		}
 		ship.features, ship.pruned = features, true
-		stats.LECTime = time.Since(lecStart)
-		tr.Span(StageLEC.String(), trace.Coordinator, lecStart, stats.LECTime)
+		lecTime := time.Since(lecStart)
+		stats.Stages[StageLEC].Time += lecTime
+		tr.Span(StageLEC.String(), trace.Coordinator, lecStart, lecTime)
 	}
-	stats.NumRetainedPartialMatches = len(kept)
+	stats.NumRetainedPartialMatches += len(kept)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -843,7 +818,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	opts := assembly.Options{
 		UseLEC: cfg.Mode >= LA,
 		Pool:   p,
-		Cancel: cancelFunc(ctx),
+		Cancel: cluster.CancelPoll(ctx),
 		Emit: func(cm assembly.Result) bool {
 			return out(rowFromAssembly(q, cm))
 		},
@@ -856,21 +831,24 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	} else {
 		_, asmStats = assembly.Assemble(kept, q, opts)
 	}
-	stats.AssemblyTime = time.Since(asmStart)
-	tr.Span(StageAssembly.String(), trace.Coordinator, asmStart, stats.AssemblyTime)
+	asmTime := time.Since(asmStart)
+	stats.Stages[StageAssembly].Time += asmTime
+	tr.Span(StageAssembly.String(), trace.Coordinator, asmStart, asmTime)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	stats.JoinAttempts = asmStats.JoinAttempts
-	stats.NumCrossingMatches = asmStats.Results
+	stats.JoinAttempts += asmStats.JoinAttempts
+	stats.NumCrossingMatches += asmStats.Results
 	return nil
 }
 
-// shipCounts are the quantities of one distributed execution that the
+// shipCounts are the quantities of one component's execution that the
 // §IX shipment model prices; the stages record them as they run and
-// modelShipment turns them into bytes once. Local matches are already in
-// Stats.Fragments.
+// modelShipment turns them into bytes once.
 type shipCounts struct {
+	q        *query.Graph              // the component's query
+	star     bool                      // it took the star path
+	local    []int                     // local complete matches per site
 	vectors  []*candidates.SiteVectors // per-site candidate vectors (Full)
 	union    *candidates.SiteVectors   // their union, broadcast back (Full)
 	features []*lec.Feature            // LEC features shipped (LO, Full)
@@ -878,113 +856,108 @@ type shipCounts struct {
 	kept     []*partial.Match          // partial matches shipped for assembly
 }
 
-// modelShipment is the §IX cost model of one in-process execution: what
+// modelShipment is the §IX cost model of one in-process component: what
 // the paper's deployment would have shipped for the exchange that just
-// ran, counted on net and attributed per stage and per fragment
+// ran, added to the totals and attributed per stage and per fragment
 // (coordinator-side broadcasts are not attributed to a fragment).
-func modelShipment(q *query.Graph, stats *Stats, ship *shipCounts, net *cluster.Network) {
+func modelShipment(stats *Stats, ship *shipCounts) {
+	q := ship.q
 	frags := stats.Fragments
+	st := &stats.Stages
 	k := int64(len(frags))
 	// Initialization: every site receives the full query graph.
-	stats.InitShipment = int64(querySize(q)) * k
-	net.Count(stats.InitShipment, k)
+	init := int64(querySize(q)) * k
+	stats.InitShipment += init
+	stats.count(init, k)
 	// Stage 0: one candidate-vector message per site, the union back to each.
 	if ship.union != nil {
-		stats.CandidatesShipment = int64(ship.union.ShipmentBytes()) * k
+		cand := int64(ship.union.ShipmentBytes()) * k
 		for i, v := range ship.vectors {
 			b := int64(v.ShipmentBytes())
 			frags[i].ShipmentBytes += b
-			stats.CandidatesShipment += b
+			cand += b
 		}
-		net.Count(stats.CandidatesShipment, 2*k)
+		st[StageCandidates].Shipment += cand
+		stats.count(cand, 2*k)
 	}
 	// Stage 1: local matches to the coordinator — one reply per site on
 	// the star path, one gathered message on the distributed path.
-	for i := range frags {
-		b := int64(rowBytes(q) * frags[i].LocalMatches)
+	var rows int64
+	for i, n := range ship.local {
+		b := int64(rowBytes(q) * n)
 		frags[i].ShipmentBytes += b
-		stats.PartialShipment += b
+		rows += b
 	}
-	if stats.StarFastPath {
-		net.Count(stats.PartialShipment, k)
+	st[StagePartial].Shipment += rows
+	if ship.star {
+		stats.count(rows, k)
 	} else {
-		net.Count(stats.PartialShipment, 1)
+		stats.count(rows, 1)
 	}
 	// Stage 2: one message per LEC feature, from the site owning its
 	// partial matches, and the verdict bitmap back to each site.
 	if ship.pruned {
-		stats.LECShipment = int64((len(ship.features)+7)/8) * k
+		lecBytes := int64((len(ship.features)+7)/8) * k
 		for _, f := range ship.features {
 			fb := int64(f.EstimateBytes(len(q.Vertices)))
 			frags[f.Frag].ShipmentBytes += fb
-			stats.LECShipment += fb
+			lecBytes += fb
 		}
-		net.Count(stats.LECShipment, int64(len(ship.features))+k)
+		st[StageLEC].Shipment += lecBytes
+		stats.count(lecBytes, int64(len(ship.features))+k)
 	}
 	// Stage 3: one message per retained partial match.
+	var asm int64
 	for _, pm := range ship.kept {
 		pb := int64(pm.EstimateBytes())
 		frags[pm.Frag].ShipmentBytes += pb
-		stats.AssemblyShipment += pb
+		asm += pb
 	}
-	net.Count(stats.AssemblyShipment, int64(len(ship.kept)))
+	st[StageAssembly].Shipment += asm
+	stats.count(asm, int64(len(ship.kept)))
 }
 
-// executeComponents evaluates each weakly connected component separately
-// and recombines rows by cross product, enforcing equality on edge-label
+// runComponents evaluates each weakly connected component separately,
+// through the same per-component path and into the same Stats, and
+// recombines rows by cross product, enforcing equality on edge-label
 // variables shared between components (vertex variables cannot be shared
 // — a shared vertex would connect the components).
 //
 // The final component's cross product streams: each complete combined
-// row goes to out as it is merged (component sub-results — and, for
-// three or more components, the intermediate pairwise products — still
+// row goes to out as it is merged (component rows — and, for three or
+// more components, the intermediate pairwise products — still
 // materialize; only the last merge, which can dwarf them all, never
 // does), and production stops the moment out declines. Component
 // sub-queries carry no solution modifiers (SplitComponents drops them
 // with the projection), so modifiers apply exactly once, in the caller's
-// sink. The returned Stats aggregate the component runs.
-func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []query.Component, cfg Config, out rowOut) (Stats, error) {
+// sink. It returns what the §IX model prices for each component run.
+func (e *Engine) runComponents(ctx context.Context, q *query.Graph, comps []query.Component, cfg Config, p *pool.Pool, stats *Stats, out rowOut) ([]*shipCounts, error) {
 	combined := []Row{make(Row, len(q.Vars))}
-	agg := Stats{Mode: cfg.Mode}
+	var ships []*shipCounts
 	for ci, comp := range comps {
-		res, err := e.ExecuteContext(ctx, comp.Query, cfg)
+		var mu sync.Mutex
+		var rows []Row
+		ship, err := e.component(ctx, comp.Query, e.Cluster.Graph.Global.Plan(comp.Query), cfg, p, stats, func(r Row) bool {
+			mu.Lock()
+			rows = append(rows, r)
+			mu.Unlock()
+			return true
+		})
+		ships = append(ships, ship)
 		if err != nil {
-			return agg, err
+			return ships, err
 		}
-		s := res.Stats
-		agg.CandidatesTime += s.CandidatesTime
-		agg.CandidatesShipment += s.CandidatesShipment
-		agg.CandidateVars = append(agg.CandidateVars, s.CandidateVars...)
-		agg.CandidateFraming += s.CandidateFraming
-		agg.PartialTime += s.PartialTime
-		agg.PartialShipment += s.PartialShipment
-		agg.NumPartialMatches += s.NumPartialMatches
-		agg.LECTime += s.LECTime
-		agg.LECShipment += s.LECShipment
-		agg.NumLECFeatures += s.NumLECFeatures
-		agg.NumRetainedPartialMatches += s.NumRetainedPartialMatches
-		agg.AssemblyTime += s.AssemblyTime
-		agg.AssemblyShipment += s.AssemblyShipment
-		agg.JoinAttempts += s.JoinAttempts
-		agg.NumCrossingMatches += s.NumCrossingMatches
-		agg.NumLocalMatches += s.NumLocalMatches
-		agg.InitShipment += s.InitShipment
-		agg.TotalShipment += s.TotalShipment
-		agg.Messages += s.Messages
-		agg.EstimatedCommTime += s.EstimatedCommTime
-		agg.Fragments = mergeFragments(agg.Fragments, s.Fragments)
-		agg.EvalWorkers = s.EvalWorkers // identical across components
 
 		last := ci == len(comps)-1
 		var next []Row
 		var ops uint
 		for _, base := range combined {
-			for _, sub := range res.Rows {
+			for _, sub := range rows {
 				// The cross product can dwarf the component runs; poll the
 				// context so timeouts still bite here.
 				if ops&0xfff == 0 {
 					if err := ctx.Err(); err != nil {
-						return agg, err
+						return ships, err
 					}
 				}
 				ops++
@@ -1007,7 +980,7 @@ func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []
 				if !last {
 					next = append(next, merged)
 				} else if !out(merged) {
-					return agg, nil
+					return ships, nil
 				}
 			}
 		}
@@ -1016,17 +989,7 @@ func (e *Engine) executeComponents(ctx context.Context, q *query.Graph, comps []
 			break
 		}
 	}
-	return agg, nil
-}
-
-// cancelFunc adapts ctx into the polling hook the store, partial, lec and
-// assembly layers accept; nil when ctx can never be canceled, so the hot
-// loops skip the poll entirely.
-func cancelFunc(ctx context.Context) func() bool {
-	if ctx.Done() == nil {
-		return nil
-	}
-	return func() bool { return ctx.Err() != nil }
+	return ships, nil
 }
 
 // rowFromAssembly converts an assembled crossing match into a variable

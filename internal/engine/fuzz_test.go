@@ -206,7 +206,7 @@ func FuzzExecute(f *testing.F) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s: ordered rows\n got %q\nwant %q", at, got, want)
 				}
-				if sum := s.InitShipment + s.CandidatesShipment + s.PartialShipment + s.LECShipment + s.AssemblyShipment; sum != s.TotalShipment {
+				if sum := shipmentSum(&s); sum != s.TotalShipment {
 					t.Fatalf("%s: init+cand+partial+lec+asm = %d, total = %d", at, sum, s.TotalShipment)
 				}
 				if width == 1 {

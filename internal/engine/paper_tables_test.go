@@ -55,7 +55,7 @@ func tableLine(key string, res *Result) (line string, digest uint64) {
 		key, s.NumPartialMatches, s.NumLECFeatures, s.NumRetainedPartialMatches,
 		s.NumCrossingMatches, s.NumLocalMatches, s.JoinAttempts)
 	fmt.Fprintf(&b, " init=%d cand=%d partial=%d lec=%d asm=%d total=%d msgs=%d rows=%d digest=%016x",
-		s.InitShipment, s.CandidatesShipment, s.PartialShipment, s.LECShipment, s.AssemblyShipment,
+		s.InitShipment, s.Stages[StageCandidates].Shipment, s.Stages[StagePartial].Shipment, s.Stages[StageLEC].Shipment, s.Stages[StageAssembly].Shipment,
 		s.TotalShipment, s.Messages, s.NumMatches, digest)
 	sep := " frags="
 	for _, f := range s.Fragments {
@@ -68,6 +68,16 @@ func tableLine(key string, res *Result) (line string, digest uint64) {
 		sep = ","
 	}
 	return b.String(), digest
+}
+
+// shipmentSum is the query broadcast plus every stage's shipment: the
+// execution's TotalShipment, by the §IX model's construction.
+func shipmentSum(s *Stats) int64 {
+	sum := s.InitShipment
+	for _, st := range s.Stages {
+		sum += st.Shipment
+	}
+	return sum
 }
 
 // tableLines executes every query of qs on e in the four modes at width
@@ -97,7 +107,7 @@ func tableLines(t *testing.T, e *Engine, prefix string, qs []tableQuery) (lines 
 			} else if digest != digests[tq.name] {
 				t.Errorf("%s: row digest %016x, Basic's is %016x", key, digest, digests[tq.name])
 			}
-			if sum := s.InitShipment + s.CandidatesShipment + s.PartialShipment + s.LECShipment + s.AssemblyShipment; sum != s.TotalShipment {
+			if sum := shipmentSum(s); sum != s.TotalShipment {
 				t.Errorf("%s: init+cand+partial+lec+asm = %d, total = %d", key, sum, s.TotalShipment)
 			}
 			if s.NumCrossingMatches+s.NumLocalMatches < s.NumMatches {
@@ -123,8 +133,8 @@ func tableLines(t *testing.T, e *Engine, prefix string, qs []tableQuery) (lines 
 			t.Errorf("%s: retained %d (LO) / %d (Full) > Basic's %d", key,
 				lo.NumRetainedPartialMatches, full.NumRetainedPartialMatches, basic.NumRetainedPartialMatches)
 		}
-		if lo.AssemblyShipment > basic.AssemblyShipment {
-			t.Errorf("%s: LO assembly shipment %d > Basic's %d", key, lo.AssemblyShipment, basic.AssemblyShipment)
+		if lo.Stages[StageAssembly].Shipment > basic.Stages[StageAssembly].Shipment {
+			t.Errorf("%s: LO assembly shipment %d > Basic's %d", key, lo.Stages[StageAssembly].Shipment, basic.Stages[StageAssembly].Shipment)
 		}
 		if la.JoinAttempts > basic.JoinAttempts {
 			t.Errorf("%s: LA join attempts %d > Basic's %d", key, la.JoinAttempts, basic.JoinAttempts)

@@ -95,44 +95,44 @@ func TestRemoteSiteEquivalence(t *testing.T) {
 }
 
 // TestRemoteWireAccounting checks that wired executions report real
-// transport bytes instead of the §IX estimates: total shipment equals
-// the measured wire traffic, and the per-fragment wire counters are
-// populated.
+// transport bytes instead of the §IX estimates, for a connected query and
+// for a disconnected one whose components add into one ledger: total
+// shipment equals the measured wire traffic, and every fragment's
+// shipment is its wire counter.
 func TestRemoteWireAccounting(t *testing.T) {
 	env := newEquivEnv(t)
 	remoteEng := newRemoteEngine(t, env)
-	q := env.shape(t, "path", nil)
-
-	res, err := remoteEng.Execute(q, Config{Mode: Full, EvalWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.TotalShipment <= 0 {
-		t.Errorf("wired shipment = %d, want measured bytes", res.Stats.TotalShipment)
-	}
-	if res.Stats.LECShipment != 0 {
-		t.Errorf("wired LEC shipment = %d, want 0 (coordinator-side pruning ships nothing)", res.Stats.LECShipment)
-	}
-	var wire int64
-	for _, fs := range res.Stats.Fragments {
-		wire += fs.WireBytes
-	}
-	if wire <= 0 || wire != res.Stats.TotalShipment {
-		t.Errorf("per-fragment wire bytes sum to %d, total shipment %d; want equal and > 0", wire, res.Stats.TotalShipment)
-	}
-	for _, fs := range res.Stats.Fragments {
-		if fs.ShipmentBytes != fs.WireBytes {
-			t.Errorf("site %d: shipment %d != measured wire %d", fs.Site, fs.ShipmentBytes, fs.WireBytes)
+	for _, shape := range []string{"path", "disconnected"} {
+		q := env.shape(t, shape, nil)
+		res, err := remoteEng.Execute(q, Config{Mode: Full, EvalWorkers: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if res.Stats.TotalShipment <= 0 {
+			t.Errorf("%s: wired shipment = %d, want measured bytes", shape, res.Stats.TotalShipment)
+		}
+		if res.Stats.Stages[StageLEC].Shipment != 0 {
+			t.Errorf("%s: wired LEC shipment = %d, want 0 (coordinator-side pruning ships nothing)", shape, res.Stats.Stages[StageLEC].Shipment)
+		}
+		var wire int64
+		for _, fs := range res.Stats.Fragments {
+			wire += fs.WireBytes
+			if fs.ShipmentBytes != fs.WireBytes {
+				t.Errorf("%s: site %d: shipment %d != measured wire %d", shape, fs.Site, fs.ShipmentBytes, fs.WireBytes)
+			}
+		}
+		if wire <= 0 || wire != res.Stats.TotalShipment {
+			t.Errorf("%s: per-fragment wire bytes sum to %d, total shipment %d; want equal and > 0", shape, wire, res.Stats.TotalShipment)
+		}
 
-	local, err := env.eng.Execute(q, Config{Mode: Full, EvalWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fs := range local.Stats.Fragments {
-		if fs.WireBytes != 0 {
-			t.Errorf("in-process fragment reports %d wire bytes", fs.WireBytes)
+		local, err := env.eng.Execute(q, Config{Mode: Full, EvalWorkers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fs := range local.Stats.Fragments {
+			if fs.WireBytes != 0 {
+				t.Errorf("%s: in-process fragment reports %d wire bytes", shape, fs.WireBytes)
+			}
 		}
 	}
 }

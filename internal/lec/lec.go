@@ -116,14 +116,10 @@ const MaxPruneStates = 1 << 20
 // combination's signs union to all-ones (Theorem 4), its members are
 // retained. Partial matches whose features are not retained can be
 // discarded before shipment (Theorem 3/4 guarantee no final match is
-// lost). The first cancel hook, if any, is polled by the walk. Prune is
-// the sequential Walk under MaxPruneStates.
-func Prune(features []*Feature, q *query.Graph, cancel ...func() bool) PruneResult {
-	var hook func() bool
-	if len(cancel) > 0 {
-		hook = cancel[0]
-	}
-	return Walk(features, q, nil, MaxPruneStates, hook)
+// lost). Prune is the sequential, uncancellable Walk under
+// MaxPruneStates.
+func Prune(features []*Feature, q *query.Graph) PruneResult {
+	return Walk(features, q, nil, MaxPruneStates, nil)
 }
 
 // Walk is the one feature-level walk of the LEC path: Algorithm 2's

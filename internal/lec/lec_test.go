@@ -306,7 +306,7 @@ func chainFeatures(k int) ([]*Feature, *query.Graph) {
 
 // TestPruneCancel: the walk polls its cancel hook, so a canceled query
 // stops pruning within a few hundred expansions instead of walking the
-// whole closure; a nil hook changes nothing.
+// whole closure.
 func TestPruneCancel(t *testing.T) {
 	features, q := chainFeatures(50)
 	full := Prune(features, q)
@@ -318,11 +318,8 @@ func TestPruneCancel(t *testing.T) {
 			t.Fatalf("feature %d pruned, every chain feature completes", i)
 		}
 	}
-	if got := Prune(features, q, nil); got.States != full.States || !reflect.DeepEqual(got.Retained, full.Retained) {
-		t.Errorf("nil hook: %d states, want %d", got.States, full.States)
-	}
 	polls := 0
-	got := Prune(features, q, func() bool { polls++; return polls == 2 })
+	got := Walk(features, q, nil, MaxPruneStates, func() bool { polls++; return polls == 2 })
 	if polls != 2 || got.States*10 >= full.States {
 		t.Errorf("canceled on poll 2 of %d: walked %d of %d states", polls, got.States, full.States)
 	}

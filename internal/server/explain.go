@@ -54,7 +54,6 @@ type ExplainReport struct {
 	TotalMillis   float64 `json:"total_ms"`
 	ShipmentBytes int64   `json:"shipment_bytes"`
 	Messages      int64   `json:"messages"`
-	EstCommMillis float64 `json:"estimated_comm_ms"`
 
 	Stages    []ExplainStage    `json:"stages"`
 	Fragments []ExplainFragment `json:"fragments"`
@@ -176,7 +175,6 @@ func BuildExplain(db *gstored.DB, q *gstored.QueryGraph, text string, res *gstor
 		TotalMillis:   millis(s.TotalTime),
 		ShipmentBytes: s.TotalShipment,
 		Messages:      s.Messages,
-		EstCommMillis: millis(s.EstimatedCommTime),
 		Stages:        explainStages(&s),
 		Fragments:     explainFragments(s.Fragments),
 		Trace:         tr.Spans(),
@@ -200,10 +198,9 @@ func explainOrder(q *gstored.QueryGraph, plan []gstored.PlanEdge) []ExplainOrder
 }
 
 func explainStages(s *gstored.Stats) []ExplainStage {
-	stages := s.Stages()
-	out := make([]ExplainStage, len(stages))
-	for i, st := range stages {
-		out[i] = ExplainStage{Stage: st.Name, Millis: millis(st.Time), ShipmentBytes: st.Shipment}
+	out := make([]ExplainStage, len(s.Stages))
+	for i, st := range s.Stages {
+		out[i] = ExplainStage{Stage: engine.StageNames[i], Millis: millis(st.Time), ShipmentBytes: st.Shipment}
 	}
 	cand := &out[engine.StageCandidates]
 	cand.FramingBytes = s.CandidateFraming

@@ -38,7 +38,6 @@ type Metrics struct {
 	StageNanos     [engine.NumStages]atomic.Int64
 	ShipmentBytes  atomic.Int64
 	Messages       atomic.Int64 // inter-site messages (socket frames with worker-hosted sites)
-	CommNanos      atomic.Int64 // estimated communication time under the link model
 	TransportNanos atomic.Int64 // remote round-trip time beyond the workers' own evaluation, summed over sites
 	PartialMatches atomic.Int64
 	LECFeatures    atomic.Int64 // LEC features the pruning stage joined
@@ -80,7 +79,6 @@ func (m *Metrics) Observe(s engine.Stats, wall time.Duration) {
 	m.QueryNanos.Add(int64(wall))
 	m.ShipmentBytes.Add(s.TotalShipment)
 	m.Messages.Add(s.Messages)
-	m.CommNanos.Add(int64(s.EstimatedCommTime))
 	for _, f := range s.Fragments {
 		m.TransportNanos.Add(int64(f.Transport))
 	}
@@ -92,7 +90,7 @@ func (m *Metrics) Observe(s engine.Stats, wall time.Duration) {
 	for _, v := range s.CandidateVars {
 		m.CandidateVars[v.Form].Add(1)
 	}
-	for i, st := range s.Stages() {
+	for i, st := range s.Stages {
 		m.StageNanos[i].Add(int64(st.Time))
 		m.StageDurations[i].Observe(st.Time)
 	}
@@ -165,7 +163,6 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	}
 	writeMetric(w, "gstored_shipment_bytes_total", "Inter-site data shipment: bytes measured at the socket with worker-hosted sites, priced by the §IX model in-process.", "counter", m.ShipmentBytes.Load())
 	writeMetric(w, "gstored_messages_total", "Inter-site messages (shipments and broadcasts): frames counted at the socket with worker-hosted sites, by the §IX model in-process.", "counter", m.Messages.Load())
-	writeMetric(w, "gstored_estimated_comm_seconds_total", "Estimated communication time of the metered traffic under the cluster link model.", "counter", seconds(m.CommNanos.Load()))
 	writeMetric(w, "gstored_remote_transport_seconds_total", "Partial-evaluation round-trip time beyond the workers' own evaluation (codec, socket, queueing), summed over sites; zero in-process.", "counter", seconds(m.TransportNanos.Load()))
 	writeMetric(w, "gstored_partial_matches_total", "Local partial matches enumerated.", "counter", m.PartialMatches.Load())
 	writeMetric(w, "gstored_lec_features_total", "LEC features joined by the pruning stage.", "counter", m.LECFeatures.Load())

@@ -281,16 +281,13 @@ func TestMetricsExpositionLint(t *testing.T) {
 			t.Errorf("gstored_query_duration_seconds_count%s = %v, want >= %v", key, got, want.min)
 		}
 	}
-	// Satellite (a): the comm meters are exposed and non-zero after a
-	// distributed query.
+	// The shipment meters are exposed and non-zero after a distributed
+	// query.
 	if v := samples["gstored_messages_total"][""]; v <= 0 {
 		t.Errorf("gstored_messages_total = %v, want > 0", v)
 	}
 	if v := samples["gstored_shipment_bytes_total"][""]; v <= 0 {
 		t.Errorf("gstored_shipment_bytes_total = %v, want > 0", v)
-	}
-	if _, ok := samples["gstored_estimated_comm_seconds_total"]; !ok {
-		t.Error("gstored_estimated_comm_seconds_total missing")
 	}
 	// The LEC path's work counters sit beside the partial-match count.
 	// The path query is evaluated in Full mode, so features are joined
