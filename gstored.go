@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -267,11 +266,12 @@ func Open(g *Graph, cfg Config) (*DB, error) {
 }
 
 // publish makes dist the generation after prev (the zero dbState before
-// the first): the install of the touched fragments (nil = all) at every
-// site, an engine over the site handles it returns, then the one atomic
-// store readers load. On error nothing is stored. Writers hold swapMu.
-func (db *DB) publish(ctx context.Context, prev *dbState, dist *fragment.Distributed, strategy string, touched []int) error {
-	sites, err := db.swapGenerations(ctx, prev.sites, dist, prev.epoch+1, touched)
+// the first): the install at every site — of each fragment's share of the
+// delta, or of every fragment in full when deltas is nil — an engine
+// over the site handles it returns, then the one atomic store readers
+// load. On error nothing is stored. Writers hold swapMu.
+func (db *DB) publish(ctx context.Context, prev *dbState, dist *fragment.Distributed, strategy string, deltas []*fragment.Delta) error {
+	sites, err := db.swapGenerations(ctx, prev.sites, dist, prev.epoch+1, deltas)
 	if err != nil {
 		return err
 	}
@@ -300,36 +300,49 @@ func (db *DB) newSite(id int) cluster.Site {
 	return cluster.NewLocalSite(id, nil, 0)
 }
 
-// swapGenerations installs epoch at every site of the new generation:
-// the fragment where the delta touched it (touched lists those fragment
-// IDs; nil means all, as does any change in site count), otherwise the
-// site's resident fragment carried forward from the previous handle's
-// epoch. A site that cannot carry (restarted, never shipped) answers
-// cluster.ErrNeedSync and gets the full fragment; any other failure
-// aborts the swap. Nothing is published until every site installed, so
-// no query names the new epoch early, and an aborted swap leaves only
-// generations above the live epoch, which the next install of that epoch
-// overwrites.
-func (db *DB) swapGenerations(ctx context.Context, prev []cluster.Site, dist *fragment.Distributed, epoch uint64, touched []int) ([]cluster.Site, error) {
-	all := touched == nil || len(prev) != len(dist.Fragments)
+// swapGenerations installs epoch at every site of the new generation,
+// all sites at once: the fragment with its share of the delta where the
+// delta touched it (deltas holds one share per fragment, nil where
+// untouched; a nil deltas, or any change in site count, installs every
+// fragment in full), otherwise the site's resident fragment carried
+// forward from the previous handle's epoch. A site that cannot carry or
+// patch (restarted, never shipped) answers cluster.ErrNeedSync and gets
+// the full fragment; any other failure aborts the swap, reported for the
+// first failing site in site order. Nothing is published until every
+// site returned, so no query names the new epoch early, and an aborted
+// swap leaves only generations above the live epoch, which the next
+// install of that epoch overwrites.
+func (db *DB) swapGenerations(ctx context.Context, prev []cluster.Site, dist *fragment.Distributed, epoch uint64, deltas []*fragment.Delta) ([]cluster.Site, error) {
+	all := deltas == nil || len(prev) != len(dist.Fragments)
 	next := make([]cluster.Site, len(dist.Fragments))
+	errs := make([]error, len(dist.Fragments))
+	var wg sync.WaitGroup
 	for i, f := range dist.Fragments {
 		s := db.newSite(i)
 		if i < len(prev) {
 			s = prev[i]
 		}
-		var ship *fragment.Fragment
-		if all || slices.Contains(touched, i) {
-			ship = f
+		swap := cluster.GenerationSwap{Epoch: epoch, Fragment: f}
+		if !all {
+			if swap.Delta = deltas[i]; swap.Delta == nil {
+				swap.Fragment = nil
+			}
 		}
-		h, err := s.SwapGeneration(ctx, cluster.GenerationSwap{Epoch: epoch, Fragment: ship})
-		if ship == nil && errors.Is(err, cluster.ErrNeedSync) {
-			h, err = s.SwapGeneration(ctx, cluster.GenerationSwap{Epoch: epoch, Fragment: f})
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, err := s.SwapGeneration(ctx, swap)
+			if (swap.Fragment == nil || swap.Delta != nil) && errors.Is(err, cluster.ErrNeedSync) {
+				h, err = s.SwapGeneration(ctx, cluster.GenerationSwap{Epoch: epoch, Fragment: f})
+			}
+			next[i], errs[i] = h, err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("gstored: install epoch %d at site %d: %w", epoch, i, err)
 		}
-		next[i] = h
 	}
 	return next, nil
 }
@@ -399,7 +412,7 @@ func (db *DB) Repartition(a *Assignment) error {
 		name = prev.strategy
 	}
 	// A repartition rebuilds every fragment, so the install ships them
-	// all (touched nil = all).
+	// all (nil deltas).
 	return db.publish(context.Background(), prev, dist, name, nil)
 }
 
@@ -411,8 +424,9 @@ type UpdateStats struct {
 	Inserted int
 	Deleted  int
 	// RebuiltFragments is how many fragments the delta touched — only
-	// their stores, vertex sets and crossing lists were patched; every
-	// other fragment is shared with the previous generation.
+	// their stores, vertex sets and crossing lists were rebuilt, and only
+	// their shares of the delta travel to worker sites; every other
+	// fragment is shared with the previous generation.
 	RebuiltFragments int
 	// Epoch is the generation serving the post-update data. A no-op
 	// update reports the unchanged current epoch.
@@ -442,10 +456,12 @@ type UpdateStats struct {
 // each touched fragment copy only the adjacency shards it names and
 // splice only the adjacency it names (the previous generation keeps its
 // own and stays immutable) — plus, per touched fragment, a copy of its
-// vertex set and crossing list. A delete also filters the
-// Graph.Triples view (triple-count-proportional), and in worker mode a
-// touched fragment still travels whole. Updates are cheap next to a
-// repartition, not next to a point write; batch them for throughput.
+// vertex set and crossing list. A delete also copies the Graph.Triples
+// view (triple-count-proportional). In worker mode each touched site
+// receives only its share of the delta and patches its resident
+// fragment with the same Fragment.Apply, and the sites install
+// concurrently. Updates are cheap next to a repartition, not next to a
+// point write; batch them for throughput.
 func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error) {
 	u, err := sparql.ParseUpdate(updateText)
 	if err != nil {
@@ -528,7 +544,7 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 
 	newStore := st.Apply(inserted, deleted)
 	assign := cur.dist.Assignment.WithVertices(dict, tripleEndpoints(inserted))
-	newDist, touchedFrags, err := cur.dist.ApplyDelta(newStore, assign, inserted, deleted)
+	newDist, deltas, err := cur.dist.Patch(newStore, assign, inserted, deleted)
 	if err != nil {
 		return UpdateStats{}, err
 	}
@@ -537,22 +553,22 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
 	}
-	// Only the touched fragments travel; every untouched site re-tags its
-	// resident fragment under the new epoch.
-	if err := db.publish(ctx, cur, newDist, cur.strategy, touchedFrags); err != nil {
+	// Only the touched fragments' shares travel; every untouched site
+	// re-tags its resident fragment under the new epoch.
+	if err := db.publish(ctx, cur, newDist, cur.strategy, deltas); err != nil {
 		return UpdateStats{}, err
 	}
 
 	// Keep the public Graph view in step with the committed data (a
-	// deleted triple loses all its instances, matching the index).
+	// deleted triple loses all its instances, matching the index). The
+	// view is rebuilt, not filtered in place: a caller holding the old
+	// slice sees no write. deleted is sorted, so a triple outside its
+	// subject range is kept without a search.
 	if len(deleted) > 0 {
-		drop := make(map[rdf.Triple]bool, len(deleted))
-		for _, t := range deleted {
-			drop[t] = true
-		}
+		lo, hi := deleted[0].S, deleted[len(deleted)-1].S
 		kept := make([]rdf.Triple, 0, len(db.Graph.Triples))
 		for _, t := range db.Graph.Triples {
-			if !drop[t] {
+			if t.S < lo || t.S > hi || !sortedHas(deleted, t) {
 				kept = append(kept, t)
 			}
 		}
@@ -560,11 +576,23 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 	}
 	db.Graph.Triples = append(db.Graph.Triples, inserted...)
 
-	return UpdateStats{Inserted: len(inserted), Deleted: len(deleted), RebuiltFragments: len(touchedFrags), Epoch: cur.epoch + 1}, nil
+	rebuilt := 0
+	for _, share := range deltas {
+		if share != nil {
+			rebuilt++
+		}
+	}
+	return UpdateStats{Inserted: len(inserted), Deleted: len(deleted), RebuiltFragments: rebuilt, Epoch: cur.epoch + 1}, nil
 }
 
 func sortTriples(ts []rdf.Triple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
+}
+
+// sortedHas reports whether ts, in (S,P,O) order, holds t.
+func sortedHas(ts []rdf.Triple, t rdf.Triple) bool {
+	i := sort.Search(len(ts), func(i int) bool { return !ts[i].Less(t) })
+	return i < len(ts) && ts[i] == t
 }
 
 func tripleEndpoints(ts []rdf.Triple) []rdf.TermID {

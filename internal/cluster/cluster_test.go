@@ -87,6 +87,13 @@ func TestLocalSwapGeneration(t *testing.T) {
 		}
 	}
 
+	// With a delta beside it, the in-process site still installs the
+	// coordinator's fragment itself: no copy, no second patch.
+	withDelta, err := s.SwapGeneration(ctx, GenerationSwap{Epoch: 2, Fragment: replacement, Delta: &fragment.Delta{}})
+	if err != nil || withDelta.(*LocalSite).Fragment() != replacement {
+		t.Errorf("install with a delta = %v, %v; want the shipped fragment itself", withDelta, err)
+	}
+
 	// A handle with nothing to carry answers need-sync.
 	if _, err := NewLocalSite(0, nil, 0).SwapGeneration(ctx, GenerationSwap{Epoch: 1}); !errors.Is(err, ErrNeedSync) {
 		t.Errorf("carry from an empty handle: %v, want need-sync", err)

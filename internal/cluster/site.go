@@ -49,17 +49,18 @@ type Site interface {
 	// returns the Site handle that serves it. The receiver's own epoch is
 	// the base: a nil swap.Fragment carries the base generation's
 	// fragment forward (the delta left it untouched), a non-nil one
-	// replaces it. A site that does not hold the base (restarted, never
-	// shipped, or a fresh handle at epoch 0) returns an error wrapping
-	// ErrNeedSync, and the coordinator re-ships the full fragment.
-	// Install is idempotent, and publishing the new epoch is the
+	// replaces it, and a site holding the base may build it by applying
+	// swap.Delta there instead. A site that does not hold the base
+	// (restarted, never shipped, or a fresh handle at epoch 0) returns an
+	// error wrapping ErrNeedSync, and the coordinator re-ships the full
+	// fragment. Install is idempotent, and publishing the new epoch is the
 	// coordinator's: no query names it before every site has installed it.
 	SwapGeneration(ctx context.Context, swap GenerationSwap) (Site, error)
 }
 
 // ErrNeedSync reports that a site does not hold the generation a call
-// names — the base of a carry-forward install, or the epoch a query
-// pinned — because it was restarted or never shipped it. The
+// names — the base of a carry-forward or delta install, or the epoch a
+// query pinned — because it was restarted or never shipped it. The
 // coordinator answers an install's need-sync by re-shipping the full
 // fragment.
 var ErrNeedSync = errors.New("cluster: site does not hold the generation")
@@ -159,6 +160,11 @@ type GenerationSwap struct {
 	// it untouched, and the site then carries the handle's generation
 	// forward — only changed fragments travel.
 	Fragment *fragment.Fragment
+	// Delta, when set beside Fragment, is the fragment's share of the
+	// update: a site holding the base may build Fragment by applying it
+	// (fragment.Fragment.Apply) to its resident generation, so only the
+	// share travels.
+	Delta *fragment.Delta
 }
 
 // LocalSite hosts one fragment in-process: the default single-node
@@ -269,8 +275,9 @@ func (s *LocalSite) Stats(ctx context.Context) (SiteInfo, error) {
 }
 
 // SwapGeneration implements Site. In-process, install is building the
-// next immutable handle; publication is the caller's atomic generation
-// store.
+// next immutable handle over the coordinator's own Fragment — the delta
+// is already applied, so nothing is copied; publication is the caller's
+// atomic generation store.
 func (s *LocalSite) SwapGeneration(ctx context.Context, swap GenerationSwap) (Site, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -11,36 +11,45 @@ import (
 	"gstored/internal/store"
 )
 
-// ApplyDelta materializes the distributed graph over newGlobal — the
-// store after a mutation of inserted and deleted triples — by patching
-// only the fragments the delta touches and sharing every other Fragment
-// with the receiver. d itself is never modified: in-flight executions
-// holding the old generation keep a consistent cluster.
+// Delta is one fragment's share of an update: the inserted and deleted
+// triples with an endpoint the fragment owns, and Owned, those of the
+// share's endpoints it owns, in strictly increasing order. It is all a
+// site holding the fragment's previous generation needs to build the
+// next one (Fragment.Apply): the assignment and the global store stay
+// with the coordinator.
+type Delta struct {
+	Inserted, Deleted []rdf.Triple
+	Owned             []rdf.TermID
+}
+
+// Patch materializes the distributed graph over newGlobal — the store
+// after a mutation of inserted and deleted triples — by applying to each
+// fragment the delta touches its share of it, and sharing every other
+// Fragment with the receiver. d itself is never modified: in-flight
+// executions holding the old generation keep a consistent cluster.
 //
 // A triple touches the fragments owning its two endpoints (for a
 // crossing edge, both hold a replica per Definition 1), so those are
 // exactly the fragments whose stores, internal vertex sets and crossing
 // lists can differ; any vertex disappearing from an untouched fragment
 // would require deleting one of its edges, which would have touched that
-// fragment. Each touched fragment receives its share of the delta — the
-// triples with an endpoint it owns — through the same copy-on-write
-// Store.Apply that produced newGlobal, so the work is proportional to
-// the delta plus shallow per-fragment copies, and the result equals
-// Build over newGlobal field for field (the tests' oracle).
+// fragment. The work is proportional to the delta plus shallow
+// per-fragment copies, and the result equals Build over newGlobal field
+// for field (the tests' oracle).
 //
 // a must cover every vertex of newGlobal (extend an existing assignment
 // over inserted vertices with Assignment.WithVertices). Endpoints the
 // assignment does not cover fail the call before anything is built.
-// The second result lists the IDs of the touched fragments in ascending
-// order — the epoch install ships exactly these fragments to their sites
-// and lets every other site carry its fragment forward.
-func (d *Distributed) ApplyDelta(newGlobal *store.Store, a *partition.Assignment, inserted, deleted []rdf.Triple) (*Distributed, []int, error) {
+// The second result holds one Delta per fragment, nil where the delta
+// leaves the fragment untouched: the epoch install ships each share to
+// its site, which applies it to its resident generation, and lets every
+// other site carry its fragment forward.
+func (d *Distributed) Patch(newGlobal *store.Store, a *partition.Assignment, inserted, deleted []rdf.Triple) (*Distributed, []*Delta, error) {
 	if a.K != len(d.Fragments) {
 		return nil, nil, fmt.Errorf("fragment: delta assignment has K=%d, cluster has %d fragments", a.K, len(d.Fragments))
 	}
-	// shares[i] is fragment i's part of the delta: {inserted, deleted}.
-	shares := make([][2][]rdf.Triple, a.K)
-	for kind, batch := range [2][]rdf.Triple{inserted, deleted} {
+	deltas := make([]*Delta, a.K)
+	for del, batch := range [2][]rdf.Triple{inserted, deleted} {
 		for _, t := range batch {
 			var owners [2]int
 			for j, v := range [2]rdf.TermID{t.S, t.O} {
@@ -52,10 +61,20 @@ func (d *Distributed) ApplyDelta(newGlobal *store.Store, a *partition.Assignment
 					return nil, nil, fmt.Errorf("fragment: delta endpoint %d assigned to fragment %d of %d", v, f, a.K)
 				}
 				owners[j] = f
+				if deltas[f] == nil {
+					deltas[f] = &Delta{}
+				}
+				deltas[f].Owned = append(deltas[f].Owned, v)
 			}
-			shares[owners[0]][kind] = append(shares[owners[0]][kind], t)
-			if owners[1] != owners[0] {
-				shares[owners[1]][kind] = append(shares[owners[1]][kind], t)
+			for j, f := range owners {
+				if j == 1 && f == owners[0] {
+					break // an internal edge is one fragment's, once
+				}
+				if del == 1 {
+					deltas[f].Deleted = append(deltas[f].Deleted, t)
+				} else {
+					deltas[f].Inserted = append(deltas[f].Inserted, t)
+				}
 			}
 		}
 	}
@@ -66,30 +85,79 @@ func (d *Distributed) ApplyDelta(newGlobal *store.Store, a *partition.Assignment
 		Global:     newGlobal,
 		Fragments:  slices.Clone(d.Fragments), // untouched ones stay shared
 	}
-	ids := make([]int, 0, a.K) // non-nil even when empty: nil means "all" to the install
-	for i, share := range shares {
-		if len(share[0])+len(share[1]) > 0 {
-			next.Fragments[i] = d.Fragments[i].patched(newGlobal, a, share[0], share[1])
+	for i, share := range deltas {
+		if share == nil {
+			continue
+		}
+		slices.Sort(share.Owned)
+		share.Owned = slices.Compact(share.Owned)
+		f, err := d.Fragments[i].Apply(share)
+		if err != nil {
+			return nil, nil, err
+		}
+		next.Fragments[i] = f
+	}
+	return next, deltas, nil
+}
+
+// ApplyDelta is Patch reporting the touched fragments by ID, in
+// ascending order, instead of their shares.
+func (d *Distributed) ApplyDelta(newGlobal *store.Store, a *partition.Assignment, inserted, deleted []rdf.Triple) (*Distributed, []int, error) {
+	next, deltas, err := d.Patch(newGlobal, a, inserted, deleted)
+	if err != nil {
+		return nil, nil, err
+	}
+	ids := make([]int, 0, len(deltas))
+	for i, share := range deltas {
+		if share != nil {
 			ids = append(ids, i)
 		}
 	}
 	return next, ids, nil
 }
 
-// patched returns f after its share of a delta, leaving f untouched. It
-// follows Store.Apply's multigraph rules step for step — a delete drops
-// every instance of a present triple and is a no-op for an absent or
-// repeated one, then each insert adds one instance — so the edge count
-// and the crossing list stay in step with the store.
-func (f *Fragment) patched(newGlobal *store.Store, a *partition.Assignment, ins, del []rdf.Triple) *Fragment {
+// Apply returns f after its share of a delta, leaving f untouched: the
+// one patch both the coordinator (Patch) and a worker holding f's
+// generation run. It follows Store.Apply's multigraph rules step for
+// step — a delete drops every instance of a present triple and is a
+// no-op for an absent or repeated one, then each insert adds one
+// instance — so the edge count and the crossing list stay in step with
+// the store.
+//
+// The delta may come off the wire, so it is checked against f first,
+// and a delta that fails leaves no trace: Owned must strictly increase,
+// every triple must have an owned endpoint, and an endpoint f already
+// holds must be owned exactly when it is internal to f.
+func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
+	owns := func(v rdf.TermID) bool {
+		_, ok := slices.BinarySearch(d.Owned, v)
+		return ok
+	}
+	for i := 1; i < len(d.Owned); i++ {
+		if d.Owned[i] <= d.Owned[i-1] {
+			return nil, fmt.Errorf("fragment %d: delta's owned vertices do not strictly increase at %d", f.ID, d.Owned[i])
+		}
+	}
+	for _, batch := range [2][]rdf.Triple{d.Inserted, d.Deleted} {
+		for _, t := range batch {
+			if !owns(t.S) && !owns(t.O) {
+				return nil, fmt.Errorf("fragment %d: delta edge %v has no owned endpoint", f.ID, t)
+			}
+			for _, v := range [2]rdf.TermID{t.S, t.O} {
+				if f.Store.HasVertex(v) && owns(v) != f.internal[v] {
+					return nil, fmt.Errorf("fragment %d: delta says vertex %d is owned=%v, the fragment holds it internal=%v", f.ID, v, owns(v), f.internal[v])
+				}
+			}
+		}
+	}
+
 	next := &Fragment{
 		ID:               f.ID,
-		Store:            f.Store.Apply(ins, del),
+		Store:            f.Store.Apply(d.Inserted, d.Deleted),
 		internal:         maps.Clone(f.internal),
 		Crossing:         slices.Clone(f.Crossing),
 		NumInternalEdges: f.NumInternalEdges,
 	}
-	owns := func(v rdf.TermID) bool { return a.FragmentOf(v) == f.ID }
 	// count is how many instances of t enter (n > 0) or leave (n < 0).
 	count := func(t rdf.Triple, n int) {
 		if owns(t.S) && owns(t.O) {
@@ -104,20 +172,21 @@ func (f *Fragment) patched(newGlobal *store.Store, a *partition.Assignment, ins,
 		}
 	}
 	// V_i follows the delta's endpoints (a vertex it does not name cannot
-	// have appeared or vanished); newGlobal says which of them remain.
-	dropped := make(map[rdf.Triple]bool, len(del))
-	for _, t := range del {
+	// have appeared or vanished). Every edge of an owned vertex lives in
+	// this fragment, so the new local store says which of them remain.
+	dropped := make(map[rdf.Triple]bool, len(d.Deleted))
+	for _, t := range d.Deleted {
 		if n := f.Store.CountTriples(t.S, t.P, t.O); n > 0 && !dropped[t] {
 			dropped[t] = true
 			count(t, -n)
 		}
 		for _, v := range [2]rdf.TermID{t.S, t.O} {
-			if owns(v) && !newGlobal.HasVertex(v) {
+			if owns(v) && !next.Store.HasVertex(v) {
 				delete(next.internal, v)
 			}
 		}
 	}
-	for _, t := range ins {
+	for _, t := range d.Inserted {
 		count(t, 1)
 		for _, v := range [2]rdf.TermID{t.S, t.O} {
 			if owns(v) {
@@ -125,5 +194,5 @@ func (f *Fragment) patched(newGlobal *store.Store, a *partition.Assignment, ins,
 			}
 		}
 	}
-	return next
+	return next, nil
 }

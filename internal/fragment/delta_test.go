@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"gstored/internal/partition"
@@ -50,17 +50,21 @@ func snapshotOf(f *Fragment) snapshot {
 	return s
 }
 
-// checkDeltaEquivalent applies the delta incrementally and compares
-// against a full Build over the post-delta store: the two must be the
-// same fragment by fragment — crossing lists in the same order, stores
-// with the same triples and per-predicate statistics — and the
-// incremental result must pass CheckInvariants on its own.
-func checkDeltaEquivalent(t *testing.T, d *Distributed, a *partition.Assignment, inserted, deleted []rdf.Triple) *Distributed {
+// checkDelta applies the delta incrementally and compares against a full
+// Build over the post-delta store: the two must be the same fragment by
+// fragment — crossing lists in the same order, stores with the same
+// triples and per-predicate statistics — and the incremental result must
+// pass CheckInvariants on its own. It also plays the worker: each share
+// Patch returns, applied to the fragment a site holds for d, must give
+// the same fragment. held is that site-side generation (a nil held is a
+// full ship: FromPayload of each fragment's payload); the site-side
+// generation after the delta is returned beside the coordinator's.
+func checkDelta(t *testing.T, d *Distributed, held []*Fragment, a *partition.Assignment, inserted, deleted []rdf.Triple) (*Distributed, []*Fragment) {
 	t.Helper()
 	newGlobal := d.Global.Apply(inserted, deleted)
-	got, touched, err := d.ApplyDelta(newGlobal, a, inserted, deleted)
+	got, deltas, err := d.Patch(newGlobal, a, inserted, deleted)
 	if err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
+		t.Fatalf("Patch: %v", err)
 	}
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatalf("post-delta invariants: %v", err)
@@ -69,64 +73,90 @@ func checkDeltaEquivalent(t *testing.T, d *Distributed, a *partition.Assignment,
 	if err != nil {
 		t.Fatalf("reference Build: %v", err)
 	}
-	if !sort.IntsAreSorted(touched) {
-		t.Errorf("touched IDs not sorted: %v", touched)
-	}
-	isTouched := make(map[int]bool)
-	for _, id := range touched {
-		if id < 0 || id >= len(d.Fragments) {
-			t.Fatalf("touched ID %d out of range", id)
+	if held == nil {
+		held = make([]*Fragment, len(d.Fragments))
+		for i, f := range d.Fragments {
+			if held[i], err = FromPayload(f.Payload(), d.Dict); err != nil {
+				t.Fatalf("fragment %d does not ship: %v", i, err)
+			}
 		}
-		isTouched[id] = true
 	}
+	patched := slices.Clone(held)
 	for i := range want.Fragments {
-		gf, wf := got.Fragments[i], want.Fragments[i]
-		if !isTouched[i] && gf != d.Fragments[i] {
-			t.Errorf("fragment %d is not listed as touched but was replaced", i)
+		if deltas[i] == nil {
+			if got.Fragments[i] != d.Fragments[i] {
+				t.Errorf("fragment %d has no share of the delta but was replaced", i)
+			}
+		} else if patched[i], err = held[i].Apply(deltas[i]); err != nil {
+			t.Fatalf("site-side Apply of fragment %d's share %+v: %v", i, deltas[i], err)
 		}
-		if gs, ws := snapshotOf(gf), snapshotOf(wf); !reflect.DeepEqual(gs, ws) {
-			t.Errorf("fragment %d after delta = %+v\nfrom-scratch Build  = %+v", i, gs, ws)
-		}
-		if !reflect.DeepEqual(gf.Store.Stats(), wf.Store.Stats()) {
-			t.Errorf("fragment %d store statistics differ from a from-scratch Build", i)
+		wf := want.Fragments[i]
+		ws := snapshotOf(wf)
+		for side, f := range map[string]*Fragment{"coordinator": got.Fragments[i], "site": patched[i]} {
+			if gs := snapshotOf(f); !reflect.DeepEqual(gs, ws) {
+				t.Errorf("%s fragment %d after delta = %+v\nfrom-scratch Build  = %+v", side, i, gs, ws)
+			}
+			if !reflect.DeepEqual(f.Store.Stats(), wf.Store.Stats()) {
+				t.Errorf("%s fragment %d store statistics differ from a from-scratch Build", side, i)
+			}
 		}
 	}
+	return got, patched
+}
+
+// checkDeltaEquivalent is checkDelta against a full ship of d.
+func checkDeltaEquivalent(t *testing.T, d *Distributed, a *partition.Assignment, inserted, deleted []rdf.Triple) *Distributed {
+	t.Helper()
+	got, _ := checkDelta(t, d, nil, a, inserted, deleted)
 	return got
 }
 
-// deltaChain drives a sequence of deltas through ApplyDelta, each on top
-// of the last one's result, and checks two things after every step: the
-// newest generation equals Build of the post-delta store, and every
-// earlier generation still equals the snapshot taken while it was
-// current — a write into an adjacency list, a Crossing slice or a V_i
-// map shared between generations shows up as a changed old snapshot.
+// deltaChain drives a sequence of deltas through Patch, each on top of
+// the last one's result, on both sides of the install: the coordinator's
+// generation and a site's, which only ever receives shares and patches
+// the fragments it built from the first full ship. After every step it
+// checks that the newest generation on each side equals Build of the
+// post-delta store, and that every earlier generation still equals the
+// snapshot taken while it was current — a write into an adjacency list,
+// a Crossing slice or a V_i map shared between generations shows up as a
+// changed old snapshot.
 type deltaChain struct {
 	dict *rdf.Dictionary
 	d    *Distributed
-	gens []*Distributed
+	held []*Fragment
+	gens [][]*Fragment // the coordinator's fragments, then the site's
 	was  [][]snapshot
 }
 
-func newDeltaChain(g *rdf.Graph, d *Distributed) *deltaChain {
+func newDeltaChain(t *testing.T, g *rdf.Graph, d *Distributed) *deltaChain {
+	t.Helper()
 	c := &deltaChain{dict: g.Dict}
-	c.push(d)
+	held := make([]*Fragment, len(d.Fragments))
+	for i, f := range d.Fragments {
+		var err error
+		if held[i], err = FromPayload(f.Payload(), d.Dict); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.push(d, held)
 	return c
 }
 
-func (c *deltaChain) push(d *Distributed) {
-	snaps := make([]snapshot, len(d.Fragments))
-	for i, f := range d.Fragments {
+func (c *deltaChain) push(d *Distributed, held []*Fragment) {
+	frags := append(slices.Clone(d.Fragments), held...)
+	snaps := make([]snapshot, len(frags))
+	for i, f := range frags {
 		snaps[i] = snapshotOf(f)
 	}
-	c.d, c.gens, c.was = d, append(c.gens, d), append(c.was, snaps)
+	c.d, c.held, c.gens, c.was = d, held, append(c.gens, frags), append(c.was, snaps)
 }
 
 func (c *deltaChain) step(t *testing.T, inserted, deleted []rdf.Triple) {
 	t.Helper()
 	a := c.d.Assignment.WithVertices(c.dict, endpointsOf(append(append([]rdf.Triple{}, inserted...), deleted...)))
-	c.push(checkDeltaEquivalent(t, c.d, a, inserted, deleted))
-	for g, d := range c.gens {
-		for i, f := range d.Fragments {
+	c.push(checkDelta(t, c.d, c.held, a, inserted, deleted))
+	for g, frags := range c.gens {
+		for i, f := range frags {
 			if now := snapshotOf(f); !reflect.DeepEqual(now, c.was[g][i]) {
 				t.Fatalf("step %d wrote into generation %d: fragment %d is now %+v\nwas %+v", len(c.gens)-1, g, i, now, c.was[g][i])
 			}
@@ -171,7 +201,11 @@ func deltaFixture(t *testing.T) (*rdf.Graph, *Distributed, func(s, p, o string) 
 
 func TestApplyDeltaInsertInternalEdge(t *testing.T) {
 	_, d, mk := deltaFixture(t)
-	got := checkDeltaEquivalent(t, d, d.Assignment, []rdf.Triple{mk("a1", "p", "a2")}, nil)
+	ins := []rdf.Triple{mk("a1", "p", "a2")}
+	got := checkDeltaEquivalent(t, d, d.Assignment, ins, nil)
+	if _, ids, err := d.ApplyDelta(d.Global.Apply(ins, nil), d.Assignment, ins, nil); err != nil || !slices.Equal(ids, []int{0}) {
+		t.Errorf("ApplyDelta reports touched fragments %v, %v; want [0]", ids, err)
+	}
 	// Only fragment 0 is touched; fragments 1 and 2 must be shared.
 	for _, i := range []int{1, 2} {
 		if got.Fragments[i] != d.Fragments[i] {
@@ -230,6 +264,41 @@ func TestApplyDeltaUncoveredEndpointFails(t *testing.T) {
 	if _, _, err := d.ApplyDelta(newGlobal, d.Assignment, []rdf.Triple{fresh}, nil); err == nil {
 		t.Error("ApplyDelta accepted an endpoint the assignment does not cover")
 	}
+}
+
+// TestApplyRejectsHostileDelta: a share comes off the wire at a worker,
+// so each way it can contradict the fragment it is applied to is an
+// error, and the fragment is left exactly as it was. The base is the
+// fixture's fragment 0: a1 and a2 internal, b1 and c2 extended.
+func TestApplyRejectsHostileDelta(t *testing.T) {
+	g, d, mk := deltaFixture(t)
+	id := func(name string) rdf.TermID { return g.Dict.EncodeIRI(name) }
+	base := d.Fragments[0]
+	was := snapshotOf(base)
+	for _, tc := range []struct {
+		name  string
+		delta Delta
+	}{
+		{"owned vertices out of order", Delta{Inserted: []rdf.Triple{mk("a1", "p", "a2")}, Owned: []rdf.TermID{id("a2"), id("a1")}}},
+		{"owned vertex repeated", Delta{Inserted: []rdf.Triple{mk("a1", "p", "a2")}, Owned: []rdf.TermID{id("a1"), id("a1"), id("a2")}}},
+		{"edge with no owned endpoint", Delta{Deleted: []rdf.Triple{mk("b1", "q", "b2")}, Owned: []rdf.TermID{id("a1")}}},
+		{"owns a vertex the base holds as extended", Delta{Inserted: []rdf.Triple{mk("a1", "q", "b1")}, Owned: sorted(id("a1"), id("b1"))}},
+		{"disowns a vertex internal to the base", Delta{Inserted: []rdf.Triple{mk("a1", "q", "a2")}, Owned: []rdf.TermID{id("a2")}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if f, err := base.Apply(&tc.delta); err == nil {
+				t.Errorf("accepted: %+v", snapshotOf(f))
+			}
+			if now := snapshotOf(base); !reflect.DeepEqual(now, was) {
+				t.Errorf("a refused delta changed the base: %+v\nwas %+v", now, was)
+			}
+		})
+	}
+}
+
+func sorted(vs ...rdf.TermID) []rdf.TermID {
+	slices.Sort(vs)
+	return vs
 }
 
 // TestApplyDeltaRandomized drives random mutation batches through the
@@ -300,7 +369,7 @@ var (
 // appearing and vanishing and self-loops come and go.
 func TestApplyDeltaChain(t *testing.T) {
 	g, d, mk := deltaFixture(t)
-	c := newDeltaChain(g, d)
+	c := newDeltaChain(t, g, d)
 	rng := rand.New(rand.NewSource(23))
 	var appeared, vanished, loops int
 	for step := 0; step < 250; step++ {
@@ -352,7 +421,7 @@ func FuzzApplyDelta(f *testing.F) {
 			data = data[:256] // the oracle is quadratic in the chain length
 		}
 		g, d, mk := deltaFixture(t)
-		c := newDeltaChain(g, d)
+		c := newDeltaChain(t, g, d)
 		var delta [2][]rdf.Triple
 		for ; len(data) >= 4; data = data[4:] {
 			tr := mk(deltaNames[int(data[1])%len(deltaNames)], deltaPreds[int(data[2])%len(deltaPreds)], deltaNames[int(data[3])%len(deltaNames)])

@@ -81,13 +81,15 @@ type workerLink struct {
 	closed bool
 }
 
-func (l *workerLink) get(ctx context.Context) (*conn, error) {
+// get checks out an idle connection, or dials one when there is none or
+// fresh is set.
+func (l *workerLink) get(ctx context.Context, fresh bool) (*conn, error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil, fmt.Errorf("remote: coordinator closed")
 	}
-	if n := len(l.idle); n > 0 {
+	if n := len(l.idle); n > 0 && !fresh {
 		c := l.idle[n-1]
 		l.idle = l.idle[:n-1]
 		l.mu.Unlock()
@@ -142,10 +144,12 @@ func (s *Site) ID() int { return s.id }
 func (s *Site) Epoch() uint64 { return s.epoch }
 
 // call runs one RPC round: request out, frames in until the final one,
-// row batches delivered to onRow (which may be nil). It retries once on
-// a transport error that precedes the first response frame — the request
-// provably did not start streaming, and every op is idempotent — and
-// never after bytes have come back. Context cancellation interrupts
+// row batches delivered to onRow (which may be nil). It retries once, on
+// a freshly dialed connection, after a transport error that precedes the
+// first response frame — the request provably did not start streaming,
+// and every op is idempotent — and never after bytes have come back. The
+// retry does not take another pooled connection: after a worker restart
+// every connection pooled before it is as dead as the first. Context cancellation interrupts
 // blocked connection I/O via an AfterFunc that poisons the deadline.
 func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) bool) (resp response, wire, messages int64, err error) {
 	req.Site = s.id
@@ -159,7 +163,7 @@ func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) 
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		resp, wire, messages, err = s.attempt(ctx, req, onRow)
+		resp, wire, messages, err = s.attempt(ctx, req, onRow, attempt > 0)
 		if err == nil || attempt > 0 || messages > 1 {
 			return resp, wire, messages, err
 		}
@@ -172,11 +176,11 @@ func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) 
 	}
 }
 
-// attempt is one connection's worth of call. messages counts frames in
-// both directions (>1 once a response frame arrived, which is what
-// disqualifies a retry).
-func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermID) bool) (resp response, wire, messages int64, err error) {
-	c, err := s.link.get(ctx)
+// attempt is one connection's worth of call, on a new connection when
+// fresh is set. messages counts frames in both directions (>1 once a
+// response frame arrived, which is what disqualifies a retry).
+func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermID) bool, fresh bool) (resp response, wire, messages int64, err error) {
+	c, err := s.link.get(ctx, fresh)
 	if err != nil {
 		return response{}, 0, 0, err
 	}
@@ -297,8 +301,9 @@ func (s *Site) Stats(ctx context.Context) (cluster.SiteInfo, error) {
 
 // SwapGeneration implements cluster.Site: it installs swap.Epoch at the
 // worker with this handle's epoch as the base and returns the handle
-// bound to the new epoch. The shipped fragment travels as its wire
-// payload; nil means carry the base forward, which the worker refuses
+// bound to the new epoch. A fragment with a delta beside it travels as
+// the delta when the handle has a base, else as its wire payload; nil
+// means carry the base forward. The worker refuses a carry or a delta
 // with need-sync if it does not hold the base. Installing the handle's
 // own epoch with no fragment is the identity and costs no round trip.
 func (s *Site) SwapGeneration(ctx context.Context, swap cluster.GenerationSwap) (cluster.Site, error) {
@@ -306,7 +311,11 @@ func (s *Site) SwapGeneration(ctx context.Context, swap cluster.GenerationSwap) 
 		return s, nil
 	}
 	req := &request{Op: opSwap, Epoch: swap.Epoch, Base: s.epoch}
-	if swap.Fragment != nil {
+	switch {
+	case swap.Fragment == nil: // carry the base forward
+	case swap.Delta != nil && s.epoch != 0:
+		req.Delta = swap.Delta
+	default:
 		req.Fragment = swap.Fragment.Payload()
 	}
 	if _, _, _, err := s.call(ctx, req, nil); err != nil {

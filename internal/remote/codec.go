@@ -36,7 +36,7 @@ import (
 // wireVersion is bumped by any change to the encoding; it travels in the
 // tag byte so that builds which disagree fail the call by name instead of
 // misreading each other.
-const wireVersion = 2
+const wireVersion = 3
 
 const (
 	tagRequest  = wireVersion << 1
@@ -60,6 +60,7 @@ const (
 	reqStar
 	reqHasUnion
 	reqHasFragment
+	reqHasDelta
 	reqFlagsEnd
 )
 
@@ -180,7 +181,7 @@ func (q *request) appendTo(b []byte) []byte {
 	b = varint.Append(b, q.Epoch)
 	b = varint.AppendUint64(b, uint64(q.TimeoutNS))
 	b = append(b, bit(q.Query != nil, reqHasQuery)|bit(q.Star, reqStar)|
-		bit(q.Union != nil, reqHasUnion)|bit(q.Fragment != nil, reqHasFragment))
+		bit(q.Union != nil, reqHasUnion)|bit(q.Fragment != nil, reqHasFragment)|bit(q.Delta != nil, reqHasDelta))
 	b = varint.AppendInt(b, q.Bits)
 	b = varint.AppendInt(b, q.Center)
 	b = appendInts(b, q.Order)
@@ -195,6 +196,9 @@ func (q *request) appendTo(b []byte) []byte {
 	}
 	if q.Fragment != nil {
 		b = appendPayload(b, q.Fragment)
+	}
+	if q.Delta != nil {
+		b = appendShare(b, q.Delta)
 	}
 	return b
 }
@@ -223,6 +227,9 @@ func (q *request) decode(body []byte) error {
 	}
 	if f&reqHasFragment != 0 {
 		q.Fragment = cutPayload(r)
+	}
+	if f&reqHasDelta != 0 {
+		q.Delta = cutShare(r)
 	}
 	return r.Done()
 }
@@ -317,57 +324,93 @@ func cutVectors(r *varint.Reader) *candidates.SiteVectors {
 	return sv
 }
 
-// appendPayload appends a fragment's wire form. Both lists arrive sorted
-// (newFragment checks the triples, not this codec), so subjects and
-// internal vertices travel as zig-zag differences from their predecessor:
-// a byte each where the plain ID takes three.
+// appendPayload appends a fragment's wire form.
 func appendPayload(b []byte, p *fragment.Payload) []byte {
-	b = varint.AppendInt(b, p.ID)
-	b = varint.AppendInt(b, len(p.Triples))
+	return appendIDs(appendTriples(varint.AppendInt(b, p.ID), p.Triples), p.Internal)
+}
+
+func cutPayload(r *varint.Reader) *fragment.Payload {
+	p := &fragment.Payload{ID: r.Int()}
+	p.Triples = cutTriples(r)
+	p.Internal = cutIDs(r)
+	return p
+}
+
+// appendShare appends a fragment's share of an update.
+func appendShare(b []byte, d *fragment.Delta) []byte {
+	return appendIDs(appendTriples(appendTriples(b, d.Inserted), d.Deleted), d.Owned)
+}
+
+func cutShare(r *varint.Reader) *fragment.Delta {
+	d := &fragment.Delta{}
+	d.Inserted = cutTriples(r)
+	d.Deleted = cutTriples(r)
+	d.Owned = cutIDs(r)
+	return d
+}
+
+// appendTriples appends a triple list. The lists a fragment travels in
+// arrive sorted (the receiver checks, not this codec), so subjects travel
+// as zig-zag differences from their predecessor: a byte each where the
+// plain ID takes three.
+func appendTriples(b []byte, ts []rdf.Triple) []byte {
+	b = varint.AppendInt(b, len(ts))
 	var prev rdf.TermID
-	for _, t := range p.Triples {
+	for _, t := range ts {
 		b = varint.AppendSigned(b, int64(t.S)-int64(prev))
 		b = appendTerm(appendTerm(b, t.P), t.O)
 		prev = t.S
 	}
-	b = varint.AppendInt(b, len(p.Internal))
-	prev = 0
-	for _, v := range p.Internal {
+	return b
+}
+
+func cutTriples(r *varint.Reader) []rdf.Triple {
+	n := r.Count(3)
+	if n == 0 {
+		return nil
+	}
+	ts := make([]rdf.Triple, n)
+	var prev rdf.TermID
+	for i := range ts {
+		prev = cutDiff(r, prev)
+		ts[i] = rdf.Triple{S: prev, P: cutTerm(r), O: cutTerm(r)}
+	}
+	return ts
+}
+
+// appendIDs appends a sorted vertex list as zig-zag differences.
+func appendIDs(b []byte, vs []rdf.TermID) []byte {
+	b = varint.AppendInt(b, len(vs))
+	var prev rdf.TermID
+	for _, v := range vs {
 		b = varint.AppendSigned(b, int64(v)-int64(prev))
 		prev = v
 	}
 	return b
 }
 
-// cutDelta cuts one zig-zag difference and applies it to prev.
-func cutDelta(r *varint.Reader, prev rdf.TermID) rdf.TermID {
+func cutIDs(r *varint.Reader) []rdf.TermID {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]rdf.TermID, n)
+	var prev rdf.TermID
+	for i := range vs {
+		prev = cutDiff(r, prev)
+		vs[i] = prev
+	}
+	return vs
+}
+
+// cutDiff cuts one zig-zag difference and applies it to prev.
+func cutDiff(r *varint.Reader, prev rdf.TermID) rdf.TermID {
 	v := int64(prev) + r.Signed()
 	if v < 0 || v > math.MaxUint32 {
 		r.Fail(fmt.Errorf("remote: ID difference leaves the ID range"))
 		return 0
 	}
 	return rdf.TermID(v)
-}
-
-func cutPayload(r *varint.Reader) *fragment.Payload {
-	p := &fragment.Payload{ID: r.Int()}
-	var prev rdf.TermID
-	if n := r.Count(3); n > 0 {
-		p.Triples = make([]rdf.Triple, n)
-		for i := range p.Triples {
-			prev = cutDelta(r, prev)
-			p.Triples[i] = rdf.Triple{S: prev, P: cutTerm(r), O: cutTerm(r)}
-		}
-	}
-	prev = 0
-	if n := r.Count(1); n > 0 {
-		p.Internal = make([]rdf.TermID, n)
-		for i := range p.Internal {
-			prev = cutDelta(r, prev)
-			p.Internal[i] = prev
-		}
-	}
-	return p
 }
 
 func (p *response) appendTo(b []byte) []byte {

@@ -123,6 +123,14 @@ func goldenFrames(t testing.TB) []namedFrame {
 			},
 		}),
 		req("carry-forward install request", request{Op: opSwap, Site: 3, Epoch: 8, Base: 7}),
+		req("delta install request", request{
+			Op: opSwap, Site: 3, Epoch: 8, Base: 7,
+			Delta: &fragment.Delta{
+				Inserted: []rdf.Triple{{S: 17, P: 9, O: 70002}, {S: 301, P: 4, O: 17}},
+				Deleted:  []rdf.Triple{{S: 17, P: 9, O: 70000}},
+				Owned:    []rdf.TermID{17, 301},
+			},
+		}),
 		resp("install reply", response{Done: true, Epoch: 8}),
 		resp("error canceled", errFrame(partial.ErrCanceled)),
 		resp("error too many matches", errFrame(partial.ErrTooManyMatches{Limit: 100000})),
@@ -189,10 +197,13 @@ func TestFrameRoundTrip(t *testing.T) {
 			Fragment: &fragment.Payload{
 				ID: 5, Triples: []rdf.Triple{{S: 9, P: 1, O: math.MaxUint32}, {S: 3, P: 2, O: 1}}, Internal: []rdf.TermID{9, 3, math.MaxUint32},
 			},
+			Delta: &fragment.Delta{
+				Inserted: []rdf.Triple{{S: math.MaxUint32, P: 1, O: 2}}, Deleted: []rdf.Triple{{S: 1, P: 2, O: 3}}, Owned: []rdf.TermID{math.MaxUint32, 0},
+			},
 		},
 		{Query: noPlaceholders},
 		{Query: emptyPlaceholders},
-		{Query: &query.Graph{}, Union: vectors(t, 0), Fragment: &fragment.Payload{}},
+		{Query: &query.Graph{}, Union: vectors(t, 0), Fragment: &fragment.Payload{}, Delta: &fragment.Delta{}},
 		{Union: vectors(t, 3, 0, 0, 0)}, // nothing but nil set slots
 	}
 	responses := []response{
@@ -259,6 +270,7 @@ func TestDecodeRejects(t *testing.T) {
 		"query cut short":   with(12, reqHasQuery),
 		"union cut short":   with(12, reqHasUnion),
 		"payload cut short": with(12, reqHasFragment),
+		"delta cut short":   with(12, reqHasDelta),
 	} {
 		if err := new(request).decode(body); err == nil {
 			t.Errorf("%s: %x decoded", name, body)
@@ -386,11 +398,15 @@ func (g *gen) vectors(t testing.TB) *candidates.SiteVectors {
 }
 
 func (g *gen) payload() *fragment.Payload {
-	p := &fragment.Payload{ID: g.int(), Internal: g.terms()}
+	return &fragment.Payload{ID: g.int(), Internal: g.terms(), Triples: g.triples()}
+}
+
+func (g *gen) triples() []rdf.Triple {
+	var out []rdf.Triple
 	for i := g.n(4); i > 0; i-- {
-		p.Triples = append(p.Triples, rdf.Triple{S: g.term(), P: g.term(), O: g.term()})
+		out = append(out, rdf.Triple{S: g.term(), P: g.term(), O: g.term()})
 	}
-	return p
+	return out
 }
 
 func (g *gen) request(t testing.TB) *request {
@@ -406,6 +422,9 @@ func (g *gen) request(t testing.TB) *request {
 	}
 	if g.bool() {
 		q.Fragment = g.payload()
+	}
+	if g.bool() {
+		q.Delta = &fragment.Delta{Inserted: g.triples(), Deleted: g.triples(), Owned: g.terms()}
 	}
 	return q
 }

@@ -277,10 +277,10 @@ func matchKeys(ms []*partial.Match) []string {
 
 // TestSwapStateMachine drives the worker's install: calls naming a
 // generation it does not hold answer need-sync, a carry-forward install
-// copies the named base and needs it resident, installs are idempotent,
-// an install overwrites the residue of an aborted one, and old
-// generations are pruned with enough history kept for in-flight
-// executions.
+// copies the named base and a delta install patches it, both need it
+// resident, installs are idempotent, an install overwrites the residue of
+// an aborted one, and old generations are pruned with enough history
+// kept for in-flight executions.
 func TestSwapStateMachine(t *testing.T) {
 	ex := paperexample.New()
 	d, err := fragment.Build(ex.Store, ex.Assignment)
@@ -374,6 +374,31 @@ func TestSwapStateMachine(t *testing.T) {
 	if n := resident(w)[0]; n != keepEpochs+1 {
 		t.Errorf("%d generations resident, want %d", n, keepEpochs+1)
 	}
+
+	// A delta install patches the resident base with fragment 0's share of
+	// an update, twice over without harm, and is refused from a pruned
+	// base; what the worker holds then is the coordinator's own patch.
+	drop := d.Fragments[0].Crossing[:1]
+	next, deltas, err := d.Patch(ex.Store.Apply(nil, drop), ex.Assignment, nil, drop)
+	if err != nil || deltas[0] == nil {
+		t.Fatalf("Patch: %v, share %+v", err, deltas[0])
+	}
+	swap := cluster.GenerationSwap{Epoch: 7, Fragment: next.Fragments[0], Delta: deltas[0]}
+	for try := 0; try < 2; try++ {
+		if _, err := h6.SwapGeneration(ctx, swap); err != nil {
+			t.Fatalf("delta install, try %d: %v", try, err)
+		}
+		w.mu.Lock()
+		got := w.sites[0][7]
+		w.mu.Unlock()
+		if !reflect.DeepEqual(got.Payload(), next.Fragments[0].Payload()) || got.NumInternalEdges != next.Fragments[0].NumInternalEdges ||
+			!reflect.DeepEqual(got.Crossing, next.Fragments[0].Crossing) {
+			t.Errorf("delta install, try %d: the worker holds %+v, the coordinator patched %+v", try, got.Payload(), next.Fragments[0].Payload())
+		}
+	}
+	if _, err := handles[4].SwapGeneration(ctx, swap); !errors.Is(err, cluster.ErrNeedSync) {
+		t.Errorf("delta from a pruned base: %v, want need-sync", err)
+	}
 }
 
 // TestNewCoordinatorPrunesOldIncarnation: a coordinator that opens on a
@@ -418,9 +443,10 @@ func TestNewCoordinatorPrunesOldIncarnation(t *testing.T) {
 }
 
 // TestMalformedPrepareIsAnErrorFrame: an install whose payload
-// contradicts Definition 1 comes back as an error frame — the worker
-// neither panics nor drops the connection nor installs anything — and
-// the site takes a well-formed install afterwards.
+// contradicts Definition 1, or that carries a fragment and a delta, or a
+// delta with no base, comes back as an error frame — the worker neither
+// panics nor drops the connection nor installs anything — and the site
+// takes a well-formed install afterwards.
 func TestMalformedPrepareIsAnErrorFrame(t *testing.T) {
 	ex := paperexample.New()
 	d, err := fragment.Build(ex.Store, ex.Assignment)
@@ -437,12 +463,15 @@ func TestMalformedPrepareIsAnErrorFrame(t *testing.T) {
 	s0 := c.NewSite(0).(*Site)
 
 	good := d.Fragments[0].Payload()
-	for name, bad := range map[string]*fragment.Payload{
-		"no internal endpoint": {Triples: good.Triples, Internal: good.Internal[:1]},
-		"out of order":         {Triples: append(slices.Clone(good.Triples[1:]), good.Triples[0]), Internal: good.Internal},
-		"no internal vertices": {Triples: good.Triples},
+	for name, bad := range map[string]*request{
+		"no internal endpoint": {Fragment: &fragment.Payload{Triples: good.Triples, Internal: good.Internal[:1]}},
+		"out of order":         {Fragment: &fragment.Payload{Triples: append(slices.Clone(good.Triples[1:]), good.Triples[0]), Internal: good.Internal}},
+		"no internal vertices": {Fragment: &fragment.Payload{Triples: good.Triples}},
+		"fragment and delta":   {Base: 1, Fragment: good, Delta: &fragment.Delta{}},
+		"delta with no base":   {Delta: &fragment.Delta{}},
 	} {
-		_, _, messages, err := s0.call(ctx, &request{Op: opSwap, Epoch: 1, Fragment: bad}, nil)
+		bad.Op, bad.Epoch = opSwap, 1
+		_, _, messages, err := s0.call(ctx, bad, nil)
 		if err == nil || errors.Is(err, cluster.ErrNeedSync) || messages != 2 {
 			t.Fatalf("%s: err %v after %d frames, want an error reply frame", name, err, messages)
 		}
@@ -456,6 +485,38 @@ func TestMalformedPrepareIsAnErrorFrame(t *testing.T) {
 	}
 	if _, err := st.Candidates(ctx, cluster.CandidatesRequest{Query: ex.Query, Bits: 1 << 10}); err != nil {
 		t.Errorf("query after a well-formed install: %v", err)
+	}
+}
+
+// TestRetryDialsFresh: a worker that restarts leaves every connection
+// pooled to it before dead. A call's one retry must dial, not take the
+// next pooled connection, or two stale connections in the pool — what
+// concurrent installs leave behind — fail the call outright.
+func TestRetryDialsFresh(t *testing.T) {
+	w, addr := startWorker(t)
+	c, err := Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.links[0].put(&conn{Conn: nc})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := NewWorker(0)
+	go func() { _ = restarted.Serve(ln) }() // returns at Close below
+	defer restarted.Close()
+	// The restarted worker holds nothing, so its answer is need-sync.
+	if _, err := c.NewSite(0).Stats(context.Background()); !errors.Is(err, cluster.ErrNeedSync) {
+		t.Errorf("call after the restart: %v, want the new worker's need-sync", err)
 	}
 }
 

@@ -75,14 +75,16 @@ type request struct {
 	EdgeRank   []int
 	MaxMatches int
 
-	// SwapGeneration: the epoch of the generation a nil Fragment carries
-	// into Epoch (0 = none).
+	// SwapGeneration: the epoch of the generation that a nil Fragment
+	// carries into Epoch, or that Delta patches (0 = none).
 	Base uint64
 
-	// The optional fields travel last, each behind a presence bit.
+	// The optional fields travel last, each behind a presence bit. An
+	// install carries at most one of Fragment and Delta.
 	Query    *query.Graph
 	Union    *candidates.SiteVectors
 	Fragment *fragment.Payload
+	Delta    *fragment.Delta
 }
 
 // errKind maps the engine-visible error identities across the wire.

@@ -182,7 +182,15 @@ func (w *Worker) serveConn(nc net.Conn) {
 // request and the evaluation code, which indexes by what the request says.
 func (q *request) check() error {
 	switch q.Op {
-	case opStats, opSwap:
+	case opStats:
+		return nil
+	case opSwap:
+		switch {
+		case q.Fragment != nil && q.Delta != nil:
+			return errors.New("remote: install carries both a fragment and a delta")
+		case q.Delta != nil && q.Base == 0:
+			return errors.New("remote: delta install names no base")
+		}
 		return nil
 	case opCandidates, opPartial:
 	default:
@@ -359,34 +367,30 @@ func (w *Worker) handleStats(req *request, final *response) {
 }
 
 // handleSwap installs a site's generation for req.Epoch: the shipped
-// fragment, or with none the resident generation req.Base, which the new
-// epoch extends — need-sync when it is not resident. It then prunes every
-// generation above req.Epoch (residue of an install the coordinator
-// aborted, or of an earlier coordinator) and every one more than
-// keepEpochs below it. Installing is idempotent, so the transport may
-// retry it.
+// fragment, or the resident generation req.Base, which the new epoch
+// extends — carried as it is, or with the shipped delta applied by the
+// coordinator's own Fragment.Apply — and need-sync when that is not
+// resident. It then prunes every generation above req.Epoch (residue of
+// an install the coordinator aborted, or of an earlier coordinator) and
+// every one more than keepEpochs below it. Installing is idempotent, so
+// the transport may retry it.
 func (w *Worker) handleSwap(req *request, final *response) {
-	// Index a shipped fragment before taking w.mu: every query on this
-	// worker looks its generation up under that lock.
+	// Index or patch the fragment before taking w.mu to install it: every
+	// query on this worker looks its generation up under that lock.
 	var f *fragment.Fragment
+	var err error
 	if req.Fragment != nil {
-		var err error
-		if f, err = fragment.FromPayload(req.Fragment, w.dict); err != nil {
-			final.setErr(err)
-			return
-		}
+		f, err = fragment.FromPayload(req.Fragment, w.dict)
+	} else if f, err = w.generation(req.Site, req.Base); err == nil && req.Delta != nil {
+		f, err = f.Apply(req.Delta)
+	}
+	if err != nil {
+		final.setErr(err)
+		return
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	gens := w.sites[req.Site]
-	if f == nil && req.Base != 0 {
-		f = gens[req.Base]
-	}
-	if f == nil {
-		final.setErr(fmt.Errorf("%w: site %d cannot carry epoch %d into %d (not resident)",
-			cluster.ErrNeedSync, req.Site, req.Base, req.Epoch))
-		return
-	}
 	if gens == nil {
 		gens = make(map[uint64]*fragment.Fragment)
 		w.sites[req.Site] = gens

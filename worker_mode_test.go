@@ -256,17 +256,37 @@ func TestWorkerKilledMidQuery(t *testing.T) {
 }
 
 // swapSpy records every install the live sites of a database receive and
-// fails the first one fail matches. Installs run one at a time under the
-// database's swap lock, so the spy needs no lock of its own.
+// fails the first one fail matches. Sites install concurrently, so the
+// spy takes a lock; read the calls with take once the update returned.
 type swapSpy struct {
+	mu    sync.Mutex
 	fail  func(site int, epoch uint64) bool
 	calls []swapCall
 }
 
 type swapCall struct {
-	site    int
-	shipped bool
-	err     error
+	site int
+	kind string // what the install asked of the site: "full", "delta" or "carry"
+	err  error
+}
+
+// take returns the calls recorded so far and forgets them.
+func (s *swapSpy) take() []swapCall {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	calls := s.calls
+	s.calls = nil
+	return calls
+}
+
+func installKind(swap cluster.GenerationSwap) string {
+	switch {
+	case swap.Fragment == nil:
+		return "carry"
+	case swap.Delta != nil:
+		return "delta"
+	}
+	return "full"
 }
 
 // spySite is a cluster.Site whose installs go through a swapSpy; the
@@ -279,14 +299,20 @@ type spySite struct {
 var errInjected = errors.New("injected install fault")
 
 func (s spySite) SwapGeneration(ctx context.Context, swap cluster.GenerationSwap) (cluster.Site, error) {
+	s.spy.mu.Lock()
+	inject := s.spy.fail != nil && s.spy.fail(s.ID(), swap.Epoch)
+	if inject {
+		s.spy.fail = nil
+	}
+	s.spy.mu.Unlock()
 	var next cluster.Site
 	err := errInjected
-	if s.spy.fail != nil && s.spy.fail(s.ID(), swap.Epoch) {
-		s.spy.fail = nil
-	} else {
+	if !inject {
 		next, err = s.Site.SwapGeneration(ctx, swap)
 	}
-	s.spy.calls = append(s.spy.calls, swapCall{site: s.ID(), shipped: swap.Fragment != nil, err: err})
+	s.spy.mu.Lock()
+	s.spy.calls = append(s.spy.calls, swapCall{site: s.ID(), kind: installKind(swap), err: err})
+	s.spy.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +368,7 @@ func sameRows(t *testing.T, label string, want, got *DB, queries ...string) {
 }
 
 // TestAbortedInstallIsNotServed: an update whose install fails at the
-// last site, after earlier sites installed the new epoch, must leave no
+// last site, while other sites installed the new epoch, must leave no
 // trace. The next update reuses that epoch, carries the untouched
 // fragment forward from the live epoch, and the wired rows equal an
 // in-process twin that applied only the second update — the predicate
@@ -374,14 +400,14 @@ func TestAbortedInstallIsNotServed(t *testing.T) {
 		t.Fatalf("the failed update moved the epoch to %d", e)
 	}
 	i := -1
-	for _, c := range spy.calls {
-		if c.shipped && c.err == nil && c.site < j {
+	for _, c := range spy.take() {
+		if c.kind != "carry" && c.err == nil && c.site != j {
 			i = c.site
 			break
 		}
 	}
 	if i < 0 {
-		t.Fatalf("no site before %d installed the failed update's fragment; the test exercises nothing", j)
+		t.Fatalf("no site but %d installed the failed update's fragment; the test exercises nothing", j)
 	}
 
 	vs := verticesIn(wired, func(f int) bool { return f != i })
@@ -389,7 +415,6 @@ func TestAbortedInstallIsNotServed(t *testing.T) {
 		t.Fatalf("fewer than two vertices outside fragment %d", i)
 	}
 	second := fmt.Sprintf(`INSERT DATA { <%s> <http://ex.org/p9> <%s> . }`, vs[0], vs[1])
-	spy.calls = nil
 	if _, err := local.Update(ctx, second); err != nil {
 		t.Fatal(err)
 	}
@@ -400,9 +425,9 @@ func TestAbortedInstallIsNotServed(t *testing.T) {
 	if ws.Epoch != 2 {
 		t.Fatalf("second update landed at epoch %d, want 2", ws.Epoch)
 	}
-	for _, c := range spy.calls {
-		if c.site == i && c.shipped {
-			t.Fatalf("the second update shipped fragment %d; it must carry it forward", i)
+	for _, c := range spy.take() {
+		if c.site == i && c.kind != "carry" {
+			t.Fatalf("the second update installed fragment %d as %s; it must carry it forward", i, c.kind)
 		}
 	}
 	sameRows(t, "after the aborted install", local, wired, pathQuery, starQuery,
@@ -414,7 +439,9 @@ func TestAbortedInstallIsNotServed(t *testing.T) {
 // reports its sites down (they no longer hold the live epoch, so every
 // query to them would fail), the next update's carry-forward installs
 // there are refused and the full fragments re-shipped, the rows equal
-// an in-process twin's, and health is back up.
+// an in-process twin's, and health is back up. Restarted again, the
+// worker refuses the share of an update that touches its fragment the
+// same way and gets the full fragment.
 func TestRestartedWorkerResyncs(t *testing.T) {
 	addrA, stopA := startWorker(t, "127.0.0.1:0")
 	addrB, _ := startWorker(t, "127.0.0.1:0")
@@ -432,10 +459,47 @@ func TestRestartedWorkerResyncs(t *testing.T) {
 		}
 	}()
 	ctx := context.Background()
+	spy := spyOn(wired)
+
+	// update applies text to both twins at epoch and returns what each
+	// wired site was asked to install, in order.
+	update := func(text string, epoch uint64) map[int][]swapCall {
+		t.Helper()
+		if _, err := local.Update(ctx, text); err != nil {
+			t.Fatal(err)
+		}
+		ws, err := wired.Update(ctx, text)
+		if err != nil {
+			t.Fatalf("update across the restarted worker: %v", err)
+		}
+		if ws.Epoch != epoch {
+			t.Fatalf("update landed at epoch %d, want %d", ws.Epoch, epoch)
+		}
+		calls := map[int][]swapCall{}
+		for _, c := range spy.take() {
+			calls[c.site] = append(calls[c.site], c)
+		}
+		sameRows(t, fmt.Sprintf("after the resync at epoch %d", epoch), local, wired, pathQuery, starQuery,
+			`SELECT ?s ?o WHERE { ?s <http://ex.org/p9> ?o }`)
+		for _, st := range wired.SiteHealth(ctx) {
+			if !st.Up || st.Epoch != epoch {
+				t.Errorf("site %d: up=%v epoch=%d after the resync (%s)", st.Site, st.Up, st.Epoch, st.Error)
+			}
+		}
+		return calls
+	}
+	// refusedThenFull requires a site's installs to be a refused first
+	// try of the given kind, then the full fragment.
+	refusedThenFull := func(site int, c []swapCall, kind string) {
+		t.Helper()
+		if len(c) != 2 || c[0].kind != kind || !errors.Is(c[0].err, cluster.ErrNeedSync) || c[1].kind != "full" || c[1].err != nil {
+			t.Errorf("site %d installs %+v; want a refused %s, then the full fragment", site, c, kind)
+		}
+	}
 
 	// Worker A hosts the even sites.
 	stopA()
-	startWorker(t, addrA)
+	_, stopA = startWorker(t, addrA)
 	for _, st := range wired.SiteHealth(ctx) {
 		if restarted := st.Site%2 == 0; st.Up == restarted {
 			t.Errorf("site %d: up=%v after worker A restarted (%s)", st.Site, st.Up, st.Error)
@@ -447,34 +511,90 @@ func TestRestartedWorkerResyncs(t *testing.T) {
 	if len(vs) < 2 {
 		t.Fatal("fewer than two vertices on worker B")
 	}
-	update := fmt.Sprintf(`INSERT DATA { <%s> <http://ex.org/p9> <%s> . }`, vs[0], vs[1])
-	spy := spyOn(wired)
-	if _, err := local.Update(ctx, update); err != nil {
+	calls := update(fmt.Sprintf(`INSERT DATA { <%s> <http://ex.org/p9> <%s> . }`, vs[0], vs[1]), 2)
+	for _, site := range []int{0, 2} {
+		refusedThenFull(site, calls[site], "carry")
+	}
+
+	// Restart A again; an update that touches fragment 0, on A, ships its
+	// share there, which the empty worker refuses.
+	stopA()
+	startWorker(t, addrA)
+	vs = verticesIn(wired, func(f int) bool { return f == 0 })
+	if len(vs) < 2 {
+		t.Fatal("fewer than two vertices in fragment 0")
+	}
+	calls = update(fmt.Sprintf(`INSERT DATA { <%s> <http://ex.org/p9> <%s> . }`, vs[0], vs[1]), 3)
+	refusedThenFull(0, calls[0], "delta")
+	refusedThenFull(2, calls[2], "carry")
+}
+
+// TestWorkerModeUpdatesShipDeltas runs 20 seeded random INSERT DATA /
+// DELETE DATA requests against two workers and an in-process twin. After
+// the initial ship no touched site installs its fragment in full: each
+// receives its share of the delta and patches its resident generation.
+// The rows equal the twin's after every step.
+func TestWorkerModeUpdatesShipDeltas(t *testing.T) {
+	addrs, _ := startWorkers(t, 2)
+	local, err := Open(workerGraph(), Config{Sites: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := wired.Update(ctx, update)
+	wired, err := Open(workerGraph(), Config{Sites: 4, Workers: addrs})
 	if err != nil {
-		t.Fatalf("update across the restarted worker: %v", err)
+		t.Fatal(err)
 	}
-	if ws.Epoch != 2 {
-		t.Fatalf("update landed at epoch %d, want 2", ws.Epoch)
-	}
-	calls := map[int][]swapCall{}
-	for _, c := range spy.calls {
-		calls[c.site] = append(calls[c.site], c)
-	}
-	for _, site := range []int{0, 2} {
-		c := calls[site]
-		if len(c) != 2 || c[0].shipped || !errors.Is(c[0].err, cluster.ErrNeedSync) || !c[1].shipped || c[1].err != nil {
-			t.Errorf("site %d installs %+v; want a refused carry-forward, then the full fragment", site, c)
+	defer func() {
+		if err := wired.Close(); err != nil {
+			t.Errorf("close: %v", err)
 		}
-	}
-	sameRows(t, "after the resync", local, wired, pathQuery, starQuery,
-		`SELECT ?s ?o WHERE { ?s <http://ex.org/p9> ?o }`)
-	for _, st := range wired.SiteHealth(ctx) {
-		if !st.Up || st.Epoch != 2 {
-			t.Errorf("site %d: up=%v epoch=%d after the resync (%s)", st.Site, st.Up, st.Epoch, st.Error)
+	}()
+	ctx := context.Background()
+	spy := spyOn(wired)
+	rng := rand.New(rand.NewSource(31))
+	// v60..v69 are not in the graph yet: inserts add vertices too.
+	node := func() string { return fmt.Sprintf("<http://ex.org/v%d>", rng.Intn(70)) }
+	deltas := 0
+	for step := 0; step < 20; step++ {
+		var ins, del []string
+		for i := 1 + rng.Intn(4); i > 0; i-- {
+			ins = append(ins, fmt.Sprintf("%s <http://ex.org/p%d> %s .", node(), rng.Intn(3), node()))
 		}
+		for i := rng.Intn(4); i > 0; i-- {
+			tr := local.Graph.Triples[rng.Intn(len(local.Graph.Triples))]
+			d := local.Graph.Dict
+			del = append(del, fmt.Sprintf("%s %s %s .", d.MustDecode(tr.S), d.MustDecode(tr.P), d.MustDecode(tr.O)))
+		}
+		text := fmt.Sprintf("INSERT DATA { %s }", strings.Join(ins, " "))
+		if len(del) > 0 {
+			text = fmt.Sprintf("DELETE DATA { %s } ; %s", strings.Join(del, " "), text)
+		}
+		ls, err := local.Update(ctx, text)
+		if err != nil {
+			t.Fatalf("step %d, in process: %v", step, err)
+		}
+		ws, err := wired.Update(ctx, text)
+		if err != nil {
+			t.Fatalf("step %d, wired: %v", step, err)
+		}
+		if ws != ls {
+			t.Fatalf("step %d: wired update %+v, in process %+v", step, ws, ls)
+		}
+		for _, c := range spy.take() {
+			switch {
+			case c.err != nil:
+				t.Fatalf("step %d: site %d refused a %s install: %v", step, c.site, c.kind, c.err)
+			case c.kind == "full":
+				t.Fatalf("step %d: site %d installed its fragment in full", step, c.site)
+			case c.kind == "delta":
+				deltas++
+			}
+		}
+		sameRows(t, fmt.Sprintf("step %d", step), local, wired, pathQuery, starQuery,
+			`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
+	}
+	if deltas < 20 {
+		t.Errorf("only %d delta installs in 20 steps", deltas)
 	}
 }
 
