@@ -23,7 +23,7 @@ lint:
 	$(GO) test -count=1 -run '^TestModuleClean$$' ./internal/analysis/
 
 # bench-check builds, vets and tests the benchmark module against this
-# tree, exactly as CI does: bench/ imports the tree's packages, so a
+# tree; CI runs this target. bench/ imports the tree's packages, so a
 # changed symbol fails here instead of in a benchmark run.
 bench-check:
 	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
@@ -39,7 +39,8 @@ loc:
 		| awk '{ n[$$2] += $$1; t += $$1 } END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' \
 		| sort -k2
 
-# fuzz-smoke mirrors CI's 10-second-per-target fuzz window.
+# fuzz-smoke gives every native fuzz target a 10-second window on top of
+# its committed seed corpus; this is the one list, and CI runs it.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/sparql/
 	$(GO) test -run=NONE -fuzz='^FuzzParseUpdate$$' -fuzztime=10s ./internal/sparql/

@@ -149,12 +149,10 @@ type Config struct {
 // query the database while another repartitions it: every execution
 // pins one consistent cluster for its whole run.
 type DB struct {
-	// Graph is the source data (shared dictionary). Update keeps its
-	// triple list in sync with the committed generations, but readers of
-	// Graph.Triples are not synchronized with concurrent updates — use
-	// NumTriples for a live count, and quiesce writes before serializing
-	// the graph (e.g. WriteNTriples). Graph.Dict is safe for concurrent
-	// use at all times.
+	// Graph holds the dictionary the database shares with the graph
+	// passed to Open; Graph.Dict is safe for concurrent use at all times.
+	// Its triple list is empty: the database never writes the caller's
+	// graph, and NumTriples counts the live data.
 	Graph *Graph
 	// Costs reports CostPartitioning per strategy evaluated at Open time.
 	Costs map[string]CostBreakdown
@@ -219,7 +217,7 @@ func Open(g *Graph, cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("gstored: invalid site count %d", cfg.Sites)
 	}
 	st := store.FromGraph(g)
-	db := &DB{Graph: g, cfg: cfg, Costs: map[string]CostBreakdown{}}
+	db := &DB{Graph: &Graph{Dict: g.Dict}, cfg: cfg, Costs: map[string]CostBreakdown{}}
 
 	var assign *partition.Assignment
 	if strings.EqualFold(cfg.Strategy, "best") {
@@ -456,8 +454,7 @@ type UpdateStats struct {
 // each touched fragment copy only the adjacency shards it names and
 // splice only the adjacency it names (the previous generation keeps its
 // own and stays immutable) — plus, per touched fragment, a copy of its
-// vertex set and crossing list. A delete also copies the Graph.Triples
-// view (triple-count-proportional). In worker mode each touched site
+// vertex set and crossing list. In worker mode each touched site
 // receives only its share of the delta and patches its resident
 // fragment with the same Fragment.Apply, and the sites install
 // concurrently. Updates are cheap next to a repartition, not next to a
@@ -559,23 +556,6 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 		return UpdateStats{}, err
 	}
 
-	// Keep the public Graph view in step with the committed data (a
-	// deleted triple loses all its instances, matching the index). The
-	// view is rebuilt, not filtered in place: a caller holding the old
-	// slice sees no write. deleted is sorted, so a triple outside its
-	// subject range is kept without a search.
-	if len(deleted) > 0 {
-		lo, hi := deleted[0].S, deleted[len(deleted)-1].S
-		kept := make([]rdf.Triple, 0, len(db.Graph.Triples))
-		for _, t := range db.Graph.Triples {
-			if t.S < lo || t.S > hi || !sortedHas(deleted, t) {
-				kept = append(kept, t)
-			}
-		}
-		db.Graph.Triples = kept
-	}
-	db.Graph.Triples = append(db.Graph.Triples, inserted...)
-
 	rebuilt := 0
 	for _, share := range deltas {
 		if share != nil {
@@ -587,12 +567,6 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 
 func sortTriples(ts []rdf.Triple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
-}
-
-// sortedHas reports whether ts, in (S,P,O) order, holds t.
-func sortedHas(ts []rdf.Triple, t rdf.Triple) bool {
-	i := sort.Search(len(ts), func(i int) bool { return !ts[i].Less(t) })
-	return i < len(ts) && ts[i] == t
 }
 
 func tripleEndpoints(ts []rdf.Triple) []rdf.TermID {
@@ -779,8 +753,8 @@ func (db *DB) Distributed() *fragment.Distributed { return db.load().dist }
 func (db *DB) store() *store.Store { return db.load().dist.Global }
 
 // NumTriples reports the number of triples in the live generation —
-// Open's data plus every committed Update. Unlike Graph.Len it is safe
-// to call concurrently with updates.
+// Open's data plus every committed Update. It is safe to call
+// concurrently with updates.
 func (db *DB) NumTriples() int { return db.store().Len() }
 
 // PartitionCost evaluates the Section VII cost model for one strategy

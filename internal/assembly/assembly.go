@@ -1,16 +1,18 @@
 // Package assembly joins local partial matches into complete crossing
-// matches (Section V). Two algorithms:
+// matches (Section V). Every mode is one lec.Walk over features followed
+// by one Expand of the complete combinations it finds; the modes differ
+// only in the features:
 //
-//   - LEC (Options.UseLEC): Algorithm 3 — the join runs over LEC features
-//     (lec.Walk) and only the feature combinations whose LECSigns cover the
-//     query are expanded into their member partial matches (Expand).
+//   - LEC (Options.UseLEC): Algorithm 3 — the partial matches are grouped
+//     into LEC features (lec.Compute) and the walk asks the crossing-edge
+//     index for partners.
 //   - Basic: the partitioning-based join of Peng et al. [18] that the
-//     paper's gStoreD-Basic ablation uses — lec.Closure over single partial
-//     matches, partners discovered by scanning all of them and testing
-//     joinability pairwise.
+//     paper's gStoreD-Basic ablation uses — one singleton feature per
+//     partial match, partners discovered by proposing every pair.
 //
-// Both re-check serialization-vector compatibility, as required by the
-// join conditions of [18] (see DESIGN.md "One join closure").
+// Expand re-checks serialization-vector compatibility at every depth, as
+// required by the join conditions of [18] (see DESIGN.md "One join
+// closure").
 package assembly
 
 import (
@@ -49,8 +51,8 @@ type Options struct {
 	// UseLEC selects the LEC-feature-based Algorithm 3 over the baseline
 	// join of [18].
 	UseLEC bool
-	// Pool, when wider than one, carries the feature walk of Algorithm 3
-	// (see lec.Closure.Pool); expansion and the Basic join are sequential.
+	// Pool, when wider than one, carries the feature walk (see
+	// lec.Closure.Pool); expansion is sequential.
 	Pool *pool.Pool
 	// Cancel, when non-nil, is polled periodically; returning true
 	// abandons the assembly, returning nil results (the partial stats
@@ -105,36 +107,26 @@ func (c *collector) finish(finished bool) ([]Result, Stats) {
 	return c.out, c.stats
 }
 
-// Assemble joins the partial matches into complete crossing matches. With
-// UseLEC it groups them into LEC features, walks the features once and
-// expands the complete combinations; otherwise it walks lec.Closure over
-// the single matches with every larger index as a partner, each state
-// carrying its merged vector and edge-variable bindings.
+// Assemble joins the partial matches into complete crossing matches: it
+// groups them into features — LEC features with UseLEC, one singleton
+// feature per match for Basic — walks the features once (every pair
+// proposed for Basic) and expands the complete combinations.
 func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Stats) {
+	var features []*lec.Feature
 	if opts.UseLEC {
-		features, _ := lec.Compute(pms)
-		return Expand(pms, features, lec.Walk(features, q, opts.Pool, 0, opts.Cancel), q, opts)
+		features, _ = lec.Compute(pms)
+	} else {
+		features = make([]*lec.Feature, len(pms))
+		for i, pm := range pms {
+			features[i] = &lec.Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign, PMs: []int{i}}
+		}
 	}
-	col := collector{opts: opts, done: make(map[string]bool)}
-	c := lec.Closure[Result]{
-		Q: q, Items: make([]lec.Item, len(pms)), AllPairs: true, Cancel: opts.Cancel,
-		// A root's payload aliases its partial match; Join never writes
-		// to its input.
-		Root:     func(i int) Result { return Result{pms[i].Vec, pms[i].EdgeVars} },
-		Join:     func(r Result, i int) (Result, bool) { return join(r, pms[i]) },
-		Complete: func(_ []int, r Result) bool { return col.complete(r) },
-	}
-	for i, pm := range pms {
-		c.Items[i] = lec.Item{Sign: pm.Sign, Mappings: pm.Crossing}
-	}
-	finished := c.Run()
-	col.stats.JoinAttempts, col.stats.States = c.Attempts, c.States
-	return col.finish(finished)
+	return Expand(pms, features, lec.Walk(features, q, !opts.UseLEC, opts.Pool, opts.Cancel), q, opts)
 }
 
-// Expand is the second half of Algorithm 3: walk is a finished feature
-// walk over features, which lec.Compute grouped from pms, and each of its
-// complete combinations becomes the cross product of its members' partial
+// Expand is the second half of every assembly: walk is a finished walk
+// over features, each grouping matches of pms, and each of its complete
+// combinations becomes the cross product of its members' partial
 // matches, joined under the vector condition of [18] at every depth —
 // features abstract internal vertices away, so two members of joinable
 // features can still disagree on one. Only matches of retained features
@@ -152,7 +144,8 @@ func Expand(pms []*partial.Match, features []*lec.Feature, walk lec.PruneResult,
 				}
 				polls++
 			}
-			// The first member's match is aliased, like a Basic root.
+			// The first member's match is aliased; join never writes to
+			// its input.
 			next, ok := Result{pms[pi].Vec, pms[pi].EdgeVars}, true
 			if d > 0 {
 				next, ok = join(r, pms[pi])

@@ -277,7 +277,11 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 // join closure", deviation 2). The pipeline case: a→b twice, labelled p0
 // and p1, gives fragment 0 two partial matches of ?x ?p ?y . ?y q ?z that
 // differ only in ?p, and ?z ?p ?w in fragment 1 agrees with one of them.
-// The synthetic case disagrees on an internal vertex instead.
+// The synthetic case disagrees on an internal vertex instead. In both the
+// partner's match comes first: merge overlays a later member onto an
+// earlier one, so a disagreeing member ordered before the partner would be
+// overwritten into the agreeing row and deduplicated away, hiding a
+// missing check.
 func TestExpansionChecksEveryMember(t *testing.T) {
 	g := rdf.NewGraph()
 	g.AddIRIs("a", "p0", "b")
@@ -300,7 +304,7 @@ func TestExpansionChecksEveryMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pms []*partial.Match
-	for _, f := range d.Fragments {
+	for _, f := range slices.Backward(d.Fragments) {
 		ms, err := partial.Compute(f, q, partial.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -311,9 +315,9 @@ func TestExpansionChecksEveryMember(t *testing.T) {
 	x, y := []rdf.TermID{11, 20, 30, 0}, []rdf.TermID{12, 20, 30, 0}
 	cross := []partial.CrossEdge{{QEdge: 1, S: 20, P: 5, O: 30}}
 	synthetic := []*partial.Match{
+		{Frag: 1, Vec: []rdf.TermID{11, 20, 30, 40}, Crossing: cross, Sign: 0b1100},
 		{Frag: 0, Vec: x, Crossing: cross, Sign: 0b0011},
 		{Frag: 0, Vec: y, Crossing: cross, Sign: 0b0011},
-		{Frag: 1, Vec: []rdf.TermID{11, 20, 30, 40}, Crossing: cross, Sign: 0b1100},
 	}
 	path := buildShape(rdf.NewDictionary(), [][3]string{{"?x", "p", "?y"}, {"?y", "p", "?z"}, {"?z", "p", "?w"}})
 
@@ -336,7 +340,7 @@ func TestExpansionChecksEveryMember(t *testing.T) {
 			t.Errorf("%s: expansion produced %d rows (centralized: %d), want 1: the other member disagrees with the partner", tc.name, len(expanded), tc.want)
 		}
 		for _, useLEC := range []bool{true, false} {
-			if rs, _ := Assemble(tc.pms, tc.q, Options{UseLEC: useLEC}); !reflect.DeepEqual(rs, expanded) {
+			if rs, _ := Assemble(tc.pms, tc.q, Options{UseLEC: useLEC}); len(rs) != 1 || !reflect.DeepEqual(rs, expanded) {
 				t.Errorf("%s: Assemble(UseLEC=%v) = %v, expansion %v", tc.name, useLEC, rs, expanded)
 			}
 		}

@@ -784,7 +784,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		var featureOf []int
 		features, featureOf = lec.Compute(pms)
 		stats.NumLECFeatures += len(features)
-		walk = lec.Walk(features, q, p, lec.MaxPruneStates, cluster.CancelPoll(ctx))
+		walk = lec.Walk(features, q, false, p, cluster.CancelPoll(ctx))
 		kept = kept[:0:0]
 		for i, pm := range pms {
 			if walk.Retained[featureOf[i]] {
@@ -802,10 +802,9 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	}
 
 	// Stage 3: surviving partial matches travel to the coordinator and are
-	// assembled: the expansion of stage 2's combinations (Algorithm 3), or
-	// — when no finished walk precedes it: LA, an overflowed stage 2 —
-	// assembly's own walk over what was kept, by LEC feature or, for
-	// Basic, the [18] baseline join.
+	// assembled: the expansion of stage 2's finished walk (LO, Full; only
+	// cancellation stops a walk, and that returned above), or one walk and
+	// expansion over LEC features (LA) or singleton features (Basic).
 	for _, pm := range kept {
 		frags[pm.Frag].RetainedPartialMatches++
 	}
@@ -824,7 +823,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 		},
 	}
 	var asmStats assembly.Stats
-	if walk.Finished {
+	if cfg.Mode >= LO {
 		// Combinations index features, features index pms; every match
 		// they reach is in kept.
 		_, asmStats = assembly.Expand(pms, features, walk, q, opts)

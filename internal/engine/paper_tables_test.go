@@ -85,8 +85,9 @@ func shipmentSum(s *Stats) int64 {
 // asserts, on the computed counters and not on the file, what the paper
 // and the §IX model promise of every line and of the modes of one query;
 // then a pass at width 8 must reproduce the width-1 lines. That pass skips
-// Basic: its AllPairs closure is sequential by construction, and LA
-// already runs the same vector-less partial evaluation through the pool.
+// Basic for time only — its AllPairs walk would about double the test —
+// and TestWalkWidthEquivalence, which runs every mode at widths 1, 2 and
+// 8, holds Basic to width invariance.
 func tableLines(t *testing.T, e *Engine, prefix string, qs []tableQuery) (lines []string, digests map[string]uint64) {
 	digests = make(map[string]uint64)
 	for _, tq := range qs {

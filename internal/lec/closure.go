@@ -11,9 +11,9 @@ import (
 	"gstored/internal/rdf"
 )
 
-// Item is what the join closure knows about one thing it combines — a LEC
-// feature, or a single partial match in the Basic join: its LECSign and
-// its crossing-edge mappings (the function g of Definition 8). A crossing
+// Item is what the join closure knows about one LEC feature (in the Basic
+// join, one partial match's singleton feature): its LECSign and its
+// crossing-edge mappings (the function g of Definition 8). A crossing
 // edge has exactly one endpoint inside the item's fragment, so of the two
 // endpoint bits of a mapping's query edge Sign holds exactly one; the
 // crossing-edge index relies on it.
@@ -28,9 +28,9 @@ type Item struct {
 // grown depth-first from its minimum-index member, visited once (a seen
 // set keyed by the sorted member set), and reported when its signs cover
 // the query (Theorem 4: a full cover matches every edge). The walk owns
-// the join condition of Definition 9; a caller adds only a payload P that
-// rides each state.
-type Closure[P any] struct {
+// the join condition of Definition 9; what a combination's members make
+// together is the caller's to build from the member set.
+type Closure struct {
 	Q     *query.Graph
 	Items []Item
 	// AllPairs proposes every larger-index item as a partner instead of
@@ -38,9 +38,6 @@ type Closure[P any] struct {
 	// re-discovered by the join step at the price of the attempts the
 	// index avoids. It is gStoreD-Basic, and nothing else differs.
 	AllPairs bool
-	// MaxStates, when positive, ends the walk (Overflowed) once more
-	// states than this have been materialized.
-	MaxStates int
 	// Cancel, when non-nil, is polled every 256 expansions; returning
 	// true ends the walk. With a Pool it must be safe for concurrent use.
 	Cancel func() bool
@@ -52,20 +49,13 @@ type Closure[P any] struct {
 	// counters. A nil or one-wide pool walks inline and Complete sees each
 	// combination the moment it is found.
 	Pool *pool.Pool
-	// Root and Join build the payload of a one-item state and of a state
-	// extended by item i; Join may veto the extension and must not
-	// modify p. Both may be nil when P carries nothing; with a Pool they
-	// run concurrently.
-	Root func(i int) P
-	Join func(p P, i int) (P, bool)
 	// Complete receives each combination whose signs cover the query;
 	// members is only valid during the call. Returning false ends the
 	// walk.
-	Complete func(members []int, p P) bool
+	Complete func(members []int) bool
 
-	Attempts   int  // join steps tried
-	States     int  // distinct combinations materialized
-	Overflowed bool // MaxStates was exceeded
+	Attempts int // join steps tried
+	States   int // distinct combinations materialized
 
 	// The read-only index every chunk shares. Mappings are interned to
 	// dense ids (edges[id] keeps what the join step reads of one); item i
@@ -100,31 +90,29 @@ func Walks() int64 { return walks.Load() }
 // the crossing-edge endpoint bound to each query vertex (vbind) and the
 // id of the crossing edge chosen for each query edge (qmap, -1 when
 // none).
-type state[P any] struct {
+type state struct {
 	sign    uint64
 	members []int
 	vbind   []rdf.TermID
 	qmap    []int32
-	payload P
 }
 
 // walker is one chunk's private half of a walk: its counters, the
 // candidate extension of the state being expanded (next), the depth-first
 // frontier, and the scratch of partner enumeration and the seen set.
-type walker[P any] struct {
-	c        *Closure[P]
+type walker struct {
+	c        *Closure
 	full     uint64
-	complete func(members []int, p P) bool
+	complete func(members []int) bool
 	stop     *atomic.Bool // set by the first chunk that ends the walk early
 
 	attempts, states int
-	overflowed       bool
 
-	next state[P]
+	next state
 	// frontier is the depth-first stack; free holds the states it has
 	// finished with, whose slices push reuses.
-	frontier []state[P]
-	free     []state[P]
+	frontier []state
+	free     []state
 	seen     map[string]bool
 	buf      []int // partners scratch
 	polls    uint
@@ -133,12 +121,11 @@ type walker[P any] struct {
 	// order: member sets back to back, ends[k] closing set k.
 	doneMembers []int
 	doneEnds    []int
-	donePayload []P
 }
 
 // Run walks the closure, reporting whether it ran to the end (false
-// after cancellation, overflow or a false return from Complete).
-func (c *Closure[P]) Run() bool {
+// after cancellation or a false return from Complete).
+func (c *Closure) Run() bool {
 	walks.Add(1)
 	c.buildIndex()
 	var stop atomic.Bool
@@ -147,10 +134,10 @@ func (c *Closure[P]) Run() bool {
 		w := c.newWalker(&stop)
 		w.complete = c.Complete
 		ok := w.run(0, len(c.Items))
-		c.Attempts, c.States, c.Overflowed = w.attempts, w.states, w.overflowed
+		c.Attempts, c.States = w.attempts, w.states
 		return ok
 	}
-	ws := make([]*walker[P], len(chunks))
+	ws := make([]*walker, len(chunks))
 	oks := make([]bool, len(chunks))
 	tasks := make([]func(), len(chunks))
 	for k, ch := range chunks {
@@ -168,20 +155,15 @@ func (c *Closure[P]) Run() bool {
 	for k, w := range ws {
 		c.Attempts += w.attempts
 		c.States += w.states
-		c.Overflowed = c.Overflowed || w.overflowed
 		finished = finished && oks[k]
 	}
-	// A chunk stops at the cap on its own count; the sum decides.
-	if c.MaxStates > 0 && c.States > c.MaxStates {
-		c.Overflowed = true
-	}
-	if !finished || c.Overflowed {
+	if !finished {
 		return false
 	}
 	for _, w := range ws {
 		lo := 0
-		for k, hi := range w.doneEnds {
-			if !c.Complete(w.doneMembers[lo:hi], w.donePayload[k]) {
+		for _, hi := range w.doneEnds {
+			if !c.Complete(w.doneMembers[lo:hi]) {
 				return false
 			}
 			lo = hi
@@ -192,7 +174,7 @@ func (c *Closure[P]) Run() bool {
 
 // buildIndex interns the items' mappings and, unless AllPairs, builds the
 // side-split posting lists.
-func (c *Closure[P]) buildIndex() {
+func (c *Closure) buildIndex() {
 	total := 0
 	for _, it := range c.Items {
 		total += len(it.Mappings)
@@ -241,27 +223,26 @@ func (c *Closure[P]) buildIndex() {
 
 // slot is the posting list of item i under mapping id: side 0 when the
 // item's internal endpoint is the query edge's From, side 1 when its To.
-func (c *Closure[P]) slot(i int, id int32) int32 {
+func (c *Closure) slot(i int, id int32) int32 {
 	if c.Items[i].Sign>>uint(c.Q.Edges[c.edges[id].qedge].From)&1 == 1 {
 		return 2 * id
 	}
 	return 2*id + 1
 }
 
-func (c *Closure[P]) newWalker(stop *atomic.Bool) *walker[P] {
-	return &walker[P]{c: c, full: fullSign(len(c.Q.Vertices)), stop: stop, seen: map[string]bool{}}
+func (c *Closure) newWalker(stop *atomic.Bool) *walker {
+	return &walker{c: c, full: fullSign(len(c.Q.Vertices)), stop: stop, seen: map[string]bool{}}
 }
 
 // record is the complete hook of a pooled chunk.
-func (w *walker[P]) record(members []int, p P) bool {
+func (w *walker) record(members []int) bool {
 	w.doneMembers = append(w.doneMembers, members...)
 	w.doneEnds = append(w.doneEnds, len(w.doneMembers))
-	w.donePayload = append(w.donePayload, p)
 	return true
 }
 
 // run walks the combinations rooted at items [lo, hi).
-func (w *walker[P]) run(lo, hi int) bool {
+func (w *walker) run(lo, hi int) bool {
 	for root := lo; root < hi; root++ {
 		if !w.start(root) {
 			continue
@@ -269,7 +250,7 @@ func (w *walker[P]) run(lo, hi int) bool {
 		if w.next.sign == w.full {
 			// A single item can never be complete (it has a crossing
 			// edge, hence an extended endpoint vertex), but guard anyway.
-			if !w.complete(w.next.members, w.next.payload) {
+			if !w.complete(w.next.members) {
 				return false
 			}
 			continue
@@ -290,8 +271,6 @@ func (w *walker[P]) run(lo, hi int) bool {
 			s := w.frontier[len(w.frontier)-1]
 			w.frontier = w.frontier[:len(w.frontier)-1]
 			ok := w.expand(&s, root)
-			var zero P
-			s.payload = zero
 			w.free = append(w.free, s)
 			if !ok {
 				return false
@@ -303,8 +282,7 @@ func (w *walker[P]) run(lo, hi int) bool {
 
 // expand tries every partner of s, pushing the extensions that are new
 // and reporting the ones that cover the query.
-func (w *walker[P]) expand(s *state[P], root int) bool {
-	c := w.c
+func (w *walker) expand(s *state, root int) bool {
 	var kbuf [128]byte // member-set key scratch
 	for _, i := range w.partners(s, root) {
 		w.attempts++
@@ -313,31 +291,18 @@ func (w *walker[P]) expand(s *state[P], root int) bool {
 		}
 		// A pair is reached once, from its root; only larger
 		// combinations have several growth orders to deduplicate.
-		var mk []byte
 		if len(w.next.members) > 2 {
-			mk = key.Ints(kbuf[:0], w.next.members)
+			mk := key.Ints(kbuf[:0], w.next.members)
 			if w.seen[string(mk)] { // lookup by converted bytes does not allocate
 				continue
 			}
-		}
-		if c.Join != nil {
-			var ok bool
-			if w.next.payload, ok = c.Join(s.payload, i); !ok {
-				continue
-			}
-		}
-		if mk != nil {
 			w.seen[string(mk)] = true
 		}
 		w.states++
-		if c.MaxStates > 0 && w.states > c.MaxStates {
-			w.overflowed = true
-			return false
-		}
 		if w.next.sign == w.full {
 			// Nothing can extend a full cover: any further item
 			// overlaps its sign.
-			if !w.complete(w.next.members, w.next.payload) {
+			if !w.complete(w.next.members) {
 				return false
 			}
 			continue
@@ -349,12 +314,12 @@ func (w *walker[P]) expand(s *state[P], root int) bool {
 
 // push copies next onto the frontier, into the slices of a state the
 // walk has finished with when there is one.
-func (w *walker[P]) push() {
-	var s state[P]
+func (w *walker) push() {
+	var s state
 	if n := len(w.free); n > 0 {
 		s, w.free = w.free[n-1], w.free[:n-1]
 	}
-	s.sign, s.payload = w.next.sign, w.next.payload
+	s.sign = w.next.sign
 	s.members = append(s.members[:0], w.next.members...)
 	s.vbind = append(s.vbind[:0], w.next.vbind...)
 	s.qmap = append(s.qmap[:0], w.next.qmap...)
@@ -367,7 +332,7 @@ func (w *walker[P]) push() {
 // side s's sign does not cover. A holder on a covered side overlaps s's
 // sign, members included, so a mapping covered on both sides proposes
 // nobody. The result is valid until the next call.
-func (w *walker[P]) partners(s *state[P], root int) []int {
+func (w *walker) partners(s *state, root int) []int {
 	c := w.c
 	out := w.buf[:0]
 	if c.AllPairs {
@@ -413,7 +378,7 @@ func (w *walker[P]) partners(s *state[P], root int) []int {
 
 // start fills next with the one-item state of root, reporting false when
 // the item's own mappings contradict each other.
-func (w *walker[P]) start(root int) bool {
+func (w *walker) start(root int) bool {
 	c, out := w.c, &w.next
 	out.sign = c.Items[root].Sign
 	out.members = append(out.members[:0], root)
@@ -427,9 +392,6 @@ func (w *walker[P]) start(root int) bool {
 			return false
 		}
 	}
-	if c.Root != nil {
-		out.payload = c.Root(root)
-	}
 	return true
 }
 
@@ -438,8 +400,8 @@ func (w *walker[P]) start(root int) bool {
 // crossing-edge mapping, and no query edge ends up on two crossing edges
 // (Definition 9) nor any query vertex on two crossing-edge endpoints (a
 // check beyond Definition 9, see DESIGN.md "One join closure"). On
-// success next holds the extended state, payload aside.
-func (w *walker[P]) step(s *state[P], i int) bool {
+// success next holds the extended state.
+func (w *walker) step(s *state, i int) bool {
 	c, out := w.c, &w.next
 	if s.sign&c.Items[i].Sign != 0 {
 		return false
@@ -472,7 +434,7 @@ func fullSign(n int) uint64 {
 
 // applyMapping folds crossing-edge mapping id into the per-vertex and
 // per-edge binding tables, reporting consistency.
-func (c *Closure[P]) applyMapping(vbind []rdf.TermID, qmap []int32, id int32) bool {
+func (c *Closure) applyMapping(vbind []rdf.TermID, qmap []int32, id int32) bool {
 	m := c.edges[id]
 	e := c.Q.Edges[m.qedge]
 	if cur := qmap[m.qedge]; cur >= 0 {

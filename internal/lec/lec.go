@@ -4,9 +4,9 @@
 // (Definition 9, Theorem 4): Walk grows every sign-disjoint,
 // mapping-consistent combination of features once, which yields both
 // Algorithm 2's pruning verdict and the complete combinations that
-// Algorithm 3 (package assembly) expands into crossing matches. Closure
-// is that search; the Basic join of [18] is the same search over single
-// partial matches.
+// package assembly expands into crossing matches. Closure is that
+// search, in every mode: the Basic join of [18] is the same walk over one
+// singleton feature per partial match, with every pair proposed.
 package lec
 
 import (
@@ -95,45 +95,39 @@ type PruneResult struct {
 	Retained []bool
 	// Combos are the complete combinations themselves — every set of
 	// features whose LECSigns cover the query — in discovery order. They
-	// are what Algorithm 3 expands into crossing matches; empty unless
+	// are what assembly expands into crossing matches; empty unless
 	// Finished.
 	Combos Combos
 	// Finished reports that the walk ran to its end. One that was
-	// canceled or overflowed proves nothing: everything is retained and
-	// no combination is reported.
+	// canceled proves nothing: everything is retained and no combination
+	// is reported.
 	Finished bool
 	// Attempts counts the join steps tried, States the join states
 	// explored.
 	Attempts, States int
-	// Overflowed reports that the state cap was hit.
-	Overflowed bool
 }
-
-// MaxPruneStates caps the feature-join state space of the pruning stage.
-const MaxPruneStates = 1 << 20
 
 // Prune implements Algorithm 2 as the Closure over features: when a
 // combination's signs union to all-ones (Theorem 4), its members are
 // retained. Partial matches whose features are not retained can be
 // discarded before shipment (Theorem 3/4 guarantee no final match is
-// lost). Prune is the sequential, uncancellable Walk under
-// MaxPruneStates.
+// lost). Prune is the sequential, uncancellable Walk.
 func Prune(features []*Feature, q *query.Graph) PruneResult {
-	return Walk(features, q, nil, MaxPruneStates, nil)
+	return Walk(features, q, false, nil, nil)
 }
 
-// Walk is the one feature-level walk of the LEC path: Algorithm 2's
-// pruning verdict and the complete combinations Algorithm 3 expands come
-// out of the same Closure run. Root chunks fan out on p (nil walks
-// inline); maxStates caps the states materialized (0: no cap); cancel,
-// when non-nil, is polled by the walk. A walk that does not finish —
-// canceled, or past the cap — retains every feature (safe, just not
-// effective) and reports no combination.
-func Walk(features []*Feature, q *query.Graph, p *pool.Pool, maxStates int, cancel func() bool) PruneResult {
+// Walk is the one feature-level walk of every mode: Algorithm 2's pruning
+// verdict and the complete combinations assembly expands come out of the
+// same Closure run. allPairs proposes every pair instead of asking the
+// crossing-edge index (Closure.AllPairs: the Basic join); root chunks fan
+// out on p (nil walks inline); cancel, when non-nil, is polled by the
+// walk. A canceled walk retains every feature (safe, just not effective)
+// and reports no combination.
+func Walk(features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, cancel func() bool) PruneResult {
 	res := PruneResult{Retained: make([]bool, len(features))}
-	c := Closure[struct{}]{
-		Q: q, Items: make([]Item, len(features)), MaxStates: maxStates, Cancel: cancel, Pool: p,
-		Complete: func(members []int, _ struct{}) bool {
+	c := Closure{
+		Q: q, Items: make([]Item, len(features)), AllPairs: allPairs, Cancel: cancel, Pool: p,
+		Complete: func(members []int) bool {
 			for _, m := range members {
 				res.Retained[m] = true
 			}
@@ -151,6 +145,6 @@ func Walk(features []*Feature, q *query.Graph, p *pool.Pool, maxStates int, canc
 		}
 		res.Combos = Combos{}
 	}
-	res.Attempts, res.States, res.Overflowed = c.Attempts, c.States, c.Overflowed
+	res.Attempts, res.States = c.Attempts, c.States
 	return res
 }

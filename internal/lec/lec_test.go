@@ -203,7 +203,7 @@ func TestTheorem5(t *testing.T) {
 // the reference Joinable accepts.
 func TestStepMatchesDefinition9(t *testing.T) {
 	ex, _, features, _ := paperFeatures(t)
-	c := Closure[struct{}]{Q: ex.Query}
+	c := Closure{Q: ex.Query}
 	for _, f := range features {
 		c.Items = append(c.Items, Item{Sign: f.Sign, Mappings: f.Mappings})
 	}
@@ -215,7 +215,7 @@ func TestStepMatchesDefinition9(t *testing.T) {
 				t.Fatalf("feature %d contradicts itself", i)
 			}
 			s := w.next
-			w.next = state[struct{}]{}
+			w.next = state{}
 			if got, want := w.step(&s, j), Joinable(a, b); got != want {
 				t.Errorf("step(%d, %d) = %v, Definition 9 says %v", i, j, got, want)
 			}
@@ -229,9 +229,6 @@ func TestStepMatchesDefinition9(t *testing.T) {
 func TestPrunePaperExample(t *testing.T) {
 	ex, pms, features, featureOf := paperFeatures(t)
 	res := Prune(features, ex.Query)
-	if res.Overflowed {
-		t.Fatal("prune overflowed on 7 features")
-	}
 	rev := make(map[rdf.TermID]int)
 	for n, id := range ex.V {
 		rev[id] = n
@@ -310,7 +307,7 @@ func chainFeatures(k int) ([]*Feature, *query.Graph) {
 func TestPruneCancel(t *testing.T) {
 	features, q := chainFeatures(50)
 	full := Prune(features, q)
-	if full.States < 10000 || full.Overflowed {
+	if full.States < 10000 {
 		t.Fatalf("closure too small to test cancellation: %+v", full.States)
 	}
 	for i, r := range full.Retained {
@@ -319,7 +316,7 @@ func TestPruneCancel(t *testing.T) {
 		}
 	}
 	polls := 0
-	got := Walk(features, q, nil, MaxPruneStates, func() bool { polls++; return polls == 2 })
+	got := Walk(features, q, false, nil, func() bool { polls++; return polls == 2 })
 	if polls != 2 || got.States*10 >= full.States {
 		t.Errorf("canceled on poll 2 of %d: walked %d of %d states", polls, got.States, full.States)
 	}
@@ -357,37 +354,25 @@ func TestFeatureBytes(t *testing.T) {
 
 // TestWalkWidthInvariance: chunking roots over a pool changes nothing a
 // caller can see — verdicts, counters and the combinations in their
-// sequential order — and an unfinished pooled walk (canceled, or past its
-// cap at any chunk or in the sum) still retains everything and reports no
-// combination.
+// sequential order — and a canceled pooled walk still retains everything
+// and reports no combination.
 func TestWalkWidthInvariance(t *testing.T) {
 	features, q := chainFeatures(12)
 	features = append(features, &Feature{Frag: 9, Sign: 1, Mappings: []partial.CrossEdge{{QEdge: 0, S: 7, O: 8}}}) // joins nothing: pruned
-	seq := Walk(features, q, nil, 0, nil)
+	seq := Walk(features, q, false, nil, nil)
 	if !seq.Finished || seq.Combos.Len() == 0 || seq.Retained[len(features)-1] {
 		t.Fatalf("sequential oracle: finished %v, %d combinations, stray retained %v", seq.Finished, seq.Combos.Len(), seq.Retained[len(features)-1])
 	}
 	for _, width := range []int{2, 3, 8} {
 		p := pool.New(width)
-		if got := Walk(features, q, p, 0, nil); !reflect.DeepEqual(got, seq) {
+		if got := Walk(features, q, false, p, nil); !reflect.DeepEqual(got, seq) {
 			t.Errorf("width %d: attempts %d states %d combos %d, sequential %d %d %d", width,
 				got.Attempts, got.States, got.Combos.Len(), seq.Attempts, seq.States, seq.Combos.Len())
 		}
-		for name, got := range map[string]PruneResult{
-			"canceled":   Walk(features, q, p, 0, func() bool { return true }),
-			"capped":     Walk(features, q, p, seq.States-1, nil),
-			"capped low": Walk(features, q, p, 3, nil),
-		} {
-			if got.Finished || got.Combos.Len() != 0 || slices.Contains(got.Retained, false) {
-				t.Errorf("width %d %s: finished %v, %d combinations, something pruned %v", width, name,
-					got.Finished, got.Combos.Len(), slices.Contains(got.Retained, false))
-			}
-			if wantOverflow := name != "canceled"; got.Overflowed != wantOverflow {
-				t.Errorf("width %d %s: Overflowed = %v", width, name, got.Overflowed)
-			}
-		}
-		if got := Walk(features, q, p, seq.States, nil); !got.Finished || got.Overflowed {
-			t.Errorf("width %d: a cap of exactly the closure's %d states overflowed", width, seq.States)
+		got := Walk(features, q, false, p, func() bool { return true })
+		if got.Finished || got.Combos.Len() != 0 || slices.Contains(got.Retained, false) {
+			t.Errorf("width %d canceled: finished %v, %d combinations, something pruned %v", width,
+				got.Finished, got.Combos.Len(), slices.Contains(got.Retained, false))
 		}
 	}
 }
@@ -446,8 +431,8 @@ func FuzzClosureIndex(f *testing.F) {
 		}
 		walk := func(allPairs bool, p *pool.Pool) map[string]bool {
 			sets := map[string]bool{}
-			c := Closure[struct{}]{Q: q, Items: items, AllPairs: allPairs, Pool: p,
-				Complete: func(members []int, _ struct{}) bool {
+			c := Closure{Q: q, Items: items, AllPairs: allPairs, Pool: p,
+				Complete: func(members []int) bool {
 					if sets[fmt.Sprint(members)] {
 						t.Errorf("member set %v completed twice", members)
 					}
@@ -455,7 +440,7 @@ func FuzzClosureIndex(f *testing.F) {
 					return true
 				}}
 			if !c.Run() {
-				t.Fatal("uncapped, uncanceled walk did not finish")
+				t.Fatal("uncanceled walk did not finish")
 			}
 			return sets
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -233,10 +234,37 @@ func TestUpdateDeleteRemovesAllInstances(t *testing.T) {
 	if db.NumTriples() != 1 {
 		t.Errorf("NumTriples = %d, want 1 (both instances gone)", db.NumTriples())
 	}
-	if len(db.Graph.Triples) != 1 {
-		t.Errorf("Graph.Triples = %v, want the b-p-c triple only", db.Graph.Triples)
+	if ts := db.Distributed().Global.Triples(); len(ts) != 1 {
+		t.Errorf("stored triples = %v, want the b-p-c triple only", ts)
 	}
 	checkDBInvariants(t, db)
+}
+
+// TestUpdateLeavesCallerGraph: the graph passed to Open belongs to the
+// caller; updates change the database, never that graph's triples.
+func TestUpdateLeavesCallerGraph(t *testing.T) {
+	g := NewGraph()
+	g.AddIRIs("http://ex/a", "http://ex/p", "http://ex/b")
+	g.AddIRIs("http://ex/b", "http://ex/p", "http://ex/c")
+	before := slices.Clone(g.Triples)
+	db, err := Open(g, Config{Sites: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []string{
+		`INSERT DATA { <http://ex/c> <http://ex/p> <http://ex/d> }`,
+		`DELETE DATA { <http://ex/a> <http://ex/p> <http://ex/b> }`,
+	} {
+		if _, err := db.Update(context.Background(), u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db.NumTriples() != 2 {
+		t.Errorf("NumTriples = %d, want 2", db.NumTriples())
+	}
+	if !slices.Equal(g.Triples, before) {
+		t.Errorf("caller's graph = %v, want %v untouched", g.Triples, before)
+	}
 }
 
 // TestUpdatePinsGeneration is the acceptance-criteria pin: an execution

@@ -560,8 +560,9 @@ func TestWorkerModeUpdatesShipDeltas(t *testing.T) {
 		for i := 1 + rng.Intn(4); i > 0; i-- {
 			ins = append(ins, fmt.Sprintf("%s <http://ex.org/p%d> %s .", node(), rng.Intn(3), node()))
 		}
+		live := local.Distributed().Global.Triples()
 		for i := rng.Intn(4); i > 0; i-- {
-			tr := local.Graph.Triples[rng.Intn(len(local.Graph.Triples))]
+			tr := live[rng.Intn(len(live))]
 			d := local.Graph.Dict
 			del = append(del, fmt.Sprintf("%s %s %s .", d.MustDecode(tr.S), d.MustDecode(tr.P), d.MustDecode(tr.O)))
 		}
