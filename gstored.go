@@ -451,14 +451,16 @@ type UpdateStats struct {
 // nothing and keeps the current epoch, so caches stay warm.
 //
 // Cost: index work is proportional to the delta — the global store and
-// each touched fragment copy only the adjacency shards it names and
-// splice only the adjacency it names (the previous generation keeps its
-// own and stays immutable) — plus, per touched fragment, a copy of its
-// vertex set and crossing list. In worker mode each touched site
-// receives only its share of the delta and patches its resident
-// fragment with the same Fragment.Apply, and the sites install
-// concurrently. Updates are cheap next to a repartition, not next to a
-// point write; batch them for throughput.
+// each touched fragment copy only the adjacency shards it names, splice
+// only the adjacency it names and move their cardinality tables by it,
+// and each touched fragment copies only the pages of its V_i bitset it
+// writes (the previous generation keeps its own and stays immutable).
+// What still grows with the data: per touched fragment a copy of its
+// crossing list, a copy of each named predicate's triple list, and one
+// copy of the sorted vertex list when a vertex appears or vanishes. In
+// worker mode each touched site receives only its share of the delta
+// and patches its resident fragment with the same Fragment.Apply, and
+// the sites install concurrently. Batch updates for throughput.
 func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error) {
 	u, err := sparql.ParseUpdate(updateText)
 	if err != nil {

@@ -2,7 +2,6 @@ package fragment
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -126,16 +125,20 @@ func (d *Distributed) ApplyDelta(newGlobal *store.Store, a *partition.Assignment
 //
 // The delta may come off the wire, so it is checked against f first,
 // and a delta that fails leaves no trace: Owned must strictly increase,
-// every triple must have an owned endpoint, and an endpoint f already
-// holds must be owned exactly when it is internal to f.
+// every triple must have an owned endpoint, an owned vertex f already
+// holds must be internal to f, and an endpoint internal to f must be
+// owned.
 func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
 	owns := func(v rdf.TermID) bool {
 		_, ok := slices.BinarySearch(d.Owned, v)
 		return ok
 	}
-	for i := 1; i < len(d.Owned); i++ {
-		if d.Owned[i] <= d.Owned[i-1] {
-			return nil, fmt.Errorf("fragment %d: delta's owned vertices do not strictly increase at %d", f.ID, d.Owned[i])
+	for i, v := range d.Owned {
+		if i > 0 && v <= d.Owned[i-1] {
+			return nil, fmt.Errorf("fragment %d: delta's owned vertices do not strictly increase at %d", f.ID, v)
+		}
+		if f.IsExtended(v) {
+			return nil, fmt.Errorf("fragment %d: delta owns vertex %d, which the fragment holds as extended", f.ID, v)
 		}
 	}
 	for _, batch := range [2][]rdf.Triple{d.Inserted, d.Deleted} {
@@ -144,8 +147,8 @@ func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
 				return nil, fmt.Errorf("fragment %d: delta edge %v has no owned endpoint", f.ID, t)
 			}
 			for _, v := range [2]rdf.TermID{t.S, t.O} {
-				if f.Store.HasVertex(v) && owns(v) != f.internal[v] {
-					return nil, fmt.Errorf("fragment %d: delta says vertex %d is owned=%v, the fragment holds it internal=%v", f.ID, v, owns(v), f.internal[v])
+				if f.IsInternal(v) && !owns(v) {
+					return nil, fmt.Errorf("fragment %d: delta disowns vertex %d, which is internal to the fragment", f.ID, v)
 				}
 			}
 		}
@@ -154,10 +157,14 @@ func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
 	next := &Fragment{
 		ID:               f.ID,
 		Store:            f.Store.Apply(d.Inserted, d.Deleted),
-		internal:         maps.Clone(f.internal),
 		Crossing:         slices.Clone(f.Crossing),
 		NumInternalEdges: f.NumInternalEdges,
 	}
+	// V_i follows the owned vertices (one the delta does not name cannot
+	// have appeared or vanished). Every edge of an owned vertex lives in
+	// this fragment, so it is internal exactly when the new local store
+	// still holds it.
+	next.internal = f.internal.with(d.Owned, next.Store.HasVertex)
 	// count is how many instances of t enter (n > 0) or leave (n < 0).
 	count := func(t rdf.Triple, n int) {
 		if owns(t.S) && owns(t.O) {
@@ -171,28 +178,15 @@ func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
 			next.Crossing = slices.Insert(next.Crossing, at, t)
 		}
 	}
-	// V_i follows the delta's endpoints (a vertex it does not name cannot
-	// have appeared or vanished). Every edge of an owned vertex lives in
-	// this fragment, so the new local store says which of them remain.
 	dropped := make(map[rdf.Triple]bool, len(d.Deleted))
 	for _, t := range d.Deleted {
 		if n := f.Store.CountTriples(t.S, t.P, t.O); n > 0 && !dropped[t] {
 			dropped[t] = true
 			count(t, -n)
 		}
-		for _, v := range [2]rdf.TermID{t.S, t.O} {
-			if owns(v) && !next.Store.HasVertex(v) {
-				delete(next.internal, v)
-			}
-		}
 	}
 	for _, t := range d.Inserted {
 		count(t, 1)
-		for _, v := range [2]rdf.TermID{t.S, t.O} {
-			if owns(v) {
-				next.internal[v] = true
-			}
-		}
 	}
 	return next, nil
 }

@@ -284,6 +284,7 @@ func TestApplyRejectsHostileDelta(t *testing.T) {
 		{"edge with no owned endpoint", Delta{Deleted: []rdf.Triple{mk("b1", "q", "b2")}, Owned: []rdf.TermID{id("a1")}}},
 		{"owns a vertex the base holds as extended", Delta{Inserted: []rdf.Triple{mk("a1", "q", "b1")}, Owned: sorted(id("a1"), id("b1"))}},
 		{"disowns a vertex internal to the base", Delta{Inserted: []rdf.Triple{mk("a1", "q", "a2")}, Owned: []rdf.TermID{id("a2")}}},
+		{"owns an extended vertex no edge names", Delta{Inserted: []rdf.Triple{mk("a1", "q", "a2")}, Owned: sorted(id("a1"), id("a2"), id("b1"))}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if f, err := base.Apply(&tc.delta); err == nil {

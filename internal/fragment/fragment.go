@@ -6,7 +6,6 @@ package fragment
 
 import (
 	"fmt"
-	"slices"
 
 	"gstored/internal/partition"
 	"gstored/internal/rdf"
@@ -24,9 +23,10 @@ type Fragment struct {
 	// Store indexes E_i ∪ E_i^c.
 	Store *store.Store
 
-	// internal is V_i. V_i^e is not stored: it is every other vertex of
-	// Store (see IsExtended).
-	internal map[rdf.TermID]bool
+	// internal is V_i, a paged bitset over term IDs shared page by page
+	// with the generation Apply patched this one from. V_i^e is not
+	// stored: it is every other vertex of Store (see IsExtended).
+	internal vertexSet
 
 	// Crossing lists E_i^c, the crossing-edge replicas stored at this
 	// fragment, in (S,P,O) order, one entry per edge instance.
@@ -41,13 +41,13 @@ type Fragment struct {
 // both endpoints in V_i is internal, one with exactly one is a crossing
 // replica; an edge with neither, an edge out of order and an internal
 // vertex with no edge are errors (the inputs may come off the wire).
-func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal map[rdf.TermID]bool) (*Fragment, error) {
+func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal vertexSet) (*Fragment, error) {
 	f := &Fragment{ID: id, internal: internal}
 	for i, t := range triples {
 		if i > 0 && t.Less(triples[i-1]) {
 			return nil, fmt.Errorf("fragment %d: edge %v out of (S,P,O) order", id, t)
 		}
-		switch s, o := internal[t.S], internal[t.O]; {
+		switch s, o := internal.has(t.S), internal.has(t.O); {
 		case s && o:
 			f.NumInternalEdges++
 		case s || o:
@@ -57,7 +57,7 @@ func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal ma
 		}
 	}
 	f.Store = store.New(dict, triples)
-	for v := range internal {
+	for _, v := range internal.members() {
 		if !f.Store.HasVertex(v) {
 			return nil, fmt.Errorf("fragment %d: internal vertex %d has no edge", id, v)
 		}
@@ -66,33 +66,26 @@ func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal ma
 }
 
 // IsInternal reports whether v ∈ V_i.
-func (f *Fragment) IsInternal(v rdf.TermID) bool { return f.internal[v] }
+func (f *Fragment) IsInternal(v rdf.TermID) bool { return f.internal.has(v) }
 
 // IsExtended reports whether v ∈ V_i^e: a vertex of the fragment that
 // is not internal is the far endpoint of a crossing edge.
-func (f *Fragment) IsExtended(v rdf.TermID) bool { return !f.internal[v] && f.Store.HasVertex(v) }
+func (f *Fragment) IsExtended(v rdf.TermID) bool { return !f.internal.has(v) && f.Store.HasVertex(v) }
 
 // NumInternal returns |V_i|.
-func (f *Fragment) NumInternal() int { return len(f.internal) }
+func (f *Fragment) NumInternal() int { return f.internal.n }
 
 // NumExtended returns |V_i^e|.
-func (f *Fragment) NumExtended() int { return f.Store.NumVertices() - len(f.internal) }
+func (f *Fragment) NumExtended() int { return f.Store.NumVertices() - f.internal.n }
 
 // InternalVertices returns V_i in ascending ID order.
-func (f *Fragment) InternalVertices() []rdf.TermID {
-	out := make([]rdf.TermID, 0, len(f.internal))
-	for v := range f.internal {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
+func (f *Fragment) InternalVertices() []rdf.TermID { return f.internal.members() }
 
 // IsCrossing reports whether an edge with endpoints s and o is a crossing
 // edge of this fragment: exactly one endpoint is internal (edges between
 // two extended vertices are never stored, per Definition 1).
 func (f *Fragment) IsCrossing(s, o rdf.TermID) bool {
-	return f.internal[s] != f.internal[o]
+	return f.internal.has(s) != f.internal.has(o)
 }
 
 // Distributed is the full distributed RDF graph: all fragments plus the
@@ -116,14 +109,11 @@ func Build(st *store.Store, a *partition.Assignment) (*Distributed, error) {
 	// One pass in (S,P,O) order buckets every edge at the fragments owning
 	// its endpoints — a crossing edge at both (Def. 1 items 3-4) — so each
 	// bucket arrives in the order newFragment wants.
-	internal := make([]map[rdf.TermID]bool, a.K)
+	internal := make([]vertexSet, a.K)
 	triples := make([][]rdf.Triple, a.K)
-	for i := range internal {
-		internal[i] = make(map[rdf.TermID]bool)
-	}
 	for _, s := range st.Vertices() {
 		fs := a.FragmentOf(s)
-		internal[fs][s] = true
+		internal[fs].add(s)
 		for _, he := range st.Out(s) {
 			t := rdf.Triple{S: s, P: he.P, O: he.V}
 			triples[fs] = append(triples[fs], t)
@@ -166,7 +156,7 @@ func BuildWith(st *store.Store, strat partition.Strategy, k int) (*Distributed, 
 func (d *Distributed) CheckInvariants() error {
 	seen := make(map[rdf.TermID]int)
 	for _, f := range d.Fragments {
-		for v := range f.internal {
+		for _, v := range f.InternalVertices() {
 			if prev, dup := seen[v]; dup {
 				return fmt.Errorf("fragment: vertex %d internal to both %d and %d", v, prev, f.ID)
 			}

@@ -28,7 +28,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 
 	t.Run("double ownership", func(t *testing.T) {
 		ex, d := fresh()
-		d.Fragments[1].internal[ex.V[1]] = true // 001 belongs to F1
+		d.Fragments[1].internal.add(ex.V[1]) // 001 belongs to F1
 		if err := d.CheckInvariants(); err == nil {
 			t.Error("duplicate internal vertex not detected")
 		}
@@ -36,7 +36,8 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 
 	t.Run("orphan vertex", func(t *testing.T) {
 		ex, d := fresh()
-		delete(d.Fragments[0].internal, ex.V[1])
+		f := d.Fragments[0]
+		f.internal = f.internal.with([]rdf.TermID{ex.V[1]}, func(rdf.TermID) bool { return false })
 		if err := d.CheckInvariants(); err == nil {
 			t.Error("unowned vertex not detected")
 		}
@@ -46,7 +47,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		ex, d := fresh()
 		// V_i^e is derived as the store's vertices beyond V_i, so a V_i
 		// entry the store does not hold would miscount it.
-		d.Fragments[0].internal[ex.Graph.Dict.EncodeIRI("http://ex/ghost")] = true
+		d.Fragments[0].internal.add(ex.Graph.Dict.EncodeIRI("http://ex/ghost"))
 		if err := d.CheckInvariants(); err == nil {
 			t.Error("internal vertex with no edge in the fragment not detected")
 		}

@@ -30,9 +30,9 @@ func (f *Fragment) Payload() *Payload {
 // receiver's own (typically empty at a worker — local evaluation is pure
 // TermID matching); it is not validated against the payload.
 func FromPayload(p *Payload, dict *rdf.Dictionary) (*Fragment, error) {
-	internal := make(map[rdf.TermID]bool, len(p.Internal))
+	var internal vertexSet
 	for _, v := range p.Internal {
-		internal[v] = true
+		internal.add(v)
 	}
 	return newFragment(p.ID, dict, p.Triples, internal)
 }

@@ -1,7 +1,9 @@
 package fragment
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gstored/internal/paperexample"
@@ -59,5 +61,34 @@ func TestFromPayloadRejectsMalformedInput(t *testing.T) {
 	}
 	if _, err := FromPayload(&Payload{}, rdf.NewDictionary()); err != nil {
 		t.Errorf("the empty fragment is legal (more sites than vertices): %v", err)
+	}
+}
+
+// TestFarVertexIDIsCheap: FromPayload and Apply take vertex IDs off the
+// wire, so a payload or a delta naming vertex 2³²−1 must cost V_i a page
+// directory, not a bit for every ID below it.
+func TestFarVertexIDIsCheap(t *testing.T) {
+	const far = rdf.TermID(math.MaxUint32)
+	g, d, _ := deltaFixture(t)
+	a1 := g.Dict.EncodeIRI("a1")
+	p := Payload{Triples: []rdf.Triple{{S: 1, P: 9, O: far}}, Internal: []rdf.TermID{1, far}}
+	delta := Delta{Inserted: []rdf.Triple{{S: a1, P: g.Dict.EncodeIRI("p"), O: far}}, Owned: []rdf.TermID{a1, far}}
+	for name, build := range map[string]func() (*Fragment, error){
+		"payload": func() (*Fragment, error) { return FromPayload(&p, rdf.NewDictionary()) },
+		"delta":   func() (*Fragment, error) { return d.Fragments[0].Apply(&delta) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := build()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !f.IsInternal(far) {
+			t.Errorf("%s: vertex %d is not internal", name, far)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+			t.Errorf("%s naming vertex %d allocated %d bytes, want < 16 MiB", name, far, alloc)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package partition
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sort"
 	"strings"
 
@@ -16,12 +17,18 @@ import (
 )
 
 // Assignment is a vertex-disjoint partitioning: every vertex of the graph
-// is mapped to exactly one of K fragments.
+// is mapped to exactly one of K fragments. Read it through Lookup or
+// FragmentOf: Frag alone misses the vertices updates placed.
 type Assignment struct {
-	K    int
+	K int
+	// Frag is the strategy's placement.
 	Frag map[rdf.TermID]int
 	// StrategyName records which strategy produced the assignment.
 	StrategyName string
+
+	// placed holds the vertices WithVertices placed after the strategy
+	// ran, so that placing one copies this overlay and shares Frag.
+	placed map[rdf.TermID]int
 }
 
 // FragmentOf returns the fragment owning v. Vertices the assignment
@@ -32,10 +39,8 @@ type Assignment struct {
 // before an assignment ever routes live traffic, so inside a built
 // Distributed the fallback is unreachable.
 func (a *Assignment) FragmentOf(v rdf.TermID) int {
-	if f, ok := a.Frag[v]; ok {
-		return f
-	}
-	return 0
+	f, _ := a.Lookup(v)
+	return f
 }
 
 // Lookup returns the fragment owning v and whether the assignment
@@ -43,7 +48,10 @@ func (a *Assignment) FragmentOf(v rdf.TermID) int {
 // routing traffic across a repartition boundary must treat !ok as "this
 // assignment does not know the vertex", not as fragment 0.
 func (a *Assignment) Lookup(v rdf.TermID) (int, bool) {
-	f, ok := a.Frag[v]
+	if f, ok := a.Frag[v]; ok {
+		return f, true
+	}
+	f, ok := a.placed[v]
 	return f, ok
 }
 
@@ -51,9 +59,11 @@ func (a *Assignment) Lookup(v rdf.TermID) (int, bool) {
 // each vertex the assignment does not already know by hashing its
 // lexical form modulo K — the Hash strategy's rule, applied pointwise.
 // Vertices already covered keep their fragment. When every vertex is
-// already covered the receiver is returned unchanged; otherwise the Frag
-// map is copied, so concurrent readers of the original assignment (an
-// older cluster generation mid-query) are never raced.
+// already covered the receiver is returned unchanged; otherwise the new
+// assignment shares Frag and copies the overlay of vertices placed this
+// way, so concurrent readers of the original assignment (an older
+// cluster generation mid-query) are never raced, and a write pays for
+// the vertices updates placed, not for the graph.
 //
 // This is the incremental placement rule of the update path: a strategy-
 // faithful placement (e.g. re-running semantic hashing around the new
@@ -62,19 +72,17 @@ func (a *Assignment) Lookup(v rdf.TermID) (int, bool) {
 func (a *Assignment) WithVertices(dict *rdf.Dictionary, vs []rdf.TermID) *Assignment {
 	var fresh []rdf.TermID
 	for _, v := range vs {
-		if _, ok := a.Frag[v]; !ok {
+		if _, ok := a.Lookup(v); !ok {
 			fresh = append(fresh, v)
 		}
 	}
 	if len(fresh) == 0 {
 		return a
 	}
-	next := &Assignment{K: a.K, StrategyName: a.StrategyName, Frag: make(map[rdf.TermID]int, len(a.Frag)+len(fresh))}
-	for v, f := range a.Frag {
-		next.Frag[v] = f
-	}
+	next := &Assignment{K: a.K, StrategyName: a.StrategyName, Frag: a.Frag, placed: make(map[rdf.TermID]int, len(a.placed)+len(fresh))}
+	maps.Copy(next.placed, a.placed)
 	for _, v := range fresh {
-		next.Frag[v] = int(hashString(dict.MustDecode(v).String()) % uint64(a.K))
+		next.placed[v] = int(hashString(dict.MustDecode(v).String()) % uint64(a.K))
 	}
 	return next
 }
@@ -86,7 +94,7 @@ func (a *Assignment) Validate(st *store.Store) error {
 		return fmt.Errorf("partition: K = %d", a.K)
 	}
 	for _, v := range st.Vertices() {
-		f, ok := a.Frag[v]
+		f, ok := a.Lookup(v)
 		if !ok {
 			return fmt.Errorf("partition: vertex %d unassigned", v)
 		}
@@ -306,8 +314,10 @@ func SelectBest(st *store.Store, k int, strategies ...Strategy) (*Assignment, ma
 // Balance summarizes vertex counts per fragment, for diagnostics.
 func Balance(a *Assignment) []int {
 	counts := make([]int, a.K)
-	for _, f := range a.Frag {
-		counts[f]++
+	for _, m := range [2]map[rdf.TermID]int{a.Frag, a.placed} {
+		for _, f := range m {
+			counts[f]++
+		}
 	}
 	return counts
 }

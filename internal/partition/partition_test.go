@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +147,50 @@ func TestHashPartitionCoversAndIsDeterministic(t *testing.T) {
 		if c == 0 {
 			t.Errorf("hash fragment %d is empty", f)
 		}
+	}
+}
+
+// TestWithVerticesPlacesInAnOverlay: vertices placed after the strategy
+// ran land in an overlay, so placing one shares the strategy's Frag map
+// instead of copying it; the receiver stays as it was, and Lookup,
+// Validate and Balance read both maps.
+func TestWithVerticesPlacesInAnOverlay(t *testing.T) {
+	g := clusteredGraph(3, 10)
+	st := store.FromGraph(g)
+	a, err := Hash{}.Partition(st, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := []rdf.TermID{g.Dict.EncodeIRI("http://new.example/x"), g.Dict.EncodeIRI("http://new.example/y")}
+	g.AddIRIs("http://new.example/x", "p", "http://new.example/y")
+	grown := store.FromGraph(g)
+	next := a.WithVertices(g.Dict, append(fresh, st.Vertices()[0]))
+	if a.WithVertices(g.Dict, st.Vertices()) != a || next.WithVertices(g.Dict, fresh) != next {
+		t.Error("WithVertices of covered vertices did not return the receiver")
+	}
+	if reflect.ValueOf(next.Frag).Pointer() != reflect.ValueOf(a.Frag).Pointer() {
+		t.Error("WithVertices copied the strategy's Frag map")
+	}
+	for _, v := range fresh {
+		if _, ok := a.Lookup(v); ok {
+			t.Errorf("WithVertices placed %d in the receiver", v)
+		}
+		if f, ok := next.Lookup(v); !ok || f != int(hashString(g.Dict.MustDecode(v).String())%4) {
+			t.Errorf("Lookup(%d) = %d, %v; want its hash placement", v, f, ok)
+		}
+	}
+	if err := a.Validate(grown); err == nil {
+		t.Error("the receiver validates over vertices it does not cover")
+	}
+	if err := next.Validate(grown); err != nil {
+		t.Error(err)
+	}
+	total := 0
+	for _, c := range Balance(next) {
+		total += c
+	}
+	if total != grown.NumVertices() {
+		t.Errorf("Balance counts %d vertices, want %d", total, grown.NumVertices())
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"maps"
+	"slices"
 	"sort"
 
 	"gstored/internal/rdf"
@@ -10,10 +11,13 @@ import (
 // Apply returns a new immutable Store reflecting st with every instance
 // of each triple in deleted removed and each triple in inserted added as
 // one instance. st itself is never modified — executions holding it keep
-// a consistent snapshot — and the cost is proportional to the delta: the
-// adjacency shards its endpoints fall in are copied (the rest are shared
-// with st) and only the adjacency actually touched is spliced. A delta
-// that adds or removes a vertex also copies the sorted vertex list.
+// a consistent snapshot — and the index work is proportional to the
+// delta: the adjacency shards its endpoints fall in are copied (the rest
+// are shared with st), only the adjacency actually touched is spliced,
+// and the cardinality table moves by the delta's own adjacency (Stats).
+// Beyond that, a delta that adds or removes a vertex splices it into one
+// copy of the sorted vertex list, and the byPred list of each predicate
+// the delta names is copied.
 //
 // Callers are expected to pass a set-semantics delta: inserted triples
 // not yet present and deleted triples that are (DB.Update normalizes its
@@ -78,54 +82,52 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 		next.byPred[t.P] = insertTriple(next.byPred[t.P], st.byPred[t.P], t)
 	}
 
-	// Cardinality table: recompute only the predicates the delta touched,
-	// mirroring the copy-on-write adjacency discipline above.
-	touchedPreds := make(map[rdf.TermID]bool, len(delSet)+len(inserted))
-	for t := range delSet {
-		touchedPreds[t.P] = true
-	}
-	for _, t := range inserted {
-		touchedPreds[t.P] = true
-	}
-	next.stats = st.stats.rebuild(touchedPreds, next.byPred)
+	next.stats = st.stats.apply(st, next, deleted, inserted)
 
-	// Vertex set: recompute only when the delta could have changed it —
-	// an inserted endpoint the old graph did not know, or a deleted
-	// endpoint left with no adjacency at all.
-	added := make(map[rdf.TermID]bool)
-	removed := make(map[rdf.TermID]bool)
+	// Vertex set: it changes only by an inserted endpoint the old graph
+	// did not know, or a deleted endpoint left with no adjacency at all
+	// (st.HasVertex: only a vertex st had can be removed from it).
+	var added, removed []rdf.TermID
 	for _, t := range inserted {
 		for _, v := range [2]rdf.TermID{t.S, t.O} {
 			if !st.HasVertex(v) {
-				added[v] = true
+				added = append(added, v)
 			}
 		}
 	}
 	for t := range delSet {
 		for _, v := range [2]rdf.TermID{t.S, t.O} {
-			// st.HasVertex guards the arithmetic below: only a vertex the
-			// old graph actually had can be "removed" from it.
-			if !added[v] && st.HasVertex(v) && len(next.out.of(v)) == 0 && len(next.in.of(v)) == 0 {
-				removed[v] = true
+			if st.HasVertex(v) && len(next.out.of(v)) == 0 && len(next.in.of(v)) == 0 {
+				removed = append(removed, v)
 			}
 		}
 	}
-	if len(added) == 0 && len(removed) == 0 {
-		next.vertices = st.vertices
-		return next
+	next.vertices = st.vertices
+	if len(added) > 0 || len(removed) > 0 {
+		slices.Sort(added)
+		slices.Sort(removed)
+		next.vertices = splice(st.vertices, slices.Compact(added), slices.Compact(removed))
 	}
-	vs := make([]rdf.TermID, 0, len(st.vertices)+len(added)-len(removed))
-	for _, v := range st.vertices {
-		if !removed[v] {
-			vs = append(vs, v)
+	return next
+}
+
+// splice returns sorted vs with the sorted IDs of add put in and those of
+// del taken out, in one copy: add must hold no member of vs and del only
+// members. Each edit costs a binary search, not a comparison per vertex.
+func splice(vs, add, del []rdf.TermID) []rdf.TermID {
+	out := make([]rdf.TermID, 0, len(vs)+len(add)-len(del))
+	for len(add) > 0 || len(del) > 0 {
+		if len(del) == 0 || (len(add) > 0 && add[0] < del[0]) {
+			i, _ := slices.BinarySearch(vs, add[0])
+			out = append(append(out, vs[:i]...), add[0])
+			vs, add = vs[i:], add[1:]
+		} else {
+			i, _ := slices.BinarySearch(vs, del[0])
+			out = append(out, vs[:i]...)
+			vs, del = vs[i+1:], del[1:]
 		}
 	}
-	for v := range added {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	next.vertices = vs
-	return next
+	return append(out, vs...)
 }
 
 // dropHalfEdges returns adj without any instance equal to he, copying

@@ -13,7 +13,8 @@ import (
 
 // applyEquivalent asserts that st.Apply(inserted, deleted) indexes
 // exactly the same graph as a from-scratch New over the post-delta
-// multiset: same triples, vertices, sizes, and per-key adjacency.
+// multiset: same triples, vertices, sizes, per-key adjacency and
+// cardinality table — and that st still reads as New over base.
 func applyEquivalent(t *testing.T, dict *rdf.Dictionary, base []rdf.Triple, inserted, deleted []rdf.Triple) *Store {
 	t.Helper()
 	st := New(dict, base)
@@ -66,9 +67,15 @@ func applyEquivalent(t *testing.T, dict *rdf.Dictionary, base []rdf.Triple, inse
 			t.Errorf("TriplesWith(%d) = %v, want %v", p, got.TriplesWith(p), want.TriplesWith(p))
 		}
 	}
+	if !reflect.DeepEqual(got.Stats(), want.Stats()) {
+		t.Errorf("Stats = %+v, want %+v", *got.Stats(), *want.Stats())
+	}
 	// And the snapshot the delta was applied to must be untouched.
 	if st.Len() != len(base) {
 		t.Errorf("base store mutated: Len = %d, want %d", st.Len(), len(base))
+	}
+	if was := New(dict, base); !reflect.DeepEqual(st.Stats(), was.Stats()) || !reflect.DeepEqual(st.Vertices(), was.Vertices()) {
+		t.Errorf("base store mutated: Stats %+v, Vertices %v; want %+v, %v", *st.Stats(), st.Vertices(), *was.Stats(), was.Vertices())
 	}
 	return got
 }
@@ -105,6 +112,26 @@ func TestApplyMixed(t *testing.T) {
 	applyEquivalent(t, dict, base,
 		[]rdf.Triple{mk("e", "p", "b"), mk("d", "q", "a")},
 		[]rdf.Triple{mk("a", "p", "b"), mk("c", "q", "a")})
+}
+
+// TestApplyMovesStats covers the deltas whose cardinality bookkeeping
+// differs: a predicate appearing or vanishing, a duplicate instance, and
+// an insert and a delete sharing a subject (or an object) under one
+// predicate, whose presence moves cancel out.
+func TestApplyMovesStats(t *testing.T) {
+	dict, base, mk := applyTestData()
+	for _, tc := range []struct {
+		name              string
+		inserted, deleted []rdf.Triple
+	}{
+		{"creates a predicate", []rdf.Triple{mk("a", "r", "b"), mk("b", "r", "b")}, nil},
+		{"empties a predicate", nil, []rdf.Triple{mk("c", "q", "a"), mk("a", "q", "c")}},
+		{"inserts an instance of a present triple", []rdf.Triple{mk("a", "p", "b")}, nil},
+		{"an insert and a delete share (p, s)", []rdf.Triple{mk("a", "p", "d")}, []rdf.Triple{mk("a", "p", "b")}},
+		{"an insert and a delete share (p, o)", []rdf.Triple{mk("b", "q", "a")}, []rdf.Triple{mk("c", "q", "a")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { applyEquivalent(t, dict, base, tc.inserted, tc.deleted) })
+	}
 }
 
 func TestApplyDeleteAbsentIsNoop(t *testing.T) {
@@ -185,6 +212,9 @@ func TestApplyCopiesOnlyTouchedShards(t *testing.T) {
 		chained := st.Apply(inserted, deleted)
 		if !reflect.DeepEqual(chained.Triples(), next.Triples()) {
 			t.Fatalf("step %d: the chained store and a fresh one disagree after the same delta", step)
+		}
+		if !reflect.DeepEqual(chained.Stats(), next.Stats()) {
+			t.Fatalf("step %d: the chained store's statistics drifted from a fresh build's", step)
 		}
 		for i := range rdf.TermID(adjShards) {
 			if !touchedOut[i] && shardPtr(chained.out[i]) != shardPtr(st.out[i]) {

@@ -1,15 +1,17 @@
 package store
 
 import (
+	"maps"
+
 	"gstored/internal/rdf"
 )
 
-// Stats is the per-predicate cardinality table collected at build and
-// update time. Query compilation reads it to order edge expansion by
-// estimated selectivity (bound/small side first); it lives here rather
-// than in the query log because it describes the data itself — counts
-// must stay exact across updates and be available for predicates no
-// query has touched yet.
+// Stats is the per-predicate cardinality table. New computes it from the
+// triples (buildStats); Apply moves it with each delta (apply), at a
+// cost proportional to the delta, and the result equals buildStats of
+// the post-delta store. Query compilation reads it to order edge
+// expansion by estimated selectivity (bound/small side first); it
+// describes the data itself, so its counts stay exact across updates.
 type Stats struct {
 	preds   map[rdf.TermID]PredStat
 	triples int // distinct triples across all predicates
@@ -53,7 +55,8 @@ func (st *Store) Stats() *Stats { return st.stats }
 
 // predStatOf summarizes one deduplicated byPred list, which is sorted
 // by (S, P, O) — distinct subjects fall out of the run structure;
-// objects need a set.
+// objects need a set. It walks the whole list, so only buildStats uses
+// it.
 func predStatOf(ts []rdf.Triple) PredStat {
 	ps := PredStat{Count: len(ts)}
 	objs := make(map[rdf.TermID]struct{}, len(ts))
@@ -79,30 +82,52 @@ func buildStats(byPred map[rdf.TermID][]rdf.Triple) *Stats {
 	return s
 }
 
-// rebuild returns a new table with only the touched predicates
-// recomputed from byPred — the same copy-on-write discipline Apply
-// uses for adjacency, so update cost tracks the delta, not the graph.
-func (s *Stats) rebuild(touched map[rdf.TermID]bool, byPred map[rdf.TermID][]rdf.Triple) *Stats {
-	if s == nil || len(touched) == 0 {
-		if s == nil {
-			return buildStats(byPred)
-		}
-		return s
+// apply returns the table after the delta that took st to next, moving
+// each count with the delta instead of re-walking any predicate's list:
+// Count is read off next's byPred, and a subject (object) of a delta
+// triple moves Subjects (Objects) of its predicate by whether it has an
+// edge so labelled in next minus whether it had one in st. These are
+// presence tests, so duplicate instances, absent deletes and a triple on
+// both sides of the delta need no case of their own. A predicate whose
+// Count reaches 0 leaves the table.
+func (s *Stats) apply(st, next *Store, deleted, inserted []rdf.Triple) *Stats {
+	out := &Stats{preds: make(map[rdf.TermID]PredStat, s.NumPredicates()+1), triples: s.Triples()}
+	if s != nil {
+		maps.Copy(out.preds, s.preds)
 	}
-	next := &Stats{preds: make(map[rdf.TermID]PredStat, len(byPred)), triples: s.triples}
-	for p, ps := range s.preds {
-		next.preds[p] = ps
-	}
-	for p := range touched {
-		if old, ok := next.preds[p]; ok {
-			next.triples -= old.Count
-			delete(next.preds, p)
-		}
-		if ts := byPred[p]; len(ts) > 0 {
-			ps := predStatOf(ts)
-			next.preds[p] = ps
-			next.triples += ps.Count
+	type end struct{ p, v rdf.TermID }
+	subjects := make(map[end]bool, len(deleted)+len(inserted))
+	objects := make(map[end]bool, len(deleted)+len(inserted))
+	for _, batch := range [2][]rdf.Triple{deleted, inserted} {
+		for _, t := range batch {
+			subjects[end{t.P, t.S}] = true
+			objects[end{t.P, t.O}] = true
 		}
 	}
-	return next
+	for e := range subjects {
+		ps := out.preds[e.p]
+		n := len(next.byPred[e.p]) // a predicate's later visits move Count by 0
+		out.triples += n - ps.Count
+		ps.Count = n
+		ps.Subjects += presence(next.OutWith(e.v, e.p)) - presence(st.OutWith(e.v, e.p))
+		out.preds[e.p] = ps
+	}
+	for e := range objects {
+		ps := out.preds[e.p]
+		ps.Objects += presence(next.InWith(e.v, e.p)) - presence(st.InWith(e.v, e.p))
+		out.preds[e.p] = ps
+	}
+	for e := range subjects {
+		if out.preds[e.p].Count == 0 {
+			delete(out.preds, e.p)
+		}
+	}
+	return out
+}
+
+func presence(adj []HalfEdge) int {
+	if len(adj) == 0 {
+		return 0
+	}
+	return 1
 }

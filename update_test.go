@@ -450,3 +450,55 @@ func TestUpdateOnLUBM(t *testing.T) {
 		t.Errorf("inserted advisor rows = %d, want >= 8", len(got))
 	}
 }
+
+// BenchmarkUpdate times DB.Update on LUBM(32), hashed over 12 sites, with
+// an 8-triple delta shaped like the benchmark's update: a graduate
+// student and a professor with four edges each into LUBM's data. In
+// alternate the ops insert and delete the same delta in turn; in fresh
+// every op inserts new entities, so each write also places vertices the
+// assignment has never seen.
+func BenchmarkUpdate(b *testing.B) {
+	ds := GenerateLUBM(32)
+	delta := func(tag string) string {
+		ent := func(name string) string { return "<http://www.Department1.University5.edu/" + name + tag + ">" }
+		ub := func(p string) string { return "<http://swat.cse.lehigh.edu/onto/univ-bench.owl#" + p + ">" }
+		student, prof := ent("BenchStudent"), ent("BenchProfessor")
+		var body strings.Builder
+		for _, t := range [][3]string{
+			{student, ub("memberOf"), "<http://www.Department1.University5.edu/Department1>"},
+			{student, ub("name"), `"BenchStudent` + tag + `"`},
+			{student, ub("advisor"), "<http://www.Department1.University5.edu/FullProfessor0>"},
+			{student, ub("takesCourse"), "<http://www.Department1.University5.edu/Course0>"},
+			{prof, ub("worksFor"), "<http://www.Department2.University9.edu/Department2>"},
+			{prof, ub("name"), `"BenchProfessor` + tag + `"`},
+			{prof, ub("emailAddress"), `"bench` + tag + `@dept2.univ9.edu"`},
+			{prof, ub("researchInterest"), `"Research3"`},
+		} {
+			fmt.Fprintf(&body, "%s %s %s .\n", t[0], t[1], t[2])
+		}
+		return " DATA {\n" + body.String() + "}"
+	}
+	for _, name := range []string{"alternate", "fresh"} {
+		fresh := name == "fresh"
+		b.Run(name, func(b *testing.B) {
+			db, err := Open(ds.Graph, Config{Sites: 12})
+			if err != nil {
+				b.Fatal(err)
+			}
+			same := delta("")
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				op := "INSERT" + same
+				switch {
+				case fresh:
+					op = "INSERT" + delta(fmt.Sprint(i))
+				case i%2 == 1:
+					op = "DELETE" + same
+				}
+				if _, err := db.Update(context.Background(), op); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
