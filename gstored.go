@@ -30,6 +30,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gstored/internal/cluster"
 	"gstored/internal/engine"
@@ -185,9 +186,35 @@ type dbState struct {
 	sites    []cluster.Site
 	strategy string
 	epoch    uint64
+	// change is the Update that made this generation from the one before;
+	// nil when Open or a Repartition made it.
+	change *change
 }
 
 func (db *DB) load() *dbState { return db.state.Load() }
+
+// change is one committed Update: the global stores before and after it
+// and the net set-semantics delta between them. before shares every
+// adjacency shard the delta did not touch with after, so keeping it until
+// the next swap costs about the delta.
+type change struct {
+	before, after     *store.Store
+	inserted, deleted []rdf.Triple
+}
+
+// unchanged is the Unchanged test of c. A match in after that is not in
+// before must map a query edge onto an inserted triple, and a match lost
+// must map one onto a deleted triple, so when neither kind exists the
+// solution multisets are equal, and with them every answer DISTINCT,
+// LIMIT and OFFSET derive from it.
+func (c *change) unchanged(q *QueryGraph, deadline time.Time) bool {
+	stopped := false
+	stop := func() bool {
+		stopped = stopped || !time.Now().Before(deadline)
+		return stopped
+	}
+	return !c.after.Through(q, c.inserted, stop) && !c.before.Through(q, c.deleted, stop) && !stopped
+}
 
 // Strategies returns the three partitioning strategies of the paper.
 func Strategies() []partition.Strategy {
@@ -254,7 +281,7 @@ func Open(g *Graph, cfg Config) (*DB, error) {
 	// in-process the same path just builds the LocalSite handles.
 	// Open takes no context: the ship is bounded by the transport's own
 	// deadlines.
-	if err := db.publish(context.Background(), &dbState{}, dist, assign.StrategyName, nil); err != nil {
+	if err := db.publish(context.Background(), &dbState{}, dist, assign.StrategyName, nil, nil); err != nil {
 		if db.workers != nil {
 			_ = db.workers.Close() // already failing; connection cleanup is best-effort
 		}
@@ -267,13 +294,14 @@ func Open(g *Graph, cfg Config) (*DB, error) {
 // the first): the install at every site — of each fragment's share of the
 // delta, or of every fragment in full when deltas is nil — an engine
 // over the site handles it returns, then the one atomic store readers
-// load. On error nothing is stored. Writers hold swapMu.
-func (db *DB) publish(ctx context.Context, prev *dbState, dist *fragment.Distributed, strategy string, deltas []*fragment.Delta) error {
+// load. ch is the Update that made dist, nil for Open and Repartition. On
+// error nothing is stored. Writers hold swapMu.
+func (db *DB) publish(ctx context.Context, prev *dbState, dist *fragment.Distributed, strategy string, deltas []*fragment.Delta, ch *change) error {
 	sites, err := db.swapGenerations(ctx, prev.sites, dist, prev.epoch+1, deltas)
 	if err != nil {
 		return err
 	}
-	db.state.Store(&dbState{dist: dist, eng: engine.NewWithSites(dist, sites), sites: sites, strategy: strategy, epoch: prev.epoch + 1})
+	db.state.Store(&dbState{dist: dist, eng: engine.NewWithSites(dist, sites), sites: sites, strategy: strategy, epoch: prev.epoch + 1, change: ch})
 	return nil
 }
 
@@ -411,7 +439,7 @@ func (db *DB) Repartition(a *Assignment) error {
 	}
 	// A repartition rebuilds every fragment, so the install ships them
 	// all (nil deltas).
-	return db.publish(context.Background(), prev, dist, name, nil)
+	return db.publish(context.Background(), prev, dist, name, nil, nil)
 }
 
 // UpdateStats reports what one committed Update changed.
@@ -442,9 +470,10 @@ type UpdateStats struct {
 // Concurrent queries are never blocked and never see a half-applied
 // write: executions in flight when the swap lands finish against the
 // generation they pinned at start; executions starting after it see all
-// of it. Layers caching results must key on (or flush at) Epoch — the
-// HTTP serving layer does, which is what makes a cached pre-write
-// answer unreachable after the write.
+// of it. A result cached before the write may answer after it only when
+// EpochChange's test proves the write left it unchanged; the HTTP
+// serving layer re-stamps such entries to the new epoch and drops the
+// rest.
 //
 // Updates and Repartitions serialize on one internal mutex; an update
 // that changes nothing (all inserts present, all deletes absent) swaps
@@ -554,7 +583,8 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 	}
 	// Only the touched fragments' shares travel; every untouched site
 	// re-tags its resident fragment under the new epoch.
-	if err := db.publish(ctx, cur, newDist, cur.strategy, deltas); err != nil {
+	ch := &change{before: st, after: newStore, inserted: inserted, deleted: deleted}
+	if err := db.publish(ctx, cur, newDist, cur.strategy, deltas, ch); err != nil {
 		return UpdateStats{}, err
 	}
 
@@ -601,11 +631,29 @@ func (db *DB) PlanPartition(strategyName string, k int) (*Assignment, error) {
 
 // Epoch identifies the current cluster generation; Repartition and every
 // data-changing Update advance it. Results computed under different
-// epochs are not interchangeable — caches keyed on queries alone must
-// also key on (or flush at) the epoch. An answer can therefore never be
-// served across a write: the write made a new epoch, and the old epoch's
-// cache keys are unreachable.
+// epochs are not interchangeable unless EpochChange's test proves them
+// equal: a cache must stamp each entry with its epoch and serve it only
+// at that epoch.
 func (db *DB) Epoch() uint64 { return db.load().epoch }
+
+// Unchanged is the exact test of the Update that made an epoch: it
+// reports whether q's solution multiset is the same before and after the
+// Update. Each of its searches is anchored at the constants of q and of
+// one changed triple; once a search runs past deadline it gives up and
+// reports false.
+type Unchanged func(q *QueryGraph, deadline time.Time) bool
+
+// EpochChange returns the live epoch and, when an Update made that
+// generation from the one before, that Update's Unchanged test; the test
+// is nil when Open or a Repartition made it. Both come from one
+// generation load, so the test always belongs to the epoch returned.
+func (db *DB) EpochChange() (uint64, Unchanged) {
+	s := db.load()
+	if s.change == nil {
+		return s.epoch, nil
+	}
+	return s.epoch, s.change.unchanged
+}
 
 // Strategy reports the partitioning live now: StrategyName at Open,
 // then whatever Repartition last applied.

@@ -51,7 +51,7 @@ func (s *Server) handleRepartition(w http.ResponseWriter, r *http.Request) {
 	// lazily on their next arrival, but flushing here frees the dead
 	// generation's entries right away and makes the flush observable to
 	// the caller via gstored_cache_flushes_total.
-	s.syncEpoch()
+	s.syncEpoch(nil)
 	// One consistent snapshot: a racing swap must not tear the tuple
 	// (though it may report the racer's generation rather than ours).
 	strategy, k, epoch := s.db.ClusterInfo()

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"gstored"
 	"gstored/internal/engine"
 )
 
@@ -17,6 +18,9 @@ type CachedResult struct {
 	// Stats is the execution that populated the entry; served alongside
 	// hits so clients can still see the paper's per-stage numbers.
 	Stats engine.Stats
+	// Query is the compiled query the rows answer: revalidation asks the
+	// database whether an update changed its solutions.
+	Query *gstored.QueryGraph
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.
@@ -29,6 +33,11 @@ type CacheStats struct {
 // query (query.CanonicalKey), so textual variants — renamed variables,
 // reordered triple patterns — of the same query hit the same entry. It is
 // safe for concurrent use.
+//
+// Every entry is stamped with the cluster epoch its rows are valid at,
+// and Get hits only at that epoch. An epoch advance does not flush the
+// cache: Revalidate re-stamps the entries an update provably left
+// unchanged and drops the rest (see Server.syncEpoch).
 //
 // Admission is the caller's decision: the HTTP layer only Puts results at
 // or under Config.CacheMaxRows projected rows, streaming anything larger
@@ -45,8 +54,9 @@ type Cache struct {
 }
 
 type cacheItem struct {
-	key string
-	res *CachedResult
+	key   string
+	epoch uint64 // the epoch res is valid at
+	res   *CachedResult
 }
 
 // NewCache returns an LRU cache holding at most capacity entries.
@@ -62,19 +72,24 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Get returns the entry for key, marking it most recently used.
-func (c *Cache) Get(key string) (*CachedResult, bool) { return c.get(key, true) }
+// Get returns the entry for key valid at epoch, marking it most recently
+// used. An entry stamped with another epoch is a miss.
+func (c *Cache) Get(epoch uint64, key string) (*CachedResult, bool) {
+	return c.get(epoch, key, true)
+}
 
 // recheck is Get for the leader's post-join double-check: a hit counts
 // (and refreshes LRU) like any other, but a miss is not re-counted — the
 // request's original Get already recorded it.
-func (c *Cache) recheck(key string) (*CachedResult, bool) { return c.get(key, false) }
+func (c *Cache) recheck(epoch uint64, key string) (*CachedResult, bool) {
+	return c.get(epoch, key, false)
+}
 
-func (c *Cache) get(key string, countMiss bool) (*CachedResult, bool) {
+func (c *Cache) get(epoch uint64, key string, countMiss bool) (*CachedResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
-	if !ok {
+	if !ok || el.Value.(*cacheItem).epoch != epoch {
 		if countMiss {
 			c.misses++
 		}
@@ -85,25 +100,29 @@ func (c *Cache) get(key string, countMiss bool) (*CachedResult, bool) {
 	return el.Value.(*cacheItem).res, true
 }
 
-// Peek reports whether key is resident without counting a hit or miss
-// and without refreshing the entry's LRU position. The explain path uses
-// it to report the disposition a real request would have met while
-// leaving the cache's state and statistics untouched.
-func (c *Cache) Peek(key string) bool {
+// Peek reports whether Get(epoch, key) would hit, without counting a hit
+// or miss and without refreshing the entry's LRU position. The explain
+// path uses it to report the disposition a real request would have met
+// while leaving the cache's state and statistics untouched.
+func (c *Cache) Peek(epoch uint64, key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
+	el, ok := c.items[key]
+	return ok && el.Value.(*cacheItem).epoch == epoch
 }
 
-// Put stores res under key, evicting the least recently used entry when
-// the cache is full. Storing an existing key refreshes its entry.
-func (c *Cache) Put(key string, res *CachedResult) {
+// Put stores res under key as valid at epoch, evicting the least recently
+// used entry when the cache is full. Storing an existing key refreshes its
+// entry, unless that entry is stamped with a newer epoch: a flight that
+// began before a swap must not publish its answer over the new epoch's.
+func (c *Cache) Put(epoch uint64, key string, res *CachedResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheItem).res = res
-		c.ll.MoveToFront(el)
+		if it := el.Value.(*cacheItem); it.epoch <= epoch {
+			it.epoch, it.res = epoch, res
+			c.ll.MoveToFront(el)
+		}
 		return
 	}
 	if c.ll.Len() >= c.capacity {
@@ -114,13 +133,62 @@ func (c *Cache) Put(key string, res *CachedResult) {
 			c.evictions++
 		}
 	}
-	c.items[key] = c.ll.PushFront(&cacheItem{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&cacheItem{key: key, epoch: epoch, res: res})
+}
+
+// Revalidate moves the cache from epoch from to from+1. An entry stamped
+// from is re-stamped when keep reports its rows unchanged and dropped
+// otherwise; an entry stamped from+1 or later stays; any older one is
+// dropped. keep is called once per entry, in turn, without the lock, so
+// reads and Puts go on meanwhile; an entry a Put replaced while keep
+// judged it is dropped unless the Put stamped it from+1. Revalidate
+// returns how many entries keep kept and how many the move dropped.
+func (c *Cache) Revalidate(from uint64, keep func(*CachedResult) bool) (kept, dropped int) {
+	type judged struct {
+		it  *cacheItem
+		res *CachedResult
+	}
+	var due []judged
+	c.mu.Lock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if it := el.Value.(*cacheItem); it.epoch == from {
+			due = append(due, judged{it, it.res})
+		}
+	}
+	c.mu.Unlock()
+
+	var pass []judged
+	for _, j := range due {
+		if keep(j.res) {
+			pass = append(pass, j)
+		}
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, j := range pass {
+		if j.it.epoch == from && j.it.res == j.res {
+			j.it.epoch = from + 1
+			kept++
+		}
+	}
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if it := el.Value.(*cacheItem); it.epoch <= from {
+			c.ll.Remove(el)
+			delete(c.items, it.key)
+			dropped++
+		}
+		el = next
+	}
+	return kept, dropped
 }
 
 // Flush drops every resident entry, returning how many were dropped.
 // Hit/miss/eviction counters survive (a flush is not an eviction); the
-// serving layer flushes when the cluster epoch advances so stale
-// results free their memory instead of waiting out the LRU.
+// serving layer flushes when it cannot revalidate across an epoch
+// advance, so stale results free their memory instead of waiting out the
+// LRU.
 func (c *Cache) Flush() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

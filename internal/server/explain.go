@@ -265,14 +265,13 @@ func explainRequested(r *http.Request) bool {
 func (rq *request) explain() {
 	s := rq.s
 	cache := ExplainCache{Enabled: s.cache != nil, Disposition: "disabled", Cacheable: true}
-	key := cacheKey(rq.epoch, rq.key)
 	if s.cache != nil {
 		cache.Disposition = "miss"
-		if s.cache.Peek(key) {
+		if s.cache.Peek(rq.epoch, rq.key) {
 			cache.Disposition = "hit"
 		}
 	}
-	cache.SharedFlight = s.flights.pending(key)
+	cache.SharedFlight = s.flights.pending(flightKey(rq.epoch, rq.key))
 
 	delivery := "ordered"
 	if s.cfg.Unordered {

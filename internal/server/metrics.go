@@ -27,10 +27,13 @@ type Metrics struct {
 	CacheBypass       atomic.Int64 // results too large for the cache row cap, streamed uncached
 	EarlyStops        atomic.Int64 // unordered streaming executions cancelled once LIMIT was satisfied
 	Repartitions      atomic.Int64 // successful online partition hot-swaps
-	CacheFlushes      atomic.Int64 // result-cache flushes triggered by epoch advances
+	CacheFlushes      atomic.Int64 // whole result-cache flushes: epoch advances revalidation cannot cross
 	Updates           atomic.Int64 // SPARQL Update requests applied successfully
 	TriplesInserted   atomic.Int64 // triples added by updates (set semantics)
 	TriplesDeleted    atomic.Int64 // triples removed by updates (set semantics)
+	// CacheRevalidated counts the entries an update's revalidation kept
+	// (re-stamped to the new epoch) and dropped; indexed by revalidation.
+	CacheRevalidated [numRevalidations]atomic.Int64
 
 	// Engine aggregates across executed (non-cached) queries, mirroring
 	// the paper's Tables I–III columns; StageNanos is indexed by
@@ -73,6 +76,18 @@ const (
 )
 
 var outcomeNames = [numOutcomes]string{"hit", "miss", "coalesced", "stream", "explain", "error"}
+
+// revalidation labels what an update's revalidation did with one cache
+// entry.
+type revalidation int
+
+const (
+	revalidationKept    revalidation = iota // proved unchanged, re-stamped to the new epoch
+	revalidationDropped                     // changed, unproven within budget, or stale
+	numRevalidations
+)
+
+var revalidationNames = [numRevalidations]string{"kept", "dropped"}
 
 // Observe folds one completed engine execution into the aggregates.
 func (m *Metrics) Observe(s engine.Stats, wall time.Duration) {
@@ -134,6 +149,10 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	writeMetric(w, "gstored_cache_bypass_total", "Results streamed uncached because they exceeded the cache row cap.", "counter", m.CacheBypass.Load())
 	writeMetric(w, "gstored_cache_entries", "Result-cache resident entries.", "gauge", cache.Entries)
 	writeMetric(w, "gstored_cache_flushes_total", "Result-cache flushes triggered by cluster epoch advances.", "counter", m.CacheFlushes.Load())
+	fmt.Fprintf(w, "# HELP gstored_cache_revalidated_total Result-cache entries an update's exact delta test kept (re-stamped to the new epoch) or dropped.\n# TYPE gstored_cache_revalidated_total counter\n")
+	for i, name := range revalidationNames {
+		fmt.Fprintf(w, "gstored_cache_revalidated_total{outcome=%q} %d\n", name, m.CacheRevalidated[i].Load())
+	}
 
 	writeMetric(w, "gstored_repartitions_total", "Online partition hot-swaps applied.", "counter", m.Repartitions.Load())
 	writeMetric(w, "gstored_updates_total", "SPARQL Update requests applied successfully (no-op updates included).", "counter", m.Updates.Load())

@@ -455,6 +455,54 @@ func TestExplainEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExplainDispositionAcrossUpdate: EXPLAIN peeks at the entry valid at
+// the request's epoch. After an insert, a cached query the insert cannot
+// touch was re-stamped and reports "hit"; one it changed was dropped and
+// reports "miss". The explain that ran the revalidation shows its span,
+// in its trace and on its slow-log line.
+func TestExplainDispositionAcrossUpdate(t *testing.T) {
+	sink := &syncBuffer{}
+	_, ts := newTestServer(t, testDB(t), Config{Writable: true, SlowQueryLog: sink})
+	names := `SELECT ?x ?n WHERE { ?x <http://ex/name> ?n }`
+	getJSON(t, ts.URL, names)
+	getJSON(t, ts.URL, knowsChain)
+	// dave->carol gives knowsChain a second row and cannot touch names.
+	postUpdate(t, ts.URL, `INSERT DATA { <http://ex/dave> <http://ex/knows> <http://ex/carol> }`)
+	explain := func(q string) ExplainReport {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/sparql?explain=1&query=" + url.QueryEscape(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rep ExplainReport
+		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	kept, dropped := explain(names), explain(knowsChain)
+	if kept.Cache.Disposition != "hit" || dropped.Cache.Disposition != "miss" {
+		t.Errorf("dispositions after the insert: unrelated %q (want hit), changed %q (want miss)", kept.Cache.Disposition, dropped.Cache.Disposition)
+	}
+	spans := func(rep ExplainReport) (n int) {
+		for _, sp := range rep.Trace {
+			if sp.Stage == "revalidate" {
+				n++
+			}
+		}
+		return n
+	}
+	if spans(kept) != 1 || spans(dropped) != 0 {
+		t.Errorf("revalidate spans: %d on the revalidating explain (want 1), %d on the next (want 0)", spans(kept), spans(dropped))
+	}
+	// Two reads, then the two explains.
+	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
+	if len(lines) != 4 || !strings.Contains(lines[2], `"stage":"revalidate"`) || strings.Contains(lines[3], `"stage":"revalidate"`) {
+		t.Errorf("want the revalidate span on the third of four slow-log lines only:\n%s", sink.String())
+	}
+}
+
 // TestExplainStagesSumToShipment: every byte of an in-process report
 // belongs to a stage row or to the query broadcast. LQ7 under metis has
 // complete local matches beside its partial matches, so in LO mode the

@@ -16,10 +16,13 @@
 //	GET  /healthz            liveness probe with dataset summary
 //
 // /repartition hot-swaps the cluster via DB.Repartition while queries
-// keep serving. The result cache is epoch-versioned: cache and
-// singleflight keys embed the cluster epoch, and the resident cache is
-// flushed when the epoch advances, so a pre-swap result can never answer
-// a post-swap query.
+// keep serving. The result cache is epoch-versioned: every entry is
+// stamped with the cluster epoch its rows are valid at and answers only
+// at that epoch, and singleflight keys embed the epoch. When an update
+// advances the epoch, the entries it provably left unchanged are
+// re-stamped and the rest dropped; any other advance flushes the cache.
+// So a pre-swap result answers a post-swap query only when it is that
+// query's post-swap answer.
 //
 // Results are serialized as application/sparql-results+json (default) or
 // text/tab-separated-values, negotiated via the Accept header or a
@@ -79,7 +82,8 @@ type Config struct {
 	// application/sparql-update body (or an update= form field) applies
 	// INSERT DATA / DELETE DATA as an atomic generation swap with an
 	// epoch bump — the same mechanism /repartition uses, so the result
-	// cache and singleflight can never serve a pre-write answer. When
+	// cache and singleflight never serve a pre-write answer the write
+	// changed. When
 	// false (the default) update requests are refused with 403 and the
 	// database is never mutated.
 	Writable bool
@@ -278,16 +282,17 @@ func negotiate(r *http.Request) (contentType string, tsv bool) {
 }
 
 // key identifies a query up to variable renaming and triple order: the
-// canonical compiled query scoped by engine mode. The slow log reports
-// it, and cacheKey scopes it to one epoch.
+// canonical compiled query scoped by engine mode. It keys the cache and
+// the slow log; flightKey scopes it to one epoch.
 func (s *Server) key(q *gstored.QueryGraph) string {
 	return fmt.Sprintf("m%d|%s", s.db.Mode(), s.db.CanonicalQueryKey(q))
 }
 
-// cacheKey scopes a query key to one cluster generation: a result
-// computed on a pre-swap cluster must never answer a post-swap request,
-// and a flight started pre-swap publishes only under its own epoch.
-func cacheKey(epoch uint64, key string) string {
+// flightKey scopes a query key to one cluster generation: a request
+// admitted after a swap must not wait on a flight that started before
+// it. (The cache keys on the query key alone; its entries carry their
+// epoch.)
+func flightKey(epoch uint64, key string) string {
 	return fmt.Sprintf("e%d|%s", epoch, key)
 }
 
@@ -333,7 +338,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rq := &request{s: s, w: w, r: r, q: q, text: text, tr: tr, start: start, key: s.key(q), epoch: s.syncEpoch()}
+	rq := &request{s: s, w: w, r: r, q: q, text: text, tr: tr, start: start, key: s.key(q), epoch: s.syncEpoch(tr)}
 	rq.contentType, _ = negotiate(r)
 	switch {
 	case explain:
@@ -358,7 +363,7 @@ type request struct {
 	text        string
 	tr          *trace.Trace // nil when neither EXPLAIN nor the slow log will read it
 	start       time.Time
-	key         string // query key (Server.key), before cacheKey scopes it to the epoch
+	key         string // query key (Server.key): the cache key, and the flight key before flightKey scopes it
 	epoch       uint64 // cluster generation the request was admitted under
 	contentType string // negotiated result serialization
 }
@@ -455,14 +460,14 @@ func (rq *request) answer(rows RowSeq, state cacheState, o queryOutcome, stats *
 // recheck the cache → run the engine detached from the own client.
 func (rq *request) ordered() {
 	s := rq.s
-	key := cacheKey(rq.epoch, rq.key)
 	if s.cache != nil {
-		if hit, ok := s.cache.Get(key); ok {
+		if hit, ok := s.cache.Get(rq.epoch, rq.key); ok {
 			rq.answer(SliceSeq(hit.Rows), cacheHit, outcomeHit, &hit.Stats, len(hit.Rows))
 			return
 		}
 	}
 
+	key := flightKey(rq.epoch, rq.key)
 	fl, leader := s.flights.join(key)
 	if !leader {
 		// Singleflight: an identical query is already executing; wait for
@@ -492,7 +497,7 @@ func (rq *request) ordered() {
 	// retiring, and re-running the engine for a cached result would
 	// defeat the point of coalescing.
 	if s.cache != nil {
-		if hit, ok := s.cache.recheck(key); ok {
+		if hit, ok := s.cache.recheck(rq.epoch, rq.key); ok {
 			fl.rows = hit.Rows
 			s.flights.finish(key, fl)
 			rq.answer(SliceSeq(hit.Rows), cacheHit, outcomeHit, &hit.Stats, len(hit.Rows))
@@ -516,15 +521,16 @@ func (rq *request) ordered() {
 	rq.answer(res.EachProjected, state, outcomeMiss, &res.Stats, res.Len())
 }
 
-// lead runs the engine as the singleflight leader for key and publishes
-// the outcome: the cache entry first (when the result is small enough to
-// admit), then the flight itself, so a request arriving after the flight
-// retires either hits the cache or legitimately becomes the next leader.
+// lead runs the engine as the singleflight leader for flight key and
+// publishes the outcome: the cache entry first (when the result is small
+// enough to admit), stamped with the request's epoch, then the flight
+// itself, so a request arriving after the flight retires either hits the
+// cache or legitimately becomes the next leader.
 func (rq *request) lead(key string, fl *flight) (res *gstored.Result, err error) {
 	s := rq.s
 	defer func() {
 		if err == nil && s.cache != nil && s.cacheable(res) {
-			s.cache.Put(key, &CachedResult{Rows: res.Project(), Stats: res.Stats})
+			s.cache.Put(rq.epoch, rq.key, &CachedResult{Rows: res.Project(), Stats: res.Stats, Query: rq.q})
 		}
 		fl.res, fl.err = res, err
 		s.flights.finish(key, fl)
@@ -541,25 +547,46 @@ func (rq *request) lead(key string, fl *flight) (res *gstored.Result, err error)
 	})
 }
 
-// syncEpoch returns the current cluster epoch, flushing the result
-// cache (once) when the epoch advanced since the last sync. Correctness
-// does not depend on the flush — cache keys embed the epoch — but the
-// flush releases the dead generation's memory immediately instead of
-// waiting out the LRU.
-func (s *Server) syncEpoch() uint64 {
-	e := s.db.Epoch()
+// syncEpoch returns the current cluster epoch and brings the result
+// cache along when the epoch advanced since the last sync. The goroutine
+// whose CAS moves the server from last to the new epoch does it, once:
+// when one Update made the new epoch from last, the entries stamped last
+// that its exact test proves unchanged are re-stamped and the others
+// dropped (Cache.Revalidate), recorded on tr as a "revalidate" span; a
+// Repartition, or two or more generations since the last sync, flushes
+// everything. An entry's test must finish by the summed TotalTime of the
+// executions behind it and behind every entry judged before it, so
+// revalidating never costs more than re-running the entries, and a
+// scheduling stall in one cheap test is absorbed by the slack earlier
+// ones left instead of dropping its entry. Correctness depends on
+// neither: entries answer only at the epoch they carry.
+func (s *Server) syncEpoch(tr *trace.Trace) uint64 {
+	e, unchanged := s.db.EpochChange()
 	for {
 		last := s.epoch.Load()
 		if e <= last {
 			return e
 		}
-		if s.epoch.CompareAndSwap(last, e) {
-			if s.cache != nil {
-				s.cache.Flush()
-				s.metrics.CacheFlushes.Add(1)
-			}
-			return e
+		if !s.epoch.CompareAndSwap(last, e) {
+			continue
 		}
+		switch {
+		case s.cache == nil:
+		case e == last+1 && unchanged != nil:
+			from := time.Now()
+			deadline := from
+			kept, dropped := s.cache.Revalidate(last, func(r *CachedResult) bool {
+				deadline = deadline.Add(r.Stats.TotalTime)
+				return unchanged(r.Query, deadline)
+			})
+			tr.Span("revalidate", trace.Coordinator, from, time.Since(from))
+			s.metrics.CacheRevalidated[revalidationKept].Add(int64(kept))
+			s.metrics.CacheRevalidated[revalidationDropped].Add(int64(dropped))
+		default:
+			s.cache.Flush()
+			s.metrics.CacheFlushes.Add(1)
+		}
+		return e
 	}
 }
 

@@ -23,8 +23,9 @@ import (
 type SlowQueryRecord struct {
 	Time    string `json:"time"`
 	Outcome string `json:"outcome"`
-	// Key is the canonical query key (mode + canonicalized query), the
-	// same key the cache and singleflight scope to the epoch.
+	// Key is the canonical query key (mode + canonicalized query): the
+	// cache key, and the singleflight key before it is scoped to the
+	// epoch.
 	Key        string  `json:"key"`
 	Epoch      uint64  `json:"epoch"`
 	WallMillis float64 `json:"wall_ms"`

@@ -12,11 +12,13 @@ import (
 //
 // Correctness against the caching layers needs no work here beyond
 // calling DB.Update: a data-changing update commits as a new cluster
-// generation with a higher epoch, and every cache and singleflight key
-// embeds the epoch, so a result computed before the write can never
-// answer a request arriving after it. syncEpoch is called only to flush
-// the now-unreachable entries eagerly (and make the flush observable in
-// gstored_cache_flushes_total) — the same courtesy /repartition extends.
+// generation with a higher epoch, cache entries answer only at the epoch
+// they are stamped with, and singleflight keys embed the epoch, so a
+// result computed before the write answers a request arriving after it
+// only once revalidation has proved it unchanged. That revalidation runs
+// in the next read's syncEpoch, not here: it costs about 0.1 ms per 256
+// entries, which a read pays once per update but which would be most of
+// a small update's latency.
 //
 // Updates run inline rather than through the query scheduler: they
 // serialize on the database's swap mutex anyway, touch only the delta's
@@ -53,7 +55,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, text strin
 	s.metrics.Updates.Add(1)
 	s.metrics.TriplesInserted.Add(int64(stats.Inserted))
 	s.metrics.TriplesDeleted.Add(int64(stats.Deleted))
-	s.syncEpoch() // eager flush; a no-op update left the epoch, so the cache, alone
 	s.writeJSON(w, r, map[string]any{
 		"inserted":          stats.Inserted,
 		"deleted":           stats.Deleted,

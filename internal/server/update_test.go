@@ -90,8 +90,13 @@ func TestUpdateInvalidatesCache(t *testing.T) {
 	if len(doc.Results.Bindings) != 2 {
 		t.Fatalf("post-insert bindings = %v, want bob and dave", doc.Results.Bindings)
 	}
-	if flushes := srv.metrics.CacheFlushes.Load(); flushes == 0 {
-		t.Error("update did not flush the dead generation's cache entries")
+	// The insert changed the cached answer, so revalidation dropped the
+	// entry; an update the revalidation can follow flushes nothing whole.
+	if dropped := srv.metrics.CacheRevalidated[revalidationDropped].Load(); dropped != 1 {
+		t.Errorf("revalidation dropped %d entries, want the changed one", dropped)
+	}
+	if flushes := srv.metrics.CacheFlushes.Load(); flushes != 0 {
+		t.Errorf("update flushed the cache %d times; revalidation should have crossed it", flushes)
 	}
 
 	if resp, _ := getJSON(t, ts.URL, knowsChain); resp.Header.Get("X-Cache") != "HIT" {
