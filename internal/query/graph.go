@@ -94,15 +94,6 @@ func (g *Graph) NumVertices() int { return len(g.Vertices) }
 // NumEdges returns |E(Q)|.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
-// VertexVars returns, per vertex, its variable index (NoVar for constants).
-func (g *Graph) VertexVars() []int {
-	out := make([]int, len(g.Vertices))
-	for i, v := range g.Vertices {
-		out[i] = v.Var
-	}
-	return out
-}
-
 // EdgeVars returns the distinct variable indices used as edge labels, in
 // first-use order.
 func (g *Graph) EdgeVars() []int {

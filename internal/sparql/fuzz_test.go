@@ -6,8 +6,10 @@ package sparql
 // testdata/fuzz/; CI runs each target for a short smoke window.
 
 import (
+	"errors"
 	"testing"
 
+	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
 
@@ -54,6 +56,79 @@ func FuzzParseUpdate(f *testing.F) {
 			t.Fatalf("ParseUpdate(%q) returned neither an update nor an error", src)
 		}
 	})
+}
+
+// FuzzGroundBlock checks that queries and updates read a triple block
+// alike. Whenever ParseUpdate takes prologue and block as one INSERT DATA
+// of 1..query.MaxSize triples over at most query.MaxSize distinct
+// subjects and objects, Parse must take the same block as a SELECT
+// pattern, and its edges must decode to the update's triples in order.
+// The block must lex on its own and hold no brace, so that it cannot
+// reach past its wrapper (a '}' or a trailing comment would end the
+// INSERT DATA block where the SELECT one does not). Every ParseUpdate
+// error must be a *SyntaxError: the server answers only those with 400.
+func FuzzGroundBlock(f *testing.F) {
+	for _, s := range [][2]string{
+		{"", "<http://ex/a> <http://ex/p> <http://ex/b>"},
+		{"", `<http://ex/a> <http://ex/p> "v"`},
+		{"PREFIX ex: <http://ex/>\n", `ex:a ex:p ex:b . ex:b ex:p "x"@en`},
+		{"PREFIX ex: <http://ex/>\n", `ex:a a ex:W ; ex:l "t"@en , "D"@de ; ex:n 42 . ex:b ex:w 1.5e3 ;`},
+		{"", "GRAPH <http://ex/g> { <a> <b> <c> }"},
+		{"", "_:b <http://ex/p> <http://ex/b>"},
+		{"PREFIX urn: <http://evil/>\n", `<http://ex/a> <http://ex/p> "5"^^<urn:ex:int>`},
+		{"", ""},
+	} {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, prologue, block string) {
+		u, err := ParseUpdate(prologue + "INSERT DATA {" + block + "}")
+		var syntax *SyntaxError
+		if err != nil && !errors.As(err, &syntax) {
+			t.Fatalf("ParseUpdate error %v is a %T, not a *SyntaxError", err, err)
+		}
+		if err != nil || len(u.Ops) != 1 || !standalone(block) {
+			return
+		}
+		triples := u.Ops[0].Triples
+		vertices := map[rdf.Term]bool{}
+		for _, tr := range triples {
+			vertices[tr.S], vertices[tr.O] = true, true
+		}
+		if len(triples) == 0 || len(triples) > query.MaxSize || len(vertices) > query.MaxSize {
+			return
+		}
+		dict := rdf.NewDictionary()
+		g, err := Parse(prologue+"SELECT * WHERE {"+block+"}", dict)
+		if err != nil {
+			t.Fatalf("ParseUpdate took block %q but Parse rejects it: %v", block, err)
+		}
+		if len(g.Edges) != len(triples) {
+			t.Fatalf("block %q: %d edges, %d triples", block, len(g.Edges), len(triples))
+		}
+		for i, e := range g.Edges {
+			s, _ := dict.Decode(g.Vertices[e.From].Const)
+			p, _ := dict.Decode(e.Label)
+			o, _ := dict.Decode(g.Vertices[e.To].Const)
+			if got := (GroundTriple{S: s, P: p, O: o}); got != triples[i] {
+				t.Fatalf("block %q: edge %d decodes to %v, update triple is %v", block, i, got, triples[i])
+			}
+		}
+	})
+}
+
+// standalone reports whether src lexes on its own into tokens none of
+// which is a brace.
+func standalone(src string) bool {
+	l := &lexer{src: src}
+	for {
+		tok, err := l.next()
+		switch {
+		case err != nil || tok.kind == tokLBrace || tok.kind == tokRBrace:
+			return false
+		case tok.kind == tokEOF:
+			return true
+		}
+	}
 }
 
 func FuzzLexer(f *testing.F) {

@@ -1,12 +1,15 @@
-// Package sparql implements a lexer and recursive-descent parser for the
-// SPARQL basic-graph-pattern fragment evaluated by gstored (Definition 2 of
-// the paper): PREFIX declarations, SELECT with projection or * and the
-// DISTINCT/REDUCED modifiers, a WHERE block of triple patterns with ';'/','
-// predicate-object lists, the 'a' keyword, variables in any position
-// including the predicate, IRIs, prefixed names, and literals, followed by
-// optional LIMIT/OFFSET clauses. ParseUpdate covers the SPARQL 1.1 Update
-// subset gstored's write path executes: sequences of INSERT DATA /
-// DELETE DATA operations over ground triples.
+// Package sparql implements a lexer and one recursive-descent grammar for
+// the two request forms gstored accepts. Both open with the same prologue
+// of PREFIX declarations and write triples the same way: '.'-separated
+// blocks with ';'/',' predicate-object lists, the 'a' keyword, IRIs,
+// prefixed names, blank node labels, literals and numbers, and variables
+// in any position. Parse reads a SELECT query over a basic graph pattern
+// (Definition 2 of the paper) with projection or *, DISTINCT/REDUCED and
+// LIMIT/OFFSET; ParseUpdate reads the SPARQL 1.1 Update subset the write
+// path executes, sequences of INSERT DATA / DELETE DATA over ground
+// triples. The shared grammar never asks which form it is parsing: each
+// caller receives the parsed triples through a callback and applies its
+// own checks.
 package sparql
 
 import (
@@ -20,28 +23,27 @@ type tokenKind uint8
 const (
 	tokEOF tokenKind = iota
 	tokKeyword
-	tokVar      // ?name or $name
-	tokIRI      // <...>
-	tokPName    // prefix:local or prefix: (prefixed name)
-	tokLiteral  // "..." with optional @lang / ^^type (type carried separately)
-	tokNumber   // integer or decimal
-	tokA        // the keyword 'a' (rdf:type)
-	tokStar     // *
-	tokDot      // .
-	tokSemi     // ;
-	tokComma    // ,
-	tokLBrace   // {
-	tokRBrace   // }
-	tokLangTag  // @en (attached to literal during lexing)
-	tokDatatype // ^^ (attached during lexing)
+	tokVar     // ?name or $name
+	tokIRI     // <...>
+	tokPName   // prefix:local or prefix: (prefixed name)
+	tokLiteral // "..." with optional @lang / ^^type (type carried separately)
+	tokNumber  // integer or decimal
+	tokA       // the keyword 'a' (rdf:type)
+	tokStar    // *
+	tokDot     // .
+	tokSemi    // ;
+	tokComma   // ,
+	tokLBrace  // {
+	tokRBrace  // }
 )
 
 type token struct {
-	kind tokenKind
-	text string // keyword text (upper-cased), var name, IRI body, literal lexical form, pname, number
-	lang string // for tokLiteral
-	dt   string // datatype IRI body or pname for tokLiteral
-	pos  int    // byte offset, for error messages
+	kind  tokenKind
+	dtIRI bool   // dt was written <bracketed>, so it is not a pname
+	text  string // keyword text (upper-cased), var name, IRI body, literal lexical form, pname, number
+	lang  string // for tokLiteral
+	dt    string // datatype IRI body or pname for tokLiteral
+	pos   int    // byte offset, for error messages
 }
 
 // SyntaxError reports a SPARQL syntax error with a byte offset into the
@@ -68,7 +70,7 @@ var keywords = map[string]bool{
 	"INSERT": true, "DELETE": true, "DATA": true, "GRAPH": true,
 }
 
-func (l *lexer) errf(pos int, format string, args ...any) error {
+func errAt(pos int, format string, args ...any) error {
 	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
@@ -100,13 +102,13 @@ func (l *lexer) next() (token, error) {
 		l.pos++
 		name := l.takeWhile(isVarChar)
 		if name == "" {
-			return token{}, l.errf(start, "empty variable name")
+			return token{}, errAt(start, "empty variable name")
 		}
 		return token{kind: tokVar, text: name, pos: start}, nil
 	case c == '<':
 		end := strings.IndexByte(l.src[l.pos:], '>')
 		if end < 0 {
-			return token{}, l.errf(start, "unterminated IRI")
+			return token{}, errAt(start, "unterminated IRI")
 		}
 		iri := l.src[l.pos+1 : l.pos+end]
 		l.pos += end + 1
@@ -143,27 +145,34 @@ func (l *lexer) next() (token, error) {
 		if word == "a" {
 			return token{kind: tokA, pos: start}, nil
 		}
-		if kw := strings.ToUpper(word); keywords[kw] {
-			return token{kind: tokKeyword, text: kw, pos: start}, nil
-		}
+		// No keyword holds a ':', so a prefixed name skips the upper-casing.
 		if strings.Contains(word, ":") {
 			return token{kind: tokPName, text: word, pos: start}, nil
 		}
-		return token{}, l.errf(start, "unexpected token %q", word)
+		if kw := strings.ToUpper(word); keywords[kw] {
+			return token{kind: tokKeyword, text: kw, pos: start}, nil
+		}
+		return token{}, errAt(start, "unexpected token %q", word)
 	default:
-		return token{}, l.errf(start, "unexpected character %q", c)
+		return token{}, errAt(start, "unexpected character %q", c)
 	}
 }
 
 func (l *lexer) lexLiteral(start int) (token, error) {
-	// l.src[l.pos] == '"'
+	// l.src[l.pos] == '"'. A literal without escapes is a substring of
+	// src; sb holds the unescaped text once the first escape is seen.
 	i := l.pos + 1
 	var sb strings.Builder
+	escaped := false
 	for i < len(l.src) {
 		switch l.src[i] {
 		case '\\':
+			if !escaped {
+				sb.WriteString(l.src[l.pos+1 : i])
+				escaped = true
+			}
 			if i+1 >= len(l.src) {
-				return token{}, l.errf(start, "dangling escape in literal")
+				return token{}, errAt(start, "dangling escape in literal")
 			}
 			switch l.src[i+1] {
 			case 'n':
@@ -177,11 +186,14 @@ func (l *lexer) lexLiteral(start int) (token, error) {
 			case '\\':
 				sb.WriteByte('\\')
 			default:
-				return token{}, l.errf(start, "unknown escape \\%c", l.src[i+1])
+				return token{}, errAt(start, "unknown escape \\%c", l.src[i+1])
 			}
 			i += 2
 		case '"':
-			tok := token{kind: tokLiteral, text: sb.String(), pos: start}
+			tok := token{kind: tokLiteral, text: l.src[l.pos+1 : i], pos: start}
+			if escaped {
+				tok.text = sb.String()
+			}
 			l.pos = i + 1
 			// Optional @lang
 			if l.pos < len(l.src) && l.src[l.pos] == '@' {
@@ -190,7 +202,7 @@ func (l *lexer) lexLiteral(start int) (token, error) {
 					return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-'
 				})
 				if tok.lang == "" {
-					return token{}, l.errf(start, "empty language tag")
+					return token{}, errAt(start, "empty language tag")
 				}
 				return tok, nil
 			}
@@ -200,24 +212,26 @@ func (l *lexer) lexLiteral(start int) (token, error) {
 				if l.pos < len(l.src) && l.src[l.pos] == '<' {
 					end := strings.IndexByte(l.src[l.pos:], '>')
 					if end < 0 {
-						return token{}, l.errf(start, "unterminated datatype IRI")
+						return token{}, errAt(start, "unterminated datatype IRI")
 					}
-					tok.dt = l.src[l.pos+1 : l.pos+end]
+					tok.dt, tok.dtIRI = l.src[l.pos+1:l.pos+end], true
 					l.pos += end + 1
 				} else {
 					tok.dt = l.takeWhile(func(r rune) bool { return isPNChar(r) || r == ':' })
 					if tok.dt == "" {
-						return token{}, l.errf(start, "missing datatype after ^^")
+						return token{}, errAt(start, "missing datatype after ^^")
 					}
 				}
 			}
 			return tok, nil
 		default:
-			sb.WriteByte(l.src[i])
+			if escaped {
+				sb.WriteByte(l.src[i])
+			}
 			i++
 		}
 	}
-	return token{}, l.errf(start, "unterminated literal")
+	return token{}, errAt(start, "unterminated literal")
 }
 
 func (l *lexer) lexNumber(start int) (token, error) {
@@ -230,7 +244,7 @@ func (l *lexer) lexNumber(start int) (token, error) {
 		l.pos--
 	}
 	if n == "" || n == "+" || n == "-" {
-		return token{}, l.errf(start, "malformed number")
+		return token{}, errAt(start, "malformed number")
 	}
 	return token{kind: tokNumber, text: n, pos: start}, nil
 }

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -42,20 +41,28 @@ func ParseReadOnly(src string, dict *rdf.Dictionary) (*query.Graph, error) {
 }
 
 func parse(src string, b *query.Builder) (*query.Graph, error) {
-	p := &parser{lex: lexer{src: src}, prefixes: map[string]string{}, b: b}
-	if err := p.advance(); err != nil {
+	var p parser
+	if err := p.start(src); err != nil {
 		return nil, err
 	}
-	return p.parseQuery()
+	return p.parseQuery(b)
 }
 
+// parser holds the grammar state both request forms share: the token
+// stream and the prologue's prefixes.
 type parser struct {
 	lex      lexer
 	tok      token
 	prefixes map[string]string
-	b        *query.Builder
-	selected []string // projection variable names; nil => SELECT *
-	distinct bool
+}
+
+// start positions p after the prologue of src.
+func (p *parser) start(src string) error {
+	*p = parser{lex: lexer{src: src}, prefixes: map[string]string{}}
+	if err := p.advance(); err != nil {
+		return err
+	}
+	return p.parsePrologue()
 }
 
 func (p *parser) advance() error {
@@ -68,36 +75,52 @@ func (p *parser) advance() error {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{Pos: p.tok.pos, Msg: fmt.Sprintf(format, args...)}
+	return errAt(p.tok.pos, format, args...)
 }
 
-func (p *parser) parseQuery() (*query.Graph, error) {
-	// Prologue: PREFIX declarations (BASE unsupported but detected).
-	for p.tok.kind == tokKeyword {
-		switch p.tok.text {
-		case "PREFIX":
-			if err := p.parsePrefix(); err != nil {
-				return nil, err
-			}
-		case "BASE":
-			return nil, p.errf("BASE declarations are not supported")
-		default:
-			goto selectClause
+// parsePrologue parses PREFIX declarations; BASE is unsupported but
+// detected.
+func (p *parser) parsePrologue() error {
+	for p.tok.kind == tokKeyword && p.tok.text == "PREFIX" {
+		if err := p.advance(); err != nil {
+			return err
+		}
+		if p.tok.kind != tokPName || !strings.HasSuffix(p.tok.text, ":") {
+			return p.errf("expected 'name:' after PREFIX")
+		}
+		name := strings.TrimSuffix(p.tok.text, ":")
+		if err := p.advance(); err != nil {
+			return err
+		}
+		if p.tok.kind != tokIRI {
+			return p.errf("expected IRI after PREFIX %s:", name)
+		}
+		p.prefixes[name] = p.tok.text
+		if err := p.advance(); err != nil {
+			return err
 		}
 	}
-selectClause:
+	if p.tok.kind == tokKeyword && p.tok.text == "BASE" {
+		return p.errf("BASE declarations are not supported")
+	}
+	return nil
+}
+
+func (p *parser) parseQuery(b *query.Builder) (*query.Graph, error) {
 	if p.tok.kind != tokKeyword || p.tok.text != "SELECT" {
 		return nil, p.errf("expected SELECT")
 	}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
+	distinct := false
 	if p.tok.kind == tokKeyword && (p.tok.text == "DISTINCT" || p.tok.text == "REDUCED") {
-		p.distinct = p.tok.text == "DISTINCT"
+		distinct = p.tok.text == "DISTINCT"
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 	}
+	var selected []string // nil => SELECT *
 	switch p.tok.kind {
 	case tokStar:
 		if err := p.advance(); err != nil {
@@ -105,7 +128,7 @@ selectClause:
 		}
 	case tokVar:
 		for p.tok.kind == tokVar {
-			p.selected = append(p.selected, p.tok.text)
+			selected = append(selected, p.tok.text)
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -125,7 +148,16 @@ selectClause:
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	if err := p.parseBGP(); err != nil {
+	err := p.parseTriples(func(s, pred, o node) error {
+		for _, n := range [...]*node{&s, &pred, &o} {
+			if n.t.IsBlank() {
+				return errAt(n.pos, "blank node %s in a query pattern: use a variable instead", n.t)
+			}
+		}
+		b.Triple(s.spec(), pred.spec(), o.spec())
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if p.tok.kind != tokRBrace {
@@ -134,25 +166,25 @@ selectClause:
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	if err := p.parseSolutionModifiers(); err != nil {
+	if err := p.parseSolutionModifiers(b); err != nil {
 		return nil, err
 	}
 	if p.tok.kind != tokEOF {
 		return nil, p.errf("unexpected trailing input")
 	}
-	if p.selected != nil {
-		p.b.Select(p.selected...)
+	if selected != nil {
+		b.Select(selected...)
 	}
-	if p.distinct {
-		p.b.Distinct()
+	if distinct {
+		b.Distinct()
 	}
-	return p.b.Build()
+	return b.Build()
 }
 
 // parseSolutionModifiers parses the LIMIT/OFFSET clauses after the graph
 // pattern. The SPARQL 1.1 grammar (LimitOffsetClauses) allows the two in
 // either order, each at most once.
-func (p *parser) parseSolutionModifiers() error {
+func (p *parser) parseSolutionModifiers(b *query.Builder) error {
 	var haveLimit, haveOffset bool
 	for p.tok.kind == tokKeyword && (p.tok.text == "LIMIT" || p.tok.text == "OFFSET") {
 		kw := p.tok.text
@@ -176,10 +208,10 @@ func (p *parser) parseSolutionModifiers() error {
 		}
 		if kw == "LIMIT" {
 			haveLimit = true
-			p.b.Limit(n)
+			b.Limit(n)
 		} else {
 			haveOffset = true
-			p.b.Offset(n)
+			b.Offset(n)
 		}
 		if err := p.advance(); err != nil {
 			return err
@@ -188,147 +220,132 @@ func (p *parser) parseSolutionModifiers() error {
 	return nil
 }
 
-func (p *parser) parsePrefix() error {
-	if err := p.advance(); err != nil {
-		return err
-	}
-	if p.tok.kind != tokPName || !strings.HasSuffix(p.tok.text, ":") {
-		return p.errf("expected 'name:' after PREFIX")
-	}
-	name := strings.TrimSuffix(p.tok.text, ":")
-	if err := p.advance(); err != nil {
-		return err
-	}
-	if p.tok.kind != tokIRI {
-		return p.errf("expected IRI after PREFIX %s:", name)
-	}
-	p.prefixes[name] = p.tok.text
-	return p.advance()
+// node is one position of a parsed triple: a variable (v != "") or a
+// constant term t, with the byte offset it starts at.
+type node struct {
+	v   string
+	t   rdf.Term
+	pos int
 }
 
-// parseBGP parses triple patterns with '.' separators and ';'/',' lists.
-func (p *parser) parseBGP() error {
-	for p.tok.kind != tokRBrace && p.tok.kind != tokEOF {
-		subj, err := p.parseNode("subject")
-		if err != nil {
-			return err
-		}
-		if err := p.parsePredicateObjectList(subj); err != nil {
-			return err
-		}
-		if p.tok.kind == tokDot {
-			if err := p.advance(); err != nil {
-				return err
-			}
-			continue
-		}
-		break
+// spec converts n for query.Builder.
+func (n *node) spec() query.Node {
+	if n.v != "" {
+		return query.Var(n.v)
 	}
-	return nil
+	return query.Term(n.t)
 }
 
-func (p *parser) parsePredicateObjectList(subj query.Node) error {
-	for {
-		pred, err := p.parsePredicate()
+// parseTriples parses a block of triples — '.'-separated, with ';'/','
+// predicate-object lists — and hands each (s, p, o) to emit in source
+// order. It stops at the first token that cannot start a triple ('}', a
+// keyword, EOF) and leaves it to the caller.
+func (p *parser) parseTriples(emit func(s, pred, o node) error) error {
+	for p.tok.kind != tokRBrace && p.tok.kind != tokEOF && p.tok.kind != tokKeyword {
+		subj, err := p.parseTerm("subject")
 		if err != nil {
 			return err
 		}
 		for {
-			obj, err := p.parseNode("object")
+			pred, err := p.parseVerb()
 			if err != nil {
 				return err
 			}
-			p.b.Triple(subj, pred, obj)
-			if p.tok.kind != tokComma {
+			for {
+				obj, err := p.parseTerm("object")
+				if err != nil {
+					return err
+				}
+				if err := emit(subj, pred, obj); err != nil {
+					return err
+				}
+				if p.tok.kind != tokComma {
+					break
+				}
+				if err := p.advance(); err != nil {
+					return err
+				}
+			}
+			if p.tok.kind != tokSemi {
 				break
 			}
 			if err := p.advance(); err != nil {
 				return err
 			}
+			// '; }' and '; .' (trailing semicolon) are permitted.
+			if p.tok.kind == tokRBrace || p.tok.kind == tokDot {
+				break
+			}
 		}
-		if p.tok.kind != tokSemi {
+		if p.tok.kind != tokDot {
 			return nil
 		}
 		if err := p.advance(); err != nil {
 			return err
 		}
-		// '; }' and '; .' (trailing semicolon) are permitted.
-		if p.tok.kind == tokRBrace || p.tok.kind == tokDot {
-			return nil
-		}
 	}
+	return nil
 }
 
-func (p *parser) parsePredicate() (query.Node, error) {
+// parseVerb parses a predicate: 'a', a variable, an IRI or a prefixed
+// name.
+func (p *parser) parseVerb() (node, error) {
 	switch p.tok.kind {
 	case tokA:
-		if err := p.advance(); err != nil {
-			return query.Node{}, err
-		}
-		return query.IRI(rdfType), nil
-	case tokVar:
-		n := query.Var(p.tok.text)
+		n := node{t: rdf.NewIRI(rdfType), pos: p.tok.pos}
 		return n, p.advance()
-	case tokIRI:
-		n := query.IRI(p.tok.text)
-		return n, p.advance()
-	case tokPName:
-		iri, err := p.expandPName(p.tok.text)
-		if err != nil {
-			return query.Node{}, err
-		}
-		return query.IRI(iri), p.advance()
-	default:
-		return query.Node{}, p.errf("expected predicate")
+	case tokVar, tokIRI, tokPName:
+		return p.parseTerm("predicate")
 	}
+	return node{}, p.errf("expected predicate")
 }
 
-func (p *parser) parseNode(role string) (query.Node, error) {
+// parseTerm parses a subject or object: a variable, an IRI, a prefixed
+// name, a blank node label (_:b), a literal or a number.
+func (p *parser) parseTerm(role string) (node, error) {
+	n := node{pos: p.tok.pos}
 	switch p.tok.kind {
 	case tokVar:
-		n := query.Var(p.tok.text)
-		return n, p.advance()
+		n.v = p.tok.text
 	case tokIRI:
-		n := query.IRI(p.tok.text)
-		return n, p.advance()
+		n.t = rdf.NewIRI(p.tok.text)
 	case tokPName:
+		if label, ok := strings.CutPrefix(p.tok.text, "_:"); ok {
+			n.t = rdf.NewBlank(label)
+			break
+		}
 		iri, err := p.expandPName(p.tok.text)
 		if err != nil {
-			return query.Node{}, err
+			return n, err
 		}
-		return query.IRI(iri), p.advance()
+		n.t = rdf.NewIRI(iri)
 	case tokLiteral:
-		var t rdf.Term
 		switch {
 		case p.tok.lang != "":
-			t = rdf.NewLangLiteral(p.tok.text, p.tok.lang)
-		case p.tok.dt != "":
-			dt := p.tok.dt
-			if !strings.Contains(dt, "://") && strings.Contains(dt, ":") {
-				expanded, err := p.expandPName(dt)
-				if err != nil {
-					return query.Node{}, err
-				}
-				dt = expanded
-			}
-			t = rdf.NewTypedLiteral(p.tok.text, dt)
+			n.t = rdf.NewLangLiteral(p.tok.text, p.tok.lang)
+		case p.tok.dt == "":
+			n.t = rdf.NewLiteral(p.tok.text)
+		case p.tok.dtIRI:
+			n.t = rdf.NewTypedLiteral(p.tok.text, p.tok.dt)
 		default:
-			t = rdf.NewLiteral(p.tok.text)
-		}
-		return query.Term(t), p.advance()
-	case tokNumber:
-		text := p.tok.text
-		dt := xsdInteger
-		if strings.ContainsAny(text, ".eE") {
-			dt = xsdDecimal
-			if strings.ContainsAny(text, "eE") {
-				dt = xsdDouble
+			dt, err := p.expandPName(p.tok.dt)
+			if err != nil {
+				return n, err
 			}
+			n.t = rdf.NewTypedLiteral(p.tok.text, dt)
 		}
-		return query.Term(rdf.NewTypedLiteral(text, dt)), p.advance()
+	case tokNumber:
+		dt := xsdInteger
+		if strings.ContainsAny(p.tok.text, "eE") {
+			dt = xsdDouble
+		} else if strings.Contains(p.tok.text, ".") {
+			dt = xsdDecimal
+		}
+		n.t = rdf.NewTypedLiteral(p.tok.text, dt)
 	default:
-		return query.Node{}, p.errf("expected %s term", role)
+		return n, p.errf("expected %s term", role)
 	}
+	return n, p.advance()
 }
 
 func (p *parser) expandPName(pname string) (string, error) {

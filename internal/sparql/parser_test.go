@@ -244,6 +244,34 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseBracketedDatatype: a datatype written <bracketed> is an IRI
+// whatever its scheme — neither an undeclared prefix nor rewritten by a
+// PREFIX that happens to share its scheme's name.
+func TestParseBracketedDatatype(t *testing.T) {
+	for _, prologue := range []string{"", "PREFIX urn: <http://evil/>\n"} {
+		d := rdf.NewDictionary()
+		g, err := Parse(prologue+`SELECT ?x WHERE { ?x <p> "5"^^<urn:ex:int> }`, d)
+		if err != nil {
+			t.Fatalf("prologue %q: %v", prologue, err)
+		}
+		obj, _ := d.Decode(g.Vertices[g.Edges[0].To].Const)
+		if want := rdf.NewTypedLiteral("5", "urn:ex:int"); obj != want {
+			t.Errorf("prologue %q: object = %v, want %v", prologue, obj, want)
+		}
+	}
+}
+
+// TestParseRejectsBlankNodes: a blank node in a pattern would otherwise
+// match one stored blank node by label, not act as a variable.
+func TestParseRejectsBlankNodes(t *testing.T) {
+	src := `SELECT ?s WHERE { ?s <p> _:b0 }`
+	_, err := Parse(src, rdf.NewDictionary())
+	se, ok := err.(*SyntaxError)
+	if !ok || se.Pos != strings.Index(src, "_:") || !strings.Contains(se.Msg, "use a variable") {
+		t.Errorf("Parse(%q) = %v, want a syntax error at the blank node", src, err)
+	}
+}
+
 func TestParseEscapedLiteral(t *testing.T) {
 	d := rdf.NewDictionary()
 	g, err := Parse(`SELECT ?x WHERE { ?x <says> "he said \"hi\"\n" }`, d)
@@ -253,6 +281,51 @@ func TestParseEscapedLiteral(t *testing.T) {
 	obj, _ := d.Decode(g.Vertices[g.Edges[0].To].Const)
 	if obj.Value != "he said \"hi\"\n" {
 		t.Errorf("literal = %q", obj.Value)
+	}
+}
+
+// TestParseAllocs pins the parse path's allocations: the LQ5-shaped read
+// the serve_mix benchmark issues 150 times a pass (read-only, against a
+// dictionary that knows its constants) and the benchmark's 8-triple
+// INSERT DATA. The counts rely on prefixed names skipping the keyword
+// upper-casing, on literals without escapes being substrings of the
+// source, and on the triple callbacks copying nothing to the heap.
+func TestParseAllocs(t *testing.T) {
+	const (
+		ont  = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
+		dept = "http://www.Department2.University3.edu/Department2"
+		lq5  = "PREFIX ub: <" + ont + ">\nSELECT ?x ?i WHERE { ?x ub:headOf <" + dept + "> . " +
+			"?x ub:worksFor <" + dept + "> . ?x ub:researchInterest ?i }"
+		student = "<http://www.Department0.University1.edu/BenchStudent1_0>"
+		prof    = "<http://www.Department2.University3.edu/BenchProfessor1_0>"
+		insert  = "INSERT DATA {\n" +
+			student + " <" + ont + "memberOf> <http://www.Department0.University1.edu/Department0> .\n" +
+			student + " <" + ont + "name> \"BenchStudent1_0\" .\n" +
+			student + " <" + ont + "advisor> <http://www.Department0.University1.edu/FullProfessor0> .\n" +
+			student + " <" + ont + "takesCourse> <http://www.Department0.University1.edu/Course0> .\n" +
+			prof + " <" + ont + "worksFor> <" + dept + "> .\n" +
+			prof + " <" + ont + "name> \"BenchProfessor1_0\" .\n" +
+			prof + " <" + ont + "emailAddress> \"bench1_0@dept2.univ3.edu\" .\n" +
+			prof + " <" + ont + "researchInterest> \"Research7\" .\n}"
+	)
+	dict := rdf.NewDictionary()
+	if _, err := Parse(lq5, dict); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseUpdate(insert); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"ParseReadOnly(LQ5)", 34, func() { _, _ = ParseReadOnly(lq5, dict) }},
+		{"ParseUpdate(8 triples)", 7, func() { _, _ = ParseUpdate(insert) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.run); got > c.max {
+			t.Errorf("%s: %v allocs, want at most %v", c.name, got, c.max)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package sparql
 
-import (
-	"strings"
-
-	"gstored/internal/rdf"
-)
+import "gstored/internal/rdf"
 
 // Update is a parsed SPARQL 1.1 Update request: a sequence of INSERT DATA
 // / DELETE DATA operations over ground triples, executed in order. The
@@ -29,62 +25,37 @@ type GroundTriple struct {
 	S, P, O rdf.Term
 }
 
-// NumTriples reports the total triple count across all operations.
-func (u *Update) NumTriples() int {
-	n := 0
-	for _, op := range u.Ops {
-		n += len(op.Triples)
-	}
-	return n
-}
-
 // ParseUpdate parses a SPARQL 1.1 Update request restricted to the
 // INSERT DATA / DELETE DATA forms over ground triples. Operations may be
 // separated by ';' (a trailing ';' is permitted, per the grammar), share
-// one prologue of PREFIX declarations, and use the same triple syntax as
-// query patterns (';'/',' predicate-object lists, the 'a' keyword,
-// prefixed names, literals with language tags and datatypes) — minus
-// variables and blank nodes, which make a triple non-ground.
+// one prologue of PREFIX declarations, and are written in the grammar
+// queries use (';'/',' predicate-object lists, the 'a' keyword, prefixed
+// names, literals with language tags and datatypes) — minus variables
+// and blank nodes, which make a triple non-ground.
 //
 // Terms are returned at the rdf.Term level, not dictionary-encoded: the
 // caller decides whether a term may grow the dictionary (inserts must,
 // deletes need not — a term the dictionary has never seen cannot occur
 // in any stored triple).
 func ParseUpdate(src string) (*Update, error) {
-	p := &parser{lex: lexer{src: src}, prefixes: map[string]string{}}
-	if err := p.advance(); err != nil {
+	var p parser
+	if err := p.start(src); err != nil {
 		return nil, err
 	}
 	u := &Update{}
-	// Prologue.
-	for p.tok.kind == tokKeyword {
-		if p.tok.text == "PREFIX" {
-			if err := p.parsePrefix(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if p.tok.text == "BASE" {
-			return nil, p.errf("BASE declarations are not supported")
-		}
-		break
-	}
-	for {
-		if p.tok.kind == tokEOF {
-			break
-		}
+	for p.tok.kind != tokEOF {
 		op, err := p.parseUpdateOp()
 		if err != nil {
 			return nil, err
 		}
 		u.Ops = append(u.Ops, op)
-		if p.tok.kind == tokSemi {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue // a trailing ';' before EOF is fine
+		if p.tok.kind != tokSemi {
+			break
 		}
-		break
+		// A trailing ';' before EOF is fine.
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
 	}
 	if p.tok.kind != tokEOF {
 		return nil, p.errf("unexpected trailing input")
@@ -127,150 +98,37 @@ func (p *parser) parseUpdateOp() (UpdateOp, error) {
 	if err := p.advance(); err != nil {
 		return op, err
 	}
-	triples, err := p.parseGroundTriples()
+	err := p.parseTriples(func(s, pred, o node) error {
+		for i, n := range [...]*node{&s, &pred, &o} {
+			if err := ground(n, i == 0); err != nil {
+				return err
+			}
+		}
+		op.Triples = append(op.Triples, GroundTriple{S: s.t, P: pred.t, O: o.t})
+		return nil
+	})
 	if err != nil {
 		return op, err
 	}
-	op.Triples = triples
+	if p.tok.kind == tokKeyword && p.tok.text == "GRAPH" {
+		return op, p.errf("GRAPH blocks (quad data) are not supported: updates target the default graph")
+	}
 	if p.tok.kind != tokRBrace {
 		return op, p.errf("expected '}' closing the %s DATA block", verb)
 	}
 	return op, p.advance()
 }
 
-// parseGroundTriples parses the triples of a data block: the same '.'
-// separated, ';'/',' listed surface syntax as a BGP, with every term
-// required to be ground.
-func (p *parser) parseGroundTriples() ([]GroundTriple, error) {
-	var out []GroundTriple
-	for p.tok.kind != tokRBrace && p.tok.kind != tokEOF {
-		if p.tok.kind == tokKeyword && p.tok.text == "GRAPH" {
-			return nil, p.errf("GRAPH blocks (quad data) are not supported: updates target the default graph")
-		}
-		subj, err := p.parseGroundTerm("subject")
-		if err != nil {
-			return nil, err
-		}
-		if subj.IsLiteral() {
-			return nil, p.errf("literal subject not allowed")
-		}
-		for {
-			pred, err := p.parseGroundPredicate()
-			if err != nil {
-				return nil, err
-			}
-			for {
-				obj, err := p.parseGroundTerm("object")
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, GroundTriple{S: subj, P: pred, O: obj})
-				if p.tok.kind != tokComma {
-					break
-				}
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-			}
-			if p.tok.kind != tokSemi {
-				break
-			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			// '; }' and '; .' (trailing semicolon) are permitted.
-			if p.tok.kind == tokRBrace || p.tok.kind == tokDot {
-				break
-			}
-		}
-		if p.tok.kind == tokDot {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
+// ground rejects what makes a data block's term non-ground — a variable
+// or a blank node — and a literal in subject position.
+func ground(n *node, subject bool) error {
+	switch {
+	case n.v != "":
+		return errAt(n.pos, "variable ?%s in ground data: INSERT DATA / DELETE DATA take concrete triples only", n.v)
+	case n.t.IsBlank():
+		return errAt(n.pos, "blank node %s in ground data: INSERT DATA / DELETE DATA take concrete triples only (skolemize with an IRI instead)", n.t)
+	case subject && n.t.IsLiteral():
+		return errAt(n.pos, "literal subject not allowed")
 	}
-	return out, nil
-}
-
-// parseGroundPredicate parses a predicate position term: an IRI, a
-// prefixed name, or the 'a' keyword. Variables are what make the pattern
-// forms patterns, so they get a ground-data-specific message.
-func (p *parser) parseGroundPredicate() (rdf.Term, error) {
-	switch p.tok.kind {
-	case tokA:
-		return rdf.NewIRI(rdfType), p.advance()
-	case tokIRI:
-		t := rdf.NewIRI(p.tok.text)
-		return t, p.advance()
-	case tokPName:
-		iri, err := p.expandGroundPName(p.tok.text)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(iri), p.advance()
-	case tokVar:
-		return rdf.Term{}, p.errf("variable ?%s in ground data: INSERT DATA / DELETE DATA take concrete triples only", p.tok.text)
-	default:
-		return rdf.Term{}, p.errf("expected predicate IRI")
-	}
-}
-
-// parseGroundTerm parses a subject/object position term.
-func (p *parser) parseGroundTerm(role string) (rdf.Term, error) {
-	switch p.tok.kind {
-	case tokIRI:
-		t := rdf.NewIRI(p.tok.text)
-		return t, p.advance()
-	case tokPName:
-		iri, err := p.expandGroundPName(p.tok.text)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewIRI(iri), p.advance()
-	case tokLiteral:
-		var t rdf.Term
-		switch {
-		case p.tok.lang != "":
-			t = rdf.NewLangLiteral(p.tok.text, p.tok.lang)
-		case p.tok.dt != "":
-			dt := p.tok.dt
-			if !strings.Contains(dt, "://") && strings.Contains(dt, ":") {
-				expanded, err := p.expandGroundPName(dt)
-				if err != nil {
-					return rdf.Term{}, err
-				}
-				dt = expanded
-			}
-			t = rdf.NewTypedLiteral(p.tok.text, dt)
-		default:
-			t = rdf.NewLiteral(p.tok.text)
-		}
-		return t, p.advance()
-	case tokNumber:
-		text := p.tok.text
-		dt := xsdInteger
-		if strings.ContainsAny(text, ".eE") {
-			dt = xsdDecimal
-			if strings.ContainsAny(text, "eE") {
-				dt = xsdDouble
-			}
-		}
-		return rdf.NewTypedLiteral(text, dt), p.advance()
-	case tokVar:
-		return rdf.Term{}, p.errf("variable ?%s in ground data: INSERT DATA / DELETE DATA take concrete triples only", p.tok.text)
-	default:
-		return rdf.Term{}, p.errf("expected %s term", role)
-	}
-}
-
-// expandGroundPName expands a prefixed name, catching the blank-node
-// label form (_:b) that lexes as a pname with prefix "_": blank nodes
-// are not ground, so data blocks reject them explicitly.
-func (p *parser) expandGroundPName(pname string) (string, error) {
-	if strings.HasPrefix(pname, "_:") {
-		return "", p.errf("blank node %s in ground data: INSERT DATA / DELETE DATA take concrete triples only (skolemize with an IRI instead)", pname)
-	}
-	return p.expandPName(pname)
+	return nil
 }

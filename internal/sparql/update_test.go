@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -70,6 +71,18 @@ func TestParseUpdateSurfaceSyntax(t *testing.T) {
 	}
 }
 
+// TestParseUpdateBracketedDatatype: data loaded from N-Triples with a
+// non-http datatype IRI can be written back in a DELETE DATA, with or
+// without a PREFIX named like the IRI's scheme.
+func TestParseUpdateBracketedDatatype(t *testing.T) {
+	for _, prologue := range []string{"", "PREFIX urn: <http://evil/>\n"} {
+		u := mustParseUpdate(t, prologue+`DELETE DATA { <http://ex/a> <http://ex/p> "5"^^<urn:ex:int> }`)
+		if got, want := u.Ops[0].Triples[0].O, rdf.NewTypedLiteral("5", "urn:ex:int"); got != want {
+			t.Errorf("prologue %q: object = %v, want %v", prologue, got, want)
+		}
+	}
+}
+
 // TestParseUpdateSequence checks ';'-separated operations execute-in-order
 // structure, including a trailing semicolon.
 func TestParseUpdateSequence(t *testing.T) {
@@ -80,8 +93,8 @@ func TestParseUpdateSequence(t *testing.T) {
 	if len(u.Ops) != 2 || u.Ops[0].Delete || !u.Ops[1].Delete {
 		t.Fatalf("ops = %+v, want insert then delete", u.Ops)
 	}
-	if u.NumTriples() != 2 {
-		t.Errorf("NumTriples = %d", u.NumTriples())
+	if n := len(u.Ops[0].Triples) + len(u.Ops[1].Triples); n != 2 {
+		t.Errorf("triples = %d", n)
 	}
 }
 
@@ -117,6 +130,25 @@ func TestParseUpdateErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseUpdateGroundErrorOffsets: the ground checks answer with a
+// *SyntaxError at the offending term, however late in its triple.
+func TestParseUpdateGroundErrorOffsets(t *testing.T) {
+	for _, src := range []string{
+		`INSERT DATA { <http://ex/a> <http://ex/p> ?x }`,
+		`INSERT DATA { <http://ex/a> <http://ex/p> <http://ex/b> , _:b }`,
+		`DELETE DATA { "lit" <http://ex/p> <http://ex/b> }`,
+	} {
+		_, err := ParseUpdate(src)
+		var syntax *SyntaxError
+		if !errors.As(err, &syntax) {
+			t.Fatalf("ParseUpdate(%q) = %v, want a *SyntaxError", src, err)
+		}
+		if want := strings.IndexAny(src, `?_"`); syntax.Pos != want {
+			t.Errorf("ParseUpdate(%q): offset %d, want %d", src, syntax.Pos, want)
+		}
 	}
 }
 
