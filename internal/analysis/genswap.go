@@ -28,7 +28,7 @@ import (
 // Closures count as their own scope: a goroutine body taking its own
 // snapshot is a new request scope by construction. The exception is a
 // worker closure passed directly to a pool runner (Pool.Do,
-// Cluster.ParallelPool): pool workers evaluate one query against one
+// Engine.round): pool workers evaluate one query against one
 // fragment view, so they must inherit the spawning scope's snapshot —
 // a load inside the worker can straddle a swap mid-query and hand
 // sibling workers two different generations.

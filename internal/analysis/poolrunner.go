@@ -7,17 +7,17 @@ import (
 
 // Pool-worker closure pattern, used by genswap: a FuncLit passed
 // directly as an argument to a pool-runner call — the bounded
-// evaluation pool's Do, or the cluster fan-out helpers built on it —
-// runs concurrently with (and possibly inline on) the spawning scope.
+// evaluation pool's Do, or the engine's site round built on it — runs
+// concurrently with (and possibly inline on) the spawning scope.
 // Workers must inherit one generation snapshot from that scope: a
 // worker taking its own generation load can straddle a swap mid-query.
 //
 // Detection is structural (testdata packages are self-contained, so
 // import paths cannot anchor it): a method named Do on a type named
-// Pool, or ParallelPool on a type named Cluster.
+// Pool, or round on a type named Engine.
 var poolRunnerMethods = map[string]string{
-	"Do":           "Pool",
-	"ParallelPool": "Cluster",
+	"Do":    "Pool",
+	"round": "Engine",
 }
 
 // isPoolRunnerCall reports whether call invokes a pool-runner method.

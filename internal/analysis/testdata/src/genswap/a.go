@@ -85,15 +85,15 @@ func (p *Pool) Do(tasks ...func()) {
 	}
 }
 
-// Site and Cluster mimic the cluster fan-out helpers built on the pool.
+// Site and Engine mimic the engine's site round built on the pool.
 type Site struct{}
 
-type Cluster struct {
-	Sites []*Site
+type Engine struct {
+	sites []*Site
 }
 
-func (c *Cluster) ParallelPool(p *Pool, fn func(s *Site)) {
-	for _, s := range c.Sites {
+func (e *Engine) round(p *Pool, fn func(s *Site)) {
+	for _, s := range e.sites {
 		fn(s)
 	}
 }
@@ -114,8 +114,8 @@ func workerLoadsDirect(db *DB, p *Pool) {
 	})
 }
 
-func clusterWorkerLoads(db *DB, c *Cluster, p *Pool) {
-	c.ParallelPool(p, func(s *Site) {
+func roundWorkerLoads(db *DB, e *Engine, p *Pool) {
+	e.round(p, func(s *Site) {
 		e := db.Epoch() // want `generation loaded inside pool worker`
 		_, _ = s, e
 	})

@@ -3,30 +3,28 @@ package cluster
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"gstored/internal/fragment"
 	"gstored/internal/paperexample"
-	"gstored/internal/pool"
 )
 
-func build(t *testing.T) *Cluster {
+func build(t *testing.T) []Site {
 	t.Helper()
 	ex := paperexample.New()
 	d, err := fragment.Build(ex.Store, ex.Assignment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Cluster{Sites: LocalSites(d, 1), Graph: d}
+	return LocalSites(d, 1)
 }
 
 func TestClusterSites(t *testing.T) {
-	c := build(t)
-	if len(c.Sites) != 3 {
-		t.Fatalf("%d sites", len(c.Sites))
+	sites := build(t)
+	if len(sites) != 3 {
+		t.Fatalf("%d sites", len(sites))
 	}
-	for i, s := range c.Sites {
+	for i, s := range sites {
 		local, ok := s.(*LocalSite)
 		if !ok {
 			t.Fatalf("site %d is %T, want *LocalSite", i, s)
@@ -37,26 +35,14 @@ func TestClusterSites(t *testing.T) {
 	}
 }
 
-func TestParallelRunsEverySite(t *testing.T) {
-	c := build(t)
-	var n int32
-	d := c.ParallelPool(pool.New(3), func(i int, s Site) { atomic.AddInt32(&n, 1) })
-	if n != 3 {
-		t.Errorf("ran on %d sites", n)
-	}
-	if d <= 0 {
-		t.Error("non-positive duration")
-	}
-}
-
 func TestLocalSwapGeneration(t *testing.T) {
-	c := build(t)
+	sites := build(t)
 	ctx := context.Background()
-	s := c.Sites[0]
+	s := sites[0]
 
 	// Installing a fragment yields a fresh handle at the new epoch; the
 	// old handle keeps serving its generation.
-	replacement := c.Sites[1].(*LocalSite).Fragment()
+	replacement := sites[1].(*LocalSite).Fragment()
 	next, err := s.SwapGeneration(ctx, GenerationSwap{Epoch: 2, Fragment: replacement})
 	if err != nil {
 		t.Fatalf("install: %v", err)

@@ -73,14 +73,29 @@ type CandidatesRequest struct {
 	Bits int
 }
 
-// CandidatesReply carries one site's candidate sets back.
-type CandidatesReply struct {
-	Vectors *candidates.SiteVectors
+// Meter is one site call's account, reported by the site with every
+// reply, failed or not: what the call moved and the work it cost.
+type Meter struct {
 	// Wire and WireMessages report the real transport traffic of the
 	// call; both zero for in-process sites, whose shipment the engine
 	// estimates with the §IX cost model instead.
 	Wire         int64
 	WireMessages int64
+	// Tasks and Busy attribute evaluation-pool work to the site: the
+	// tasks the call split into and their summed wall time.
+	Tasks int
+	Busy  time.Duration
+	// Eval is the evaluation's wall time on the clock of the process that
+	// ran it, reported by sites that are reached over a transport: what
+	// the caller's round trip took beyond it is the transport's share.
+	// Zero in-process, where the caller's own clock already times it.
+	Eval time.Duration
+}
+
+// CandidatesReply carries one site's candidate sets back.
+type CandidatesReply struct {
+	Vectors *candidates.SiteVectors
+	Meter
 }
 
 // PartialRequest asks a site to run its local evaluation stage. Every
@@ -116,17 +131,7 @@ type PartialReply struct {
 	LocalMatches int
 	// Matches are the site's local partial matches (nil on the star path).
 	Matches []*partial.Match
-	// Tasks and Busy attribute evaluation-pool work to the site.
-	Tasks int
-	Busy  time.Duration
-	// Eval is the evaluation's wall time on the clock of the process that
-	// ran it, reported by sites that are reached over a transport: what
-	// the caller's round trip took beyond it is the transport's share.
-	// Zero in-process, where the caller's own clock already times it.
-	Eval time.Duration
-	// Wire and WireMessages report real transport traffic (zero in-process).
-	Wire         int64
-	WireMessages int64
+	Meter
 }
 
 // SiteInfo identifies a site for health reporting.
@@ -199,12 +204,15 @@ func (s *LocalSite) ID() int { return s.id }
 // Fragment exposes the hosted fragment for diagnostics and tests.
 func (s *LocalSite) Fragment() *fragment.Fragment { return s.frag }
 
-// Candidates implements Site: ComputeSite over the local fragment.
+// Candidates implements Site: ComputeSite over the local fragment, one
+// task timed by the site itself.
 func (s *LocalSite) Candidates(ctx context.Context, req CandidatesRequest) (CandidatesReply, error) {
 	if err := ctx.Err(); err != nil {
 		return CandidatesReply{}, err
 	}
-	return CandidatesReply{Vectors: candidates.ComputeSite(s.frag, req.Query, req.Bits)}, nil
+	start := time.Now()
+	vecs := candidates.ComputeSite(s.frag, req.Query, req.Bits)
+	return CandidatesReply{Vectors: vecs, Meter: Meter{Tasks: 1, Busy: time.Since(start)}}, nil
 }
 
 // PartialEval implements Site: local matching (and, off the star path,
@@ -239,8 +247,7 @@ func (s *LocalSite) PartialEval(ctx context.Context, req PartialRequest, emit fu
 	})
 	rep := PartialReply{
 		LocalMatches: int(local.Load()),
-		Tasks:        int(tasks.Load()),
-		Busy:         time.Duration(busy.Load()),
+		Meter:        Meter{Tasks: int(tasks.Load()), Busy: time.Duration(busy.Load())},
 	}
 	if req.Star {
 		return rep, nil

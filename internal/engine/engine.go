@@ -14,12 +14,13 @@
 //
 // Star queries take the Section VIII-B fast path in every mode: each
 // crossing edge is replicated, so star matches are complete within single
-// fragments and need no partial evaluation.
+// fragments, and partial evaluation's site round stops after local
+// matching.
 package engine
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -81,9 +82,6 @@ type Config struct {
 	// runs every stage sequentially in site order — the oracle the
 	// equivalence tests compare parallel runs against.
 	EvalWorkers int
-	// DisableStarFastPath forces stars through partial evaluation; only
-	// tests use this.
-	DisableStarFastPath bool
 }
 
 // Row is one result row: bindings indexed by query variable.
@@ -129,11 +127,11 @@ type Stats struct {
 	// path; false for component-split executions.
 	StarFastPath bool
 
-	// Stages is the per-stage table, indexed by Stage. The candidates
-	// stage's shipment is §VI's exchange (over RPC, the socket measurement
-	// of the candidates calls); the partial stage's is the §IX price of
-	// the local complete matches' rows (over RPC they ride the stage's
-	// reply and are not priced apart).
+	// Stages is the per-stage table, indexed by Stage. In process a
+	// stage's shipment is its §IX price: §VI's exchange for candidates,
+	// the local complete matches' rows for partial evaluation. Over RPC
+	// every stage's shipment is its calls' socket bytes, and the
+	// coordinator-side stages ship nothing.
 	Stages [NumStages]StageStat
 	// CandidateVars is the candidates stage's exchange per query variable
 	// and CandidateFraming what its encodings spend outside the sets; in
@@ -227,7 +225,8 @@ type FragmentStats struct {
 	// on the worker pool (seed chunks plus one per whole-site stage;
 	// exactly one per stage on a sequential pool).
 	Tasks int
-	// Busy sums the wall time of those tasks. Tasks of one site run
+	// Busy sums the wall time of those tasks, each timed by the site that
+	// ran it (the candidates task included). Tasks of one site run
 	// concurrently on the pool, so Busy/Wall estimates the intra-site
 	// parallel speedup the pool realized.
 	Busy time.Duration
@@ -236,16 +235,6 @@ type FragmentStats struct {
 	// encoding and decoding both ways, the socket, and the worker's
 	// queueing. Zero for in-process sites, which have no transport.
 	Transport time.Duration
-}
-
-// transport is the share of a site call's wall that the site did not
-// spend evaluating; a reply without an evaluation time of its own (an
-// in-process site's) has none.
-func transport(wall time.Duration, rep cluster.PartialReply) time.Duration {
-	if rep.Eval <= 0 {
-		return 0
-	}
-	return max(wall-rep.Eval, 0)
 }
 
 // Result is a completed query execution.
@@ -320,7 +309,14 @@ func projectRow(q *query.Graph, row Row, buf Row) Row {
 // own Stats, fragments and stores are immutable after construction, and
 // the shared dictionary is lock-protected.
 type Engine struct {
-	Cluster *cluster.Cluster
+	// sites serve the fragments, one per fragment, ordered by ID with IDs
+	// matching the graph's fragment IDs: in-process LocalSites by
+	// default, RPC clients in worker mode.
+	sites []cluster.Site
+	// graph is the distributed graph the sites host. The coordinator
+	// keeps it in both modes: it plans against the global cardinality
+	// table.
+	graph *fragment.Distributed
 }
 
 // New builds an engine over a distributed graph served by in-process
@@ -334,7 +330,7 @@ func New(d *fragment.Distributed) *Engine {
 // sites are RPC clients. Sites must be ordered by ID, one per fragment
 // of d.
 func NewWithSites(d *fragment.Distributed, sites []cluster.Site) *Engine {
-	return &Engine{Cluster: &cluster.Cluster{Sites: sites, Graph: d}}
+	return &Engine{sites: sites, graph: d}
 }
 
 // Execute runs q under cfg and returns all matches with per-stage
@@ -431,8 +427,8 @@ func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut
 		return Stats{Mode: cfg.Mode}, err
 	}
 	p := pool.New(cfg.EvalWorkers)
-	stats := Stats{Mode: cfg.Mode, EvalWorkers: p.Workers(), Fragments: make([]FragmentStats, len(e.Cluster.Sites))}
-	for i, s := range e.Cluster.Sites {
+	stats := Stats{Mode: cfg.Mode, EvalWorkers: p.Workers(), Fragments: make([]FragmentStats, len(e.sites))}
+	for i, s := range e.sites {
 		stats.Fragments[i].Site = s.ID()
 	}
 	var ships []*shipCounts
@@ -440,9 +436,9 @@ func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut
 	if comps := query.SplitComponents(q); len(comps) > 1 {
 		ships, err = e.runComponents(ctx, q, comps, cfg, p, &stats, out)
 	} else {
-		stats.Plan = e.Cluster.Graph.Global.Plan(q)
+		stats.Plan = e.graph.Global.Plan(q)
 		var ship *shipCounts
-		ship, err = e.component(ctx, q, stats.Plan, cfg, p, &stats, out)
+		ship, err = e.component(ctx, q, stats.Plan, true, cfg, p, &stats, out)
 		stats.StarFastPath = ship.star
 		ships = []*shipCounts{ship}
 	}
@@ -462,17 +458,71 @@ func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut
 	return stats, err
 }
 
-// component evaluates one connected query graph — the star path or
-// partial evaluation and assembly — adding into stats, and returns what
-// the §IX model prices for it: on error too, the counts recorded up to
-// the failing stage.
-func (e *Engine) component(ctx context.Context, q *query.Graph, plan []PlanEdge, cfg Config, p *pool.Pool, stats *Stats, out rowOut) (*shipCounts, error) {
-	ship := &shipCounts{q: q, local: make([]int, len(stats.Fragments))}
-	if center, ok := q.StarCenter(); ok && !cfg.DisableStarFastPath {
-		ship.star = true
-		return ship, e.runStar(ctx, q, center, plan, p, stats, ship, out)
+// component evaluates one connected query graph, adding into stats, and
+// returns what the §IX model prices for it: on error too, the counts
+// recorded up to the failing stage. With star set, a star query takes
+// the §VIII-B path: partial evaluation's site round with the center
+// confined to internal vertices, where crossing-edge replicas make each
+// star match complete within the fragment owning its center and center
+// ownership deduplicates across sites, so the round's local matches are
+// the answer. Every other query runs the two-stage partial evaluation
+// and assembly flow. Local complete matches stream into out during
+// partial evaluation and assembled crossing matches during assembly, so
+// a streaming sink sees its first row before the run completes.
+func (e *Engine) component(ctx context.Context, q *query.Graph, plan []PlanEdge, star bool, cfg Config, p *pool.Pool, stats *Stats, out rowOut) (*shipCounts, error) {
+	ship := &shipCounts{q: q, local: make([]int, len(e.sites))}
+	req := cluster.PartialRequest{Query: q, Order: store.EdgeOrder(plan), Pool: p}
+	if center, ok := q.StarCenter(); ok && star {
+		ship.star, req.Star, req.Center = true, true, center
+	} else {
+		// Stage 0 (Full only): assemble variables' internal candidates.
+		if cfg.Mode >= Full {
+			vecs := make([]*candidates.SiteVectors, len(e.sites))
+			creq := cluster.CandidatesRequest{Query: q, Bits: candidates.DefaultBits}
+			if err := e.round(ctx, StageCandidates, p, stats, func(i int, s cluster.Site) (cluster.Meter, error) {
+				rep, err := s.Candidates(ctx, creq)
+				vecs[i] = rep.Vectors
+				return rep.Meter, err
+			}); err != nil {
+				return ship, err
+			}
+			union, err := candidates.Union(vecs, q, creq.Bits)
+			if err != nil {
+				return ship, err
+			}
+			vars, framing := candidates.Exchange(q, vecs, union)
+			stats.CandidateVars = append(stats.CandidateVars, vars...)
+			stats.CandidateFraming += framing
+			ship.vectors, ship.union = vecs, union
+		}
+		// The union travels back to the sites inside each request.
+		req.EdgeRank, req.Union, req.MaxMatches = planEdgeRank(plan), ship.union, cfg.MaxPartialMatches
 	}
-	return ship, e.runDistributed(ctx, q, cfg, plan, p, stats, ship, out)
+
+	// Stage 1: partial evaluation — local complete matches stream into out
+	// as each site finds them, local partial matches come back in the
+	// replies. A sink that stopped the run still reads what was matched
+	// up to that point, so the replies count before the error.
+	reps := make([]cluster.PartialReply, len(e.sites))
+	emit := func(row []rdf.TermID) bool { return out(Row(row)) }
+	err := e.round(ctx, StagePartial, p, stats, func(i int, s cluster.Site) (cluster.Meter, error) {
+		var err error
+		reps[i], err = s.PartialEval(ctx, req, emit)
+		return reps[i].Meter, err
+	})
+	var pms []*partial.Match
+	for i, rep := range reps {
+		ship.local[i] = rep.LocalMatches
+		stats.Fragments[i].LocalMatches += rep.LocalMatches
+		stats.Fragments[i].PartialMatches += len(rep.Matches)
+		stats.NumLocalMatches += rep.LocalMatches
+		pms = append(pms, rep.Matches...)
+	}
+	stats.NumPartialMatches += len(pms)
+	if err != nil || ship.star {
+		return ship, err
+	}
+	return ship, assemble(ctx, q, cfg, pms, p, stats, ship, out)
 }
 
 // validateForExec is the admission check of run; it also resolves the
@@ -611,57 +661,53 @@ func (s *streamSink) finished() bool {
 // sortRows orders rows canonically: numeric TermID order, slot by slot.
 func sortRows(rows []Row) { slices.SortFunc(rows, slices.Compare[Row]) }
 
-// runStar evaluates a star query locally at every site, restricting the
-// center to internal vertices: crossing-edge replicas make each star match
-// complete within the fragment owning its center, and center ownership
-// deduplicates across sites (Section VIII-B). Matches stream into out as
-// they are found; a false return stops that site's scan while the others
-// stop through the shared cancel poll. The scatter goes through the Site
-// boundary: in-process sites evaluate on this goroutine's pool, remote
-// sites run the same request on their worker and stream rows back.
-func (e *Engine) runStar(ctx context.Context, q *query.Graph, center int, plan []PlanEdge, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
+// round is the one site barrier and the only code that books a site
+// call: it runs call at every site on the pool, then adds each site's
+// Meter and wall into stats — the stage's time and shipment, the site's
+// span, wall, transport, tasks, busy time and wire bytes, and the
+// execution's traffic totals. A sequential pool (width 1) calls the
+// sites strictly in site order, the property the -eval-workers=1 oracle
+// relies on. Every call is booked, failed or not; the error returned is
+// the context's, else the first failure in site order.
+func (e *Engine) round(ctx context.Context, stage Stage, p *pool.Pool, stats *Stats, call func(i int, s cluster.Site) (cluster.Meter, error)) error {
 	tr := trace.FromContext(ctx)
-	frags := stats.Fragments
-	reps := make([]cluster.PartialReply, len(frags))
-	errs := make([]error, len(frags))
-	req := cluster.PartialRequest{
-		Query: q, Star: true, Center: center,
-		Order: store.EdgeOrder(plan), Pool: p,
+	type booking struct {
+		meter cluster.Meter
+		wall  time.Duration
+		err   error
 	}
-	stats.Stages[StagePartial].Time += e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
-		siteStart := time.Now()
-		reps[i], errs[i] = s.PartialEval(ctx, req, func(row []rdf.TermID) bool {
-			return out(Row(row))
-		})
-		wall := time.Since(siteStart)
-		frags[i].Wall += wall
-		frags[i].Transport += transport(wall, reps[i])
-		// For a remote site this span includes the wire round trip.
-		tr.Span(StagePartial.String(), s.ID(), siteStart, wall)
-	})
-	// A sink that stopped the run still reads what was scanned and
-	// shipped up to that point, so the replies count before the context
-	// check.
-	var firstErr error
-	for i, rep := range reps {
-		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-			continue
+	books := make([]booking, len(e.sites))
+	tasks := make([]func(), len(e.sites))
+	for i, s := range e.sites {
+		tasks[i] = func() {
+			start := time.Now()
+			b := &books[i]
+			b.meter, b.err = call(i, s)
+			b.wall = time.Since(start)
+			// For a remote site this span includes the wire round trip.
+			tr.Span(stage.String(), s.ID(), start, b.wall)
 		}
-		stats.count(rep.Wire, rep.WireMessages)
-		frags[i].WireBytes += rep.Wire
-		ship.local[i] = rep.LocalMatches
-		frags[i].LocalMatches += rep.LocalMatches
-		frags[i].Tasks += rep.Tasks
-		frags[i].Busy += rep.Busy
-		stats.NumLocalMatches += rep.LocalMatches
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	start := time.Now()
+	p.Do(tasks...)
+	st := &stats.Stages[stage]
+	st.Time += time.Since(start)
+	err := ctx.Err()
+	for i, b := range books {
+		f := &stats.Fragments[i]
+		f.Wall += b.wall
+		if b.meter.Eval > 0 {
+			// What the round trip took beyond the site's own evaluation.
+			f.Transport += max(b.wall-b.meter.Eval, 0)
+		}
+		f.Tasks += b.meter.Tasks
+		f.Busy += b.meter.Busy
+		f.WireBytes += b.meter.Wire
+		st.Shipment += b.meter.Wire
+		stats.count(b.meter.Wire, b.meter.WireMessages)
+		err = cmp.Or(err, b.err)
 	}
-	return firstErr
+	return err
 }
 
 // count adds shipped bytes and messages to the execution's totals.
@@ -670,105 +716,11 @@ func (s *Stats) count(bytes, messages int64) {
 	s.Messages += messages
 }
 
-// runDistributed is the two-stage partial evaluation and assembly flow.
-// Local complete matches stream into out during partial evaluation and
-// assembled crossing matches stream during assembly, so a streaming sink
-// sees its first row before the run completes. Each site reply's wire
-// traffic is added to stats after its stage's barrier; what the §IX
-// model prices instead is recorded in ship.
-func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config, plan []PlanEdge, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
-	k := len(e.Cluster.Sites)
+// assemble runs stages 2 and 3 over the partial matches stage 1
+// gathered: LEC-feature pruning (LO, Full) and the assembly of crossing
+// matches, which stream into out as they are found.
+func assemble(ctx context.Context, q *query.Graph, cfg Config, pms []*partial.Match, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
 	tr := trace.FromContext(ctx)
-	frags := stats.Fragments
-
-	// Stage 0 (Full only): assemble variables' internal candidates.
-	if cfg.Mode >= Full {
-		creps := make([]cluster.CandidatesReply, k)
-		cerrs := make([]error, k)
-		creq := cluster.CandidatesRequest{Query: q, Bits: candidates.DefaultBits}
-		stats.Stages[StageCandidates].Time += e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
-			siteStart := time.Now()
-			creps[i], cerrs[i] = s.Candidates(ctx, creq)
-			siteWall := time.Since(siteStart)
-			tr.Span(StageCandidates.String(), s.ID(), siteStart, siteWall)
-			frags[i].Wall += siteWall
-			frags[i].Tasks++
-			frags[i].Busy += siteWall
-		})
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		siteVecs := make([]*candidates.SiteVectors, k)
-		for i, rep := range creps {
-			if cerrs[i] != nil {
-				return cerrs[i]
-			}
-			siteVecs[i] = rep.Vectors
-			stats.count(rep.Wire, rep.WireMessages)
-			frags[i].WireBytes += rep.Wire
-			stats.Stages[StageCandidates].Shipment += rep.Wire
-		}
-		union, err := candidates.Union(siteVecs, q, creq.Bits)
-		if err != nil {
-			return err
-		}
-		vars, framing := candidates.Exchange(q, siteVecs, union)
-		stats.CandidateVars = append(stats.CandidateVars, vars...)
-		stats.CandidateFraming += framing
-		// The union travels back to the sites inside each PartialEval
-		// request.
-		ship.vectors, ship.union = siteVecs, union
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Stage 1: partial evaluation — local complete matches plus local
-	// partial matches at every site in parallel. Local complete matches
-	// stream straight into out as each site finds them.
-	outs := make([]cluster.PartialReply, k)
-	serrs := make([]error, k)
-	req := cluster.PartialRequest{
-		Query: q, Order: store.EdgeOrder(plan), EdgeRank: planEdgeRank(plan),
-		Union: ship.union, MaxMatches: cfg.MaxPartialMatches, Pool: p,
-	}
-	stats.Stages[StagePartial].Time += e.Cluster.ParallelPool(p, func(i int, s cluster.Site) {
-		siteStart := time.Now()
-		outs[i], serrs[i] = s.PartialEval(ctx, req, func(row []rdf.TermID) bool {
-			return out(Row(row))
-		})
-		siteWall := time.Since(siteStart)
-		tr.Span(StagePartial.String(), s.ID(), siteStart, siteWall)
-		frags[i].Wall += siteWall
-		frags[i].Transport += transport(siteWall, outs[i])
-	})
-	for i, rep := range outs {
-		stats.count(rep.Wire, rep.WireMessages)
-		frags[i].WireBytes += rep.Wire
-		frags[i].Tasks += rep.Tasks
-		frags[i].Busy += rep.Busy
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var pms []*partial.Match
-	for i, rep := range outs {
-		if err := serrs[i]; err != nil {
-			if errors.Is(err, partial.ErrCanceled) {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-			}
-			return err
-		}
-		pms = append(pms, rep.Matches...)
-		ship.local[i] = rep.LocalMatches
-		frags[i].LocalMatches += rep.LocalMatches
-		frags[i].PartialMatches += len(rep.Matches)
-		stats.NumLocalMatches += rep.LocalMatches
-	}
-	stats.NumPartialMatches += len(pms)
-
 	// Stage 2 (LO, Full): LEC features travel instead of partial matches;
 	// the coordinator joins features and broadcasts the survivors. The
 	// walk that decides them is the query's only closure walk: it also
@@ -806,7 +758,7 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	// cancellation stops a walk, and that returned above), or one walk and
 	// expansion over LEC features (LA) or singleton features (Basic).
 	for _, pm := range kept {
-		frags[pm.Frag].RetainedPartialMatches++
+		stats.Fragments[pm.Frag].RetainedPartialMatches++
 	}
 	ship.kept = kept
 	asmStart := time.Now()
@@ -833,12 +785,11 @@ func (e *Engine) runDistributed(ctx context.Context, q *query.Graph, cfg Config,
 	asmTime := time.Since(asmStart)
 	stats.Stages[StageAssembly].Time += asmTime
 	tr.Span(StageAssembly.String(), trace.Coordinator, asmStart, asmTime)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	// A sink that stopped the assembly still reads the crossing matches
+	// it was handed.
 	stats.JoinAttempts += asmStats.JoinAttempts
 	stats.NumCrossingMatches += asmStats.Results
-	return nil
+	return ctx.Err()
 }
 
 // shipCounts are the quantities of one component's execution that the
@@ -936,7 +887,7 @@ func (e *Engine) runComponents(ctx context.Context, q *query.Graph, comps []quer
 	for ci, comp := range comps {
 		var mu sync.Mutex
 		var rows []Row
-		ship, err := e.component(ctx, comp.Query, e.Cluster.Graph.Global.Plan(comp.Query), cfg, p, stats, func(r Row) bool {
+		ship, err := e.component(ctx, comp.Query, e.graph.Global.Plan(comp.Query), true, cfg, p, stats, func(r Row) bool {
 			mu.Lock()
 			rows = append(rows, r)
 			mu.Unlock()

@@ -1,15 +1,18 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"gstored/internal/fragment"
 	"gstored/internal/paperexample"
 	"gstored/internal/partition"
+	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
 	"gstored/internal/store"
@@ -156,13 +159,36 @@ func TestStarFastPath(t *testing.T) {
 		}
 	}
 	// The same star evaluated through the full machinery must agree.
-	res, err := e.Execute(q, Config{Mode: Full, DisableStarFastPath: true})
+	var mu sync.Mutex
+	var got []string
+	stats, err := distributedRun(context.Background(), e, q, Config{Mode: Full}, func(r Row) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append(got, r.Key())
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resultKeys(res); fmt.Sprint(got) != fmt.Sprint(want) {
+	sort.Strings(got)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("forced distributed star rows:\n got %v\nwant %v", got, want)
 	}
+	if len(stats.CandidateVars) == 0 {
+		t.Error("forced distributed star skipped the candidates stage")
+	}
+}
+
+// distributedRun evaluates the connected query q through partial
+// evaluation and assembly even when it is a star: the component call
+// with the star decision off.
+func distributedRun(ctx context.Context, e *Engine, q *query.Graph, cfg Config, out rowOut) (Stats, error) {
+	if err := validateForExec(q, &cfg); err != nil {
+		return Stats{}, err
+	}
+	stats := Stats{Mode: cfg.Mode, Fragments: make([]FragmentStats, len(e.sites))}
+	_, err := e.component(ctx, q, e.graph.Global.Plan(q), false, cfg, pool.New(cfg.EvalWorkers), &stats, out)
+	return stats, err
 }
 
 func TestProjection(t *testing.T) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -263,19 +264,28 @@ func TestExecuteStreamEarlyTermination(t *testing.T) {
 		t.Errorf("cancelled parent: err = %v, want context.Canceled", err)
 	}
 
-	// LIMIT 0 is satisfied before the first row on every shape.
-	for _, disable := range []bool{false, true} {
-		res, err := e.ExecuteStream(context.Background(), withMods(q, false, 0, 0),
-			Config{DisableStarFastPath: disable}, func(Row) bool {
-				t.Error("emit called under LIMIT 0")
-				return true
-			})
-		if err != nil {
-			t.Fatalf("LIMIT 0 (disableStar=%v): %v", disable, err)
-		}
-		if !res.Stats.EarlyStop || res.Stats.NumMatches != 0 {
-			t.Errorf("LIMIT 0 (disableStar=%v): stats %+v", disable, res.Stats)
-		}
+	// LIMIT 0 is satisfied before the first row, on the star path and
+	// through partial evaluation alike.
+	limit0 := withMods(q, false, 0, 0)
+	noEmit := func(Row) bool {
+		t.Error("emit called under LIMIT 0")
+		return true
+	}
+	res, err = e.ExecuteStream(context.Background(), limit0, Config{}, noEmit)
+	if err != nil {
+		t.Fatalf("LIMIT 0: %v", err)
+	}
+	if !res.Stats.EarlyStop || res.Stats.NumMatches != 0 {
+		t.Errorf("LIMIT 0: stats %+v", res.Stats)
+	}
+	sctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	sink := newStreamSink(limit0, noEmit, stop)
+	if _, err := distributedRun(sctx, e, limit0, Config{}, sink.push); !errors.Is(err, context.Canceled) {
+		t.Errorf("LIMIT 0 through partial evaluation: err = %v, want the sink's cancellation", err)
+	}
+	if !sink.finished() || sink.emitted != 0 {
+		t.Errorf("LIMIT 0 through partial evaluation: finished %v, %d rows emitted", sink.finished(), sink.emitted)
 	}
 }
 

@@ -95,39 +95,51 @@ func TestRemoteSiteEquivalence(t *testing.T) {
 }
 
 // TestRemoteWireAccounting checks that wired executions report real
-// transport bytes instead of the §IX estimates, for a connected query and
-// for a disconnected one whose components add into one ledger: total
-// shipment equals the measured wire traffic, and every fragment's
-// shipment is its wire counter.
+// transport bytes instead of the §IX estimates — for a star, for a query
+// with a candidates stage and for a disconnected one whose components add
+// into one ledger: total shipment equals the measured wire traffic, every
+// fragment's shipment is its wire counter, and the stage rows add up to
+// the total on both transports, the partial stage's socket bytes
+// included.
 func TestRemoteWireAccounting(t *testing.T) {
 	env := newEquivEnv(t)
 	remoteEng := newRemoteEngine(t, env)
-	for _, shape := range []string{"path", "disconnected"} {
+	for _, shape := range []string{"path", "tree", "disconnected"} {
 		q := env.shape(t, shape, nil)
 		res, err := remoteEng.Execute(q, Config{Mode: Full, EvalWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.TotalShipment <= 0 {
-			t.Errorf("%s: wired shipment = %d, want measured bytes", shape, res.Stats.TotalShipment)
+		s := res.Stats
+		if s.TotalShipment <= 0 {
+			t.Errorf("%s: wired shipment = %d, want measured bytes", shape, s.TotalShipment)
 		}
-		if res.Stats.Stages[StageLEC].Shipment != 0 {
-			t.Errorf("%s: wired LEC shipment = %d, want 0 (coordinator-side pruning ships nothing)", shape, res.Stats.Stages[StageLEC].Shipment)
+		if s.Stages[StageLEC].Shipment != 0 {
+			t.Errorf("%s: wired LEC shipment = %d, want 0 (coordinator-side pruning ships nothing)", shape, s.Stages[StageLEC].Shipment)
+		}
+		if s.Stages[StagePartial].Shipment <= 0 {
+			t.Errorf("%s: wired partial stage shipment = %d, want its calls' socket bytes", shape, s.Stages[StagePartial].Shipment)
+		}
+		if sum := shipmentSum(&s); sum != s.TotalShipment {
+			t.Errorf("%s: wired init + stage shipments = %d, total = %d", shape, sum, s.TotalShipment)
 		}
 		var wire int64
-		for _, fs := range res.Stats.Fragments {
+		for _, fs := range s.Fragments {
 			wire += fs.WireBytes
 			if fs.ShipmentBytes != fs.WireBytes {
 				t.Errorf("%s: site %d: shipment %d != measured wire %d", shape, fs.Site, fs.ShipmentBytes, fs.WireBytes)
 			}
 		}
-		if wire <= 0 || wire != res.Stats.TotalShipment {
-			t.Errorf("%s: per-fragment wire bytes sum to %d, total shipment %d; want equal and > 0", shape, wire, res.Stats.TotalShipment)
+		if wire <= 0 || wire != s.TotalShipment {
+			t.Errorf("%s: per-fragment wire bytes sum to %d, total shipment %d; want equal and > 0", shape, wire, s.TotalShipment)
 		}
 
 		local, err := env.eng.Execute(q, Config{Mode: Full, EvalWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if sum := shipmentSum(&local.Stats); sum != local.Stats.TotalShipment {
+			t.Errorf("%s: in-process init + stage shipments = %d, total = %d", shape, sum, local.Stats.TotalShipment)
 		}
 		for _, fs := range local.Stats.Fragments {
 			if fs.WireBytes != 0 {

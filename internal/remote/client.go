@@ -144,14 +144,16 @@ func (s *Site) ID() int { return s.id }
 func (s *Site) Epoch() uint64 { return s.epoch }
 
 // call runs one RPC round: request out, frames in until the final one,
-// row batches delivered to onRow (which may be nil). It retries once, on
-// a freshly dialed connection, after a transport error that precedes the
-// first response frame — the request provably did not start streaming,
-// and every op is idempotent — and never after bytes have come back. The
-// retry does not take another pooled connection: after a worker restart
-// every connection pooled before it is as dead as the first. Context cancellation interrupts
+// row batches delivered to onRow (which may be nil). The Meter it returns
+// counts the round's bytes and frames, and carries the work the final
+// frame reports. It retries once, on a freshly dialed connection, after a
+// transport error that precedes the first response frame — the request
+// provably did not start streaming, and every op is idempotent — and
+// never after bytes have come back. The retry does not take another
+// pooled connection: after a worker restart every connection pooled
+// before it is as dead as the first. Context cancellation interrupts
 // blocked connection I/O via an AfterFunc that poisons the deadline.
-func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) bool) (resp response, wire, messages int64, err error) {
+func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) bool) (resp response, m cluster.Meter, err error) {
 	req.Site = s.id
 	if req.Epoch == 0 {
 		req.Epoch = s.epoch
@@ -159,16 +161,16 @@ func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) 
 	if dl, ok := ctx.Deadline(); ok {
 		req.TimeoutNS = int64(time.Until(dl))
 		if req.TimeoutNS <= 0 {
-			return response{}, 0, 0, ctx.Err()
+			return response{}, m, ctx.Err()
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		resp, wire, messages, err = s.attempt(ctx, req, onRow, attempt > 0)
-		if err == nil || attempt > 0 || messages > 1 {
-			return resp, wire, messages, err
+		resp, m, err = s.attempt(ctx, req, onRow, attempt > 0)
+		if err == nil || attempt > 0 || m.WireMessages > 1 {
+			return resp, m, err
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return resp, wire, messages, cerr
+			return resp, m, cerr
 		}
 		// Transient transport failure before any response frame: the
 		// pooled connection may have been closed under us (worker
@@ -177,12 +179,12 @@ func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) 
 }
 
 // attempt is one connection's worth of call, on a new connection when
-// fresh is set. messages counts frames in both directions (>1 once a
-// response frame arrived, which is what disqualifies a retry).
-func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermID) bool, fresh bool) (resp response, wire, messages int64, err error) {
+// fresh is set. m.WireMessages counts frames in both directions (>1 once
+// a response frame arrived, which is what disqualifies a retry).
+func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermID) bool, fresh bool) (resp response, m cluster.Meter, err error) {
 	c, err := s.link.get(ctx, fresh)
 	if err != nil {
-		return response{}, 0, 0, err
+		return response{}, m, err
 	}
 	healthy := false
 	defer func() {
@@ -194,7 +196,7 @@ func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermI
 	}()
 	if dl, ok := ctx.Deadline(); ok {
 		if err := c.SetDeadline(dl); err != nil {
-			return response{}, 0, 0, err
+			return response{}, m, err
 		}
 	}
 	// A cancel (not just a deadline) must interrupt blocked reads, or a
@@ -205,33 +207,31 @@ func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermI
 	defer stop()
 
 	n, err := c.send(req)
-	wire += n
+	m.Wire += n
 	if err != nil {
-		return response{}, wire, messages, s.callErr(ctx, err)
+		return response{}, m, s.callErr(ctx, err)
 	}
-	messages++
+	m.WireMessages++
 	deliver := onRow != nil
 	for {
 		body, n, err := c.recv()
-		wire += n
+		m.Wire += n
 		if err != nil {
-			return response{}, wire, messages, s.callErr(ctx, err)
+			return response{}, m, s.callErr(ctx, err)
 		}
-		messages++
+		m.WireMessages++
 		var frame response
 		if err := frame.decode(body); err != nil {
 			// A frame arrived, so this is not a transport failure to retry
 			// on a fresh connection: the peer speaks something else.
-			return response{}, wire, messages, s.callErr(ctx, err)
+			return response{}, m, s.callErr(ctx, err)
 		}
 		if frame.Done {
-			if ferr := frame.err(); ferr != nil {
-				// The transport did its job; the connection is clean.
-				healthy = true
-				return frame, wire, messages, ferr
-			}
+			// The transport did its job; the connection is clean, whether
+			// the frame carries a reply or an error.
 			healthy = true
-			return frame, wire, messages, nil
+			m.Tasks, m.Busy, m.Eval = frame.Tasks, time.Duration(frame.BusyNS), time.Duration(frame.EvalNS)
+			return frame, m, frame.err()
 		}
 		if deliver {
 			for _, row := range frame.Rows {
@@ -258,39 +258,27 @@ func (s *Site) callErr(ctx context.Context, err error) error {
 
 // Candidates implements cluster.Site.
 func (s *Site) Candidates(ctx context.Context, req cluster.CandidatesRequest) (cluster.CandidatesReply, error) {
-	resp, wire, messages, err := s.call(ctx, &request{
+	resp, m, err := s.call(ctx, &request{
 		Op: opCandidates, Query: req.Query, Bits: req.Bits,
 	}, nil)
-	if err != nil {
-		return cluster.CandidatesReply{}, err
-	}
-	return cluster.CandidatesReply{Vectors: resp.Vectors, Wire: wire, WireMessages: messages}, nil
+	return cluster.CandidatesReply{Vectors: resp.Vectors, Meter: m}, err
 }
 
 // PartialEval implements cluster.Site. The request's Pool does not
 // travel — the worker evaluates on its own pool.
 func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit func(row []rdf.TermID) bool) (cluster.PartialReply, error) {
-	resp, wire, messages, err := s.call(ctx, &request{
+	resp, m, err := s.call(ctx, &request{
 		Op: opPartial, Query: req.Query, Star: req.Star, Center: req.Center,
 		Order: req.Order, EdgeRank: req.EdgeRank, Union: req.Union,
 		MaxMatches: req.MaxMatches,
 	}, emit)
-	rep := cluster.PartialReply{Wire: wire, WireMessages: messages}
-	if err != nil {
-		return rep, err
-	}
-	rep.LocalMatches = resp.LocalMatches
-	rep.Matches = resp.Matches
-	rep.Tasks = resp.Tasks
-	rep.Busy = time.Duration(resp.BusyNS)
-	rep.Eval = time.Duration(resp.EvalNS)
-	return rep, nil
+	return cluster.PartialReply{LocalMatches: resp.LocalMatches, Matches: resp.Matches, Meter: m}, err
 }
 
 // Stats implements cluster.Site. The address is filled client-side: the
 // worker does not reliably know the name it was dialed by.
 func (s *Site) Stats(ctx context.Context) (cluster.SiteInfo, error) {
-	resp, _, _, err := s.call(ctx, &request{Op: opStats}, nil)
+	resp, _, err := s.call(ctx, &request{Op: opStats}, nil)
 	if err != nil {
 		return cluster.SiteInfo{Site: s.id, Addr: s.link.addr}, err
 	}
@@ -318,7 +306,7 @@ func (s *Site) SwapGeneration(ctx context.Context, swap cluster.GenerationSwap) 
 	default:
 		req.Fragment = swap.Fragment.Payload()
 	}
-	if _, _, _, err := s.call(ctx, req, nil); err != nil {
+	if _, _, err := s.call(ctx, req, nil); err != nil {
 		return nil, err
 	}
 	return &Site{link: s.link, id: s.id, epoch: swap.Epoch}, nil

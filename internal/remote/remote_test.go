@@ -220,6 +220,10 @@ func TestRemoteSiteMatchesLocalSite(t *testing.T) {
 		if gotC.Wire <= 0 || gotC.WireMessages < 2 {
 			t.Errorf("site %d candidates wire = %d bytes / %d messages", i, gotC.Wire, gotC.WireMessages)
 		}
+		// The worker forwards the site's own timing of its one task.
+		if wantC.Tasks != 1 || gotC.Tasks != 1 || gotC.Busy <= 0 {
+			t.Errorf("site %d candidates work = %d tasks / %v busy (in process %d tasks), want one timed task", i, gotC.Tasks, gotC.Busy, wantC.Tasks)
+		}
 		if !bytes.Equal(wantC.Vectors.AppendBinary(nil), gotC.Vectors.AppendBinary(nil)) {
 			t.Errorf("site %d candidate vectors diverged", i)
 		}
@@ -471,9 +475,9 @@ func TestMalformedPrepareIsAnErrorFrame(t *testing.T) {
 		"delta with no base":   {Delta: &fragment.Delta{}},
 	} {
 		bad.Op, bad.Epoch = opSwap, 1
-		_, _, messages, err := s0.call(ctx, bad, nil)
-		if err == nil || errors.Is(err, cluster.ErrNeedSync) || messages != 2 {
-			t.Fatalf("%s: err %v after %d frames, want an error reply frame", name, err, messages)
+		_, m, err := s0.call(ctx, bad, nil)
+		if err == nil || errors.Is(err, cluster.ErrNeedSync) || m.WireMessages != 2 {
+			t.Fatalf("%s: err %v after %d frames, want an error reply frame", name, err, m.WireMessages)
 		}
 	}
 	if n := len(resident(w)); n != 0 {

@@ -277,6 +277,8 @@ func (w *Worker) handleCandidates(ctx context.Context, req *request, final *resp
 		return
 	}
 	final.Vectors = rep.Vectors
+	final.Tasks = rep.Tasks
+	final.BusyNS = int64(rep.Busy)
 }
 
 // handlePartial runs the site-local evaluation stage, streaming row

@@ -77,11 +77,12 @@ type ExplainStage struct {
 	Stage         string  `json:"stage"`
 	Millis        float64 `json:"ms"`
 	ShipmentBytes int64   `json:"shipment_bytes"`
-	// Vars and FramingBytes break the candidates stage (Full mode) down:
-	// one row per query variable, and what the encodings spend outside
-	// the variables' sets. In process they sum to shipment_bytes; over RPC
-	// that is the socket measurement of the candidates calls, and the
-	// union's bytes_down ride the partial-evaluation requests.
+	// Over RPC every stage's shipment_bytes is its calls' socket bytes
+	// (the coordinator-side stages make none). Vars and FramingBytes
+	// break the candidates stage (Full mode) down: one row per query
+	// variable, and what the encodings spend outside the variables' sets.
+	// In process they sum to shipment_bytes; over RPC the union's
+	// bytes_down ride the partial-evaluation requests.
 	Vars         []ExplainCandidateVar `json:"vars,omitempty"`
 	FramingBytes int64                 `json:"framing_bytes,omitempty"`
 }
