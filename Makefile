@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadNTriples$$' -fuzztime=10s ./internal/rdf/
 	$(GO) test -run=NONE -fuzz='^FuzzApplyDelta$$' -fuzztime=10s ./internal/fragment/
 	$(GO) test -run=NONE -fuzz='^FuzzClosureIndex$$' -fuzztime=10s ./internal/lec/
+	$(GO) test -run=NONE -fuzz='^FuzzFeatureIDs$$' -fuzztime=10s ./internal/lec/
 	$(GO) test -run=NONE -fuzz='^FuzzCompute$$' -fuzztime=10s ./internal/partial/
 	$(GO) test -run=NONE -fuzz='^FuzzSiteVectorsDecode$$' -fuzztime=10s ./internal/candidates/
 	$(GO) test -run=NONE -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/remote/

@@ -33,12 +33,6 @@ type Result struct {
 	EdgeVars []rdf.TermID
 }
 
-// Key canonically identifies the result row (layout: package key).
-func (r Result) Key() string {
-	var buf [128]byte
-	return string(key.Terms(key.Terms(buf[:0], r.Vec), r.EdgeVars))
-}
-
 // Stats reports work performed by an assembly run.
 type Stats struct {
 	JoinAttempts int // join steps the closure walk tried
@@ -68,22 +62,22 @@ type Options struct {
 }
 
 // collector is the one end of every assembly: complete matches are
-// deduplicated by row key — distinct member sets can assemble into
-// identical rows — then emitted or accumulated.
+// deduplicated — distinct member sets can assemble into identical rows —
+// then emitted or accumulated. A row's identity is its Vec followed by
+// its EdgeVars, whose lengths the query fixes.
 type collector struct {
 	opts  Options
-	done  map[string]bool
+	done  key.Set[rdf.TermID]
+	buf   []rdf.TermID
 	out   []Result
 	stats Stats
 }
 
 func (c *collector) complete(r Result) bool {
-	var buf [128]byte
-	rk := key.Terms(key.Terms(buf[:0], r.Vec), r.EdgeVars)
-	if c.done[string(rk)] { // lookup by converted bytes does not allocate
+	c.buf = append(append(c.buf[:0], r.Vec...), r.EdgeVars...)
+	if _, added := c.done.Add(c.buf); !added {
 		return true
 	}
-	c.done[string(rk)] = true
 	c.stats.Results++
 	if c.opts.Emit != nil {
 		return c.opts.Emit(r)
@@ -132,7 +126,7 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 // features can still disagree on one. Only matches of retained features
 // are read. A walk that did not finish expands to nothing (nil results).
 func Expand(pms []*partial.Match, features []*lec.Feature, walk lec.PruneResult, q *query.Graph, opts Options) ([]Result, Stats) {
-	col := collector{opts: opts, done: make(map[string]bool)}
+	col := collector{opts: opts}
 	col.stats.JoinAttempts, col.stats.States = walk.Attempts, walk.States
 	var polls uint
 	var grow func(members []int, d int, r Result) bool

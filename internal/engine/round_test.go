@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -54,31 +55,38 @@ func TestRoundBooksSitesInOrder(t *testing.T) {
 
 // TestStreamStoppedEarlyBooksEmitted: a stream its LIMIT stops books the
 // matches it emitted, on the star path and through partial evaluation
-// and assembly, at every width.
+// and assembly, at every width, with the sites in process and on two
+// loopback workers — where the canceled call ends without a final frame.
 func TestStreamStoppedEarlyBooksEmitted(t *testing.T) {
 	env := newEquivEnv(t)
-	for _, shape := range []string{"star", "path", "tree", "chain"} {
-		for _, limit := range []int{1, 3} {
-			q := env.shape(t, shape, func(b *query.Builder) *query.Builder { return b.Limit(limit) })
-			for _, width := range []int{1, 4} {
-				res, err := env.eng.ExecuteStream(context.Background(), q, Config{Mode: Full, EvalWorkers: width}, func(Row) bool { return true })
-				if err != nil {
-					t.Fatalf("%s LIMIT %d width %d: %v", shape, limit, width, err)
-				}
-				s := res.Stats
-				if s.NumMatches != limit {
-					t.Fatalf("%s LIMIT %d width %d: %d rows", shape, limit, width, s.NumMatches)
-				}
-				if s.NumLocalMatches+s.NumCrossingMatches < s.NumMatches {
-					t.Errorf("%s LIMIT %d width %d: %d local + %d crossing matches book %d rows",
-						shape, limit, width, s.NumLocalMatches, s.NumCrossingMatches, s.NumMatches)
-				}
-				var local int
-				for _, f := range s.Fragments {
-					local += f.LocalMatches
-				}
-				if local != s.NumLocalMatches {
-					t.Errorf("%s LIMIT %d width %d: fragments book %d local matches, the total %d", shape, limit, width, local, s.NumLocalMatches)
+	for _, site := range []struct {
+		name string
+		eng  *Engine
+	}{{"in-process", env.eng}, {"wired", newRemoteEngine(t, env)}} {
+		for _, shape := range []string{"star", "path", "tree", "chain"} {
+			for _, limit := range []int{1, 3} {
+				q := env.shape(t, shape, func(b *query.Builder) *query.Builder { return b.Limit(limit) })
+				for _, width := range []int{1, 4} {
+					at := fmt.Sprintf("%s %s LIMIT %d width %d", site.name, shape, limit, width)
+					res, err := site.eng.ExecuteStream(context.Background(), q, Config{Mode: Full, EvalWorkers: width}, func(Row) bool { return true })
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					s := res.Stats
+					if s.NumMatches != limit {
+						t.Fatalf("%s: %d rows", at, s.NumMatches)
+					}
+					if s.NumLocalMatches+s.NumCrossingMatches < s.NumMatches {
+						t.Errorf("%s: %d local + %d crossing matches book %d rows",
+							at, s.NumLocalMatches, s.NumCrossingMatches, s.NumMatches)
+					}
+					var local int
+					for _, f := range s.Fragments {
+						local += f.LocalMatches
+					}
+					if local != s.NumLocalMatches {
+						t.Errorf("%s: fragments book %d local matches, the total %d", at, local, s.NumLocalMatches)
+					}
 				}
 			}
 		}

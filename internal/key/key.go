@@ -1,13 +1,16 @@
-// Package key builds the binary identity keys every dedup set and index
-// of the query path hashes on: partial matches, LEC features, join-state
-// member sets, assembled results and result rows.
+// Package key holds the identities the query path deduplicates and
+// indexes on. Set is an exact hashed set of integer tuples — interned
+// crossing-edge mappings, LEC features as (fragment, mapping ids), join
+// member sets and assembled rows — that hands out dense ids and allocates
+// no key per tuple. The byte keys below identify partial matches and
+// result rows where a string must stand for them.
 //
-// A key is a concatenation of fields, each appended to a caller-owned
+// A byte key is a concatenation of fields, each appended to a caller-owned
 // byte slice and finally converted with string(b) for map use. Scalar
 // fields are fixed-width big-endian, so a key needs no separators, two
 // keys of the same layout are equal iff every field is, and byte order
 // of equal-length keys is numeric order of their fields. Variable-length
-// sections (Terms, Ints, and any caller-encoded list prefixed with Len)
+// sections (Terms, and any caller-encoded list prefixed with Len)
 // carry their element count first, so adjacent sections cannot trade
 // elements across their boundary.
 package key
@@ -35,15 +38,6 @@ func Terms(b []byte, ts []rdf.TermID) []byte {
 	b = Len(b, len(ts))
 	for _, t := range ts {
 		b = Term(b, t)
-	}
-	return b
-}
-
-// Ints appends a length-prefixed section of ints.
-func Ints(b []byte, ns []int) []byte {
-	b = Len(b, len(ns))
-	for _, n := range ns {
-		b = Int(b, n)
 	}
 	return b
 }

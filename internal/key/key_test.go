@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"gstored/internal/assembly"
 	"gstored/internal/engine"
 	"gstored/internal/key"
 	"gstored/internal/lec"
@@ -14,22 +13,31 @@ import (
 	"gstored/internal/rdf"
 )
 
-// Identity predicates: the fields each Key() is documented to cover.
+// Identity predicates: the fields each key or grouping is documented to
+// cover.
 
 func sameMatch(a, b *partial.Match) bool {
 	return a.Frag == b.Frag && slices.Equal(a.Vec, b.Vec) && slices.Equal(a.EdgeVars, b.EdgeVars) &&
 		a.MatchedEdges == b.MatchedEdges && slices.Equal(a.Crossing, b.Crossing)
 }
 
-func sameFeature(a, b *lec.Feature) bool {
-	return a.Frag == b.Frag && slices.Equal(a.Mappings, b.Mappings)
+func sameFeature(a, b *partial.Match) bool {
+	return a.Frag == b.Frag && slices.Equal(a.Crossing, b.Crossing)
 }
 
-func sameResult(a, b assembly.Result) bool {
-	return slices.Equal(a.Vec, b.Vec) && slices.Equal(a.EdgeVars, b.EdgeVars)
+// grouped reports whether lec.Compute puts a and b in one feature.
+func grouped(a, b *partial.Match) bool {
+	_, featureOf := lec.Compute([]*partial.Match{a, b})
+	return featureOf[0] == featureOf[1]
 }
 
-func members(ns []int) string { return string(key.Ints(nil, ns)) }
+// shareID reports whether a Set gives tuples a and b one id.
+func shareID[T key.Word](a, b []T) bool {
+	var s key.Set[T]
+	ia, _ := s.Add(a)
+	ib, _ := s.Add(b)
+	return ia == ib
+}
 
 // TestKeyBoundaries is the table of adversarial variable-length cases a
 // separator-free layout must still keep apart: every pair differs in
@@ -65,26 +73,26 @@ func TestKeyBoundaries(t *testing.T) {
 		}
 	}
 
-	features := [][2]*lec.Feature{
-		{{Frag: 1, Mappings: []partial.CrossEdge{c1}}, {Frag: 2, Mappings: []partial.CrossEdge{c1}}},
-		{{Mappings: []partial.CrossEdge{c1}}, {Mappings: []partial.CrossEdge{c1, c0}}},
-		{{Mappings: nil}, {Mappings: []partial.CrossEdge{c0}}},
-		{{Mappings: []partial.CrossEdge{{QEdge: 1, S: 23}}}, {Mappings: []partial.CrossEdge{{QEdge: 12, S: 3}}}},
+	features := [][2]*partial.Match{
+		{{Frag: 1, Crossing: []partial.CrossEdge{c1}}, {Frag: 2, Crossing: []partial.CrossEdge{c1}}},
+		{{Crossing: []partial.CrossEdge{c1}}, {Crossing: []partial.CrossEdge{c1, c0}}},
+		{{Crossing: nil}, {Crossing: []partial.CrossEdge{c0}}},
+		{{Crossing: []partial.CrossEdge{{QEdge: 1, S: 23}}}, {Crossing: []partial.CrossEdge{{QEdge: 12, S: 3}}}},
 	}
 	for i, p := range features {
-		if p[0].Key() == p[1].Key() {
-			t.Errorf("feature case %d: distinct features share a key", i)
+		if grouped(p[0], p[1]) {
+			t.Errorf("feature case %d: distinct (fragment, g) pairs share a feature", i)
 		}
 	}
 	// The sign is implied by (fragment, g) — Theorem 1 — and stays out.
-	if (&lec.Feature{Frag: 1, Sign: 5}).Key() != (&lec.Feature{Frag: 1, Sign: 9}).Key() {
-		t.Error("feature key depends on Sign")
+	if !grouped(&partial.Match{Frag: 1, Sign: 5}, &partial.Match{Frag: 1, Sign: 9}) {
+		t.Error("feature grouping depends on Sign")
 	}
 
 	sets := [][2][]int{{{1, 23}, {12, 3}}, {{}, {0}}, {{0}, {0, 0}}, {{1, 2}, {2, 1}}, {{256}, {1}}}
 	for i, p := range sets {
-		if members(p[0]) == members(p[1]) {
-			t.Errorf("member-set case %d: %v and %v share a key", i, p[0], p[1])
+		if shareID(p[0], p[1]) {
+			t.Errorf("member-set case %d: %v and %v share an id", i, p[0], p[1])
 		}
 	}
 
@@ -93,14 +101,9 @@ func TestKeyBoundaries(t *testing.T) {
 		if p[0].Key() == p[1].Key() {
 			t.Errorf("row case %d: %v and %v share a key", i, p[0], p[1])
 		}
-		ra, rb := assembly.Result{Vec: p[0]}, assembly.Result{Vec: p[1]}
-		if ra.Key() == rb.Key() {
-			t.Errorf("result case %d: distinct results share a key", i)
+		if shareID(p[0], p[1]) {
+			t.Errorf("row case %d: %v and %v share a set id", i, p[0], p[1])
 		}
-	}
-	if (assembly.Result{Vec: []rdf.TermID{1, 2}, EdgeVars: []rdf.TermID{3}}).Key() ==
-		(assembly.Result{Vec: []rdf.TermID{1}, EdgeVars: []rdf.TermID{2, 3}}).Key() {
-		t.Error("result key lets an element cross the Vec / EdgeVars boundary")
 	}
 }
 
@@ -162,15 +165,12 @@ func TestKeysInjective(t *testing.T) {
 			t.Logf("match %+v vs %+v", ma, mb)
 			return false
 		}
-		fa := &lec.Feature{Frag: ma.Frag, Mappings: ma.Crossing, Sign: ma.Sign}
-		fb := &lec.Feature{Frag: mb.Frag, Mappings: mb.Crossing, Sign: mb.Sign}
-		if (fa.Key() == fb.Key()) != sameFeature(fa, fb) {
-			t.Logf("feature %+v vs %+v", fa, fb)
+		if grouped(ma, mb) != sameFeature(ma, mb) {
+			t.Logf("feature of %+v vs %+v", ma, mb)
 			return false
 		}
-		xa, xb := assembly.Result{Vec: ma.Vec, EdgeVars: ma.EdgeVars}, assembly.Result{Vec: mb.Vec, EdgeVars: mb.EdgeVars}
-		if (xa.Key() == xb.Key()) != sameResult(xa, xb) {
-			t.Logf("result %+v vs %+v", xa, xb)
+		if shareID(ma.Vec, mb.Vec) != slices.Equal(ma.Vec, mb.Vec) {
+			t.Logf("tuple %v vs %v", ma.Vec, mb.Vec)
 			return false
 		}
 		if (engine.Row(ma.Vec).Key() == engine.Row(mb.Vec).Key()) != slices.Equal(ma.Vec, mb.Vec) {
@@ -178,7 +178,7 @@ func TestKeysInjective(t *testing.T) {
 			return false
 		}
 		na, nb := r.Perm(r.Intn(4)), r.Perm(r.Intn(4))
-		if (members(na) == members(nb)) != slices.Equal(na, nb) {
+		if shareID(na, nb) != slices.Equal(na, nb) {
 			t.Logf("members %v vs %v", na, nb)
 			return false
 		}

@@ -5,35 +5,29 @@ import (
 	"sync/atomic"
 
 	"gstored/internal/key"
-	"gstored/internal/partial"
 	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
 
-// Item is what the join closure knows about one LEC feature (in the Basic
-// join, one partial match's singleton feature): its LECSign and its
-// crossing-edge mappings (the function g of Definition 8). A crossing
-// edge has exactly one endpoint inside the item's fragment, so of the two
-// endpoint bits of a mapping's query edge Sign holds exactly one; the
-// crossing-edge index relies on it.
-type Item struct {
-	Sign     uint64
-	Mappings []partial.CrossEdge
-}
-
 // Closure is the canonical-root walk behind Algorithm 2 (feature pruning),
 // Algorithm 3 (LEC assembly) and the baseline join of [18]: every
-// connected, sign-disjoint, mapping-consistent combination of Items is
+// connected, sign-disjoint, mapping-consistent combination of features is
 // grown depth-first from its minimum-index member, visited once (a seen
 // set keyed by the sorted member set), and reported when its signs cover
 // the query (Theorem 4: a full cover matches every edge). The walk owns
 // the join condition of Definition 9; what a combination's members make
 // together is the caller's to build from the member set.
 type Closure struct {
-	Q     *query.Graph
-	Items []Item
-	// AllPairs proposes every larger-index item as a partner instead of
+	Q *query.Graph
+	// Features are what the walk joins (in the Basic join, one singleton
+	// feature per partial match): their LECSigns and interned mappings. A
+	// crossing edge has exactly one endpoint inside the feature's
+	// fragment, so of the two endpoint bits of a mapping's query edge Sign
+	// holds exactly one; the crossing-edge index relies on it. Features
+	// not all from one Compute call are interned anew, in place.
+	Features []*Feature
+	// AllPairs proposes every larger-index feature as a partner instead of
 	// consulting the crossing-edge index: the same closure, with sharing
 	// re-discovered by the join step at the price of the attempts the
 	// index avoids. It is gStoreD-Basic, and nothing else differs.
@@ -57,15 +51,12 @@ type Closure struct {
 	Attempts int // join steps tried
 	States   int // distinct combinations materialized
 
-	// The read-only index every chunk shares. Mappings are interned to
-	// dense ids (edges[id] keeps what the join step reads of one); item i
-	// holds ids[off[i]:off[i+1]]; and, unless AllPairs,
-	// post[postOff[2*id+side]:postOff[2*id+side+1]] lists in ascending
-	// order the items holding mapping id whose internal endpoint is the
+	// The read-only index every chunk shares: the features' table of
+	// interned mappings and, unless AllPairs,
+	// post[postOff[2*id+side]:postOff[2*id+side+1]], listing in ascending
+	// order the features holding mapping id whose internal endpoint is the
 	// query edge's From (side 0) or To (side 1).
-	edges   []mapping
-	off     []int32
-	ids     []int32
+	tab     *table
 	postOff []int32
 	post    []int32
 }
@@ -113,14 +104,13 @@ type walker struct {
 	// finished with, whose slices push reuses.
 	frontier []state
 	free     []state
-	seen     map[string]bool
-	buf      []int // partners scratch
+	seen     key.Set[int] // the current root's member sets of three and more
+	buf      []int        // partners scratch
 	polls    uint
 
 	// What a chunk of a pooled walk completed, replayed by Run in chunk
-	// order: member sets back to back, ends[k] closing set k.
-	doneMembers []int
-	doneEnds    []int
+	// order.
+	done Combos
 }
 
 // Run walks the closure, reporting whether it ran to the end (false
@@ -129,11 +119,11 @@ func (c *Closure) Run() bool {
 	walks.Add(1)
 	c.buildIndex()
 	var stop atomic.Bool
-	chunks := pool.Chunks(len(c.Items), 4*c.Pool.Workers())
+	chunks := pool.Chunks(len(c.Features), 4*c.Pool.Workers())
 	if c.Pool.Workers() == 1 || len(chunks) < 2 {
 		w := c.newWalker(&stop)
 		w.complete = c.Complete
-		ok := w.run(0, len(c.Items))
+		ok := w.run(0, len(c.Features))
 		c.Attempts, c.States = w.attempts, w.states
 		return ok
 	}
@@ -161,56 +151,48 @@ func (c *Closure) Run() bool {
 		return false
 	}
 	for _, w := range ws {
-		lo := 0
-		for _, hi := range w.doneEnds {
-			if !c.Complete(w.doneMembers[lo:hi]) {
+		for k := range w.done.Len() {
+			if !c.Complete(w.done.At(k)) {
 				return false
 			}
-			lo = hi
 		}
 	}
 	return true
 }
 
-// buildIndex interns the items' mappings and, unless AllPairs, builds the
-// side-split posting lists.
+// buildIndex interns the features' mappings unless one Compute call did
+// and, unless AllPairs, builds the side-split posting lists.
 func (c *Closure) buildIndex() {
 	total := 0
-	for _, it := range c.Items {
-		total += len(it.Mappings)
+	for _, f := range c.Features {
+		total += len(f.Mappings)
 	}
-	intern := make(map[partial.CrossEdge]int32, len(c.Items))
-	c.edges, c.ids = make([]mapping, 0, len(c.Items)), make([]int32, 0, total)
-	c.off = make([]int32, len(c.Items)+1)
-	for i, it := range c.Items {
-		for _, m := range it.Mappings {
-			id, ok := intern[m]
-			if !ok {
-				id = int32(len(c.edges))
-				intern[m] = id
-				c.edges = append(c.edges, mapping{int32(m.QEdge), m.S, m.O})
-			}
-			c.ids = append(c.ids, id)
+	if len(c.Features) > 0 {
+		c.tab = c.Features[0].tab
+	}
+	if c.tab == nil || slices.ContainsFunc(c.Features, func(f *Feature) bool { return f.tab != c.tab }) {
+		c.tab = &table{}
+		for _, f := range c.Features {
+			f.ids, f.tab = c.tab.intern(nil, f.Mappings), c.tab
 		}
-		c.off[i+1] = int32(len(c.ids))
 	}
 	if c.AllPairs {
 		return
 	}
-	// Counting sort of (item, mapping) pairs by (mapping, side): count,
-	// prefix-sum, then place in item order so every list is ascending.
-	c.postOff = make([]int32, 2*len(c.edges)+1)
-	for i := range c.Items {
-		for _, id := range c.ids[c.off[i]:c.off[i+1]] {
+	// Counting sort of (feature, mapping) pairs by (mapping, side): count,
+	// prefix-sum, then place in feature order so every list is ascending.
+	c.postOff = make([]int32, 2*len(c.tab.edges)+1)
+	for i, f := range c.Features {
+		for _, id := range f.ids {
 			c.postOff[c.slot(i, id)+1]++
 		}
 	}
 	for s := 1; s < len(c.postOff); s++ {
 		c.postOff[s] += c.postOff[s-1]
 	}
-	c.post = make([]int32, len(c.ids))
-	for i := range c.Items {
-		for _, id := range c.ids[c.off[i]:c.off[i+1]] {
+	c.post = make([]int32, total)
+	for i, f := range c.Features {
+		for _, id := range f.ids {
 			s := c.slot(i, id)
 			c.post[c.postOff[s]] = int32(i)
 			c.postOff[s]++
@@ -221,34 +203,33 @@ func (c *Closure) buildIndex() {
 	c.postOff[0] = 0
 }
 
-// slot is the posting list of item i under mapping id: side 0 when the
-// item's internal endpoint is the query edge's From, side 1 when its To.
+// slot is the posting list of feature i under mapping id: side 0 when the
+// feature's internal endpoint is the query edge's From, side 1 when its To.
 func (c *Closure) slot(i int, id int32) int32 {
-	if c.Items[i].Sign>>uint(c.Q.Edges[c.edges[id].qedge].From)&1 == 1 {
+	if c.Features[i].Sign>>uint(c.Q.Edges[c.tab.edges[id].qedge].From)&1 == 1 {
 		return 2 * id
 	}
 	return 2*id + 1
 }
 
 func (c *Closure) newWalker(stop *atomic.Bool) *walker {
-	return &walker{c: c, full: fullSign(len(c.Q.Vertices)), stop: stop, seen: map[string]bool{}}
+	return &walker{c: c, full: fullSign(len(c.Q.Vertices)), stop: stop}
 }
 
 // record is the complete hook of a pooled chunk.
 func (w *walker) record(members []int) bool {
-	w.doneMembers = append(w.doneMembers, members...)
-	w.doneEnds = append(w.doneEnds, len(w.doneMembers))
+	w.done.Append(members)
 	return true
 }
 
-// run walks the combinations rooted at items [lo, hi).
+// run walks the combinations rooted at features [lo, hi).
 func (w *walker) run(lo, hi int) bool {
 	for root := lo; root < hi; root++ {
 		if !w.start(root) {
 			continue
 		}
 		if w.next.sign == w.full {
-			// A single item can never be complete (it has a crossing
+			// A single feature can never be complete (it has a crossing
 			// edge, hence an extended endpoint vertex), but guard anyway.
 			if !w.complete(w.next.members) {
 				return false
@@ -257,11 +238,11 @@ func (w *walker) run(lo, hi int) bool {
 		}
 		w.push()
 		// One root's large closure must not tax the roots after it:
-		// clearing a map costs its capacity, not its length.
-		if len(w.seen) > 256 {
-			w.seen = map[string]bool{}
-		} else if len(w.seen) > 0 {
-			clear(w.seen)
+		// clearing a table costs its capacity, not its length.
+		if w.seen.Len() > 256 {
+			w.seen = key.Set[int]{}
+		} else {
+			w.seen.Reset()
 		}
 		for len(w.frontier) > 0 {
 			if w.polls&0xff == 0 && (w.stop.Load() || w.c.Cancel != nil && w.c.Cancel()) {
@@ -283,7 +264,6 @@ func (w *walker) run(lo, hi int) bool {
 // expand tries every partner of s, pushing the extensions that are new
 // and reporting the ones that cover the query.
 func (w *walker) expand(s *state, root int) bool {
-	var kbuf [128]byte // member-set key scratch
 	for _, i := range w.partners(s, root) {
 		w.attempts++
 		if !w.step(s, i) {
@@ -292,15 +272,13 @@ func (w *walker) expand(s *state, root int) bool {
 		// A pair is reached once, from its root; only larger
 		// combinations have several growth orders to deduplicate.
 		if len(w.next.members) > 2 {
-			mk := key.Ints(kbuf[:0], w.next.members)
-			if w.seen[string(mk)] { // lookup by converted bytes does not allocate
+			if _, added := w.seen.Add(w.next.members); !added {
 				continue
 			}
-			w.seen[string(mk)] = true
 		}
 		w.states++
 		if w.next.sign == w.full {
-			// Nothing can extend a full cover: any further item
+			// Nothing can extend a full cover: any further feature
 			// overlaps its sign.
 			if !w.complete(w.next.members) {
 				return false
@@ -326,7 +304,7 @@ func (w *walker) push() {
 	w.frontier = append(w.frontier, s)
 }
 
-// partners lists, in ascending order, the items worth trying against s:
+// partners lists, in ascending order, the features worth trying against s:
 // larger than the root (canonical-root enumeration) and — unless AllPairs,
 // which proposes every non-member — holding one of s's mappings from the
 // side s's sign does not cover. A holder on a covered side overlaps s's
@@ -337,7 +315,7 @@ func (w *walker) partners(s *state, root int) []int {
 	out := w.buf[:0]
 	if c.AllPairs {
 		mi := 0
-		for i := root + 1; i < len(c.Items); i++ {
+		for i := root + 1; i < len(c.Features); i++ {
 			for mi < len(s.members) && s.members[mi] < i {
 				mi++
 			}
@@ -376,18 +354,20 @@ func (w *walker) partners(s *state, root int) []int {
 	return out
 }
 
-// start fills next with the one-item state of root, reporting false when
-// the item's own mappings contradict each other.
+// start fills next with the one-feature state of root, reporting false when
+// the feature's own mappings contradict each other.
 func (w *walker) start(root int) bool {
 	c, out := w.c, &w.next
-	out.sign = c.Items[root].Sign
+	out.sign = c.Features[root].Sign
 	out.members = append(out.members[:0], root)
-	out.vbind = append(out.vbind[:0], make([]rdf.TermID, len(c.Q.Vertices))...)
-	out.qmap = out.qmap[:0]
+	out.vbind, out.qmap = out.vbind[:0], out.qmap[:0]
+	for range c.Q.Vertices {
+		out.vbind = append(out.vbind, rdf.NoTerm)
+	}
 	for range c.Q.Edges {
 		out.qmap = append(out.qmap, -1)
 	}
-	for _, id := range c.ids[c.off[root]:c.off[root+1]] {
+	for _, id := range c.Features[root].ids {
 		if !c.applyMapping(out.vbind, out.qmap, id) {
 			return false
 		}
@@ -395,7 +375,7 @@ func (w *walker) start(root int) bool {
 	return true
 }
 
-// step is the join condition, stated once: item i extends s when their
+// step is the join condition, stated once: feature i extends s when their
 // LECSigns are disjoint (Theorem 4 condition 2), they share at least one
 // crossing-edge mapping, and no query edge ends up on two crossing edges
 // (Definition 9) nor any query vertex on two crossing-edge endpoints (a
@@ -403,14 +383,14 @@ func (w *walker) start(root int) bool {
 // success next holds the extended state.
 func (w *walker) step(s *state, i int) bool {
 	c, out := w.c, &w.next
-	if s.sign&c.Items[i].Sign != 0 {
+	if s.sign&c.Features[i].Sign != 0 {
 		return false
 	}
 	out.vbind = append(out.vbind[:0], s.vbind...)
 	out.qmap = append(out.qmap[:0], s.qmap...)
 	shared := false
-	for _, id := range c.ids[c.off[i]:c.off[i+1]] {
-		if s.qmap[c.edges[id].qedge] == id {
+	for _, id := range c.Features[i].ids {
+		if s.qmap[c.tab.edges[id].qedge] == id {
 			shared = true
 		} else if !c.applyMapping(out.vbind, out.qmap, id) {
 			return false
@@ -419,7 +399,7 @@ func (w *walker) step(s *state, i int) bool {
 	if !shared {
 		return false
 	}
-	out.sign = s.sign | c.Items[i].Sign
+	out.sign = s.sign | c.Features[i].Sign
 	at, _ := slices.BinarySearch(s.members, i)
 	out.members = slices.Insert(append(out.members[:0], s.members...), at, i)
 	return true
@@ -435,7 +415,7 @@ func fullSign(n int) uint64 {
 // applyMapping folds crossing-edge mapping id into the per-vertex and
 // per-edge binding tables, reporting consistency.
 func (c *Closure) applyMapping(vbind []rdf.TermID, qmap []int32, id int32) bool {
-	m := c.edges[id]
+	m := c.tab.edges[id]
 	e := c.Q.Edges[m.qedge]
 	if cur := qmap[m.qedge]; cur >= 0 {
 		return cur == id // Definition 9 condition 3

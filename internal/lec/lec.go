@@ -27,17 +27,11 @@ type Feature struct {
 	// PMs indexes the partial matches belonging to this equivalence class
 	// (positions into the slice passed to Compute).
 	PMs []int
-}
 
-// Key canonically identifies the feature (fragment + g; the sign is
-// implied, Theorem 1).
-func (f *Feature) Key() string {
-	var buf [128]byte
-	return string(appendKey(buf[:0], f.Frag, f.Mappings))
-}
-
-func appendKey(b []byte, frag int, g []partial.CrossEdge) []byte {
-	return partial.AppendCrossing(key.Int(b, frag), g)
+	// ids are Mappings interned in tab, the table of the Compute call
+	// that built the feature (or of the walk that interned it).
+	ids []int32
+	tab *table
 }
 
 // EstimateBytes approximates the wire size of the feature for data-shipment
@@ -47,46 +41,75 @@ func (f *Feature) EstimateBytes(numQueryVertices int) int {
 	return 4 + 16*len(f.Mappings) + (numQueryVertices+7)/8
 }
 
-// Compute runs Algorithm 1: a linear scan grouping partial matches into
-// equivalence classes keyed by (fragment, g). Features are returned in
-// first-seen order; FeatureOf[i] gives the feature index of pms[i]. Only
-// a first-seen class allocates (its Feature and its key).
-func Compute(pms []*partial.Match) (features []*Feature, featureOf []int) {
-	index := make(map[string]int)
-	featureOf = make([]int, len(pms))
-	var buf [128]byte
-	for i, pm := range pms {
-		fk := appendKey(buf[:0], pm.Frag, pm.Crossing)
-		fi, ok := index[string(fk)] // lookup by converted bytes does not allocate
-		if !ok {
-			fi = len(features)
-			index[string(fk)] = fi
-			features = append(features, &Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign})
+// table is one query's interned crossing-edge mappings: each distinct
+// mapping gets a dense id, in order of first sight, and edges[id] keeps
+// what the join step reads of it.
+type table struct {
+	set   key.Set[uint32] // (QEdge, S, P, O) per id
+	edges []mapping
+}
+
+// intern appends the ids of g's mappings to ids: the one place a mapping
+// gets its id, for Compute's features and hand-built ones alike.
+func (t *table) intern(ids []int32, g []partial.CrossEdge) []int32 {
+	for _, m := range g {
+		id, added := t.set.Add([]uint32{uint32(m.QEdge), uint32(m.S), uint32(m.P), uint32(m.O)})
+		if added {
+			t.edges = append(t.edges, mapping{int32(m.QEdge), m.S, m.O})
 		}
-		features[fi].PMs = append(features[fi].PMs, i)
-		featureOf[i] = fi
+		ids = append(ids, int32(id))
+	}
+	return ids
+}
+
+// Compute runs Algorithm 1: a linear scan grouping partial matches into
+// equivalence classes by the id tuple (fragment, interned g). Features
+// are returned in first-seen order; FeatureOf[i] gives the feature index
+// of pms[i]. Features and their PMs are carved from a few slabs.
+func Compute(pms []*partial.Match) (features []*Feature, featureOf []int) {
+	words := 0
+	for _, pm := range pms {
+		words += len(pm.Crossing)
+	}
+	// Room for every mapping distinct and every match its own feature.
+	tab := &table{edges: make([]mapping, 0, words)}
+	tab.set.Reserve(words, 4*words)
+	var tuples key.Set[int32] // feature fi is tuple fi
+	tuples.Reserve(len(pms), len(pms)+words)
+	featureOf = make([]int, len(pms))
+	var tup []int32
+	for i, pm := range pms {
+		tup = tab.intern(append(tup[:0], int32(pm.Frag)), pm.Crossing)
+		featureOf[i], _ = tuples.Add(tup)
+	}
+	// PMs are sub-slices of one permutation of the matches, grouped by
+	// feature and ascending within each: count, prefix-sum, place.
+	ends := make([]int, tuples.Len()+1)
+	for _, fi := range featureOf {
+		ends[fi+1]++
+	}
+	for fi := 1; fi < len(ends); fi++ {
+		ends[fi] += ends[fi-1]
+	}
+	perm := make([]int, len(pms))
+	for i, fi := range featureOf {
+		perm[ends[fi]] = i
+		ends[fi]++
+	}
+	slab := make([]Feature, tuples.Len())
+	features = make([]*Feature, len(slab))
+	lo := 0
+	for fi := range slab {
+		pm := pms[perm[lo]]
+		slab[fi] = Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign,
+			PMs: perm[lo:ends[fi]:ends[fi]], ids: tuples.At(fi)[1:], tab: tab}
+		features[fi], lo = &slab[fi], ends[fi]
 	}
 	return features, featureOf
 }
 
-// Combos is a list of feature-index sets, each ascending, stored back to
-// back.
-type Combos struct {
-	members []int
-	ends    []int
-}
-
-// Len reports the number of sets.
-func (c *Combos) Len() int { return len(c.ends) }
-
-// At returns set k; the slice aliases the list.
-func (c *Combos) At(k int) []int {
-	lo := 0
-	if k > 0 {
-		lo = c.ends[k-1]
-	}
-	return c.members[lo:c.ends[k]]
-}
+// Combos is a list of feature-index sets, each ascending.
+type Combos = key.List[int]
 
 // PruneResult reports the outcome of a feature walk.
 type PruneResult struct {
@@ -122,22 +145,19 @@ func Prune(features []*Feature, q *query.Graph) PruneResult {
 // crossing-edge index (Closure.AllPairs: the Basic join); root chunks fan
 // out on p (nil walks inline); cancel, when non-nil, is polled by the
 // walk. A canceled walk retains every feature (safe, just not effective)
-// and reports no combination.
+// and reports no combination. Features not all from one Compute call —
+// Basic's singletons, a test's — are interned by the walk, in place.
 func Walk(features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, cancel func() bool) PruneResult {
 	res := PruneResult{Retained: make([]bool, len(features))}
 	c := Closure{
-		Q: q, Items: make([]Item, len(features)), AllPairs: allPairs, Cancel: cancel, Pool: p,
+		Q: q, Features: features, AllPairs: allPairs, Cancel: cancel, Pool: p,
 		Complete: func(members []int) bool {
 			for _, m := range members {
 				res.Retained[m] = true
 			}
-			res.Combos.members = append(res.Combos.members, members...)
-			res.Combos.ends = append(res.Combos.ends, len(res.Combos.members))
+			res.Combos.Append(members)
 			return true
 		},
-	}
-	for i, f := range features {
-		c.Items[i] = Item{Sign: f.Sign, Mappings: f.Mappings}
 	}
 	if res.Finished = c.Run(); !res.Finished {
 		for i := range res.Retained {

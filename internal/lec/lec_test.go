@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gstored/internal/fragment"
+	"gstored/internal/key"
 	"gstored/internal/paperexample"
 	"gstored/internal/partial"
 	"gstored/internal/pool"
@@ -203,10 +204,7 @@ func TestTheorem5(t *testing.T) {
 // the reference Joinable accepts.
 func TestStepMatchesDefinition9(t *testing.T) {
 	ex, _, features, _ := paperFeatures(t)
-	c := Closure{Q: ex.Query}
-	for _, f := range features {
-		c.Items = append(c.Items, Item{Sign: f.Sign, Mappings: f.Mappings})
-	}
+	c := Closure{Q: ex.Query, Features: features}
 	c.buildIndex()
 	w := c.newWalker(nil)
 	for i, a := range features {
@@ -391,11 +389,12 @@ func fuzzQueries() []*query.Graph {
 	return out
 }
 
-// FuzzClosureIndex: on random small item sets the walk that asks the
+// FuzzClosureIndex: on random small feature sets the walk that asks the
 // side-split crossing-edge index for partners completes exactly the
 // member sets the walk that tries every pair completes, sequentially and
-// chunked. Items are drawn under the one precondition the index has
-// (Item): each mapping's query edge has exactly one endpoint in Sign.
+// chunked. Features are drawn under the one precondition the index has
+// (Closure.Features): each mapping's query edge has exactly one endpoint
+// in Sign.
 func FuzzClosureIndex(f *testing.F) {
 	// A two- and a three-item cover of the path plus a near miss; the
 	// triangle's three corners; the parallel edges' two halves.
@@ -416,9 +415,9 @@ func FuzzClosureIndex(f *testing.F) {
 		// first), which query edges with exactly one internal endpoint are
 		// mapped (its high nibble), and which of two data vertices each
 		// query vertex is bound to (the second).
-		var items []Item
+		var items []*Feature
 		for ; len(data) >= 2; data = data[2:] {
-			it := Item{Sign: uint64(data[0]) & fullSign(len(q.Vertices))}
+			it := &Feature{Sign: uint64(data[0]) & fullSign(len(q.Vertices))}
 			bound := func(v int) rdf.TermID { return rdf.TermID(10*(v+1) + int(data[1]>>uint(v)&1)) }
 			for e, qe := range q.Edges {
 				if data[0]>>(4+uint(e))&1 == 1 && it.Sign>>uint(qe.From)&1 != it.Sign>>uint(qe.To)&1 {
@@ -431,7 +430,7 @@ func FuzzClosureIndex(f *testing.F) {
 		}
 		walk := func(allPairs bool, p *pool.Pool) map[string]bool {
 			sets := map[string]bool{}
-			c := Closure{Q: q, Items: items, AllPairs: allPairs, Pool: p,
+			c := Closure{Q: q, Features: items, AllPairs: allPairs, Pool: p,
 				Complete: func(members []int) bool {
 					if sets[fmt.Sprint(members)] {
 						t.Errorf("member set %v completed twice", members)
@@ -450,6 +449,95 @@ func FuzzClosureIndex(f *testing.F) {
 		}
 		if got := walk(false, pool.New(3)); !reflect.DeepEqual(got, want) {
 			t.Errorf("chunked index walk completed %v, all-pairs walk %v", got, want)
+		}
+	})
+}
+
+// appendKey is the byte key features were grouped by before mappings were
+// interned: the fragment, then g as one length-prefixed section.
+func appendKey(b []byte, frag int, g []partial.CrossEdge) []byte {
+	return partial.AppendCrossing(key.Int(b, frag), g)
+}
+
+// referenceCompute is Algorithm 1 over appendKey: features in first-seen
+// order, each with its first match's fragment, g and sign, built by hand
+// (so a walk over them interns their mappings itself).
+func referenceCompute(pms []*partial.Match) ([]*Feature, []int) {
+	index := map[string]int{}
+	var features []*Feature
+	featureOf := make([]int, len(pms))
+	for i, pm := range pms {
+		k := string(appendKey(nil, pm.Frag, pm.Crossing))
+		fi, ok := index[k]
+		if !ok {
+			fi = len(features)
+			index[k] = fi
+			features = append(features, &Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign})
+		}
+		features[fi].PMs = append(features[fi].PMs, i)
+		featureOf[i] = fi
+	}
+	return features, featureOf
+}
+
+// sameFeatures compares the exported fields of two feature lists.
+func sameFeatures(a, b []*Feature) bool {
+	return slices.EqualFunc(a, b, func(x, y *Feature) bool {
+		return x.Frag == y.Frag && x.Sign == y.Sign && slices.Equal(x.Mappings, y.Mappings) && slices.Equal(x.PMs, y.PMs)
+	})
+}
+
+// FuzzFeatureIDs: grouping and walking by interned mapping ids is exact.
+// On random partial matches lec.Compute's features and featureOf equal
+// the byte-key reference's, and a walk over them — ids handed over from
+// Compute — retains, completes, attempts and explores exactly what the
+// walk over the reference's hand-built features, interned by the walk,
+// does.
+// Matches are drawn like FuzzClosureIndex's items, with a fragment of
+// four and small value domains, so that equal (fragment, g) pairs are
+// common.
+func FuzzFeatureIDs(f *testing.F) {
+	f.Add([]byte{0, 0x23, 0x00, 0x2c, 0x10, 0x23, 0x00, 0x56, 0x20, 0x48, 0x30, 0x2c, 0x14})
+	f.Add([]byte{1, 0x51, 0x00, 0x32, 0x10, 0x64, 0x20, 0x32, 0x12, 0x51, 0x00})
+	f.Add([]byte{2, 0x31, 0x00, 0x36, 0x10, 0x31, 0x01, 0x31, 0x41})
+	queries := fuzzQueries()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		q := queries[int(data[0])%len(queries)]
+		data = data[1:]
+		if len(data) > 48 {
+			data = data[:48] // 24 matches: the all-pairs walk stays small
+		}
+		// Two bytes a match: which vertices are internal (low nibble of
+		// the first), which query edges with exactly one internal endpoint
+		// are crossing (its high nibble); which of two data vertices each
+		// query vertex is bound to (low nibble of the second), the
+		// fragment (bits 4-5) and the crossing edges' label (bit 6).
+		var pms []*partial.Match
+		for ; len(data) >= 2; data = data[2:] {
+			pm := &partial.Match{Frag: int(data[1] >> 4 & 3), Sign: uint64(data[0]) & fullSign(len(q.Vertices))}
+			bound := func(v int) rdf.TermID { return rdf.TermID(10*(v+1) + int(data[1]>>uint(v)&1)) }
+			for e, qe := range q.Edges {
+				if data[0]>>(4+uint(e))&1 == 1 && pm.Sign>>uint(qe.From)&1 != pm.Sign>>uint(qe.To)&1 {
+					pm.Crossing = append(pm.Crossing, partial.CrossEdge{QEdge: e, S: bound(qe.From), P: rdf.TermID(1 + data[1]>>6&1), O: bound(qe.To)})
+				}
+			}
+			if len(pm.Crossing) > 0 {
+				pms = append(pms, pm)
+			}
+		}
+		features, featureOf := Compute(pms)
+		refFeatures, refOf := referenceCompute(pms)
+		if !sameFeatures(features, refFeatures) || !slices.Equal(featureOf, refOf) {
+			t.Fatalf("Compute grouped %d matches into %d features (featureOf %v), the byte-key reference into %d (%v)",
+				len(pms), len(features), featureOf, len(refFeatures), refOf)
+		}
+		for _, allPairs := range []bool{false, true} {
+			if got, want := Walk(features, q, allPairs, nil, nil), Walk(refFeatures, q, allPairs, nil, nil); !reflect.DeepEqual(got, want) {
+				t.Errorf("all pairs %v: walk over interned features %+v, over the reference %+v", allPairs, got, want)
+			}
 		}
 	})
 }

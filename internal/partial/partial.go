@@ -73,8 +73,7 @@ func (m *Match) Key() string {
 }
 
 // AppendCrossing appends the crossing-edge mappings cs to key b as one
-// length-prefixed section; LEC features share it (their g is a match's
-// Crossing).
+// length-prefixed section.
 func AppendCrossing(b []byte, cs []CrossEdge) []byte {
 	b = key.Len(b, len(cs))
 	for _, c := range cs {
@@ -316,7 +315,12 @@ type enumerator struct {
 	seedT  rdf.Triple
 	seedQE int
 
-	out   []*Match
+	out []*Match
+	// The slabs out's matches are carved from.
+	matches slab[Match]
+	terms   slab[rdf.TermID]
+	cross   slab[CrossEdge]
+
 	steps uint
 	err   error
 	stop  *atomic.Bool  // shared: some chunk failed
@@ -407,13 +411,13 @@ func (en *enumerator) finalize() {
 		en.Stop = true
 		return
 	}
-	m := &Match{
-		Frag:         en.f.ID,
-		Vec:          append([]rdf.TermID(nil), en.Vertex...),
-		EdgeVars:     append([]rdf.TermID(nil), en.EdgeVar...),
-		Crossing:     make([]CrossEdge, 0, bits.OnesCount64(crossing)),
-		MatchedEdges: matched,
-	}
+	m := &en.matches.take(1)[0]
+	m.Frag, m.MatchedEdges = en.f.ID, matched
+	m.Vec = en.terms.take(len(en.Vertex))
+	copy(m.Vec, en.Vertex)
+	m.EdgeVars = en.terms.take(len(en.EdgeVar))
+	copy(m.EdgeVars, en.EdgeVar)
+	m.Crossing = en.cross.take(bits.OnesCount64(crossing))[:0]
 	// Query edges in index order, at most one crossing edge each: Crossing
 	// comes out sorted by (QEdge, S, P, O).
 	for i, e := range en.q.Edges {
@@ -427,4 +431,27 @@ func (en *enumerator) finalize() {
 		}
 	}
 	en.out = append(en.out, m)
+}
+
+// slab hands out capped slices of one backing array, so a match's vectors
+// cost no allocation of their own; when it runs out the next array is
+// twice the last, starting at 16 requests of the first size, so a chunk
+// that finds few matches allocates little.
+type slab[T any] struct {
+	free []T
+	size int
+}
+
+// take returns n zeroed elements, nil for none.
+func (s *slab[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > len(s.free) {
+		s.size = max(2*s.size, 16*n)
+		s.free = make([]T, s.size)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }

@@ -267,11 +267,18 @@ func (s *Site) Candidates(ctx context.Context, req cluster.CandidatesRequest) (c
 // PartialEval implements cluster.Site. The request's Pool does not
 // travel — the worker evaluates on its own pool.
 func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit func(row []rdf.TermID) bool) (cluster.PartialReply, error) {
+	delivered := 0
 	resp, m, err := s.call(ctx, &request{
 		Op: opPartial, Query: req.Query, Star: req.Star, Center: req.Center,
 		Order: req.Order, EdgeRank: req.EdgeRank, Union: req.Union,
 		MaxMatches: req.MaxMatches,
-	}, emit)
+	}, func(row []rdf.TermID) bool { delivered++; return emit(row) })
+	if err != nil {
+		// A call its consumer's LIMIT cancels ends on the poisoned
+		// deadline, without the final frame's count: the rows it handed
+		// to emit were matched all the same.
+		resp.LocalMatches = delivered
+	}
 	return cluster.PartialReply{LocalMatches: resp.LocalMatches, Matches: resp.Matches, Meter: m}, err
 }
 
