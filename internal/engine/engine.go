@@ -247,27 +247,6 @@ type Result struct {
 // Len reports the number of result rows.
 func (r *Result) Len() int { return len(r.Rows) }
 
-// Project returns the rows restricted to the SELECT projection (all
-// variables when the query used SELECT *). It materializes a full
-// projected copy; streaming consumers (the HTTP serializers) should use
-// EachProjected instead, which projects one row at a time into a reused
-// buffer.
-func (r *Result) Project() []Row {
-	proj := r.Query.Projection
-	if len(proj) == 0 {
-		return r.Rows
-	}
-	out := make([]Row, len(r.Rows))
-	for i, row := range r.Rows {
-		p := make(Row, len(proj))
-		for j, v := range proj {
-			p[j] = row[v]
-		}
-		out[i] = p
-	}
-	return out
-}
-
 // EachProjected streams the rows restricted to the SELECT projection
 // (all variables when the query used SELECT *) without materializing a
 // projected copy of the result set. The row passed to yield is reused

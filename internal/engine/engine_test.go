@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -197,7 +198,11 @@ func TestProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj := res.Project()
+	var proj []Row
+	res.EachProjected(func(p Row) bool {
+		proj = append(proj, slices.Clone(p))
+		return true
+	})
 	if len(proj) != 4 {
 		t.Fatalf("%d projected rows", len(proj))
 	}

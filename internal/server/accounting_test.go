@@ -57,11 +57,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func (s *Server) flightCount() int {
-	s.flights.mu.Lock()
-	defer s.flights.mu.Unlock()
-	return len(s.flights.m)
-}
+func (s *Server) flightCount() int { return s.results.inFlight() }
 
 // TestRequestAccounting sends one query down every way a /sparql
 // request can be answered and pins, per way, everything the serving

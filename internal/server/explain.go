@@ -13,7 +13,7 @@ import (
 
 // ExplainReport is the JSON body answered by /sparql?explain=1 (and
 // printed by `gstored explain`): the compiled query graph, the chosen
-// execution plan, the cache/singleflight disposition the query would
+// execution plan, the result-table disposition the query would
 // have met, and the full per-stage, per-fragment trace of one real
 // execution — so diagnosing a query costs exactly one run, not a
 // results run plus an instrumented rerun.
@@ -123,13 +123,14 @@ type ExplainFragment struct {
 	TransportMillis float64 `json:"transport_ms"`
 }
 
-// ExplainCache reports how the cache and singleflight layers would have
-// answered this query had it arrived without explain=1. The explain
-// execution itself bypasses both (it must run the engine to produce a
-// trace) and leaves them untouched: no entry is stored, no LRU position
-// refreshed, no hit/miss counted — a diagnostic probe must not evict the
-// working set.
+// ExplainCache reports how the result table would have answered this
+// query had it arrived without explain=1. The explain execution itself
+// bypasses the table (it must run the engine to produce a trace) and
+// leaves it untouched: no entry is stored, no LRU position refreshed, no
+// hit/miss counted — a diagnostic probe must not evict the working set.
 type ExplainCache struct {
+	// Enabled is false when the table keeps nothing: CacheEntries < 0,
+	// or Unordered, whose requests never reach it.
 	Enabled bool `json:"enabled"`
 	// Disposition is "hit" (a resident entry would have answered),
 	// "miss", or "disabled".
@@ -261,18 +262,19 @@ func explainRequested(r *http.Request) bool {
 // trace attached, serialized as the ExplainReport instead of the
 // bindings. The execution is admitted and clocked like any query (it
 // holds a scheduler slot under the query timeout, counts as an engine
-// run, and feeds the per-stage histograms) but leaves the cache and
-// singleflight untouched (see ExplainCache).
+// run, and feeds the per-stage histograms) but leaves the result table
+// untouched (see ExplainCache).
 func (rq *request) explain() {
 	s := rq.s
-	cache := ExplainCache{Enabled: s.cache != nil, Disposition: "disabled", Cacheable: true}
-	if s.cache != nil {
+	resident, inFlight := s.results.peek(rq.epoch, rq.key)
+	cache := ExplainCache{Enabled: s.results.capacity > 0, Disposition: "disabled", Cacheable: true, SharedFlight: inFlight}
+	switch {
+	case !cache.Enabled:
+	case resident:
+		cache.Disposition = "hit"
+	default:
 		cache.Disposition = "miss"
-		if s.cache.Peek(rq.epoch, rq.key) {
-			cache.Disposition = "hit"
-		}
 	}
-	cache.SharedFlight = s.flights.pending(flightKey(rq.epoch, rq.key))
 
 	delivery := "ordered"
 	if s.cfg.Unordered {
@@ -291,7 +293,7 @@ func (rq *request) explain() {
 		rq.fail(err)
 		return
 	}
-	if s.cache != nil {
+	if cache.Enabled {
 		cache.Cacheable = s.cacheable(res)
 	}
 

@@ -587,6 +587,34 @@ func TestExplainUnorderedDelivery(t *testing.T) {
 	}
 }
 
+// TestExplainUnorderedReportsCacheDisabled: under -unordered every real
+// request streams past the cache (X-Cache: STREAM) and none fills it, so
+// with the default cache size EXPLAIN must still report the cache
+// disabled rather than a miss a repeat could turn into a hit.
+func TestExplainUnorderedReportsCacheDisabled(t *testing.T) {
+	s, ts := newTestServer(t, testDB(t), Config{Unordered: true})
+	for i := 0; i < 2; i++ {
+		if resp, _ := getJSON(t, ts.URL, pathQuery); resp.Header.Get("X-Cache") != "STREAM" {
+			t.Fatalf("request %d: X-Cache = %q, want STREAM", i, resp.Header.Get("X-Cache"))
+		}
+	}
+	resp, err := http.Get(ts.URL + "/sparql?explain=1&query=" + url.QueryEscape(pathQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rep ExplainReport
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cache.Enabled || rep.Cache.Disposition != "disabled" {
+		t.Errorf("unordered explain reports cache %+v, want enabled false and disposition disabled", rep.Cache)
+	}
+	if st := s.CacheStats(); st != (CacheStats{}) {
+		t.Errorf("unordered serving moved the cache counters: %+v", st)
+	}
+}
+
 // --- slow-query log ---
 
 // TestSlowLogThresholdZero is the CI acceptance knob: with a zero

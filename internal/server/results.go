@@ -1,13 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"iter"
 	"net/http"
-	"slices"
 	"sort"
 	"strings"
 	"unicode/utf8"
@@ -33,13 +31,9 @@ const flushEveryRows = 1024
 // RowSeq is a push-style iterator over result rows: it calls yield once
 // per row, in order, stopping when yield returns false. Rows passed to
 // yield may be reused between calls — consumers that retain a row beyond
-// the call must copy it. engine.Result.EachProjected and SliceSeq both
-// satisfy it, so cached slices and live results serialize through the
-// same code path.
+// the call must copy it. engine.Result.EachProjected satisfies it, and so
+// does the streaming execution's sink.
 type RowSeq = iter.Seq[engine.Row]
-
-// SliceSeq adapts materialized rows (e.g. a cache entry) to a RowSeq.
-func SliceSeq(rows []engine.Row) RowSeq { return slices.Values(rows) }
 
 // jsonTerm is one RDF term in the SPARQL 1.1 Query Results JSON Format.
 type jsonTerm struct {
@@ -65,9 +59,8 @@ func termJSON(t rdf.Term) jsonTerm {
 // rows yield projected rows (one slot per var, rdf.NoTerm = unbound,
 // which the format expresses by omitting the variable from the binding).
 //
-// The document is written incrementally — head, then one binding at a
-// time, with a periodic http.Flusher flush when w supports it — so a
-// large result set is never held as a single in-memory document.
+// The document is written incrementally (writeRows), so a large result
+// set is never held as a single in-memory document.
 //
 // The per-row path is hand-rolled: the earlier map[string]jsonTerm +
 // json.Marshal implementation spent over 80% of the cold large-query
@@ -77,14 +70,10 @@ func termJSON(t rdf.Term) jsonTerm {
 // included — and terms render once per distinct ID through a bounded
 // per-response cache (cross products repeat terms heavily).
 func WriteResultsJSON(w io.Writer, dict *rdf.Dictionary, vars []string, rows RowSeq) error {
-	head, err := json.Marshal(vars)
+	names, err := json.Marshal(vars)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, `{"head":{"vars":%s},"results":{"bindings":[`, head); err != nil {
-		return err
-	}
-	flusher, _ := w.(http.Flusher)
 	ord := make([]int, len(vars))
 	for i := range ord {
 		ord[i] = i
@@ -94,35 +83,52 @@ func WriteResultsJSON(w io.Writer, dict *rdf.Dictionary, vars []string, rows Row
 	for i, name := range vars {
 		keys[i] = append(appendJSONString(nil, name), ':')
 	}
+	head := fmt.Appendf(nil, `{"head":{"vars":%s},"results":{"bindings":[`, names)
 	cells := termCells{dict: dict, render: appendTermJSON}
-	var buf []byte
-	var werr error
-	n := 0
-	rows(func(row engine.Row) bool {
-		buf = buf[:0]
+	return writeRows(w, head, rows, func(b []byte, n int, row engine.Row) ([]byte, error) {
 		if n > 0 {
-			buf = append(buf, ',')
+			b = append(b, ',')
 		}
-		buf = append(buf, '{')
+		b = append(b, '{')
 		first := true
 		for _, i := range ord {
 			if i >= len(row) || row[i] == rdf.NoTerm {
 				continue
 			}
-			var tb []byte
-			if tb, werr = cells.get(row[i]); werr != nil {
-				return false
+			tb, err := cells.get(row[i])
+			if err != nil {
+				return b, err
 			}
 			if !first {
-				buf = append(buf, ',')
+				b = append(b, ',')
 			}
 			first = false
-			buf = append(buf, keys[i]...)
-			buf = append(buf, tb...)
+			b = append(b, keys[i]...)
+			b = append(b, tb...)
 		}
-		buf = append(buf, '}')
-		if _, err := w.Write(buf); err != nil {
-			werr = err
+		return append(b, '}'), nil
+	}, "]}}\n")
+}
+
+// writeRows is the row loop both serializations share: it writes head,
+// then each row as appendRow renders it (n is the row's index) into one
+// reused buffer, so the per-row allocation profile stays flat however
+// many rows stream through, with an http.Flusher flush every
+// flushEveryRows rows when w supports it, then tail. The first render or
+// write error stops the rows and is returned.
+func writeRows(w io.Writer, head []byte, rows RowSeq, appendRow func(b []byte, n int, row engine.Row) ([]byte, error), tail string) error {
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	flusher, _ := w.(http.Flusher)
+	var buf []byte
+	var err error
+	n := 0
+	rows(func(row engine.Row) bool {
+		if buf, err = appendRow(buf[:0], n, row); err != nil {
+			return false
+		}
+		if _, err = w.Write(buf); err != nil {
 			return false
 		}
 		n++
@@ -131,10 +137,10 @@ func WriteResultsJSON(w io.Writer, dict *rdf.Dictionary, vars []string, rows Row
 		}
 		return true
 	})
-	if werr != nil {
-		return werr
+	if err != nil || tail == "" {
+		return err
 	}
-	_, err = io.WriteString(w, "]}}\n")
+	_, err = io.WriteString(w, tail)
 	return err
 }
 
@@ -269,55 +275,34 @@ func appendJSONString(b []byte, s string) []byte {
 // WriteResultsTSV serializes rows in the SPARQL 1.1 Query Results TSV
 // Format: a header of '?'-prefixed variable names, then one line per
 // binding with terms in N-Triples syntax and empty fields for unbound
-// variables, streamed with a periodic http.Flusher flush when w supports
-// it. Terms render once per distinct ID, through the same bounded
-// per-response cache as the JSON writer.
+// variables, streamed through the same row loop and the same per-response
+// term cache as the JSON writer.
 func WriteResultsTSV(w io.Writer, dict *rdf.Dictionary, vars []string, rows RowSeq) error {
-	// One reused line buffer: the per-row allocation profile must stay
-	// flat no matter how many rows stream through.
-	var b bytes.Buffer
+	var head []byte
 	for i, name := range vars {
 		if i > 0 {
-			b.WriteByte('\t')
+			head = append(head, '\t')
 		}
-		b.WriteByte('?')
-		b.WriteString(name)
+		head = append(append(head, '?'), name...)
 	}
-	b.WriteByte('\n')
-	if _, err := w.Write(b.Bytes()); err != nil {
-		return err
-	}
-	flusher, _ := w.(http.Flusher)
+	head = append(head, '\n')
 	cells := termCells{dict: dict, render: appendTSVTerm}
-	var werr error
-	n := 0
-	rows(func(row engine.Row) bool {
-		b.Reset()
+	return writeRows(w, head, rows, func(b []byte, _ int, row engine.Row) ([]byte, error) {
 		for i := range vars {
 			if i > 0 {
-				b.WriteByte('\t')
+				b = append(b, '\t')
 			}
 			if i >= len(row) || row[i] == rdf.NoTerm {
 				continue
 			}
-			var tb []byte
-			if tb, werr = cells.get(row[i]); werr != nil {
-				return false
+			tb, err := cells.get(row[i])
+			if err != nil {
+				return b, err
 			}
-			b.Write(tb)
+			b = append(b, tb...)
 		}
-		b.WriteByte('\n')
-		if _, err := w.Write(b.Bytes()); err != nil {
-			werr = err
-			return false
-		}
-		n++
-		if flusher != nil && n%flushEveryRows == 0 {
-			flusher.Flush()
-		}
-		return true
-	})
-	return werr
+		return append(b, '\n'), nil
+	}, "")
 }
 
 // appendTSVTerm renders one term as a TSV cell. Term.String applies the

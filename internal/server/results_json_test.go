@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gstored/internal/engine"
@@ -105,7 +106,7 @@ func TestWriteResultsJSONMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
-			if err := WriteResultsJSON(&got, dict, tc.vars, SliceSeq(tc.rows)); err != nil {
+			if err := WriteResultsJSON(&got, dict, tc.vars, slices.Values(tc.rows)); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
@@ -146,7 +147,7 @@ func TestWriteResultsJSONMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		if err := WriteResultsJSON(&got, dict, vars, SliceSeq(rows)); err != nil {
+		if err := WriteResultsJSON(&got, dict, vars, slices.Values(rows)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {

@@ -139,7 +139,7 @@ func TestRevalidationInterleaving(t *testing.T) {
 				t.Fatal(err)
 			}
 			var fresh bytes.Buffer
-			if err := WriteResultsJSON(&fresh, db.Graph.Dict, projectionNames(db, q), SliceSeq(res.Project())); err != nil {
+			if err := WriteResultsJSON(&fresh, db.Graph.Dict, projectionNames(db, q), res.EachProjected); err != nil {
 				t.Fatal(err)
 			}
 			xc := resp.Header.Get("X-Cache")

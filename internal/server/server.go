@@ -1,8 +1,10 @@
 // Package server is the SPARQL serving layer over a gstored database: a
 // SPARQL 1.1 Protocol HTTP endpoint backed by a bounded concurrent query
 // scheduler (admission control, per-query timeout and cancellation) and
-// an LRU result cache keyed on the canonicalized compiled query, plus
-// /metrics and /healthz operational endpoints.
+// one result table keyed on the canonicalized compiled query — an LRU
+// result cache whose entries are either resident or in flight, so
+// concurrent identical queries share one execution — plus /metrics and
+// /healthz operational endpoints.
 //
 // Endpoints:
 //
@@ -16,13 +18,13 @@
 //	GET  /healthz            liveness probe with dataset summary
 //
 // /repartition hot-swaps the cluster via DB.Repartition while queries
-// keep serving. The result cache is epoch-versioned: every entry is
-// stamped with the cluster epoch its rows are valid at and answers only
-// at that epoch, and singleflight keys embed the epoch. When an update
-// advances the epoch, the entries it provably left unchanged are
-// re-stamped and the rest dropped; any other advance flushes the cache.
-// So a pre-swap result answers a post-swap query only when it is that
-// query's post-swap answer.
+// keep serving. The result table is epoch-versioned: every entry, in
+// flight or resident, carries the cluster epoch of the request that
+// created it, and answers and coalesces only requests of that epoch.
+// When an update advances the epoch, the resident entries it provably
+// left unchanged are re-stamped and the rest dropped; any other advance
+// flushes them. So a pre-swap result answers a post-swap query only when
+// it is that query's post-swap answer.
 //
 // Results are serialized as application/sparql-results+json (default) or
 // text/tab-separated-values, negotiated via the Accept header or a
@@ -70,7 +72,7 @@ type Config struct {
 	// QueryTimeout cancels queries running longer than this (default 30s).
 	QueryTimeout time.Duration
 	// CacheEntries bounds the LRU result cache (default 256; negative
-	// disables caching).
+	// disables caching, and so does Unordered).
 	CacheEntries int
 	// CacheMaxRows caps the result size admitted to the cache, in
 	// projected rows: larger results are streamed to the client and
@@ -82,10 +84,9 @@ type Config struct {
 	// application/sparql-update body (or an update= form field) applies
 	// INSERT DATA / DELETE DATA as an atomic generation swap with an
 	// epoch bump — the same mechanism /repartition uses, so the result
-	// cache and singleflight never serve a pre-write answer the write
-	// changed. When
-	// false (the default) update requests are refused with 403 and the
-	// database is never mutated.
+	// table never serves a pre-write answer the write changed. When false
+	// (the default) update requests are refused with 403 and the database
+	// is never mutated.
 	Writable bool
 	// SlowQueryLog, when non-nil, receives one structured JSON line
 	// (SlowQueryRecord) for every query whose client-facing wall time
@@ -101,11 +102,11 @@ type Config struct {
 	// from the engine's unordered execution into the serializer as they
 	// are produced — no terminal sort, no materialized result — and a
 	// LIMIT cancels the remaining distributed work once satisfied.
-	// Responses bypass the result cache and singleflight (X-Cache:
-	// STREAM): rows are never materialized to store, and which subset a
-	// truncated unordered query returns is execution-dependent. Row order
-	// varies between runs; the ordered default keeps the deterministic
-	// canonical order golden tests and the cache rely on.
+	// Responses bypass the result table (X-Cache: STREAM), which then
+	// caches nothing: rows are never materialized to store, and which
+	// subset a truncated unordered query returns is execution-dependent.
+	// Row order varies between runs; the ordered default keeps the
+	// deterministic canonical order golden tests and the cache rely on.
 	Unordered bool
 }
 
@@ -134,20 +135,21 @@ type Server struct {
 	db    *gstored.DB
 	cfg   Config
 	sched *Scheduler
-	cache *Cache // nil when caching is disabled
+	// results is the result cache and singleflight in one table;
+	// capacity 0 when caching is disabled.
+	results *resultTable
 	// updateSlots bounds concurrently admitted update requests (writers
 	// serialize on the DB's swap mutex, so admitted slots measure queue
 	// depth). Sized like MaxInFlight so one knob governs both admission
 	// bounds.
 	updateSlots slots
 	slowLog     *slowLogger   // nil when slow-query logging is disabled
-	epoch       atomic.Uint64 // last cluster epoch the cache was synced to
+	epoch       atomic.Uint64 // last cluster epoch the result table was synced to
 	// heartbeats records when each site last answered a health probe
 	// (healthz and metrics both probe); the healthz table reports it so
 	// a down site shows how stale its last good answer is.
 	heartMu    sync.Mutex
 	heartbeats map[int]time.Time
-	flights    flightGroup
 	metrics    Metrics
 	mux        *http.ServeMux
 	started    time.Time
@@ -156,17 +158,21 @@ type Server struct {
 // New builds a server over db. The db must outlive the server.
 func New(db *gstored.DB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	// Unordered responses never reach the result table, so it keeps
+	// nothing and EXPLAIN reports the cache disabled.
+	capacity := cfg.CacheEntries
+	if cfg.Unordered {
+		capacity = 0
+	}
 	s := &Server{
 		db:          db,
 		cfg:         cfg,
 		sched:       NewScheduler(cfg.Workers, cfg.MaxInFlight),
+		results:     newResultTable(capacity),
 		updateSlots: make(slots, cfg.MaxInFlight),
 		mux:         http.NewServeMux(),
 		started:     time.Now(),
 		heartbeats:  make(map[int]time.Time),
-	}
-	if cfg.CacheEntries > 0 {
-		s.cache = NewCache(cfg.CacheEntries)
 	}
 	if cfg.SlowQueryLog != nil {
 		s.slowLog = &slowLogger{w: cfg.SlowQueryLog, threshold: cfg.SlowQueryThreshold, drops: &s.metrics.SlowLogDrops}
@@ -192,12 +198,7 @@ func (s *Server) Close() { s.sched.Close() }
 func (s *Server) Metrics() *Metrics { return &s.metrics }
 
 // CacheStats snapshots the result-cache counters (zero when disabled).
-func (s *Server) CacheStats() CacheStats {
-	if s.cache == nil {
-		return CacheStats{}
-	}
-	return s.cache.Stats()
-}
+func (s *Server) CacheStats() CacheStats { return s.results.stats() }
 
 // requestText extracts the SPARQL text per the SPARQL 1.1 Protocol and
 // classifies the operation: queries arrive via GET query=, POSTed form
@@ -282,18 +283,10 @@ func negotiate(r *http.Request) (contentType string, tsv bool) {
 }
 
 // key identifies a query up to variable renaming and triple order: the
-// canonical compiled query scoped by engine mode. It keys the cache and
-// the slow log; flightKey scopes it to one epoch.
+// canonical compiled query scoped by engine mode. It keys the result
+// table and the slow log; table entries carry their epoch.
 func (s *Server) key(q *gstored.QueryGraph) string {
 	return fmt.Sprintf("m%d|%s", s.db.Mode(), s.db.CanonicalQueryKey(q))
-}
-
-// flightKey scopes a query key to one cluster generation: a request
-// admitted after a swap must not wait on a flight that started before
-// it. (The cache keys on the query key alone; its entries carry their
-// epoch.)
-func flightKey(epoch uint64, key string) string {
-	return fmt.Sprintf("e%d|%s", epoch, key)
 }
 
 func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
@@ -363,7 +356,7 @@ type request struct {
 	text        string
 	tr          *trace.Trace // nil when neither EXPLAIN nor the slow log will read it
 	start       time.Time
-	key         string // query key (Server.key): the cache key, and the flight key before flightKey scopes it
+	key         string // query key (Server.key): the result table's key
 	epoch       uint64 // cluster generation the request was admitted under
 	contentType string // negotiated result serialization
 }
@@ -413,8 +406,7 @@ func (rq *request) fail(err error) {
 // requests count in Queries; every request lands in its outcome's
 // client-facing latency histogram and, when the threshold is met, in the
 // slow-query log. stats is the execution that produced the rows: a
-// cached or coalesced serving passes the stats of the run it shares (nil
-// when only rows survived).
+// cached or coalesced serving passes the stats of the run it shares.
 func (rq *request) finish(o queryOutcome, stats *gstored.Stats, rows int) {
 	s := rq.s
 	if o != outcomeError {
@@ -437,12 +429,14 @@ func (rq *request) serialize(w io.Writer, rows RowSeq) error {
 	return err
 }
 
-// answer sends materialized rows under the given X-Cache state and
-// accounts the request as o.
-func (rq *request) answer(rows RowSeq, state cacheState, o queryOutcome, stats *gstored.Stats, n int) {
+// answer sends res's rows under the given X-Cache state and accounts
+// the request as o. Every ordered answer — hit, waiter or leader — is
+// served from the engine's Result, projected one row at a time into a
+// reused buffer, so the serve path adds no per-request copy of the rows.
+func (rq *request) answer(res *gstored.Result, state cacheState, o queryOutcome) {
 	rq.w.Header().Set("Content-Type", rq.contentType)
 	rq.w.Header().Set("X-Cache", string(state))
-	if err := rq.serialize(rq.w, rows); err != nil {
+	if err := rq.serialize(rq.w, res.EachProjected); err != nil {
 		// Headers are gone; all we can do is abort the stream. A write
 		// that died because the client hung up mid-download is the
 		// client's fault, not an error operators should page on.
@@ -452,114 +446,87 @@ func (rq *request) answer(rows RowSeq, state cacheState, o queryOutcome, stats *
 			rq.s.metrics.Errors.Add(1)
 		}
 	}
-	rq.finish(o, stats, n)
+	rq.finish(o, &res.Stats, res.Len())
 }
 
-// ordered answers in the deterministic canonical order, through the
-// result cache and singleflight: cache → join a flight → (as leader)
-// recheck the cache → run the engine detached from the own client.
+// ordered answers in the deterministic canonical order through the
+// result table: a resident entry of the request's epoch answers at once,
+// an in-flight one is waited on, and otherwise the request leads — runs
+// the engine detached from its own client and settles the entry.
 func (rq *request) ordered() {
 	s := rq.s
-	if s.cache != nil {
-		if hit, ok := s.cache.Get(rq.epoch, rq.key); ok {
-			rq.answer(SliceSeq(hit.Rows), cacheHit, outcomeHit, &hit.Stats, len(hit.Rows))
-			return
-		}
-	}
-
-	key := flightKey(rq.epoch, rq.key)
-	fl, leader := s.flights.join(key)
-	if !leader {
+	e, c := s.results.acquire(rq.epoch, rq.key)
+	switch c {
+	case claimHit:
+		rq.answer(e.res, cacheHit, outcomeHit)
+		return
+	case claimWait:
 		// Singleflight: an identical query is already executing; wait for
 		// its outcome instead of running the engine again.
 		s.metrics.Coalesced.Add(1)
 		ctx, cancel := context.WithTimeout(rq.r.Context(), s.cfg.QueryTimeout)
 		defer cancel()
 		select {
-		case <-fl.done:
+		case <-e.done:
 		case <-ctx.Done():
 			rq.fail(ctx.Err())
 			return
 		}
-		switch {
-		case fl.err != nil:
-			rq.fail(fl.err)
-		case fl.res != nil:
-			rq.answer(fl.res.EachProjected, cacheCoalesced, outcomeCoalesced, &fl.res.Stats, fl.res.Stats.NumMatches)
-		default:
-			rq.answer(SliceSeq(fl.rows), cacheCoalesced, outcomeCoalesced, nil, len(fl.rows))
+		if e.err != nil {
+			rq.fail(e.err)
+			return
 		}
+		rq.answer(e.res, cacheCoalesced, outcomeCoalesced)
 		return
 	}
 
-	// Re-check the cache after winning leadership: the previous leader
-	// may have Put the entry between our lookup's miss and its flight
-	// retiring, and re-running the engine for a cached result would
-	// defeat the point of coalescing.
-	if s.cache != nil {
-		if hit, ok := s.cache.recheck(rq.epoch, rq.key); ok {
-			fl.rows = hit.Rows
-			s.flights.finish(key, fl)
-			rq.answer(SliceSeq(hit.Rows), cacheHit, outcomeHit, &hit.Stats, len(hit.Rows))
-			return
-		}
-	}
-
-	res, err := rq.lead(key, fl)
+	res, err := rq.lead(e)
 	if err != nil {
 		rq.fail(err)
 		return
 	}
 	state := cacheMiss
-	if s.cache != nil && !s.cacheable(res) {
+	if s.results.capacity > 0 && !s.cacheable(res) {
 		state = cacheBypass
 		s.metrics.CacheBypass.Add(1)
 	}
-	// Stream straight off the engine result: rows are projected one at a
-	// time into a reused buffer, so the serve path adds no per-request
-	// copy of the result set.
-	rq.answer(res.EachProjected, state, outcomeMiss, &res.Stats, res.Len())
+	rq.answer(res, state, outcomeMiss)
 }
 
-// lead runs the engine as the singleflight leader for flight key and
-// publishes the outcome: the cache entry first (when the result is small
-// enough to admit), stamped with the request's epoch, then the flight
-// itself, so a request arriving after the flight retires either hits the
-// cache or legitimately becomes the next leader.
-func (rq *request) lead(key string, fl *flight) (res *gstored.Result, err error) {
+// lead runs the engine as the leader of the in-flight entry e and
+// settles it, which makes a cacheable result resident and wakes the
+// waiters in one step: a request arriving after it either hits or, when
+// nothing became resident, legitimately leads the next run.
+func (rq *request) lead(e *entry) (res *gstored.Result, err error) {
 	s := rq.s
-	defer func() {
-		if err == nil && s.cache != nil && s.cacheable(res) {
-			s.cache.Put(rq.epoch, rq.key, &CachedResult{Rows: res.Project(), Stats: res.Stats, Query: rq.q})
-		}
-		fl.res, fl.err = res, err
-		s.flights.finish(key, fl)
-	}()
+	defer func() { s.results.settle(e, res, err, err == nil && s.cacheable(res)) }()
 	// The execution detaches from its client's disconnect once waiters
 	// have coalesced onto the flight: their queries must not fail because
 	// the leader hung up. While the flight is uncontended, a disconnect
 	// still cancels the engine cooperatively.
 	ctx, cancel := context.WithCancel(context.WithoutCancel(rq.r.Context()))
 	defer cancel()
-	defer context.AfterFunc(rq.r.Context(), func() { s.flights.cancelIfUnwaited(key, fl, cancel) })()
+	defer context.AfterFunc(rq.r.Context(), func() { s.results.abandon(e, cancel) })()
 	return rq.execute(ctx, func(ctx context.Context) (*gstored.Result, error) {
 		return s.db.QueryGraphContext(ctx, rq.q)
 	})
 }
 
 // syncEpoch returns the current cluster epoch and brings the result
-// cache along when the epoch advanced since the last sync. The goroutine
-// whose CAS moves the server from last to the new epoch does it, once:
-// when one Update made the new epoch from last, the entries stamped last
-// that its exact test proves unchanged are re-stamped and the others
-// dropped (Cache.Revalidate), recorded on tr as a "revalidate" span; a
-// Repartition, or two or more generations since the last sync, flushes
-// everything. An entry's test must finish by the summed TotalTime of the
-// executions behind it and behind every entry judged before it, so
-// revalidating never costs more than re-running the entries, and a
-// scheduling stall in one cheap test is absorbed by the slack earlier
-// ones left instead of dropping its entry. Correctness depends on
-// neither: entries answer only at the epoch they carry.
+// table's resident entries along when the epoch advanced since the last
+// sync. The goroutine whose CAS moves the server from last to the new
+// epoch does it, once: when one Update made the new epoch from last, the
+// entries stamped last that its exact test proves unchanged are
+// re-stamped and the others dropped (resultTable.revalidate), recorded
+// on tr as a "revalidate" span; a Repartition, or two or more
+// generations since the last sync, flushes everything. An entry's test
+// must finish by the summed TotalTime of the executions behind it and
+// behind every entry judged before it, so revalidating never costs more
+// than re-running the entries, and a scheduling stall in one cheap test
+// is absorbed by the slack earlier ones left instead of dropping its
+// entry. Correctness depends on neither: entries answer only at the
+// epoch they carry. A table that keeps nothing has nothing to move, and
+// counts no flush.
 func (s *Server) syncEpoch(tr *trace.Trace) uint64 {
 	e, unchanged := s.db.EpochChange()
 	for {
@@ -571,19 +538,19 @@ func (s *Server) syncEpoch(tr *trace.Trace) uint64 {
 			continue
 		}
 		switch {
-		case s.cache == nil:
+		case s.results.capacity == 0:
 		case e == last+1 && unchanged != nil:
 			from := time.Now()
 			deadline := from
-			kept, dropped := s.cache.Revalidate(last, func(r *CachedResult) bool {
-				deadline = deadline.Add(r.Stats.TotalTime)
-				return unchanged(r.Query, deadline)
+			kept, dropped := s.results.revalidate(last, func(res *gstored.Result) bool {
+				deadline = deadline.Add(res.Stats.TotalTime)
+				return unchanged(res.Query, deadline)
 			})
 			tr.Span("revalidate", trace.Coordinator, from, time.Since(from))
 			s.metrics.CacheRevalidated[revalidationKept].Add(int64(kept))
 			s.metrics.CacheRevalidated[revalidationDropped].Add(int64(dropped))
 		default:
-			s.cache.Flush()
+			s.results.flush()
 			s.metrics.CacheFlushes.Add(1)
 		}
 		return e
@@ -636,7 +603,7 @@ func (s *Server) fail(w http.ResponseWriter, op string, err error) {
 func (s *Server) failQuery(w http.ResponseWriter, err error) { s.fail(w, "query", err) }
 
 // cacheState is the X-Cache response header value: how the result
-// reached the client relative to the cache and singleflight layers.
+// reached the client relative to the result table.
 type cacheState string
 
 const (
@@ -715,8 +682,8 @@ func (d *deferredResponse) Flush() {
 // serializer runs inside the scheduled call and pulls rows straight off
 // the engine's streaming execution, so the first row reaches the client
 // while distributed evaluation is still in progress, and a LIMIT cancels
-// the remaining work the moment it is satisfied. The cache and
-// singleflight layers are not consulted (X-Cache: STREAM) — nothing is
+// the remaining work the moment it is satisfied. The result table is
+// not consulted (X-Cache: STREAM) — nothing is
 // materialized to store, and a truncated unordered answer is one
 // execution's arbitrary row subset, not "the" result. The response
 // commits with the first row (deferredResponse): only failures before

@@ -24,8 +24,7 @@ type SlowQueryRecord struct {
 	Time    string `json:"time"`
 	Outcome string `json:"outcome"`
 	// Key is the canonical query key (mode + canonicalized query): the
-	// cache key, and the singleflight key before it is scoped to the
-	// epoch.
+	// result table's key.
 	Key        string  `json:"key"`
 	Epoch      uint64  `json:"epoch"`
 	WallMillis float64 `json:"wall_ms"`

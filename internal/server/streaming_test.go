@@ -223,12 +223,7 @@ func TestSingleflightSurvivesLeaderDisconnect(t *testing.T) {
 
 	// Wait until the flight exists, then attach one waiter.
 	deadline := time.Now().Add(5 * time.Second)
-	flightCount := func() int {
-		s.flights.mu.Lock()
-		defer s.flights.mu.Unlock()
-		return len(s.flights.m)
-	}
-	for flightCount() == 0 {
+	for s.flightCount() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("leader never opened a flight")
 		}

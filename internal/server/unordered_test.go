@@ -239,10 +239,7 @@ func TestClientDisconnectCountedOnLiveQuery(t *testing.T) {
 	// Wait for the request to open its flight, then hang up.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.flights.mu.Lock()
-		n := len(s.flights.m)
-		s.flights.mu.Unlock()
-		if n > 0 {
+		if s.flightCount() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -10,12 +10,12 @@ import (
 // handleUpdate applies a SPARQL 1.1 Update request (INSERT DATA /
 // DELETE DATA over ground triples) and reports what changed.
 //
-// Correctness against the caching layers needs no work here beyond
+// Correctness against the result table needs no work here beyond
 // calling DB.Update: a data-changing update commits as a new cluster
-// generation with a higher epoch, cache entries answer only at the epoch
-// they are stamped with, and singleflight keys embed the epoch, so a
-// result computed before the write answers a request arriving after it
-// only once revalidation has proved it unchanged. That revalidation runs
+// generation with a higher epoch, and a table entry — resident or in
+// flight — answers only requests of its own epoch, so a result computed
+// before the write answers a request arriving after it only once
+// revalidation has proved it unchanged. That revalidation runs
 // in the next read's syncEpoch, not here: it costs about 0.1 ms per 256
 // entries, which a read pays once per update but which would be most of
 // a small update's latency.

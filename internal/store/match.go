@@ -24,8 +24,6 @@ type MatchOptions struct {
 	// vertex qv; used by the partial-evaluation layer to confine matching
 	// and by the Section VI candidate optimization to filter candidates.
 	VertexFilter func(qv int, u rdf.TermID) bool
-	// Limit stops enumeration after this many matches (0 = unlimited).
-	Limit int
 	// Cancel, when non-nil, is polled periodically during enumeration;
 	// returning true abandons the search. The engine plugs context
 	// cancellation in here so long matches stop cooperatively.
@@ -39,10 +37,10 @@ type MatchOptions struct {
 	Order []int
 	// Pool, when non-nil with width > 1, splits the first edge's seed
 	// domain into contiguous chunks evaluated concurrently; yield may
-	// then be called from multiple goroutines. Limit still bounds the
-	// global emission count and Cancel stops all workers. A first edge
-	// with a constant end runs sequentially, and so does an order that
-	// re-seeds mid-way: chunks would each re-enumerate later components.
+	// then be called from multiple goroutines, and a yield returning false
+	// stops all workers, as Cancel does. A first edge with a constant end
+	// runs sequentially, and so does an order that re-seeds mid-way:
+	// chunks would each re-enumerate later components.
 	Pool *pool.Pool
 	// OnTask, when non-nil, receives the wall time of each evaluation
 	// task (one per seed chunk; exactly one for a sequential run). It
@@ -61,8 +59,8 @@ func (st *Store) Match(q *query.Graph) []Binding {
 }
 
 // MatchFunc enumerates matches of q, invoking yield for each; enumeration
-// stops when yield returns false or opts.Limit is reached. The Binding
-// passed to yield is freshly allocated and may be retained.
+// stops when yield returns false. The Binding passed to yield is freshly
+// allocated and may be retained.
 //
 // The search walks the plan order. A first edge with a constant end is
 // extended from it, so the anchor Plan prices the edge at is its seed
@@ -87,17 +85,12 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 		chunks = pool.Chunks(n, 4*w)
 	}
 	var stop atomic.Bool
-	var emitted atomic.Int64
-	limit := int64(opts.Limit)
-	// emit applies Limit across matchers: Add returns a unique rank, so
-	// exactly Limit bindings pass even under concurrent emission.
 	emit := func(b Binding) bool {
-		rank := emitted.Add(1)
-		more := (limit == 0 || rank <= limit) && yield(b) && rank != limit
-		if !more {
+		if !yield(b) {
 			stop.Store(true)
+			return false
 		}
-		return more
+		return true
 	}
 	tasks := make([]func(), len(chunks))
 	for i, ch := range chunks {
@@ -183,7 +176,7 @@ type matcher struct {
 	seedT  []rdf.Triple
 	seedV  []rdf.TermID
 	cancel func() bool
-	stop   *atomic.Bool // shared: some matcher hit the limit or yield said stop
+	stop   *atomic.Bool // shared: some matcher's yield said stop
 	steps  uint
 	yield  func(Binding) bool
 }

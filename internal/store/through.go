@@ -59,7 +59,7 @@ func (st *Store) exists(q *query.Graph, stop func() bool) bool {
 		}
 	}
 	found := false
-	st.MatchFunc(q, MatchOptions{Limit: 1, Cancel: stop}, func(Binding) bool {
+	st.MatchFunc(q, MatchOptions{Cancel: stop}, func(Binding) bool {
 		found = true
 		return false
 	})
