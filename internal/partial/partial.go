@@ -351,8 +351,9 @@ func (en *enumerator) run(lo, hi int) {
 }
 
 // admit enforces the extended-candidate filter; u comes off one of the
-// fragment's own edges, so not internal means extended.
-func (en *enumerator) admit(qv int, u rdf.TermID) bool {
+// fragment's own edges, so not internal means extended. The edge that
+// bound u plays no part.
+func (en *enumerator) admit(qv int, u rdf.TermID, _ int) bool {
 	return en.opts.ExtendedFilter == nil || en.f.IsInternal(u) || en.opts.ExtendedFilter(qv, u)
 }
 

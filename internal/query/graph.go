@@ -94,6 +94,22 @@ func (g *Graph) NumVertices() int { return len(g.Vertices) }
 // NumEdges returns |E(Q)|.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
+// VertexTerms returns the data vertex each query vertex takes in a match
+// whose variable bindings are vars (indexed like Vars): its constant, or
+// the term its variable is bound to. A variable that also labels an edge
+// is bound to the label in vars, so its vertex is exact only if the match
+// bound both occurrences alike.
+func (g *Graph) VertexTerms(vars []rdf.TermID) []rdf.TermID {
+	out := make([]rdf.TermID, len(g.Vertices))
+	for i, v := range g.Vertices {
+		out[i] = v.Const
+		if v.IsVar() {
+			out[i] = vars[v.Var]
+		}
+	}
+	return out
+}
+
 // EdgeVars returns the distinct variable indices used as edge labels, in
 // first-use order.
 func (g *Graph) EdgeVars() []int {

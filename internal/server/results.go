@@ -28,6 +28,11 @@ const (
 // cached responses keep their original buffering.
 const flushEveryRows = 1024
 
+// writeBatchBytes is how many rendered bytes writeRows gathers before it
+// hands them to the writer: one write per batch, not per row, so a long
+// stream costs the HTTP layer (and the kernel) its bytes, not its rows.
+const writeBatchBytes = 64 << 10
+
 // RowSeq is a push-style iterator over result rows: it calls yield once
 // per row, in order, stopping when yield returns false. Rows passed to
 // yield may be reused between calls — consumers that retain a row beyond
@@ -111,11 +116,14 @@ func WriteResultsJSON(w io.Writer, dict *rdf.Dictionary, vars []string, rows Row
 }
 
 // writeRows is the row loop both serializations share: it writes head,
-// then each row as appendRow renders it (n is the row's index) into one
-// reused buffer, so the per-row allocation profile stays flat however
-// many rows stream through, with an http.Flusher flush every
-// flushEveryRows rows when w supports it, then tail. The first render or
-// write error stops the rows and is returned.
+// then appends each row as appendRow renders it (n is the row's index) to
+// one reused buffer, so the per-row allocation profile stays flat however
+// many rows stream through. The buffer goes to w in one write right after
+// the first row — which a streaming response commits with, so status,
+// head and row one leave together — then whenever it reaches
+// writeBatchBytes, at every flushEveryRows-th row, where an http.Flusher
+// w is also flushed, and last with tail. The first render or write error
+// stops the rows and is returned.
 func writeRows(w io.Writer, head []byte, rows RowSeq, appendRow func(b []byte, n int, row engine.Row) ([]byte, error), tail string) error {
 	if _, err := w.Write(head); err != nil {
 		return err
@@ -125,22 +133,27 @@ func writeRows(w io.Writer, head []byte, rows RowSeq, appendRow func(b []byte, n
 	var err error
 	n := 0
 	rows(func(row engine.Row) bool {
-		if buf, err = appendRow(buf[:0], n, row); err != nil {
-			return false
-		}
-		if _, err = w.Write(buf); err != nil {
+		if buf, err = appendRow(buf, n, row); err != nil {
 			return false
 		}
 		n++
-		if flusher != nil && n%flushEveryRows == 0 {
-			flusher.Flush()
+		if n == 1 || n%flushEveryRows == 0 || len(buf) >= writeBatchBytes {
+			if _, err = w.Write(buf); err != nil {
+				return false
+			}
+			buf = buf[:0]
+			if flusher != nil && n%flushEveryRows == 0 {
+				flusher.Flush()
+			}
 		}
 		return true
 	})
-	if err != nil || tail == "" {
+	if err != nil {
 		return err
 	}
-	_, err = io.WriteString(w, tail)
+	if buf = append(buf, tail...); len(buf) > 0 {
+		_, err = w.Write(buf)
+	}
 	return err
 }
 

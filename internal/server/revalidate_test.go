@@ -48,11 +48,26 @@ func revalidationTriples() []string {
 }
 
 // solutions renders q's full solution multiset in st: one line per match
-// (vertex and variable bindings), sorted.
+// (vertex and variable bindings), sorted. A match binds a variable's
+// vertex and label occurrences separately, and its Vars hold the label,
+// so each vertex whose variable also labels an edge is matched under a
+// variable of its own: the same search, with every vertex's binding in
+// Vars.
 func solutions(st *store.Store, q *gstored.QueryGraph) []string {
+	split := *q
+	split.Vertices = slices.Clone(q.Vertices)
+	split.Vars = slices.Clone(q.Vars)
+	for _, ev := range q.EdgeVars() {
+		for i, v := range split.Vertices {
+			if v.Var == ev {
+				split.Vertices[i].Var = len(split.Vars)
+				split.Vars = append(split.Vars, q.Vars[ev]+"'")
+			}
+		}
+	}
 	var out []string
-	for _, b := range st.Match(q) {
-		out = append(out, fmt.Sprint(b.Vertices, b.Vars))
+	for _, b := range st.Match(&split) {
+		out = append(out, fmt.Sprint(split.VertexTerms(b.Vars), b.Vars[:len(q.Vars)]))
 	}
 	slices.Sort(out)
 	return out

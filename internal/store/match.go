@@ -9,10 +9,12 @@ import (
 	"gstored/internal/rdf"
 )
 
-// Binding is one homomorphism from a query graph into the store (Def. 3).
+// Binding is one homomorphism from a query graph into the store (Def. 3),
+// as the engine's rows see it: each query vertex is bound to its constant
+// or its variable's term (query.Graph.VertexTerms), except that a
+// variable that also labels an edge holds the label, its vertex
+// occurrence being matched separately.
 type Binding struct {
-	// Vertices maps each query vertex index to its data vertex.
-	Vertices []rdf.TermID
 	// Vars maps each query variable index (vertex and edge-label variables
 	// alike) to its bound term.
 	Vars []rdf.TermID
@@ -108,8 +110,8 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 			} else {
 				m.seedV = seedV[ch[0]:ch[1]]
 			}
-			m.Admit = func(qv int, u rdf.TermID) bool {
-				return st.signatureOK(q, qv, u) && (opts.VertexFilter == nil || opts.VertexFilter(qv, u))
+			m.Admit = func(qv int, u rdf.TermID, via int) bool {
+				return st.signatureOK(q, qv, u, via) && (opts.VertexFilter == nil || opts.VertexFilter(qv, u))
 			}
 			m.Next = m.next
 			m.step()
@@ -166,8 +168,8 @@ func connectedOrder(q *query.Graph, order []int) bool {
 }
 
 // matcher drives a Search along a fixed edge order: the centralized
-// matcher of the paper's sites. Admission is the signature test plus the
-// caller's VertexFilter.
+// matcher of the paper's sites. Admission is the signature test, minus
+// the edge being matched, plus the caller's VertexFilter.
 type matcher struct {
 	Search
 	order []int // edge evaluation order (indices into q.Edges)
@@ -244,7 +246,7 @@ func (m *matcher) extendFromConstants(ei int) bool {
 	for _, qv := range [2]int{e.From, e.To} {
 		if v := m.q.Vertices[qv]; !v.IsVar() {
 			m.Vertex[qv], bound = v.Const, true
-			admitted = admitted && m.Admit(qv, v.Const)
+			admitted = admitted && m.Admit(qv, v.Const, -1)
 		}
 	}
 	if bound && admitted {
@@ -255,10 +257,7 @@ func (m *matcher) extendFromConstants(ei int) bool {
 }
 
 func (m *matcher) emit() {
-	b := Binding{
-		Vertices: append([]rdf.TermID(nil), m.Vertex...),
-		Vars:     make([]rdf.TermID, len(m.q.Vars)),
-	}
+	b := Binding{Vars: make([]rdf.TermID, len(m.q.Vars))}
 	for i, v := range m.q.Vertices {
 		if v.IsVar() {
 			b.Vars[v.Var] = m.Vertex[i]

@@ -26,8 +26,11 @@ type Search struct {
 	Label   []rdf.TermID
 
 	// Admit reports whether data vertex u may be bound to query vertex
-	// qv; constants are checked before it is asked.
-	Admit func(qv int, u rdf.TermID) bool
+	// qv; constants are checked before it is asked. via is the query
+	// edge whose matched data edge binds u, so u carries via's label in
+	// via's direction by construction; -1 for a constant bound without
+	// one.
+	Admit func(qv int, u rdf.TermID, via int) bool
 	// Next continues the search with one more edge matched.
 	Next func()
 	// Stop, once set by the driver, unwinds the search: no further
@@ -69,16 +72,17 @@ func (s *Search) fixedLabel(e query.Edge) rdf.TermID {
 	return e.Label
 }
 
-// admit reports whether query vertex qv, unbound, may take data vertex u.
-func (s *Search) admit(qv int, u rdf.TermID) bool {
+// admit reports whether query vertex qv, unbound, may take data vertex u
+// reached over a data edge matching query edge via.
+func (s *Search) admit(qv int, u rdf.TermID, via int) bool {
 	if v := s.q.Vertices[qv]; !v.IsVar() && v.Const != u {
 		return false
 	}
-	return s.Admit(qv, u)
+	return s.Admit(qv, u, via)
 }
 
 // Seed matches query edge ei, neither endpoint of which is bound, with
-// data edge t.
+// data edge t, an edge of the store.
 func (s *Search) Seed(ei int, t rdf.Triple) {
 	e := s.q.Edges[ei]
 	if p := s.fixedLabel(e); p != rdf.NoTerm && p != t.P {
@@ -87,7 +91,7 @@ func (s *Search) Seed(ei int, t rdf.Triple) {
 	if e.From == e.To && t.S != t.O { // self-loop pattern
 		return
 	}
-	if !s.admit(e.From, t.S) || (e.From != e.To && !s.admit(e.To, t.O)) {
+	if !s.admit(e.From, t.S, ei) || (e.From != e.To && !s.admit(e.To, t.O, ei)) {
 		return
 	}
 	s.Vertex[e.From], s.Vertex[e.To] = t.S, t.O
@@ -133,7 +137,7 @@ func (s *Search) Extend(ei int) {
 		adj = predRange(adj, p)
 	}
 	for i, he := range adj {
-		if (i > 0 && he == adj[i-1]) || !s.admit(free, he.V) {
+		if (i > 0 && he == adj[i-1]) || !s.admit(free, he.V, ei) {
 			continue
 		}
 		s.Vertex[free] = he.V

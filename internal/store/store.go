@@ -215,8 +215,17 @@ func (st *Store) Triples() []rdf.Triple {
 // label, u has at least one adjacent edge with that label in the right
 // direction, and for variable-labeled incident edges u has at least one
 // edge in that direction.
-func (st *Store) signatureOK(q *query.Graph, qv int, u rdf.TermID) bool {
-	for _, e := range q.Edges {
+//
+// Query edge via (-1 for none) is skipped: the caller reached u over a
+// data edge of this store that matches via, so u passes via's test by
+// construction. A self-loop via is matched only by a loop at u, which
+// passes both of its directions; a caller whose u is merely one end of an
+// edge with a self-loop's label passes -1.
+func (st *Store) signatureOK(q *query.Graph, qv int, u rdf.TermID, via int) bool {
+	for i, e := range q.Edges {
+		if i == via {
+			continue
+		}
 		if e.From == qv {
 			if e.HasVarLabel() {
 				if len(st.out.of(u)) == 0 {
@@ -327,9 +336,12 @@ func (st *Store) Candidates(q *query.Graph, qv int) []rdf.TermID {
 	}
 	// Seed from the smallest domain an incident edge offers: a constant
 	// neighbour's adjacency, a constant label's triple list, else every
-	// vertex. Pick the edge first, then build its seed set once.
+	// vertex. Pick the edge first, then build its seed set once. Every
+	// seed is an end of an edge matching the edge it came from, so the
+	// signature test skips that edge (via) — unless it is a self-loop,
+	// whose seeds are either end of a labeled edge, not a loop.
 	var anchor []HalfEdge
-	label, n := -1, len(st.vertices)
+	label, via, n := -1, -1, len(st.vertices)
 	for i, e := range q.Edges {
 		if e.From != qv && e.To != qv {
 			continue
@@ -339,10 +351,13 @@ func (st *Store) Candidates(q *query.Graph, qv int) []rdf.TermID {
 				return nil
 			}
 			if len(adj) <= n {
-				anchor, label, n = adj, -1, len(adj)
+				anchor, label, via, n = adj, -1, i, len(adj)
 			}
 		} else if c := st.PredCount(e.Label); !e.HasVarLabel() && c < n {
-			anchor, label, n = nil, i, c
+			anchor, label, via, n = nil, i, i, c
+			if e.From == e.To {
+				via = -1
+			}
 		}
 	}
 	seed := make([]rdf.TermID, 0, n)
@@ -368,7 +383,7 @@ func (st *Store) Candidates(q *query.Graph, qv int) []rdf.TermID {
 	seed = slices.Compact(seed)
 	out := seed[:0]
 	for _, u := range seed {
-		if st.signatureOK(q, qv, u) && st.constantsOK(q, qv, u) {
+		if st.signatureOK(q, qv, u, via) && st.constantsOK(q, qv, u) {
 			out = append(out, u)
 		}
 	}

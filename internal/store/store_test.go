@@ -442,7 +442,7 @@ func TestCandidatesKeepInternalBindings(t *testing.T) {
 				}
 			}
 			for _, m := range global.Match(q) {
-				for qv, u := range m.Vertices {
+				for qv, u := range q.VertexTerms(m.Vars) {
 					if !q.Vertices[qv].IsVar() || !internal[u] {
 						continue
 					}
@@ -500,14 +500,26 @@ func randomGraphTriples(r *rand.Rand, g *rdf.Graph, nv, np, ne int) {
 	}
 }
 
-// bruteForce enumerates the matches of q straight from Definition 3:
-// every assignment of store vertices to query vertices and of predicates
-// to label variables, kept when constants map to themselves, the filter
-// admits every vertex, every query edge has a data edge, and the query
-// edges joining one ordered vertex pair under one label number no more
-// than that edge's instances. Rows are rendered as rowString renders a
-// Binding, sorted.
+// bruteForce renders the matches eachDefinitionMatch enumerates as
+// rowString renders a Binding, sorted.
 func bruteForce(st *Store, q *query.Graph, filter func(int, rdf.TermID) bool) []string {
+	var rows []string
+	eachDefinitionMatch(st, q, filter, func(_, vars []rdf.TermID) {
+		rows = append(rows, rowString(Binding{Vars: vars}))
+	})
+	sort.Strings(rows)
+	return rows
+}
+
+// eachDefinitionMatch enumerates the matches of q straight from
+// Definition 3: every assignment of store vertices to query vertices and
+// of predicates to label variables, kept when constants map to
+// themselves, the filter admits every vertex, every query edge has a data
+// edge, and the query edges joining one ordered vertex pair under one
+// label number no more than that edge's instances. fn receives each
+// match's vertices and variables (a variable that is also a label holds
+// the label there, as in Binding); both slices are reused.
+func eachDefinitionMatch(st *Store, q *query.Graph, filter func(int, rdf.TermID) bool, fn func(vs, vars []rdf.TermID)) {
 	preds := st.Predicates()
 	var labelVars []int
 	isLabelVar := make(map[int]bool)
@@ -519,7 +531,6 @@ func bruteForce(st *Store, q *query.Graph, filter func(int, rdf.TermID) bool) []
 	}
 	vs := make([]rdf.TermID, len(q.Vertices))
 	vars := make([]rdf.TermID, len(q.Vars))
-	var rows []string
 	check := func() {
 		type slot struct {
 			from, to int
@@ -537,7 +548,7 @@ func bruteForce(st *Store, q *query.Graph, filter func(int, rdf.TermID) bool) []
 				return
 			}
 		}
-		rows = append(rows, rowString(Binding{Vertices: vs, Vars: vars}))
+		fn(vs, vars)
 	}
 	var labels func(k int)
 	labels = func(k int) {
@@ -569,11 +580,14 @@ func bruteForce(st *Store, q *query.Graph, filter func(int, rdf.TermID) bool) []
 		}
 	}
 	vertices(0)
-	sort.Strings(rows)
-	return rows
 }
 
-func rowString(b Binding) string { return fmt.Sprint(b.Vertices, b.Vars) }
+// rowString renders a binding by its variables. Where no variable is
+// also an edge label — every shape TestMatchAgainstBruteForce draws —
+// they and the query's constants fix every vertex's data vertex
+// (query.Graph.VertexTerms), so two bindings of one query render alike
+// exactly when they bind every vertex and variable alike.
+func rowString(b Binding) string { return fmt.Sprint(b.Vars) }
 
 // TestMatchAgainstBruteForce cross-checks the matcher, binding for
 // binding, against the from-the-definition enumerator on random

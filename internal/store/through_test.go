@@ -10,9 +10,10 @@ import (
 )
 
 // TestThroughAgainstMatches cross-checks Through, triple set by triple
-// set, against the definition: some match of q (from Match, itself
-// checked against the brute-force enumerator) maps some query edge onto
-// one of the triples. The shapes cover what the substitution must get
+// set, against the definition: some match of q (from the brute-force
+// enumerator, which binds a variable's vertex and label occurrences
+// apart as the matcher does) maps some query edge onto one of the
+// triples. The shapes cover what the substitution must get
 // right: constant ends and labels, self-loops, a label variable shared
 // by two edges, a variable that is both a vertex and a label, parallel
 // edges (instance counting) and a second component.
@@ -65,15 +66,15 @@ func TestThroughAgainstMatches(t *testing.T) {
 					in[t] = true
 				}
 				want := false
-				for _, m := range st.Match(q) {
+				eachDefinitionMatch(st, q, nil, func(vs, vars []rdf.TermID) {
 					for _, e := range q.Edges {
 						p := e.Label
 						if e.HasVarLabel() {
-							p = m.Vars[e.LabelVar]
+							p = vars[e.LabelVar]
 						}
-						want = want || in[rdf.Triple{S: m.Vertices[e.From], P: p, O: m.Vertices[e.To]}]
+						want = want || in[rdf.Triple{S: vs[e.From], P: p, O: vs[e.To]}]
 					}
-				}
+				})
 				if want {
 					found++
 				}
