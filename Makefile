@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParseUpdate$$' -fuzztime=10s ./internal/sparql/
 	$(GO) test -run=NONE -fuzz='^FuzzGroundBlock$$' -fuzztime=10s ./internal/sparql/
 	$(GO) test -run=NONE -fuzz='^FuzzLexer$$' -fuzztime=10s ./internal/sparql/
+	$(GO) test -run=NONE -fuzz='^FuzzLiteralRoundTrip$$' -fuzztime=10s ./internal/sparql/
 	$(GO) test -run=NONE -fuzz='^FuzzReadNTriples$$' -fuzztime=10s ./internal/rdf/
 	$(GO) test -run=NONE -fuzz='^FuzzApplyDelta$$' -fuzztime=10s ./internal/fragment/
 	$(GO) test -run=NONE -fuzz='^FuzzClosureIndex$$' -fuzztime=10s ./internal/lec/

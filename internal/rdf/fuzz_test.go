@@ -17,6 +17,7 @@ func FuzzReadNTriples(f *testing.F) {
 		"<http://ex/a> <http://ex/p> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n",
 		"_:b0 <http://ex/p> _:b1 .\n# comment\n\n<http://ex/a> <http://ex/p> <http://ex/b> .\n",
 		"<http://ex/a> <http://ex/p> \"esc\\\"\\n\\t\\u00e9\" .\n",
+		"<http://ex/a> <http://ex/p> \"\\b\\f\\'\\U0001F600\" .\n",
 		"<http://ex/a> <http://ex/p> .\n",
 		"malformed",
 		"",

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -93,53 +94,57 @@ func parseNTriplesLine(line string) (s, p, o Term, ok bool, err error) {
 	return s, p, o, true, nil
 }
 
-// cutTerm splits the first whitespace-delimited term off s, honoring IRI
-// brackets and literal quoting so embedded spaces survive.
+// cutTerm parses the term that opens s after any spaces and tabs and
+// returns it with the rest of s: an IRI in angle brackets, a quoted literal
+// with an optional @lang or ^^<datatype> suffix, or a _:label blank node.
+// An IRI or literal ends at its closing bracket or quote; a language tag
+// or a blank node label runs to the next space or tab.
 func cutTerm(s string) (Term, string, error) {
 	s = strings.TrimLeft(s, " \t")
-	if s == "" {
-		return Term{}, "", fmt.Errorf("unexpected end of statement")
-	}
-	var end int
-	switch s[0] {
-	case '<':
-		i := strings.IndexByte(s, '>')
-		if i < 0 {
-			return Term{}, "", fmt.Errorf("unterminated IRI")
+	switch {
+	case s == "":
+		return Term{}, "", errors.New("missing term")
+	case s[0] == '<':
+		iri, rest, ok := strings.Cut(s[1:], ">")
+		if !ok {
+			return Term{}, "", errors.New("unterminated IRI")
 		}
-		end = i + 1
-	case '"':
-		i := closingQuote(s)
-		if i < 0 {
-			return Term{}, "", fmt.Errorf("unterminated literal")
+		return NewIRI(iri), rest, nil
+	case s[0] == '"':
+		lex, n, err := CutQuoted(s)
+		if err != nil {
+			return Term{}, "", err
 		}
-		end = i + 1
-		// Optional @lang or ^^<datatype> suffix.
-		if end < len(s) && s[end] == '@' {
-			j := end + 1
-			for j < len(s) && s[j] != ' ' && s[j] != '\t' {
-				j++
+		s = s[n:]
+		if strings.HasPrefix(s, "@") {
+			end := fieldEnd(s)
+			if end == 1 {
+				return Term{}, "", errors.New("empty language tag")
 			}
-			end = j
-		} else if strings.HasPrefix(s[end:], "^^<") {
-			j := strings.IndexByte(s[end:], '>')
-			if j < 0 {
-				return Term{}, "", fmt.Errorf("unterminated datatype IRI")
+			return NewLangLiteral(lex, s[1:end]), s[end:], nil
+		}
+		if strings.HasPrefix(s, "^^<") {
+			dt, rest, ok := strings.Cut(s[3:], ">")
+			if !ok || dt == "" {
+				return Term{}, "", errors.New("malformed datatype IRI")
 			}
-			end += j + 1
+			return NewTypedLiteral(lex, dt), rest, nil
 		}
-	default:
-		i := strings.IndexAny(s, " \t")
-		if i < 0 {
-			i = len(s)
-		}
-		end = i
+		return NewLiteral(lex), s, nil
 	}
-	t, err := parseTerm(s[:end])
-	if err != nil {
-		return Term{}, "", err
+	end := fieldEnd(s)
+	if !strings.HasPrefix(s, "_:") || end == 2 {
+		return Term{}, "", fmt.Errorf("unrecognized term %q", s[:end])
 	}
-	return t, s[end:], nil
+	return NewBlank(s[2:end]), s[end:], nil
+}
+
+// fieldEnd returns the index of the first space or tab in s, or len(s).
+func fieldEnd(s string) int {
+	if i := strings.IndexAny(s, " \t"); i >= 0 {
+		return i
+	}
+	return len(s)
 }
 
 // stripComment truncates line at the first '#' that lies outside IRI
@@ -169,20 +174,6 @@ func stripComment(line string) string {
 		}
 	}
 	return line
-}
-
-// closingQuote returns the index of the unescaped closing '"' of a literal
-// beginning at s[0], or -1.
-func closingQuote(s string) int {
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '"':
-			return i
-		}
-	}
-	return -1
 }
 
 // WriteNTriples serializes g to w in canonical N-Triples form, one triple

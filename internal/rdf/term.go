@@ -7,7 +7,9 @@
 package rdf
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -131,135 +133,67 @@ func escapeLiteral(b *strings.Builder, s string) {
 // brackets, a quoted literal with optional @lang or ^^<datatype> suffix, or
 // a _:label blank node. It is the inverse of Term.String.
 func ParseTerm(s string) (Term, error) {
-	return parseTerm(strings.TrimSpace(s))
-}
-
-// parseTerm parses a term that starts at s[0] and ends with s: the
-// N-Triples lexer cuts its tokens exactly, so anything it did not skip as
-// a separator (a vertical tab, say) is part of the token and an error.
-func parseTerm(s string) (Term, error) {
-	if s == "" {
-		return Term{}, fmt.Errorf("rdf: empty term")
-	}
-	switch s[0] {
-	case '<':
-		if !strings.HasSuffix(s, ">") || len(s) < 2 {
-			return Term{}, fmt.Errorf("rdf: unterminated IRI %q", s)
-		}
-		iri := s[1 : len(s)-1]
-		if strings.IndexByte(iri, '>') >= 0 {
-			// Written back, the IRI would end at that '>'.
-			return Term{}, fmt.Errorf("rdf: '>' inside IRI %q", s)
-		}
-		return NewIRI(iri), nil
-	case '_':
-		if !strings.HasPrefix(s, "_:") || len(s) == 2 {
-			return Term{}, fmt.Errorf("rdf: malformed blank node %q", s)
-		}
-		return NewBlank(s[2:]), nil
-	case '"':
-		return parseLiteralTerm(s)
-	default:
-		return Term{}, fmt.Errorf("rdf: unrecognized term %q", s)
-	}
-}
-
-func parseLiteralTerm(s string) (Term, error) {
-	// Find the closing quote, honoring backslash escapes.
-	end := -1
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++ // skip escaped char
-		case '"':
-			end = i
-		}
-		if end >= 0 {
-			break
-		}
-	}
-	if end < 0 {
-		return Term{}, fmt.Errorf("rdf: unterminated literal %q", s)
-	}
-	lex, err := unescapeLiteral(s[1:end])
-	if err != nil {
-		return Term{}, err
-	}
-	rest := s[end+1:]
+	t, rest, err := cutTerm(strings.TrimSpace(s))
 	switch {
-	case rest == "":
-		return NewLiteral(lex), nil
-	case strings.HasPrefix(rest, "@"):
-		lang := rest[1:]
-		if lang == "" {
-			return Term{}, fmt.Errorf("rdf: empty language tag in %q", s)
-		}
-		return NewLangLiteral(lex, lang), nil
-	case strings.HasPrefix(rest, "^^<") && strings.HasSuffix(rest, ">"):
-		dt := rest[3 : len(rest)-1]
-		if dt == "" {
-			return Term{}, fmt.Errorf("rdf: empty datatype in %q", s)
-		}
-		return NewTypedLiteral(lex, dt), nil
-	default:
-		return Term{}, fmt.Errorf("rdf: trailing garbage after literal: %q", s)
+	case err != nil:
+		return Term{}, fmt.Errorf("rdf: %w", err)
+	case rest != "":
+		return Term{}, fmt.Errorf("rdf: trailing text %q after term", rest)
 	}
+	return t, nil
 }
 
-func unescapeLiteral(s string) (string, error) {
-	if !strings.ContainsRune(s, '\\') {
-		return s, nil
+// CutQuoted reads the double-quoted string that opens s in one pass and
+// decodes the escapes N-Triples and SPARQL 1.1 share: ECHAR (\t \b \n \r
+// \f \" \' \\) and UCHAR (\uXXXX, \UXXXXXXXX; a code point that is no
+// valid rune decodes to U+FFFD). Every other byte passes through. It
+// returns the decoded value and n, the length of the string in s with both
+// quotes. A string without escapes decodes to a substring of s.
+func CutQuoted(s string) (value string, n int, err error) {
+	if !strings.HasPrefix(s, `"`) {
+		return "", 0, errors.New(`literal must open with '"'`)
 	}
 	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '\\' {
-			b.WriteByte(c)
-			continue
-		}
-		i++
-		if i >= len(s) {
-			return "", fmt.Errorf("rdf: dangling escape in literal %q", s)
-		}
+	from := 1 // s[from:i] is text not yet copied to b; from > 1 once an escape is seen
+	for i := 1; i < len(s); i++ {
 		switch s[i] {
 		case '"':
-			b.WriteByte('"')
+			if from == 1 {
+				return s[1:i], i + 1, nil
+			}
+			b.WriteString(s[from:i])
+			return b.String(), i + 1, nil
 		case '\\':
-			b.WriteByte('\\')
-		case 'n':
-			b.WriteByte('\n')
-		case 'r':
-			b.WriteByte('\r')
-		case 't':
-			b.WriteByte('\t')
-		case 'u', 'U':
-			width := 4
-			if s[i] == 'U' {
-				width = 8
+			b.WriteString(s[from:i])
+			i++
+			if i == len(s) {
+				return "", 0, errors.New("dangling escape in literal")
 			}
-			if i+width >= len(s) {
-				return "", fmt.Errorf("rdf: truncated \\%c escape in %q", s[i], s)
-			}
-			var r rune
-			for j := 0; j < width; j++ {
-				i++
-				r <<= 4
-				switch c := s[i]; {
-				case c >= '0' && c <= '9':
-					r |= rune(c - '0')
-				case c >= 'a' && c <= 'f':
-					r |= rune(c-'a') + 10
-				case c >= 'A' && c <= 'F':
-					r |= rune(c-'A') + 10
-				default:
-					return "", fmt.Errorf("rdf: bad hex digit %q in unicode escape", c)
+			if k := strings.IndexByte(echars, s[i]); k >= 0 {
+				b.WriteByte(echarValues[k])
+			} else if s[i] == 'u' || s[i] == 'U' {
+				end := i + 5
+				if s[i] == 'U' {
+					end = i + 9
 				}
+				v, err := strconv.ParseUint(s[i+1:min(end, len(s))], 16, 32)
+				if end > len(s) || err != nil {
+					return "", 0, fmt.Errorf("malformed \\%c escape in literal", s[i])
+				}
+				b.WriteRune(rune(v))
+				i = end - 1
+			} else {
+				return "", 0, fmt.Errorf("unknown escape \\%c in literal", s[i])
 			}
-			b.WriteRune(r)
-		default:
-			return "", fmt.Errorf("rdf: unknown escape \\%c in literal", s[i])
+			from = i + 1
 		}
 	}
-	return b.String(), nil
+	return "", 0, errors.New("unterminated literal")
 }
+
+// echars are the ECHAR escape letters; echarValues[k] is what echars[k]
+// decodes to.
+const (
+	echars      = `tbnrf"'\`
+	echarValues = "\t\b\n\r\f\"'\\"
+)

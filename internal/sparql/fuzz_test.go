@@ -20,6 +20,7 @@ var fuzzQuerySeeds = []string{
 	"SELECT REDUCED ?o WHERE { <http://ex/a> <http://ex/p> ?o . ?o <http://ex/q> 42 . }",
 	"# comment\nBASE <http://ex/>\nSELECT ?s WHERE { ?s <p> _:b0 . }",
 	"SELECT ?s WHERE { ?s ?p \"esc\\\"ape\\n\"^^<http://www.w3.org/2001/XMLSchema#string> . }",
+	"SELECT ?s WHERE { ?s ?p \"\\b\\f\\'\\U0001F600\" . }",
 	"",
 	"SELECT",
 	"SELECT ?s WHERE { ?s ?p ?o",

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"gstored/internal/rdf"
 )
 
 type tokenKind uint8
@@ -159,79 +161,41 @@ func (l *lexer) next() (token, error) {
 }
 
 func (l *lexer) lexLiteral(start int) (token, error) {
-	// l.src[l.pos] == '"'. A literal without escapes is a substring of
-	// src; sb holds the unescaped text once the first escape is seen.
-	i := l.pos + 1
-	var sb strings.Builder
-	escaped := false
-	for i < len(l.src) {
-		switch l.src[i] {
-		case '\\':
-			if !escaped {
-				sb.WriteString(l.src[l.pos+1 : i])
-				escaped = true
+	text, n, err := rdf.CutQuoted(l.src[l.pos:])
+	if err != nil {
+		return token{}, errAt(start, "%v", err)
+	}
+	tok := token{kind: tokLiteral, text: text, pos: start}
+	l.pos += n
+	// Optional @lang
+	if l.pos < len(l.src) && l.src[l.pos] == '@' {
+		l.pos++
+		tok.lang = l.takeWhile(func(r rune) bool {
+			return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-'
+		})
+		if tok.lang == "" {
+			return token{}, errAt(start, "empty language tag")
+		}
+		return tok, nil
+	}
+	// Optional ^^<iri> or ^^pname
+	if strings.HasPrefix(l.src[l.pos:], "^^") {
+		l.pos += 2
+		if l.pos < len(l.src) && l.src[l.pos] == '<' {
+			end := strings.IndexByte(l.src[l.pos:], '>')
+			if end < 0 {
+				return token{}, errAt(start, "unterminated datatype IRI")
 			}
-			if i+1 >= len(l.src) {
-				return token{}, errAt(start, "dangling escape in literal")
+			tok.dt, tok.dtIRI = l.src[l.pos+1:l.pos+end], true
+			l.pos += end + 1
+		} else {
+			tok.dt = l.takeWhile(func(r rune) bool { return isPNChar(r) || r == ':' })
+			if tok.dt == "" {
+				return token{}, errAt(start, "missing datatype after ^^")
 			}
-			switch l.src[i+1] {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case 'r':
-				sb.WriteByte('\r')
-			case '"':
-				sb.WriteByte('"')
-			case '\\':
-				sb.WriteByte('\\')
-			default:
-				return token{}, errAt(start, "unknown escape \\%c", l.src[i+1])
-			}
-			i += 2
-		case '"':
-			tok := token{kind: tokLiteral, text: l.src[l.pos+1 : i], pos: start}
-			if escaped {
-				tok.text = sb.String()
-			}
-			l.pos = i + 1
-			// Optional @lang
-			if l.pos < len(l.src) && l.src[l.pos] == '@' {
-				l.pos++
-				tok.lang = l.takeWhile(func(r rune) bool {
-					return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-'
-				})
-				if tok.lang == "" {
-					return token{}, errAt(start, "empty language tag")
-				}
-				return tok, nil
-			}
-			// Optional ^^<iri> or ^^pname
-			if strings.HasPrefix(l.src[l.pos:], "^^") {
-				l.pos += 2
-				if l.pos < len(l.src) && l.src[l.pos] == '<' {
-					end := strings.IndexByte(l.src[l.pos:], '>')
-					if end < 0 {
-						return token{}, errAt(start, "unterminated datatype IRI")
-					}
-					tok.dt, tok.dtIRI = l.src[l.pos+1:l.pos+end], true
-					l.pos += end + 1
-				} else {
-					tok.dt = l.takeWhile(func(r rune) bool { return isPNChar(r) || r == ':' })
-					if tok.dt == "" {
-						return token{}, errAt(start, "missing datatype after ^^")
-					}
-				}
-			}
-			return tok, nil
-		default:
-			if escaped {
-				sb.WriteByte(l.src[i])
-			}
-			i++
 		}
 	}
-	return token{}, errAt(start, "unterminated literal")
+	return tok, nil
 }
 
 func (l *lexer) lexNumber(start int) (token, error) {

@@ -400,6 +400,34 @@ func TestUpdateParseErrors(t *testing.T) {
 	}
 }
 
+// TestUpdateUnicodeEscapes: a literal written with a \u or \U escape is
+// the literal its raw characters spell, in an update and in a query.
+func TestUpdateUnicodeEscapes(t *testing.T) {
+	db := updateTestDB(t)
+	stats, err := db.Update(context.Background(), `INSERT DATA { <urn:s> <urn:p> "caf\u00e9" }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Inserted != 1 {
+		t.Errorf("insert stats = %+v, want 1 inserted", stats)
+	}
+	for _, q := range []string{
+		`SELECT ?s WHERE { ?s <urn:p> "café" }`,
+		`SELECT ?s WHERE { ?s <urn:p> "caf\u00e9" }`,
+	} {
+		if got := rowsOf(t, db, q); len(got) != 1 {
+			t.Errorf("%s: rows = %v, want <urn:s>", q, got)
+		}
+	}
+	stats, err = db.Update(context.Background(), `DELETE DATA { <urn:s> <urn:p> "caf\U000000e9" }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Deleted != 1 {
+		t.Errorf("delete stats = %+v, want 1 deleted", stats)
+	}
+}
+
 // TestUpdateCanceledContext: a dead context aborts the update with its
 // error and an unchanged database — no partial commit, no epoch bump.
 func TestUpdateCanceledContext(t *testing.T) {
