@@ -534,15 +534,13 @@ type rowOut func(Row) bool
 func applyModifiers(q *query.Graph, rows []Row) []Row {
 	if q.Distinct && len(rows) > 0 {
 		buf := newProjectionBuffer(q)
-		seen := make(map[string]bool, len(rows))
+		var seen key.Set[rdf.TermID]
+		seen.Reserve(len(rows), len(rows)*len(projectRow(q, rows[0], buf)))
 		kept := rows[:0]
 		for _, r := range rows {
-			k := projectRow(q, r, buf).Key()
-			if seen[k] {
-				continue
+			if _, added := seen.Add(projectRow(q, r, buf)); added {
+				kept = append(kept, r)
 			}
-			seen[k] = true
-			kept = append(kept, r)
 		}
 		rows = kept
 	}
@@ -562,8 +560,8 @@ func applyModifiers(q *query.Graph, rows []Row) []Row {
 // streamSink is the projection boundary of the unordered delivery mode:
 // full rows come in from concurrently emitting producers, projected rows
 // go out to the consumer, and the solution modifiers are enforced on the
-// way through — DISTINCT via a hash set over projected keys (order does
-// not matter to set semantics, so unordered emission is fine), then
+// way through — DISTINCT via a set of projected rows (order does not
+// matter to set semantics, so unordered emission is fine), then
 // OFFSET, then LIMIT, whose satisfaction cancels the execution context
 // so remaining distributed work stops.
 type streamSink struct {
@@ -571,18 +569,15 @@ type streamSink struct {
 	q       *query.Graph
 	emit    func(Row) bool
 	cancel  context.CancelFunc
-	seen    map[string]bool // non-nil iff DISTINCT
-	skip    int             // OFFSET rows still to drop
-	buf     Row             // reused projection buffer handed to emit
+	seen    key.Set[rdf.TermID] // projected rows seen, under DISTINCT
+	skip    int                 // OFFSET rows still to drop
+	buf     Row                 // reused projection buffer handed to emit
 	emitted int
 	done    bool
 }
 
 func newStreamSink(q *query.Graph, emit func(Row) bool, cancel context.CancelFunc) *streamSink {
 	s := &streamSink{q: q, emit: emit, cancel: cancel, skip: q.Offset, buf: newProjectionBuffer(q)}
-	if q.Distinct {
-		s.seen = make(map[string]bool)
-	}
 	if q.HasLimit && q.Limit == 0 {
 		// LIMIT 0: satisfied before the first row; producers stop at once.
 		s.stop()
@@ -599,12 +594,10 @@ func (s *streamSink) push(row Row) bool {
 		return false
 	}
 	p := projectRow(s.q, row, s.buf)
-	if s.seen != nil {
-		k := p.Key()
-		if s.seen[k] {
+	if s.q.Distinct {
+		if _, added := s.seen.Add(p); !added {
 			return true
 		}
-		s.seen[k] = true
 	}
 	if s.skip > 0 {
 		s.skip--

@@ -82,21 +82,39 @@ const (
 	l0             = 3
 )
 
-// oracleKeys is the centralized answer to q: the global store's matches,
-// canonically sorted, through the solution modifiers, as projected keys.
-// It shares no code with candidates, partial, lec or assembly. It does
-// share store.MatchFunc with the engine's local search, the star path's
-// and each site's: TestMatchAgainstBruteForce is what checks that search.
+// oracleKeys is the centralized answer to q: the global store's matches
+// in canonical order (numeric TermID order, slot by slot), projected, then
+// through a naive DISTINCT, OFFSET and LIMIT of its own, as projected
+// keys. It shares no code with candidates, partial, lec, assembly or the
+// engine's sinks. It does share store.MatchFunc with the engine's local
+// search, the star path's and each site's: TestMatchAgainstBruteForce is
+// what checks that search.
 func oracleKeys(st *store.Store, q *query.Graph) []string {
 	var rows []Row
 	for _, b := range st.Match(q) {
 		rows = append(rows, Row(b.Vars))
 	}
-	sortRows(rows)
-	buf := newProjectionBuffer(q)
+	slices.SortFunc(rows, func(a, b Row) int { return slices.Compare(a, b) })
 	var keys []string
-	for _, r := range applyModifiers(q, rows) {
-		keys = append(keys, projectRow(q, r, buf).Key())
+	seen := map[string]bool{}
+	for _, r := range rows {
+		p := r
+		if len(q.Projection) > 0 {
+			p = nil
+			for _, v := range q.Projection {
+				p = append(p, r[v])
+			}
+		}
+		k := p.Key()
+		if q.Distinct && seen[k] {
+			continue
+		}
+		seen[k] = true
+		keys = append(keys, k)
+	}
+	keys = keys[min(q.Offset, len(keys)):]
+	if q.HasLimit {
+		keys = keys[:min(q.Limit, len(keys))]
 	}
 	return keys
 }
@@ -161,6 +179,15 @@ func FuzzExecute(f *testing.F) {
 		[12]byte{0, 1, 2, 3, 0, 1},
 		[3]byte{0, p0, 2}, [3]byte{2, p0, 4}, [3]byte{4, p1, 1}, [3]byte{5, p1, 1},
 		[3]byte{5, p1, 1}, [3]byte{3, p0, 3}))
+	// DISTINCT OFFSET 2 over a two-edge path of five rows, and LIMIT 0,
+	// which both sinks satisfy before the first row.
+	for _, mods := range []byte{1 | 2<<5, 2} {
+		f.Add(fuzzInput(3, mods,
+			[][3]byte{{x0, p0, x1}, {x1, p1, x2}},
+			[12]byte{0, 1, 2, 0, 1, 2},
+			[3]byte{0, p0, 2}, [3]byte{0, p0, 2}, [3]byte{1, p0, 2}, [3]byte{2, p1, 4},
+			[3]byte{2, p1, 5}, [3]byte{3, p0, 4}, [3]byte{4, p1, 5}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < fuzzEdges+3 {
 			return

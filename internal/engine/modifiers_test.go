@@ -348,3 +348,49 @@ func TestSortRowsNumericOrder(t *testing.T) {
 		t.Errorf("sortRows = %v, want %v", rows, want)
 	}
 }
+
+// TestDistinctAllocs pins DISTINCT's cost to its set, not its rows: both
+// sinks dedup projected rows in a key.Set, which builds no key per row.
+// The ordered sink reserves the set for its rows up front, so its
+// allocations do not grow with the row count; the streaming sink's set
+// grows geometrically, so 10,000 rows cost it a few dozen allocations.
+// Half the rows repeat a projection.
+func TestDistinctAllocs(t *testing.T) {
+	q := &query.Graph{Vars: []string{"x", "y", "z"}, Projection: []int{0, 1}, Distinct: true}
+	rows := func(n int) []Row {
+		rs := make([]Row, n)
+		for i := range rs {
+			rs[i] = Row{rdf.TermID(i/2 + 1), rdf.TermID(i/2 + 2), rdf.TermID(i + 1)}
+		}
+		return rs
+	}
+	ordered := func(n int) float64 {
+		rs, work := rows(n), make([]Row, n)
+		return testing.AllocsPerRun(10, func() {
+			copy(work, rs)
+			if got := len(applyModifiers(q, work)); got != n/2 {
+				t.Fatalf("DISTINCT kept %d of %d rows, want %d", got, n, n/2)
+			}
+		})
+	}
+	streamed := func(n int) float64 {
+		rs := rows(n)
+		return testing.AllocsPerRun(10, func() {
+			emitted := 0
+			sink := newStreamSink(q, func(Row) bool { emitted++; return true }, func() {})
+			for _, r := range rs {
+				sink.push(r)
+			}
+			if emitted != n/2 {
+				t.Fatalf("DISTINCT streamed %d of %d rows, want %d", emitted, n, n/2)
+			}
+		})
+	}
+	const small, large = 100, 10000
+	if s, l := ordered(small), ordered(large); l > s {
+		t.Errorf("ordered DISTINCT: %.0f allocations for %d rows, %.0f for %d", l, large, s, small)
+	}
+	if s, l := streamed(small), streamed(large); l > s+64 {
+		t.Errorf("streamed DISTINCT: %.0f allocations for %d rows, %.0f for %d", l, large, s, small)
+	}
+}

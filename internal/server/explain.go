@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -246,8 +247,8 @@ func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisec
 
 // explainRequested reports whether the request opted into the EXPLAIN
 // surface via ?explain=1 (GET or POST URL) or an explain=1 form field.
-func explainRequested(r *http.Request) bool {
-	v := r.URL.Query().Get("explain")
+func explainRequested(r *http.Request, query url.Values) bool {
+	v := query.Get("explain")
 	if v == "" && r.PostForm != nil {
 		v = r.PostForm.Get("explain")
 	}

@@ -22,10 +22,10 @@ const (
 
 // flushEveryRows is how often the serializers flush the HTTP response
 // while streaming, so long results reach slow consumers incrementally
-// without paying a flush per row. Under first-row-early delivery the
-// first row additionally flushes on its own — that happens in the
-// streaming handler's deferredResponse.commit, not here, so ordered and
-// cached responses keep their original buffering.
+// without paying a flush per row. The first write, which carries the
+// head and row one, needs no flush here: a streaming response flushes
+// its first write itself (streamResponse), so ordered and cached
+// responses keep their original buffering.
 const flushEveryRows = 1024
 
 // writeBatchBytes is how many rendered bytes writeRows gathers before it
@@ -115,21 +115,20 @@ func WriteResultsJSON(w io.Writer, dict *rdf.Dictionary, vars []string, rows Row
 	}, "]}}\n")
 }
 
-// writeRows is the row loop both serializations share: it writes head,
-// then appends each row as appendRow renders it (n is the row's index) to
-// one reused buffer, so the per-row allocation profile stays flat however
-// many rows stream through. The buffer goes to w in one write right after
-// the first row — which a streaming response commits with, so status,
-// head and row one leave together — then whenever it reaches
+// writeRows is the row loop both serializations share, and the one place
+// that decides when an answer's first byte leaves: one reused buffer
+// starts with head and takes each row as appendRow renders it (n is the
+// row's index), so the per-row allocation profile stays flat however many
+// rows stream through. The buffer goes to w in one write right after the
+// first row — so head and row one leave together, and nothing leaves
+// before the rows have produced one — then whenever it reaches
 // writeBatchBytes, at every flushEveryRows-th row, where an http.Flusher
-// w is also flushed, and last with tail. The first render or write error
-// stops the rows and is returned.
+// w is also flushed, and last with tail (for an empty answer, head and
+// tail in one write). The first render or write error stops the rows and
+// is returned.
 func writeRows(w io.Writer, head []byte, rows RowSeq, appendRow func(b []byte, n int, row engine.Row) ([]byte, error), tail string) error {
-	if _, err := w.Write(head); err != nil {
-		return err
-	}
 	flusher, _ := w.(http.Flusher)
-	var buf []byte
+	buf := head
 	var err error
 	n := 0
 	rows(func(row engine.Row) bool {

@@ -41,13 +41,14 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -206,10 +207,10 @@ func (s *Server) CacheStats() CacheStats { return s.results.stats() }
 // POSTed form update= fields or application/sparql-update bodies
 // (updates over GET are not a thing — a cacheable, retriable method must
 // not mutate).
-func requestText(r *http.Request) (text string, isUpdate bool, err error) {
+func requestText(r *http.Request, query url.Values) (text string, isUpdate bool, err error) {
 	switch r.Method {
 	case http.MethodGet:
-		return r.URL.Query().Get("query"), false, nil
+		return query.Get("query"), false, nil
 	case http.MethodPost:
 		ct := r.Header.Get("Content-Type")
 		if i := strings.IndexByte(ct, ';'); i >= 0 {
@@ -263,8 +264,8 @@ var errMethod = errors.New("method not allowed")
 // comparison — and the first range matching a supported type wins, so
 // "application/sparql-results+json, text/tab-separated-values;q=0.1"
 // negotiates JSON instead of substring-matching TSV.
-func negotiate(r *http.Request) (contentType string, tsv bool) {
-	switch strings.ToLower(r.URL.Query().Get("format")) {
+func negotiate(r *http.Request, query url.Values) (contentType string, tsv bool) {
+	switch strings.ToLower(query.Get("format")) {
 	case "tsv":
 		return ContentTypeTSV, true
 	case "json":
@@ -291,7 +292,10 @@ func (s *Server) key(q *gstored.QueryGraph) string {
 
 func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	text, isUpdate, err := requestText(r)
+	// The URL query holds the whole URL-encoded SPARQL text of a GET:
+	// it is decoded once, here, for every parameter the request reads.
+	query := r.URL.Query()
+	text, isUpdate, err := requestText(r, query)
 	if err != nil {
 		if errors.Is(err, errMethod) {
 			w.Header().Set("Allow", "GET, POST")
@@ -313,7 +317,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	// A trace is attached only when something will read it — the explain
 	// response or the slow-query log. Untraced executions pay one nil
 	// context lookup per stage.
-	explain := explainRequested(r)
+	explain := explainRequested(r, query)
 	var tr *trace.Trace
 	if explain || s.slowLog != nil {
 		tr = trace.New()
@@ -332,7 +336,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rq := &request{s: s, w: w, r: r, q: q, text: text, tr: tr, start: start, key: s.key(q), epoch: s.syncEpoch(tr)}
-	rq.contentType, _ = negotiate(r)
+	rq.contentType, _ = negotiate(r, query)
 	switch {
 	case explain:
 		rq.explain()
@@ -614,66 +618,44 @@ const (
 	cacheStream    cacheState = "STREAM"    // unordered first-row-early delivery; cache not consulted
 )
 
-// deferredResponse buffers the response body until commit proves the
-// execution can answer: the serializer's document head lands in the
-// buffer, and the first result row (or a fully successful empty run)
-// releases it — so an engine failure before the first row can still
-// send a real error status, while a failure after commit can only
-// truncate the stream. It implements http.Flusher as a pass-through
-// once committed, so the serializers' periodic flushes keep working;
-// commit itself flushes, which is what makes time-to-first-byte track
-// first-row production.
-type deferredResponse struct {
-	w         http.ResponseWriter
-	header    http.Header // success headers; set at commit, so an error reply never carries them
-	buf       bytes.Buffer
-	committed bool
-	aborted   bool
-	err       error // first write error of the buffered prefix
+// streamResponse is the unordered answer's ResponseWriter. Its first
+// write — which writeRows makes only once row one is rendered, or once an
+// empty run has succeeded — sets the success headers and is flushed at
+// once, so time-to-first-byte tracks first-row production; until then
+// nothing has reached the client, and a failure can still send a real
+// status. After abort every write fails, so a serializer cannot close a
+// document whose row stream died half way. Flush passes through, which
+// keeps the serializers' periodic flushes working.
+type streamResponse struct {
+	w       http.ResponseWriter
+	header  http.Header // success headers; set by the first write, so an error reply never carries them
+	started bool
+	aborted bool
 }
 
-// errStreamAborted fails writes after abort, so a serializer cannot
-// close a document whose row stream died half way.
+// errStreamAborted fails writes after abort.
 var errStreamAborted = errors.New("server: result stream aborted")
 
-func (d *deferredResponse) Write(p []byte) (int, error) {
-	if d.aborted {
+func (sw *streamResponse) Write(p []byte) (int, error) {
+	if sw.aborted {
 		return 0, errStreamAborted
 	}
-	if !d.committed {
-		return d.buf.Write(p)
+	if !sw.started {
+		sw.started = true
+		maps.Copy(sw.w.Header(), sw.header)
+		defer sw.Flush()
 	}
-	return d.w.Write(p)
+	return sw.w.Write(p)
 }
 
-// abort drops all further writes. A committed stream is left visibly
+// abort fails all further writes. A started stream is left visibly
 // truncated — no closing bracket — so a partial answer can never parse
-// as a complete one; an uncommitted stream simply never ships.
-func (d *deferredResponse) abort() { d.aborted = true }
+// as a complete one; an unstarted stream simply never ships.
+func (sw *streamResponse) abort() { sw.aborted = true }
 
-// commit releases the buffered prefix (headers + document head) and
-// flushes it to the client; subsequent writes pass straight through.
-func (d *deferredResponse) commit() {
-	if d.committed {
-		return
-	}
-	d.committed = true
-	for k, v := range d.header {
-		d.w.Header()[k] = v
-	}
-	if d.buf.Len() > 0 {
-		_, d.err = d.w.Write(d.buf.Bytes())
-		d.buf.Reset()
-	}
-	d.Flush()
-}
-
-// Flush implements http.Flusher; a no-op until commit.
-func (d *deferredResponse) Flush() {
-	if !d.committed {
-		return
-	}
-	if f, ok := d.w.(http.Flusher); ok {
+// Flush implements http.Flusher.
+func (sw *streamResponse) Flush() {
+	if f, ok := sw.w.(http.Flusher); ok {
 		f.Flush()
 	}
 }
@@ -686,12 +668,12 @@ func (d *deferredResponse) Flush() {
 // not consulted (X-Cache: STREAM) — nothing is
 // materialized to store, and a truncated unordered answer is one
 // execution's arbitrary row subset, not "the" result. The response
-// commits with the first row (deferredResponse): only failures before
-// that — admission rejection, queued-context expiry, an engine error
-// with no rows yet — can still report their usual statuses.
+// starts with the first row (writeRows, streamResponse): only failures
+// before that — admission rejection, queued-context expiry, an engine
+// error with no rows yet — can still report their usual statuses.
 func (rq *request) stream() {
 	s := rq.s
-	dw := &deferredResponse{w: rq.w, header: http.Header{"Content-Type": {rq.contentType}, "X-Cache": {string(cacheStream)}}}
+	sw := &streamResponse{w: rq.w, header: http.Header{"Content-Type": {rq.contentType}, "X-Cache": {string(cacheStream)}}}
 	// The clocked run is the whole streaming pipeline: emit blocks on
 	// serialization, so unlike the ordered path the engine wall time
 	// includes response-write backpressure from slow clients — in a
@@ -712,26 +694,16 @@ func (rq *request) stream() {
 		}
 		var res *gstored.Result
 		var engineErr error
-		writeErr := rq.serialize(dw, func(yield func(gstored.Row) bool) {
-			res, engineErr = s.db.QueryGraphStreamContext(ctx, rq.q, func(row gstored.Row) bool {
-				// The first row commits the response: status, document
-				// head and row one reach the client together, at
-				// first-row production.
-				ok := yield(row)
-				dw.commit()
-				return ok
-			})
+		writeErr := rq.serialize(sw, func(yield func(gstored.Row) bool) {
+			res, engineErr = s.db.QueryGraphStreamContext(ctx, rq.q, yield)
 			if engineErr != nil {
 				// The engine died mid-stream: drop everything still
 				// unwritten, the document terminator included, so a
-				// committed partial answer stays visibly truncated
+				// started partial answer stays visibly truncated
 				// instead of parsing as a complete result.
-				dw.abort()
+				sw.abort()
 			}
 		})
-		if writeErr == nil {
-			writeErr = dw.err
-		}
 		switch {
 		case engineErr != nil:
 			return nil, engineErr
@@ -740,22 +712,17 @@ func (rq *request) stream() {
 			// client surfaces as the context's cancellation, a genuine
 			// serialization fault as itself.
 			return res, ctx.Err()
-		case writeErr != nil:
-			return res, writeErr
 		}
-		// A successful empty result commits here — a complete, honest
-		// zero-binding document.
-		dw.commit()
-		return res, dw.err
+		return res, writeErr
 	})
 	if err != nil {
-		if !dw.committed {
+		if !sw.started {
 			// Nothing reached the client; a full status reply is possible.
 			rq.fail(err)
 			return
 		}
-		// The stream is already committed: count the failure; the stream
-		// stays truncated.
+		// The stream has started: count the failure; the stream stays
+		// truncated.
 		_, counter, _ := s.classify("query", err)
 		counter.Add(1)
 		if res == nil {

@@ -306,3 +306,46 @@ func TestCacheDisabled(t *testing.T) {
 		t.Errorf("disabled cache stats = %+v", st)
 	}
 }
+
+// discardResponse is a ResponseWriter that keeps only its header map, so
+// a handler's allocations can be counted without a recorder's.
+type discardResponse struct{ header http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// TestCachedGetDecodesQueryOnce pins the single decode of a request's URL
+// query: every /sparql parameter reader (requestText, negotiate,
+// explainRequested) shares one decode, which a cache hit pays too. So
+// padding a repeated cached GET's URL with parameters the server ignores
+// costs the handler what one url.ParseQuery spends on them, not a
+// multiple of it.
+func TestCachedGetDecodesQueryOnce(t *testing.T) {
+	s, _ := newTestServer(t, testDB(t), Config{})
+	raw := "query=" + url.QueryEscape(knowsChain)
+	var pad strings.Builder
+	for i := range 32 {
+		fmt.Fprintf(&pad, "&pad%d=a+b", i)
+	}
+	padded := raw + pad.String()
+	serve := func(rawQuery string) float64 {
+		req := httptest.NewRequest(http.MethodGet, "/sparql?"+rawQuery, nil)
+		w := &discardResponse{header: http.Header{}}
+		s.ServeHTTP(w, req)
+		allocs := testing.AllocsPerRun(50, func() { s.ServeHTTP(w, req) })
+		if got := w.header.Get("X-Cache"); got != string(cacheHit) {
+			t.Fatalf("repeated GET answered X-Cache %q, want %q", got, cacheHit)
+		}
+		return allocs
+	}
+	var sink url.Values
+	decode := testing.AllocsPerRun(50, func() { sink, _ = url.ParseQuery(padded) }) -
+		testing.AllocsPerRun(50, func() { sink, _ = url.ParseQuery(raw) })
+	_ = sink
+	plain, more := serve(raw), serve(padded)
+	t.Logf("cached GET: %.0f allocations; the padding adds %.0f, one decode of it %.0f", plain, more-plain, decode)
+	if more-plain > 1.5*decode {
+		t.Errorf("the padding costs a cached GET %.0f allocations, %.1f decodes' worth (one decode: %.0f)", more-plain, (more-plain)/decode, decode)
+	}
+}

@@ -55,7 +55,7 @@ func TestNegotiateMatrix(t *testing.T) {
 		if tc.accept != "" {
 			req.Header.Set("Accept", tc.accept)
 		}
-		ct, tsv := negotiate(req)
+		ct, tsv := negotiate(req, req.URL.Query())
 		if tsv != tc.wantTSV {
 			t.Errorf("negotiate(Accept=%q, format=%q): tsv = %v, want %v", tc.accept, tc.format, tsv, tc.wantTSV)
 		}
