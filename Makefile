@@ -55,3 +55,4 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzSiteVectorsDecode$$' -fuzztime=10s ./internal/candidates/
 	$(GO) test -run=NONE -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/remote/
 	$(GO) test -run=NONE -fuzz='^FuzzExecute$$' -fuzztime=10s ./internal/engine/
+	$(GO) test -run=NONE -fuzz='^FuzzUpdate$$' -fuzztime=10s .

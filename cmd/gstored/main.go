@@ -83,24 +83,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	q := *queryText
-	if *queryFile != "" {
-		b, err := os.ReadFile(*queryFile)
-		if err != nil {
-			fail(err)
-		}
-		q = string(b)
-	}
-	if q == "" {
-		fmt.Fprintln(os.Stderr, "gstored: provide -query or -queryfile")
-		os.Exit(2)
-	}
-	m := parseMode(*mode)
-	g := loadGraph(*dataPath, "", 0)
-	db, err := gstored.Open(g, gstored.Config{Sites: *sites, Strategy: *strategy, Mode: m, EvalWorkers: *evalWork})
-	if err != nil {
-		fail(err)
-	}
+	q := queryArg("gstored", *queryText, *queryFile)
+	g, db := openDB(*dataPath, "", 0, gstored.Config{Sites: *sites, Strategy: *strategy, Mode: parseMode(*mode), EvalWorkers: *evalWork})
 	fmt.Printf("loaded %d triples over %d sites (%s partitioning)\n", g.Len(), db.NumSites(), db.StrategyName)
 
 	res, err := db.Query(q)
@@ -147,24 +131,8 @@ func explainMain(args []string) {
 		fmt.Fprintln(os.Stderr, "gstored explain: provide exactly one of -data or -dataset")
 		os.Exit(2)
 	}
-	text := *queryText
-	if *queryFile != "" {
-		b, err := os.ReadFile(*queryFile)
-		if err != nil {
-			fail(err)
-		}
-		text = string(b)
-	}
-	if text == "" {
-		fmt.Fprintln(os.Stderr, "gstored explain: provide -query or -queryfile")
-		os.Exit(2)
-	}
-
-	g := loadGraph(*dataPath, *dataset, *scale)
-	db, err := gstored.Open(g, gstored.Config{Sites: *sites, Strategy: *strategy, Mode: parseMode(*mode)})
-	if err != nil {
-		fail(err)
-	}
+	text := queryArg("gstored explain", *queryText, *queryFile)
+	_, db := openDB(*dataPath, *dataset, *scale, gstored.Config{Sites: *sites, Strategy: *strategy, Mode: parseMode(*mode)})
 	q, err := db.Parse(text)
 	if err != nil {
 		fail(err)
@@ -216,7 +184,7 @@ func serveMain(args []string) {
 		strategy    = fs.String("strategy", "hash", "partitioning: hash, semantic-hash, metis, best")
 		mode        = fs.String("mode", "full", "engine mode: basic, la, lo, full")
 		cache       = fs.Int("cache", 256, "result-cache entries (negative disables)")
-		cacheRows   = fs.Int("cache-max-rows", 0, "max projected rows admitted per cache entry; larger results stream uncached (0 = default 65536, negative = uncapped)")
+		cacheRows   = fs.Int("cache-max-rows", 0, "max projected rows admitted per cache entry; larger results are answered but not cached (0 = default 65536, negative = uncapped)")
 		timeout     = fs.Duration("timeout", 30*time.Second, "per-query time limit")
 		maxInFlight = fs.Int("max-inflight", 64, "admitted-query limit before shedding with 503")
 		workers     = fs.Int("workers", 0, "queries executing concurrently (0 = GOMAXPROCS)")
@@ -235,7 +203,6 @@ func serveMain(args []string) {
 		os.Exit(2)
 	}
 
-	g := loadGraph(*dataPath, *dataset, *scale)
 	dbCfg := gstored.Config{Sites: *sites, Strategy: *strategy, Mode: parseMode(*mode), EvalWorkers: *evalWork}
 	if *siteWorkers != "" {
 		for _, part := range strings.Split(*siteWorkers, ",") {
@@ -244,10 +211,7 @@ func serveMain(args []string) {
 			}
 		}
 	}
-	db, err := gstored.Open(g, dbCfg)
-	if err != nil {
-		fail(err)
-	}
+	g, db := openDB(*dataPath, *dataset, *scale, dbCfg)
 	defer db.Close()
 	cfg := server.Config{
 		MaxInFlight:  *maxInFlight,
@@ -303,6 +267,35 @@ func serveMain(args []string) {
 		IdleTimeout:       2 * time.Minute,
 	}
 	fail(hs.ListenAndServe())
+}
+
+// queryArg returns the query text of -query, or the contents of
+// -queryfile when that is set; with neither it exits with status 2,
+// naming cmd.
+func queryArg(cmd, text, file string) string {
+	if file != "" {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			fail(err)
+		}
+		text = string(b)
+	}
+	if text == "" {
+		fmt.Fprintf(os.Stderr, "%s: provide -query or -queryfile\n", cmd)
+		os.Exit(2)
+	}
+	return text
+}
+
+// openDB loads the graph (see loadGraph) and opens a database over it
+// under cfg, exiting on failure.
+func openDB(dataPath, dataset string, scale int, cfg gstored.Config) (*gstored.Graph, *gstored.DB) {
+	g := loadGraph(dataPath, dataset, scale)
+	db, err := gstored.Open(g, cfg)
+	if err != nil {
+		fail(err)
+	}
+	return g, db
 }
 
 // loadGraph reads an N-Triples file or generates a benchmark dataset.

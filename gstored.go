@@ -505,55 +505,38 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 	dict := db.Graph.Dict
 
 	// Fold the operation sequence into one net set-semantics delta
-	// against the live graph: ops execute in order over a presence
-	// overlay, and only positions whose final presence differs from the
-	// base become part of the delta (an insert-then-delete of an absent
-	// triple nets to nothing). The fold works at the term level — keys
-	// are canonical term strings, which are injective (Term.String
-	// doubles as the dictionary key) — and the dictionary is consulted
-	// read-only via Lookup: a term it never saw occurs in no stored
-	// triple. Only the inserts that survive the fold Encode at commit
-	// time, so a request that nets to nothing (or fails) cannot grow the
-	// shared dictionary.
-	type groundKey [3]string
-	type overlay struct {
-		gt   sparql.GroundTriple
-		want bool
+	// against the live graph. Operations apply in order, so the last one
+	// naming a triple decides whether it is present afterwards, and the
+	// triple joins the delta only when that changes its presence: an
+	// insert of an absent triple or a delete of a present one (an
+	// insert-then-delete of an absent triple nets to nothing). The fold
+	// works at the term level — keys are canonical term strings, which
+	// are injective (Term.String doubles as the dictionary key) — and the
+	// dictionary is consulted read-only via Lookup: a term it never saw
+	// occurs in no stored triple. Only the inserts that survive the fold
+	// Encode, so a request that nets to nothing (or fails) cannot grow
+	// the shared dictionary.
+	type lastOp struct {
+		gt     sparql.GroundTriple
+		delete bool
 	}
-	baseHas := func(gt sparql.GroundTriple) bool {
-		s, okS := dict.Lookup(gt.S)
-		p, okP := dict.Lookup(gt.P)
-		o, okO := dict.Lookup(gt.O)
-		return okS && okP && okO && st.HasTriple(s, p, o)
-	}
-	touched := make(map[groundKey]overlay)
+	last := make(map[[3]string]lastOp)
 	for _, op := range u.Ops {
 		for _, gt := range op.Triples {
-			k := groundKey{gt.S.String(), gt.P.String(), gt.O.String()}
-			cur, ok := touched[k]
-			present := cur.want
-			if !ok {
-				present = baseHas(gt)
-			}
-			if present == op.Delete {
-				touched[k] = overlay{gt: gt, want: !op.Delete}
-			}
+			last[[3]string{gt.S.String(), gt.P.String(), gt.O.String()}] = lastOp{gt, op.Delete}
 		}
 	}
 	var inserted, deleted []rdf.Triple
-	for _, e := range touched {
-		if e.want == baseHas(e.gt) {
-			continue // net no-op (e.g. inserted then deleted in one request)
-		}
-		if e.want {
-			inserted = append(inserted, rdf.Triple{S: dict.Encode(e.gt.S), P: dict.Encode(e.gt.P), O: dict.Encode(e.gt.O)})
-		} else {
-			// A surviving delete's triple is present in the base graph, so
-			// every term is already in the dictionary.
-			s, _ := dict.Lookup(e.gt.S)
-			p, _ := dict.Lookup(e.gt.P)
-			o, _ := dict.Lookup(e.gt.O)
+	for _, l := range last {
+		s, okS := dict.Lookup(l.gt.S)
+		p, okP := dict.Lookup(l.gt.P)
+		o, okO := dict.Lookup(l.gt.O)
+		present := okS && okP && okO && st.HasTriple(s, p, o)
+		switch {
+		case l.delete && present:
 			deleted = append(deleted, rdf.Triple{S: s, P: p, O: o})
+		case !l.delete && !present:
+			inserted = append(inserted, rdf.Triple{S: dict.Encode(l.gt.S), P: dict.Encode(l.gt.P), O: dict.Encode(l.gt.O)})
 		}
 	}
 	if len(inserted) == 0 && len(deleted) == 0 {
@@ -566,7 +549,7 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 	if err := ctx.Err(); err != nil {
 		return UpdateStats{}, err
 	}
-	// Deterministic application order (pending is a map).
+	// Deterministic application order (the fold is a map).
 	sortTriples(inserted)
 	sortTriples(deleted)
 

@@ -325,9 +325,10 @@ func (e *Engine) Execute(q *query.Graph, cfg Config) (*Result, error) {
 // context's error is returned.
 //
 // Ordered delivery is a collecting sink over run: every row is
-// materialized (sites emit concurrently), then sorted canonically —
-// numeric TermID order, slot by slot — and the solution modifiers apply
-// on the sorted sequence. Deterministic output, no early termination.
+// materialized (sites emit concurrently), sorted canonically — numeric
+// TermID order, slot by slot — and replayed in that order through the
+// streaming sink, which applies the solution modifiers. Deterministic
+// output, no early termination.
 func (e *Engine) ExecuteContext(ctx context.Context, q *query.Graph, cfg Config) (*Result, error) {
 	start := time.Now()
 	var mu sync.Mutex
@@ -342,7 +343,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Graph, cfg Config)
 		return nil, err
 	}
 	sortRows(rows)
-	rows = applyModifiers(q, rows)
+	rows = replay(q, rows)
 	stats.NumMatches = len(rows)
 	stats.TotalTime = time.Since(start)
 	return &Result{Query: q, Rows: rows, Stats: stats}, nil
@@ -374,7 +375,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *query.Graph, cfg Config, 
 	// instead of completing work nobody will read.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sink := newStreamSink(q, emit, cancel)
+	sink := newStreamSink(q, func(_, p Row) bool { return emit(p) }, cancel)
 	stats, err := e.run(sctx, q, cfg, sink.push)
 	// The sink's own cancellation is the success path: once it has its
 	// rows, errors raced in by still-draining stages are moot. Otherwise
@@ -421,15 +422,11 @@ func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut
 		stats.StarFastPath = ship.star
 		ships = []*shipCounts{ship}
 	}
-	// The one metering decision: traffic the site replies measured at a
-	// socket stands as shipped; when nothing crossed one (in-process
-	// sites report zero) the §IX model prices the same exchange, one
-	// component at a time.
-	if stats.TotalShipment > 0 {
-		for i := range stats.Fragments {
-			stats.Fragments[i].ShipmentBytes = stats.Fragments[i].WireBytes
-		}
-	} else {
+	// The one metering decision: round booked the traffic the site
+	// replies measured at a socket as shipped; when nothing crossed one
+	// (in-process sites report zero) the §IX model prices the same
+	// exchange, one component at a time.
+	if stats.TotalShipment == 0 {
 		for _, ship := range ships {
 			modelShipment(&stats, ship)
 		}
@@ -510,9 +507,6 @@ func validateForExec(q *query.Graph, cfg *Config) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	if len(q.Vertices) > partial.MaxQuerySize || len(q.Edges) > partial.MaxQuerySize {
-		return fmt.Errorf("engine: query exceeds %d vertices/edges", partial.MaxQuerySize)
-	}
 	if cfg.Mode == ModeUnset {
 		cfg.Mode = Full
 	}
@@ -526,48 +520,18 @@ func validateForExec(q *query.Graph, cfg *Config) error {
 // so (the engine's producers hand over ownership of full rows).
 type rowOut func(Row) bool
 
-// applyModifiers applies the SPARQL solution modifiers to a canonically
-// sorted row set: DISTINCT keeps the first full row per projected key,
-// then OFFSET and LIMIT slice the surviving sequence. Determinism comes
-// from the sort: equal projected keys collapse to the canonically first
-// full row, and the OFFSET/LIMIT window is the same on every run.
-func applyModifiers(q *query.Graph, rows []Row) []Row {
-	if q.Distinct && len(rows) > 0 {
-		buf := newProjectionBuffer(q)
-		var seen key.Set[rdf.TermID]
-		seen.Reserve(len(rows), len(rows)*len(projectRow(q, rows[0], buf)))
-		kept := rows[:0]
-		for _, r := range rows {
-			if _, added := seen.Add(projectRow(q, r, buf)); added {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(rows) {
-			rows = rows[:0]
-		} else {
-			rows = rows[q.Offset:]
-		}
-	}
-	if q.HasLimit && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
-	}
-	return rows
-}
-
-// streamSink is the projection boundary of the unordered delivery mode:
-// full rows come in from concurrently emitting producers, projected rows
-// go out to the consumer, and the solution modifiers are enforced on the
-// way through — DISTINCT via a set of projected rows (order does not
-// matter to set semantics, so unordered emission is fine), then
-// OFFSET, then LIMIT, whose satisfaction cancels the execution context
-// so remaining distributed work stops.
+// streamSink is the one place the solution modifiers apply: full rows
+// come in, and each survivor goes out to the consumer with its
+// projection. DISTINCT keeps the first row per projected key (a set of
+// projected rows, so unordered emission is fine), then OFFSET skips,
+// then LIMIT stops the sink and cancels the execution context so
+// remaining distributed work stops. Unordered delivery pushes rows from
+// concurrently emitting producers; ordered delivery replays the sorted
+// rows through it.
 type streamSink struct {
 	mu      sync.Mutex
 	q       *query.Graph
-	emit    func(Row) bool
+	emit    func(full, projected Row) bool
 	cancel  context.CancelFunc
 	seen    key.Set[rdf.TermID] // projected rows seen, under DISTINCT
 	skip    int                 // OFFSET rows still to drop
@@ -576,13 +540,35 @@ type streamSink struct {
 	done    bool
 }
 
-func newStreamSink(q *query.Graph, emit func(Row) bool, cancel context.CancelFunc) *streamSink {
+func newStreamSink(q *query.Graph, emit func(full, projected Row) bool, cancel context.CancelFunc) *streamSink {
 	s := &streamSink{q: q, emit: emit, cancel: cancel, skip: q.Offset, buf: newProjectionBuffer(q)}
 	if q.HasLimit && q.Limit == 0 {
 		// LIMIT 0: satisfied before the first row; producers stop at once.
 		s.stop()
 	}
 	return s
+}
+
+// replay applies q's solution modifiers to canonically sorted rows by
+// pushing them through a streamSink in order, and returns the survivors
+// in place. The sort makes the answer deterministic: DISTINCT keeps the
+// canonically first full row per projected key, and the OFFSET/LIMIT
+// window is the same on every run.
+func replay(q *query.Graph, rows []Row) []Row {
+	kept := rows[:0]
+	s := newStreamSink(q, func(full, _ Row) bool {
+		kept = append(kept, full)
+		return true
+	}, func() {})
+	if q.Distinct && len(rows) > 0 {
+		s.seen.Reserve(len(rows), len(rows)*len(projectRow(q, rows[0], s.buf)))
+	}
+	for _, r := range rows {
+		if !s.push(r) {
+			break
+		}
+	}
+	return kept
 }
 
 // push accepts one full row; the return value tells the producer whether
@@ -603,7 +589,7 @@ func (s *streamSink) push(row Row) bool {
 		s.skip--
 		return true
 	}
-	if !s.emit(p) {
+	if !s.emit(row, p) {
 		s.stop()
 		return false
 	}
@@ -636,8 +622,8 @@ func sortRows(rows []Row) { slices.SortFunc(rows, slices.Compare[Row]) }
 // round is the one site barrier and the only code that books a site
 // call: it runs call at every site on the pool, then adds each site's
 // Meter and wall into stats — the stage's time and shipment, the site's
-// span, wall, transport, tasks, busy time and wire bytes, and the
-// execution's traffic totals. A sequential pool (width 1) calls the
+// span, wall, transport, tasks, busy time and wire bytes (which stand
+// as its shipment), and the execution's traffic totals. A sequential pool (width 1) calls the
 // sites strictly in site order, the property the -eval-workers=1 oracle
 // relies on. Every call is booked, failed or not; the error returned is
 // the context's, else the first failure in site order.
@@ -675,6 +661,7 @@ func (e *Engine) round(ctx context.Context, stage Stage, p *pool.Pool, stats *St
 		f.Tasks += b.meter.Tasks
 		f.Busy += b.meter.Busy
 		f.WireBytes += b.meter.Wire
+		f.ShipmentBytes += b.meter.Wire
 		st.Shipment += b.meter.Wire
 		stats.count(b.meter.Wire, b.meter.WireMessages)
 		err = cmp.Or(err, b.err)

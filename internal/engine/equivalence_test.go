@@ -150,9 +150,9 @@ func sameMultiset(a, b []string) bool {
 //
 //   - Ordered delivery is deterministic: identical row sequences
 //     regardless of worker count.
-//   - Ordered delivery equals the streamed rows collected, sorted with
-//     sortRows and passed through applyModifiers — the definition of the
-//     ordered path, checked from outside it.
+//   - Ordered delivery equals an independent reference over the streamed
+//     rows: sorted canonically, deduplicated by projected key with a map
+//     under DISTINCT, then sliced by OFFSET and LIMIT (referenceModified).
 //   - Unordered delivery without LIMIT/OFFSET: identical row multisets.
 //   - Unordered delivery under LIMIT/OFFSET without DISTINCT may pick a
 //     different (equally correct) row subset, so the harness checks
@@ -196,8 +196,8 @@ func TestCrossModeEquivalence(t *testing.T) {
 					t.Fatalf("ordered parallel diverged from sequential oracle\n got %d rows\nwant %d rows", len(par), len(oracle))
 				}
 
-				// Ordered delivery is nothing more than the streamed multiset
-				// collected, canonically sorted, and run through the modifiers.
+				// Ordered delivery is the streamed multiset in canonical
+				// order with the modifiers applied, per the reference.
 				var rows []Row
 				if _, err := env.eng.ExecuteStream(context.Background(), env.shape(t, shape, nil),
 					Config{Mode: Full, EvalWorkers: 4}, func(r Row) bool {
@@ -206,15 +206,15 @@ func TestCrossModeEquivalence(t *testing.T) {
 					}); err != nil {
 					t.Fatal(err)
 				}
-				sortRows(rows)
-				var viaSink []string
-				buf := newProjectionBuffer(q)
-				for _, r := range applyModifiers(q, rows) {
-					viaSink = append(viaSink, projectRow(q, r, buf).Key())
+				slices.SortFunc(rows, slices.Compare[Row])
+				limit := -1
+				if q.HasLimit {
+					limit = q.Limit
 				}
-				if !slices.Equal(viaSink, oracle) {
-					t.Fatalf("ordered output is not collect + sortRows + applyModifiers over the streamed rows (%d vs %d rows)",
-						len(viaSink), len(oracle))
+				want := referenceModified(&Result{Query: q, Rows: rows}, q.Distinct, limit, q.Offset)
+				if !slices.Equal(want, oracle) {
+					t.Fatalf("ordered output differs from the reference modifiers over the streamed rows (%d vs %d rows)",
+						len(want), len(oracle))
 				}
 
 				for _, workers := range []int{1, 4} {

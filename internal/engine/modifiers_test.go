@@ -280,7 +280,7 @@ func TestExecuteStreamEarlyTermination(t *testing.T) {
 	}
 	sctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	sink := newStreamSink(limit0, noEmit, stop)
+	sink := newStreamSink(limit0, func(_, p Row) bool { return noEmit(p) }, stop)
 	if _, err := distributedRun(sctx, e, limit0, Config{}, sink.push); !errors.Is(err, context.Canceled) {
 		t.Errorf("LIMIT 0 through partial evaluation: err = %v, want the sink's cancellation", err)
 	}
@@ -349,10 +349,10 @@ func TestSortRowsNumericOrder(t *testing.T) {
 	}
 }
 
-// TestDistinctAllocs pins DISTINCT's cost to its set, not its rows: both
-// sinks dedup projected rows in a key.Set, which builds no key per row.
-// The ordered sink reserves the set for its rows up front, so its
-// allocations do not grow with the row count; the streaming sink's set
+// TestDistinctAllocs pins DISTINCT's cost to its set, not its rows: the
+// sink dedups projected rows in a key.Set, which builds no key per row.
+// The ordered replay reserves the set for its rows up front, so its
+// allocations do not grow with the row count; a streamed run's set
 // grows geometrically, so 10,000 rows cost it a few dozen allocations.
 // Half the rows repeat a projection.
 func TestDistinctAllocs(t *testing.T) {
@@ -368,7 +368,7 @@ func TestDistinctAllocs(t *testing.T) {
 		rs, work := rows(n), make([]Row, n)
 		return testing.AllocsPerRun(10, func() {
 			copy(work, rs)
-			if got := len(applyModifiers(q, work)); got != n/2 {
+			if got := len(replay(q, work)); got != n/2 {
 				t.Fatalf("DISTINCT kept %d of %d rows, want %d", got, n, n/2)
 			}
 		})
@@ -377,7 +377,7 @@ func TestDistinctAllocs(t *testing.T) {
 		rs := rows(n)
 		return testing.AllocsPerRun(10, func() {
 			emitted := 0
-			sink := newStreamSink(q, func(Row) bool { emitted++; return true }, func() {})
+			sink := newStreamSink(q, func(_, _ Row) bool { emitted++; return true }, func() {})
 			for _, r := range rs {
 				sink.push(r)
 			}

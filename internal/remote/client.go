@@ -43,15 +43,6 @@ func Connect(addrs ...string) (*Coordinator, error) {
 	return c, nil
 }
 
-// Addrs lists the worker addresses in connection order.
-func (c *Coordinator) Addrs() []string {
-	out := make([]string, len(c.links))
-	for i, l := range c.links {
-		out[i] = l.addr
-	}
-	return out
-}
-
 // NewSite returns the Site handle for fragment id at epoch 0 (no
 // generation yet, so nothing to carry forward); installing a fragment
 // through it returns the handle that serves a real epoch. Fragments map

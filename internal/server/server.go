@@ -29,15 +29,18 @@
 // Results are serialized as application/sparql-results+json (default) or
 // text/tab-separated-values, negotiated via the Accept header or a
 // ?format=json|tsv override, and streamed: bindings are written
-// incrementally with periodic flushes, so memory per request stays
-// bounded regardless of result size. Cache state is reported in the
-// X-Cache response header: HIT (served from the result cache), MISS
-// (executed and, when small enough, cached), BYPASS (executed but too
-// large for the cache's row cap), COALESCED (shared the execution of
-// a concurrent identical query via singleflight), or STREAM (unordered
-// first-row-early delivery under Config.Unordered: rows flow from the
-// engine to the serializer as they are produced, LIMIT cancels the
-// remaining distributed work, and the cache is not consulted).
+// incrementally with periodic flushes, so the serializer's buffer stays
+// bounded regardless of result size. The answer it reads is not: an
+// ordered answer is the engine's fully materialized Result, every row
+// held until the response is written; only unordered delivery holds no
+// rows. Cache state is reported in the X-Cache response header: HIT
+// (served from the result cache), MISS (executed and, when small enough,
+// cached), BYPASS (executed but too large for the cache's row cap),
+// COALESCED (shared the in-flight execution of a concurrent identical
+// query), or STREAM (unordered first-row-early delivery under
+// Config.Unordered: rows flow from the engine to the serializer as they
+// are produced, LIMIT cancels the remaining distributed work, and the
+// cache is not consulted).
 package server
 
 import (
@@ -76,10 +79,11 @@ type Config struct {
 	// disables caching, and so does Unordered).
 	CacheEntries int
 	// CacheMaxRows caps the result size admitted to the cache, in
-	// projected rows: larger results are streamed to the client and
-	// bypass the cache (X-Cache: BYPASS), so one huge query can neither
-	// evict the working set nor pin unbounded memory (default 65536;
-	// negative removes the cap).
+	// projected rows: a larger result is answered like a miss (executed,
+	// then written from its Result) but not kept resident (X-Cache:
+	// BYPASS), so one huge query can neither evict the working set nor
+	// stay pinned in memory after its response (default 65536; negative
+	// removes the cap).
 	CacheMaxRows int
 	// Writable enables the SPARQL 1.1 Update path: POST /sparql with an
 	// application/sparql-update body (or an update= form field) applies

@@ -19,9 +19,9 @@ import (
 // (Section VIII-D: semantic hash wins on LUBM).
 const lubmOnt = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
 
-// LUBM ontology predicates used by the generator and queries.
+// LUBM ontology predicates, and the faculty classes the generator ranks
+// professors by.
 const (
-	LubmType             = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 	LubmWorksFor         = lubmOnt + "worksFor"
 	LubmHeadOf           = lubmOnt + "headOf"
 	LubmMemberOf         = lubmOnt + "memberOf"
@@ -39,12 +39,6 @@ const (
 	LubmFullProfessor = lubmOnt + "FullProfessor"
 	LubmAssocProf     = lubmOnt + "AssociateProfessor"
 	LubmAsstProf      = lubmOnt + "AssistantProfessor"
-	LubmGradStudent   = lubmOnt + "GraduateStudent"
-	LubmUndergrad     = lubmOnt + "UndergraduateStudent"
-	LubmCourse        = lubmOnt + "Course"
-	LubmDepartment    = lubmOnt + "Department"
-	LubmUniversity    = lubmOnt + "University"
-	LubmPublication   = lubmOnt + "Publication"
 )
 
 // LUBMConfig sizes the generator. With the defaults one university emits
