@@ -1,9 +1,10 @@
 package query
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"bytes"
+	"cmp"
+	"slices"
+	"strconv"
 
 	"gstored/internal/rdf"
 )
@@ -28,47 +29,45 @@ import (
 // (subject, then predicate, then object); the renumbering changes the
 // rendering, so the process repeats until the numbering reaches a
 // fixpoint (or a bounded number of rounds for pathological symmetry).
+// Every round renders into one reused buffer, and the key is appended to
+// the same buffer, so a key costs a handful of allocations whatever the
+// number of rounds.
 func CanonicalKey(g *Graph) string {
-	labels := make([]string, len(g.Vars))
-	for i := range labels {
-		labels[i] = "v"
-	}
-	canon := canonicalNumbering(g, labels)
-	for round := 0; round < len(g.Vars); round++ {
-		for i, c := range canon {
-			labels[i] = fmt.Sprintf("v%d", c)
-		}
-		next := canonicalNumbering(g, labels)
-		if equalInts(next, canon) {
+	nv, ne := len(g.Vars), len(g.Edges)
+	ints := make([]int, 2*nv+2*ne)
+	canon, next := ints[:nv], ints[nv:2*nv]
+	r := edgeRenderer{g: g, ends: ints[2*nv : 2*nv+ne], order: ints[2*nv+ne:], buf: make([]byte, 0, 48*ne+16)}
+	r.render(nil)
+	r.number(canon)
+	for round := 0; ; round++ {
+		r.render(canon)
+		if round == nv {
 			break
 		}
-		canon = next
-	}
-	for i, c := range canon {
-		labels[i] = fmt.Sprintf("v%d", c)
+		r.number(next)
+		if slices.Equal(next, canon) {
+			break
+		}
+		canon, next = next, canon
 	}
 
-	edges := renderedEdges(g, labels)
-	sort.Strings(edges)
-	var b strings.Builder
-	for _, e := range edges {
-		b.WriteString(e)
-		b.WriteByte(';')
+	start := len(r.buf)
+	for _, i := range r.order {
+		r.buf = append(r.buf, r.edge(i)...)
+		r.buf = append(r.buf, ';')
 	}
 	// Effective projection in canonical variable space. SELECT * projects
 	// every variable in the graph's own order, so the order is part of the
 	// key: two variants hit the same entry only when their column orders
 	// agree, which keeps cached projected rows directly servable.
-	b.WriteString("|p:")
-	proj := g.Projection
-	if len(proj) == 0 {
-		proj = make([]int, len(g.Vars))
-		for i := range proj {
-			proj[i] = i
+	r.buf = append(r.buf, "|p:"...)
+	if len(g.Projection) == 0 {
+		for _, c := range canon {
+			r.buf = append(strconv.AppendInt(r.buf, int64(c), 10), ',')
 		}
 	}
-	for _, v := range proj {
-		fmt.Fprintf(&b, "%d,", canon[v])
+	for _, v := range g.Projection {
+		r.buf = append(strconv.AppendInt(r.buf, int64(canon[v]), 10), ',')
 	}
 	// Solution modifiers are part of the answer semantics: SELECT DISTINCT
 	// and its plain twin (or two different LIMIT/OFFSET windows) must not
@@ -76,34 +75,88 @@ func CanonicalKey(g *Graph) string {
 	// modifiers are rendered, so unmodified queries keep their historical
 	// keys; OFFSET 0 is spec-equivalent to no OFFSET and renders nothing.
 	if g.Distinct {
-		b.WriteString("|d")
+		r.buf = append(r.buf, "|d"...)
 	}
 	if g.HasLimit {
-		fmt.Fprintf(&b, "|l%d", g.Limit)
+		r.buf = strconv.AppendInt(append(r.buf, "|l"...), int64(g.Limit), 10)
 	}
 	if g.Offset > 0 {
-		fmt.Fprintf(&b, "|o%d", g.Offset)
+		r.buf = strconv.AppendInt(append(r.buf, "|o"...), int64(g.Offset), 10)
 	}
-	return b.String()
+	return string(r.buf[start:])
 }
 
-// canonicalNumbering sorts the edges under the given variable labels and
-// numbers the variables by first appearance in the sorted edge sequence.
-// Every variable of a valid query occurs in some edge (vertices and label
-// variables both come from triple patterns), so the numbering is total.
-func canonicalNumbering(g *Graph, labels []string) []int {
-	rendered := renderedEdges(g, labels)
-	order := make([]int, len(g.Edges))
-	for i := range order {
-		order[i] = i
+// edgeRenderer renders a query's edges under a variable numbering, each
+// as "s -p-> o", back to back into one buffer, and keeps the edges'
+// order by rendering.
+type edgeRenderer struct {
+	g     *Graph
+	buf   []byte
+	ends  []int // ends[i]: where edge i's rendering ends in buf
+	order []int // edge indices sorted by rendering, ties by index
+}
+
+// edge returns edge i's rendering.
+func (r *edgeRenderer) edge(i int) []byte {
+	if i == 0 {
+		return r.buf[:r.ends[0]]
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if rendered[order[a]] != rendered[order[b]] {
-			return rendered[order[a]] < rendered[order[b]]
+	return r.buf[r.ends[i-1]:r.ends[i]]
+}
+
+// render renders every edge, constants shown as c<termID> and variables
+// as v<number> under canon (plain "v" when canon is nil), and sorts
+// order. Read-only-parse placeholder constants render by lexical form
+// ("u<term>"): their IDs are per-parse counters, meaningless across
+// queries.
+func (r *edgeRenderer) render(canon []int) {
+	variable := func(v int) {
+		r.buf = append(r.buf, 'v')
+		if canon != nil {
+			r.buf = strconv.AppendInt(r.buf, int64(canon[v]), 10)
 		}
-		return order[a] < order[b]
+	}
+	constant := func(id rdf.TermID) {
+		if lex, ok := r.g.Placeholders[id]; ok {
+			r.buf = append(append(r.buf, 'u'), lex...)
+			return
+		}
+		r.buf = strconv.AppendUint(append(r.buf, 'c'), uint64(id), 10)
+	}
+	vertex := func(i int) {
+		if v := r.g.Vertices[i]; v.IsVar() {
+			variable(v.Var)
+		} else {
+			constant(v.Const)
+		}
+	}
+	r.buf = r.buf[:0]
+	for i, e := range r.g.Edges {
+		vertex(e.From)
+		r.buf = append(r.buf, " -"...)
+		if e.HasVarLabel() {
+			variable(e.LabelVar)
+		} else {
+			constant(e.Label)
+		}
+		r.buf = append(r.buf, "-> "...)
+		vertex(e.To)
+		r.ends[i] = len(r.buf)
+		r.order[i] = i
+	}
+	slices.SortFunc(r.order, func(a, b int) int {
+		if c := bytes.Compare(r.edge(a), r.edge(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	canon := make([]int, len(g.Vars))
+}
+
+// number fills canon with the variables numbered by first appearance in
+// the sorted edge order. Every variable of a valid query occurs in some
+// edge (vertices and label variables both come from triple patterns), so
+// the numbering is total.
+func (r *edgeRenderer) number(canon []int) {
 	for i := range canon {
 		canon[i] = -1
 	}
@@ -114,11 +167,11 @@ func canonicalNumbering(g *Graph, labels []string) []int {
 			next++
 		}
 	}
-	for _, ei := range order {
-		e := g.Edges[ei]
-		visit(g.Vertices[e.From].Var)
+	for _, ei := range r.order {
+		e := r.g.Edges[ei]
+		visit(r.g.Vertices[e.From].Var)
 		visit(e.LabelVar)
-		visit(g.Vertices[e.To].Var)
+		visit(r.g.Vertices[e.To].Var)
 	}
 	// Defensive: a variable mentioned nowhere (impossible via Builder)
 	// still gets a stable number.
@@ -128,46 +181,4 @@ func canonicalNumbering(g *Graph, labels []string) []int {
 			next++
 		}
 	}
-	return canon
-}
-
-// renderedEdges renders each edge as "s -p-> o" with constants shown as
-// c<termID> and variables shown by their current label. Read-only-parse
-// placeholder constants render by lexical form ("u<term>"): their IDs
-// are per-parse counters, meaningless across queries.
-func renderedEdges(g *Graph, labels []string) []string {
-	constant := func(id rdf.TermID) string {
-		if lex, ok := g.Placeholders[id]; ok {
-			return "u" + lex
-		}
-		return fmt.Sprintf("c%d", id)
-	}
-	vertex := func(i int) string {
-		v := g.Vertices[i]
-		if v.IsVar() {
-			return labels[v.Var]
-		}
-		return constant(v.Const)
-	}
-	out := make([]string, len(g.Edges))
-	for i, e := range g.Edges {
-		lab := constant(e.Label)
-		if e.HasVarLabel() {
-			lab = labels[e.LabelVar]
-		}
-		out[i] = vertex(e.From) + " -" + lab + "-> " + vertex(e.To)
-	}
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

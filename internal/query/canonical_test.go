@@ -171,3 +171,67 @@ func TestCanonicalKeyModifierCollision(t *testing.T) {
 		t.Error("OFFSET 0 should share the plain query's key")
 	}
 }
+
+// canonicalFixtures are LUBM-shaped queries over one dictionary: LQ4's
+// star, LQ1's triangle, a variable predicate on a self-loop under every
+// modifier, and a read-only parse whose unknown constant is a
+// placeholder.
+func canonicalFixtures(t *testing.T) (lq4 *Graph, all []*Graph) {
+	dict := rdf.NewDictionary()
+	lq4 = canonGraph(t, dict, func(b *Builder) {
+		b.Triple(Var("x"), IRI("ub:worksFor"), IRI("dept0"))
+		b.Triple(Var("x"), IRI("ub:name"), Var("n"))
+		b.Triple(Var("x"), IRI("ub:emailAddress"), Var("e"))
+		b.Select("x", "n", "e")
+	})
+	lq1 := canonGraph(t, dict, func(b *Builder) {
+		b.Triple(Var("y"), IRI("ub:advisor"), Var("x"))
+		b.Triple(Var("y"), IRI("ub:takesCourse"), Var("c"))
+		b.Triple(Var("x"), IRI("ub:teacherOf"), Var("c"))
+		b.Select("x", "y", "c")
+	})
+	loop := canonGraph(t, dict, func(b *Builder) {
+		b.Triple(Var("s"), Var("lab"), Var("s"))
+		b.Triple(Var("s"), IRI("p"), Var("o"))
+		b.Distinct().Limit(10).Offset(3)
+	})
+	ro := NewBuilderReadOnly(dict)
+	ro.Triple(Var("x"), IRI("ub:name"), IRI("http://ex/unknown"))
+	ro.Triple(Var("x"), IRI("p"), Var("y"))
+	ro.Triple(Var("y"), IRI("p"), Var("z"))
+	ro.Triple(Var("z"), IRI("p"), Var("x"))
+	ro.Select("z")
+	placeholder, err := ro.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lq4, []*Graph{lq4, lq1, loop, placeholder}
+}
+
+// TestCanonicalKeyBytes pins the keys' exact bytes: they key the result
+// table and the slow log, so a rendering change must be deliberate.
+func TestCanonicalKeyBytes(t *testing.T) {
+	_, graphs := canonicalFixtures(t)
+	want := []string{
+		"v0 -c1-> c2;v0 -c3-> v1;v0 -c4-> v2;|p:0,1,2,",
+		"v0 -c5-> v1;v0 -c6-> v2;v1 -c7-> v2;|p:1,0,2,",
+		"v0 -c8-> v1;v0 -v2-> v0;|p:0,2,1,|d|l10|o3",
+		"v0 -c3-> u<http://ex/unknown>;v0 -c8-> v1;v1 -c8-> v2;v2 -c8-> v0;|p:2,",
+	}
+	for i, g := range graphs {
+		if got := CanonicalKey(g); got != want[i] {
+			t.Errorf("key %d = %q, want %q", i, got, want[i])
+		}
+	}
+}
+
+// TestCanonicalKeyAllocations pins what one LQ4-shaped key costs: the
+// renderings of every refinement round share one buffer, which the key
+// is appended to (43 allocations when each label and constant was a
+// fmt.Sprintf of its own).
+func TestCanonicalKeyAllocations(t *testing.T) {
+	lq4, _ := canonicalFixtures(t)
+	if n := testing.AllocsPerRun(100, func() { _ = CanonicalKey(lq4) }); n > 3 {
+		t.Errorf("an LQ4-shaped key costs %.0f allocations, want at most 3", n)
+	}
+}

@@ -154,6 +154,7 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 		fmt.Fprintf(w, "gstored_cache_revalidated_total{outcome=%q} %d\n", name, m.CacheRevalidated[i].Load())
 	}
 
+	writeMetric(w, "gstored_query_memo_hits_total", "Repeated query texts answered from the request memo, without a parse.", "counter", cache.MemoHits)
 	writeMetric(w, "gstored_repartitions_total", "Online partition hot-swaps applied.", "counter", m.Repartitions.Load())
 	writeMetric(w, "gstored_updates_total", "SPARQL Update requests applied successfully (no-op updates included).", "counter", m.Updates.Load())
 	writeMetric(w, "gstored_triples_inserted_total", "Triples added by updates (set semantics: already-present inserts count nothing).", "counter", m.TriplesInserted.Load())

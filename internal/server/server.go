@@ -26,6 +26,15 @@
 // flushes them. So a pre-swap result answers a post-swap query only when
 // it is that query's post-swap answer.
 //
+// Beside the result table, under its lock, a bounded request memo maps a
+// read's exact request text (a GET's raw URL query, or a sparql-query
+// POST's raw URL query and body) to its parsed query, table key,
+// projection names and format parameter, so a repeated text is answered
+// without decoding, parsing or canonicalizing it. A parse that holds a
+// placeholder for a constant the dictionary lacks is not memoized, since
+// a later INSERT can add the constant; every other parse stays valid
+// across epochs, because dictionary IDs never change once assigned.
+//
 // Results are serialized as application/sparql-results+json (default) or
 // text/tab-separated-values, negotiated via the Accept header or a
 // ?format=json|tsv override, and streamed: bindings are written
@@ -51,8 +60,8 @@ import (
 	"io"
 	"maps"
 	"net/http"
-	"net/url"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -205,16 +214,28 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 // CacheStats snapshots the result-cache counters (zero when disabled).
 func (s *Server) CacheStats() CacheStats { return s.results.stats() }
 
-// requestText extracts the SPARQL text per the SPARQL 1.1 Protocol and
+// readKind classifies a /sparql request by where its SPARQL text is.
+type readKind int
+
+const (
+	readGet    readKind = iota // a query in the URL query's query= parameter
+	readBody                   // an application/sparql-query body
+	readForm                   // a query in a POSTed form's query= field
+	readUpdate                 // an update: a POSTed form's update= field or an application/sparql-update body
+)
+
+// requestText reads a /sparql request per the SPARQL 1.1 Protocol and
 // classifies the operation: queries arrive via GET query=, POSTed form
 // query= fields, or application/sparql-query bodies; updates arrive via
 // POSTed form update= fields or application/sparql-update bodies
 // (updates over GET are not a thing — a cacheable, retriable method must
-// not mutate).
-func requestText(r *http.Request, query url.Values) (text string, isUpdate bool, err error) {
+// not mutate). It returns the text of every kind but readGet: a GET's
+// text stays in the URL query, which a read the memo answers never
+// decodes.
+func requestText(r *http.Request) (text string, kind readKind, err error) {
 	switch r.Method {
 	case http.MethodGet:
-		return query.Get("query"), false, nil
+		return "", readGet, nil
 	case http.MethodPost:
 		ct := r.Header.Get("Content-Type")
 		if i := strings.IndexByte(ct, ';'); i >= 0 {
@@ -228,26 +249,26 @@ func requestText(r *http.Request, query url.Values) (text string, isUpdate bool,
 			// bound just by switching encodings.
 			r.Body = http.MaxBytesReader(nil, r.Body, 1<<20)
 			if err := r.ParseForm(); err != nil {
-				return "", false, fmt.Errorf("malformed form body: %w", err)
+				return "", 0, fmt.Errorf("malformed form body: %w", err)
 			}
 			if u := r.PostForm.Get("update"); u != "" {
 				if r.PostForm.Get("query") != "" {
-					return "", false, fmt.Errorf("provide query or update, not both")
+					return "", 0, fmt.Errorf("provide query or update, not both")
 				}
-				return u, true, nil
+				return u, readUpdate, nil
 			}
-			return r.PostForm.Get("query"), false, nil
+			return r.PostForm.Get("query"), readForm, nil
 		case "application/sparql-query":
 			text, err := postBody(r)
-			return text, false, err
+			return text, readBody, err
 		case "application/sparql-update":
 			text, err := postBody(r)
-			return text, true, err
+			return text, readUpdate, err
 		default:
-			return "", false, fmt.Errorf("unsupported Content-Type %q", ct)
+			return "", 0, fmt.Errorf("unsupported Content-Type %q", ct)
 		}
 	default:
-		return "", false, errMethod
+		return "", 0, errMethod
 	}
 }
 
@@ -262,14 +283,15 @@ func postBody(r *http.Request) (string, error) {
 var errMethod = errors.New("method not allowed")
 
 // negotiate picks the response serialization: an explicit ?format=
-// override wins, then the Accept header; JSON is the default. Accept is
-// parsed at media-range granularity per RFC 9110 — ranges split on
-// commas, parameters (q-values included) stripped, exact media-type
-// comparison — and the first range matching a supported type wins, so
+// override (format, the decoded parameter) wins, then the Accept header;
+// JSON is the default. Accept is parsed at media-range granularity per
+// RFC 9110 — ranges split on commas, parameters (q-values included)
+// stripped, exact media-type comparison — and the first range matching a
+// supported type wins, so
 // "application/sparql-results+json, text/tab-separated-values;q=0.1"
 // negotiates JSON instead of substring-matching TSV.
-func negotiate(r *http.Request, query url.Values) (contentType string, tsv bool) {
-	switch strings.ToLower(query.Get("format")) {
+func negotiate(r *http.Request, format string) (contentType string, tsv bool) {
+	switch strings.ToLower(format) {
 	case "tsv":
 		return ContentTypeTSV, true
 	case "json":
@@ -291,15 +313,12 @@ func negotiate(r *http.Request, query url.Values) (contentType string, tsv bool)
 // canonical compiled query scoped by engine mode. It keys the result
 // table and the slow log; table entries carry their epoch.
 func (s *Server) key(q *gstored.QueryGraph) string {
-	return fmt.Sprintf("m%d|%s", s.db.Mode(), s.db.CanonicalQueryKey(q))
+	return "m" + strconv.Itoa(int(s.db.Mode())) + "|" + s.db.CanonicalQueryKey(q)
 }
 
 func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	// The URL query holds the whole URL-encoded SPARQL text of a GET:
-	// it is decoded once, here, for every parameter the request reads.
-	query := r.URL.Query()
-	text, isUpdate, err := requestText(r, query)
+	text, kind, err := requestText(r)
 	if err != nil {
 		if errors.Is(err, errMethod) {
 			w.Header().Set("Allow", "GET, POST")
@@ -309,21 +328,49 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if isUpdate {
+	if kind == readUpdate {
 		s.handleUpdate(w, r, text)
-		return
-	}
-	if strings.TrimSpace(text) == "" {
-		http.Error(w, "missing 'query' parameter", http.StatusBadRequest)
 		return
 	}
 
 	// A trace is attached only when something will read it — the explain
 	// response or the slow-query log. Untraced executions pay one nil
 	// context lookup per stage.
-	explain := explainRequested(r, query)
 	var tr *trace.Trace
-	if explain || s.slowLog != nil {
+	if s.slowLog != nil {
+		tr = trace.New()
+	}
+
+	// A read the memo holds skips decoding, parsing and canonicalization:
+	// one lookup under the result table's lock yields its parsed query
+	// and acquires its entry. The fast path runs only while the table is
+	// synced to the live epoch, so revalidation stays with syncEpoch.
+	memoKey := s.memoKey(r, kind, text)
+	if memoKey != "" {
+		if epoch := s.db.Epoch(); epoch <= s.epoch.Load() {
+			from := time.Now()
+			if m, e, c := s.results.recall(epoch, memoKey); m != nil {
+				tr.Span("parse", trace.Coordinator, from, time.Since(from))
+				rq := &request{s: s, w: w, r: r, q: m.q, names: m.names, tr: tr, start: start, key: m.key, epoch: epoch}
+				rq.contentType, _ = negotiate(r, m.format)
+				rq.ordered(e, c)
+				return
+			}
+		}
+	}
+
+	// The URL query holds the whole URL-encoded SPARQL text of a GET:
+	// it is decoded once, here, for every parameter the request reads.
+	query := r.URL.Query()
+	if kind == readGet {
+		text = query.Get("query")
+	}
+	if strings.TrimSpace(text) == "" {
+		http.Error(w, "missing 'query' parameter", http.StatusBadRequest)
+		return
+	}
+	explain := explainRequested(r, query)
+	if explain && tr == nil {
 		tr = trace.New()
 	}
 
@@ -339,16 +386,39 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rq := &request{s: s, w: w, r: r, q: q, text: text, tr: tr, start: start, key: s.key(q), epoch: s.syncEpoch(tr)}
-	rq.contentType, _ = negotiate(r, query)
+	format := query.Get("format")
+	rq := &request{s: s, w: w, r: r, q: q, names: projectionNames(s.db, q), text: text, tr: tr, start: start, key: s.key(q), epoch: s.syncEpoch(tr)}
+	rq.contentType, _ = negotiate(r, format)
 	switch {
 	case explain:
 		rq.explain()
 	case s.cfg.Unordered:
 		rq.stream()
 	default:
-		rq.ordered()
+		// A constant the dictionary lacks parses to a placeholder that a
+		// later INSERT can make real, so such a parse is not memoized.
+		if memoKey != "" && q.Placeholders == nil {
+			s.results.remember(memoKey, &memoRead{q: q, key: rq.key, names: rq.names, format: format})
+		}
+		rq.ordered(s.results.acquire(rq.epoch, rq.key))
 	}
+}
+
+// memoKey is the memo's key for a read: a GET's raw URL query, or a
+// sparql-query POST's raw URL query (its format and explain parameters)
+// and body, split by a NUL, which a URL never holds. Every other read —
+// and every read of a table that keeps nothing — has none, "". A key
+// holding explain=1 is looked up, misses and is never memoized.
+func (s *Server) memoKey(r *http.Request, kind readKind, text string) string {
+	switch {
+	case s.results.capacity == 0:
+		return ""
+	case kind == readGet:
+		return r.URL.RawQuery
+	case kind == readBody:
+		return r.URL.RawQuery + "\x00" + text
+	}
+	return ""
 }
 
 // request is one parsed /sparql query on its way through the serving
@@ -361,7 +431,8 @@ type request struct {
 	w           http.ResponseWriter
 	r           *http.Request
 	q           *gstored.QueryGraph
-	text        string
+	names       []string     // projected column names; shared with the memo, read-only
+	text        string       // the SPARQL text; empty on a memo hit, which is never an EXPLAIN
 	tr          *trace.Trace // nil when neither EXPLAIN nor the slow log will read it
 	start       time.Time
 	key         string // query key (Server.key): the result table's key
@@ -432,7 +503,7 @@ func (rq *request) serialize(w io.Writer, rows RowSeq) error {
 	if rq.contentType == ContentTypeTSV {
 		write = WriteResultsTSV
 	}
-	err := write(w, rq.s.db.Graph.Dict, projectionNames(rq.s.db, rq.q), rows)
+	err := write(w, rq.s.db.Graph.Dict, rq.names, rows)
 	rq.tr.Span("serialize", trace.Coordinator, from, time.Since(from))
 	return err
 }
@@ -458,12 +529,12 @@ func (rq *request) answer(res *gstored.Result, state cacheState, o queryOutcome)
 }
 
 // ordered answers in the deterministic canonical order through the
-// result table: a resident entry of the request's epoch answers at once,
-// an in-flight one is waited on, and otherwise the request leads — runs
-// the engine detached from its own client and settles the entry.
-func (rq *request) ordered() {
+// result table, from the entry e the request acquired: a resident entry
+// of the request's epoch answers at once, an in-flight one is waited on,
+// and otherwise the request leads — runs the engine detached from its
+// own client and settles the entry.
+func (rq *request) ordered(e *entry, c claim) {
 	s := rq.s
-	e, c := s.results.acquire(rq.epoch, rq.key)
 	switch c {
 	case claimHit:
 		rq.answer(e.res, cacheHit, outcomeHit)

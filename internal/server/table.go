@@ -11,6 +11,8 @@ import (
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 	Entries                 int
+	// MemoHits counts reads the request memo answered without a parse.
+	MemoHits int64
 }
 
 // entry is one canonical query at one cluster epoch. It is in flight
@@ -37,6 +39,16 @@ const (
 	claimWait              // in flight: wait on entry.done, then answer from it
 )
 
+// memoRead is what a read's request text alone decides, parsed once and
+// shared by every repeat of the text: the engine and the serializers
+// only read it.
+type memoRead struct {
+	q      *gstored.QueryGraph
+	key    string   // Server.key(q): the entry the read answers from
+	names  []string // projected column names
+	format string   // the ?format= parameter, as sent
+}
+
 // resultTable is the serving layer's one map from query key (Server.key,
 // the canonicalized compiled query) to entry: a bounded LRU result cache
 // and singleflight in one, under one mutex. An entry answers, and
@@ -45,6 +57,14 @@ const (
 // computed before it, unless revalidate has proved that result unchanged.
 // Capacity 0 keeps nothing resident and counts no hits or misses, but
 // flights still coalesce.
+//
+// Beside it, under the same lock, the table keeps the request memo: a
+// second map, from a read's request text (Server.memoKey) to its
+// memoRead, of at most capacity texts; a full memo forgets an arbitrary
+// one. The memo has no epoch: a memoized parse holds no placeholder, and
+// dictionary IDs never change once assigned, so the parse of a text
+// stays its parse across every update and repartition. Texts that
+// canonicalize alike map to one key and share its entry.
 type resultTable struct {
 	mu        sync.Mutex
 	capacity  int
@@ -53,10 +73,41 @@ type resultTable struct {
 	hits      int64
 	misses    int64
 	evictions int64
+	memo      map[string]*memoRead
+	memoHits  int64
 }
 
 func newResultTable(capacity int) *resultTable {
-	return &resultTable{capacity: max(capacity, 0), m: make(map[string]*entry), ll: list.New()}
+	return &resultTable{capacity: max(capacity, 0), m: make(map[string]*entry), ll: list.New(), memo: make(map[string]*memoRead)}
+}
+
+// recall answers a repeated read: under one lock it finds text's memo
+// entry and acquires that entry's key at epoch, as acquire does. A text
+// the memo does not hold returns a nil memoRead and acquires nothing.
+func (t *resultTable) recall(epoch uint64, text string) (*memoRead, *entry, claim) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m := t.memo[text]
+	if m == nil {
+		return nil, nil, claimLead
+	}
+	t.memoHits++
+	e, c := t.acquireLocked(epoch, m.key)
+	return m, e, c
+}
+
+// remember memoizes the read m under its request text, forgetting an
+// arbitrary text when a new one finds the memo full.
+func (t *resultTable) remember(text string, m *memoRead) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.memo[text]; !ok && len(t.memo) >= t.capacity {
+		for k := range t.memo {
+			delete(t.memo, k)
+			break
+		}
+	}
+	t.memo[text] = m
 }
 
 // acquire returns the entry a request admitted at epoch answers from
@@ -67,6 +118,11 @@ func newResultTable(capacity int) *resultTable {
 func (t *resultTable) acquire(epoch uint64, key string) (*entry, claim) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.acquireLocked(epoch, key)
+}
+
+// acquireLocked is acquire with the lock held.
+func (t *resultTable) acquireLocked(epoch uint64, key string) (*entry, claim) {
 	e, ok := t.m[key]
 	if ok && e.epoch == epoch && e.el != nil {
 		t.hits++
@@ -209,5 +265,5 @@ func (t *resultTable) flush() {
 func (t *resultTable) stats() CacheStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return CacheStats{Hits: t.hits, Misses: t.misses, Evictions: t.evictions, Entries: t.ll.Len()}
+	return CacheStats{Hits: t.hits, Misses: t.misses, Evictions: t.evictions, Entries: t.ll.Len(), MemoHits: t.memoHits}
 }

@@ -340,19 +340,22 @@ type stressResult struct {
 	epoch uint64
 }
 
-// TestResultTableStress drives random acquire, settle, abandon,
+// TestResultTableStress drives random recall, acquire, settle, abandon,
 // revalidate and flush calls across keys and epochs from several
-// goroutines (run it under -race). Beside the table it keeps a model of
-// each key's in-flight leader and asserts, against it, that requests of
-// one key and epoch overlapping a flight wait on it instead of leading a
-// second one; that no waiter receives another epoch's result and no hit
-// another key's or a newer epoch's, nor inherits an abandonment; that
-// resident entries never exceed capacity; and that nothing is left in
-// flight at the end.
+// goroutines (run it under -race). A request reaches its key as the
+// handler does, through the request memo, from one of two texts per key
+// that differ by a renamed variable: recall, and on a miss remember and
+// acquire. Beside the table it keeps a model of each key's in-flight
+// leader and asserts, against it, that requests of one key and epoch
+// overlapping a flight wait on it instead of leading a second one; that
+// no waiter receives another epoch's result and no hit another key's or
+// a newer epoch's, nor inherits an abandonment; that a recalled text
+// yields its own key; that resident entries and memoized texts never
+// exceed capacity; and that nothing is left in flight at the end.
 //
-// The workers take one test mutex around each acquire, abandon and
-// settle, so the model moves in step with the table; revalidate, flush,
-// waits and stats run beside them unserialized.
+// The workers take one test mutex around each recall, acquire, abandon
+// and settle, so the model moves in step with the table; revalidate,
+// flush, waits and stats run beside them unserialized.
 func TestResultTableStress(t *testing.T) {
 	const capacity, keys, workers, ops = 4, 6, 8, 400
 	tb := newResultTable(capacity)
@@ -413,13 +416,22 @@ func TestResultTableStress(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w) + 1))
 			for i := 0; i < ops; i++ {
-				key := fmt.Sprintf("k%d", r.Intn(keys))
+				k := r.Intn(keys)
+				key := fmt.Sprintf("k%d", k)
+				text := fmt.Sprintf("SELECT ?%c WHERE { ?%[1]c <k%d> [] }", "xy"[r.Intn(2)], k)
 				at := epoch.Load()
 				if at > 1 && r.Intn(8) == 0 {
 					at-- // admitted before the last advance
 				}
 				mu.Lock()
-				e, c := tb.acquire(at, key)
+				m, e, c := tb.recall(at, text)
+				switch {
+				case m == nil:
+					tb.remember(text, &memoRead{key: key})
+					e, c = tb.acquire(at, key)
+				case m.key != key:
+					report(fmt.Errorf("the memo maps %q to key %s", text, m.key))
+				}
 				l := leading[key]
 				switch {
 				case c == claimWait && l.e != e:
@@ -478,6 +490,12 @@ func TestResultTableStress(t *testing.T) {
 				if n := tb.stats().Entries; n > capacity {
 					report(fmt.Errorf("%d resident entries, capacity %d", n, capacity))
 				}
+				tb.mu.Lock()
+				memoized := len(tb.memo)
+				tb.mu.Unlock()
+				if memoized > capacity {
+					report(fmt.Errorf("%d memoized texts, capacity %d", memoized, capacity))
+				}
 			}
 		}()
 	}
@@ -491,7 +509,7 @@ func TestResultTableStress(t *testing.T) {
 	if n := tb.inFlight(); n != 0 {
 		t.Errorf("%d entries left in flight", n)
 	}
-	if st := tb.stats(); st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("the stress never hit or never missed: %+v", st)
+	if st := tb.stats(); st.Hits == 0 || st.Misses == 0 || st.MemoHits == 0 {
+		t.Errorf("the stress never hit, never missed or never recalled a text: %+v", st)
 	}
 }
