@@ -1,14 +1,12 @@
-// Command gstored loads an N-Triples file, partitions it across simulated
-// sites, and either evaluates one SPARQL BGP query — printing the result
-// rows and the per-stage statistics of the paper's Tables I-III — or, with
-// the serve subcommand, answers a query stream over HTTP via the SPARQL
-// 1.1 Protocol.
+// Command gstored loads an N-Triples file or generates a benchmark
+// dataset, partitions it across simulated sites, and either evaluates one
+// SPARQL query or, with the serve subcommand, answers a query stream over
+// HTTP via the SPARQL 1.1 Protocol.
 //
 // Usage:
 //
 //	gstored -data graph.nt -query 'SELECT ?x WHERE { ?x <p> ?y }'
-//	gstored -data graph.nt -queryfile q.rq -sites 12 -strategy semantic-hash -mode full
-//	gstored explain -dataset lubm -query 'SELECT ?x WHERE { ?x <p> ?y }'
+//	gstored -dataset lubm -queryfile q.rq -sites 12 -strategy semantic-hash -mode full
 //	gstored serve -data graph.nt -addr :8080 -sites 12 -strategy hash -mode full
 //	gstored serve -dataset lubm -scale 2 -addr :8080 -strategy best
 //	gstored serve -dataset lubm -addr :8080 -writable
@@ -16,10 +14,13 @@
 //	gstored worker -listen 127.0.0.1:8091
 //	gstored serve -dataset lubm -addr :8080 -site-workers 127.0.0.1:8091,127.0.0.1:8092
 //
-// The explain subcommand executes one query with tracing attached and
-// prints the same JSON ExplainReport the server answers for
-// /sparql?explain=1: compiled pattern, chosen plan, per-stage and
-// per-fragment timings, and the span timeline — from one execution.
+// Without a subcommand, gstored executes one query with tracing attached
+// and answers as the server would from that one execution: the rows on
+// stdout as the SPARQL TSV results the server writes for
+// /sparql?format=tsv, and on stderr the JSON ExplainReport it answers for
+// /sparql?explain=1 — compiled pattern, chosen plan, the per-stage
+// columns of the paper's Tables I-III, per-fragment timings and the span
+// timeline.
 //
 // The server exposes /sparql (GET query= or POST; with -writable, POSTed
 // application/sparql-update bodies apply INSERT DATA / DELETE DATA;
@@ -36,8 +37,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -46,149 +49,114 @@ import (
 	"time"
 
 	"gstored"
-	"gstored/internal/engine"
 	"gstored/internal/remote"
 	"gstored/internal/server"
 	"gstored/internal/trace"
 )
 
+// usageError is a malformed command line: main exits with status 2 on
+// it, as the flag package does on a bad flag.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
+	cmd, args := run, os.Args[1:]
+	if len(args) > 0 {
+		switch args[0] {
 		case "serve":
-			serveMain(os.Args[2:])
-			return
-		case "explain":
-			explainMain(os.Args[2:])
-			return
+			cmd, args = serveMain, args[1:]
 		case "worker":
-			workerMain(os.Args[2:])
-			return
+			cmd, args = workerMain, args[1:]
 		}
 	}
-	var (
-		dataPath  = flag.String("data", "", "N-Triples input file (required)")
-		queryText = flag.String("query", "", "SPARQL query text")
-		queryFile = flag.String("queryfile", "", "file containing the SPARQL query")
-		sites     = flag.Int("sites", 12, "number of simulated sites")
-		strategy  = flag.String("strategy", "hash", "partitioning: hash, semantic-hash, metis, best")
-		mode      = flag.String("mode", "full", "engine mode: basic, la, lo, full")
-		stats     = flag.Bool("stats", true, "print per-stage statistics")
-		evalWork  = flag.Int("eval-workers", 0, "per-query evaluation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-	)
-	flag.Parse()
-
-	if *dataPath == "" {
-		fmt.Fprintln(os.Stderr, "gstored: -data is required")
-		flag.Usage()
+	err := cmd(args, os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "gstored: %v\n", err)
+	if errors.As(err, new(usageError)) {
 		os.Exit(2)
 	}
-	q := queryArg("gstored", *queryText, *queryFile)
-	g, db := openDB(*dataPath, "", 0, gstored.Config{Sites: *sites, Strategy: *strategy, Mode: parseMode(*mode), EvalWorkers: *evalWork})
-	fmt.Printf("loaded %d triples over %d sites (%s partitioning)\n", g.Len(), db.NumSites(), db.StrategyName)
-
-	res, err := db.Query(q)
-	if err != nil {
-		fail(err)
-	}
-	cols := db.Columns(res.Query)
-	fmt.Println(strings.Join(cols, "\t"))
-	for _, row := range db.Rows(res) {
-		fmt.Println(strings.Join(row, "\t"))
-	}
-	if *stats {
-		s := res.Stats
-		fmt.Fprintf(os.Stderr, "\n%s: %d matches (%d local, %d crossing) in %v\n",
-			s.Mode, s.NumMatches, s.NumLocalMatches, s.NumCrossingMatches, s.TotalTime)
-		sep := "stages: "
-		for i, st := range s.Stages {
-			fmt.Fprintf(os.Stderr, "%s%s %v (%d B)", sep, engine.StageNames[i], st.Time, st.Shipment)
-			sep = ", "
-		}
-		fmt.Fprintf(os.Stderr, "\n%d LPMs, %d LEC features, %d retained\n",
-			s.NumPartialMatches, s.NumLECFeatures, s.NumRetainedPartialMatches)
-		fmt.Fprintf(os.Stderr, "network: %d bytes in %d messages\n", s.TotalShipment, s.Messages)
-	}
+	os.Exit(1)
 }
 
-// explainMain executes one query with tracing attached and prints the
-// ExplainReport as indented JSON — the CLI twin of /sparql?explain=1,
-// for diagnosing a query without standing up a server.
-func explainMain(args []string) {
-	fs := flag.NewFlagSet("gstored explain", flag.ExitOnError)
-	var (
-		dataPath  = fs.String("data", "", "N-Triples input file")
-		dataset   = fs.String("dataset", "", "generated benchmark dataset: lubm, yago, btc")
-		scale     = fs.Int("scale", 0, "dataset scale (universities for lubm; 0 = default)")
-		queryText = fs.String("query", "", "SPARQL query text")
-		queryFile = fs.String("queryfile", "", "file containing the SPARQL query")
-		sites     = fs.Int("sites", 12, "number of simulated sites")
-		strategy  = fs.String("strategy", "hash", "partitioning: hash, semantic-hash, metis, best")
-		mode      = fs.String("mode", "full", "engine mode: basic, la, lo, full")
-	)
-	fs.Parse(args)
-	if (*dataPath == "") == (*dataset == "") {
-		fmt.Fprintln(os.Stderr, "gstored explain: provide exactly one of -data or -dataset")
-		os.Exit(2)
+// run is the one-shot query command: one traced execution, the rows
+// written to stdout by the server's TSV writer and the ExplainReport to
+// stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gstored", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	open := dbFlags(fs)
+	queryText := fs.String("query", "", "SPARQL query text")
+	queryFile := fs.String("queryfile", "", "file containing the SPARQL query")
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
 	}
-	text := queryArg("gstored explain", *queryText, *queryFile)
-	_, db := openDB(*dataPath, *dataset, *scale, gstored.Config{Sites: *sites, Strategy: *strategy, Mode: parseMode(*mode)})
-	q, err := db.Parse(text)
+	if fs.NArg() > 0 {
+		return usageError{fmt.Errorf("unexpected argument %q (the subcommands are serve and worker)", fs.Arg(0))}
+	}
+	text, err := queryArg(*queryText, *queryFile)
 	if err != nil {
-		fail(err)
+		return err
+	}
+	db, err := open(nil)
+	if err != nil {
+		return err
+	}
+	defer db.Close()
+	q, err := db.ParseReadOnly(text)
+	if err != nil {
+		return err
 	}
 	tr := trace.New()
 	res, err := db.QueryGraphContext(trace.NewContext(context.Background(), tr), q)
 	if err != nil {
-		fail(err)
+		return err
+	}
+	if err := server.WriteResultsTSV(stdout, db.Graph.Dict, db.Columns(q), res.EachProjected); err != nil {
+		return err
 	}
 	// No serving layer here, so there is no cache to have a disposition.
-	rep := server.BuildExplain(db, q, text, res, tr, "ordered", server.ExplainCache{Disposition: "disabled", Cacheable: true})
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stderr)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fail(err)
-	}
+	return enc.Encode(server.BuildExplain(db, q, text, res, tr, "ordered", server.ExplainCache{Disposition: "disabled", Cacheable: true}))
 }
 
 // workerMain runs a fragment-hosting worker process: it owns no data at
 // start, receives its fragments from the coordinator's epoch installs,
 // and serves candidate/partial-evaluation RPCs against them.
 // Point a coordinator at it with `gstored serve -site-workers host:port`.
-func workerMain(args []string) {
-	fs := flag.NewFlagSet("gstored worker", flag.ExitOnError)
-	var (
-		listen   = fs.String("listen", "127.0.0.1:8090", "RPC listen address")
-		evalWork = fs.Int("eval-workers", 0, "evaluation worker pool size (0 = GOMAXPROCS)")
-	)
-	fs.Parse(args)
+func workerMain(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gstored worker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", "127.0.0.1:8090", "RPC listen address")
+	evalWork := fs.Int("eval-workers", 0, "evaluation worker pool size (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	w := remote.NewWorker(*evalWork)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("worker listening on %s (fragments arrive with the first epoch install)\n", ln.Addr())
-	fail(w.Serve(ln))
+	fmt.Fprintf(stdout, "worker listening on %s (fragments arrive with the first epoch install)\n", ln.Addr())
+	return w.Serve(ln)
 }
 
 // serveMain runs the SPARQL 1.1 Protocol server over a loaded or
 // generated dataset.
-func serveMain(args []string) {
-	fs := flag.NewFlagSet("gstored serve", flag.ExitOnError)
+func serveMain(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gstored serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	open := dbFlags(fs)
 	var (
 		addr        = fs.String("addr", ":8080", "HTTP listen address")
-		dataPath    = fs.String("data", "", "N-Triples input file")
-		dataset     = fs.String("dataset", "", "generated benchmark dataset: lubm, yago, btc")
-		scale       = fs.Int("scale", 0, "dataset scale (universities for lubm; 0 = default)")
-		sites       = fs.Int("sites", 12, "number of simulated sites")
-		strategy    = fs.String("strategy", "hash", "partitioning: hash, semantic-hash, metis, best")
-		mode        = fs.String("mode", "full", "engine mode: basic, la, lo, full")
 		cache       = fs.Int("cache", 256, "result-cache entries (negative disables)")
 		cacheRows   = fs.Int("cache-max-rows", 0, "max projected rows admitted per cache entry; larger results are answered but not cached (0 = default 65536, negative = uncapped)")
 		timeout     = fs.Duration("timeout", 30*time.Second, "per-query time limit")
 		maxInFlight = fs.Int("max-inflight", 64, "admitted-query limit before shedding with 503")
 		workers     = fs.Int("workers", 0, "queries executing concurrently (0 = GOMAXPROCS)")
-		evalWork    = fs.Int("eval-workers", 0, "per-query evaluation worker pool size bounding intra-query parallelism (0 = GOMAXPROCS, 1 = sequential)")
 		unordered   = fs.Bool("unordered", false, "first-row-early delivery: stream rows as produced (no canonical sort, LIMIT cancels remaining work, cache bypassed)")
 		writable    = fs.Bool("writable", false, "accept SPARQL updates (INSERT DATA / DELETE DATA) via POST /sparql; read-only (403) otherwise")
 		slowMs      = fs.Int("slow-query-ms", -1, "log queries whose wall time reaches this many milliseconds as structured JSON (0 logs every query, negative disables)")
@@ -197,21 +165,19 @@ func serveMain(args []string) {
 		debugAddr   = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); disabled when empty")
 		siteWorkers = fs.String("site-workers", "", "comma-separated worker-process addresses (from `gstored worker`); fragments are shipped to and hosted by them, sites map round-robin; empty keeps every site in-process")
 	)
-	fs.Parse(args)
-	if (*dataPath == "") == (*dataset == "") {
-		fmt.Fprintln(os.Stderr, "gstored serve: provide exactly one of -data or -dataset")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
 	}
-
-	dbCfg := gstored.Config{Sites: *sites, Strategy: *strategy, Mode: parseMode(*mode), EvalWorkers: *evalWork}
-	if *siteWorkers != "" {
-		for _, part := range strings.Split(*siteWorkers, ",") {
-			if a := strings.TrimSpace(part); a != "" {
-				dbCfg.Workers = append(dbCfg.Workers, a)
-			}
+	var hosts []string
+	for _, part := range strings.Split(*siteWorkers, ",") {
+		if a := strings.TrimSpace(part); a != "" {
+			hosts = append(hosts, a)
 		}
 	}
-	g, db := openDB(*dataPath, *dataset, *scale, dbCfg)
+	db, err := open(hosts)
+	if err != nil {
+		return err
+	}
 	defer db.Close()
 	cfg := server.Config{
 		MaxInFlight:  *maxInFlight,
@@ -224,15 +190,14 @@ func serveMain(args []string) {
 	}
 	if *slowMs >= 0 {
 		cfg.SlowQueryThreshold = time.Duration(*slowMs) * time.Millisecond
+		cfg.SlowQueryLog = stderr
 		if *slowLog != "" {
 			w, err := server.NewRotatingWriter(*slowLog, *slowLogMax)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			defer w.Close()
 			cfg.SlowQueryLog = w
-		} else {
-			cfg.SlowQueryLog = os.Stderr
 		}
 	}
 	if *debugAddr != "" {
@@ -248,14 +213,14 @@ func serveMain(args []string) {
 		go func() {
 			ds := &http.Server{Addr: *debugAddr, Handler: dmux, ReadHeaderTimeout: 10 * time.Second}
 			if err := ds.ListenAndServe(); err != nil {
-				fmt.Fprintf(os.Stderr, "gstored serve: debug listener: %v\n", err)
+				fmt.Fprintf(stderr, "gstored serve: debug listener: %v\n", err)
 			}
 		}()
-		fmt.Printf("pprof debug listener on %s\n", *debugAddr)
+		fmt.Fprintf(stdout, "pprof debug listener on %s\n", *debugAddr)
 	}
 	srv := server.New(db, cfg)
-	fmt.Printf("serving %d triples over %d sites (%s partitioning, %s) on %s\n",
-		g.Len(), db.NumSites(), db.StrategyName, db.Mode(), *addr)
+	fmt.Fprintf(stdout, "serving %d triples over %d sites (%s partitioning, %s) on %s\n",
+		db.NumTriples(), db.NumSites(), db.StrategyName, db.Mode(), *addr)
 	hs := &http.Server{
 		Addr:    *addr,
 		Handler: srv,
@@ -266,84 +231,88 @@ func serveMain(args []string) {
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	fail(hs.ListenAndServe())
+	return hs.ListenAndServe()
+}
+
+// dbFlags declares on fs the flags that choose the data and how it is
+// distributed — exactly one of -data and -dataset (with -scale), -sites,
+// -strategy, -mode and -eval-workers — and returns the function that,
+// after fs.Parse, opens the database they describe with its fragments
+// hosted by the given worker processes (none keeps every site
+// in-process).
+func dbFlags(fs *flag.FlagSet) func(workers []string) (*gstored.DB, error) {
+	var (
+		dataPath = fs.String("data", "", "N-Triples input file")
+		dataset  = fs.String("dataset", "", "generated benchmark dataset: lubm, yago, btc")
+		scale    = fs.Int("scale", 0, "dataset scale (universities for lubm; 0 = default)")
+		sites    = fs.Int("sites", 12, "number of simulated sites")
+		strategy = fs.String("strategy", "hash", "partitioning: hash, semantic-hash, metis, best")
+		mode     = fs.String("mode", "full", "engine mode: basic, la, lo, full")
+		evalWork = fs.Int("eval-workers", 0, "per-query evaluation worker pool size bounding intra-query parallelism (0 = GOMAXPROCS, 1 = sequential)")
+	)
+	return func(workers []string) (*gstored.DB, error) {
+		if (*dataPath == "") == (*dataset == "") {
+			return nil, usageError{errors.New("provide exactly one of -data or -dataset")}
+		}
+		m, err := parseMode(*mode)
+		if err != nil {
+			return nil, err
+		}
+		g, err := loadGraph(*dataPath, *dataset, *scale)
+		if err != nil {
+			return nil, err
+		}
+		return gstored.Open(g, gstored.Config{Sites: *sites, Strategy: *strategy, Mode: m, EvalWorkers: *evalWork, Workers: workers})
+	}
 }
 
 // queryArg returns the query text of -query, or the contents of
-// -queryfile when that is set; with neither it exits with status 2,
-// naming cmd.
-func queryArg(cmd, text, file string) string {
+// -queryfile when that is set.
+func queryArg(text, file string) (string, error) {
 	if file != "" {
 		b, err := os.ReadFile(file)
 		if err != nil {
-			fail(err)
+			return "", err
 		}
 		text = string(b)
 	}
 	if text == "" {
-		fmt.Fprintf(os.Stderr, "%s: provide -query or -queryfile\n", cmd)
-		os.Exit(2)
+		return "", usageError{errors.New("provide -query or -queryfile")}
 	}
-	return text
-}
-
-// openDB loads the graph (see loadGraph) and opens a database over it
-// under cfg, exiting on failure.
-func openDB(dataPath, dataset string, scale int, cfg gstored.Config) (*gstored.Graph, *gstored.DB) {
-	g := loadGraph(dataPath, dataset, scale)
-	db, err := gstored.Open(g, cfg)
-	if err != nil {
-		fail(err)
-	}
-	return g, db
+	return text, nil
 }
 
 // loadGraph reads an N-Triples file or generates a benchmark dataset.
-func loadGraph(dataPath, dataset string, scale int) *gstored.Graph {
+func loadGraph(dataPath, dataset string, scale int) (*gstored.Graph, error) {
 	if dataPath != "" {
 		f, err := os.Open(dataPath)
 		if err != nil {
-			fail(err)
+			return nil, err
 		}
 		defer f.Close()
-		g, err := gstored.ReadNTriples(f)
-		if err != nil {
-			fail(err)
-		}
-		return g
+		return gstored.ReadNTriples(f)
 	}
 	switch strings.ToLower(dataset) {
 	case "lubm":
-		return gstored.GenerateLUBM(scale).Graph
+		return gstored.GenerateLUBM(scale).Graph, nil
 	case "yago":
-		return gstored.GenerateYAGO(scale).Graph
+		return gstored.GenerateYAGO(scale).Graph, nil
 	case "btc":
-		return gstored.GenerateBTC(scale).Graph
-	default:
-		fmt.Fprintf(os.Stderr, "gstored: unknown dataset %q (want lubm, yago or btc)\n", dataset)
-		os.Exit(2)
-		return nil
+		return gstored.GenerateBTC(scale).Graph, nil
 	}
+	return nil, usageError{fmt.Errorf("unknown dataset %q (want lubm, yago or btc)", dataset)}
 }
 
-func parseMode(mode string) gstored.Mode {
+func parseMode(mode string) (gstored.Mode, error) {
 	switch strings.ToLower(mode) {
 	case "basic":
-		return gstored.ModeBasic
+		return gstored.ModeBasic, nil
 	case "la":
-		return gstored.ModeLA
+		return gstored.ModeLA, nil
 	case "lo":
-		return gstored.ModeLO
+		return gstored.ModeLO, nil
 	case "full", "":
-		return gstored.ModeFull
-	default:
-		fmt.Fprintf(os.Stderr, "gstored: unknown mode %q\n", mode)
-		os.Exit(2)
-		return gstored.ModeFull
+		return gstored.ModeFull, nil
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "gstored: %v\n", err)
-	os.Exit(1)
+	return 0, usageError{fmt.Errorf("unknown mode %q", mode)}
 }

@@ -48,7 +48,7 @@ SELECT ?p2 ?l WHERE {
 		log.Fatal(err)
 	}
 
-	fmt.Println(strings.Join(db.Columns(res.Query), "\t"))
+	fmt.Println("?" + strings.Join(db.Columns(res.Query), "\t?"))
 	for _, row := range db.Rows(res) {
 		fmt.Println(strings.Join(row, "\t"))
 	}

@@ -243,6 +243,9 @@ func Open(g *Graph, cfg Config) (*DB, error) {
 	if cfg.Sites < 0 {
 		return nil, fmt.Errorf("gstored: invalid site count %d", cfg.Sites)
 	}
+	if cfg.Mode == engine.ModeUnset {
+		cfg.Mode = ModeFull
+	}
 	st := store.FromGraph(g)
 	db := &DB{Graph: &Graph{Dict: g.Dict}, cfg: cfg, Costs: map[string]CostBreakdown{}}
 
@@ -682,7 +685,7 @@ func (db *DB) Query(sparqlText string) (*Result, error) {
 // with cooperative cancellation: when ctx is canceled or its deadline
 // passes, execution stops promptly and the context's error is returned.
 func (db *DB) QueryGraphContext(ctx context.Context, q *QueryGraph) (*Result, error) {
-	return db.QueryGraphModeContext(ctx, q, db.mode())
+	return db.QueryGraphModeContext(ctx, q, db.Mode())
 }
 
 // QueryGraphModeContext executes a compiled query under an explicit mode
@@ -703,7 +706,7 @@ func (db *DB) QueryGraphModeContext(ctx context.Context, q *QueryGraph, mode Mod
 // from emit stops the execution. The returned Result carries statistics
 // only — Rows is nil — and row order varies between runs.
 func (db *DB) QueryGraphStreamContext(ctx context.Context, q *QueryGraph, emit func(Row) bool) (*Result, error) {
-	return db.load().eng.ExecuteStream(ctx, q, db.engineConfig(db.mode()), emit)
+	return db.load().eng.ExecuteStream(ctx, q, db.engineConfig(db.Mode()), emit)
 }
 
 // engineConfig is the engine configuration every query entry point runs
@@ -717,20 +720,8 @@ func (db *DB) engineConfig(mode Mode) engine.Config {
 }
 
 // Mode reports the engine mode queries run under: the configured mode,
-// with the zero value (ModeUnset) resolving to ModeFull — a zero-value
-// Config runs the complete system, matching the engine's own resolution.
-func (db *DB) Mode() Mode {
-	if m := db.mode(); m != engine.ModeUnset {
-		return m
-	}
-	return ModeFull
-}
-
-func (db *DB) mode() Mode {
-	// The zero value is engine.ModeUnset, which the engine resolves to
-	// Full at execution time, so an unconfigured DB runs the full system.
-	return db.cfg.Mode
-}
+// with the zero value resolved to ModeFull by Open.
+func (db *DB) Mode() Mode { return db.cfg.Mode }
 
 // CanonicalQueryKey returns a deterministic cache key identifying q up to
 // variable renaming and triple reordering; see query.CanonicalKey. Keys
@@ -757,7 +748,8 @@ func (db *DB) Rows(res *Result) [][]string {
 	return out
 }
 
-// Columns returns the projected variable names of a query.
+// Columns returns the projected variable names of a query, without the
+// '?': the form of SPARQL JSON results' head.vars.
 func (db *DB) Columns(q *QueryGraph) []string {
 	idx := q.Projection
 	if len(idx) == 0 {
@@ -768,7 +760,7 @@ func (db *DB) Columns(q *QueryGraph) []string {
 	}
 	out := make([]string, len(idx))
 	for i, v := range idx {
-		out[i] = "?" + q.Vars[v]
+		out[i] = q.Vars[v]
 	}
 	return out
 }

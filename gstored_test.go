@@ -41,7 +41,7 @@ func TestOpenAndQueryQuickstart(t *testing.T) {
 		t.Errorf("row = %v", rows[0])
 	}
 	cols := db.Columns(res.Query)
-	if len(cols) != 2 || cols[0] != "?x" || cols[1] != "?n" {
+	if len(cols) != 2 || cols[0] != "x" || cols[1] != "n" {
 		t.Errorf("columns = %v", cols)
 	}
 }

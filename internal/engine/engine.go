@@ -418,7 +418,7 @@ func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut
 	} else {
 		stats.Plan = e.graph.Global.Plan(q)
 		var ship *shipCounts
-		ship, err = e.component(ctx, q, stats.Plan, true, cfg, p, &stats, out)
+		ship, err = e.component(ctx, q, stats.Plan, cfg, p, &stats, out)
 		stats.StarFastPath = ship.star
 		ships = []*shipCounts{ship}
 	}
@@ -436,19 +436,19 @@ func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut
 
 // component evaluates one connected query graph, adding into stats, and
 // returns what the §IX model prices for it: on error too, the counts
-// recorded up to the failing stage. With star set, a star query takes
-// the §VIII-B path: partial evaluation's site round with the center
-// confined to internal vertices, where crossing-edge replicas make each
-// star match complete within the fragment owning its center and center
-// ownership deduplicates across sites, so the round's local matches are
-// the answer. Every other query runs the two-stage partial evaluation
+// recorded up to the failing stage. A star query takes the §VIII-B
+// path: partial evaluation's site round with the center confined to
+// internal vertices, where crossing-edge replicas make each star match
+// complete within the fragment owning its center and center ownership
+// deduplicates across sites, so the round's local matches are the
+// answer. Every other query runs the two-stage partial evaluation
 // and assembly flow. Local complete matches stream into out during
 // partial evaluation and assembled crossing matches during assembly, so
 // a streaming sink sees its first row before the run completes.
-func (e *Engine) component(ctx context.Context, q *query.Graph, plan []PlanEdge, star bool, cfg Config, p *pool.Pool, stats *Stats, out rowOut) (*shipCounts, error) {
+func (e *Engine) component(ctx context.Context, q *query.Graph, plan []PlanEdge, cfg Config, p *pool.Pool, stats *Stats, out rowOut) (*shipCounts, error) {
 	ship := &shipCounts{q: q, local: make([]int, len(e.sites))}
 	req := cluster.PartialRequest{Query: q, Order: store.EdgeOrder(plan), Pool: p}
-	if center, ok := q.StarCenter(); ok && star {
+	if center, ok := q.StarCenter(); ok {
 		ship.star, req.Star, req.Center = true, true, center
 	} else {
 		// Stage 0 (Full only): assemble variables' internal candidates.
@@ -846,7 +846,7 @@ func (e *Engine) runComponents(ctx context.Context, q *query.Graph, comps []quer
 	for ci, comp := range comps {
 		var mu sync.Mutex
 		var rows []Row
-		ship, err := e.component(ctx, comp.Query, e.graph.Global.Plan(comp.Query), true, cfg, p, stats, func(r Row) bool {
+		ship, err := e.component(ctx, comp.Query, e.graph.Global.Plan(comp.Query), cfg, p, stats, func(r Row) bool {
 			mu.Lock()
 			rows = append(rows, r)
 			mu.Unlock()

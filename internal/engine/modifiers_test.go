@@ -278,10 +278,19 @@ func TestExecuteStreamEarlyTermination(t *testing.T) {
 	if !res.Stats.EarlyStop || res.Stats.NumMatches != 0 {
 		t.Errorf("LIMIT 0: stats %+v", res.Stats)
 	}
+	// q is a star; a path takes partial evaluation and assembly.
+	path0 := withMods(query.NewBuilder(g.Dict).
+		Triple(query.Var("a"), query.IRI("http://ex/knows"), query.Var("b")).
+		Triple(query.Var("b"), query.IRI("http://ex/in"), query.Var("r")).
+		Triple(query.Var("c"), query.IRI("http://ex/in"), query.Var("r")).
+		MustBuild(), false, 0, 0)
+	if _, star := path0.StarCenter(); star {
+		t.Fatal("path query is a star")
+	}
 	sctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	sink := newStreamSink(limit0, func(_, p Row) bool { return noEmit(p) }, stop)
-	if _, err := distributedRun(sctx, e, limit0, Config{}, sink.push); !errors.Is(err, context.Canceled) {
+	sink := newStreamSink(path0, func(_, p Row) bool { return noEmit(p) }, stop)
+	if _, err := distributedRun(sctx, e, path0, Config{}, sink.push); !errors.Is(err, context.Canceled) {
 		t.Errorf("LIMIT 0 through partial evaluation: err = %v, want the sink's cancellation", err)
 	}
 	if !sink.finished() || sink.emitted != 0 {

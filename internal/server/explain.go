@@ -13,11 +13,11 @@ import (
 )
 
 // ExplainReport is the JSON body answered by /sparql?explain=1 (and
-// printed by `gstored explain`): the compiled query graph, the chosen
-// execution plan, the result-table disposition the query would
-// have met, and the full per-stage, per-fragment trace of one real
-// execution — so diagnosing a query costs exactly one run, not a
-// results run plus an instrumented rerun.
+// written to stderr by the one-shot `gstored -query`): the compiled
+// query graph, the chosen execution plan, the result-table disposition
+// the query would have met, and the full per-stage, per-fragment trace
+// of one real execution — so diagnosing a query costs exactly one run,
+// not a results run plus an instrumented rerun.
 type ExplainReport struct {
 	Query        string `json:"query"`
 	CanonicalKey string `json:"canonical_key"`
@@ -145,8 +145,8 @@ type ExplainCache struct {
 }
 
 // BuildExplain assembles the report from one completed execution.
-// Exported for the `gstored explain` subcommand, which runs outside the
-// HTTP layer.
+// Exported for the one-shot `gstored -query` command, which runs outside
+// the HTTP layer.
 func BuildExplain(db *gstored.DB, q *gstored.QueryGraph, text string, res *gstored.Result, tr *trace.Trace, delivery string, cache ExplainCache) *ExplainReport {
 	s := res.Stats
 	strategy, sites, epoch := db.ClusterInfo()
@@ -161,7 +161,7 @@ func BuildExplain(db *gstored.DB, q *gstored.QueryGraph, text string, res *gstor
 		CanonicalKey:  db.CanonicalQueryKey(q),
 		Pattern:       q.String(),
 		Vars:          q.Vars,
-		Projection:    projectionNames(db, q),
+		Projection:    db.Columns(q),
 		Distinct:      q.Distinct,
 		Offset:        q.Offset,
 		Mode:          db.Mode().String(),
@@ -230,15 +230,6 @@ func explainFragments(fs []gstored.FragmentStats) []ExplainFragment {
 			BusyMillis:             millis(f.Busy),
 			TransportMillis:        millis(f.Transport),
 		}
-	}
-	return out
-}
-
-func projectionNames(db *gstored.DB, q *gstored.QueryGraph) []string {
-	cols := db.Columns(q)
-	out := make([]string, len(cols))
-	for i, c := range cols {
-		out[i] = strings.TrimPrefix(c, "?")
 	}
 	return out
 }

@@ -154,7 +154,7 @@ func TestRevalidationInterleaving(t *testing.T) {
 				t.Fatal(err)
 			}
 			var fresh bytes.Buffer
-			if err := WriteResultsJSON(&fresh, db.Graph.Dict, projectionNames(db, q), res.EachProjected); err != nil {
+			if err := WriteResultsJSON(&fresh, db.Graph.Dict, db.Columns(q), res.EachProjected); err != nil {
 				t.Fatal(err)
 			}
 			xc := resp.Header.Get("X-Cache")

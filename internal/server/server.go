@@ -285,10 +285,10 @@ var errMethod = errors.New("method not allowed")
 // negotiate picks the response serialization: an explicit ?format=
 // override (format, the decoded parameter) wins, then the Accept header;
 // JSON is the default. Accept is parsed at media-range granularity per
-// RFC 9110 — ranges split on commas, parameters (q-values included)
-// stripped, exact media-type comparison — and the first range matching a
-// supported type wins, so
-// "application/sparql-results+json, text/tab-separated-values;q=0.1"
+// RFC 9110 — ranges split on commas, a range of weight q=0 ("not
+// acceptable") skipped, other parameters ignored, exact media-type
+// comparison — and the first acceptable range of a supported type wins,
+// so "application/sparql-results+json, text/tab-separated-values;q=0.1"
 // negotiates JSON instead of substring-matching TSV.
 func negotiate(r *http.Request, format string) (contentType string, tsv bool) {
 	switch strings.ToLower(format) {
@@ -297,8 +297,17 @@ func negotiate(r *http.Request, format string) (contentType string, tsv bool) {
 	case "json":
 		return ContentTypeJSON, false
 	}
+ranges:
 	for _, rng := range strings.Split(r.Header.Get("Accept"), ",") {
-		mt, _, _ := strings.Cut(rng, ";")
+		mt, params, _ := strings.Cut(rng, ";")
+		for params != "" {
+			var p string
+			p, params, _ = strings.Cut(params, ";")
+			name, v, _ := strings.Cut(p, "=")
+			if w, err := strconv.ParseFloat(strings.TrimSpace(v), 64); strings.EqualFold(strings.TrimSpace(name), "q") && err == nil && w == 0 {
+				continue ranges
+			}
+		}
 		switch strings.ToLower(strings.TrimSpace(mt)) {
 		case ContentTypeTSV, "text/*":
 			return ContentTypeTSV, true
@@ -387,7 +396,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	}
 
 	format := query.Get("format")
-	rq := &request{s: s, w: w, r: r, q: q, names: projectionNames(s.db, q), text: text, tr: tr, start: start, key: s.key(q), epoch: s.syncEpoch(tr)}
+	rq := &request{s: s, w: w, r: r, q: q, names: s.db.Columns(q), text: text, tr: tr, start: start, key: s.key(q), epoch: s.syncEpoch(tr)}
 	rq.contentType, _ = negotiate(r, format)
 	switch {
 	case explain:

@@ -16,9 +16,10 @@ import (
 )
 
 // TestNegotiateMatrix pins Accept-header parsing: media ranges split on
-// commas, parameters (q-values included) stripped, exact media-type
-// match, first supported range wins, JSON default. The substring bug it
-// replaces picked TSV whenever the header merely contained the TSV type.
+// commas, a q=0 range skipped, other parameters ignored, exact
+// media-type match, first acceptable supported range wins, JSON default.
+// The substring bug it replaces picked TSV whenever the header merely
+// contained the TSV type.
 func TestNegotiateMatrix(t *testing.T) {
 	cases := []struct {
 		accept  string
@@ -33,6 +34,10 @@ func TestNegotiateMatrix(t *testing.T) {
 		{accept: "application/sparql-results+json, text/tab-separated-values;q=0.1", wantTSV: false},
 		{accept: "text/tab-separated-values;q=0.9, application/sparql-results+json", wantTSV: true},
 		{accept: "text/tab-separated-values; q=0.3", wantTSV: true},
+		// Weight 0 means "not acceptable" (RFC 9110 §12.4.2): the range is
+		// skipped, never chosen.
+		{accept: "text/tab-separated-values;q=0, application/sparql-results+json", wantTSV: false},
+		{accept: "text/tab-separated-values;q=0", wantTSV: false},
 		{accept: "application/json", wantTSV: false},
 		{accept: "application/*", wantTSV: false},
 		{accept: "*/*", wantTSV: false},
