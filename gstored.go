@@ -282,8 +282,8 @@ func Open(g *Graph, cfg Config) (*DB, error) {
 	}
 	// The initial ship is epoch 1's install with every fragment touched;
 	// in-process the same path just builds the LocalSite handles.
-	// Open takes no context: the ship is bounded by the transport's own
-	// deadlines.
+	// Open takes no context, and the transport sets no deadline of its
+	// own, so a worker that accepts but never answers stalls the ship.
 	if err := db.publish(context.Background(), &dbState{}, dist, assign.StrategyName, nil, nil); err != nil {
 		if db.workers != nil {
 			_ = db.workers.Close() // already failing; connection cleanup is best-effort

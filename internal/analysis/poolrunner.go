@@ -7,16 +7,18 @@ import (
 
 // Pool-worker closure pattern, used by genswap: a FuncLit passed
 // directly as an argument to a pool-runner call — the bounded
-// evaluation pool's Do, or the engine's site round built on it — runs
+// evaluation pool's Do or its chunk loop Run, or the engine's site
+// round built on them — runs
 // concurrently with (and possibly inline on) the spawning scope.
 // Workers must inherit one generation snapshot from that scope: a
 // worker taking its own generation load can straddle a swap mid-query.
 //
 // Detection is structural (testdata packages are self-contained, so
-// import paths cannot anchor it): a method named Do on a type named
-// Pool, or round on a type named Engine.
+// import paths cannot anchor it): a method named Do or Run on a type
+// named Pool, or round on a type named Engine.
 var poolRunnerMethods = map[string]string{
 	"Do":    "Pool",
+	"Run":   "Pool",
 	"round": "Engine",
 }
 

@@ -85,6 +85,13 @@ func (p *Pool) Do(tasks ...func()) {
 	}
 }
 
+// Run mimics the pool's chunk loop: body runs once per chunk.
+func (p *Pool) Run(chunks [][2]int, onTask func(), body func(k, lo, hi int)) {
+	for k, ch := range chunks {
+		body(k, ch[0], ch[1])
+	}
+}
+
 // Site and Engine mimic the engine's site round built on the pool.
 type Site struct{}
 
@@ -119,6 +126,21 @@ func roundWorkerLoads(db *DB, e *Engine, p *Pool) {
 		e := db.Epoch() // want `generation loaded inside pool worker`
 		_, _ = s, e
 	})
+}
+
+// chunkBodyLoadsGeneration: a chunk body is a pool worker too.
+func chunkBodyLoadsGeneration(db *DB, p *Pool) {
+	p.Run([][2]int{{0, 1}}, nil, func(k, lo, hi int) {
+		s := db.load() // want `generation loaded inside pool worker`
+		_ = s
+	})
+}
+
+// chunkBodyInheritsSnapshot: chunk bodies share the spawning scope's
+// snapshot.
+func chunkBodyInheritsSnapshot(db *DB, p *Pool) {
+	snap := db.load()
+	p.Run([][2]int{{0, 1}, {1, 2}}, nil, func(k, lo, hi int) { _ = use(snap) })
 }
 
 // workerInheritsSnapshot is the sanctioned shape: one load in the

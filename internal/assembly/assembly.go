@@ -45,8 +45,8 @@ type Options struct {
 	// UseLEC selects the LEC-feature-based Algorithm 3 over the baseline
 	// join of [18].
 	UseLEC bool
-	// Pool, when wider than one, carries the feature walk (see
-	// lec.Closure.Pool); expansion is sequential.
+	// Pool cuts the feature walk's roots into chunks (see lec.Walk);
+	// expansion is sequential.
 	Pool *pool.Pool
 	// Cancel, when non-nil, is polled periodically; returning true
 	// abandons the assembly, returning nil results (the partial stats

@@ -125,7 +125,7 @@ var queryShapes = [][][3]string{
 const sharedLabelShape = 5
 
 // oneSided reports the precondition of the closure's side-split index
-// (lec.Closure.Features): every mapped query edge has exactly one endpoint in sign.
+// (see lec.Walk): every mapped query edge has exactly one endpoint in sign.
 func oneSided(q *query.Graph, sign uint64, mappings []partial.CrossEdge) bool {
 	for _, m := range mappings {
 		e := q.Edges[m.QEdge]

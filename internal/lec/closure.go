@@ -5,57 +5,41 @@ import (
 	"sync/atomic"
 
 	"gstored/internal/key"
-	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
 
-// Closure is the canonical-root walk behind Algorithm 2 (feature pruning),
-// Algorithm 3 (LEC assembly) and the baseline join of [18]: every
-// connected, sign-disjoint, mapping-consistent combination of features is
-// grown depth-first from its minimum-index member, visited once (a seen
-// set keyed by the sorted member set), and reported when its signs cover
-// the query (Theorem 4: a full cover matches every edge). The walk owns
-// the join condition of Definition 9; what a combination's members make
+// closure is one walk's read-only half, shared by its chunks: the
+// canonical-root search behind Algorithm 2 (feature pruning), Algorithm 3
+// (LEC assembly) and the baseline join of [18]. Every connected,
+// sign-disjoint, mapping-consistent combination of features is grown
+// depth-first from its minimum-index member, visited once (a seen set
+// keyed by the sorted member set), and complete when its signs cover the
+// query (Theorem 4: a full cover matches every edge). The walk owns the
+// join condition of Definition 9; what a combination's members make
 // together is the caller's to build from the member set.
-type Closure struct {
-	Q *query.Graph
-	// Features are what the walk joins (in the Basic join, one singleton
+type closure struct {
+	q *query.Graph
+	// features are what the walk joins (in the Basic join, one singleton
 	// feature per partial match): their LECSigns and interned mappings. A
 	// crossing edge has exactly one endpoint inside the feature's
 	// fragment, so of the two endpoint bits of a mapping's query edge Sign
 	// holds exactly one; the crossing-edge index relies on it. Features
 	// not all from one Compute call are interned anew, in place.
-	Features []*Feature
-	// AllPairs proposes every larger-index feature as a partner instead of
+	features []*Feature
+	// allPairs proposes every larger-index feature as a partner instead of
 	// consulting the crossing-edge index: the same closure, with sharing
 	// re-discovered by the join step at the price of the attempts the
 	// index avoids. It is gStoreD-Basic, and nothing else differs.
-	AllPairs bool
-	// Cancel, when non-nil, is polled every 256 expansions; returning
-	// true ends the walk. With a Pool it must be safe for concurrent use.
-	Cancel func() bool
-	// Pool, when wider than one, walks contiguous chunks of roots
-	// concurrently: a combination belongs to its minimum-index member, so
-	// chunks share nothing but the read-only index. Each chunk buffers the
-	// combinations it completes and Complete receives them after the last
-	// chunk ends, in chunk order — the sequential order, as are the summed
-	// counters. A nil or one-wide pool walks inline and Complete sees each
-	// combination the moment it is found.
-	Pool *pool.Pool
-	// Complete receives each combination whose signs cover the query;
-	// members is only valid during the call. Returning false ends the
-	// walk.
-	Complete func(members []int) bool
+	allPairs bool
+	// cancel, when non-nil, is polled every 256 expansions by every chunk;
+	// returning true ends the walk.
+	cancel func() bool
 
-	Attempts int // join steps tried
-	States   int // distinct combinations materialized
-
-	// The read-only index every chunk shares: the features' table of
-	// interned mappings and, unless AllPairs,
-	// post[postOff[2*id+side]:postOff[2*id+side+1]], listing in ascending
-	// order the features holding mapping id whose internal endpoint is the
-	// query edge's From (side 0) or To (side 1).
+	// The index: the features' table of interned mappings and, unless
+	// allPairs, post[postOff[2*id+side]:postOff[2*id+side+1]], listing in
+	// ascending order the features holding mapping id whose internal
+	// endpoint is the query edge's From (side 0) or To (side 1).
 	tab     *table
 	postOff []int32
 	post    []int32
@@ -69,7 +53,7 @@ type mapping struct {
 	s, o  rdf.TermID
 }
 
-// walks counts Run calls in this process; see Walks.
+// walks counts Walk calls in this process; see Walks.
 var walks atomic.Int64
 
 // Walks reports how many closure walks have started in this process. It
@@ -89,15 +73,16 @@ type state struct {
 }
 
 // walker is one chunk's private half of a walk: its counters, the
-// candidate extension of the state being expanded (next), the depth-first
-// frontier, and the scratch of partner enumeration and the seen set.
+// combinations it completed, the candidate extension of the state being
+// expanded (next), the depth-first frontier, and the scratch of partner
+// enumeration and the seen set.
 type walker struct {
-	c        *Closure
-	full     uint64
-	complete func(members []int) bool
-	stop     *atomic.Bool // set by the first chunk that ends the walk early
+	c    *closure
+	full uint64
+	stop *atomic.Bool // set by the first chunk that ends the walk early
 
 	attempts, states int
+	combos           Combos
 
 	next state
 	// frontier is the depth-first stack; free holds the states it has
@@ -107,82 +92,31 @@ type walker struct {
 	seen     key.Set[int] // the current root's member sets of three and more
 	buf      []int        // partners scratch
 	polls    uint
-
-	// What a chunk of a pooled walk completed, replayed by Run in chunk
-	// order.
-	done Combos
-}
-
-// Run walks the closure, reporting whether it ran to the end (false
-// after cancellation or a false return from Complete).
-func (c *Closure) Run() bool {
-	walks.Add(1)
-	c.buildIndex()
-	var stop atomic.Bool
-	chunks := pool.Chunks(len(c.Features), 4*c.Pool.Workers())
-	if c.Pool.Workers() == 1 || len(chunks) < 2 {
-		w := c.newWalker(&stop)
-		w.complete = c.Complete
-		ok := w.run(0, len(c.Features))
-		c.Attempts, c.States = w.attempts, w.states
-		return ok
-	}
-	ws := make([]*walker, len(chunks))
-	oks := make([]bool, len(chunks))
-	tasks := make([]func(), len(chunks))
-	for k, ch := range chunks {
-		tasks[k] = func() {
-			w := c.newWalker(&stop)
-			w.complete = w.record
-			ws[k] = w
-			if oks[k] = w.run(ch[0], ch[1]); !oks[k] {
-				stop.Store(true)
-			}
-		}
-	}
-	c.Pool.Do(tasks...)
-	finished := true
-	for k, w := range ws {
-		c.Attempts += w.attempts
-		c.States += w.states
-		finished = finished && oks[k]
-	}
-	if !finished {
-		return false
-	}
-	for _, w := range ws {
-		for k := range w.done.Len() {
-			if !c.Complete(w.done.At(k)) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // buildIndex interns the features' mappings unless one Compute call did
-// and, unless AllPairs, builds the side-split posting lists.
-func (c *Closure) buildIndex() {
+// and, unless allPairs, builds the side-split posting lists.
+func (c *closure) buildIndex() {
 	total := 0
-	for _, f := range c.Features {
+	for _, f := range c.features {
 		total += len(f.Mappings)
 	}
-	if len(c.Features) > 0 {
-		c.tab = c.Features[0].tab
+	if len(c.features) > 0 {
+		c.tab = c.features[0].tab
 	}
-	if c.tab == nil || slices.ContainsFunc(c.Features, func(f *Feature) bool { return f.tab != c.tab }) {
+	if c.tab == nil || slices.ContainsFunc(c.features, func(f *Feature) bool { return f.tab != c.tab }) {
 		c.tab = &table{}
-		for _, f := range c.Features {
+		for _, f := range c.features {
 			f.ids, f.tab = c.tab.intern(nil, f.Mappings), c.tab
 		}
 	}
-	if c.AllPairs {
+	if c.allPairs {
 		return
 	}
 	// Counting sort of (feature, mapping) pairs by (mapping, side): count,
 	// prefix-sum, then place in feature order so every list is ascending.
 	c.postOff = make([]int32, 2*len(c.tab.edges)+1)
-	for i, f := range c.Features {
+	for i, f := range c.features {
 		for _, id := range f.ids {
 			c.postOff[c.slot(i, id)+1]++
 		}
@@ -191,7 +125,7 @@ func (c *Closure) buildIndex() {
 		c.postOff[s] += c.postOff[s-1]
 	}
 	c.post = make([]int32, total)
-	for i, f := range c.Features {
+	for i, f := range c.features {
 		for _, id := range f.ids {
 			s := c.slot(i, id)
 			c.post[c.postOff[s]] = int32(i)
@@ -205,24 +139,19 @@ func (c *Closure) buildIndex() {
 
 // slot is the posting list of feature i under mapping id: side 0 when the
 // feature's internal endpoint is the query edge's From, side 1 when its To.
-func (c *Closure) slot(i int, id int32) int32 {
-	if c.Features[i].Sign>>uint(c.Q.Edges[c.tab.edges[id].qedge].From)&1 == 1 {
+func (c *closure) slot(i int, id int32) int32 {
+	if c.features[i].Sign>>uint(c.q.Edges[c.tab.edges[id].qedge].From)&1 == 1 {
 		return 2 * id
 	}
 	return 2*id + 1
 }
 
-func (c *Closure) newWalker(stop *atomic.Bool) *walker {
-	return &walker{c: c, full: fullSign(len(c.Q.Vertices)), stop: stop}
+func (c *closure) newWalker(stop *atomic.Bool) *walker {
+	return &walker{c: c, full: fullSign(len(c.q.Vertices)), stop: stop}
 }
 
-// record is the complete hook of a pooled chunk.
-func (w *walker) record(members []int) bool {
-	w.done.Append(members)
-	return true
-}
-
-// run walks the combinations rooted at features [lo, hi).
+// run walks the combinations rooted at features [lo, hi), reporting
+// false when the walk was ended early.
 func (w *walker) run(lo, hi int) bool {
 	for root := lo; root < hi; root++ {
 		if !w.start(root) {
@@ -231,9 +160,7 @@ func (w *walker) run(lo, hi int) bool {
 		if w.next.sign == w.full {
 			// A single feature can never be complete (it has a crossing
 			// edge, hence an extended endpoint vertex), but guard anyway.
-			if !w.complete(w.next.members) {
-				return false
-			}
+			w.combos.Append(w.next.members)
 			continue
 		}
 		w.push()
@@ -245,25 +172,22 @@ func (w *walker) run(lo, hi int) bool {
 			w.seen.Reset()
 		}
 		for len(w.frontier) > 0 {
-			if w.polls&0xff == 0 && (w.stop.Load() || w.c.Cancel != nil && w.c.Cancel()) {
+			if w.polls&0xff == 0 && (w.stop.Load() || w.c.cancel != nil && w.c.cancel()) {
 				return false
 			}
 			w.polls++
 			s := w.frontier[len(w.frontier)-1]
 			w.frontier = w.frontier[:len(w.frontier)-1]
-			ok := w.expand(&s, root)
+			w.expand(&s, root)
 			w.free = append(w.free, s)
-			if !ok {
-				return false
-			}
 		}
 	}
 	return true
 }
 
 // expand tries every partner of s, pushing the extensions that are new
-// and reporting the ones that cover the query.
-func (w *walker) expand(s *state, root int) bool {
+// and recording the ones that cover the query.
+func (w *walker) expand(s *state, root int) {
 	for _, i := range w.partners(s, root) {
 		w.attempts++
 		if !w.step(s, i) {
@@ -280,14 +204,11 @@ func (w *walker) expand(s *state, root int) bool {
 		if w.next.sign == w.full {
 			// Nothing can extend a full cover: any further feature
 			// overlaps its sign.
-			if !w.complete(w.next.members) {
-				return false
-			}
+			w.combos.Append(w.next.members)
 			continue
 		}
 		w.push()
 	}
-	return true
 }
 
 // push copies next onto the frontier, into the slices of a state the
@@ -305,7 +226,7 @@ func (w *walker) push() {
 }
 
 // partners lists, in ascending order, the features worth trying against s:
-// larger than the root (canonical-root enumeration) and — unless AllPairs,
+// larger than the root (canonical-root enumeration) and — unless allPairs,
 // which proposes every non-member — holding one of s's mappings from the
 // side s's sign does not cover. A holder on a covered side overlaps s's
 // sign, members included, so a mapping covered on both sides proposes
@@ -313,9 +234,9 @@ func (w *walker) push() {
 func (w *walker) partners(s *state, root int) []int {
 	c := w.c
 	out := w.buf[:0]
-	if c.AllPairs {
+	if c.allPairs {
 		mi := 0
-		for i := root + 1; i < len(c.Features); i++ {
+		for i := root + 1; i < len(c.features); i++ {
 			for mi < len(s.members) && s.members[mi] < i {
 				mi++
 			}
@@ -331,8 +252,8 @@ func (w *walker) partners(s *state, root int) []int {
 		if id < 0 {
 			continue
 		}
-		from := s.sign >> uint(c.Q.Edges[e].From) & 1
-		if from == s.sign>>uint(c.Q.Edges[e].To)&1 {
+		from := s.sign >> uint(c.q.Edges[e].From) & 1
+		if from == s.sign>>uint(c.q.Edges[e].To)&1 {
 			continue
 		}
 		// s covers From: ask for the holders whose internal end is To.
@@ -358,16 +279,16 @@ func (w *walker) partners(s *state, root int) []int {
 // the feature's own mappings contradict each other.
 func (w *walker) start(root int) bool {
 	c, out := w.c, &w.next
-	out.sign = c.Features[root].Sign
+	out.sign = c.features[root].Sign
 	out.members = append(out.members[:0], root)
 	out.vbind, out.qmap = out.vbind[:0], out.qmap[:0]
-	for range c.Q.Vertices {
+	for range c.q.Vertices {
 		out.vbind = append(out.vbind, rdf.NoTerm)
 	}
-	for range c.Q.Edges {
+	for range c.q.Edges {
 		out.qmap = append(out.qmap, -1)
 	}
-	for _, id := range c.Features[root].ids {
+	for _, id := range c.features[root].ids {
 		if !c.applyMapping(out.vbind, out.qmap, id) {
 			return false
 		}
@@ -383,13 +304,13 @@ func (w *walker) start(root int) bool {
 // success next holds the extended state.
 func (w *walker) step(s *state, i int) bool {
 	c, out := w.c, &w.next
-	if s.sign&c.Features[i].Sign != 0 {
+	if s.sign&c.features[i].Sign != 0 {
 		return false
 	}
 	out.vbind = append(out.vbind[:0], s.vbind...)
 	out.qmap = append(out.qmap[:0], s.qmap...)
 	shared := false
-	for _, id := range c.Features[i].ids {
+	for _, id := range c.features[i].ids {
 		if s.qmap[c.tab.edges[id].qedge] == id {
 			shared = true
 		} else if !c.applyMapping(out.vbind, out.qmap, id) {
@@ -399,7 +320,7 @@ func (w *walker) step(s *state, i int) bool {
 	if !shared {
 		return false
 	}
-	out.sign = s.sign | c.Features[i].Sign
+	out.sign = s.sign | c.features[i].Sign
 	at, _ := slices.BinarySearch(s.members, i)
 	out.members = slices.Insert(append(out.members[:0], s.members...), at, i)
 	return true
@@ -414,9 +335,9 @@ func fullSign(n int) uint64 {
 
 // applyMapping folds crossing-edge mapping id into the per-vertex and
 // per-edge binding tables, reporting consistency.
-func (c *Closure) applyMapping(vbind []rdf.TermID, qmap []int32, id int32) bool {
+func (c *closure) applyMapping(vbind []rdf.TermID, qmap []int32, id int32) bool {
 	m := c.tab.edges[id]
-	e := c.Q.Edges[m.qedge]
+	e := c.q.Edges[m.qedge]
 	if cur := qmap[m.qedge]; cur >= 0 {
 		return cur == id // Definition 9 condition 3
 	}

@@ -4,12 +4,15 @@
 // (Definition 9, Theorem 4): Walk grows every sign-disjoint,
 // mapping-consistent combination of features once, which yields both
 // Algorithm 2's pruning verdict and the complete combinations that
-// package assembly expands into crossing matches. Closure is that
-// search, in every mode: the Basic join of [18] is the same walk over one
-// singleton feature per partial match, with every pair proposed.
+// package assembly expands into crossing matches. Walk is that search
+// in every mode and at every pool width: the Basic join of [18] is the
+// same walk over one singleton feature per partial match, with every pair
+// proposed, and a one-wide pool runs the same chunk loop with one chunk.
 package lec
 
 import (
+	"sync/atomic"
+
 	"gstored/internal/key"
 	"gstored/internal/partial"
 	"gstored/internal/pool"
@@ -130,7 +133,7 @@ type PruneResult struct {
 	Attempts, States int
 }
 
-// Prune implements Algorithm 2 as the Closure over features: when a
+// Prune implements Algorithm 2 as the closure over features: when a
 // combination's signs union to all-ones (Theorem 4), its members are
 // retained. Partial matches whose features are not retained can be
 // discarded before shipment (Theorem 3/4 guarantee no final match is
@@ -141,30 +144,52 @@ func Prune(features []*Feature, q *query.Graph) PruneResult {
 
 // Walk is the one feature-level walk of every mode: Algorithm 2's pruning
 // verdict and the complete combinations assembly expands come out of the
-// same Closure run. allPairs proposes every pair instead of asking the
-// crossing-edge index (Closure.AllPairs: the Basic join); root chunks fan
-// out on p (nil walks inline); cancel, when non-nil, is polled by the
-// walk. A canceled walk retains every feature (safe, just not effective)
-// and reports no combination. Features not all from one Compute call —
-// Basic's singletons, a test's — are interned by the walk, in place.
+// same closure. allPairs proposes every pair instead of asking the
+// crossing-edge index (the Basic join); cancel, when non-nil, is polled
+// by every chunk. Roots are cut by p.Split — one chunk on a nil or
+// one-wide pool — and a combination belongs to its minimum-index member,
+// so chunks share nothing but the read-only index: each records the
+// combinations it completes, and Walk joins them in chunk order, which is
+// the sequential order, as are the summed counters. A canceled walk
+// retains every feature (safe, just not effective) and reports no
+// combination. Features not all from one Compute call — Basic's
+// singletons, a test's — are interned by the walk, in place.
 func Walk(features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, cancel func() bool) PruneResult {
-	res := PruneResult{Retained: make([]bool, len(features))}
-	c := Closure{
-		Q: q, Features: features, AllPairs: allPairs, Cancel: cancel, Pool: p,
-		Complete: func(members []int) bool {
-			for _, m := range members {
-				res.Retained[m] = true
-			}
-			res.Combos.Append(members)
-			return true
-		},
+	walks.Add(1)
+	c := &closure{q: q, features: features, allPairs: allPairs, cancel: cancel}
+	c.buildIndex()
+	var stop atomic.Bool
+	chunks := p.Split(len(features))
+	ws := make([]*walker, len(chunks))
+	p.Run(chunks, nil, func(k, lo, hi int) {
+		ws[k] = c.newWalker(&stop)
+		if !ws[k].run(lo, hi) {
+			stop.Store(true)
+		}
+	})
+	res := PruneResult{Retained: make([]bool, len(features)), Finished: !stop.Load()}
+	for _, w := range ws {
+		res.Attempts += w.attempts
+		res.States += w.states
 	}
-	if res.Finished = c.Run(); !res.Finished {
+	if !res.Finished {
 		for i := range res.Retained {
 			res.Retained[i] = true
 		}
-		res.Combos = Combos{}
+		return res
 	}
-	res.Attempts, res.States = c.Attempts, c.States
+	// Chunk 0's list, the whole of it on a one-wide pool, with the later
+	// chunks' appended in order.
+	res.Combos = ws[0].combos
+	for _, w := range ws[1:] {
+		for k := range w.combos.Len() {
+			res.Combos.Append(w.combos.At(k))
+		}
+	}
+	for k := range res.Combos.Len() {
+		for _, m := range res.Combos.At(k) {
+			res.Retained[m] = true
+		}
+	}
 	return res
 }

@@ -107,7 +107,7 @@ func TestExample7Groups(t *testing.T) {
 	}
 }
 
-// Joinable is Definition 9 written out independently of Closure.step, on
+// Joinable is Definition 9 written out independently of walker.step, on
 // two original (un-joined) features: different fragments, at least one
 // shared crossing-edge mapping, no query edge mapped to two different
 // crossing edges, and disjoint LECSigns.
@@ -204,7 +204,7 @@ func TestTheorem5(t *testing.T) {
 // the reference Joinable accepts.
 func TestStepMatchesDefinition9(t *testing.T) {
 	ex, _, features, _ := paperFeatures(t)
-	c := Closure{Q: ex.Query, Features: features}
+	c := &closure{q: ex.Query, features: features}
 	c.buildIndex()
 	w := c.newWalker(nil)
 	for i, a := range features {
@@ -393,7 +393,7 @@ func fuzzQueries() []*query.Graph {
 // side-split crossing-edge index for partners completes exactly the
 // member sets the walk that tries every pair completes, sequentially and
 // chunked. Features are drawn under the one precondition the index has
-// (Closure.Features): each mapping's query edge has exactly one endpoint
+// (closure.features): each mapping's query edge has exactly one endpoint
 // in Sign.
 func FuzzClosureIndex(f *testing.F) {
 	// A two- and a three-item cover of the path plus a near miss; the
@@ -430,16 +430,16 @@ func FuzzClosureIndex(f *testing.F) {
 		}
 		walk := func(allPairs bool, p *pool.Pool) map[string]bool {
 			sets := map[string]bool{}
-			c := Closure{Q: q, Features: items, AllPairs: allPairs, Pool: p,
-				Complete: func(members []int) bool {
-					if sets[fmt.Sprint(members)] {
-						t.Errorf("member set %v completed twice", members)
-					}
-					sets[fmt.Sprint(members)] = true
-					return true
-				}}
-			if !c.Run() {
+			res := Walk(items, q, allPairs, p, nil)
+			if !res.Finished {
 				t.Fatal("uncanceled walk did not finish")
+			}
+			for k := range res.Combos.Len() {
+				members := res.Combos.At(k)
+				if sets[fmt.Sprint(members)] {
+					t.Errorf("member set %v completed twice", members)
+				}
+				sets[fmt.Sprint(members)] = true
 			}
 			return sets
 		}

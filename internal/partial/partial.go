@@ -248,41 +248,27 @@ func enumerate(f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks [
 	for pos, qe := range seedOrder {
 		seedPos[qe] = pos
 	}
-	chunks := [][2]int{{0, len(edges)}}
-	if w := opts.Pool.Workers(); w > 1 && len(edges) > 0 {
-		chunks = pool.Chunks(len(edges), 4*w)
-	}
+	chunks := opts.Pool.Split(len(edges))
 	var stop atomic.Bool
 	var count atomic.Int64
 	ens := make([]*enumerator, len(chunks))
-	tasks := make([]func(), len(chunks))
-	for i, ch := range chunks {
+	opts.Pool.Run(chunks, opts.OnTask, func(k, lo, hi int) {
 		en := &enumerator{
 			Search: store.NewSearch(f.Store, q), f: f, q: q, opts: opts, edges: edges, masks: masks,
 			inc: inc, seedOrder: seedOrder, seedPos: seedPos, stop: &stop, count: &count,
 		}
 		en.Admit = en.admit
 		en.Next = en.expand
-		ens[i] = en
-		tasks[i] = func() {
-			if stop.Load() {
-				en.err = ErrCanceled
-				return
-			}
-			var start time.Time
-			if opts.OnTask != nil {
-				start = time.Now()
-			}
-			en.run(ch[0], ch[1])
-			if en.err != nil {
-				stop.Store(true)
-			}
-			if opts.OnTask != nil {
-				opts.OnTask(time.Since(start))
-			}
+		ens[k] = en
+		if stop.Load() {
+			en.err = ErrCanceled
+			return
 		}
-	}
-	opts.Pool.Do(tasks...)
+		en.run(lo, hi)
+		if en.err != nil {
+			stop.Store(true)
+		}
+	})
 	// A real error beats the cancellations it caused in other chunks;
 	// among real errors the lowest chunk index wins, deterministically.
 	var firstErr error

@@ -17,11 +17,17 @@
 //     byte-identical to the pre-pool sequential code path, which keeps
 //     the old behavior reachable for equivalence tests via
 //     -eval-workers=1.
+//
+// Split and Run are the one chunk rule of every pooled stage (store
+// matching, partial evaluation, the LEC closure): Split cuts a range
+// into contiguous chunks — one on a sequential pool — and Run runs
+// each as one timed task, so width 1 takes the same loop as width N.
 package pool
 
 import (
 	"runtime"
 	"sync"
+	"time"
 )
 
 // Pool bounds the number of goroutines evaluating tasks concurrently.
@@ -81,14 +87,41 @@ func (p *Pool) Do(tasks ...func()) {
 	wg.Wait()
 }
 
-// Chunks splits n items into at most parts contiguous index ranges of
-// near-equal size, returned as [lo, hi) pairs in order. It is the
-// shared seed-partitioning helper: contiguous ranges keep per-chunk
-// results mergeable in deterministic index order.
-func Chunks(n, parts int) [][2]int {
-	if n <= 0 {
-		return nil
+// Split cuts n items into the chunks a pooled stage runs, as [lo, hi)
+// pairs in order: the whole range on a nil or one-wide pool and for
+// n == 0, else up to four contiguous chunks per worker, so that late
+// chunks even out early stragglers. Contiguous chunks keep per-chunk
+// results mergeable in index order.
+func (p *Pool) Split(n int) [][2]int {
+	if w := p.Workers(); w > 1 && n > 0 {
+		return chunks(n, 4*w)
 	}
+	return [][2]int{{0, n}}
+}
+
+// Run runs body once per chunk, chunk k over [lo, hi) as one task, and
+// reports each task's wall time to onTask when it is non-nil (then
+// possibly concurrently).
+func (p *Pool) Run(chunks [][2]int, onTask func(time.Duration), body func(k, lo, hi int)) {
+	tasks := make([]func(), len(chunks))
+	for k, ch := range chunks {
+		tasks[k] = func() {
+			var start time.Time
+			if onTask != nil {
+				start = time.Now()
+			}
+			body(k, ch[0], ch[1])
+			if onTask != nil {
+				onTask(time.Since(start))
+			}
+		}
+	}
+	p.Do(tasks...)
+}
+
+// chunks splits n items into at most parts contiguous index ranges of
+// near-equal size.
+func chunks(n, parts int) [][2]int {
 	if parts < 1 {
 		parts = 1
 	}

@@ -1,9 +1,11 @@
 package pool
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSequentialOracle: width 1 runs every task inline in submission
@@ -117,19 +119,71 @@ func TestChunks(t *testing.T) {
 		{0, 4, 0}, {1, 4, 1}, {4, 4, 4}, {10, 3, 3}, {10, 100, 10}, {7, 0, 1},
 	}
 	for _, c := range cases {
-		chunks := Chunks(c.n, c.parts)
-		if len(chunks) != c.want {
-			t.Errorf("Chunks(%d,%d) = %d chunks, want %d", c.n, c.parts, len(chunks), c.want)
+		got := chunks(c.n, c.parts)
+		if len(got) != c.want {
+			t.Errorf("chunks(%d,%d) = %d chunks, want %d", c.n, c.parts, len(got), c.want)
 		}
 		next := 0
-		for _, ch := range chunks {
+		for _, ch := range got {
 			if ch[0] != next || ch[1] <= ch[0] {
-				t.Errorf("Chunks(%d,%d): bad range %v after %d", c.n, c.parts, ch, next)
+				t.Errorf("chunks(%d,%d): bad range %v after %d", c.n, c.parts, ch, next)
 			}
 			next = ch[1]
 		}
 		if c.n > 0 && next != c.n {
-			t.Errorf("Chunks(%d,%d) covers [0,%d), want [0,%d)", c.n, c.parts, next, c.n)
+			t.Errorf("chunks(%d,%d) covers [0,%d), want [0,%d)", c.n, c.parts, next, c.n)
+		}
+	}
+}
+
+// TestSplit: a sequential pool takes the whole range as one chunk, n == 0
+// included; a width-w pool cuts at most 4w non-empty chunks that cover
+// [0, n) in order.
+func TestSplit(t *testing.T) {
+	for _, p := range []*Pool{nil, New(1)} {
+		for _, n := range []int{0, 1, 1000} {
+			if got := p.Split(n); !reflect.DeepEqual(got, [][2]int{{0, n}}) {
+				t.Errorf("width %d: Split(%d) = %v, want [[0 %d]]", p.Workers(), n, got, n)
+			}
+		}
+	}
+	for _, w := range []int{2, 3, 8} {
+		for _, n := range []int{1, 5, 1000} {
+			got := New(w).Split(n)
+			if len(got) > 4*w {
+				t.Errorf("width %d: Split(%d) gave %d chunks, want at most %d", w, n, len(got), 4*w)
+			}
+			next := 0
+			for _, ch := range got {
+				if ch[0] != next || ch[1] <= ch[0] {
+					t.Errorf("width %d: Split(%d): bad chunk %v after %d", w, n, ch, next)
+				}
+				next = ch[1]
+			}
+			if next != n {
+				t.Errorf("width %d: Split(%d) covers [0,%d)", w, n, next)
+			}
+		}
+	}
+}
+
+// TestRun: the body runs once per chunk with that chunk's index and
+// bounds, and onTask fires once per chunk.
+func TestRun(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		p := New(w)
+		chunks := p.Split(1000)
+		got := make([][2]int, len(chunks))
+		var runs, timed atomic.Int64
+		p.Run(chunks, func(time.Duration) { timed.Add(1) }, func(k, lo, hi int) {
+			runs.Add(1)
+			got[k] = [2]int{lo, hi}
+		})
+		if !reflect.DeepEqual(got, chunks) || runs.Load() != int64(len(chunks)) {
+			t.Errorf("width %d: %d runs saw chunks %v, want %v", w, runs.Load(), got, chunks)
+		}
+		if timed.Load() != int64(len(chunks)) {
+			t.Errorf("width %d: onTask fired %d times for %d chunks", w, timed.Load(), len(chunks))
 		}
 	}
 }

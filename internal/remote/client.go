@@ -131,9 +131,6 @@ type Site struct {
 // ID implements cluster.Site.
 func (s *Site) ID() int { return s.id }
 
-// Epoch reports the generation this handle addresses.
-func (s *Site) Epoch() uint64 { return s.epoch }
-
 // call runs one RPC round: request out, frames in until the final one,
 // row batches delivered to onRow (which may be nil). The Meter it returns
 // counts the round's bytes and frames, and carries the work the final

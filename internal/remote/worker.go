@@ -104,25 +104,6 @@ func (w *Worker) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (w *Worker) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return w.Serve(ln)
-}
-
-// Addr reports the bound listen address once Serve has one.
-func (w *Worker) Addr() net.Addr {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.ln == nil {
-		return nil
-	}
-	return w.ln.Addr()
-}
-
 // Close stops the listener, closes every live connection, and waits for
 // the connection handlers to drain.
 func (w *Worker) Close() error {

@@ -3,10 +3,14 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"gstored"
+	"gstored/internal/remote"
 )
 
 // TestHealthzSiteTable checks the per-site table: one row per site with
@@ -73,5 +77,83 @@ func TestMetricsSiteUpGauge(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestStalledWorkerDegradesHealth: a worker that accepts connections but
+// never answers (stopped, partitioned) must not hang the probes. Within
+// QueryTimeout /healthz reads degraded with the site down, and /metrics
+// reports gstored_site_up 0 for it.
+func TestStalledWorkerDegradesHealth(t *testing.T) {
+	w := remote.NewWorker(0)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	go func() { _ = w.Serve(ln) }() // ends at Close
+	g := gstored.NewGraph()
+	g.AddIRIs("http://ex/alice", "http://ex/knows", "http://ex/bob")
+	g.AddIRIs("http://ex/bob", "http://ex/knows", "http://ex/carol")
+	db, err := gstored.Open(g, gstored.Config{Sites: 2, Workers: []string{addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
+	_, ts := newTestServer(t, db, Config{QueryTimeout: 200 * time.Millisecond})
+
+	// Stop the worker and put a black hole on its address.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hole, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 16)
+	go func() {
+		for {
+			c, err := hole.Accept()
+			if err != nil {
+				close(accepted)
+				return
+			}
+			accepted <- c // held open, never read
+		}
+	}()
+	// Registered after newTestServer, so it runs first: a request still
+	// stuck in a probe gets its EOF before the test server waits for it.
+	t.Cleanup(func() {
+		_ = hole.Close()
+		for c := range accepted {
+			_ = c.Close()
+		}
+	})
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	get := func(path string) string {
+		t.Helper()
+		resp, err := client.Get(ts.URL + path)
+		if err != nil {
+			t.Errorf("GET %s with a stalled worker: %v", path, err)
+			return ""
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	healthz, metrics := get("/healthz"), get("/metrics")
+	var body struct {
+		Status    string       `json:"status"`
+		SiteTable []healthSite `json:"site_table"`
+	}
+	if err := json.Unmarshal([]byte(healthz), &body); err != nil || body.Status != "degraded" || len(body.SiteTable) == 0 || body.SiteTable[0].Up {
+		t.Errorf("/healthz with a stalled worker: %q (%v), want degraded with site 0 down", healthz, err)
+	}
+	if !strings.Contains(metrics, `gstored_site_up{site="0"} 0`) {
+		t.Errorf("/metrics with a stalled worker lacks gstored_site_up{site=\"0\"} 0")
 	}
 }

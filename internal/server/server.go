@@ -839,8 +839,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // probeSites runs a health round over the live generation's sites (a
 // real RPC per site in worker mode — the probe doubles as the
 // heartbeat) and returns the statuses with each site's last successful
-// heartbeat time.
+// heartbeat time. The round shares one QueryTimeout deadline: a stalled
+// worker reads as down instead of hanging /healthz and /metrics.
 func (s *Server) probeSites(ctx context.Context) ([]gstored.SiteStatus, map[int]time.Time) {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.QueryTimeout)
+	defer cancel()
 	status := s.db.SiteHealth(ctx)
 	now := time.Now()
 	s.heartMu.Lock()

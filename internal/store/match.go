@@ -83,8 +83,8 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 	seedT, seedV := st.seedDomain(q, q.Edges[order[0]], q.Edges[order[0]].Label)
 	n := len(seedT) + len(seedV)
 	chunks := [][2]int{{0, n}}
-	if w := opts.Pool.Workers(); w > 1 && n > 0 && connectedOrder(q, order) {
-		chunks = pool.Chunks(n, 4*w)
+	if connectedOrder(q, order) {
+		chunks = opts.Pool.Split(n)
 	}
 	var stop atomic.Bool
 	emit := func(b Binding) bool {
@@ -94,33 +94,22 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 		}
 		return true
 	}
-	tasks := make([]func(), len(chunks))
-	for i, ch := range chunks {
-		tasks[i] = func() {
-			if stop.Load() {
-				return
-			}
-			var start time.Time
-			if opts.OnTask != nil {
-				start = time.Now()
-			}
-			m := &matcher{Search: NewSearch(st, q), order: order, cancel: opts.Cancel, stop: &stop, yield: emit}
-			if seedT != nil {
-				m.seedT = seedT[ch[0]:ch[1]]
-			} else {
-				m.seedV = seedV[ch[0]:ch[1]]
-			}
-			m.Admit = func(qv int, u rdf.TermID, via int) bool {
-				return st.signatureOK(q, qv, u, via) && (opts.VertexFilter == nil || opts.VertexFilter(qv, u))
-			}
-			m.Next = m.next
-			m.step()
-			if opts.OnTask != nil {
-				opts.OnTask(time.Since(start))
-			}
+	opts.Pool.Run(chunks, opts.OnTask, func(_, lo, hi int) {
+		if stop.Load() {
+			return
 		}
-	}
-	opts.Pool.Do(tasks...)
+		m := &matcher{Search: NewSearch(st, q), order: order, cancel: opts.Cancel, stop: &stop, yield: emit}
+		if seedT != nil {
+			m.seedT = seedT[lo:hi]
+		} else {
+			m.seedV = seedV[lo:hi]
+		}
+		m.Admit = func(qv int, u rdf.TermID, via int) bool {
+			return st.signatureOK(q, qv, u, via) && (opts.VertexFilter == nil || opts.VertexFilter(qv, u))
+		}
+		m.Next = m.next
+		m.step()
+	})
 }
 
 // seedDomain returns what unbound query edge e seeds from when it must
