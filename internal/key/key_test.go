@@ -18,7 +18,7 @@ import (
 
 func sameMatch(a, b *partial.Match) bool {
 	return a.Frag == b.Frag && slices.Equal(a.Vec, b.Vec) && slices.Equal(a.EdgeVars, b.EdgeVars) &&
-		a.MatchedEdges == b.MatchedEdges && slices.Equal(a.Crossing, b.Crossing)
+		slices.Equal(a.Crossing, b.Crossing)
 }
 
 func sameFeature(a, b *partial.Match) bool {
@@ -56,10 +56,6 @@ func TestKeyBoundaries(t *testing.T) {
 		// Crossing lists of different lengths, the longer one zero-extended.
 		{{Crossing: []partial.CrossEdge{c1}}, {Crossing: []partial.CrossEdge{c1, c0}}},
 		{{Crossing: nil}, {Crossing: []partial.CrossEdge{c0}}},
-		// MatchedEdges against the Crossing count that follows it.
-		{{MatchedEdges: 1}, {Crossing: []partial.CrossEdge{c0}}},
-		// A trailing EdgeVars slot against the MatchedEdges that follows it.
-		{{EdgeVars: []rdf.TermID{0, 0}, MatchedEdges: 0}, {EdgeVars: []rdf.TermID{0}, MatchedEdges: 1 << 32}},
 		{{Frag: 1}, {Frag: 256}},
 		// Multi-digit values the decimal form kept apart with commas.
 		{{Vec: []rdf.TermID{1, 23}}, {Vec: []rdf.TermID{12, 3}}},
@@ -129,13 +125,12 @@ func randCrossing(r *rand.Rand) []partial.CrossEdge {
 
 func randMatchPair(r *rand.Rand) (a, b *partial.Match) {
 	a = &partial.Match{
-		Frag: r.Intn(2), Vec: randTerms(r), EdgeVars: randTerms(r),
-		MatchedEdges: uint64(r.Intn(2)), Crossing: randCrossing(r),
+		Frag: r.Intn(2), Vec: randTerms(r), EdgeVars: randTerms(r), Crossing: randCrossing(r),
 		Sign: r.Uint64(), // derived, not part of the identity
 	}
 	c := *a
 	b = &c
-	switch r.Intn(6) {
+	switch r.Intn(5) {
 	case 0:
 		b.Frag = r.Intn(2)
 	case 1:
@@ -143,8 +138,6 @@ func randMatchPair(r *rand.Rand) (a, b *partial.Match) {
 	case 2:
 		b.EdgeVars = randTerms(r)
 	case 3:
-		b.MatchedEdges = uint64(r.Intn(2))
-	case 4:
 		b.Crossing = randCrossing(r)
 	}
 	b.Sign = r.Uint64()

@@ -456,7 +456,11 @@ func FuzzClosureIndex(f *testing.F) {
 // appendKey is the byte key features were grouped by before mappings were
 // interned: the fragment, then g as one length-prefixed section.
 func appendKey(b []byte, frag int, g []partial.CrossEdge) []byte {
-	return partial.AppendCrossing(key.Int(b, frag), g)
+	b = key.Len(key.Int(b, frag), len(g))
+	for _, c := range g {
+		b = key.Term(key.Term(key.Term(key.Int(b, c.QEdge), c.S), c.P), c.O)
+	}
+	return b
 }
 
 // referenceCompute is Algorithm 1 over appendKey: features in first-seen

@@ -7,14 +7,16 @@ import (
 	"testing"
 
 	"gstored/internal/fragment"
+	"gstored/internal/key"
 	"gstored/internal/partition"
 	"gstored/internal/pool"
 	"gstored/internal/query"
+	"gstored/internal/rdf"
 	"gstored/internal/store"
 	"gstored/internal/workload"
 )
 
-// orderDigest is the sha256 over the Key() sequence Compute returns for
+// orderDigest is the sha256 over the pinnedKey sequence Compute returns for
 // every fragment of d in turn, first without an EdgeRank and then under
 // the rank the engine would send (the global plan's), at the given pool
 // width. Fragment and pass boundaries are part of the digest; n is the
@@ -38,13 +40,32 @@ func orderDigest(t *testing.T, d *fragment.Distributed, global *store.Store, q *
 			}
 			fmt.Fprintf(h, "F%d/%d:%d\n", f.ID, pass, len(ms))
 			for _, m := range ms {
-				h.Write([]byte(m.Key()))
+				h.Write(pinnedKey(q, m))
 				h.Write([]byte{'\n'})
 			}
 			n += len(ms)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8]), n
+}
+
+// pinnedKey is m's Key as it was when the digests below were captured:
+// EdgeVars one slot per query variable even without a label variable,
+// and the matched-edge mask between them and the crossing edges.
+func pinnedKey(q *query.Graph, m *Match) []byte {
+	evs := m.EdgeVars
+	if evs == nil {
+		evs = make([]rdf.TermID, len(q.Vars))
+	}
+	b := key.Int(nil, m.Frag)
+	b = key.Terms(b, m.Vec)
+	b = key.Terms(b, evs)
+	b = key.Uint64(b, matchedEdges(q, m))
+	b = key.Len(b, len(m.Crossing))
+	for _, c := range m.Crossing {
+		b = key.Term(key.Term(key.Term(key.Int(b, c.QEdge), c.S), c.P), c.O)
+	}
+	return b
 }
 
 // computeOrderPinned holds, per dataset/strategy/query, the digest of

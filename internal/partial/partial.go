@@ -8,6 +8,12 @@
 // and the shared step matches it. A match reachable from several of its
 // crossing edges is kept only under the first of them in seed order, so
 // each is built once and chunks of the seed list need no merge.
+//
+// A match is its serialization vector (Fig. 3), its edge-label bindings
+// and its sign: which query edges it matches, and which of those cross,
+// follow from them and the query (the rule is on Match). A site ships
+// only those fields, and Derive rebuilds the crossing edges at the
+// coordinator.
 package partial
 
 import (
@@ -15,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -44,52 +49,133 @@ type CrossEdge struct {
 
 // Match is one local partial match. Vec is the serialization vector
 // [f(v1), ..., f(vn)] with rdf.NoTerm as NULL, exactly as in Fig. 3.
+//
+// Frag, Vec, EdgeVars and Sign are the match; the rest is derived from
+// them and the query. A match is valid under Definition 5, so query edge
+// (u, p, w) is a crossing edge of it exactly when Vec[u] and Vec[w] are
+// both bound and exactly one of their Sign bits is set; its triple is
+// (Vec[u], p or EdgeVars[p's variable], Vec[w]). The edge is matched
+// exactly when both ends are bound and at least one Sign bit is set:
+// condition 5 forces every edge at an internal vertex. A site ships only
+// the four fields, and the coordinator rebuilds Crossing with Derive.
 type Match struct {
 	Frag int
 	Vec  []rdf.TermID
-	// EdgeVars binds edge-label variables (indexed by query variable
-	// index); rdf.NoTerm where unbound. Vertex variables live in Vec.
+	// EdgeVars binds edge-label variables, indexed by query variable
+	// index (rdf.NoTerm where unbound; vertex variables live in Vec). It
+	// is nil when the query has no edge-label variable.
 	EdgeVars []rdf.TermID
 	// Crossing lists the crossing edges contained in the match, sorted by
-	// (QEdge, S, P, O).
+	// (QEdge, S, P, O): the rule above, applied in query-edge order.
 	Crossing []CrossEdge
-	// MatchedEdges is a bitmask over query edges matched by this PM.
-	MatchedEdges uint64
 	// Sign is the LECSign bitstring: bit i set iff Vec[i] is an internal
 	// vertex of Frag (Definition 8 item 3).
 	Sign uint64
 }
 
 // Key returns a canonical identity for deduplication: fragment,
-// serialization vector, edge-variable bindings, matched edges and crossing
-// edge mappings (layout: package key).
+// serialization vector, edge-variable bindings and crossing edge mappings
+// (layout: package key).
 func (m *Match) Key() string {
 	var buf [192]byte // typical keys fit, so only string(b) allocates
 	b := key.Int(buf[:0], m.Frag)
 	b = key.Terms(b, m.Vec)
 	b = key.Terms(b, m.EdgeVars)
-	b = key.Uint64(b, m.MatchedEdges)
-	return string(AppendCrossing(b, m.Crossing))
-}
-
-// AppendCrossing appends the crossing-edge mappings cs to key b as one
-// length-prefixed section.
-func AppendCrossing(b []byte, cs []CrossEdge) []byte {
-	b = key.Len(b, len(cs))
-	for _, c := range cs {
+	b = key.Len(b, len(m.Crossing))
+	for _, c := range m.Crossing {
 		b = key.Int(b, c.QEdge)
 		b = key.Term(b, c.S)
 		b = key.Term(b, c.P)
 		b = key.Term(b, c.O)
 	}
-	return b
+	return string(b)
 }
 
 // EstimateBytes approximates the wire size of the match for data-shipment
-// accounting: 4 bytes per vector slot and edge-variable slot, 16 bytes per
-// crossing-edge mapping, plus a small header.
+// accounting: 4 bytes per vector slot and edge-variable slot plus a small
+// header — what a site ships. The crossing edges are derived, so they
+// cost nothing.
 func (m *Match) EstimateBytes() int {
-	return 8 + 4*len(m.Vec) + 4*len(m.EdgeVars) + 16*len(m.Crossing)
+	return 8 + 4*len(m.Vec) + 4*len(m.EdgeVars)
+}
+
+// crosses reports whether query edge e is a crossing edge of m by the
+// rule (see Match): both ends bound, exactly one of them internal.
+func crosses(m *Match, e query.Edge) bool {
+	s, o := m.Vec[e.From], m.Vec[e.To]
+	return s != rdf.NoTerm && o != rdf.NoTerm && (m.Sign>>uint(e.From)^m.Sign>>uint(e.To))&1 != 0
+}
+
+// appendCrossing appends m's crossing edges to dst in query-edge order,
+// which is (QEdge, S, P, O) order: a query edge has at most one.
+func appendCrossing(dst []CrossEdge, q *query.Graph, m *Match) []CrossEdge {
+	for i, e := range q.Edges {
+		if !crosses(m, e) {
+			continue
+		}
+		p := e.Label
+		if e.HasVarLabel() {
+			p = m.EdgeVars[e.LabelVar]
+		}
+		dst = append(dst, CrossEdge{QEdge: i, S: m.Vec[e.From], P: p, O: m.Vec[e.To]})
+	}
+	return dst
+}
+
+// hasLabelVar reports whether some edge of q has a variable label.
+func hasLabelVar(q *query.Graph) bool {
+	return slices.ContainsFunc(q.Edges, query.Edge.HasVarLabel)
+}
+
+// Derive fills the Crossing of every match in ms — a site's reply as it
+// came off the wire — from the rest of the match and q, carving the lists
+// from one allocation. The rule indexes Vec and EdgeVars by q, so it
+// first checks every match's shape against q: one that does not fit is
+// an error, and then no Crossing is filled.
+func Derive(q *query.Graph, ms []*Match) error {
+	labels := hasLabelVar(q)
+	n := 0
+	for i, m := range ms {
+		if err := checkShape(q, m, labels); err != nil {
+			return fmt.Errorf("partial: match %d of fragment %d: %w", i, m.Frag, err)
+		}
+		for _, e := range q.Edges {
+			if crosses(m, e) {
+				n++
+			}
+		}
+	}
+	slab := make([]CrossEdge, 0, n)
+	for _, m := range ms {
+		lo := len(slab)
+		slab = appendCrossing(slab, q, m)
+		if len(slab) > lo {
+			m.Crossing = slab[lo:len(slab):len(slab)]
+		}
+	}
+	return nil
+}
+
+// checkShape requires one Vec slot per query vertex, EdgeVars nil
+// exactly when q has no edge-label variable (labels) and one slot per
+// query variable otherwise, and no Sign bit past Vec or on a NULL slot.
+func checkShape(q *query.Graph, m *Match, labels bool) error {
+	switch {
+	case len(m.Vec) != len(q.Vertices):
+		return fmt.Errorf("vector of %d slots for %d query vertices", len(m.Vec), len(q.Vertices))
+	case !labels && m.EdgeVars != nil:
+		return fmt.Errorf("edge-label bindings for a query without a label variable")
+	case labels && len(m.EdgeVars) != len(q.Vars):
+		return fmt.Errorf("%d edge-label slots for %d query variables", len(m.EdgeVars), len(q.Vars))
+	case m.Sign>>uint(len(q.Vertices)) != 0:
+		return fmt.Errorf("sign %#x sets a bit past %d query vertices", m.Sign, len(q.Vertices))
+	}
+	for i, u := range m.Vec {
+		if u == rdf.NoTerm && m.Sign&(1<<uint(i)) != 0 {
+			return fmt.Errorf("sign marks NULL slot %d internal", i)
+		}
+	}
+	return nil
 }
 
 // IsComplete reports whether every query vertex is bound (no NULLs).
@@ -248,6 +334,7 @@ func enumerate(f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks [
 	for pos, qe := range seedOrder {
 		seedPos[qe] = pos
 	}
+	labels := hasLabelVar(q)
 	chunks := opts.Pool.Split(len(edges))
 	var stop atomic.Bool
 	var count atomic.Int64
@@ -256,6 +343,7 @@ func enumerate(f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks [
 		en := &enumerator{
 			Search: store.NewSearch(f.Store, q), f: f, q: q, opts: opts, edges: edges, masks: masks,
 			inc: inc, seedOrder: seedOrder, seedPos: seedPos, stop: &stop, count: &count,
+			labels: labels,
 		}
 		en.Admit = en.admit
 		en.Next = en.expand
@@ -306,6 +394,9 @@ type enumerator struct {
 	matches slab[Match]
 	terms   slab[rdf.TermID]
 	cross   slab[CrossEdge]
+
+	labels   bool        // q has an edge-label variable: matches carry EdgeVars
+	crossing []CrossEdge // the current candidate's crossing edges
 
 	steps uint
 	err   error
@@ -376,20 +467,17 @@ func (en *enumerator) expand() {
 // edge it contains reaches it: keeping it only under the first of them
 // in seed order keeps it exactly once, across chunks too.
 func (en *enumerator) finalize() {
+	cur := Match{Vec: en.Vertex, EdgeVars: en.EdgeVar}
+	for i, u := range en.Vertex {
+		if u != rdf.NoTerm && en.f.IsInternal(u) {
+			cur.Sign |= 1 << uint(i)
+		}
+	}
+	en.crossing = appendCrossing(en.crossing[:0], en.q, &cur)
 	first := en.seedPos[en.seedQE]
-	var matched, crossing uint64
-	for i, e := range en.q.Edges {
-		if en.Label[i] == rdf.NoTerm {
-			continue
-		}
-		matched |= 1 << uint(i)
-		s, o := en.Vertex[e.From], en.Vertex[e.To]
-		if !en.f.IsCrossing(s, o) {
-			continue
-		}
-		crossing |= 1 << uint(i)
-		t := rdf.Triple{S: s, P: en.Label[i], O: o}
-		if t.Less(en.seedT) || (t == en.seedT && en.seedPos[i] < first) {
+	for _, c := range en.crossing {
+		t := rdf.Triple{S: c.S, P: c.P, O: c.O}
+		if t.Less(en.seedT) || (t == en.seedT && en.seedPos[c.QEdge] < first) {
 			return
 		}
 	}
@@ -399,24 +487,15 @@ func (en *enumerator) finalize() {
 		return
 	}
 	m := &en.matches.take(1)[0]
-	m.Frag, m.MatchedEdges = en.f.ID, matched
+	m.Frag, m.Sign = en.f.ID, cur.Sign
 	m.Vec = en.terms.take(len(en.Vertex))
 	copy(m.Vec, en.Vertex)
-	m.EdgeVars = en.terms.take(len(en.EdgeVar))
-	copy(m.EdgeVars, en.EdgeVar)
-	m.Crossing = en.cross.take(bits.OnesCount64(crossing))[:0]
-	// Query edges in index order, at most one crossing edge each: Crossing
-	// comes out sorted by (QEdge, S, P, O).
-	for i, e := range en.q.Edges {
-		if crossing&(1<<uint(i)) != 0 {
-			m.Crossing = append(m.Crossing, CrossEdge{QEdge: i, S: en.Vertex[e.From], P: en.Label[i], O: en.Vertex[e.To]})
-		}
+	if en.labels {
+		m.EdgeVars = en.terms.take(len(en.EdgeVar))
+		copy(m.EdgeVars, en.EdgeVar)
 	}
-	for i, u := range m.Vec {
-		if u != rdf.NoTerm && en.f.IsInternal(u) {
-			m.Sign |= 1 << uint(i)
-		}
-	}
+	m.Crossing = en.cross.take(len(en.crossing))
+	copy(m.Crossing, en.crossing)
 	en.out = append(en.out, m)
 }
 

@@ -309,7 +309,10 @@ func definitionMatches(f *fragment.Fragment, q *query.Graph) []string {
 	evs := make([]rdf.TermID, len(q.Vars))
 	var keys []string
 	check := func() {
-		m := &Match{Frag: f.ID, Vec: slices.Clone(vec), EdgeVars: slices.Clone(evs)}
+		m := &Match{Frag: f.ID, Vec: slices.Clone(vec)}
+		if len(labelVars) > 0 {
+			m.EdgeVars = slices.Clone(evs)
+		}
 		type slot struct {
 			from, to int
 			p        rdf.TermID
@@ -326,7 +329,6 @@ func definitionMatches(f *fragment.Fragment, q *query.Graph) []string {
 				p = evs[e.LabelVar]
 				bound[e.LabelVar] = true
 			}
-			m.MatchedEdges |= 1 << uint(i)
 			if f.IsCrossing(s, o) {
 				m.Crossing = append(m.Crossing, CrossEdge{QEdge: i, S: s, P: p, O: o})
 			}
@@ -396,11 +398,23 @@ func checkAgainstDefinition(f *fragment.Fragment, q *query.Graph, widths ...int)
 		}
 	}
 	keys := make([]string, len(seq))
+	shipped := make([]*Match, len(seq))
 	for i, m := range seq {
 		if err := Verify(f, q, m); err != nil {
 			return 0, fmt.Errorf("F%d: %v fails Definition 5: %v", f.ID, m.Vec, err)
 		}
 		keys[i] = m.Key()
+		shipped[i] = &Match{Frag: m.Frag, Vec: m.Vec, EdgeVars: m.EdgeVars, Sign: m.Sign}
+	}
+	// What the coordinator derives from the shipped fields is what the
+	// enumerator built.
+	if err := Derive(q, shipped); err != nil {
+		return 0, fmt.Errorf("F%d: %v", f.ID, err)
+	}
+	for i, m := range shipped {
+		if !reflect.DeepEqual(m, seq[i]) {
+			return 0, fmt.Errorf("F%d: Derive gives %v, Compute %v", f.ID, m.Crossing, seq[i].Crossing)
+		}
 	}
 	sort.Strings(keys)
 	if !slices.Equal(keys, want) {

@@ -11,11 +11,22 @@ import (
 // Verify checks a Match against the six conditions of Definition 5 plus
 // the structural bookkeeping (Sign, Crossing, connectivity). It is an
 // independent oracle for property tests: Compute must only emit matches
-// Verify accepts.
+// Verify accepts. The matched edges are those matchedEdges derives.
 func Verify(f *fragment.Fragment, q *query.Graph, m *Match) error {
 	if len(m.Vec) != len(q.Vertices) {
 		return fmt.Errorf("vector length %d != %d query vertices", len(m.Vec), len(q.Vertices))
 	}
+	// Sign bookkeeping first: the matched edges are derived from it.
+	var sign uint64
+	for i, u := range m.Vec {
+		if u != rdf.NoTerm && f.IsInternal(u) {
+			sign |= 1 << uint(i)
+		}
+	}
+	if sign != m.Sign {
+		return fmt.Errorf("sign %b recorded, %b computed", m.Sign, sign)
+	}
+	matched := matchedEdges(q, m)
 	// Condition 1 (constants) and 2 (variables) on every binding.
 	for i, u := range m.Vec {
 		v := q.Vertices[i]
@@ -32,7 +43,7 @@ func Verify(f *fragment.Fragment, q *query.Graph, m *Match) error {
 	// Condition 3 per edge, plus matched-edge existence in the fragment.
 	for i, e := range q.Edges {
 		fu, fw := m.Vec[e.From], m.Vec[e.To]
-		if m.MatchedEdges&(1<<uint(i)) != 0 {
+		if matched&(1<<uint(i)) != 0 {
 			if fu == rdf.NoTerm || fw == rdf.NoTerm {
 				return fmt.Errorf("edge %d marked matched with NULL endpoint", i)
 			}
@@ -72,7 +83,7 @@ func Verify(f *fragment.Fragment, q *query.Graph, m *Match) error {
 			continue
 		}
 		for i, e := range q.Edges {
-			if (e.From == qv || e.To == qv) && m.MatchedEdges&(1<<uint(i)) == 0 {
+			if (e.From == qv || e.To == qv) && matched&(1<<uint(i)) == 0 {
 				return fmt.Errorf("internal v%d has unmatched incident edge %d", qv+1, i)
 			}
 		}
@@ -83,18 +94,8 @@ func Verify(f *fragment.Fragment, q *query.Graph, m *Match) error {
 		return err
 	}
 	// PM subgraph connectivity (Definition 5 requires PM connected).
-	if err := checkMatchedConnectivity(q, m); err != nil {
+	if err := checkMatchedConnectivity(q, matched, m); err != nil {
 		return err
-	}
-	// Sign bookkeeping.
-	var sign uint64
-	for i, u := range m.Vec {
-		if u != rdf.NoTerm && f.IsInternal(u) {
-			sign |= 1 << uint(i)
-		}
-	}
-	if sign != m.Sign {
-		return fmt.Errorf("sign %b recorded, %b computed", m.Sign, sign)
 	}
 	return nil
 }
@@ -145,12 +146,12 @@ func checkInternalConnectivity(f *fragment.Fragment, q *query.Graph, m *Match) e
 	return nil
 }
 
-func checkMatchedConnectivity(q *query.Graph, m *Match) error {
+func checkMatchedConnectivity(q *query.Graph, matched uint64, m *Match) error {
 	// Vertices participating in matched edges must form one connected
 	// component through matched edges, and only they are bound.
 	part := make(map[int]bool)
 	for i, e := range q.Edges {
-		if m.MatchedEdges&(1<<uint(i)) != 0 {
+		if matched&(1<<uint(i)) != 0 {
 			part[e.From] = true
 			part[e.To] = true
 		}
@@ -174,7 +175,7 @@ func checkMatchedConnectivity(q *query.Graph, m *Match) error {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for i, e := range q.Edges {
-			if m.MatchedEdges&(1<<uint(i)) == 0 {
+			if matched&(1<<uint(i)) == 0 {
 				continue
 			}
 			var w int
@@ -196,4 +197,16 @@ func checkMatchedConnectivity(q *query.Graph, m *Match) error {
 		return fmt.Errorf("matched subgraph disconnected")
 	}
 	return nil
+}
+
+// matchedEdges is the mask of query edges m matches, by the rule (see
+// Match): both ends bound and at least one of their Sign bits set.
+func matchedEdges(q *query.Graph, m *Match) uint64 {
+	var mask uint64
+	for i, e := range q.Edges {
+		if m.Vec[e.From] != rdf.NoTerm && m.Vec[e.To] != rdf.NoTerm && (m.Sign>>uint(e.From)|m.Sign>>uint(e.To))&1 != 0 {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
 }

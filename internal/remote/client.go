@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gstored/internal/cluster"
+	"gstored/internal/partial"
 	"gstored/internal/rdf"
 )
 
@@ -253,7 +254,10 @@ func (s *Site) Candidates(ctx context.Context, req cluster.CandidatesRequest) (c
 }
 
 // PartialEval implements cluster.Site. The request's Pool does not
-// travel — the worker evaluates on its own pool.
+// travel — the worker evaluates on its own pool. A partial match arrives
+// without its crossing edges, and partial.Derive rebuilds them from the
+// query once it has checked the match's shape: a reply that does not fit
+// the query fails the call.
 func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit func(row []rdf.TermID) bool) (cluster.PartialReply, error) {
 	delivered := 0
 	resp, m, err := s.call(ctx, &request{
@@ -266,6 +270,8 @@ func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit
 		// deadline, without the final frame's count: the rows it handed
 		// to emit were matched all the same.
 		resp.LocalMatches = delivered
+	} else if err = partial.Derive(req.Query, resp.Matches); err != nil {
+		err = fmt.Errorf("remote: site %d (%s): %w", s.id, s.link.addr, err)
 	}
 	return cluster.PartialReply{LocalMatches: resp.LocalMatches, Matches: resp.Matches, Meter: m}, err
 }

@@ -23,11 +23,10 @@ import (
 // the presence of an optional field are bits of one flags byte; the two
 // durations are fixed 8 bytes, so a frame's size does not depend on how
 // long anything took. Row batches and partial matches also carry their
-// total term and crossing-edge counts up front, which is what lets the
-// decoder make one allocation per element type and carve the rows and
-// vectors out of it. A value has one encoding: flags have no spare bits,
-// totals must add up, placeholder IDs increase strictly, nothing follows
-// the last field.
+// total term count up front, which is what lets the decoder make one
+// allocation and carve the rows and vectors out of it. A value has one
+// encoding: flags have no spare bits, totals must add up, placeholder IDs
+// increase strictly, nothing follows the last field.
 //
 // Decoding reads a socket, so it trusts nothing (varint.Reader): a count
 // buys an allocation only after it has been checked against the bytes
@@ -36,7 +35,7 @@ import (
 // wireVersion is bumped by any change to the encoding; it travels in the
 // tag byte so that builds which disagree fail the call by name instead of
 // misreading each other.
-const wireVersion = 3
+const wireVersion = 4
 
 const (
 	tagRequest  = wireVersion << 1
@@ -474,32 +473,21 @@ func (p *response) decode(body []byte) error {
 	return r.Done()
 }
 
-// A match takes at least six bytes (Frag, three lengths, MatchedEdges,
-// Sign) and a crossing edge four.
-const (
-	minMatch = 6
-	minCross = 4
-)
+// A match takes at least four bytes: Frag, two lengths and Sign. Its
+// crossing edges do not travel; the client derives them (partial.Derive).
+const minMatch = 4
 
 func appendMatches(b []byte, ms []*partial.Match) []byte {
-	terms, cross := 0, 0
+	terms := 0
 	for _, m := range ms {
 		terms += len(m.Vec) + len(m.EdgeVars)
-		cross += len(m.Crossing)
 	}
 	b = varint.AppendInt(b, len(ms))
 	b = varint.AppendInt(b, terms)
-	b = varint.AppendInt(b, cross)
 	for _, m := range ms {
 		b = varint.AppendInt(b, m.Frag)
 		b = appendTerms(b, m.Vec)
 		b = appendTerms(b, m.EdgeVars)
-		b = varint.AppendInt(b, len(m.Crossing))
-		for _, c := range m.Crossing {
-			b = varint.AppendInt(b, c.QEdge)
-			b = appendTerm(appendTerm(appendTerm(b, c.S), c.P), c.O)
-		}
-		b = varint.Append(b, m.MatchedEdges)
 		b = varint.Append(b, m.Sign)
 	}
 	return b
@@ -508,7 +496,6 @@ func appendMatches(b []byte, ms []*partial.Match) []byte {
 func cutMatches(r *varint.Reader) []*partial.Match {
 	n := r.Count(minMatch)
 	terms := newSlab[rdf.TermID](r, 1)
-	cross := newSlab[partial.CrossEdge](r, minCross)
 	ms := make([]partial.Match, n)
 	var out []*partial.Match
 	if n > 0 {
@@ -519,15 +506,9 @@ func cutMatches(r *varint.Reader) []*partial.Match {
 		m.Frag = r.Int()
 		m.Vec = cutTerms(r, &terms)
 		m.EdgeVars = cutTerms(r, &terms)
-		m.Crossing = cross.carve(r)
-		for j := range m.Crossing {
-			m.Crossing[j] = partial.CrossEdge{QEdge: r.Int(), S: cutTerm(r), P: cutTerm(r), O: cutTerm(r)}
-		}
-		m.MatchedEdges = r.Uvarint()
 		m.Sign = r.Uvarint()
 		out[i] = m
 	}
 	terms.spent(r)
-	cross.spent(r)
 	return out
 }

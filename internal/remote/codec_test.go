@@ -64,16 +64,8 @@ func fullVectors(t testing.TB) *candidates.SiteVectors {
 
 func twoMatches() []*partial.Match {
 	return []*partial.Match{
-		{
-			Frag: 2, Vec: []rdf.TermID{17, rdf.NoTerm, 300}, EdgeVars: []rdf.TermID{rdf.NoTerm, 9, rdf.NoTerm},
-			Crossing:     []partial.CrossEdge{{QEdge: 1, S: 300, P: 9, O: 17}},
-			MatchedEdges: 0b10, Sign: 0b001,
-		},
-		{
-			Frag: 2, Vec: []rdf.TermID{17, 70000, 301},
-			Crossing:     []partial.CrossEdge{{QEdge: 0, S: 17, P: 9, O: 70000}, {QEdge: 1, S: 301, P: 4, O: 17}},
-			MatchedEdges: math.MaxUint64, Sign: 1 << 63,
-		},
+		{Frag: 2, Vec: []rdf.TermID{17, rdf.NoTerm, 300}, EdgeVars: []rdf.TermID{rdf.NoTerm, 9, rdf.NoTerm}, Sign: 0b001},
+		{Frag: 2, Vec: []rdf.TermID{17, 70000, 301}, Sign: 1 << 63},
 	}
 }
 
@@ -281,14 +273,14 @@ func TestDecodeRejects(t *testing.T) {
 	if err := new(response).decode(resp); err != nil {
 		t.Fatal(err)
 	}
-	// The totals sit right after the match count: tag, flags, rows (2
-	// bytes), LocalMatches, count.
+	// The terms total sits right after the match count: tag, flags, rows
+	// (2 bytes), LocalMatches, count.
 	const totals = 6
 	for name, edit := range map[string]func(b []byte){
-		"terms total too small":  func(b []byte) { b[totals]-- },
-		"terms total too large":  func(b []byte) { b[totals]++ },
-		"crossing total too big": func(b []byte) { b[totals+1]++ },
-		"unknown error kind":     func(b []byte) { b[len(b)-3] = byte(numErrKinds) },
+		"terms total too small": func(b []byte) { b[totals]-- },
+		"terms total too large": func(b []byte) { b[totals]++ },
+		"match count too large": func(b []byte) { b[totals-1]++ },
+		"unknown error kind":    func(b []byte) { b[len(b)-3] = byte(numErrKinds) },
 	} {
 		body := bytes.Clone(resp)
 		edit(body)
@@ -442,11 +434,7 @@ func (g *gen) response(t testing.TB) *response {
 		p.Vectors = g.vectors(t)
 	}
 	for i := g.n(3); i > 0; i-- {
-		m := &partial.Match{Frag: g.int(), Vec: g.terms(), EdgeVars: g.terms(), MatchedEdges: g.u64(), Sign: g.u64()}
-		for j := g.n(2); j > 0; j-- {
-			m.Crossing = append(m.Crossing, partial.CrossEdge{QEdge: g.int(), S: g.term(), P: g.term(), O: g.term()})
-		}
-		p.Matches = append(p.Matches, m)
+		p.Matches = append(p.Matches, &partial.Match{Frag: g.int(), Vec: g.terms(), EdgeVars: g.terms(), Sign: g.u64()})
 	}
 	return p
 }

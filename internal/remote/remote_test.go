@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,8 +22,11 @@ import (
 	"gstored/internal/fragment"
 	"gstored/internal/paperexample"
 	"gstored/internal/partial"
+	"gstored/internal/partition"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
+	"gstored/internal/store"
+	"gstored/internal/workload"
 )
 
 // startWorker runs a worker on a loopback listener and tears it down
@@ -189,8 +193,11 @@ func TestErrKindRoundTrip(t *testing.T) {
 
 // TestRemoteSiteMatchesLocalSite pins the RPC implementation against the
 // in-process oracle on the paper's worked example: candidates, partial
-// evaluation (streamed rows and gathered matches), stats, epochs.
+// evaluation (streamed rows and gathered matches), stats, epochs. Then,
+// on LUBM(1) over four hash sites, the partial matches of LQ1–LQ7 and of
+// a query with an edge-label variable.
 func TestRemoteSiteMatchesLocalSite(t *testing.T) {
+	t.Run("LUBM1/hash/4", remoteLUBMMatchesLocal)
 	ex := paperexample.New()
 	d, err := fragment.Build(ex.Store, ex.Assignment)
 	if err != nil {
@@ -228,33 +235,9 @@ func TestRemoteSiteMatchesLocalSite(t *testing.T) {
 			t.Errorf("site %d candidate vectors diverged", i)
 		}
 
-		var wantRows, gotRows []string
-		wantP, err := oracle.PartialEval(ctx, cluster.PartialRequest{Query: q}, func(row []rdf.TermID) bool {
-			wantRows = append(wantRows, fmt.Sprint(row))
-			return true
-		})
+		gotP, err := samePartial(ctx, oracle, s, cluster.PartialRequest{Query: q})
 		if err != nil {
-			t.Fatal(err)
-		}
-		gotP, err := s.PartialEval(ctx, cluster.PartialRequest{Query: q}, func(row []rdf.TermID) bool {
-			gotRows = append(gotRows, fmt.Sprint(row))
-			return true
-		})
-		if err != nil {
-			t.Fatalf("site %d partial: %v", i, err)
-		}
-		sort.Strings(wantRows)
-		sort.Strings(gotRows)
-		if fmt.Sprint(wantRows) != fmt.Sprint(gotRows) {
-			t.Errorf("site %d streamed rows diverged: %v vs %v", i, gotRows, wantRows)
-		}
-		if gotP.LocalMatches != wantP.LocalMatches {
-			t.Errorf("site %d local matches = %d, want %d", i, gotP.LocalMatches, wantP.LocalMatches)
-		}
-		wantKeys := matchKeys(wantP.Matches)
-		gotKeys := matchKeys(gotP.Matches)
-		if fmt.Sprint(wantKeys) != fmt.Sprint(gotKeys) {
-			t.Errorf("site %d partial matches diverged", i)
+			t.Errorf("site %d: %v", i, err)
 		}
 		if gotP.Wire <= 0 {
 			t.Errorf("site %d partial wire = %d", i, gotP.Wire)
@@ -270,13 +253,167 @@ func TestRemoteSiteMatchesLocalSite(t *testing.T) {
 	}
 }
 
-func matchKeys(ms []*partial.Match) []string {
-	keys := make([]string, len(ms))
-	for i, m := range ms {
-		keys[i] = m.Key()
+// samePartial runs req on oracle and on s and reports how s's reply
+// differs: the streamed rows as a set, the local-match count, and the
+// partial matches deep-equal and in order — so a crossing list derived
+// after decoding must be the one the enumerator built, and an EdgeVars
+// the query has no label variable for must be nil on both sides.
+func samePartial(ctx context.Context, oracle, s cluster.Site, req cluster.PartialRequest) (cluster.PartialReply, error) {
+	var wantRows, gotRows []string
+	want, err := oracle.PartialEval(ctx, req, func(row []rdf.TermID) bool {
+		wantRows = append(wantRows, fmt.Sprint(row))
+		return true
+	})
+	if err != nil {
+		return want, fmt.Errorf("in process: %w", err)
 	}
-	sort.Strings(keys)
-	return keys
+	got, err := s.PartialEval(ctx, req, func(row []rdf.TermID) bool {
+		gotRows = append(gotRows, fmt.Sprint(row))
+		return true
+	})
+	if err != nil {
+		return got, fmt.Errorf("remote: %w", err)
+	}
+	sort.Strings(wantRows)
+	sort.Strings(gotRows)
+	switch {
+	case !slices.Equal(wantRows, gotRows):
+		return got, fmt.Errorf("streamed rows diverged: %v vs %v", gotRows, wantRows)
+	case got.LocalMatches != want.LocalMatches:
+		return got, fmt.Errorf("local matches = %d, want %d", got.LocalMatches, want.LocalMatches)
+	case len(got.Matches) != len(want.Matches):
+		return got, fmt.Errorf("%d partial matches, want %d", len(got.Matches), len(want.Matches))
+	}
+	for k, m := range got.Matches {
+		if !reflect.DeepEqual(m, want.Matches[k]) {
+			return got, fmt.Errorf("partial match %d = %+v, want %+v", k, *m, *want.Matches[k])
+		}
+	}
+	return got, nil
+}
+
+// remoteLUBMMatchesLocal: on LUBM(1) over four hash sites, a loopback
+// worker's partial matches — the crossing lists rebuilt from the shipped
+// vector and sign — equal the in-process site's for LQ1–LQ7 and for a
+// query with an edge-label variable.
+func remoteLUBMMatchesLocal(t *testing.T) {
+	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 1, Seed: 7})
+	global := store.FromGraph(ds.Graph)
+	d, err := fragment.BuildWith(global, partition.Hash{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startWorker(t)
+	c, err := Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sites := deploy(t, c, d, 1)
+	queries := append(slices.Clone(ds.Queries), workload.BenchQuery{
+		Name:   "label variable",
+		SPARQL: `SELECT ?x ?p ?y ?z WHERE { ?x ?p ?y . ?y <` + workload.LubmWorksFor + `> ?z }`,
+	})
+	ctx := context.Background()
+	for _, bq := range queries {
+		q, err := bq.Parse(ds.Graph.Dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pms, labels := 0, 0
+		for i, s := range sites {
+			oracle := cluster.NewLocalSite(i, d.Fragments[i], 1)
+			rep, err := samePartial(ctx, oracle, s, cluster.PartialRequest{Query: q})
+			if err != nil {
+				t.Errorf("%s, site %d: %v", bq.Name, i, err)
+			}
+			pms += len(rep.Matches)
+			for _, m := range rep.Matches {
+				if m.EdgeVars != nil {
+					labels++
+				}
+			}
+		}
+		t.Logf("%s: %d partial matches", bq.Name, pms)
+		if wantLabels := len(q.EdgeVars()) > 0; wantLabels && labels == 0 && pms > 0 {
+			t.Errorf("%s: no partial match carries its edge-label binding", bq.Name)
+		}
+	}
+}
+
+// TestMalformedMatchIsAnError: a scripted peer that speaks the frame
+// codec answers a partial request with a match that does not fit the
+// query — its vector one slot short, a sign bit past the vector, or
+// edge-label bindings for a query without a label variable. Each call
+// fails with an error instead of indexing out of range; the match as the
+// site built it derives its crossing edges.
+func TestMalformedMatchIsAnError(t *testing.T) {
+	ex := paperexample.New()
+	d, err := fragment.Build(ex.Store, ex.Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ex.Query
+	ctx := context.Background()
+	want, err := cluster.NewLocalSite(0, d.Fragments[0], 1).PartialEval(ctx, cluster.PartialRequest{Query: q}, func([]rdf.TermID) bool { return true })
+	if err != nil || len(want.Matches) == 0 {
+		t.Fatalf("in process: %d partial matches, %v", len(want.Matches), err)
+	}
+	good := want.Matches[0]
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var reply atomic.Pointer[partial.Match]
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			peer := &conn{Conn: nc}
+			for {
+				if _, _, err := peer.recv(); err != nil {
+					break
+				}
+				if _, err := peer.send(&response{Done: true, Matches: []*partial.Match{reply.Load()}}); err != nil {
+					break
+				}
+			}
+			nc.Close()
+		}
+	}()
+	coord, err := Connect(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	site := coord.NewSite(0)
+	call := func(m partial.Match) (cluster.PartialReply, error) {
+		m.Crossing = nil // does not travel
+		reply.Store(&m)
+		return site.PartialEval(ctx, cluster.PartialRequest{Query: q}, func([]rdf.TermID) bool { return true })
+	}
+
+	got, err := call(*good)
+	if err != nil || len(got.Matches) != 1 || !reflect.DeepEqual(got.Matches[0], good) {
+		t.Fatalf("the site's own match came back as %+v, %v; want %+v", got.Matches, err, good)
+	}
+	for name, edit := range map[string]func(m *partial.Match){
+		"vector one short":     func(m *partial.Match) { m.Vec = m.Vec[:len(m.Vec)-1] },
+		"sign past the vector": func(m *partial.Match) { m.Sign |= 1 << uint(len(q.Vertices)) },
+		"edge-label bindings without a label variable": func(m *partial.Match) {
+			m.EdgeVars = make([]rdf.TermID, len(q.Vars))
+		},
+	} {
+		m := *good
+		edit(&m)
+		if _, err := call(m); err == nil || !strings.Contains(err.Error(), "partial: match 0 of fragment") {
+			t.Errorf("%s: the call returned %v, want the shape check's error", name, err)
+		}
+	}
 }
 
 // TestSwapStateMachine drives the worker's install: calls naming a
