@@ -92,6 +92,11 @@ const (
 	ModeFull  = engine.Full  // + internal-candidate sets
 )
 
+// ErrBudget fails a query that would hold more rows and partial matches
+// at the coordinator than the engine's fixed budget allows: the query
+// stops instead of exhausting memory.
+var ErrBudget = engine.ErrBudget
+
 // Term constructors.
 var (
 	// IRI returns an IRI term.
@@ -127,8 +132,6 @@ type Config struct {
 	// Mode is the engine optimization level; the zero value runs the full
 	// system (ModeFull).
 	Mode Mode
-	// MaxPartialMatches aborts runaway queries (0 = unlimited).
-	MaxPartialMatches int
 	// EvalWorkers bounds each query execution's evaluation worker pool
 	// (0 = GOMAXPROCS; 1 = fully sequential evaluation).
 	EvalWorkers int
@@ -712,11 +715,7 @@ func (db *DB) QueryGraphStreamContext(ctx context.Context, q *QueryGraph, emit f
 // engineConfig is the engine configuration every query entry point runs
 // under.
 func (db *DB) engineConfig(mode Mode) engine.Config {
-	return engine.Config{
-		Mode:              mode,
-		MaxPartialMatches: db.cfg.MaxPartialMatches,
-		EvalWorkers:       db.cfg.EvalWorkers,
-	}
+	return engine.Config{Mode: mode, EvalWorkers: db.cfg.EvalWorkers}
 }
 
 // Mode reports the engine mode queries run under: the configured mode,

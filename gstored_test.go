@@ -3,7 +3,7 @@ package gstored
 import (
 	"bytes"
 	"context"
-	"strings"
+	"slices"
 	"testing"
 )
 
@@ -75,20 +75,15 @@ func TestQueryModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want string
-	for _, mode := range []Mode{ModeBasic, ModeLA, ModeLO, ModeFull} {
+	var want []Row
+	for i, mode := range []Mode{ModeBasic, ModeLA, ModeLO, ModeFull} {
 		res, err := queryMode(db, bq.SPARQL, mode)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		keys := make([]string, 0, len(res.Rows))
-		for _, r := range res.Rows {
-			keys = append(keys, r.Key())
-		}
-		got := strings.Join(keys, ";")
-		if want == "" {
-			want = got
-		} else if got != want {
+		if i == 0 {
+			want = res.Rows
+		} else if !slices.EqualFunc(res.Rows, want, slices.Equal[Row]) {
 			t.Errorf("%v disagrees with other modes", mode)
 		}
 	}

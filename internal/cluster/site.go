@@ -116,8 +116,6 @@ type PartialRequest struct {
 	// Union is the broadcast candidate-set union (Full mode); the
 	// site derives its extended-vertex filter from it. Nil below Full.
 	Union *candidates.SiteVectors
-	// MaxMatches aborts runaway partial evaluations (0 = no limit).
-	MaxMatches int
 	// Pool is the coordinator's per-execution evaluation pool. It cannot
 	// cross the wire: in-process sites run their stages on it, remote
 	// sites ignore it and size their own pool from the worker's
@@ -258,7 +256,6 @@ func (s *LocalSite) PartialEval(ctx context.Context, req PartialRequest, emit fu
 	}
 	pms, err := partial.Compute(frag, req.Query, partial.Options{
 		ExtendedFilter: ef,
-		MaxMatches:     req.MaxMatches,
 		Cancel:         cancel,
 		EdgeRank:       req.EdgeRank,
 		Pool:           req.Pool,

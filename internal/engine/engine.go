@@ -21,9 +21,11 @@ package engine
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gstored/internal/assembly"
@@ -75,8 +77,6 @@ func (m Mode) String() string {
 // Config tunes Execute.
 type Config struct {
 	Mode Mode
-	// MaxPartialMatches aborts runaway partial evaluations (0 = no limit).
-	MaxPartialMatches int
 	// EvalWorkers bounds the per-execution worker pool that evaluates
 	// site stages and intra-fragment seed chunks (0 = GOMAXPROCS). 1
 	// runs every stage sequentially in site order — the oracle the
@@ -86,12 +86,6 @@ type Config struct {
 
 // Row is one result row: bindings indexed by query variable.
 type Row []rdf.TermID
-
-// Key canonically identifies a row (layout: package key).
-func (r Row) Key() string {
-	var buf [64]byte
-	return string(key.Terms(buf[:0], r))
-}
 
 // Stage is one column group of the paper's Tables I–III, in pipeline
 // order. This is the only declaration of the stage list: Stats.Stages is
@@ -296,6 +290,9 @@ type Engine struct {
 	// keeps it in both modes: it plans against the global cardinality
 	// table.
 	graph *fragment.Distributed
+	// budget is the bytes one execution may hold (see holding):
+	// heldBudget, lowered only by tests.
+	budget int64
 }
 
 // New builds an engine over a distributed graph served by in-process
@@ -309,7 +306,79 @@ func New(d *fragment.Distributed) *Engine {
 // sites are RPC clients. Sites must be ordered by ID, one per fragment
 // of d.
 func NewWithSites(d *fragment.Distributed, sites []cluster.Site) *Engine {
-	return &Engine{sites: sites, graph: d}
+	return &Engine{sites: sites, graph: d, budget: heldBudget}
+}
+
+// ErrBudget fails an execution that would hold more than its budget.
+var ErrBudget = errors.New("engine: query holds more data than its budget")
+
+// heldBudget caps what one execution holds at the coordinator: the
+// ordered sink's collected rows, a disconnected query's component rows
+// and intermediate products, and the partial matches stage 1 gathers.
+// The largest holding measured, the 15.6 MB of the LUBM(1) four-way
+// cross product of 168,885 rows, has 4.3x headroom under it.
+const heldBudget = 64 << 20
+
+// rowOverhead is what holding a row or a match costs beyond its 4-byte
+// TermID slots: the 24-byte slice header that indexes it and 8 bytes of
+// allocation rounding.
+const rowOverhead = 32
+
+// holding meters what one execution holds against the engine's budget.
+// Charges only add: a holding is the sum of everything the execution
+// collected, released or not. The charge that crosses the budget cancels
+// ctx with ErrBudget as its cause, and every stage polls ctx, so local
+// sites, remote sites and assembly all stop.
+type holding struct {
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	budget int64
+	held   atomic.Int64
+}
+
+// hold derives an execution's context and its holding from ctx; the
+// caller cancels it (h.cancel(nil)) once the execution is over.
+func (e *Engine) hold(ctx context.Context) *holding {
+	h := &holding{budget: e.budget}
+	h.ctx, h.cancel = context.WithCancelCause(ctx)
+	return h
+}
+
+// charge adds rows held rows of slots TermID slots in all, and reports
+// whether the holding is still within its budget.
+func (h *holding) charge(rows, slots int) bool {
+	if h.held.Add(int64(rowOverhead*rows+4*slots)) <= h.budget {
+		return true
+	}
+	h.cancel(ErrBudget)
+	return false
+}
+
+// err is what an execution under h ends with, given run's err: ErrBudget
+// once the budget canceled it, else the parent context's timeout or
+// disconnect, which outranks the site error it caused, else err.
+func (h *holding) err(parent context.Context, err error) error {
+	if context.Cause(h.ctx) == ErrBudget {
+		return ErrBudget
+	}
+	if perr := parent.Err(); err != nil && perr != nil {
+		return perr
+	}
+	return err
+}
+
+// collector is a sink that keeps every row it is handed, charged to h.
+type collector struct {
+	h    *holding
+	mu   sync.Mutex
+	rows []Row
+}
+
+func (c *collector) push(r Row) bool {
+	c.mu.Lock()
+	c.rows = append(c.rows, r)
+	c.mu.Unlock()
+	return c.h.charge(1, len(r))
 }
 
 // Execute runs q under cfg and returns all matches with per-stage
@@ -322,7 +391,8 @@ func (e *Engine) Execute(q *query.Graph, cfg Config) (*Result, error) {
 
 // ExecuteContext is Execute with cooperative cancellation: when ctx is
 // canceled or times out, the distributed stages stop promptly and the
-// context's error is returned.
+// context's error is returned. An execution that would hold more than
+// the engine's budget stops the same way and returns ErrBudget.
 //
 // Ordered delivery is a collecting sink over run: every row is
 // materialized (sites emit concurrently), sorted canonically — numeric
@@ -331,19 +401,15 @@ func (e *Engine) Execute(q *query.Graph, cfg Config) (*Result, error) {
 // output, no early termination.
 func (e *Engine) ExecuteContext(ctx context.Context, q *query.Graph, cfg Config) (*Result, error) {
 	start := time.Now()
-	var mu sync.Mutex
-	var rows []Row
-	stats, err := e.run(ctx, q, cfg, func(r Row) bool {
-		mu.Lock()
-		rows = append(rows, r)
-		mu.Unlock()
-		return true
-	})
-	if err != nil {
+	h := e.hold(ctx)
+	defer h.cancel(nil)
+	c := &collector{h: h}
+	stats, err := e.run(h, q, cfg, c.push)
+	if err := h.err(ctx, err); err != nil {
 		return nil, err
 	}
-	sortRows(rows)
-	rows = replay(q, rows)
+	sortRows(c.rows)
+	rows := replay(q, c.rows)
 	stats.NumMatches = len(rows)
 	stats.TotalTime = time.Since(start)
 	return &Result{Query: q, Rows: rows, Stats: stats}, nil
@@ -352,11 +418,12 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *query.Graph, cfg Config)
 // ExecuteStream runs q in unordered first-row-early delivery mode: every
 // match flows to emit as it is produced — local matches and assembled
 // crossing matches alike — with no terminal sort and no materialized row
-// set. Rows passed to emit are restricted to the SELECT projection and
-// reuse one buffer between calls; consumers that retain a row must copy
-// it. Solution modifiers apply at the projection boundary: DISTINCT
-// deduplicates through a hash set (order-insensitive), OFFSET skips, and
-// once LIMIT rows have been emitted the execution context is cancelled so
+// set; what the execution does hold is charged to the budget, as under
+// ExecuteContext. Rows passed to emit are restricted to the SELECT
+// projection and reuse one buffer between calls; consumers that retain a
+// row must copy it. Solution modifiers apply at the projection boundary:
+// DISTINCT deduplicates through a hash set (order-insensitive), OFFSET
+// skips, and once LIMIT rows have been emitted the execution context is cancelled so
 // remaining distributed stages stop (Stats.EarlyStop reports this). The
 // returned Result carries statistics only — Rows is nil.
 //
@@ -370,21 +437,19 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *query.Graph, cfg Config, 
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	// The sink cancels sctx once it is satisfied; every distributed stage
-	// polls it, so partial evaluation, assembly, and sibling sites stop
-	// instead of completing work nobody will read.
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sink := newStreamSink(q, func(_, p Row) bool { return emit(p) }, cancel)
-	stats, err := e.run(sctx, q, cfg, sink.push)
+	// The sink cancels the execution once it is satisfied; every
+	// distributed stage polls it, so partial evaluation, assembly, and
+	// sibling sites stop instead of completing work nobody will read.
+	h := e.hold(ctx)
+	defer h.cancel(nil)
+	sink := newStreamSink(q, func(_, p Row) bool { return emit(p) }, func() { h.cancel(nil) })
+	stats, err := e.run(h, q, cfg, sink.push)
 	// The sink's own cancellation is the success path: once it has its
-	// rows, errors raced in by still-draining stages are moot. Otherwise
-	// the parent's timeout/disconnect outranks the site error it caused.
-	if err != nil && !sink.finished() {
-		if perr := ctx.Err(); perr != nil {
-			return nil, perr
+	// rows, errors raced in by still-draining stages are moot.
+	if !sink.finished() {
+		if err := h.err(ctx, err); err != nil {
+			return nil, err
 		}
-		return nil, err
 	}
 	stats.EarlyStop = sink.finished()
 	stats.NumMatches = sink.emitted
@@ -394,12 +459,14 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *query.Graph, cfg Config, 
 
 // run is the one execution path: validation, the component split, the
 // evaluation pool, the plan, the star-vs-distributed dispatch and the
-// shipment totals. Every match goes to out as it is produced; the two
-// exported entry points differ only in the sink they pass (and stamp
-// TotalTime, which for ordered delivery includes the sort). The returned
-// Stats are meaningful on error too: a streaming sink that stopped the
-// run reads them.
-func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut) (Stats, error) {
+// shipment totals. It runs under h's context and charges what it holds
+// to h. Every match goes to out as it is produced; the two exported
+// entry points differ only in the sink they pass (and stamp TotalTime,
+// which for ordered delivery includes the sort). The returned Stats are
+// meaningful on error too: a streaming sink that stopped the run reads
+// them.
+func (e *Engine) run(h *holding, q *query.Graph, cfg Config, out rowOut) (Stats, error) {
+	ctx := h.ctx
 	if err := validateForExec(q, &cfg); err != nil {
 		return Stats{}, err
 	}
@@ -414,11 +481,11 @@ func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut
 	var ships []*shipCounts
 	var err error
 	if comps := query.SplitComponents(q); len(comps) > 1 {
-		ships, err = e.runComponents(ctx, q, comps, cfg, p, &stats, out)
+		ships, err = e.runComponents(h, q, comps, cfg, p, &stats, out)
 	} else {
 		stats.Plan = e.graph.Global.Plan(q)
 		var ship *shipCounts
-		ship, err = e.component(ctx, q, stats.Plan, cfg, p, &stats, out)
+		ship, err = e.component(h, q, stats.Plan, cfg, p, &stats, out)
 		stats.StarFastPath = ship.star
 		ships = []*shipCounts{ship}
 	}
@@ -444,8 +511,10 @@ func (e *Engine) run(ctx context.Context, q *query.Graph, cfg Config, out rowOut
 // answer. Every other query runs the two-stage partial evaluation
 // and assembly flow. Local complete matches stream into out during
 // partial evaluation and assembled crossing matches during assembly, so
-// a streaming sink sees its first row before the run completes.
-func (e *Engine) component(ctx context.Context, q *query.Graph, plan []PlanEdge, cfg Config, p *pool.Pool, stats *Stats, out rowOut) (*shipCounts, error) {
+// a streaming sink sees its first row before the run completes; the
+// partial matches gathered for assembly are charged to h.
+func (e *Engine) component(h *holding, q *query.Graph, plan []PlanEdge, cfg Config, p *pool.Pool, stats *Stats, out rowOut) (*shipCounts, error) {
+	ctx := h.ctx
 	ship := &shipCounts{q: q, local: make([]int, len(e.sites))}
 	req := cluster.PartialRequest{Query: q, Order: store.EdgeOrder(plan), Pool: p}
 	if center, ok := q.StarCenter(); ok {
@@ -472,7 +541,7 @@ func (e *Engine) component(ctx context.Context, q *query.Graph, plan []PlanEdge,
 			ship.vectors, ship.union = vecs, union
 		}
 		// The union travels back to the sites inside each request.
-		req.EdgeRank, req.Union, req.MaxMatches = planEdgeRank(plan), ship.union, cfg.MaxPartialMatches
+		req.EdgeRank, req.Union = planEdgeRank(plan), ship.union
 	}
 
 	// Stage 1: partial evaluation — local complete matches stream into out
@@ -497,6 +566,14 @@ func (e *Engine) component(ctx context.Context, q *query.Graph, plan []PlanEdge,
 	stats.NumPartialMatches += len(pms)
 	if err != nil || ship.star {
 		return ship, err
+	}
+	// A match holds the slots it shipped in.
+	slots := 0
+	for _, pm := range pms {
+		slots += len(pm.Vec) + len(pm.EdgeVars)
+	}
+	if !h.charge(len(pms), slots) {
+		return ship, ErrBudget
 	}
 	return ship, assemble(ctx, q, cfg, pms, p, stats, ship, out)
 }
@@ -835,23 +912,18 @@ func modelShipment(stats *Stats, ship *shipCounts) {
 // The final component's cross product streams: each complete combined
 // row goes to out as it is merged (component rows — and, for three or
 // more components, the intermediate pairwise products — still
-// materialize; only the last merge, which can dwarf them all, never
-// does), and production stops the moment out declines. Component
+// materialize, charged to h; only the last merge, which can dwarf them
+// all, never does), and production stops the moment out declines. Component
 // sub-queries carry no solution modifiers (SplitComponents drops them
 // with the projection), so modifiers apply exactly once, in the caller's
 // sink. It returns what the §IX model prices for each component run.
-func (e *Engine) runComponents(ctx context.Context, q *query.Graph, comps []query.Component, cfg Config, p *pool.Pool, stats *Stats, out rowOut) ([]*shipCounts, error) {
+func (e *Engine) runComponents(h *holding, q *query.Graph, comps []query.Component, cfg Config, p *pool.Pool, stats *Stats, out rowOut) ([]*shipCounts, error) {
+	ctx := h.ctx
 	combined := []Row{make(Row, len(q.Vars))}
 	var ships []*shipCounts
 	for ci, comp := range comps {
-		var mu sync.Mutex
-		var rows []Row
-		ship, err := e.component(ctx, comp.Query, e.graph.Global.Plan(comp.Query), cfg, p, stats, func(r Row) bool {
-			mu.Lock()
-			rows = append(rows, r)
-			mu.Unlock()
-			return true
-		})
+		c := &collector{h: h}
+		ship, err := e.component(h, comp.Query, e.graph.Global.Plan(comp.Query), cfg, p, stats, c.push)
 		ships = append(ships, ship)
 		if err != nil {
 			return ships, err
@@ -861,7 +933,7 @@ func (e *Engine) runComponents(ctx context.Context, q *query.Graph, comps []quer
 		var next []Row
 		var ops uint
 		for _, base := range combined {
-			for _, sub := range rows {
+			for _, sub := range c.rows {
 				// The cross product can dwarf the component runs; poll the
 				// context so timeouts still bite here.
 				if ops&0xfff == 0 {
@@ -888,6 +960,9 @@ func (e *Engine) runComponents(ctx context.Context, q *query.Graph, comps []quer
 				}
 				if !last {
 					next = append(next, merged)
+					if !h.charge(1, len(merged)) {
+						return ships, ErrBudget
+					}
 				} else if !out(merged) {
 					return ships, nil
 				}

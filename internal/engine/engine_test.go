@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -30,23 +29,15 @@ func paperEngine(t *testing.T) (*paperexample.Example, *Engine) {
 	return ex, New(d)
 }
 
-// centralizedRows evaluates q on the global store for ground truth.
-func centralizedRows(st *store.Store, q *query.Graph) []string {
-	var keys []string
+// centralizedRows evaluates q on the global store for ground truth, in
+// the canonical order an ordered result has.
+func centralizedRows(st *store.Store, q *query.Graph) []Row {
+	var rows []Row
 	for _, b := range st.Match(q) {
-		keys = append(keys, Row(b.Vars).Key())
+		rows = append(rows, Row(b.Vars))
 	}
-	sort.Strings(keys)
-	return keys
-}
-
-func resultKeys(r *Result) []string {
-	keys := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		keys = append(keys, row.Key())
-	}
-	sort.Strings(keys)
-	return keys
+	slices.SortFunc(rows, slices.Compare[Row])
+	return rows
 }
 
 // TestPaperQueryAllModes: all four ablation modes return exactly the four
@@ -63,7 +54,7 @@ func TestPaperQueryAllModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if got := resultKeys(res); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := res.Rows; !sameRows(got, want) {
 			t.Errorf("%v rows:\n got %v\nwant %v", mode, got, want)
 		}
 		if res.Stats.NumCrossingMatches != 4 || res.Stats.NumLocalMatches != 0 {
@@ -150,7 +141,7 @@ func TestStarFastPath(t *testing.T) {
 		if !res.Stats.StarFastPath {
 			t.Fatalf("%v: star not detected", mode)
 		}
-		if got := resultKeys(res); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := res.Rows; !sameRows(got, want) {
 			t.Errorf("%v star rows:\n got %v\nwant %v", mode, got, want)
 		}
 		if res.Stats.NumPartialMatches != 0 || res.Stats.Stages[StageLEC].Shipment != 0 ||
@@ -168,7 +159,9 @@ func distributedRun(ctx context.Context, e *Engine, q *query.Graph, cfg Config, 
 		return Stats{}, err
 	}
 	stats := Stats{Mode: cfg.Mode, Fragments: make([]FragmentStats, len(e.sites))}
-	_, err := e.component(ctx, q, e.graph.Global.Plan(q), cfg, pool.New(cfg.EvalWorkers), &stats, out)
+	h := e.hold(ctx)
+	defer h.cancel(nil)
+	_, err := e.component(h, q, e.graph.Global.Plan(q), cfg, pool.New(cfg.EvalWorkers), &stats, out)
 	return stats, err
 }
 
@@ -220,7 +213,7 @@ func TestDisconnectedQueryCrossProduct(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if got := resultKeys(res); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := res.Rows; !sameRows(got, want) {
 			t.Errorf("%v:\n got %v\nwant %v", mode, got, want)
 		}
 	}
@@ -239,15 +232,8 @@ func TestDisconnectedSharedEdgeVar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resultKeys(res); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := res.Rows; !sameRows(got, want) {
 		t.Errorf("shared edge var:\n got %d rows\nwant %d rows", len(got), len(want))
-	}
-}
-
-func TestMaxPartialMatchesGuard(t *testing.T) {
-	ex, e := paperEngine(t)
-	if _, err := e.Execute(ex.Query, Config{Mode: Full, MaxPartialMatches: 1}); err == nil {
-		t.Error("expected guard error")
 	}
 }
 
@@ -319,8 +305,8 @@ func TestAllModesEqualCentralizedProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if fmt.Sprint(resultKeys(res)) != fmt.Sprint(want) {
-				t.Logf("seed %d mode %v:\n got %v\nwant %v", seed, mode, resultKeys(res), want)
+			if !sameRows(res.Rows, want) {
+				t.Logf("seed %d mode %v:\n got %v\nwant %v", seed, mode, res.Rows, want)
 				return false
 			}
 		}
@@ -347,7 +333,7 @@ func TestAllPartitionersEqualCentralized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", s.Name(), k, err)
 			}
-			if got := resultKeys(res); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got := res.Rows; !sameRows(got, want) {
 				t.Errorf("%s k=%d:\n got %v\nwant %v", s.Name(), k, got, want)
 			}
 		}

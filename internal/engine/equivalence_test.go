@@ -91,56 +91,81 @@ func (env *equivEnv) shape(t *testing.T, name string, mod func(*query.Builder) *
 	return b.MustBuild()
 }
 
-// orderedKeys runs the ordered path in mode and returns the projected row
-// keys in their served order, with the run's stats.
-func orderedKeys(t *testing.T, e *Engine, q *query.Graph, mode Mode, workers int) ([]string, Stats) {
+// orderedRows runs the ordered path in mode and returns the projected
+// rows in their served order, with the run's stats.
+func orderedRows(t *testing.T, e *Engine, q *query.Graph, mode Mode, workers int) ([]Row, Stats) {
 	t.Helper()
 	res, err := e.Execute(q, Config{Mode: mode, EvalWorkers: workers})
 	if err != nil {
 		t.Fatalf("%v width %d: %v", mode, workers, err)
 	}
-	var keys []string
-	res.EachProjected(func(r Row) bool {
-		keys = append(keys, r.Key())
-		return true
-	})
-	return keys, res.Stats
+	return projectedRows(res), res.Stats
 }
 
-// streamedKeys runs the unordered streaming path in mode and returns
-// emitted projected row keys in emission order.
-func streamedKeys(t *testing.T, e *Engine, q *query.Graph, mode Mode, workers int) []string {
-	t.Helper()
-	var keys []string
-	_, err := e.ExecuteStream(context.Background(), q, Config{Mode: mode, EvalWorkers: workers}, func(r Row) bool {
-		keys = append(keys, r.Key())
+// projectedRows copies r's rows out restricted to its projection.
+func projectedRows(r *Result) []Row {
+	var rows []Row
+	r.EachProjected(func(row Row) bool {
+		rows = append(rows, slices.Clone(row))
 		return true
 	})
+	return rows
+}
+
+// streamedRows runs the unordered streaming path in mode and returns the
+// emitted projected rows in emission order.
+func streamedRows(t *testing.T, e *Engine, q *query.Graph, mode Mode, workers int) []Row {
+	t.Helper()
+	rows, err := streamRows(e, q, Config{Mode: mode, EvalWorkers: workers})
 	if err != nil {
 		t.Fatalf("%v width %d streamed: %v", mode, workers, err)
 	}
-	return keys
+	return rows
 }
 
-func multiset(keys []string) map[string]int {
-	m := make(map[string]int, len(keys))
-	for _, k := range keys {
-		m[k]++
-	}
-	return m
+// streamRows copies out the projected rows ExecuteStream emits.
+func streamRows(e *Engine, q *query.Graph, cfg Config) ([]Row, error) {
+	var rows []Row
+	_, err := e.ExecuteStream(context.Background(), q, cfg, func(r Row) bool {
+		rows = append(rows, slices.Clone(r))
+		return true
+	})
+	return rows, err
 }
 
-func sameMultiset(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ma := multiset(a)
-	for k, n := range multiset(b) {
-		if ma[k] != n {
+// sameRows reports whether a and b are the same rows in the same order.
+func sameRows(a, b []Row) bool { return slices.EqualFunc(a, b, slices.Equal[Row]) }
+
+// sortedRows returns rows copied into canonical order.
+func sortedRows(rows []Row) []Row {
+	rows = slices.Clone(rows)
+	slices.SortFunc(rows, slices.Compare[Row])
+	return rows
+}
+
+// sameMultiset reports whether a and b hold the same rows, each as often.
+func sameMultiset(a, b []Row) bool { return sameRows(sortedRows(a), sortedRows(b)) }
+
+// subMultiset reports whether every row of a is in b at least as often as
+// in a.
+func subMultiset(a, b []Row) bool {
+	b = sortedRows(b)
+	j := 0
+	for _, r := range sortedRows(a) {
+		for j < len(b) && slices.Compare(b[j], r) < 0 {
+			j++
+		}
+		if j == len(b) || !slices.Equal(b[j], r) {
 			return false
 		}
+		j++
 	}
 	return true
+}
+
+// hasDuplicates reports whether some row occurs twice in rows.
+func hasDuplicates(rows []Row) bool {
+	return len(slices.CompactFunc(sortedRows(rows), slices.Equal[Row])) != len(rows)
 }
 
 // TestCrossModeEquivalence is the cross-mode equivalence harness: every
@@ -179,20 +204,19 @@ func TestCrossModeEquivalence(t *testing.T) {
 		for _, m := range mods {
 			t.Run(shape+"/"+m.name, func(t *testing.T) {
 				q := env.shape(t, shape, m.mod)
-				oracle, _ := orderedKeys(t, env.eng, q, Full, 1)
+				oracle, _ := orderedRows(t, env.eng, q, Full, 1)
 				// The unmodified answer bounds what subsetting modes may emit.
 				full := oracle
 				if m.subsetting || m.distinct {
-					full, _ = orderedKeys(t, env.eng, env.shape(t, shape, nil), Full, 1)
+					full, _ = orderedRows(t, env.eng, env.shape(t, shape, nil), Full, 1)
 				}
 				if len(full) == 0 {
 					t.Fatalf("fixture produced no rows for %s", shape)
 				}
-				fullSet := multiset(full)
 
 				// Ordered parallel must be byte-identical, row for row.
-				par, _ := orderedKeys(t, env.eng, q, Full, 4)
-				if fmt.Sprint(par) != fmt.Sprint(oracle) {
+				par, _ := orderedRows(t, env.eng, q, Full, 4)
+				if !sameRows(par, oracle) {
 					t.Fatalf("ordered parallel diverged from sequential oracle\n got %d rows\nwant %d rows", len(par), len(oracle))
 				}
 
@@ -212,28 +236,26 @@ func TestCrossModeEquivalence(t *testing.T) {
 					limit = q.Limit
 				}
 				want := referenceModified(&Result{Query: q, Rows: rows}, q.Distinct, limit, q.Offset)
-				if !slices.Equal(want, oracle) {
+				if !sameRows(want, oracle) {
 					t.Fatalf("ordered output differs from the reference modifiers over the streamed rows (%d vs %d rows)",
 						len(want), len(oracle))
 				}
 
 				for _, workers := range []int{1, 4} {
-					got := streamedKeys(t, env.eng, q, Full, workers)
+					got := streamedRows(t, env.eng, q, Full, workers)
 					if len(got) != len(oracle) {
 						t.Fatalf("unordered workers=%d emitted %d rows, oracle has %d", workers, len(got), len(oracle))
 					}
 					if m.distinct {
-						if len(multiset(got)) != len(got) {
+						if hasDuplicates(got) {
 							t.Fatalf("unordered workers=%d emitted duplicate rows under DISTINCT", workers)
 						}
 					}
 					if m.subsetting {
 						// Any subset of the full answer with the right cardinality
 						// is correct; multiplicity must not exceed the answer's.
-						for k, n := range multiset(got) {
-							if n > fullSet[k] {
-								t.Fatalf("unordered workers=%d emitted row %d times, answer has it %d times", workers, n, fullSet[k])
-							}
+						if !subMultiset(got, full) {
+							t.Fatalf("unordered workers=%d emitted a row more often than the answer has it", workers)
 						}
 					} else if !sameMultiset(got, oracle) {
 						t.Fatalf("unordered workers=%d row multiset diverged from oracle", workers)
@@ -251,10 +273,10 @@ func TestCrossModeEquivalenceAllEngineModes(t *testing.T) {
 	env := newEquivEnv(t)
 	for _, shape := range []string{"star", "path", "cross", "disconnected"} {
 		q := env.shape(t, shape, nil)
-		oracle, _ := orderedKeys(t, env.eng, q, Full, 1)
+		oracle, _ := orderedRows(t, env.eng, q, Full, 1)
 		for _, mode := range allModes {
-			got, _ := orderedKeys(t, env.eng, q, mode, 4)
-			if fmt.Sprint(got) != fmt.Sprint(oracle) {
+			got, _ := orderedRows(t, env.eng, q, mode, 4)
+			if !sameRows(got, oracle) {
 				t.Fatalf("%s/%v: rows diverged from sequential Full oracle (%d vs %d rows)",
 					shape, mode, len(got), len(oracle))
 			}
@@ -277,7 +299,7 @@ func TestWalkWidthEquivalence(t *testing.T) {
 	for _, shape := range []string{"chain", "tree"} {
 		q := env.shape(t, shape, nil)
 		for _, mode := range allModes {
-			var oracle []string
+			var oracle []Row
 			var counters [4]int
 			for _, workers := range []int{1, 2, 8} {
 				cfg := Config{Mode: mode, EvalWorkers: workers}
@@ -289,10 +311,10 @@ func TestWalkWidthEquivalence(t *testing.T) {
 				if n := lec.Walks() - before; n != 1 {
 					t.Errorf("%s/%v/%d: %d closure walks, want exactly 1", shape, mode, workers, n)
 				}
-				var ordered, streamed []string
-				res.EachProjected(func(r Row) bool { ordered = append(ordered, r.Key()); return true })
+				ordered := projectedRows(res)
+				var streamed []Row
 				sres, err := env.eng.ExecuteStream(context.Background(), q, cfg, func(r Row) bool {
-					streamed = append(streamed, r.Key())
+					streamed = append(streamed, slices.Clone(r))
 					return true
 				})
 				if err != nil {
@@ -304,7 +326,7 @@ func TestWalkWidthEquivalence(t *testing.T) {
 						t.Fatalf("%s: fixture assembles no crossing match", shape)
 					}
 				}
-				if !slices.Equal(ordered, oracle) {
+				if !sameRows(ordered, oracle) {
 					t.Errorf("%s/%v/%d: ordered rows differ from width 1 (%d vs %d)", shape, mode, workers, len(ordered), len(oracle))
 				}
 				if !sameMultiset(streamed, oracle) {
@@ -345,7 +367,7 @@ func TestWalkStopsEarly(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	for _, mode := range []Mode{LA, LO, Full} {
 		parent, cancel := context.WithCancel(context.Background())
-		_, err := env.eng.ExecuteContext(&stackCancelCtx{Context: parent, trip: inWalkChunk}, q, Config{Mode: mode, EvalWorkers: 8})
+		err := runUnder(&stackCancelCtx{Context: parent, trip: inWalkChunk}, env.eng, q, Config{Mode: mode, EvalWorkers: 8})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err = %v, want context.Canceled from inside the walk", mode, err)
@@ -358,12 +380,11 @@ func TestWalkStopsEarly(t *testing.T) {
 		}
 	}
 
-	answer := multiset(resultKeys(full))
 	limited := env.shape(t, "tree", func(b *query.Builder) *query.Builder { return b.Limit(full.Stats.NumLocalMatches + 1) })
 	for _, workers := range []int{1, 2, 8} {
-		var rows []string
+		var rows []Row
 		res, err := env.eng.ExecuteStream(context.Background(), limited, Config{Mode: Full, EvalWorkers: workers}, func(r Row) bool {
-			rows = append(rows, r.Key())
+			rows = append(rows, slices.Clone(r))
 			return true
 		})
 		if err != nil {
@@ -372,10 +393,8 @@ func TestWalkStopsEarly(t *testing.T) {
 		if len(rows) != limited.Limit || !res.Stats.EarlyStop {
 			t.Errorf("workers=%d: %d rows, early stop %v; want %d rows and an early stop", workers, len(rows), res.Stats.EarlyStop, limited.Limit)
 		}
-		for k, n := range multiset(rows) {
-			if n > answer[k] {
-				t.Errorf("workers=%d: a row emitted %d times, the answer has it %d times", workers, n, answer[k])
-			}
+		if !subMultiset(rows, full.Rows) {
+			t.Errorf("workers=%d: a row emitted more often than the answer has it", workers)
 		}
 	}
 }

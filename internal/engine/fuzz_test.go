@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -16,7 +17,8 @@ import (
 //
 //	[0]      k = 2 + b%3 fragments
 //	[1]      modifiers: bit 0 DISTINCT, bit 1 LIMIT (bits 2–4), OFFSET bits 5–7
-//	[2]      1 + b%4 triple patterns, read from
+//	[2]      1 + b%4 triple patterns, read from the bytes below; bit 2
+//	         lowers the engine's held-data budget to 64·(b>>3) bytes
 //	[3:15]   four (subject, label, object) byte triples: a node byte names
 //	         ?x0–?x3 when even and the constant v0–v11 when odd, a label byte
 //	         p0–p2, or ?l0 / ?l1 when it is 3 mod 4
@@ -82,21 +84,19 @@ const (
 	l0             = 3
 )
 
-// oracleKeys is the centralized answer to q: the global store's matches
+// oracleRows is the centralized answer to q: the global store's matches
 // in canonical order (numeric TermID order, slot by slot), projected, then
-// through a naive DISTINCT, OFFSET and LIMIT of its own, as projected
-// keys. It shares no code with candidates, partial, lec, assembly or the
-// engine's sinks. It does share store.MatchFunc with the engine's local
-// search, the star path's and each site's: TestMatchAgainstBruteForce is
-// what checks that search.
-func oracleKeys(st *store.Store, q *query.Graph) []string {
+// through a naive DISTINCT, OFFSET and LIMIT of its own. It shares no code
+// with candidates, partial, lec, assembly or the engine's sinks. It does
+// share store.MatchFunc with the engine's local search, the star path's
+// and each site's: TestMatchAgainstBruteForce is what checks that search.
+func oracleRows(st *store.Store, q *query.Graph) []Row {
 	var rows []Row
 	for _, b := range st.Match(q) {
 		rows = append(rows, Row(b.Vars))
 	}
 	slices.SortFunc(rows, func(a, b Row) int { return slices.Compare(a, b) })
-	var keys []string
-	seen := map[string]bool{}
+	var kept []Row
 	for _, r := range rows {
 		p := r
 		if len(q.Projection) > 0 {
@@ -105,18 +105,16 @@ func oracleKeys(st *store.Store, q *query.Graph) []string {
 				p = append(p, r[v])
 			}
 		}
-		k := p.Key()
-		if q.Distinct && seen[k] {
+		if q.Distinct && slices.ContainsFunc(kept, func(k Row) bool { return slices.Equal(k, p) }) {
 			continue
 		}
-		seen[k] = true
-		keys = append(keys, k)
+		kept = append(kept, p)
 	}
-	keys = keys[min(q.Offset, len(keys)):]
+	kept = kept[min(q.Offset, len(kept)):]
 	if q.HasLimit {
-		keys = keys[:min(q.Limit, len(keys))]
+		kept = kept[:min(q.Limit, len(kept))]
 	}
-	return keys
+	return kept
 }
 
 // FuzzExecute holds the whole pipeline — candidate sets, partial
@@ -124,20 +122,30 @@ func oracleKeys(st *store.Store, q *query.Graph) []string {
 // split — to a centralized oracle on layouts no partitioner produces:
 // empty, one-vertex and all-crossing fragments. Every mode at widths 1
 // and 4 must serve the oracle's rows in its order, and stream the same
-// multiset (under LIMIT/OFFSET: as many rows, each from the answer). The
-// golden's relations hold on every input: Full's partial matches are at
-// most LO's, LO's and Full's retained matches at most Basic's, and the
-// stage shipments sum to the total.
+// multiset (under LIMIT/OFFSET: as many rows, each from the answer). An
+// input with the budget bit may instead fail a run with ErrBudget: an
+// ordered run at both widths or at neither, since what it holds does not
+// depend on the width. The golden's relations hold on every input that
+// runs within its budget: Full's partial matches are at most LO's, LO's
+// and Full's retained matches at most Basic's, and the stage shipments
+// sum to the total.
 func FuzzExecute(f *testing.F) {
 	// The paper's running example in twelve vertices: Fig. 1's three
 	// fragments without s2:Phi4 and the literals nothing reaches, name and
 	// label sharing p2. Four crossing matches, as in the paper.
-	f.Add(fuzzInput(3, 0,
+	paper := fuzzInput(3, 0,
 		[][3]byte{{x0, p1, x1}, {x2, p0, x0}, {x1, p2, x3}, {x2, p2, c1}},
 		[12]byte{0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2},
 		[3]byte{0, p2, 1}, [3]byte{3, p2, 2}, [3]byte{4, p1, 5}, [3]byte{5, p2, 6},
 		[3]byte{4, p1, 7}, [3]byte{7, p2, 8}, [3]byte{9, p1, 10}, [3]byte{10, p2, 11},
-		[3]byte{0, p0, 4}, [3]byte{4, p1, 3}, [3]byte{0, p0, 9}))
+		[3]byte{0, p0, 4}, [3]byte{4, p1, 3}, [3]byte{0, p0, 9})
+	f.Add(paper)
+	// The same under a budget of 64·7 bytes: its partial matches fit and
+	// its rows do not, so every ordered run fails and every streamed one
+	// answers.
+	budgeted := slices.Clone(paper)
+	budgeted[2] |= 4 | 7<<3
+	f.Add(budgeted)
 	// The golden's section-one shapes without constants: LQ1's triangle
 	// (advisor, takesCourse, teacherOf) and LQ7's co-enrollment path.
 	f.Add(fuzzInput(3, 0,
@@ -217,45 +225,67 @@ func FuzzExecute(f *testing.F) {
 		if n > fuzzMaxRows {
 			return
 		}
-		want := oracleKeys(global, q)
+		want := oracleRows(global, q)
 		// What LIMIT and OFFSET may pick from.
 		whole := *q
 		whole.HasLimit, whole.Offset = false, 0
-		answer := multiset(oracleKeys(global, &whole))
+		answer := oracleRows(global, &whole)
 		subsetting := q.HasLimit || q.Offset > 0
 
 		e := New(d)
+		if data[2]&4 != 0 {
+			e.budget = 64 * int64(data[2]>>3)
+		}
 		stats := make(map[Mode]Stats)
 		for _, mode := range allModes {
+			over := map[int]bool{}
 			for _, width := range []int{1, 4} {
 				at := fmt.Sprintf("%v width %d on %v, edges %v, layout %v", mode, width, q, g.Triples, a.Frag)
-				got, s := orderedKeys(t, e, q, mode, width)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: ordered rows\n got %q\nwant %q", at, got, want)
+				cfg := Config{Mode: mode, EvalWorkers: width}
+				res, err := e.Execute(q, cfg)
+				over[width] = errors.Is(err, ErrBudget)
+				switch {
+				case over[width]:
+				case err != nil:
+					t.Fatalf("%s: %v", at, err)
+				default:
+					if got := projectedRows(res); !sameRows(got, want) {
+						t.Fatalf("%s: ordered rows\n got %v\nwant %v", at, got, want)
+					}
+					if sum := shipmentSum(&res.Stats); sum != res.Stats.TotalShipment {
+						t.Fatalf("%s: init+cand+partial+lec+asm = %d, total = %d", at, sum, res.Stats.TotalShipment)
+					}
+					if width == 1 {
+						stats[mode] = res.Stats
+					}
 				}
-				if sum := shipmentSum(&s); sum != s.TotalShipment {
-					t.Fatalf("%s: init+cand+partial+lec+asm = %d, total = %d", at, sum, s.TotalShipment)
-				}
-				if width == 1 {
-					stats[mode] = s
+				if over[width] != over[1] {
+					t.Fatalf("%s: over budget %v, at width 1 %v", at, over[width], over[1])
 				}
 
-				streamed := streamedKeys(t, e, q, mode, width)
+				streamed, err := streamRows(e, q, cfg)
+				switch {
+				case errors.Is(err, ErrBudget):
+					continue
+				case err != nil:
+					t.Fatalf("%s streamed: %v", at, err)
+				}
 				if !subsetting {
 					if !sameMultiset(streamed, want) {
-						t.Fatalf("%s: streamed rows\n got %q\nwant %q", at, streamed, want)
+						t.Fatalf("%s: streamed rows\n got %v\nwant %v", at, streamed, want)
 					}
 					continue
 				}
 				if len(streamed) != len(want) {
 					t.Fatalf("%s: streamed %d rows, want %d", at, len(streamed), len(want))
 				}
-				for key, n := range multiset(streamed) {
-					if n > answer[key] {
-						t.Fatalf("%s: streamed row %q %d times, the answer has it %d times", at, key, n, answer[key])
-					}
+				if !subMultiset(streamed, answer) {
+					t.Fatalf("%s: streamed rows %v, more often than the answer %v has them", at, streamed, answer)
 				}
 			}
+		}
+		if len(stats) < len(allModes) {
+			return // a mode ran over the budget
 		}
 		basic, lo, full := stats[Basic], stats[LO], stats[Full]
 		if full.NumPartialMatches > lo.NumPartialMatches {

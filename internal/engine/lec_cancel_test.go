@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"gstored/internal/query"
 )
 
 // stackCancelCtx becomes canceled at the first Err call whose call stack
@@ -39,6 +41,16 @@ func (c *stackCancelCtx) Err() error {
 	return c.err
 }
 
+// runUnder runs q as ExecuteContext does, but with ctx itself as the
+// execution's context rather than a context derived from it: the
+// stages' polls then reach a stackCancelCtx's Err.
+func runUnder(ctx context.Context, e *Engine, q *query.Graph, cfg Config) error {
+	h := &holding{ctx: ctx, cancel: func(error) {}, budget: e.budget}
+	c := &collector{h: h}
+	_, err := e.run(h, q, cfg, c.push)
+	return err
+}
+
 // inLECStage accepts a stack inside the LEC stage's lec.Walk — not the
 // walk assembly runs for itself below LO.
 func inLECStage(functions []string) bool {
@@ -48,13 +60,13 @@ func inLECStage(functions []string) bool {
 }
 
 // TestLECStageIsCancellable: the LEC pruning stage polls the execution
-// context like every other stage, and the engine returns the context's
+// context like every other stage, and the run returns the context's
 // error; modes without that stage never trip the context.
 func TestLECStageIsCancellable(t *testing.T) {
 	ex, e := paperEngine(t)
 	for _, mode := range allModes {
 		parent, cancel := context.WithCancel(context.Background())
-		_, err := e.ExecuteContext(&stackCancelCtx{Context: parent, trip: inLECStage}, ex.Query, Config{Mode: mode, EvalWorkers: 1})
+		err := runUnder(&stackCancelCtx{Context: parent, trip: inLECStage}, e, ex.Query, Config{Mode: mode, EvalWorkers: 1})
 		cancel()
 		if mode >= LO {
 			if !errors.Is(err, context.Canceled) {

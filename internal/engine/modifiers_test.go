@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
 	"gstored/internal/fragment"
@@ -60,29 +60,23 @@ func withMods(q *query.Graph, distinct bool, limit, offset int) *query.Graph {
 // referenceModified applies the modifier semantics to a plain ordered
 // result: dedup projected keys in canonical full-row order, then slice.
 // It returns the expected projected keys, in order.
-func referenceModified(base *Result, distinct bool, limit, offset int) []string {
-	var keys []string
-	seen := map[string]bool{}
+func referenceModified(base *Result, distinct bool, limit, offset int) []Row {
+	var rows []Row
 	base.EachProjected(func(r Row) bool {
-		k := r.Key()
-		if distinct {
-			if seen[k] {
-				return true
-			}
-			seen[k] = true
+		if !distinct || !slices.ContainsFunc(rows, func(k Row) bool { return slices.Equal(k, r) }) {
+			rows = append(rows, slices.Clone(r))
 		}
-		keys = append(keys, k)
 		return true
 	})
-	if offset >= len(keys) {
-		keys = keys[:0]
+	if offset >= len(rows) {
+		rows = rows[:0]
 	} else {
-		keys = keys[offset:]
+		rows = rows[offset:]
 	}
-	if limit >= 0 && len(keys) > limit {
-		keys = keys[:limit]
+	if limit >= 0 && len(rows) > limit {
+		rows = rows[:limit]
 	}
-	return keys
+	return rows
 }
 
 // TestSelectDistinctRegression is the headline bugfix pin: before this
@@ -111,15 +105,9 @@ func TestSelectDistinctRegression(t *testing.T) {
 	if res.Len() != 2 {
 		t.Fatalf("SELECT DISTINCT ?y: %d rows, want 2 (set of {b, c})", res.Len())
 	}
-	seen := map[string]bool{}
-	res.EachProjected(func(r Row) bool {
-		k := r.Key()
-		if seen[k] {
-			t.Errorf("duplicate projected row %s under DISTINCT", k)
-		}
-		seen[k] = true
-		return true
-	})
+	if rows := projectedRows(res); hasDuplicates(rows) {
+		t.Errorf("duplicate projected row under DISTINCT: %v", rows)
+	}
 }
 
 // TestModifierConformance is the DISTINCT × LIMIT × OFFSET ×
@@ -156,8 +144,7 @@ func TestModifierConformance(t *testing.T) {
 		if base.Len() < 5 {
 			t.Fatalf("%s: baseline has %d rows; too small to exercise modifiers", shape.name, base.Len())
 		}
-		inAnswer := map[string]bool{}
-		base.EachProjected(func(r Row) bool { inAnswer[r.Key()] = true; return true })
+		answer := projectedRows(base)
 
 		for _, distinct := range []bool{false, true} {
 			for _, limit := range []int{-1, 0, 2, 100} {
@@ -171,12 +158,7 @@ func TestModifierConformance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s ordered: %v", name, err)
 					}
-					var got []string
-					res.EachProjected(func(r Row) bool {
-						got = append(got, r.Key())
-						return true
-					})
-					if fmt.Sprint(got) != fmt.Sprint(want) {
+					if got := projectedRows(res); !sameRows(got, want) {
 						t.Errorf("%s ordered:\n got %v\nwant %v", name, got, want)
 					}
 					if res.Stats.NumMatches != len(want) {
@@ -184,9 +166,9 @@ func TestModifierConformance(t *testing.T) {
 					}
 
 					// Unordered: cardinality + membership + set semantics.
-					var streamed []string
+					var streamed []Row
 					sres, err := e.ExecuteStream(context.Background(), mq, Config{}, func(r Row) bool {
-						streamed = append(streamed, r.Key())
+						streamed = append(streamed, slices.Clone(r))
 						return true
 					})
 					if err != nil {
@@ -195,26 +177,18 @@ func TestModifierConformance(t *testing.T) {
 					if len(streamed) != len(want) {
 						t.Errorf("%s unordered: emitted %d rows, want %d", name, len(streamed), len(want))
 					}
-					dups := map[string]bool{}
-					for _, k := range streamed {
-						if !inAnswer[k] {
-							t.Errorf("%s unordered: emitted row %s not in the true answer", name, k)
+					for _, r := range streamed {
+						if !slices.ContainsFunc(answer, func(a Row) bool { return slices.Equal(a, r) }) {
+							t.Errorf("%s unordered: emitted row %v not in the true answer", name, r)
 						}
-						if distinct && dups[k] {
-							t.Errorf("%s unordered: duplicate row %s under DISTINCT", name, k)
-						}
-						dups[k] = true
+					}
+					if distinct && hasDuplicates(streamed) {
+						t.Errorf("%s unordered: duplicate rows under DISTINCT: %v", name, streamed)
 					}
 					// Without OFFSET/LIMIT truncation the unordered answer
 					// must be the same multiset, just in another order.
-					if limit < 0 && offset == 0 {
-						sortedStreamed := append([]string(nil), streamed...)
-						sort.Strings(sortedStreamed)
-						sortedWant := append([]string(nil), want...)
-						sort.Strings(sortedWant)
-						if fmt.Sprint(sortedStreamed) != fmt.Sprint(sortedWant) {
-							t.Errorf("%s unordered full answer:\n got %v\nwant %v", name, sortedStreamed, sortedWant)
-						}
+					if limit < 0 && offset == 0 && !sameMultiset(streamed, want) {
+						t.Errorf("%s unordered full answer:\n got %v\nwant %v", name, sortedRows(streamed), sortedRows(want))
 					}
 					wantEarly := limit >= 0 && len(want) == limit
 					if sres.Stats.EarlyStop != wantEarly {
@@ -341,8 +315,8 @@ func TestOrderedModifiersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(resultKeys(a)) != fmt.Sprint(resultKeys(b)) {
-		t.Errorf("ordered modifier runs differ:\n%v\n%v", resultKeys(a), resultKeys(b))
+	if !sameRows(a.Rows, b.Rows) {
+		t.Errorf("ordered modifier runs differ:\n%v\n%v", a.Rows, b.Rows)
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -42,11 +43,17 @@ func compileQueries(t *testing.T, ds *workload.Dataset, keep func(workload.Bench
 
 // tableLine renders one execution as the table prints it: counters only,
 // nothing a clock or a socket produced. digest folds the canonically
-// sorted result rows.
+// sorted result rows, each as its length and its TermIDs, 4 bytes
+// big-endian apiece.
 func tableLine(key string, res *Result) (line string, digest uint64) {
 	h := fnv.New64a()
+	var buf []byte
 	for _, r := range res.Rows {
-		h.Write([]byte(r.Key()))
+		buf = binary.BigEndian.AppendUint32(buf[:0], uint32(len(r)))
+		for _, id := range r {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(id))
+		}
+		h.Write(buf)
 	}
 	digest = h.Sum64()
 	s := &res.Stats

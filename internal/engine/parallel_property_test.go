@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gstored/internal/fragment"
@@ -47,7 +48,7 @@ func TestParallelEquivalenceLUBMProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d (%s): oracle: %v", trial, q, err)
 				}
-				want := projectedKeys(oracle)
+				want := projectedRows(oracle)
 				if len(want) > 0 {
 					nonEmpty++
 				}
@@ -72,15 +73,15 @@ func TestParallelEquivalenceLUBMProperty(t *testing.T) {
 					if err != nil {
 						t.Fatalf("trial %d (%s) %s: %v", trial, q, r.name, err)
 					}
-					if got := projectedKeys(res); fmt.Sprint(got) != fmt.Sprint(want) {
+					if got := projectedRows(res); !sameRows(got, want) {
 						t.Fatalf("trial %d (%s) %s: ordered rows diverged (%d vs %d rows)",
 							trial, q, r.name, len(got), len(want))
 					}
 				}
 
-				var streamed []string
+				var streamed []Row
 				if _, err := env.eng.ExecuteStream(context.Background(), q, Config{Mode: Full, EvalWorkers: 4}, func(r Row) bool {
-					streamed = append(streamed, r.Key())
+					streamed = append(streamed, slices.Clone(r))
 					return true
 				}); err != nil {
 					t.Fatalf("trial %d (%s): stream: %v", trial, q, err)
@@ -153,13 +154,4 @@ func randomBGP(st *store.Store, rng *rand.Rand) *query.Graph {
 		b.Triple(query.Var("d0"), p, d1)
 	}
 	return b.MustBuild()
-}
-
-func projectedKeys(r *Result) []string {
-	var keys []string
-	r.EachProjected(func(row Row) bool {
-		keys = append(keys, row.Key())
-		return true
-	})
-	return keys
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"net"
+	"slices"
 	"testing"
 
 	"gstored/internal/cluster"
@@ -74,20 +75,20 @@ func TestRemoteSiteEquivalence(t *testing.T) {
 	for _, shape := range []string{"star", "path", "cross", "disconnected"} {
 		t.Run(shape, func(t *testing.T) {
 			q := env.shape(t, shape, nil)
-			want, _ := orderedKeys(t, env.eng, q, Full, 4)
-			got, _ := orderedKeys(t, remoteEng, q, Full, 4)
+			want, _ := orderedRows(t, env.eng, q, Full, 4)
+			got, _ := orderedRows(t, remoteEng, q, Full, 4)
 			if len(want) == 0 {
 				t.Fatalf("shape %s has no matches; fixture too sparse", shape)
 			}
 			for i := range want {
-				if i >= len(got) || got[i] != want[i] {
+				if i >= len(got) || !slices.Equal(got[i], want[i]) {
 					t.Fatalf("ordered rows diverge at %d: remote has %d rows, local %d", i, len(got), len(want))
 				}
 			}
 			if len(got) != len(want) {
 				t.Fatalf("remote returned %d rows, local %d", len(got), len(want))
 			}
-			if !sameMultiset(streamedKeys(t, remoteEng, q, Full, 4), want) {
+			if !sameMultiset(streamedRows(t, remoteEng, q, Full, 4), want) {
 				t.Error("streamed multiset diverged from ordered oracle")
 			}
 		})

@@ -13,13 +13,7 @@ import (
 	"gstored/internal/rdf"
 )
 
-// Identity predicates: the fields each key or grouping is documented to
-// cover.
-
-func sameMatch(a, b *partial.Match) bool {
-	return a.Frag == b.Frag && slices.Equal(a.Vec, b.Vec) && slices.Equal(a.EdgeVars, b.EdgeVars) &&
-		slices.Equal(a.Crossing, b.Crossing)
-}
+// Identity predicates: the fields each grouping is documented to cover.
 
 func sameFeature(a, b *partial.Match) bool {
 	return a.Frag == b.Frag && slices.Equal(a.Crossing, b.Crossing)
@@ -39,36 +33,12 @@ func shareID[T key.Word](a, b []T) bool {
 	return ia == ib
 }
 
-// TestKeyBoundaries is the table of adversarial variable-length cases a
-// separator-free layout must still keep apart: every pair differs in
-// identity and must differ in key.
+// TestKeyBoundaries is the table of adversarial variable-length cases an
+// exact identity must still keep apart: every pair differs in identity
+// and must differ in feature or set id.
 func TestKeyBoundaries(t *testing.T) {
 	c1 := partial.CrossEdge{QEdge: 1, S: 2, P: 3, O: 4}
 	c0 := partial.CrossEdge{} // all-zero mapping: NoTerm endpoints, edge 0
-	matches := [][2]*partial.Match{
-		// An element moves across the Vec / EdgeVars boundary.
-		{{Vec: []rdf.TermID{1, 2}, EdgeVars: []rdf.TermID{3}}, {Vec: []rdf.TermID{1}, EdgeVars: []rdf.TermID{2, 3}}},
-		{{Vec: []rdf.TermID{1}}, {EdgeVars: []rdf.TermID{1}}},
-		// NoTerm slots are values, not padding.
-		{{Vec: []rdf.TermID{rdf.NoTerm, 1}}, {Vec: []rdf.TermID{1, rdf.NoTerm}}},
-		{{Vec: []rdf.TermID{rdf.NoTerm}}, {Vec: nil}},
-		{{Vec: []rdf.TermID{1}}, {Vec: []rdf.TermID{1, rdf.NoTerm}}},
-		// Crossing lists of different lengths, the longer one zero-extended.
-		{{Crossing: []partial.CrossEdge{c1}}, {Crossing: []partial.CrossEdge{c1, c0}}},
-		{{Crossing: nil}, {Crossing: []partial.CrossEdge{c0}}},
-		{{Frag: 1}, {Frag: 256}},
-		// Multi-digit values the decimal form kept apart with commas.
-		{{Vec: []rdf.TermID{1, 23}}, {Vec: []rdf.TermID{12, 3}}},
-	}
-	for i, p := range matches {
-		if sameMatch(p[0], p[1]) {
-			t.Fatalf("match case %d is not a distinct pair", i)
-		}
-		if p[0].Key() == p[1].Key() {
-			t.Errorf("match case %d: distinct matches share a key", i)
-		}
-	}
-
 	features := [][2]*partial.Match{
 		{{Frag: 1, Crossing: []partial.CrossEdge{c1}}, {Frag: 2, Crossing: []partial.CrossEdge{c1}}},
 		{{Crossing: []partial.CrossEdge{c1}}, {Crossing: []partial.CrossEdge{c1, c0}}},
@@ -94,9 +64,6 @@ func TestKeyBoundaries(t *testing.T) {
 
 	rows := [][2]engine.Row{{{1, 0}, {1}}, {{0}, {}}, {{1, 23}, {12, 3}}, {{0, 1}, {1, 0}}}
 	for i, p := range rows {
-		if p[0].Key() == p[1].Key() {
-			t.Errorf("row case %d: %v and %v share a key", i, p[0], p[1])
-		}
 		if shareID(p[0], p[1]) {
 			t.Errorf("row case %d: %v and %v share a set id", i, p[0], p[1])
 		}
@@ -144,19 +111,15 @@ func randMatchPair(r *rand.Rand) (a, b *partial.Match) {
 	return a, b
 }
 
-// TestKeysInjective: for every keyed type, two values get equal keys iff
-// their identity fields are equal.
+// TestKeysInjective: for every grouping, two values share a feature or a
+// set id iff their identity fields are equal.
 func TestKeysInjective(t *testing.T) {
 	equalSeen := 0
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ma, mb := randMatchPair(r)
-		if sameMatch(ma, mb) {
+		if sameFeature(ma, mb) {
 			equalSeen++
-		}
-		if (ma.Key() == mb.Key()) != sameMatch(ma, mb) {
-			t.Logf("match %+v vs %+v", ma, mb)
-			return false
 		}
 		if grouped(ma, mb) != sameFeature(ma, mb) {
 			t.Logf("feature of %+v vs %+v", ma, mb)
@@ -164,10 +127,6 @@ func TestKeysInjective(t *testing.T) {
 		}
 		if shareID(ma.Vec, mb.Vec) != slices.Equal(ma.Vec, mb.Vec) {
 			t.Logf("tuple %v vs %v", ma.Vec, mb.Vec)
-			return false
-		}
-		if (engine.Row(ma.Vec).Key() == engine.Row(mb.Vec).Key()) != slices.Equal(ma.Vec, mb.Vec) {
-			t.Logf("row %v vs %v", ma.Vec, mb.Vec)
 			return false
 		}
 		na, nb := r.Perm(r.Intn(4)), r.Perm(r.Intn(4))
@@ -182,13 +141,5 @@ func TestKeysInjective(t *testing.T) {
 	}
 	if equalSeen < 1000 {
 		t.Fatalf("only %d equal pairs drawn; the domains no longer collide", equalSeen)
-	}
-}
-
-// TestKeyOrderIsNumeric: equal-length keys order like their fields, the
-// property assembly's materialized output and the docs rely on.
-func TestKeyOrderIsNumeric(t *testing.T) {
-	if !(engine.Row{9}.Key() < engine.Row{10}.Key()) || !(engine.Row{2, 300}.Key() < engine.Row{10, 1}.Key()) {
-		t.Error("row keys do not order numerically")
 	}
 }

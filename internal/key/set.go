@@ -1,3 +1,8 @@
+// Package key holds the identities the query path deduplicates and
+// indexes on. Set is an exact hashed set of integer tuples — interned
+// crossing-edge mappings, LEC features as (fragment, mapping ids), join
+// member sets and assembled rows — that hands out dense ids and allocates
+// no key per tuple.
 package key
 
 import "slices"

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gstored/internal/fragment"
-	"gstored/internal/key"
 	"gstored/internal/paperexample"
 	"gstored/internal/partial"
 	"gstored/internal/pool"
@@ -453,29 +452,18 @@ func FuzzClosureIndex(f *testing.F) {
 	})
 }
 
-// appendKey is the byte key features were grouped by before mappings were
-// interned: the fragment, then g as one length-prefixed section.
-func appendKey(b []byte, frag int, g []partial.CrossEdge) []byte {
-	b = key.Len(key.Int(b, frag), len(g))
-	for _, c := range g {
-		b = key.Term(key.Term(key.Term(key.Int(b, c.QEdge), c.S), c.P), c.O)
-	}
-	return b
-}
-
-// referenceCompute is Algorithm 1 over appendKey: features in first-seen
-// order, each with its first match's fragment, g and sign, built by hand
-// (so a walk over them interns their mappings itself).
+// referenceCompute is Algorithm 1 by linear search: features in
+// first-seen order, each with its first match's fragment, g and sign,
+// built by hand (so a walk over them interns their mappings itself).
 func referenceCompute(pms []*partial.Match) ([]*Feature, []int) {
-	index := map[string]int{}
 	var features []*Feature
 	featureOf := make([]int, len(pms))
 	for i, pm := range pms {
-		k := string(appendKey(nil, pm.Frag, pm.Crossing))
-		fi, ok := index[k]
-		if !ok {
+		fi := slices.IndexFunc(features, func(f *Feature) bool {
+			return f.Frag == pm.Frag && slices.Equal(f.Mappings, pm.Crossing)
+		})
+		if fi < 0 {
 			fi = len(features)
-			index[k] = fi
 			features = append(features, &Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign})
 		}
 		features[fi].PMs = append(features[fi].PMs, i)
@@ -493,7 +481,7 @@ func sameFeatures(a, b []*Feature) bool {
 
 // FuzzFeatureIDs: grouping and walking by interned mapping ids is exact.
 // On random partial matches lec.Compute's features and featureOf equal
-// the byte-key reference's, and a walk over them — ids handed over from
+// the linear-search reference's, and a walk over them — ids handed over from
 // Compute — retains, completes, attempts and explores exactly what the
 // walk over the reference's hand-built features, interned by the walk,
 // does.
@@ -535,7 +523,7 @@ func FuzzFeatureIDs(f *testing.F) {
 		features, featureOf := Compute(pms)
 		refFeatures, refOf := referenceCompute(pms)
 		if !sameFeatures(features, refFeatures) || !slices.Equal(featureOf, refOf) {
-			t.Fatalf("Compute grouped %d matches into %d features (featureOf %v), the byte-key reference into %d (%v)",
+			t.Fatalf("Compute grouped %d matches into %d features (featureOf %v), the reference into %d (%v)",
 				len(pms), len(features), featureOf, len(refFeatures), refOf)
 		}
 		for _, allPairs := range []bool{false, true} {

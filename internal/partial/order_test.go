@@ -2,12 +2,12 @@ package partial
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"gstored/internal/fragment"
-	"gstored/internal/key"
 	"gstored/internal/partition"
 	"gstored/internal/pool"
 	"gstored/internal/query"
@@ -49,21 +49,29 @@ func orderDigest(t *testing.T, d *fragment.Distributed, global *store.Store, q *
 	return hex.EncodeToString(h.Sum(nil)[:8]), n
 }
 
-// pinnedKey is m's Key as it was when the digests below were captured:
-// EdgeVars one slot per query variable even without a label variable,
-// and the matched-edge mask between them and the crossing edges.
+// pinnedKey is the byte key a match had when the digests below were
+// captured: big-endian fields, 8 bytes an int or a mask and 4 a TermID
+// or a section's length; EdgeVars one slot per query variable even
+// without a label variable, and the matched-edge mask between them and
+// the crossing edges.
 func pinnedKey(q *query.Graph, m *Match) []byte {
+	be := binary.BigEndian
 	evs := m.EdgeVars
 	if evs == nil {
 		evs = make([]rdf.TermID, len(q.Vars))
 	}
-	b := key.Int(nil, m.Frag)
-	b = key.Terms(b, m.Vec)
-	b = key.Terms(b, evs)
-	b = key.Uint64(b, matchedEdges(q, m))
-	b = key.Len(b, len(m.Crossing))
+	b := be.AppendUint64(nil, uint64(m.Frag))
+	for _, ts := range [][]rdf.TermID{m.Vec, evs} {
+		b = be.AppendUint32(b, uint32(len(ts)))
+		for _, t := range ts {
+			b = be.AppendUint32(b, uint32(t))
+		}
+	}
+	b = be.AppendUint64(b, matchedEdges(q, m))
+	b = be.AppendUint32(b, uint32(len(m.Crossing)))
 	for _, c := range m.Crossing {
-		b = key.Term(key.Term(key.Term(key.Int(b, c.QEdge), c.S), c.P), c.O)
+		b = be.AppendUint64(b, uint64(c.QEdge))
+		b = be.AppendUint32(be.AppendUint32(be.AppendUint32(b, uint32(c.S)), uint32(c.P)), uint32(c.O))
 	}
 	return b
 }

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"gstored/internal/fragment"
-	"gstored/internal/key"
 	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
@@ -71,24 +70,6 @@ type Match struct {
 	// Sign is the LECSign bitstring: bit i set iff Vec[i] is an internal
 	// vertex of Frag (Definition 8 item 3).
 	Sign uint64
-}
-
-// Key returns a canonical identity for deduplication: fragment,
-// serialization vector, edge-variable bindings and crossing edge mappings
-// (layout: package key).
-func (m *Match) Key() string {
-	var buf [192]byte // typical keys fit, so only string(b) allocates
-	b := key.Int(buf[:0], m.Frag)
-	b = key.Terms(b, m.Vec)
-	b = key.Terms(b, m.EdgeVars)
-	b = key.Len(b, len(m.Crossing))
-	for _, c := range m.Crossing {
-		b = key.Int(b, c.QEdge)
-		b = key.Term(b, c.S)
-		b = key.Term(b, c.P)
-		b = key.Term(b, c.O)
-	}
-	return string(b)
 }
 
 // EstimateBytes approximates the wire size of the match for data-shipment
@@ -194,9 +175,6 @@ type Options struct {
 	// extended vertex u — the Section VI candidate-vector optimization
 	// plugs in here.
 	ExtendedFilter func(qv int, u rdf.TermID) bool
-	// MaxMatches aborts enumeration with an error beyond this many partial
-	// matches (0 = unlimited); a safety valve against pathological queries.
-	MaxMatches int
 	// Cancel, when non-nil, is polled periodically during expansion;
 	// returning true aborts enumeration with ErrCanceled. The engine plugs
 	// context cancellation in here.
@@ -218,13 +196,6 @@ type Options struct {
 
 // ErrCanceled is returned when Options.Cancel reported cancellation.
 var ErrCanceled = errors.New("partial: evaluation canceled")
-
-// ErrTooManyMatches is returned when Options.MaxMatches is exceeded.
-type ErrTooManyMatches struct{ Limit int }
-
-func (e ErrTooManyMatches) Error() string {
-	return fmt.Sprintf("partial: more than %d local partial matches", e.Limit)
-}
 
 // Compute enumerates all local partial matches of q in fragment f, each
 // once, in seed order: by the first (crossing edge, query edge) pair it
@@ -313,7 +284,7 @@ func candidateSeeds(f *fragment.Fragment, q *query.Graph) ([]rdf.Triple, []uint6
 
 // enumerate runs one enumerator per contiguous chunk of the seed domain
 // (edges, masks) on the pool — a sequential run is the one-chunk case —
-// and returns them in chunk order, or the first error.
+// and returns them in chunk order, or ErrCanceled.
 func enumerate(f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks []uint64, opts Options) ([]*enumerator, error) {
 	if len(q.Vertices) > MaxQuerySize || len(q.Edges) > MaxQuerySize {
 		return nil, fmt.Errorf("partial: query exceeds %d vertices/edges", MaxQuerySize)
@@ -337,35 +308,23 @@ func enumerate(f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks [
 	labels := hasLabelVar(q)
 	chunks := opts.Pool.Split(len(edges))
 	var stop atomic.Bool
-	var count atomic.Int64
 	ens := make([]*enumerator, len(chunks))
 	opts.Pool.Run(chunks, opts.OnTask, func(k, lo, hi int) {
 		en := &enumerator{
 			Search: store.NewSearch(f.Store, q), f: f, q: q, opts: opts, edges: edges, masks: masks,
-			inc: inc, seedOrder: seedOrder, seedPos: seedPos, stop: &stop, count: &count,
-			labels: labels,
+			inc: inc, seedOrder: seedOrder, seedPos: seedPos, stop: &stop, labels: labels,
 		}
 		en.Admit = en.admit
 		en.Next = en.expand
 		ens[k] = en
-		if stop.Load() {
-			en.err = ErrCanceled
-			return
-		}
 		en.run(lo, hi)
-		if en.err != nil {
-			stop.Store(true)
-		}
 	})
-	// A real error beats the cancellations it caused in other chunks;
-	// among real errors the lowest chunk index wins, deterministically.
-	var firstErr error
-	for _, en := range ens {
-		if en.err != nil && (firstErr == nil || (errors.Is(firstErr, ErrCanceled) && !errors.Is(en.err, ErrCanceled))) {
-			firstErr = en.err
-		}
+	// Cancellation is the one way a chunk fails; the first chunk to see it
+	// stops the rest through stop.
+	if stop.Load() {
+		return nil, ErrCanceled
 	}
-	return ens, firstErr
+	return ens, nil
 }
 
 // enumerator drives a store.Search by Definition 5: from a crossing edge
@@ -399,9 +358,7 @@ type enumerator struct {
 	crossing []CrossEdge // the current candidate's crossing edges
 
 	steps uint
-	err   error
-	stop  *atomic.Bool  // shared: some chunk failed
-	count *atomic.Int64 // shared: matches kept so far, for MaxMatches
+	stop  *atomic.Bool // shared: some chunk saw cancellation
 }
 
 // run seeds an expansion from every (crossing edge, query edge) pair of
@@ -441,7 +398,7 @@ func (en *enumerator) admit(qv int, u rdf.TermID, _ int) bool {
 // such edge remains the candidate is a local partial match.
 func (en *enumerator) expand() {
 	if en.steps&0xff == 0 && (en.stop.Load() || (en.opts.Cancel != nil && en.opts.Cancel())) {
-		en.err = ErrCanceled
+		en.stop.Store(true)
 		en.Stop = true
 		return
 	}
@@ -480,11 +437,6 @@ func (en *enumerator) finalize() {
 		if t.Less(en.seedT) || (t == en.seedT && en.seedPos[c.QEdge] < first) {
 			return
 		}
-	}
-	if en.opts.MaxMatches > 0 && en.count.Add(1) > int64(en.opts.MaxMatches) {
-		en.err = ErrTooManyMatches{Limit: en.opts.MaxMatches}
-		en.Stop = true
-		return
 	}
 	m := &en.matches.take(1)[0]
 	m.Frag, m.Sign = en.f.ID, cur.Sign

@@ -1,6 +1,7 @@
 package partial
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -185,14 +186,6 @@ func TestExtendedFilterPrunes(t *testing.T) {
 	}
 }
 
-func TestMaxMatchesGuard(t *testing.T) {
-	ex, d := buildPaper(t)
-	_, err := Compute(d.Fragments[1], ex.Query, Options{MaxMatches: 1})
-	if _, ok := err.(ErrTooManyMatches); !ok {
-		t.Errorf("expected ErrTooManyMatches, got %v", err)
-	}
-}
-
 func TestSingleFragmentNoPartialMatches(t *testing.T) {
 	ex := paperexample.New()
 	a := &partition.Assignment{K: 1, Frag: map[rdf.TermID]int{}}
@@ -300,14 +293,14 @@ func TestQueryTooLarge(t *testing.T) {
 // exactly when both endpoints are bound and one is internal — kept when
 // a label variable is bound exactly if an edge carrying it is matched,
 // parallel query edges find enough edge instances (Def. 3), and Verify
-// accepts. Keys are returned sorted.
-func definitionMatches(f *fragment.Fragment, q *query.Graph) []string {
+// accepts. Matches are returned sorted by compareMatches.
+func definitionMatches(f *fragment.Fragment, q *query.Graph) []*Match {
 	domain := append([]rdf.TermID{rdf.NoTerm}, f.Store.Vertices()...)
 	labels := append([]rdf.TermID{rdf.NoTerm}, f.Store.Predicates()...)
 	labelVars := q.EdgeVars()
 	vec := make([]rdf.TermID, len(q.Vertices))
 	evs := make([]rdf.TermID, len(q.Vars))
-	var keys []string
+	var ms []*Match
 	check := func() {
 		m := &Match{Frag: f.ID, Vec: slices.Clone(vec)}
 		if len(labelVars) > 0 {
@@ -348,7 +341,7 @@ func definitionMatches(f *fragment.Fragment, q *query.Graph) []string {
 			}
 		}
 		if Verify(f, q, m) == nil {
-			keys = append(keys, m.Key())
+			ms = append(ms, m)
 		}
 	}
 	var assignLabels func(k int)
@@ -374,13 +367,31 @@ func definitionMatches(f *fragment.Fragment, q *query.Graph) []string {
 		}
 	}
 	assign(0)
-	sort.Strings(keys)
-	return keys
+	slices.SortFunc(ms, compareMatches)
+	return ms
+}
+
+// compareMatches orders matches by the fields that tell them apart:
+// fragment, vector, edge-label bindings and crossing edges.
+func compareMatches(a, b *Match) int {
+	return cmp.Or(cmp.Compare(a.Frag, b.Frag), slices.Compare(a.Vec, b.Vec), slices.Compare(a.EdgeVars, b.EdgeVars),
+		slices.CompareFunc(a.Crossing, b.Crossing, func(x, y CrossEdge) int {
+			return cmp.Or(cmp.Compare(x.QEdge, y.QEdge), cmp.Compare(x.S, y.S), cmp.Compare(x.P, y.P), cmp.Compare(x.O, y.O))
+		}))
+}
+
+func sameMatch(a, b *Match) bool { return compareMatches(a, b) == 0 }
+
+// distinctMatches counts the matches of ms that compareMatches tells apart.
+func distinctMatches(ms []*Match) int {
+	ms = slices.Clone(ms)
+	slices.SortFunc(ms, compareMatches)
+	return len(slices.CompactFunc(ms, sameMatch))
 }
 
 // checkAgainstDefinition reports how Compute's output for f differs
 // from Definition 5's at the given pool widths, the first of which is 1:
-// every match verifies, no key appears twice, the key set is the
+// every match verifies, none appears twice, the match set is the
 // definition's, and the chunked runs return what the sequential one
 // does, in its order. It returns the number of matches.
 func checkAgainstDefinition(f *fragment.Fragment, q *query.Graph, widths ...int) (int, error) {
@@ -397,13 +408,11 @@ func checkAgainstDefinition(f *fragment.Fragment, q *query.Graph, widths ...int)
 			return 0, fmt.Errorf("F%d: width %d returns %d matches, differing from width 1's %d", f.ID, width, len(ms), len(seq))
 		}
 	}
-	keys := make([]string, len(seq))
 	shipped := make([]*Match, len(seq))
 	for i, m := range seq {
 		if err := Verify(f, q, m); err != nil {
 			return 0, fmt.Errorf("F%d: %v fails Definition 5: %v", f.ID, m.Vec, err)
 		}
-		keys[i] = m.Key()
 		shipped[i] = &Match{Frag: m.Frag, Vec: m.Vec, EdgeVars: m.EdgeVars, Sign: m.Sign}
 	}
 	// What the coordinator derives from the shipped fields is what the
@@ -416,9 +425,10 @@ func checkAgainstDefinition(f *fragment.Fragment, q *query.Graph, widths ...int)
 			return 0, fmt.Errorf("F%d: Derive gives %v, Compute %v", f.ID, m.Crossing, seq[i].Crossing)
 		}
 	}
-	sort.Strings(keys)
-	if !slices.Equal(keys, want) {
-		return 0, fmt.Errorf("F%d: Compute finds %d matches (%d distinct), Definition 5 has %d", f.ID, len(keys), len(slices.Compact(slices.Clone(keys))), len(want))
+	got := slices.Clone(seq)
+	slices.SortFunc(got, compareMatches)
+	if !slices.EqualFunc(got, want, sameMatch) {
+		return 0, fmt.Errorf("F%d: Compute finds %d matches (%d distinct), Definition 5 has %d", f.ID, len(got), distinctMatches(got), len(want))
 	}
 	return len(want), nil
 }
@@ -501,46 +511,6 @@ func TestComputeAlwaysVerifies(t *testing.T) {
 	}
 }
 
-// TestMaxMatchesBoundsTheWholeSite: the runaway valve counts a site's
-// matches, not a chunk's. At any width Compute fails once the site as a
-// whole passes the limit, having kept no more than limit matches plus at
-// most one in flight per chunk (it used to allow limit per chunk: 32×
-// at width 8).
-func TestMaxMatchesBoundsTheWholeSite(t *testing.T) {
-	d, q := lubm1LQ7(t)
-	const limit = 5
-	for _, width := range []int{1, 2, 8} {
-		for _, f := range d.Fragments {
-			edges, masks := seedDomain(f, q)
-			ens, err := enumerate(f, q, edges, masks, Options{MaxMatches: limit, Pool: pool.New(width)})
-			if err != (ErrTooManyMatches{Limit: limit}) {
-				t.Fatalf("width %d F%d: err = %v, want ErrTooManyMatches{%d}", width, f.ID, err, limit)
-			}
-			kept := 0
-			for _, en := range ens {
-				kept += len(en.out)
-			}
-			if kept > limit+len(ens) {
-				t.Errorf("width %d F%d: %d chunks kept %d matches under a limit of %d", width, f.ID, len(ens), kept, limit)
-			}
-			if _, err := Compute(f, q, Options{MaxMatches: limit, Pool: pool.New(width)}); err != (ErrTooManyMatches{Limit: limit}) {
-				t.Errorf("width %d F%d: Compute err = %v", width, f.ID, err)
-			}
-		}
-	}
-	// At the limit exactly, nothing fails.
-	for _, f := range d.Fragments {
-		all, err := Compute(f, q, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Compute(f, q, Options{MaxMatches: len(all), Pool: pool.New(8)})
-		if err != nil || len(got) != len(all) {
-			t.Errorf("F%d: limit = match count %d: %d matches, err %v", f.ID, len(all), len(got), err)
-		}
-	}
-}
-
 // lubm1LQ7 is LUBM(1) under hash partitioning into four fragments with
 // its least selective complex query: 299 partial matches, a third of
 // them reachable from two crossing edges.
@@ -597,15 +567,13 @@ func TestEstimateBytesAndKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := map[string]bool{}
+	if n := distinctMatches(ms); n != len(ms) {
+		t.Errorf("%d matches, %d of them distinct", len(ms), n)
+	}
 	for _, m := range ms {
 		if m.EstimateBytes() <= 0 {
 			t.Error("non-positive byte estimate")
 		}
-		if keys[m.Key()] {
-			t.Error("duplicate keys for distinct matches")
-		}
-		keys[m.Key()] = true
 		if m.IsComplete() {
 			t.Errorf("partial match %v reported complete", vecOf(ex, m))
 		}

@@ -30,20 +30,19 @@ func pairsTried(edges []rdf.Triple, masks []uint64, q *query.Graph) int {
 	return n
 }
 
-// keysFrom is Compute's Key() sequence over the seed domain (edges, masks).
-func keysFrom(t *testing.T, f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks []uint64, width int) []string {
+// matchesFrom is Compute's match sequence over the seed domain (edges,
+// masks).
+func matchesFrom(t *testing.T, f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks []uint64, width int) []*Match {
 	t.Helper()
 	ens, err := enumerate(f, q, edges, masks, Options{Pool: pool.New(width)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []string
+	var ms []*Match
 	for _, en := range ens {
-		for _, m := range en.out {
-			keys = append(keys, m.Key())
-		}
+		ms = append(ms, en.out...)
 	}
-	return keys
+	return ms
 }
 
 // TestCandidateDomain pins which seed domain partial evaluation takes on
@@ -52,7 +51,7 @@ func keysFrom(t *testing.T, f *fragment.Fragment, q *query.Graph, edges []rdf.Tr
 // edges at their local candidates, trying at most a tenth of the 5,646
 // (crossing edge, query edge) pairs the scan of every crossing edge
 // tries; LQ1 and LQ7 have unanchored variables and scan. On every query
-// both domains return the same Key() sequence, at widths 1 and 8.
+// both domains return the same match sequence, at widths 1 and 8.
 func TestCandidateDomain(t *testing.T) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 3, Seed: 7})
 	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
@@ -81,8 +80,8 @@ func TestCandidateDomain(t *testing.T) {
 			scanned += pairsTried(f.Crossing, nil, q)
 			tried += pairsTried(edges, masks, q)
 			for _, width := range []int{1, 8} {
-				want := keysFrom(t, f, q, f.Crossing, nil, width)
-				if got := keysFrom(t, f, q, edges, masks, width); !slices.Equal(got, want) {
+				want := matchesFrom(t, f, q, f.Crossing, nil, width)
+				if got := matchesFrom(t, f, q, edges, masks, width); !slices.EqualFunc(got, want, sameMatch) {
 					t.Errorf("%s F%d width %d: the candidate domain returns %d matches, the scan %d, or another order", c.name, f.ID, width, len(got), len(want))
 				}
 				matches += len(want)

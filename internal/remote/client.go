@@ -263,7 +263,6 @@ func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit
 	resp, m, err := s.call(ctx, &request{
 		Op: opPartial, Query: req.Query, Star: req.Star, Center: req.Center,
 		Order: req.Order, EdgeRank: req.EdgeRank, Union: req.Union,
-		MaxMatches: req.MaxMatches,
 	}, func(row []rdf.TermID) bool { delivered++; return emit(row) })
 	if err != nil {
 		// A call its consumer's LIMIT cancels ends on the poisoned

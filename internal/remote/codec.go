@@ -35,7 +35,7 @@ import (
 // wireVersion is bumped by any change to the encoding; it travels in the
 // tag byte so that builds which disagree fail the call by name instead of
 // misreading each other.
-const wireVersion = 4
+const wireVersion = 5
 
 const (
 	tagRequest  = wireVersion << 1
@@ -185,7 +185,6 @@ func (q *request) appendTo(b []byte) []byte {
 	b = varint.AppendInt(b, q.Center)
 	b = appendInts(b, q.Order)
 	b = appendInts(b, q.EdgeRank)
-	b = varint.AppendInt(b, q.MaxMatches)
 	b = varint.Append(b, q.Base)
 	if q.Query != nil {
 		b = appendQuery(b, q.Query)
@@ -216,7 +215,6 @@ func (q *request) decode(body []byte) error {
 	q.Center = r.Int()
 	q.Order = cutInts(r)
 	q.EdgeRank = cutInts(r)
-	q.MaxMatches = r.Int()
 	q.Base = r.Uvarint()
 	if f&reqHasQuery != 0 {
 		q.Query = cutQuery(r)
@@ -439,7 +437,6 @@ func (p *response) appendTo(b []byte) []byte {
 	b = varint.Append(b, p.Epoch)
 	b = varint.AppendInt(b, int(p.ErrKind))
 	b = appendString(b, p.ErrMsg)
-	b = varint.AppendInt(b, p.ErrLimit)
 	return b
 }
 
@@ -469,7 +466,6 @@ func (p *response) decode(body []byte) error {
 	p.Epoch = r.Uvarint()
 	p.ErrKind = errKind(r.Upto(uint64(numErrKinds - 1)))
 	p.ErrMsg = cutString(r)
-	p.ErrLimit = r.Int()
 	return r.Done()
 }
 

@@ -97,7 +97,7 @@ func goldenFrames(t testing.TB) []namedFrame {
 		resp("candidates reply", response{Done: true, Vectors: fullVectors(t)}),
 		req("partial request", request{
 			Op: opPartial, Site: 3, Epoch: 7, TimeoutNS: 1500000000, Order: []int{1, 0}, EdgeRank: []int{1, 0},
-			MaxMatches: 100000, Query: fullQuery(), Union: fullVectors(t),
+			Query: fullQuery(), Union: fullVectors(t),
 		}),
 		req("star request", request{Op: opPartial, Site: 1, Epoch: 7, Star: true, Center: 2, Order: []int{0, 1}, Query: fullQuery()}),
 		resp("row batch", response{Rows: [][]rdf.TermID{{17, 9, 300}, {18, 9, 70000}}}),
@@ -125,7 +125,6 @@ func goldenFrames(t testing.TB) []namedFrame {
 		}),
 		resp("install reply", response{Done: true, Epoch: 8}),
 		resp("error canceled", errFrame(partial.ErrCanceled)),
-		resp("error too many matches", errFrame(partial.ErrTooManyMatches{Limit: 100000})),
 		resp("error need-sync", errFrame(fmt.Errorf("%w: site 3 not resident", cluster.ErrNeedSync))),
 		resp("error generic", errFrame(errors.New("remote: request carries no query"))),
 	}
@@ -184,7 +183,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{}, // nil Query, Union and Fragment
 		{
 			Op: opPartial, Site: 3, Epoch: math.MaxUint64, TimeoutNS: math.MaxInt64, Star: true, Bits: 1 << 14, Center: 2,
-			Order: []int{2, 0, 1}, EdgeRank: []int{1, 2, 0}, MaxMatches: 1 << 40, Base: math.MaxUint64 - 1,
+			Order: []int{2, 0, 1}, EdgeRank: []int{1, 2, 0}, Base: math.MaxUint64 - 1,
 			Query: fullQuery(), Union: fullVectors(t),
 			Fragment: &fragment.Payload{
 				ID: 5, Triples: []rdf.Triple{{S: 9, P: 1, O: math.MaxUint32}, {S: 3, P: 2, O: 1}}, Internal: []rdf.TermID{9, 3, math.MaxUint32},
@@ -204,7 +203,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			Done: true, Rows: [][]rdf.TermID{{1, 2}, nil, {math.MaxUint32}}, Vectors: fullVectors(t), LocalMatches: 3,
 			Matches: twoMatches(), Tasks: 9, BusyNS: math.MaxInt64, EvalNS: 1,
 			Info:  cluster.SiteInfo{Site: 4, Addr: "127.0.0.1:9", Epoch: 11, Fragments: 6},
-			Epoch: 12, ErrKind: errTooMany, ErrMsg: "why", ErrLimit: 77,
+			Epoch: 12, ErrKind: errNeedSync, ErrMsg: "why",
 		},
 		{Matches: []*partial.Match{{}}},
 		{Vectors: vectors(t, 0)},
@@ -280,7 +279,7 @@ func TestDecodeRejects(t *testing.T) {
 		"terms total too small": func(b []byte) { b[totals]-- },
 		"terms total too large": func(b []byte) { b[totals]++ },
 		"match count too large": func(b []byte) { b[totals-1]++ },
-		"unknown error kind":    func(b []byte) { b[len(b)-3] = byte(numErrKinds) },
+		"unknown error kind":    func(b []byte) { b[len(b)-2] = byte(numErrKinds) },
 	} {
 		body := bytes.Clone(resp)
 		edit(body)
@@ -404,7 +403,7 @@ func (g *gen) triples() []rdf.Triple {
 func (g *gen) request(t testing.TB) *request {
 	q := &request{
 		Op: g.int(), Site: g.int(), Epoch: g.u64(), TimeoutNS: int64(g.u64()), Star: g.bool(), Bits: g.int(),
-		Center: g.int(), Order: g.ints(), EdgeRank: g.ints(), MaxMatches: g.int(), Base: g.u64(),
+		Center: g.int(), Order: g.ints(), EdgeRank: g.ints(), Base: g.u64(),
 	}
 	if g.bool() {
 		q.Query = g.query()
@@ -425,7 +424,7 @@ func (g *gen) response(t testing.TB) *response {
 	p := &response{
 		Done: g.bool(), LocalMatches: g.int(), Tasks: g.int(), BusyNS: int64(g.u64()), EvalNS: int64(g.u64()),
 		Info:  cluster.SiteInfo{Site: g.int(), Addr: g.str(), Epoch: g.u64(), Fragments: g.int()},
-		Epoch: g.u64(), ErrKind: errKind(g.n(int(numErrKinds) - 1)), ErrMsg: g.str(), ErrLimit: g.int(),
+		Epoch: g.u64(), ErrKind: errKind(g.n(int(numErrKinds) - 1)), ErrMsg: g.str(),
 	}
 	for i := g.n(3); i > 0; i-- {
 		p.Rows = append(p.Rows, g.terms())
@@ -472,6 +471,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{tagResponse, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})    // a row count far past the input
 	f.Add([]byte{tagResponse, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}) // the same for matches
 	f.Add([]byte{9 << 1, 0, 0, 0})                                 // another build's tag
+	f.Add((&response{ErrKind: numErrKinds}).appendTo(nil))         // an error kind past the last this build knows
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &gen{data: data}
 		wantReq := g.request(t)

@@ -156,7 +156,7 @@ func TestErrKindRoundTrip(t *testing.T) {
 	cases := []error{
 		nil,
 		partial.ErrCanceled,
-		partial.ErrTooManyMatches{Limit: 9},
+		fmt.Errorf("wrapping: %w", partial.ErrCanceled),
 		fmt.Errorf("wrapping: %w", cluster.ErrNeedSync),
 		errors.New("plain failure"),
 	}
@@ -178,13 +178,7 @@ func TestErrKindRoundTrip(t *testing.T) {
 				t.Errorf("need-sync identity lost: %v", got)
 			}
 		default:
-			var tooMany partial.ErrTooManyMatches
-			if errors.As(want, &tooMany) {
-				var gotMany partial.ErrTooManyMatches
-				if !errors.As(got, &gotMany) || gotMany.Limit != tooMany.Limit {
-					t.Errorf("too-many identity lost: %v", got)
-				}
-			} else if got == nil || got.Error() != want.Error() {
+			if got == nil || got.Error() != want.Error() {
 				t.Errorf("generic error %q became %v", want, got)
 			}
 		}

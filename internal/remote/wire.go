@@ -68,12 +68,11 @@ type request struct {
 	TimeoutNS int64
 
 	// Candidates / PartialEval:
-	Star       bool
-	Bits       int
-	Center     int
-	Order      []int
-	EdgeRank   []int
-	MaxMatches int
+	Star     bool
+	Bits     int
+	Center   int
+	Order    []int
+	EdgeRank []int
 
 	// SwapGeneration: the epoch of the generation that a nil Fragment
 	// carries into Epoch, or that Delta patches (0 = none).
@@ -94,7 +93,6 @@ const (
 	errNone errKind = iota
 	errGeneric
 	errCanceled
-	errTooMany
 	errNeedSync
 	numErrKinds
 )
@@ -119,13 +117,12 @@ type response struct {
 	Info   cluster.SiteInfo
 	Epoch  uint64
 
-	ErrKind  errKind
-	ErrMsg   string
-	ErrLimit int
+	ErrKind errKind
+	ErrMsg  string
 }
 
 // setErr records err in the frame, preserving the identities the engine
-// dispatches on (cancellation, the partial-match limit, need-sync).
+// dispatches on (cancellation, need-sync).
 func (r *response) setErr(err error) {
 	switch {
 	case err == nil:
@@ -135,11 +132,6 @@ func (r *response) setErr(err error) {
 	case errors.Is(err, cluster.ErrNeedSync):
 		r.ErrKind, r.ErrMsg = errNeedSync, err.Error()
 	default:
-		var tooMany partial.ErrTooManyMatches
-		if errors.As(err, &tooMany) {
-			r.ErrKind, r.ErrLimit = errTooMany, tooMany.Limit
-			return
-		}
 		r.ErrKind, r.ErrMsg = errGeneric, err.Error()
 	}
 }
@@ -151,8 +143,6 @@ func (r *response) err() error {
 		return nil
 	case errCanceled:
 		return partial.ErrCanceled
-	case errTooMany:
-		return partial.ErrTooManyMatches{Limit: r.ErrLimit}
 	case errNeedSync:
 		return fmt.Errorf("%w (%s)", cluster.ErrNeedSync, r.ErrMsg)
 	}

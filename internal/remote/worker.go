@@ -308,8 +308,7 @@ func (w *Worker) handlePartial(ctx context.Context, c *conn, req *request, final
 
 	rep, err := local.PartialEval(ctx, cluster.PartialRequest{
 		Query: req.Query, Star: req.Star, Center: req.Center,
-		Order: req.Order, EdgeRank: req.EdgeRank, Union: req.Union,
-		MaxMatches: req.MaxMatches, Pool: w.pool,
+		Order: req.Order, EdgeRank: req.EdgeRank, Union: req.Union, Pool: w.pool,
 	}, emit)
 
 	emu.Lock()

@@ -21,6 +21,7 @@ type Metrics struct {
 	SlowLogDrops      atomic.Int64 // slow-query log lines lost to marshal or sink write failures
 	Rejected          atomic.Int64 // admission-control 503s
 	Timeouts          atomic.Int64 // per-query deadline expiries
+	OverBudget        atomic.Int64 // queries failed by the engine's held-data budget (422)
 	QueryNanos        atomic.Int64 // wall time spent answering (engine runs only)
 	EngineRuns        atomic.Int64 // engine executions (misses that actually ran)
 	Coalesced         atomic.Int64 // waiters served by a concurrent identical execution
@@ -137,6 +138,7 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	writeMetric(w, "gstored_slowlog_dropped_total", "Slow-query log lines dropped because the record marshal or sink write failed.", "counter", m.SlowLogDrops.Load())
 	writeMetric(w, "gstored_queries_rejected_total", "Requests shed by admission control (HTTP 503), updates included.", "counter", m.Rejected.Load())
 	writeMetric(w, "gstored_query_timeouts_total", "Requests canceled by the per-query deadline, updates included.", "counter", m.Timeouts.Load())
+	writeMetric(w, "gstored_query_budget_exceeded_total", "Queries failed (HTTP 422) because they would hold more data than the engine's budget.", "counter", m.OverBudget.Load())
 	writeMetric(w, "gstored_queries_inflight", "Admitted queries currently queued or running.", "gauge", inFlight)
 	writeMetric(w, "gstored_query_seconds_total", "Wall time spent executing queries.", "counter", seconds(m.QueryNanos.Load()))
 	writeMetric(w, "gstored_engine_executions_total", "Queries that actually ran the engine (cache misses and bypasses, singleflight leaders only).", "counter", m.EngineRuns.Load())

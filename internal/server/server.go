@@ -657,13 +657,16 @@ func (s *Server) cacheable(res *gstored.Result) bool {
 // gstored_query_errors_total, so dashboards alerting on the error rate
 // don't page because clients hung up. Shutdown abandonment is
 // server-side, so it stays in Errors; so does a syntax error, though
-// that one is the client's to fix.
+// that one is the client's to fix. A query over the engine's held-data
+// budget is the query's fault, not the server's: 422, its own counter.
 func (s *Server) classify(op string, err error) (status int, counter *atomic.Int64, reason string) {
 	m := &s.metrics
 	var syntax *sparql.SyntaxError
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusServiceUnavailable, &m.Rejected, op + " load limit reached, retry later"
+	case errors.Is(err, gstored.ErrBudget):
+		return http.StatusUnprocessableEntity, &m.OverBudget, op + " would hold more data than the engine's budget; narrow it"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, &m.Timeouts, fmt.Sprintf("%s exceeded the %v time limit", op, s.cfg.QueryTimeout)
 	case errors.Is(err, context.Canceled):

@@ -233,6 +233,40 @@ func TestQueryTimeout504(t *testing.T) {
 	}
 }
 
+// TestQueryOverBudget422 sends the probe, two name patterns that share no
+// variable and make a 19.8 M-row cross product on LUBM(32): it fails the
+// engine's held-data budget with 422 and its own counter, counts as no
+// server error, and leaves nothing resident in the result table.
+func TestQueryOverBudget422(t *testing.T) {
+	db, err := gstored.Open(gstored.GenerateLUBM(32).Graph, gstored.Config{Sites: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, db, Config{})
+	probe := fmt.Sprintf(`SELECT * WHERE { ?a <%sname> ?b . ?c <%sname> ?d }`, ub, ub)
+	resp, err := http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422", resp.StatusCode)
+	}
+	metrics := scrapeMetrics(t, ts.URL)
+	for name, want := range map[string]string{
+		"gstored_query_budget_exceeded_total": "1",
+		"gstored_query_errors_total":          "0",
+		"gstored_cache_entries":               "0",
+	} {
+		if got := metricValue(t, metrics, name); got != want {
+			t.Errorf("%s = %s, want %s", name, got, want)
+		}
+	}
+	if n := s.results.stats().Entries; n != 0 {
+		t.Errorf("%d entries resident after the failed query", n)
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, testDB(t), Config{})
 	if _, err := http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(knowsChain)); err != nil {

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"gstored/internal/partial"
 )
 
 // These tests exist to run under -race (CI does): they drive the
@@ -170,34 +168,30 @@ func TestPoolEarlyLimitCancel(t *testing.T) {
 	checkGoroutines(t, baseline)
 }
 
-// TestPoolFirstErrorWins caps partial matches at 1 so several chunk
-// tasks fail concurrently: the surfaced error must be the real
-// ErrTooManyMatches, not a cascade-cancellation artifact, and the
-// failed query must not strand workers.
+// TestPoolFirstErrorWins runs a query over the engine's held-data budget
+// on a width-8 pool: the surfaced error must be ErrBudget, the cause the
+// budget canceled the execution with, not the cancellation every stage
+// then observes, and the failed query must not strand workers.
 func TestPoolFirstErrorWins(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	ds := GenerateLUBM(1)
-	db, err := Open(ds.Graph, Config{Sites: 4, EvalWorkers: 8, MaxPartialMatches: 1})
+	ds := GenerateLUBM(32)
+	db, err := Open(ds.Graph, Config{Sites: 4, EvalWorkers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three edges with no shared center: the star fast path cannot take
-	// this, so it runs distributed partial evaluation (54 partials on
-	// this fixture — far over the cap on every site).
+	// Three components: a path with no shared center, which runs
+	// distributed partial evaluation on the pool, and the probe's two
+	// name patterns, whose cross product with it is far over the budget.
 	text := fmt.Sprintf(
-		`SELECT ?x ?w WHERE { ?x <%sadvisor> ?y . ?y <%sworksFor> ?z . ?z <%ssubOrganizationOf> ?w }`,
-		ubPrefix, ubPrefix, ubPrefix)
-	for i := 0; i < 10; i++ {
+		`SELECT * WHERE { ?x <%sadvisor> ?y . ?y <%sworksFor> ?z . ?z <%ssubOrganizationOf> ?w . ?a <%sname> ?b . ?c <%sname> ?d }`,
+		ubPrefix, ubPrefix, ubPrefix, ubPrefix, ubPrefix)
+	for i := 0; i < 3; i++ {
 		_, err := db.Query(text)
-		if err == nil {
-			t.Fatal("MaxPartialMatches=1 did not fail the crossing query")
-		}
-		var tm partial.ErrTooManyMatches
-		if !errors.As(err, &tm) {
-			t.Fatalf("error is %v, want partial.ErrTooManyMatches", err)
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("error is %v, want ErrBudget", err)
 		}
 		if errors.Is(err, context.Canceled) {
-			t.Fatalf("real error was masked by cancellation: %v", err)
+			t.Fatalf("the budget's error was masked by cancellation: %v", err)
 		}
 	}
 	checkGoroutines(t, baseline)
