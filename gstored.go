@@ -398,18 +398,24 @@ type SiteStatus struct {
 
 // SiteHealth probes every site of the live generation — a real RPC round
 // trip per site in worker mode, so it doubles as a liveness heartbeat.
-// In-process sites always answer.
+// In-process sites always answer. The sites are probed concurrently, so
+// a stalled worker spends ctx's deadline on its own sites only.
 func (db *DB) SiteHealth(ctx context.Context) []SiteStatus {
 	s := db.load()
 	out := make([]SiteStatus, len(s.sites))
+	var wg sync.WaitGroup
 	for i, site := range s.sites {
-		info, err := site.Stats(ctx)
-		st := SiteStatus{Site: site.ID(), Addr: info.Addr, Epoch: info.Epoch, Fragments: info.Fragments, Up: err == nil}
-		if err != nil {
-			st.Error = err.Error()
-		}
-		out[i] = st
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			info, err := site.Stats(ctx)
+			out[i] = SiteStatus{Site: site.ID(), Addr: info.Addr, Epoch: info.Epoch, Fragments: info.Fragments, Up: err == nil}
+			if err != nil {
+				out[i].Error = err.Error()
+			}
+		}()
 	}
+	wg.Wait()
 	return out
 }
 

@@ -3,10 +3,10 @@ package engine
 import (
 	"context"
 	"net"
-	"slices"
 	"testing"
 
 	"gstored/internal/cluster"
+	"gstored/internal/query"
 	"gstored/internal/remote"
 )
 
@@ -63,33 +63,45 @@ func newRemoteEngine(t *testing.T, env *equivEnv) *Engine {
 
 // TestRemoteSiteEquivalence pins the RPC transport against the
 // in-process oracle on the full engine path: for every structural query
-// shape, ordered results through two remote workers must be
-// byte-identical to the in-process engine's, and the streaming path must
-// deliver the same row multiset. This is the acceptance bar for the
-// coordinator↔site boundary: the engine cannot tell which implementation
-// it is scattering to.
+// shape, plain and with a projection, DISTINCT, OFFSET and LIMIT (which
+// stay at the coordinator: a site receives only the pattern), ordered
+// results through two remote workers must be byte-identical to the
+// in-process engine's. The streaming path must deliver the same row
+// multiset; under OFFSET and LIMIT, where a stream may keep any window,
+// as many rows as the ordered answer, with no duplicate, all from the
+// unwindowed answer. This is the acceptance bar for the coordinator↔site
+// boundary: the engine cannot tell which implementation it is scattering
+// to.
 func TestRemoteSiteEquivalence(t *testing.T) {
 	env := newEquivEnv(t)
 	remoteEng := newRemoteEngine(t, env)
+	distinctX := func(b *query.Builder) *query.Builder { return b.Select("x").Distinct() }
+	windowed := func(b *query.Builder) *query.Builder { return distinctX(b).Offset(1).Limit(5) }
 
 	for _, shape := range []string{"star", "path", "cross", "disconnected"} {
 		t.Run(shape, func(t *testing.T) {
-			q := env.shape(t, shape, nil)
-			want, _ := orderedRows(t, env.eng, q, Full, 4)
-			got, _ := orderedRows(t, remoteEng, q, Full, 4)
-			if len(want) == 0 {
-				t.Fatalf("shape %s has no matches; fixture too sparse", shape)
-			}
-			for i := range want {
-				if i >= len(got) || !slices.Equal(got[i], want[i]) {
-					t.Fatalf("ordered rows diverge at %d: remote has %d rows, local %d", i, len(got), len(want))
+			for _, mod := range []func(*query.Builder) *query.Builder{nil, windowed} {
+				q := env.shape(t, shape, mod)
+				want, _ := orderedRows(t, env.eng, q, Full, 4)
+				got, _ := orderedRows(t, remoteEng, q, Full, 4)
+				if len(want) == 0 {
+					t.Fatalf("shape %s has no matches; fixture too sparse", shape)
 				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("remote returned %d rows, local %d", len(got), len(want))
-			}
-			if !sameMultiset(streamedRows(t, remoteEng, q, Full, 4), want) {
-				t.Error("streamed multiset diverged from ordered oracle")
+				if !sameRows(got, want) {
+					t.Fatalf("ordered rows diverge (modified %v): remote has %d rows, local %d", mod != nil, len(got), len(want))
+				}
+				streamed := streamedRows(t, remoteEng, q, Full, 4)
+				if mod == nil {
+					if !sameMultiset(streamed, want) {
+						t.Error("streamed multiset diverged from ordered oracle")
+					}
+					continue
+				}
+				answer, _ := orderedRows(t, env.eng, env.shape(t, shape, distinctX), Full, 4)
+				if len(streamed) != len(want) || hasDuplicates(streamed) || !subMultiset(streamed, answer) {
+					t.Errorf("modified: streamed %d rows (duplicates %v), want %d distinct rows of the %d-row answer",
+						len(streamed), hasDuplicates(streamed), len(want), len(answer))
+				}
 			}
 		})
 	}

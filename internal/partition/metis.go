@@ -14,15 +14,17 @@ import (
 // applied while uncoarsening. Like the real METIS it minimizes the edge cut
 // under a vertex-balance constraint, so fragments can be imbalanced in
 // *edge* count — exactly the behaviour Section VIII-D attributes to METIS.
-type Metis struct {
-	// MaxImbalance bounds fragment vertex weight at MaxImbalance ×
-	// (total/k). Zero means the default 1.10.
-	MaxImbalance float64
-	// CoarsenTo stops coarsening near this many vertices (default 40×k).
-	CoarsenTo int
-	// RefinePasses is the number of refinement sweeps per level (default 4).
-	RefinePasses int
-}
+type Metis struct{}
+
+const (
+	// maxImbalance bounds fragment vertex weight at maxImbalance ×
+	// (total/k).
+	maxImbalance = 1.10
+	// coarsenPerSite stops coarsening near coarsenPerSite×k vertices.
+	coarsenPerSite = 40
+	// refinePasses is the number of refinement sweeps per level.
+	refinePasses = 4
+)
 
 // Name implements Strategy.
 func (Metis) Name() string { return "metis" }
@@ -37,18 +39,9 @@ type mgraph struct {
 func (g *mgraph) n() int { return len(g.vwgt) }
 
 // Partition implements Strategy.
-func (m Metis) Partition(st *store.Store, k int) (*Assignment, error) {
+func (Metis) Partition(st *store.Store, k int) (*Assignment, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("partition: metis: k = %d", k)
-	}
-	if m.MaxImbalance == 0 {
-		m.MaxImbalance = 1.10
-	}
-	if m.CoarsenTo == 0 {
-		m.CoarsenTo = 40 * k
-	}
-	if m.RefinePasses == 0 {
-		m.RefinePasses = 4
 	}
 
 	verts := sortedVertices(st)
@@ -72,7 +65,7 @@ func (m Metis) Partition(st *store.Store, k int) (*Assignment, error) {
 	// Coarsening phase.
 	graphs := []*mgraph{g}
 	var maps [][]int // maps[l][fineVertex] = coarseVertex
-	for graphs[len(graphs)-1].n() > m.CoarsenTo {
+	for graphs[len(graphs)-1].n() > coarsenPerSite*k {
 		cur := graphs[len(graphs)-1]
 		coarse, fineToCoarse := coarsen(cur)
 		if coarse.n() >= cur.n() { // no progress (e.g. no edges)
@@ -85,7 +78,7 @@ func (m Metis) Partition(st *store.Store, k int) (*Assignment, error) {
 	// Initial partition on the coarsest graph.
 	coarsest := graphs[len(graphs)-1]
 	part := growRegions(coarsest, k)
-	refine(coarsest, part, k, m.MaxImbalance, m.RefinePasses)
+	refine(coarsest, part, k)
 
 	// Uncoarsening with refinement.
 	for l := len(graphs) - 2; l >= 0; l-- {
@@ -95,7 +88,7 @@ func (m Metis) Partition(st *store.Store, k int) (*Assignment, error) {
 			finePart[v] = part[maps[l][v]]
 		}
 		part = finePart
-		refine(fine, part, k, m.MaxImbalance, m.RefinePasses)
+		refine(fine, part, k)
 	}
 
 	for i, v := range verts {
@@ -291,13 +284,13 @@ func growRegions(g *mgraph, k int) []int {
 // refine runs FM-style boundary refinement sweeps: move a vertex to the
 // fragment it is most strongly connected to when that lowers the cut and
 // respects the balance bound.
-func refine(g *mgraph, part []int, k int, maxImb float64, passes int) {
+func refine(g *mgraph, part []int, k int) {
 	n := g.n()
 	total := 0
 	for _, w := range g.vwgt {
 		total += w
 	}
-	maxWeight := int(maxImb * float64(total) / float64(k))
+	maxWeight := int(maxImbalance * float64(total) / float64(k))
 	if maxWeight < 1 {
 		maxWeight = 1
 	}
@@ -306,7 +299,7 @@ func refine(g *mgraph, part []int, k int, maxImb float64, passes int) {
 		weights[part[v]] += g.vwgt[v]
 	}
 	conn := make([]int, k)
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		for v := 0; v < n; v++ {
 			if len(g.adj[v]) == 0 {

@@ -18,7 +18,9 @@ import (
 // LUBM(8), hash-partitioned over 12 sites, is computed once; an operation
 // encodes every site's reply as a final frame, decodes it, and derives
 // the crossing edges (partial.Derive) as the client does. bytes/match is
-// the frames' size over the matches they carry.
+// the frames' size over the matches they carry; bytes/request is the size
+// of the partial-evaluation request each site receives, without the
+// stage-0 union (the §IX-priced candidate sets, which travel unchanged).
 func BenchmarkPartialReplyWire(b *testing.B) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 8})
 	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 12)
@@ -35,8 +37,9 @@ func BenchmarkPartialReplyWire(b *testing.B) {
 			b.Fatal(err)
 		}
 		replies := make([]*response, len(d.Fragments))
-		matches := 0
+		matches, requestBytes := 0, 0
 		for i, f := range d.Fragments {
+			requestBytes += len((&request{Op: opPartial, Site: i, Epoch: 1, Query: q}).appendTo(nil))
 			rep, err := cluster.NewLocalSite(i, f, 1).PartialEval(context.Background(), cluster.PartialRequest{Query: q}, func([]rdf.TermID) bool { return true })
 			if err != nil {
 				b.Fatal(err)
@@ -62,6 +65,7 @@ func BenchmarkPartialReplyWire(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(bytes)/float64(max(matches, 1)), "bytes/match")
+			b.ReportMetric(float64(requestBytes)/float64(len(d.Fragments)), "bytes/request")
 		})
 	}
 }

@@ -275,16 +275,12 @@ func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit
 	return cluster.PartialReply{LocalMatches: resp.LocalMatches, Matches: resp.Matches, Meter: m}, err
 }
 
-// Stats implements cluster.Site. The address is filled client-side: the
-// worker does not reliably know the name it was dialed by.
+// Stats implements cluster.Site. Only the fragment count comes from the
+// worker: the site, address and epoch are the handle's own (the worker
+// does not reliably know the name it was dialed by).
 func (s *Site) Stats(ctx context.Context) (cluster.SiteInfo, error) {
 	resp, _, err := s.call(ctx, &request{Op: opStats}, nil)
-	if err != nil {
-		return cluster.SiteInfo{Site: s.id, Addr: s.link.addr}, err
-	}
-	info := resp.Info
-	info.Addr = s.link.addr
-	return info, nil
+	return cluster.SiteInfo{Site: s.id, Addr: s.link.addr, Epoch: s.epoch, Fragments: resp.Fragments}, err
 }
 
 // SwapGeneration implements cluster.Site: it installs swap.Epoch at the

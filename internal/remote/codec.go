@@ -3,10 +3,8 @@ package remote
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"gstored/internal/candidates"
-	"gstored/internal/cluster"
 	"gstored/internal/fragment"
 	"gstored/internal/partial"
 	"gstored/internal/query"
@@ -16,17 +14,21 @@ import (
 
 // The body of a frame: one tag byte, then every field of the struct in
 // declaration order, whatever the op (DESIGN.md "The transport" has the
-// table). Integers are shortest-form uvarints (package varint), zig-zag
-// coded where query.NoVar is a value; TermIDs are uvarints bounded to 32
-// bits; a slice is its element count and then its elements, and decodes
-// to nil when it is empty; a string is its length and its bytes; bools and
-// the presence of an optional field are bits of one flags byte; the two
+// table). A field travels only when its reader uses it and cannot work it
+// out itself: a site evaluates a query's pattern, so of a query.Graph
+// only the variable count, the vertices and the edges travel, and a reply
+// does not echo the site, address or epoch the caller named. Integers are
+// shortest-form uvarints (package varint), zig-zag coded where
+// query.NoVar is a value; TermIDs are uvarints bounded to 32 bits; a
+// slice is its element count and then its elements, and decodes to nil
+// when it is empty; a string is its length and its bytes; bools and the
+// presence of an optional field are bits of one flags byte; the two
 // durations are fixed 8 bytes, so a frame's size does not depend on how
 // long anything took. Row batches and partial matches also carry their
 // total term count up front, which is what lets the decoder make one
 // allocation and carve the rows and vectors out of it. A value has one
-// encoding: flags have no spare bits, totals must add up, placeholder IDs
-// increase strictly, nothing follows the last field.
+// encoding: flags have no spare bits, totals must add up, nothing follows
+// the last field.
 //
 // Decoding reads a socket, so it trusts nothing (varint.Reader): a count
 // buys an allocation only after it has been checked against the bytes
@@ -35,7 +37,7 @@ import (
 // wireVersion is bumped by any change to the encoding; it travels in the
 // tag byte so that builds which disagree fail the call by name instead of
 // misreading each other.
-const wireVersion = 5
+const wireVersion = 6
 
 const (
 	tagRequest  = wireVersion << 1
@@ -53,7 +55,7 @@ func checkTag(r *varint.Reader, want byte) {
 	}
 }
 
-// Flag bits of the three flags bytes.
+// Flag bits of the two flags bytes.
 const (
 	reqHasQuery = 1 << iota
 	reqStar
@@ -67,13 +69,6 @@ const (
 	respDone = 1 << iota
 	respHasVectors
 	respFlagsEnd
-)
-
-const (
-	queryDistinct = 1 << iota
-	queryHasLimit
-	queryHasPlaceholders
-	queryFlagsEnd
 )
 
 func bit(set bool, b byte) byte {
@@ -231,11 +226,12 @@ func (q *request) decode(body []byte) error {
 	return r.Done()
 }
 
+// appendQuery appends what a site reads of a query: its pattern. The
+// variables travel as their count alone, which sizes the binding slots;
+// names, projection and solution modifiers are the coordinator's, and a
+// placeholder constant is just an ID no fragment holds.
 func appendQuery(b []byte, g *query.Graph) []byte {
 	b = varint.AppendInt(b, len(g.Vars))
-	for _, v := range g.Vars {
-		b = appendString(b, v)
-	}
 	b = varint.AppendInt(b, len(g.Vertices))
 	for _, v := range g.Vertices {
 		b = varint.AppendSigned(b, int64(v.Var))
@@ -248,32 +244,17 @@ func appendQuery(b []byte, g *query.Graph) []byte {
 		b = appendTerm(b, e.Label)
 		b = varint.AppendSigned(b, int64(e.LabelVar))
 	}
-	b = appendInts(b, g.Projection)
-	b = append(b, bit(g.Distinct, queryDistinct)|bit(g.HasLimit, queryHasLimit)|
-		bit(g.Placeholders != nil, queryHasPlaceholders))
-	b = varint.AppendInt(b, g.Limit)
-	b = varint.AppendInt(b, g.Offset)
-	if g.Placeholders != nil {
-		ids := make([]rdf.TermID, 0, len(g.Placeholders))
-		for id := range g.Placeholders {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		b = varint.AppendInt(b, len(ids))
-		for _, id := range ids {
-			b = appendString(appendTerm(b, id), g.Placeholders[id])
-		}
-	}
 	return b
 }
 
+// cutQuery cuts a query whose variables are unnamed. Their count takes no
+// bytes per element, so it is bounded by what a valid query can hold
+// (MaxSize vertex and MaxSize edge-label variables) before it buys the
+// names.
 func cutQuery(r *varint.Reader) *query.Graph {
 	g := &query.Graph{}
-	if n := r.Count(1); n > 0 {
+	if n := r.Upto(2 * query.MaxSize); n > 0 {
 		g.Vars = make([]string, n)
-		for i := range g.Vars {
-			g.Vars[i] = cutString(r)
-		}
 	}
 	if n := r.Count(2); n > 0 {
 		g.Vertices = make([]query.Vertex, n)
@@ -285,23 +266,6 @@ func cutQuery(r *varint.Reader) *query.Graph {
 		g.Edges = make([]query.Edge, n)
 		for i := range g.Edges {
 			g.Edges[i] = query.Edge{From: r.Int(), To: r.Int(), Label: cutTerm(r), LabelVar: int(r.Signed())}
-		}
-	}
-	g.Projection = cutInts(r)
-	f := flags(r, queryFlagsEnd)
-	g.Distinct, g.HasLimit = f&queryDistinct != 0, f&queryHasLimit != 0
-	g.Limit = r.Int()
-	g.Offset = r.Int()
-	if f&queryHasPlaceholders != 0 {
-		n := r.Count(2)
-		g.Placeholders = make(map[rdf.TermID]string, n)
-		var prev rdf.TermID
-		for i := 0; i < n; i++ {
-			id := cutTerm(r)
-			if i > 0 && id <= prev {
-				r.Fail(fmt.Errorf("remote: placeholder IDs do not increase"))
-			}
-			g.Placeholders[id], prev = cutString(r), id
 		}
 	}
 	return g
@@ -430,11 +394,7 @@ func (p *response) appendTo(b []byte) []byte {
 	b = varint.AppendInt(b, p.Tasks)
 	b = varint.AppendUint64(b, uint64(p.BusyNS))
 	b = varint.AppendUint64(b, uint64(p.EvalNS))
-	b = varint.AppendInt(b, p.Info.Site)
-	b = appendString(b, p.Info.Addr)
-	b = varint.Append(b, p.Info.Epoch)
-	b = varint.AppendInt(b, p.Info.Fragments)
-	b = varint.Append(b, p.Epoch)
+	b = varint.AppendInt(b, p.Fragments)
 	b = varint.AppendInt(b, int(p.ErrKind))
 	b = appendString(b, p.ErrMsg)
 	return b
@@ -462,8 +422,7 @@ func (p *response) decode(body []byte) error {
 	p.Tasks = r.Int()
 	p.BusyNS = int64(r.Uint64())
 	p.EvalNS = int64(r.Uint64())
-	p.Info = cluster.SiteInfo{Site: r.Int(), Addr: cutString(r), Epoch: r.Uvarint(), Fragments: r.Int()}
-	p.Epoch = r.Uvarint()
+	p.Fragments = r.Int()
 	p.ErrKind = errKind(r.Upto(uint64(numErrKinds - 1)))
 	p.ErrMsg = cutString(r)
 	return r.Done()

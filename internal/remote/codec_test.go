@@ -56,6 +56,15 @@ func fullQuery() *query.Graph {
 	}
 }
 
+// bare is g as a site decodes it: the pattern, with unnamed variables.
+func bare(g *query.Graph) *query.Graph {
+	b := &query.Graph{Vertices: g.Vertices, Edges: g.Edges}
+	if len(g.Vars) > 0 {
+		b.Vars = make([]string, len(g.Vars))
+	}
+	return b
+}
+
 // Four slots: none (a constant vertex), a one-word vector, the list
 // {5, 8}, the empty list.
 func fullVectors(t testing.TB) *candidates.SiteVectors {
@@ -93,19 +102,19 @@ func goldenFrames(t testing.TB) []namedFrame {
 	req := func(name string, q request) namedFrame { return namedFrame{name, &q} }
 	resp := func(name string, p response) namedFrame { return namedFrame{name, &p} }
 	return []namedFrame{
-		req("candidates request", request{Op: opCandidates, Site: 3, Epoch: 7, Bits: candidates.DefaultBits, Query: fullQuery()}),
+		req("candidates request", request{Op: opCandidates, Site: 3, Epoch: 7, Bits: candidates.DefaultBits, Query: bare(fullQuery())}),
 		resp("candidates reply", response{Done: true, Vectors: fullVectors(t)}),
 		req("partial request", request{
 			Op: opPartial, Site: 3, Epoch: 7, TimeoutNS: 1500000000, Order: []int{1, 0}, EdgeRank: []int{1, 0},
-			Query: fullQuery(), Union: fullVectors(t),
+			Query: bare(fullQuery()), Union: fullVectors(t),
 		}),
-		req("star request", request{Op: opPartial, Site: 1, Epoch: 7, Star: true, Center: 2, Order: []int{0, 1}, Query: fullQuery()}),
+		req("star request", request{Op: opPartial, Site: 1, Epoch: 7, Star: true, Center: 2, Order: []int{0, 1}, Query: bare(fullQuery())}),
 		resp("row batch", response{Rows: [][]rdf.TermID{{17, 9, 300}, {18, 9, 70000}}}),
 		resp("final with two matches", response{
 			Done: true, LocalMatches: 2, Matches: twoMatches(), Tasks: 5, BusyNS: 1234567, EvalNS: 2345678,
 		}),
 		req("stats request", request{Op: opStats, Site: 3, Epoch: 7}),
-		resp("stats reply", response{Done: true, Info: cluster.SiteInfo{Site: 3, Addr: "w:1", Epoch: 7, Fragments: 2}}),
+		resp("stats reply", response{Done: true, Fragments: 2}),
 		req("install request", request{
 			Op: opSwap, Site: 3, Epoch: 8, Base: 7,
 			Fragment: &fragment.Payload{
@@ -123,7 +132,7 @@ func goldenFrames(t testing.TB) []namedFrame {
 				Owned:    []rdf.TermID{17, 301},
 			},
 		}),
-		resp("install reply", response{Done: true, Epoch: 8}),
+		resp("install reply", response{Done: true}),
 		resp("error canceled", errFrame(partial.ErrCanceled)),
 		resp("error need-sync", errFrame(fmt.Errorf("%w: site 3 not resident", cluster.ErrNeedSync))),
 		resp("error generic", errFrame(errors.New("remote: request carries no query"))),
@@ -176,15 +185,12 @@ func TestFrameGolden(t *testing.T) {
 // field of both structs back, absent and empty optional fields told
 // apart, and a second encoding identical to the first.
 func TestFrameRoundTrip(t *testing.T) {
-	noPlaceholders, emptyPlaceholders := fullQuery(), fullQuery()
-	noPlaceholders.Placeholders = nil
-	emptyPlaceholders.Placeholders = map[rdf.TermID]string{}
 	requests := []request{
 		{}, // nil Query, Union and Fragment
 		{
 			Op: opPartial, Site: 3, Epoch: math.MaxUint64, TimeoutNS: math.MaxInt64, Star: true, Bits: 1 << 14, Center: 2,
 			Order: []int{2, 0, 1}, EdgeRank: []int{1, 2, 0}, Base: math.MaxUint64 - 1,
-			Query: fullQuery(), Union: fullVectors(t),
+			Query: bare(fullQuery()), Union: fullVectors(t),
 			Fragment: &fragment.Payload{
 				ID: 5, Triples: []rdf.Triple{{S: 9, P: 1, O: math.MaxUint32}, {S: 3, P: 2, O: 1}}, Internal: []rdf.TermID{9, 3, math.MaxUint32},
 			},
@@ -192,8 +198,7 @@ func TestFrameRoundTrip(t *testing.T) {
 				Inserted: []rdf.Triple{{S: math.MaxUint32, P: 1, O: 2}}, Deleted: []rdf.Triple{{S: 1, P: 2, O: 3}}, Owned: []rdf.TermID{math.MaxUint32, 0},
 			},
 		},
-		{Query: noPlaceholders},
-		{Query: emptyPlaceholders},
+		{Query: &query.Graph{Vars: make([]string, 2*query.MaxSize)}}, // the most variables a query holds
 		{Query: &query.Graph{}, Union: vectors(t, 0), Fragment: &fragment.Payload{}, Delta: &fragment.Delta{}},
 		{Union: vectors(t, 3, 0, 0, 0)}, // nothing but nil set slots
 	}
@@ -202,8 +207,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{
 			Done: true, Rows: [][]rdf.TermID{{1, 2}, nil, {math.MaxUint32}}, Vectors: fullVectors(t), LocalMatches: 3,
 			Matches: twoMatches(), Tasks: 9, BusyNS: math.MaxInt64, EvalNS: 1,
-			Info:  cluster.SiteInfo{Site: 4, Addr: "127.0.0.1:9", Epoch: 11, Fragments: 6},
-			Epoch: 12, ErrKind: errNeedSync, ErrMsg: "why",
+			Fragments: 6, ErrKind: errNeedSync, ErrMsg: "why",
 		},
 		{Matches: []*partial.Match{{}}},
 		{Vectors: vectors(t, 0)},
@@ -289,6 +293,64 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestSiteRequestCarriesOnlyThePattern: queries that differ only in what
+// a site does not read — variable names, projection, solution modifiers,
+// the spelling of a constant the dictionary lacks — encode to identical
+// request bytes, which decode to the bare pattern.
+func TestSiteRequestCarriesOnlyThePattern(t *testing.T) {
+	variants := map[string]func(g *query.Graph){
+		"renamed variables":    func(g *query.Graph) { g.Vars = []string{"a", "b", "c"} },
+		"no projection":        func(g *query.Graph) { g.Projection = nil },
+		"other projection":     func(g *query.Graph) { g.Projection = []int{1} },
+		"no modifiers":         func(g *query.Graph) { g.Distinct, g.HasLimit, g.Limit, g.Offset = false, false, 0, 0 },
+		"other modifiers":      func(g *query.Graph) { g.Limit, g.Offset = 0, 99 },
+		"other spelling":       func(g *query.Graph) { g.Placeholders[math.MaxUint32] = "<http://ex/other>" },
+		"no placeholder table": func(g *query.Graph) { g.Placeholders = nil },
+	}
+	encode := func(g *query.Graph) []byte {
+		return (&request{Op: opPartial, Site: 1, Epoch: 2, Query: g}).appendTo(nil)
+	}
+	want := encode(fullQuery())
+	var got request
+	if err := got.decode(want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Query, bare(fullQuery())) {
+		t.Errorf("the request decodes to the query %+v, want the bare pattern %+v", got.Query, bare(fullQuery()))
+	}
+	for name, edit := range variants {
+		g := fullQuery()
+		edit(g)
+		if b := encode(g); !bytes.Equal(b, want) {
+			t.Errorf("%s: the request encodes to %x, want %x", name, b, want)
+		}
+	}
+}
+
+// varsFrame is a request frame whose query announces n variables and
+// has no vertices or edges.
+func varsFrame(n uint64) []byte {
+	b := (&request{Query: &query.Graph{}}).appendTo(nil)
+	return append(varint.Append(b[:len(b)-3], n), 0, 0) // the counts of vars, vertices, edges
+}
+
+// TestVarCountIsBounded: a variable count costs no bytes per element, so
+// the decoder bounds it by the most a valid query holds and refuses a
+// larger one before it allocates the names.
+func TestVarCountIsBounded(t *testing.T) {
+	var q request
+	if err := q.decode(varsFrame(2 * query.MaxSize)); err != nil || len(q.Query.Vars) != 2*query.MaxSize {
+		t.Fatalf("%d variables: %v, %d names", 2*query.MaxSize, err, len(q.Query.Vars))
+	}
+	for _, n := range []uint64{2*query.MaxSize + 1, math.MaxUint32} {
+		body := varsFrame(n)
+		var err error
+		if a := allocated(1<<10, func() { err = new(request).decode(body) }); err == nil || a > 1<<10 {
+			t.Errorf("%d variables: decoded with %v after allocating %d bytes, want refused before the names", n, err, a)
+		}
+	}
+}
+
 // gen derives frame values from fuzz input; it yields zeros once the
 // input is used up, so every input describes some value.
 type gen struct{ data []byte }
@@ -345,22 +407,18 @@ func (g *gen) terms() []rdf.TermID {
 	return out
 }
 
+// query generates what travels of a query: unnamed variables, vertices
+// and edges.
 func (g *gen) query() *query.Graph {
-	q := &query.Graph{Projection: g.ints(), Distinct: g.bool(), HasLimit: g.bool(), Limit: g.int(), Offset: g.int()}
-	for i := g.n(3); i > 0; i-- {
-		q.Vars = append(q.Vars, g.str())
+	q := &query.Graph{}
+	if n := g.n(3); n > 0 {
+		q.Vars = make([]string, n)
 	}
 	for i := g.n(3); i > 0; i-- {
 		q.Vertices = append(q.Vertices, query.Vertex{Var: g.noVar(), Const: g.term()})
 	}
 	for i := g.n(3); i > 0; i-- {
 		q.Edges = append(q.Edges, query.Edge{From: g.int(), To: g.int(), Label: g.term(), LabelVar: g.noVar()})
-	}
-	if g.bool() {
-		q.Placeholders = map[rdf.TermID]string{}
-		for i := g.n(3); i > 0; i-- {
-			q.Placeholders[g.term()] = g.str()
-		}
 	}
 	return q
 }
@@ -423,8 +481,7 @@ func (g *gen) request(t testing.TB) *request {
 func (g *gen) response(t testing.TB) *response {
 	p := &response{
 		Done: g.bool(), LocalMatches: g.int(), Tasks: g.int(), BusyNS: int64(g.u64()), EvalNS: int64(g.u64()),
-		Info:  cluster.SiteInfo{Site: g.int(), Addr: g.str(), Epoch: g.u64(), Fragments: g.int()},
-		Epoch: g.u64(), ErrKind: errKind(g.n(int(numErrKinds) - 1)), ErrMsg: g.str(),
+		Fragments: g.int(), ErrKind: errKind(g.n(int(numErrKinds) - 1)), ErrMsg: g.str(),
 	}
 	for i := g.n(3); i > 0; i-- {
 		p.Rows = append(p.Rows, g.terms())
@@ -472,6 +529,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{tagResponse, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}) // the same for matches
 	f.Add([]byte{9 << 1, 0, 0, 0})                                 // another build's tag
 	f.Add((&response{ErrKind: numErrKinds}).appendTo(nil))         // an error kind past the last this build knows
+	f.Add(varsFrame(math.MaxUint32))                               // a variable count past what a query holds
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &gen{data: data}
 		wantReq := g.request(t)

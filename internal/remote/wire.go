@@ -114,8 +114,8 @@ type response struct {
 	// row batches written included and both ends' codec work excluded:
 	// what the round trip took beyond it is the transport's share.
 	EvalNS int64
-	Info   cluster.SiteInfo
-	Epoch  uint64
+	// Fragments counts the fragments resident at the worker (Stats).
+	Fragments int
 
 	ErrKind errKind
 	ErrMsg  string

@@ -345,7 +345,7 @@ func (w *Worker) handleStats(req *request, final *response) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	final.Info = cluster.SiteInfo{Site: req.Site, Epoch: req.Epoch, Fragments: len(w.sites)}
+	final.Fragments = len(w.sites)
 }
 
 // handleSwap installs a site's generation for req.Epoch: the shipped
@@ -383,5 +383,4 @@ func (w *Worker) handleSwap(req *request, final *response) {
 			delete(gens, e)
 		}
 	}
-	final.Epoch = req.Epoch
 }

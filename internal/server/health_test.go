@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -82,31 +83,59 @@ func TestMetricsSiteUpGauge(t *testing.T) {
 
 // TestStalledWorkerDegradesHealth: a worker that accepts connections but
 // never answers (stopped, partitioned) must not hang the probes. Within
-// QueryTimeout /healthz reads degraded with the site down, and /metrics
-// reports gstored_site_up 0 for it.
+// QueryTimeout /healthz reads degraded with that worker's sites down, and
+// /metrics reports gstored_site_up 0 for them. The sites of a worker that
+// still answers stay up, with a fresh heartbeat: the stalled worker's
+// probes do not spend their deadline.
 func TestStalledWorkerDegradesHealth(t *testing.T) {
-	w := remote.NewWorker(0)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name           string
+		workers, sites int
+	}{
+		{"one worker", 1, 2},
+		{"two workers", 2, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkStalledWorker(t, tc.workers, tc.sites) })
 	}
-	addr := ln.Addr().String()
-	go func() { _ = w.Serve(ln) }() // ends at Close
+}
+
+// checkStalledWorker serves sites over workers loopback workers, stalls
+// the first, and checks /healthz and /metrics. Sites map to workers
+// round-robin, so the stalled worker hosts the sites i with
+// i%workers == 0.
+func checkStalledWorker(t *testing.T, workers, sites int) {
+	const timeout = 200 * time.Millisecond
+	var stalled *remote.Worker
+	var addrs []string
+	for i := 0; i < workers; i++ {
+		w := remote.NewWorker(0)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = w.Serve(ln) }() // ends at Close
+		if i == 0 {
+			stalled = w
+		} else {
+			t.Cleanup(func() { _ = w.Close() })
+		}
+		addrs = append(addrs, ln.Addr().String())
+	}
 	g := gstored.NewGraph()
 	g.AddIRIs("http://ex/alice", "http://ex/knows", "http://ex/bob")
 	g.AddIRIs("http://ex/bob", "http://ex/knows", "http://ex/carol")
-	db, err := gstored.Open(g, gstored.Config{Sites: 2, Workers: []string{addr}})
+	db, err := gstored.Open(g, gstored.Config{Sites: sites, Workers: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = db.Close() })
-	_, ts := newTestServer(t, db, Config{QueryTimeout: 200 * time.Millisecond})
+	_, ts := newTestServer(t, db, Config{QueryTimeout: timeout})
 
-	// Stop the worker and put a black hole on its address.
-	if err := w.Close(); err != nil {
+	// Stop the first worker and put a black hole on its address.
+	if err := stalled.Close(); err != nil {
 		t.Fatal(err)
 	}
-	hole, err := net.Listen("tcp", addr)
+	hole, err := net.Listen("tcp", addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,29 +160,43 @@ func TestStalledWorkerDegradesHealth(t *testing.T) {
 	})
 
 	client := &http.Client{Timeout: 2 * time.Second}
-	get := func(path string) string {
+	get := func(path string) (string, time.Duration) {
 		t.Helper()
+		start := time.Now()
 		resp, err := client.Get(ts.URL + path)
 		if err != nil {
 			t.Errorf("GET %s with a stalled worker: %v", path, err)
-			return ""
+			return "", time.Since(start)
 		}
 		defer resp.Body.Close()
 		b, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(b)
+		return string(b), time.Since(start)
 	}
-	healthz, metrics := get("/healthz"), get("/metrics")
+	healthz, took := get("/healthz")
+	metrics, _ := get("/metrics")
+	if slack := 800 * time.Millisecond; took > timeout+slack {
+		t.Errorf("/healthz took %v with a stalled worker, want at most QueryTimeout %v plus %v", took, timeout, slack)
+	}
 	var body struct {
 		Status    string       `json:"status"`
 		SiteTable []healthSite `json:"site_table"`
 	}
-	if err := json.Unmarshal([]byte(healthz), &body); err != nil || body.Status != "degraded" || len(body.SiteTable) == 0 || body.SiteTable[0].Up {
-		t.Errorf("/healthz with a stalled worker: %q (%v), want degraded with site 0 down", healthz, err)
+	if err := json.Unmarshal([]byte(healthz), &body); err != nil || body.Status != "degraded" || len(body.SiteTable) != sites {
+		t.Fatalf("/healthz with a stalled worker: %q (%v), want degraded with %d sites", healthz, err, sites)
 	}
-	if !strings.Contains(metrics, `gstored_site_up{site="0"} 0`) {
-		t.Errorf("/metrics with a stalled worker lacks gstored_site_up{site=\"0\"} 0")
+	for i, row := range body.SiteTable {
+		up, gauge := i%workers != 0, 0
+		if up {
+			gauge = 1
+		}
+		if row.Up != up || (up && row.LastHeartbeat == "") {
+			t.Errorf("site %d: %+v, want up %v with a heartbeat when up", i, row, up)
+		}
+		if want := fmt.Sprintf(`gstored_site_up{site="%d"} %d`, i, gauge); !strings.Contains(metrics, want) {
+			t.Errorf("/metrics with a stalled worker lacks %s", want)
+		}
 	}
 }

@@ -208,6 +208,99 @@ DELETE DATA { <http://ex.org/seedS> <http://ex.org/p0> <http://ex.org/seedO> . }
 	compare("post-repartition")
 }
 
+// TestWorkerModeReadOnlyModifiers: a site receives only a query's
+// pattern, so solution modifiers and the spelling of a constant the data
+// lacks stay at the coordinator. Read-only parses carrying a projection,
+// DISTINCT, OFFSET and LIMIT, one of them naming an absent IRI (a
+// placeholder), answer through two workers as in process: the ordered
+// rows exactly; the streamed rows as many as the ordered answer, with no
+// duplicate and all from the unwindowed answer (a stream may keep any
+// window).
+func TestWorkerModeReadOnlyModifiers(t *testing.T) {
+	addrs, _ := startWorkers(t, 2)
+	local, err := Open(workerGraph(), Config{Sites: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wired, err := Open(workerGraph(), Config{Sites: 4, Workers: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := wired.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	ctx := context.Background()
+	parse := func(db *DB, text string) *QueryGraph {
+		t.Helper()
+		q, err := db.ParseReadOnly(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	ordered := func(db *DB, text string) []string {
+		t.Helper()
+		res, err := db.QueryGraphContext(ctx, parse(db, text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range db.Rows(res) {
+			out = append(out, fmt.Sprint(r))
+		}
+		return out
+	}
+	streamed := func(db *DB, text string) []string {
+		t.Helper()
+		var out []string
+		if _, err := db.QueryGraphStreamContext(ctx, parse(db, text), func(r Row) bool {
+			out = append(out, fmt.Sprint([]string{db.Graph.Dict.MustDecode(r[0]).String()})) // as ordered renders it
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	const window = ` OFFSET 1 LIMIT 5`
+	for _, tc := range []struct {
+		pattern     string
+		placeholder bool
+	}{
+		{`?x <http://ex.org/p0> ?y . ?y <http://ex.org/p1> ?z`, false},
+		{`?x <http://ex.org/p0> ?y . ?y <http://ex.org/absent> ?z`, true},
+	} {
+		text := `SELECT DISTINCT ?x WHERE { ` + tc.pattern + ` }`
+		if q := parse(wired, text+window); (q.Placeholders != nil) != tc.placeholder {
+			t.Fatalf("%s: placeholders %v, want some: %v", text, q.Placeholders, tc.placeholder)
+		}
+		want := ordered(local, text+window)
+		if got := ordered(wired, text+window); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: worker-mode rows %v, in-process %v", text+window, got, want)
+		}
+		if !tc.placeholder && len(want) == 0 {
+			t.Fatalf("%s: no rows; fixture too sparse", text+window)
+		}
+		answer := map[string]bool{}
+		for _, r := range ordered(local, text) {
+			answer[r] = true
+		}
+		for _, db := range []*DB{local, wired} {
+			rows, seen := streamed(db, text+window), map[string]bool{}
+			for _, r := range rows {
+				if seen[r] || !answer[r] {
+					t.Errorf("%s: streamed row %s repeats or is not in the answer", text+window, r)
+				}
+				seen[r] = true
+			}
+			if len(rows) != len(want) {
+				t.Errorf("%s: streamed %d rows, the ordered answer has %d", text+window, len(rows), len(want))
+			}
+		}
+	}
+}
+
 // TestWorkerKilledMidQuery kills both workers from inside the streaming
 // emit callback while rows are still flowing: the query must return an
 // error promptly — not hang on a dead socket, not pretend it finished.
