@@ -6,8 +6,11 @@
 //	        site, all partial matches shipped, baseline join.
 //	LA    — + LEC-feature-based assembly (Section V): same shipments,
 //	        grouped and indexed join at the coordinator.
-//	LO    — + LEC-feature-based pruning (Section IV): features are shipped
-//	        and joined first; only surviving partial matches travel.
+//	LO    — + LEC-feature-based pruning (Section IV): sites report their
+//	        distinct crossing-edge mappings first, and only the partial
+//	        matches a one-round semijoin over them keeps travel (all of a
+//	        site's when they cost no more than its report); the LEC walk
+//	        prunes further at the coordinator.
 //	Full  — + assembling variables' internal candidates (Section VI):
 //	        candidate sets filter extended bindings before partial
 //	        evaluation.
@@ -198,14 +201,14 @@ type FragmentStats struct {
 	// partial evaluation enumerated (0 on the star fast path).
 	PartialMatches int
 	// RetainedPartialMatches counts this site's partial matches that
-	// survived LEC pruning and were shipped for assembly (equal to
-	// PartialMatches below ModeLO, where nothing is pruned).
+	// survived LEC pruning (equal to PartialMatches below ModeLO, where
+	// nothing is pruned). The matches shipped for assembly are a superset.
 	RetainedPartialMatches int
 	// ShipmentBytes is the traffic this site sent to the coordinator.
 	// For in-process sites it is the §IX cost-model estimate (candidate
-	// vectors, local-match rows, LEC features, retained partial matches;
-	// coordinator-side broadcasts are not attributed). For remote sites
-	// it is the real wire traffic of the site's RPCs.
+	// vectors, local-match rows, crossing-edge mappings, shipped partial
+	// matches; coordinator-side broadcasts are not attributed). For remote
+	// sites it is the real wire traffic of the site's RPCs.
 	ShipmentBytes int64
 	// WireBytes is the real transport traffic of this site's RPCs —
 	// request and response frames measured at the socket. Zero for
@@ -757,13 +760,12 @@ func (s *Stats) count(bytes, messages int64) {
 // matches, which stream into out as they are found.
 func assemble(ctx context.Context, q *query.Graph, cfg Config, pms []*partial.Match, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
 	tr := trace.FromContext(ctx)
-	// Stage 2 (LO, Full): LEC features travel instead of partial matches;
-	// the coordinator joins features and broadcasts the survivors. The
-	// walk that decides them is the query's only closure walk: it also
-	// finds the complete feature combinations stage 3 expands. Over the
-	// RPC transport the partial matches already crossed the wire in stage
-	// 1 (they ride the reply), so there the feature exchange is a
-	// coordinator-local pruning step with no traffic of its own.
+	// Stage 2 (LO, Full): the query's only closure walk derives the
+	// semijoin that decides which partial matches travel, retains the ones
+	// that can complete and finds the complete feature combinations stage
+	// 3 expands. Over the RPC transport the partial matches already
+	// crossed the wire in stage 1 (they ride the reply), so there the stage
+	// is a coordinator-local pruning step with no traffic of its own.
 	kept := pms
 	var features []*lec.Feature
 	var walk lec.PruneResult
@@ -774,12 +776,14 @@ func assemble(ctx context.Context, q *query.Graph, cfg Config, pms []*partial.Ma
 		stats.NumLECFeatures += len(features)
 		walk = lec.Walk(features, q, false, p, cluster.CancelPoll(ctx))
 		kept = kept[:0:0]
+		ship.live = make([]bool, len(pms))
 		for i, pm := range pms {
+			ship.live[i] = walk.Live[featureOf[i]]
 			if walk.Retained[featureOf[i]] {
 				kept = append(kept, pm)
 			}
 		}
-		ship.features, ship.pruned = features, true
+		ship.mappings = walk.Mappings
 		lecTime := time.Since(lecStart)
 		stats.Stages[StageLEC].Time += lecTime
 		tr.Span(StageLEC.String(), trace.Coordinator, lecStart, lecTime)
@@ -796,7 +800,7 @@ func assemble(ctx context.Context, q *query.Graph, cfg Config, pms []*partial.Ma
 	for _, pm := range kept {
 		stats.Fragments[pm.Frag].RetainedPartialMatches++
 	}
-	ship.kept = kept
+	ship.pms = pms
 	asmStart := time.Now()
 	// Emit streams each crossing match straight into out as it is found,
 	// so no intermediate []assembly.Result is materialized; the ordered
@@ -837,9 +841,9 @@ type shipCounts struct {
 	local    []int                     // local complete matches per site
 	vectors  []*candidates.SiteVectors // per-site candidate vectors (Full)
 	union    *candidates.SiteVectors   // their union, broadcast back (Full)
-	features []*lec.Feature            // LEC features shipped (LO, Full)
-	pruned   bool                      // the LEC stage ran
-	kept     []*partial.Match          // partial matches shipped for assembly
+	mappings []int                     // distinct crossing-edge mappings per site (LO, Full)
+	live     []bool                    // per match of pms: the semijoin keeps it (LO, Full)
+	pms      []*partial.Match          // the partial matches, once stage 2's verdict stands
 }
 
 // modelShipment is the §IX cost model of one in-process component: what
@@ -880,27 +884,39 @@ func modelShipment(stats *Stats, ship *shipCounts) {
 	} else {
 		stats.count(rows, 1)
 	}
-	// Stage 2: one message per LEC feature, from the site owning its
-	// partial matches, and the verdict bitmap back to each site.
-	if ship.pruned {
-		lecBytes := int64((len(ship.features)+7)/8) * k
-		for _, f := range ship.features {
-			fb := int64(f.EstimateBytes(len(q.Vertices)))
-			frags[f.Frag].ShipmentBytes += fb
-			lecBytes += fb
-		}
-		st[StageLEC].Shipment += lecBytes
-		stats.count(lecBytes, int64(len(ship.features))+k)
+	// Stage 2 (LO, Full): a site reports its distinct crossing-edge
+	// mappings, 16 bytes each, in one message, and one bitmap of the dead
+	// ones comes back. A site whose exchange would cost at least what all
+	// its matches do skips it and ships them all in stage 3.
+	matchBytes := make([]int64, k)
+	for _, pm := range ship.pms {
+		matchBytes[pm.Frag] += int64(pm.EstimateBytes())
 	}
-	// Stage 3: one message per retained partial match.
-	var asm int64
-	for _, pm := range ship.kept {
+	exchanged := make([]bool, k)
+	for i, n := range ship.mappings {
+		up, down := int64(16*n), int64((n+7)/8)
+		if up+down >= matchBytes[i] {
+			continue
+		}
+		exchanged[i] = true
+		frags[i].ShipmentBytes += up
+		st[StageLEC].Shipment += up + down
+		stats.count(up+down, 2)
+	}
+	// Stage 3: one message per shipped partial match — every match of a
+	// site that did not exchange, the live ones of a site that did.
+	var asm, shipped int64
+	for j, pm := range ship.pms {
+		if exchanged[pm.Frag] && !ship.live[j] {
+			continue
+		}
 		pb := int64(pm.EstimateBytes())
 		frags[pm.Frag].ShipmentBytes += pb
 		asm += pb
+		shipped++
 	}
 	st[StageAssembly].Shipment += asm
-	stats.count(asm, int64(len(ship.kept)))
+	stats.count(asm, shipped)
 }
 
 // runComponents evaluates each weakly connected component separately,

@@ -47,7 +47,7 @@ func TestFragmentStatsConsistency(t *testing.T) {
 			t.Errorf("%v: paper query enumerates partial matches at the sites", mode)
 		}
 		// Site-attributed traffic excludes coordinator broadcasts (query
-		// init, candidate unions, LEC verdict bitmaps), so it must be a
+		// init, candidate unions, dead-mapping bitmaps), so it must be a
 		// positive strict subset of the total.
 		if ship <= 0 || ship > s.TotalShipment {
 			t.Errorf("%v: fragment shipment sum %d outside (0, %d]", mode, ship, s.TotalShipment)

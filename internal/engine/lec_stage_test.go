@@ -18,24 +18,35 @@ import (
 	"gstored/internal/workload"
 )
 
-// lq7Fixture is LQ7 on LUBM(32), hash-partitioned over 12 sites and run
-// in Full mode — the bench's crossing data and layout: the crossing
-// query whose allocations TestLQ7Allocs pins and whose LEC stage
-// BenchmarkLECStage measures. It is built once per test binary.
-type lq7Fixture struct {
+// crossingFixture is one crossing query on LUBM(32), hash-partitioned
+// over 12 sites and run in Full mode — the bench's crossing data and
+// layout: LQ7, whose allocations TestLQ7Allocs pins, and LQ1, the query
+// the semijoin prunes most; BenchmarkLECStage measures the LEC stage of
+// both. Each is built once per test binary, over one shared engine.
+type crossingFixture struct {
 	eng *Engine
 	q   *query.Graph
 	req cluster.PartialRequest // stage 1's request, candidate union included
 	pms []*partial.Match       // every site's reply, in site order
 }
 
-var lq7 = sync.OnceValues(func() (*lq7Fixture, error) {
+var lubm32 = sync.OnceValues(func() (*workload.Dataset, *Engine) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 32})
 	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 12)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	bq, err := ds.Query("LQ7")
+	return ds, New(d)
+})
+
+var crossingFixtures = map[string]func() (*crossingFixture, error){
+	"LQ7": sync.OnceValues(func() (*crossingFixture, error) { return newCrossingFixture("LQ7") }),
+	"LQ1": sync.OnceValues(func() (*crossingFixture, error) { return newCrossingFixture("LQ1") }),
+}
+
+func newCrossingFixture(name string) (*crossingFixture, error) {
+	ds, eng := lubm32()
+	bq, err := ds.Query(name)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +54,7 @@ var lq7 = sync.OnceValues(func() (*lq7Fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	fx := &lq7Fixture{eng: New(d), q: q}
+	fx := &crossingFixture{eng: eng, q: q}
 	// Stage 0: the candidate union the partial evaluation filters by.
 	vecs := make([]*candidates.SiteVectors, len(fx.eng.sites))
 	creq := cluster.CandidatesRequest{Query: q, Bits: candidates.DefaultBits}
@@ -61,11 +72,11 @@ var lq7 = sync.OnceValues(func() (*lq7Fixture, error) {
 	fx.req = cluster.PartialRequest{Query: q, Union: union}
 	fx.pms, err = fx.partialEval()
 	return fx, err
-})
+}
 
-func loadLQ7(tb testing.TB) *lq7Fixture {
+func loadCrossing(tb testing.TB, name string) *crossingFixture {
 	tb.Helper()
-	fx, err := lq7()
+	fx, err := crossingFixtures[name]()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -74,7 +85,7 @@ func loadLQ7(tb testing.TB) *lq7Fixture {
 
 // partialEval is stage 1 of Full mode at width 1: each site's partial
 // evaluation under the fixture's candidate union, replies in site order.
-func (fx *lq7Fixture) partialEval() ([]*partial.Match, error) {
+func (fx *crossingFixture) partialEval() ([]*partial.Match, error) {
 	var pms []*partial.Match
 	for _, s := range fx.eng.sites {
 		rep, err := s.PartialEval(context.Background(), fx.req, func([]rdf.TermID) bool { return true })
@@ -95,7 +106,7 @@ func (fx *lq7Fixture) partialEval() ([]*partial.Match, error) {
 // added feature); and one width-1 Execute at most a quarter of the
 // parent's.
 func TestLQ7Allocs(t *testing.T) {
-	fx := loadLQ7(t)
+	fx := loadCrossing(t, "LQ7")
 	const (
 		perMatch      = 0.1
 		growth        = 0.01 // allocations per feature added
@@ -146,20 +157,36 @@ func TestLQ7Allocs(t *testing.T) {
 	}
 }
 
-// BenchmarkLECStage is the coordinator's share of LQ7 over one set of
-// replies: lec.Compute, lec.Walk and the expansion of the walk's
-// combinations. CI logs its ns/op and allocs/op with no threshold.
+// BenchmarkLECStage is the coordinator's share of LQ7 and LQ1 over one
+// set of replies each: lec.Compute, lec.Walk and the expansion of the
+// walk's combinations, with the walk's join attempts and the features its
+// semijoin keeps live. CI logs ns/op, allocs/op, attempts/op and live/op
+// with no threshold.
 func BenchmarkLECStage(b *testing.B) {
-	fx := loadLQ7(b)
-	rows := 0
-	opts := assembly.Options{Emit: func(assembly.Result) bool { rows++; return true }}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		features, _ := lec.Compute(fx.pms)
-		assembly.Expand(fx.pms, features, lec.Walk(features, fx.q, false, nil, nil), fx.q, opts)
-	}
-	if rows == 0 {
-		b.Fatal("LQ7 assembled no crossing match")
+	for _, name := range []string{"LQ7", "LQ1"} {
+		b.Run(name, func(b *testing.B) {
+			fx := loadCrossing(b, name)
+			rows := 0
+			opts := assembly.Options{Emit: func(assembly.Result) bool { rows++; return true }}
+			var walk lec.PruneResult
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				features, _ := lec.Compute(fx.pms)
+				walk = lec.Walk(features, fx.q, false, nil, nil)
+				assembly.Expand(fx.pms, features, walk, fx.q, opts)
+			}
+			if rows == 0 {
+				b.Fatalf("%s assembled no crossing match", name)
+			}
+			live := 0
+			for _, l := range walk.Live {
+				if l {
+					live++
+				}
+			}
+			b.ReportMetric(float64(walk.Attempts), "attempts/op")
+			b.ReportMetric(float64(live), "live/op")
+		})
 	}
 }

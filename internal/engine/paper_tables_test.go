@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,6 +88,34 @@ func shipmentSum(s *Stats) int64 {
 	return sum
 }
 
+// semijoinRelations asserts what the §IX model promises of an LO or Full
+// line off the star path: stage 3 ships at least the matches the walk
+// retains and at most all of them, and the LEC stage sends at most two
+// messages per site (a mapping report up, a bitmap down). Every match of
+// a query prices alike — 8 bytes plus 4 per vertex and, when an edge label
+// is a variable, 4 per query variable — and is one message, so the LEC
+// stage's messages are what the query broadcast (one per site), stage 0
+// (two per site, Full), the gathered local rows (one) and stage 3 leave.
+func semijoinRelations(t *testing.T, key string, q *query.Graph, s *Stats) {
+	t.Helper()
+	price := int64(8 + 4*len(q.Vertices))
+	if slices.ContainsFunc(q.Edges, query.Edge.HasVarLabel) {
+		price += int64(4 * len(q.Vars))
+	}
+	asm := s.Stages[StageAssembly].Shipment
+	if asm < int64(s.NumRetainedPartialMatches)*price || asm > int64(s.NumPartialMatches)*price {
+		t.Errorf("%s: asm %d outside [%d retained, %d pms] × %d bytes", key, asm, s.NumRetainedPartialMatches, s.NumPartialMatches, price)
+	}
+	k := int64(len(s.Fragments))
+	lecMsgs := s.Messages - k - 1 - asm/price
+	if s.Mode == Full {
+		lecMsgs -= 2 * k
+	}
+	if lecMsgs < 0 || lecMsgs > 2*k {
+		t.Errorf("%s: the LEC stage sent %d messages, want at most 2 per site (%d sites)", key, lecMsgs, k)
+	}
+}
+
 // tableLines executes every query of qs on e in the four modes at width
 // 1 and returns one line per execution plus each query's row digest. It
 // asserts, on the computed counters and not on the file, what the paper
@@ -120,6 +149,9 @@ func tableLines(t *testing.T, e *Engine, prefix string, qs []tableQuery) (lines 
 			}
 			if s.NumCrossingMatches+s.NumLocalMatches < s.NumMatches {
 				t.Errorf("%s: %d crossing + %d local matches < %d rows", key, s.NumCrossingMatches, s.NumLocalMatches, s.NumMatches)
+			}
+			if mode >= LO && !s.StarFastPath {
+				semijoinRelations(t, key, tq.q, s)
 			}
 			if mode == Basic {
 				continue

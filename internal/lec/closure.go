@@ -39,10 +39,13 @@ type closure struct {
 	// The index: the features' table of interned mappings and, unless
 	// allPairs, post[postOff[2*id+side]:postOff[2*id+side+1]], listing in
 	// ascending order the features holding mapping id whose internal
-	// endpoint is the query edge's From (side 0) or To (side 1).
-	tab     *table
-	postOff []int32
-	post    []int32
+	// endpoint is the query edge's From (side 0) or To (side 1); semijoin
+	// reads live and mappings off the lists.
+	tab      *table
+	postOff  []int32
+	post     []int32
+	live     []bool
+	mappings []int
 }
 
 // mapping is an interned crossing-edge mapping: its query edge and the
@@ -135,6 +138,33 @@ func (c *closure) buildIndex() {
 	// Placing advanced every list's start to its end: shift back.
 	copy(c.postOff[1:], c.postOff)
 	c.postOff[0] = 0
+	c.semijoin()
+}
+
+// semijoin is one round of semijoin reduction over the posting lists: a
+// feature is live when each of its mappings has a holder on the other
+// side, as whoever covers the other endpoint must map the query edge to
+// the same crossing edge (Definition 5, condition 5). It also counts each
+// fragment's distinct mappings over a mapping's two adjacent lists.
+func (c *closure) semijoin() {
+	c.live = make([]bool, len(c.features))
+	frags := 0
+	for i, f := range c.features {
+		c.live[i] = !slices.ContainsFunc(f.ids, func(id int32) bool {
+			s := c.slot(i, id) ^ 1
+			return c.postOff[s] == c.postOff[s+1]
+		})
+		frags = max(frags, f.Frag+1)
+	}
+	c.mappings = make([]int, frags)
+	last := make([]int32, frags)
+	for id := range int32(len(c.tab.edges)) {
+		for _, i := range c.post[c.postOff[2*id]:c.postOff[2*id+2]] {
+			if f := c.features[i].Frag; last[f] != id+1 {
+				last[f], c.mappings[f] = id+1, c.mappings[f]+1
+			}
+		}
+	}
 }
 
 // slot is the posting list of feature i under mapping id: side 0 when the
@@ -154,7 +184,7 @@ func (c *closure) newWalker(stop *atomic.Bool) *walker {
 // false when the walk was ended early.
 func (w *walker) run(lo, hi int) bool {
 	for root := lo; root < hi; root++ {
-		if !w.start(root) {
+		if w.c.live != nil && !w.c.live[root] || !w.start(root) {
 			continue
 		}
 		if w.next.sign == w.full {
@@ -227,10 +257,10 @@ func (w *walker) push() {
 
 // partners lists, in ascending order, the features worth trying against s:
 // larger than the root (canonical-root enumeration) and — unless allPairs,
-// which proposes every non-member — holding one of s's mappings from the
-// side s's sign does not cover. A holder on a covered side overlaps s's
-// sign, members included, so a mapping covered on both sides proposes
-// nobody. The result is valid until the next call.
+// which proposes every non-member — live and holding one of s's mappings
+// from the side s's sign does not cover. A holder on a covered side
+// overlaps s's sign, members included, so a mapping covered on both sides
+// proposes nobody. The result is valid until the next call.
 func (w *walker) partners(s *state, root int) []int {
 	c := w.c
 	out := w.buf[:0]
@@ -264,7 +294,9 @@ func (w *walker) partners(s *state, root int) []int {
 			lists++
 		}
 		for _, i := range list[k:] {
-			out = append(out, int(i))
+			if c.live[i] {
+				out = append(out, int(i))
+			}
 		}
 	}
 	if lists > 1 {

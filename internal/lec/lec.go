@@ -37,13 +37,6 @@ type Feature struct {
 	tab *table
 }
 
-// EstimateBytes approximates the wire size of the feature for data-shipment
-// accounting: fragment id + 16 bytes per mapping + the LECSign bitstring
-// (Section IV-D: O(|E_Q| + |V_Q|) per feature).
-func (f *Feature) EstimateBytes(numQueryVertices int) int {
-	return 4 + 16*len(f.Mappings) + (numQueryVertices+7)/8
-}
-
 // table is one query's interned crossing-edge mappings: each distinct
 // mapping gets a dense id, in order of first sight, and edges[id] keeps
 // what the join step reads of it.
@@ -128,16 +121,21 @@ type PruneResult struct {
 	// canceled proves nothing: everything is retained and no combination
 	// is reported.
 	Finished bool
-	// Attempts counts the join steps tried, States the join states
-	// explored.
+	// Live is the index walk's one-round semijoin verdict (nil for an
+	// all-pairs walk): a feature holding a mapping no feature holds from
+	// the other side is dead, and the walk never roots or proposes it.
+	Live []bool
+	// Mappings[f] counts fragment f's distinct mappings, what its site
+	// reports to the semijoin (nil for an all-pairs walk).
+	Mappings []int
+	// Attempts counts the join steps tried, States the states explored.
 	Attempts, States int
 }
 
-// Prune implements Algorithm 2 as the closure over features: when a
-// combination's signs union to all-ones (Theorem 4), its members are
-// retained. Partial matches whose features are not retained can be
-// discarded before shipment (Theorem 3/4 guarantee no final match is
-// lost). Prune is the sequential, uncancellable Walk.
+// Prune implements Algorithm 2 as the closure over features: the members
+// of every combination whose signs union to all-ones (Theorem 4) are
+// retained, and no final match needs another (Theorems 3/4). Prune is
+// the sequential, uncancellable Walk.
 func Prune(features []*Feature, q *query.Graph) PruneResult {
 	return Walk(features, q, false, nil, nil)
 }
@@ -150,10 +148,9 @@ func Prune(features []*Feature, q *query.Graph) PruneResult {
 // one-wide pool — and a combination belongs to its minimum-index member,
 // so chunks share nothing but the read-only index: each records the
 // combinations it completes, and Walk joins them in chunk order, which is
-// the sequential order, as are the summed counters. A canceled walk
-// retains every feature (safe, just not effective) and reports no
-// combination. Features not all from one Compute call — Basic's
-// singletons, a test's — are interned by the walk, in place.
+// the sequential order, as are the summed counters. Features not all
+// from one Compute call — Basic's singletons, a test's — are interned by
+// the walk, in place.
 func Walk(features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, cancel func() bool) PruneResult {
 	walks.Add(1)
 	c := &closure{q: q, features: features, allPairs: allPairs, cancel: cancel}
@@ -167,7 +164,7 @@ func Walk(features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, canc
 			stop.Store(true)
 		}
 	})
-	res := PruneResult{Retained: make([]bool, len(features)), Finished: !stop.Load()}
+	res := PruneResult{Retained: make([]bool, len(features)), Finished: !stop.Load(), Live: c.live, Mappings: c.mappings}
 	for _, w := range ws {
 		res.Attempts += w.attempts
 		res.States += w.states

@@ -250,6 +250,33 @@ func TestPrunePaperExample(t *testing.T) {
 	}
 }
 
+// TestSemijoinPaperExample: of Fig. 3's seven features one round of the
+// semijoin kills exactly LF(PM2_3), whose crossing edge 014→013 no other
+// fragment holds — the feature Algorithm 2 prunes — and the three sites
+// report 3, 2 and 2 distinct mappings.
+func TestSemijoinPaperExample(t *testing.T) {
+	ex, pms, features, featureOf := paperFeatures(t)
+	res := Prune(features, ex.Query)
+	rev := make(map[rdf.TermID]int)
+	for n, id := range ex.V {
+		rev[id] = n
+	}
+	for i, pm := range pms {
+		var vec [5]int
+		for j, id := range pm.Vec {
+			if id != rdf.NoTerm {
+				vec[j] = rev[id]
+			}
+		}
+		if want := vec != [5]int{14, 13, 0, 17, 0}; res.Live[featureOf[i]] != want {
+			t.Errorf("PM %v: live %v, want %v", vec, res.Live[featureOf[i]], want)
+		}
+	}
+	if !slices.Equal(res.Mappings, []int{3, 2, 2}) {
+		t.Errorf("distinct mappings per site %v, want [3 2 2]", res.Mappings)
+	}
+}
+
 func TestPruneEmpty(t *testing.T) {
 	ex := paperexample.New()
 	res := Prune(nil, ex.Query)
@@ -324,31 +351,6 @@ func TestPruneCancel(t *testing.T) {
 	}
 }
 
-func TestFeatureBytes(t *testing.T) {
-	_, _, features, _ := paperFeatures(t)
-	for _, f := range features {
-		if f.EstimateBytes(5) <= 0 {
-			t.Error("non-positive feature size")
-		}
-	}
-	// A two-mapping feature is bigger than a one-mapping feature.
-	var one, two *Feature
-	for _, f := range features {
-		switch len(f.Mappings) {
-		case 1:
-			one = f
-		case 2:
-			two = f
-		}
-	}
-	if one == nil || two == nil {
-		t.Fatal("expected features with 1 and 2 mappings")
-	}
-	if two.EstimateBytes(5) <= one.EstimateBytes(5) {
-		t.Error("feature size not monotone in mappings")
-	}
-}
-
 // TestWalkWidthInvariance: chunking roots over a pool changes nothing a
 // caller can see — verdicts, counters and the combinations in their
 // sequential order — and a canceled pooled walk still retains everything
@@ -388,18 +390,42 @@ func fuzzQueries() []*query.Graph {
 	return out
 }
 
+// referenceLive is the semijoin by search: a feature is live when each of
+// its mappings has a holder whose sign covers the mapping's other endpoint.
+func referenceLive(items []*Feature, q *query.Graph) []bool {
+	live := make([]bool, len(items))
+	for i, f := range items {
+		live[i] = true
+		for _, m := range f.Mappings {
+			e := q.Edges[m.QEdge]
+			other := e.To
+			if f.Sign>>uint(e.From)&1 == 0 {
+				other = e.From
+			}
+			if !slices.ContainsFunc(items, func(g *Feature) bool {
+				return g.Sign>>uint(other)&1 == 1 && slices.Contains(g.Mappings, m)
+			}) {
+				live[i] = false
+			}
+		}
+	}
+	return live
+}
+
 // FuzzClosureIndex: on random small feature sets the walk that asks the
 // side-split crossing-edge index for partners completes exactly the
 // member sets the walk that tries every pair completes, sequentially and
-// chunked. Features are drawn under the one precondition the index has
-// (closure.features): each mapping's query edge has exactly one endpoint
-// in Sign.
+// chunked; its semijoin verdict equals referenceLive's, and every
+// feature either walk retains is live. Features are drawn as partial
+// matches make them (Definition 5): the mapped query edges are exactly
+// those with one endpoint in Sign — the side-split index needs no more,
+// the semijoin needs them all.
 func FuzzClosureIndex(f *testing.F) {
 	// A two- and a three-item cover of the path plus a near miss; the
 	// triangle's three corners; the parallel edges' two halves.
-	f.Add([]byte{0, 0x23, 0, 0x2c, 0, 0x11, 0, 0x56, 0, 0x48, 0, 0x2c, 0x04})
-	f.Add([]byte{1, 0x51, 0, 0x32, 0, 0x64, 0, 0x32, 0x02})
-	f.Add([]byte{2, 0x31, 0, 0x36, 0, 0x31, 0x01})
+	f.Add([]byte{0, 0x03, 0, 0x0c, 0, 0x01, 0, 0x06, 0, 0x08, 0, 0x0c, 0x04})
+	f.Add([]byte{1, 0x01, 0, 0x02, 0, 0x04, 0, 0x12, 0x02})
+	f.Add([]byte{2, 0x01, 0, 0x06, 0, 0x31, 0x01})
 	queries := fuzzQueries()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -411,27 +437,36 @@ func FuzzClosureIndex(f *testing.F) {
 			data = data[:48] // 24 items: AllPairs stays small
 		}
 		// Two bytes an item: which vertices are internal (low nibble of the
-		// first), which query edges with exactly one internal endpoint are
-		// mapped (its high nibble), and which of two data vertices each
-		// query vertex is bound to (the second).
+		// first), each mapped query edge's label (its high nibble, one bit
+		// an edge), and which of two data vertices each query vertex is
+		// bound to (the second).
 		var items []*Feature
 		for ; len(data) >= 2; data = data[2:] {
 			it := &Feature{Sign: uint64(data[0]) & fullSign(len(q.Vertices))}
 			bound := func(v int) rdf.TermID { return rdf.TermID(10*(v+1) + int(data[1]>>uint(v)&1)) }
 			for e, qe := range q.Edges {
-				if data[0]>>(4+uint(e))&1 == 1 && it.Sign>>uint(qe.From)&1 != it.Sign>>uint(qe.To)&1 {
-					it.Mappings = append(it.Mappings, partial.CrossEdge{QEdge: e, S: bound(qe.From), P: 1, O: bound(qe.To)})
+				if it.Sign>>uint(qe.From)&1 != it.Sign>>uint(qe.To)&1 {
+					it.Mappings = append(it.Mappings, partial.CrossEdge{QEdge: e, S: bound(qe.From), P: rdf.TermID(1 + data[0]>>(4+uint(e))&1), O: bound(qe.To)})
 				}
 			}
 			if len(it.Mappings) > 0 {
 				items = append(items, it)
 			}
 		}
+		live := referenceLive(items, q)
 		walk := func(allPairs bool, p *pool.Pool) map[string]bool {
 			sets := map[string]bool{}
 			res := Walk(items, q, allPairs, p, nil)
 			if !res.Finished {
 				t.Fatal("uncanceled walk did not finish")
+			}
+			if !allPairs && !slices.Equal(res.Live, live) {
+				t.Errorf("semijoin verdict %v, reference %v", res.Live, live)
+			}
+			for i, r := range res.Retained {
+				if r && !live[i] {
+					t.Errorf("all pairs %v: feature %d retained but dead", allPairs, i)
+				}
 			}
 			for k := range res.Combos.Len() {
 				members := res.Combos.At(k)
@@ -485,9 +520,10 @@ func sameFeatures(a, b []*Feature) bool {
 // Compute — retains, completes, attempts and explores exactly what the
 // walk over the reference's hand-built features, interned by the walk,
 // does.
-// Matches are drawn like FuzzClosureIndex's items, with a fragment of
-// four and small value domains, so that equal (fragment, g) pairs are
-// common.
+// Matches are drawn like FuzzClosureIndex's items, with any subset of
+// their one-sided edges crossing (both walks read the same features, so
+// Definition 5 need not hold), a fragment of four and small value
+// domains, so that equal (fragment, g) pairs are common.
 func FuzzFeatureIDs(f *testing.F) {
 	f.Add([]byte{0, 0x23, 0x00, 0x2c, 0x10, 0x23, 0x00, 0x56, 0x20, 0x48, 0x30, 0x2c, 0x14})
 	f.Add([]byte{1, 0x51, 0x00, 0x32, 0x10, 0x64, 0x20, 0x32, 0x12, 0x51, 0x00})

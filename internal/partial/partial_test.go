@@ -561,7 +561,7 @@ func TestComputeAllocations(t *testing.T) {
 	}
 }
 
-func TestEstimateBytesAndKey(t *testing.T) {
+func TestEstimateBytes(t *testing.T) {
 	ex, d := buildPaper(t)
 	ms, err := Compute(d.Fragments[0], ex.Query, Options{})
 	if err != nil {

@@ -45,7 +45,7 @@ type Metrics struct {
 	TransportNanos atomic.Int64 // remote round-trip time beyond the workers' own evaluation, summed over sites
 	PartialMatches atomic.Int64
 	LECFeatures    atomic.Int64 // LEC features the pruning stage joined
-	PrunedMatches  atomic.Int64 // partial matches LEC pruning kept off the wire
+	PrunedMatches  atomic.Int64 // partial matches LEC pruning excluded from assembly
 	JoinAttempts   atomic.Int64 // join steps of the closure walks
 	Matches        atomic.Int64
 	// CandidateVars counts the query variables whose candidate union was
@@ -188,7 +188,7 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	writeMetric(w, "gstored_remote_transport_seconds_total", "Partial-evaluation round-trip time beyond the workers' own evaluation (codec, socket, queueing), summed over sites; zero in-process.", "counter", seconds(m.TransportNanos.Load()))
 	writeMetric(w, "gstored_partial_matches_total", "Local partial matches enumerated.", "counter", m.PartialMatches.Load())
 	writeMetric(w, "gstored_lec_features_total", "LEC features joined by the pruning stage.", "counter", m.LECFeatures.Load())
-	writeMetric(w, "gstored_partial_matches_pruned_total", "Local partial matches LEC pruning discarded before shipment.", "counter", m.PrunedMatches.Load())
+	writeMetric(w, "gstored_partial_matches_pruned_total", "Local partial matches LEC pruning excluded from assembly.", "counter", m.PrunedMatches.Load())
 	writeMetric(w, "gstored_join_attempts_total", "Join steps tried by the closure walks.", "counter", m.JoinAttempts.Load())
 	writeMetric(w, "gstored_matches_total", "Result rows produced by the engine.", "counter", m.Matches.Load())
 	fmt.Fprintf(w, "# HELP gstored_candidate_vars_total Query variables whose candidate union was broadcast, by its form (list is exact, bits the hashed vector).\n# TYPE gstored_candidate_vars_total counter\n")
