@@ -3,9 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"gstored/internal/fragment"
+	"gstored/internal/partition"
 	"gstored/internal/query"
+	"gstored/internal/store"
+	"gstored/internal/workload"
 )
 
 // heldBytes is what holding rows of width slots costs the budget.
@@ -72,6 +78,88 @@ func TestBudgetCapsWhatAnExecutionHolds(t *testing.T) {
 				if err := run(held-1, ordered); !errors.Is(err, ErrBudget) || errors.Is(err, context.Canceled) {
 					t.Errorf("%s width %d ordered %v: budget %d: err = %v, want ErrBudget", c.name, width, ordered, held-1, err)
 				}
+			}
+		}
+	}
+}
+
+// TestOrderedLimitHoldsItsWindow: an ordered LIMIT query holds only its
+// window of offset + limit final rows, not every row it sorts. On
+// LUBM(1), the four-way cross product of 168,885 rows, asked for 10 rows
+// (after 5, and under DISTINCT on two of its variables), runs under the
+// budget its component rows and intermediate products need plus exactly
+// its window, and fails with ErrBudget one byte below; every answer
+// equals the unbounded ordered run's rows under the same modifiers.
+func TestOrderedLimitHoldsItsWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large result; skipped in -short")
+	}
+	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 1})
+	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(d)
+	const ub = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
+	b := query.NewBuilder(ds.Graph.Dict)
+	for i, p := range []string{"takesCourse", "name", "subOrganizationOf", "headOf"} {
+		b.Triple(query.Var(fmt.Sprint("v", 2*i)), query.IRI(ub+p), query.Var(fmt.Sprint("v", 2*i+1)))
+	}
+	base := b.MustBuild()
+
+	// What a streamed run holds: each component's rows, then the
+	// products before the last.
+	var stream int64
+	product := 1
+	comps := query.SplitComponents(base)
+	for ci, comp := range comps {
+		res, err := e.Execute(comp.Query, Config{Mode: Full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream += heldBytes(res.Len(), len(comp.Query.Vars))
+		if product *= res.Len(); ci < len(comps)-1 {
+			stream += heldBytes(product, len(base.Vars))
+		}
+	}
+	if product < 100_000 {
+		t.Fatalf("the cross product has %d rows, want at least 100,000", product)
+	}
+
+	for _, c := range []struct {
+		name     string
+		distinct bool
+		proj     []int
+		offset   int
+	}{
+		{"limit", false, nil, 0},
+		{"offset", false, nil, 5},
+		{"distinct", true, []int{1, 7}, 0},
+		{"distinct offset", true, []int{1, 7}, 5},
+	} {
+		unbounded := *base
+		unbounded.Distinct, unbounded.Projection, unbounded.Offset = c.distinct, c.proj, c.offset
+		e.budget = heldBudget
+		all, err := e.Execute(&unbounded, Config{Mode: Full})
+		if err != nil {
+			t.Fatalf("%s: unbounded: %v", c.name, err)
+		}
+		limited := unbounded
+		limited.HasLimit, limited.Limit = true, 10
+		window := stream + heldBytes(c.offset+limited.Limit, len(base.Vars))
+		for _, width := range []int{1, 4} {
+			cfg := Config{Mode: Full, EvalWorkers: width}
+			e.budget = window
+			got, err := e.Execute(&limited, cfg)
+			if err != nil {
+				t.Fatalf("%s width %d: budget %d: %v", c.name, width, window, err)
+			}
+			if want := all.Rows[:limited.Limit]; !slices.EqualFunc(got.Rows, want, slices.Equal) {
+				t.Errorf("%s width %d: rows %v, want %v", c.name, width, got.Rows, want)
+			}
+			e.budget = window - 1
+			if _, err := e.Execute(&limited, cfg); !errors.Is(err, ErrBudget) {
+				t.Errorf("%s width %d: budget %d: err = %v, want ErrBudget", c.name, width, window-1, err)
 			}
 		}
 	}

@@ -6,10 +6,11 @@
 //	        site, all partial matches shipped, baseline join.
 //	LA    — + LEC-feature-based assembly (Section V): same shipments,
 //	        grouped and indexed join at the coordinator.
-//	LO    — + LEC-feature-based pruning (Section IV): sites report their
-//	        distinct crossing-edge mappings first, and only the partial
-//	        matches a one-round semijoin over them keeps travel (all of a
-//	        site's when they cost no more than its report); the LEC walk
+//	LO    — + LEC-feature-based pruning (Section IV): a site reports its
+//	        crossing-edge mappings where the report pays — a 1-in-16 sample
+//	        first, the rest only when the sample's kill rate says they
+//	        pay, none when its matches cost no more — and ships only the
+//	        partial matches the semijoin over them keeps; the LEC walk
 //	        prunes further at the coordinator.
 //	Full  — + assembling variables' internal candidates (Section VI):
 //	        candidate sets filter extended bindings before partial
@@ -24,8 +25,10 @@ package engine
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -232,7 +235,39 @@ type FragmentStats struct {
 	// encoding and decoding both ways, the socket, and the worker's
 	// queueing. Zero for in-process sites, which have no transport.
 	Transport time.Duration
+	// Semijoin is what the site's stage-2 exchange did (see decide),
+	// SemijoinMappings the crossing-edge mappings it reported and
+	// SemijoinKilled its partial matches the exchange kept from shipping.
+	// Only the §IX model decides: a remote site's matches crossed the
+	// socket in stage 1, so it reports NoDecision. A disconnected query's
+	// components add their mappings and kills, and the last one to decide
+	// sets the decision.
+	Semijoin         Decision
+	SemijoinMappings int
+	SemijoinKilled   int
 }
+
+// Decision is what one site's stage-2 semijoin exchange did.
+type Decision int
+
+const (
+	// NoDecision: the site ran no stage 2 (Basic, LA, the star path, no
+	// partial match, or a remote site).
+	NoDecision Decision = iota
+	// Skipped: the site reported nothing and shipped every match.
+	Skipped
+	// Sampled: it reported its sample's mappings and shipped the matches
+	// the sample keeps.
+	Sampled
+	// Exchanged: it reported every mapping and shipped the live matches.
+	Exchanged
+	NumDecisions
+)
+
+// DecisionNames are the decisions' EXPLAIN and /metrics label names.
+var DecisionNames = [NumDecisions]string{"none", "skipped", "sampled", "exchanged"}
+
+func (d Decision) String() string { return DecisionNames[d] }
 
 // Result is a completed query execution.
 type Result struct {
@@ -384,6 +419,107 @@ func (c *collector) push(r Row) bool {
 	return c.h.charge(1, len(r))
 }
 
+// window is the ordered sink of a query with LIMIT: a max-heap, in
+// canonical order, of the offset + limit canonically first rows, charged
+// to h as it grows. Under DISTINCT it admits rows by projected key and
+// keeps the canonically first full row of each of the offset + limit
+// keys whose first rows come first. The canonical order is total, so
+// replaying the window keeps exactly the rows replaying every row would.
+type window struct {
+	h    *holding
+	q    *query.Graph
+	max  int
+	mu   sync.Mutex
+	rows []Row
+	keys []string       // under DISTINCT: rows[i]'s projected key
+	at   map[string]int // under DISTINCT: key → index of its row
+	buf  Row
+	kb   []byte
+}
+
+func newWindow(h *holding, q *query.Graph) *window {
+	w := &window{h: h, q: q, max: q.Offset + q.Limit, buf: newProjectionBuffer(q)}
+	if w.max < q.Limit {
+		w.max = math.MaxInt // the query's two counts overflowed
+	}
+	if q.Distinct {
+		w.at = make(map[string]int)
+	}
+	return w
+}
+
+func (w *window) push(r Row) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.at != nil {
+		w.kb = w.kb[:0]
+		for _, id := range projectRow(w.q, r, w.buf) {
+			w.kb = binary.LittleEndian.AppendUint32(w.kb, uint32(id))
+		}
+		if i, ok := w.at[string(w.kb)]; ok {
+			if slices.Compare(r, w.rows[i]) < 0 {
+				w.rows[i] = r
+				w.fix(i)
+			}
+			return true
+		}
+	}
+	if len(w.rows) < w.max {
+		w.rows = append(w.rows, r)
+		if w.at != nil {
+			w.keys = append(w.keys, string(w.kb))
+			w.at[w.keys[len(w.keys)-1]] = len(w.rows) - 1
+		}
+		w.fix(len(w.rows) - 1)
+		return w.h.charge(1, len(r))
+	}
+	if len(w.rows) == 0 || slices.Compare(r, w.rows[0]) >= 0 {
+		return true
+	}
+	// r displaces the window's last row.
+	w.rows[0] = r
+	if w.at != nil {
+		delete(w.at, w.keys[0])
+		w.keys[0] = string(w.kb)
+		w.at[w.keys[0]] = 0
+	}
+	w.fix(0)
+	return true
+}
+
+// fix restores the heap order, the canonically last row on top, after
+// rows[i] was placed.
+func (w *window) fix(i int) {
+	for i > 0 && w.after(i, (i-1)/2) {
+		w.swap(i, (i-1)/2)
+		i = (i - 1) / 2
+	}
+	for {
+		c := 2*i + 1
+		if c >= len(w.rows) {
+			return
+		}
+		if c+1 < len(w.rows) && w.after(c+1, c) {
+			c++
+		}
+		if !w.after(c, i) {
+			return
+		}
+		w.swap(i, c)
+		i = c
+	}
+}
+
+func (w *window) after(i, j int) bool { return slices.Compare(w.rows[i], w.rows[j]) > 0 }
+
+func (w *window) swap(i, j int) {
+	w.rows[i], w.rows[j] = w.rows[j], w.rows[i]
+	if w.at != nil {
+		w.keys[i], w.keys[j] = w.keys[j], w.keys[i]
+		w.at[w.keys[i]], w.at[w.keys[j]] = i, j
+	}
+}
+
 // Execute runs q under cfg and returns all matches with per-stage
 // statistics. Disconnected queries are evaluated per weakly connected
 // component and recombined by cross product (Section II-A: "all connected
@@ -400,19 +536,25 @@ func (e *Engine) Execute(q *query.Graph, cfg Config) (*Result, error) {
 // Ordered delivery is a collecting sink over run: every row is
 // materialized (sites emit concurrently), sorted canonically — numeric
 // TermID order, slot by slot — and replayed in that order through the
-// streaming sink, which applies the solution modifiers. Deterministic
-// output, no early termination.
+// streaming sink, which applies the solution modifiers. Under LIMIT the
+// sink is a window that holds only the rows the replay can keep.
+// Deterministic output, no early termination.
 func (e *Engine) ExecuteContext(ctx context.Context, q *query.Graph, cfg Config) (*Result, error) {
 	start := time.Now()
 	h := e.hold(ctx)
 	defer h.cancel(nil)
 	c := &collector{h: h}
-	stats, err := e.run(h, q, cfg, c.push)
+	out, held := c.push, &c.rows
+	if q.HasLimit {
+		w := newWindow(h, q)
+		out, held = w.push, &w.rows
+	}
+	stats, err := e.run(h, q, cfg, out)
 	if err := h.err(ctx, err); err != nil {
 		return nil, err
 	}
-	sortRows(c.rows)
-	rows := replay(q, c.rows)
+	sortRows(*held)
+	rows := replay(q, *held)
 	stats.NumMatches = len(rows)
 	stats.TotalTime = time.Since(start)
 	return &Result{Query: q, Rows: rows, Stats: stats}, nil
@@ -776,14 +918,12 @@ func assemble(ctx context.Context, q *query.Graph, cfg Config, pms []*partial.Ma
 		stats.NumLECFeatures += len(features)
 		walk = lec.Walk(features, q, false, p, cluster.CancelPoll(ctx))
 		kept = kept[:0:0]
-		ship.live = make([]bool, len(pms))
 		for i, pm := range pms {
-			ship.live[i] = walk.Live[featureOf[i]]
 			if walk.Retained[featureOf[i]] {
 				kept = append(kept, pm)
 			}
 		}
-		ship.mappings = walk.Mappings
+		ship.semijoin, ship.featureOf = walk.Semijoin, featureOf
 		lecTime := time.Since(lecStart)
 		stats.Stages[StageLEC].Time += lecTime
 		tr.Span(StageLEC.String(), trace.Coordinator, lecStart, lecTime)
@@ -836,14 +976,14 @@ func assemble(ctx context.Context, q *query.Graph, cfg Config, pms []*partial.Ma
 // §IX shipment model prices; the stages record them as they run and
 // modelShipment turns them into bytes once.
 type shipCounts struct {
-	q        *query.Graph              // the component's query
-	star     bool                      // it took the star path
-	local    []int                     // local complete matches per site
-	vectors  []*candidates.SiteVectors // per-site candidate vectors (Full)
-	union    *candidates.SiteVectors   // their union, broadcast back (Full)
-	mappings []int                     // distinct crossing-edge mappings per site (LO, Full)
-	live     []bool                    // per match of pms: the semijoin keeps it (LO, Full)
-	pms      []*partial.Match          // the partial matches, once stage 2's verdict stands
+	q         *query.Graph              // the component's query
+	star      bool                      // it took the star path
+	local     []int                     // local complete matches per site
+	vectors   []*candidates.SiteVectors // per-site candidate vectors (Full)
+	union     *candidates.SiteVectors   // their union, broadcast back (Full)
+	semijoin  lec.Semijoin              // the walk's semijoin, per feature and per site (LO, Full)
+	featureOf []int                     // per match of pms: its feature (LO, Full)
+	pms       []*partial.Match          // the partial matches, once stage 2's verdict stands
 }
 
 // modelShipment is the §IX cost model of one in-process component: what
@@ -884,40 +1024,109 @@ func modelShipment(stats *Stats, ship *shipCounts) {
 	} else {
 		stats.count(rows, 1)
 	}
-	// Stage 2 (LO, Full): a site reports its distinct crossing-edge
-	// mappings, 16 bytes each, in one message, and one bitmap of the dead
-	// ones comes back. A site whose exchange would cost at least what all
-	// its matches do skips it and ships them all in stage 3.
+	// Stage 2 (LO, Full): each site with partial matches decides its
+	// semijoin exchange (decide) from its counts, the price of all its
+	// matches and what the sample predicts the rest of its mappings kill:
+	// Σ over the matches the sample keeps of bytes × (1 − (1 − f)^u), f
+	// the sample's dead share and u the match's unsampled mappings.
+	sj := &ship.semijoin
 	matchBytes := make([]int64, k)
-	for _, pm := range ship.pms {
-		matchBytes[pm.Frag] += int64(pm.EstimateBytes())
-	}
-	exchanged := make([]bool, k)
-	for i, n := range ship.mappings {
-		up, down := int64(16*n), int64((n+7)/8)
-		if up+down >= matchBytes[i] {
+	kill := make([]float64, k)
+	for j, pm := range ship.pms {
+		b := int64(pm.EstimateBytes())
+		matchBytes[pm.Frag] += b
+		if sj.Live == nil {
 			continue
 		}
-		exchanged[i] = true
-		frags[i].ShipmentBytes += up
-		st[StageLEC].Shipment += up + down
-		stats.count(up+down, 2)
+		if fi := ship.featureOf[j]; !sj.SampleDead[fi] && sj.Sampled[pm.Frag] > 0 {
+			f := float64(sj.SampledDead[pm.Frag]) / float64(sj.Sampled[pm.Frag])
+			kill[pm.Frag] += float64(b) * (1 - math.Pow(1-f, float64(sj.Unsampled[fi])))
+		}
 	}
-	// Stage 3: one message per shipped partial match — every match of a
-	// site that did not exchange, the live ones of a site that did.
+	decisions := make([]Decision, k)
+	for i, n := range sj.Mappings {
+		if matchBytes[i] == 0 {
+			continue
+		}
+		d, rounds := decide(n, sj.Sampled[i], matchBytes[i], kill[i])
+		decisions[i] = d
+		frags[i].Semijoin = d
+		for _, m := range rounds {
+			if m == 0 {
+				continue
+			}
+			up, down := reportBytes(m)
+			frags[i].SemijoinMappings += m
+			frags[i].ShipmentBytes += up
+			st[StageLEC].Shipment += up + down
+			stats.count(up+down, 2)
+		}
+	}
+	// Stage 3: one message per partial match the site's exchange did not
+	// kill — every match of a site that skipped it, the ones the sample
+	// keeps of a site that stopped after it, the live ones of a site that
+	// exchanged every mapping.
 	var asm, shipped int64
 	for j, pm := range ship.pms {
-		if exchanged[pm.Frag] && !ship.live[j] {
+		f := &frags[pm.Frag]
+		if d := decisions[pm.Frag]; d == Sampled && sj.SampleDead[ship.featureOf[j]] || d == Exchanged && !sj.Live[ship.featureOf[j]] {
+			f.SemijoinKilled++
 			continue
 		}
 		pb := int64(pm.EstimateBytes())
-		frags[pm.Frag].ShipmentBytes += pb
+		f.ShipmentBytes += pb
 		asm += pb
 		shipped++
 	}
 	st[StageAssembly].Shipment += asm
 	stats.count(asm, shipped)
 }
+
+// sampleFloor is the smallest sample whose dead share the semijoin rule
+// trusts; a site with fewer sampled mappings exchanges all of them in one
+// round.
+const sampleFloor = 8
+
+// decide is the semijoin rule of one site, stated once. The site holds n
+// distinct mappings, ns of them in the sample, and matches worth all
+// bytes; kill is the bytes it expects the mappings outside the sample to
+// kill among the matches the sample keeps. Reporting m mappings costs
+// reportBytes(m).
+//   - Skipped: reporting all n costs at least all its matches, so it
+//     reports nothing and ships every match.
+//   - Exchanged in one round: its sample is under sampleFloor; it
+//     reports all n and ships the live matches.
+//   - Sampled: it reports the ns sampled mappings, whose verdict is exact
+//     (both sides of a crossing edge sample it alike), and stops there
+//     unless kill exceeds what reporting the other n − ns costs.
+//   - Exchanged in two rounds: it reports those too and ships the live
+//     matches.
+//
+// It returns the decision and the mappings each round reports; a round
+// is a report up and a bitmap down. A bitmap is computed from the reports
+// plus the matches already shipped, so the rounds run in order: skipped
+// sites ship their matches before any sample bitmap is computed, and
+// sampled sites ship theirs before any full bitmap is. Then every holder
+// of a sampled mapping has been heard from, which makes the sample's
+// verdict exact; a full bitmap may kill more than the Live verdict
+// priced here, but only matches in no complete combination (DESIGN.md,
+// "One metering decision").
+func decide(n, ns int, all int64, kill float64) (d Decision, rounds [2]int) {
+	if up, down := reportBytes(n); up+down >= all {
+		return Skipped, rounds
+	}
+	if ns < sampleFloor {
+		return Exchanged, [2]int{n, 0}
+	}
+	if up, down := reportBytes(n - ns); kill <= float64(up+down) {
+		return Sampled, [2]int{ns, 0}
+	}
+	return Exchanged, [2]int{ns, n - ns}
+}
+
+// reportBytes prices a report of m crossing-edge mappings: 16 bytes each
+// up, one bit each in the dead-mapping bitmap back.
+func reportBytes(m int) (up, down int64) { return int64(16 * m), int64((m + 7) / 8) }
 
 // runComponents evaluates each weakly connected component separately,
 // through the same per-component path and into the same Stats, and

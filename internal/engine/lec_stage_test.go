@@ -159,9 +159,10 @@ func TestLQ7Allocs(t *testing.T) {
 
 // BenchmarkLECStage is the coordinator's share of LQ7 and LQ1 over one
 // set of replies each: lec.Compute, lec.Walk and the expansion of the
-// walk's combinations, with the walk's join attempts and the features its
-// semijoin keeps live. CI logs ns/op, allocs/op, attempts/op and live/op
-// with no threshold.
+// walk's combinations, with the walk's join attempts, the features its
+// semijoin keeps live, the mappings in its sample and the features the
+// sample kills. CI logs ns/op, allocs/op, attempts/op, live/op, sampled/op
+// and sample_killed/op with no threshold.
 func BenchmarkLECStage(b *testing.B) {
 	for _, name := range []string{"LQ7", "LQ1"} {
 		b.Run(name, func(b *testing.B) {
@@ -179,14 +180,22 @@ func BenchmarkLECStage(b *testing.B) {
 			if rows == 0 {
 				b.Fatalf("%s assembled no crossing match", name)
 			}
-			live := 0
-			for _, l := range walk.Live {
+			live, sampled, killed := 0, 0, 0
+			for i, l := range walk.Live {
 				if l {
 					live++
 				}
+				if walk.SampleDead[i] {
+					killed++
+				}
+			}
+			for _, n := range walk.Sampled {
+				sampled += n
 			}
 			b.ReportMetric(float64(walk.Attempts), "attempts/op")
 			b.ReportMetric(float64(live), "live/op")
+			b.ReportMetric(float64(sampled), "sampled/op")
+			b.ReportMetric(float64(killed), "sample_killed/op")
 		})
 	}
 }

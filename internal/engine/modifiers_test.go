@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestModifierConformance(t *testing.T) {
 		answer := projectedRows(base)
 
 		for _, distinct := range []bool{false, true} {
-			for _, limit := range []int{-1, 0, 2, 100} {
+			for _, limit := range []int{-1, 0, 2, 100, math.MaxInt} {
 				for _, offset := range []int{0, 1, 3} {
 					name := fmt.Sprintf("%s/distinct=%v/limit=%d/offset=%d", shape.name, distinct, limit, offset)
 					mq := withMods(shape.q, distinct, limit, offset)

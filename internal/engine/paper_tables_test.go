@@ -90,8 +90,9 @@ func shipmentSum(s *Stats) int64 {
 
 // semijoinRelations asserts what the §IX model promises of an LO or Full
 // line off the star path: stage 3 ships at least the matches the walk
-// retains and at most all of them, and the LEC stage sends at most two
-// messages per site (a mapping report up, a bitmap down). Every match of
+// retains and at most all of them, and the LEC stage sends at most four
+// messages per site (two rounds of a mapping report up and a bitmap down:
+// the sample's, then the rest's). Every match of
 // a query prices alike — 8 bytes plus 4 per vertex and, when an edge label
 // is a variable, 4 per query variable — and is one message, so the LEC
 // stage's messages are what the query broadcast (one per site), stage 0
@@ -111,8 +112,8 @@ func semijoinRelations(t *testing.T, key string, q *query.Graph, s *Stats) {
 	if s.Mode == Full {
 		lecMsgs -= 2 * k
 	}
-	if lecMsgs < 0 || lecMsgs > 2*k {
-		t.Errorf("%s: the LEC stage sent %d messages, want at most 2 per site (%d sites)", key, lecMsgs, k)
+	if lecMsgs < 0 || lecMsgs > 4*k {
+		t.Errorf("%s: the LEC stage sent %d messages, want at most 4 per site (%d sites)", key, lecMsgs, k)
 	}
 }
 

@@ -40,12 +40,11 @@ type closure struct {
 	// allPairs, post[postOff[2*id+side]:postOff[2*id+side+1]], listing in
 	// ascending order the features holding mapping id whose internal
 	// endpoint is the query edge's From (side 0) or To (side 1); semijoin
-	// reads live and mappings off the lists.
-	tab      *table
-	postOff  []int32
-	post     []int32
-	live     []bool
-	mappings []int
+	// reads its verdict off the lists.
+	tab     *table
+	postOff []int32
+	post    []int32
+	sj      Semijoin
 }
 
 // mapping is an interned crossing-edge mapping: its query edge and the
@@ -142,29 +141,85 @@ func (c *closure) buildIndex() {
 }
 
 // semijoin is one round of semijoin reduction over the posting lists: a
-// feature is live when each of its mappings has a holder on the other
-// side, as whoever covers the other endpoint must map the query edge to
-// the same crossing edge (Definition 5, condition 5). It also counts each
-// fragment's distinct mappings over a mapping's two adjacent lists.
+// mapping is dead on a side when the other side's list is empty, as
+// whoever covers the other endpoint must map the query edge to the same
+// crossing edge (Definition 5, condition 5), and a feature is live when
+// none of its mappings is dead. The same pass draws the sample (inSample)
+// and counts, per fragment, its distinct mappings and its sampled and
+// sampled-dead ones over a mapping's two adjacent lists, with a stamp
+// array; per feature, it flags a dead sampled mapping and counts the
+// unsampled ones.
 func (c *closure) semijoin() {
-	c.live = make([]bool, len(c.features))
+	sj := &c.sj
+	ids := int32(len(c.tab.edges))
+	sampled := make([]bool, ids)
+	for id := range ids {
+		sampled[id] = inSample(c.tab.edges[id])
+	}
+	sj.Live = make([]bool, len(c.features))
+	sj.SampleDead = make([]bool, len(c.features))
+	sj.Unsampled = make([]int32, len(c.features))
 	frags := 0
 	for i, f := range c.features {
-		c.live[i] = !slices.ContainsFunc(f.ids, func(id int32) bool {
+		sj.Live[i] = true
+		for _, id := range f.ids {
 			s := c.slot(i, id) ^ 1
-			return c.postOff[s] == c.postOff[s+1]
-		})
+			dead := c.postOff[s] == c.postOff[s+1]
+			sj.Live[i] = sj.Live[i] && !dead
+			if !sampled[id] {
+				sj.Unsampled[i]++
+			} else if dead {
+				sj.SampleDead[i] = true
+			}
+		}
 		frags = max(frags, f.Frag+1)
 	}
-	c.mappings = make([]int, frags)
+	sj.Mappings = make([]int, frags)
+	sj.Sampled = make([]int, frags)
+	sj.SampledDead = make([]int, frags)
 	last := make([]int32, frags)
-	for id := range int32(len(c.tab.edges)) {
-		for _, i := range c.post[c.postOff[2*id]:c.postOff[2*id+2]] {
-			if f := c.features[i].Frag; last[f] != id+1 {
-				last[f], c.mappings[f] = id+1, c.mappings[f]+1
+	for id := range ids {
+		for side := range int32(2) {
+			s := 2*id + side
+			// On this side, id is dead when the other side holds nothing.
+			dead := c.postOff[s^1] == c.postOff[s^1+1]
+			for _, i := range c.post[c.postOff[s]:c.postOff[s+1]] {
+				f := c.features[i].Frag
+				if last[f] == id+1 {
+					continue
+				}
+				last[f] = id + 1
+				sj.Mappings[f]++
+				if sampled[id] {
+					sj.Sampled[f]++
+					if dead {
+						sj.SampledDead[f]++
+					}
+				}
 			}
 		}
 	}
+}
+
+// sampleRate is the semijoin sample's rate: 1 in sampleRate mappings.
+const sampleRate = 16
+
+// inSample reports whether mapping m is in the semijoin's sample. It
+// hashes the query edge and the crossing edge's two data vertices with
+// splitmix64's finalizer, which is fixed across processes (maphash's seed
+// is not): the draw depends on the mapping alone, so both sides of a
+// crossing edge sample it or neither does, and the sample's dead verdict
+// is the full verdict's on the mappings it holds.
+func inSample(m mapping) bool {
+	return mix64(mix64(uint64(uint32(m.qedge))<<32|uint64(m.s))^uint64(m.o))%sampleRate == 0
+}
+
+// mix64 is splitmix64's output function.
+func mix64(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // slot is the posting list of feature i under mapping id: side 0 when the
@@ -184,7 +239,7 @@ func (c *closure) newWalker(stop *atomic.Bool) *walker {
 // false when the walk was ended early.
 func (w *walker) run(lo, hi int) bool {
 	for root := lo; root < hi; root++ {
-		if w.c.live != nil && !w.c.live[root] || !w.start(root) {
+		if w.c.sj.Live != nil && !w.c.sj.Live[root] || !w.start(root) {
 			continue
 		}
 		if w.next.sign == w.full {
@@ -294,7 +349,7 @@ func (w *walker) partners(s *state, root int) []int {
 			lists++
 		}
 		for _, i := range list[k:] {
-			if c.live[i] {
+			if c.sj.Live[i] {
 				out = append(out, int(i))
 			}
 		}

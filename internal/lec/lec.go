@@ -121,15 +121,31 @@ type PruneResult struct {
 	// canceled proves nothing: everything is retained and no combination
 	// is reported.
 	Finished bool
-	// Live is the index walk's one-round semijoin verdict (nil for an
-	// all-pairs walk): a feature holding a mapping no feature holds from
-	// the other side is dead, and the walk never roots or proposes it.
-	Live []bool
-	// Mappings[f] counts fragment f's distinct mappings, what its site
-	// reports to the semijoin (nil for an all-pairs walk).
-	Mappings []int
+	// Semijoin is the index walk's one-round semijoin (zero for an
+	// all-pairs walk).
+	Semijoin
 	// Attempts counts the join steps tried, States the states explored.
 	Attempts, States int
+}
+
+// Semijoin is one round of semijoin reduction over the features'
+// crossing-edge mappings, in full and on its sample: the 1 in sampleRate
+// mappings a fixed hash of the mapping selects. A mapping is dead when no
+// feature holds it from the other side. Per-feature slices index the
+// walked features, per-fragment ones the fragment IDs.
+type Semijoin struct {
+	// Live[i] reports that feature i holds no dead mapping; the walk never
+	// roots or proposes a dead feature.
+	Live []bool
+	// SampleDead[i] reports that feature i holds a dead sampled mapping:
+	// the sample's verdict, a subset of the dead features.
+	SampleDead []bool
+	// Unsampled[i] counts feature i's mappings outside the sample.
+	Unsampled []int32
+	// Mappings[f] counts fragment f's distinct mappings, what its site
+	// reports to the full semijoin; Sampled[f] counts those in the
+	// sample, and SampledDead[f] those of them that are dead.
+	Mappings, Sampled, SampledDead []int
 }
 
 // Prune implements Algorithm 2 as the closure over features: the members
@@ -164,7 +180,7 @@ func Walk(features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, canc
 			stop.Store(true)
 		}
 	})
-	res := PruneResult{Retained: make([]bool, len(features)), Finished: !stop.Load(), Live: c.live, Mappings: c.mappings}
+	res := PruneResult{Retained: make([]bool, len(features)), Finished: !stop.Load(), Semijoin: c.sj}
 	for _, w := range ws {
 		res.Attempts += w.attempts
 		res.States += w.states

@@ -390,42 +390,90 @@ func fuzzQueries() []*query.Graph {
 	return out
 }
 
-// referenceLive is the semijoin by search: a feature is live when each of
-// its mappings has a holder whose sign covers the mapping's other endpoint.
-func referenceLive(items []*Feature, q *query.Graph) []bool {
-	live := make([]bool, len(items))
+// referenceSemijoin is the semijoin by search: a mapping is dead for a
+// holder when no feature holds it with its sign covering the mapping's
+// other endpoint, and a feature is live when none of its mappings is dead.
+// The sample is drawn per mapping from its query edge and data ends
+// alone, once for every holder on either side; per fragment, the distinct
+// mappings are counted with their sampled and sampled-dead ones.
+func referenceSemijoin(items []*Feature, q *query.Graph) Semijoin {
+	var sj Semijoin
+	seen := map[[2]any]bool{} // (fragment, mapping)
 	for i, f := range items {
-		live[i] = true
+		sj.Live = append(sj.Live, true)
+		sj.SampleDead = append(sj.SampleDead, false)
+		sj.Unsampled = append(sj.Unsampled, 0)
+		for f.Frag >= len(sj.Mappings) {
+			sj.Mappings, sj.Sampled, sj.SampledDead = append(sj.Mappings, 0), append(sj.Sampled, 0), append(sj.SampledDead, 0)
+		}
 		for _, m := range f.Mappings {
 			e := q.Edges[m.QEdge]
 			other := e.To
 			if f.Sign>>uint(e.From)&1 == 0 {
 				other = e.From
 			}
-			if !slices.ContainsFunc(items, func(g *Feature) bool {
+			dead := !slices.ContainsFunc(items, func(g *Feature) bool {
 				return g.Sign>>uint(other)&1 == 1 && slices.Contains(g.Mappings, m)
-			}) {
-				live[i] = false
+			})
+			sampled := inSample(mapping{int32(m.QEdge), m.S, m.O})
+			if dead {
+				sj.Live[i] = false
+			}
+			if !sampled {
+				sj.Unsampled[i]++
+			} else if dead {
+				sj.SampleDead[i] = true
+			}
+			if k := [2]any{f.Frag, m}; !seen[k] {
+				seen[k] = true
+				sj.Mappings[f.Frag]++
+				if sampled {
+					sj.Sampled[f.Frag]++
+					if dead {
+						sj.SampledDead[f.Frag]++
+					}
+				}
 			}
 		}
 	}
-	return live
+	return sj
+}
+
+// sameSemijoin compares two verdicts field by field, a nil slice equal
+// to an empty one: with no features the walk's are empty, the
+// reference's nil.
+func sameSemijoin(a, b Semijoin) bool {
+	return slices.Equal(a.Live, b.Live) && slices.Equal(a.SampleDead, b.SampleDead) &&
+		slices.Equal(a.Unsampled, b.Unsampled) && slices.Equal(a.Mappings, b.Mappings) &&
+		slices.Equal(a.Sampled, b.Sampled) && slices.Equal(a.SampledDead, b.SampledDead)
 }
 
 // FuzzClosureIndex: on random small feature sets the walk that asks the
 // side-split crossing-edge index for partners completes exactly the
 // member sets the walk that tries every pair completes, sequentially and
-// chunked; its semijoin verdict equals referenceLive's, and every
-// feature either walk retains is live. Features are drawn as partial
-// matches make them (Definition 5): the mapped query edges are exactly
-// those with one endpoint in Sign — the side-split index needs no more,
-// the semijoin needs them all.
+// chunked; its semijoin, in full and on the sample, equals
+// referenceSemijoin's, the sample's dead features are dead in full (the
+// sample never kills a match the full semijoin keeps), and every feature
+// either walk retains is live. The reference draws the sample from a
+// mapping alone, once for both of its sides, so equal counts mean the
+// walk's draw does too. Features are drawn as partial matches make them
+// (Definition 5): the mapped query edges are exactly those with one
+// endpoint in Sign — the side-split index needs no more, the semijoin
+// needs them all.
 func FuzzClosureIndex(f *testing.F) {
 	// A two- and a three-item cover of the path plus a near miss; the
 	// triangle's three corners; the parallel edges' two halves.
 	f.Add([]byte{0, 0x03, 0, 0x0c, 0, 0x01, 0, 0x06, 0, 0x08, 0, 0x0c, 0x04})
 	f.Add([]byte{1, 0x01, 0, 0x02, 0, 0x04, 0, 0x12, 0x02})
 	f.Add([]byte{2, 0x01, 0, 0x06, 0, 0x31, 0x01})
+	// The path's sampled mapping v1→v2 = 21→30: held from one side (dead
+	// in the sample) by one fragment, from both by two, and beside an
+	// unsampled dead mapping.
+	f.Add([]byte{0, 0x03, 0x02})
+	f.Add([]byte{0, 0x03, 0x02, 0x0c, 0x12})
+	f.Add([]byte{0, 0x03, 0x02, 0x0c, 0x12, 0x03, 0x20})
+	// No vertex internal, so no mapping and no item: an empty walk.
+	f.Add([]byte{0, 0x00, 0x00})
 	queries := fuzzQueries()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -438,11 +486,11 @@ func FuzzClosureIndex(f *testing.F) {
 		}
 		// Two bytes an item: which vertices are internal (low nibble of the
 		// first), each mapped query edge's label (its high nibble, one bit
-		// an edge), and which of two data vertices each query vertex is
-		// bound to (the second).
+		// an edge), which of two data vertices each query vertex is bound
+		// to (low nibble of the second) and the fragment (its high bits).
 		var items []*Feature
 		for ; len(data) >= 2; data = data[2:] {
-			it := &Feature{Sign: uint64(data[0]) & fullSign(len(q.Vertices))}
+			it := &Feature{Frag: int(data[1] >> 4 & 3), Sign: uint64(data[0]) & fullSign(len(q.Vertices))}
 			bound := func(v int) rdf.TermID { return rdf.TermID(10*(v+1) + int(data[1]>>uint(v)&1)) }
 			for e, qe := range q.Edges {
 				if it.Sign>>uint(qe.From)&1 != it.Sign>>uint(qe.To)&1 {
@@ -453,15 +501,21 @@ func FuzzClosureIndex(f *testing.F) {
 				items = append(items, it)
 			}
 		}
-		live := referenceLive(items, q)
+		ref := referenceSemijoin(items, q)
+		live := ref.Live
 		walk := func(allPairs bool, p *pool.Pool) map[string]bool {
 			sets := map[string]bool{}
 			res := Walk(items, q, allPairs, p, nil)
 			if !res.Finished {
 				t.Fatal("uncanceled walk did not finish")
 			}
-			if !allPairs && !slices.Equal(res.Live, live) {
-				t.Errorf("semijoin verdict %v, reference %v", res.Live, live)
+			if !allPairs && !sameSemijoin(res.Semijoin, ref) {
+				t.Errorf("semijoin %+v, reference %+v", res.Semijoin, ref)
+			}
+			for i, dead := range res.SampleDead {
+				if dead && res.Live[i] {
+					t.Errorf("feature %d is dead in the sample but live", i)
+				}
 			}
 			for i, r := range res.Retained {
 				if r && !live[i] {

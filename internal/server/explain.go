@@ -122,6 +122,19 @@ type ExplainFragment struct {
 	// took beyond the worker's own evaluation (codec, socket, queueing);
 	// zero when the site is in-process.
 	TransportMillis float64 `json:"transport_ms"`
+	// Semijoin is the site's stage-2 exchange as the §IX model priced it;
+	// absent below LO, on the star path and on a worker-hosted site,
+	// whose partial matches crossed the socket in stage 1.
+	Semijoin *ExplainSemijoin `json:"semijoin,omitempty"`
+}
+
+// ExplainSemijoin is one site's semijoin decision (skipped, sampled or
+// exchanged), the crossing-edge mappings it reported and the partial
+// matches the exchange kept from shipping.
+type ExplainSemijoin struct {
+	Decision string `json:"decision"`
+	Mappings int    `json:"mappings"`
+	Killed   int    `json:"killed"`
 }
 
 // ExplainCache reports how the result table would have answered this
@@ -229,6 +242,9 @@ func explainFragments(fs []gstored.FragmentStats) []ExplainFragment {
 			Tasks:                  f.Tasks,
 			BusyMillis:             millis(f.Busy),
 			TransportMillis:        millis(f.Transport),
+		}
+		if f.Semijoin != engine.NoDecision {
+			out[i].Semijoin = &ExplainSemijoin{Decision: f.Semijoin.String(), Mappings: f.SemijoinMappings, Killed: f.SemijoinKilled}
 		}
 	}
 	return out

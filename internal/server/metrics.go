@@ -51,6 +51,9 @@ type Metrics struct {
 	// CandidateVars counts the query variables whose candidate union was
 	// broadcast, by the form it took; indexed by candidates.Form.
 	CandidateVars [candidates.NumForms]atomic.Int64
+	// SemijoinDecisions counts the sites' stage-2 exchanges by what the
+	// §IX model decided; indexed by engine.Decision.
+	SemijoinDecisions [engine.NumDecisions]atomic.Int64
 
 	// QueryDurations are client-facing request latencies (parse through
 	// last response byte) bucketed by how the request was answered; the
@@ -97,6 +100,7 @@ func (m *Metrics) Observe(s engine.Stats, wall time.Duration) {
 	m.Messages.Add(s.Messages)
 	for _, f := range s.Fragments {
 		m.TransportNanos.Add(int64(f.Transport))
+		m.SemijoinDecisions[f.Semijoin].Add(1)
 	}
 	m.PartialMatches.Add(int64(s.NumPartialMatches))
 	m.LECFeatures.Add(int64(s.NumLECFeatures))
@@ -194,6 +198,10 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	fmt.Fprintf(w, "# HELP gstored_candidate_vars_total Query variables whose candidate union was broadcast, by its form (list is exact, bits the hashed vector).\n# TYPE gstored_candidate_vars_total counter\n")
 	for i, name := range candidates.FormNames {
 		fmt.Fprintf(w, "gstored_candidate_vars_total{form=%q} %d\n", name, m.CandidateVars[i].Load())
+	}
+	fmt.Fprintf(w, "# HELP gstored_semijoin_decisions_total Sites' stage-2 semijoin exchanges by the §IX model's decision (skipped: every match ships; sampled: the 1-in-16 sample only; exchanged: every mapping); worker-hosted sites decide none.\n# TYPE gstored_semijoin_decisions_total counter\n")
+	for d := engine.Skipped; d < engine.NumDecisions; d++ {
+		fmt.Fprintf(w, "gstored_semijoin_decisions_total{decision=%q} %d\n", engine.DecisionNames[d], m.SemijoinDecisions[d].Load())
 	}
 
 	queryHists := make([]labeledHistogram, numOutcomes)

@@ -300,6 +300,15 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if v, ok := samples["gstored_partial_matches_pruned_total"][""]; !ok || v < 0 || v > samples["gstored_partial_matches_total"][""] {
 		t.Errorf("gstored_partial_matches_pruned_total = %v (present %v), want within [0, partial matches]", v, ok)
 	}
+	// Every in-process site that found partial matches decided its
+	// semijoin exchange.
+	decisions := 0.0
+	for _, v := range samples["gstored_semijoin_decisions_total"] {
+		decisions += v
+	}
+	if decisions <= 0 {
+		t.Errorf("gstored_semijoin_decisions_total sums to %v, want > 0", decisions)
+	}
 	// Stage histograms saw the engine runs (miss + explain = 2).
 	if got := samples["gstored_stage_duration_seconds_count"][`{stage="partial"}`]; got < 2 {
 		t.Errorf(`stage_duration count{stage="partial"} = %v, want >= 2`, got)
