@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -80,4 +81,108 @@ func TestBudgetStopsTheProbe(t *testing.T) {
 func raceEnabled() bool {
 	bi, ok := debug.ReadBuildInfo()
 	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// pathProbe joins three patterns with open labels along a path: on
+// LUBM(32) over 12 sites its 378,210 partial matches assemble into
+// 1,011,266 crossing matches, 1,015,684 rows in all, and every row is
+// held by the ordered sink, so ordered delivery overruns the budget.
+const (
+	pathProbe     = `SELECT * WHERE { ?x ?p ?y . ?z ?q ?y . ?z ?r ?w }`
+	pathProbeRows = 1015684
+)
+
+// TestPathProbeHoldsNoRow runs the path probe streamed and ordered.
+// Streamed, it answers every row at a peak heap of at most 400 MB,
+// sampled every 5 ms, and its first crossing row leaves from inside the
+// closure walk: no complete combination and no assembled row is kept.
+// Ordered, in process and over two loopback workers, it fails with
+// ErrBudget, not a cancellation, after at most 512 MB of allocation.
+func TestPathProbeHoldsNoRow(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's shadow memory and slowdown void the heap bounds")
+	}
+	ds := GenerateLUBM(32)
+	local, err := Open(ds.Graph, Config{Sites: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := local.Parse(pathProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var peak uint64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			peak = max(peak, m.HeapAlloc)
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	rows, fromWalk := 0, false
+	_, err = local.QueryGraphStreamContext(context.Background(), q, func(Row) bool {
+		rows++
+		if !fromWalk {
+			pcs := make([]uintptr, 64)
+			frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+			for more := true; more && !fromWalk; {
+				var f runtime.Frame
+				f, more = frames.Next()
+				fromWalk = strings.Contains(f.Function, "gstored/internal/lec.Walk")
+			}
+		}
+		return true
+	})
+	close(stop)
+	<-sampled
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("streamed: %d rows, peak heap %d MB", rows, peak>>20)
+	if rows != pathProbeRows {
+		t.Errorf("streamed %d rows, want %d", rows, pathProbeRows)
+	}
+	if peak > 400<<20 {
+		t.Errorf("streamed at a peak heap of %d MB, want at most 400", peak>>20)
+	}
+	if !fromWalk {
+		t.Error("no row left from inside lec.Walk: the walk finished before assembly emitted")
+	}
+
+	addrs, _ := startWorkers(t, 2)
+	wired, err := Open(ds.Graph, Config{Sites: 12, Workers: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wired.Close()
+	for _, c := range []struct {
+		name string
+		db   *DB
+	}{{"in-process", local}, {"two workers", wired}} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err := c.db.Query(pathProbe)
+		wall := time.Since(start)
+		runtime.ReadMemStats(&after)
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s ordered: %v after %v, %d MB allocated", c.name, err, wall, alloc>>20)
+		if !errors.Is(err, ErrBudget) || errors.Is(err, context.Canceled) {
+			t.Errorf("%s: ordered probe error = %v, want ErrBudget", c.name, err)
+		}
+		if alloc > 512<<20 {
+			t.Errorf("%s: ordered probe allocated %d MB, want at most 512", c.name, alloc>>20)
+		}
+	}
 }

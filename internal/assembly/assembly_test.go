@@ -14,6 +14,7 @@ import (
 	"gstored/internal/paperexample"
 	"gstored/internal/partial"
 	"gstored/internal/partition"
+	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
 	"gstored/internal/store"
@@ -163,9 +164,10 @@ func answerKey(q *query.Graph, vertices, vars []rdf.TermID) string {
 // TestDistributedEqualsCentralized: on random graphs, partitionings and
 // query shapes, local complete matches + assembled crossing matches must
 // equal the centralized answer set of store.Match — the oracle that shares
-// no join code with assembly — for LEC assembly, the Basic join and
-// Prune-then-expand alike; and every partial match and LEC feature the
-// pipeline produces satisfies the side invariant the walk's index needs.
+// no join code with assembly — for LEC assembly, the Basic join,
+// Prune-then-LEC and pooled LEC assembly alike, none of them assembling one
+// row twice; and every partial match and LEC feature the pipeline produces
+// satisfies the side invariant the walk's index needs.
 func TestDistributedEqualsCentralized(t *testing.T) {
 	multi := 0 // retained features holding several partial matches, sharedLabelShape only
 	check := func(seed int64, shape int) bool {
@@ -240,14 +242,19 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 			{"LEC", func() []Result { rs, _ := Assemble(pms, q, Options{UseLEC: true}); return rs }},
 			{"Basic", func() []Result { rs, _ := Assemble(pms, q, Options{}); return rs }},
 			{"Prune-then-LEC", func() []Result { rs, _ := Assemble(kept, q, Options{UseLEC: true}); return rs }},
-			{"Prune-then-expand", func() []Result { rs, _ := Expand(pms, features, pruned, q, Options{}); return rs }},
+			{"pooled LEC", func() []Result { rs, _ := Assemble(pms, q, Options{UseLEC: true, Pool: pool.New(3)}); return rs }},
 		} {
 			merged := map[string]bool{}
 			for k := range got {
 				merged[k] = true
 			}
 			for _, res := range pipeline.assemble() {
-				merged[answerKey(q, res.Vec, res.EdgeVars)] = true
+				k := answerKey(q, res.Vec, res.EdgeVars)
+				if merged[k] {
+					t.Logf("seed %d, shape %d, %s: answer %s assembled twice", seed, shape, pipeline.name, k)
+					return false
+				}
+				merged[k] = true
 			}
 			if !reflect.DeepEqual(merged, want) {
 				t.Logf("seed %d, shape %d, %s: %d answers, centralized has %d", seed, shape, pipeline.name, len(merged), len(want))
@@ -280,8 +287,7 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 // The synthetic case disagrees on an internal vertex instead. In both the
 // partner's match comes first: merge overlays a later member onto an
 // earlier one, so a disagreeing member ordered before the partner would be
-// overwritten into the agreeing row and deduplicated away, hiding a
-// missing check.
+// overwritten into a second copy of the agreeing row.
 func TestExpansionChecksEveryMember(t *testing.T) {
 	g := rdf.NewGraph()
 	g.AddIRIs("a", "p0", "b")
@@ -331,11 +337,17 @@ func TestExpansionChecksEveryMember(t *testing.T) {
 		if !slices.ContainsFunc(features, func(f *lec.Feature) bool { return len(f.PMs) == 2 }) {
 			t.Fatalf("%s: no LEC feature holds two partial matches", tc.name)
 		}
-		walk := lec.Prune(features, tc.q)
-		if walk.Combos.Len() != 1 {
-			t.Fatalf("%s: %d complete feature combinations, want 1", tc.name, walk.Combos.Len())
+		var expanded []Result
+		x := NewExpansion(tc.pms, features, Options{Emit: func(r Result) bool { expanded = append(expanded, r); return true }})
+		combos := 0
+		walk := lec.Walk(features, tc.q, false, nil, nil, func() lec.Sink {
+			sink := x.Sink()
+			return func(members []int) bool { combos++; return sink(members) }
+		})
+		if combos != 1 {
+			t.Fatalf("%s: %d complete feature combinations, want 1", tc.name, combos)
 		}
-		expanded, stats := Expand(tc.pms, features, walk, tc.q, Options{})
+		stats := x.Stats(walk)
 		if len(expanded) != 1 || stats.Results != 1 || tc.want != 1 {
 			t.Errorf("%s: expansion produced %d rows (centralized: %d), want 1: the other member disagrees with the partner", tc.name, len(expanded), tc.want)
 		}
@@ -348,11 +360,10 @@ func TestExpansionChecksEveryMember(t *testing.T) {
 }
 
 // TestLECPathAllocations pins what the single walk bought on the heap:
-// on LUBM(1) LQ7 (299 partial matches, 294 features), lec.Prune plus the
-// expansion of its combinations allocate at most a third per feature of
-// what lec.Prune plus the match-level assembly walk did before the two
-// were fused (PARENT allocations per feature, measured the same way on
-// the parent commit; NOW here).
+// on LUBM(1) LQ7 (299 partial matches, 294 features), the walk with the
+// expansion it drives allocates at most a third per feature of what
+// lec.Prune plus the match-level assembly walk did before the two were
+// fused (parentPerFeature, measured the same way before that change).
 func TestLECPathAllocations(t *testing.T) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 1, Seed: 7})
 	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
@@ -379,7 +390,8 @@ func TestLECPathAllocations(t *testing.T) {
 	rows := 0
 	opts := Options{Emit: func(Result) bool { rows++; return true }}
 	allocs := testing.AllocsPerRun(20, func() {
-		Expand(pms, features, lec.Prune(features, q), q, opts)
+		x := NewExpansion(pms, features, opts)
+		x.Stats(lec.Walk(features, q, false, nil, nil, x.Sink))
 	})
 	if rows == 0 {
 		t.Fatal("LQ7 assembled no crossing match")

@@ -899,72 +899,72 @@ func (s *Stats) count(bytes, messages int64) {
 
 // assemble runs stages 2 and 3 over the partial matches stage 1
 // gathered: LEC-feature pruning (LO, Full) and the assembly of crossing
-// matches, which stream into out as they are found.
+// matches, which stream into out as the walk finds them. The assembly
+// span books the walk with the expansion it drives, in every mode; the
+// LEC span books lec.Compute and the retained and semijoin bookkeeping
+// read off the finished walk.
 func assemble(ctx context.Context, q *query.Graph, cfg Config, pms []*partial.Match, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
 	tr := trace.FromContext(ctx)
-	// Stage 2 (LO, Full): the query's only closure walk derives the
-	// semijoin that decides which partial matches travel, retains the ones
-	// that can complete and finds the complete feature combinations stage
-	// 3 expands. Over the RPC transport the partial matches already
-	// crossed the wire in stage 1 (they ride the reply), so there the stage
-	// is a coordinator-local pruning step with no traffic of its own.
-	kept := pms
-	var features []*lec.Feature
-	var walk lec.PruneResult
-	if cfg.Mode >= LO {
-		lecStart := time.Now()
-		var featureOf []int
-		features, featureOf = lec.Compute(pms)
-		stats.NumLECFeatures += len(features)
-		walk = lec.Walk(features, q, false, p, cluster.CancelPoll(ctx))
-		kept = kept[:0:0]
-		for i, pm := range pms {
-			if walk.Retained[featureOf[i]] {
-				kept = append(kept, pm)
-			}
-		}
-		ship.semijoin, ship.featureOf = walk.Semijoin, featureOf
-		lecTime := time.Since(lecStart)
-		stats.Stages[StageLEC].Time += lecTime
-		tr.Span(StageLEC.String(), trace.Coordinator, lecStart, lecTime)
-	}
-	stats.NumRetainedPartialMatches += len(kept)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Stage 3: surviving partial matches travel to the coordinator and are
-	// assembled: the expansion of stage 2's finished walk (LO, Full; only
-	// cancellation stops a walk, and that returned above), or one walk and
-	// expansion over LEC features (LA) or singleton features (Basic).
-	for _, pm := range kept {
-		stats.Fragments[pm.Frag].RetainedPartialMatches++
-	}
-	ship.pms = pms
-	asmStart := time.Now()
-	// Emit streams each crossing match straight into out as it is found,
-	// so no intermediate []assembly.Result is materialized; the ordered
-	// path's terminal canonical sort covers the unordered emission, and a
-	// streaming sink can stop the assembly mid-join.
+	// Emit streams each crossing match straight into out as a row, so no
+	// []assembly.Result is materialized; the ordered path's terminal sort
+	// covers the unordered emission, and a streaming sink can stop the
+	// assembly mid-join.
+	edgeVars := q.EdgeVars()
 	opts := assembly.Options{
 		UseLEC: cfg.Mode >= LA,
 		Pool:   p,
 		Cancel: cluster.CancelPoll(ctx),
 		Emit: func(cm assembly.Result) bool {
-			return out(rowFromAssembly(q, cm))
+			row := make(Row, len(q.Vars))
+			for i, v := range q.Vertices {
+				if v.IsVar() {
+					row[v.Var] = cm.Vec[i]
+				}
+			}
+			for _, ev := range edgeVars {
+				row[ev] = cm.EdgeVars[ev]
+			}
+			return out(row)
 		},
 	}
+	retained := func(int) bool { return true }
 	var asmStats assembly.Stats
-	if cfg.Mode >= LO {
-		// Combinations index features, features index pms; every match
-		// they reach is in kept.
-		_, asmStats = assembly.Expand(pms, features, walk, q, opts)
+	var asmTime time.Duration
+	start := time.Now()
+	asmStart := start
+	if cfg.Mode < LO {
+		_, asmStats = assembly.Assemble(pms, q, opts)
+		asmTime = time.Since(start)
 	} else {
-		_, asmStats = assembly.Assemble(kept, q, opts)
+		// Stage 2 (LO, Full): the query's only closure walk derives the
+		// semijoin that decides which partial matches travel and retains
+		// the ones that can complete, while stage 3 expands each complete
+		// combination it finds. Over the RPC transport the partial matches
+		// crossed the wire in stage 1, so there stage 2 ships nothing.
+		features, featureOf := lec.Compute(pms)
+		stats.NumLECFeatures += len(features)
+		asmStart = time.Now()
+		x := assembly.NewExpansion(pms, features, opts)
+		walk := lec.Walk(features, q, false, p, opts.Cancel, x.Sink)
+		asmStats = x.Stats(walk)
+		asmTime = time.Since(asmStart)
+		retained = func(i int) bool { return walk.Retained[featureOf[i]] }
+		ship.semijoin, ship.featureOf = walk.Semijoin, featureOf
 	}
-	asmTime := time.Since(asmStart)
+	for i, pm := range pms {
+		if retained(i) {
+			stats.NumRetainedPartialMatches++
+			stats.Fragments[pm.Frag].RetainedPartialMatches++
+		}
+	}
+	if cfg.Mode >= LO {
+		lecTime := time.Since(start) - asmTime
+		stats.Stages[StageLEC].Time += lecTime
+		tr.Span(StageLEC.String(), trace.Coordinator, start, lecTime)
+	}
 	stats.Stages[StageAssembly].Time += asmTime
 	tr.Span(StageAssembly.String(), trace.Coordinator, asmStart, asmTime)
+	ship.pms = pms
 	// A sink that stopped the assembly still reads the crossing matches
 	// it was handed.
 	stats.JoinAttempts += asmStats.JoinAttempts
@@ -1199,21 +1199,6 @@ func (e *Engine) runComponents(h *holding, q *query.Graph, comps []query.Compone
 		}
 	}
 	return ships, nil
-}
-
-// rowFromAssembly converts an assembled crossing match into a variable
-// binding row.
-func rowFromAssembly(q *query.Graph, r assembly.Result) Row {
-	row := make(Row, len(q.Vars))
-	for i, v := range q.Vertices {
-		if v.IsVar() {
-			row[v.Var] = r.Vec[i]
-		}
-	}
-	for _, ev := range q.EdgeVars() {
-		row[ev] = r.EdgeVars[ev]
-	}
-	return row
 }
 
 // querySize estimates the broadcast size of a query graph.

@@ -187,6 +187,24 @@ func FuzzExecute(f *testing.F) {
 		[12]byte{0, 1, 2, 3, 0, 1},
 		[3]byte{0, p0, 2}, [3]byte{2, p0, 4}, [3]byte{4, p1, 1}, [3]byte{5, p1, 1},
 		[3]byte{5, p1, 1}, [3]byte{3, p0, 3}))
+	// No assembled row is deduplicated, so these two edges of the
+	// decomposition argument must still yield each row once. A path whose
+	// crossing matches take two disjoint partial matches of fragment 0,
+	// one internal component on each side of v1's fragment:
+	f.Add(fuzzInput(2, 0,
+		[][3]byte{{x0, p0, x1}, {x1, p1, x2}, {x2, p2, x3}},
+		[12]byte{0, 1, 0, 0, 1, 0},
+		[3]byte{0, p0, 1}, [3]byte{5, p0, 1}, [3]byte{1, p1, 2}, [3]byte{2, p2, 3},
+		[3]byte{2, p2, 4}))
+	// and a path that opens with a label variable over a crossing edge
+	// with two instances beside a parallel edge of another label, then an
+	// internal edge with two instances and a second crossing edge: two
+	// crossing matches, one per label.
+	f.Add(fuzzInput(2, 0,
+		[][3]byte{{x0, l0, x1}, {x1, p1, x2}, {x2, p0, x3}},
+		[12]byte{0, 1, 1, 0},
+		[3]byte{0, p0, 1}, [3]byte{0, p0, 1}, [3]byte{0, p2, 1}, [3]byte{1, p1, 2},
+		[3]byte{1, p1, 2}, [3]byte{2, p0, 3}))
 	// DISTINCT OFFSET 2 over a two-edge path of five rows, and LIMIT 0,
 	// which both sinks satisfy before the first row.
 	for _, mods := range []byte{1 | 2<<5, 2} {

@@ -77,3 +77,27 @@ func TestLECStageIsCancellable(t *testing.T) {
 		}
 	}
 }
+
+// inExpansion accepts a stack inside assembly's expansion of a complete
+// combination, called from within lec.Walk: frames are listed callee
+// first, so an assembly frame before the walk's.
+func inExpansion(functions []string) bool {
+	walk := slices.IndexFunc(functions, func(f string) bool { return strings.HasSuffix(f, "gstored/internal/lec.Walk") })
+	return walk > 0 && slices.ContainsFunc(functions[:walk], func(f string) bool { return strings.Contains(f, "gstored/internal/assembly.") })
+}
+
+// TestExpansionIsCancellable: the walk expands each complete combination
+// as it finds it, in every mode, and the expansion polls the execution
+// context, so a cancellation that lands there ends the run with the
+// context's error.
+func TestExpansionIsCancellable(t *testing.T) {
+	ex, e := paperEngine(t)
+	for _, mode := range allModes {
+		parent, cancel := context.WithCancel(context.Background())
+		err := runUnder(&stackCancelCtx{Context: parent, trip: inExpansion}, e, ex.Query, Config{Mode: mode, EvalWorkers: 1})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: err = %v, want context.Canceled from inside the expansion", mode, err)
+		}
+	}
+}

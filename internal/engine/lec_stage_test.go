@@ -127,7 +127,7 @@ func TestLQ7Allocs(t *testing.T) {
 		pms := fx.pms[:n]
 		var features []*lec.Feature
 		r := run{compute: testing.AllocsPerRun(5, func() { features, _ = lec.Compute(pms) })}
-		r.walk = testing.AllocsPerRun(5, func() { lec.Walk(features, fx.q, false, nil, nil) })
+		r.walk = testing.AllocsPerRun(5, func() { lec.Walk(features, fx.q, false, nil, nil, nil) })
 		r.features = float64(len(features))
 		runs = append(runs, r)
 	}
@@ -158,8 +158,8 @@ func TestLQ7Allocs(t *testing.T) {
 }
 
 // BenchmarkLECStage is the coordinator's share of LQ7 and LQ1 over one
-// set of replies each: lec.Compute, lec.Walk and the expansion of the
-// walk's combinations, with the walk's join attempts, the features its
+// set of replies each: lec.Compute and lec.Walk with the
+// assembly.Expansion it drives, with the walk's join attempts, the features its
 // semijoin keeps live, the mappings in its sample and the features the
 // sample kills. CI logs ns/op, allocs/op, attempts/op, live/op, sampled/op
 // and sample_killed/op with no threshold.
@@ -174,8 +174,9 @@ func BenchmarkLECStage(b *testing.B) {
 			b.ResetTimer()
 			for range b.N {
 				features, _ := lec.Compute(fx.pms)
-				walk = lec.Walk(features, fx.q, false, nil, nil)
-				assembly.Expand(fx.pms, features, walk, fx.q, opts)
+				x := assembly.NewExpansion(fx.pms, features, opts)
+				walk = lec.Walk(features, fx.q, false, nil, nil, x.Sink)
+				x.Stats(walk)
 			}
 			if rows == 0 {
 				b.Fatalf("%s assembled no crossing match", name)

@@ -74,17 +74,18 @@ type state struct {
 	qmap    []int32
 }
 
-// walker is one chunk's private half of a walk: its counters, the
-// combinations it completed, the candidate extension of the state being
-// expanded (next), the depth-first frontier, and the scratch of partner
-// enumeration and the seen set.
+// walker is one chunk's private half of a walk: its counters, its sink
+// and the members of the combinations it completed, the candidate
+// extension of the state being expanded (next), the depth-first frontier,
+// and the scratch of partner enumeration and the seen set.
 type walker struct {
 	c    *closure
 	full uint64
 	stop *atomic.Bool // set by the first chunk that ends the walk early
 
 	attempts, states int
-	combos           Combos
+	sink             Sink   // nil: the verdict only
+	retained         []bool // the members of the combinations it completed
 
 	next state
 	// frontier is the depth-first stack; free holds the states it has
@@ -231,10 +232,6 @@ func (c *closure) slot(i int, id int32) int32 {
 	return 2*id + 1
 }
 
-func (c *closure) newWalker(stop *atomic.Bool) *walker {
-	return &walker{c: c, full: fullSign(len(c.q.Vertices)), stop: stop}
-}
-
 // run walks the combinations rooted at features [lo, hi), reporting
 // false when the walk was ended early.
 func (w *walker) run(lo, hi int) bool {
@@ -242,19 +239,17 @@ func (w *walker) run(lo, hi int) bool {
 		if w.c.sj.Live != nil && !w.c.sj.Live[root] || !w.start(root) {
 			continue
 		}
-		if w.next.sign == w.full {
-			// A single feature can never be complete (it has a crossing
-			// edge, hence an extended endpoint vertex), but guard anyway.
-			w.combos.Append(w.next.members)
-			continue
-		}
-		w.push()
 		// One root's large closure must not tax the roots after it:
 		// clearing a table costs its capacity, not its length.
 		if w.seen.Len() > 256 {
 			w.seen = key.Set[int]{}
 		} else {
 			w.seen.Reset()
+		}
+		// A single feature can never be complete (it has a crossing edge,
+		// hence an extended endpoint vertex), but reach guards anyway.
+		if !w.reach() {
+			return false
 		}
 		for len(w.frontier) > 0 {
 			if w.polls&0xff == 0 && (w.stop.Load() || w.c.cancel != nil && w.c.cancel()) {
@@ -263,16 +258,18 @@ func (w *walker) run(lo, hi int) bool {
 			w.polls++
 			s := w.frontier[len(w.frontier)-1]
 			w.frontier = w.frontier[:len(w.frontier)-1]
-			w.expand(&s, root)
+			if !w.expand(&s, root) {
+				return false
+			}
 			w.free = append(w.free, s)
 		}
 	}
 	return true
 }
 
-// expand tries every partner of s, pushing the extensions that are new
-// and recording the ones that cover the query.
-func (w *walker) expand(s *state, root int) {
+// expand tries every partner of s and reaches the extensions that are
+// new; it reports false when the sink ended the walk.
+func (w *walker) expand(s *state, root int) bool {
 	for _, i := range w.partners(s, root) {
 		w.attempts++
 		if !w.step(s, i) {
@@ -286,14 +283,26 @@ func (w *walker) expand(s *state, root int) {
 			}
 		}
 		w.states++
-		if w.next.sign == w.full {
-			// Nothing can extend a full cover: any further feature
-			// overlaps its sign.
-			w.combos.Append(w.next.members)
-			continue
+		if !w.reach() {
+			return false
 		}
-		w.push()
 	}
+	return true
+}
+
+// reach pushes next onto the frontier unless it covers the query, which
+// nothing can extend (any further feature overlaps its sign): then its
+// members are marked retained and handed to the sink, and reach reports
+// false when the sink ends the walk.
+func (w *walker) reach() bool {
+	if w.next.sign != w.full {
+		w.push()
+		return true
+	}
+	for _, m := range w.next.members {
+		w.retained[m] = true
+	}
+	return w.sink == nil || w.sink(w.next.members)
 }
 
 // push copies next onto the frontier, into the slices of a state the

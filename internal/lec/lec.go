@@ -2,15 +2,17 @@
 // match equivalence classes (Definitions 6-7), their compact LEC features
 // (Definition 8, Algorithm 1), and the one join closure over them
 // (Definition 9, Theorem 4): Walk grows every sign-disjoint,
-// mapping-consistent combination of features once, which yields both
-// Algorithm 2's pruning verdict and the complete combinations that
-// package assembly expands into crossing matches. Walk is that search
-// in every mode and at every pool width: the Basic join of [18] is the
-// same walk over one singleton feature per partial match, with every pair
-// proposed, and a one-wide pool runs the same chunk loop with one chunk.
+// mapping-consistent combination of features once, which yields
+// Algorithm 2's pruning verdict and hands each complete combination, as
+// it completes it, to a caller's Sink — the expansion package assembly
+// builds. Walk is that search in every mode and at every pool width: the
+// Basic join of [18] is the same walk over one singleton feature per
+// partial match, with every pair proposed, and a one-wide pool runs the
+// same chunk loop with one chunk.
 package lec
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"gstored/internal/key"
@@ -104,22 +106,20 @@ func Compute(pms []*partial.Match) (features []*Feature, featureOf []int) {
 	return features, featureOf
 }
 
-// Combos is a list of feature-index sets, each ascending.
-type Combos = key.List[int]
+// Sink receives the members of each complete combination, ascending, as
+// the walk completes it — every set of features whose LECSigns cover the
+// query, each once. The slice is valid only during the call. Returning
+// false ends the walk early, as a cancellation does.
+type Sink func(members []int) bool
 
 // PruneResult reports the outcome of a feature walk.
 type PruneResult struct {
 	// Retained[i] is true when features[i] can contribute to a complete
 	// match (the set RS of Algorithm 2, provenance-precise).
 	Retained []bool
-	// Combos are the complete combinations themselves — every set of
-	// features whose LECSigns cover the query — in discovery order. They
-	// are what assembly expands into crossing matches; empty unless
-	// Finished.
-	Combos Combos
 	// Finished reports that the walk ran to its end. One that was
-	// canceled proves nothing: everything is retained and no combination
-	// is reported.
+	// canceled or stopped by its sink proves nothing: everything is
+	// retained.
 	Finished bool
 	// Semijoin is the index walk's one-round semijoin (zero for an
 	// all-pairs walk).
@@ -151,9 +151,9 @@ type Semijoin struct {
 // Prune implements Algorithm 2 as the closure over features: the members
 // of every combination whose signs union to all-ones (Theorem 4) are
 // retained, and no final match needs another (Theorems 3/4). Prune is
-// the sequential, uncancellable Walk.
+// the sequential, uncancellable Walk with no sink.
 func Prune(features []*Feature, q *query.Graph) PruneResult {
-	return Walk(features, q, false, nil, nil)
+	return Walk(features, q, false, nil, nil, nil)
 }
 
 // Walk is the one feature-level walk of every mode: Algorithm 2's pruning
@@ -162,20 +162,26 @@ func Prune(features []*Feature, q *query.Graph) PruneResult {
 // crossing-edge index (the Basic join); cancel, when non-nil, is polled
 // by every chunk. Roots are cut by p.Split — one chunk on a nil or
 // one-wide pool — and a combination belongs to its minimum-index member,
-// so chunks share nothing but the read-only index: each records the
-// combinations it completes, and Walk joins them in chunk order, which is
-// the sequential order, as are the summed counters. Features not all
-// from one Compute call — Basic's singletons, a test's — are interned by
-// the walk, in place.
-func Walk(features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, cancel func() bool) PruneResult {
+// so chunks share nothing but the read-only index. A non-nil sink is
+// called once per chunk, in chunk order before any runs, and the chunk
+// hands every combination it completes to that Sink; the chunks' marks
+// and counters are merged after the walk. Features not all from one
+// Compute call — Basic's singletons, a test's — are interned by the walk,
+// in place.
+func Walk(features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, cancel func() bool, sink func() Sink) PruneResult {
 	walks.Add(1)
 	c := &closure{q: q, features: features, allPairs: allPairs, cancel: cancel}
 	c.buildIndex()
 	var stop atomic.Bool
 	chunks := p.Split(len(features))
 	ws := make([]*walker, len(chunks))
+	for k := range ws {
+		ws[k] = &walker{c: c, full: fullSign(len(q.Vertices)), stop: &stop, retained: make([]bool, len(features))}
+		if sink != nil {
+			ws[k].sink = sink()
+		}
+	}
 	p.Run(chunks, nil, func(k, lo, hi int) {
-		ws[k] = c.newWalker(&stop)
 		if !ws[k].run(lo, hi) {
 			stop.Store(true)
 		}
@@ -185,24 +191,8 @@ func Walk(features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, canc
 		res.Attempts += w.attempts
 		res.States += w.states
 	}
-	if !res.Finished {
-		for i := range res.Retained {
-			res.Retained[i] = true
-		}
-		return res
-	}
-	// Chunk 0's list, the whole of it on a one-wide pool, with the later
-	// chunks' appended in order.
-	res.Combos = ws[0].combos
-	for _, w := range ws[1:] {
-		for k := range w.combos.Len() {
-			res.Combos.Append(w.combos.At(k))
-		}
-	}
-	for k := range res.Combos.Len() {
-		for _, m := range res.Combos.At(k) {
-			res.Retained[m] = true
-		}
+	for i := range res.Retained {
+		res.Retained[i] = !res.Finished || slices.ContainsFunc(ws, func(w *walker) bool { return w.retained[i] })
 	}
 	return res
 }

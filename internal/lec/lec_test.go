@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"gstored/internal/fragment"
@@ -205,7 +206,7 @@ func TestStepMatchesDefinition9(t *testing.T) {
 	ex, _, features, _ := paperFeatures(t)
 	c := &closure{q: ex.Query, features: features}
 	c.buildIndex()
-	w := c.newWalker(nil)
+	w := &walker{c: c, full: fullSign(len(ex.Query.Vertices))}
 	for i, a := range features {
 		for j, b := range features {
 			if !w.start(i) {
@@ -340,7 +341,7 @@ func TestPruneCancel(t *testing.T) {
 		}
 	}
 	polls := 0
-	got := Walk(features, q, false, nil, func() bool { polls++; return polls == 2 })
+	got := Walk(features, q, false, nil, func() bool { polls++; return polls == 2 }, nil)
 	if polls != 2 || got.States*10 >= full.States {
 		t.Errorf("canceled on poll 2 of %d: walked %d of %d states", polls, got.States, full.States)
 	}
@@ -351,27 +352,68 @@ func TestPruneCancel(t *testing.T) {
 	}
 }
 
+// collect walks features like Walk, with a sink per chunk that records
+// the member sets it is handed. It returns them sorted — the chunks of a
+// pooled walk hand theirs over in whatever order they run — and checks
+// the verdict against them: a finished walk retains exactly the members
+// of the sets it completed.
+func collect(t *testing.T, features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, cancel func() bool) (PruneResult, [][]int) {
+	t.Helper()
+	var mu sync.Mutex
+	var sets [][]int
+	res := Walk(features, q, allPairs, p, cancel, func() Sink {
+		return func(members []int) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			sets = append(sets, slices.Clone(members))
+			return true
+		}
+	})
+	slices.SortFunc(sets, slices.Compare)
+	if res.Finished {
+		members := make([]bool, len(features))
+		for _, set := range sets {
+			for _, m := range set {
+				members[m] = true
+			}
+		}
+		if !slices.Equal(members, res.Retained) {
+			t.Errorf("retained %v, members of the completed sets %v", res.Retained, members)
+		}
+	}
+	return res, sets
+}
+
 // TestWalkWidthInvariance: chunking roots over a pool changes nothing a
-// caller can see — verdicts, counters and the combinations in their
-// sequential order — and a canceled pooled walk still retains everything
-// and reports no combination.
+// caller can see — verdicts, counters and the member sets its sinks are
+// handed, each once — and a canceled pooled walk, or one whose sink
+// declines, still retains everything; a canceled one completes nothing.
 func TestWalkWidthInvariance(t *testing.T) {
 	features, q := chainFeatures(12)
 	features = append(features, &Feature{Frag: 9, Sign: 1, Mappings: []partial.CrossEdge{{QEdge: 0, S: 7, O: 8}}}) // joins nothing: pruned
-	seq := Walk(features, q, false, nil, nil)
-	if !seq.Finished || seq.Combos.Len() == 0 || seq.Retained[len(features)-1] {
-		t.Fatalf("sequential oracle: finished %v, %d combinations, stray retained %v", seq.Finished, seq.Combos.Len(), seq.Retained[len(features)-1])
+	seq, seqSets := collect(t, features, q, false, nil, nil)
+	if !seq.Finished || len(seqSets) == 0 || seq.Retained[len(features)-1] {
+		t.Fatalf("sequential oracle: finished %v, %d combinations, stray retained %v", seq.Finished, len(seqSets), seq.Retained[len(features)-1])
+	}
+	for i := 1; i < len(seqSets); i++ {
+		if slices.Equal(seqSets[i-1], seqSets[i]) {
+			t.Fatalf("member set %v completed twice", seqSets[i])
+		}
 	}
 	for _, width := range []int{2, 3, 8} {
 		p := pool.New(width)
-		if got := Walk(features, q, false, p, nil); !reflect.DeepEqual(got, seq) {
+		if got, sets := collect(t, features, q, false, p, nil); !reflect.DeepEqual(got, seq) || !reflect.DeepEqual(sets, seqSets) {
 			t.Errorf("width %d: attempts %d states %d combos %d, sequential %d %d %d", width,
-				got.Attempts, got.States, got.Combos.Len(), seq.Attempts, seq.States, seq.Combos.Len())
+				got.Attempts, got.States, len(sets), seq.Attempts, seq.States, len(seqSets))
 		}
-		got := Walk(features, q, false, p, func() bool { return true })
-		if got.Finished || got.Combos.Len() != 0 || slices.Contains(got.Retained, false) {
+		got, sets := collect(t, features, q, false, p, func() bool { return true })
+		if got.Finished || len(sets) != 0 || slices.Contains(got.Retained, false) {
 			t.Errorf("width %d canceled: finished %v, %d combinations, something pruned %v", width,
-				got.Finished, got.Combos.Len(), slices.Contains(got.Retained, false))
+				got.Finished, len(sets), slices.Contains(got.Retained, false))
+		}
+		got = Walk(features, q, false, p, nil, func() Sink { return func([]int) bool { return false } })
+		if got.Finished || slices.Contains(got.Retained, false) {
+			t.Errorf("width %d stopped by its sink: finished %v, something pruned %v", width, got.Finished, slices.Contains(got.Retained, false))
 		}
 	}
 }
@@ -505,7 +547,7 @@ func FuzzClosureIndex(f *testing.F) {
 		live := ref.Live
 		walk := func(allPairs bool, p *pool.Pool) map[string]bool {
 			sets := map[string]bool{}
-			res := Walk(items, q, allPairs, p, nil)
+			res, completed := collect(t, items, q, allPairs, p, nil)
 			if !res.Finished {
 				t.Fatal("uncanceled walk did not finish")
 			}
@@ -522,8 +564,7 @@ func FuzzClosureIndex(f *testing.F) {
 					t.Errorf("all pairs %v: feature %d retained but dead", allPairs, i)
 				}
 			}
-			for k := range res.Combos.Len() {
-				members := res.Combos.At(k)
+			for _, members := range completed {
 				if sets[fmt.Sprint(members)] {
 					t.Errorf("member set %v completed twice", members)
 				}
@@ -617,8 +658,10 @@ func FuzzFeatureIDs(f *testing.F) {
 				len(pms), len(features), featureOf, len(refFeatures), refOf)
 		}
 		for _, allPairs := range []bool{false, true} {
-			if got, want := Walk(features, q, allPairs, nil, nil), Walk(refFeatures, q, allPairs, nil, nil); !reflect.DeepEqual(got, want) {
-				t.Errorf("all pairs %v: walk over interned features %+v, over the reference %+v", allPairs, got, want)
+			got, gotSets := collect(t, features, q, allPairs, nil, nil)
+			want, wantSets := collect(t, refFeatures, q, allPairs, nil, nil)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotSets, wantSets) {
+				t.Errorf("all pairs %v: walk over interned features %+v completing %v, over the reference %+v completing %v", allPairs, got, gotSets, want, wantSets)
 			}
 		}
 	})
