@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzFeatureIDs$$' -fuzztime=10s ./internal/lec/
 	$(GO) test -run=NONE -fuzz='^FuzzCompute$$' -fuzztime=10s ./internal/partial/
 	$(GO) test -run=NONE -fuzz='^FuzzSiteVectorsDecode$$' -fuzztime=10s ./internal/candidates/
+	$(GO) test -run=NONE -fuzz='^FuzzStageZero$$' -fuzztime=10s ./internal/candidates/
 	$(GO) test -run=NONE -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/remote/
 	$(GO) test -run=NONE -fuzz='^FuzzExecute$$' -fuzztime=10s ./internal/engine/
 	$(GO) test -run=NONE -fuzz='^FuzzUpdate$$' -fuzztime=10s .

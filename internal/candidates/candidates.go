@@ -11,6 +11,20 @@
 // extended one, so the test is exact for internal vertices alone, and
 // those are the ones a site reports.
 //
+// A site reports only its boundary candidates: those with a crossing edge
+// that matches one of v's query edges (label and direction, and the
+// constant at the far end if that end is one). This loses no binding the
+// filter would admit: partial evaluation asks the filter about extended
+// vertices only, an extended vertex u comes to bind v over a crossing
+// edge matching one of v's query edges, and u's owner stores that edge
+// too. Beside each set the site reports κ(v), its crossing-edge instances
+// that match one of v's query edges on v's internal side at a vertex that
+// is no candidate: each is a binding the union would reject at the far
+// end's site. The coordinator broadcasts v's union only when those
+// rejections, Σκ priced as partial matches (partial.MatchBytes), outweigh
+// what the union costs every site beyond an empty slot; otherwise v goes
+// down Dropped, and the sites run it unfiltered.
+//
 // A set travels in the smaller of two forms, decided per variable from
 // the set itself. The list form is the sorted IDs, varint-delta coded: it
 // is exact, so the filter built from it admits no false candidate. The
@@ -27,8 +41,10 @@ import (
 	"slices"
 
 	"gstored/internal/fragment"
+	"gstored/internal/partial"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
+	"gstored/internal/varint"
 )
 
 // DefaultBits is the default bit-vector length per variable (16 Ki bits,
@@ -95,17 +111,19 @@ func (b *BitVector) Or(other *BitVector) error {
 	return nil
 }
 
-// Form is the encoding a candidate set travels in.
+// Form is the encoding a candidate set travels in, or, for a union, that
+// it did not travel.
 type Form int
 
 const (
-	List Form = iota // sorted varint-delta IDs: exact
-	Bits             // hashed bit vector: false positives only
+	List    Form = iota // sorted varint-delta IDs: exact
+	Bits                // hashed bit vector: false positives only
+	Dropped             // a union not broadcast: the sites run the variable unfiltered
 	NumForms
 )
 
 // FormNames are the forms' report and label names.
-var FormNames = [NumForms]string{"list", "bits"}
+var FormNames = [NumForms]string{"list", "bits", "dropped"}
 
 func (f Form) String() string { return FormNames[f] }
 
@@ -166,66 +184,153 @@ func (s *Set) Has(u rdf.TermID) bool {
 }
 
 // SiteVectors holds one site's candidate sets — or their union — indexed
-// by query vertex (nil for constant vertices).
+// by query vertex (nil for constant vertices, and in a union for the
+// variables not broadcast).
 type SiteVectors struct {
 	Sets []*Set
+	// Rejects is a site's κ per query vertex (see the package comment);
+	// nil in a union.
+	Rejects []int
 }
 
-// ComputeSite finds, for every variable query vertex, the internal
-// candidates C(Q, v) in fragment f (the site half of Algorithm 4); bits
-// is the length of the hashed form.
+// ComputeSite finds, for every variable query vertex, the boundary
+// internal candidates in fragment f and κ (the site half of Algorithm 4);
+// bits is the length of the hashed form. κ is the crossing-edge count
+// that f keeps per label and internal end, less the matching crossing
+// edges of the candidates, so its cost follows C(Q, v), not the edges.
 func ComputeSite(f *fragment.Fragment, q *query.Graph, bits int) *SiteVectors {
-	sv := &SiteVectors{Sets: make([]*Set, len(q.Vertices))}
+	sv := &SiteVectors{Sets: make([]*Set, len(q.Vertices)), Rejects: make([]int, len(q.Vertices))}
+	inc := q.IncidentEdges()
 	for qv, v := range q.Vertices {
 		if !v.IsVar() {
 			continue
 		}
+		// A crossing edge is no self-loop: only an edge to another vertex
+		// can bind qv over one.
+		edges := slices.DeleteFunc(inc[qv], func(qe int) bool { return q.Edges[qe].From == q.Edges[qe].To })
+		rejects := 0
+		for _, qe := range edges {
+			rejects += crossingEdges(f, q, q.Edges[qe], qv)
+		}
 		// Store.Candidates is exact for internal vertices only.
 		ids := f.Store.Candidates(q, qv)
-		ids = slices.DeleteFunc(ids, func(u rdf.TermID) bool { return !f.IsInternal(u) })
-		sv.Sets[qv] = newSet(ids, bits)
+		boundary := ids[:0]
+		for _, u := range ids {
+			if !f.IsInternal(u) {
+				continue
+			}
+			d := 0
+			for _, qe := range edges {
+				d += crossingDegree(f, q, q.Edges[qe], qv, u)
+			}
+			if d > 0 {
+				boundary = append(boundary, u)
+				rejects -= d
+			}
+		}
+		sv.Sets[qv], sv.Rejects[qv] = newSet(boundary, bits), rejects
 	}
 	return sv
 }
 
+// crossingEdges counts the crossing-edge instances at f that match query
+// edge e with qv's end internal: f's count by label and side, or, when
+// the far end is a constant c, c's edges over e — all of them crossing,
+// with an internal far end, exactly when c is extended at f.
+func crossingEdges(f *fragment.Fragment, q *query.Graph, e query.Edge, qv int) int {
+	out, far := farEnd(q, e, qv)
+	if far.IsVar() {
+		return f.CrossingCount(e.Label, out) // rdf.NoTerm under a label variable: any label
+	}
+	if !f.IsExtended(far.Const) {
+		return 0
+	}
+	return len(f.Store.Adjacency(far.Const, e, !out))
+}
+
+// crossingDegree counts the crossing edges of internal vertex u that
+// match query edge e at qv's end.
+func crossingDegree(f *fragment.Fragment, q *query.Graph, e query.Edge, qv int, u rdf.TermID) int {
+	out, far := farEnd(q, e, qv)
+	n := 0
+	for _, he := range f.Store.Adjacency(u, e, out) {
+		if !f.IsInternal(he.V) && (far.IsVar() || he.V == far.Const) {
+			n++
+		}
+	}
+	return n
+}
+
+// farEnd reports whether qv is e's subject, and e's other vertex.
+func farEnd(q *query.Graph, e query.Edge, qv int) (out bool, far query.Vertex) {
+	if e.From == qv {
+		return true, q.Vertices[e.To]
+	}
+	return false, q.Vertices[e.From]
+}
+
 // Union merges the per-site sets per variable (the coordinator half of
-// Algorithm 4). Internal candidates are disjoint across sites, so the
-// union of lists is their merge; it stays a list while that is the
-// smaller form and is hashed into a bits-long vector otherwise, or when
-// some site sent a vector — all of which must be bits long.
+// Algorithm 4) and decides which to broadcast. Internal candidates are
+// disjoint across sites, so the union of lists is their merge; it stays a
+// list while that is the smaller form and is hashed into a bits-long
+// vector otherwise, or when some site sent a vector — all of which must
+// be bits long.
+//
+// A variable's slot stays nil, so that the sites run it unfiltered, when
+// some site sent no set for it (a filter built without that site's
+// candidates would reject them), or when the union does not pay: its
+// slot costs each of the k sites size − 1 bytes more than an empty one,
+// and it is broadcast only when the sites' Σκ, priced as partial matches,
+// exceeds that. Reports without κ (Rejects nil) keep every union.
 func Union(sites []*SiteVectors, q *query.Graph, bits int) (*SiteVectors, error) {
 	out := &SiteVectors{Sets: make([]*Set, len(q.Vertices))}
+	price, k := partial.MatchBytes(q), len(sites)
 	for qv, v := range q.Vertices {
 		if !v.IsVar() {
 			continue
 		}
 		var ids []rdf.TermID
 		var vecs []*BitVector
+		whole, priced, rejects := true, true, 0
 		for i, s := range sites {
 			if qv >= len(s.Sets) {
 				return nil, fmt.Errorf("candidates: site %d sent %d sets for %d query vertices", i, len(s.Sets), len(q.Vertices))
 			}
-			if set := s.Sets[qv]; set != nil {
-				ids = append(ids, set.ids...)
-				if set.vec != nil {
-					vecs = append(vecs, set.vec)
-				}
+			set := s.Sets[qv]
+			if set == nil {
+				whole = false
+				continue
 			}
+			ids = append(ids, set.ids...)
+			if set.vec != nil {
+				vecs = append(vecs, set.vec)
+			}
+			if s.Rejects == nil {
+				priced = false
+			} else {
+				rejects += s.Rejects[qv]
+			}
+		}
+		if !whole {
+			continue
 		}
 		// A list takes more than a byte per ID: past the vector's size no
 		// merge can be the smaller form, and hashing needs no order.
+		var u *Set
 		if len(vecs) == 0 && len(ids) < vectorSize(vectorWords(bits)) {
 			slices.Sort(ids)
-			out.Sets[qv] = newSet(slices.Compact(ids), bits)
-			continue
-		}
-		u := hashedSet(ids, bits)
-		for _, vec := range vecs {
-			if err := u.vec.Or(vec); err != nil {
-				return nil, err
+			u = newSet(slices.Compact(ids), bits)
+		} else {
+			u = hashedSet(ids, bits)
+			for _, vec := range vecs {
+				if err := u.vec.Or(vec); err != nil {
+					return nil, err
+				}
 			}
 		}
-		out.Sets[qv] = u
+		if !priced || price*rejects > k*(u.size-1) {
+			out.Sets[qv] = u
+		}
 	}
 	return out, nil
 }
@@ -246,10 +351,11 @@ func (s *SiteVectors) Filter() func(qv int, u rdf.TermID) bool {
 // VarStat is one query variable's share of a stage-0 exchange.
 type VarStat struct {
 	Var       string // the variable's name
-	Form      Form   // of the union
-	Count     int    // the union's candidates (list) or set bits (bits)
-	BytesUp   int64  // the sites' sets, to the coordinator
-	BytesDown int64  // the union, back to every site
+	Form      Form   // of the union, Dropped when it was not broadcast
+	Count     int    // the union's candidates (list) or set bits (bits); 0 dropped
+	Rejects   int    // the sites' Σκ: the bindings they reported the union would reject
+	BytesUp   int64  // the sites' sets and κ, to the coordinator
+	BytesDown int64  // the union, back to every site (an empty slot each, dropped)
 }
 
 // Exchange attributes the bytes of one exchange — every site's sets up,
@@ -262,14 +368,21 @@ func Exchange(q *query.Graph, sites []*SiteVectors, union *SiteVectors) (vars []
 	for _, s := range sites {
 		framing += int64(s.ShipmentBytes())
 	}
-	for qv, u := range union.Sets {
-		if u == nil {
+	for qv, v := range q.Vertices {
+		if !v.IsVar() {
 			continue
 		}
-		st := VarStat{Var: q.Vars[q.Vertices[qv].Var], Form: u.Form(), Count: u.Count(), BytesDown: k * int64(u.size)}
+		st := VarStat{Var: q.Vars[v.Var], Form: Dropped, BytesDown: k}
+		if u := union.Sets[qv]; u != nil {
+			st.Form, st.Count, st.BytesDown = u.Form(), u.Count(), k*int64(u.size)
+		}
 		for _, s := range sites {
 			if set := s.Sets[qv]; set != nil {
 				st.BytesUp += int64(set.size)
+				if s.Rejects != nil {
+					st.Rejects += s.Rejects[qv]
+					st.BytesUp += int64(varint.Len(uint64(s.Rejects[qv])))
+				}
 			}
 		}
 		framing -= st.BytesUp + st.BytesDown

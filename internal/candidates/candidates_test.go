@@ -398,21 +398,25 @@ func TestSiteVectorsRoundTripWithNilSlots(t *testing.T) {
 }
 
 // TestDecodeRejectsHostilePayloads: each payload is wrong in one way the
-// decoder must notice before it allocates or indexes for it.
+// decoder must notice before it allocates or indexes for it. The first
+// byte is the head: 2 is one slot, 3 one slot of a report, which carries κ.
 func TestDecodeRejectsHostilePayloads(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"empty":                  {},
 		"slot count beyond data": {0xff, 0xff, 0xff, 0xff, 0x0f, 0},
-		"list count beyond data": {1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1},
-		"word count beyond data": {1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0, 0, 0, 0},
-		"zero words":             {1, 1, 0},
-		"repeated ID":            {1, 4, 7, 0},
-		"ID past 32 bits":        {1, 4, 0xff, 0xff, 0xff, 0xff, 0x0f, 1},
-		"varint past 64 bits":    {1, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
-		"overlong varint":        {1, 3, 0x85, 0x00},
-		"overlong header":        {1, 0x82, 0x00},
-		"truncated list":         {1, 4, 7},
-		"trailing byte":          {1, 2, 0},
+		"list count beyond data": {2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1},
+		"word count beyond data": {2, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0, 0, 0, 0},
+		"zero words":             {2, 1, 0},
+		"repeated ID":            {2, 4, 7, 0},
+		"ID past 32 bits":        {2, 4, 0xff, 0xff, 0xff, 0xff, 0x0f, 1},
+		"varint past 64 bits":    {2, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		"overlong varint":        {2, 3, 0x85, 0x00},
+		"overlong header":        {2, 0x82, 0x00},
+		"truncated list":         {2, 4, 7},
+		"trailing byte":          {2, 2, 0},
+		"report without κ":       {3, 2},
+		"κ past 32 bits":         {3, 2, 0x80, 0x80, 0x80, 0x80, 0x10},
+		"overlong κ":             {3, 2, 0x81, 0x00},
 	} {
 		if _, err := Decode(data); err == nil {
 			t.Errorf("%s: %x decoded", name, data)

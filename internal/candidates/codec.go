@@ -9,10 +9,12 @@ import (
 	"gstored/internal/varint"
 )
 
-// The encoding of a SiteVectors, the only one stage 0 has: the slot count
-// as a uvarint, then per slot one uvarint header h and its body.
+// The encoding of a SiteVectors, the only one stage 0 has: a uvarint
+// holding twice the slot count, plus one in a site's report (which
+// carries κ; a union does not), then per slot one uvarint header h and
+// its body, and in a report after each set its κ as a uvarint.
 //
-//	h = 0      no set (a constant query vertex)
+//	h = 0      no set (a constant query vertex, or a union not broadcast)
 //	h = 1      bits: the word count as a uvarint, then the words, little-endian
 //	h = n + 2  list of n IDs: the first as a uvarint, each next as the uvarint
 //	           difference from its predecessor
@@ -40,14 +42,26 @@ func listSize(ids []rdf.TermID) int {
 // vectorSize is the encoded length of a bits slot of that many words.
 func vectorSize(words int) int { return 1 + varint.Len(uint64(words)) + 8*words }
 
+// head is the encoding's first uvarint.
+func (s *SiteVectors) head() uint64 {
+	h := uint64(len(s.Sets)) << 1
+	if s.Rejects != nil {
+		h |= 1
+	}
+	return h
+}
+
 // ShipmentBytes is the wire size of the site's sets: the length of their
 // encoding.
 func (s *SiteVectors) ShipmentBytes() int {
-	n := varint.Len(uint64(len(s.Sets)))
-	for _, set := range s.Sets {
-		if set == nil {
+	n := varint.Len(s.head())
+	for i, set := range s.Sets {
+		switch {
+		case set == nil:
 			n++
-		} else {
+		case s.Rejects != nil:
+			n += set.size + varint.Len(uint64(s.Rejects[i]))
+		default:
 			n += set.size
 		}
 	}
@@ -57,11 +71,12 @@ func (s *SiteVectors) ShipmentBytes() int {
 // AppendBinary appends the encoding above to b: the bytes the
 // coordinator↔worker frames carry and ShipmentBytes prices.
 func (s *SiteVectors) AppendBinary(b []byte) []byte {
-	b = varint.AppendInt(b, len(s.Sets))
-	for _, set := range s.Sets {
+	b = varint.Append(b, s.head())
+	for i, set := range s.Sets {
 		switch {
 		case set == nil:
 			b = append(b, slotNone)
+			continue
 		case set.vec != nil:
 			b = append(b, slotBits)
 			b = varint.AppendInt(b, len(set.vec.bits))
@@ -76,6 +91,9 @@ func (s *SiteVectors) AppendBinary(b []byte) []byte {
 				prev = u
 			}
 		}
+		if s.Rejects != nil {
+			b = varint.AppendInt(b, s.Rejects[i])
+		}
 	}
 	return b
 }
@@ -84,10 +102,20 @@ func (s *SiteVectors) AppendBinary(b []byte) []byte {
 // comes off a socket and is not trusted: every count is checked against
 // the bytes that are left before anything is allocated for it (a slot, an
 // ID and a word each take at least one), IDs must increase strictly
-// within the TermID range, and nothing may follow the last slot.
+// within the TermID range, a κ may not pass 2³² − 1, and nothing may
+// follow the last slot.
 func Decode(data []byte) (*SiteVectors, error) {
 	r := varint.NewReader(data)
-	sets := make([]*Set, r.Count(1))
+	head := r.Uvarint()
+	if head>>1 > uint64(r.Len()) {
+		r.Fail(fmt.Errorf("candidates: %d slots claimed in %d bytes", head>>1, r.Len()))
+		head = 0
+	}
+	sv := &SiteVectors{Sets: make([]*Set, head>>1)}
+	if head&1 != 0 {
+		sv.Rejects = make([]int, len(sv.Sets))
+	}
+	sets := sv.Sets
 	for i := range sets {
 		start := r.Len()
 		switch h := r.Uvarint(); {
@@ -123,9 +151,12 @@ func Decode(data []byte) (*SiteVectors, error) {
 			break
 		}
 		sets[i].size = start - r.Len()
+		if sv.Rejects != nil {
+			sv.Rejects[i] = int(r.Upto(math.MaxUint32))
+		}
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("candidates: site vectors: %w", err)
 	}
-	return &SiteVectors{Sets: sets}, nil
+	return sv, nil
 }

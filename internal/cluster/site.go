@@ -31,8 +31,9 @@ type Site interface {
 	// coincide: one fragment per site, per the paper's deployment).
 	ID() int
 
-	// Candidates computes the site half of Algorithm 4: per-variable
-	// internal-candidate sets over this site's fragment.
+	// Candidates computes the site half of Algorithm 4: per variable,
+	// the boundary internal candidates over this site's fragment and κ,
+	// the crossing-edge bindings their union would reject elsewhere.
 	Candidates(ctx context.Context, req CandidatesRequest) (CandidatesReply, error)
 
 	// PartialEval runs the site-local evaluation stage: complete local
@@ -114,7 +115,8 @@ type PartialRequest struct {
 	Order    []int
 	EdgeRank []int
 	// Union is the broadcast candidate-set union (Full mode); the
-	// site derives its extended-vertex filter from it. Nil below Full.
+	// site derives its extended-vertex filter from it, and runs a
+	// variable whose slot is empty unfiltered. Nil below Full.
 	Union *candidates.SiteVectors
 	// Pool is the coordinator's per-execution evaluation pool. It cannot
 	// cross the wire: in-process sites run their stages on it, remote

@@ -9,6 +9,7 @@ import (
 
 	"gstored/internal/fragment"
 	"gstored/internal/partition"
+	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/store"
 	"gstored/internal/workload"
@@ -17,10 +18,29 @@ import (
 // heldBytes is what holding rows of width slots costs the budget.
 func heldBytes(rows, width int) int64 { return int64(rows * (rowOverhead + 4*width)) }
 
+// lecHeld is what the LEC stage of q's Full run reserves: a row per
+// partial match and four slots per crossing-edge mapping they hold.
+func lecHeld(t *testing.T, e *Engine, q *query.Graph) int64 {
+	t.Helper()
+	h := e.hold(context.Background())
+	defer h.cancel(nil)
+	stats := Stats{Mode: Full, Fragments: make([]FragmentStats, len(e.sites))}
+	ship, err := e.component(h, q, e.graph.Global.Plan(q), Config{Mode: Full}, pool.New(1), &stats, func(Row) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	mappings := 0
+	for _, pm := range ship.pms {
+		mappings += len(pm.Crossing)
+	}
+	return heldBytes(len(ship.pms), 0) + int64(4*4*mappings)
+}
+
 // TestBudgetCapsWhatAnExecutionHolds: an execution fails with ErrBudget
 // exactly when what it holds exceeds the engine's budget, at every width.
-// A connected crossing query holds the partial matches stage 1 gathers
-// and, ordered, the rows its sink collects; a disconnected one holds its
+// A connected crossing query holds the partial matches stage 1 gathers,
+// what the LEC stage reserves for them and, ordered, the rows its sink
+// collects; a disconnected one holds its
 // component rows and intermediate products and, ordered, the final rows.
 // A streamed run holds no final rows, so it runs under a budget the
 // ordered run exceeds.
@@ -31,7 +51,7 @@ func TestBudgetCapsWhatAnExecutionHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, q := res.Stats, ex.Query
-	crossingStream := heldBytes(s.NumPartialMatches, len(q.Vertices))
+	crossingStream := heldBytes(s.NumPartialMatches, len(q.Vertices)) + lecHeld(t, e, q)
 	crossingOrdered := crossingStream + heldBytes(s.NumLocalMatches+s.NumCrossingMatches, len(q.Vars))
 	if s.NumPartialMatches == 0 || s.NumCrossingMatches == 0 {
 		t.Fatal("the paper's query gathers no partial matches")

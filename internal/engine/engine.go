@@ -720,7 +720,7 @@ func (e *Engine) component(h *holding, q *query.Graph, plan []PlanEdge, cfg Conf
 	if !h.charge(len(pms), slots) {
 		return ship, ErrBudget
 	}
-	return ship, assemble(ctx, q, cfg, pms, p, stats, ship, out)
+	return ship, assemble(h, q, cfg, pms, p, stats, ship, out)
 }
 
 // validateForExec is the admission check of run; it also resolves the
@@ -902,8 +902,10 @@ func (s *Stats) count(bytes, messages int64) {
 // matches, which stream into out as the walk finds them. The assembly
 // span books the walk with the expansion it drives, in every mode; the
 // LEC span books lec.Compute and the retained and semijoin bookkeeping
-// read off the finished walk.
-func assemble(ctx context.Context, q *query.Graph, cfg Config, pms []*partial.Match, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
+// read off the finished walk. What lec.Compute reserves is charged to h
+// before it runs.
+func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
+	ctx := h.ctx
 	tr := trace.FromContext(ctx)
 	// Emit streams each crossing match straight into out as a row, so no
 	// []assembly.Result is materialized; the ordered path's terminal sort
@@ -926,6 +928,18 @@ func assemble(ctx context.Context, q *query.Graph, cfg Config, pms []*partial.Ma
 			}
 			return out(row)
 		},
+	}
+	if opts.UseLEC {
+		// lec.Compute, here or inside assembly.Assemble, reserves room for
+		// every match its own feature, held like a row, and for every
+		// mapping distinct, its four key slots (query edge, S, P, O).
+		mappings := 0
+		for _, pm := range pms {
+			mappings += len(pm.Crossing)
+		}
+		if !h.charge(len(pms), 4*mappings) {
+			return ErrBudget
+		}
 	}
 	retained := func(int) bool { return true }
 	var asmStats assembly.Stats

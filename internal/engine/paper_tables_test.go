@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"slices"
 	"strings"
 	"testing"
 
 	"gstored/internal/fragment"
+	"gstored/internal/partial"
 	"gstored/internal/partition"
 	"gstored/internal/query"
 	"gstored/internal/store"
@@ -72,7 +72,7 @@ func tableLine(key string, res *Result) (line string, digest uint64) {
 	}
 	sep = " vars="
 	for _, v := range s.CandidateVars {
-		fmt.Fprintf(&b, "%s%s:%v:%d:%d:%d", sep, v.Var, v.Form, v.Count, v.BytesUp, v.BytesDown)
+		fmt.Fprintf(&b, "%s%s:%v:%d:%d:%d:%d", sep, v.Var, v.Form, v.Count, v.Rejects, v.BytesUp, v.BytesDown)
 		sep = ","
 	}
 	return b.String(), digest
@@ -99,10 +99,7 @@ func shipmentSum(s *Stats) int64 {
 // (two per site, Full), the gathered local rows (one) and stage 3 leave.
 func semijoinRelations(t *testing.T, key string, q *query.Graph, s *Stats) {
 	t.Helper()
-	price := int64(8 + 4*len(q.Vertices))
-	if slices.ContainsFunc(q.Edges, query.Edge.HasVarLabel) {
-		price += int64(4 * len(q.Vars))
-	}
+	price := int64(partial.MatchBytes(q))
 	asm := s.Stages[StageAssembly].Shipment
 	if asm < int64(s.NumRetainedPartialMatches)*price || asm > int64(s.NumPartialMatches)*price {
 		t.Errorf("%s: asm %d outside [%d retained, %d pms] × %d bytes", key, asm, s.NumRetainedPartialMatches, s.NumPartialMatches, price)

@@ -2,6 +2,7 @@ package fragment
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -158,6 +159,8 @@ func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
 		ID:               f.ID,
 		Store:            f.Store.Apply(d.Inserted, d.Deleted),
 		Crossing:         slices.Clone(f.Crossing),
+		crossCount:       maps.Clone(f.crossCount),
+		crossTotal:       f.crossTotal,
 		NumInternalEdges: f.NumInternalEdges,
 	}
 	// V_i follows the owned vertices (one the delta does not name cannot
@@ -171,6 +174,7 @@ func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
 			next.NumInternalEdges += n
 			return
 		}
+		next.countCrossing(t, owns(t.S), n)
 		at := sort.Search(len(next.Crossing), func(i int) bool { return !next.Crossing[i].Less(t) })
 		if n < 0 {
 			next.Crossing = slices.Delete(next.Crossing, at, at-n)

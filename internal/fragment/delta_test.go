@@ -13,10 +13,11 @@ import (
 )
 
 // snapshot is a deep copy of everything a Fragment is: V_i, the crossing
-// list in order, the edge count, and its store read through every index
-// (Triples walks out, In walks in, ByPred and Stats the per-predicate
-// tables). Two fragments are the same iff their snapshots are DeepEqual,
-// and a snapshot shares no memory with the fragment it was taken from.
+// list in order and its counts by label and internal end, the edge
+// count, and its store read through every index (Triples walks out, In
+// walks in, ByPred and Stats the per-predicate tables). Two fragments are
+// the same iff their snapshots are DeepEqual, and a snapshot shares no
+// memory with the fragment it was taken from.
 type snapshot struct {
 	Internal         []rdf.TermID
 	Crossing         []rdf.Triple
@@ -25,6 +26,7 @@ type snapshot struct {
 	Triples, In      []rdf.Triple
 	ByPred           map[rdf.TermID][]rdf.Triple
 	Stats            map[rdf.TermID]store.PredStat
+	CrossCount       map[rdf.TermID][2]int
 }
 
 func snapshotOf(f *Fragment) snapshot {
@@ -37,6 +39,7 @@ func snapshotOf(f *Fragment) snapshot {
 		In:               []rdf.Triple{},
 		ByPred:           map[rdf.TermID][]rdf.Triple{},
 		Stats:            map[rdf.TermID]store.PredStat{},
+		CrossCount:       map[rdf.TermID][2]int{},
 	}
 	for _, o := range f.Store.Vertices() {
 		for _, he := range f.Store.In(o) {
@@ -46,6 +49,9 @@ func snapshotOf(f *Fragment) snapshot {
 	for _, p := range f.Store.Predicates() {
 		s.ByPred[p] = append([]rdf.Triple{}, f.Store.TriplesWith(p)...)
 		s.Stats[p], _ = f.Store.Stats().Pred(p)
+	}
+	for _, p := range append(f.Store.Predicates(), rdf.NoTerm) {
+		s.CrossCount[p] = [2]int{f.CrossingCount(p, true), f.CrossingCount(p, false)}
 	}
 	return s
 }

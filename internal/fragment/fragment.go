@@ -32,6 +32,13 @@ type Fragment struct {
 	// fragment, in (S,P,O) order, one entry per edge instance.
 	Crossing []rdf.Triple
 
+	// crossCount counts Crossing's instances by label and internal end:
+	// crossCount[p][0] those with an internal subject, [1] those with an
+	// internal object; crossTotal sums every label. newFragment builds
+	// both with Crossing and Apply moves them by the delta.
+	crossCount map[rdf.TermID][2]int
+	crossTotal [2]int
+
 	// NumInternalEdges is |E_i|.
 	NumInternalEdges int
 }
@@ -42,7 +49,7 @@ type Fragment struct {
 // replica; an edge with neither, an edge out of order and an internal
 // vertex with no edge are errors (the inputs may come off the wire).
 func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal vertexSet) (*Fragment, error) {
-	f := &Fragment{ID: id, internal: internal}
+	f := &Fragment{ID: id, internal: internal, crossCount: make(map[rdf.TermID][2]int)}
 	for i, t := range triples {
 		if i > 0 && t.Less(triples[i-1]) {
 			return nil, fmt.Errorf("fragment %d: edge %v out of (S,P,O) order", id, t)
@@ -52,6 +59,7 @@ func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal ve
 			f.NumInternalEdges++
 		case s || o:
 			f.Crossing = append(f.Crossing, t)
+			f.countCrossing(t, s, 1)
 		default:
 			return nil, fmt.Errorf("fragment %d: edge %v has no internal endpoint", id, t)
 		}
@@ -63,6 +71,34 @@ func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal ve
 		}
 	}
 	return f, nil
+}
+
+// countCrossing adds n instances of crossing edge t, whose subject is
+// internal when s, to the label table.
+func (f *Fragment) countCrossing(t rdf.Triple, s bool, n int) {
+	side := 1
+	if s {
+		side = 0
+	}
+	c := f.crossCount[t.P]
+	c[side] += n
+	f.crossCount[t.P] = c
+	f.crossTotal[side] += n
+}
+
+// CrossingCount is the number of crossing-edge instances stored at f
+// that carry label p (any label when p is rdf.NoTerm) and whose subject
+// (out) or object (!out) is the internal end. It reads a table kept
+// with Crossing, so it costs one lookup.
+func (f *Fragment) CrossingCount(p rdf.TermID, out bool) int {
+	c := f.crossTotal
+	if p != rdf.NoTerm {
+		c = f.crossCount[p]
+	}
+	if out {
+		return c[0]
+	}
+	return c[1]
 }
 
 // IsInternal reports whether v ∈ V_i.

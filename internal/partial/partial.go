@@ -80,6 +80,17 @@ func (m *Match) EstimateBytes() int {
 	return 8 + 4*len(m.Vec) + 4*len(m.EdgeVars)
 }
 
+// MatchBytes is EstimateBytes of every match of q: its Vec holds a slot
+// per query vertex and, when q has an edge-label variable, its EdgeVars
+// one per query variable.
+func MatchBytes(q *query.Graph) int {
+	n := 8 + 4*len(q.Vertices)
+	if hasLabelVar(q) {
+		n += 4 * len(q.Vars)
+	}
+	return n
+}
+
 // crosses reports whether query edge e is a crossing edge of m by the
 // rule (see Match): both ends bound, exactly one of them internal.
 func crosses(m *Match, e query.Edge) bool {
@@ -251,16 +262,7 @@ func candidateSeeds(f *fragment.Fragment, q *query.Graph) ([]rdf.Triple, []uint6
 			for _, qe := range inc[qv] {
 				// A crossing edge is no self-loop: e takes it on qv's side.
 				e, out := q.Edges[qe], q.Edges[qe].From == qv
-				adj := f.Store.In(u)
-				switch {
-				case out && e.HasVarLabel():
-					adj = f.Store.Out(u)
-				case out:
-					adj = f.Store.OutWith(u, e.Label)
-				case !e.HasVarLabel():
-					adj = f.Store.InWith(u, e.Label)
-				}
-				for _, he := range adj {
+				for _, he := range f.Store.Adjacency(u, e, out) {
 					t := rdf.Triple{S: he.V, P: he.P, O: u}
 					if out {
 						t = rdf.Triple{S: u, P: he.P, O: he.V}

@@ -37,7 +37,7 @@ import (
 // wireVersion is bumped by any change to the encoding; it travels in the
 // tag byte so that builds which disagree fail the call by name instead of
 // misreading each other.
-const wireVersion = 6
+const wireVersion = 7
 
 const (
 	tagRequest  = wireVersion << 1

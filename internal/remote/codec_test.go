@@ -65,10 +65,16 @@ func bare(g *query.Graph) *query.Graph {
 	return b
 }
 
-// Four slots: none (a constant vertex), a one-word vector, the list
-// {5, 8}, the empty list.
+// A union of four slots: none (a constant vertex), a one-word vector,
+// the list {5, 8}, the empty list.
 func fullVectors(t testing.TB) *candidates.SiteVectors {
-	return vectors(t, 4, 0, 1, 1, 0xef, 0xbe, 0, 0, 0, 0, 0, 0x80, 4, 5, 3, 2)
+	return vectors(t, 8, 0, 1, 1, 0xef, 0xbe, 0, 0, 0, 0, 0, 0x80, 4, 5, 3, 2)
+}
+
+// fullReport is fullVectors as a site reports them: each set followed by
+// its κ, here 7, 300 and 0.
+func fullReport(t testing.TB) *candidates.SiteVectors {
+	return vectors(t, 9, 0, 1, 1, 0xef, 0xbe, 0, 0, 0, 0, 0, 0x80, 7, 4, 5, 3, 0xac, 0x02, 2, 0)
 }
 
 func twoMatches() []*partial.Match {
@@ -103,7 +109,7 @@ func goldenFrames(t testing.TB) []namedFrame {
 	resp := func(name string, p response) namedFrame { return namedFrame{name, &p} }
 	return []namedFrame{
 		req("candidates request", request{Op: opCandidates, Site: 3, Epoch: 7, Bits: candidates.DefaultBits, Query: bare(fullQuery())}),
-		resp("candidates reply", response{Done: true, Vectors: fullVectors(t)}),
+		resp("candidates reply", response{Done: true, Vectors: fullReport(t)}),
 		req("partial request", request{
 			Op: opPartial, Site: 3, Epoch: 7, TimeoutNS: 1500000000, Order: []int{1, 0}, EdgeRank: []int{1, 0},
 			Query: bare(fullQuery()), Union: fullVectors(t),
@@ -200,17 +206,18 @@ func TestFrameRoundTrip(t *testing.T) {
 		},
 		{Query: &query.Graph{Vars: make([]string, 2*query.MaxSize)}}, // the most variables a query holds
 		{Query: &query.Graph{}, Union: vectors(t, 0), Fragment: &fragment.Payload{}, Delta: &fragment.Delta{}},
-		{Union: vectors(t, 3, 0, 0, 0)}, // nothing but nil set slots
+		{Union: vectors(t, 6, 0, 0, 0)}, // nothing but nil set slots
 	}
 	responses := []response{
 		{},
 		{
-			Done: true, Rows: [][]rdf.TermID{{1, 2}, nil, {math.MaxUint32}}, Vectors: fullVectors(t), LocalMatches: 3,
+			Done: true, Rows: [][]rdf.TermID{{1, 2}, nil, {math.MaxUint32}}, Vectors: fullReport(t), LocalMatches: 3,
 			Matches: twoMatches(), Tasks: 9, BusyNS: math.MaxInt64, EvalNS: 1,
 			Fragments: 6, ErrKind: errNeedSync, ErrMsg: "why",
 		},
 		{Matches: []*partial.Match{{}}},
 		{Vectors: vectors(t, 0)},
+		{Vectors: vectors(t, 1)}, // a report of no slots
 	}
 	c := &conn{Conn: &bufConn{}}
 	check := func(want frame, got codecFrame) {
@@ -423,14 +430,16 @@ func (g *gen) query() *query.Graph {
 	return q
 }
 
-// vectors writes a valid stage-0 payload slot by slot and decodes it.
+// vectors writes a valid stage-0 payload slot by slot, a union or a
+// site's report, and decodes it.
 func (g *gen) vectors(t testing.TB) *candidates.SiteVectors {
-	slots := g.n(4)
-	b := varint.AppendInt(nil, slots)
+	slots, report := g.n(4), g.n(1)
+	b := varint.AppendInt(nil, slots<<1|report)
 	for ; slots > 0; slots-- {
 		switch g.n(2) {
 		case 0:
 			b = append(b, 0)
+			continue
 		case 1:
 			words := 1 + g.n(2)
 			b = varint.AppendInt(append(b, 1), words)
@@ -441,6 +450,9 @@ func (g *gen) vectors(t testing.TB) *candidates.SiteVectors {
 			for i := 0; i < ids; i++ {
 				b = varint.AppendInt(b, 1+int(g.byte()))
 			}
+		}
+		if report == 1 {
+			b = varint.AppendInt(b, int(g.term())) // κ is at most 2³² − 1
 		}
 	}
 	return vectors(t, b...)

@@ -89,13 +89,17 @@ type ExplainStage struct {
 }
 
 // ExplainCandidateVar is one query variable's Section VI exchange: the
-// form its union took ("list" is exact, "bits" the hashed vector), the
-// union's candidate count (list) or set bits (bits), and the encoded
-// bytes of the sites' sets (up) and of the union to every site (down).
+// form its union took ("list" is exact, "bits" the hashed vector,
+// "dropped" not broadcast: the sites ran the variable unfiltered), the
+// union's candidate count (list) or set bits (bits), the bindings the
+// sites reported it would reject (Σκ, which decided the form), and the
+// encoded bytes of the sites' sets and κ (up) and of the union to every
+// site (down).
 type ExplainCandidateVar struct {
 	Var       string `json:"var"`
 	Form      string `json:"form"`
 	Count     int    `json:"count"`
+	Rejects   int    `json:"rejects"`
 	BytesUp   int64  `json:"bytes_up"`
 	BytesDown int64  `json:"bytes_down"`
 }
@@ -222,7 +226,7 @@ func explainStages(s *gstored.Stats) []ExplainStage {
 	cand.FramingBytes = s.CandidateFraming
 	for _, v := range s.CandidateVars {
 		cand.Vars = append(cand.Vars, ExplainCandidateVar{
-			Var: v.Var, Form: v.Form.String(), Count: v.Count, BytesUp: v.BytesUp, BytesDown: v.BytesDown,
+			Var: v.Var, Form: v.Form.String(), Count: v.Count, Rejects: v.Rejects, BytesUp: v.BytesUp, BytesDown: v.BytesDown,
 		})
 	}
 	return out

@@ -399,7 +399,13 @@ func TestExplainEndToEnd(t *testing.T) {
 	cand := rep.Stages[0]
 	sum := cand.FramingBytes
 	for _, v := range cand.Vars {
-		if v.Form != "list" && v.Form != "bits" {
+		switch v.Form {
+		case "list", "bits":
+		case "dropped": // not broadcast: an empty slot to each site
+			if v.Count != 0 || v.BytesDown != int64(rep.Sites) {
+				t.Errorf("variable %s dropped with count %d and bytes_down %d", v.Var, v.Count, v.BytesDown)
+			}
+		default:
 			t.Errorf("variable %s: form %q", v.Var, v.Form)
 		}
 		sum += v.BytesUp + v.BytesDown

@@ -269,14 +269,21 @@ func (st *Store) anchor(q *query.Graph, qv int, e query.Edge) (adj []HalfEdge, o
 	if !ok {
 		return nil, false
 	}
-	adj = st.out.of(c)
-	if outgoing {
-		adj = st.in.of(c)
+	return st.Adjacency(c, e, !outgoing), true
+}
+
+// Adjacency returns x's half-edges that can carry query edge e at x: its
+// out-edges when out, else its in-edges, narrowed to e's label unless
+// that is a variable.
+func (st *Store) Adjacency(x rdf.TermID, e query.Edge, out bool) []HalfEdge {
+	adj := st.in.of(x)
+	if out {
+		adj = st.out.of(x)
 	}
 	if !e.HasVarLabel() {
 		adj = predRange(adj, e.Label)
 	}
-	return adj, true
+	return adj
 }
 
 // hasEdge reports whether some s→o edge instance could carry query edge
