@@ -44,6 +44,7 @@ import (
 	"gstored/internal/partial"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
+	"gstored/internal/store"
 	"gstored/internal/varint"
 )
 
@@ -197,7 +198,9 @@ type SiteVectors struct {
 // internal candidates in fragment f and κ (the site half of Algorithm 4);
 // bits is the length of the hashed form. κ is the crossing-edge count
 // that f keeps per label and internal end, less the matching crossing
-// edges of the candidates, so its cost follows C(Q, v), not the edges.
+// edges of the candidates, so its cost follows C(Q, v), not the edges. A
+// candidate's crossing edges are counted on the adjacency lists the
+// signature test read (Store.CandidatesFunc), not looked up again.
 func ComputeSite(f *fragment.Fragment, q *query.Graph, bits int) *SiteVectors {
 	sv := &SiteVectors{Sets: make([]*Set, len(q.Vertices)), Rejects: make([]int, len(q.Vertices))}
 	inc := q.IncidentEdges()
@@ -212,22 +215,17 @@ func ComputeSite(f *fragment.Fragment, q *query.Graph, bits int) *SiteVectors {
 		for _, qe := range edges {
 			rejects += crossingEdges(f, q, q.Edges[qe], qv)
 		}
-		// Store.Candidates is exact for internal vertices only.
-		ids := f.Store.Candidates(q, qv)
-		boundary := ids[:0]
-		for _, u := range ids {
-			if !f.IsInternal(u) {
-				continue
-			}
+		// Store.Candidates is exact for internal vertices only: the others
+		// are dropped before the signature test reads their adjacency.
+		boundary := f.Store.CandidatesFunc(q, qv, f.IsInternal, func(u rdf.TermID, adj [][]store.HalfEdge) bool {
 			d := 0
 			for _, qe := range edges {
-				d += crossingDegree(f, q, q.Edges[qe], qv, u)
+				_, far := farEnd(q, q.Edges[qe], qv)
+				d += crossingDegree(f, far, adj[qe])
 			}
-			if d > 0 {
-				boundary = append(boundary, u)
-				rejects -= d
-			}
-		}
+			rejects -= d
+			return d > 0
+		})
 		sv.Sets[qv], sv.Rejects[qv] = newSet(boundary, bits), rejects
 	}
 	return sv
@@ -248,12 +246,11 @@ func crossingEdges(f *fragment.Fragment, q *query.Graph, e query.Edge, qv int) i
 	return len(f.Store.Adjacency(far.Const, e, !out))
 }
 
-// crossingDegree counts the crossing edges of internal vertex u that
-// match query edge e at qv's end.
-func crossingDegree(f *fragment.Fragment, q *query.Graph, e query.Edge, qv int, u rdf.TermID) int {
-	out, far := farEnd(q, e, qv)
+// crossingDegree counts the crossing edges among an internal vertex's
+// half-edges adj over a query edge whose far end is far.
+func crossingDegree(f *fragment.Fragment, far query.Vertex, adj []store.HalfEdge) int {
 	n := 0
-	for _, he := range f.Store.Adjacency(u, e, out) {
+	for _, he := range adj {
 		if !f.IsInternal(he.V) && (far.IsVar() || he.V == far.Const) {
 			n++
 		}

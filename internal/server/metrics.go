@@ -195,7 +195,7 @@ func (m *Metrics) Write(w io.Writer, cache CacheStats, inFlight int64, uptime ti
 	writeMetric(w, "gstored_partial_matches_pruned_total", "Local partial matches LEC pruning excluded from assembly.", "counter", m.PrunedMatches.Load())
 	writeMetric(w, "gstored_join_attempts_total", "Join steps tried by the closure walks.", "counter", m.JoinAttempts.Load())
 	writeMetric(w, "gstored_matches_total", "Result rows produced by the engine.", "counter", m.Matches.Load())
-	fmt.Fprintf(w, "# HELP gstored_candidate_vars_total Query variables whose candidate union was broadcast, by its form (list is exact, bits the hashed vector).\n# TYPE gstored_candidate_vars_total counter\n")
+	fmt.Fprintf(w, "# HELP gstored_candidate_vars_total Query variables of a candidate exchange, by the form their union took (list: exact IDs broadcast; bits: the hashed vector broadcast; dropped: not broadcast, the rejections it bought being worth less than its bytes).\n# TYPE gstored_candidate_vars_total counter\n")
 	for i, name := range candidates.FormNames {
 		fmt.Fprintf(w, "gstored_candidate_vars_total{form=%q} %d\n", name, m.CandidateVars[i].Load())
 	}

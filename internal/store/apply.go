@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 	"sort"
@@ -12,12 +13,12 @@ import (
 // of each triple in deleted removed and each triple in inserted added as
 // one instance. st itself is never modified — executions holding it keep
 // a consistent snapshot — and the index work is proportional to the
-// delta: the adjacency shards its endpoints fall in are copied (the rest
-// are shared with st), only the adjacency actually touched is spliced,
-// and the cardinality table moves by the delta's own adjacency (Stats).
-// Beyond that, a delta that adds or removes a vertex splices it into one
-// copy of the sorted vertex list, and the byPred list of each predicate
-// the delta names is copied.
+// delta: each adjacency shard its endpoints fall in is rebuilt once, with
+// the touched vertices' lists spliced between copies of the untouched
+// runs (the other shards are shared with st), and the cardinality table
+// moves by the delta's own adjacency (Stats). Beyond that, a delta that
+// adds or removes a vertex splices it into one copy of the sorted vertex
+// list, and the byPred list of each predicate the delta names is copied.
 //
 // Callers are expected to pass a set-semantics delta: inserted triples
 // not yet present and deleted triples that are (DB.Update normalizes its
@@ -29,19 +30,16 @@ import (
 func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 	next := &Store{
 		Dict:   st.Dict,
-		out:    st.out,
-		in:     st.in,
 		byPred: make(map[rdf.TermID][]rdf.Triple, len(st.byPred)),
 		size:   st.size,
 	}
 	maps.Copy(next.byPred, st.byPred)
-	// Shards and predicate lists still alias st's until edit, the drop*
-	// and the insert* helpers copy the ones the delta writes.
-	var ownOut, ownIn [adjShards]bool
+	// Predicate lists still alias st's until the drop and insert helpers
+	// copy the ones the delta writes.
+	out, in := edits{}, edits{}
 
 	// Deletions first: remove every instance from the touched adjacency
-	// slices (copy-on-write) and every entry from the deduplicated byPred
-	// lists.
+	// lists and every entry from the deduplicated byPred lists.
 	delSet := make(map[rdf.Triple]bool, len(deleted))
 	for _, t := range deleted {
 		if delSet[t] {
@@ -55,18 +53,11 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 		}
 		delSet[t] = true
 		next.size -= n
-		out, in := next.out.edit(t.S, &ownOut), next.in.edit(t.O, &ownIn)
-		out[t.S] = dropHalfEdges(out[t.S], HalfEdge{t.P, t.O})
-		in[t.O] = dropHalfEdges(in[t.O], HalfEdge{t.P, t.S})
+		out.drop(&st.out, t.S, HalfEdge{t.P, t.O})
+		in.drop(&st.in, t.O, HalfEdge{t.P, t.S})
 		next.byPred[t.P] = dropTriple(next.byPred[t.P], t)
 		// Emptied entries are removed outright so derived views (e.g.
 		// Predicates) match a from-scratch build of the same graph.
-		if len(out[t.S]) == 0 {
-			delete(out, t.S)
-		}
-		if len(in[t.O]) == 0 {
-			delete(in, t.O)
-		}
 		if len(next.byPred[t.P]) == 0 {
 			delete(next.byPred, t.P)
 		}
@@ -76,11 +67,11 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 	// new, into the deduplicated byPred list.
 	for _, t := range inserted {
 		next.size++
-		out, in := next.out.edit(t.S, &ownOut), next.in.edit(t.O, &ownIn)
-		out[t.S] = insertHalfEdge(out[t.S], st.out.of(t.S), HalfEdge{t.P, t.O})
-		in[t.O] = insertHalfEdge(in[t.O], st.in.of(t.O), HalfEdge{t.P, t.S})
+		out.insert(&st.out, t.S, HalfEdge{t.P, t.O})
+		in.insert(&st.in, t.O, HalfEdge{t.P, t.S})
 		next.byPred[t.P] = insertTriple(next.byPred[t.P], st.byPred[t.P], t)
 	}
+	next.out, next.in = st.out.apply(out), st.in.apply(in)
 
 	next.stats = st.stats.apply(st, next, deleted, inserted)
 
@@ -130,40 +121,101 @@ func splice(vs, add, del []rdf.TermID) []rdf.TermID {
 	return append(out, vs...)
 }
 
-// dropHalfEdges returns adj without any instance equal to he, copying
-// only when something is actually removed.
-func dropHalfEdges(adj []HalfEdge, he HalfEdge) []HalfEdge {
-	lo := sort.Search(len(adj), func(i int) bool {
-		return adj[i].P > he.P || (adj[i].P == he.P && adj[i].V >= he.V)
-	})
-	hi := lo
-	for hi < len(adj) && adj[hi] == he {
-		hi++
+// edits holds the new half-edge lists of the vertices a delta touches in
+// one direction of the index; each starts as a private copy of the old
+// generation's list, so it is written in place.
+type edits map[rdf.TermID][]HalfEdge
+
+func (e edits) list(old *adjacency, v rdf.TermID) []HalfEdge {
+	l, ok := e[v]
+	if !ok {
+		l = slices.Clone(old.of(v))
 	}
-	if lo == hi {
-		return adj
-	}
-	out := make([]HalfEdge, 0, len(adj)-(hi-lo))
-	out = append(out, adj[:lo]...)
-	return append(out, adj[hi:]...)
+	return l
 }
 
-// insertHalfEdge splices he into sorted adj. When adj still aliases the
-// original store's slice (no deletion copied it yet), a fresh copy is
-// made so the shared snapshot is never written.
-func insertHalfEdge(adj, original []HalfEdge, he HalfEdge) []HalfEdge {
-	i := sort.Search(len(adj), func(i int) bool {
-		return adj[i].P > he.P || (adj[i].P == he.P && adj[i].V >= he.V)
-	})
-	out := adj
-	if len(adj) == len(original) && len(adj) > 0 && &adj[0] == &original[0] {
-		out = make([]HalfEdge, len(adj), len(adj)+1)
-		copy(out, adj)
+// drop removes every instance of he from v's list.
+func (e edits) drop(old *adjacency, v rdf.TermID, he HalfEdge) {
+	e[v] = slices.DeleteFunc(e.list(old, v), func(x HalfEdge) bool { return x == he })
+}
+
+// insert splices one instance of he into v's sorted list.
+func (e edits) insert(old *adjacency, v rdf.TermID, he HalfEdge) {
+	l := e.list(old, v)
+	i, _ := slices.BinarySearchFunc(l, he, compareHalfEdges)
+	e[v] = slices.Insert(l, i, he)
+}
+
+// apply returns a with each vertex of e holding its list there, or gone
+// when that is empty: every shard an edited vertex falls in is rebuilt
+// once, and the others are shared with a.
+func (a *adjacency) apply(e edits) adjacency {
+	next := *a
+	touched := make(map[rdf.TermID][]rdf.TermID)
+	for v := range e {
+		touched[v%adjShards] = append(touched[v%adjShards], v)
 	}
-	out = append(out, HalfEdge{})
-	copy(out[i+1:], out[i:])
-	out[i] = he
+	for i, vs := range touched {
+		slices.Sort(vs)
+		next[i] = a[i].splice(vs, e)
+	}
+	return next
+}
+
+// splice returns a new shard holding sh's vertices with each of vs (sorted,
+// all of sh's shard) given its list in e: the runs of untouched vertices
+// between them are copied as they are, and a vertex whose list is empty
+// leaves the shard. When no vertex comes or goes, the new shard shares
+// sh's slot table. An emptied shard is nil.
+func (sh *shard) splice(vs []rdf.TermID, e edits) *shard {
+	old := shard{rows: []row{{}}} // no vertex, and the sentinel
+	if sh != nil {
+		old = *sh
+	}
+	keys := old.rows[:len(old.rows)-1]
+	edges := len(old.edges)
+	for _, v := range vs {
+		edges += len(e[v])
+	}
+	out := &shard{rows: make([]row, 0, len(old.rows)+len(vs)), edges: make([]HalfEdge, 0, edges)}
+	i, same := 0, true
+	for _, v := range vs {
+		j, found := slices.BinarySearchFunc(keys[i:], v, func(r row, v rdf.TermID) int { return cmp.Compare(r.key, v) })
+		j += i
+		out.appendRun(&old, i, j)
+		if found {
+			j++
+		}
+		if l := e[v]; len(l) > 0 {
+			out.rows = append(out.rows, row{v, int32(len(out.edges))})
+			out.edges = append(out.edges, l...)
+		}
+		same = same && found == (len(e[v]) > 0)
+		i = j
+	}
+	out.appendRun(&old, i, len(keys))
+	if len(out.rows) == 0 {
+		return nil
+	}
+	out.rows = append(out.rows, row{off: int32(len(out.edges))})
+	if same {
+		out.slots, out.shift = old.slots, old.shift
+	} else {
+		out.index()
+	}
 	return out
+}
+
+// appendRun appends sh's rows i to j-1 with their half-edges.
+func (out *shard) appendRun(sh *shard, i, j int) {
+	if i == j {
+		return
+	}
+	base := int32(len(out.edges)) - sh.rows[i].off
+	for _, r := range sh.rows[i:j] {
+		out.rows = append(out.rows, row{r.key, r.off + base})
+	}
+	out.edges = append(out.edges, sh.edges[sh.rows[i].off:sh.rows[j].off]...)
 }
 
 // dropTriple removes t from the sorted, deduplicated list ts.

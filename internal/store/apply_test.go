@@ -175,8 +175,9 @@ func TestApplyUntouchedAdjacencyIsShared(t *testing.T) {
 // TestApplyCopiesOnlyTouchedShards pins what makes Apply's cost follow
 // the delta on a graph whose shards each hold several vertices: over a
 // chain of random deltas every generation equals a from-scratch build,
-// shares every adjacency shard the delta's endpoints do not fall in with
-// the generation before it, and leaves that generation as it was.
+// vertex by vertex, shares every adjacency shard the delta's endpoints do
+// not fall in with the generation before it, and leaves that generation
+// as it was.
 func TestApplyCopiesOnlyTouchedShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dict := rdf.NewDictionary()
@@ -187,7 +188,6 @@ func TestApplyCopiesOnlyTouchedShards(t *testing.T) {
 	for i := 0; i < 4*vertices; i++ {
 		base = append(base, rdf.Triple{S: name(rng.Intn(vertices)), P: pred(rng.Intn(3)), O: name(rng.Intn(vertices))})
 	}
-	shardPtr := func(m map[rdf.TermID][]HalfEdge) uintptr { return reflect.ValueOf(m).Pointer() }
 	st := New(dict, base)
 	for step := 0; step < 40; step++ {
 		var inserted, deleted []rdf.Triple
@@ -216,11 +216,17 @@ func TestApplyCopiesOnlyTouchedShards(t *testing.T) {
 		if !reflect.DeepEqual(chained.Stats(), next.Stats()) {
 			t.Fatalf("step %d: the chained store's statistics drifted from a fresh build's", step)
 		}
+		fresh := New(dict, chained.Triples())
+		for _, v := range fresh.Vertices() {
+			if !slices.Equal(chained.Out(v), fresh.Out(v)) || !slices.Equal(chained.In(v), fresh.In(v)) {
+				t.Fatalf("step %d: vertex %d reads Out %v In %v, a fresh build %v and %v", step, v, chained.Out(v), chained.In(v), fresh.Out(v), fresh.In(v))
+			}
+		}
 		for i := range rdf.TermID(adjShards) {
-			if !touchedOut[i] && shardPtr(chained.out[i]) != shardPtr(st.out[i]) {
+			if !touchedOut[i] && chained.out[i] != st.out[i] {
 				t.Errorf("step %d: out shard %d copied though no subject of the delta falls in it", step, i)
 			}
-			if !touchedIn[i] && shardPtr(chained.in[i]) != shardPtr(st.in[i]) {
+			if !touchedIn[i] && chained.in[i] != st.in[i] {
 				t.Errorf("step %d: in shard %d copied though no object of the delta falls in it", step, i)
 			}
 		}
@@ -228,6 +234,42 @@ func TestApplyCopiesOnlyTouchedShards(t *testing.T) {
 			t.Fatalf("step %d: Apply wrote to the generation it was applied to", step)
 		}
 		st, base = chained, chained.Triples()
+	}
+}
+
+// TestShardHoldsNoPointer pins what keeps the index cheap for the garbage
+// collector: every field of a shard is pointer-free data or a slice of
+// it, so the collector marks a shard's arrays without scanning them.
+func TestShardHoldsNoPointer(t *testing.T) {
+	var holdsPointer func(reflect.Type) bool
+	holdsPointer = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		case reflect.Array:
+			return holdsPointer(typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if holdsPointer(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		}
+		return true
+	}
+	typ := reflect.TypeFor[shard]()
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		elem := f.Type
+		if elem.Kind() == reflect.Slice {
+			elem = elem.Elem()
+		}
+		if holdsPointer(elem) {
+			t.Errorf("shard.%s is a %v: the collector would scan it for pointers", f.Name, f.Type)
+		}
 	}
 }
 

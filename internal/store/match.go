@@ -105,7 +105,7 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 			m.seedV = seedV[lo:hi]
 		}
 		m.Admit = func(qv int, u rdf.TermID, via int) bool {
-			return st.signatureOK(q, qv, u, via) && (opts.VertexFilter == nil || opts.VertexFilter(qv, u))
+			return st.signatureOK(q, qv, u, via, nil) && (opts.VertexFilter == nil || opts.VertexFilter(qv, u))
 		}
 		m.Next = m.next
 		m.step()

@@ -3,6 +3,7 @@ package store
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +17,8 @@ import (
 // edge and every query edge it can match, skipping that query edge at
 // either endpoint gives the verdict of the full test, and Candidates,
 // which skips the edge its seeds came from, equals the set the full test
-// and the constant edges admit among all vertices.
+// and the constant edges admit among all vertices. CandidatesFunc hands
+// its keep test the lists Adjacency would answer, via's included.
 func TestSignatureSkipIsImplied(t *testing.T) {
 	x, y, z, w := query.Var("x"), query.Var("y"), query.Var("z"), query.Var("w")
 	a, b := query.Var("a"), query.Var("b")
@@ -67,11 +69,11 @@ func TestSignatureSkipIsImplied(t *testing.T) {
 						qv int
 						u  rdf.TermID
 					}{{e.From, tr.S}, {e.To, tr.O}} {
-						full := st.signatureOK(q, end.qv, end.u, -1)
+						full := st.signatureOK(q, end.qv, end.u, -1, nil)
 						if !full {
 							rejected++
 						}
-						if st.signatureOK(q, end.qv, end.u, ei) != full {
+						if st.signatureOK(q, end.qv, end.u, ei, nil) != full {
 							t.Logf("seed %d %s: %s matched by %v: skipping it at vertex %d decides %v, the full test %v",
 								seed, q, q.EdgeString(ei), tr, end.qv, !full, full)
 							return false
@@ -85,12 +87,29 @@ func TestSignatureSkipIsImplied(t *testing.T) {
 				}
 				var want []rdf.TermID
 				for _, u := range st.Vertices() {
-					if st.signatureOK(q, qv, u, -1) && st.constantsOK(q, qv, u) {
+					if st.signatureOK(q, qv, u, -1, nil) && st.constantsOK(q, qv, u) {
 						want = append(want, u)
 					}
 				}
 				if got := st.Candidates(q, qv); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 					t.Logf("seed %d %s: Candidates(%d) = %v, want %v", seed, q, qv, got, want)
+					return false
+				}
+				// CandidatesFunc: admit narrows the same set, and keep sees
+				// what Adjacency answers for every incident edge but loops.
+				odd := func(u rdf.TermID) bool { return u%2 == 1 }
+				sameAdj := true
+				got := st.CandidatesFunc(q, qv, odd, func(u rdf.TermID, adj [][]HalfEdge) bool {
+					for i, e := range q.Edges {
+						if (e.From == qv) != (e.To == qv) && !reflect.DeepEqual(adj[i], st.Adjacency(u, e, e.From == qv)) {
+							t.Logf("seed %d %s: CandidatesFunc(%d) handed %d for %s %v, Adjacency %v", seed, q, qv, u, q.EdgeString(i), adj[i], st.Adjacency(u, e, e.From == qv))
+							sameAdj = false
+						}
+					}
+					return true
+				})
+				if want := slices.DeleteFunc(want, func(u rdf.TermID) bool { return !odd(u) }); !sameAdj || !slices.Equal(got, want) {
+					t.Logf("seed %d %s: CandidatesFunc(%d) = %v, want %v", seed, q, qv, got, want)
 					return false
 				}
 			}

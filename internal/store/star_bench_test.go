@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"runtime"
 	"testing"
 
 	"gstored/internal/fragment"
@@ -48,4 +49,27 @@ func BenchmarkStarMatch(b *testing.B) {
 	if rows == 0 {
 		b.Fatal("LQ2 matched nothing in the fragment")
 	}
+}
+
+// BenchmarkIndexGC is what the stores' indexes cost every garbage
+// collection: LUBM(32)'s global store and its 12 hash fragments are held
+// live while runtime.GC runs. It reports ns per forced collection and the
+// live heap after it (live-B); CI logs both with no threshold.
+func BenchmarkIndexGC(b *testing.B) {
+	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 32})
+	global := store.FromGraph(ds.Graph)
+	d, err := fragment.BuildWith(global, partition.Hash{}, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	b.ResetTimer()
+	for range b.N {
+		runtime.GC()
+	}
+	b.StopTimer()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapAlloc), "live-B")
+	runtime.KeepAlive(d)
 }

@@ -12,7 +12,8 @@
 package store
 
 import (
-	"maps"
+	"cmp"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -26,28 +27,144 @@ type HalfEdge struct {
 }
 
 // adjShards is how many ways an adjacency index is split. A delta of a
-// few triples names a few vertices, so Apply copies that many of the 256
-// shards and the new generation shares the rest with the old one.
+// few triples names a few vertices, so Apply rebuilds that many of the
+// 256 shards and the new generation shares the rest with the old one.
 const adjShards = 256
 
-// adjacency maps a vertex to its half-edges, sharded by vertex ID. A nil
-// shard is empty.
-type adjacency [adjShards]map[rdf.TermID][]HalfEdge
+// adjacency maps a vertex to its half-edges, sharded by vertex ID modulo
+// adjShards. A nil shard is empty. Shards are immutable once built: Apply
+// replaces a shard it writes and shares the others by pointer.
+type adjacency [adjShards]*shard
 
-func (a *adjacency) of(v rdf.TermID) []HalfEdge { return a[v%adjShards][v] }
+// shard is one compressed-sparse-row slice of an adjacency index. rows
+// lists its vertices in ascending order, each with the offset of its
+// half-edges in edges, and ends in a sentinel row whose offset is
+// len(edges): vertex rows[j].key's half-edges are
+// edges[rows[j].off:rows[j+1].off], sorted by (P, V), so a vertex's key
+// and both its offsets mostly share a cache line. slots finds j: an
+// open-addressing table whose length is a power of two above 1.5 × the
+// vertex count, where a vertex hashes to the slot its top bits name
+// (shift) and probes forward to the slot holding j+1; a 0 slot ends the
+// probe. No element holds a pointer, so the garbage collector marks the
+// three arrays and scans none of them, and nothing is sized by a vertex
+// ID's magnitude.
+type shard struct {
+	rows  []row
+	edges []HalfEdge
+	slots []int32
+	shift uint8
+}
 
-// edit returns v's shard for writing. The first edit of a shard replaces
-// it by a copy and marks it owned, so whoever shared it before never sees
-// the write.
-func (a *adjacency) edit(v rdf.TermID, owned *[adjShards]bool) map[rdf.TermID][]HalfEdge {
-	i := v % adjShards
-	if !owned[i] {
-		owned[i] = true
-		m := make(map[rdf.TermID][]HalfEdge, len(a[i]))
-		maps.Copy(m, a[i])
-		a[i] = m
+// row is one vertex of a shard and where its half-edges start.
+type row struct {
+	key rdf.TermID
+	off int32
+}
+
+// fibonacci is 2⁶⁴ divided by the golden ratio: multiplying by it spreads
+// arithmetic runs of vertex IDs over a table's slots.
+const fibonacci = 0x9E3779B97F4A7C15
+
+func (sh *shard) slot(v rdf.TermID) int { return int(uint64(v) * fibonacci >> sh.shift) }
+
+// find returns v's row, or -1.
+func (sh *shard) find(v rdf.TermID) int {
+	mask := len(sh.slots) - 1
+	for h := sh.slot(v); ; h = (h + 1) & mask {
+		j := sh.slots[h] - 1
+		if j < 0 || sh.rows[j].key == v {
+			return int(j)
+		}
 	}
-	return a[i]
+}
+
+// index builds the slot table over the rows.
+func (sh *shard) index() {
+	n := len(sh.rows) - 1
+	width := bits.Len(uint(n + n/2))
+	sh.slots, sh.shift = make([]int32, 1<<width), uint8(64-width)
+	mask := len(sh.slots) - 1
+	for j, r := range sh.rows[:n] {
+		h := sh.slot(r.key)
+		for sh.slots[h] != 0 {
+			h = (h + 1) & mask
+		}
+		sh.slots[h] = int32(j + 1)
+	}
+}
+
+// of returns v's half-edges, capped so that an append copies.
+func (a *adjacency) of(v rdf.TermID) []HalfEdge {
+	sh := a[v%adjShards]
+	if sh == nil {
+		return nil
+	}
+	j := sh.find(v)
+	if j < 0 {
+		return nil
+	}
+	lo, hi := sh.rows[j].off, sh.rows[j+1].off
+	return sh.edges[lo:hi:hi]
+}
+
+// buildAdjacency indexes every triple under its subject when out, else
+// under its object: bucket by shard, sort each bucket by (vertex, P, V)
+// once, and cut it into a shard.
+func buildAdjacency(triples []rdf.Triple, out bool) adjacency {
+	type entry struct {
+		k  rdf.TermID
+		he HalfEdge
+	}
+	entryOf := func(t rdf.Triple) entry {
+		if out {
+			return entry{t.S, HalfEdge{t.P, t.O}}
+		}
+		return entry{t.O, HalfEdge{t.P, t.S}}
+	}
+	var start [adjShards + 1]int
+	for _, t := range triples {
+		start[entryOf(t).k%adjShards+1]++
+	}
+	for i := range adjShards {
+		start[i+1] += start[i]
+	}
+	next := start
+	buf := make([]entry, len(triples))
+	for _, t := range triples {
+		e := entryOf(t)
+		buf[next[e.k%adjShards]] = e
+		next[e.k%adjShards]++
+	}
+	var a adjacency
+	for i := range adjShards {
+		run := buf[start[i]:start[i+1]]
+		if len(run) == 0 {
+			continue
+		}
+		slices.SortFunc(run, func(x, y entry) int {
+			if x.k != y.k {
+				return cmp.Compare(x.k, y.k)
+			}
+			return compareHalfEdges(x.he, y.he)
+		})
+		keys := 1
+		for j := 1; j < len(run); j++ {
+			if run[j].k != run[j-1].k {
+				keys++
+			}
+		}
+		sh := &shard{rows: make([]row, 0, keys+1), edges: make([]HalfEdge, len(run))}
+		for j, e := range run {
+			if j == 0 || e.k != run[j-1].k {
+				sh.rows = append(sh.rows, row{e.k, int32(j)})
+			}
+			sh.edges[j] = e.he
+		}
+		sh.rows = append(sh.rows, row{off: int32(len(run))})
+		sh.index()
+		a[i] = sh
+	}
+	return a
 }
 
 // Store is an immutable, indexed RDF multigraph. Build one with New; the
@@ -79,24 +196,13 @@ func New(dict *rdf.Dictionary, triples []rdf.Triple) *Store {
 		byPred: make(map[rdf.TermID][]rdf.Triple),
 	}
 	vset := make(map[rdf.TermID]bool)
-	var ownOut, ownIn [adjShards]bool
 	for _, t := range triples {
-		out, in := st.out.edit(t.S, &ownOut), st.in.edit(t.O, &ownIn)
-		out[t.S] = append(out[t.S], HalfEdge{t.P, t.O})
-		in[t.O] = append(in[t.O], HalfEdge{t.P, t.S})
 		st.byPred[t.P] = append(st.byPred[t.P], t)
 		vset[t.S] = true
 		vset[t.O] = true
 	}
 	st.size = len(triples)
-	for i := range adjShards {
-		for _, adj := range st.out[i] {
-			sortHalfEdges(adj)
-		}
-		for _, adj := range st.in[i] {
-			sortHalfEdges(adj)
-		}
-	}
+	st.out, st.in = buildAdjacency(triples, true), buildAdjacency(triples, false)
 	// byPred lists are used to seed matching: identical triples would seed
 	// identical bindings, so deduplicate (instance multiplicity stays
 	// available through CountTriples).
@@ -122,13 +228,12 @@ func New(dict *rdf.Dictionary, triples []rdf.Triple) *Store {
 // FromGraph indexes all triples of g.
 func FromGraph(g *rdf.Graph) *Store { return New(g.Dict, g.Triples) }
 
-func sortHalfEdges(adj []HalfEdge) {
-	sort.Slice(adj, func(i, j int) bool {
-		if adj[i].P != adj[j].P {
-			return adj[i].P < adj[j].P
-		}
-		return adj[i].V < adj[j].V
-	})
+// compareHalfEdges orders half-edges by (P, V), an adjacency list's order.
+func compareHalfEdges(x, y HalfEdge) int {
+	if x.P != y.P {
+		return cmp.Compare(x.P, y.P)
+	}
+	return cmp.Compare(x.V, y.V)
 }
 
 // Len reports the number of indexed triples (edge instances).
@@ -214,38 +319,71 @@ func (st *Store) Triples() []rdf.Triple {
 // vertex qv only if, for every query edge incident to qv with a constant
 // label, u has at least one adjacent edge with that label in the right
 // direction, and for variable-labeled incident edges u has at least one
-// edge in that direction.
+// edge in that direction. It looks each direction of u's adjacency up
+// once. Unless adj is nil, it leaves in adj[i] u's half-edges that can
+// carry each incident query edge i that is no self-loop, via included
+// (Adjacency's answer).
 //
 // Query edge via (-1 for none) is skipped: the caller reached u over a
 // data edge of this store that matches via, so u passes via's test by
 // construction. A self-loop via is matched only by a loop at u, which
 // passes both of its directions; a caller whose u is merely one end of an
 // edge with a self-loop's label passes -1.
-func (st *Store) signatureOK(q *query.Graph, qv int, u rdf.TermID, via int) bool {
+func (st *Store) signatureOK(q *query.Graph, qv int, u rdf.TermID, via int, adj [][]HalfEdge) bool {
+	r := reach{st: st, u: u}
 	for i, e := range q.Edges {
-		if i == via {
-			continue
-		}
-		if e.From == qv {
-			if e.HasVarLabel() {
-				if len(st.out.of(u)) == 0 {
-					return false
-				}
-			} else if len(st.OutWith(u, e.Label)) == 0 {
+		switch {
+		case e.From != qv && e.To != qv:
+		case e.From == e.To:
+			if i != via && (len(r.along(e, true)) == 0 || len(r.along(e, false)) == 0) {
 				return false
 			}
-		}
-		if e.To == qv {
-			if e.HasVarLabel() {
-				if len(st.in.of(u)) == 0 {
-					return false
-				}
-			} else if len(st.InWith(u, e.Label)) == 0 {
+		case i == via:
+			if adj != nil {
+				adj[i] = r.along(e, e.From == qv)
+			}
+		default:
+			a := r.along(e, e.From == qv)
+			if len(a) == 0 {
 				return false
+			}
+			if adj != nil {
+				adj[i] = a
 			}
 		}
 	}
 	return true
+}
+
+// reach is one vertex's adjacency, each direction looked up on first use.
+type reach struct {
+	st            *Store
+	u             rdf.TermID
+	out, in       []HalfEdge
+	gotOut, gotIn bool
+}
+
+// along returns u's half-edges that can carry query edge e at u: its
+// out-edges when out, else its in-edges, narrowed to e's label unless
+// that is a variable.
+func (r *reach) along(e query.Edge, out bool) []HalfEdge {
+	var adj []HalfEdge
+	switch {
+	case out && !r.gotOut:
+		r.out, r.gotOut = r.st.out.of(r.u), true
+		fallthrough
+	case out:
+		adj = r.out
+	case !r.gotIn:
+		r.in, r.gotIn = r.st.in.of(r.u), true
+		fallthrough
+	default:
+		adj = r.in
+	}
+	if !e.HasVarLabel() {
+		adj = predRange(adj, e.Label)
+	}
+	return adj
 }
 
 // constantEnd reports the constant vertex c that query edge e joins qv
@@ -334,6 +472,19 @@ func (st *Store) constantsOK(q *query.Graph, qv int, u rdf.TermID) bool {
 // carries only its crossing edges there and may be dropped wrongly, which
 // is why package candidates keeps the internal vertices alone.
 func (st *Store) Candidates(q *query.Graph, qv int) []rdf.TermID {
+	return st.CandidatesFunc(q, qv, nil, nil)
+}
+
+// CandidatesFunc is Candidates narrowed by two more tests, either of which
+// may be nil; a constant qv calls neither. admit sees each seed before the
+// others,
+// so that a vertex it rejects costs no adjacency read. keep sees each
+// vertex u that passes the rest with adj, where adj[i] holds u's
+// half-edges that can carry q.Edges[i] at qv's end (Adjacency's answer)
+// for each edge i incident to qv that is no self-loop: the lists the
+// signature test read, so that keep need not read them again. adj is
+// reused from one call to the next.
+func (st *Store) CandidatesFunc(q *query.Graph, qv int, admit func(u rdf.TermID) bool, keep func(u rdf.TermID, adj [][]HalfEdge) bool) []rdf.TermID {
 	v := q.Vertices[qv]
 	if !v.IsVar() {
 		if st.HasVertex(v.Const) {
@@ -388,9 +539,13 @@ func (st *Store) Candidates(q *query.Graph, qv int) []rdf.TermID {
 	}
 	slices.Sort(seed)
 	seed = slices.Compact(seed)
+	var adj [][]HalfEdge
+	if keep != nil {
+		adj = make([][]HalfEdge, len(q.Edges))
+	}
 	out := seed[:0]
 	for _, u := range seed {
-		if st.signatureOK(q, qv, u, via) && st.constantsOK(q, qv, u) {
+		if (admit == nil || admit(u)) && st.signatureOK(q, qv, u, via, adj) && st.constantsOK(q, qv, u) && (keep == nil || keep(u, adj)) {
 			out = append(out, u)
 		}
 	}
