@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzLiteralRoundTrip$$' -fuzztime=10s ./internal/sparql/
 	$(GO) test -run=NONE -fuzz='^FuzzReadNTriples$$' -fuzztime=10s ./internal/rdf/
 	$(GO) test -run=NONE -fuzz='^FuzzApplyDelta$$' -fuzztime=10s ./internal/fragment/
+	$(GO) test -run=NONE -fuzz='^FuzzRuns$$' -fuzztime=10s ./internal/runs/
 	$(GO) test -run=NONE -fuzz='^FuzzClosureIndex$$' -fuzztime=10s ./internal/lec/
 	$(GO) test -run=NONE -fuzz='^FuzzFeatureIDs$$' -fuzztime=10s ./internal/lec/
 	$(GO) test -run=NONE -fuzz='^FuzzCompute$$' -fuzztime=10s ./internal/partial/

@@ -248,7 +248,7 @@ func stageZeroReference(fr *fragment.Fragment, q *query.Graph) (sets [][]rdf.Ter
 		}
 		cands := fr.Store.Candidates(q, qv)
 		sets[qv] = []rdf.TermID{}
-		for _, tr := range fr.Crossing {
+		for _, tr := range fr.Crossing.Flat() {
 			for _, e := range q.Edges {
 				if e.From == e.To || !e.HasVarLabel() && e.Label != tr.P {
 					continue

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"gstored/internal/partition"
 	"gstored/internal/rdf"
@@ -122,7 +121,10 @@ func (d *Distributed) ApplyDelta(newGlobal *store.Store, a *partition.Assignment
 // step — a delete drops every instance of a present triple and is a
 // no-op for an absent or repeated one, then each insert adds one
 // instance — so the edge count and the crossing list stay in step with
-// the store.
+// the store. Its cost follows the delta: the new fragment shares with f
+// every run, shard and page the delta does not write (Store.Apply,
+// vertexSet.with), and the crossing list, when the delta writes it,
+// copies its header and the runs the delta's crossing edges land in.
 //
 // The delta may come off the wire, so it is checked against f first,
 // and a delta that fails leaves no trace: Owned must strictly increase,
@@ -158,7 +160,6 @@ func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
 	next := &Fragment{
 		ID:               f.ID,
 		Store:            f.Store.Apply(d.Inserted, d.Deleted),
-		Crossing:         slices.Clone(f.Crossing),
 		crossCount:       maps.Clone(f.crossCount),
 		crossTotal:       f.crossTotal,
 		NumInternalEdges: f.NumInternalEdges,
@@ -168,29 +169,35 @@ func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
 	// this fragment, so it is internal exactly when the new local store
 	// still holds it.
 	next.internal = f.internal.with(d.Owned, next.Store.HasVertex)
-	// count is how many instances of t enter (n > 0) or leave (n < 0).
-	count := func(t rdf.Triple, n int) {
+	// count moves the counts by n instances of t entering (n > 0) or
+	// leaving (n < 0), and reports whether t is a crossing edge.
+	count := func(t rdf.Triple, n int) bool {
 		if owns(t.S) && owns(t.O) {
 			next.NumInternalEdges += n
-			return
+			return false
 		}
 		next.countCrossing(t, owns(t.S), n)
-		at := sort.Search(len(next.Crossing), func(i int) bool { return !next.Crossing[i].Less(t) })
-		if n < 0 {
-			next.Crossing = slices.Delete(next.Crossing, at, at-n)
-		} else {
-			next.Crossing = slices.Insert(next.Crossing, at, t)
-		}
+		return true
 	}
+	// The crossing list loses every instance of a present deleted edge,
+	// then gains one per inserted instance, in one write.
+	var add, del []rdf.Triple
 	dropped := make(map[rdf.Triple]bool, len(d.Deleted))
 	for _, t := range d.Deleted {
 		if n := f.Store.CountTriples(t.S, t.P, t.O); n > 0 && !dropped[t] {
 			dropped[t] = true
-			count(t, -n)
+			if count(t, -n) {
+				del = append(del, t)
+			}
 		}
 	}
 	for _, t := range d.Inserted {
-		count(t, 1)
+		if count(t, 1) {
+			add = append(add, t)
+		}
 	}
+	slices.SortFunc(add, rdf.Triple.Compare)
+	slices.SortFunc(del, rdf.Triple.Compare)
+	next.Crossing = f.Crossing.With(add, del, rdf.Triple.Compare)
 	return next, nil
 }

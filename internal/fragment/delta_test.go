@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"gstored/internal/partition"
+	"gstored/internal/pool"
 	"gstored/internal/rdf"
+	"gstored/internal/runs"
 	"gstored/internal/store"
 )
 
@@ -17,7 +19,9 @@ import (
 // count, and its store read through every index (Triples walks out, In
 // walks in, ByPred and Stats the per-predicate tables). Two fragments are
 // the same iff their snapshots are DeepEqual, and a snapshot shares no
-// memory with the fragment it was taken from.
+// memory with the fragment it was taken from. The crossing list is read
+// as partial evaluation reads it: in a pool's chunks, each through
+// Slices, with At at every chunk's first position.
 type snapshot struct {
 	Internal         []rdf.TermID
 	Crossing         []rdf.Triple
@@ -32,7 +36,7 @@ type snapshot struct {
 func snapshotOf(f *Fragment) snapshot {
 	s := snapshot{
 		Internal:         f.InternalVertices(),
-		Crossing:         append([]rdf.Triple{}, f.Crossing...),
+		Crossing:         []rdf.Triple{},
 		NumInternalEdges: f.NumInternalEdges,
 		NumExtended:      f.NumExtended(),
 		Triples:          f.Store.Triples(),
@@ -40,6 +44,14 @@ func snapshotOf(f *Fragment) snapshot {
 		ByPred:           map[rdf.TermID][]rdf.Triple{},
 		Stats:            map[rdf.TermID]store.PredStat{},
 		CrossCount:       map[rdf.TermID][2]int{},
+	}
+	for _, ch := range pool.New(3).Split(f.Crossing.Len()) {
+		if ch[0] < ch[1] && f.Crossing.At(ch[0]) != f.Crossing.Flat()[ch[0]] {
+			panic(fmt.Sprintf("crossing list: At(%d) disagrees with Flat", ch[0]))
+		}
+		for ts := range f.Crossing.Slices(ch[0], ch[1]) {
+			s.Crossing = append(s.Crossing, ts...)
+		}
 	}
 	for _, o := range f.Store.Vertices() {
 		for _, he := range f.Store.In(o) {
@@ -350,6 +362,72 @@ func TestApplyDeltaRandomized(t *testing.T) {
 				a = aa
 			}
 		})
+	}
+}
+
+// TestApplyCopiesOnlyTouchedCrossingRuns pins what makes a fragment's
+// crossing-list work follow the delta: over a chain of 8-triple deltas
+// on three hash fragments whose crossing lists span many runs, every run
+// of each patched fragment's list is shared with the generation before,
+// but for at most two per crossing edge the fragment's share writes.
+func TestApplyCopiesOnlyTouchedCrossingRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := rdf.NewGraph()
+	const vertices = 4 * runs.B
+	vertex := func(i int) string { return fmt.Sprintf("http://ex/v%d", i) }
+	for i := 0; i < 6*vertices; i++ {
+		g.AddIRIs(vertex(rng.Intn(vertices)), fmt.Sprintf("http://ex/p%d", rng.Intn(3)), vertex(rng.Intn(vertices)))
+	}
+	d, err := BuildWith(store.FromGraph(g), partition.Hash{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type id struct {
+		p *rdf.Triple
+		n int
+	}
+	for step := 0; step < 20; step++ {
+		var inserted, deleted []rdf.Triple
+		for i := 0; i < 4; i++ {
+			tr := rdf.Triple{S: g.Dict.EncodeIRI(vertex(rng.Intn(vertices + vertices/4))), P: g.Dict.EncodeIRI("http://ex/p0"), O: g.Dict.EncodeIRI(vertex(rng.Intn(vertices)))}
+			if !d.Global.HasTriple(tr.S, tr.P, tr.O) && !slices.Contains(inserted, tr) {
+				inserted = append(inserted, tr)
+			}
+		}
+		all := d.Global.Triples()
+		for i := 0; i < 4; i++ {
+			deleted = append(deleted, all[rng.Intn(len(all))])
+		}
+		a := d.Assignment.WithVertices(g.Dict, endpointsOf(inserted))
+		next, shares, err := d.Patch(d.Global.Apply(inserted, deleted), a, inserted, deleted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, share := range shares {
+			if share == nil {
+				continue
+			}
+			written := 0
+			for _, tr := range append(share.Inserted, share.Deleted...) {
+				if fs, fo := a.FragmentOf(tr.S), a.FragmentOf(tr.O); fs != fo {
+					written++
+				}
+			}
+			had := make(map[id]bool)
+			for ts := range d.Fragments[i].Crossing.All() {
+				had[id{&ts[0], len(ts)}] = true
+			}
+			copied := 0
+			for ts := range next.Fragments[i].Crossing.All() {
+				if !had[id{&ts[0], len(ts)}] {
+					copied++
+				}
+			}
+			if len(had) < 8 || copied > 2*written {
+				t.Errorf("step %d: fragment %d copied %d of its crossing list's %d runs for %d crossing edges written", step, i, copied, len(had), written)
+			}
+		}
+		d = next
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"gstored/internal/partition"
 	"gstored/internal/rdf"
+	"gstored/internal/runs"
 	"gstored/internal/store"
 )
 
@@ -29,8 +30,9 @@ type Fragment struct {
 	internal vertexSet
 
 	// Crossing lists E_i^c, the crossing-edge replicas stored at this
-	// fragment, in (S,P,O) order, one entry per edge instance.
-	Crossing []rdf.Triple
+	// fragment, in (S,P,O) order, one entry per edge instance: runs that
+	// Apply writes one at a time.
+	Crossing runs.List[rdf.Triple]
 
 	// crossCount counts Crossing's instances by label and internal end:
 	// crossCount[p][0] those with an internal subject, [1] those with an
@@ -50,6 +52,7 @@ type Fragment struct {
 // vertex with no edge are errors (the inputs may come off the wire).
 func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal vertexSet) (*Fragment, error) {
 	f := &Fragment{ID: id, internal: internal, crossCount: make(map[rdf.TermID][2]int)}
+	var crossing []rdf.Triple
 	for i, t := range triples {
 		if i > 0 && t.Less(triples[i-1]) {
 			return nil, fmt.Errorf("fragment %d: edge %v out of (S,P,O) order", id, t)
@@ -58,12 +61,13 @@ func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal ve
 		case s && o:
 			f.NumInternalEdges++
 		case s || o:
-			f.Crossing = append(f.Crossing, t)
+			crossing = append(crossing, t)
 			f.countCrossing(t, s, 1)
 		default:
 			return nil, fmt.Errorf("fragment %d: edge %v has no internal endpoint", id, t)
 		}
 	}
+	f.Crossing = runs.Of(crossing)
 	f.Store = store.New(dict, triples)
 	for _, v := range internal.members() {
 		if !f.Store.HasVertex(v) {
@@ -207,9 +211,9 @@ func (d *Distributed) CheckInvariants() error {
 	totalInternal, totalCrossing := 0, 0
 	for _, f := range d.Fragments {
 		totalInternal += f.NumInternalEdges
-		totalCrossing += len(f.Crossing)
+		totalCrossing += f.Crossing.Len()
 		far := make(map[rdf.TermID]bool)
-		for _, t := range f.Crossing {
+		for _, t := range f.Crossing.Flat() {
 			fs, okS := d.Assignment.Lookup(t.S)
 			fo, okO := d.Assignment.Lookup(t.O)
 			if !okS || !okO {

@@ -35,8 +35,8 @@ func TestBuildPaperExample(t *testing.T) {
 			t.Errorf("vertex %03d should be extended in F1", n)
 		}
 	}
-	if len(f1.Crossing) != 3 {
-		t.Errorf("F1 crossing edges = %d, want 3", len(f1.Crossing))
+	if f1.Crossing.Len() != 3 {
+		t.Errorf("F1 crossing edges = %d, want 3", f1.Crossing.Len())
 	}
 	if f1.NumInternal() != 5 {
 		t.Errorf("F1 internal vertices = %d, want 5", f1.NumInternal())
@@ -55,16 +55,16 @@ func TestBuildPaperExample(t *testing.T) {
 	if f2.NumExtended() != 4 {
 		t.Errorf("F2 extended = %d, want 4", f2.NumExtended())
 	}
-	if len(f2.Crossing) != 4 {
-		t.Errorf("F2 crossing = %d, want 4", len(f2.Crossing))
+	if f2.Crossing.Len() != 4 {
+		t.Errorf("F2 crossing = %d, want 4", f2.Crossing.Len())
 	}
 	// F3: extended {001, 014}; crossing {001→012, 014→013, 014→019}.
 	f3 := d.Fragments[2]
 	if f3.NumExtended() != 2 {
 		t.Errorf("F3 extended = %d, want 2", f3.NumExtended())
 	}
-	if len(f3.Crossing) != 3 {
-		t.Errorf("F3 crossing = %d, want 3", len(f3.Crossing))
+	if f3.Crossing.Len() != 3 {
+		t.Errorf("F3 crossing = %d, want 3", f3.Crossing.Len())
 	}
 	// Crossing classification helper.
 	if !f1.IsCrossing(ex.V[1], ex.V[6]) {
@@ -116,7 +116,7 @@ func TestSingleFragment(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := d.Fragments[0]
-	if len(f.Crossing) != 0 || f.NumExtended() != 0 {
+	if f.Crossing.Len() != 0 || f.NumExtended() != 0 {
 		t.Error("single fragment should have no crossing edges")
 	}
 	if f.Store.Len() != ex.Store.Len() {
@@ -155,7 +155,7 @@ func TestFragmentEdgePreservationProperty(t *testing.T) {
 		}
 		crossing := 0
 		for _, f := range d.Fragments {
-			crossing += len(f.Crossing)
+			crossing += f.Crossing.Len()
 		}
 		return count == st.Len()+crossing/2
 	}

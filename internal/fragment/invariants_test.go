@@ -57,8 +57,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		ex, d := fresh()
 		// 001→003 is internal to F1, not crossing.
 		name, _ := ex.Graph.Dict.Lookup(rdf.NewIRI(paperexample.PredName))
-		d.Fragments[0].Crossing = append(d.Fragments[0].Crossing,
-			rdf.Triple{S: ex.V[1], P: name, O: ex.V[3]})
+		d.Fragments[0].Crossing = d.Fragments[0].Crossing.With([]rdf.Triple{{S: ex.V[1], P: name, O: ex.V[3]}}, nil, rdf.Triple.Compare)
 		if err := d.CheckInvariants(); err == nil {
 			t.Error("non-crossing edge recorded as crossing not detected")
 		}

@@ -29,6 +29,7 @@ import (
 	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
+	"gstored/internal/runs"
 	"gstored/internal/store"
 )
 
@@ -235,7 +236,7 @@ func Compute(f *fragment.Fragment, q *query.Graph, opts Options) ([]*Match, erro
 // domain when every query variable joins a constant, else f.Crossing —
 // an unanchored variable's candidate scan costs more than the pairs it
 // saves (LQ1 and LQ7 on LUBM(32) evaluate 1.4× and 1.8× slower).
-func seedDomain(f *fragment.Fragment, q *query.Graph) ([]rdf.Triple, []uint64) {
+func seedDomain(f *fragment.Fragment, q *query.Graph) (runs.List[rdf.Triple], []uint64) {
 	joins := make([]bool, len(q.Vertices))
 	for _, e := range q.Edges {
 		joins[e.From] = joins[e.From] || !q.Vertices[e.To].IsVar()
@@ -246,37 +247,57 @@ func seedDomain(f *fragment.Fragment, q *query.Graph) ([]rdf.Triple, []uint64) {
 			return f.Crossing, nil
 		}
 	}
-	return candidateSeeds(f, q)
+	edges, masks := candidateSeeds(f, q)
+	return runs.Of(edges), masks
 }
 
 // candidateSeeds is the candidate domain: the crossing edges at the local
 // candidates of the query vertex they bind, in (S,P,O) order, each with
 // the mask of query edges it seeds. Condition 5 makes every internal
 // binding of a match such a candidate, and Candidates is exact for them.
+// A variable's candidates are the internal ones CandidatesFunc admits,
+// with the half-edges its signature test read; a constant is its own
+// candidate when internal.
 func candidateSeeds(f *fragment.Fragment, q *query.Graph) ([]rdf.Triple, []uint64) {
 	seeds := make(map[rdf.Triple]uint64)
 	inc := q.IncidentEdges()
-	for qv := range q.Vertices {
-		local := slices.DeleteFunc(f.Store.Candidates(q, qv), func(u rdf.TermID) bool { return !f.IsInternal(u) })
-		for _, u := range local {
-			for _, qe := range inc[qv] {
-				// A crossing edge is no self-loop: e takes it on qv's side.
-				e, out := q.Edges[qe], q.Edges[qe].From == qv
-				for _, he := range f.Store.Adjacency(u, e, out) {
-					t := rdf.Triple{S: he.V, P: he.P, O: u}
-					if out {
-						t = rdf.Triple{S: u, P: he.P, O: he.V}
-					}
-					if !f.IsInternal(he.V) {
-						seeds[t] |= 1 << uint(qe)
-					}
+	// at records the crossing edges of candidate u of qv, where adj[qe]
+	// holds u's half-edges that can carry incident edge qe. A crossing
+	// edge is no self-loop, so a self-looping qe seeds none.
+	at := func(qv int, u rdf.TermID, adj [][]store.HalfEdge) {
+		for _, qe := range inc[qv] {
+			e := q.Edges[qe]
+			if e.From == e.To {
+				continue
+			}
+			for _, he := range adj[qe] {
+				if f.IsInternal(he.V) {
+					continue
 				}
+				t := rdf.Triple{S: he.V, P: he.P, O: u}
+				if e.From == qv {
+					t = rdf.Triple{S: u, P: he.P, O: he.V}
+				}
+				seeds[t] |= 1 << uint(qe)
 			}
 		}
 	}
-	edges := slices.SortedFunc(maps.Keys(seeds), func(a, b rdf.Triple) int {
-		return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.P, b.P), cmp.Compare(a.O, b.O))
-	})
+	adj := make([][]store.HalfEdge, len(q.Edges))
+	for qv, v := range q.Vertices {
+		switch {
+		case v.IsVar():
+			f.Store.CandidatesFunc(q, qv, f.IsInternal, func(u rdf.TermID, adj [][]store.HalfEdge) bool {
+				at(qv, u, adj)
+				return true
+			})
+		case f.IsInternal(v.Const):
+			for _, qe := range inc[qv] {
+				adj[qe] = f.Store.Adjacency(v.Const, q.Edges[qe], q.Edges[qe].From == qv)
+			}
+			at(qv, v.Const, adj)
+		}
+	}
+	edges := slices.SortedFunc(maps.Keys(seeds), rdf.Triple.Compare)
 	masks := make([]uint64, len(edges))
 	for i, t := range edges {
 		masks[i] = seeds[t]
@@ -287,7 +308,7 @@ func candidateSeeds(f *fragment.Fragment, q *query.Graph) ([]rdf.Triple, []uint6
 // enumerate runs one enumerator per contiguous chunk of the seed domain
 // (edges, masks) on the pool — a sequential run is the one-chunk case —
 // and returns them in chunk order, or ErrCanceled.
-func enumerate(f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks []uint64, opts Options) ([]*enumerator, error) {
+func enumerate(f *fragment.Fragment, q *query.Graph, edges runs.List[rdf.Triple], masks []uint64, opts Options) ([]*enumerator, error) {
 	if len(q.Vertices) > MaxQuerySize || len(q.Edges) > MaxQuerySize {
 		return nil, fmt.Errorf("partial: query exceeds %d vertices/edges", MaxQuerySize)
 	}
@@ -308,7 +329,7 @@ func enumerate(f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks [
 		seedPos[qe] = pos
 	}
 	labels := hasLabelVar(q)
-	chunks := opts.Pool.Split(len(edges))
+	chunks := opts.Pool.Split(edges.Len())
 	var stop atomic.Bool
 	ens := make([]*enumerator, len(chunks))
 	opts.Pool.Run(chunks, opts.OnTask, func(k, lo, hi int) {
@@ -340,11 +361,11 @@ type enumerator struct {
 	q    *query.Graph
 	opts Options
 
-	edges     []rdf.Triple // the seed domain, in (S,P,O) order; run takes a chunk
-	masks     []uint64     // per edge, a bitmask of the query edges it seeds; nil: all
-	inc       [][]int      // incident edge lists per query vertex, in rank order
-	seedOrder []int        // query edges in rank order
-	seedPos   []int        // seedPos[qe] is qe's place in seedOrder
+	edges     runs.List[rdf.Triple] // the seed domain, in (S,P,O) order; run takes a chunk
+	masks     []uint64              // per edge, a bitmask of the query edges it seeds; nil: all
+	inc       [][]int               // incident edge lists per query vertex, in rank order
+	seedOrder []int                 // query edges in rank order
+	seedPos   []int                 // seedPos[qe] is qe's place in seedOrder
 
 	// The seed the current expansion grew from.
 	seedT  rdf.Triple
@@ -369,19 +390,27 @@ type enumerator struct {
 // skipped — by looking at the whole domain, not the chunk: the first
 // instance may sit in the chunk before.
 func (en *enumerator) run(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if i > 0 && en.edges[i] == en.edges[i-1] {
-			continue
-		}
-		en.seedT = en.edges[i]
-		for _, qe := range en.seedOrder {
-			if en.Stop {
-				return
+	var prev rdf.Triple
+	if lo > 0 {
+		prev = en.edges.At(lo - 1)
+	}
+	i := lo
+	for ts := range en.edges.Slices(lo, hi) {
+		for _, t := range ts {
+			if i == 0 || t != prev {
+				en.seedT = t
+				for _, qe := range en.seedOrder {
+					if en.Stop {
+						return
+					}
+					if en.masks == nil || en.masks[i]&(1<<uint(qe)) != 0 {
+						en.seedQE = qe
+						en.Seed(qe, t)
+					}
+				}
 			}
-			if en.masks == nil || en.masks[i]&(1<<uint(qe)) != 0 {
-				en.seedQE = qe
-				en.Seed(qe, en.seedT)
-			}
+			prev = t
+			i++
 		}
 	}
 }

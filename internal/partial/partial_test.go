@@ -493,8 +493,8 @@ func TestComputeAlwaysVerifies(t *testing.T) {
 					// 32 chunks at width 8: with at most that many crossing
 					// edges every chunk is one triple, and a doubled edge
 					// straddles a boundary.
-					for i := 1; i < len(f.Crossing) && len(f.Crossing) <= 32; i++ {
-						if f.Crossing[i] == f.Crossing[i-1] {
+					for i := 1; i < f.Crossing.Len() && f.Crossing.Len() <= 32; i++ {
+						if f.Crossing.At(i) == f.Crossing.At(i-1) {
 							straddles++
 						}
 					}

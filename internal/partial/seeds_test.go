@@ -10,6 +10,7 @@ import (
 	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
+	"gstored/internal/runs"
 	"gstored/internal/store"
 	"gstored/internal/workload"
 )
@@ -34,7 +35,7 @@ func pairsTried(edges []rdf.Triple, masks []uint64, q *query.Graph) int {
 // masks).
 func matchesFrom(t *testing.T, f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks []uint64, width int) []*Match {
 	t.Helper()
-	ens, err := enumerate(f, q, edges, masks, Options{Pool: pool.New(width)})
+	ens, err := enumerate(f, q, runs.Of(edges), masks, Options{Pool: pool.New(width)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +78,10 @@ func TestCandidateDomain(t *testing.T) {
 				t.Errorf("%s F%d: candidate domain taken = %v", c.name, f.ID, masks != nil)
 			}
 			edges, masks := candidateSeeds(f, q)
-			scanned += pairsTried(f.Crossing, nil, q)
+			scanned += pairsTried(f.Crossing.Flat(), nil, q)
 			tried += pairsTried(edges, masks, q)
 			for _, width := range []int{1, 8} {
-				want := matchesFrom(t, f, q, f.Crossing, nil, width)
+				want := matchesFrom(t, f, q, f.Crossing.Flat(), nil, width)
 				if got := matchesFrom(t, f, q, edges, masks, width); !slices.EqualFunc(got, want, sameMatch) {
 					t.Errorf("%s F%d width %d: the candidate domain returns %d matches, the scan %d, or another order", c.name, f.ID, width, len(got), len(want))
 				}

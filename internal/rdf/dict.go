@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 )
@@ -129,6 +130,11 @@ func (t Triple) Less(u Triple) bool {
 		return t.P < u.P
 	}
 	return t.O < u.O
+}
+
+// Compare orders triples as Less does, returning -1, 0 or +1.
+func (t Triple) Compare(u Triple) int {
+	return cmp.Or(cmp.Compare(t.S, u.S), cmp.Compare(t.P, u.P), cmp.Compare(t.O, u.O))
 }
 
 // Graph is a flat, dictionary-encoded triple multiset with its dictionary.

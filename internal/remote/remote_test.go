@@ -513,7 +513,7 @@ func TestSwapStateMachine(t *testing.T) {
 	// A delta install patches the resident base with fragment 0's share of
 	// an update, twice over without harm, and is refused from a pruned
 	// base; what the worker holds then is the coordinator's own patch.
-	drop := d.Fragments[0].Crossing[:1]
+	drop := d.Fragments[0].Crossing.Flat()[:1]
 	next, deltas, err := d.Patch(ex.Store.Apply(nil, drop), ex.Assignment, nil, drop)
 	if err != nil || deltas[0] == nil {
 		t.Fatalf("Patch: %v, share %+v", err, deltas[0])
@@ -527,7 +527,7 @@ func TestSwapStateMachine(t *testing.T) {
 		got := w.sites[0][7]
 		w.mu.Unlock()
 		if !reflect.DeepEqual(got.Payload(), next.Fragments[0].Payload()) || got.NumInternalEdges != next.Fragments[0].NumInternalEdges ||
-			!reflect.DeepEqual(got.Crossing, next.Fragments[0].Crossing) {
+			!slices.Equal(got.Crossing.Flat(), next.Fragments[0].Crossing.Flat()) {
 			t.Errorf("delta install, try %d: the worker holds %+v, the coordinator patched %+v", try, got.Payload(), next.Fragments[0].Payload())
 		}
 	}

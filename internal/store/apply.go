@@ -4,9 +4,9 @@ import (
 	"cmp"
 	"maps"
 	"slices"
-	"sort"
 
 	"gstored/internal/rdf"
+	"gstored/internal/runs"
 )
 
 // Apply returns a new immutable Store reflecting st with every instance
@@ -15,10 +15,11 @@ import (
 // a consistent snapshot — and the index work is proportional to the
 // delta: each adjacency shard its endpoints fall in is rebuilt once, with
 // the touched vertices' lists spliced between copies of the untouched
-// runs (the other shards are shared with st), and the cardinality table
-// moves by the delta's own adjacency (Stats). Beyond that, a delta that
-// adds or removes a vertex splices it into one copy of the sorted vertex
-// list, and the byPred list of each predicate the delta names is copied.
+// runs (the other shards are shared with st); each byPred list the
+// delta writes, and the vertex list when a vertex comes or goes, copies
+// its header and the runs the delta's elements land in (package runs),
+// sharing the other runs with st; and the cardinality table moves by the
+// delta's own adjacency (Stats).
 //
 // Callers are expected to pass a set-semantics delta: inserted triples
 // not yet present and deleted triples that are (DB.Update normalizes its
@@ -30,13 +31,13 @@ import (
 func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 	next := &Store{
 		Dict:   st.Dict,
-		byPred: make(map[rdf.TermID][]rdf.Triple, len(st.byPred)),
+		byPred: make(map[rdf.TermID]runs.List[rdf.Triple], len(st.byPred)),
 		size:   st.size,
 	}
 	maps.Copy(next.byPred, st.byPred)
-	// Predicate lists still alias st's until the drop and insert helpers
-	// copy the ones the delta writes.
 	out, in := edits{}, edits{}
+	// Each written predicate's triples to add to and drop from its list.
+	adds, dels := make(map[rdf.TermID][]rdf.Triple), make(map[rdf.TermID][]rdf.Triple)
 
 	// Deletions first: remove every instance from the touched adjacency
 	// lists and every entry from the deduplicated byPred lists.
@@ -55,12 +56,7 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 		next.size -= n
 		out.drop(&st.out, t.S, HalfEdge{t.P, t.O})
 		in.drop(&st.in, t.O, HalfEdge{t.P, t.S})
-		next.byPred[t.P] = dropTriple(next.byPred[t.P], t)
-		// Emptied entries are removed outright so derived views (e.g.
-		// Predicates) match a from-scratch build of the same graph.
-		if len(next.byPred[t.P]) == 0 {
-			delete(next.byPred, t.P)
-		}
+		dels[t.P] = append(dels[t.P], t)
 	}
 
 	// Insertions: splice each instance into the sorted adjacency and, if
@@ -69,9 +65,32 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 		next.size++
 		out.insert(&st.out, t.S, HalfEdge{t.P, t.O})
 		in.insert(&st.in, t.O, HalfEdge{t.P, t.S})
-		next.byPred[t.P] = insertTriple(next.byPred[t.P], st.byPred[t.P], t)
+		adds[t.P] = append(adds[t.P], t)
 	}
 	next.out, next.in = st.out.apply(out), st.in.apply(in)
+	for p := range adds {
+		if _, ok := dels[p]; !ok {
+			dels[p] = nil // every written predicate is a key of dels
+		}
+	}
+	for p, del := range dels {
+		ts, add := st.byPred[p], adds[p]
+		slices.SortFunc(add, rdf.Triple.Compare)
+		slices.SortFunc(del, rdf.Triple.Compare)
+		// byPred is deduplicated: a triple enters once, and only if it is
+		// not listed or leaves first.
+		add = slices.DeleteFunc(slices.Compact(add), func(t rdf.Triple) bool {
+			_, listed := ts.Search(t, rdf.Triple.Compare)
+			return listed && !delSet[t]
+		})
+		// Emptied entries are removed outright so derived views (e.g.
+		// Predicates) match a from-scratch build of the same graph.
+		if ts = ts.With(add, del, rdf.Triple.Compare); ts.Len() > 0 {
+			next.byPred[p] = ts
+		} else {
+			delete(next.byPred, p)
+		}
+	}
 
 	next.stats = st.stats.apply(st, next, deleted, inserted)
 
@@ -93,32 +112,10 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 			}
 		}
 	}
-	next.vertices = st.vertices
-	if len(added) > 0 || len(removed) > 0 {
-		slices.Sort(added)
-		slices.Sort(removed)
-		next.vertices = splice(st.vertices, slices.Compact(added), slices.Compact(removed))
-	}
+	slices.Sort(added)
+	slices.Sort(removed)
+	next.vertices = st.vertices.With(slices.Compact(added), slices.Compact(removed), cmp.Compare[rdf.TermID])
 	return next
-}
-
-// splice returns sorted vs with the sorted IDs of add put in and those of
-// del taken out, in one copy: add must hold no member of vs and del only
-// members. Each edit costs a binary search, not a comparison per vertex.
-func splice(vs, add, del []rdf.TermID) []rdf.TermID {
-	out := make([]rdf.TermID, 0, len(vs)+len(add)-len(del))
-	for len(add) > 0 || len(del) > 0 {
-		if len(del) == 0 || (len(add) > 0 && add[0] < del[0]) {
-			i, _ := slices.BinarySearch(vs, add[0])
-			out = append(append(out, vs[:i]...), add[0])
-			vs, add = vs[i:], add[1:]
-		} else {
-			i, _ := slices.BinarySearch(vs, del[0])
-			out = append(out, vs[:i]...)
-			vs, del = vs[i+1:], del[1:]
-		}
-	}
-	return append(out, vs...)
 }
 
 // edits holds the new half-edge lists of the vertices a delta touches in
@@ -216,33 +213,4 @@ func (out *shard) appendRun(sh *shard, i, j int) {
 		out.rows = append(out.rows, row{r.key, r.off + base})
 	}
 	out.edges = append(out.edges, sh.edges[sh.rows[i].off:sh.rows[j].off]...)
-}
-
-// dropTriple removes t from the sorted, deduplicated list ts.
-func dropTriple(ts []rdf.Triple, t rdf.Triple) []rdf.Triple {
-	i := sort.Search(len(ts), func(i int) bool { return !ts[i].Less(t) })
-	if i >= len(ts) || ts[i] != t {
-		return ts
-	}
-	out := make([]rdf.Triple, 0, len(ts)-1)
-	out = append(out, ts[:i]...)
-	return append(out, ts[i+1:]...)
-}
-
-// insertTriple splices t into the sorted, deduplicated list ts (a no-op
-// when t is already listed), copying when ts still aliases the original.
-func insertTriple(ts, original []rdf.Triple, t rdf.Triple) []rdf.Triple {
-	i := sort.Search(len(ts), func(i int) bool { return !ts[i].Less(t) })
-	if i < len(ts) && ts[i] == t {
-		return ts // byPred is deduplicated; a second instance adds nothing
-	}
-	out := ts
-	if len(ts) == len(original) && len(ts) > 0 && &ts[0] == &original[0] {
-		out = make([]rdf.Triple, len(ts), len(ts)+1)
-		copy(out, ts)
-	}
-	out = append(out, rdf.Triple{})
-	copy(out[i+1:], out[i:])
-	out[i] = t
-	return out
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gstored/internal/rdf"
+	"gstored/internal/runs"
 )
 
 // applyEquivalent asserts that st.Apply(inserted, deleted) indexes
@@ -234,6 +235,84 @@ func TestApplyCopiesOnlyTouchedShards(t *testing.T) {
 			t.Fatalf("step %d: Apply wrote to the generation it was applied to", step)
 		}
 		st, base = chained, chained.Triples()
+	}
+}
+
+// freshRuns counts the runs of l that old does not share: the runs a
+// write copied.
+func freshRuns[T any](old, l runs.List[T]) int {
+	type id struct {
+		p *T
+		n int
+	}
+	had := make(map[id]bool)
+	for s := range old.All() {
+		had[id{&s[0], len(s)}] = true
+	}
+	n := 0
+	for s := range l.All() {
+		if !had[id{&s[0], len(s)}] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestApplyCopiesOnlyTouchedRuns pins what makes Apply's list work
+// follow the delta on a graph whose byPred lists and vertex list span
+// many runs: after each of a chain of 8-triple deltas, every run of those
+// lists is shared with the generation before, but for at most two per
+// element the delta writes to the list.
+func TestApplyCopiesOnlyTouchedRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dict := rdf.NewDictionary()
+	name := func(i int) rdf.TermID { return dict.EncodeIRI(fmt.Sprintf("v%d", i)) }
+	pred := func(i int) rdf.TermID { return dict.EncodeIRI(fmt.Sprintf("p%d", i)) }
+	const vertices = 8 * runs.B
+	var base []rdf.Triple
+	for i := 0; i < 6*vertices; i++ {
+		base = append(base, rdf.Triple{S: name(rng.Intn(vertices)), P: pred(rng.Intn(3)), O: name(rng.Intn(vertices))})
+	}
+	st := New(dict, base)
+	for step := 0; step < 20; step++ {
+		var inserted, deleted []rdf.Triple
+		for i := 0; i < 4; i++ {
+			// A quarter of the inserts name a vertex the graph has not seen.
+			tr := rdf.Triple{S: name(rng.Intn(vertices + vertices/4)), P: pred(rng.Intn(3)), O: name(rng.Intn(vertices))}
+			if !st.HasTriple(tr.S, tr.P, tr.O) && !slices.Contains(inserted, tr) {
+				inserted = append(inserted, tr)
+			}
+		}
+		all := st.Triples()
+		for i := 0; i < 4; i++ {
+			deleted = append(deleted, all[rng.Intn(len(all))])
+		}
+		next := st.Apply(inserted, deleted)
+		written := make(map[rdf.TermID]int)
+		for _, tr := range append(inserted, deleted...) {
+			written[tr.P]++
+		}
+		for p, l := range next.byPred {
+			if n := freshRuns(st.byPred[p], l); n > 2*written[p] {
+				t.Errorf("step %d: %d runs of predicate %d's list copied for %d triples written", step, n, p, written[p])
+			}
+		}
+		moved := 0
+		was := make(map[rdf.TermID]bool)
+		for _, v := range st.Vertices() {
+			was[v] = true
+		}
+		for _, v := range next.Vertices() {
+			if !was[v] {
+				moved++
+			}
+			delete(was, v)
+		}
+		moved += len(was)
+		if n := freshRuns(st.vertices, next.vertices); n > 2*moved {
+			t.Errorf("step %d: %d runs of the vertex list copied for %d vertices come or gone", step, n, moved)
+		}
+		st = next
 	}
 }
 

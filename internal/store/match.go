@@ -7,6 +7,7 @@ import (
 	"gstored/internal/pool"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
+	"gstored/internal/runs"
 )
 
 // Binding is one homomorphism from a query graph into the store (Def. 3),
@@ -81,7 +82,7 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 		order = EdgeOrder(st.Plan(q))
 	}
 	seedT, seedV := st.seedDomain(q, q.Edges[order[0]], q.Edges[order[0]].Label)
-	n := len(seedT) + len(seedV)
+	n := seedT.Len() + seedV.Len()
 	chunks := [][2]int{{0, n}}
 	if connectedOrder(q, order) {
 		chunks = opts.Pool.Split(n)
@@ -98,12 +99,8 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 		if stop.Load() {
 			return
 		}
-		m := &matcher{Search: NewSearch(st, q), order: order, cancel: opts.Cancel, stop: &stop, yield: emit}
-		if seedT != nil {
-			m.seedT = seedT[lo:hi]
-		} else {
-			m.seedV = seedV[lo:hi]
-		}
+		m := &matcher{Search: NewSearch(st, q), order: order, seedT: seedT, seedV: seedV, lo: lo, hi: hi,
+			cancel: opts.Cancel, stop: &stop, yield: emit}
 		m.Admit = func(qv int, u rdf.TermID, via int) bool {
 			return st.signatureOK(q, qv, u, via, nil) && (opts.VertexFilter == nil || opts.VertexFilter(qv, u))
 		}
@@ -115,14 +112,15 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 // seedDomain returns what unbound query edge e seeds from when it must
 // carry label: nothing with a constant end (step extends from it), else
 // the triples carrying label or, label open, every vertex's out-edges.
-func (st *Store) seedDomain(q *query.Graph, e query.Edge, label rdf.TermID) ([]rdf.Triple, []rdf.TermID) {
+// At most one of the two lists is non-empty.
+func (st *Store) seedDomain(q *query.Graph, e query.Edge, label rdf.TermID) (runs.List[rdf.Triple], runs.List[rdf.TermID]) {
 	switch {
 	case !q.Vertices[e.From].IsVar() || !q.Vertices[e.To].IsVar():
-		return nil, nil
+		return runs.List[rdf.Triple]{}, runs.List[rdf.TermID]{}
 	case label != rdf.NoTerm:
-		return st.byPred[label], nil
+		return st.byPred[label], runs.List[rdf.TermID]{}
 	}
-	return nil, st.vertices
+	return runs.List[rdf.Triple]{}, st.vertices
 }
 
 // ValidOrder reports whether order is a permutation of [0, n): an edge
@@ -163,9 +161,11 @@ type matcher struct {
 	Search
 	order []int // edge evaluation order (indices into q.Edges)
 	depth int   // order[:depth] is matched
-	// seedT/seedV is this matcher's share of the first edge's seed domain.
-	seedT  []rdf.Triple
-	seedV  []rdf.TermID
+	// The first edge's seed domain, of which positions [lo, hi) are this
+	// matcher's share.
+	seedT  runs.List[rdf.Triple]
+	seedV  runs.List[rdf.TermID]
+	lo, hi int
 	cancel func() bool
 	stop   *atomic.Bool // shared: some matcher's yield said stop
 	steps  uint
@@ -204,23 +204,28 @@ func (m *matcher) step() {
 	if m.extendFromConstants(ei) {
 		return
 	}
-	ts, vs := m.seedT, m.seedV
+	ts, vs, lo, hi := m.seedT, m.seedV, m.lo, m.hi
 	if m.depth > 0 {
 		ts, vs = m.st.seedDomain(m.q, e, m.fixedLabel(e))
+		lo, hi = 0, ts.Len()+vs.Len()
 	}
-	for _, t := range ts {
-		if m.Seed(ei, t); m.Stop {
-			return
+	for run := range ts.Slices(lo, hi) {
+		for _, t := range run {
+			if m.Seed(ei, t); m.Stop {
+				return
+			}
 		}
 	}
-	for _, s := range vs {
-		adj := m.st.out.of(s)
-		for i, he := range adj {
-			if i > 0 && he == adj[i-1] {
-				continue
-			}
-			if m.Seed(ei, rdf.Triple{S: s, P: he.P, O: he.V}); m.Stop {
-				return
+	for run := range vs.Slices(lo, hi) {
+		for _, s := range run {
+			adj := m.st.out.of(s)
+			for i, he := range adj {
+				if i > 0 && he == adj[i-1] {
+					continue
+				}
+				if m.Seed(ei, rdf.Triple{S: s, P: he.P, O: he.V}); m.Stop {
+					return
+				}
 			}
 		}
 	}

@@ -106,7 +106,7 @@ func (s *Stats) apply(st, next *Store, deleted, inserted []rdf.Triple) *Stats {
 	}
 	for e := range subjects {
 		ps := out.preds[e.p]
-		n := len(next.byPred[e.p]) // a predicate's later visits move Count by 0
+		n := next.byPred[e.p].Len() // a predicate's later visits move Count by 0
 		out.triples += n - ps.Count
 		ps.Count = n
 		ps.Subjects += presence(next.OutWith(e.v, e.p)) - presence(st.OutWith(e.v, e.p))

@@ -19,6 +19,7 @@ import (
 
 	"gstored/internal/query"
 	"gstored/internal/rdf"
+	"gstored/internal/runs"
 )
 
 // HalfEdge is one adjacency entry: the edge label P and the other endpoint V.
@@ -178,11 +179,13 @@ type Store struct {
 	out adjacency
 	in  adjacency
 
-	// byPred[p] lists the triples carrying predicate p.
-	byPred map[rdf.TermID][]rdf.Triple
+	// byPred[p] lists the distinct triples carrying predicate p in
+	// (S,P,O) order, and vertices every subject and object in ID order:
+	// runs that Apply writes one at a time.
+	byPred   map[rdf.TermID]runs.List[rdf.Triple]
+	vertices runs.List[rdf.TermID]
 
-	size     int
-	vertices []rdf.TermID // all subjects and objects, sorted
+	size int
 
 	// stats is the per-predicate cardinality table built alongside the
 	// index and maintained incrementally by Apply.
@@ -193,20 +196,21 @@ type Store struct {
 func New(dict *rdf.Dictionary, triples []rdf.Triple) *Store {
 	st := &Store{
 		Dict:   dict,
-		byPred: make(map[rdf.TermID][]rdf.Triple),
+		byPred: make(map[rdf.TermID]runs.List[rdf.Triple]),
+		size:   len(triples),
 	}
+	byPred := make(map[rdf.TermID][]rdf.Triple)
 	vset := make(map[rdf.TermID]bool)
 	for _, t := range triples {
-		st.byPred[t.P] = append(st.byPred[t.P], t)
+		byPred[t.P] = append(byPred[t.P], t)
 		vset[t.S] = true
 		vset[t.O] = true
 	}
-	st.size = len(triples)
 	st.out, st.in = buildAdjacency(triples, true), buildAdjacency(triples, false)
 	// byPred lists are used to seed matching: identical triples would seed
 	// identical bindings, so deduplicate (instance multiplicity stays
 	// available through CountTriples).
-	for p, ts := range st.byPred {
+	for p, ts := range byPred {
 		sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
 		dedup := ts[:0]
 		for i, t := range ts {
@@ -214,14 +218,16 @@ func New(dict *rdf.Dictionary, triples []rdf.Triple) *Store {
 				dedup = append(dedup, t)
 			}
 		}
-		st.byPred[p] = dedup
+		byPred[p] = dedup
+		st.byPred[p] = runs.Of(dedup)
 	}
-	st.vertices = make([]rdf.TermID, 0, len(vset))
+	vertices := make([]rdf.TermID, 0, len(vset))
 	for v := range vset {
-		st.vertices = append(st.vertices, v)
+		vertices = append(vertices, v)
 	}
-	sort.Slice(st.vertices, func(i, j int) bool { return st.vertices[i] < st.vertices[j] })
-	st.stats = buildStats(st.byPred)
+	slices.Sort(vertices)
+	st.vertices = runs.Of(vertices)
+	st.stats = buildStats(byPred)
 	return st
 }
 
@@ -240,17 +246,14 @@ func compareHalfEdges(x, y HalfEdge) int {
 func (st *Store) Len() int { return st.size }
 
 // NumVertices reports the number of distinct vertices.
-func (st *Store) NumVertices() int { return len(st.vertices) }
+func (st *Store) NumVertices() int { return st.vertices.Len() }
 
-// Vertices returns all vertices in ascending ID order. Callers must not
-// modify the returned slice.
-func (st *Store) Vertices() []rdf.TermID { return st.vertices }
+// Vertices returns all vertices in ascending ID order, in a new slice.
+func (st *Store) Vertices() []rdf.TermID { return st.vertices.Flat() }
 
-// HasVertex reports whether v occurs as a subject or object.
-func (st *Store) HasVertex(v rdf.TermID) bool {
-	i := sort.Search(len(st.vertices), func(i int) bool { return st.vertices[i] >= v })
-	return i < len(st.vertices) && st.vertices[i] == v
-}
+// HasVertex reports whether v occurs as a subject or object: whether it
+// has a half-edge in either index.
+func (st *Store) HasVertex(v rdf.TermID) bool { return len(st.out.of(v)) > 0 || len(st.in.of(v)) > 0 }
 
 // Out returns the outgoing adjacency of s (sorted by predicate then
 // object). Callers must not modify it.
@@ -287,12 +290,12 @@ func (st *Store) CountTriples(s, p, o rdf.TermID) int {
 	return hi - lo
 }
 
-// PredCount returns how many triples carry predicate p.
-func (st *Store) PredCount(p rdf.TermID) int { return len(st.byPred[p]) }
+// PredCount returns how many distinct triples carry predicate p.
+func (st *Store) PredCount(p rdf.TermID) int { return st.byPred[p].Len() }
 
-// TriplesWith returns the triples carrying predicate p. Callers must not
-// modify the slice.
-func (st *Store) TriplesWith(p rdf.TermID) []rdf.Triple { return st.byPred[p] }
+// TriplesWith returns the distinct triples carrying predicate p in
+// (S,P,O) order, in a new slice.
+func (st *Store) TriplesWith(p rdf.TermID) []rdf.Triple { return st.byPred[p].Flat() }
 
 // Predicates returns the distinct predicates, unsorted.
 func (st *Store) Predicates() []rdf.TermID {
@@ -303,15 +306,17 @@ func (st *Store) Predicates() []rdf.TermID {
 	return out
 }
 
-// Triples returns a copy of all indexed triples in (S,P,O) order.
+// Triples returns a copy of all indexed triples in (S,P,O) order: the
+// vertices in ID order, each with its out-edges in (P, V) order.
 func (st *Store) Triples() []rdf.Triple {
 	out := make([]rdf.Triple, 0, st.size)
-	for _, s := range st.vertices {
-		for _, he := range st.out.of(s) {
-			out = append(out, rdf.Triple{S: s, P: he.P, O: he.V})
+	for vs := range st.vertices.All() {
+		for _, s := range vs {
+			for _, he := range st.out.of(s) {
+				out = append(out, rdf.Triple{S: s, P: he.P, O: he.V})
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
@@ -499,7 +504,7 @@ func (st *Store) CandidatesFunc(q *query.Graph, qv int, admit func(u rdf.TermID)
 	// signature test skips that edge (via) — unless it is a self-loop,
 	// whose seeds are either end of a labeled edge, not a loop.
 	var anchor []HalfEdge
-	label, via, n := -1, -1, len(st.vertices)
+	label, via, n := -1, -1, st.vertices.Len()
 	for i, e := range q.Edges {
 		if e.From != qv && e.To != qv {
 			continue
@@ -526,16 +531,20 @@ func (st *Store) CandidatesFunc(q *query.Graph, qv int, admit func(u rdf.TermID)
 		}
 	case label >= 0:
 		e := q.Edges[label]
-		for _, t := range st.byPred[e.Label] {
-			if e.From == qv {
-				seed = append(seed, t.S)
-			}
-			if e.To == qv {
-				seed = append(seed, t.O)
+		for ts := range st.byPred[e.Label].All() {
+			for _, t := range ts {
+				if e.From == qv {
+					seed = append(seed, t.S)
+				}
+				if e.To == qv {
+					seed = append(seed, t.O)
+				}
 			}
 		}
 	default:
-		seed = append(seed, st.vertices...)
+		for vs := range st.vertices.All() {
+			seed = append(seed, vs...)
+		}
 	}
 	slices.Sort(seed)
 	seed = slices.Compact(seed)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -479,47 +480,91 @@ func TestUpdateOnLUBM(t *testing.T) {
 	}
 }
 
-// BenchmarkUpdate times DB.Update on LUBM(32), hashed over 12 sites, with
-// an 8-triple delta shaped like the benchmark's update: a graduate
-// student and a professor with four edges each into LUBM's data. In
-// alternate the ops insert and delete the same delta in turn; in fresh
-// every op inserts new entities, so each write also places vertices the
+// benchDelta is an 8-triple update body shaped like the benchmark's
+// update: a graduate student and a professor with four edges each into
+// LUBM's data, their names suffixed by tag.
+func benchDelta(tag string) string {
+	ent := func(name string) string { return "<http://www.Department1.University5.edu/" + name + tag + ">" }
+	ub := func(p string) string { return "<http://swat.cse.lehigh.edu/onto/univ-bench.owl#" + p + ">" }
+	student, prof := ent("BenchStudent"), ent("BenchProfessor")
+	var body strings.Builder
+	for _, t := range [][3]string{
+		{student, ub("memberOf"), "<http://www.Department1.University5.edu/Department1>"},
+		{student, ub("name"), `"BenchStudent` + tag + `"`},
+		{student, ub("advisor"), "<http://www.Department1.University5.edu/FullProfessor0>"},
+		{student, ub("takesCourse"), "<http://www.Department1.University5.edu/Course0>"},
+		{prof, ub("worksFor"), "<http://www.Department2.University9.edu/Department2>"},
+		{prof, ub("name"), `"BenchProfessor` + tag + `"`},
+		{prof, ub("emailAddress"), `"bench` + tag + `@dept2.univ9.edu"`},
+		{prof, ub("researchInterest"), `"Research3"`},
+	} {
+		fmt.Fprintf(&body, "%s %s %s .\n", t[0], t[1], t[2])
+	}
+	return " DATA {\n" + body.String() + "}"
+}
+
+// TestUpdateCostFollowsTheDelta pins with a counter, not a clock, that
+// a write costs what its delta touches, not what the data holds: the
+// bytes DB.Update allocates for benchDelta's insert/delete pair, hashed
+// over 12 sites and averaged over 40 updates, may grow by at most half
+// from LUBM(32) to LUBM(128), a graph four times the size. An update
+// that copies whole per-predicate triple lists, the vertex list or a
+// fragment's crossing list allocates about 3.5 times as much there.
+func TestUpdateCostFollowsTheDelta(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's shadow allocations void the byte counts")
+	}
+	perUpdate := func(scale int) float64 {
+		db, err := Open(GenerateLUBM(scale).Graph, Config{Sites: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const updates = 40
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range updates {
+			op := "INSERT"
+			if i%2 == 1 {
+				op = "DELETE"
+			}
+			if _, err := db.Update(context.Background(), op+benchDelta("")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / updates
+	}
+	small, large := perUpdate(32), perUpdate(128)
+	t.Logf("bytes allocated per update: LUBM(32) %.0f, LUBM(128) %.0f", small, large)
+	if large > 1.5*small {
+		t.Errorf("an update allocates %.0f bytes on LUBM(128), %.2f times the %.0f on LUBM(32): want at most 1.5 times", large, large/small, small)
+	}
+}
+
+// BenchmarkUpdate times DB.Update, hashed over 12 sites, with the
+// benchDelta update. In alternate the ops insert and delete the same
+// delta in turn, on LUBM(32) and on LUBM(128): what one write costs
+// should follow the delta, not the data. In fresh every op inserts new
+// entities into LUBM(32), so each write also places vertices the
 // assignment has never seen.
 func BenchmarkUpdate(b *testing.B) {
-	ds := GenerateLUBM(32)
-	delta := func(tag string) string {
-		ent := func(name string) string { return "<http://www.Department1.University5.edu/" + name + tag + ">" }
-		ub := func(p string) string { return "<http://swat.cse.lehigh.edu/onto/univ-bench.owl#" + p + ">" }
-		student, prof := ent("BenchStudent"), ent("BenchProfessor")
-		var body strings.Builder
-		for _, t := range [][3]string{
-			{student, ub("memberOf"), "<http://www.Department1.University5.edu/Department1>"},
-			{student, ub("name"), `"BenchStudent` + tag + `"`},
-			{student, ub("advisor"), "<http://www.Department1.University5.edu/FullProfessor0>"},
-			{student, ub("takesCourse"), "<http://www.Department1.University5.edu/Course0>"},
-			{prof, ub("worksFor"), "<http://www.Department2.University9.edu/Department2>"},
-			{prof, ub("name"), `"BenchProfessor` + tag + `"`},
-			{prof, ub("emailAddress"), `"bench` + tag + `@dept2.univ9.edu"`},
-			{prof, ub("researchInterest"), `"Research3"`},
-		} {
-			fmt.Fprintf(&body, "%s %s %s .\n", t[0], t[1], t[2])
-		}
-		return " DATA {\n" + body.String() + "}"
-	}
-	for _, name := range []string{"alternate", "fresh"} {
-		fresh := name == "fresh"
-		b.Run(name, func(b *testing.B) {
-			db, err := Open(ds.Graph, Config{Sites: 12})
+	for _, c := range []struct {
+		name  string
+		scale int
+	}{{"alternate", 32}, {"fresh", 32}, {"alternate-lubm128", 128}} {
+		fresh := c.name == "fresh"
+		b.Run(c.name, func(b *testing.B) {
+			db, err := Open(GenerateLUBM(c.scale).Graph, Config{Sites: 12})
 			if err != nil {
 				b.Fatal(err)
 			}
-			same := delta("")
+			same := benchDelta("")
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {
 				op := "INSERT" + same
 				switch {
 				case fresh:
-					op = "INSERT" + delta(fmt.Sprint(i))
+					op = "INSERT" + benchDelta(fmt.Sprint(i))
 				case i%2 == 1:
 					op = "DELETE" + same
 				}
