@@ -3,12 +3,13 @@
 // sink, an Expansion, expands each complete combination as the walk finds
 // it; the modes differ only in the features:
 //
-//   - LEC (Options.UseLEC): Algorithm 3 — the partial matches are grouped
-//     into LEC features (lec.Compute) and the walk asks the crossing-edge
-//     index for partners.
+//   - LEC: Algorithm 3 — the partial matches are grouped into LEC
+//     features (lec.Group) and the walk asks the crossing-edge index for
+//     partners.
 //   - Basic: the partitioning-based join of Peng et al. [18] that the
 //     paper's gStoreD-Basic ablation uses — one singleton feature per
-//     partial match, partners discovered by proposing every pair.
+//     partial match (lec.Singletons), partners discovered by proposing
+//     every pair.
 //
 // The expansion re-checks serialization-vector compatibility at every
 // depth, as the join conditions of [18] require, and keeps no set of its
@@ -28,7 +29,9 @@ import (
 )
 
 // Result is one complete crossing match: a fully bound vector plus edge
-// variable bindings.
+// variable bindings. Its slices are the expansion's scratch or a partial
+// match's own, so a Result is valid only during the Emit call that hands
+// it over: a receiver that keeps it copies it.
 type Result struct {
 	Vec      []rdf.TermID
 	EdgeVars []rdf.TermID
@@ -43,8 +46,8 @@ type Stats struct {
 
 // Options tunes Assemble and Expansion.
 type Options struct {
-	// UseLEC selects the LEC-feature-based Algorithm 3 over the baseline
-	// join of [18].
+	// UseLEC selects, for Assemble and Join, the LEC-feature-based
+	// Algorithm 3 over the baseline join of [18].
 	UseLEC bool
 	// Pool cuts the feature walk's roots into chunks (see lec.Walk); each
 	// chunk expands the combinations it completes.
@@ -54,28 +57,25 @@ type Options struct {
 	// still reflect the work done before cancellation). With a Pool it
 	// must be safe for concurrent use.
 	Cancel func() bool
-	// Emit receives each complete crossing match as it is discovered; an
-	// Expansion requires it, and Assemble without it accumulates the
-	// matches. Returning false stops the assembly early. With a Pool the
-	// chunks call it concurrently, so it must be safe for concurrent use;
-	// with a nil Pool it is called from one goroutine, in discovery order.
+	// Emit receives each complete crossing match as it is discovered,
+	// valid during the call; an Expansion requires it, and Assemble
+	// without it accumulates copies. Returning false stops the assembly
+	// early. With a Pool the chunks call it concurrently, so it must be
+	// safe for concurrent use; with a nil Pool it is called from one
+	// goroutine, in discovery order.
 	Emit func(Result) bool
 }
 
 // Assemble joins the partial matches into complete crossing matches: it
 // groups them into features — LEC features with UseLEC, one singleton
-// feature per match for Basic — and walks the features once (every pair
-// proposed for Basic), expanding each complete combination as the walk
-// finds it. Without Emit it returns the matches in canonical row order.
+// feature per match for Basic — and Joins them. Without Emit it returns
+// copies of the matches in canonical row order.
 func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Stats) {
-	var features []*lec.Feature
+	var fs *lec.Features
 	if opts.UseLEC {
-		features, _ = lec.Compute(pms)
+		fs = lec.Group(q, pms)
 	} else {
-		features = make([]*lec.Feature, len(pms))
-		for i, pm := range pms {
-			features[i] = &lec.Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign, PMs: []int{i}}
-		}
+		fs = lec.Singletons(q, pms)
 	}
 	var out []Result
 	if opts.Emit == nil {
@@ -83,13 +83,12 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 		opts.Emit = func(r Result) bool {
 			mu.Lock()
 			defer mu.Unlock()
-			out = append(out, r)
+			out = append(out, Result{slices.Clone(r.Vec), slices.Clone(r.EdgeVars)})
 			return true
 		}
 	}
-	x := NewExpansion(pms, features, opts)
-	walk := lec.Walk(features, q, !opts.UseLEC, opts.Pool, opts.Cancel, x.Sink)
-	if !walk.Finished {
+	st, finished := Join(pms, fs, q, opts)
+	if !finished {
 		out = nil
 	}
 	slices.SortFunc(out, func(a, b Result) int {
@@ -98,7 +97,18 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 		}
 		return slices.Compare(a.EdgeVars, b.EdgeVars)
 	})
-	return out, x.Stats(walk)
+	return out, st
+}
+
+// Join walks the features fs of pms once — every pair proposed unless
+// UseLEC — expanding each complete combination into opts.Emit as the walk
+// finds it, and reports whether the walk ran to its end. The engine
+// assembles this way in the modes without LEC pruning (Basic, LA); with
+// pruning it runs the two halves itself.
+func Join(pms []*partial.Match, fs *lec.Features, q *query.Graph, opts Options) (Stats, bool) {
+	x := NewExpansion(pms, fs, opts)
+	walk := lec.Walk(fs, q, !opts.UseLEC, opts.Pool, opts.Cancel, x.Sink)
+	return x.Stats(walk), walk.Finished
 }
 
 // Expansion is the second half of every assembly, the sink of a walk over
@@ -108,24 +118,26 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 // internal vertices away, so two members of joinable features can still
 // disagree on one — and each match goes to Emit.
 type Expansion struct {
-	pms      []*partial.Match
-	features []*lec.Feature
-	opts     Options
-	chunks   []*expander
+	pms    []*partial.Match
+	fs     *lec.Features
+	opts   Options
+	chunks []*expander
 }
 
-// expander is one walk chunk's expansion: its count and its cancellation
-// polls.
+// expander is one walk chunk's expansion: its count, its cancellation
+// polls, and per depth d > 0 the scratch its joined vectors are written
+// to.
 type expander struct {
 	*Expansion
-	results int
-	polls   uint
+	results   int
+	polls     uint
+	vecs, evs [][]rdf.TermID
 }
 
-// NewExpansion returns the expansion of a walk over features into
-// crossing matches, delivered to opts.Emit.
-func NewExpansion(pms []*partial.Match, features []*lec.Feature, opts Options) *Expansion {
-	return &Expansion{pms: pms, features: features, opts: opts}
+// NewExpansion returns the expansion of a walk over features fs, grouping
+// pms, into crossing matches, delivered to opts.Emit.
+func NewExpansion(pms []*partial.Match, fs *lec.Features, opts Options) *Expansion {
+	return &Expansion{pms: pms, fs: fs, opts: opts}
 }
 
 // Sink returns a new chunk's sink: lec.Walk's sink argument.
@@ -147,42 +159,36 @@ func (x *Expansion) Stats(walk lec.PruneResult) Stats {
 // grow joins the matches of members[d:] onto r, depth first, reporting
 // false when the assembly is to stop.
 func (e *expander) grow(members []int, d int, r Result) bool {
-	for _, pi := range e.features[members[d]].PMs {
+	if d == len(e.vecs) {
+		e.vecs, e.evs = append(e.vecs, nil), append(e.evs, nil)
+	}
+	for _, pi := range e.fs.PMs(members[d]) {
 		if e.opts.Cancel != nil {
 			if e.polls&0xff == 0 && e.opts.Cancel() {
 				return false
 			}
 			e.polls++
 		}
-		// The first member's match is aliased; join never writes to its
-		// input.
-		next, ok := Result{e.pms[pi].Vec, e.pms[pi].EdgeVars}, true
+		// The first member's match is aliased; deeper ones are joined
+		// into the depth's scratch.
+		pm := e.pms[pi]
+		next := Result{pm.Vec, pm.EdgeVars}
 		if d > 0 {
-			next, ok = join(r, e.pms[pi])
-		}
-		if !ok {
-			continue
+			if !compatible(r.Vec, pm.Vec) || !compatible(r.EdgeVars, pm.EdgeVars) {
+				continue
+			}
+			e.vecs[d], e.evs[d] = merge(e.vecs[d], r.Vec, pm.Vec), merge(e.evs[d], r.EdgeVars, pm.EdgeVars)
+			next = Result{e.vecs[d], e.evs[d]}
 		}
 		if d < len(members)-1 {
-			ok = e.grow(members, d+1, next)
-		} else {
-			e.results++
-			ok = e.opts.Emit(next)
-		}
-		if !ok {
+			if !e.grow(members, d+1, next) {
+				return false
+			}
+		} else if e.results++; !e.opts.Emit(next) {
 			return false
 		}
 	}
 	return true
-}
-
-// join merges partial match pm into r when their serialization vectors
-// and edge-variable bindings are compatible; r is not modified.
-func join(r Result, pm *partial.Match) (Result, bool) {
-	if !compatible(r.Vec, pm.Vec) || !compatible(r.EdgeVars, pm.EdgeVars) {
-		return Result{}, false
-	}
-	return Result{merge(r.Vec, pm.Vec), merge(r.EdgeVars, pm.EdgeVars)}, true
 }
 
 // compatible reports whether two serialization vectors agree wherever
@@ -197,18 +203,18 @@ func compatible(a, b []rdf.TermID) bool {
 	return true
 }
 
-// merge returns a overlaid with the non-NULL entries of b: a itself when
-// b binds nothing a lacks (edge variables, typically), a copy otherwise.
-func merge(a, b []rdf.TermID) []rdf.TermID {
-	copied := false
-	for i, v := range b {
-		if v == rdf.NoTerm || a[i] == v {
-			continue
-		}
-		if !copied {
-			a, copied = slices.Clone(a), true
-		}
-		a[i] = v
+// merge writes a overlaid with the non-NULL entries of b into dst,
+// reusing its array, and returns it; nil when a is empty (edge variables
+// of a query without them).
+func merge(dst, a, b []rdf.TermID) []rdf.TermID {
+	if len(a) == 0 {
+		return nil
 	}
-	return a
+	dst = append(dst[:0], a...)
+	for i, v := range b {
+		if v != rdf.NoTerm {
+			dst[i] = v
+		}
+	}
+	return dst
 }

@@ -126,11 +126,13 @@ var queryShapes = [][][3]string{
 const sharedLabelShape = 5
 
 // oneSided reports the precondition of the closure's side-split index
-// (see lec.Walk): every mapped query edge has exactly one endpoint in sign.
-func oneSided(q *query.Graph, sign uint64, mappings []partial.CrossEdge) bool {
-	for _, m := range mappings {
+// (see lec.Walk) for the crossing edges the rule derives from pm: each
+// has exactly one endpoint in pm's sign and exactly one data end
+// internal to f, pm's fragment.
+func oneSided(f *fragment.Fragment, q *query.Graph, pm *partial.Match) bool {
+	for _, m := range partial.AppendCrossing(nil, q, pm) {
 		e := q.Edges[m.QEdge]
-		if sign>>uint(e.From)&1 == sign>>uint(e.To)&1 {
+		if pm.Sign>>uint(e.From)&1 == pm.Sign>>uint(e.To)&1 || f.IsInternal(m.S) == f.IsInternal(m.O) {
 			return false
 		}
 	}
@@ -214,24 +216,21 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 			pms = append(pms, ms...)
 		}
 		for _, pm := range pms {
-			if !oneSided(q, pm.Sign, pm.Crossing) {
+			if !oneSided(d.Fragments[pm.Frag], q, pm) {
 				t.Logf("seed %d, shape %d: partial match %v sign %b maps an edge with both or neither endpoint internal", seed, shape, pm.Vec, pm.Sign)
 				return false
 			}
 		}
-		features, featureOf := lec.Compute(pms)
-		pruned := lec.Prune(features, q)
+		fs := lec.Group(q, pms)
+		pruned := lec.Walk(fs, q, false, nil, nil, nil)
 		var kept []*partial.Match
 		for i, pm := range pms {
-			if pruned.Retained[featureOf[i]] {
+			if pruned.Retained[fs.FeatureOf[i]] {
 				kept = append(kept, pm)
 			}
 		}
-		for fi, f := range features {
-			if !oneSided(q, f.Sign, f.Mappings) {
-				return false
-			}
-			if shape == sharedLabelShape && len(f.PMs) > 1 && pruned.Retained[fi] {
+		for fi := range fs.Len() {
+			if shape == sharedLabelShape && len(fs.PMs(fi)) > 1 && pruned.Retained[fi] {
 				multi++
 			}
 		}
@@ -318,12 +317,12 @@ func TestExpansionChecksEveryMember(t *testing.T) {
 		pms = append(pms, ms...)
 	}
 
+	// The rule makes y→z, 20→30, the one crossing edge of all three.
 	x, y := []rdf.TermID{11, 20, 30, 0}, []rdf.TermID{12, 20, 30, 0}
-	cross := []partial.CrossEdge{{QEdge: 1, S: 20, P: 5, O: 30}}
 	synthetic := []*partial.Match{
-		{Frag: 1, Vec: []rdf.TermID{11, 20, 30, 40}, Crossing: cross, Sign: 0b1100},
-		{Frag: 0, Vec: x, Crossing: cross, Sign: 0b0011},
-		{Frag: 0, Vec: y, Crossing: cross, Sign: 0b0011},
+		{Frag: 1, Vec: []rdf.TermID{11, 20, 30, 40}, Sign: 0b1100},
+		{Frag: 0, Vec: x, Sign: 0b0011},
+		{Frag: 0, Vec: y, Sign: 0b0011},
 	}
 	path := buildShape(rdf.NewDictionary(), [][3]string{{"?x", "p", "?y"}, {"?y", "p", "?z"}, {"?z", "p", "?w"}})
 
@@ -333,14 +332,17 @@ func TestExpansionChecksEveryMember(t *testing.T) {
 		q    *query.Graph
 		want int
 	}{{"edge label", pms, q, len(st.Match(q))}, {"internal vertex", synthetic, path, 1}} {
-		features, _ := lec.Compute(tc.pms)
-		if !slices.ContainsFunc(features, func(f *lec.Feature) bool { return len(f.PMs) == 2 }) {
+		fs := lec.Group(tc.q, tc.pms)
+		if !slices.ContainsFunc(fs.FeatureOf, func(fi int32) bool { return len(fs.PMs(int(fi))) == 2 }) {
 			t.Fatalf("%s: no LEC feature holds two partial matches", tc.name)
 		}
 		var expanded []Result
-		x := NewExpansion(tc.pms, features, Options{Emit: func(r Result) bool { expanded = append(expanded, r); return true }})
+		x := NewExpansion(tc.pms, fs, Options{Emit: func(r Result) bool {
+			expanded = append(expanded, Result{slices.Clone(r.Vec), slices.Clone(r.EdgeVars)})
+			return true
+		}})
 		combos := 0
-		walk := lec.Walk(features, tc.q, false, nil, nil, func() lec.Sink {
+		walk := lec.Walk(fs, tc.q, false, nil, nil, func() lec.Sink {
 			sink := x.Sink()
 			return func(members []int) bool { combos++; return sink(members) }
 		})
@@ -366,7 +368,12 @@ func TestExpansionChecksEveryMember(t *testing.T) {
 // fused (parentPerFeature, measured the same way before that change).
 func TestLECPathAllocations(t *testing.T) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 1, Seed: 7})
-	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
+	st := store.FromGraph(ds.Graph)
+	a, err := partition.Hash{}.Partition(st, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := fragment.Build(st, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,21 +393,21 @@ func TestLECPathAllocations(t *testing.T) {
 		}
 		pms = append(pms, ms...)
 	}
-	features, _ := lec.Compute(pms)
+	fs := lec.Group(q, pms)
 	rows := 0
 	opts := Options{Emit: func(Result) bool { rows++; return true }}
 	allocs := testing.AllocsPerRun(20, func() {
-		x := NewExpansion(pms, features, opts)
-		x.Stats(lec.Walk(features, q, false, nil, nil, x.Sink))
+		x := NewExpansion(pms, fs, opts)
+		x.Stats(lec.Walk(fs, q, false, nil, nil, x.Sink))
 	})
 	if rows == 0 {
 		t.Fatal("LQ7 assembled no crossing match")
 	}
 	const parentPerFeature = 24.72
-	got := allocs / float64(len(features))
+	got := allocs / float64(fs.Len())
 	t.Logf("%.0f allocations, %.2f per feature", allocs, got)
 	if got > parentPerFeature/3 {
-		t.Errorf("%.2f allocations per feature over %d features, want at most a third of the parent's %.2f", got, len(features), parentPerFeature)
+		t.Errorf("%.2f allocations per feature over %d features, want at most a third of the parent's %.2f", got, fs.Len(), parentPerFeature)
 	}
 }
 

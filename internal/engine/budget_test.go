@@ -7,7 +7,7 @@ import (
 	"slices"
 	"testing"
 
-	"gstored/internal/fragment"
+	"gstored/internal/partial"
 	"gstored/internal/partition"
 	"gstored/internal/pool"
 	"gstored/internal/query"
@@ -31,7 +31,7 @@ func lecHeld(t *testing.T, e *Engine, q *query.Graph) int64 {
 	}
 	mappings := 0
 	for _, pm := range ship.pms {
-		mappings += len(pm.Crossing)
+		mappings += len(partial.AppendCrossing(nil, q, pm))
 	}
 	return heldBytes(len(ship.pms), 0) + int64(4*4*mappings)
 }
@@ -46,7 +46,7 @@ func lecHeld(t *testing.T, e *Engine, q *query.Graph) int64 {
 // ordered run exceeds.
 func TestBudgetCapsWhatAnExecutionHolds(t *testing.T) {
 	ex, e := paperEngine(t)
-	res, err := e.Execute(ex.Query, Config{Mode: Full})
+	res, err := e.ExecuteContext(context.Background(), ex.Query, Config{Mode: Full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBudgetCapsWhatAnExecutionHolds(t *testing.T) {
 			run := func(budget int64, ordered bool) error {
 				c.e.budget = budget
 				if ordered {
-					_, err := c.e.Execute(c.q, cfg)
+					_, err := c.e.ExecuteContext(context.Background(), c.q, cfg)
 					return err
 				}
 				_, err := c.e.ExecuteStream(context.Background(), c.q, cfg, func(Row) bool { return true })
@@ -115,7 +115,7 @@ func TestOrderedLimitHoldsItsWindow(t *testing.T) {
 		t.Skip("large result; skipped in -short")
 	}
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 1})
-	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
+	d, err := buildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestOrderedLimitHoldsItsWindow(t *testing.T) {
 	product := 1
 	comps := query.SplitComponents(base)
 	for ci, comp := range comps {
-		res, err := e.Execute(comp.Query, Config{Mode: Full})
+		res, err := e.ExecuteContext(context.Background(), comp.Query, Config{Mode: Full})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestOrderedLimitHoldsItsWindow(t *testing.T) {
 		unbounded := *base
 		unbounded.Distinct, unbounded.Projection, unbounded.Offset = c.distinct, c.proj, c.offset
 		e.budget = heldBudget
-		all, err := e.Execute(&unbounded, Config{Mode: Full})
+		all, err := e.ExecuteContext(context.Background(), &unbounded, Config{Mode: Full})
 		if err != nil {
 			t.Fatalf("%s: unbounded: %v", c.name, err)
 		}
@@ -170,7 +170,7 @@ func TestOrderedLimitHoldsItsWindow(t *testing.T) {
 		for _, width := range []int{1, 4} {
 			cfg := Config{Mode: Full, EvalWorkers: width}
 			e.budget = window
-			got, err := e.Execute(&limited, cfg)
+			got, err := e.ExecuteContext(context.Background(), &limited, cfg)
 			if err != nil {
 				t.Fatalf("%s width %d: budget %d: %v", c.name, width, window, err)
 			}
@@ -178,7 +178,7 @@ func TestOrderedLimitHoldsItsWindow(t *testing.T) {
 				t.Errorf("%s width %d: rows %v, want %v", c.name, width, got.Rows, want)
 			}
 			e.budget = window - 1
-			if _, err := e.Execute(&limited, cfg); !errors.Is(err, ErrBudget) {
+			if _, err := e.ExecuteContext(context.Background(), &limited, cfg); !errors.Is(err, ErrBudget) {
 				t.Errorf("%s width %d: budget %d: err = %v, want ErrBudget", c.name, width, window-1, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -92,13 +93,13 @@ func TestComponentAccounting(t *testing.T) {
 		for _, mode := range allModes {
 			for _, width := range []int{1, 4} {
 				cfg := Config{Mode: mode, EvalWorkers: width}
-				whole, err := c.e.Execute(c.q, cfg)
+				whole, err := c.e.ExecuteContext(context.Background(), c.q, cfg)
 				if err != nil {
 					t.Fatalf("%s %v width %d: %v", c.name, mode, width, err)
 				}
 				var sum accounting
 				for i, comp := range comps {
-					res, err := c.e.Execute(comp.Query, cfg)
+					res, err := c.e.ExecuteContext(context.Background(), comp.Query, cfg)
 					if err != nil {
 						t.Fatalf("%s %v width %d component %d: %v", c.name, mode, width, i, err)
 					}

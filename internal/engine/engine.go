@@ -80,7 +80,7 @@ func (m Mode) String() string {
 	}
 }
 
-// Config tunes Execute.
+// Config tunes an execution.
 type Config struct {
 	Mode Mode
 	// EvalWorkers bounds the per-execution worker pool that evaluates
@@ -520,18 +520,14 @@ func (w *window) swap(i, j int) {
 	}
 }
 
-// Execute runs q under cfg and returns all matches with per-stage
+// ExecuteContext runs q under cfg and returns all matches with per-stage
 // statistics. Disconnected queries are evaluated per weakly connected
 // component and recombined by cross product (Section II-A: "all connected
-// components of Q are considered separately").
-func (e *Engine) Execute(q *query.Graph, cfg Config) (*Result, error) {
-	return e.ExecuteContext(context.Background(), q, cfg)
-}
-
-// ExecuteContext is Execute with cooperative cancellation: when ctx is
-// canceled or times out, the distributed stages stop promptly and the
-// context's error is returned. An execution that would hold more than
-// the engine's budget stops the same way and returns ErrBudget.
+// components of Q are considered separately"). Cancellation is
+// cooperative: when ctx is canceled or times out, the distributed stages
+// stop promptly and the context's error is returned. An execution that
+// would hold more than the engine's budget stops the same way and
+// returns ErrBudget.
 //
 // Ordered delivery is a collecting sink over run: every row is
 // materialized (sites emit concurrently), sorted canonically — numeric
@@ -900,10 +896,10 @@ func (s *Stats) count(bytes, messages int64) {
 // assemble runs stages 2 and 3 over the partial matches stage 1
 // gathered: LEC-feature pruning (LO, Full) and the assembly of crossing
 // matches, which stream into out as the walk finds them. The assembly
-// span books the walk with the expansion it drives, in every mode; the
-// LEC span books lec.Compute and the retained and semijoin bookkeeping
-// read off the finished walk. What lec.Compute reserves is charged to h
-// before it runs.
+// span books the walk with the expansion it drives, in every mode, and
+// below LO the features it walks; the LEC span books lec.Group and the
+// retained and semijoin bookkeeping read off the finished walk. What
+// lec.Group holds is charged to h as it returns.
 func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
 	ctx := h.ctx
 	tr := trace.FromContext(ctx)
@@ -929,25 +925,25 @@ func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *p
 			return out(row)
 		},
 	}
-	if opts.UseLEC {
-		// lec.Compute, here or inside assembly.Assemble, reserves room for
-		// every match its own feature, held like a row, and for every
-		// mapping distinct, its four key slots (query edge, S, P, O).
-		mappings := 0
-		for _, pm := range pms {
-			mappings += len(pm.Crossing)
-		}
-		if !h.charge(len(pms), 4*mappings) {
-			return ErrBudget
-		}
-	}
 	retained := func(int) bool { return true }
 	var asmStats assembly.Stats
 	var asmTime time.Duration
 	start := time.Now()
 	asmStart := start
+	var fs *lec.Features
+	if opts.UseLEC {
+		// The features hold a row per match and, for every crossing edge
+		// of the matches, the four key slots of its mapping (query edge,
+		// S, P, O).
+		fs = lec.Group(q, pms)
+		if !h.charge(len(pms), 4*fs.Crossing) {
+			return ErrBudget
+		}
+	} else {
+		fs = lec.Singletons(q, pms)
+	}
 	if cfg.Mode < LO {
-		_, asmStats = assembly.Assemble(pms, q, opts)
+		asmStats, _ = assembly.Join(pms, fs, q, opts)
 		asmTime = time.Since(start)
 	} else {
 		// Stage 2 (LO, Full): the query's only closure walk derives the
@@ -955,15 +951,14 @@ func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *p
 		// the ones that can complete, while stage 3 expands each complete
 		// combination it finds. Over the RPC transport the partial matches
 		// crossed the wire in stage 1, so there stage 2 ships nothing.
-		features, featureOf := lec.Compute(pms)
-		stats.NumLECFeatures += len(features)
+		stats.NumLECFeatures += fs.Len()
 		asmStart = time.Now()
-		x := assembly.NewExpansion(pms, features, opts)
-		walk := lec.Walk(features, q, false, p, opts.Cancel, x.Sink)
+		x := assembly.NewExpansion(pms, fs, opts)
+		walk := lec.Walk(fs, q, false, p, opts.Cancel, x.Sink)
 		asmStats = x.Stats(walk)
 		asmTime = time.Since(asmStart)
-		retained = func(i int) bool { return walk.Retained[featureOf[i]] }
-		ship.semijoin, ship.featureOf = walk.Semijoin, featureOf
+		retained = func(i int) bool { return walk.Retained[fs.FeatureOf[i]] }
+		ship.semijoin, ship.featureOf = walk.Semijoin, fs.FeatureOf
 	}
 	for i, pm := range pms {
 		if retained(i) {
@@ -996,7 +991,7 @@ type shipCounts struct {
 	vectors   []*candidates.SiteVectors // per-site candidate vectors (Full)
 	union     *candidates.SiteVectors   // their union, broadcast back (Full)
 	semijoin  lec.Semijoin              // the walk's semijoin, per feature and per site (LO, Full)
-	featureOf []int                     // per match of pms: its feature (LO, Full)
+	featureOf []int32                   // per match of pms: its feature (LO, Full)
 	pms       []*partial.Match          // the partial matches, once stage 2's verdict stands
 }
 

@@ -50,7 +50,7 @@ func TestPaperQueryAllModes(t *testing.T) {
 		t.Fatalf("centralized answer has %d rows, want 4", len(want))
 	}
 	for _, mode := range allModes {
-		res, err := e.Execute(ex.Query, Config{Mode: mode})
+		res, err := e.ExecuteContext(context.Background(), ex.Query, Config{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -75,7 +75,7 @@ func TestStatsShapeAcrossModes(t *testing.T) {
 	ex, e := paperEngine(t)
 	stats := map[Mode]Stats{}
 	for _, mode := range allModes {
-		res, err := e.Execute(ex.Query, Config{Mode: mode})
+		res, err := e.ExecuteContext(context.Background(), ex.Query, Config{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestStarFastPath(t *testing.T) {
 		MustBuild()
 	want := centralizedRows(ex.Store, q)
 	for _, mode := range allModes {
-		res, err := e.Execute(q, Config{Mode: mode})
+		res, err := e.ExecuteContext(context.Background(), q, Config{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func distributedRun(ctx context.Context, e *Engine, q *query.Graph, cfg Config, 
 
 func TestProjection(t *testing.T) {
 	ex, e := paperEngine(t)
-	res, err := e.Execute(ex.Query, Config{Mode: Full})
+	res, err := e.ExecuteContext(context.Background(), ex.Query, Config{Mode: Full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestProjection(t *testing.T) {
 
 func TestInvalidQueries(t *testing.T) {
 	_, e := paperEngine(t)
-	if _, err := e.Execute(&query.Graph{}, Config{}); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), &query.Graph{}, Config{}); err == nil {
 		t.Error("empty query should fail")
 	}
 }
@@ -209,7 +209,7 @@ func TestDisconnectedQueryCrossProduct(t *testing.T) {
 		t.Fatalf("centralized rows = %d, want 2", len(want))
 	}
 	for _, mode := range allModes {
-		res, err := e.Execute(q, Config{Mode: mode})
+		res, err := e.ExecuteContext(context.Background(), q, Config{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -228,7 +228,7 @@ func TestDisconnectedSharedEdgeVar(t *testing.T) {
 		Triple(query.Var("a"), query.Var("p"), query.Var("b")).
 		MustBuild()
 	want := centralizedRows(ex.Store, q)
-	res, err := e.Execute(q, Config{Mode: Full})
+	res, err := e.ExecuteContext(context.Background(), q, Config{Mode: Full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestNoResultQuery(t *testing.T) {
 		Triple(query.Var("y"), query.IRI(paperexample.PredBirthPlace), query.Var("z")).
 		MustBuild()
 	for _, mode := range allModes {
-		res, err := e.Execute(q, Config{Mode: mode})
+		res, err := e.ExecuteContext(context.Background(), q, Config{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func TestAllModesEqualCentralizedProperty(t *testing.T) {
 		}
 		e := New(d)
 		for _, mode := range allModes {
-			res, err := e.Execute(q, Config{Mode: mode})
+			res, err := e.ExecuteContext(context.Background(), q, Config{Mode: mode})
 			if err != nil {
 				return false
 			}
@@ -324,12 +324,12 @@ func TestAllPartitionersEqualCentralized(t *testing.T) {
 	want := centralizedRows(ex.Store, ex.Query)
 	for _, s := range []partition.Strategy{partition.Hash{}, partition.SemanticHash{}, partition.Metis{}} {
 		for _, k := range []int{1, 2, 3, 5} {
-			d, err := fragment.BuildWith(ex.Store, s, k)
+			d, err := buildWith(ex.Store, s, k)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", s.Name(), k, err)
 			}
 			e := New(d)
-			res, err := e.Execute(ex.Query, Config{Mode: Full})
+			res, err := e.ExecuteContext(context.Background(), ex.Query, Config{Mode: Full})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", s.Name(), k, err)
 			}

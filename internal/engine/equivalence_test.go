@@ -42,7 +42,7 @@ func newEquivEnv(t *testing.T) *equivEnv {
 		}
 	}
 	st := store.FromGraph(g)
-	d, err := fragment.BuildWith(st, partition.Hash{}, 4)
+	d, err := buildWith(st, partition.Hash{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func (env *equivEnv) shape(t *testing.T, name string, mod func(*query.Builder) *
 // rows in their served order, with the run's stats.
 func orderedRows(t *testing.T, e *Engine, q *query.Graph, mode Mode, workers int) ([]Row, Stats) {
 	t.Helper()
-	res, err := e.Execute(q, Config{Mode: mode, EvalWorkers: workers})
+	res, err := e.ExecuteContext(context.Background(), q, Config{Mode: mode, EvalWorkers: workers})
 	if err != nil {
 		t.Fatalf("%v width %d: %v", mode, workers, err)
 	}
@@ -304,7 +304,7 @@ func TestWalkWidthEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				cfg := Config{Mode: mode, EvalWorkers: workers}
 				before := lec.Walks()
-				res, err := env.eng.Execute(q, cfg)
+				res, err := env.eng.ExecuteContext(context.Background(), q, cfg)
 				if err != nil {
 					t.Fatalf("%s/%v/%d: %v", shape, mode, workers, err)
 				}
@@ -356,7 +356,7 @@ func inWalkChunk(functions []string) bool {
 func TestWalkStopsEarly(t *testing.T) {
 	env := newEquivEnv(t)
 	q := env.shape(t, "tree", nil)
-	full, err := env.eng.Execute(q, Config{Mode: Full, EvalWorkers: 1})
+	full, err := env.eng.ExecuteContext(context.Background(), q, Config{Mode: Full, EvalWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

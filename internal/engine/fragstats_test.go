@@ -15,7 +15,7 @@ import (
 func TestFragmentStatsConsistency(t *testing.T) {
 	ex, e := paperEngine(t)
 	for _, mode := range allModes {
-		res, err := e.Execute(ex.Query, Config{Mode: mode})
+		res, err := e.ExecuteContext(context.Background(), ex.Query, Config{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -63,7 +63,7 @@ func TestStarFragmentStats(t *testing.T) {
 		Triple(query.Var("x"), query.IRI(paperexample.PredMainInterest), query.Var("i")).
 		Triple(query.Var("x"), query.IRI(paperexample.PredName), query.Var("n")).
 		MustBuild()
-	res, err := e.Execute(q, Config{Mode: Full})
+	res, err := e.ExecuteContext(context.Background(), q, Config{Mode: Full})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -260,7 +261,7 @@ func FuzzExecute(f *testing.F) {
 			for _, width := range []int{1, 4} {
 				at := fmt.Sprintf("%v width %d on %v, edges %v, layout %v", mode, width, q, g.Triples, a.Frag)
 				cfg := Config{Mode: mode, EvalWorkers: width}
-				res, err := e.Execute(q, cfg)
+				res, err := e.ExecuteContext(context.Background(), q, cfg)
 				over[width] = errors.Is(err, ErrBudget)
 				switch {
 				case over[width]:

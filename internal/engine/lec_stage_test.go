@@ -2,6 +2,9 @@ package engine
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -30,9 +33,18 @@ type crossingFixture struct {
 	pms []*partial.Match       // every site's reply, in site order
 }
 
+// buildWith partitions st with strat into k fragments and builds them.
+func buildWith(st *store.Store, strat partition.Strategy, k int) (*fragment.Distributed, error) {
+	a, err := strat.Partition(st, k)
+	if err != nil {
+		return nil, err
+	}
+	return fragment.Build(st, a)
+}
+
 var lubm32 = sync.OnceValues(func() (*workload.Dataset, *Engine) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 32})
-	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 12)
+	d, err := buildWith(store.FromGraph(ds.Graph), partition.Hash{}, 12)
 	if err != nil {
 		panic(err)
 	}
@@ -101,16 +113,19 @@ func (fx *crossingFixture) partialEval() ([]*partial.Match, error) {
 // against the parent of the change that interned mappings once per query
 // and carved partial matches from slabs, measured the same way there:
 // partial evaluation at most 0.1 allocations per partial match (parent
-// 4.07); lec.Compute and lec.Walk allocations that do not grow with the
-// feature count, checked at n and 2n matches (parent: 3.0 and 1.7 more per
-// added feature); and one width-1 Execute at most a quarter of the
-// parent's.
+// 4.07); lec.Group (lec.Compute there) and lec.Walk allocations that do
+// not grow with the feature count, checked at n and 2n matches (parent:
+// 3.0 and 1.7 more per added feature); and one width-1 Execute at most a
+// quarter of the parent's. The grouping's bytes over all of LQ7's matches
+// are held against the parent of the change that made features columns
+// over the matches' vectors, where lec.Compute allocated 2,859,147 bytes.
 func TestLQ7Allocs(t *testing.T) {
 	fx := loadCrossing(t, "LQ7")
 	const (
 		perMatch      = 0.1
 		growth        = 0.01 // allocations per feature added
 		parentExecute = 94109
+		parentGroup   = 2859147 // bytes
 	)
 	pe := testing.AllocsPerRun(3, func() {
 		if _, err := fx.partialEval(); err != nil {
@@ -125,10 +140,10 @@ func TestLQ7Allocs(t *testing.T) {
 	var runs []run
 	for _, n := range []int{len(fx.pms) / 2, len(fx.pms)} {
 		pms := fx.pms[:n]
-		var features []*lec.Feature
-		r := run{compute: testing.AllocsPerRun(5, func() { features, _ = lec.Compute(pms) })}
-		r.walk = testing.AllocsPerRun(5, func() { lec.Walk(features, fx.q, false, nil, nil, nil) })
-		r.features = float64(len(features))
+		var fs *lec.Features
+		r := run{compute: testing.AllocsPerRun(5, func() { fs = lec.Group(fx.q, pms) })}
+		r.walk = testing.AllocsPerRun(5, func() { lec.Walk(fs, fx.q, false, nil, nil, nil) })
+		r.features = float64(fs.Len())
 		runs = append(runs, r)
 	}
 	added := runs[1].features - runs[0].features
@@ -138,7 +153,7 @@ func TestLQ7Allocs(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		lo, hi float64
-	}{{"lec.Compute", runs[0].compute, runs[1].compute}, {"lec.Walk", runs[0].walk, runs[1].walk}} {
+	}{{"lec.Group", runs[0].compute, runs[1].compute}, {"lec.Walk", runs[0].walk, runs[1].walk}} {
 		t.Logf("%s: %.0f allocations over %.0f features, %.0f over %.0f", c.name, c.lo, runs[0].features, c.hi, runs[1].features)
 		if (c.hi-c.lo)/added > growth {
 			t.Errorf("%s: %.0f allocations over %.0f features but %.0f over %.0f; want at most %v more per added feature",
@@ -146,8 +161,16 @@ func TestLQ7Allocs(t *testing.T) {
 		}
 	}
 
+	// Under -race, slices.Grow allocates a second buffer beside the one
+	// it returns, so the byte count holds only without the detector.
+	gb := bytesPerRun(5, func() { lec.Group(fx.q, fx.pms) })
+	t.Logf("lec.Group: %.0f bytes over %d matches", gb, len(fx.pms))
+	if gb > parentGroup/2 && !raceEnabled() {
+		t.Errorf("lec.Group: %.0f bytes, want at most half of the parent's %d", gb, parentGroup)
+	}
+
 	ex := testing.AllocsPerRun(3, func() {
-		if _, err := fx.eng.Execute(fx.q, Config{Mode: Full, EvalWorkers: 1}); err != nil {
+		if _, err := fx.eng.ExecuteContext(context.Background(), fx.q, Config{Mode: Full, EvalWorkers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -157,12 +180,33 @@ func TestLQ7Allocs(t *testing.T) {
 	}
 }
 
+// bytesPerRun is testing.AllocsPerRun in bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call, with
+// GOMAXPROCS at 1 as there.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
 // BenchmarkLECStage is the coordinator's share of LQ7 and LQ1 over one
-// set of replies each: lec.Compute and lec.Walk with the
+// set of replies each: lec.Group and lec.Walk with the
 // assembly.Expansion it drives, with the walk's join attempts, the features its
 // semijoin keeps live, the mappings in its sample and the features the
-// sample kills. CI logs ns/op, allocs/op, attempts/op, live/op, sampled/op
-// and sample_killed/op with no threshold.
+// sample kills. CI logs ns/op, B/op, allocs/op, attempts/op, live/op,
+// sampled/op and sample_killed/op with no threshold.
 func BenchmarkLECStage(b *testing.B) {
 	for _, name := range []string{"LQ7", "LQ1"} {
 		b.Run(name, func(b *testing.B) {
@@ -173,9 +217,9 @@ func BenchmarkLECStage(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
-				features, _ := lec.Compute(fx.pms)
-				x := assembly.NewExpansion(fx.pms, features, opts)
-				walk = lec.Walk(features, fx.q, false, nil, nil, x.Sink)
+				fs := lec.Group(fx.q, fx.pms)
+				x := assembly.NewExpansion(fx.pms, fs, opts)
+				walk = lec.Walk(fs, fx.q, false, nil, nil, x.Sink)
 				x.Stats(walk)
 			}
 			if rows == 0 {

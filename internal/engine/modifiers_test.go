@@ -92,14 +92,14 @@ func TestSelectDistinctRegression(t *testing.T) {
 	if got := len(centralizedRows(st, q)); got != 5 {
 		t.Fatalf("plain multiset has %d rows, want 5", got)
 	}
-	plain, err := e.Execute(q, Config{})
+	plain, err := e.ExecuteContext(context.Background(), q, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Len() != 5 {
 		t.Fatalf("plain SELECT ?y: %d rows, want 5 (duplicates preserved)", plain.Len())
 	}
-	res, err := e.Execute(withMods(q, true, -1, 0), Config{})
+	res, err := e.ExecuteContext(context.Background(), withMods(q, true, -1, 0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestModifierConformance(t *testing.T) {
 			Select("y", "n").MustBuild()},
 	}
 	for _, shape := range shapes {
-		base, err := e.Execute(shape.q, Config{})
+		base, err := e.ExecuteContext(context.Background(), shape.q, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestModifierConformance(t *testing.T) {
 					want := referenceModified(base, distinct, limit, offset)
 
 					// Ordered: exact, deterministic.
-					res, err := e.Execute(mq, Config{})
+					res, err := e.ExecuteContext(context.Background(), mq, Config{})
 					if err != nil {
 						t.Fatalf("%s ordered: %v", name, err)
 					}
@@ -290,7 +290,7 @@ func TestInvalidModifiersRejectedOnDisconnectedGraph(t *testing.T) {
 	} {
 		bad := *base
 		mutate(&bad)
-		if _, err := e.Execute(&bad, Config{}); err == nil {
+		if _, err := e.ExecuteContext(context.Background(), &bad, Config{}); err == nil {
 			t.Errorf("%s: Execute accepted an invalid modifier", name)
 		}
 		if _, err := e.ExecuteStream(context.Background(), &bad, Config{}, func(Row) bool { return true }); err == nil {
@@ -308,11 +308,11 @@ func TestOrderedModifiersDeterministic(t *testing.T) {
 		Triple(query.Var("x"), query.IRI("http://ex/knows"), query.Var("y")).
 		MustBuild()
 	mq := withMods(q, true, 2, 1)
-	a, err := e.Execute(mq, Config{})
+	a, err := e.ExecuteContext(context.Background(), mq, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Execute(mq, Config{})
+	b, err := e.ExecuteContext(context.Background(), mq, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

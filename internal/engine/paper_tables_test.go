@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -128,7 +129,7 @@ func tableLines(t *testing.T, e *Engine, prefix string, qs []tableQuery) (lines 
 		stats := make(map[Mode]*Stats)
 		for _, mode := range allModes {
 			key := fmt.Sprintf("%s/%s/%v", prefix, tq.name, mode)
-			res, err := e.Execute(tq.q, Config{Mode: mode, EvalWorkers: 1})
+			res, err := e.ExecuteContext(context.Background(), tq.q, Config{Mode: mode, EvalWorkers: 1})
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
@@ -154,7 +155,7 @@ func tableLines(t *testing.T, e *Engine, prefix string, qs []tableQuery) (lines 
 			if mode == Basic {
 				continue
 			}
-			wide, err := e.Execute(tq.q, Config{Mode: mode, EvalWorkers: 8})
+			wide, err := e.ExecuteContext(context.Background(), tq.q, Config{Mode: mode, EvalWorkers: 8})
 			if err != nil {
 				t.Fatalf("%s at width 8: %v", key, err)
 			}
@@ -198,7 +199,7 @@ func TestPaperTables(t *testing.T) {
 	ex, pe := paperEngine(t)
 	out, _ := tableLines(t, pe, "paper", []tableQuery{{"Q", ex.Query}})
 	lubm1 := workload.NewLUBM(workload.LUBMConfig{Universities: 1, Seed: 7})
-	d, err := fragment.BuildWith(store.FromGraph(lubm1.Graph), partition.Hash{}, 4)
+	d, err := buildWith(store.FromGraph(lubm1.Graph), partition.Hash{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"gstored/internal/fragment"
 	"gstored/internal/partition"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
@@ -29,7 +28,7 @@ func TestParallelEquivalenceLUBMProperty(t *testing.T) {
 	st := store.FromGraph(g)
 	for _, layout := range []partition.Strategy{partition.Hash{}, partition.Metis{}} {
 		t.Run(layout.Name(), func(t *testing.T) {
-			d, err := fragment.BuildWith(st, layout, 4)
+			d, err := buildWith(st, layout, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +43,7 @@ func TestParallelEquivalenceLUBMProperty(t *testing.T) {
 			nonEmpty, filtered := 0, 0
 			for trial := 0; trial < trials; trial++ {
 				q := randomBGP(st, rng)
-				oracle, err := env.eng.Execute(q, Config{Mode: Full, EvalWorkers: 1})
+				oracle, err := env.eng.ExecuteContext(context.Background(), q, Config{Mode: Full, EvalWorkers: 1})
 				if err != nil {
 					t.Fatalf("trial %d (%s): oracle: %v", trial, q, err)
 				}
@@ -69,7 +68,7 @@ func TestParallelEquivalenceLUBMProperty(t *testing.T) {
 					{"remote basic", remoteEng, Config{Mode: Basic, EvalWorkers: 4}},
 				}
 				for _, r := range runs {
-					res, err := r.e.Execute(q, r.cfg)
+					res, err := r.e.ExecuteContext(context.Background(), q, r.cfg)
 					if err != nil {
 						t.Fatalf("trial %d (%s) %s: %v", trial, q, r.name, err)
 					}

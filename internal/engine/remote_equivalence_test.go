@@ -119,7 +119,7 @@ func TestRemoteWireAccounting(t *testing.T) {
 	remoteEng := newRemoteEngine(t, env)
 	for _, shape := range []string{"path", "tree", "disconnected"} {
 		q := env.shape(t, shape, nil)
-		res, err := remoteEng.Execute(q, Config{Mode: Full, EvalWorkers: 4})
+		res, err := remoteEng.ExecuteContext(context.Background(), q, Config{Mode: Full, EvalWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestRemoteWireAccounting(t *testing.T) {
 			t.Errorf("%s: per-fragment wire bytes sum to %d, total shipment %d; want equal and > 0", shape, wire, s.TotalShipment)
 		}
 
-		local, err := env.eng.Execute(q, Config{Mode: Full, EvalWorkers: 4})
+		local, err := env.eng.ExecuteContext(context.Background(), q, Config{Mode: Full, EvalWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

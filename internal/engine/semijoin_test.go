@@ -46,7 +46,7 @@ func TestSemijoinDecision(t *testing.T) {
 		sj.Sampled = append(sj.Sampled, s.sampled)
 		sj.SampledDead = append(sj.SampledDead, s.sampledDead)
 		for j := range s.matches {
-			ship.featureOf = append(ship.featureOf, len(ship.pms))
+			ship.featureOf = append(ship.featureOf, int32(len(ship.pms)))
 			ship.pms = append(ship.pms, &partial.Match{Frag: i, Vec: make([]rdf.TermID, 3)})
 			sj.Live = append(sj.Live, j >= s.dead)
 			sj.SampleDead = append(sj.SampleDead, j < s.sampleDead)

@@ -7,7 +7,6 @@ import (
 
 	"gstored/internal/candidates"
 	"gstored/internal/cluster"
-	"gstored/internal/fragment"
 	"gstored/internal/partition"
 	"gstored/internal/store"
 	"gstored/internal/workload"
@@ -38,7 +37,7 @@ func (s slotless) Candidates(ctx context.Context, req cluster.CandidatesRequest)
 // candidates wherever they are extended.
 func TestUnionOfAMissingSlotFiltersNothing(t *testing.T) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 1, Seed: 7})
-	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
+	d, err := buildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +49,11 @@ func TestUnionOfAMissingSlotFiltersNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basic, err := New(d).Execute(q, Config{Mode: Basic, EvalWorkers: 1})
+	basic, err := New(d).ExecuteContext(context.Background(), q, Config{Mode: Basic, EvalWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := New(d).Execute(q, Config{Mode: Full, EvalWorkers: 1})
+	full, err := New(d).ExecuteContext(context.Background(), q, Config{Mode: Full, EvalWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestUnionOfAMissingSlotFiltersNothing(t *testing.T) {
 		for i := range d.Fragments {
 			sites := cluster.LocalSites(d, 1)
 			sites[i] = slotless{sites[i], qv}
-			res, err := NewWithSites(d, sites).Execute(q, Config{Mode: Full, EvalWorkers: 1})
+			res, err := NewWithSites(d, sites).ExecuteContext(context.Background(), q, Config{Mode: Full, EvalWorkers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

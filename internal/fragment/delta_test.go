@@ -9,6 +9,7 @@ import (
 
 	"gstored/internal/partition"
 	"gstored/internal/pool"
+	"gstored/internal/query"
 	"gstored/internal/rdf"
 	"gstored/internal/runs"
 	"gstored/internal/store"
@@ -17,7 +18,8 @@ import (
 // snapshot is a deep copy of everything a Fragment is: V_i, the crossing
 // list in order and its counts by label and internal end, the edge
 // count, and its store read through every index (Triples walks out, In
-// walks in, ByPred and Stats the per-predicate tables). Two fragments are
+// walks in, a one-edge `?s p ?o` Match each predicate's list and Stats
+// the per-predicate tables). Two fragments are
 // the same iff their snapshots are DeepEqual, and a snapshot shares no
 // memory with the fragment it was taken from. The crossing list is read
 // as partial evaluation reads it: in a pool's chunks, each through
@@ -59,13 +61,25 @@ func snapshotOf(f *Fragment) snapshot {
 		}
 	}
 	for _, p := range f.Store.Predicates() {
-		s.ByPred[p] = append([]rdf.Triple{}, f.Store.TriplesWith(p)...)
+		s.ByPred[p] = triplesWith(f, p)
 		s.Stats[p], _ = f.Store.Stats().Pred(p)
 	}
 	for _, p := range append(f.Store.Predicates(), rdf.NoTerm) {
 		s.CrossCount[p] = [2]int{f.CrossingCount(p, true), f.CrossingCount(p, false)}
 	}
 	return s
+}
+
+// triplesWith reads the triples carrying p through the store's
+// per-predicate index, which seeds a one-edge `?s p ?o` match, in the
+// index's (S,P,O) order.
+func triplesWith(f *Fragment, p rdf.TermID) []rdf.Triple {
+	q := query.NewBuilderReadOnly(f.Store.Dict).Triple(query.Var("s"), query.Term(f.Store.Dict.MustDecode(p)), query.Var("o")).MustBuild()
+	ts := []rdf.Triple{}
+	for _, b := range f.Store.Match(q) {
+		ts = append(ts, rdf.Triple{S: b.Vars[0], P: p, O: b.Vars[1]})
+	}
+	return ts
 }
 
 // checkDelta applies the delta incrementally and compares against a full
@@ -189,7 +203,7 @@ func deltaFixture(t *testing.T) (*rdf.Graph, *Distributed, func(s, p, o string) 
 	t.Helper()
 	g := rdf.NewGraph()
 	mk := func(s, p, o string) rdf.Triple {
-		return rdf.Triple{S: g.Dict.EncodeIRI(s), P: g.Dict.EncodeIRI(p), O: g.Dict.EncodeIRI(o)}
+		return rdf.Triple{S: g.Dict.Encode(rdf.NewIRI(s)), P: g.Dict.Encode(rdf.NewIRI(p)), O: g.Dict.Encode(rdf.NewIRI(o))}
 	}
 	for _, tr := range [][3]string{
 		{"a1", "p", "a2"}, {"a2", "p", "b1"}, {"b1", "q", "b2"},
@@ -277,7 +291,7 @@ func TestApplyDeltaSelfLoop(t *testing.T) {
 
 func TestApplyDeltaUncoveredEndpointFails(t *testing.T) {
 	g, d, _ := deltaFixture(t)
-	fresh := rdf.Triple{S: g.Dict.EncodeIRI("ghost"), P: g.Dict.EncodeIRI("p"), O: g.Dict.EncodeIRI("a1")}
+	fresh := rdf.Triple{S: g.Dict.Encode(rdf.NewIRI("ghost")), P: g.Dict.Encode(rdf.NewIRI("p")), O: g.Dict.Encode(rdf.NewIRI("a1"))}
 	newGlobal := d.Global.Apply([]rdf.Triple{fresh}, nil)
 	if _, _, err := d.ApplyDelta(newGlobal, d.Assignment, []rdf.Triple{fresh}, nil); err == nil {
 		t.Error("ApplyDelta accepted an endpoint the assignment does not cover")
@@ -290,7 +304,7 @@ func TestApplyDeltaUncoveredEndpointFails(t *testing.T) {
 // fixture's fragment 0: a1 and a2 internal, b1 and c2 extended.
 func TestApplyRejectsHostileDelta(t *testing.T) {
 	g, d, mk := deltaFixture(t)
-	id := func(name string) rdf.TermID { return g.Dict.EncodeIRI(name) }
+	id := func(name string) rdf.TermID { return g.Dict.Encode(rdf.NewIRI(name)) }
 	base := d.Fragments[0]
 	was := snapshotOf(base)
 	for _, tc := range []struct {
@@ -344,9 +358,9 @@ func TestApplyDeltaRandomized(t *testing.T) {
 				seen := make(map[rdf.Triple]bool)
 				for i := 0; i < 4; i++ {
 					tr := rdf.Triple{
-						S: g.Dict.EncodeIRI(fmt.Sprintf("http://ex/v%d", rng.Intn(24))),
-						P: g.Dict.EncodeIRI(fmt.Sprintf("http://ex/p%d", rng.Intn(3))),
-						O: g.Dict.EncodeIRI(fmt.Sprintf("http://ex/v%d", rng.Intn(24))),
+						S: g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/v%d", rng.Intn(24)))),
+						P: g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/p%d", rng.Intn(3)))),
+						O: g.Dict.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/v%d", rng.Intn(24)))),
 					}
 					if !d.Global.HasTriple(tr.S, tr.P, tr.O) && !seen[tr] {
 						inserted = append(inserted, tr)
@@ -378,7 +392,7 @@ func TestApplyCopiesOnlyTouchedCrossingRuns(t *testing.T) {
 	for i := 0; i < 6*vertices; i++ {
 		g.AddIRIs(vertex(rng.Intn(vertices)), fmt.Sprintf("http://ex/p%d", rng.Intn(3)), vertex(rng.Intn(vertices)))
 	}
-	d, err := BuildWith(store.FromGraph(g), partition.Hash{}, 3)
+	d, err := buildWith(store.FromGraph(g), partition.Hash{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +403,7 @@ func TestApplyCopiesOnlyTouchedCrossingRuns(t *testing.T) {
 	for step := 0; step < 20; step++ {
 		var inserted, deleted []rdf.Triple
 		for i := 0; i < 4; i++ {
-			tr := rdf.Triple{S: g.Dict.EncodeIRI(vertex(rng.Intn(vertices + vertices/4))), P: g.Dict.EncodeIRI("http://ex/p0"), O: g.Dict.EncodeIRI(vertex(rng.Intn(vertices)))}
+			tr := rdf.Triple{S: g.Dict.Encode(rdf.NewIRI(vertex(rng.Intn(vertices + vertices/4)))), P: g.Dict.Encode(rdf.NewIRI("http://ex/p0")), O: g.Dict.Encode(rdf.NewIRI(vertex(rng.Intn(vertices))))}
 			if !d.Global.HasTriple(tr.S, tr.P, tr.O) && !slices.Contains(inserted, tr) {
 				inserted = append(inserted, tr)
 			}

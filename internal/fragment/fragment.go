@@ -112,21 +112,11 @@ func (f *Fragment) IsInternal(v rdf.TermID) bool { return f.internal.has(v) }
 // is not internal is the far endpoint of a crossing edge.
 func (f *Fragment) IsExtended(v rdf.TermID) bool { return !f.internal.has(v) && f.Store.HasVertex(v) }
 
-// NumInternal returns |V_i|.
-func (f *Fragment) NumInternal() int { return f.internal.n }
-
 // NumExtended returns |V_i^e|.
 func (f *Fragment) NumExtended() int { return f.Store.NumVertices() - f.internal.n }
 
 // InternalVertices returns V_i in ascending ID order.
 func (f *Fragment) InternalVertices() []rdf.TermID { return f.internal.members() }
-
-// IsCrossing reports whether an edge with endpoints s and o is a crossing
-// edge of this fragment: exactly one endpoint is internal (edges between
-// two extended vertices are never stored, per Definition 1).
-func (f *Fragment) IsCrossing(s, o rdf.TermID) bool {
-	return f.internal.has(s) != f.internal.has(o)
-}
 
 // Distributed is the full distributed RDF graph: all fragments plus the
 // assignment that produced them. The dictionary is shared.
@@ -176,16 +166,6 @@ func Build(st *store.Store, a *partition.Assignment) (*Distributed, error) {
 		d.Fragments[i] = f
 	}
 	return d, nil
-}
-
-// BuildWith partitions st with the given strategy and builds the
-// distributed graph.
-func BuildWith(st *store.Store, strat partition.Strategy, k int) (*Distributed, error) {
-	a, err := strat.Partition(st, k)
-	if err != nil {
-		return nil, err
-	}
-	return Build(st, a)
 }
 
 // CheckInvariants verifies Definition 1 on the built fragments: internal

@@ -38,8 +38,8 @@ func TestBuildPaperExample(t *testing.T) {
 	if f1.Crossing.Len() != 3 {
 		t.Errorf("F1 crossing edges = %d, want 3", f1.Crossing.Len())
 	}
-	if f1.NumInternal() != 5 {
-		t.Errorf("F1 internal vertices = %d, want 5", f1.NumInternal())
+	if n := len(f1.InternalVertices()); n != 5 {
+		t.Errorf("F1 internal vertices = %d, want 5", n)
 	}
 	if f1.NumInternalEdges != 3 {
 		t.Errorf("F1 internal edges = %d, want 3 (name, birthDate, label)", f1.NumInternalEdges)
@@ -66,11 +66,11 @@ func TestBuildPaperExample(t *testing.T) {
 	if f3.Crossing.Len() != 3 {
 		t.Errorf("F3 crossing = %d, want 3", f3.Crossing.Len())
 	}
-	// Crossing classification helper.
-	if !f1.IsCrossing(ex.V[1], ex.V[6]) {
+	// Crossing classification: exactly one end internal.
+	if f1.IsInternal(ex.V[1]) == f1.IsInternal(ex.V[6]) {
 		t.Error("001→006 should be crossing for F1")
 	}
-	if f1.IsCrossing(ex.V[1], ex.V[3]) {
+	if f1.IsInternal(ex.V[1]) != f1.IsInternal(ex.V[3]) {
 		t.Error("001→003 is internal to F1")
 	}
 }
@@ -85,6 +85,15 @@ func TestBuildRejectsIncompleteAssignment(t *testing.T) {
 	}
 }
 
+// buildWith partitions st with strat into k fragments and builds them.
+func buildWith(st *store.Store, strat partition.Strategy, k int) (*Distributed, error) {
+	a, err := strat.Partition(st, k)
+	if err != nil {
+		return nil, err
+	}
+	return Build(st, a)
+}
+
 func TestBuildWithStrategies(t *testing.T) {
 	g := rdf.NewGraph()
 	for i := 0; i < 40; i++ {
@@ -92,7 +101,7 @@ func TestBuildWithStrategies(t *testing.T) {
 	}
 	st := store.FromGraph(g)
 	for _, s := range []partition.Strategy{partition.Hash{}, partition.SemanticHash{}, partition.Metis{}} {
-		d, err := BuildWith(st, s, 4)
+		d, err := buildWith(st, s, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}

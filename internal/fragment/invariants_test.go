@@ -47,7 +47,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		ex, d := fresh()
 		// V_i^e is derived as the store's vertices beyond V_i, so a V_i
 		// entry the store does not hold would miscount it.
-		d.Fragments[0].internal.add(ex.Graph.Dict.EncodeIRI("http://ex/ghost"))
+		d.Fragments[0].internal.add(ex.Graph.Dict.Encode(rdf.NewIRI("http://ex/ghost")))
 		if err := d.CheckInvariants(); err == nil {
 			t.Error("internal vertex with no edge in the fragment not detected")
 		}

@@ -22,7 +22,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lubm, err := BuildWith(store.FromGraph(workload.LUBM(workload.LUBMConfig{Universities: 1, Seed: 7})), partition.Hash{}, 4)
+	lubm, err := buildWith(store.FromGraph(workload.LUBM(workload.LUBMConfig{Universities: 1, Seed: 7})), partition.Hash{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +70,9 @@ func TestFromPayloadRejectsMalformedInput(t *testing.T) {
 func TestFarVertexIDIsCheap(t *testing.T) {
 	const far = rdf.TermID(math.MaxUint32)
 	g, d, _ := deltaFixture(t)
-	a1 := g.Dict.EncodeIRI("a1")
+	a1 := g.Dict.Encode(rdf.NewIRI("a1"))
 	p := Payload{Triples: []rdf.Triple{{S: 1, P: 9, O: far}}, Internal: []rdf.TermID{1, far}}
-	delta := Delta{Inserted: []rdf.Triple{{S: a1, P: g.Dict.EncodeIRI("p"), O: far}}, Owned: []rdf.TermID{a1, far}}
+	delta := Delta{Inserted: []rdf.Triple{{S: a1, P: g.Dict.Encode(rdf.NewIRI("p")), O: far}}, Owned: []rdf.TermID{a1, far}}
 	for name, build := range map[string]func() (*Fragment, error){
 		"payload": func() (*Fragment, error) { return FromPayload(&p, rdf.NewDictionary()) },
 		"delta":   func() (*Fragment, error) { return d.Fragments[0].Apply(&delta) },

@@ -10,19 +10,42 @@ import (
 	"gstored/internal/key"
 	"gstored/internal/lec"
 	"gstored/internal/partial"
+	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
+
+// keyQuery is ?x ?p ?y . ?y <q> ?z: one edge labelled by a variable, so
+// that a crossing edge's label comes from the match.
+var keyQuery = query.NewBuilder(rdf.NewDictionary()).
+	Triple(query.Var("x"), query.Var("p"), query.Var("y")).
+	Triple(query.Var("y"), query.IRI("q"), query.Var("z")).
+	MustBuild()
 
 // Identity predicates: the fields each grouping is documented to cover.
 
 func sameFeature(a, b *partial.Match) bool {
-	return a.Frag == b.Frag && slices.Equal(a.Crossing, b.Crossing)
+	return a.Frag == b.Frag && slices.Equal(partial.AppendCrossing(nil, keyQuery, a), partial.AppendCrossing(nil, keyQuery, b))
 }
 
-// grouped reports whether lec.Compute puts a and b in one feature.
+// grouped reports whether lec.Group puts a and b in one feature.
 func grouped(a, b *partial.Match) bool {
-	_, featureOf := lec.Compute([]*partial.Match{a, b})
-	return featureOf[0] == featureOf[1]
+	fs := lec.Group(keyQuery, []*partial.Match{a, b})
+	return fs.FeatureOf[0] == fs.FeatureOf[1]
+}
+
+// match is a match of keyQuery binding x, y, z to vec and ?p to p, with
+// the vertices in internal marked in its sign.
+func match(frag int, vec [3]rdf.TermID, p rdf.TermID, internal ...string) *partial.Match {
+	m := &partial.Match{Frag: frag, Vec: make([]rdf.TermID, len(keyQuery.Vertices)), EdgeVars: make([]rdf.TermID, len(keyQuery.Vars))}
+	for i, name := range []string{"x", "y", "z"} {
+		v := slices.IndexFunc(keyQuery.Vertices, func(v query.Vertex) bool { return v.IsVar() && keyQuery.Vars[v.Var] == name })
+		m.Vec[v] = vec[i]
+		if slices.Contains(internal, name) {
+			m.Sign |= 1 << uint(v)
+		}
+	}
+	m.EdgeVars[slices.Index(keyQuery.Vars, "p")] = p
+	return m
 }
 
 // shareID reports whether a Set gives tuples a and b one id.
@@ -37,21 +60,26 @@ func shareID[T key.Word](a, b []T) bool {
 // exact identity must still keep apart: every pair differs in identity
 // and must differ in feature or set id.
 func TestKeyBoundaries(t *testing.T) {
-	c1 := partial.CrossEdge{QEdge: 1, S: 2, P: 3, O: 4}
-	c0 := partial.CrossEdge{} // all-zero mapping: NoTerm endpoints, edge 0
 	features := [][2]*partial.Match{
-		{{Frag: 1, Crossing: []partial.CrossEdge{c1}}, {Frag: 2, Crossing: []partial.CrossEdge{c1}}},
-		{{Crossing: []partial.CrossEdge{c1}}, {Crossing: []partial.CrossEdge{c1, c0}}},
-		{{Crossing: nil}, {Crossing: []partial.CrossEdge{c0}}},
-		{{Crossing: []partial.CrossEdge{{QEdge: 1, S: 23}}}, {Crossing: []partial.CrossEdge{{QEdge: 12, S: 3}}}},
+		// Same g, another fragment.
+		{match(1, [3]rdf.TermID{2, 4, 0}, 3, "x"), match(2, [3]rdf.TermID{2, 4, 0}, 3, "x")},
+		// g a prefix of the other's.
+		{match(0, [3]rdf.TermID{2, 4, 0}, 3, "x"), match(0, [3]rdf.TermID{2, 4, 5}, 3, "x", "z")},
+		// No mapping against the first mapping interned, id 0.
+		{match(0, [3]rdf.TermID{2, 0, 0}, 3, "x"), match(0, [3]rdf.TermID{2, 4, 0}, 3, "x")},
+		// Ends whose digits run together alike.
+		{match(0, [3]rdf.TermID{1, 23, 0}, 3, "x"), match(0, [3]rdf.TermID{12, 3, 0}, 3, "x")},
+		// Another label.
+		{match(0, [3]rdf.TermID{2, 4, 0}, 3, "x"), match(0, [3]rdf.TermID{2, 4, 0}, 5, "x")},
 	}
 	for i, p := range features {
 		if grouped(p[0], p[1]) {
 			t.Errorf("feature case %d: distinct (fragment, g) pairs share a feature", i)
 		}
 	}
-	// The sign is implied by (fragment, g) — Theorem 1 — and stays out.
-	if !grouped(&partial.Match{Frag: 1, Sign: 5}, &partial.Match{Frag: 1, Sign: 9}) {
+	// The sign is implied by (fragment, g) — Theorem 1 — and stays out:
+	// here either end of the one crossing edge is the internal one.
+	if !grouped(match(1, [3]rdf.TermID{2, 4, 0}, 3, "x"), match(1, [3]rdf.TermID{2, 4, 0}, 3, "y")) {
 		t.Error("feature grouping depends on Sign")
 	}
 
@@ -70,44 +98,47 @@ func TestKeyBoundaries(t *testing.T) {
 	}
 }
 
-// Random identities are drawn from tiny domains (lengths 0-2, values
-// 0-2), and the second of a pair is the first with at most one field
-// redrawn, so equal pairs and one-field near misses both turn up often.
+// Random identities are drawn from tiny domains (values 0-2, tuples of
+// lengths 0-2), and the second of a pair is the first with at most one
+// field redrawn, so equal pairs and one-field near misses both turn up
+// often.
 
-func randTerms(r *rand.Rand) []rdf.TermID {
-	ts := make([]rdf.TermID, r.Intn(3))
+func randTerms(r *rand.Rand, n int) []rdf.TermID {
+	ts := make([]rdf.TermID, n)
 	for i := range ts {
 		ts[i] = rdf.TermID(r.Intn(3))
 	}
 	return ts
 }
 
-func randCrossing(r *rand.Rand) []partial.CrossEdge {
-	cs := make([]partial.CrossEdge, r.Intn(3))
-	for i := range cs {
-		cs[i] = partial.CrossEdge{QEdge: r.Intn(2), S: rdf.TermID(r.Intn(2)), P: rdf.TermID(r.Intn(2)), O: rdf.TermID(r.Intn(2))}
+// randSign marks a random subset of m's bound vertices internal.
+func randSign(r *rand.Rand, m *partial.Match) uint64 {
+	var sign uint64
+	for i, u := range m.Vec {
+		if u != rdf.NoTerm && r.Intn(2) == 0 {
+			sign |= 1 << uint(i)
+		}
 	}
-	return cs
+	return sign
 }
 
 func randMatchPair(r *rand.Rand) (a, b *partial.Match) {
-	a = &partial.Match{
-		Frag: r.Intn(2), Vec: randTerms(r), EdgeVars: randTerms(r), Crossing: randCrossing(r),
-		Sign: r.Uint64(), // derived, not part of the identity
-	}
+	vec := func() []rdf.TermID { return randTerms(r, len(keyQuery.Vertices)) }
+	a = &partial.Match{Frag: r.Intn(2), Vec: vec(), EdgeVars: randTerms(r, len(keyQuery.Vars))}
+	a.Sign = randSign(r, a)
 	c := *a
 	b = &c
 	switch r.Intn(5) {
 	case 0:
 		b.Frag = r.Intn(2)
 	case 1:
-		b.Vec = randTerms(r)
+		b.Vec = vec()
+		b.Sign = randSign(r, b)
 	case 2:
-		b.EdgeVars = randTerms(r)
+		b.EdgeVars = randTerms(r, len(keyQuery.Vars))
 	case 3:
-		b.Crossing = randCrossing(r)
+		b.Sign = randSign(r, b)
 	}
-	b.Sign = r.Uint64()
 	return a, b
 }
 
@@ -125,8 +156,12 @@ func TestKeysInjective(t *testing.T) {
 			t.Logf("feature of %+v vs %+v", ma, mb)
 			return false
 		}
-		if shareID(ma.Vec, mb.Vec) != slices.Equal(ma.Vec, mb.Vec) {
-			t.Logf("tuple %v vs %v", ma.Vec, mb.Vec)
+		ta, tb := randTerms(r, r.Intn(3)), randTerms(r, r.Intn(3))
+		if r.Intn(2) == 0 {
+			tb = ta
+		}
+		if shareID(ta, tb) != slices.Equal(ta, tb) {
+			t.Logf("tuple %v vs %v", ta, tb)
 			return false
 		}
 		na, nb := r.Perm(r.Intn(4)), r.Perm(r.Intn(4))

@@ -1,8 +1,8 @@
 // Package key holds the identities the query path deduplicates and
-// indexes on. Set is an exact hashed set of integer tuples — interned
-// crossing-edge mappings, LEC features as (fragment, mapping ids), join
-// member sets and DISTINCT's projected rows — that hands out dense ids
-// and allocates no key per tuple.
+// indexes on. Set is an exact hashed set of integer tuples — LEC
+// features as (fragment, mapping ids), join member sets and DISTINCT's
+// projected rows — that hands out dense ids and allocates no key per
+// tuple.
 package key
 
 import "slices"
@@ -10,18 +10,18 @@ import "slices"
 // Word is an element type a Set can hold: term IDs, dense ids and indices.
 type Word interface{ ~int | ~int32 | ~uint32 }
 
-// list is integer tuples stored back to back in one arena; a tuple's id
-// is its position.
-type list[T Word] struct {
+// List is integer tuples stored back to back in one arena, a CSR: a
+// tuple's id is its position.
+type List[T Word] struct {
 	arena []T
 	ends  []int32 // ends[id] closes tuple id in arena
 }
 
 // Len reports the number of tuples.
-func (l *list[T]) Len() int { return len(l.ends) }
+func (l *List[T]) Len() int { return len(l.ends) }
 
 // At returns tuple id; the slice aliases the arena and is capped.
-func (l *list[T]) At(id int) []T {
+func (l *List[T]) At(id int) []T {
 	lo := int32(0)
 	if id > 0 {
 		lo = l.ends[id-1]
@@ -30,7 +30,7 @@ func (l *list[T]) At(id int) []T {
 }
 
 // Append adds a copy of t as the last tuple.
-func (l *list[T]) Append(t []T) {
+func (l *List[T]) Append(t []T) {
 	l.arena = append(l.arena, t...)
 	l.ends = append(l.ends, int32(len(l.arena)))
 }
@@ -39,7 +39,7 @@ func (l *list[T]) Append(t []T) {
 // one arena and gets a dense id, in order of first Add; a hash only picks
 // the slot, and tuples of equal hash are told apart by their elements.
 type Set[T Word] struct {
-	list list[T]
+	list List[T]
 	// slots is a linear-probing table, at most half full: 0 is empty,
 	// else the tuple's 32-bit hash above its id+1.
 	slots []uint64
@@ -50,6 +50,10 @@ func (s *Set[T]) Len() int { return s.list.Len() }
 
 // At returns tuple id; the slice aliases the arena and is capped.
 func (s *Set[T]) At(id int) []T { return s.list.At(id) }
+
+// List returns the set's tuples, each at its id. It shares the set's
+// arena, so only one of the two may be added to afterwards.
+func (s *Set[T]) List() List[T] { return s.list }
 
 // Reserve makes room for tuples more tuples of words elements in all.
 func (s *Set[T]) Reserve(tuples, words int) {
@@ -77,7 +81,7 @@ func (s *Set[T]) Add(t []T) (id int, added bool) {
 // Reset empties the set, keeping its memory.
 func (s *Set[T]) Reset() {
 	clear(s.slots)
-	s.list = list[T]{s.list.arena[:0], s.list.ends[:0]}
+	s.list = List[T]{s.list.arena[:0], s.list.ends[:0]}
 }
 
 // grow doubles the table until it has at least n slots.

@@ -20,13 +20,12 @@ import (
 // together is the caller's to build from the member set.
 type closure struct {
 	q *query.Graph
-	// features are what the walk joins (in the Basic join, one singleton
-	// feature per partial match): their LECSigns and interned mappings. A
-	// crossing edge has exactly one endpoint inside the feature's
-	// fragment, so of the two endpoint bits of a mapping's query edge Sign
-	// holds exactly one; the crossing-edge index relies on it. Features
-	// not all from one Compute call are interned anew, in place.
-	features []*Feature
+	// fs are what the walk joins (in the Basic join, one singleton feature
+	// per partial match): their LECSigns and interned mappings. A crossing
+	// edge has exactly one endpoint inside the feature's fragment, so of
+	// the two endpoint bits of a mapping's query edge Sign holds exactly
+	// one; the crossing-edge index relies on it.
+	fs *Features
 	// allPairs proposes every larger-index feature as a partner instead of
 	// consulting the crossing-edge index: the same closure, with sharing
 	// re-discovered by the join step at the price of the attempts the
@@ -36,23 +35,13 @@ type closure struct {
 	// returning true ends the walk.
 	cancel func() bool
 
-	// The index: the features' table of interned mappings and, unless
-	// allPairs, post[postOff[2*id+side]:postOff[2*id+side+1]], listing in
-	// ascending order the features holding mapping id whose internal
-	// endpoint is the query edge's From (side 0) or To (side 1); semijoin
-	// reads its verdict off the lists.
-	tab     *table
+	// The index, unless allPairs: post[postOff[2*id+side]:postOff[2*id+side+1]]
+	// lists in ascending order the features holding mapping id whose
+	// internal endpoint is the query edge's From (side 0) or To (side 1);
+	// semijoin reads its verdict off the lists.
 	postOff []int32
 	post    []int32
 	sj      Semijoin
-}
-
-// mapping is an interned crossing-edge mapping: its query edge and the
-// data vertices at the edge's two ends (the label took part in interning
-// and is not needed again).
-type mapping struct {
-	qedge int32
-	s, o  rdf.TermID
 }
 
 // walks counts Walk calls in this process; see Walks.
@@ -97,39 +86,26 @@ type walker struct {
 	polls    uint
 }
 
-// buildIndex interns the features' mappings unless one Compute call did
-// and, unless allPairs, builds the side-split posting lists.
+// buildIndex builds the side-split posting lists, unless allPairs.
 func (c *closure) buildIndex() {
-	total := 0
-	for _, f := range c.features {
-		total += len(f.Mappings)
-	}
-	if len(c.features) > 0 {
-		c.tab = c.features[0].tab
-	}
-	if c.tab == nil || slices.ContainsFunc(c.features, func(f *Feature) bool { return f.tab != c.tab }) {
-		c.tab = &table{}
-		for _, f := range c.features {
-			f.ids, f.tab = c.tab.intern(nil, f.Mappings), c.tab
-		}
-	}
 	if c.allPairs {
 		return
 	}
 	// Counting sort of (feature, mapping) pairs by (mapping, side): count,
 	// prefix-sum, then place in feature order so every list is ascending.
-	c.postOff = make([]int32, 2*len(c.tab.edges)+1)
-	for i, f := range c.features {
-		for _, id := range f.ids {
+	n := c.fs.Len()
+	c.postOff = make([]int32, 2*len(c.fs.tab.edges)+1)
+	for i := range n {
+		for _, id := range c.fs.ids(i) {
 			c.postOff[c.slot(i, id)+1]++
 		}
 	}
 	for s := 1; s < len(c.postOff); s++ {
 		c.postOff[s] += c.postOff[s-1]
 	}
-	c.post = make([]int32, total)
-	for i, f := range c.features {
-		for _, id := range f.ids {
+	c.post = make([]int32, c.postOff[len(c.postOff)-1])
+	for i := range n {
+		for _, id := range c.fs.ids(i) {
 			s := c.slot(i, id)
 			c.post[c.postOff[s]] = int32(i)
 			c.postOff[s]++
@@ -151,19 +127,20 @@ func (c *closure) buildIndex() {
 // array; per feature, it flags a dead sampled mapping and counts the
 // unsampled ones.
 func (c *closure) semijoin() {
-	sj := &c.sj
-	ids := int32(len(c.tab.edges))
+	sj, fs := &c.sj, c.fs
+	ids := int32(len(fs.tab.edges))
 	sampled := make([]bool, ids)
 	for id := range ids {
-		sampled[id] = inSample(c.tab.edges[id])
+		sampled[id] = inSample(fs.tab.edges[id])
 	}
-	sj.Live = make([]bool, len(c.features))
-	sj.SampleDead = make([]bool, len(c.features))
-	sj.Unsampled = make([]int32, len(c.features))
+	n := fs.Len()
+	sj.Live = make([]bool, n)
+	sj.SampleDead = make([]bool, n)
+	sj.Unsampled = make([]int32, n)
 	frags := 0
-	for i, f := range c.features {
+	for i := range n {
 		sj.Live[i] = true
-		for _, id := range f.ids {
+		for _, id := range fs.ids(i) {
 			s := c.slot(i, id) ^ 1
 			dead := c.postOff[s] == c.postOff[s+1]
 			sj.Live[i] = sj.Live[i] && !dead
@@ -173,7 +150,7 @@ func (c *closure) semijoin() {
 				sj.SampleDead[i] = true
 			}
 		}
-		frags = max(frags, f.Frag+1)
+		frags = max(frags, fs.Frag(i)+1)
 	}
 	sj.Mappings = make([]int, frags)
 	sj.Sampled = make([]int, frags)
@@ -185,7 +162,7 @@ func (c *closure) semijoin() {
 			// On this side, id is dead when the other side holds nothing.
 			dead := c.postOff[s^1] == c.postOff[s^1+1]
 			for _, i := range c.post[c.postOff[s]:c.postOff[s+1]] {
-				f := c.features[i].Frag
+				f := fs.Frag(int(i))
 				if last[f] == id+1 {
 					continue
 				}
@@ -226,7 +203,7 @@ func mix64(z uint64) uint64 {
 // slot is the posting list of feature i under mapping id: side 0 when the
 // feature's internal endpoint is the query edge's From, side 1 when its To.
 func (c *closure) slot(i int, id int32) int32 {
-	if c.features[i].Sign>>uint(c.q.Edges[c.tab.edges[id].qedge].From)&1 == 1 {
+	if c.fs.Sign[i]>>uint(c.q.Edges[c.fs.tab.edges[id].qedge].From)&1 == 1 {
 		return 2 * id
 	}
 	return 2*id + 1
@@ -306,18 +283,40 @@ func (w *walker) reach() bool {
 }
 
 // push copies next onto the frontier, into the slices of a state the
-// walk has finished with when there is one.
+// walk has finished with.
 func (w *walker) push() {
-	var s state
-	if n := len(w.free); n > 0 {
-		s, w.free = w.free[n-1], w.free[:n-1]
+	if len(w.free) == 0 {
+		w.refill()
 	}
+	n := len(w.free)
+	s := w.free[n-1]
+	w.free = w.free[:n-1]
 	s.sign = w.next.sign
 	s.members = append(s.members[:0], w.next.members...)
 	s.vbind = append(s.vbind[:0], w.next.vbind...)
 	s.qmap = append(s.qmap[:0], w.next.qmap...)
 	w.frontier = append(w.frontier, s)
 }
+
+// refill carves stateBatch free states from one array per field, each
+// with room for a state of the query: a member per vertex at most, as
+// members' signs are disjoint and none is empty.
+func (w *walker) refill() {
+	nv, ne := len(w.c.q.Vertices), len(w.c.q.Edges)
+	members := make([]int, stateBatch*nv)
+	vbind := make([]rdf.TermID, stateBatch*nv)
+	qmap := make([]int32, stateBatch*ne)
+	for k := range stateBatch {
+		w.free = append(w.free, state{
+			members: members[k*nv : k*nv : (k+1)*nv],
+			vbind:   vbind[k*nv : k*nv : (k+1)*nv],
+			qmap:    qmap[k*ne : k*ne : (k+1)*ne],
+		})
+	}
+}
+
+// stateBatch is how many states refill carves at once.
+const stateBatch = 16
 
 // partners lists, in ascending order, the features worth trying against s:
 // larger than the root (canonical-root enumeration) and — unless allPairs,
@@ -330,7 +329,7 @@ func (w *walker) partners(s *state, root int) []int {
 	out := w.buf[:0]
 	if c.allPairs {
 		mi := 0
-		for i := root + 1; i < len(c.features); i++ {
+		for i := root + 1; i < c.fs.Len(); i++ {
 			for mi < len(s.members) && s.members[mi] < i {
 				mi++
 			}
@@ -375,7 +374,7 @@ func (w *walker) partners(s *state, root int) []int {
 // the feature's own mappings contradict each other.
 func (w *walker) start(root int) bool {
 	c, out := w.c, &w.next
-	out.sign = c.features[root].Sign
+	out.sign = c.fs.Sign[root]
 	out.members = append(out.members[:0], root)
 	out.vbind, out.qmap = out.vbind[:0], out.qmap[:0]
 	for range c.q.Vertices {
@@ -384,7 +383,7 @@ func (w *walker) start(root int) bool {
 	for range c.q.Edges {
 		out.qmap = append(out.qmap, -1)
 	}
-	for _, id := range c.features[root].ids {
+	for _, id := range c.fs.ids(root) {
 		if !c.applyMapping(out.vbind, out.qmap, id) {
 			return false
 		}
@@ -400,14 +399,14 @@ func (w *walker) start(root int) bool {
 // success next holds the extended state.
 func (w *walker) step(s *state, i int) bool {
 	c, out := w.c, &w.next
-	if s.sign&c.features[i].Sign != 0 {
+	if s.sign&c.fs.Sign[i] != 0 {
 		return false
 	}
 	out.vbind = append(out.vbind[:0], s.vbind...)
 	out.qmap = append(out.qmap[:0], s.qmap...)
 	shared := false
-	for _, id := range c.features[i].ids {
-		if s.qmap[c.tab.edges[id].qedge] == id {
+	for _, id := range c.fs.ids(i) {
+		if s.qmap[c.fs.tab.edges[id].qedge] == id {
 			shared = true
 		} else if !c.applyMapping(out.vbind, out.qmap, id) {
 			return false
@@ -416,7 +415,7 @@ func (w *walker) step(s *state, i int) bool {
 	if !shared {
 		return false
 	}
-	out.sign = s.sign | c.features[i].Sign
+	out.sign = s.sign | c.fs.Sign[i]
 	at, _ := slices.BinarySearch(s.members, i)
 	out.members = slices.Insert(append(out.members[:0], s.members...), at, i)
 	return true
@@ -432,7 +431,7 @@ func fullSign(n int) uint64 {
 // applyMapping folds crossing-edge mapping id into the per-vertex and
 // per-edge binding tables, reporting consistency.
 func (c *closure) applyMapping(vbind []rdf.TermID, qmap []int32, id int32) bool {
-	m := c.tab.edges[id]
+	m := c.fs.tab.edges[id]
 	e := c.q.Edges[m.qedge]
 	if cur := qmap[m.qedge]; cur >= 0 {
 		return cur == id // Definition 9 condition 3

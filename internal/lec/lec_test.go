@@ -17,7 +17,7 @@ import (
 
 // paperFeatures computes all partial matches and features for the running
 // example, returning them with the fixture.
-func paperFeatures(t *testing.T) (*paperexample.Example, []*partial.Match, []*Feature, []int) {
+func paperFeatures(t *testing.T) (*paperexample.Example, []*partial.Match, *Features) {
 	t.Helper()
 	ex := paperexample.New()
 	d, err := fragment.Build(ex.Store, ex.Assignment)
@@ -35,49 +35,65 @@ func paperFeatures(t *testing.T) (*paperexample.Example, []*partial.Match, []*Fe
 	if len(pms) != 8 {
 		t.Fatalf("expected the 8 partial matches of Fig. 3, got %d", len(pms))
 	}
-	features, featureOf := Compute(pms)
-	return ex, pms, features, featureOf
+	return ex, pms, Group(ex.Query, pms)
+}
+
+// refFeature is a LEC feature as Definition 8 states it: the fragment,
+// the sign and the function g as crossing edges, with its members.
+type refFeature struct {
+	Frag     int
+	Sign     uint64
+	Mappings []partial.CrossEdge
+	PMs      []int
+}
+
+// refFeatures reads fs back as Definition 8's features, each g derived
+// from its first member by the rule.
+func refFeatures(q *query.Graph, pms []*partial.Match, fs *Features) []refFeature {
+	out := make([]refFeature, fs.Len())
+	for i := range out {
+		members := fs.PMs(i)
+		out[i] = refFeature{Frag: fs.Frag(i), Sign: fs.Sign[i], Mappings: partial.AppendCrossing(nil, q, pms[members[0]])}
+		for _, j := range members {
+			out[i].PMs = append(out[i].PMs, int(j))
+		}
+	}
+	return out
 }
 
 // TestExample5And6: the 8 partial matches collapse into 7 LECs; PM1_2 and
 // PM2_2 share a feature (Example 5), and the features carry the signs of
 // Example 6.
 func TestExample5And6Features(t *testing.T) {
-	_, pms, features, featureOf := paperFeatures(t)
-	if len(features) != 7 {
-		t.Fatalf("got %d LEC features, want 7 (Example 5)", len(features))
+	_, pms, fs := paperFeatures(t)
+	if fs.Len() != 7 {
+		t.Fatalf("got %d LEC features, want 7 (Example 5)", fs.Len())
 	}
 	// Find the feature with two member PMs; it must be in F2 with sign
 	// 11010 (paper order) = bits v1,v2,v4.
-	var shared *Feature
-	for _, f := range features {
-		if len(f.PMs) == 2 {
-			if shared != nil {
+	shared := -1
+	for i := range fs.Len() {
+		if len(fs.PMs(i)) == 2 {
+			if shared >= 0 {
 				t.Fatal("more than one shared feature")
 			}
-			shared = f
+			shared = i
 		}
 	}
-	if shared == nil {
+	if shared < 0 {
 		t.Fatal("no feature with two partial matches (Example 5 expects [PM1_2] = [PM2_2])")
 	}
-	if shared.Frag != 1 {
-		t.Errorf("shared feature in fragment %d, want F2", shared.Frag+1)
+	if fs.Frag(shared) != 1 {
+		t.Errorf("shared feature in fragment %d, want F2", fs.Frag(shared)+1)
 	}
 	wantSign := uint64(1)<<0 | uint64(1)<<1 | uint64(1)<<3 // v1, v2, v4
-	if shared.Sign != wantSign {
-		t.Errorf("shared feature sign = %b, want %b", shared.Sign, wantSign)
+	if fs.Sign[shared] != wantSign {
+		t.Errorf("shared feature sign = %b, want %b", fs.Sign[shared], wantSign)
 	}
-	// featureOf is consistent.
+	// FeatureOf is consistent.
 	for i := range pms {
-		found := false
-		for _, p := range features[featureOf[i]].PMs {
-			if p == i {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("featureOf[%d] inconsistent", i)
+		if !slices.Contains(fs.PMs(int(fs.FeatureOf[i])), int32(i)) {
+			t.Errorf("FeatureOf[%d] inconsistent", i)
 		}
 	}
 }
@@ -90,10 +106,10 @@ func TestExample5And6Features(t *testing.T) {
 // three pairs ({PM1_1,PM2_1}, {PM3_1,PM2_3}, {PM1_2/PM2_2, PM1_3}) and the
 // singleton {PM3_2}.
 func TestExample7Groups(t *testing.T) {
-	_, _, features, _ := paperFeatures(t)
+	_, _, fs := paperFeatures(t)
 	groups := map[uint64]int{}
-	for _, f := range features {
-		groups[f.Sign]++
+	for _, sign := range fs.Sign {
+		groups[sign]++
 	}
 	if len(groups) != 4 {
 		t.Fatalf("got %d groups, want 4 (maximal grouping of Example 7's signs)", len(groups))
@@ -111,7 +127,7 @@ func TestExample7Groups(t *testing.T) {
 // two original (un-joined) features: different fragments, at least one
 // shared crossing-edge mapping, no query edge mapped to two different
 // crossing edges, and disjoint LECSigns.
-func Joinable(a, b *Feature) bool {
+func Joinable(a, b refFeature) bool {
 	if a.Frag == b.Frag {
 		return false
 	}
@@ -136,8 +152,9 @@ func Joinable(a, b *Feature) bool {
 
 // TestJoinableDefinition9 exercises each condition on the running example.
 func TestJoinableDefinition9(t *testing.T) {
-	ex, pms, features, featureOf := paperFeatures(t)
-	byVec := func(want [5]int) *Feature {
+	ex, pms, fs := paperFeatures(t)
+	refs := refFeatures(ex.Query, pms, fs)
+	byVec := func(want [5]int) refFeature {
 		for i, pm := range pms {
 			var got [5]int
 			rev := make(map[rdf.TermID]int)
@@ -150,11 +167,11 @@ func TestJoinableDefinition9(t *testing.T) {
 				}
 			}
 			if got == want {
-				return features[featureOf[i]]
+				return refs[fs.FeatureOf[i]]
 			}
 		}
 		t.Fatalf("PM %v not found", want)
-		return nil
+		return refFeature{}
 	}
 	pm11 := byVec([5]int{6, 0, 1, 0, 3})
 	pm12 := byVec([5]int{6, 8, 1, 9, 0})
@@ -189,9 +206,10 @@ func TestJoinableDefinition9(t *testing.T) {
 
 // TestTheorem5SameSignNotJoinable: features with equal signs never join.
 func TestTheorem5(t *testing.T) {
-	_, _, features, _ := paperFeatures(t)
-	for i, a := range features {
-		for j, b := range features {
+	ex, pms, fs := paperFeatures(t)
+	refs := refFeatures(ex.Query, pms, fs)
+	for i, a := range refs {
+		for j, b := range refs {
 			if i != j && a.Sign == b.Sign && Joinable(a, b) {
 				t.Errorf("features %d and %d share sign %b yet are joinable", i, j, a.Sign)
 			}
@@ -203,12 +221,13 @@ func TestTheorem5(t *testing.T) {
 // example's features the closure's one join step accepts exactly the pairs
 // the reference Joinable accepts.
 func TestStepMatchesDefinition9(t *testing.T) {
-	ex, _, features, _ := paperFeatures(t)
-	c := &closure{q: ex.Query, features: features}
+	ex, pms, fs := paperFeatures(t)
+	refs := refFeatures(ex.Query, pms, fs)
+	c := &closure{q: ex.Query, fs: fs}
 	c.buildIndex()
 	w := &walker{c: c, full: fullSign(len(ex.Query.Vertices))}
-	for i, a := range features {
-		for j, b := range features {
+	for i, a := range refs {
+		for j, b := range refs {
 			if !w.start(i) {
 				t.Fatalf("feature %d contradicts itself", i)
 			}
@@ -223,9 +242,15 @@ func TestStepMatchesDefinition9(t *testing.T) {
 
 // TestPrunePaperExample: Algorithm 2 filters out PM2_3 (Section IV-C) and
 // keeps everything else, as every other partial match participates in a
-// complete match (Example 8 groups).
+// complete match (Example 8 groups). It runs through Compute and Prune,
+// the adapter the benchmark module's layer drive calls, and Compute's
+// features are Group's.
 func TestPrunePaperExample(t *testing.T) {
-	ex, pms, features, featureOf := paperFeatures(t)
+	ex, pms, fs := paperFeatures(t)
+	features, featureOf := Compute(pms)
+	if len(features) != fs.Len() || !slices.EqualFunc(featureOf, fs.FeatureOf, func(a int, b int32) bool { return a == int(b) }) {
+		t.Fatalf("Compute: %d features, featureOf %v; Group: %d, %v", len(features), featureOf, fs.Len(), fs.FeatureOf)
+	}
 	res := Prune(features, ex.Query)
 	rev := make(map[rdf.TermID]int)
 	for n, id := range ex.V {
@@ -256,8 +281,8 @@ func TestPrunePaperExample(t *testing.T) {
 // fragment holds — the feature Algorithm 2 prunes — and the three sites
 // report 3, 2 and 2 distinct mappings.
 func TestSemijoinPaperExample(t *testing.T) {
-	ex, pms, features, featureOf := paperFeatures(t)
-	res := Prune(features, ex.Query)
+	ex, pms, fs := paperFeatures(t)
+	res := Walk(fs, ex.Query, false, nil, nil, nil)
 	rev := make(map[rdf.TermID]int)
 	for n, id := range ex.V {
 		rev[id] = n
@@ -269,8 +294,8 @@ func TestSemijoinPaperExample(t *testing.T) {
 				vec[j] = rev[id]
 			}
 		}
-		if want := vec != [5]int{14, 13, 0, 17, 0}; res.Live[featureOf[i]] != want {
-			t.Errorf("PM %v: live %v, want %v", vec, res.Live[featureOf[i]], want)
+		if want := vec != [5]int{14, 13, 0, 17, 0}; res.Live[fs.FeatureOf[i]] != want {
+			t.Errorf("PM %v: live %v, want %v", vec, res.Live[fs.FeatureOf[i]], want)
 		}
 	}
 	if !slices.Equal(res.Mappings, []int{3, 2, 2}) {
@@ -286,11 +311,13 @@ func TestPruneEmpty(t *testing.T) {
 	}
 }
 
-// chainFeatures builds, over a five-vertex path query, k features of each
-// of five kinds whose closure has about 6k² states: A_j and B_j share the
-// crossing edge a_j→h1, every B_j joins every C_l over h1→h2, C_l joins
-// D_l joins E_l, and only A+B+C+D+E covers the query.
-func chainFeatures(k int) ([]*Feature, *query.Graph) {
+// chainFeatures builds, over a five-vertex path query, the partial
+// matches of k features of each of five kinds whose closure has about 6k²
+// states: A_j and B_j share the crossing edge a_j→h1, every B_j joins
+// every C_l over h1→h2, C_l joins D_l joins E_l, and only A+B+C+D+E
+// covers the query. Each kind is a fragment, each match one internal
+// vertex and its bound neighbours.
+func chainFeatures(k int) ([]*partial.Match, *query.Graph) {
 	d := rdf.NewDictionary()
 	v := func(i int) query.Node { return query.Var(fmt.Sprint("x", i)) }
 	b := query.NewBuilder(d)
@@ -299,39 +326,29 @@ func chainFeatures(k int) ([]*Feature, *query.Graph) {
 	}
 	q := b.MustBuild()
 	const h1, h2, tail = 1, 2, 3
-	edge := func(qe, s, o int) partial.CrossEdge {
-		return partial.CrossEdge{QEdge: qe, S: rdf.TermID(s), O: rdf.TermID(o)}
-	}
-	kinds := make([][]*Feature, 5)
+	kinds := make([][]*partial.Match, 5)
 	for j := 0; j < k; j++ {
-		a, c := 100+j, 100+k+j
-		for kind, ms := range [][]partial.CrossEdge{
-			{edge(0, a, h1)},
-			{edge(0, a, h1), edge(1, h1, h2)},
-			{edge(1, h1, h2), edge(2, h2, c)},
-			{edge(2, h2, c), edge(3, c, tail)},
-			{edge(3, c, tail)},
+		a, c := rdf.TermID(100+j), rdf.TermID(100+k+j)
+		for kind, vec := range [][]rdf.TermID{
+			{a, h1, 0, 0, 0},
+			{a, h1, h2, 0, 0},
+			{0, h1, h2, c, 0},
+			{0, 0, h2, c, tail},
+			{0, 0, 0, c, tail},
 		} {
-			sign := uint64(1) << uint(q.Edges[0].From)
-			if kind > 0 {
-				sign = uint64(1) << uint(q.Edges[kind-1].To)
-			}
-			kinds[kind] = append(kinds[kind], &Feature{Frag: kind, Mappings: ms, Sign: sign})
+			kinds[kind] = append(kinds[kind], &partial.Match{Frag: kind, Vec: vec, Sign: 1 << uint(kind)})
 		}
 	}
-	var features []*Feature
-	for _, fs := range kinds {
-		features = append(features, fs...)
-	}
-	return features, q
+	return slices.Concat(kinds...), q
 }
 
 // TestPruneCancel: the walk polls its cancel hook, so a canceled query
 // stops pruning within a few hundred expansions instead of walking the
 // whole closure.
 func TestPruneCancel(t *testing.T) {
-	features, q := chainFeatures(50)
-	full := Prune(features, q)
+	pms, q := chainFeatures(50)
+	fs := Group(q, pms)
+	full := Walk(fs, q, false, nil, nil, nil)
 	if full.States < 10000 {
 		t.Fatalf("closure too small to test cancellation: %+v", full.States)
 	}
@@ -341,7 +358,7 @@ func TestPruneCancel(t *testing.T) {
 		}
 	}
 	polls := 0
-	got := Walk(features, q, false, nil, func() bool { polls++; return polls == 2 }, nil)
+	got := Walk(fs, q, false, nil, func() bool { polls++; return polls == 2 }, nil)
 	if polls != 2 || got.States*10 >= full.States {
 		t.Errorf("canceled on poll 2 of %d: walked %d of %d states", polls, got.States, full.States)
 	}
@@ -352,16 +369,16 @@ func TestPruneCancel(t *testing.T) {
 	}
 }
 
-// collect walks features like Walk, with a sink per chunk that records
-// the member sets it is handed. It returns them sorted — the chunks of a
+// collect walks fs like Walk, with a sink per chunk that records the
+// member sets it is handed. It returns them sorted — the chunks of a
 // pooled walk hand theirs over in whatever order they run — and checks
 // the verdict against them: a finished walk retains exactly the members
 // of the sets it completed.
-func collect(t *testing.T, features []*Feature, q *query.Graph, allPairs bool, p *pool.Pool, cancel func() bool) (PruneResult, [][]int) {
+func collect(t *testing.T, fs *Features, q *query.Graph, allPairs bool, p *pool.Pool, cancel func() bool) (PruneResult, [][]int) {
 	t.Helper()
 	var mu sync.Mutex
 	var sets [][]int
-	res := Walk(features, q, allPairs, p, cancel, func() Sink {
+	res := Walk(fs, q, allPairs, p, cancel, func() Sink {
 		return func(members []int) bool {
 			mu.Lock()
 			defer mu.Unlock()
@@ -371,7 +388,7 @@ func collect(t *testing.T, features []*Feature, q *query.Graph, allPairs bool, p
 	})
 	slices.SortFunc(sets, slices.Compare)
 	if res.Finished {
-		members := make([]bool, len(features))
+		members := make([]bool, fs.Len())
 		for _, set := range sets {
 			for _, m := range set {
 				members[m] = true
@@ -389,11 +406,12 @@ func collect(t *testing.T, features []*Feature, q *query.Graph, allPairs bool, p
 // handed, each once — and a canceled pooled walk, or one whose sink
 // declines, still retains everything; a canceled one completes nothing.
 func TestWalkWidthInvariance(t *testing.T) {
-	features, q := chainFeatures(12)
-	features = append(features, &Feature{Frag: 9, Sign: 1, Mappings: []partial.CrossEdge{{QEdge: 0, S: 7, O: 8}}}) // joins nothing: pruned
-	seq, seqSets := collect(t, features, q, false, nil, nil)
-	if !seq.Finished || len(seqSets) == 0 || seq.Retained[len(features)-1] {
-		t.Fatalf("sequential oracle: finished %v, %d combinations, stray retained %v", seq.Finished, len(seqSets), seq.Retained[len(features)-1])
+	pms, q := chainFeatures(12)
+	pms = append(pms, &partial.Match{Frag: 9, Sign: 1, Vec: []rdf.TermID{7, 8, 0, 0, 0}}) // joins nothing: pruned
+	fs := Group(q, pms)
+	seq, seqSets := collect(t, fs, q, false, nil, nil)
+	if !seq.Finished || len(seqSets) == 0 || seq.Retained[fs.Len()-1] {
+		t.Fatalf("sequential oracle: finished %v, %d combinations, stray retained %v", seq.Finished, len(seqSets), seq.Retained[fs.Len()-1])
 	}
 	for i := 1; i < len(seqSets); i++ {
 		if slices.Equal(seqSets[i-1], seqSets[i]) {
@@ -402,43 +420,62 @@ func TestWalkWidthInvariance(t *testing.T) {
 	}
 	for _, width := range []int{2, 3, 8} {
 		p := pool.New(width)
-		if got, sets := collect(t, features, q, false, p, nil); !reflect.DeepEqual(got, seq) || !reflect.DeepEqual(sets, seqSets) {
+		if got, sets := collect(t, fs, q, false, p, nil); !reflect.DeepEqual(got, seq) || !reflect.DeepEqual(sets, seqSets) {
 			t.Errorf("width %d: attempts %d states %d combos %d, sequential %d %d %d", width,
 				got.Attempts, got.States, len(sets), seq.Attempts, seq.States, len(seqSets))
 		}
-		got, sets := collect(t, features, q, false, p, func() bool { return true })
+		got, sets := collect(t, fs, q, false, p, func() bool { return true })
 		if got.Finished || len(sets) != 0 || slices.Contains(got.Retained, false) {
 			t.Errorf("width %d canceled: finished %v, %d combinations, something pruned %v", width,
 				got.Finished, len(sets), slices.Contains(got.Retained, false))
 		}
-		got = Walk(features, q, false, p, nil, func() Sink { return func([]int) bool { return false } })
+		got = Walk(fs, q, false, p, nil, func() Sink { return func([]int) bool { return false } })
 		if got.Finished || slices.Contains(got.Retained, false) {
 			t.Errorf("width %d stopped by its sink: finished %v, something pruned %v", width, got.Finished, slices.Contains(got.Retained, false))
 		}
 	}
 }
 
-// fuzzQueries are the query graphs FuzzClosureIndex draws from: a path, a
-// triangle and a pair of parallel edges.
+// fuzzQueries are the query graphs the fuzz targets draw from: a path, a
+// triangle and a pair of parallel edges, every edge labelled by its own
+// variable so that a match picks its crossing edges' labels.
 func fuzzQueries() []*query.Graph {
 	var out []*query.Graph
 	for _, shape := range [][][2]int{{{0, 1}, {1, 2}, {2, 3}}, {{0, 1}, {1, 2}, {2, 0}}, {{0, 1}, {0, 1}, {1, 2}}} {
 		b := query.NewBuilder(rdf.NewDictionary())
 		for i, e := range shape {
-			b.Triple(query.Var(fmt.Sprint("v", e[0])), query.IRI(fmt.Sprint("p", i)), query.Var(fmt.Sprint("v", e[1])))
+			b.Triple(query.Var(fmt.Sprint("v", e[0])), query.Var(fmt.Sprint("p", i)), query.Var(fmt.Sprint("v", e[1])))
 		}
 		out = append(out, b.MustBuild())
 	}
 	return out
 }
 
-// referenceSemijoin is the semijoin by search: a mapping is dead for a
-// holder when no feature holds it with its sign covering the mapping's
-// other endpoint, and a feature is live when none of its mappings is dead.
-// The sample is drawn per mapping from its query edge and data ends
-// alone, once for every holder on either side; per fragment, the distinct
-// mappings are counted with their sampled and sampled-dead ones.
-func referenceSemijoin(items []*Feature, q *query.Graph) Semijoin {
+// fuzzMatch is a partial match of q: vertex v bound to one of two data
+// vertices by bit v of values — or NULL when it is neither internal nor
+// in bound — and every edge label variable bound to label. The rule
+// then makes every edge with both ends bound and one internal crossing.
+func fuzzMatch(q *query.Graph, frag int, sign, bound uint64, values byte, label rdf.TermID) *partial.Match {
+	m := &partial.Match{Frag: frag, Sign: sign & fullSign(len(q.Vertices)), Vec: make([]rdf.TermID, len(q.Vertices)), EdgeVars: make([]rdf.TermID, len(q.Vars))}
+	for v := range m.Vec {
+		if (m.Sign|bound)>>uint(v)&1 == 1 {
+			m.Vec[v] = rdf.TermID(10*(v+1) + int(values>>uint(v)&1))
+		}
+	}
+	for _, e := range q.Edges {
+		m.EdgeVars[e.LabelVar] = label
+	}
+	return m
+}
+
+// referenceSemijoin is the semijoin by search over Definition 8's
+// features: a mapping is dead for a holder when no feature holds it with
+// its sign covering the mapping's other endpoint, and a feature is live
+// when none of its mappings is dead. The sample is drawn per mapping from
+// its query edge and data ends alone, once for every holder on either
+// side; per fragment, the distinct mappings are counted with their
+// sampled and sampled-dead ones.
+func referenceSemijoin(items []refFeature, q *query.Graph) Semijoin {
 	var sj Semijoin
 	seen := map[[2]any]bool{} // (fragment, mapping)
 	for i, f := range items {
@@ -454,10 +491,10 @@ func referenceSemijoin(items []*Feature, q *query.Graph) Semijoin {
 			if f.Sign>>uint(e.From)&1 == 0 {
 				other = e.From
 			}
-			dead := !slices.ContainsFunc(items, func(g *Feature) bool {
+			dead := !slices.ContainsFunc(items, func(g refFeature) bool {
 				return g.Sign>>uint(other)&1 == 1 && slices.Contains(g.Mappings, m)
 			})
-			sampled := inSample(mapping{int32(m.QEdge), m.S, m.O})
+			sampled := inSample(mapping{int32(m.QEdge), m.S, m.P, m.O})
 			if dead {
 				sj.Live[i] = false
 			}
@@ -498,10 +535,11 @@ func sameSemijoin(a, b Semijoin) bool {
 // sample never kills a match the full semijoin keeps), and every feature
 // either walk retains is live. The reference draws the sample from a
 // mapping alone, once for both of its sides, so equal counts mean the
-// walk's draw does too. Features are drawn as partial matches make them
-// (Definition 5): the mapped query edges are exactly those with one
-// endpoint in Sign — the side-split index needs no more, the semijoin
-// needs them all.
+// walk's draw does too. Each item is a partial match with every vertex
+// bound, walked as its own feature (Singletons): its mappings are
+// exactly the query edges with one endpoint in Sign, as Definition 5
+// makes them — the side-split index needs no more, the semijoin needs
+// them all.
 func FuzzClosureIndex(f *testing.F) {
 	// A two- and a three-item cover of the path plus a near miss; the
 	// triangle's three corners; the parallel edges' two halves.
@@ -527,27 +565,22 @@ func FuzzClosureIndex(f *testing.F) {
 			data = data[:48] // 24 items: AllPairs stays small
 		}
 		// Two bytes an item: which vertices are internal (low nibble of the
-		// first), each mapped query edge's label (its high nibble, one bit
-		// an edge), which of two data vertices each query vertex is bound
-		// to (low nibble of the second) and the fragment (its high bits).
-		var items []*Feature
+		// first), the label of its crossing edges (bit 4 of the first),
+		// which of two data vertices each query vertex is bound to (low
+		// nibble of the second) and the fragment (its high bits).
+		var pms []*partial.Match
 		for ; len(data) >= 2; data = data[2:] {
-			it := &Feature{Frag: int(data[1] >> 4 & 3), Sign: uint64(data[0]) & fullSign(len(q.Vertices))}
-			bound := func(v int) rdf.TermID { return rdf.TermID(10*(v+1) + int(data[1]>>uint(v)&1)) }
-			for e, qe := range q.Edges {
-				if it.Sign>>uint(qe.From)&1 != it.Sign>>uint(qe.To)&1 {
-					it.Mappings = append(it.Mappings, partial.CrossEdge{QEdge: e, S: bound(qe.From), P: rdf.TermID(1 + data[0]>>(4+uint(e))&1), O: bound(qe.To)})
-				}
-			}
-			if len(it.Mappings) > 0 {
-				items = append(items, it)
+			pm := fuzzMatch(q, int(data[1]>>4&3), uint64(data[0]), ^uint64(0), data[1], rdf.TermID(1+data[0]>>4&1))
+			if len(partial.AppendCrossing(nil, q, pm)) > 0 {
+				pms = append(pms, pm)
 			}
 		}
-		ref := referenceSemijoin(items, q)
+		fs := Singletons(q, pms)
+		ref := referenceSemijoin(refFeatures(q, pms, fs), q)
 		live := ref.Live
 		walk := func(allPairs bool, p *pool.Pool) map[string]bool {
 			sets := map[string]bool{}
-			res, completed := collect(t, items, q, allPairs, p, nil)
+			res, completed := collect(t, fs, q, allPairs, p, nil)
 			if !res.Finished {
 				t.Fatal("uncanceled walk did not finish")
 			}
@@ -582,43 +615,71 @@ func FuzzClosureIndex(f *testing.F) {
 	})
 }
 
-// referenceCompute is Algorithm 1 by linear search: features in
-// first-seen order, each with its first match's fragment, g and sign,
-// built by hand (so a walk over them interns their mappings itself).
-func referenceCompute(pms []*partial.Match) ([]*Feature, []int) {
-	var features []*Feature
-	featureOf := make([]int, len(pms))
-	for i, pm := range pms {
-		fi := slices.IndexFunc(features, func(f *Feature) bool {
-			return f.Frag == pm.Frag && slices.Equal(f.Mappings, pm.Crossing)
-		})
-		if fi < 0 {
-			fi = len(features)
-			features = append(features, &Feature{Frag: pm.Frag, Mappings: pm.Crossing, Sign: pm.Sign})
+// referenceGroup is Algorithm 1 by maps: each match's g derived by the
+// rule, features keyed by (fragment, g) in first-seen order with their
+// first match's sign, and mapping ids handed out in first-seen order.
+func referenceGroup(q *query.Graph, pms []*partial.Match) (features []refFeature, featureOf []int32, ids [][]int32) {
+	byKey, byMapping := map[string]int{}, map[partial.CrossEdge]int32{}
+	for j, pm := range pms {
+		g := partial.AppendCrossing(nil, q, pm)
+		var tuple []int32
+		for _, m := range g {
+			id, ok := byMapping[m]
+			if !ok {
+				id = int32(len(byMapping))
+				byMapping[m] = id
+			}
+			tuple = append(tuple, id)
 		}
-		features[fi].PMs = append(features[fi].PMs, i)
-		featureOf[i] = fi
+		k := fmt.Sprint(pm.Frag, g)
+		fi, ok := byKey[k]
+		if !ok {
+			fi = len(features)
+			byKey[k] = fi
+			features = append(features, refFeature{Frag: pm.Frag, Sign: pm.Sign, Mappings: g})
+			ids = append(ids, tuple)
+		}
+		features[fi].PMs = append(features[fi].PMs, j)
+		featureOf = append(featureOf, int32(fi))
 	}
-	return features, featureOf
+	return features, featureOf, ids
 }
 
-// sameFeatures compares the exported fields of two feature lists.
-func sameFeatures(a, b []*Feature) bool {
-	return slices.EqualFunc(a, b, func(x, y *Feature) bool {
-		return x.Frag == y.Frag && x.Sign == y.Sign && slices.Equal(x.Mappings, y.Mappings) && slices.Equal(x.PMs, y.PMs)
-	})
+// expand returns the match sets a walk's feature combinations stand for:
+// one member of each feature, every choice.
+func expand(fs *Features, sets [][]int) [][]int {
+	var out [][]int
+	for _, set := range sets {
+		partial := [][]int{nil}
+		for _, fi := range set {
+			var next [][]int
+			for _, p := range partial {
+				for _, j := range fs.PMs(fi) {
+					next = append(next, append(slices.Clone(p), int(j)))
+				}
+			}
+			partial = next
+		}
+		for _, p := range partial {
+			slices.Sort(p)
+			out = append(out, p)
+		}
+	}
+	slices.SortFunc(out, slices.Compare)
+	return out
 }
 
-// FuzzFeatureIDs: grouping and walking by interned mapping ids is exact.
-// On random partial matches lec.Compute's features and featureOf equal
-// the linear-search reference's, and a walk over them — ids handed over from
-// Compute — retains, completes, attempts and explores exactly what the
-// walk over the reference's hand-built features, interned by the walk,
-// does.
-// Matches are drawn like FuzzClosureIndex's items, with any subset of
-// their one-sided edges crossing (both walks read the same features, so
-// Definition 5 need not hold), a fragment of four and small value
-// domains, so that equal (fragment, g) pairs are common.
+// FuzzFeatureIDs: grouping by interned mapping ids is exact. On random
+// partial matches Group's columns — features in order with their
+// fragments, signs, members and mapping ids, and FeatureOf — equal the
+// map-based reference's, and a walk over them, expanded to matches,
+// completes exactly the match sets, and retains exactly the matches, of
+// the same walk over one singleton feature per match. Matches are drawn
+// like FuzzClosureIndex's items with some vertices NULL, so that any
+// subset of their one-sided edges cross (both walks read the same
+// mappings, so Definition 5 need not hold beyond Theorem 1's equal
+// signs), from a fragment of four and small value domains, so that equal
+// (fragment, g) pairs are common.
 func FuzzFeatureIDs(f *testing.F) {
 	f.Add([]byte{0, 0x23, 0x00, 0x2c, 0x10, 0x23, 0x00, 0x56, 0x20, 0x48, 0x30, 0x2c, 0x14})
 	f.Add([]byte{1, 0x51, 0x00, 0x32, 0x10, 0x64, 0x20, 0x32, 0x12, 0x51, 0x00})
@@ -634,34 +695,46 @@ func FuzzFeatureIDs(f *testing.F) {
 			data = data[:48] // 24 matches: the all-pairs walk stays small
 		}
 		// Two bytes a match: which vertices are internal (low nibble of
-		// the first), which query edges with exactly one internal endpoint
-		// are crossing (its high nibble); which of two data vertices each
-		// query vertex is bound to (low nibble of the second), the
-		// fragment (bits 4-5) and the crossing edges' label (bit 6).
+		// the first), which others are bound (its high nibble); which of
+		// two data vertices each query vertex is bound to (low nibble of
+		// the second), the fragment (bits 4-5) and the crossing edges'
+		// label (bit 6).
 		var pms []*partial.Match
 		for ; len(data) >= 2; data = data[2:] {
-			pm := &partial.Match{Frag: int(data[1] >> 4 & 3), Sign: uint64(data[0]) & fullSign(len(q.Vertices))}
-			bound := func(v int) rdf.TermID { return rdf.TermID(10*(v+1) + int(data[1]>>uint(v)&1)) }
-			for e, qe := range q.Edges {
-				if data[0]>>(4+uint(e))&1 == 1 && pm.Sign>>uint(qe.From)&1 != pm.Sign>>uint(qe.To)&1 {
-					pm.Crossing = append(pm.Crossing, partial.CrossEdge{QEdge: e, S: bound(qe.From), P: rdf.TermID(1 + data[1]>>6&1), O: bound(qe.To)})
-				}
-			}
-			if len(pm.Crossing) > 0 {
+			pm := fuzzMatch(q, int(data[1]>>4&3), uint64(data[0]), uint64(data[0]>>4), data[1], rdf.TermID(1+data[1]>>6&1))
+			if len(partial.AppendCrossing(nil, q, pm)) > 0 {
 				pms = append(pms, pm)
 			}
 		}
-		features, featureOf := Compute(pms)
-		refFeatures, refOf := referenceCompute(pms)
-		if !sameFeatures(features, refFeatures) || !slices.Equal(featureOf, refOf) {
-			t.Fatalf("Compute grouped %d matches into %d features (featureOf %v), the reference into %d (%v)",
-				len(pms), len(features), featureOf, len(refFeatures), refOf)
+		fs := Group(q, pms)
+		ref, refOf, refIDs := referenceGroup(q, pms)
+		if got := refFeatures(q, pms, fs); !reflect.DeepEqual(got, ref) && !(len(got) == 0 && len(ref) == 0) || !slices.Equal(fs.FeatureOf, refOf) {
+			t.Fatalf("Group made %d features of %d matches (FeatureOf %v), the reference %d (%v)", fs.Len(), len(pms), fs.FeatureOf, len(ref), refOf)
 		}
+		for i, want := range refIDs {
+			if got := fs.ids(i); !slices.Equal(got, want) {
+				t.Errorf("feature %d: mapping ids %v, the reference's %v", i, got, want)
+			}
+		}
+		// A feature's sign is its first match's: Theorem 1 makes it every
+		// member's for valid matches, and only then is the walk over
+		// features the walk over matches.
+		for j, pm := range pms {
+			if pm.Sign != fs.Sign[fs.FeatureOf[j]] {
+				return
+			}
+		}
+		single := Singletons(q, pms)
 		for _, allPairs := range []bool{false, true} {
-			got, gotSets := collect(t, features, q, allPairs, nil, nil)
-			want, wantSets := collect(t, refFeatures, q, allPairs, nil, nil)
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotSets, wantSets) {
-				t.Errorf("all pairs %v: walk over interned features %+v completing %v, over the reference %+v completing %v", allPairs, got, gotSets, want, wantSets)
+			want, wantSets := collect(t, single, q, allPairs, nil, nil)
+			got, gotSets := collect(t, fs, q, allPairs, nil, nil)
+			if sets := expand(fs, gotSets); !reflect.DeepEqual(sets, wantSets) && !(len(sets) == 0 && len(wantSets) == 0) {
+				t.Errorf("all pairs %v: the walk over features completes %v, over singletons %v", allPairs, sets, wantSets)
+			}
+			for j := range pms {
+				if got.Retained[fs.FeatureOf[j]] != want.Retained[j] {
+					t.Errorf("all pairs %v: match %d retained %v over features, %v over singletons", allPairs, j, got.Retained[fs.FeatureOf[j]], want.Retained[j])
+				}
 			}
 		}
 	})

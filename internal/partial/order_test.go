@@ -68,8 +68,9 @@ func pinnedKey(q *query.Graph, m *Match) []byte {
 		}
 	}
 	b = be.AppendUint64(b, matchedEdges(q, m))
-	b = be.AppendUint32(b, uint32(len(m.Crossing)))
-	for _, c := range m.Crossing {
+	cross := AppendCrossing(nil, q, m)
+	b = be.AppendUint32(b, uint32(len(cross)))
+	for _, c := range cross {
 		b = be.AppendUint64(b, uint64(c.QEdge))
 		b = be.AppendUint32(be.AppendUint32(be.AppendUint32(b, uint32(c.S)), uint32(c.P)), uint32(c.O))
 	}
@@ -173,7 +174,7 @@ func TestComputeOrderPinned(t *testing.T) {
 	for _, c := range datasets {
 		global := store.FromGraph(c.ds.Graph)
 		for _, strat := range []partition.Strategy{partition.Hash{}, partition.SemanticHash{}, partition.Metis{}} {
-			d, err := fragment.BuildWith(global, strat, 4)
+			d, err := buildWith(global, strat, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

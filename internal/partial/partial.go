@@ -11,9 +11,11 @@
 //
 // A match is its serialization vector (Fig. 3), its edge-label bindings
 // and its sign: which query edges it matches, and which of those cross,
-// follow from them and the query (the rule is on Match). A site ships
-// only those fields, and Derive rebuilds the crossing edges at the
-// coordinator.
+// follow from them and the query (the rule is on Match, and
+// AppendCrossing is its one implementation). A site ships only those
+// fields, and the coordinator checks their shape (Check) and derives
+// crossing edges where it needs them: the LEC features intern them
+// straight from the vectors.
 package partial
 
 import (
@@ -56,8 +58,8 @@ type CrossEdge struct {
 // both bound and exactly one of their Sign bits is set; its triple is
 // (Vec[u], p or EdgeVars[p's variable], Vec[w]). The edge is matched
 // exactly when both ends are bound and at least one Sign bit is set:
-// condition 5 forces every edge at an internal vertex. A site ships only
-// the four fields, and the coordinator rebuilds Crossing with Derive.
+// condition 5 forces every edge at an internal vertex. AppendCrossing
+// applies the rule.
 type Match struct {
 	Frag int
 	Vec  []rdf.TermID
@@ -65,12 +67,14 @@ type Match struct {
 	// index (rdf.NoTerm where unbound; vertex variables live in Vec). It
 	// is nil when the query has no edge-label variable.
 	EdgeVars []rdf.TermID
-	// Crossing lists the crossing edges contained in the match, sorted by
-	// (QEdge, S, P, O): the rule above, applied in query-edge order.
-	Crossing []CrossEdge
 	// Sign is the LECSign bitstring: bit i set iff Vec[i] is an internal
 	// vertex of Frag (Definition 8 item 3).
 	Sign uint64
+	// Query is the query the match answers: the site that finds a match
+	// and Check, on the coordinator's side of the wire, set it. It does
+	// not travel. lec.Compute, which is given no query, derives crossing
+	// edges by it.
+	Query *query.Graph
 }
 
 // EstimateBytes approximates the wire size of the match for data-shipment
@@ -92,25 +96,21 @@ func MatchBytes(q *query.Graph) int {
 	return n
 }
 
-// crosses reports whether query edge e is a crossing edge of m by the
-// rule (see Match): both ends bound, exactly one of them internal.
-func crosses(m *Match, e query.Edge) bool {
-	s, o := m.Vec[e.From], m.Vec[e.To]
-	return s != rdf.NoTerm && o != rdf.NoTerm && (m.Sign>>uint(e.From)^m.Sign>>uint(e.To))&1 != 0
-}
-
-// appendCrossing appends m's crossing edges to dst in query-edge order,
-// which is (QEdge, S, P, O) order: a query edge has at most one.
-func appendCrossing(dst []CrossEdge, q *query.Graph, m *Match) []CrossEdge {
+// AppendCrossing appends m's crossing edges to dst in query-edge order,
+// which is (QEdge, S, P, O) order: a query edge has at most one. It is
+// the one place crossing edges are derived from a match: the rule on
+// Match, both ends bound and exactly one of them internal.
+func AppendCrossing(dst []CrossEdge, q *query.Graph, m *Match) []CrossEdge {
 	for i, e := range q.Edges {
-		if !crosses(m, e) {
+		s, o := m.Vec[e.From], m.Vec[e.To]
+		if s == rdf.NoTerm || o == rdf.NoTerm || (m.Sign>>uint(e.From)^m.Sign>>uint(e.To))&1 == 0 {
 			continue
 		}
 		p := e.Label
 		if e.HasVarLabel() {
 			p = m.EdgeVars[e.LabelVar]
 		}
-		dst = append(dst, CrossEdge{QEdge: i, S: m.Vec[e.From], P: p, O: m.Vec[e.To]})
+		dst = append(dst, CrossEdge{QEdge: i, S: s, P: p, O: o})
 	}
 	return dst
 }
@@ -120,31 +120,17 @@ func hasLabelVar(q *query.Graph) bool {
 	return slices.ContainsFunc(q.Edges, query.Edge.HasVarLabel)
 }
 
-// Derive fills the Crossing of every match in ms — a site's reply as it
-// came off the wire — from the rest of the match and q, carving the lists
-// from one allocation. The rule indexes Vec and EdgeVars by q, so it
-// first checks every match's shape against q: one that does not fit is
-// an error, and then no Crossing is filled.
-func Derive(q *query.Graph, ms []*Match) error {
+// Check reports whether every match in ms — a site's reply as it came
+// off the wire — fits q: the rule indexes Vec and EdgeVars by q, so a
+// match that does not fit is an error. Each match that fits gets q as
+// its Query.
+func Check(q *query.Graph, ms []*Match) error {
 	labels := hasLabelVar(q)
-	n := 0
 	for i, m := range ms {
 		if err := checkShape(q, m, labels); err != nil {
 			return fmt.Errorf("partial: match %d of fragment %d: %w", i, m.Frag, err)
 		}
-		for _, e := range q.Edges {
-			if crosses(m, e) {
-				n++
-			}
-		}
-	}
-	slab := make([]CrossEdge, 0, n)
-	for _, m := range ms {
-		lo := len(slab)
-		slab = appendCrossing(slab, q, m)
-		if len(slab) > lo {
-			m.Crossing = slab[lo:len(slab):len(slab)]
-		}
+		m.Query = q
 	}
 	return nil
 }
@@ -169,16 +155,6 @@ func checkShape(q *query.Graph, m *Match, labels bool) error {
 		}
 	}
 	return nil
-}
-
-// IsComplete reports whether every query vertex is bound (no NULLs).
-func (m *Match) IsComplete() bool {
-	for _, v := range m.Vec {
-		if v == rdf.NoTerm {
-			return false
-		}
-	}
-	return true
 }
 
 // Options tunes Compute.
@@ -375,10 +351,9 @@ type enumerator struct {
 	// The slabs out's matches are carved from.
 	matches slab[Match]
 	terms   slab[rdf.TermID]
-	cross   slab[CrossEdge]
 
 	labels   bool        // q has an edge-label variable: matches carry EdgeVars
-	crossing []CrossEdge // the current candidate's crossing edges
+	crossing []CrossEdge // the current candidate's crossing edges, for the seed-order rule
 
 	steps uint
 	stop  *atomic.Bool // shared: some chunk saw cancellation
@@ -461,7 +436,7 @@ func (en *enumerator) finalize() {
 			cur.Sign |= 1 << uint(i)
 		}
 	}
-	en.crossing = appendCrossing(en.crossing[:0], en.q, &cur)
+	en.crossing = AppendCrossing(en.crossing[:0], en.q, &cur)
 	first := en.seedPos[en.seedQE]
 	for _, c := range en.crossing {
 		t := rdf.Triple{S: c.S, P: c.P, O: c.O}
@@ -470,15 +445,13 @@ func (en *enumerator) finalize() {
 		}
 	}
 	m := &en.matches.take(1)[0]
-	m.Frag, m.Sign = en.f.ID, cur.Sign
+	m.Frag, m.Sign, m.Query = en.f.ID, cur.Sign, en.q
 	m.Vec = en.terms.take(len(en.Vertex))
 	copy(m.Vec, en.Vertex)
 	if en.labels {
 		m.EdgeVars = en.terms.take(len(en.EdgeVar))
 		copy(m.EdgeVars, en.EdgeVar)
 	}
-	m.Crossing = en.cross.take(len(en.crossing))
-	copy(m.Crossing, en.crossing)
 	en.out = append(en.out, m)
 }
 

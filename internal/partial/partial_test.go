@@ -134,17 +134,17 @@ func TestPaperCrossingEdgeMappings(t *testing.T) {
 	// Query edge indices in the fixture: 0 = p2-mainInterest->t,
 	// 1 = p1-influencedBy->p2, 2 = t-label->l, 3 = p1-name->const.
 	for _, m := range ms {
-		v := vecOf(ex, m)
+		v, cross := vecOf(ex, m), AppendCrossing(nil, ex.Query, m)
 		switch v {
 		case [5]int{6, 0, 1, 0, 3}: // PM1_1: {001→006 ↦ v3v1}
-			if len(m.Crossing) != 1 || m.Crossing[0].QEdge != 1 ||
-				m.Crossing[0].S != ex.V[1] || m.Crossing[0].O != ex.V[6] {
-				t.Errorf("PM1_1 crossing = %v", m.Crossing)
+			if len(cross) != 1 || cross[0].QEdge != 1 ||
+				cross[0].S != ex.V[1] || cross[0].O != ex.V[6] {
+				t.Errorf("PM1_1 crossing = %v", cross)
 			}
 		case [5]int{6, 5, 0, 4, 0}: // PM3_1: {006→005 ↦ v1v2}
-			if len(m.Crossing) != 1 || m.Crossing[0].QEdge != 0 ||
-				m.Crossing[0].S != ex.V[6] || m.Crossing[0].O != ex.V[5] {
-				t.Errorf("PM3_1 crossing = %v", m.Crossing)
+			if len(cross) != 1 || cross[0].QEdge != 0 ||
+				cross[0].S != ex.V[6] || cross[0].O != ex.V[5] {
+				t.Errorf("PM3_1 crossing = %v", cross)
 			}
 		}
 	}
@@ -157,8 +157,8 @@ func TestPaperCrossingEdgeMappings(t *testing.T) {
 	for _, m := range ms2 {
 		if vecOf(ex, m) == [5]int{6, 5, 1, 0, 0} {
 			found = true
-			if len(m.Crossing) != 2 {
-				t.Errorf("PM3_2 crossing = %v, want two edges (Example 6)", m.Crossing)
+			if cross := AppendCrossing(nil, ex.Query, m); len(cross) != 2 {
+				t.Errorf("PM3_2 crossing = %v, want two edges (Example 6)", cross)
 			}
 		}
 	}
@@ -312,7 +312,7 @@ func definitionMatches(f *fragment.Fragment, q *query.Graph) []*Match {
 		}
 		uses := make(map[slot]int) // query edges per (vertex pair, label)
 		bound := make(map[int]bool)
-		for i, e := range q.Edges {
+		for _, e := range q.Edges {
 			s, o := vec[e.From], vec[e.To]
 			if s == rdf.NoTerm || o == rdf.NoTerm || !(f.IsInternal(s) || f.IsInternal(o)) {
 				continue
@@ -321,9 +321,6 @@ func definitionMatches(f *fragment.Fragment, q *query.Graph) []*Match {
 			if e.HasVarLabel() {
 				p = evs[e.LabelVar]
 				bound[e.LabelVar] = true
-			}
-			if f.IsCrossing(s, o) {
-				m.Crossing = append(m.Crossing, CrossEdge{QEdge: i, S: s, P: p, O: o})
 			}
 			sl := slot{e.From, e.To, p}
 			if uses[sl]++; uses[sl] > f.Store.CountTriples(s, p, o) {
@@ -372,12 +369,29 @@ func definitionMatches(f *fragment.Fragment, q *query.Graph) []*Match {
 }
 
 // compareMatches orders matches by the fields that tell them apart:
-// fragment, vector, edge-label bindings and crossing edges.
+// fragment, vector and edge-label bindings (the sign and the crossing
+// edges follow from them).
 func compareMatches(a, b *Match) int {
-	return cmp.Or(cmp.Compare(a.Frag, b.Frag), slices.Compare(a.Vec, b.Vec), slices.Compare(a.EdgeVars, b.EdgeVars),
-		slices.CompareFunc(a.Crossing, b.Crossing, func(x, y CrossEdge) int {
-			return cmp.Or(cmp.Compare(x.QEdge, y.QEdge), cmp.Compare(x.S, y.S), cmp.Compare(x.P, y.P), cmp.Compare(x.O, y.O))
-		}))
+	return cmp.Or(cmp.Compare(a.Frag, b.Frag), slices.Compare(a.Vec, b.Vec), slices.Compare(a.EdgeVars, b.EdgeVars))
+}
+
+// fragmentCrossing lists the query edges m maps to crossing edges of f,
+// read off the fragment rather than the sign: both ends bound, exactly
+// one of them internal to f.
+func fragmentCrossing(f *fragment.Fragment, q *query.Graph, m *Match) []CrossEdge {
+	var out []CrossEdge
+	for i, e := range q.Edges {
+		s, o := m.Vec[e.From], m.Vec[e.To]
+		if s == rdf.NoTerm || o == rdf.NoTerm || f.IsInternal(s) == f.IsInternal(o) {
+			continue
+		}
+		p := e.Label
+		if e.HasVarLabel() {
+			p = m.EdgeVars[e.LabelVar]
+		}
+		out = append(out, CrossEdge{QEdge: i, S: s, P: p, O: o})
+	}
+	return out
 }
 
 func sameMatch(a, b *Match) bool { return compareMatches(a, b) == 0 }
@@ -415,14 +429,18 @@ func checkAgainstDefinition(f *fragment.Fragment, q *query.Graph, widths ...int)
 		}
 		shipped[i] = &Match{Frag: m.Frag, Vec: m.Vec, EdgeVars: m.EdgeVars, Sign: m.Sign}
 	}
-	// What the coordinator derives from the shipped fields is what the
-	// enumerator built.
-	if err := Derive(q, shipped); err != nil {
+	// The shipped fields fit the query, Check ties them to it as the site
+	// tied its own, and the crossing edges the rule derives from them are
+	// the fragment's.
+	if err := Check(q, shipped); err != nil {
 		return 0, fmt.Errorf("F%d: %v", f.ID, err)
 	}
 	for i, m := range shipped {
-		if !reflect.DeepEqual(m, seq[i]) {
-			return 0, fmt.Errorf("F%d: Derive gives %v, Compute %v", f.ID, m.Crossing, seq[i].Crossing)
+		if m.Query != q || seq[i].Query != q {
+			return 0, fmt.Errorf("F%d: match %v does not carry its query", f.ID, m.Vec)
+		}
+		if got, want := AppendCrossing(nil, q, m), fragmentCrossing(f, q, m); !slices.Equal(got, want) {
+			return 0, fmt.Errorf("F%d: the rule derives %v, the fragment has %v", f.ID, got, want)
 		}
 	}
 	got := slices.Clone(seq)
@@ -517,7 +535,7 @@ func TestComputeAlwaysVerifies(t *testing.T) {
 func lubm1LQ7(t *testing.T) (*fragment.Distributed, *query.Graph) {
 	t.Helper()
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 1, Seed: 7})
-	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
+	d, err := buildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +592,7 @@ func TestEstimateBytes(t *testing.T) {
 		if m.EstimateBytes() <= 0 {
 			t.Error("non-positive byte estimate")
 		}
-		if m.IsComplete() {
+		if !slices.Contains(m.Vec, rdf.NoTerm) {
 			t.Errorf("partial match %v reported complete", vecOf(ex, m))
 		}
 	}

@@ -15,6 +15,15 @@ import (
 	"gstored/internal/workload"
 )
 
+// buildWith partitions st with strat into k fragments and builds them.
+func buildWith(st *store.Store, strat partition.Strategy, k int) (*fragment.Distributed, error) {
+	a, err := strat.Partition(st, k)
+	if err != nil {
+		return nil, err
+	}
+	return fragment.Build(st, a)
+}
+
 // pairsTried counts the (crossing edge, query edge) pairs run seeds from
 // the domain (edges, masks): second instances of an edge seed nothing.
 func pairsTried(edges []rdf.Triple, masks []uint64, q *query.Graph) int {
@@ -55,7 +64,7 @@ func matchesFrom(t *testing.T, f *fragment.Fragment, q *query.Graph, edges []rdf
 // both domains return the same match sequence, at widths 1 and 8.
 func TestCandidateDomain(t *testing.T) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 3, Seed: 7})
-	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
+	d, err := buildWith(store.FromGraph(ds.Graph), partition.Hash{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

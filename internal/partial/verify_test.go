@@ -9,7 +9,8 @@ import (
 )
 
 // Verify checks a Match against the six conditions of Definition 5 plus
-// the structural bookkeeping (Sign, Crossing, connectivity). It is an
+// the structural bookkeeping (Sign, the crossing edges the rule derives,
+// connectivity). It is an
 // independent oracle for property tests: Compute must only emit matches
 // Verify accepts. The matched edges are those matchedEdges derives.
 func Verify(f *fragment.Fragment, q *query.Graph, m *Match) error {
@@ -65,11 +66,12 @@ func Verify(f *fragment.Fragment, q *query.Graph, m *Match) error {
 		}
 	}
 	// Condition 4: at least one crossing edge.
-	if len(m.Crossing) == 0 {
+	cross := AppendCrossing(nil, q, m)
+	if len(cross) == 0 {
 		return fmt.Errorf("no crossing edge")
 	}
-	for _, c := range m.Crossing {
-		if !f.IsCrossing(c.S, c.O) {
+	for _, c := range cross {
+		if f.IsInternal(c.S) == f.IsInternal(c.O) {
 			return fmt.Errorf("recorded crossing edge %v is not crossing", c)
 		}
 		e := q.Edges[c.QEdge]

@@ -311,17 +311,6 @@ func SelectBest(st *store.Store, k int, strategies ...Strategy) (*Assignment, ma
 	return best, costs, nil
 }
 
-// Balance summarizes vertex counts per fragment, for diagnostics.
-func Balance(a *Assignment) []int {
-	counts := make([]int, a.K)
-	for _, m := range [2]map[rdf.TermID]int{a.Frag, a.placed} {
-		for _, f := range m {
-			counts[f]++
-		}
-	}
-	return counts
-}
-
 // sortedVertices returns st's vertices ordered by their lexical form; used
 // by deterministic partitioners that need a stable, ID-independent order.
 func sortedVertices(st *store.Store) []rdf.TermID {

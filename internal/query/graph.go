@@ -91,9 +91,6 @@ type Graph struct {
 // NumVertices returns |V(Q)|.
 func (g *Graph) NumVertices() int { return len(g.Vertices) }
 
-// NumEdges returns |E(Q)|.
-func (g *Graph) NumEdges() int { return len(g.Edges) }
-
 // VertexTerms returns the data vertex each query vertex takes in a match
 // whose variable bindings are vars (indexed like Vars): its constant, or
 // the term its variable is bound to. A variable that also labels an edge
@@ -135,12 +132,6 @@ func (g *Graph) IncidentEdges() [][]int {
 		}
 	}
 	return inc
-}
-
-// IsConnected reports whether the query graph is weakly connected. The
-// empty graph is considered connected.
-func (g *Graph) IsConnected() bool {
-	return len(g.ConnectedComponents()) <= 1
 }
 
 // ConnectedComponents returns the vertex sets of the weakly connected

@@ -34,13 +34,13 @@ func TestBuilderPaperQueryShape(t *testing.T) {
 	if g.NumVertices() != 5 {
 		t.Errorf("vertices = %d, want 5", g.NumVertices())
 	}
-	if g.NumEdges() != 4 {
-		t.Errorf("edges = %d, want 4", g.NumEdges())
+	if len(g.Edges) != 4 {
+		t.Errorf("edges = %d, want 4", len(g.Edges))
 	}
 	if len(g.Vars) != 4 {
 		t.Errorf("vars = %v, want 4 entries", g.Vars)
 	}
-	if !g.IsConnected() {
+	if len(g.ConnectedComponents()) > 1 {
 		t.Error("paper query should be connected")
 	}
 	if _, star := g.StarCenter(); star {
@@ -111,7 +111,7 @@ func TestConnectedComponents(t *testing.T) {
 	if !reflect.DeepEqual(comps, want) {
 		t.Errorf("components = %v, want %v", comps, want)
 	}
-	if g.IsConnected() {
+	if len(g.ConnectedComponents()) <= 1 {
 		t.Error("graph with 2 components reported connected")
 	}
 	// Disconnected queries are legal (components evaluated separately).
@@ -131,11 +131,11 @@ func TestSplitComponents(t *testing.T) {
 		t.Fatalf("%d components", len(comps))
 	}
 	for _, c := range comps {
-		if !c.Query.IsConnected() {
+		if len(c.Query.ConnectedComponents()) > 1 {
 			t.Error("component not connected")
 		}
-		if c.Query.NumEdges() != 1 || c.Query.NumVertices() != 2 {
-			t.Errorf("component shape: %d vertices, %d edges", c.Query.NumVertices(), c.Query.NumEdges())
+		if len(c.Query.Edges) != 1 || c.Query.NumVertices() != 2 {
+			t.Errorf("component shape: %d vertices, %d edges", c.Query.NumVertices(), len(c.Query.Edges))
 		}
 		if len(c.VarMap) != len(c.Query.Vars) {
 			t.Error("VarMap length mismatch")
@@ -261,7 +261,7 @@ func TestSelfLoopIncidence(t *testing.T) {
 	if len(inc[0]) != 1 {
 		t.Errorf("self-loop listed %d times, want once", len(inc[0]))
 	}
-	if !g.IsConnected() {
+	if len(g.ConnectedComponents()) > 1 {
 		t.Error("single-vertex graph should be connected")
 	}
 }

@@ -110,9 +110,6 @@ func (d *Dictionary) Len() int {
 	return len(d.terms) - 1
 }
 
-// EncodeIRI is shorthand for Encode(NewIRI(iri)).
-func (d *Dictionary) EncodeIRI(iri string) TermID { return d.Encode(NewIRI(iri)) }
-
 // Triple is a dictionary-encoded RDF triple ⟨subject, predicate, object⟩.
 // In graph terms (Def. 1 of the paper) S and O are vertices and P is the
 // edge label.

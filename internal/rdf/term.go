@@ -129,20 +129,6 @@ func escapeLiteral(b *strings.Builder, s string) {
 	}
 }
 
-// ParseTerm parses a single term in N-Triples syntax: an IRI in angle
-// brackets, a quoted literal with optional @lang or ^^<datatype> suffix, or
-// a _:label blank node. It is the inverse of Term.String.
-func ParseTerm(s string) (Term, error) {
-	t, rest, err := cutTerm(strings.TrimSpace(s))
-	switch {
-	case err != nil:
-		return Term{}, fmt.Errorf("rdf: %w", err)
-	case rest != "":
-		return Term{}, fmt.Errorf("rdf: trailing text %q after term", rest)
-	}
-	return t, nil
-}
-
 // CutQuoted reads the double-quoted string that opens s in one pass and
 // decodes the escapes N-Triples and SPARQL 1.1 share: ECHAR (\t \b \n \r
 // \f \" \' \\) and UCHAR (\uXXXX, \UXXXXXXXX; a code point that is no

@@ -1,12 +1,28 @@
 package rdf
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// parseTerm parses a single term in N-Triples syntax: an IRI in angle
+// brackets, a quoted literal with optional @lang or ^^<datatype> suffix, or
+// a _:label blank node — cutTerm with nothing left over. It is the inverse
+// of Term.String.
+func parseTerm(s string) (Term, error) {
+	t, rest, err := cutTerm(strings.TrimSpace(s))
+	switch {
+	case err != nil:
+		return Term{}, fmt.Errorf("rdf: %w", err)
+	case rest != "":
+		return Term{}, fmt.Errorf("rdf: trailing text %q after term", rest)
+	}
+	return t, nil
+}
 
 func TestTermString(t *testing.T) {
 	cases := []struct {
@@ -42,9 +58,9 @@ func TestParseTermRoundTrip(t *testing.T) {
 		NewLiteral(""),
 	}
 	for _, want := range terms {
-		got, err := ParseTerm(want.String())
+		got, err := parseTerm(want.String())
 		if err != nil {
-			t.Fatalf("ParseTerm(%q): %v", want.String(), err)
+			t.Fatalf("parseTerm(%q): %v", want.String(), err)
 		}
 		if got != want {
 			t.Errorf("round trip %q: got %#v, want %#v", want.String(), got, want)
@@ -66,21 +82,21 @@ func TestParseTermErrors(t *testing.T) {
 		`"bad\qescape"`,
 	}
 	for _, s := range bad {
-		if _, err := ParseTerm(s); err == nil {
-			t.Errorf("ParseTerm(%q): expected error, got nil", s)
+		if _, err := parseTerm(s); err == nil {
+			t.Errorf("parseTerm(%q): expected error, got nil", s)
 		}
 	}
 }
 
 func TestParseTermUnicodeEscapes(t *testing.T) {
-	got, err := ParseTerm(`"café"`)
+	got, err := parseTerm(`"café"`)
 	if err != nil {
 		t.Fatalf("ParseTerm: %v", err)
 	}
 	if got.Value != "café" {
 		t.Errorf("got %q, want %q", got.Value, "café")
 	}
-	got, err = ParseTerm(`"g\U0001F600"`)
+	got, err = parseTerm(`"g\U0001F600"`)
 	if err != nil {
 		t.Fatalf("ParseTerm: %v", err)
 	}
@@ -126,7 +142,7 @@ func TestTermRoundTripProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		term := randomTerm(r)
-		back, err := ParseTerm(term.String())
+		back, err := parseTerm(term.String())
 		return err == nil && back == term
 	}
 	if err := quick.Check(prop, cfg); err != nil {

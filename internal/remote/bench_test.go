@@ -16,14 +16,19 @@ import (
 // BenchmarkPartialReplyWire measures the match section of a partial
 // reply: each site's LocalSite.PartialEval reply for LQ1 and LQ7 on
 // LUBM(8), hash-partitioned over 12 sites, is computed once; an operation
-// encodes every site's reply as a final frame, decodes it, and derives
-// the crossing edges (partial.Derive) as the client does. bytes/match is
+// encodes every site's reply as a final frame, decodes it, and checks
+// the matches' shape (partial.Check) as the client does. bytes/match is
 // the frames' size over the matches they carry; bytes/request is the size
 // of the partial-evaluation request each site receives, without the
 // stage-0 union (the §IX-priced candidate sets, which travel unchanged).
 func BenchmarkPartialReplyWire(b *testing.B) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 8})
-	d, err := fragment.BuildWith(store.FromGraph(ds.Graph), partition.Hash{}, 12)
+	st := store.FromGraph(ds.Graph)
+	a, err := partition.Hash{}.Partition(st, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := fragment.Build(st, a)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func BenchmarkPartialReplyWire(b *testing.B) {
 					if err := got.decode(buf); err != nil {
 						b.Fatal(err)
 					}
-					if err := partial.Derive(q, got.Matches); err != nil {
+					if err := partial.Check(q, got.Matches); err != nil {
 						b.Fatal(err)
 					}
 				}

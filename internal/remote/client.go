@@ -255,9 +255,9 @@ func (s *Site) Candidates(ctx context.Context, req cluster.CandidatesRequest) (c
 
 // PartialEval implements cluster.Site. The request's Pool does not
 // travel — the worker evaluates on its own pool. A partial match arrives
-// without its crossing edges, and partial.Derive rebuilds them from the
-// query once it has checked the match's shape: a reply that does not fit
-// the query fails the call.
+// as its four fields, and partial.Check holds each to the query's shape
+// (the coordinator derives crossing edges from them by indexing with the
+// query): a reply that does not fit fails the call.
 func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit func(row []rdf.TermID) bool) (cluster.PartialReply, error) {
 	delivered := 0
 	resp, m, err := s.call(ctx, &request{
@@ -269,7 +269,7 @@ func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit
 		// deadline, without the final frame's count: the rows it handed
 		// to emit were matched all the same.
 		resp.LocalMatches = delivered
-	} else if err = partial.Derive(req.Query, resp.Matches); err != nil {
+	} else if err = partial.Check(req.Query, resp.Matches); err != nil {
 		err = fmt.Errorf("remote: site %d (%s): %w", s.id, s.link.addr, err)
 	}
 	return cluster.PartialReply{LocalMatches: resp.LocalMatches, Matches: resp.Matches, Meter: m}, err

@@ -429,7 +429,8 @@ func (p *response) decode(body []byte) error {
 }
 
 // A match takes at least four bytes: Frag, two lengths and Sign. Its
-// crossing edges do not travel; the client derives them (partial.Derive).
+// crossing edges are derived data and do not travel; the client checks
+// the fields they are derived from against the query (partial.Check).
 const minMatch = 4
 
 func appendMatches(b []byte, ms []*partial.Match) []byte {

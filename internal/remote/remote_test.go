@@ -293,7 +293,11 @@ func samePartial(ctx context.Context, oracle, s cluster.Site, req cluster.Partia
 func remoteLUBMMatchesLocal(t *testing.T) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 1, Seed: 7})
 	global := store.FromGraph(ds.Graph)
-	d, err := fragment.BuildWith(global, partition.Hash{}, 4)
+	a, err := partition.Hash{}.Partition(global, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := fragment.Build(global, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +344,7 @@ func remoteLUBMMatchesLocal(t *testing.T) {
 // query — its vector one slot short, a sign bit past the vector, or
 // edge-label bindings for a query without a label variable. Each call
 // fails with an error instead of indexing out of range; the match as the
-// site built it derives its crossing edges.
+// site built it comes back whole.
 func TestMalformedMatchIsAnError(t *testing.T) {
 	ex := paperexample.New()
 	d, err := fragment.Build(ex.Store, ex.Assignment)
@@ -386,7 +390,6 @@ func TestMalformedMatchIsAnError(t *testing.T) {
 	defer coord.Close()
 	site := coord.NewSite(0)
 	call := func(m partial.Match) (cluster.PartialReply, error) {
-		m.Crossing = nil // does not travel
 		reply.Store(&m)
 		return site.PartialEval(ctx, cluster.PartialRequest{Query: q}, func([]rdf.TermID) bool { return true })
 	}

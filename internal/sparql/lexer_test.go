@@ -124,15 +124,15 @@ func TestParseTrailingSemicolon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 1 {
-		t.Errorf("edges = %d", g.NumEdges())
+	if len(g.Edges) != 1 {
+		t.Errorf("edges = %d", len(g.Edges))
 	}
 	g2, err := Parse(`SELECT ?x WHERE { ?x <p> ?y ; . ?y <q> ?z }`, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumEdges() != 2 {
-		t.Errorf("edges = %d", g2.NumEdges())
+	if len(g2.Edges) != 2 {
+		t.Errorf("edges = %d", len(g2.Edges))
 	}
 }
 
@@ -170,7 +170,7 @@ func TestParseDisconnectedAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.IsConnected() {
+	if len(g.ConnectedComponents()) <= 1 {
 		t.Error("should be disconnected")
 	}
 }

@@ -8,32 +8,31 @@ import (
 	"gstored/internal/rdf"
 )
 
-// readLiteral reads the literal text lit four ways: as the object of a
-// one-line N-Triples document, through rdf.ParseTerm, as a query constant
-// and as an INSERT DATA object. The two grammars must agree on every
+// readLiteral reads the literal text lit three ways: as the object of a
+// one-line N-Triples document, as a query constant and as an INSERT DATA
+// object. The two grammars must agree on every
 // literal, or a query constant could never match the data it names.
-func readLiteral(lit string) (terms [4]rdf.Term, errs [4]error) {
+func readLiteral(lit string) (terms [3]rdf.Term, errs [3]error) {
 	if g, err := rdf.ReadNTriples(strings.NewReader("<urn:s> <urn:p> " + lit + " .\n")); err != nil {
 		errs[0] = err
 	} else {
 		terms[0], _ = g.Dict.Decode(g.Triples[0].O)
 	}
-	terms[1], errs[1] = rdf.ParseTerm(lit)
 	dict := rdf.NewDictionary()
 	if q, err := Parse("SELECT ?s WHERE { ?s <urn:p> "+lit+" }", dict); err != nil {
-		errs[2] = err
+		errs[1] = err
 	} else {
-		terms[2], _ = dict.Decode(q.Vertices[q.Edges[0].To].Const)
+		terms[1], _ = dict.Decode(q.Vertices[q.Edges[0].To].Const)
 	}
 	if u, err := ParseUpdate("INSERT DATA { <urn:s> <urn:p> " + lit + " }"); err != nil {
-		errs[3] = err
+		errs[2] = err
 	} else {
-		terms[3] = u.Ops[0].Triples[0].O
+		terms[2] = u.Ops[0].Triples[0].O
 	}
 	return terms, errs
 }
 
-var literalReaders = [4]string{"ReadNTriples", "ParseTerm", "Parse", "ParseUpdate"}
+var literalReaders = [3]string{"ReadNTriples", "Parse", "ParseUpdate"}
 
 func TestLiteralEscapes(t *testing.T) {
 	for _, c := range []struct {
@@ -75,7 +74,7 @@ func TestLiteralEscapes(t *testing.T) {
 
 // FuzzLiteralRoundTrip pins the writer to both readers: the N-Triples
 // form Term.String gives any valid UTF-8 value reads back to that value
-// through rdf.ParseTerm, rdf.ReadNTriples and a query constant.
+// through rdf.ReadNTriples and a query constant.
 func FuzzLiteralRoundTrip(f *testing.F) {
 	for _, v := range []string{"", "plain", "café", "tab\there\n", `"quoted" \ back`, "\b\f'", "\U0001F600", " . # <x> ^^"} {
 		f.Add(v)
@@ -86,7 +85,7 @@ func FuzzLiteralRoundTrip(f *testing.F) {
 		}
 		want := rdf.NewLiteral(v)
 		terms, errs := readLiteral(want.String())
-		for i, name := range literalReaders[:3] {
+		for i, name := range literalReaders[:2] {
 			if errs[i] != nil || terms[i] != want {
 				t.Fatalf("%s(%s) = %#v, %v; want %#v", name, want.String(), terms[i], errs[i], want)
 			}

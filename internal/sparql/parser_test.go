@@ -23,8 +23,8 @@ func TestParsePaperQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if g.NumVertices() != 5 || g.NumEdges() != 4 {
-		t.Fatalf("got %d vertices / %d edges, want 5 / 4 (Fig. 2)", g.NumVertices(), g.NumEdges())
+	if g.NumVertices() != 5 || len(g.Edges) != 4 {
+		t.Fatalf("got %d vertices / %d edges, want 5 / 4 (Fig. 2)", g.NumVertices(), len(g.Edges))
 	}
 	if len(g.Projection) != 2 {
 		t.Fatalf("projection = %v, want 2 vars", g.Projection)
@@ -56,8 +56,8 @@ SELECT ?n WHERE { ?x foaf:name ?n . ?x a ex:Person . }`, d)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("edges = %d", g.NumEdges())
+	if len(g.Edges) != 2 {
+		t.Fatalf("edges = %d", len(g.Edges))
 	}
 	wantPred, _ := d.Lookup(rdf.NewIRI("http://xmlns.com/foaf/0.1/name"))
 	if g.Edges[0].Label != wantPred {
@@ -82,8 +82,8 @@ func TestParsePredicateObjectLists(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if g.NumEdges() != 4 {
-		t.Fatalf("edges = %d, want 4", g.NumEdges())
+	if len(g.Edges) != 4 {
+		t.Fatalf("edges = %d, want 4", len(g.Edges))
 	}
 	// SELECT * ⇒ empty projection (all vars).
 	if len(g.Projection) != 0 {
@@ -217,8 +217,8 @@ SELECT ?x WHERE {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if g.NumEdges() != 1 {
-		t.Errorf("edges = %d", g.NumEdges())
+	if len(g.Edges) != 1 {
+		t.Errorf("edges = %d", len(g.Edges))
 	}
 }
 

@@ -64,8 +64,8 @@ func applyEquivalent(t *testing.T, dict *rdf.Dictionary, base []rdf.Triple, inse
 		t.Errorf("Predicates = %v, want %v", gp, wp)
 	}
 	for _, p := range wp {
-		if !reflect.DeepEqual(got.TriplesWith(p), want.TriplesWith(p)) {
-			t.Errorf("TriplesWith(%d) = %v, want %v", p, got.TriplesWith(p), want.TriplesWith(p))
+		if !reflect.DeepEqual(got.byPred[p].Flat(), want.byPred[p].Flat()) {
+			t.Errorf("byPred[%d] = %v, want %v", p, got.byPred[p].Flat(), want.byPred[p].Flat())
 		}
 	}
 	if !reflect.DeepEqual(got.Stats(), want.Stats()) {
@@ -84,7 +84,7 @@ func applyEquivalent(t *testing.T, dict *rdf.Dictionary, base []rdf.Triple, inse
 func applyTestData() (*rdf.Dictionary, []rdf.Triple, func(s, p, o string) rdf.Triple) {
 	dict := rdf.NewDictionary()
 	mk := func(s, p, o string) rdf.Triple {
-		return rdf.Triple{S: dict.EncodeIRI(s), P: dict.EncodeIRI(p), O: dict.EncodeIRI(o)}
+		return rdf.Triple{S: dict.Encode(rdf.NewIRI(s)), P: dict.Encode(rdf.NewIRI(p)), O: dict.Encode(rdf.NewIRI(o))}
 	}
 	base := []rdf.Triple{
 		mk("a", "p", "b"),
@@ -167,7 +167,7 @@ func TestApplyUntouchedAdjacencyIsShared(t *testing.T) {
 	// Vertex b's adjacency is untouched by the delta: the new store must
 	// share the slice, not copy it — that sharing is what makes Apply
 	// cheaper than a rebuild.
-	b := dict.EncodeIRI("b")
+	b := dict.Encode(rdf.NewIRI("b"))
 	if len(st.Out(b)) == 0 || &st.Out(b)[0] != &got.Out(b)[0] {
 		t.Error("untouched adjacency was copied instead of shared")
 	}
@@ -182,8 +182,8 @@ func TestApplyUntouchedAdjacencyIsShared(t *testing.T) {
 func TestApplyCopiesOnlyTouchedShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dict := rdf.NewDictionary()
-	name := func(i int) rdf.TermID { return dict.EncodeIRI(fmt.Sprintf("v%d", i)) }
-	pred := func(i int) rdf.TermID { return dict.EncodeIRI(fmt.Sprintf("p%d", i)) }
+	name := func(i int) rdf.TermID { return dict.Encode(rdf.NewIRI(fmt.Sprintf("v%d", i))) }
+	pred := func(i int) rdf.TermID { return dict.Encode(rdf.NewIRI(fmt.Sprintf("p%d", i))) }
 	const vertices = 5 * adjShards
 	var base []rdf.Triple
 	for i := 0; i < 4*vertices; i++ {
@@ -266,8 +266,8 @@ func freshRuns[T any](old, l runs.List[T]) int {
 func TestApplyCopiesOnlyTouchedRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	dict := rdf.NewDictionary()
-	name := func(i int) rdf.TermID { return dict.EncodeIRI(fmt.Sprintf("v%d", i)) }
-	pred := func(i int) rdf.TermID { return dict.EncodeIRI(fmt.Sprintf("p%d", i)) }
+	name := func(i int) rdf.TermID { return dict.Encode(rdf.NewIRI(fmt.Sprintf("v%d", i))) }
+	pred := func(i int) rdf.TermID { return dict.Encode(rdf.NewIRI(fmt.Sprintf("p%d", i))) }
 	const vertices = 8 * runs.B
 	var base []rdf.Triple
 	for i := 0; i < 6*vertices; i++ {
@@ -357,8 +357,8 @@ func TestShardHoldsNoPointer(t *testing.T) {
 func TestApplyRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dict := rdf.NewDictionary()
-	name := func(i int) rdf.TermID { return dict.EncodeIRI(fmt.Sprintf("v%d", i)) }
-	pred := func(i int) rdf.TermID { return dict.EncodeIRI(fmt.Sprintf("p%d", i)) }
+	name := func(i int) rdf.TermID { return dict.Encode(rdf.NewIRI(fmt.Sprintf("v%d", i))) }
+	pred := func(i int) rdf.TermID { return dict.Encode(rdf.NewIRI(fmt.Sprintf("p%d", i))) }
 	for round := 0; round < 30; round++ {
 		var base []rdf.Triple
 		for i := 0; i < 40; i++ {

@@ -19,7 +19,11 @@ import (
 func BenchmarkStarMatch(b *testing.B) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 32})
 	global := store.FromGraph(ds.Graph)
-	d, err := fragment.BuildWith(global, partition.Hash{}, 12)
+	a, err := partition.Hash{}.Partition(global, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := fragment.Build(global, a)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +62,11 @@ func BenchmarkStarMatch(b *testing.B) {
 func BenchmarkIndexGC(b *testing.B) {
 	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 32})
 	global := store.FromGraph(ds.Graph)
-	d, err := fragment.BuildWith(global, partition.Hash{}, 12)
+	a, err := partition.Hash{}.Partition(global, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := fragment.Build(global, a)
 	if err != nil {
 		b.Fatal(err)
 	}

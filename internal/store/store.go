@@ -293,10 +293,6 @@ func (st *Store) CountTriples(s, p, o rdf.TermID) int {
 // PredCount returns how many distinct triples carry predicate p.
 func (st *Store) PredCount(p rdf.TermID) int { return st.byPred[p].Len() }
 
-// TriplesWith returns the distinct triples carrying predicate p in
-// (S,P,O) order, in a new slice.
-func (st *Store) TriplesWith(p rdf.TermID) []rdf.Triple { return st.byPred[p].Flat() }
-
 // Predicates returns the distinct predicates, unsorted.
 func (st *Store) Predicates() []rdf.TermID {
 	out := make([]rdf.TermID, 0, len(st.byPred))
