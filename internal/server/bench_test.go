@@ -5,9 +5,10 @@ package server
 // so this is the only in-tree measurement of what attaching a trace to
 // every request costs (ROADMAP item 9 replaces it with a paired-run
 // budget). CI runs it as a -benchtime=1x smoke under -race. Every other
-// serve-path number comes from BENCHMARK.json's workloads; the paths
-// those benchmarks drove stay under -race through the tests named in
-// CHANGES.md (PR 17).
+// serve-path number comes from BENCHMARK.json's workloads, except the
+// serializer's own cost (BenchmarkSerialize, termtable_test.go); the
+// paths those benchmarks drove stay under -race through the tests named
+// in CHANGES.md (PR 17).
 
 import (
 	"fmt"

@@ -1,13 +1,15 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"iter"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"gstored/internal/engine"
@@ -40,25 +42,6 @@ const writeBatchBytes = 64 << 10
 // does the streaming execution's sink.
 type RowSeq = iter.Seq[engine.Row]
 
-// jsonTerm is one RDF term in the SPARQL 1.1 Query Results JSON Format.
-type jsonTerm struct {
-	Type     string `json:"type"`
-	Value    string `json:"value"`
-	Lang     string `json:"xml:lang,omitempty"`
-	Datatype string `json:"datatype,omitempty"`
-}
-
-func termJSON(t rdf.Term) jsonTerm {
-	switch t.Kind {
-	case rdf.IRI:
-		return jsonTerm{Type: "uri", Value: t.Value}
-	case rdf.Blank:
-		return jsonTerm{Type: "bnode", Value: t.Value}
-	default:
-		return jsonTerm{Type: "literal", Value: t.Value, Lang: t.Lang, Datatype: t.Datatype}
-	}
-}
-
 // WriteResultsJSON serializes rows in the SPARQL 1.1 Query Results JSON
 // Format. vars are the projected variable names without the leading '?';
 // rows yield projected rows (one slot per var, rdf.NoTerm = unbound,
@@ -72,24 +55,36 @@ func termJSON(t rdf.Term) jsonTerm {
 // wall clock in reflection and per-row map churn. The output stays
 // byte-identical — variables in sorted-name order (Marshal sorted the
 // map keys) and encoding/json's exact string escaping, HTML escapes
-// included — and terms render once per distinct ID through a bounded
-// per-response cache (cross products repeat terms heavily).
+// included — and terms render once per distinct ID through a cell table
+// private to the call (a Server keeps one per format for its lifetime).
 func WriteResultsJSON(w io.Writer, dict *rdf.Dictionary, vars []string, rows RowSeq) error {
-	names, err := json.Marshal(vars)
-	if err != nil {
-		return err
-	}
+	return writeJSON(w, newTermTable(dict, appendTermJSON), vars, rows)
+}
+
+// writeJSON is WriteResultsJSON rendering terms through cells.
+func writeJSON(w io.Writer, cells *termTable, vars []string, rows RowSeq) error {
 	ord := make([]int, len(vars))
 	for i := range ord {
 		ord[i] = i
 	}
 	sort.Slice(ord, func(a, b int) bool { return vars[ord[a]] < vars[ord[b]] })
+	// The head renders vars as json.Marshal does, a nil slice as null.
 	keys := make([][]byte, len(vars))
-	for i, name := range vars {
-		keys[i] = append(appendJSONString(nil, name), ':')
+	head := []byte(`{"head":{"vars":`)
+	if vars == nil {
+		head = append(head, "null"...)
+	} else {
+		head = append(head, '[')
+		for i, name := range vars {
+			if i > 0 {
+				head = append(head, ',')
+			}
+			head = appendJSONString(head, name)
+			keys[i] = append(appendJSONString(nil, name), ':')
+		}
+		head = append(head, ']')
 	}
-	head := fmt.Appendf(nil, `{"head":{"vars":%s},"results":{"bindings":[`, names)
-	cells := termCells{dict: dict, render: appendTermJSON}
+	head = append(head, `},"results":{"bindings":[`...)
 	return writeRows(w, head, rows, func(b []byte, n int, row engine.Row) ([]byte, error) {
 		if n > 0 {
 			b = append(b, ',')
@@ -156,39 +151,120 @@ func writeRows(w io.Writer, head []byte, rows RowSeq, appendRow func(b []byte, n
 	return err
 }
 
-// termRenderCacheCap bounds the per-response term-render cache so a
-// pathological result with millions of distinct terms cannot hold the
-// whole rendering in memory; past the cap, terms render per occurrence.
-const termRenderCacheCap = 1 << 16
-
-// termCells is that cache: the cells of one response, each distinct term
-// decoded and rendered once by the format's cell renderer.
-type termCells struct {
+// termTable maps TermIDs to their cells in one format, rendering each
+// term the first time a row serves it. The dictionary only appends and a
+// term never changes once it has an ID, so a cell stays valid as long as
+// the table does: a Server keeps one table per format for its lifetime,
+// and the dictionary bounds it. Readers take no lock: they load one
+// immutable snapshot, and a cell found there is never written again.
+// Writers fill under mu. The storage holds no per-term pointers: each
+// slot packs where its cell lies in the byte chunks.
+type termTable struct {
 	dict   *rdf.Dictionary
 	render func([]byte, rdf.Term) []byte
-	cells  map[rdf.TermID][]byte
+	snap   atomic.Pointer[cellSnap]
+
+	mu      sync.Mutex // serializes fills; guards used and scratch
+	used    int        // bytes filled in the last chunk
+	scratch []byte
 }
 
-func (c *termCells) get(id rdf.TermID) ([]byte, error) {
-	if tb, ok := c.cells[id]; ok {
+// cellSnap is one published state of a termTable. A fill writes only
+// into bytes no published slot points at, then stores the slot. It
+// stores into the slots array in place, which snapshots share until the
+// table grows, and it writes into the last chunk's free bytes in place;
+// a new chunk or a grown slots array is published as a new snapshot.
+// So a reader on an older snapshot can load a slot pointing into a chunk
+// its snapshot predates: that is a miss, and fill answers it from the
+// latest snapshot.
+type cellSnap struct {
+	slots  []atomic.Uint64 // by TermID: chunk+1 | offset | length; 0 = not rendered
+	chunks [][]byte
+}
+
+// A slot packs chunk index + 1 in its top 24 bits, the cell's offset in
+// the chunk in the next cellOffBits and its length in the low cellLenBits.
+// A cell longer than a chunk gets a chunk of its own, at offset 0.
+const (
+	cellOffBits    = 14
+	cellLenBits    = 26
+	cellChunkBytes = 1 << cellOffBits
+	cellMaxChunks  = 1<<(64-cellOffBits-cellLenBits) - 1
+)
+
+func newTermTable(dict *rdf.Dictionary, render func([]byte, rdf.Term) []byte) *termTable {
+	t := &termTable{dict: dict, render: render}
+	t.snap.Store(&cellSnap{})
+	return t
+}
+
+// cell returns id's cell if s has it.
+func (s *cellSnap) cell(id rdf.TermID) ([]byte, bool) {
+	if int(id) >= len(s.slots) {
+		return nil, false
+	}
+	v := s.slots[id].Load()
+	ci := int(v>>(cellOffBits+cellLenBits)) - 1
+	if ci < 0 || ci >= len(s.chunks) {
+		return nil, false
+	}
+	off, n := int(v>>cellLenBits)&(cellChunkBytes-1), int(v&(1<<cellLenBits-1))
+	return s.chunks[ci][off : off+n : off+n], true
+}
+
+// get returns id's rendered cell, rendering it on first use.
+func (t *termTable) get(id rdf.TermID) ([]byte, error) {
+	if tb, ok := t.snap.Load().cell(id); ok {
 		return tb, nil
 	}
-	t, found := c.dict.Decode(id)
-	if !found {
+	return t.fill(id)
+}
+
+// fill renders id's cell into the table under the writers' lock. The
+// slots array grows to the dictionary's size when id lies past it (an
+// Update added terms), by at least an eighth so a stream of fresh terms
+// copies it rarely.
+func (t *termTable) fill(id rdf.TermID) ([]byte, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.snap.Load()
+	if tb, ok := s.cell(id); ok {
+		return tb, nil
+	}
+	term, ok := t.dict.Decode(id)
+	if !ok {
 		return nil, fmt.Errorf("server: row references unknown term ID %d", id)
 	}
-	tb := c.render(nil, t)
-	if c.cells == nil {
-		c.cells = make(map[rdf.TermID][]byte)
+	t.scratch = t.render(t.scratch[:0], term)
+	n := len(t.scratch)
+	if n >= 1<<cellLenBits || len(s.chunks) == cellMaxChunks {
+		return slices.Clone(t.scratch), nil // beyond what a slot packs: render per use
 	}
-	if len(c.cells) < termRenderCacheCap {
-		c.cells[id] = tb
+	slots, chunks := s.slots, s.chunks
+	if int(id) >= len(slots) {
+		slots = make([]atomic.Uint64, max(t.dict.Len()+1, len(s.slots)+len(s.slots)/8))
+		for i := range s.slots {
+			slots[i].Store(s.slots[i].Load())
+		}
+	}
+	if len(chunks) == 0 || t.used+n > len(chunks[len(chunks)-1]) {
+		chunks = append(chunks, make([]byte, max(n, cellChunkBytes)))
+		t.used = 0
+	}
+	ci := len(chunks) - 1
+	tb := chunks[ci][t.used : t.used+n : t.used+n]
+	copy(tb, t.scratch)
+	slots[id].Store(uint64(ci+1)<<(cellOffBits+cellLenBits) | uint64(t.used)<<cellLenBits | uint64(n))
+	t.used += n
+	if len(slots) != len(s.slots) || len(chunks) != len(s.chunks) {
+		t.snap.Store(&cellSnap{slots: slots, chunks: chunks})
 	}
 	return tb, nil
 }
 
-// appendTermJSON renders one term exactly as json.Marshal renders
-// jsonTerm: fields in declaration order, empty Lang/Datatype omitted.
+// appendTermJSON renders one term exactly as json.Marshal renders its
+// jsonTerm (results_json_test.go): fields in declaration order, empty
+// Lang/Datatype omitted.
 func appendTermJSON(b []byte, t rdf.Term) []byte {
 	switch t.Kind {
 	case rdf.IRI:
@@ -287,9 +363,14 @@ func appendJSONString(b []byte, s string) []byte {
 // WriteResultsTSV serializes rows in the SPARQL 1.1 Query Results TSV
 // Format: a header of '?'-prefixed variable names, then one line per
 // binding with terms in N-Triples syntax and empty fields for unbound
-// variables, streamed through the same row loop and the same per-response
-// term cache as the JSON writer.
+// variables, streamed through the same row loop and, like the JSON
+// writer, a cell table private to the call.
 func WriteResultsTSV(w io.Writer, dict *rdf.Dictionary, vars []string, rows RowSeq) error {
+	return writeTSV(w, newTermTable(dict, appendTSVTerm), vars, rows)
+}
+
+// writeTSV is WriteResultsTSV rendering terms through cells.
+func writeTSV(w io.Writer, cells *termTable, vars []string, rows RowSeq) error {
 	var head []byte
 	for i, name := range vars {
 		if i > 0 {
@@ -298,7 +379,6 @@ func WriteResultsTSV(w io.Writer, dict *rdf.Dictionary, vars []string, rows RowS
 		head = append(append(head, '?'), name...)
 	}
 	head = append(head, '\n')
-	cells := termCells{dict: dict, render: appendTSVTerm}
 	return writeRows(w, head, rows, func(b []byte, _ int, row engine.Row) ([]byte, error) {
 		for i := range vars {
 			if i > 0 {

@@ -12,6 +12,25 @@ import (
 	"gstored/internal/rdf"
 )
 
+// jsonTerm is one RDF term in the SPARQL 1.1 Query Results JSON Format.
+type jsonTerm struct {
+	Type     string `json:"type"`
+	Value    string `json:"value"`
+	Lang     string `json:"xml:lang,omitempty"`
+	Datatype string `json:"datatype,omitempty"`
+}
+
+func termJSON(t rdf.Term) jsonTerm {
+	switch t.Kind {
+	case rdf.IRI:
+		return jsonTerm{Type: "uri", Value: t.Value}
+	case rdf.Blank:
+		return jsonTerm{Type: "bnode", Value: t.Value}
+	default:
+		return jsonTerm{Type: "literal", Value: t.Value, Lang: t.Lang, Datatype: t.Datatype}
+	}
+}
+
 // referenceResultsJSON is the original reflection-based serializer
 // (map[string]jsonTerm per row through json.Marshal), kept as the
 // byte-for-byte oracle for the hand-rolled fast path.
@@ -180,6 +199,25 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 		got := appendJSONString(nil, s)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("escape mismatch for %q\n got: %s\nwant: %s", s, got, want)
+		}
+	}
+}
+
+// TestWriteResultsJSONHeadMatchesMarshal pins the hand-rendered head to
+// json.Marshal's rendering of vars, the nil and empty slices included.
+func TestWriteResultsJSONHeadMatchesMarshal(t *testing.T) {
+	dict := rdf.NewDictionary()
+	for _, vars := range [][]string{nil, {}, {"x"}, {"b", "a"}, {`q"uote`, "<&>", " ", "\xff"}} {
+		want, err := referenceResultsJSON(dict, vars, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := WriteResultsJSON(&got, dict, vars, slices.Values([]engine.Row(nil))); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("vars %q: head %s, want %s", vars, got.Bytes(), want)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gstored"
+	"gstored/internal/rdf"
 	"gstored/internal/store"
 )
 
@@ -67,7 +68,14 @@ func solutions(st *store.Store, q *gstored.QueryGraph) []string {
 	}
 	var out []string
 	for _, b := range st.Match(&split) {
-		out = append(out, fmt.Sprint(split.VertexTerms(b.Vars), b.Vars[:len(q.Vars)]))
+		vertices := make([]rdf.TermID, len(split.Vertices))
+		for i, v := range split.Vertices {
+			vertices[i] = v.Const
+			if v.IsVar() {
+				vertices[i] = b.Vars[v.Var]
+			}
+		}
+		out = append(out, fmt.Sprint(vertices, b.Vars[:len(q.Vars)]))
 	}
 	slices.Sort(out)
 	return out

@@ -167,6 +167,9 @@ type Server struct {
 	metrics    Metrics
 	mux        *http.ServeMux
 	started    time.Time
+	// jsonCells and tsvCells hold every term the server has rendered, per
+	// format, for its lifetime (termTable).
+	jsonCells, tsvCells *termTable
 }
 
 // New builds a server over db. The db must outlive the server.
@@ -187,6 +190,8 @@ func New(db *gstored.DB, cfg Config) *Server {
 		mux:         http.NewServeMux(),
 		started:     time.Now(),
 		heartbeats:  make(map[int]time.Time),
+		jsonCells:   newTermTable(db.Graph.Dict, appendTermJSON),
+		tsvCells:    newTermTable(db.Graph.Dict, appendTSVTerm),
 	}
 	if cfg.SlowQueryLog != nil {
 		s.slowLog = &slowLogger{w: cfg.SlowQueryLog, threshold: cfg.SlowQueryThreshold, drops: &s.metrics.SlowLogDrops}
@@ -505,14 +510,15 @@ func (rq *request) finish(o queryOutcome, stats *gstored.Stats, rows int) {
 	s.slowLog.maybeLog(o, wall, rq.key, rq.epoch, stats, rows, rq.tr)
 }
 
-// serialize writes rows to w in the negotiated format.
+// serialize writes rows to w in the negotiated format, through the
+// server's cells of that format.
 func (rq *request) serialize(w io.Writer, rows RowSeq) error {
 	from := time.Now()
-	write := WriteResultsJSON
+	write, cells := writeJSON, rq.s.jsonCells
 	if rq.contentType == ContentTypeTSV {
-		write = WriteResultsTSV
+		write, cells = writeTSV, rq.s.tsvCells
 	}
-	err := write(w, rq.s.db.Graph.Dict, rq.names, rows)
+	err := write(w, cells, rq.names, rows)
 	rq.tr.Span("serialize", trace.Coordinator, from, time.Since(from))
 	return err
 }

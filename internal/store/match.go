@@ -12,9 +12,8 @@ import (
 
 // Binding is one homomorphism from a query graph into the store (Def. 3),
 // as the engine's rows see it: each query vertex is bound to its constant
-// or its variable's term (query.Graph.VertexTerms), except that a
-// variable that also labels an edge holds the label, its vertex
-// occurrence being matched separately.
+// or its variable's term, except that a variable that also labels an
+// edge holds the label, its vertex occurrence being matched separately.
 type Binding struct {
 	// Vars maps each query variable index (vertex and edge-label variables
 	// alike) to its bound term.

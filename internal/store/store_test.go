@@ -442,10 +442,11 @@ func TestCandidatesKeepInternalBindings(t *testing.T) {
 				}
 			}
 			for _, m := range global.Match(q) {
-				for qv, u := range q.VertexTerms(m.Vars) {
-					if !q.Vertices[qv].IsVar() || !internal[u] {
+				for qv, v := range q.Vertices {
+					if !v.IsVar() || !internal[m.Vars[v.Var]] {
 						continue
 					}
+					u := m.Vars[v.Var]
 					bound++
 					if !cands[qv][u] {
 						t.Logf("seed %d %s: internal vertex %d bound to query vertex %d is no candidate", seed, q, u, qv)
@@ -584,8 +585,8 @@ func eachDefinitionMatch(st *Store, q *query.Graph, filter func(int, rdf.TermID)
 
 // rowString renders a binding by its variables. Where no variable is
 // also an edge label — every shape TestMatchAgainstBruteForce draws —
-// they and the query's constants fix every vertex's data vertex
-// (query.Graph.VertexTerms), so two bindings of one query render alike
+// they and the query's constants fix every vertex's data vertex, so two
+// bindings of one query render alike
 // exactly when they bind every vertex and variable alike.
 func rowString(b Binding) string { return fmt.Sprint(b.Vars) }
 
