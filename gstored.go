@@ -491,17 +491,19 @@ type UpdateStats struct {
 // that changes nothing (all inserts present, all deletes absent) swaps
 // nothing and keeps the current epoch, so caches stay warm.
 //
-// Cost: index work is proportional to the delta — the global store and
-// each touched fragment copy only the adjacency shards it names, splice
-// only the adjacency it names and move their cardinality tables by it,
-// and each touched fragment copies only the pages of its V_i bitset it
-// writes (the previous generation keeps its own and stays immutable).
-// What still grows with the data: per touched fragment a copy of its
-// crossing list, a copy of each named predicate's triple list, and one
-// copy of the sorted vertex list when a vertex appears or vanishes. In
-// worker mode each touched site receives only its share of the delta
-// and patches its resident fragment with the same Fragment.Apply, and
-// the sites install concurrently. Batch updates for throughput.
+// Cost: index work is proportional to the delta. The global store and
+// each touched fragment copy only the adjacency shards, the runs of its
+// per-predicate and vertex lists and, per fragment, the runs of its
+// crossing list that the delta writes, and the pages of its V_i bitset
+// whose bits change; everything else is shared with the previous
+// generation, which stays immutable. A vertex's owner is the fragment
+// whose V_i holds it; one that no fragment holds is placed by the Hash
+// strategy's rule, so no per-vertex placement is kept or copied. What
+// still grows with the data is each touched adjacency shard, rebuilt
+// whole. In worker mode each touched site receives only its share of
+// the delta and patches its resident fragment with the same
+// Fragment.Apply, and the sites install concurrently. Batch updates for
+// throughput.
 func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error) {
 	u, err := sparql.ParseUpdate(updateText)
 	if err != nil {
@@ -566,8 +568,7 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 	sortTriples(deleted)
 
 	newStore := st.Apply(inserted, deleted)
-	assign := cur.dist.Assignment.WithVertices(dict, tripleEndpoints(inserted))
-	newDist, deltas, err := cur.dist.Patch(newStore, assign, inserted, deleted)
+	newDist, deltas, err := cur.dist.Patch(newStore, inserted, deleted)
 	if err != nil {
 		return UpdateStats{}, err
 	}
@@ -594,14 +595,6 @@ func (db *DB) Update(ctx context.Context, updateText string) (UpdateStats, error
 
 func sortTriples(ts []rdf.Triple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
-}
-
-func tripleEndpoints(ts []rdf.Triple) []rdf.TermID {
-	out := make([]rdf.TermID, 0, 2*len(ts))
-	for _, t := range ts {
-		out = append(out, t.S, t.O)
-	}
-	return out
 }
 
 // PlanPartition computes (without applying) an assignment of the

@@ -46,8 +46,8 @@ type Stats struct {
 
 // Options tunes Assemble and Expansion.
 type Options struct {
-	// UseLEC selects, for Assemble and Join, the LEC-feature-based
-	// Algorithm 3 over the baseline join of [18].
+	// UseLEC selects, for Assemble, the LEC-feature-based Algorithm 3
+	// over the baseline join of [18].
 	UseLEC bool
 	// Pool cuts the feature walk's roots into chunks (see lec.Walk); each
 	// chunk expands the combinations it completes.
@@ -66,10 +66,12 @@ type Options struct {
 	Emit func(Result) bool
 }
 
-// Assemble joins the partial matches into complete crossing matches: it
-// groups them into features — LEC features with UseLEC, one singleton
-// feature per match for Basic — and Joins them. Without Emit it returns
-// copies of the matches in canonical row order.
+// Assemble joins the partial matches into complete crossing matches as
+// the engine does: it groups them into features — LEC features with
+// UseLEC, one singleton feature per match for Basic — and walks them
+// once, every pair proposed unless UseLEC, with an Expansion as the
+// walk's sink. Without Emit it returns copies of the matches in
+// canonical row order.
 func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Stats) {
 	var fs *lec.Features
 	if opts.UseLEC {
@@ -87,8 +89,9 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 			return true
 		}
 	}
-	st, finished := Join(pms, fs, q, opts)
-	if !finished {
+	x := NewExpansion(pms, fs, opts)
+	walk := lec.Walk(fs, q, !opts.UseLEC, opts.Pool, opts.Cancel, x.Sink)
+	if !walk.Finished {
 		out = nil
 	}
 	slices.SortFunc(out, func(a, b Result) int {
@@ -97,18 +100,7 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 		}
 		return slices.Compare(a.EdgeVars, b.EdgeVars)
 	})
-	return out, st
-}
-
-// Join walks the features fs of pms once — every pair proposed unless
-// UseLEC — expanding each complete combination into opts.Emit as the walk
-// finds it, and reports whether the walk ran to its end. The engine
-// assembles this way in the modes without LEC pruning (Basic, LA); with
-// pruning it runs the two halves itself.
-func Join(pms []*partial.Match, fs *lec.Features, q *query.Graph, opts Options) (Stats, bool) {
-	x := NewExpansion(pms, fs, opts)
-	walk := lec.Walk(fs, q, !opts.UseLEC, opts.Pool, opts.Cancel, x.Sink)
-	return x.Stats(walk), walk.Finished
+	return out, x.Stats(walk)
 }
 
 // Expansion is the second half of every assembly, the sink of a walk over

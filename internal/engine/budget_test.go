@@ -18,14 +18,14 @@ import (
 // heldBytes is what holding rows of width slots costs the budget.
 func heldBytes(rows, width int) int64 { return int64(rows * (rowOverhead + 4*width)) }
 
-// lecHeld is what the LEC stage of q's Full run reserves: a row per
-// partial match and four slots per crossing-edge mapping they hold.
-func lecHeld(t *testing.T, e *Engine, q *query.Graph) int64 {
+// featuresHeld is what the features of q's run in mode reserve: a row
+// per partial match and four slots per crossing-edge mapping they hold.
+func featuresHeld(t *testing.T, e *Engine, q *query.Graph, mode Mode) int64 {
 	t.Helper()
 	h := e.hold(context.Background())
 	defer h.cancel(nil)
-	stats := Stats{Mode: Full, Fragments: make([]FragmentStats, len(e.sites))}
-	ship, err := e.component(h, q, e.graph.Global.Plan(q), Config{Mode: Full}, pool.New(1), &stats, func(Row) bool { return true })
+	stats := Stats{Mode: mode, Fragments: make([]FragmentStats, len(e.sites))}
+	ship, err := e.component(h, q, e.graph.Global.Plan(q), Config{Mode: mode}, pool.New(1), &stats, func(Row) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestBudgetCapsWhatAnExecutionHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, q := res.Stats, ex.Query
-	crossingStream := heldBytes(s.NumPartialMatches, len(q.Vertices)) + lecHeld(t, e, q)
+	crossingStream := heldBytes(s.NumPartialMatches, len(q.Vertices)) + featuresHeld(t, e, q, Full)
 	crossingOrdered := crossingStream + heldBytes(s.NumLocalMatches+s.NumCrossingMatches, len(q.Vars))
 	if s.NumPartialMatches == 0 || s.NumCrossingMatches == 0 {
 		t.Fatal("the paper's query gathers no partial matches")
@@ -100,6 +100,42 @@ func TestBudgetCapsWhatAnExecutionHolds(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBasicChargesItsFeatures: Basic's singleton features are charged
+// like LA's LEC features — a row per partial match and four slots per
+// crossing-edge mapping — so the same partial matches charge the same
+// in both modes: a streamed run fits a budget of its partial matches
+// plus that charge, at every width, and fails with ErrBudget one byte
+// below it.
+func TestBasicChargesItsFeatures(t *testing.T) {
+	ex, e := paperEngine(t)
+	q := ex.Query
+	var held [2]int64
+	for i, mode := range []Mode{Basic, LA} {
+		res, err := e.ExecuteContext(context.Background(), q, Config{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = heldBytes(res.Stats.NumPartialMatches, len(q.Vertices)) + featuresHeld(t, e, q, mode)
+		for _, width := range []int{1, 4} {
+			run := func(budget int64) error {
+				e.budget = budget
+				_, err := e.ExecuteStream(context.Background(), q, Config{Mode: mode, EvalWorkers: width}, func(Row) bool { return true })
+				return err
+			}
+			if err := run(held[i]); err != nil {
+				t.Errorf("%v width %d: budget %d: %v", mode, width, held[i], err)
+			}
+			if err := run(held[i] - 1); !errors.Is(err, ErrBudget) {
+				t.Errorf("%v width %d: budget %d: err = %v, want ErrBudget", mode, width, held[i]-1, err)
+			}
+		}
+		e.budget = heldBudget
+	}
+	if held[0] != held[1] {
+		t.Errorf("Basic holds %d bytes, LA %d: want the same", held[0], held[1])
 	}
 }
 

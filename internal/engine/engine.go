@@ -895,11 +895,13 @@ func (s *Stats) count(bytes, messages int64) {
 
 // assemble runs stages 2 and 3 over the partial matches stage 1
 // gathered: LEC-feature pruning (LO, Full) and the assembly of crossing
-// matches, which stream into out as the walk finds them. The assembly
-// span books the walk with the expansion it drives, in every mode, and
-// below LO the features it walks; the LEC span books lec.Group and the
-// retained and semijoin bookkeeping read off the finished walk. What
-// lec.Group holds is charged to h as it returns.
+// matches, which stream into out as the walk finds them. Every mode
+// builds its features — lec.Group from LA up, lec.Singletons for Basic —
+// charges what they hold to h, and runs one lec.Walk whose sink expands
+// each complete combination. The assembly span books the walk with the
+// expansion it drives, in every mode, and below LO the features it
+// walks; the LEC span (LO, Full) books lec.Group and the retained and
+// semijoin bookkeeping read off the finished walk.
 func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
 	ctx := h.ctx
 	tr := trace.FromContext(ctx)
@@ -909,7 +911,6 @@ func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *p
 	// assembly mid-join.
 	edgeVars := q.EdgeVars()
 	opts := assembly.Options{
-		UseLEC: cfg.Mode >= LA,
 		Pool:   p,
 		Cancel: cluster.CancelPoll(ctx),
 		Emit: func(cm assembly.Result) bool {
@@ -925,43 +926,37 @@ func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *p
 			return out(row)
 		},
 	}
-	retained := func(int) bool { return true }
-	var asmStats assembly.Stats
-	var asmTime time.Duration
 	start := time.Now()
-	asmStart := start
 	var fs *lec.Features
-	if opts.UseLEC {
-		// The features hold a row per match and, for every crossing edge
-		// of the matches, the four key slots of its mapping (query edge,
-		// S, P, O).
+	if cfg.Mode >= LA {
 		fs = lec.Group(q, pms)
-		if !h.charge(len(pms), 4*fs.Crossing) {
-			return ErrBudget
-		}
 	} else {
 		fs = lec.Singletons(q, pms)
 	}
-	if cfg.Mode < LO {
-		asmStats, _ = assembly.Join(pms, fs, q, opts)
-		asmTime = time.Since(start)
-	} else {
-		// Stage 2 (LO, Full): the query's only closure walk derives the
-		// semijoin that decides which partial matches travel and retains
-		// the ones that can complete, while stage 3 expands each complete
-		// combination it finds. Over the RPC transport the partial matches
-		// crossed the wire in stage 1, so there stage 2 ships nothing.
-		stats.NumLECFeatures += fs.Len()
+	// The features hold a row per match and, for every crossing edge of
+	// the matches, the four key slots of its mapping (query edge, S, P, O).
+	if !h.charge(len(pms), 4*fs.Crossing) {
+		return ErrBudget
+	}
+	asmStart := start
+	if cfg.Mode >= LO {
 		asmStart = time.Now()
-		x := assembly.NewExpansion(pms, fs, opts)
-		walk := lec.Walk(fs, q, false, p, opts.Cancel, x.Sink)
-		asmStats = x.Stats(walk)
-		asmTime = time.Since(asmStart)
-		retained = func(i int) bool { return walk.Retained[fs.FeatureOf[i]] }
+	}
+	// The query's only closure walk. In LO and Full it is stage 2 too:
+	// it derives the semijoin that decides which partial matches travel
+	// and retains the ones that can complete, while stage 3 expands each
+	// complete combination it finds. Over the RPC transport the partial
+	// matches crossed the wire in stage 1, so there stage 2 ships nothing.
+	x := assembly.NewExpansion(pms, fs, opts)
+	walk := lec.Walk(fs, q, cfg.Mode == Basic, p, opts.Cancel, x.Sink)
+	asmStats := x.Stats(walk)
+	asmTime := time.Since(asmStart)
+	if cfg.Mode >= LO {
+		stats.NumLECFeatures += fs.Len()
 		ship.semijoin, ship.featureOf = walk.Semijoin, fs.FeatureOf
 	}
 	for i, pm := range pms {
-		if retained(i) {
+		if cfg.Mode < LO || walk.Retained[fs.FeatureOf[i]] {
 			stats.NumRetainedPartialMatches++
 			stats.Fragments[pm.Frag].RetainedPartialMatches++
 		}
@@ -1038,18 +1033,20 @@ func modelShipment(stats *Stats, ship *shipCounts) {
 	// matches and what the sample predicts the rest of its mappings kill:
 	// Σ over the matches the sample keeps of bytes × (1 − (1 − f)^u), f
 	// the sample's dead share and u the match's unsampled mappings.
+	// Every match of the component is priced alike: Check and the site's
+	// enumerator pin its shape to the query.
+	price := int64(partial.MatchBytes(q))
 	sj := &ship.semijoin
 	matchBytes := make([]int64, k)
 	kill := make([]float64, k)
 	for j, pm := range ship.pms {
-		b := int64(pm.EstimateBytes())
-		matchBytes[pm.Frag] += b
+		matchBytes[pm.Frag] += price
 		if sj.Live == nil {
 			continue
 		}
 		if fi := ship.featureOf[j]; !sj.SampleDead[fi] && sj.Sampled[pm.Frag] > 0 {
 			f := float64(sj.SampledDead[pm.Frag]) / float64(sj.Sampled[pm.Frag])
-			kill[pm.Frag] += float64(b) * (1 - math.Pow(1-f, float64(sj.Unsampled[fi])))
+			kill[pm.Frag] += float64(price) * (1 - math.Pow(1-f, float64(sj.Unsampled[fi])))
 		}
 	}
 	decisions := make([]Decision, k)
@@ -1082,9 +1079,8 @@ func modelShipment(stats *Stats, ship *shipCounts) {
 			f.SemijoinKilled++
 			continue
 		}
-		pb := int64(pm.EstimateBytes())
-		f.ShipmentBytes += pb
-		asm += pb
+		f.ShipmentBytes += price
+		asm += price
 		shipped++
 	}
 	st[StageAssembly].Shipment += asm

@@ -51,29 +51,23 @@ func runUnder(ctx context.Context, e *Engine, q *query.Graph, cfg Config) error 
 	return err
 }
 
-// inLECStage accepts a stack inside the LEC stage's lec.Walk — not the
-// walk assembly runs for itself below LO.
-func inLECStage(functions []string) bool {
-	inWalk := slices.ContainsFunc(functions, func(f string) bool { return strings.HasSuffix(f, "gstored/internal/lec.Walk") })
-	inAssembly := slices.ContainsFunc(functions, func(f string) bool { return strings.Contains(f, "gstored/internal/assembly.") })
-	return inWalk && !inAssembly
+// inWalk accepts a stack inside lec.Walk: the one closure walk every
+// mode runs, the LEC stage's in LO and Full, the assembly's below.
+func inWalk(functions []string) bool {
+	return slices.ContainsFunc(functions, func(f string) bool { return strings.HasSuffix(f, "gstored/internal/lec.Walk") })
 }
 
-// TestLECStageIsCancellable: the LEC pruning stage polls the execution
-// context like every other stage, and the run returns the context's
-// error; modes without that stage never trip the context.
+// TestLECStageIsCancellable: the walk polls the execution context like
+// every other stage, in every mode, and the run returns the context's
+// error.
 func TestLECStageIsCancellable(t *testing.T) {
 	ex, e := paperEngine(t)
 	for _, mode := range allModes {
 		parent, cancel := context.WithCancel(context.Background())
-		err := runUnder(&stackCancelCtx{Context: parent, trip: inLECStage}, e, ex.Query, Config{Mode: mode, EvalWorkers: 1})
+		err := runUnder(&stackCancelCtx{Context: parent, trip: inWalk}, e, ex.Query, Config{Mode: mode, EvalWorkers: 1})
 		cancel()
-		if mode >= LO {
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%v: err = %v, want context.Canceled from inside the LEC stage", mode, err)
-			}
-		} else if err != nil {
-			t.Errorf("%v: %v", mode, err)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: err = %v, want context.Canceled from inside the walk", mode, err)
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 // triples with an endpoint the fragment owns, and Owned, those of the
 // share's endpoints it owns, in strictly increasing order. It is all a
 // site holding the fragment's previous generation needs to build the
-// next one (Fragment.Apply): the assignment and the global store stay
-// with the coordinator.
+// next one (Fragment.Apply): the global store stays with the
+// coordinator.
 type Delta struct {
 	Inserted, Deleted []rdf.Triple
 	Owned             []rdf.TermID
@@ -32,33 +32,23 @@ type Delta struct {
 // exactly the fragments whose stores, internal vertex sets and crossing
 // lists can differ; any vertex disappearing from an untouched fragment
 // would require deleting one of its edges, which would have touched that
-// fragment. The work is proportional to the delta plus shallow
-// per-fragment copies, and the result equals Build over newGlobal field
-// for field (the tests' oracle).
+// fragment. The owner of an endpoint is d's (Owner): the fragment whose
+// V_i holds it, else the Hash strategy's pick. The work is proportional
+// to the delta plus shallow per-fragment copies, and the result equals
+// Build over newGlobal, under that ownership, field for field (the
+// tests' oracle).
 //
-// a must cover every vertex of newGlobal (extend an existing assignment
-// over inserted vertices with Assignment.WithVertices). Endpoints the
-// assignment does not cover fail the call before anything is built.
 // The second result holds one Delta per fragment, nil where the delta
 // leaves the fragment untouched: the epoch install ships each share to
 // its site, which applies it to its resident generation, and lets every
 // other site carry its fragment forward.
-func (d *Distributed) Patch(newGlobal *store.Store, a *partition.Assignment, inserted, deleted []rdf.Triple) (*Distributed, []*Delta, error) {
-	if a.K != len(d.Fragments) {
-		return nil, nil, fmt.Errorf("fragment: delta assignment has K=%d, cluster has %d fragments", a.K, len(d.Fragments))
-	}
-	deltas := make([]*Delta, a.K)
+func (d *Distributed) Patch(newGlobal *store.Store, inserted, deleted []rdf.Triple) (*Distributed, []*Delta, error) {
+	deltas := make([]*Delta, len(d.Fragments))
 	for del, batch := range [2][]rdf.Triple{inserted, deleted} {
 		for _, t := range batch {
 			var owners [2]int
 			for j, v := range [2]rdf.TermID{t.S, t.O} {
-				f, ok := a.Lookup(v)
-				if !ok {
-					return nil, nil, fmt.Errorf("fragment: delta endpoint %d not covered by the assignment", v)
-				}
-				if f < 0 || f >= a.K {
-					return nil, nil, fmt.Errorf("fragment: delta endpoint %d assigned to fragment %d of %d", v, f, a.K)
-				}
+				f := d.Owner(v)
 				owners[j] = f
 				if deltas[f] == nil {
 					deltas[f] = &Delta{}
@@ -79,10 +69,9 @@ func (d *Distributed) Patch(newGlobal *store.Store, a *partition.Assignment, ins
 	}
 
 	next := &Distributed{
-		Assignment: a,
-		Dict:       d.Dict,
-		Global:     newGlobal,
-		Fragments:  slices.Clone(d.Fragments), // untouched ones stay shared
+		Dict:      d.Dict,
+		Global:    newGlobal,
+		Fragments: slices.Clone(d.Fragments), // untouched ones stay shared
 	}
 	for i, share := range deltas {
 		if share == nil {
@@ -99,10 +88,24 @@ func (d *Distributed) Patch(newGlobal *store.Store, a *partition.Assignment, ins
 	return next, deltas, nil
 }
 
+// Owner returns the fragment owning v: the one whose V_i holds it, or,
+// for a vertex no fragment holds (new to the graph, or back after
+// losing its last edge), the Hash strategy's pick. Any placement is
+// correct, as partial evaluation does not depend on the partitioning.
+func (d *Distributed) Owner(v rdf.TermID) int {
+	for i, f := range d.Fragments {
+		if f.IsInternal(v) {
+			return i
+		}
+	}
+	return partition.HashFragment(d.Dict, v, len(d.Fragments))
+}
+
 // ApplyDelta is Patch reporting the touched fragments by ID, in
-// ascending order, instead of their shares.
-func (d *Distributed) ApplyDelta(newGlobal *store.Store, a *partition.Assignment, inserted, deleted []rdf.Triple) (*Distributed, []int, error) {
-	next, deltas, err := d.Patch(newGlobal, a, inserted, deleted)
+// ascending order, instead of their shares. It ignores the assignment,
+// which the benchmark driver still passes.
+func (d *Distributed) ApplyDelta(newGlobal *store.Store, _ *partition.Assignment, inserted, deleted []rdf.Triple) (*Distributed, []int, error) {
+	next, deltas, err := d.Patch(newGlobal, inserted, deleted)
 	if err != nil {
 		return nil, nil, err
 	}

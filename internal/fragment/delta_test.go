@@ -90,18 +90,19 @@ func triplesWith(f *Fragment, p rdf.TermID) []rdf.Triple {
 // Patch returns, applied to the fragment a site holds for d, must give
 // the same fragment. held is that site-side generation (a nil held is a
 // full ship: FromPayload of each fragment's payload); the site-side
-// generation after the delta is returned beside the coordinator's.
-func checkDelta(t *testing.T, d *Distributed, held []*Fragment, a *partition.Assignment, inserted, deleted []rdf.Triple) (*Distributed, []*Fragment) {
+// generation after the delta is returned beside the coordinator's. The
+// reference Build places each vertex as ownership says.
+func checkDelta(t *testing.T, d *Distributed, held []*Fragment, inserted, deleted []rdf.Triple) (*Distributed, []*Fragment) {
 	t.Helper()
 	newGlobal := d.Global.Apply(inserted, deleted)
-	got, deltas, err := d.Patch(newGlobal, a, inserted, deleted)
+	got, deltas, err := d.Patch(newGlobal, inserted, deleted)
 	if err != nil {
 		t.Fatalf("Patch: %v", err)
 	}
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatalf("post-delta invariants: %v", err)
 	}
-	want, err := Build(newGlobal, a)
+	want, err := Build(newGlobal, ownership(d, newGlobal))
 	if err != nil {
 		t.Fatalf("reference Build: %v", err)
 	}
@@ -137,10 +138,29 @@ func checkDelta(t *testing.T, d *Distributed, held []*Fragment, a *partition.Ass
 }
 
 // checkDeltaEquivalent is checkDelta against a full ship of d.
-func checkDeltaEquivalent(t *testing.T, d *Distributed, a *partition.Assignment, inserted, deleted []rdf.Triple) *Distributed {
+func checkDeltaEquivalent(t *testing.T, d *Distributed, inserted, deleted []rdf.Triple) *Distributed {
 	t.Helper()
-	got, _ := checkDelta(t, d, nil, a, inserted, deleted)
+	got, _ := checkDelta(t, d, nil, inserted, deleted)
 	return got
+}
+
+// ownership is the oracle's placement of newGlobal's vertices after a
+// delta to d, read off the generation itself rather than any plan: a
+// vertex goes to the fragment of d whose V_i holds it, and one that no
+// fragment holds to the Hash strategy's pick.
+func ownership(d *Distributed, newGlobal *store.Store) *partition.Assignment {
+	a := &partition.Assignment{K: len(d.Fragments), Frag: map[rdf.TermID]int{}}
+	for _, f := range d.Fragments {
+		for _, v := range f.InternalVertices() {
+			a.Frag[v] = f.ID
+		}
+	}
+	for _, v := range newGlobal.Vertices() {
+		if _, ok := a.Frag[v]; !ok {
+			a.Frag[v] = partition.HashFragment(d.Dict, v, a.K)
+		}
+	}
+	return a
 }
 
 // deltaChain drives a sequence of deltas through Patch, each on top of
@@ -153,16 +173,15 @@ func checkDeltaEquivalent(t *testing.T, d *Distributed, a *partition.Assignment,
 // a Crossing slice or a V_i map shared between generations shows up as a
 // changed old snapshot.
 type deltaChain struct {
-	dict *rdf.Dictionary
 	d    *Distributed
 	held []*Fragment
 	gens [][]*Fragment // the coordinator's fragments, then the site's
 	was  [][]snapshot
 }
 
-func newDeltaChain(t *testing.T, g *rdf.Graph, d *Distributed) *deltaChain {
+func newDeltaChain(t *testing.T, d *Distributed) *deltaChain {
 	t.Helper()
-	c := &deltaChain{dict: g.Dict}
+	c := &deltaChain{}
 	held := make([]*Fragment, len(d.Fragments))
 	for i, f := range d.Fragments {
 		var err error
@@ -185,8 +204,7 @@ func (c *deltaChain) push(d *Distributed, held []*Fragment) {
 
 func (c *deltaChain) step(t *testing.T, inserted, deleted []rdf.Triple) {
 	t.Helper()
-	a := c.d.Assignment.WithVertices(c.dict, endpointsOf(append(append([]rdf.Triple{}, inserted...), deleted...)))
-	c.push(checkDelta(t, c.d, c.held, a, inserted, deleted))
+	c.push(checkDelta(t, c.d, c.held, inserted, deleted))
 	for g, frags := range c.gens {
 		for i, f := range frags {
 			if now := snapshotOf(f); !reflect.DeepEqual(now, c.was[g][i]) {
@@ -234,8 +252,8 @@ func deltaFixture(t *testing.T) (*rdf.Graph, *Distributed, func(s, p, o string) 
 func TestApplyDeltaInsertInternalEdge(t *testing.T) {
 	_, d, mk := deltaFixture(t)
 	ins := []rdf.Triple{mk("a1", "p", "a2")}
-	got := checkDeltaEquivalent(t, d, d.Assignment, ins, nil)
-	if _, ids, err := d.ApplyDelta(d.Global.Apply(ins, nil), d.Assignment, ins, nil); err != nil || !slices.Equal(ids, []int{0}) {
+	got := checkDeltaEquivalent(t, d, ins, nil)
+	if _, ids, err := d.ApplyDelta(d.Global.Apply(ins, nil), nil, ins, nil); err != nil || !slices.Equal(ids, []int{0}) {
 		t.Errorf("ApplyDelta reports touched fragments %v, %v; want [0]", ids, err)
 	}
 	// Only fragment 0 is touched; fragments 1 and 2 must be shared.
@@ -251,7 +269,7 @@ func TestApplyDeltaInsertInternalEdge(t *testing.T) {
 
 func TestApplyDeltaInsertCrossingEdge(t *testing.T) {
 	_, d, mk := deltaFixture(t)
-	got := checkDeltaEquivalent(t, d, d.Assignment, []rdf.Triple{mk("a2", "r", "c1")}, nil)
+	got := checkDeltaEquivalent(t, d, []rdf.Triple{mk("a2", "r", "c1")}, nil)
 	if got.Fragments[1] != d.Fragments[1] {
 		t.Error("fragment 1 should be untouched by an a-c crossing insert")
 	}
@@ -261,41 +279,38 @@ func TestApplyDeltaDeleteCrossingEdge(t *testing.T) {
 	_, d, mk := deltaFixture(t)
 	// b2-q->c1 is the only b-c crossing edge: deleting it must shrink both
 	// fragments' extended sets.
-	got := checkDeltaEquivalent(t, d, d.Assignment, nil, []rdf.Triple{mk("b2", "q", "c1")})
+	got := checkDeltaEquivalent(t, d, nil, []rdf.Triple{mk("b2", "q", "c1")})
 	if got.Fragments[0] != d.Fragments[0] {
 		t.Error("fragment 0 should be untouched by a b-c crossing delete")
 	}
 }
 
+// TestApplyDeltaNewVertex: a vertex no fragment holds is placed by the
+// Hash strategy's rule, and one a fragment holds stays where it is.
 func TestApplyDeltaNewVertex(t *testing.T) {
 	g, d, mk := deltaFixture(t)
 	ins := []rdf.Triple{mk("a1", "p", "fresh1"), mk("fresh1", "p", "fresh2")}
-	a := d.Assignment.WithVertices(g.Dict, []rdf.TermID{ins[0].O, ins[1].S, ins[1].O})
-	if a == d.Assignment {
-		t.Fatal("WithVertices returned the receiver despite fresh vertices")
+	got := checkDeltaEquivalent(t, d, ins, nil)
+	for _, v := range []rdf.TermID{ins[1].S, ins[1].O} {
+		if want := partition.HashFragment(g.Dict, v, 3); !got.Fragments[want].IsInternal(v) || got.Owner(v) != want {
+			t.Errorf("fresh vertex %v not placed in its hash fragment %d", g.Dict.MustDecode(v), want)
+		}
 	}
-	checkDeltaEquivalent(t, d, a, ins, nil)
+	if !got.Fragments[0].IsInternal(ins[0].S) {
+		t.Error("a1 left fragment 0")
+	}
 }
 
 func TestApplyDeltaVertexVanishes(t *testing.T) {
 	_, d, mk := deltaFixture(t)
 	// c2 has exactly two incident edges; removing both orphans it.
-	checkDeltaEquivalent(t, d, d.Assignment, nil, []rdf.Triple{mk("c1", "p", "c2"), mk("c2", "r", "a1")})
+	checkDeltaEquivalent(t, d, nil, []rdf.Triple{mk("c1", "p", "c2"), mk("c2", "r", "a1")})
 }
 
 func TestApplyDeltaSelfLoop(t *testing.T) {
 	_, d, mk := deltaFixture(t)
-	checkDeltaEquivalent(t, d, d.Assignment, []rdf.Triple{mk("b1", "q", "b1")}, nil)
-	checkDeltaEquivalent(t, d, d.Assignment, nil, []rdf.Triple{mk("a1", "q", "a1")})
-}
-
-func TestApplyDeltaUncoveredEndpointFails(t *testing.T) {
-	g, d, _ := deltaFixture(t)
-	fresh := rdf.Triple{S: g.Dict.Encode(rdf.NewIRI("ghost")), P: g.Dict.Encode(rdf.NewIRI("p")), O: g.Dict.Encode(rdf.NewIRI("a1"))}
-	newGlobal := d.Global.Apply([]rdf.Triple{fresh}, nil)
-	if _, _, err := d.ApplyDelta(newGlobal, d.Assignment, []rdf.Triple{fresh}, nil); err == nil {
-		t.Error("ApplyDelta accepted an endpoint the assignment does not cover")
-	}
+	checkDeltaEquivalent(t, d, []rdf.Triple{mk("b1", "q", "b1")}, nil)
+	checkDeltaEquivalent(t, d, nil, []rdf.Triple{mk("a1", "q", "a1")})
 }
 
 // TestApplyRejectsHostileDelta: a share comes off the wire at a worker,
@@ -371,9 +386,7 @@ func TestApplyDeltaRandomized(t *testing.T) {
 				for i := 0; i < 2 && len(all) > 0; i++ {
 					deleted = append(deleted, all[rng.Intn(len(all))])
 				}
-				aa := a.WithVertices(g.Dict, endpointsOf(inserted))
-				d = checkDeltaEquivalent(t, d, aa, inserted, deleted)
-				a = aa
+				d = checkDeltaEquivalent(t, d, inserted, deleted)
 			}
 		})
 	}
@@ -412,8 +425,7 @@ func TestApplyCopiesOnlyTouchedCrossingRuns(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			deleted = append(deleted, all[rng.Intn(len(all))])
 		}
-		a := d.Assignment.WithVertices(g.Dict, endpointsOf(inserted))
-		next, shares, err := d.Patch(d.Global.Apply(inserted, deleted), a, inserted, deleted)
+		next, shares, err := d.Patch(d.Global.Apply(inserted, deleted), inserted, deleted)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +435,7 @@ func TestApplyCopiesOnlyTouchedCrossingRuns(t *testing.T) {
 			}
 			written := 0
 			for _, tr := range append(share.Inserted, share.Deleted...) {
-				if fs, fo := a.FragmentOf(tr.S), a.FragmentOf(tr.O); fs != fo {
+				if d.Owner(tr.S) != d.Owner(tr.O) {
 					written++
 				}
 			}
@@ -455,7 +467,7 @@ func endpointsOf(ts []rdf.Triple) []rdf.TermID {
 
 // deltaNames and deltaPreds are the vocabulary of the chain test and the
 // fuzz target: the fixture's vertices, one more per fragment letter, and
-// two names no fragment letter claims (WithVertices places those).
+// two names no fragment letter claims (the Hash rule places those).
 var (
 	deltaNames = []string{"a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "x1", "x2"}
 	deltaPreds = []string{"p", "q", "r"}
@@ -465,10 +477,12 @@ var (
 // set-semantics deltas, each applied to the previous step's patched
 // fragments (never to a fresh Build), over a base graph with duplicate
 // edge instances. The vocabulary is small enough that vertices keep
-// appearing and vanishing and self-loops come and go.
+// appearing and vanishing and self-loops come and go; a vertex that
+// appears, new or back after losing its last edge, lands in its hash
+// fragment.
 func TestApplyDeltaChain(t *testing.T) {
 	g, d, mk := deltaFixture(t)
-	c := newDeltaChain(t, g, d)
+	c := newDeltaChain(t, d)
 	rng := rand.New(rand.NewSource(23))
 	var appeared, vanished, loops int
 	for step := 0; step < 250; step++ {
@@ -495,6 +509,9 @@ func TestApplyDeltaChain(t *testing.T) {
 			switch was, is := before.HasVertex(v), c.d.Global.HasVertex(v); {
 			case !was && is:
 				appeared++
+				if want := partition.HashFragment(g.Dict, v, len(c.d.Fragments)); !c.d.Fragments[want].IsInternal(v) {
+					t.Fatalf("step %d: %v appeared outside its hash fragment %d", step, g.Dict.MustDecode(v), want)
+				}
 			case was && !is:
 				vanished++
 			}
@@ -519,8 +536,8 @@ func FuzzApplyDelta(f *testing.F) {
 		if len(data) > 256 {
 			data = data[:256] // the oracle is quadratic in the chain length
 		}
-		g, d, mk := deltaFixture(t)
-		c := newDeltaChain(t, g, d)
+		_, d, mk := deltaFixture(t)
+		c := newDeltaChain(t, d)
 		var delta [2][]rdf.Triple
 		for ; len(data) >= 4; data = data[4:] {
 			tr := mk(deltaNames[int(data[1])%len(deltaNames)], deltaPreds[int(data[2])%len(deltaPreds)], deltaNames[int(data[3])%len(deltaNames)])

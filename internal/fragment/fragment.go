@@ -118,12 +118,12 @@ func (f *Fragment) NumExtended() int { return f.Store.NumVertices() - f.internal
 // InternalVertices returns V_i in ascending ID order.
 func (f *Fragment) InternalVertices() []rdf.TermID { return f.internal.members() }
 
-// Distributed is the full distributed RDF graph: all fragments plus the
-// assignment that produced them. The dictionary is shared.
+// Distributed is the full distributed RDF graph: all fragments, whose
+// V_i partition the vertices (Definition 1), so a vertex belongs to the
+// fragment that holds it internally. The dictionary is shared.
 type Distributed struct {
-	Fragments  []*Fragment
-	Assignment *partition.Assignment
-	Dict       *rdf.Dictionary
+	Fragments []*Fragment
+	Dict      *rdf.Dictionary
 	// Global is the store over the whole graph: the write path's source of
 	// truth (updates patch it, repartitioning rebuilds the fragments from
 	// it), the store the coordinator plans on, and the tests' oracle.
@@ -142,21 +142,20 @@ func Build(st *store.Store, a *partition.Assignment) (*Distributed, error) {
 	internal := make([]vertexSet, a.K)
 	triples := make([][]rdf.Triple, a.K)
 	for _, s := range st.Vertices() {
-		fs := a.FragmentOf(s)
+		fs, _ := a.Lookup(s)
 		internal[fs].add(s)
 		for _, he := range st.Out(s) {
 			t := rdf.Triple{S: s, P: he.P, O: he.V}
 			triples[fs] = append(triples[fs], t)
-			if fo := a.FragmentOf(he.V); fo != fs {
+			if fo, _ := a.Lookup(he.V); fo != fs {
 				triples[fo] = append(triples[fo], t)
 			}
 		}
 	}
 	d := &Distributed{
-		Assignment: a,
-		Dict:       st.Dict,
-		Global:     st,
-		Fragments:  make([]*Fragment, a.K),
+		Dict:      st.Dict,
+		Global:    st,
+		Fragments: make([]*Fragment, a.K),
 	}
 	for i := range d.Fragments {
 		f, err := newFragment(i, st.Dict, triples[i], internal[i])
@@ -194,10 +193,10 @@ func (d *Distributed) CheckInvariants() error {
 		totalCrossing += f.Crossing.Len()
 		far := make(map[rdf.TermID]bool)
 		for _, t := range f.Crossing.Flat() {
-			fs, okS := d.Assignment.Lookup(t.S)
-			fo, okO := d.Assignment.Lookup(t.O)
+			fs, okS := seen[t.S]
+			fo, okO := seen[t.O]
 			if !okS || !okO {
-				return fmt.Errorf("fragment %d: crossing edge %v has an endpoint the assignment does not cover", f.ID, t)
+				return fmt.Errorf("fragment %d: crossing edge %v has an endpoint internal nowhere", f.ID, t)
 			}
 			if fs == fo {
 				return fmt.Errorf("fragment %d: non-crossing edge %v recorded as crossing", f.ID, t)

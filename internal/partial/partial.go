@@ -77,17 +77,11 @@ type Match struct {
 	Query *query.Graph
 }
 
-// EstimateBytes approximates the wire size of the match for data-shipment
-// accounting: 4 bytes per vector slot and edge-variable slot plus a small
-// header — what a site ships. The crossing edges are derived, so they
-// cost nothing.
-func (m *Match) EstimateBytes() int {
-	return 8 + 4*len(m.Vec) + 4*len(m.EdgeVars)
-}
-
-// MatchBytes is EstimateBytes of every match of q: its Vec holds a slot
-// per query vertex and, when q has an edge-label variable, its EdgeVars
-// one per query variable.
+// MatchBytes is the wire size of every match of q, the one price of a
+// match in data-shipment accounting: a small header and 4 bytes per
+// slot, its Vec holding one per query vertex and, when q has an
+// edge-label variable, its EdgeVars one per query variable. The
+// crossing edges are derived, so they cost nothing.
 func MatchBytes(q *query.Graph) int {
 	n := 8 + 4*len(q.Vertices)
 	if hasLabelVar(q) {

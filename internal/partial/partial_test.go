@@ -579,7 +579,10 @@ func TestComputeAllocations(t *testing.T) {
 	}
 }
 
-func TestEstimateBytes(t *testing.T) {
+// TestMatchBytesPricesEveryMatch: every match the enumerator finds has
+// the shape MatchBytes prices, a 4-byte slot per query vertex and no
+// edge-variable slots in a query without an edge-label variable.
+func TestMatchBytesPricesEveryMatch(t *testing.T) {
 	ex, d := buildPaper(t)
 	ms, err := Compute(d.Fragments[0], ex.Query, Options{})
 	if err != nil {
@@ -589,8 +592,8 @@ func TestEstimateBytes(t *testing.T) {
 		t.Errorf("%d matches, %d of them distinct", len(ms), n)
 	}
 	for _, m := range ms {
-		if m.EstimateBytes() <= 0 {
-			t.Error("non-positive byte estimate")
+		if got, want := 8+4*len(m.Vec)+4*len(m.EdgeVars), MatchBytes(ex.Query); got != want {
+			t.Errorf("partial match %v takes %d bytes, MatchBytes says %d", vecOf(ex, m), got, want)
 		}
 		if !slices.Contains(m.Vec, rdf.NoTerm) {
 			t.Errorf("partial match %v reported complete", vecOf(ex, m))

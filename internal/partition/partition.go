@@ -8,7 +8,6 @@ package partition
 import (
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"sort"
 	"strings"
 
@@ -17,75 +16,28 @@ import (
 )
 
 // Assignment is a vertex-disjoint partitioning: every vertex of the graph
-// is mapped to exactly one of K fragments. Read it through Lookup or
-// FragmentOf: Frag alone misses the vertices updates placed.
+// is mapped to exactly one of K fragments. It is a plan: fragment.Build
+// turns it into fragments, whose internal sets V_i then record who owns
+// each vertex, and no generation keeps it.
 type Assignment struct {
 	K int
 	// Frag is the strategy's placement.
 	Frag map[rdf.TermID]int
 	// StrategyName records which strategy produced the assignment.
 	StrategyName string
-
-	// placed holds the vertices WithVertices placed after the strategy
-	// ran, so that placing one copies this overlay and shares Frag.
-	placed map[rdf.TermID]int
-}
-
-// FragmentOf returns the fragment owning v. Vertices the assignment
-// does not cover fall back to fragment 0 — acceptable for diagnostics,
-// but silently wrong for routing: callers that may hold an uncovered
-// vertex (anything at a repartition boundary) must use Lookup instead.
-// fragment.Build and DB.Repartition enforce full coverage via Validate
-// before an assignment ever routes live traffic, so inside a built
-// Distributed the fallback is unreachable.
-func (a *Assignment) FragmentOf(v rdf.TermID) int {
-	f, _ := a.Lookup(v)
-	return f
 }
 
 // Lookup returns the fragment owning v and whether the assignment
-// covers v at all. Unlike FragmentOf it never invents an owner: callers
-// routing traffic across a repartition boundary must treat !ok as "this
-// assignment does not know the vertex", not as fragment 0.
+// covers v at all: it never invents an owner.
 func (a *Assignment) Lookup(v rdf.TermID) (int, bool) {
-	if f, ok := a.Frag[v]; ok {
-		return f, true
-	}
-	f, ok := a.placed[v]
+	f, ok := a.Frag[v]
 	return f, ok
 }
 
-// WithVertices returns an assignment additionally covering vs, placing
-// each vertex the assignment does not already know by hashing its
-// lexical form modulo K — the Hash strategy's rule, applied pointwise.
-// Vertices already covered keep their fragment. When every vertex is
-// already covered the receiver is returned unchanged; otherwise the new
-// assignment shares Frag and copies the overlay of vertices placed this
-// way, so concurrent readers of the original assignment (an older
-// cluster generation mid-query) are never raced, and a write pays for
-// the vertices updates placed, not for the graph.
-//
-// This is the incremental placement rule of the update path: a strategy-
-// faithful placement (e.g. re-running semantic hashing around the new
-// vertex) would need the strategy and its global context, which is what
-// full repartitioning (DB.Repartition) is for.
-func (a *Assignment) WithVertices(dict *rdf.Dictionary, vs []rdf.TermID) *Assignment {
-	var fresh []rdf.TermID
-	for _, v := range vs {
-		if _, ok := a.Lookup(v); !ok {
-			fresh = append(fresh, v)
-		}
-	}
-	if len(fresh) == 0 {
-		return a
-	}
-	next := &Assignment{K: a.K, StrategyName: a.StrategyName, Frag: a.Frag, placed: make(map[rdf.TermID]int, len(a.placed)+len(fresh))}
-	maps.Copy(next.placed, a.placed)
-	for _, v := range fresh {
-		next.placed[v] = int(hashString(dict.MustDecode(v).String()) % uint64(a.K))
-	}
-	return next
-}
+// WithVertices returns a. Placement after the strategy ran is the
+// fragments' (fragment.Distributed.Patch), not the plan's; this stays
+// for the benchmark driver, which still calls it.
+func (a *Assignment) WithVertices(*rdf.Dictionary, []rdf.TermID) *Assignment { return a }
 
 // Validate checks that the assignment covers every vertex of st with a
 // fragment index in [0, K).
@@ -130,9 +82,16 @@ func (Hash) Partition(st *store.Store, k int) (*Assignment, error) {
 	}
 	a := &Assignment{K: k, Frag: make(map[rdf.TermID]int, st.NumVertices()), StrategyName: "hash"}
 	for _, v := range st.Vertices() {
-		a.Frag[v] = int(hashString(st.Dict.MustDecode(v).String()) % uint64(k))
+		a.Frag[v] = HashFragment(st.Dict, v, k)
 	}
 	return a, nil
+}
+
+// HashFragment is the Hash strategy's rule for one vertex: FNV-1a over
+// v's canonical N-Triples form, modulo k. It places every vertex the
+// write path finds in no fragment.
+func HashFragment(dict *rdf.Dictionary, v rdf.TermID, k int) int {
+	return int(hashString(dict.MustDecode(v).String()) % uint64(k))
 }
 
 func hashString(s string) uint64 {
@@ -204,7 +163,7 @@ func (SemanticHash) Partition(st *store.Store, k int) (*Assignment, error) {
 			}
 		}
 		if !voted {
-			a.Frag[v] = int(hashString(st.Dict.MustDecode(v).String()) % uint64(k))
+			a.Frag[v] = HashFragment(st.Dict, v, k)
 			continue
 		}
 		best := 0
@@ -260,10 +219,10 @@ func Cost(st *store.Store, a *Assignment) CostBreakdown {
 	crossAt := make(map[rdf.TermID]int) // |N(v) ∩ E^c| per vertex
 	b := CostBreakdown{FragmentEdges: make([]int, a.K)}
 	for _, s := range st.Vertices() {
-		fs := a.FragmentOf(s)
+		fs, _ := a.Lookup(s)
 		for _, he := range st.Out(s) {
 			b.FragmentEdges[fs]++
-			fo := a.FragmentOf(he.V)
+			fo, _ := a.Lookup(he.V)
 			if fs == fo {
 				continue
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -72,10 +71,8 @@ func fig8b() (*store.Store, *Assignment) {
 // balance counts the vertices placed in each fragment.
 func balance(a *Assignment) []int {
 	counts := make([]int, a.K)
-	for _, m := range [2]map[rdf.TermID]int{a.Frag, a.placed} {
-		for _, f := range m {
-			counts[f]++
-		}
+	for _, f := range a.Frag {
+		counts[f]++
 	}
 	return counts
 }
@@ -161,47 +158,31 @@ func TestHashPartitionCoversAndIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestWithVerticesPlacesInAnOverlay: vertices placed after the strategy
-// ran land in an overlay, so placing one shares the strategy's Frag map
-// instead of copying it; the receiver stays as it was, and Lookup,
-// Validate and Balance read both maps.
-func TestWithVerticesPlacesInAnOverlay(t *testing.T) {
+// TestHashFragmentIsTheHashRule: the one rule that places a vertex by
+// hash is the Hash strategy's, applied pointwise, whether or not the
+// vertex is in the graph the strategy ran on; WithVertices, kept for the
+// benchmark driver, places nothing.
+func TestHashFragmentIsTheHashRule(t *testing.T) {
 	g := clusteredGraph(3, 10)
 	st := store.FromGraph(g)
 	a, err := Hash{}.Partition(st, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := []rdf.TermID{g.Dict.Encode(rdf.NewIRI("http://new.example/x")), g.Dict.Encode(rdf.NewIRI("http://new.example/y"))}
-	g.AddIRIs("http://new.example/x", "p", "http://new.example/y")
-	grown := store.FromGraph(g)
-	next := a.WithVertices(g.Dict, append(fresh, st.Vertices()[0]))
-	if a.WithVertices(g.Dict, st.Vertices()) != a || next.WithVertices(g.Dict, fresh) != next {
-		t.Error("WithVertices of covered vertices did not return the receiver")
-	}
-	if reflect.ValueOf(next.Frag).Pointer() != reflect.ValueOf(a.Frag).Pointer() {
-		t.Error("WithVertices copied the strategy's Frag map")
-	}
-	for _, v := range fresh {
-		if _, ok := a.Lookup(v); ok {
-			t.Errorf("WithVertices placed %d in the receiver", v)
-		}
-		if f, ok := next.Lookup(v); !ok || f != int(hashString(g.Dict.MustDecode(v).String())%4) {
-			t.Errorf("Lookup(%d) = %d, %v; want its hash placement", v, f, ok)
+	for _, v := range st.Vertices() {
+		if f, _ := a.Lookup(v); f != HashFragment(g.Dict, v, 4) {
+			t.Errorf("Hash placed %d in fragment %d, HashFragment says %d", v, f, HashFragment(g.Dict, v, 4))
 		}
 	}
-	if err := a.Validate(grown); err == nil {
-		t.Error("the receiver validates over vertices it does not cover")
+	fresh := g.Dict.Encode(rdf.NewIRI("http://new.example/x"))
+	if want := int(hashString("<http://new.example/x>") % 4); HashFragment(g.Dict, fresh, 4) != want {
+		t.Errorf("HashFragment(fresh) = %d, want %d", HashFragment(g.Dict, fresh, 4), want)
 	}
-	if err := next.Validate(grown); err != nil {
-		t.Error(err)
+	if a.WithVertices(g.Dict, []rdf.TermID{fresh}) != a {
+		t.Error("WithVertices did not return its receiver")
 	}
-	total := 0
-	for _, c := range balance(next) {
-		total += c
-	}
-	if total != grown.NumVertices() {
-		t.Errorf("Balance counts %d vertices, want %d", total, grown.NumVertices())
+	if _, ok := a.Lookup(fresh); ok {
+		t.Error("WithVertices placed a vertex")
 	}
 }
 
@@ -253,7 +234,7 @@ func TestSemanticHashGroupsByHierarchy(t *testing.T) {
 	c := Cost(st, a)
 	name := mustID(t, g.Dict, "name")
 	for _, tr := range st.Triples() {
-		if tr.P == name && a.FragmentOf(tr.S) != a.FragmentOf(tr.O) {
+		if tr.P == name && a.Frag[tr.S] != a.Frag[tr.O] {
 			t.Error("attribute literal separated from its subject")
 		}
 	}
@@ -390,20 +371,12 @@ func TestCostEmptyAndNoCrossing(t *testing.T) {
 func TestAssignmentLookup(t *testing.T) {
 	st, a := fig8a()
 	for _, v := range st.Vertices() {
-		f, ok := a.Lookup(v)
-		if !ok {
-			t.Fatalf("covered vertex %d reported uncovered", v)
-		}
-		if f != a.FragmentOf(v) {
-			t.Fatalf("Lookup and FragmentOf disagree on %d", v)
+		if f, ok := a.Lookup(v); !ok || f != a.Frag[v] {
+			t.Fatalf("covered vertex %d: Lookup = %d, %v; want %d", v, f, ok, a.Frag[v])
 		}
 	}
 	unknown := rdf.TermID(1 << 30)
 	if _, ok := a.Lookup(unknown); ok {
 		t.Error("Lookup invented an owner for an uncovered vertex")
-	}
-	// FragmentOf's documented diagnostic fallback.
-	if got := a.FragmentOf(unknown); got != 0 {
-		t.Errorf("FragmentOf fallback = %d, want 0", got)
 	}
 }

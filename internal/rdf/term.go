@@ -81,6 +81,8 @@ func (t Term) IsBlank() bool { return t.Kind == Blank }
 // doubles as the dictionary key, so it must be injective over terms.
 func (t Term) String() string {
 	var b strings.Builder
+	// Room for the form without escapes: one allocation for most terms.
+	b.Grow(len(t.Value) + len(t.Lang) + len(t.Datatype) + 6)
 	t.write(&b)
 	return b.String()
 }

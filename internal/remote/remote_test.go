@@ -517,7 +517,7 @@ func TestSwapStateMachine(t *testing.T) {
 	// an update, twice over without harm, and is refused from a pruned
 	// base; what the worker holds then is the coordinator's own patch.
 	drop := d.Fragments[0].Crossing.Flat()[:1]
-	next, deltas, err := d.Patch(ex.Store.Apply(nil, drop), ex.Assignment, nil, drop)
+	next, deltas, err := d.Patch(ex.Store.Apply(nil, drop), nil, drop)
 	if err != nil || deltas[0] == nil {
 		t.Fatalf("Patch: %v, share %+v", err, deltas[0])
 	}

@@ -101,7 +101,7 @@ func TestRepartitionRejectsPartialAssignment(t *testing.T) {
 	}
 	partial := &Assignment{K: 2, Frag: map[rdf.TermID]int{}} // covers nothing
 	if err := db.Repartition(partial); err == nil {
-		t.Error("uncovered assignment accepted; FragmentOf's fragment-0 fallback would mis-route")
+		t.Error("uncovered assignment accepted")
 	}
 	if db.Epoch() != epoch || db.NumSites() != sites {
 		t.Errorf("failed repartition mutated the cluster: epoch %d→%d, sites %d→%d",

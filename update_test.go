@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"gstored/internal/engine"
+	"gstored/internal/partition"
+	"gstored/internal/rdf"
 )
 
 // updateTestDB is a small social graph over 3 sites.
@@ -182,7 +184,7 @@ func TestUpdateSequencedOps(t *testing.T) {
 }
 
 // TestUpdateNewVertexRouting: inserting triples over IRIs the graph has
-// never seen must extend the assignment and keep Definition 1 intact.
+// never seen must place them and keep Definition 1 intact.
 func TestUpdateNewVertexRouting(t *testing.T) {
 	db := updateTestDB(t)
 	stats, err := db.Update(context.Background(), `
@@ -210,6 +212,114 @@ func TestUpdateNewVertexRouting(t *testing.T) {
 	checkDBInvariants(t, db)
 	if got := rowsOf(t, db, `SELECT ?n WHERE { ?x <http://ex/name> ?n }`); len(got) != 0 {
 		t.Errorf("deleted literal still answered: %v", got)
+	}
+}
+
+// TestUpdatePlacesLikeTheHashStrategy: on a hash DB the write path's
+// rule (the fragment whose V_i holds a vertex, else the Hash rule) keeps
+// every vertex where the Hash strategy puts it, over a stream that adds
+// vertices, takes their last edges away and adds them back, and an
+// update rebuilds exactly the fragments its endpoints hash to.
+func TestUpdatePlacesLikeTheHashStrategy(t *testing.T) {
+	db := updateTestDB(t)
+	dict, k := db.Graph.Dict, db.NumSites()
+	for i, step := range []struct {
+		op    string
+		edges [][2]string
+	}{
+		{"INSERT", [][2]string{{"n1", "n2"}, {"n2", "alice"}, {"n3", "n1"}}},
+		{"DELETE", [][2]string{{"n1", "n2"}, {"n3", "n1"}}},  // n1 and n3 lose their last edges
+		{"INSERT", [][2]string{{"n1", "bob"}, {"n3", "n4"}}}, // and come back
+		{"DELETE", [][2]string{{"alice", "bob"}, {"carol", "alice"}, {"n2", "alice"}}},
+		{"INSERT", [][2]string{{"alice", "n4"}}},
+	} {
+		var body []string
+		touched := make(map[int]bool)
+		for _, e := range step.edges {
+			body = append(body, fmt.Sprintf("<http://ex/%s> <http://ex/knows> <http://ex/%s>", e[0], e[1]))
+			for _, v := range e {
+				touched[partition.HashFragment(dict, dict.Encode(rdf.NewIRI("http://ex/"+v)), k)] = true
+			}
+		}
+		stats, err := db.Update(context.Background(), step.op+" DATA { "+strings.Join(body, " . ")+" }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.RebuiltFragments != len(touched) {
+			t.Errorf("step %d: %d fragments rebuilt, want the %d its endpoints hash to", i, stats.RebuiltFragments, len(touched))
+		}
+		checkDBInvariants(t, db)
+		for _, f := range db.Distributed().Fragments {
+			for _, v := range f.InternalVertices() {
+				if want := partition.HashFragment(dict, v, k); f.ID != want {
+					t.Errorf("step %d: %v internal to fragment %d, hashes to %d", i, dict.MustDecode(v), f.ID, want)
+				}
+			}
+		}
+	}
+}
+
+// TestUpdateReturningVertexPlacedByHash: under a strategy that does not
+// place by hash, a vertex that loses its last edge belongs to no
+// fragment, so when it comes back it is placed like any new vertex, by
+// the Hash rule, and Definition 1 holds throughout.
+func TestUpdateReturningVertexPlacedByHash(t *testing.T) {
+	g := NewGraph()
+	member := func(d, i int) string { return fmt.Sprintf("http://dept%d.example/m%d", d, i) }
+	for d := range 4 {
+		for i := range 6 {
+			g.AddIRIs(member(d, i), "http://ex/p", member(d, (i+1)%6))
+			g.AddIRIs(member(d, i), "http://ex/p", member(d, (i+2)%6))
+		}
+		g.AddIRIs(member(d, 0), "http://ex/bridge", member((d+1)%4, 0))
+	}
+	for _, strategy := range []string{"semantic-hash", "metis"} {
+		t.Run(strategy, func(t *testing.T) {
+			db, err := Open(g, Config{Sites: 3, Strategy: strategy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, dict := db.Distributed(), db.Graph.Dict
+			// A vertex the strategy placed away from its hash fragment.
+			v := rdf.NoTerm
+			for _, cand := range dist.Global.Vertices() {
+				if dist.Owner(cand) != partition.HashFragment(dict, cand, 3) {
+					v = cand
+					break
+				}
+			}
+			if v == rdf.NoTerm {
+				t.Fatal("the strategy placed every vertex by hash")
+			}
+			term := func(id rdf.TermID) string { return dict.MustDecode(id).String() }
+			var edges []string
+			for _, he := range dist.Global.Out(v) {
+				edges = append(edges, term(v)+" "+term(he.P)+" "+term(he.V))
+			}
+			for _, he := range dist.Global.In(v) {
+				edges = append(edges, term(he.V)+" "+term(he.P)+" "+term(v))
+			}
+			if _, err := db.Update(context.Background(), "DELETE DATA { "+strings.Join(edges, " . ")+" }"); err != nil {
+				t.Fatal(err)
+			}
+			checkDBInvariants(t, db)
+			if db.Distributed().Global.HasVertex(v) {
+				t.Fatalf("%s kept an edge", term(v))
+			}
+			if _, err := db.Update(context.Background(), "INSERT DATA { "+edges[0]+" }"); err != nil {
+				t.Fatal(err)
+			}
+			checkDBInvariants(t, db)
+			want := partition.HashFragment(dict, v, 3)
+			if got := db.Distributed().Owner(v); got != want || !db.Distributed().Fragments[want].IsInternal(v) {
+				t.Errorf("%s came back in fragment %d, want its hash fragment %d", term(v), got, want)
+			}
+			// edges[0] is v's first out-edge.
+			back := dist.Global.Out(v)[0]
+			if got := rowsOf(t, db, "SELECT ?o WHERE { "+term(v)+" "+term(back.P)+" ?o }"); len(got) != 1 || got[0][0] != term(back.V) {
+				t.Errorf("the returned edge answers %v, want %s", got, term(back.V))
+			}
+		})
 	}
 }
 
@@ -545,8 +655,8 @@ func TestUpdateCostFollowsTheDelta(t *testing.T) {
 // benchDelta update. In alternate the ops insert and delete the same
 // delta in turn, on LUBM(32) and on LUBM(128): what one write costs
 // should follow the delta, not the data. In fresh every op inserts new
-// entities into LUBM(32), so each write also places vertices the
-// assignment has never seen.
+// entities into LUBM(32), so each write also places vertices that no
+// fragment holds.
 func BenchmarkUpdate(b *testing.B) {
 	for _, c := range []struct {
 		name  string

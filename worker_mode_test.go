@@ -428,11 +428,11 @@ func spyOn(db *DB) *swapSpy {
 // verticesIn lists workerGraph's vertices that db places in a fragment
 // keep accepts.
 func verticesIn(db *DB, keep func(frag int) bool) []string {
-	assign := db.load().dist.Assignment
+	dist := db.load().dist
 	var out []string
 	for i := 0; i < 60; i++ {
 		v := fmt.Sprintf("http://ex.org/v%d", i)
-		if id, ok := db.Graph.Dict.Lookup(rdf.NewIRI(v)); ok && keep(assign.FragmentOf(id)) {
+		if id, ok := db.Graph.Dict.Lookup(rdf.NewIRI(v)); ok && keep(dist.Owner(id)) {
 			out = append(out, v)
 		}
 	}
