@@ -58,11 +58,12 @@ type Options struct {
 	// must be safe for concurrent use.
 	Cancel func() bool
 	// Emit receives each complete crossing match as it is discovered,
-	// valid during the call; an Expansion requires it, and Assemble
-	// without it accumulates copies. Returning false stops the assembly
-	// early. With a Pool the chunks call it concurrently, so it must be
-	// safe for concurrent use; with a nil Pool it is called from one
-	// goroutine, in discovery order.
+	// valid during the call; an Expansion's Sink requires it (SinkTo
+	// takes a chunk's own instead), and Assemble without it accumulates
+	// copies. Returning false stops the assembly early. With a Pool the
+	// chunks call it concurrently, so it must be safe for concurrent use;
+	// with a nil Pool it is called from one goroutine, in discovery
+	// order.
 	Emit func(Result) bool
 }
 
@@ -116,25 +117,32 @@ type Expansion struct {
 	chunks []*expander
 }
 
-// expander is one walk chunk's expansion: its count, its cancellation
-// polls, and per depth d > 0 the scratch its joined vectors are written
-// to.
+// expander is one walk chunk's expansion: where its matches go, its
+// count, its cancellation polls, and per depth d > 0 the scratch its
+// joined vectors are written to.
 type expander struct {
 	*Expansion
+	emit      func(Result) bool
 	results   int
 	polls     uint
 	vecs, evs [][]rdf.TermID
 }
 
 // NewExpansion returns the expansion of a walk over features fs, grouping
-// pms, into crossing matches, delivered to opts.Emit.
+// pms, into crossing matches, delivered to opts.Emit (Sink) or to each
+// chunk's own emit (SinkTo).
 func NewExpansion(pms []*partial.Match, fs *lec.Features, opts Options) *Expansion {
 	return &Expansion{pms: pms, fs: fs, opts: opts}
 }
 
-// Sink returns a new chunk's sink: lec.Walk's sink argument.
-func (x *Expansion) Sink() lec.Sink {
-	e := &expander{Expansion: x}
+// Sink returns a new chunk's sink emitting to opts.Emit: lec.Walk's sink
+// argument.
+func (x *Expansion) Sink() lec.Sink { return x.SinkTo(x.opts.Emit) }
+
+// SinkTo returns a new chunk's sink emitting to emit, which only that
+// chunk calls: a caller keeping per-chunk state makes one per chunk.
+func (x *Expansion) SinkTo(emit func(Result) bool) lec.Sink {
+	e := &expander{Expansion: x, emit: emit}
 	x.chunks = append(x.chunks, e)
 	return func(members []int) bool { return e.grow(members, 0, Result{}) }
 }
@@ -176,7 +184,7 @@ func (e *expander) grow(members []int, d int, r Result) bool {
 			if !e.grow(members, d+1, next) {
 				return false
 			}
-		} else if e.results++; !e.opts.Emit(next) {
+		} else if e.results++; !e.emit(next) {
 			return false
 		}
 	}

@@ -219,8 +219,10 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 			f := f
 			f.Store.MatchFunc(q, store.MatchOptions{
 				VertexFilter: func(qv int, u rdf.TermID) bool { return f.IsInternal(u) },
-			}, func(b store.Binding) bool {
-				got[answerKey(q, vertexTerms(q, b.Vars), b.Vars)] = true
+			}, func(rows [][]rdf.TermID) bool {
+				for _, row := range rows {
+					got[answerKey(q, vertexTerms(q, row), row)] = true
+				}
 				return true
 			})
 			ms, err := partial.Compute(f, q, partial.Options{})

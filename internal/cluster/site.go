@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -36,11 +37,18 @@ type Site interface {
 	// the crossing-edge bindings their union would reject elsewhere.
 	Candidates(ctx context.Context, req CandidatesRequest) (CandidatesReply, error)
 
-	// PartialEval runs the site-local evaluation stage: complete local
-	// matches stream into emit as they are found (rows are handed over —
-	// the callee must not reuse their backing arrays), and the local
-	// partial matches come back in the reply. Emit may be called
-	// concurrently; returning false stops this site's production.
+	// PartialEvalBatches runs the site-local evaluation stage: complete
+	// local matches stream into emit in batches as they are found, and
+	// the local partial matches come back in the reply. A batch and its
+	// rows are valid only during the call; the producer reuses them, so
+	// emit copies what it keeps. Emit may be called concurrently, one
+	// batch per producer at a time; returning false stops this site's
+	// production.
+	PartialEvalBatches(ctx context.Context, req PartialRequest, emit func(rows [][]rdf.TermID) bool) (PartialReply, error)
+
+	// PartialEval is PartialEvalBatches handing emit one row at a time,
+	// each a copy the callee may keep (EachRow): the entry point the
+	// benchmark's layer drive calls.
 	PartialEval(ctx context.Context, req PartialRequest, emit func(row []rdf.TermID) bool) (PartialReply, error)
 
 	// Stats reports the site's identity and liveness for health surfaces.
@@ -215,10 +223,11 @@ func (s *LocalSite) Candidates(ctx context.Context, req CandidatesRequest) (Cand
 	return CandidatesReply{Vectors: vecs, Meter: Meter{Tasks: 1, Busy: time.Since(start)}}, nil
 }
 
-// PartialEval implements Site: local matching (and, off the star path,
-// partial evaluation) against the hosted fragment, with the vertex
-// filters reconstructed from the fragment's internal set.
-func (s *LocalSite) PartialEval(ctx context.Context, req PartialRequest, emit func(row []rdf.TermID) bool) (PartialReply, error) {
+// PartialEvalBatches implements Site: local matching (and, off the star
+// path, partial evaluation) against the hosted fragment, with the vertex
+// filters reconstructed from the fragment's internal set. Each seed
+// chunk's matcher fills its own batch (store.Batcher).
+func (s *LocalSite) PartialEvalBatches(ctx context.Context, req PartialRequest, emit func(rows [][]rdf.TermID) bool) (PartialReply, error) {
 	frag := s.frag
 	// Seed chunks emit concurrently when the pool splits the domain, so
 	// the per-site counters accumulate atomically.
@@ -241,9 +250,9 @@ func (s *LocalSite) PartialEval(ctx context.Context, req PartialRequest, emit fu
 		Order:        req.Order,
 		Pool:         req.Pool,
 		OnTask:       onTask,
-	}, func(b store.Binding) bool {
-		local.Add(1)
-		return emit(b.Vars)
+	}, func(rows [][]rdf.TermID) bool {
+		local.Add(int64(len(rows)))
+		return emit(rows)
 	})
 	rep := PartialReply{
 		LocalMatches: int(local.Load()),
@@ -270,6 +279,24 @@ func (s *LocalSite) PartialEval(ctx context.Context, req PartialRequest, emit fu
 	rep.Tasks = int(tasks.Load())
 	rep.Busy = time.Duration(busy.Load())
 	return rep, nil
+}
+
+// PartialEval implements Site.
+func (s *LocalSite) PartialEval(ctx context.Context, req PartialRequest, emit func(row []rdf.TermID) bool) (PartialReply, error) {
+	return EachRow(ctx, s, req, emit)
+}
+
+// EachRow runs s.PartialEvalBatches and hands emit each row of every
+// batch, copied: the one body of both implementations' PartialEval.
+func EachRow(ctx context.Context, s Site, req PartialRequest, emit func(row []rdf.TermID) bool) (PartialReply, error) {
+	return s.PartialEvalBatches(ctx, req, func(rows [][]rdf.TermID) bool {
+		for _, row := range rows {
+			if !emit(slices.Clone(row)) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Stats implements Site.

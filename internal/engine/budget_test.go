@@ -11,6 +11,7 @@ import (
 	"gstored/internal/partition"
 	"gstored/internal/pool"
 	"gstored/internal/query"
+	"gstored/internal/rdf"
 	"gstored/internal/store"
 	"gstored/internal/workload"
 )
@@ -25,7 +26,7 @@ func featuresHeld(t *testing.T, e *Engine, q *query.Graph, mode Mode) int64 {
 	h := e.hold(context.Background())
 	defer h.cancel(nil)
 	stats := Stats{Mode: mode, Fragments: make([]FragmentStats, len(e.sites))}
-	ship, err := e.component(h, q, e.graph.Global.Plan(q), Config{Mode: mode}, pool.New(1), &stats, func(Row) bool { return true })
+	ship, err := e.component(h, q, e.graph.Global.Plan(q), Config{Mode: mode}, pool.New(1), &stats, func([][]rdf.TermID) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}

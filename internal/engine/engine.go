@@ -405,18 +405,32 @@ func (h *holding) err(parent context.Context, err error) error {
 	return err
 }
 
-// collector is a sink that keeps every row it is handed, charged to h.
+// collector is a sink that keeps a copy of every row it is handed,
+// charged to h: a batch is copied into one slab of its own outside the
+// lock, and its rows are appended under it.
 type collector struct {
 	h    *holding
 	mu   sync.Mutex
 	rows []Row
 }
 
-func (c *collector) push(r Row) bool {
+func (c *collector) push(batch [][]rdf.TermID) bool {
+	slots := 0
+	for _, r := range batch {
+		slots += len(r)
+	}
+	slab := make([]rdf.TermID, 0, slots)
+	for _, r := range batch {
+		slab = append(slab, r...)
+	}
 	c.mu.Lock()
-	c.rows = append(c.rows, r)
+	for _, r := range batch {
+		n := len(r)
+		c.rows = append(c.rows, Row(slab[:n:n]))
+		slab = slab[n:]
+	}
 	c.mu.Unlock()
-	return c.h.charge(1, len(r))
+	return c.h.charge(len(batch), slots)
 }
 
 // window is the ordered sink of a query with LIMIT: a max-heap, in
@@ -425,6 +439,8 @@ func (c *collector) push(r Row) bool {
 // keeps the canonically first full row of each of the offset + limit
 // keys whose first rows come first. The canonical order is total, so
 // replaying the window keeps exactly the rows replaying every row would.
+// It copies a row it keeps: into a new row while it grows, and over the
+// row it displaces once it is full.
 type window struct {
 	h    *holding
 	q    *query.Graph
@@ -448,9 +464,22 @@ func newWindow(h *holding, q *query.Graph) *window {
 	return w
 }
 
-func (w *window) push(r Row) bool {
+// push offers a batch under one lock and charges the rows it added.
+func (w *window) push(batch [][]rdf.TermID) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	added, slots := 0, 0
+	for _, r := range batch {
+		if w.add(r) {
+			added++
+			slots += len(r)
+		}
+	}
+	return w.h.charge(added, slots)
+}
+
+// add offers one row and reports whether the window grew by it.
+func (w *window) add(r Row) bool {
 	if w.at != nil {
 		w.kb = w.kb[:0]
 		for _, id := range projectRow(w.q, r, w.buf) {
@@ -458,33 +487,33 @@ func (w *window) push(r Row) bool {
 		}
 		if i, ok := w.at[string(w.kb)]; ok {
 			if slices.Compare(r, w.rows[i]) < 0 {
-				w.rows[i] = r
+				copy(w.rows[i], r)
 				w.fix(i)
 			}
-			return true
+			return false
 		}
 	}
 	if len(w.rows) < w.max {
-		w.rows = append(w.rows, r)
+		w.rows = append(w.rows, slices.Clone(r))
 		if w.at != nil {
 			w.keys = append(w.keys, string(w.kb))
 			w.at[w.keys[len(w.keys)-1]] = len(w.rows) - 1
 		}
 		w.fix(len(w.rows) - 1)
-		return w.h.charge(1, len(r))
-	}
-	if len(w.rows) == 0 || slices.Compare(r, w.rows[0]) >= 0 {
 		return true
 	}
+	if len(w.rows) == 0 || slices.Compare(r, w.rows[0]) >= 0 {
+		return false
+	}
 	// r displaces the window's last row.
-	w.rows[0] = r
+	copy(w.rows[0], r)
 	if w.at != nil {
 		delete(w.at, w.keys[0])
 		w.keys[0] = string(w.kb)
 		w.at[w.keys[0]] = 0
 	}
 	w.fix(0)
-	return true
+	return false
 }
 
 // fix restores the heap order, the canonically last row on top, after
@@ -690,10 +719,9 @@ func (e *Engine) component(h *holding, q *query.Graph, plan []PlanEdge, cfg Conf
 	// replies. A sink that stopped the run still reads what was matched
 	// up to that point, so the replies count before the error.
 	reps := make([]cluster.PartialReply, len(e.sites))
-	emit := func(row []rdf.TermID) bool { return out(Row(row)) }
 	err := e.round(ctx, StagePartial, p, stats, func(i int, s cluster.Site) (cluster.Meter, error) {
 		var err error
-		reps[i], err = s.PartialEval(ctx, req, emit)
+		reps[i], err = s.PartialEvalBatches(ctx, req, out)
 		return reps[i].Meter, err
 	})
 	var pms []*partial.Match
@@ -732,11 +760,13 @@ func validateForExec(q *query.Graph, cfg *Config) error {
 }
 
 // rowOut receives produced result rows (full bindings, one slot per
-// query variable) and reports whether production should continue.
-// Implementations must be safe for concurrent use — sites emit in
-// parallel — and must copy rows they retain only when the producer says
-// so (the engine's producers hand over ownership of full rows).
-type rowOut func(Row) bool
+// query variable) in batches, one per producer flush (store.Batcher),
+// and reports whether production should continue. Implementations must
+// be safe for concurrent use — sites emit in parallel — and take one
+// lock and one budget charge per batch. A batch and its rows are valid
+// only during the call: the producer reuses them, so a sink copies the
+// rows it keeps.
+type rowOut func(rows [][]rdf.TermID) bool
 
 // streamSink is the one place the solution modifiers apply: full rows
 // come in, and each survivor goes out to the consumer with its
@@ -782,18 +812,28 @@ func replay(q *query.Graph, rows []Row) []Row {
 		s.seen.Reserve(len(rows), len(rows)*len(projectRow(q, rows[0], s.buf)))
 	}
 	for _, r := range rows {
-		if !s.push(r) {
+		if !s.add(r) {
 			break
 		}
 	}
 	return kept
 }
 
-// push accepts one full row; the return value tells the producer whether
-// to keep going.
-func (s *streamSink) push(row Row) bool {
+// push accepts a batch of full rows under one lock; the return value
+// tells the producer whether to keep going.
+func (s *streamSink) push(rows [][]rdf.TermID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, row := range rows {
+		if !s.add(row) {
+			return false
+		}
+	}
+	return true
+}
+
+// add accepts one full row. Callers hold s.mu, or have not shared s.
+func (s *streamSink) add(row Row) bool {
 	if s.done {
 		return false
 	}
@@ -895,7 +935,8 @@ func (s *Stats) count(bytes, messages int64) {
 
 // assemble runs stages 2 and 3 over the partial matches stage 1
 // gathered: LEC-feature pruning (LO, Full) and the assembly of crossing
-// matches, which stream into out as the walk finds them. Every mode
+// matches, which stream into out as the walk finds them, in batches per
+// walk chunk. Every mode
 // builds its features — lec.Group from LA up, lec.Singletons for Basic —
 // charges what they hold to h, and runs one lec.Walk whose sink expands
 // each complete combination. The assembly span books the walk with the
@@ -905,27 +946,7 @@ func (s *Stats) count(bytes, messages int64) {
 func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
 	ctx := h.ctx
 	tr := trace.FromContext(ctx)
-	// Emit streams each crossing match straight into out as a row, so no
-	// []assembly.Result is materialized; the ordered path's terminal sort
-	// covers the unordered emission, and a streaming sink can stop the
-	// assembly mid-join.
-	edgeVars := q.EdgeVars()
-	opts := assembly.Options{
-		Pool:   p,
-		Cancel: cluster.CancelPoll(ctx),
-		Emit: func(cm assembly.Result) bool {
-			row := make(Row, len(q.Vars))
-			for i, v := range q.Vertices {
-				if v.IsVar() {
-					row[v.Var] = cm.Vec[i]
-				}
-			}
-			for _, ev := range edgeVars {
-				row[ev] = cm.EdgeVars[ev]
-			}
-			return out(row)
-		},
-	}
+	opts := assembly.Options{Pool: p, Cancel: cluster.CancelPoll(ctx)}
 	start := time.Now()
 	var fs *lec.Features
 	if cfg.Mode >= LA {
@@ -938,6 +959,7 @@ func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *p
 	if !h.charge(len(pms), 4*fs.Crossing) {
 		return ErrBudget
 	}
+	var batches []*store.Batcher
 	asmStart := start
 	if cfg.Mode >= LO {
 		asmStart = time.Now()
@@ -948,7 +970,13 @@ func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *p
 	// complete combination it finds. Over the RPC transport the partial
 	// matches crossed the wire in stage 1, so there stage 2 ships nothing.
 	x := assembly.NewExpansion(pms, fs, opts)
-	walk := lec.Walk(fs, q, cfg.Mode == Basic, p, opts.Cancel, x.Sink)
+	walk := lec.Walk(fs, q, cfg.Mode == Basic, p, opts.Cancel, rowSinks(q, x, out, &batches))
+	// Once out declines a batch, the other chunks' rows are dropped.
+	declined := false
+	for _, b := range batches {
+		declined = declined || !b.Flush()
+		b.Release()
+	}
 	asmStats := x.Stats(walk)
 	asmTime := time.Since(asmStart)
 	if cfg.Mode >= LO {
@@ -974,6 +1002,33 @@ func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *p
 	stats.JoinAttempts += asmStats.JoinAttempts
 	stats.NumCrossingMatches += asmStats.Results
 	return ctx.Err()
+}
+
+// rowSinks is the walk's sink factory (lec.Walk's last argument) for an
+// expansion whose crossing matches go to out as rows: each chunk writes
+// its rows into a Batcher of its own, so no row is allocated, and the
+// caller flushes and releases the batchers, listed in *batches, once the
+// walk is over. The first row of every chunk leaves at once (a
+// Batcher's threshold starts at one row), so a streaming sink can stop
+// the assembly mid-join.
+func rowSinks(q *query.Graph, x *assembly.Expansion, out rowOut, batches *[]*store.Batcher) func() lec.Sink {
+	edgeVars := q.EdgeVars()
+	return func() lec.Sink {
+		b := store.NewBatcher(len(q.Vars), out)
+		*batches = append(*batches, b)
+		return x.SinkTo(func(cm assembly.Result) bool {
+			row := b.Next()
+			for i, v := range q.Vertices {
+				if v.IsVar() {
+					row[v.Var] = cm.Vec[i]
+				}
+			}
+			for _, ev := range edgeVars {
+				row[ev] = cm.EdgeVars[ev]
+			}
+			return b.Add()
+		})
+	}
 }
 
 // shipCounts are the quantities of one component's execution that the
@@ -1139,11 +1194,13 @@ func reportBytes(m int) (up, down int64) { return int64(16 * m), int64((m + 7) /
 // variables shared between components (vertex variables cannot be shared
 // — a shared vertex would connect the components).
 //
-// The final component's cross product streams: each complete combined
-// row goes to out as it is merged (component rows — and, for three or
-// more components, the intermediate pairwise products — still
-// materialize, charged to h; only the last merge, which can dwarf them
-// all, never does), and production stops the moment out declines. Component
+// Every product is merged straight into a Batcher's rows, so a pair
+// that fails costs no allocation. The final component's cross product
+// streams: its batches go to out as they fill (component rows — and, for
+// three or more components, the intermediate pairwise products — still
+// materialize in collectors, charged to h; only the last merge, which
+// can dwarf them all, never does), and production stops the moment out
+// declines a batch. Component
 // sub-queries carry no solution modifiers (SplitComponents drops them
 // with the projection), so modifiers apply exactly once, in the caller's
 // sink. It returns what the §IX model prices for each component run.
@@ -1159,8 +1216,23 @@ func (e *Engine) runComponents(h *holding, q *query.Graph, comps []query.Compone
 			return ships, err
 		}
 
+		// The last product's batches go to out, the others' are collected
+		// as the next product. A declined batch is out stopping the run,
+		// or else the budget.
 		last := ci == len(comps)-1
-		var next []Row
+		next := &collector{h: h}
+		sink := next.push
+		if last {
+			sink = out
+		}
+		declined := func() ([]*shipCounts, error) {
+			if last {
+				return ships, nil
+			}
+			return ships, ErrBudget
+		}
+		b := store.NewBatcher(len(q.Vars), sink)
+		defer b.Release()
 		var ops uint
 		for _, base := range combined {
 			for _, sub := range c.rows {
@@ -1172,7 +1244,7 @@ func (e *Engine) runComponents(h *holding, q *query.Graph, comps []query.Compone
 					}
 				}
 				ops++
-				merged := make(Row, len(base))
+				merged := b.Next()
 				copy(merged, base)
 				ok := true
 				for subVar, parentVar := range comp.VarMap {
@@ -1185,20 +1257,15 @@ func (e *Engine) runComponents(h *holding, q *query.Graph, comps []query.Compone
 						merged[parentVar] = v
 					}
 				}
-				if !ok {
-					continue
-				}
-				if !last {
-					next = append(next, merged)
-					if !h.charge(1, len(merged)) {
-						return ships, ErrBudget
-					}
-				} else if !out(merged) {
-					return ships, nil
+				if ok && !b.Add() {
+					return declined()
 				}
 			}
 		}
-		combined = next
+		if !b.Flush() {
+			return declined()
+		}
+		combined = next.rows
 		if len(combined) == 0 {
 			break
 		}

@@ -240,7 +240,7 @@ func FuzzExecute(f *testing.F) {
 		// Four single-edge components over 40 edges make millions of rows:
 		// an input asks for at most fuzzMaxRows.
 		n := 0
-		global.MatchFunc(q, store.MatchOptions{}, func(store.Binding) bool { n++; return n <= fuzzMaxRows })
+		global.MatchFunc(q, store.MatchOptions{}, func(rows [][]rdf.TermID) bool { n += len(rows); return n <= fuzzMaxRows })
 		if n > fuzzMaxRows {
 			return
 		}

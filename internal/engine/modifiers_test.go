@@ -359,11 +359,13 @@ func TestDistinctAllocs(t *testing.T) {
 	}
 	streamed := func(n int) float64 {
 		rs := rows(n)
+		one := make([][]rdf.TermID, 1)
 		return testing.AllocsPerRun(10, func() {
 			emitted := 0
 			sink := newStreamSink(q, func(_, _ Row) bool { emitted++; return true }, func() {})
 			for _, r := range rs {
-				sink.push(r)
+				one[0] = r
+				sink.push(one)
 			}
 			if emitted != n/2 {
 				t.Fatalf("DISTINCT streamed %d of %d rows, want %d", emitted, n, n/2)

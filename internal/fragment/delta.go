@@ -33,28 +33,43 @@ type Delta struct {
 // lists can differ; any vertex disappearing from an untouched fragment
 // would require deleting one of its edges, which would have touched that
 // fragment. The owner of an endpoint is d's (Owner): the fragment whose
-// V_i holds it, else the Hash strategy's pick. The work is proportional
-// to the delta plus shallow per-fragment copies, and the result equals
-// Build over newGlobal, under that ownership, field for field (the
-// tests' oracle).
+// V_i holds it, else the Hash strategy's pick, asked once per distinct
+// endpoint of the delta. The work is proportional to the delta plus
+// shallow per-fragment copies, and the result equals Build over
+// newGlobal, under that ownership, field for field (the tests' oracle).
 //
 // The second result holds one Delta per fragment, nil where the delta
 // leaves the fragment untouched: the epoch install ships each share to
 // its site, which applies it to its resident generation, and lets every
 // other site carry its fragment forward.
 func (d *Distributed) Patch(newGlobal *store.Store, inserted, deleted []rdf.Triple) (*Distributed, []*Delta, error) {
+	// The delta's distinct endpoints, ascending, and each one's owner: a
+	// share's Owned is its fragment's run of them, in order.
+	ends := make([]rdf.TermID, 0, 2*(len(inserted)+len(deleted)))
+	for _, batch := range [2][]rdf.Triple{inserted, deleted} {
+		for _, t := range batch {
+			ends = append(ends, t.S, t.O)
+		}
+	}
+	slices.Sort(ends)
+	ends = slices.Compact(ends)
+	owner := make([]int, len(ends))
 	deltas := make([]*Delta, len(d.Fragments))
+	for i, v := range ends {
+		f := d.Owner(v)
+		owner[i] = f
+		if deltas[f] == nil {
+			deltas[f] = &Delta{}
+		}
+		deltas[f].Owned = append(deltas[f].Owned, v)
+	}
+	ownerOf := func(v rdf.TermID) int {
+		i, _ := slices.BinarySearch(ends, v)
+		return owner[i]
+	}
 	for del, batch := range [2][]rdf.Triple{inserted, deleted} {
 		for _, t := range batch {
-			var owners [2]int
-			for j, v := range [2]rdf.TermID{t.S, t.O} {
-				f := d.Owner(v)
-				owners[j] = f
-				if deltas[f] == nil {
-					deltas[f] = &Delta{}
-				}
-				deltas[f].Owned = append(deltas[f].Owned, v)
-			}
+			owners := [2]int{ownerOf(t.S), ownerOf(t.O)}
 			for j, f := range owners {
 				if j == 1 && f == owners[0] {
 					break // an internal edge is one fragment's, once
@@ -77,8 +92,6 @@ func (d *Distributed) Patch(newGlobal *store.Store, inserted, deleted []rdf.Trip
 		if share == nil {
 			continue
 		}
-		slices.Sort(share.Owned)
-		share.Owned = slices.Compact(share.Owned)
 		f, err := d.Fragments[i].Apply(share)
 		if err != nil {
 			return nil, nil, err

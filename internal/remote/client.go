@@ -133,7 +133,8 @@ type Site struct {
 func (s *Site) ID() int { return s.id }
 
 // call runs one RPC round: request out, frames in until the final one,
-// row batches delivered to onRow (which may be nil). The Meter it returns
+// each row-batch frame's rows delivered to onRows as one batch (onRows
+// may be nil). The Meter it returns
 // counts the round's bytes and frames, and carries the work the final
 // frame reports. It retries once, on a freshly dialed connection, after a
 // transport error that precedes the first response frame — the request
@@ -142,7 +143,7 @@ func (s *Site) ID() int { return s.id }
 // pooled connection: after a worker restart every connection pooled
 // before it is as dead as the first. Context cancellation interrupts
 // blocked connection I/O via an AfterFunc that poisons the deadline.
-func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) bool) (resp response, m cluster.Meter, err error) {
+func (s *Site) call(ctx context.Context, req *request, onRows func([][]rdf.TermID) bool) (resp response, m cluster.Meter, err error) {
 	req.Site = s.id
 	if req.Epoch == 0 {
 		req.Epoch = s.epoch
@@ -154,7 +155,7 @@ func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) 
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		resp, m, err = s.attempt(ctx, req, onRow, attempt > 0)
+		resp, m, err = s.attempt(ctx, req, onRows, attempt > 0)
 		if err == nil || attempt > 0 || m.WireMessages > 1 {
 			return resp, m, err
 		}
@@ -170,7 +171,7 @@ func (s *Site) call(ctx context.Context, req *request, onRow func([]rdf.TermID) 
 // attempt is one connection's worth of call, on a new connection when
 // fresh is set. m.WireMessages counts frames in both directions (>1 once
 // a response frame arrived, which is what disqualifies a retry).
-func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermID) bool, fresh bool) (resp response, m cluster.Meter, err error) {
+func (s *Site) attempt(ctx context.Context, req *request, onRows func([][]rdf.TermID) bool, fresh bool) (resp response, m cluster.Meter, err error) {
 	c, err := s.link.get(ctx, fresh)
 	if err != nil {
 		return response{}, m, err
@@ -201,7 +202,7 @@ func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermI
 		return response{}, m, s.callErr(ctx, err)
 	}
 	m.WireMessages++
-	deliver := onRow != nil
+	deliver := onRows != nil
 	for {
 		body, n, err := c.recv()
 		m.Wire += n
@@ -222,16 +223,11 @@ func (s *Site) attempt(ctx context.Context, req *request, onRow func([]rdf.TermI
 			m.Tasks, m.Busy, m.Eval = frame.Tasks, time.Duration(frame.BusyNS), time.Duration(frame.EvalNS)
 			return frame, m, frame.err()
 		}
-		if deliver {
-			for _, row := range frame.Rows {
-				if !onRow(row) {
-					// The consumer is satisfied; keep draining so the
-					// stream stays framed (cancellation tears the
-					// connection down if the producer runs long).
-					deliver = false
-					break
-				}
-			}
+		// A satisfied consumer stops delivery; the stream keeps draining
+		// so it stays framed (cancellation tears the connection down if
+		// the producer runs long).
+		if deliver && len(frame.Rows) > 0 {
+			deliver = onRows(frame.Rows)
 		}
 	}
 }
@@ -253,17 +249,18 @@ func (s *Site) Candidates(ctx context.Context, req cluster.CandidatesRequest) (c
 	return cluster.CandidatesReply{Vectors: resp.Vectors, Meter: m}, err
 }
 
-// PartialEval implements cluster.Site. The request's Pool does not
-// travel — the worker evaluates on its own pool. A partial match arrives
-// as its four fields, and partial.Check holds each to the query's shape
-// (the coordinator derives crossing edges from them by indexing with the
+// PartialEvalBatches implements cluster.Site: each row-batch frame's
+// rows reach emit as one batch. The request's Pool does not travel — the
+// worker evaluates on its own pool. A partial match arrives as its four
+// fields, and partial.Check holds each to the query's shape (the
+// coordinator derives crossing edges from them by indexing with the
 // query): a reply that does not fit fails the call.
-func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit func(row []rdf.TermID) bool) (cluster.PartialReply, error) {
+func (s *Site) PartialEvalBatches(ctx context.Context, req cluster.PartialRequest, emit func(rows [][]rdf.TermID) bool) (cluster.PartialReply, error) {
 	delivered := 0
 	resp, m, err := s.call(ctx, &request{
 		Op: opPartial, Query: req.Query, Star: req.Star, Center: req.Center,
 		Order: req.Order, EdgeRank: req.EdgeRank, Union: req.Union,
-	}, func(row []rdf.TermID) bool { delivered++; return emit(row) })
+	}, func(rows [][]rdf.TermID) bool { delivered += len(rows); return emit(rows) })
 	if err != nil {
 		// A call its consumer's LIMIT cancels ends on the poisoned
 		// deadline, without the final frame's count: the rows it handed
@@ -273,6 +270,11 @@ func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit
 		err = fmt.Errorf("remote: site %d (%s): %w", s.id, s.link.addr, err)
 	}
 	return cluster.PartialReply{LocalMatches: resp.LocalMatches, Matches: resp.Matches, Meter: m}, err
+}
+
+// PartialEval implements cluster.Site.
+func (s *Site) PartialEval(ctx context.Context, req cluster.PartialRequest, emit func(row []rdf.TermID) bool) (cluster.PartialReply, error) {
+	return cluster.EachRow(ctx, s, req, emit)
 }
 
 // Stats implements cluster.Site. Only the fragment count comes from the

@@ -15,11 +15,6 @@ import (
 	"gstored/internal/store"
 )
 
-// rowBatch is how many streamed local-match rows share one frame: large
-// enough to amortize framing, small enough that the coordinator's sink
-// sees rows while the site is still producing.
-const rowBatch = 256
-
 // maxBits is the longest hashed candidate vector a request may ask a site
 // to build: 2 MiB a variable, where the engine asks for
 // candidates.DefaultBits.
@@ -274,39 +269,45 @@ func (w *Worker) handlePartial(ctx context.Context, c *conn, req *request, final
 	}
 	local := cluster.NewLocalSite(req.Site, f, req.Epoch)
 
-	// Seed chunks emit concurrently, so batching and frame writes
-	// serialize on one mutex; a write failure latches and stops every
-	// producer at its next emit.
+	// Seed chunks emit concurrently, so each producer's batch is copied
+	// into the frame and frames are written under one mutex; a frame
+	// carries store.RowBatch rows, whatever the batches' sizes. A write
+	// failure latches and stops every producer at its next batch.
 	var (
 		emu    sync.Mutex
-		batch  [][]rdf.TermID
+		frame  [][]rdf.TermID
+		slab   []rdf.TermID // the frame's rows
 		broken bool
 	)
 	flush := func() error { // callers hold emu
-		if len(batch) == 0 {
+		if len(frame) == 0 {
 			return nil
 		}
-		_, werr := c.send(&response{Rows: batch})
-		batch = batch[:0]
+		_, werr := c.send(&response{Rows: frame})
+		frame, slab = frame[:0], slab[:0]
 		return werr
 	}
-	emit := func(row []rdf.TermID) bool {
+	emit := func(rows [][]rdf.TermID) bool {
 		emu.Lock()
 		defer emu.Unlock()
-		if broken {
-			return false
-		}
-		batch = append(batch, row)
-		if len(batch) >= rowBatch {
-			if err := flush(); err != nil {
-				broken = true
+		for _, row := range rows {
+			if broken {
 				return false
 			}
+			if frame == nil { // a frame's worth, once a row arrives
+				frame = make([][]rdf.TermID, 0, store.RowBatch)
+				slab = make([]rdf.TermID, 0, store.RowBatch*len(row))
+			}
+			slab = append(slab, row...)
+			frame = append(frame, slab[len(slab)-len(row):len(slab):len(slab)])
+			if len(frame) == store.RowBatch && flush() != nil {
+				broken = true
+			}
 		}
-		return true
+		return !broken
 	}
 
-	rep, err := local.PartialEval(ctx, cluster.PartialRequest{
+	rep, err := local.PartialEvalBatches(ctx, cluster.PartialRequest{
 		Query: req.Query, Star: req.Star, Center: req.Center,
 		Order: req.Order, EdgeRank: req.EdgeRank, Union: req.Union, Pool: w.pool,
 	}, emit)

@@ -6,7 +6,6 @@ import (
 	"iter"
 	"net/http"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,14 +62,17 @@ func WriteResultsJSON(w io.Writer, dict *rdf.Dictionary, vars []string, rows Row
 
 // writeJSON is WriteResultsJSON rendering terms through cells.
 func writeJSON(w io.Writer, cells *termTable, vars []string, rows RowSeq) error {
-	ord := make([]int, len(vars))
-	for i := range ord {
-		ord[i] = i
+	rb := cells.buffer()
+	defer cells.release(rb)
+	ord := rb.ord[:0]
+	for i := range vars {
+		ord = append(ord, i)
 	}
-	sort.Slice(ord, func(a, b int) bool { return vars[ord[a]] < vars[ord[b]] })
-	// The head renders vars as json.Marshal does, a nil slice as null.
-	keys := make([][]byte, len(vars))
-	head := []byte(`{"head":{"vars":`)
+	slices.SortFunc(ord, func(a, b int) int { return strings.Compare(vars[a], vars[b]) })
+	// The head renders vars as json.Marshal does, a nil slice as null;
+	// keys holds var i's `"name":` at ends[i]:ends[i+1].
+	keys, ends := rb.keys[:0], append(rb.ends[:0], 0)
+	head := append(rb.b[:0], `{"head":{"vars":`...)
 	if vars == nil {
 		head = append(head, "null"...)
 	} else {
@@ -80,12 +82,14 @@ func writeJSON(w io.Writer, cells *termTable, vars []string, rows RowSeq) error 
 				head = append(head, ',')
 			}
 			head = appendJSONString(head, name)
-			keys[i] = append(appendJSONString(nil, name), ':')
+			keys = append(appendJSONString(keys, name), ':')
+			ends = append(ends, len(keys))
 		}
 		head = append(head, ']')
 	}
-	head = append(head, `},"results":{"bindings":[`...)
-	return writeRows(w, head, rows, func(b []byte, n int, row engine.Row) ([]byte, error) {
+	rb.b = append(head, `},"results":{"bindings":[`...)
+	rb.ord, rb.keys, rb.ends = ord, keys, ends
+	return writeRows(w, rb, rows, func(b []byte, n int, row engine.Row) ([]byte, error) {
 		if n > 0 {
 			b = append(b, ',')
 		}
@@ -103,52 +107,80 @@ func writeJSON(w io.Writer, cells *termTable, vars []string, rows RowSeq) error 
 				b = append(b, ',')
 			}
 			first = false
-			b = append(b, keys[i]...)
+			b = append(b, keys[ends[i]:ends[i+1]]...)
 			b = append(b, tb...)
 		}
 		return append(b, '}'), nil
 	}, "]}}\n")
 }
 
+// rowBuffer is one response's scratch, reused by the responses after it
+// (termTable.buffer): the bytes writeRows gathers, writeRows' state, and
+// the JSON writer's column order and rendered keys.
+type rowBuffer struct {
+	b    []byte
+	n    int
+	err  error
+	ord  []int
+	keys []byte
+	ends []int
+}
+
+// buffer takes a row buffer from the table's pool, with room for
+// writeBatchBytes.
+func (t *termTable) buffer() *rowBuffer {
+	if rb, ok := t.bufs.Get().(*rowBuffer); ok {
+		return rb
+	}
+	return &rowBuffer{b: make([]byte, 0, writeBatchBytes)}
+}
+
+// release returns rb to the pool, unless a huge row grew it past twice
+// the batch.
+func (t *termTable) release(rb *rowBuffer) {
+	if cap(rb.b) <= 2*writeBatchBytes {
+		rb.n, rb.err = 0, nil
+		t.bufs.Put(rb)
+	}
+}
+
 // writeRows is the row loop both serializations share, and the one place
-// that decides when an answer's first byte leaves: one reused buffer
-// starts with head and takes each row as appendRow renders it (n is the
-// row's index), so the per-row allocation profile stays flat however many
-// rows stream through. The buffer goes to w in one write right after the
-// first row — so head and row one leave together, and nothing leaves
-// before the rows have produced one — then whenever it reaches
+// that decides when an answer's first byte leaves: the response's row
+// buffer (rb.b, from the server's pool) starts with the head and takes
+// each row as appendRow renders it (n is the row's index), so a response
+// allocates nothing per row, nor to grow its buffer. The buffer goes to
+// w in one write right after the first row — so head and row one leave
+// together, and nothing leaves before the rows have produced one — then
+// whenever it reaches
 // writeBatchBytes, at every flushEveryRows-th row, where an http.Flusher
 // w is also flushed, and last with tail (for an empty answer, head and
 // tail in one write). The first render or write error stops the rows and
 // is returned.
-func writeRows(w io.Writer, head []byte, rows RowSeq, appendRow func(b []byte, n int, row engine.Row) ([]byte, error), tail string) error {
+func writeRows(w io.Writer, rb *rowBuffer, rows RowSeq, appendRow func(b []byte, n int, row engine.Row) ([]byte, error), tail string) error {
 	flusher, _ := w.(http.Flusher)
-	buf := head
-	var err error
-	n := 0
 	rows(func(row engine.Row) bool {
-		if buf, err = appendRow(buf, n, row); err != nil {
+		if rb.b, rb.err = appendRow(rb.b, rb.n, row); rb.err != nil {
 			return false
 		}
-		n++
-		if n == 1 || n%flushEveryRows == 0 || len(buf) >= writeBatchBytes {
-			if _, err = w.Write(buf); err != nil {
+		rb.n++
+		if n := rb.n; n == 1 || n%flushEveryRows == 0 || len(rb.b) >= writeBatchBytes {
+			if _, rb.err = w.Write(rb.b); rb.err != nil {
 				return false
 			}
-			buf = buf[:0]
+			rb.b = rb.b[:0]
 			if flusher != nil && n%flushEveryRows == 0 {
 				flusher.Flush()
 			}
 		}
 		return true
 	})
-	if err != nil {
-		return err
+	if rb.err != nil {
+		return rb.err
 	}
-	if buf = append(buf, tail...); len(buf) > 0 {
-		_, err = w.Write(buf)
+	if rb.b = append(rb.b, tail...); len(rb.b) > 0 {
+		_, rb.err = w.Write(rb.b)
 	}
-	return err
+	return rb.err
 }
 
 // termTable maps TermIDs to their cells in one format, rendering each
@@ -163,6 +195,9 @@ type termTable struct {
 	dict   *rdf.Dictionary
 	render func([]byte, rdf.Term) []byte
 	snap   atomic.Pointer[cellSnap]
+	// bufs pools the row buffers of the responses rendered through the
+	// table, so a Server's responses reuse theirs.
+	bufs sync.Pool
 
 	mu      sync.Mutex // serializes fills; guards used and scratch
 	used    int        // bytes filled in the last chunk
@@ -371,15 +406,17 @@ func WriteResultsTSV(w io.Writer, dict *rdf.Dictionary, vars []string, rows RowS
 
 // writeTSV is WriteResultsTSV rendering terms through cells.
 func writeTSV(w io.Writer, cells *termTable, vars []string, rows RowSeq) error {
-	var head []byte
+	rb := cells.buffer()
+	defer cells.release(rb)
+	head := rb.b[:0]
 	for i, name := range vars {
 		if i > 0 {
 			head = append(head, '\t')
 		}
 		head = append(append(head, '?'), name...)
 	}
-	head = append(head, '\n')
-	return writeRows(w, head, rows, func(b []byte, _ int, row engine.Row) ([]byte, error) {
+	rb.b = append(head, '\n')
+	return writeRows(w, rb, rows, func(b []byte, _ int, row engine.Row) ([]byte, error) {
 		for i := range vars {
 			if i > 0 {
 				b = append(b, '\t')

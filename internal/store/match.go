@@ -50,19 +50,26 @@ type MatchOptions struct {
 	OnTask func(d time.Duration)
 }
 
-// Match enumerates all matches of q.
+// Match enumerates all matches of q, each row copied out of its batch.
 func (st *Store) Match(q *query.Graph) []Binding {
 	var out []Binding
-	st.MatchFunc(q, MatchOptions{}, func(b Binding) bool {
-		out = append(out, b)
+	st.MatchFunc(q, MatchOptions{}, func(rows [][]rdf.TermID) bool {
+		slab := make([]rdf.TermID, len(rows)*len(q.Vars))
+		for _, r := range rows {
+			n := copy(slab, r)
+			out = append(out, Binding{Vars: slab[:n:n]})
+			slab = slab[n:]
+		}
 		return true
 	})
 	return out
 }
 
-// MatchFunc enumerates matches of q, invoking yield for each; enumeration
-// stops when yield returns false. The Binding passed to yield is freshly
-// allocated and may be retained.
+// MatchFunc enumerates matches of q and hands them to yield in batches,
+// each row a binding indexed by query variable (Binding.Vars); enumeration
+// stops when yield returns false. Every evaluation task fills its own
+// Batcher, flushed at the end of the task: the rows of a batch, and the
+// batch, are valid only during the call.
 //
 // The search walks the plan order. A first edge with a constant end is
 // extended from it, so the anchor Plan prices the edge at is its seed
@@ -72,7 +79,7 @@ func (st *Store) Match(q *query.Graph) []Binding {
 // every seed is owned by exactly one chunk, so the union of chunk
 // emissions equals the sequential result multiset; emission order across
 // chunks is unspecified.
-func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding) bool) {
+func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(rows [][]rdf.TermID) bool) {
 	if len(q.Edges) == 0 {
 		return
 	}
@@ -87,8 +94,8 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 		chunks = opts.Pool.Split(n)
 	}
 	var stop atomic.Bool
-	emit := func(b Binding) bool {
-		if !yield(b) {
+	emit := func(rows [][]rdf.TermID) bool {
+		if !yield(rows) {
 			stop.Store(true)
 			return false
 		}
@@ -99,12 +106,14 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(Binding
 			return
 		}
 		m := &matcher{Search: NewSearch(st, q), order: order, seedT: seedT, seedV: seedV, lo: lo, hi: hi,
-			cancel: opts.Cancel, stop: &stop, yield: emit}
+			cancel: opts.Cancel, stop: &stop, out: NewBatcher(len(q.Vars), emit)}
 		m.Admit = func(qv int, u rdf.TermID, via int) bool {
 			return st.signatureOK(q, qv, u, via, nil) && (opts.VertexFilter == nil || opts.VertexFilter(qv, u))
 		}
 		m.Next = m.next
 		m.step()
+		m.out.Flush()
+		m.out.Release()
 	})
 }
 
@@ -168,7 +177,7 @@ type matcher struct {
 	cancel func() bool
 	stop   *atomic.Bool // shared: some matcher's yield said stop
 	steps  uint
-	yield  func(Binding) bool
+	out    *Batcher
 }
 
 func (m *matcher) next() {
@@ -250,18 +259,18 @@ func (m *matcher) extendFromConstants(ei int) bool {
 }
 
 func (m *matcher) emit() {
-	b := Binding{Vars: make([]rdf.TermID, len(m.q.Vars))}
+	row := m.out.Next()
 	for i, v := range m.q.Vertices {
 		if v.IsVar() {
-			b.Vars[v.Var] = m.Vertex[i]
+			row[v.Var] = m.Vertex[i]
 		}
 	}
 	for ev, p := range m.EdgeVar {
 		if p != rdf.NoTerm {
-			b.Vars[ev] = p
+			row[ev] = p
 		}
 	}
-	if !m.yield(b) {
+	if !m.out.Add() {
 		m.Stop = true
 	}
 }

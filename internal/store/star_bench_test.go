@@ -48,7 +48,7 @@ func BenchmarkStarMatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		frag.Store.MatchFunc(q, opts, func(store.Binding) bool { rows++; return true })
+		frag.Store.MatchFunc(q, opts, func(batch [][]rdf.TermID) bool { rows += len(batch); return true })
 	}
 	if rows == 0 {
 		b.Fatal("LQ2 matched nothing in the fragment")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -289,10 +290,15 @@ func TestMatchLimit(t *testing.T) {
 	q := query.NewBuilder(g.Dict).
 		Triple(query.Var("x"), query.IRI("knows"), query.Var("y")).
 		MustBuild()
-	n := 0
-	st.MatchFunc(q, MatchOptions{}, func(Binding) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Errorf("yield-false stop yielded %d", n)
+	// The first batch is one row of three: declining it ends the search.
+	n, calls := 0, 0
+	st.MatchFunc(q, MatchOptions{}, func(rows [][]rdf.TermID) bool {
+		calls++
+		n += len(rows)
+		return false
+	})
+	if n != 1 || calls != 1 {
+		t.Errorf("yield-false stop yielded %d rows in %d batches, want 1 in 1", n, calls)
 	}
 }
 
@@ -309,7 +315,12 @@ func TestMatchVertexFilter(t *testing.T) {
 			// Forbid alice anywhere.
 			return u != alice
 		},
-	}, func(b Binding) bool { got = append(got, b); return true })
+	}, func(rows [][]rdf.TermID) bool {
+		for _, r := range rows {
+			got = append(got, Binding{Vars: slices.Clone(r)})
+		}
+		return true
+	})
 	if len(got) != 1 { // only bob knows carol survives
 		t.Errorf("got %d matches, want 1", len(got))
 	}
@@ -649,9 +660,11 @@ func TestMatchAgainstBruteForce(t *testing.T) {
 					for _, width := range []int{1, 4} {
 						var mu sync.Mutex
 						var got []string
-						st.MatchFunc(q, MatchOptions{VertexFilter: sh.filter, Order: order, Pool: pool.New(width)}, func(b Binding) bool {
+						st.MatchFunc(q, MatchOptions{VertexFilter: sh.filter, Order: order, Pool: pool.New(width)}, func(rows [][]rdf.TermID) bool {
 							mu.Lock()
-							got = append(got, rowString(b))
+							for _, r := range rows {
+								got = append(got, rowString(Binding{Vars: r}))
+							}
 							mu.Unlock()
 							return true
 						})
