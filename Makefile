@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt-check lint bench-check loc fuzz-smoke
+.PHONY: build test race fmt-check lint bench-check loc loc-diff fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -32,12 +32,27 @@ bench-check:
 # every PR reports in CHANGES.md. Root module only: bench/ is its own
 # module (the measuring instrument) and analyzer testdata is fixture
 # input. Untracked files count, ignored ones do not.
+LOC_FILES = git ls-files --cached --others --exclude-standard '*.go'
 loc:
-	@git ls-files --cached --others --exclude-standard '*.go' \
-		| grep -v -e '_test\.go$$' -e '^bench/' -e '^internal/analysis/testdata/' \
+	@$(LOC_FILES) | grep -v -e '_test\.go$$' -e '^bench/' -e '^internal/analysis/testdata/' \
 		| while read -r f; do [ -f "$$f" ] && echo "$$(wc -l < "$$f") $$(dirname "$$f")"; done \
 		| awk '{ n[$$2] += $$1; t += $$1 } END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' \
 		| sort -k2
+
+# loc-diff runs loc on revision BASE, extracted into a temporary
+# directory, and on the working tree, and prints both counts and the
+# change for each package that moved and in total:
+# make loc-diff BASE=HEAD^1. No threshold.
+loc-diff:
+	@test -n "$(BASE)" || { echo 'usage: make loc-diff BASE=<rev>' >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/tree" \
+	&& git archive '$(BASE)' | tar -x -C "$$tmp/tree" \
+	&& $(MAKE) -s --no-print-directory -f '$(CURDIR)/Makefile' -C "$$tmp/tree" loc LOC_FILES="find . -name '*.go' | cut -c3-" > "$$tmp/base" \
+	&& $(MAKE) -s --no-print-directory loc > "$$tmp/now" \
+	&& awk 'NR == FNR { b[$$2] = $$1; d[$$2] = 1; next } { n[$$2] = $$1; d[$$2] = 1 } \
+		END { printf "%6s %6s %6s\n", "base", "now", "diff"; \
+		      for (k in d) if (b[k] != n[k] || k == "total") printf "%6d %6d %+6d %s\n", b[k], n[k], n[k] - b[k], k }' "$$tmp/base" "$$tmp/now" \
+		| sort -k4
 
 # fuzz-smoke gives every native fuzz target a 10-second window on top of
 # its committed seed corpus; this is the one list, and CI runs it.

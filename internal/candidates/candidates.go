@@ -243,7 +243,7 @@ func crossingEdges(f *fragment.Fragment, q *query.Graph, e query.Edge, qv int) i
 	if !f.IsExtended(far.Const) {
 		return 0
 	}
-	return len(f.Store.Adjacency(far.Const, e, !out))
+	return len(f.Store.Adjacency(far.Const, !out, e.Label))
 }
 
 // crossingDegree counts the crossing edges among an internal vertex's

@@ -136,7 +136,7 @@ func randomBGP(st *store.Store, rng *rand.Rand) *query.Graph {
 	extra, first := 1+rng.Intn(3), rng.Intn(2)
 	for i := 0; i < extra; i++ {
 		hub := hubs[(first+i)%2]
-		out, in := st.Out(hub.id), st.In(hub.id)
+		out, in := st.Adjacency(hub.id, true, rdf.NoTerm), st.Adjacency(hub.id, false, rdf.NoTerm)
 		if len(in) > 0 && (len(out) == 0 || rng.Intn(2) == 0) {
 			he := in[rng.Intn(len(in))]
 			s, p := far(he.V, he.P, fmt.Sprintf("i%d", i+1))

@@ -56,7 +56,7 @@ func snapshotOf(f *Fragment) snapshot {
 		}
 	}
 	for _, o := range f.Store.Vertices() {
-		for _, he := range f.Store.In(o) {
+		for _, he := range f.Store.Adjacency(o, false, rdf.NoTerm) {
 			s.In = append(s.In, rdf.Triple{S: he.V, P: he.P, O: o})
 		}
 	}

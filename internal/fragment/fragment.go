@@ -144,7 +144,7 @@ func Build(st *store.Store, a *partition.Assignment) (*Distributed, error) {
 	for _, s := range st.Vertices() {
 		fs, _ := a.Lookup(s)
 		internal[fs].add(s)
-		for _, he := range st.Out(s) {
+		for _, he := range st.Adjacency(s, true, rdf.NoTerm) {
 			t := rdf.Triple{S: s, P: he.P, O: he.V}
 			triples[fs] = append(triples[fs], t)
 			if fo, _ := a.Lookup(he.V); fo != fs {

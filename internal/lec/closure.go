@@ -63,10 +63,16 @@ type state struct {
 	qmap    []int32
 }
 
+// level is one depth of the walk: the combination grown to it and the
+// partners it tries.
+type level struct {
+	state
+	partners []int
+}
+
 // walker is one chunk's private half of a walk: its counters, its sink
-// and the members of the combinations it completed, the candidate
-// extension of the state being expanded (next), the depth-first frontier,
-// and the scratch of partner enumeration and the seen set.
+// and the members of the combinations it completed, one level per depth,
+// and the seen set.
 type walker struct {
 	c    *closure
 	full uint64
@@ -76,14 +82,20 @@ type walker struct {
 	sink             Sink   // nil: the verdict only
 	retained         []bool // the members of the combinations it completed
 
-	next state
-	// frontier is the depth-first stack; free holds the states it has
-	// finished with, whose slices push reuses.
-	frontier []state
-	free     []state
-	seen     key.Set[int] // the current root's member sets of three and more
-	buf      []int        // partners scratch
-	polls    uint
+	levels []level
+	seen   key.Set[int] // the current root's member sets of three and more
+	polls  uint
+}
+
+// newLevels preallocates one level per depth, 0 to |V|: members' signs
+// are disjoint and none is empty, so a combination has at most one member
+// per query vertex. Level 0 holds the empty combination, every vertex
+// unbound and every edge unmapped: a root is a step from it.
+func newLevels(q *query.Graph) []level {
+	ls := make([]level, len(q.Vertices)+1)
+	ls[0].vbind = slices.Repeat([]rdf.TermID{rdf.NoTerm}, len(q.Vertices))
+	ls[0].qmap = slices.Repeat([]int32{-1}, len(q.Edges))
+	return ls
 }
 
 // buildIndex builds the side-split posting lists, unless allPairs.
@@ -213,7 +225,7 @@ func (c *closure) slot(i int, id int32) int32 {
 // false when the walk was ended early.
 func (w *walker) run(lo, hi int) bool {
 	for root := lo; root < hi; root++ {
-		if w.c.sj.Live != nil && !w.c.sj.Live[root] || !w.start(root) {
+		if w.c.sj.Live != nil && !w.c.sj.Live[root] || !w.c.step(&w.levels[0].state, root, &w.levels[1].state) {
 			continue
 		}
 		// One root's large closure must not tax the roots after it:
@@ -223,133 +235,83 @@ func (w *walker) run(lo, hi int) bool {
 		} else {
 			w.seen.Reset()
 		}
-		// A single feature can never be complete (it has a crossing edge,
-		// hence an extended endpoint vertex), but reach guards anyway.
-		if !w.reach() {
+		if !w.grow(1, root) {
 			return false
-		}
-		for len(w.frontier) > 0 {
-			if w.polls&0xff == 0 && (w.stop.Load() || w.c.cancel != nil && w.c.cancel()) {
-				return false
-			}
-			w.polls++
-			s := w.frontier[len(w.frontier)-1]
-			w.frontier = w.frontier[:len(w.frontier)-1]
-			if !w.expand(&s, root) {
-				return false
-			}
-			w.free = append(w.free, s)
 		}
 	}
 	return true
 }
 
-// expand tries every partner of s and reaches the extensions that are
-// new; it reports false when the sink ended the walk.
-func (w *walker) expand(s *state, root int) bool {
-	for _, i := range w.partners(s, root) {
+// grow completes or extends depth d's combination, reporting false when
+// the walk was ended early. One that covers the query, which nothing can
+// extend (any further feature overlaps its sign), has its members marked
+// retained and handed to the sink. Otherwise each partner's extension is
+// written into depth d+1 and, when new, grown in turn.
+func (w *walker) grow(d, root int) bool {
+	l := &w.levels[d]
+	if l.sign == w.full {
+		for _, m := range l.members {
+			w.retained[m] = true
+		}
+		return w.sink == nil || w.sink(l.members)
+	}
+	if w.polls&0xff == 0 && (w.stop.Load() || w.c.cancel != nil && w.c.cancel()) {
+		return false
+	}
+	w.polls++
+	next := &w.levels[d+1].state
+	w.partners(l, root)
+	for _, i := range l.partners {
 		w.attempts++
-		if !w.step(s, i) {
+		if !w.c.step(&l.state, i, next) {
 			continue
 		}
 		// A pair is reached once, from its root; only larger
 		// combinations have several growth orders to deduplicate.
-		if len(w.next.members) > 2 {
-			if _, added := w.seen.Add(w.next.members); !added {
+		if len(next.members) > 2 {
+			if _, added := w.seen.Add(next.members); !added {
 				continue
 			}
 		}
 		w.states++
-		if !w.reach() {
+		if !w.grow(d+1, root) {
 			return false
 		}
 	}
 	return true
 }
 
-// reach pushes next onto the frontier unless it covers the query, which
-// nothing can extend (any further feature overlaps its sign): then its
-// members are marked retained and handed to the sink, and reach reports
-// false when the sink ends the walk.
-func (w *walker) reach() bool {
-	if w.next.sign != w.full {
-		w.push()
-		return true
-	}
-	for _, m := range w.next.members {
-		w.retained[m] = true
-	}
-	return w.sink == nil || w.sink(w.next.members)
-}
-
-// push copies next onto the frontier, into the slices of a state the
-// walk has finished with.
-func (w *walker) push() {
-	if len(w.free) == 0 {
-		w.refill()
-	}
-	n := len(w.free)
-	s := w.free[n-1]
-	w.free = w.free[:n-1]
-	s.sign = w.next.sign
-	s.members = append(s.members[:0], w.next.members...)
-	s.vbind = append(s.vbind[:0], w.next.vbind...)
-	s.qmap = append(s.qmap[:0], w.next.qmap...)
-	w.frontier = append(w.frontier, s)
-}
-
-// refill carves stateBatch free states from one array per field, each
-// with room for a state of the query: a member per vertex at most, as
-// members' signs are disjoint and none is empty.
-func (w *walker) refill() {
-	nv, ne := len(w.c.q.Vertices), len(w.c.q.Edges)
-	members := make([]int, stateBatch*nv)
-	vbind := make([]rdf.TermID, stateBatch*nv)
-	qmap := make([]int32, stateBatch*ne)
-	for k := range stateBatch {
-		w.free = append(w.free, state{
-			members: members[k*nv : k*nv : (k+1)*nv],
-			vbind:   vbind[k*nv : k*nv : (k+1)*nv],
-			qmap:    qmap[k*ne : k*ne : (k+1)*ne],
-		})
-	}
-}
-
-// stateBatch is how many states refill carves at once.
-const stateBatch = 16
-
-// partners lists, in ascending order, the features worth trying against s:
-// larger than the root (canonical-root enumeration) and — unless allPairs,
-// which proposes every non-member — live and holding one of s's mappings
-// from the side s's sign does not cover. A holder on a covered side
-// overlaps s's sign, members included, so a mapping covered on both sides
-// proposes nobody. The result is valid until the next call.
-func (w *walker) partners(s *state, root int) []int {
+// partners fills l's list, in ascending order, with the features worth
+// trying against its combination: larger than the root (canonical-root
+// enumeration) and — unless allPairs, which proposes every non-member —
+// live and holding one of its mappings from the side its sign does not
+// cover. A holder on a covered side overlaps the sign, members included,
+// so a mapping covered on both sides proposes nobody.
+func (w *walker) partners(l *level, root int) {
 	c := w.c
-	out := w.buf[:0]
+	l.partners = l.partners[:0]
 	if c.allPairs {
 		mi := 0
 		for i := root + 1; i < c.fs.Len(); i++ {
-			for mi < len(s.members) && s.members[mi] < i {
+			for mi < len(l.members) && l.members[mi] < i {
 				mi++
 			}
-			if mi == len(s.members) || s.members[mi] != i {
-				out = append(out, i)
+			if mi == len(l.members) || l.members[mi] != i {
+				l.partners = append(l.partners, i)
 			}
 		}
-		w.buf = out
-		return out
+		return
 	}
 	lists := 0
-	for e, id := range s.qmap {
+	for e, id := range l.qmap {
 		if id < 0 {
 			continue
 		}
-		from := s.sign >> uint(c.q.Edges[e].From) & 1
-		if from == s.sign>>uint(c.q.Edges[e].To)&1 {
+		from := l.sign >> uint(c.q.Edges[e].From) & 1
+		if from == l.sign>>uint(c.q.Edges[e].To)&1 {
 			continue
 		}
-		// s covers From: ask for the holders whose internal end is To.
+		// l covers From: ask for the holders whose internal end is To.
 		slot := 2*id + int32(from)
 		list := c.post[c.postOff[slot]:c.postOff[slot+1]]
 		k, _ := slices.BinarySearch(list, int32(root+1))
@@ -358,37 +320,14 @@ func (w *walker) partners(s *state, root int) []int {
 		}
 		for _, i := range list[k:] {
 			if c.sj.Live[i] {
-				out = append(out, int(i))
+				l.partners = append(l.partners, int(i))
 			}
 		}
 	}
 	if lists > 1 {
-		slices.Sort(out)
-		out = slices.Compact(out)
+		slices.Sort(l.partners)
+		l.partners = slices.Compact(l.partners)
 	}
-	w.buf = out
-	return out
-}
-
-// start fills next with the one-feature state of root, reporting false when
-// the feature's own mappings contradict each other.
-func (w *walker) start(root int) bool {
-	c, out := w.c, &w.next
-	out.sign = c.fs.Sign[root]
-	out.members = append(out.members[:0], root)
-	out.vbind, out.qmap = out.vbind[:0], out.qmap[:0]
-	for range c.q.Vertices {
-		out.vbind = append(out.vbind, rdf.NoTerm)
-	}
-	for range c.q.Edges {
-		out.qmap = append(out.qmap, -1)
-	}
-	for _, id := range c.fs.ids(root) {
-		if !c.applyMapping(out.vbind, out.qmap, id) {
-			return false
-		}
-	}
-	return true
 }
 
 // step is the join condition, stated once: feature i extends s when their
@@ -396,15 +335,15 @@ func (w *walker) start(root int) bool {
 // crossing-edge mapping, and no query edge ends up on two crossing edges
 // (Definition 9) nor any query vertex on two crossing-edge endpoints (a
 // check beyond Definition 9, see DESIGN.md "One join closure"). On
-// success next holds the extended state.
-func (w *walker) step(s *state, i int) bool {
-	c, out := w.c, &w.next
+// success out holds the extended state. The empty combination shares
+// nothing, so a step from it, which makes a root, skips the sharing test.
+func (c *closure) step(s *state, i int, out *state) bool {
 	if s.sign&c.fs.Sign[i] != 0 {
 		return false
 	}
 	out.vbind = append(out.vbind[:0], s.vbind...)
 	out.qmap = append(out.qmap[:0], s.qmap...)
-	shared := false
+	shared := len(s.members) == 0
 	for _, id := range c.fs.ids(i) {
 		if s.qmap[c.fs.tab.edges[id].qedge] == id {
 			shared = true

@@ -225,7 +225,7 @@ func Walk(fs *Features, q *query.Graph, allPairs bool, p *pool.Pool, cancel func
 	chunks := p.Split(n)
 	ws := make([]*walker, len(chunks))
 	for k := range ws {
-		ws[k] = &walker{c: c, full: fullSign(len(q.Vertices)), stop: &stop, retained: make([]bool, n)}
+		ws[k] = &walker{c: c, full: fullSign(len(q.Vertices)), stop: &stop, retained: make([]bool, n), levels: newLevels(q)}
 		if sink != nil {
 			ws[k].sink = sink()
 		}

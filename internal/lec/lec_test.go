@@ -225,15 +225,14 @@ func TestStepMatchesDefinition9(t *testing.T) {
 	refs := refFeatures(ex.Query, pms, fs)
 	c := &closure{q: ex.Query, fs: fs}
 	c.buildIndex()
-	w := &walker{c: c, full: fullSign(len(ex.Query.Vertices))}
+	empty := newLevels(ex.Query)[0].state
 	for i, a := range refs {
 		for j, b := range refs {
-			if !w.start(i) {
+			var s, next state
+			if !c.step(&empty, i, &s) {
 				t.Fatalf("feature %d contradicts itself", i)
 			}
-			s := w.next
-			w.next = state{}
-			if got, want := w.step(&s, j), Joinable(a, b); got != want {
+			if got, want := c.step(&s, j, &next), Joinable(a, b); got != want {
 				t.Errorf("step(%d, %d) = %v, Definition 9 says %v", i, j, got, want)
 			}
 		}
@@ -366,6 +365,61 @@ func TestPruneCancel(t *testing.T) {
 		if !r {
 			t.Fatalf("canceled prune dropped feature %d; an unfinished walk must retain everything", i)
 		}
+	}
+}
+
+// TestWalkSpansSixtyFourVertices: on the largest query a sign can hold, a
+// 64-vertex chain whose every feature covers one vertex, each complete
+// combination has 64 members and so fills the deepest of the walk's
+// |V|+1 levels. Vertices 30 to 32 have a second binding, which vertices
+// 29 to 33 have a second feature to agree with, so exactly two
+// combinations complete, and the index walk completes and retains what
+// the all-pairs walk does.
+func TestWalkSpansSixtyFourVertices(t *testing.T) {
+	const n = query.MaxSize
+	b := query.NewBuilder(rdf.NewDictionary())
+	for i := range n - 1 {
+		b.Triple(query.Var(fmt.Sprint("x", i)), query.IRI("p"), query.Var(fmt.Sprint("x", i+1)))
+	}
+	q := b.MustBuild()
+	if got := len(newLevels(q)); got != n+1 || fullSign(len(q.Vertices)) != ^uint64(0) {
+		t.Fatalf("%d levels, full sign %b; want %d levels and every bit", got, fullSign(len(q.Vertices)), n+1)
+	}
+	value := func(v int, alt bool) rdf.TermID {
+		if alt && v >= 30 && v <= 32 {
+			return rdf.TermID(1000 + v)
+		}
+		return rdf.TermID(100 + v)
+	}
+	var pms []*partial.Match
+	for v := range n {
+		for _, alt := range []bool{false, true} {
+			if alt && (v < 29 || v > 33) {
+				continue
+			}
+			vec := make([]rdf.TermID, n)
+			for _, u := range []int{v - 1, v, v + 1} {
+				if u >= 0 && u < n {
+					vec[u] = value(u, alt)
+				}
+			}
+			pms = append(pms, &partial.Match{Frag: v, Vec: vec, Sign: 1 << uint(v)})
+		}
+	}
+	fs := Group(q, pms)
+	res, sets := collect(t, fs, q, false, nil, nil)
+	all, allSets := collect(t, fs, q, true, nil, nil)
+	if !res.Finished || len(sets) != 2 || !reflect.DeepEqual(sets, allSets) || !slices.Equal(res.Retained, all.Retained) {
+		t.Fatalf("index walk completed %d sets (finished %v), all-pairs %d; retained equal %v",
+			len(sets), res.Finished, len(allSets), slices.Equal(res.Retained, all.Retained))
+	}
+	for _, set := range sets {
+		if len(set) != n {
+			t.Errorf("completed %d members, want %d", len(set), n)
+		}
+	}
+	if slices.Contains(res.Retained, false) {
+		t.Error("a chain feature was pruned; every one completes")
 	}
 }
 

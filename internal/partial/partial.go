@@ -262,7 +262,7 @@ func candidateSeeds(f *fragment.Fragment, q *query.Graph) ([]rdf.Triple, []uint6
 			})
 		case f.IsInternal(v.Const):
 			for _, qe := range inc[qv] {
-				adj[qe] = f.Store.Adjacency(v.Const, q.Edges[qe], q.Edges[qe].From == qv)
+				adj[qe] = f.Store.Adjacency(v.Const, q.Edges[qe].From == qv, q.Edges[qe].Label)
 			}
 			at(qv, v.Const, adj)
 		}

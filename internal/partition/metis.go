@@ -108,7 +108,7 @@ func buildMGraph(st *store.Store, verts []rdf.TermID, idx map[rdf.TermID]int) *m
 	}
 	for _, s := range st.Vertices() {
 		si := idx[s]
-		for _, he := range st.Out(s) {
+		for _, he := range st.Adjacency(s, true, rdf.NoTerm) {
 			oi := idx[he.V]
 			if si == oi {
 				continue

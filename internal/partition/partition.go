@@ -150,13 +150,13 @@ func (SemanticHash) Partition(st *store.Store, k int) (*Assignment, error) {
 	for _, v := range deferred {
 		votes := make([]int, k)
 		voted := false
-		for _, he := range st.Out(v) {
+		for _, he := range st.Adjacency(v, true, rdf.NoTerm) {
 			if f, ok := a.Frag[he.V]; ok {
 				votes[f]++
 				voted = true
 			}
 		}
-		for _, he := range st.In(v) {
+		for _, he := range st.Adjacency(v, false, rdf.NoTerm) {
 			if f, ok := a.Frag[he.V]; ok {
 				votes[f]++
 				voted = true
@@ -220,7 +220,7 @@ func Cost(st *store.Store, a *Assignment) CostBreakdown {
 	b := CostBreakdown{FragmentEdges: make([]int, a.K)}
 	for _, s := range st.Vertices() {
 		fs, _ := a.Lookup(s)
-		for _, he := range st.Out(s) {
+		for _, he := range st.Adjacency(s, true, rdf.NoTerm) {
 			b.FragmentEdges[fs]++
 			fo, _ := a.Lookup(he.V)
 			if fs == fo {

@@ -36,7 +36,9 @@ func (v Vertex) IsVar() bool { return v.Var != NoVar }
 
 // Edge is one directed query edge (triple pattern): From --Label--> To,
 // where From/To index Graph.Vertices. A variable predicate has
-// LabelVar >= 0 (an index into Graph.Vars) and Label == rdf.NoTerm.
+// LabelVar >= 0 (an index into Graph.Vars) and Label == rdf.NoTerm, a
+// constant one LabelVar == NoVar; Validate holds every edge to one of the
+// two, so Label is rdf.NoTerm exactly when the predicate is a variable.
 type Edge struct {
 	From, To int
 	Label    rdf.TermID
@@ -207,8 +209,8 @@ func (g *Graph) Validate() error {
 		if e.LabelVar != NoVar && (e.LabelVar < 0 || e.LabelVar >= len(g.Vars)) {
 			return fmt.Errorf("query: edge %d has out-of-range label variable %d", i, e.LabelVar)
 		}
-		if e.LabelVar == NoVar && e.Label == rdf.NoTerm {
-			return fmt.Errorf("query: edge %d has neither label nor label variable", i)
+		if (e.LabelVar == NoVar) == (e.Label == rdf.NoTerm) {
+			return fmt.Errorf("query: edge %d needs exactly one of a label and a label variable", i)
 		}
 	}
 	for _, p := range g.Projection {

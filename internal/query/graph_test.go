@@ -102,8 +102,8 @@ func TestConnectedComponents(t *testing.T) {
 		Vars:     []string{"a", "b", "c", "d"},
 		Vertices: []Vertex{{Var: 0}, {Var: 1}, {Var: 2}, {Var: 3}},
 		Edges: []Edge{
-			{From: 0, To: 1, Label: 1},
-			{From: 2, To: 3, Label: 1},
+			{From: 0, To: 1, Label: 1, LabelVar: NoVar},
+			{From: 2, To: 3, Label: 1, LabelVar: NoVar},
 		},
 	}
 	comps := g.ConnectedComponents()
@@ -167,7 +167,7 @@ func TestValidateErrors(t *testing.T) {
 	badEdge := &Graph{
 		Vars:     []string{"x"},
 		Vertices: []Vertex{{Var: 0}},
-		Edges:    []Edge{{From: 0, To: 5, Label: 1}},
+		Edges:    []Edge{{From: 0, To: 5, Label: 1, LabelVar: NoVar}},
 	}
 	if err := badEdge.Validate(); err == nil {
 		t.Error("edge endpoint out of range should be invalid")
@@ -179,6 +179,14 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := noLabel.Validate(); err == nil {
 		t.Error("edge without label should be invalid")
+	}
+	bothLabels := &Graph{
+		Vars:     []string{"x", "y", "p"},
+		Vertices: []Vertex{{Var: 0}, {Var: 1}},
+		Edges:    []Edge{{From: 0, To: 1, Label: 1, LabelVar: 2}},
+	}
+	if err := bothLabels.Validate(); err == nil {
+		t.Error("edge with both a constant label and a label variable should be invalid")
 	}
 }
 

@@ -770,6 +770,7 @@ func TestBadRequestIsAnErrorFrame(t *testing.T) {
 		"query without edges":        {Op: opPartial, Query: &query.Graph{}},
 		"edge endpoint out of range": {Op: opPartial, Query: edit(func(g *query.Graph) { g.Edges[0].To = vertices })},
 		"variable out of range":      {Op: opCandidates, Query: edit(func(g *query.Graph) { g.Vertices[0].Var = len(q.Vars) })},
+		"label and label variable":   {Op: opPartial, Query: edit(func(g *query.Graph) { g.Edges[0].LabelVar = 0 })},
 		"query past MaxSize": {Op: opPartial, Query: edit(func(g *query.Graph) {
 			for len(g.Edges) <= query.MaxSize {
 				g.Edges = append(g.Edges, g.Edges[0])

@@ -50,11 +50,11 @@ func applyEquivalent(t *testing.T, dict *rdf.Dictionary, base []rdf.Triple, inse
 		return (len(a) == 0 && len(b) == 0) || reflect.DeepEqual(a, b)
 	}
 	for _, v := range want.Vertices() {
-		if !sameAdj(got.Out(v), want.Out(v)) {
-			t.Errorf("Out(%d) = %v, want %v", v, got.Out(v), want.Out(v))
+		if !sameAdj(got.Adjacency(v, true, rdf.NoTerm), want.Adjacency(v, true, rdf.NoTerm)) {
+			t.Errorf("Out(%d) = %v, want %v", v, got.Adjacency(v, true, rdf.NoTerm), want.Adjacency(v, true, rdf.NoTerm))
 		}
-		if !sameAdj(got.In(v), want.In(v)) {
-			t.Errorf("In(%d) = %v, want %v", v, got.In(v), want.In(v))
+		if !sameAdj(got.Adjacency(v, false, rdf.NoTerm), want.Adjacency(v, false, rdf.NoTerm)) {
+			t.Errorf("In(%d) = %v, want %v", v, got.Adjacency(v, false, rdf.NoTerm), want.Adjacency(v, false, rdf.NoTerm))
 		}
 	}
 	gp, wp := got.Predicates(), want.Predicates()
@@ -168,7 +168,7 @@ func TestApplyUntouchedAdjacencyIsShared(t *testing.T) {
 	// share the slice, not copy it — that sharing is what makes Apply
 	// cheaper than a rebuild.
 	b := dict.Encode(rdf.NewIRI("b"))
-	if len(st.Out(b)) == 0 || &st.Out(b)[0] != &got.Out(b)[0] {
+	if len(st.Adjacency(b, true, rdf.NoTerm)) == 0 || &st.Adjacency(b, true, rdf.NoTerm)[0] != &got.Adjacency(b, true, rdf.NoTerm)[0] {
 		t.Error("untouched adjacency was copied instead of shared")
 	}
 }
@@ -219,8 +219,8 @@ func TestApplyCopiesOnlyTouchedShards(t *testing.T) {
 		}
 		fresh := New(dict, chained.Triples())
 		for _, v := range fresh.Vertices() {
-			if !slices.Equal(chained.Out(v), fresh.Out(v)) || !slices.Equal(chained.In(v), fresh.In(v)) {
-				t.Fatalf("step %d: vertex %d reads Out %v In %v, a fresh build %v and %v", step, v, chained.Out(v), chained.In(v), fresh.Out(v), fresh.In(v))
+			if !slices.Equal(chained.Adjacency(v, true, rdf.NoTerm), fresh.Adjacency(v, true, rdf.NoTerm)) || !slices.Equal(chained.Adjacency(v, false, rdf.NoTerm), fresh.Adjacency(v, false, rdf.NoTerm)) {
+				t.Fatalf("step %d: vertex %d reads Out %v In %v, a fresh build %v and %v", step, v, chained.Adjacency(v, true, rdf.NoTerm), chained.Adjacency(v, false, rdf.NoTerm), fresh.Adjacency(v, true, rdf.NoTerm), fresh.Adjacency(v, false, rdf.NoTerm))
 			}
 		}
 		for i := range rdf.TermID(adjShards) {

@@ -39,20 +39,12 @@ func (st *Store) Plan(q *query.Graph) []PlanEdge {
 		e := q.Edges[i]
 		est := total + 1
 		if vf := q.Vertices[e.From]; !vf.IsVar() {
-			d := int64(len(st.Out(vf.Const)))
-			if !e.HasVarLabel() {
-				d = int64(len(st.OutWith(vf.Const, e.Label)))
-			}
-			if d < est {
+			if d := int64(len(st.Adjacency(vf.Const, true, e.Label))); d < est {
 				est = d
 			}
 		}
 		if vt := q.Vertices[e.To]; !vt.IsVar() {
-			d := int64(len(st.In(vt.Const)))
-			if !e.HasVarLabel() {
-				d = int64(len(st.InWith(vt.Const, e.Label)))
-			}
-			if d < est {
+			if d := int64(len(st.Adjacency(vt.Const, false, e.Label))); d < est {
 				est = d
 			}
 		}

@@ -129,13 +129,11 @@ func (s *Search) Extend(ei int) {
 		return
 	}
 	forward := u != rdf.NoTerm
-	adj, free := s.st.in.of(w), e.From
+	x, free := w, e.From
 	if forward {
-		adj, free = s.st.out.of(u), e.To
+		x, free = u, e.To
 	}
-	if p != rdf.NoTerm {
-		adj = predRange(adj, p)
-	}
+	adj := s.st.Adjacency(x, forward, p)
 	for i, he := range adj {
 		if (i > 0 && he == adj[i-1]) || !s.admit(free, he.V, ei) {
 			continue

@@ -101,8 +101,8 @@ func TestSignatureSkipIsImplied(t *testing.T) {
 				sameAdj := true
 				got := st.CandidatesFunc(q, qv, odd, func(u rdf.TermID, adj [][]HalfEdge) bool {
 					for i, e := range q.Edges {
-						if (e.From == qv) != (e.To == qv) && !reflect.DeepEqual(adj[i], st.Adjacency(u, e, e.From == qv)) {
-							t.Logf("seed %d %s: CandidatesFunc(%d) handed %d for %s %v, Adjacency %v", seed, q, qv, u, q.EdgeString(i), adj[i], st.Adjacency(u, e, e.From == qv))
+						if (e.From == qv) != (e.To == qv) && !reflect.DeepEqual(adj[i], st.Adjacency(u, e.From == qv, e.Label)) {
+							t.Logf("seed %d %s: CandidatesFunc(%d) handed %d for %s %v, Adjacency %v", seed, q, qv, u, q.EdgeString(i), adj[i], st.Adjacency(u, e.From == qv, e.Label))
 							sameAdj = false
 						}
 					}

@@ -109,12 +109,12 @@ func (s *Stats) apply(st, next *Store, deleted, inserted []rdf.Triple) *Stats {
 		n := next.byPred[e.p].Len() // a predicate's later visits move Count by 0
 		out.triples += n - ps.Count
 		ps.Count = n
-		ps.Subjects += presence(next.OutWith(e.v, e.p)) - presence(st.OutWith(e.v, e.p))
+		ps.Subjects += presence(next.Adjacency(e.v, true, e.p)) - presence(st.Adjacency(e.v, true, e.p))
 		out.preds[e.p] = ps
 	}
 	for e := range objects {
 		ps := out.preds[e.p]
-		ps.Objects += presence(next.InWith(e.v, e.p)) - presence(st.InWith(e.v, e.p))
+		ps.Objects += presence(next.Adjacency(e.v, false, e.p)) - presence(st.Adjacency(e.v, false, e.p))
 		out.preds[e.p] = ps
 	}
 	for e := range subjects {

@@ -255,38 +255,54 @@ func (st *Store) Vertices() []rdf.TermID { return st.vertices.Flat() }
 // has a half-edge in either index.
 func (st *Store) HasVertex(v rdf.TermID) bool { return len(st.out.of(v)) > 0 || len(st.in.of(v)) > 0 }
 
-// Out returns the outgoing adjacency of s (sorted by predicate then
-// object). Callers must not modify it.
-func (st *Store) Out(s rdf.TermID) []HalfEdge { return st.out.of(s) }
+// Adjacency returns v's out-edges when out, else its in-edges, sorted by
+// (P, V) and narrowed to label p unless p is rdf.NoTerm. Callers must not
+// modify it.
+func (st *Store) Adjacency(v rdf.TermID, out bool, p rdf.TermID) []HalfEdge {
+	if out {
+		return labelRun(st.out.of(v), p)
+	}
+	return labelRun(st.in.of(v), p)
+}
 
-// In returns the incoming adjacency of o. Callers must not modify it.
-func (st *Store) In(o rdf.TermID) []HalfEdge { return st.in.of(o) }
+// labelRun returns adj's half-edges labeled p, all of them when p is
+// rdf.NoTerm; adj is sorted by label.
+func labelRun(adj []HalfEdge, p rdf.TermID) []HalfEdge {
+	if p == rdf.NoTerm {
+		return adj
+	}
+	lo := after(adj, p-1)
+	return adj[lo : lo+after(adj[lo:], p)]
+}
 
-// OutWith returns the sub-slice of s's outgoing edges labeled p.
-func (st *Store) OutWith(s, p rdf.TermID) []HalfEdge { return predRange(st.out.of(s), p) }
-
-// InWith returns the sub-slice of o's incoming edges labeled p.
-func (st *Store) InWith(o, p rdf.TermID) []HalfEdge { return predRange(st.in.of(o), p) }
-
-func predRange(adj []HalfEdge, p rdf.TermID) []HalfEdge {
-	lo := sort.Search(len(adj), func(i int) bool { return adj[i].P >= p })
-	hi := sort.Search(len(adj), func(i int) bool { return adj[i].P > p })
-	return adj[lo:hi]
+// after returns the index of adj's first half-edge labeled above p.
+func after(adj []HalfEdge, p rdf.TermID) int {
+	lo, hi := 0, len(adj)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); adj[m].P <= p {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // HasTriple reports whether at least one ⟨s,p,o⟩ edge instance exists.
 func (st *Store) HasTriple(s, p, o rdf.TermID) bool {
-	r := st.OutWith(s, p)
-	i := sort.Search(len(r), func(i int) bool { return r[i].V >= o })
-	return i < len(r) && r[i].V == o
+	_, found := slices.BinarySearchFunc(st.out.of(s), HalfEdge{p, o}, compareHalfEdges)
+	return found
 }
 
 // CountTriples returns the number of ⟨s,p,o⟩ edge instances (multigraph
 // multiplicity).
 func (st *Store) CountTriples(s, p, o rdf.TermID) int {
-	r := st.OutWith(s, p)
-	lo := sort.Search(len(r), func(i int) bool { return r[i].V >= o })
-	hi := sort.Search(len(r), func(i int) bool { return r[i].V > o })
+	r := st.out.of(s)
+	lo, _ := slices.BinarySearchFunc(r, HalfEdge{p, o}, compareHalfEdges)
+	hi := lo
+	for hi < len(r) && r[hi] == (HalfEdge{p, o}) {
+		hi++
+	}
 	return hi - lo
 }
 
@@ -323,7 +339,7 @@ func (st *Store) Triples() []rdf.Triple {
 // edge in that direction. It looks each direction of u's adjacency up
 // once. Unless adj is nil, it leaves in adj[i] u's half-edges that can
 // carry each incident query edge i that is no self-loop, via included
-// (Adjacency's answer).
+// (Adjacency's answer for e.Label).
 //
 // Query edge via (-1 for none) is skipped: the caller reached u over a
 // data edge of this store that matches via, so u passes via's test by
@@ -368,23 +384,15 @@ type reach struct {
 // out-edges when out, else its in-edges, narrowed to e's label unless
 // that is a variable.
 func (r *reach) along(e query.Edge, out bool) []HalfEdge {
-	var adj []HalfEdge
-	switch {
-	case out && !r.gotOut:
+	if out && !r.gotOut {
 		r.out, r.gotOut = r.st.out.of(r.u), true
-		fallthrough
-	case out:
-		adj = r.out
-	case !r.gotIn:
+	} else if !out && !r.gotIn {
 		r.in, r.gotIn = r.st.in.of(r.u), true
-		fallthrough
-	default:
-		adj = r.in
 	}
-	if !e.HasVarLabel() {
-		adj = predRange(adj, e.Label)
+	if out {
+		return labelRun(r.out, e.Label)
 	}
-	return adj
+	return labelRun(r.in, e.Label)
 }
 
 // constantEnd reports the constant vertex c that query edge e joins qv
@@ -408,21 +416,7 @@ func (st *Store) anchor(q *query.Graph, qv int, e query.Edge) (adj []HalfEdge, o
 	if !ok {
 		return nil, false
 	}
-	return st.Adjacency(c, e, !outgoing), true
-}
-
-// Adjacency returns x's half-edges that can carry query edge e at x: its
-// out-edges when out, else its in-edges, narrowed to e's label unless
-// that is a variable.
-func (st *Store) Adjacency(x rdf.TermID, e query.Edge, out bool) []HalfEdge {
-	adj := st.in.of(x)
-	if out {
-		adj = st.out.of(x)
-	}
-	if !e.HasVarLabel() {
-		adj = predRange(adj, e.Label)
-	}
-	return adj
+	return st.Adjacency(c, !outgoing, e.Label), true
 }
 
 // hasEdge reports whether some s→o edge instance could carry query edge

@@ -62,10 +62,10 @@ func TestStoreIndexes(t *testing.T) {
 	if st.HasTriple(bob, knows, alice) {
 		t.Error("phantom bob knows alice")
 	}
-	if got := len(st.OutWith(alice, knows)); got != 2 {
+	if got := len(st.Adjacency(alice, true, knows)); got != 2 {
 		t.Errorf("alice has %d knows out-edges, want 2", got)
 	}
-	if got := len(st.InWith(carol, knows)); got != 2 {
+	if got := len(st.Adjacency(carol, false, knows)); got != 2 {
 		t.Errorf("carol has %d knows in-edges, want 2", got)
 	}
 	if st.PredCount(knows) != 3 {
@@ -87,6 +87,51 @@ func TestCountTriplesMultigraph(t *testing.T) {
 	p := id(t, g.Dict, rdf.NewIRI("p"))
 	if got := st.CountTriples(a, p, b); got != 2 {
 		t.Errorf("CountTriples = %d, want 2", got)
+	}
+}
+
+// TestAdjacencyLabelRuns: Adjacency's label run equals a filter of the
+// vertex's whole list, in both directions, on random lists of 0 to 300
+// half-edges, with duplicate half-edges, for every label
+// present, labels between, below and above them, and rdf.NoTerm; and
+// HasTriple and CountTriples agree with a count of the same list.
+func TestAdjacencyLabelRuns(t *testing.T) {
+	const v = 1
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 3, 15, 16, 17, 40, 300} {
+		for range 20 {
+			var triples []rdf.Triple
+			var want []HalfEdge // out-edges; in-edges mirror them
+			for range n {
+				he := HalfEdge{P: rdf.TermID(10 + 2*r.Intn(1+n/4)), V: rdf.TermID(2 + r.Intn(1+n/2))}
+				want = append(want, he)
+				triples = append(triples, rdf.Triple{S: v, P: he.P, O: he.V}, rdf.Triple{S: he.V, P: he.P, O: v})
+			}
+			slices.SortFunc(want, compareHalfEdges)
+			st := New(rdf.NewDictionary(), triples)
+			for _, out := range []bool{true, false} {
+				if got := st.Adjacency(v, out, rdf.NoTerm); !slices.Equal(got, want) {
+					t.Fatalf("n=%d out=%v: every label reads %v, want %v", n, out, got, want)
+				}
+				for p := rdf.TermID(8); p <= rdf.TermID(13+n/2); p++ {
+					filtered := slices.DeleteFunc(slices.Clone(want), func(he HalfEdge) bool { return he.P != p })
+					if got := st.Adjacency(v, out, p); !slices.Equal(got, filtered) && len(got)+len(filtered) > 0 {
+						t.Fatalf("n=%d out=%v label %d: %v, want %v", n, out, p, got, filtered)
+					}
+				}
+			}
+			for _, he := range append(want, HalfEdge{P: 10, V: 1}, HalfEdge{P: 11, V: 2}) {
+				count := 0
+				for _, w := range want {
+					if w == he {
+						count++
+					}
+				}
+				if got := st.CountTriples(v, he.P, he.V); got != count || st.HasTriple(v, he.P, he.V) != (count > 0) {
+					t.Fatalf("n=%d: ⟨%d %d %d⟩ counts %d, want %d", n, v, he.P, he.V, got, count)
+				}
+			}
+		}
 	}
 }
 

@@ -293,10 +293,10 @@ func TestUpdateReturningVertexPlacedByHash(t *testing.T) {
 			}
 			term := func(id rdf.TermID) string { return dict.MustDecode(id).String() }
 			var edges []string
-			for _, he := range dist.Global.Out(v) {
+			for _, he := range dist.Global.Adjacency(v, true, rdf.NoTerm) {
 				edges = append(edges, term(v)+" "+term(he.P)+" "+term(he.V))
 			}
-			for _, he := range dist.Global.In(v) {
+			for _, he := range dist.Global.Adjacency(v, false, rdf.NoTerm) {
 				edges = append(edges, term(he.V)+" "+term(he.P)+" "+term(v))
 			}
 			if _, err := db.Update(context.Background(), "DELETE DATA { "+strings.Join(edges, " . ")+" }"); err != nil {
@@ -315,7 +315,7 @@ func TestUpdateReturningVertexPlacedByHash(t *testing.T) {
 				t.Errorf("%s came back in fragment %d, want its hash fragment %d", term(v), got, want)
 			}
 			// edges[0] is v's first out-edge.
-			back := dist.Global.Out(v)[0]
+			back := dist.Global.Adjacency(v, true, rdf.NoTerm)[0]
 			if got := rowsOf(t, db, "SELECT ?o WHERE { "+term(v)+" "+term(back.P)+" ?o }"); len(got) != 1 || got[0][0] != term(back.V) {
 				t.Errorf("the returned edge answers %v, want %s", got, term(back.V))
 			}
