@@ -97,7 +97,7 @@ const (
 )
 
 // TestPathProbeHoldsNoRow runs the path probe streamed and ordered.
-// Streamed, it answers every row at a peak heap of at most 400 MB,
+// Streamed, it answers every row at a peak heap of at most 200 MB,
 // sampled every 5 ms, and its first crossing row leaves from inside the
 // closure walk: no complete combination and no assembled row is kept.
 // Ordered, in process and over two loopback workers, it fails with
@@ -156,8 +156,8 @@ func TestPathProbeHoldsNoRow(t *testing.T) {
 	if rows != pathProbeRows {
 		t.Errorf("streamed %d rows, want %d", rows, pathProbeRows)
 	}
-	if peak > 400<<20 {
-		t.Errorf("streamed at a peak heap of %d MB, want at most 400", peak>>20)
+	if peak > 200<<20 {
+		t.Errorf("streamed at a peak heap of %d MB, want at most 200", peak>>20)
 	}
 	if !fromWalk {
 		t.Error("no row left from inside lec.Walk: the walk finished before assembly emitted")

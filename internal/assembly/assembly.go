@@ -74,11 +74,12 @@ type Options struct {
 // walk's sink. Without Emit it returns copies of the matches in
 // canonical row order.
 func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Stats) {
+	sets := partial.SetOf(q, pms)
 	var fs *lec.Features
 	if opts.UseLEC {
-		fs = lec.Group(q, pms)
+		fs = lec.Group(q, sets)
 	} else {
-		fs = lec.Singletons(q, pms)
+		fs = lec.Singletons(q, sets)
 	}
 	var out []Result
 	if opts.Emit == nil {
@@ -90,7 +91,7 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 			return true
 		}
 	}
-	x := NewExpansion(pms, fs, opts)
+	x := NewExpansion(sets, fs, opts)
 	walk := lec.Walk(fs, q, !opts.UseLEC, opts.Pool, opts.Cancel, x.Sink)
 	if !walk.Finished {
 		out = nil
@@ -105,13 +106,14 @@ func Assemble(pms []*partial.Match, q *query.Graph, opts Options) ([]Result, Sta
 }
 
 // Expansion is the second half of every assembly, the sink of a walk over
-// features, each grouping matches of pms: each complete combination
-// becomes the cross product of its members' partial matches, joined under
-// the vector condition of [18] at every depth — features abstract
-// internal vertices away, so two members of joinable features can still
-// disagree on one — and each match goes to Emit.
+// features, each grouping matches of one of the sets fs was built from:
+// each complete combination becomes the cross product of its members'
+// partial matches, joined under the vector condition of [18] at every
+// depth — features abstract internal vertices away, so two members of
+// joinable features can still disagree on one — and each match goes to
+// Emit.
 type Expansion struct {
-	pms    []*partial.Match
+	sets   []partial.Set
 	fs     *lec.Features
 	opts   Options
 	chunks []*expander
@@ -129,10 +131,10 @@ type expander struct {
 }
 
 // NewExpansion returns the expansion of a walk over features fs, grouping
-// pms, into crossing matches, delivered to opts.Emit (Sink) or to each
-// chunk's own emit (SinkTo).
-func NewExpansion(pms []*partial.Match, fs *lec.Features, opts Options) *Expansion {
-	return &Expansion{pms: pms, fs: fs, opts: opts}
+// the matches of sets, into crossing matches, delivered to opts.Emit
+// (Sink) or to each chunk's own emit (SinkTo).
+func NewExpansion(sets []partial.Set, fs *lec.Features, opts Options) *Expansion {
+	return &Expansion{sets: sets, fs: fs, opts: opts}
 }
 
 // Sink returns a new chunk's sink emitting to opts.Emit: lec.Walk's sink
@@ -162,6 +164,7 @@ func (e *expander) grow(members []int, d int, r Result) bool {
 	if d == len(e.vecs) {
 		e.vecs, e.evs = append(e.vecs, nil), append(e.evs, nil)
 	}
+	s := &e.sets[e.fs.Set(members[d])]
 	for _, pi := range e.fs.PMs(members[d]) {
 		if e.opts.Cancel != nil {
 			if e.polls&0xff == 0 && e.opts.Cancel() {
@@ -171,13 +174,13 @@ func (e *expander) grow(members []int, d int, r Result) bool {
 		}
 		// The first member's match is aliased; deeper ones are joined
 		// into the depth's scratch.
-		pm := e.pms[pi]
-		next := Result{pm.Vec, pm.EdgeVars}
+		vec, edgeVars := s.At(int(pi))
+		next := Result{vec, edgeVars}
 		if d > 0 {
-			if !compatible(r.Vec, pm.Vec) || !compatible(r.EdgeVars, pm.EdgeVars) {
+			if !compatible(r.Vec, vec) || !compatible(r.EdgeVars, edgeVars) {
 				continue
 			}
-			e.vecs[d], e.evs[d] = merge(e.vecs[d], r.Vec, pm.Vec), merge(e.evs[d], r.EdgeVars, pm.EdgeVars)
+			e.vecs[d], e.evs[d] = merge(e.vecs[d], r.Vec, vec), merge(e.evs[d], r.EdgeVars, edgeVars)
 			next = Result{e.vecs[d], e.evs[d]}
 		}
 		if d < len(members)-1 {

@@ -130,7 +130,7 @@ const sharedLabelShape = 5
 // has exactly one endpoint in pm's sign and exactly one data end
 // internal to f, pm's fragment.
 func oneSided(f *fragment.Fragment, q *query.Graph, pm *partial.Match) bool {
-	for _, m := range partial.AppendCrossing(nil, q, pm) {
+	for _, m := range partial.AppendCrossing(nil, q, pm.Vec, pm.EdgeVars, pm.Sign) {
 		e := q.Edges[m.QEdge]
 		if pm.Sign>>uint(e.From)&1 == pm.Sign>>uint(e.To)&1 || f.IsInternal(m.S) == f.IsInternal(m.O) {
 			return false
@@ -237,7 +237,7 @@ func TestDistributedEqualsCentralized(t *testing.T) {
 				return false
 			}
 		}
-		fs := lec.Group(q, pms)
+		fs := lec.Group(q, partial.SetOf(q, pms))
 		pruned := lec.Walk(fs, q, false, nil, nil, nil)
 		var kept []*partial.Match
 		for i, pm := range pms {
@@ -348,12 +348,13 @@ func TestExpansionChecksEveryMember(t *testing.T) {
 		q    *query.Graph
 		want int
 	}{{"edge label", pms, q, len(st.Match(q))}, {"internal vertex", synthetic, path, 1}} {
-		fs := lec.Group(tc.q, tc.pms)
+		sets := partial.SetOf(tc.q, tc.pms)
+		fs := lec.Group(tc.q, sets)
 		if !slices.ContainsFunc(fs.FeatureOf, func(fi int32) bool { return len(fs.PMs(int(fi))) == 2 }) {
 			t.Fatalf("%s: no LEC feature holds two partial matches", tc.name)
 		}
 		var expanded []Result
-		x := NewExpansion(tc.pms, fs, Options{Emit: func(r Result) bool {
+		x := NewExpansion(sets, fs, Options{Emit: func(r Result) bool {
 			expanded = append(expanded, Result{slices.Clone(r.Vec), slices.Clone(r.EdgeVars)})
 			return true
 		}})
@@ -401,19 +402,19 @@ func TestLECPathAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pms []*partial.Match
+	var sets []partial.Set
 	for _, f := range d.Fragments {
-		ms, err := partial.Compute(f, q, partial.Options{})
+		s, err := partial.ComputeSet(f, q, partial.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pms = append(pms, ms...)
+		sets = append(sets, s)
 	}
-	fs := lec.Group(q, pms)
+	fs := lec.Group(q, sets)
 	rows := 0
 	opts := Options{Emit: func(Result) bool { rows++; return true }}
 	allocs := testing.AllocsPerRun(20, func() {
-		x := NewExpansion(pms, fs, opts)
+		x := NewExpansion(sets, fs, opts)
 		x.Stats(lec.Walk(fs, q, false, nil, nil, x.Sink))
 	})
 	if rows == 0 {

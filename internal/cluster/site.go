@@ -47,8 +47,8 @@ type Site interface {
 	PartialEvalBatches(ctx context.Context, req PartialRequest, emit func(rows [][]rdf.TermID) bool) (PartialReply, error)
 
 	// PartialEval is PartialEvalBatches handing emit one row at a time,
-	// each a copy the callee may keep (EachRow): the entry point the
-	// benchmark's layer drive calls.
+	// each a copy the callee may keep, with the reply's Matches filled
+	// (EachRow): the entry point the benchmark's layer drive calls.
 	PartialEval(ctx context.Context, req PartialRequest, emit func(row []rdf.TermID) bool) (PartialReply, error)
 
 	// Stats reports the site's identity and liveness for health surfaces.
@@ -137,7 +137,9 @@ type PartialRequest struct {
 type PartialReply struct {
 	// LocalMatches counts the complete local matches streamed into emit.
 	LocalMatches int
-	// Matches are the site's local partial matches (nil on the star path).
+	// Set holds the site's local partial matches (none on the star path),
+	// and Matches, which only EachRow fills, the same as structs.
+	Set     partial.Set
 	Matches []*partial.Match
 	Meter
 }
@@ -254,31 +256,26 @@ func (s *LocalSite) PartialEvalBatches(ctx context.Context, req PartialRequest, 
 		local.Add(int64(len(rows)))
 		return emit(rows)
 	})
-	rep := PartialReply{
+	var set partial.Set
+	var err error
+	if !req.Star {
+		var ef func(int, rdf.TermID) bool
+		if req.Union != nil {
+			ef = req.Union.Filter()
+		}
+		set, err = partial.ComputeSet(frag, req.Query, partial.Options{
+			ExtendedFilter: ef,
+			Cancel:         cancel,
+			EdgeRank:       req.EdgeRank,
+			Pool:           req.Pool,
+			OnTask:         onTask,
+		})
+	}
+	return PartialReply{
 		LocalMatches: int(local.Load()),
+		Set:          set,
 		Meter:        Meter{Tasks: int(tasks.Load()), Busy: time.Duration(busy.Load())},
-	}
-	if req.Star {
-		return rep, nil
-	}
-	var ef func(int, rdf.TermID) bool
-	if req.Union != nil {
-		ef = req.Union.Filter()
-	}
-	pms, err := partial.Compute(frag, req.Query, partial.Options{
-		ExtendedFilter: ef,
-		Cancel:         cancel,
-		EdgeRank:       req.EdgeRank,
-		Pool:           req.Pool,
-		OnTask:         onTask,
-	})
-	if err != nil {
-		return rep, err
-	}
-	rep.Matches = pms
-	rep.Tasks = int(tasks.Load())
-	rep.Busy = time.Duration(busy.Load())
-	return rep, nil
+	}, err
 }
 
 // PartialEval implements Site.
@@ -287,9 +284,10 @@ func (s *LocalSite) PartialEval(ctx context.Context, req PartialRequest, emit fu
 }
 
 // EachRow runs s.PartialEvalBatches and hands emit each row of every
-// batch, copied: the one body of both implementations' PartialEval.
+// batch, copied, and fills the reply's Matches from its Set: the one body
+// of both implementations' PartialEval.
 func EachRow(ctx context.Context, s Site, req PartialRequest, emit func(row []rdf.TermID) bool) (PartialReply, error) {
-	return s.PartialEvalBatches(ctx, req, func(rows [][]rdf.TermID) bool {
+	rep, err := s.PartialEvalBatches(ctx, req, func(rows [][]rdf.TermID) bool {
 		for _, row := range rows {
 			if !emit(slices.Clone(row)) {
 				return false
@@ -297,6 +295,8 @@ func EachRow(ctx context.Context, s Site, req PartialRequest, emit func(row []rd
 		}
 		return true
 	})
+	rep.Matches = rep.Set.Matches()
+	return rep, err
 }
 
 // Stats implements Site.

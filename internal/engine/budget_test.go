@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"gstored/internal/partial"
 	"gstored/internal/partition"
 	"gstored/internal/pool"
 	"gstored/internal/query"
@@ -18,6 +17,11 @@ import (
 
 // heldBytes is what holding rows of width slots costs the budget.
 func heldBytes(rows, width int) int64 { return int64(rows * (rowOverhead + 4*width)) }
+
+// matchesHeld is what n partial matches of q, a query with no edge-label
+// variable, hold in their set's columns: an 8-byte sign and a 4-byte
+// slot per query vertex each.
+func matchesHeld(n int, q *query.Graph) int64 { return int64(n * (8 + 4*len(q.Vertices))) }
 
 // featuresHeld is what the features of q's run in mode reserve: a row
 // per partial match and four slots per crossing-edge mapping they hold.
@@ -30,11 +34,7 @@ func featuresHeld(t *testing.T, e *Engine, q *query.Graph, mode Mode) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mappings := 0
-	for _, pm := range ship.pms {
-		mappings += len(partial.AppendCrossing(nil, q, pm))
-	}
-	return heldBytes(len(ship.pms), 0) + int64(4*4*mappings)
+	return heldBytes(len(ship.fs.FeatureOf), 0) + int64(4*4*ship.fs.Crossing)
 }
 
 // TestBudgetCapsWhatAnExecutionHolds: an execution fails with ErrBudget
@@ -52,7 +52,7 @@ func TestBudgetCapsWhatAnExecutionHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, q := res.Stats, ex.Query
-	crossingStream := heldBytes(s.NumPartialMatches, len(q.Vertices)) + featuresHeld(t, e, q, Full)
+	crossingStream := matchesHeld(s.NumPartialMatches, q) + featuresHeld(t, e, q, Full)
 	crossingOrdered := crossingStream + heldBytes(s.NumLocalMatches+s.NumCrossingMatches, len(q.Vars))
 	if s.NumPartialMatches == 0 || s.NumCrossingMatches == 0 {
 		t.Fatal("the paper's query gathers no partial matches")
@@ -119,7 +119,7 @@ func TestBasicChargesItsFeatures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		held[i] = heldBytes(res.Stats.NumPartialMatches, len(q.Vertices)) + featuresHeld(t, e, q, mode)
+		held[i] = matchesHeld(res.Stats.NumPartialMatches, q) + featuresHeld(t, e, q, mode)
 		for _, width := range []int{1, 4} {
 			run := func(budget int64) error {
 				e.budget = budget

@@ -357,9 +357,9 @@ var ErrBudget = errors.New("engine: query holds more data than its budget")
 // cross product of 168,885 rows, has 4.3x headroom under it.
 const heldBudget = 64 << 20
 
-// rowOverhead is what holding a row or a match costs beyond its 4-byte
-// TermID slots: the 24-byte slice header that indexes it and 8 bytes of
-// allocation rounding.
+// rowOverhead is what holding a row costs beyond its 4-byte TermID
+// slots: the 24-byte slice header that indexes it and 8 bytes of
+// allocation rounding. The features charge it per partial match too.
 const rowOverhead = 32
 
 // holding meters what one execution holds against the engine's budget.
@@ -382,10 +382,10 @@ func (e *Engine) hold(ctx context.Context) *holding {
 	return h
 }
 
-// charge adds rows held rows of slots TermID slots in all, and reports
-// whether the holding is still within its budget.
-func (h *holding) charge(rows, slots int) bool {
-	if h.held.Add(int64(rowOverhead*rows+4*slots)) <= h.budget {
+// charge adds bytes held, and reports whether the holding is still
+// within its budget.
+func (h *holding) charge(bytes int) bool {
+	if h.held.Add(int64(bytes)) <= h.budget {
 		return true
 	}
 	h.cancel(ErrBudget)
@@ -430,7 +430,7 @@ func (c *collector) push(batch [][]rdf.TermID) bool {
 		slab = slab[n:]
 	}
 	c.mu.Unlock()
-	return c.h.charge(len(batch), slots)
+	return c.h.charge(rowOverhead*len(batch) + 4*slots)
 }
 
 // window is the ordered sink of a query with LIMIT: a max-heap, in
@@ -475,7 +475,7 @@ func (w *window) push(batch [][]rdf.TermID) bool {
 			slots += len(r)
 		}
 	}
-	return w.h.charge(added, slots)
+	return w.h.charge(rowOverhead*added + 4*slots)
 }
 
 // add offers one row and reports whether the window grew by it.
@@ -685,7 +685,7 @@ func (e *Engine) run(h *holding, q *query.Graph, cfg Config, out rowOut) (Stats,
 // partial matches gathered for assembly are charged to h.
 func (e *Engine) component(h *holding, q *query.Graph, plan []PlanEdge, cfg Config, p *pool.Pool, stats *Stats, out rowOut) (*shipCounts, error) {
 	ctx := h.ctx
-	ship := &shipCounts{q: q, local: make([]int, len(e.sites))}
+	ship := &shipCounts{q: q, local: make([]int, len(e.sites)), fs: &lec.Features{}}
 	req := cluster.PartialRequest{Query: q, Order: store.EdgeOrder(plan), Pool: p}
 	if center, ok := q.StarCenter(); ok {
 		ship.star, req.Star, req.Center = true, true, center
@@ -724,27 +724,24 @@ func (e *Engine) component(h *holding, q *query.Graph, plan []PlanEdge, cfg Conf
 		reps[i], err = s.PartialEvalBatches(ctx, req, out)
 		return reps[i].Meter, err
 	})
-	var pms []*partial.Match
+	// Site i's matches are set i, read where they arrived; they hold
+	// their columns, 8 bytes a sign and 4 a slot.
+	sets, held := make([]partial.Set, len(reps)), 0
 	for i, rep := range reps {
-		ship.local[i] = rep.LocalMatches
+		ship.local[i], sets[i] = rep.LocalMatches, rep.Set
 		stats.Fragments[i].LocalMatches += rep.LocalMatches
-		stats.Fragments[i].PartialMatches += len(rep.Matches)
+		stats.Fragments[i].PartialMatches += rep.Set.Len()
 		stats.NumLocalMatches += rep.LocalMatches
-		pms = append(pms, rep.Matches...)
+		stats.NumPartialMatches += rep.Set.Len()
+		held += 8*rep.Set.Len() + 4*(len(rep.Set.Vec)+len(rep.Set.EdgeVars))
 	}
-	stats.NumPartialMatches += len(pms)
 	if err != nil || ship.star {
 		return ship, err
 	}
-	// A match holds the slots it shipped in.
-	slots := 0
-	for _, pm := range pms {
-		slots += len(pm.Vec) + len(pm.EdgeVars)
-	}
-	if !h.charge(len(pms), slots) {
+	if !h.charge(held) {
 		return ship, ErrBudget
 	}
-	return ship, assemble(h, q, cfg, pms, p, stats, ship, out)
+	return ship, assemble(h, q, cfg, sets, p, stats, ship, out)
 }
 
 // validateForExec is the admission check of run; it also resolves the
@@ -934,29 +931,29 @@ func (s *Stats) count(bytes, messages int64) {
 }
 
 // assemble runs stages 2 and 3 over the partial matches stage 1
-// gathered: LEC-feature pruning (LO, Full) and the assembly of crossing
-// matches, which stream into out as the walk finds them, in batches per
-// walk chunk. Every mode
+// gathered, site i's in sets[i]: LEC-feature pruning (LO, Full) and the
+// assembly of crossing matches, which stream into out as the walk finds
+// them, in batches per walk chunk. Every mode
 // builds its features — lec.Group from LA up, lec.Singletons for Basic —
 // charges what they hold to h, and runs one lec.Walk whose sink expands
 // each complete combination. The assembly span books the walk with the
 // expansion it drives, in every mode, and below LO the features it
 // walks; the LEC span (LO, Full) books lec.Group and the retained and
 // semijoin bookkeeping read off the finished walk.
-func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
+func assemble(h *holding, q *query.Graph, cfg Config, sets []partial.Set, p *pool.Pool, stats *Stats, ship *shipCounts, out rowOut) error {
 	ctx := h.ctx
 	tr := trace.FromContext(ctx)
 	opts := assembly.Options{Pool: p, Cancel: cluster.CancelPoll(ctx)}
 	start := time.Now()
 	var fs *lec.Features
 	if cfg.Mode >= LA {
-		fs = lec.Group(q, pms)
+		fs = lec.Group(q, sets)
 	} else {
-		fs = lec.Singletons(q, pms)
+		fs = lec.Singletons(q, sets)
 	}
 	// The features hold a row per match and, for every crossing edge of
 	// the matches, the four key slots of its mapping (query edge, S, P, O).
-	if !h.charge(len(pms), 4*fs.Crossing) {
+	if !h.charge(rowOverhead*len(fs.FeatureOf) + 4*4*fs.Crossing) {
 		return ErrBudget
 	}
 	var batches []*store.Batcher
@@ -969,7 +966,7 @@ func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *p
 	// and retains the ones that can complete, while stage 3 expands each
 	// complete combination it finds. Over the RPC transport the partial
 	// matches crossed the wire in stage 1, so there stage 2 ships nothing.
-	x := assembly.NewExpansion(pms, fs, opts)
+	x := assembly.NewExpansion(sets, fs, opts)
 	walk := lec.Walk(fs, q, cfg.Mode == Basic, p, opts.Cancel, rowSinks(q, x, out, &batches))
 	// Once out declines a batch, the other chunks' rows are dropped.
 	declined := false
@@ -981,12 +978,13 @@ func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *p
 	asmTime := time.Since(asmStart)
 	if cfg.Mode >= LO {
 		stats.NumLECFeatures += fs.Len()
-		ship.semijoin, ship.featureOf = walk.Semijoin, fs.FeatureOf
+		ship.semijoin = walk.Semijoin
 	}
-	for i, pm := range pms {
-		if cfg.Mode < LO || walk.Retained[fs.FeatureOf[i]] {
-			stats.NumRetainedPartialMatches++
-			stats.Fragments[pm.Frag].RetainedPartialMatches++
+	for fi := range fs.Len() {
+		if cfg.Mode < LO || walk.Retained[fi] {
+			n := len(fs.PMs(fi))
+			stats.NumRetainedPartialMatches += n
+			stats.Fragments[fs.Set(fi)].RetainedPartialMatches += n
 		}
 	}
 	if cfg.Mode >= LO {
@@ -996,7 +994,7 @@ func assemble(h *holding, q *query.Graph, cfg Config, pms []*partial.Match, p *p
 	}
 	stats.Stages[StageAssembly].Time += asmTime
 	tr.Span(StageAssembly.String(), trace.Coordinator, asmStart, asmTime)
-	ship.pms = pms
+	ship.fs = fs
 	// A sink that stopped the assembly still reads the crossing matches
 	// it was handed.
 	stats.JoinAttempts += asmStats.JoinAttempts
@@ -1035,14 +1033,13 @@ func rowSinks(q *query.Graph, x *assembly.Expansion, out rowOut, batches *[]*sto
 // §IX shipment model prices; the stages record them as they run and
 // modelShipment turns them into bytes once.
 type shipCounts struct {
-	q         *query.Graph              // the component's query
-	star      bool                      // it took the star path
-	local     []int                     // local complete matches per site
-	vectors   []*candidates.SiteVectors // per-site candidate vectors (Full)
-	union     *candidates.SiteVectors   // their union, broadcast back (Full)
-	semijoin  lec.Semijoin              // the walk's semijoin, per feature and per site (LO, Full)
-	featureOf []int32                   // per match of pms: its feature (LO, Full)
-	pms       []*partial.Match          // the partial matches, once stage 2's verdict stands
+	q        *query.Graph              // the component's query
+	star     bool                      // it took the star path
+	local    []int                     // local complete matches per site
+	vectors  []*candidates.SiteVectors // per-site candidate vectors (Full)
+	union    *candidates.SiteVectors   // their union, broadcast back (Full)
+	semijoin lec.Semijoin              // the walk's semijoin, per feature and per site (LO, Full)
+	fs       *lec.Features             // the features walked, once stage 2's verdict stands; none before
 }
 
 // modelShipment is the §IX cost model of one in-process component: what
@@ -1094,14 +1091,16 @@ func modelShipment(stats *Stats, ship *shipCounts) {
 	sj := &ship.semijoin
 	matchBytes := make([]int64, k)
 	kill := make([]float64, k)
-	for j, pm := range ship.pms {
-		matchBytes[pm.Frag] += price
+	// Set i of the features is site i's matches.
+	for _, fi := range ship.fs.FeatureOf {
+		i := ship.fs.Set(int(fi))
+		matchBytes[i] += price
 		if sj.Live == nil {
 			continue
 		}
-		if fi := ship.featureOf[j]; !sj.SampleDead[fi] && sj.Sampled[pm.Frag] > 0 {
-			f := float64(sj.SampledDead[pm.Frag]) / float64(sj.Sampled[pm.Frag])
-			kill[pm.Frag] += float64(price) * (1 - math.Pow(1-f, float64(sj.Unsampled[fi])))
+		if !sj.SampleDead[fi] && sj.Sampled[i] > 0 {
+			f := float64(sj.SampledDead[i]) / float64(sj.Sampled[i])
+			kill[i] += float64(price) * (1 - math.Pow(1-f, float64(sj.Unsampled[fi])))
 		}
 	}
 	decisions := make([]Decision, k)
@@ -1128,13 +1127,13 @@ func modelShipment(stats *Stats, ship *shipCounts) {
 	// keeps of a site that stopped after it, the live ones of a site that
 	// exchanged every mapping.
 	var asm, shipped int64
-	for j, pm := range ship.pms {
-		f := &frags[pm.Frag]
-		if d := decisions[pm.Frag]; d == Sampled && sj.SampleDead[ship.featureOf[j]] || d == Exchanged && !sj.Live[ship.featureOf[j]] {
-			f.SemijoinKilled++
+	for _, fi := range ship.fs.FeatureOf {
+		i := ship.fs.Set(int(fi))
+		if d := decisions[i]; d == Sampled && sj.SampleDead[fi] || d == Exchanged && !sj.Live[fi] {
+			frags[i].SemijoinKilled++
 			continue
 		}
-		f.ShipmentBytes += price
+		frags[i].ShipmentBytes += price
 		asm += price
 		shipped++
 	}

@@ -27,10 +27,11 @@ import (
 // the semijoin prunes most; BenchmarkLECStage measures the LEC stage of
 // both. Each is built once per test binary, over one shared engine.
 type crossingFixture struct {
-	eng *Engine
-	q   *query.Graph
-	req cluster.PartialRequest // stage 1's request, candidate union included
-	pms []*partial.Match       // every site's reply, in site order
+	eng  *Engine
+	q    *query.Graph
+	req  cluster.PartialRequest // stage 1's request, candidate union included
+	sets []partial.Set          // every site's reply, in site order
+	n    int                    // the partial matches in sets
 }
 
 // buildWith partitions st with strat into k fragments and builds them.
@@ -82,7 +83,10 @@ func newCrossingFixture(name string) (*crossingFixture, error) {
 		return nil, err
 	}
 	fx.req = cluster.PartialRequest{Query: q, Union: union}
-	fx.pms, err = fx.partialEval()
+	fx.sets, err = fx.partialEval()
+	for _, s := range fx.sets {
+		fx.n += s.Len()
+	}
 	return fx, err
 }
 
@@ -97,16 +101,16 @@ func loadCrossing(tb testing.TB, name string) *crossingFixture {
 
 // partialEval is stage 1 of Full mode at width 1: each site's partial
 // evaluation under the fixture's candidate union, replies in site order.
-func (fx *crossingFixture) partialEval() ([]*partial.Match, error) {
-	var pms []*partial.Match
-	for _, s := range fx.eng.sites {
-		rep, err := s.PartialEval(context.Background(), fx.req, func([]rdf.TermID) bool { return true })
+func (fx *crossingFixture) partialEval() ([]partial.Set, error) {
+	sets := make([]partial.Set, len(fx.eng.sites))
+	for i, s := range fx.eng.sites {
+		rep, err := s.PartialEvalBatches(context.Background(), fx.req, func([][]rdf.TermID) bool { return true })
 		if err != nil {
 			return nil, err
 		}
-		pms = append(pms, rep.Matches...)
+		sets[i] = rep.Set
 	}
-	return pms, nil
+	return sets, nil
 }
 
 // TestLQ7Allocs pins the heap traffic of LQ7's crossing path, each figure
@@ -114,9 +118,9 @@ func (fx *crossingFixture) partialEval() ([]*partial.Match, error) {
 // and carved partial matches from slabs, measured the same way there:
 // partial evaluation at most 0.1 allocations per partial match (parent
 // 4.07); lec.Group (lec.Compute there) and lec.Walk allocations that do
-// not grow with the feature count, checked at n and 2n matches (parent:
-// 3.0 and 1.7 more per added feature); and one width-1 Execute at most a
-// quarter of the parent's. The grouping's bytes over all of LQ7's matches
+// not grow with the feature count, checked over half the sites' replies
+// and over all of them (parent: 3.0 and 1.7 more per added feature); and
+// one width-1 Execute at most a quarter of the parent's. The grouping's bytes over all of LQ7's matches
 // are held against the parent of the change that made features columns
 // over the matches' vectors, where lec.Compute allocated 2,859,147 bytes.
 func TestLQ7Allocs(t *testing.T) {
@@ -132,16 +136,17 @@ func TestLQ7Allocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got := pe / float64(len(fx.pms)); got > perMatch {
-		t.Errorf("partial evaluation: %.0f allocations for %d partial matches, %.3f each; want at most %v", pe, len(fx.pms), got, perMatch)
+	if got := pe / float64(fx.n); got > perMatch {
+		t.Errorf("partial evaluation: %.0f allocations for %d partial matches, %.3f each; want at most %v", pe, fx.n, got, perMatch)
 	}
 
+	// The first half of the sites' replies, then all of them.
 	type run struct{ features, compute, walk float64 }
 	var runs []run
-	for _, n := range []int{len(fx.pms) / 2, len(fx.pms)} {
-		pms := fx.pms[:n]
+	for _, k := range []int{len(fx.sets) / 2, len(fx.sets)} {
+		sets := fx.sets[:k]
 		var fs *lec.Features
-		r := run{compute: testing.AllocsPerRun(5, func() { fs = lec.Group(fx.q, pms) })}
+		r := run{compute: testing.AllocsPerRun(5, func() { fs = lec.Group(fx.q, sets) })}
 		r.walk = testing.AllocsPerRun(5, func() { lec.Walk(fs, fx.q, false, nil, nil, nil) })
 		r.features = float64(fs.Len())
 		runs = append(runs, r)
@@ -163,8 +168,8 @@ func TestLQ7Allocs(t *testing.T) {
 
 	// Under -race, slices.Grow allocates a second buffer beside the one
 	// it returns, so the byte count holds only without the detector.
-	gb := bytesPerRun(5, func() { lec.Group(fx.q, fx.pms) })
-	t.Logf("lec.Group: %.0f bytes over %d matches", gb, len(fx.pms))
+	gb := bytesPerRun(5, func() { lec.Group(fx.q, fx.sets) })
+	t.Logf("lec.Group: %.0f bytes over %d matches", gb, fx.n)
 	if gb > parentGroup/2 && !raceEnabled() {
 		t.Errorf("lec.Group: %.0f bytes, want at most half of the parent's %d", gb, parentGroup)
 	}
@@ -217,8 +222,8 @@ func BenchmarkLECStage(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
-				fs := lec.Group(fx.q, fx.pms)
-				x := assembly.NewExpansion(fx.pms, fs, opts)
+				fs := lec.Group(fx.q, fx.sets)
+				x := assembly.NewExpansion(fx.sets, fs, opts)
 				walk = lec.Walk(fs, fx.q, false, nil, nil, x.Sink)
 				x.Stats(walk)
 			}

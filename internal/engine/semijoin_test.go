@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"gstored/internal/lec"
 	"gstored/internal/partial"
 	"gstored/internal/query"
 	"gstored/internal/rdf"
@@ -41,18 +42,19 @@ func TestSemijoinDecision(t *testing.T) {
 	}
 	ship := &shipCounts{q: q, local: make([]int, len(sites))}
 	sj := &ship.semijoin
+	var sets []partial.Set // one singleton feature a match, of set i at site i
 	for i, s := range sites {
 		sj.Mappings = append(sj.Mappings, s.mappings)
 		sj.Sampled = append(sj.Sampled, s.sampled)
 		sj.SampledDead = append(sj.SampledDead, s.sampledDead)
+		sets = append(sets, partial.Set{Frag: i, Stride: 3, Sign: make([]uint64, s.matches), Vec: make([]rdf.TermID, 3*s.matches)})
 		for j := range s.matches {
-			ship.featureOf = append(ship.featureOf, int32(len(ship.pms)))
-			ship.pms = append(ship.pms, &partial.Match{Frag: i, Vec: make([]rdf.TermID, 3)})
 			sj.Live = append(sj.Live, j >= s.dead)
 			sj.SampleDead = append(sj.SampleDead, j < s.sampleDead)
 			sj.Unsampled = append(sj.Unsampled, s.unsampled)
 		}
 	}
+	ship.fs = lec.Singletons(q, sets)
 	stats := Stats{Fragments: make([]FragmentStats, len(sites))}
 	modelShipment(&stats, ship)
 

@@ -24,12 +24,12 @@ var keyQuery = query.NewBuilder(rdf.NewDictionary()).
 // Identity predicates: the fields each grouping is documented to cover.
 
 func sameFeature(a, b *partial.Match) bool {
-	return a.Frag == b.Frag && slices.Equal(partial.AppendCrossing(nil, keyQuery, a), partial.AppendCrossing(nil, keyQuery, b))
+	return a.Frag == b.Frag && slices.Equal(partial.AppendCrossing(nil, keyQuery, a.Vec, a.EdgeVars, a.Sign), partial.AppendCrossing(nil, keyQuery, b.Vec, b.EdgeVars, b.Sign))
 }
 
 // grouped reports whether lec.Group puts a and b in one feature.
 func grouped(a, b *partial.Match) bool {
-	fs := lec.Group(keyQuery, []*partial.Match{a, b})
+	fs := lec.Group(keyQuery, partial.SetOf(keyQuery, []*partial.Match{a, b}))
 	return fs.FeatureOf[0] == fs.FeatureOf[1]
 }
 

@@ -162,7 +162,7 @@ func (c *closure) semijoin() {
 				sj.SampleDead[i] = true
 			}
 		}
-		frags = max(frags, fs.Frag(i)+1)
+		frags = max(frags, fs.Set(i)+1)
 	}
 	sj.Mappings = make([]int, frags)
 	sj.Sampled = make([]int, frags)
@@ -174,7 +174,7 @@ func (c *closure) semijoin() {
 			// On this side, id is dead when the other side holds nothing.
 			dead := c.postOff[s^1] == c.postOff[s^1+1]
 			for _, i := range c.post[c.postOff[s]:c.postOff[s+1]] {
-				f := fs.Frag(int(i))
+				f := fs.Set(int(i))
 				if last[f] == id+1 {
 					continue
 				}

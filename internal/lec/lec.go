@@ -25,21 +25,23 @@ import (
 
 // Features is one query's LEC features LF([PM]) = {F, g, LECSign}
 // (Definition 8) as columns over one table of interned crossing-edge
-// mappings: feature i has the fragment Frag(i), the sign Sign[i], the
-// mapping ids of g in query-edge order, and the partial matches of its
-// equivalence class, PMs(i). Group builds them by Algorithm 1 and
+// mappings: feature i has the fragment Set(i) (the index of the set its
+// matches are in: Group takes one set per fragment), the sign Sign[i],
+// the mapping ids of g in query-edge order, and the partial matches of
+// its equivalence class, PMs(i). Group builds them by Algorithm 1 and
 // Singletons one per partial match; the walk and the expansion read
 // them by index.
 type Features struct {
 	// Sign[i] is feature i's LECSign.
 	Sign []uint64
-	// FeatureOf[j] is the feature of partial match j.
+	// FeatureOf[j] is the feature of partial match j, the j-th of the
+	// sets' matches end to end.
 	FeatureOf []int32
 	// Crossing counts the matches' crossing edges, duplicates included:
 	// the table holds a (query edge, S, P, O) record of room for each.
 	Crossing int
 
-	// tuples holds feature i at id i: its fragment, then its mapping ids.
+	// tuples holds feature i at id i: its set, then its mapping ids.
 	tuples key.List[int32]
 	// pms lists each feature's partial matches, ascending, the features
 	// in order: feature i's are pms[pmOff[i]:pmOff[i+1]].
@@ -50,10 +52,11 @@ type Features struct {
 // Len reports the number of features.
 func (fs *Features) Len() int { return len(fs.Sign) }
 
-// Frag returns feature i's fragment.
-func (fs *Features) Frag(i int) int { return int(fs.tuples.At(i)[0]) }
+// Set returns the index of the set feature i's partial matches are in.
+func (fs *Features) Set(i int) int { return int(fs.tuples.At(i)[0]) }
 
-// PMs returns feature i's partial matches, ascending; the slice aliases fs.
+// PMs returns feature i's partial matches as indices into set Set(i),
+// ascending; the slice aliases fs.
 func (fs *Features) PMs(i int) []int32 { return fs.pms[fs.pmOff[i]:fs.pmOff[i+1]] }
 
 // ids returns feature i's mapping ids, in query-edge order.
@@ -81,12 +84,13 @@ func (m mapping) hash() uint32 {
 	return uint32(mix64(mix64(uint64(uint32(m.qedge))<<32|uint64(m.s)) ^ (uint64(m.p)<<32 | uint64(m.o))))
 }
 
-// intern appends to ids the ids of pm's mappings, derived by the rule
+// intern appends to ids the ids of the mappings of the match of vector
+// vec, edge-label bindings edgeVars and sign sign, derived by the rule
 // (partial.AppendCrossing): the one place a mapping gets its id, a new
 // one the next. build sizes the slots for every crossing edge a distinct
 // mapping, so they never fill past half.
-func (t *table) intern(ids []int32, q *query.Graph, pm *partial.Match) []int32 {
-	t.cross = partial.AppendCrossing(t.cross[:0], q, pm)
+func (t *table) intern(ids []int32, q *query.Graph, vec, edgeVars []rdf.TermID, sign uint64) []int32 {
+	t.cross = partial.AppendCrossing(t.cross[:0], q, vec, edgeVars, sign)
 	mask := uint32(len(t.slots) - 1)
 	for _, c := range t.cross {
 		m := mapping{int32(c.QEdge), c.S, c.P, c.O}
@@ -103,49 +107,54 @@ func (t *table) intern(ids []int32, q *query.Graph, pm *partial.Match) []int32 {
 	return ids
 }
 
-// Group runs Algorithm 1 over the partial matches of q: one linear scan
-// that derives each match's mappings from its vector, interns them, and
-// groups the matches into equivalence classes by the id tuple (fragment,
-// interned g). Features and mappings are numbered in first-seen order.
-func Group(q *query.Graph, pms []*partial.Match) *Features { return build(q, pms, true) }
+// Group runs Algorithm 1 over the partial matches of q, one set per
+// fragment as the sites reply: one linear scan that derives each match's
+// mappings from its vector, interns them, and groups the matches into
+// equivalence classes by the id tuple (set, interned g). Features and
+// mappings are numbered in first-seen order.
+func Group(q *query.Graph, sets []partial.Set) *Features { return build(q, sets, true) }
 
 // Singletons returns one feature per partial match, in order, over the
 // same mapping table: the features of the Basic join.
-func Singletons(q *query.Graph, pms []*partial.Match) *Features { return build(q, pms, false) }
+func Singletons(q *query.Graph, sets []partial.Set) *Features { return build(q, sets, false) }
 
-func build(q *query.Graph, pms []*partial.Match, group bool) *Features {
-	fs := &Features{Sign: make([]uint64, 0, len(pms)), FeatureOf: make([]int32, len(pms))}
-	for _, pm := range pms {
-		fs.tab.cross = partial.AppendCrossing(fs.tab.cross[:0], q, pm)
-		fs.Crossing += len(fs.tab.cross)
+func build(q *query.Graph, sets []partial.Set, group bool) *Features {
+	n, fs := 0, &Features{}
+	for _, s := range sets {
+		n += s.Len()
+		fs.Crossing += s.Crossing
 	}
-	// The scan above counted the crossing edges by the rule: room for
-	// every one a distinct mapping, and for every match its own feature.
+	fs.Sign, fs.FeatureOf = make([]uint64, 0, n), make([]int32, 0, n)
+	// The sets counted the crossing edges by the rule: room for every one
+	// a distinct mapping, and for every match its own feature.
 	fs.tab.edges = make([]mapping, 0, fs.Crossing)
 	fs.tab.slots = make([]uint32, 1<<bits.Len(uint(2*fs.Crossing+1)))
 	var classes key.Set[int32] // feature fi is tuple fi
 	if group {
-		classes.Reserve(len(pms), len(pms)+fs.Crossing)
+		classes.Reserve(n, n+fs.Crossing)
 	}
-	var tup []int32
-	for j, pm := range pms {
-		tup = fs.tab.intern(append(tup[:0], int32(pm.Frag)), q, pm)
-		fi, added := len(fs.Sign), true
-		if group {
-			fi, added = classes.Add(tup)
-		} else {
-			fs.tuples.Append(tup)
+	tup := make([]int32, 0, 1+len(q.Edges)) // a set, then a mapping a query edge at most
+	for k, s := range sets {
+		for i, sign := range s.Sign {
+			vec, edgeVars := s.At(i)
+			tup = fs.tab.intern(append(tup[:0], int32(k)), q, vec, edgeVars, sign)
+			fi, added := len(fs.Sign), true
+			if group {
+				fi, added = classes.Add(tup)
+			} else {
+				fs.tuples.Append(tup)
+			}
+			if added {
+				fs.Sign = append(fs.Sign, sign)
+			}
+			fs.FeatureOf = append(fs.FeatureOf, int32(fi))
 		}
-		if added {
-			fs.Sign = append(fs.Sign, pm.Sign)
-		}
-		fs.FeatureOf[j] = int32(fi)
 	}
 	if group {
 		fs.tuples = classes.List()
 	}
 	// The members: count, prefix-sum, place in match order, so every
-	// feature's are ascending.
+	// feature's are ascending, each by its index in its set.
 	fs.pmOff = make([]int32, fs.Len()+1)
 	for _, fi := range fs.FeatureOf {
 		fs.pmOff[fi+1]++
@@ -153,10 +162,14 @@ func build(q *query.Graph, pms []*partial.Match, group bool) *Features {
 	for i := 1; i < len(fs.pmOff); i++ {
 		fs.pmOff[i] += fs.pmOff[i-1]
 	}
-	fs.pms = make([]int32, len(pms))
-	for j, fi := range fs.FeatureOf {
-		fs.pms[fs.pmOff[fi]] = int32(j)
-		fs.pmOff[fi]++
+	fs.pms = make([]int32, n)
+	of := fs.FeatureOf
+	for _, s := range sets {
+		for i := range int32(s.Len()) {
+			fs.pms[fs.pmOff[of[0]]] = i
+			fs.pmOff[of[0]]++
+			of = of[1:]
+		}
 	}
 	// Placing advanced every start to its end: shift back.
 	copy(fs.pmOff[1:], fs.pmOff)
@@ -190,7 +203,7 @@ type PruneResult struct {
 // crossing-edge mappings, in full and on its sample: the 1 in sampleRate
 // mappings a fixed hash of the mapping selects. A mapping is dead when no
 // feature holds it from the other side. Per-feature slices index the
-// walked features, per-fragment ones the fragment IDs.
+// walked features, per-fragment ones the fragments (Features.Set).
 type Semijoin struct {
 	// Live[i] reports that feature i holds no dead mapping; the walk never
 	// roots or proposes a dead feature.
@@ -253,13 +266,15 @@ func Walk(fs *Features, q *query.Graph, allPairs bool, p *pool.Pool, cancel func
 // that grouping, each the same Feature, which holds the whole.
 type Feature struct{ fs *Features }
 
-// Compute is Group over pms, all of one query: one Feature per feature,
-// and featureOf[j] the feature of pms[j].
+// Compute is Group over pms, all of one query and each fragment's in one
+// run, as the sites reply (partial.SetOf): one Feature per feature, and
+// featureOf[j] the feature of pms[j].
 func Compute(pms []*partial.Match) (features []*Feature, featureOf []int) {
 	if len(pms) == 0 {
 		return nil, nil
 	}
-	fs := Group(pms[0].Query, pms)
+	q := pms[0].Query
+	fs := Group(q, partial.SetOf(q, pms))
 	featureOf = make([]int, len(pms))
 	for j, fi := range fs.FeatureOf {
 		featureOf[j] = int(fi)

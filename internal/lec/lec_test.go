@@ -35,7 +35,7 @@ func paperFeatures(t *testing.T) (*paperexample.Example, []*partial.Match, *Feat
 	if len(pms) != 8 {
 		t.Fatalf("expected the 8 partial matches of Fig. 3, got %d", len(pms))
 	}
-	return ex, pms, Group(ex.Query, pms)
+	return ex, pms, Group(ex.Query, partial.SetOf(ex.Query, pms))
 }
 
 // refFeature is a LEC feature as Definition 8 states it: the fragment,
@@ -47,16 +47,30 @@ type refFeature struct {
 	PMs      []int
 }
 
+// matchesOf returns feature i's partial matches as FeatureOf numbers
+// them, the sets' end to end: a set's matches are contiguous, so its
+// first is the first whose feature is of the set.
+func matchesOf(fs *Features, i int) []int {
+	base := slices.IndexFunc(fs.FeatureOf, func(fi int32) bool { return fs.Set(int(fi)) == fs.Set(i) })
+	var out []int
+	for _, m := range fs.PMs(i) {
+		out = append(out, base+int(m))
+	}
+	return out
+}
+
+// crossing is pm's crossing edges, by the rule.
+func crossing(q *query.Graph, pm *partial.Match) []partial.CrossEdge {
+	return partial.AppendCrossing(nil, q, pm.Vec, pm.EdgeVars, pm.Sign)
+}
+
 // refFeatures reads fs back as Definition 8's features, each g derived
 // from its first member by the rule.
 func refFeatures(q *query.Graph, pms []*partial.Match, fs *Features) []refFeature {
 	out := make([]refFeature, fs.Len())
 	for i := range out {
-		members := fs.PMs(i)
-		out[i] = refFeature{Frag: fs.Frag(i), Sign: fs.Sign[i], Mappings: partial.AppendCrossing(nil, q, pms[members[0]])}
-		for _, j := range members {
-			out[i].PMs = append(out[i].PMs, int(j))
-		}
+		members := matchesOf(fs, i)
+		out[i] = refFeature{Frag: fs.Set(i), Sign: fs.Sign[i], Mappings: crossing(q, pms[members[0]]), PMs: members}
 	}
 	return out
 }
@@ -83,8 +97,8 @@ func TestExample5And6Features(t *testing.T) {
 	if shared < 0 {
 		t.Fatal("no feature with two partial matches (Example 5 expects [PM1_2] = [PM2_2])")
 	}
-	if fs.Frag(shared) != 1 {
-		t.Errorf("shared feature in fragment %d, want F2", fs.Frag(shared)+1)
+	if fs.Set(shared) != 1 {
+		t.Errorf("shared feature in fragment %d, want F2", fs.Set(shared)+1)
 	}
 	wantSign := uint64(1)<<0 | uint64(1)<<1 | uint64(1)<<3 // v1, v2, v4
 	if fs.Sign[shared] != wantSign {
@@ -92,7 +106,7 @@ func TestExample5And6Features(t *testing.T) {
 	}
 	// FeatureOf is consistent.
 	for i := range pms {
-		if !slices.Contains(fs.PMs(int(fs.FeatureOf[i])), int32(i)) {
+		if !slices.Contains(matchesOf(fs, int(fs.FeatureOf[i])), i) {
 			t.Errorf("FeatureOf[%d] inconsistent", i)
 		}
 	}
@@ -346,7 +360,7 @@ func chainFeatures(k int) ([]*partial.Match, *query.Graph) {
 // whole closure.
 func TestPruneCancel(t *testing.T) {
 	pms, q := chainFeatures(50)
-	fs := Group(q, pms)
+	fs := Group(q, partial.SetOf(q, pms))
 	full := Walk(fs, q, false, nil, nil, nil)
 	if full.States < 10000 {
 		t.Fatalf("closure too small to test cancellation: %+v", full.States)
@@ -406,7 +420,7 @@ func TestWalkSpansSixtyFourVertices(t *testing.T) {
 			pms = append(pms, &partial.Match{Frag: v, Vec: vec, Sign: 1 << uint(v)})
 		}
 	}
-	fs := Group(q, pms)
+	fs := Group(q, partial.SetOf(q, pms))
 	res, sets := collect(t, fs, q, false, nil, nil)
 	all, allSets := collect(t, fs, q, true, nil, nil)
 	if !res.Finished || len(sets) != 2 || !reflect.DeepEqual(sets, allSets) || !slices.Equal(res.Retained, all.Retained) {
@@ -462,7 +476,7 @@ func collect(t *testing.T, fs *Features, q *query.Graph, allPairs bool, p *pool.
 func TestWalkWidthInvariance(t *testing.T) {
 	pms, q := chainFeatures(12)
 	pms = append(pms, &partial.Match{Frag: 9, Sign: 1, Vec: []rdf.TermID{7, 8, 0, 0, 0}}) // joins nothing: pruned
-	fs := Group(q, pms)
+	fs := Group(q, partial.SetOf(q, pms))
 	seq, seqSets := collect(t, fs, q, false, nil, nil)
 	if !seq.Finished || len(seqSets) == 0 || seq.Retained[fs.Len()-1] {
 		t.Fatalf("sequential oracle: finished %v, %d combinations, stray retained %v", seq.Finished, len(seqSets), seq.Retained[fs.Len()-1])
@@ -625,11 +639,11 @@ func FuzzClosureIndex(f *testing.F) {
 		var pms []*partial.Match
 		for ; len(data) >= 2; data = data[2:] {
 			pm := fuzzMatch(q, int(data[1]>>4&3), uint64(data[0]), ^uint64(0), data[1], rdf.TermID(1+data[0]>>4&1))
-			if len(partial.AppendCrossing(nil, q, pm)) > 0 {
+			if len(crossing(q, pm)) > 0 {
 				pms = append(pms, pm)
 			}
 		}
-		fs := Singletons(q, pms)
+		fs := Singletons(q, partial.SetOf(q, pms))
 		ref := referenceSemijoin(refFeatures(q, pms, fs), q)
 		live := ref.Live
 		walk := func(allPairs bool, p *pool.Pool) map[string]bool {
@@ -675,7 +689,7 @@ func FuzzClosureIndex(f *testing.F) {
 func referenceGroup(q *query.Graph, pms []*partial.Match) (features []refFeature, featureOf []int32, ids [][]int32) {
 	byKey, byMapping := map[string]int{}, map[partial.CrossEdge]int32{}
 	for j, pm := range pms {
-		g := partial.AppendCrossing(nil, q, pm)
+		g := crossing(q, pm)
 		var tuple []int32
 		for _, m := range g {
 			id, ok := byMapping[m]
@@ -708,8 +722,8 @@ func expand(fs *Features, sets [][]int) [][]int {
 		for _, fi := range set {
 			var next [][]int
 			for _, p := range partial {
-				for _, j := range fs.PMs(fi) {
-					next = append(next, append(slices.Clone(p), int(j)))
+				for _, j := range matchesOf(fs, fi) {
+					next = append(next, append(slices.Clone(p), j))
 				}
 			}
 			partial = next
@@ -733,7 +747,8 @@ func expand(fs *Features, sets [][]int) [][]int {
 // subset of their one-sided edges cross (both walks read the same
 // mappings, so Definition 5 need not hold beyond Theorem 1's equal
 // signs), from a fragment of four and small value domains, so that equal
-// (fragment, g) pairs are common.
+// (fragment, g) pairs are common, grouped into one set per fragment
+// and the fragments numbered by their sets.
 func FuzzFeatureIDs(f *testing.F) {
 	f.Add([]byte{0, 0x23, 0x00, 0x2c, 0x10, 0x23, 0x00, 0x56, 0x20, 0x48, 0x30, 0x2c, 0x14})
 	f.Add([]byte{1, 0x51, 0x00, 0x32, 0x10, 0x64, 0x20, 0x32, 0x12, 0x51, 0x00})
@@ -756,11 +771,21 @@ func FuzzFeatureIDs(f *testing.F) {
 		var pms []*partial.Match
 		for ; len(data) >= 2; data = data[2:] {
 			pm := fuzzMatch(q, int(data[1]>>4&3), uint64(data[0]), uint64(data[0]>>4), data[1], rdf.TermID(1+data[1]>>6&1))
-			if len(partial.AppendCrossing(nil, q, pm)) > 0 {
+			if len(crossing(q, pm)) > 0 {
 				pms = append(pms, pm)
 			}
 		}
-		fs := Group(q, pms)
+		// A site replies with its fragment's matches together: one set
+		// each, the sets numbering the fragments.
+		slices.SortStableFunc(pms, func(a, b *partial.Match) int { return a.Frag - b.Frag })
+		k, last := -1, -1
+		for _, pm := range pms {
+			if pm.Frag != last {
+				k, last = k+1, pm.Frag
+			}
+			pm.Frag = k
+		}
+		fs := Group(q, partial.SetOf(q, pms))
 		ref, refOf, refIDs := referenceGroup(q, pms)
 		if got := refFeatures(q, pms, fs); !reflect.DeepEqual(got, ref) && !(len(got) == 0 && len(ref) == 0) || !slices.Equal(fs.FeatureOf, refOf) {
 			t.Fatalf("Group made %d features of %d matches (FeatureOf %v), the reference %d (%v)", fs.Len(), len(pms), fs.FeatureOf, len(ref), refOf)
@@ -778,7 +803,7 @@ func FuzzFeatureIDs(f *testing.F) {
 				return
 			}
 		}
-		single := Singletons(q, pms)
+		single := Singletons(q, partial.SetOf(q, pms))
 		for _, allPairs := range []bool{false, true} {
 			want, wantSets := collect(t, single, q, allPairs, nil, nil)
 			got, gotSets := collect(t, fs, q, allPairs, nil, nil)

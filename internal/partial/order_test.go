@@ -68,7 +68,7 @@ func pinnedKey(q *query.Graph, m *Match) []byte {
 		}
 	}
 	b = be.AppendUint64(b, matchedEdges(q, m))
-	cross := AppendCrossing(nil, q, m)
+	cross := AppendCrossing(nil, q, m.Vec, m.EdgeVars, m.Sign)
 	b = be.AppendUint32(b, uint32(len(cross)))
 	for _, c := range cross {
 		b = be.AppendUint64(b, uint64(c.QEdge))

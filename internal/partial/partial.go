@@ -9,13 +9,15 @@
 // crossing edges is kept only under the first of them in seed order, so
 // each is built once and chunks of the seed list need no merge.
 //
-// A match is its serialization vector (Fig. 3), its edge-label bindings
-// and its sign: which query edges it matches, and which of those cross,
-// follow from them and the query (the rule is on Match, and
-// AppendCrossing is its one implementation). A site ships only those
-// fields, and the coordinator checks their shape (Check) and derives
-// crossing edges where it needs them: the LEC features intern them
-// straight from the vectors.
+// A site's matches are one Set: columns of serialization vectors (Fig.
+// 3), edge-label bindings and signs, the fields a site ships and the
+// coordinator reads. Which query edges a match matches, and which of
+// those cross, follow from them and the query (the rule is on Set, and
+// AppendCrossing is its one implementation): the coordinator checks the
+// columns' shape (Check), counting the crossing edges as it goes, and
+// the LEC features intern them straight from the vectors. Match, one
+// match as a struct of its own, is the form the benchmark module's layer
+// drive reads (Compute, Set.Matches) and hands back (SetOf).
 package partial
 
 import (
@@ -49,104 +51,169 @@ type CrossEdge struct {
 	S, P, O rdf.TermID
 }
 
-// Match is one local partial match. Vec is the serialization vector
-// [f(v1), ..., f(vn)] with rdf.NoTerm as NULL, exactly as in Fig. 3.
+// Set is one site's local partial matches, all of fragment Frag, as
+// columns (At cuts match i out): the serialization vectors [f(v1), ...,
+// f(vn)] with rdf.NoTerm as NULL, exactly as in Fig. 3, Stride slots
+// each; the edge-label bindings, indexed by query variable (rdf.NoTerm
+// where unbound), LabelStride slots each — one per query variable when
+// the query has an edge-label variable, else none; and the LECSign
+// bitstrings, bit u set iff slot u is an internal vertex of Frag
+// (Definition 8 item 3).
 //
-// Frag, Vec, EdgeVars and Sign are the match; the rest is derived from
-// them and the query. A match is valid under Definition 5, so query edge
-// (u, p, w) is a crossing edge of it exactly when Vec[u] and Vec[w] are
-// both bound and exactly one of their Sign bits is set; its triple is
-// (Vec[u], p or EdgeVars[p's variable], Vec[w]). The edge is matched
-// exactly when both ends are bound and at least one Sign bit is set:
-// condition 5 forces every edge at an internal vertex. AppendCrossing
-// applies the rule.
-type Match struct {
-	Frag int
-	Vec  []rdf.TermID
-	// EdgeVars binds edge-label variables, indexed by query variable
-	// index (rdf.NoTerm where unbound; vertex variables live in Vec). It
-	// is nil when the query has no edge-label variable.
-	EdgeVars []rdf.TermID
-	// Sign is the LECSign bitstring: bit i set iff Vec[i] is an internal
-	// vertex of Frag (Definition 8 item 3).
-	Sign uint64
-	// Query is the query the match answers: the site that finds a match
-	// and Check, on the coordinator's side of the wire, set it. It does
-	// not travel. lec.Compute, which is given no query, derives crossing
-	// edges by it.
-	Query *query.Graph
+// Those are the matches; the rest is derived from them and the query. A
+// match is valid under Definition 5, so query edge (u, p, w) is a
+// crossing edge of it exactly when slots u and w are both bound and
+// exactly one of their Sign bits is set; its triple is (vec[u], p or the
+// binding of p's variable, vec[w]). The edge is matched exactly when both
+// ends are bound and at least one Sign bit is set: condition 5 forces
+// every edge at an internal vertex. AppendCrossing applies the rule.
+type Set struct {
+	Frag                int
+	Stride, LabelStride int
+	Sign                []uint64
+	Vec, EdgeVars       []rdf.TermID
+	// Crossing counts the matches' crossing edges, and Query is the query
+	// they answer: the site that finds the matches sets both, and so does
+	// Check on the coordinator's side of the wire. Neither travels.
+	Crossing int
+	Query    *query.Graph
 }
 
-// MatchBytes is the wire size of every match of q, the one price of a
-// match in data-shipment accounting: a small header and 4 bytes per
-// slot, its Vec holding one per query vertex and, when q has an
-// edge-label variable, its EdgeVars one per query variable. The
-// crossing edges are derived, so they cost nothing.
-func MatchBytes(q *query.Graph) int {
-	n := 8 + 4*len(q.Vertices)
-	if hasLabelVar(q) {
-		n += 4 * len(q.Vars)
+// newSet returns an empty set of fragment frag's matches of q.
+func newSet(q *query.Graph, frag int) Set {
+	labels := 0
+	if slices.ContainsFunc(q.Edges, query.Edge.HasVarLabel) {
+		labels = len(q.Vars)
 	}
-	return n
+	return Set{Frag: frag, Stride: len(q.Vertices), LabelStride: labels, Query: q}
 }
 
-// AppendCrossing appends m's crossing edges to dst in query-edge order,
+// Len reports the number of matches.
+func (s *Set) Len() int { return len(s.Sign) }
+
+// At returns match i's vector and its edge-label bindings, nil when the
+// query has no edge-label variable. Both alias s and are capped.
+func (s *Set) At(i int) (vec, edgeVars []rdf.TermID) {
+	v, l := s.Stride, s.LabelStride
+	return s.Vec[i*v : (i+1)*v : (i+1)*v], s.EdgeVars[i*l : (i+1)*l : (i+1)*l]
+}
+
+// add appends a match with crossing crossing edges.
+func (s *Set) add(vec, edgeVars []rdf.TermID, sign uint64, crossing int) {
+	s.Sign = append(s.Sign, sign)
+	s.Vec = append(s.Vec, vec...)
+	if s.LabelStride > 0 {
+		s.EdgeVars = append(s.EdgeVars, edgeVars...)
+	}
+	s.Crossing += crossing
+}
+
+// Match is match i of a Set as a struct of its own, with the set's
+// fragment and query: the form the benchmark module's entry points take
+// or return (Compute, cluster.EachRow, lec.Compute and Prune,
+// assembly.Assemble).
+type Match struct {
+	Frag          int
+	Vec, EdgeVars []rdf.TermID
+	Sign          uint64
+	Query         *query.Graph
+}
+
+// Matches returns s's matches as structs aliasing its columns.
+func (s *Set) Matches() []*Match {
+	ms, out := make([]Match, s.Len()), make([]*Match, s.Len())
+	for i := range ms {
+		vec, edgeVars := s.At(i)
+		ms[i] = Match{Frag: s.Frag, Vec: vec, EdgeVars: edgeVars, Sign: s.Sign[i], Query: s.Query}
+		out[i] = &ms[i]
+	}
+	return out
+}
+
+// SetOf returns pms, matches of q, as sets: one per run of matches of one
+// fragment, so the sets' matches end to end are pms.
+func SetOf(q *query.Graph, pms []*Match) []Set {
+	var sets []Set
+	var cross []CrossEdge
+	for i, m := range pms {
+		if i == 0 || m.Frag != pms[i-1].Frag {
+			sets = append(sets, newSet(q, m.Frag))
+		}
+		cross = AppendCrossing(cross[:0], q, m.Vec, m.EdgeVars, m.Sign)
+		sets[len(sets)-1].add(m.Vec, m.EdgeVars, m.Sign, len(cross))
+	}
+	return sets
+}
+
+// MatchBytes is the wire size of every match of q in the §IX model, the
+// one price of a match in data-shipment accounting: a small header and
+// 4 bytes per slot of its vector and bindings. The crossing edges are
+// derived, so they cost nothing. It prices a match of the paper's
+// deployment, shipped on its own, not the columns a Set travels in, so
+// that the model's figures do not move with this codebase's encoding.
+func MatchBytes(q *query.Graph) int {
+	s := newSet(q, 0)
+	return 8 + 4*(s.Stride+s.LabelStride)
+}
+
+// AppendCrossing appends the crossing edges of the match of vector vec,
+// edge-label bindings edgeVars and sign sign to dst in query-edge order,
 // which is (QEdge, S, P, O) order: a query edge has at most one. It is
 // the one place crossing edges are derived from a match: the rule on
-// Match, both ends bound and exactly one of them internal.
-func AppendCrossing(dst []CrossEdge, q *query.Graph, m *Match) []CrossEdge {
+// Set, both ends bound and exactly one of them internal.
+func AppendCrossing(dst []CrossEdge, q *query.Graph, vec, edgeVars []rdf.TermID, sign uint64) []CrossEdge {
 	for i, e := range q.Edges {
-		s, o := m.Vec[e.From], m.Vec[e.To]
-		if s == rdf.NoTerm || o == rdf.NoTerm || (m.Sign>>uint(e.From)^m.Sign>>uint(e.To))&1 == 0 {
+		s, o := vec[e.From], vec[e.To]
+		if s == rdf.NoTerm || o == rdf.NoTerm || (sign>>uint(e.From)^sign>>uint(e.To))&1 == 0 {
 			continue
 		}
 		p := e.Label
 		if e.HasVarLabel() {
-			p = m.EdgeVars[e.LabelVar]
+			p = edgeVars[e.LabelVar]
 		}
 		dst = append(dst, CrossEdge{QEdge: i, S: s, P: p, O: o})
 	}
 	return dst
 }
 
-// hasLabelVar reports whether some edge of q has a variable label.
-func hasLabelVar(q *query.Graph) bool {
-	return slices.ContainsFunc(q.Edges, query.Edge.HasVarLabel)
-}
-
-// Check reports whether every match in ms — a site's reply as it came
-// off the wire — fits q: the rule indexes Vec and EdgeVars by q, so a
-// match that does not fit is an error. Each match that fits gets q as
-// its Query.
-func Check(q *query.Graph, ms []*Match) error {
-	labels := hasLabelVar(q)
-	for i, m := range ms {
-		if err := checkShape(q, m, labels); err != nil {
-			return fmt.Errorf("partial: match %d of fragment %d: %w", i, m.Frag, err)
-		}
-		m.Query = q
+// Check reports whether s — a site's reply as it came off the wire —
+// fits q: the rule indexes the columns by q, so a set that does not fit
+// is an error. A set that fits gets q as its Query and its crossing
+// edges counted.
+func Check(q *query.Graph, s *Set) error {
+	if err := checkShape(q, s); err != nil {
+		return fmt.Errorf("partial: matches of fragment %d: %w", s.Frag, err)
 	}
+	s.Query = q
 	return nil
 }
 
-// checkShape requires one Vec slot per query vertex, EdgeVars nil
-// exactly when q has no edge-label variable (labels) and one slot per
-// query variable otherwise, and no Sign bit past Vec or on a NULL slot.
-func checkShape(q *query.Graph, m *Match, labels bool) error {
+// checkShape requires q's strides, columns of one entry per match, and
+// no Sign bit past a vector or on a NULL slot, counting the crossing
+// edges as it goes.
+func checkShape(q *query.Graph, s *Set) error {
+	want, n := newSet(q, s.Frag), s.Len()
 	switch {
-	case len(m.Vec) != len(q.Vertices):
-		return fmt.Errorf("vector of %d slots for %d query vertices", len(m.Vec), len(q.Vertices))
-	case !labels && m.EdgeVars != nil:
-		return fmt.Errorf("edge-label bindings for a query without a label variable")
-	case labels && len(m.EdgeVars) != len(q.Vars):
-		return fmt.Errorf("%d edge-label slots for %d query variables", len(m.EdgeVars), len(q.Vars))
-	case m.Sign>>uint(len(q.Vertices)) != 0:
-		return fmt.Errorf("sign %#x sets a bit past %d query vertices", m.Sign, len(q.Vertices))
+	case s.Stride != want.Stride:
+		return fmt.Errorf("vectors of %d slots for %d query vertices", s.Stride, want.Stride)
+	case s.LabelStride != want.LabelStride:
+		return fmt.Errorf("%d edge-label slots a match, want %d", s.LabelStride, want.LabelStride)
+	case len(s.Vec) != n*s.Stride || len(s.EdgeVars) != n*s.LabelStride:
+		return fmt.Errorf("%d vector and %d edge-label slots for %d matches", len(s.Vec), len(s.EdgeVars), n)
 	}
-	for i, u := range m.Vec {
-		if u == rdf.NoTerm && m.Sign&(1<<uint(i)) != 0 {
-			return fmt.Errorf("sign marks NULL slot %d internal", i)
+	var cross [MaxQuerySize]CrossEdge
+	s.Crossing = 0
+	for i, sign := range s.Sign {
+		vec, edgeVars := s.At(i)
+		if sign>>uint(len(vec)) != 0 {
+			return fmt.Errorf("match %d: sign %#x sets a bit past %d query vertices", i, sign, len(vec))
 		}
+		for u, t := range vec {
+			if t == rdf.NoTerm && sign&(1<<uint(u)) != 0 {
+				return fmt.Errorf("match %d: sign marks NULL slot %d internal", i, u)
+			}
+		}
+		s.Crossing += len(AppendCrossing(cross[:0], q, vec, edgeVars, sign))
 	}
 	return nil
 }
@@ -179,26 +246,19 @@ type Options struct {
 // ErrCanceled is returned when Options.Cancel reported cancellation.
 var ErrCanceled = errors.New("partial: evaluation canceled")
 
-// Compute enumerates all local partial matches of q in fragment f, each
-// once, in seed order: by the first (crossing edge, query edge) pair it
-// contains, crossing edges in (S,P,O) order — f.Crossing's — and query
-// edges in rank order.
+// Compute is ComputeSet's matches as structs (Set.Matches).
 func Compute(f *fragment.Fragment, q *query.Graph, opts Options) ([]*Match, error) {
+	s, err := ComputeSet(f, q, opts)
+	return s.Matches(), err
+}
+
+// ComputeSet enumerates all local partial matches of q in fragment f,
+// each once, in seed order: by the first (crossing edge, query edge)
+// pair it contains, crossing edges in (S,P,O) order — f.Crossing's — and
+// query edges in rank order.
+func ComputeSet(f *fragment.Fragment, q *query.Graph, opts Options) (Set, error) {
 	edges, masks := seedDomain(f, q)
-	ens, err := enumerate(f, q, edges, masks, opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(ens) == 1 {
-		return ens[0].out, nil
-	}
-	// No match is found by two chunks (see finalize): the result is the
-	// chunks' matches end to end.
-	outs := make([][]*Match, len(ens))
-	for i, en := range ens {
-		outs[i] = en.out
-	}
-	return slices.Concat(outs...), nil
+	return enumerate(f, q, edges, masks, opts)
 }
 
 // seedDomain returns the crossing edges Compute seeds from, in (S,P,O)
@@ -277,10 +337,10 @@ func candidateSeeds(f *fragment.Fragment, q *query.Graph) ([]rdf.Triple, []uint6
 
 // enumerate runs one enumerator per contiguous chunk of the seed domain
 // (edges, masks) on the pool — a sequential run is the one-chunk case —
-// and returns them in chunk order, or ErrCanceled.
-func enumerate(f *fragment.Fragment, q *query.Graph, edges runs.List[rdf.Triple], masks []uint64, opts Options) ([]*enumerator, error) {
+// and returns their matches in chunk order, or ErrCanceled.
+func enumerate(f *fragment.Fragment, q *query.Graph, edges runs.List[rdf.Triple], masks []uint64, opts Options) (Set, error) {
 	if len(q.Vertices) > MaxQuerySize || len(q.Edges) > MaxQuerySize {
-		return nil, fmt.Errorf("partial: query exceeds %d vertices/edges", MaxQuerySize)
+		return Set{}, fmt.Errorf("partial: query exceeds %d vertices/edges", MaxQuerySize)
 	}
 	inc := q.IncidentEdges()
 	seedOrder := make([]int, len(q.Edges))
@@ -298,14 +358,13 @@ func enumerate(f *fragment.Fragment, q *query.Graph, edges runs.List[rdf.Triple]
 	for pos, qe := range seedOrder {
 		seedPos[qe] = pos
 	}
-	labels := hasLabelVar(q)
 	chunks := opts.Pool.Split(edges.Len())
 	var stop atomic.Bool
 	ens := make([]*enumerator, len(chunks))
 	opts.Pool.Run(chunks, opts.OnTask, func(k, lo, hi int) {
 		en := &enumerator{
 			Search: store.NewSearch(f.Store, q), f: f, q: q, opts: opts, edges: edges, masks: masks,
-			inc: inc, seedOrder: seedOrder, seedPos: seedPos, stop: &stop, labels: labels,
+			inc: inc, seedOrder: seedOrder, seedPos: seedPos, stop: &stop, out: newSet(q, f.ID),
 		}
 		en.Admit = en.admit
 		en.Next = en.expand
@@ -315,9 +374,21 @@ func enumerate(f *fragment.Fragment, q *query.Graph, edges runs.List[rdf.Triple]
 	// Cancellation is the one way a chunk fails; the first chunk to see it
 	// stops the rest through stop.
 	if stop.Load() {
-		return nil, ErrCanceled
+		return Set{}, ErrCanceled
 	}
-	return ens, nil
+	if len(ens) == 1 {
+		return ens[0].out, nil
+	}
+	// No match is found by two chunks (see finalize): the result is the
+	// chunks' matches end to end.
+	out := newSet(q, f.ID)
+	signs, vecs, labels := make([][]uint64, len(ens)), make([][]rdf.TermID, len(ens)), make([][]rdf.TermID, len(ens))
+	for k, en := range ens {
+		signs[k], vecs[k], labels[k] = en.out.Sign, en.out.Vec, en.out.EdgeVars
+		out.Crossing += en.out.Crossing
+	}
+	out.Sign, out.Vec, out.EdgeVars = slices.Concat(signs...), slices.Concat(vecs...), slices.Concat(labels...)
+	return out, nil
 }
 
 // enumerator drives a store.Search by Definition 5: from a crossing edge
@@ -341,12 +412,7 @@ type enumerator struct {
 	seedT  rdf.Triple
 	seedQE int
 
-	out []*Match
-	// The slabs out's matches are carved from.
-	matches slab[Match]
-	terms   slab[rdf.TermID]
-
-	labels   bool        // q has an edge-label variable: matches carry EdgeVars
+	out      Set
 	crossing []CrossEdge // the current candidate's crossing edges, for the seed-order rule
 
 	steps uint
@@ -424,13 +490,13 @@ func (en *enumerator) expand() {
 // edge it contains reaches it: keeping it only under the first of them
 // in seed order keeps it exactly once, across chunks too.
 func (en *enumerator) finalize() {
-	cur := Match{Vec: en.Vertex, EdgeVars: en.EdgeVar}
+	var sign uint64
 	for i, u := range en.Vertex {
 		if u != rdf.NoTerm && en.f.IsInternal(u) {
-			cur.Sign |= 1 << uint(i)
+			sign |= 1 << uint(i)
 		}
 	}
-	en.crossing = AppendCrossing(en.crossing[:0], en.q, &cur)
+	en.crossing = AppendCrossing(en.crossing[:0], en.q, en.Vertex, en.EdgeVar, sign)
 	first := en.seedPos[en.seedQE]
 	for _, c := range en.crossing {
 		t := rdf.Triple{S: c.S, P: c.P, O: c.O}
@@ -438,36 +504,5 @@ func (en *enumerator) finalize() {
 			return
 		}
 	}
-	m := &en.matches.take(1)[0]
-	m.Frag, m.Sign, m.Query = en.f.ID, cur.Sign, en.q
-	m.Vec = en.terms.take(len(en.Vertex))
-	copy(m.Vec, en.Vertex)
-	if en.labels {
-		m.EdgeVars = en.terms.take(len(en.EdgeVar))
-		copy(m.EdgeVars, en.EdgeVar)
-	}
-	en.out = append(en.out, m)
-}
-
-// slab hands out capped slices of one backing array, so a match's vectors
-// cost no allocation of their own; when it runs out the next array is
-// twice the last, starting at 16 requests of the first size, so a chunk
-// that finds few matches allocates little.
-type slab[T any] struct {
-	free []T
-	size int
-}
-
-// take returns n zeroed elements, nil for none.
-func (s *slab[T]) take(n int) []T {
-	if n == 0 {
-		return nil
-	}
-	if n > len(s.free) {
-		s.size = max(2*s.size, 16*n)
-		s.free = make([]T, s.size)
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
+	en.out.add(en.Vertex, en.EdgeVar, sign, len(en.crossing))
 }

@@ -134,7 +134,7 @@ func TestPaperCrossingEdgeMappings(t *testing.T) {
 	// Query edge indices in the fixture: 0 = p2-mainInterest->t,
 	// 1 = p1-influencedBy->p2, 2 = t-label->l, 3 = p1-name->const.
 	for _, m := range ms {
-		v, cross := vecOf(ex, m), AppendCrossing(nil, ex.Query, m)
+		v, cross := vecOf(ex, m), AppendCrossing(nil, ex.Query, m.Vec, m.EdgeVars, m.Sign)
 		switch v {
 		case [5]int{6, 0, 1, 0, 3}: // PM1_1: {001→006 ↦ v3v1}
 			if len(cross) != 1 || cross[0].QEdge != 1 ||
@@ -157,7 +157,7 @@ func TestPaperCrossingEdgeMappings(t *testing.T) {
 	for _, m := range ms2 {
 		if vecOf(ex, m) == [5]int{6, 5, 1, 0, 0} {
 			found = true
-			if cross := AppendCrossing(nil, ex.Query, m); len(cross) != 2 {
+			if cross := AppendCrossing(nil, ex.Query, m.Vec, m.EdgeVars, m.Sign); len(cross) != 2 {
 				t.Errorf("PM3_2 crossing = %v, want two edges (Example 6)", cross)
 			}
 		}
@@ -422,26 +422,32 @@ func checkAgainstDefinition(f *fragment.Fragment, q *query.Graph, widths ...int)
 			return 0, fmt.Errorf("F%d: width %d returns %d matches, differing from width 1's %d", f.ID, width, len(ms), len(seq))
 		}
 	}
-	shipped := make([]*Match, len(seq))
-	for i, m := range seq {
+	crossing := 0
+	for _, m := range seq {
 		if err := Verify(f, q, m); err != nil {
 			return 0, fmt.Errorf("F%d: %v fails Definition 5: %v", f.ID, m.Vec, err)
 		}
-		shipped[i] = &Match{Frag: m.Frag, Vec: m.Vec, EdgeVars: m.EdgeVars, Sign: m.Sign}
-	}
-	// The shipped fields fit the query, Check ties them to it as the site
-	// tied its own, and the crossing edges the rule derives from them are
-	// the fragment's.
-	if err := Check(q, shipped); err != nil {
-		return 0, fmt.Errorf("F%d: %v", f.ID, err)
-	}
-	for i, m := range shipped {
-		if m.Query != q || seq[i].Query != q {
+		if m.Query != q {
 			return 0, fmt.Errorf("F%d: match %v does not carry its query", f.ID, m.Vec)
 		}
-		if got, want := AppendCrossing(nil, q, m), fragmentCrossing(f, q, m); !slices.Equal(got, want) {
+		got, want := AppendCrossing(nil, q, m.Vec, m.EdgeVars, m.Sign), fragmentCrossing(f, q, m)
+		if !slices.Equal(got, want) {
 			return 0, fmt.Errorf("F%d: the rule derives %v, the fragment has %v", f.ID, got, want)
 		}
+		crossing += len(got)
+	}
+	// The shipped columns fit the query, and Check ties them to it and
+	// counts their crossing edges as the site did.
+	site, err := ComputeSet(f, q, Options{})
+	if err != nil {
+		return 0, err
+	}
+	shipped := Set{Frag: site.Frag, Stride: site.Stride, LabelStride: site.LabelStride, Sign: site.Sign, Vec: site.Vec, EdgeVars: site.EdgeVars}
+	if err := Check(q, &shipped); err != nil {
+		return 0, fmt.Errorf("F%d: %v", f.ID, err)
+	}
+	if shipped.Query != q || site.Query != q || shipped.Crossing != crossing || site.Crossing != crossing {
+		return 0, fmt.Errorf("F%d: the site counts %d crossing edges and Check %d, the rule %d", f.ID, site.Crossing, shipped.Crossing, crossing)
 	}
 	got := slices.Clone(seq)
 	slices.SortFunc(got, compareMatches)
@@ -597,6 +603,60 @@ func TestMatchBytesPricesEveryMatch(t *testing.T) {
 		}
 		if !slices.Contains(m.Vec, rdf.NoTerm) {
 			t.Errorf("partial match %v reported complete", vecOf(ex, m))
+		}
+	}
+}
+
+// TestCheckRejectsMalformedSets: Check takes a set as it comes off the
+// wire. Each case breaks one well-formed set of one match in one way —
+// a vector stride, a label stride, a column's length or a sign bit — and
+// Check must refuse it by name; the well-formed sets pass, get their
+// query and have their crossing edge counted.
+func TestCheckRejectsMalformedSets(t *testing.T) {
+	dict := rdf.NewDictionary()
+	x, y, z := query.Var("x"), query.Var("y"), query.Var("z")
+	plain := query.NewBuilder(dict).Triple(x, query.IRI("p0"), y).Triple(y, query.IRI("p1"), z).MustBuild()
+	labelled := query.NewBuilder(dict).Triple(x, query.Var("p"), y).Triple(y, query.IRI("p1"), z).MustBuild()
+	// x internal, y extended, z NULL: x→y is the one crossing edge.
+	good := func(q *query.Graph) Set {
+		s := Set{Frag: 2, Stride: 3, Sign: []uint64{0b001}, Vec: []rdf.TermID{1, 2, rdf.NoTerm}}
+		if q == labelled {
+			s.LabelStride = len(q.Vars)
+			s.EdgeVars = slices.Repeat([]rdf.TermID{7}, len(q.Vars))
+		}
+		return s
+	}
+	for _, q := range []*query.Graph{plain, labelled} {
+		s := good(q)
+		if err := Check(q, &s); err != nil || s.Query != q || s.Crossing != 1 {
+			t.Fatalf("%v: Check = %v, query set %v, %d crossing edges; want nil, true, 1", q, err, s.Query == q, s.Crossing)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		q    *query.Graph
+		edit func(s *Set)
+	}{
+		{"vector stride short of |V|", plain, func(s *Set) { s.Stride, s.Vec = 2, s.Vec[:2] }},
+		{"vector stride past |V|", plain, func(s *Set) { s.Stride, s.Vec = 4, append(s.Vec, 3) }},
+		{"label stride without a label variable", plain, func(s *Set) { s.LabelStride, s.EdgeVars = 3, []rdf.TermID{0, 0, 0} }},
+		{"no label stride under a label variable", labelled, func(s *Set) { s.LabelStride, s.EdgeVars = 0, nil }},
+		{"wrong label stride under a label variable", labelled, func(s *Set) { s.LabelStride--; s.EdgeVars = s.EdgeVars[1:] }},
+		{"vector column short of the count", plain, func(s *Set) { s.Sign = append(s.Sign, 0b001) }},
+		{"vector column past the count", plain, func(s *Set) { s.Vec = append(s.Vec, 1, 2, 3) }},
+		{"label column past the count", labelled, func(s *Set) { s.EdgeVars = append(s.EdgeVars, 7) }},
+		{"label column short of the count", labelled, func(s *Set) { s.EdgeVars = s.EdgeVars[1:] }},
+		{"sign bit past |V|", plain, func(s *Set) { s.Sign[0] |= 1 << 3 }},
+		{"sign's last bit", labelled, func(s *Set) { s.Sign[0] |= 1 << 63 }},
+		{"sign bit on a NULL slot", plain, func(s *Set) { s.Sign[0] |= 1 << 2 }},
+	} {
+		s := good(c.q)
+		c.edit(&s)
+		err := Check(c.q, &s)
+		if err == nil || !strings.Contains(err.Error(), "partial: matches of fragment 2") {
+			t.Errorf("%s: Check = %v, want the shape check's error", c.name, err)
+		} else if s.Query != nil {
+			t.Errorf("%s: a refused set got its query", c.name)
 		}
 	}
 }

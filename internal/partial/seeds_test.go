@@ -44,15 +44,11 @@ func pairsTried(edges []rdf.Triple, masks []uint64, q *query.Graph) int {
 // masks).
 func matchesFrom(t *testing.T, f *fragment.Fragment, q *query.Graph, edges []rdf.Triple, masks []uint64, width int) []*Match {
 	t.Helper()
-	ens, err := enumerate(f, q, runs.Of(edges), masks, Options{Pool: pool.New(width)})
+	s, err := enumerate(f, q, runs.Of(edges), masks, Options{Pool: pool.New(width)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ms []*Match
-	for _, en := range ens {
-		ms = append(ms, en.out...)
-	}
-	return ms
+	return s.Matches()
 }
 
 // TestCandidateDomain pins which seed domain partial evaluation takes on

@@ -66,7 +66,7 @@ func Verify(f *fragment.Fragment, q *query.Graph, m *Match) error {
 		}
 	}
 	// Condition 4: at least one crossing edge.
-	cross := AppendCrossing(nil, q, m)
+	cross := AppendCrossing(nil, q, m.Vec, m.EdgeVars, m.Sign)
 	if len(cross) == 0 {
 		return fmt.Errorf("no crossing edge")
 	}

@@ -26,15 +26,6 @@ func (e *ParseError) Unwrap() error { return e.Err }
 // error, which is returned as a *ParseError.
 func ReadNTriples(r io.Reader) (*Graph, error) {
 	g := NewGraph()
-	if err := ReadNTriplesInto(r, g); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// ReadNTriplesInto parses an N-Triples document from r, appending triples
-// to g (encoding terms through g's dictionary).
-func ReadNTriplesInto(r io.Reader, g *Graph) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineno := 0
@@ -42,7 +33,7 @@ func ReadNTriplesInto(r io.Reader, g *Graph) error {
 		lineno++
 		s, p, o, ok, err := parseNTriplesLine(sc.Text())
 		if err != nil {
-			return &ParseError{Line: lineno, Err: err}
+			return nil, &ParseError{Line: lineno, Err: err}
 		}
 		if !ok {
 			continue
@@ -50,9 +41,9 @@ func ReadNTriplesInto(r io.Reader, g *Graph) error {
 		g.Add(s, p, o)
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("ntriples: read: %w", err)
+		return nil, fmt.Errorf("ntriples: read: %w", err)
 	}
-	return nil
+	return g, nil
 }
 
 // parseNTriplesLine parses one line. ok is false for blank/comment lines.

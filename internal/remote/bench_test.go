@@ -14,10 +14,10 @@ import (
 )
 
 // BenchmarkPartialReplyWire measures the match section of a partial
-// reply: each site's LocalSite.PartialEval reply for LQ1 and LQ7 on
+// reply: each site's LocalSite.PartialEvalBatches reply for LQ1 and LQ7 on
 // LUBM(8), hash-partitioned over 12 sites, is computed once; an operation
 // encodes every site's reply as a final frame, decodes it, and checks
-// the matches' shape (partial.Check) as the client does. bytes/match is
+// the set's shape (partial.Check) as the client does. bytes/match is
 // the frames' size over the matches they carry; bytes/request is the size
 // of the partial-evaluation request each site receives, without the
 // stage-0 union (the §IX-priced candidate sets, which travel unchanged).
@@ -45,12 +45,12 @@ func BenchmarkPartialReplyWire(b *testing.B) {
 		matches, requestBytes := 0, 0
 		for i, f := range d.Fragments {
 			requestBytes += len((&request{Op: opPartial, Site: i, Epoch: 1, Query: q}).appendTo(nil))
-			rep, err := cluster.NewLocalSite(i, f, 1).PartialEval(context.Background(), cluster.PartialRequest{Query: q}, func([]rdf.TermID) bool { return true })
+			rep, err := cluster.NewLocalSite(i, f, 1).PartialEvalBatches(context.Background(), cluster.PartialRequest{Query: q}, func([][]rdf.TermID) bool { return true })
 			if err != nil {
 				b.Fatal(err)
 			}
-			replies[i] = &response{Done: true, LocalMatches: rep.LocalMatches, Matches: rep.Matches}
-			matches += len(rep.Matches)
+			replies[i] = &response{Done: true, LocalMatches: rep.LocalMatches, Set: rep.Set}
+			matches += rep.Set.Len()
 		}
 		b.Run(name, func(b *testing.B) {
 			var buf []byte
@@ -64,7 +64,7 @@ func BenchmarkPartialReplyWire(b *testing.B) {
 					if err := got.decode(buf); err != nil {
 						b.Fatal(err)
 					}
-					if err := partial.Check(q, got.Matches); err != nil {
+					if err := partial.Check(q, &got.Set); err != nil {
 						b.Fatal(err)
 					}
 				}

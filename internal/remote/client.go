@@ -251,10 +251,11 @@ func (s *Site) Candidates(ctx context.Context, req cluster.CandidatesRequest) (c
 
 // PartialEvalBatches implements cluster.Site: each row-batch frame's
 // rows reach emit as one batch. The request's Pool does not travel — the
-// worker evaluates on its own pool. A partial match arrives as its four
-// fields, and partial.Check holds each to the query's shape (the
-// coordinator derives crossing edges from them by indexing with the
-// query): a reply that does not fit fails the call.
+// worker evaluates on its own pool. The partial matches arrive as one
+// set of columns, which gets this site's fragment, and partial.Check
+// holds it to the query's shape (the coordinator derives crossing edges
+// from the columns by indexing with the query): a reply that does not
+// fit fails the call.
 func (s *Site) PartialEvalBatches(ctx context.Context, req cluster.PartialRequest, emit func(rows [][]rdf.TermID) bool) (cluster.PartialReply, error) {
 	delivered := 0
 	resp, m, err := s.call(ctx, &request{
@@ -266,10 +267,13 @@ func (s *Site) PartialEvalBatches(ctx context.Context, req cluster.PartialReques
 		// deadline, without the final frame's count: the rows it handed
 		// to emit were matched all the same.
 		resp.LocalMatches = delivered
-	} else if err = partial.Check(req.Query, resp.Matches); err != nil {
-		err = fmt.Errorf("remote: site %d (%s): %w", s.id, s.link.addr, err)
+	} else if !req.Star {
+		resp.Set.Frag = s.id
+		if err = partial.Check(req.Query, &resp.Set); err != nil {
+			err = fmt.Errorf("remote: site %d (%s): %w", s.id, s.link.addr, err)
+		}
 	}
-	return cluster.PartialReply{LocalMatches: resp.LocalMatches, Matches: resp.Matches, Meter: m}, err
+	return cluster.PartialReply{LocalMatches: resp.LocalMatches, Set: resp.Set, Meter: m}, err
 }
 
 // PartialEval implements cluster.Site.

@@ -24,9 +24,10 @@ import (
 // when it is empty; a string is its length and its bytes; bools and the
 // presence of an optional field are bits of one flags byte; the two
 // durations are fixed 8 bytes, so a frame's size does not depend on how
-// long anything took. Row batches and partial matches also carry their
-// total term count up front, which is what lets the decoder make one
-// allocation and carve the rows and vectors out of it. A value has one
+// long anything took. Row batches also carry their total term count up
+// front, which is what lets the decoder make one allocation and carve the
+// rows out of it; partial matches travel as a set's columns behind its
+// strides and match count, one allocation a column. A value has one
 // encoding: flags have no spare bits, totals must add up, nothing follows
 // the last field.
 //
@@ -37,7 +38,7 @@ import (
 // wireVersion is bumped by any change to the encoding; it travels in the
 // tag byte so that builds which disagree fail the call by name instead of
 // misreading each other.
-const wireVersion = 7
+const wireVersion = 8
 
 const (
 	tagRequest  = wireVersion << 1
@@ -96,74 +97,28 @@ func appendString(b []byte, s string) []byte { return append(varint.AppendInt(b,
 
 func cutString(r *varint.Reader) string { return string(r.Bytes(r.Count(1))) }
 
-func appendInts(b []byte, ns []int) []byte {
-	b = varint.AppendInt(b, len(ns))
-	for _, n := range ns {
-		b = varint.AppendInt(b, n)
-	}
-	return b
-}
+func appendInts(b []byte, ns []int) []byte { return appendList(b, ns, varint.AppendInt) }
 
-func cutInts(r *varint.Reader) []int {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	ns := make([]int, n)
-	for i := range ns {
-		ns[i] = r.Int()
-	}
-	return ns
-}
+func cutInts(r *varint.Reader) []int { return cutColumn(r.Count(1), r.Int) }
 
-// slab is one allocation that a frame's variable-length vectors are
-// carved from. The carved slices are capped, so appending to one cannot
-// write into its neighbour.
-type slab[T any] struct {
-	free []T
-}
-
-// newSlab cuts the total the frame announces; each element takes at least
-// minSize bytes of what follows.
-func newSlab[T any](r *varint.Reader, minSize int) slab[T] {
-	return slab[T]{free: make([]T, r.Count(minSize))}
-}
-
-// carve cuts a length and takes that many elements off the slab (nil for
-// none); a length past what the frame announced fails r.
-func (s *slab[T]) carve(r *varint.Reader) []T {
-	n := r.Int()
-	if n > len(s.free) {
-		r.Fail(fmt.Errorf("remote: a vector of %d elements overruns the %d its frame announced", n, len(s.free)))
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
-}
-
-// spent fails r unless the whole slab was carved.
-func (s *slab[T]) spent(r *varint.Reader) {
-	if len(s.free) != 0 {
-		r.Fail(fmt.Errorf("remote: frame announced %d more elements than it holds", len(s.free)))
-	}
-}
-
-func appendTerms(b []byte, ts []rdf.TermID) []byte {
+// appendList appends a slice: its element count, then each element as
+// each appends it.
+func appendList[T any](b []byte, ts []T, each func([]byte, T) []byte) []byte {
 	b = varint.AppendInt(b, len(ts))
 	for _, t := range ts {
-		b = appendTerm(b, t)
+		b = each(b, t)
 	}
 	return b
 }
 
-func cutTerms(r *varint.Reader, s *slab[rdf.TermID]) []rdf.TermID {
-	ts := s.carve(r)
+// cutColumn cuts n elements with cut, nil for none.
+func cutColumn[T any](n int, cut func() T) []T {
+	if n == 0 {
+		return nil
+	}
+	ts := make([]T, n)
 	for i := range ts {
-		ts[i] = cutTerm(r)
+		ts[i] = cut()
 	}
 	return ts
 }
@@ -232,19 +187,13 @@ func (q *request) decode(body []byte) error {
 // placeholder constant is just an ID no fragment holds.
 func appendQuery(b []byte, g *query.Graph) []byte {
 	b = varint.AppendInt(b, len(g.Vars))
-	b = varint.AppendInt(b, len(g.Vertices))
-	for _, v := range g.Vertices {
-		b = varint.AppendSigned(b, int64(v.Var))
-		b = appendTerm(b, v.Const)
-	}
-	b = varint.AppendInt(b, len(g.Edges))
-	for _, e := range g.Edges {
-		b = varint.AppendInt(b, e.From)
-		b = varint.AppendInt(b, e.To)
-		b = appendTerm(b, e.Label)
-		b = varint.AppendSigned(b, int64(e.LabelVar))
-	}
-	return b
+	b = appendList(b, g.Vertices, func(b []byte, v query.Vertex) []byte {
+		return appendTerm(varint.AppendSigned(b, int64(v.Var)), v.Const)
+	})
+	return appendList(b, g.Edges, func(b []byte, e query.Edge) []byte {
+		b = varint.AppendInt(varint.AppendInt(b, e.From), e.To)
+		return varint.AppendSigned(appendTerm(b, e.Label), int64(e.LabelVar))
+	})
 }
 
 // cutQuery cuts a query whose variables are unnamed. Their count takes no
@@ -256,18 +205,12 @@ func cutQuery(r *varint.Reader) *query.Graph {
 	if n := r.Upto(2 * query.MaxSize); n > 0 {
 		g.Vars = make([]string, n)
 	}
-	if n := r.Count(2); n > 0 {
-		g.Vertices = make([]query.Vertex, n)
-		for i := range g.Vertices {
-			g.Vertices[i] = query.Vertex{Var: int(r.Signed()), Const: cutTerm(r)}
-		}
-	}
-	if n := r.Count(4); n > 0 {
-		g.Edges = make([]query.Edge, n)
-		for i := range g.Edges {
-			g.Edges[i] = query.Edge{From: r.Int(), To: r.Int(), Label: cutTerm(r), LabelVar: int(r.Signed())}
-		}
-	}
+	g.Vertices = cutColumn(r.Count(2), func() query.Vertex {
+		return query.Vertex{Var: int(r.Signed()), Const: cutTerm(r)}
+	})
+	g.Edges = cutColumn(r.Count(4), func() query.Edge {
+		return query.Edge{From: r.Int(), To: r.Int(), Label: cutTerm(r), LabelVar: int(r.Signed())}
+	})
 	return g
 }
 
@@ -315,53 +258,36 @@ func cutShare(r *varint.Reader) *fragment.Delta {
 // as zig-zag differences from their predecessor: a byte each where the
 // plain ID takes three.
 func appendTriples(b []byte, ts []rdf.Triple) []byte {
-	b = varint.AppendInt(b, len(ts))
 	var prev rdf.TermID
-	for _, t := range ts {
-		b = varint.AppendSigned(b, int64(t.S)-int64(prev))
-		b = appendTerm(appendTerm(b, t.P), t.O)
-		prev = t.S
-	}
-	return b
+	return appendList(b, ts, func(b []byte, t rdf.Triple) []byte {
+		b, prev = varint.AppendSigned(b, int64(t.S)-int64(prev)), t.S
+		return appendTerm(appendTerm(b, t.P), t.O)
+	})
 }
 
 func cutTriples(r *varint.Reader) []rdf.Triple {
-	n := r.Count(3)
-	if n == 0 {
-		return nil
-	}
-	ts := make([]rdf.Triple, n)
 	var prev rdf.TermID
-	for i := range ts {
+	return cutColumn(r.Count(3), func() rdf.Triple {
 		prev = cutDiff(r, prev)
-		ts[i] = rdf.Triple{S: prev, P: cutTerm(r), O: cutTerm(r)}
-	}
-	return ts
+		return rdf.Triple{S: prev, P: cutTerm(r), O: cutTerm(r)}
+	})
 }
 
 // appendIDs appends a sorted vertex list as zig-zag differences.
 func appendIDs(b []byte, vs []rdf.TermID) []byte {
-	b = varint.AppendInt(b, len(vs))
 	var prev rdf.TermID
-	for _, v := range vs {
-		b = varint.AppendSigned(b, int64(v)-int64(prev))
-		prev = v
-	}
-	return b
+	return appendList(b, vs, func(b []byte, v rdf.TermID) []byte {
+		b, prev = varint.AppendSigned(b, int64(v)-int64(prev)), v
+		return b
+	})
 }
 
 func cutIDs(r *varint.Reader) []rdf.TermID {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	vs := make([]rdf.TermID, n)
 	var prev rdf.TermID
-	for i := range vs {
+	return cutColumn(r.Count(1), func() rdf.TermID {
 		prev = cutDiff(r, prev)
-		vs[i] = prev
-	}
-	return vs
+		return prev
+	})
 }
 
 // cutDiff cuts one zig-zag difference and applies it to prev.
@@ -384,13 +310,13 @@ func (p *response) appendTo(b []byte) []byte {
 	b = varint.AppendInt(b, len(p.Rows))
 	b = varint.AppendInt(b, terms)
 	for _, row := range p.Rows {
-		b = appendTerms(b, row)
+		b = appendList(b, row, appendTerm)
 	}
 	if p.Vectors != nil {
 		b = appendVectors(b, p.Vectors)
 	}
 	b = varint.AppendInt(b, p.LocalMatches)
-	b = appendMatches(b, p.Matches)
+	b = appendSet(b, &p.Set)
 	b = varint.AppendInt(b, p.Tasks)
 	b = varint.AppendUint64(b, uint64(p.BusyNS))
 	b = varint.AppendUint64(b, uint64(p.EvalNS))
@@ -409,16 +335,30 @@ func (p *response) decode(body []byte) error {
 	if n := r.Count(1); n > 0 {
 		p.Rows = make([][]rdf.TermID, n)
 	}
-	terms := newSlab[rdf.TermID](r, 1)
+	// One allocation holds every row, each capped so that appending to
+	// one cannot write into its neighbour.
+	terms := make([]rdf.TermID, r.Count(1))
 	for i := range p.Rows {
-		p.Rows[i] = cutTerms(r, &terms)
+		n := r.Int()
+		if n > len(terms) {
+			r.Fail(fmt.Errorf("remote: a row of %d terms overruns the %d its frame announced", n, len(terms)))
+			break
+		}
+		if n > 0 {
+			p.Rows[i], terms = terms[:n:n], terms[n:]
+		}
+		for j := range p.Rows[i] {
+			p.Rows[i][j] = cutTerm(r)
+		}
 	}
-	terms.spent(r)
+	if len(terms) != 0 {
+		r.Fail(fmt.Errorf("remote: frame announced %d more terms than its rows hold", len(terms)))
+	}
 	if f&respHasVectors != 0 {
 		p.Vectors = cutVectors(r)
 	}
 	p.LocalMatches = r.Int()
-	p.Matches = cutMatches(r)
+	p.Set = cutSet(r)
 	p.Tasks = r.Int()
 	p.BusyNS = int64(r.Uint64())
 	p.EvalNS = int64(r.Uint64())
@@ -428,43 +368,43 @@ func (p *response) decode(body []byte) error {
 	return r.Done()
 }
 
-// A match takes at least four bytes: Frag, two lengths and Sign. Its
-// crossing edges are derived data and do not travel; the client checks
-// the fields they are derived from against the query (partial.Check).
-const minMatch = 4
-
-func appendMatches(b []byte, ms []*partial.Match) []byte {
-	terms := 0
-	for _, m := range ms {
-		terms += len(m.Vec) + len(m.EdgeVars)
+// appendSet appends a set of partial matches: its vector stride, its
+// label stride (only beside a vector stride, so the zero set of every
+// other op is two bytes), its match count, then its sign, vector and
+// label columns. The fragment does not travel — the caller knows the
+// site it called — and neither does a match's length, fixed by the
+// strides, nor its crossing edges, derived from the columns, which the
+// client checks against the query (partial.Check).
+func appendSet(b []byte, s *partial.Set) []byte {
+	b = varint.AppendInt(b, s.Stride)
+	if s.Stride > 0 {
+		b = varint.AppendInt(b, s.LabelStride)
 	}
-	b = varint.AppendInt(b, len(ms))
-	b = varint.AppendInt(b, terms)
-	for _, m := range ms {
-		b = varint.AppendInt(b, m.Frag)
-		b = appendTerms(b, m.Vec)
-		b = appendTerms(b, m.EdgeVars)
-		b = varint.Append(b, m.Sign)
+	b = appendList(b, s.Sign, varint.Append)
+	for _, t := range s.Vec {
+		b = appendTerm(b, t)
+	}
+	for _, t := range s.EdgeVars {
+		b = appendTerm(b, t)
 	}
 	return b
 }
 
-func cutMatches(r *varint.Reader) []*partial.Match {
-	n := r.Count(minMatch)
-	terms := newSlab[rdf.TermID](r, 1)
-	ms := make([]partial.Match, n)
-	var out []*partial.Match
-	if n > 0 {
-		out = make([]*partial.Match, n)
+// maxStride bounds a stride off the wire, far above any query's and low
+// enough that no match count times it overflows; Check holds it to the
+// query's.
+const maxStride = math.MaxUint16
+
+func cutSet(r *varint.Reader) partial.Set {
+	var s partial.Set
+	if s.Stride = int(r.Upto(maxStride)); s.Stride > 0 {
+		s.LabelStride = int(r.Upto(maxStride))
 	}
-	for i := range ms {
-		m := &ms[i]
-		m.Frag = r.Int()
-		m.Vec = cutTerms(r, &terms)
-		m.EdgeVars = cutTerms(r, &terms)
-		m.Sign = r.Uvarint()
-		out[i] = m
-	}
-	terms.spent(r)
-	return out
+	// A match takes a byte of sign and one a slot at least.
+	n := r.Count(1 + s.Stride + s.LabelStride)
+	term := func() rdf.TermID { return cutTerm(r) }
+	s.Sign = cutColumn(n, r.Uvarint)
+	s.Vec = cutColumn(n*s.Stride, term)
+	s.EdgeVars = cutColumn(n*s.LabelStride, term)
+	return s
 }

@@ -77,10 +77,14 @@ func fullReport(t testing.TB) *candidates.SiteVectors {
 	return vectors(t, 9, 0, 1, 1, 0xef, 0xbe, 0, 0, 0, 0, 0, 0x80, 7, 4, 5, 3, 0xac, 0x02, 2, 0)
 }
 
-func twoMatches() []*partial.Match {
-	return []*partial.Match{
-		{Frag: 2, Vec: []rdf.TermID{17, rdf.NoTerm, 300}, EdgeVars: []rdf.TermID{rdf.NoTerm, 9, rdf.NoTerm}, Sign: 0b001},
-		{Frag: 2, Vec: []rdf.TermID{17, 70000, 301}, Sign: 1 << 63},
+// twoMatches is a set of two matches of a query of three vertices and
+// three variables, one of them an edge label's.
+func twoMatches() partial.Set {
+	return partial.Set{
+		Stride: 3, LabelStride: 3,
+		Sign:     []uint64{0b001, 1 << 63},
+		Vec:      []rdf.TermID{17, rdf.NoTerm, 300, 17, 70000, 301},
+		EdgeVars: []rdf.TermID{rdf.NoTerm, 9, rdf.NoTerm, rdf.NoTerm, 10, rdf.NoTerm},
 	}
 }
 
@@ -117,7 +121,7 @@ func goldenFrames(t testing.TB) []namedFrame {
 		req("star request", request{Op: opPartial, Site: 1, Epoch: 7, Star: true, Center: 2, Order: []int{0, 1}, Query: bare(fullQuery())}),
 		resp("row batch", response{Rows: [][]rdf.TermID{{17, 9, 300}, {18, 9, 70000}}}),
 		resp("final with two matches", response{
-			Done: true, LocalMatches: 2, Matches: twoMatches(), Tasks: 5, BusyNS: 1234567, EvalNS: 2345678,
+			Done: true, LocalMatches: 2, Set: twoMatches(), Tasks: 5, BusyNS: 1234567, EvalNS: 2345678,
 		}),
 		req("stats request", request{Op: opStats, Site: 3, Epoch: 7}),
 		resp("stats reply", response{Done: true, Fragments: 2}),
@@ -212,10 +216,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		{},
 		{
 			Done: true, Rows: [][]rdf.TermID{{1, 2}, nil, {math.MaxUint32}}, Vectors: fullReport(t), LocalMatches: 3,
-			Matches: twoMatches(), Tasks: 9, BusyNS: math.MaxInt64, EvalNS: 1,
+			Set: twoMatches(), Tasks: 9, BusyNS: math.MaxInt64, EvalNS: 1,
 			Fragments: 6, ErrKind: errNeedSync, ErrMsg: "why",
 		},
-		{Matches: []*partial.Match{{}}},
+		{Set: partial.Set{Sign: []uint64{0}}},                                     // a match of no slots
+		{Set: partial.Set{Stride: 3, LabelStride: 3}},                             // no match of a query with a label variable
+		{Set: partial.Set{Stride: 2, Sign: []uint64{3}, Vec: []rdf.TermID{1, 2}}}, // no label variable
 		{Vectors: vectors(t, 0)},
 		{Vectors: vectors(t, 1)}, // a report of no slots
 	}
@@ -279,18 +285,19 @@ func TestDecodeRejects(t *testing.T) {
 		}
 	}
 
-	resp := (&response{Done: true, Matches: twoMatches()}).appendTo(nil)
+	resp := (&response{Done: true, Set: twoMatches()}).appendTo(nil)
 	if err := new(response).decode(resp); err != nil {
 		t.Fatal(err)
 	}
-	// The terms total sits right after the match count: tag, flags, rows
-	// (2 bytes), LocalMatches, count.
-	const totals = 6
+	// The set's strides and match count follow the tag, the flags, the
+	// rows (2 bytes) and LocalMatches.
+	const stride, count = 5, 7
 	for name, edit := range map[string]func(b []byte){
-		"terms total too small": func(b []byte) { b[totals]-- },
-		"terms total too large": func(b []byte) { b[totals]++ },
-		"match count too large": func(b []byte) { b[totals-1]++ },
-		"unknown error kind":    func(b []byte) { b[len(b)-2] = byte(numErrKinds) },
+		"vector stride past the columns": func(b []byte) { b[stride] = 0x7f },
+		"match count past the columns":   func(b []byte) { b[count] = 0x7f },
+		"match count too large":          func(b []byte) { b[count]++ },
+		"match count too small":          func(b []byte) { b[count]-- },
+		"unknown error kind":             func(b []byte) { b[len(b)-2] = byte(numErrKinds) },
 	} {
 		body := bytes.Clone(resp)
 		edit(body)
@@ -501,8 +508,19 @@ func (g *gen) response(t testing.TB) *response {
 	if g.bool() {
 		p.Vectors = g.vectors(t)
 	}
+	// A stride of vectors travels with the label stride beside it, so a
+	// set without one has no label stride either.
+	if p.Set.Stride = g.n(4); p.Set.Stride > 0 {
+		p.Set.LabelStride = g.n(4)
+	}
 	for i := g.n(3); i > 0; i-- {
-		p.Matches = append(p.Matches, &partial.Match{Frag: g.int(), Vec: g.terms(), EdgeVars: g.terms(), Sign: g.u64()})
+		p.Set.Sign = append(p.Set.Sign, g.u64())
+		for range p.Set.Stride {
+			p.Set.Vec = append(p.Set.Vec, g.term())
+		}
+		for range p.Set.LabelStride {
+			p.Set.EdgeVars = append(p.Set.EdgeVars, g.term())
+		}
 	}
 	return p
 }
@@ -537,11 +555,15 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Add([]byte{tagResponse, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})    // a row count far past the input
-	f.Add([]byte{tagResponse, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}) // the same for matches
-	f.Add([]byte{9 << 1, 0, 0, 0})                                 // another build's tag
-	f.Add((&response{ErrKind: numErrKinds}).appendTo(nil))         // an error kind past the last this build knows
-	f.Add(varsFrame(math.MaxUint32))                               // a variable count past what a query holds
+	f.Add([]byte{tagResponse, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})               // a row count far past the input
+	f.Add([]byte{tagResponse, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})            // a vector stride far past its limit
+	f.Add([]byte{9 << 1, 0, 0, 0})                                            // another build's tag
+	f.Add((&response{ErrKind: numErrKinds}).appendTo(nil))                    // an error kind past the last this build knows
+	f.Add((&response{Done: true, Set: partial.Set{Stride: 3}}).appendTo(nil)) // a partial reply with no match
+	f.Add((&response{Done: true, Set: partial.Set{                            // and one under a label variable
+		Stride: 2, LabelStride: 3, Sign: []uint64{1}, Vec: []rdf.TermID{5, 6}, EdgeVars: []rdf.TermID{0, 0, 7},
+	}}).appendTo(nil))
+	f.Add(varsFrame(math.MaxUint32)) // a variable count past what a query holds
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &gen{data: data}
 		wantReq := g.request(t)

@@ -340,11 +340,11 @@ func remoteLUBMMatchesLocal(t *testing.T) {
 }
 
 // TestMalformedMatchIsAnError: a scripted peer that speaks the frame
-// codec answers a partial request with a match that does not fit the
-// query — its vector one slot short, a sign bit past the vector, or
-// edge-label bindings for a query without a label variable. Each call
-// fails with an error instead of indexing out of range; the match as the
-// site built it comes back whole.
+// codec answers a partial request with a set of one match that does not
+// fit the query — its vector stride one slot short, a sign bit past the
+// vector, or edge-label bindings for a query without a label variable.
+// Each call fails with an error instead of indexing out of range; the
+// match as the site built it comes back whole.
 func TestMalformedMatchIsAnError(t *testing.T) {
 	ex := paperexample.New()
 	d, err := fragment.Build(ex.Store, ex.Assignment)
@@ -364,7 +364,7 @@ func TestMalformedMatchIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	var reply atomic.Pointer[partial.Match]
+	var reply atomic.Pointer[partial.Set]
 	go func() {
 		for {
 			nc, err := ln.Accept()
@@ -376,7 +376,7 @@ func TestMalformedMatchIsAnError(t *testing.T) {
 				if _, _, err := peer.recv(); err != nil {
 					break
 				}
-				if _, err := peer.send(&response{Done: true, Matches: []*partial.Match{reply.Load()}}); err != nil {
+				if _, err := peer.send(&response{Done: true, Set: *reply.Load()}); err != nil {
 					break
 				}
 			}
@@ -389,25 +389,28 @@ func TestMalformedMatchIsAnError(t *testing.T) {
 	}
 	defer coord.Close()
 	site := coord.NewSite(0)
-	call := func(m partial.Match) (cluster.PartialReply, error) {
-		reply.Store(&m)
+	call := func(s partial.Set) (cluster.PartialReply, error) {
+		reply.Store(&s)
 		return site.PartialEval(ctx, cluster.PartialRequest{Query: q}, func([]rdf.TermID) bool { return true })
 	}
+	one := func() partial.Set {
+		return partial.Set{Stride: len(good.Vec), Sign: []uint64{good.Sign}, Vec: slices.Clone(good.Vec)}
+	}
 
-	got, err := call(*good)
+	got, err := call(one())
 	if err != nil || len(got.Matches) != 1 || !reflect.DeepEqual(got.Matches[0], good) {
 		t.Fatalf("the site's own match came back as %+v, %v; want %+v", got.Matches, err, good)
 	}
-	for name, edit := range map[string]func(m *partial.Match){
-		"vector one short":     func(m *partial.Match) { m.Vec = m.Vec[:len(m.Vec)-1] },
-		"sign past the vector": func(m *partial.Match) { m.Sign |= 1 << uint(len(q.Vertices)) },
-		"edge-label bindings without a label variable": func(m *partial.Match) {
-			m.EdgeVars = make([]rdf.TermID, len(q.Vars))
+	for name, edit := range map[string]func(s *partial.Set){
+		"vector one short":     func(s *partial.Set) { s.Stride--; s.Vec = s.Vec[:s.Stride] },
+		"sign past the vector": func(s *partial.Set) { s.Sign[0] |= 1 << uint(len(q.Vertices)) },
+		"edge-label bindings without a label variable": func(s *partial.Set) {
+			s.LabelStride, s.EdgeVars = len(q.Vars), make([]rdf.TermID, len(q.Vars))
 		},
 	} {
-		m := *good
-		edit(&m)
-		if _, err := call(m); err == nil || !strings.Contains(err.Error(), "partial: match 0 of fragment") {
+		s := one()
+		edit(&s)
+		if _, err := call(s); err == nil || !strings.Contains(err.Error(), "partial: matches of fragment 0") {
 			t.Errorf("%s: the call returned %v, want the shape check's error", name, err)
 		}
 	}
@@ -800,9 +803,9 @@ func TestBadRequestIsAnErrorFrame(t *testing.T) {
 	if err := final.err(); err != nil {
 		t.Fatalf("good request after the bad ones: %v", err)
 	}
-	if rows != want.LocalMatches || final.LocalMatches != want.LocalMatches || len(final.Matches) != len(want.Matches) {
+	if rows != want.LocalMatches || final.LocalMatches != want.LocalMatches || final.Set.Len() != len(want.Matches) {
 		t.Errorf("good request: %d rows, %d local and %d partial matches; want %d and %d",
-			rows, final.LocalMatches, len(final.Matches), want.LocalMatches, len(want.Matches))
+			rows, final.LocalMatches, final.Set.Len(), want.LocalMatches, len(want.Matches))
 	}
 	if final.EvalNS <= 0 {
 		t.Errorf("final frame reports an evaluation wall of %d ns", final.EvalNS)

@@ -107,7 +107,7 @@ type response struct {
 
 	Vectors      *candidates.SiteVectors
 	LocalMatches int
-	Matches      []*partial.Match
+	Set          partial.Set
 	Tasks        int
 	BusyNS       int64
 	// EvalNS is the worker's own wall time for a PartialEval's evaluation,

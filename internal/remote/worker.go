@@ -329,7 +329,7 @@ func (w *Worker) handlePartial(ctx context.Context, c *conn, req *request, final
 		return true
 	}
 	final.LocalMatches = rep.LocalMatches
-	final.Matches = rep.Matches
+	final.Set = rep.Set
 	final.Tasks = rep.Tasks
 	final.BusyNS = int64(rep.Busy)
 	return true

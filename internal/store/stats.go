@@ -41,14 +41,6 @@ func (s *Stats) Triples() int {
 	return s.triples
 }
 
-// NumPredicates reports the number of distinct predicates.
-func (s *Stats) NumPredicates() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.preds)
-}
-
 // Stats returns the store's cardinality table. It is immutable, like
 // the store itself.
 func (st *Store) Stats() *Stats { return st.stats }
@@ -91,10 +83,12 @@ func buildStats(byPred map[rdf.TermID][]rdf.Triple) *Stats {
 // both sides of the delta need no case of their own. A predicate whose
 // Count reaches 0 leaves the table.
 func (s *Stats) apply(st, next *Store, deleted, inserted []rdf.Triple) *Stats {
-	out := &Stats{preds: make(map[rdf.TermID]PredStat, s.NumPredicates()+1), triples: s.Triples()}
+	var preds map[rdf.TermID]PredStat
 	if s != nil {
-		maps.Copy(out.preds, s.preds)
+		preds = s.preds
 	}
+	out := &Stats{preds: make(map[rdf.TermID]PredStat, len(preds)+1), triples: s.Triples()}
+	maps.Copy(out.preds, preds)
 	type end struct{ p, v rdf.TermID }
 	subjects := make(map[end]bool, len(deleted)+len(inserted))
 	objects := make(map[end]bool, len(deleted)+len(inserted))

@@ -306,9 +306,6 @@ func (st *Store) CountTriples(s, p, o rdf.TermID) int {
 	return hi - lo
 }
 
-// PredCount returns how many distinct triples carry predicate p.
-func (st *Store) PredCount(p rdf.TermID) int { return st.byPred[p].Len() }
-
 // Predicates returns the distinct predicates, unsorted.
 func (st *Store) Predicates() []rdf.TermID {
 	out := make([]rdf.TermID, 0, len(st.byPred))
@@ -506,7 +503,7 @@ func (st *Store) CandidatesFunc(q *query.Graph, qv int, admit func(u rdf.TermID)
 			if len(adj) <= n {
 				anchor, label, via, n = adj, -1, i, len(adj)
 			}
-		} else if c := st.PredCount(e.Label); !e.HasVarLabel() && c < n {
+		} else if c := st.byPred[e.Label].Len(); !e.HasVarLabel() && c < n {
 			anchor, label, via, n = nil, i, i, c
 			if e.From == e.To {
 				via = -1

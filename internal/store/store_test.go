@@ -68,8 +68,8 @@ func TestStoreIndexes(t *testing.T) {
 	if got := len(st.Adjacency(carol, false, knows)); got != 2 {
 		t.Errorf("carol has %d knows in-edges, want 2", got)
 	}
-	if st.PredCount(knows) != 3 {
-		t.Errorf("PredCount(knows) = %d", st.PredCount(knows))
+	if ps, _ := st.Stats().Pred(knows); ps.Count != 3 {
+		t.Errorf("Stats().Pred(knows).Count = %d, want 3", ps.Count)
 	}
 	if !st.HasVertex(carol) || st.HasVertex(knows) {
 		t.Error("vertex membership wrong (predicates are not vertices)")
