@@ -3,6 +3,8 @@ package remote
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"gstored/internal/candidates"
 	"gstored/internal/fragment"
@@ -26,10 +28,10 @@ import (
 // durations are fixed 8 bytes, so a frame's size does not depend on how
 // long anything took. Row batches also carry their total term count up
 // front, which is what lets the decoder make one allocation and carve the
-// rows out of it; partial matches travel as a set's columns behind its
-// strides and match count, one allocation a column. A value has one
-// encoding: flags have no spare bits, totals must add up, nothing follows
-// the last field.
+// rows out of it; a match travels as its changes from the match before
+// (appendSet), and a set decodes into one allocation a column. A value
+// has one encoding: flags have no spare bits, totals must add up, a match
+// marks just the fields it changes, nothing follows the last field.
 //
 // Decoding reads a socket, so it trusts nothing (varint.Reader): a count
 // buys an allocation only after it has been checked against the bytes
@@ -38,7 +40,7 @@ import (
 // wireVersion is bumped by any change to the encoding; it travels in the
 // tag byte so that builds which disagree fail the call by name instead of
 // misreading each other.
-const wireVersion = 8
+const wireVersion = 9
 
 const (
 	tagRequest  = wireVersion << 1
@@ -369,42 +371,80 @@ func (p *response) decode(body []byte) error {
 }
 
 // appendSet appends a set of partial matches: its vector stride, its
-// label stride (only beside a vector stride, so the zero set of every
-// other op is two bytes), its match count, then its sign, vector and
-// label columns. The fragment does not travel — the caller knows the
-// site it called — and neither does a match's length, fixed by the
-// strides, nor its crossing edges, derived from the columns, which the
-// client checks against the query (partial.Check).
+// label stride (only beside a vector stride, so every other op's zero set
+// is two bytes), its match count, then each match as its changes from the
+// one before (all zeros before the first): a bitmap marking the changed
+// fields — bit 0 the sign, bit 1+c slot c of the vector and label slots
+// end to end — then the new sign and each changed slot's zig-zag
+// difference. The fragment and the crossing edges stay home.
 func appendSet(b []byte, s *partial.Set) []byte {
 	b = varint.AppendInt(b, s.Stride)
 	if s.Stride > 0 {
 		b = varint.AppendInt(b, s.LabelStride)
 	}
-	b = appendList(b, s.Sign, varint.Append)
-	for _, t := range s.Vec {
-		b = appendTerm(b, t)
-	}
-	for _, t := range s.EdgeVars {
-		b = appendTerm(b, t)
+	b = varint.AppendInt(b, s.Len())
+	var sign uint64
+	var row [3 * query.MaxSize]rdf.TermID // the last match's slots, as many as a query holds
+	for i, next := range s.Sign {
+		at := len(b)
+		b = append(b, make([]byte, (s.Stride+s.LabelStride+8)/8)...)
+		if next != sign {
+			b[at], sign = 1, next
+			b = varint.Append(b, next)
+		}
+		vec, labels := s.At(i)
+		b = appendChanges(b, at, 1, vec, row[:s.Stride])
+		b = appendChanges(b, at, 1+s.Stride, labels, row[s.Stride:])
 	}
 	return b
 }
 
-// maxStride bounds a stride off the wire, far above any query's and low
-// enough that no match count times it overflows; Check holds it to the
-// query's.
-const maxStride = math.MaxUint16
+// appendChanges appends each slot of cur that differs from the one above
+// it as the difference, marks it from bitmap bit first on, and moves it up.
+func appendChanges(b []byte, at, first int, cur, above []rdf.TermID) []byte {
+	for c, t := range cur {
+		if t != above[c] {
+			f := uint(first + c)
+			b[at+int(f/8)] |= 1 << (f % 8)
+			b, above[c] = varint.AppendSigned(b, int64(t)-int64(above[c])), t
+		}
+	}
+	return b
+}
 
+// cutSet bounds the strides by what a query holds (Check holds them to
+// the query's), so no match count times them overflows.
 func cutSet(r *varint.Reader) partial.Set {
 	var s partial.Set
-	if s.Stride = int(r.Upto(maxStride)); s.Stride > 0 {
-		s.LabelStride = int(r.Upto(maxStride))
+	if s.Stride = int(r.Upto(query.MaxSize)); s.Stride > 0 {
+		s.LabelStride = int(r.Upto(2 * query.MaxSize))
 	}
-	// A match takes a byte of sign and one a slot at least.
-	n := r.Count(1 + s.Stride + s.LabelStride)
-	term := func() rdf.TermID { return cutTerm(r) }
-	s.Sign = cutColumn(n, r.Uvarint)
-	s.Vec = cutColumn(n*s.Stride, term)
-	s.EdgeVars = cutColumn(n*s.LabelStride, term)
+	slots := s.Stride + s.LabelStride
+	n := r.Count((slots + 8) / 8) // a match takes its bitmap at least
+	s.Sign, s.Vec, s.EdgeVars = slices.Grow(s.Sign, n), slices.Grow(s.Vec, n*s.Stride), slices.Grow(s.EdgeVars, n*s.LabelStride)
+	var sign uint64
+	var row [3 * query.MaxSize]rdf.TermID // the last match's slots
+	for i := range n {
+		for j, x := range r.Bytes((slots + 8) / 8) {
+			for ; x != 0; x &= x - 1 {
+				if c := 8*j + bits.TrailingZeros8(x) - 1; c < 0 {
+					prev := sign
+					if sign = r.Uvarint(); sign == prev {
+						r.Fail(fmt.Errorf("remote: match %d marks its sign changed but repeats it", i))
+					}
+				} else if c >= slots {
+					r.Fail(fmt.Errorf("remote: match %d marks a field past its %d", i, 1+slots))
+				} else {
+					prev := row[c]
+					if row[c] = cutDiff(r, prev); row[c] == prev {
+						r.Fail(fmt.Errorf("remote: match %d marks slot %d changed but repeats it", i, c))
+					}
+				}
+			}
+		}
+		s.Sign = append(s.Sign, sign)
+		s.Vec = append(s.Vec, row[:s.Stride]...)
+		s.EdgeVars = append(s.EdgeVars, row[s.Stride:slots]...)
+	}
 	return s
 }

@@ -10,6 +10,9 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -307,6 +310,84 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// setFrame is a final frame whose set section is set: the strides, the
+// match count and the matches.
+func setFrame(set ...byte) []byte {
+	b := (&response{Done: true}).appendTo(nil)
+	return append(append(b[:5:5], set...), b[7:]...) // tag, flags, rows, terms, LocalMatches; the empty set
+}
+
+// setCases are set sections written by hand, each with the set it
+// decodes to, or nil when it must not decode.
+var setCases = []struct {
+	name string
+	set  []byte
+	want *partial.Set
+}{
+	{"a first match of zeros is an empty bitmap", []byte{2, 0, 1, 0b000},
+		&partial.Set{Stride: 2, Sign: []uint64{0}, Vec: []rdf.TermID{0, 0}}},
+	{"only a label slot changes", []byte{2, 3, 2, 0b100111, 1, 10, 12, 14, 0b100000, 4},
+		&partial.Set{Stride: 2, LabelStride: 3, Sign: []uint64{1, 1}, Vec: []rdf.TermID{5, 6, 5, 6}, EdgeVars: []rdf.TermID{0, 0, 7, 0, 0, 9}}},
+	{"a bitmap of two bytes", []byte{4, 4, 1, 0b10, 0b1, 2, 6},
+		&partial.Set{Stride: 4, LabelStride: 4, Sign: []uint64{0}, Vec: []rdf.TermID{1, 0, 0, 0}, EdgeVars: []rdf.TermID{0, 0, 0, 3}}},
+	{"the strides a query can hold", append(varint.AppendInt([]byte{query.MaxSize}, 2*query.MaxSize), 0),
+		&partial.Set{Stride: query.MaxSize, LabelStride: 2 * query.MaxSize}},
+	{"a bit past the last field", []byte{2, 0, 1, 0b1000, 2}, nil},
+	{"a slot bit with a zero difference", []byte{2, 0, 1, 0b10, 0}, nil},
+	{"a sign bit with the sign unchanged", []byte{2, 0, 2, 0b1, 3, 0b1, 3}, nil},
+	{"a difference below the ID range", []byte{1, 0, 1, 0b10, 1}, nil},
+	{"a difference past the ID range", append([]byte{1, 0, 1, 0b10}, varint.AppendSigned(nil, math.MaxUint32+1)...), nil},
+	{"a vector stride past what a query holds", []byte{query.MaxSize + 1, 0, 0}, nil},
+	{"a label stride past what a query holds", append([]byte{1}, varint.AppendInt(nil, 2*query.MaxSize+1)...), nil},
+}
+
+// TestSetEncoding: each hand-written set section decodes to its set and
+// encodes back to the same bytes, or fails to decode.
+func TestSetEncoding(t *testing.T) {
+	for _, c := range setCases {
+		body := setFrame(c.set...)
+		var got response
+		err := got.decode(body)
+		switch {
+		case c.want == nil && err == nil:
+			t.Errorf("%s: %x decoded to %+v", c.name, body, got.Set)
+		case c.want == nil:
+		case err != nil:
+			t.Errorf("%s: %x: %v", c.name, body, err)
+		case !reflect.DeepEqual(got.Set, *c.want):
+			t.Errorf("%s: decoded to %+v, want %+v", c.name, got.Set, *c.want)
+		case !bytes.Equal(got.appendTo(nil), body):
+			t.Errorf("%s: re-encodes to %x, was %x", c.name, got.appendTo(nil), body)
+		}
+	}
+}
+
+// TestSetAllocationIsBounded: a match costs its bitmap at least, so the
+// densest frames — matches that repeat the one before, a bitmap byte
+// each — buy at most 40 bytes of columns a frame byte. Under -race,
+// slices.Grow allocates the zeroed room it appends and then the grown
+// slice, so there each column costs twice its size.
+func TestSetAllocationIsBounded(t *testing.T) {
+	perByte := 40
+	if raceEnabled() {
+		perByte *= 2
+	}
+	for _, strides := range [][2]int{{1, 0}, {7, 0}, {3, 4}, {15, 0}, {query.MaxSize, 2 * query.MaxSize}} {
+		s := partial.Set{Stride: strides[0], LabelStride: strides[1]}
+		for range 4096 {
+			s.Sign = append(s.Sign, 0)
+			s.Vec = append(s.Vec, make([]rdf.TermID, s.Stride)...)
+			s.EdgeVars = append(s.EdgeVars, make([]rdf.TermID, s.LabelStride)...)
+		}
+		body := (&response{Done: true, Set: s}).appendTo(nil)
+		var err error
+		limit := uint64(perByte*len(body) + 8<<10)
+		if a := allocated(limit, func() { err = new(response).decode(body) }); err != nil || a > limit {
+			t.Errorf("strides %v: a %d-byte frame decoded with %v after allocating %d bytes, want at most %d", strides, len(body), err, a, limit)
+		}
+	}
+}
+
 // TestSiteRequestCarriesOnlyThePattern: queries that differ only in what
 // a site does not read — variable names, projection, solution modifiers,
 // the spelling of a constant the dictionary lacks — encode to identical
@@ -363,6 +444,46 @@ func TestVarCountIsBounded(t *testing.T) {
 			t.Errorf("%d variables: decoded with %v after allocating %d bytes, want refused before the names", n, err, a)
 		}
 	}
+}
+
+// TestFuzzCorpusSpeaksThisVersion: every committed FuzzFrame seed but
+// seed-foreign-tag, which keeps another build's tag on purpose, starts
+// with this build's request or response tag. A seed from an older wire
+// version fails checkTag on its first byte and exercises nothing past
+// it, so a wireVersion bump must rewrite the corpus too.
+func TestFuzzCorpusSpeaksThisVersion(t *testing.T) {
+	const dir = "testdata/fuzz/FuzzFrame"
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("%s: %d seeds, %v", dir, len(entries), err)
+	}
+	for _, e := range entries {
+		file, err := os.ReadFile(dir + "/" + e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(string(file), "go test fuzz v1\n[]byte(")
+		lit, ok2 := strings.CutSuffix(strings.TrimSuffix(lit, "\n"), ")")
+		data, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil || data == "" {
+			t.Errorf("%s: not one non-empty []byte seed: %q", e.Name(), file)
+			continue
+		}
+		switch tag := data[0]; {
+		case e.Name() == "seed-foreign-tag":
+			if tag>>1 == wireVersion {
+				t.Errorf("%s: tag %#x is this build's; the seed must keep another build's", e.Name(), tag)
+			}
+		case tag != tagRequest && tag != tagResponse:
+			t.Errorf("%s: tag %#x, want %#x or %#x (wire version %d): rewrite the corpus for this version", e.Name(), tag, tagRequest, tagResponse, wireVersion)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // gen derives frame values from fuzz input; it yields zeros once the
@@ -557,13 +678,16 @@ func FuzzFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add([]byte{tagResponse, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})               // a row count far past the input
 	f.Add([]byte{tagResponse, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})            // a vector stride far past its limit
-	f.Add([]byte{9 << 1, 0, 0, 0})                                            // another build's tag
+	f.Add(foreignFrame{}.appendTo(nil))                                       // another build's tag
 	f.Add((&response{ErrKind: numErrKinds}).appendTo(nil))                    // an error kind past the last this build knows
 	f.Add((&response{Done: true, Set: partial.Set{Stride: 3}}).appendTo(nil)) // a partial reply with no match
 	f.Add((&response{Done: true, Set: partial.Set{                            // and one under a label variable
 		Stride: 2, LabelStride: 3, Sign: []uint64{1}, Vec: []rdf.TermID{5, 6}, EdgeVars: []rdf.TermID{0, 0, 7},
 	}}).appendTo(nil))
 	f.Add(varsFrame(math.MaxUint32)) // a variable count past what a query holds
+	for _, c := range setCases {
+		f.Add(setFrame(c.set...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &gen{data: data}
 		wantReq := g.request(t)

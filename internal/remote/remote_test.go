@@ -812,10 +812,13 @@ func TestBadRequestIsAnErrorFrame(t *testing.T) {
 	}
 }
 
-// foreignFrame is a frame from a build whose wire version is 9.
+// foreignFrame is a frame from a build whose wire version is one past
+// this build's.
 type foreignFrame struct{}
 
-func (foreignFrame) appendTo(b []byte) []byte { return append(b, 9<<1, 1, 2, 3) }
+func (foreignFrame) appendTo(b []byte) []byte { return append(b, (wireVersion+1)<<1, 1, 2, 3) }
+
+var foreignErr = fmt.Sprintf("remote: peer speaks wire version %d", wireVersion+1)
 
 // TestVersionSkewIsAnError: a peer from a build with another wire version
 // fails the call by name on both ends — the worker answers the foreign
@@ -825,7 +828,7 @@ func TestVersionSkewIsAnError(t *testing.T) {
 	_, addr := startWorker(t)
 	c := dialRaw(t, addr)
 	final, _ := roundTrip(t, c, foreignFrame{})
-	if err := final.err(); err == nil || !strings.Contains(err.Error(), "remote: peer speaks wire version 9") {
+	if err := final.err(); err == nil || !strings.Contains(err.Error(), foreignErr) {
 		t.Errorf("worker answered a foreign request with %v", err)
 	}
 	// The empty worker's own answer to a probe is need-sync.
@@ -865,7 +868,7 @@ func TestVersionSkewIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = coord.NewSite(0).Stats(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "remote: peer speaks wire version 9") {
+	if err == nil || !strings.Contains(err.Error(), foreignErr) {
 		t.Errorf("client read a foreign reply as %v", err)
 	}
 	coord.Close()
