@@ -215,7 +215,7 @@ func ComputeSite(f *fragment.Fragment, q *query.Graph, bits int) *SiteVectors {
 		for _, qe := range edges {
 			rejects += crossingEdges(f, q, q.Edges[qe], qv)
 		}
-		// Store.Candidates is exact for internal vertices only: the others
+		// Store.CandidatesFunc is exact for internal vertices only: the others
 		// are dropped before the signature test reads their adjacency.
 		boundary := f.Store.CandidatesFunc(q, qv, f.IsInternal, func(u rdf.TermID, adj [][]store.HalfEdge) bool {
 			d := 0
@@ -233,17 +233,17 @@ func ComputeSite(f *fragment.Fragment, q *query.Graph, bits int) *SiteVectors {
 
 // crossingEdges counts the crossing-edge instances at f that match query
 // edge e with qv's end internal: f's count by label and side, or, when
-// the far end is a constant c, c's edges over e — all of them crossing,
-// with an internal far end, exactly when c is extended at f.
+// the far end is a constant c that f does not own, c's edges over e at
+// f, each a crossing edge with an internal far end.
 func crossingEdges(f *fragment.Fragment, q *query.Graph, e query.Edge, qv int) int {
 	out, far := farEnd(q, e, qv)
 	if far.IsVar() {
 		return f.CrossingCount(e.Label, out) // rdf.NoTerm under a label variable: any label
 	}
-	if !f.IsExtended(far.Const) {
+	if f.IsInternal(far.Const) {
 		return 0
 	}
-	return len(f.Store.Adjacency(far.Const, !out, e.Label))
+	return f.Store.Degree(far.Const, !out, e.Label)
 }
 
 // crossingDegree counts the crossing edges among an internal vertex's

@@ -196,7 +196,7 @@ func FuzzStageZero(f *testing.F) {
 				if !v.IsVar() {
 					continue
 				}
-				ids := slices.DeleteFunc(fr.Store.Candidates(q, qv), func(u rdf.TermID) bool { return !fr.IsInternal(u) })
+				ids := slices.DeleteFunc(fr.Store.CandidatesFunc(q, qv, nil, nil), func(u rdf.TermID) bool { return !fr.IsInternal(u) })
 				full[i].Sets[qv] = newSet(ids, DefaultBits)
 				if got := sv.Sets[qv]; got.Form() != List || !slices.Equal(got.ids, wantSets[qv]) || sv.Rejects[qv] != wantRejects[qv] {
 					t.Fatalf("fragment %d, vertex %d: boundary %v with κ %d, want %v with κ %d\nedges %v\nassignment %v",
@@ -246,7 +246,7 @@ func stageZeroReference(fr *fragment.Fragment, q *query.Graph) (sets [][]rdf.Ter
 		if !v.IsVar() {
 			continue
 		}
-		cands := fr.Store.Candidates(q, qv)
+		cands := fr.Store.CandidatesFunc(q, qv, nil, nil)
 		sets[qv] = []rdf.TermID{}
 		for _, tr := range fr.Crossing.Flat() {
 			for _, e := range q.Edges {

@@ -32,11 +32,14 @@ type Delta struct {
 // exactly the fragments whose stores, internal vertex sets and crossing
 // lists can differ; any vertex disappearing from an untouched fragment
 // would require deleting one of its edges, which would have touched that
-// fragment. The owner of an endpoint is d's (Owner): the fragment whose
-// V_i holds it, else the Hash strategy's pick, asked once per distinct
-// endpoint of the delta. The work is proportional to the delta plus
-// shallow per-fragment copies, and the result equals Build over
-// newGlobal, under that ownership, field for field (the tests' oracle).
+// fragment. A touched fragment reads newGlobal's index; an untouched one
+// keeps the one it read, which agrees with it at V_i's rows and at every
+// half-edge with an end in V_i, all a fragment reads, as no triple of the
+// delta has an end in its V_i. The owner of an endpoint is d's (Owner):
+// the fragment whose V_i holds it, else the Hash strategy's pick, asked
+// once per distinct endpoint of the delta. The work is proportional to
+// the delta plus shallow per-fragment copies, and the result reads as
+// Build over newGlobal, under that ownership (the tests' oracle).
 //
 // The second result holds one Delta per fragment, nil where the delta
 // leaves the fragment untouched: the epoch install ships each share to
@@ -92,7 +95,7 @@ func (d *Distributed) Patch(newGlobal *store.Store, inserted, deleted []rdf.Trip
 		if share == nil {
 			continue
 		}
-		f, err := d.Fragments[i].Apply(share)
+		f, err := d.Fragments[i].apply(share, newGlobal)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -132,8 +135,8 @@ func (d *Distributed) ApplyDelta(newGlobal *store.Store, _ *partition.Assignment
 }
 
 // Apply returns f after its share of a delta, leaving f untouched: the
-// one patch both the coordinator (Patch) and a worker holding f's
-// generation run. It follows Store.Apply's multigraph rules step for
+// patch a worker runs on the generation it holds, and the coordinator
+// (Patch) on its own. It follows Store.Apply's multigraph rules step for
 // step — a delete drops every instance of a present triple and is a
 // no-op for an absent or repeated one, then each insert adds one
 // instance — so the edge count and the crossing list stay in step with
@@ -141,13 +144,18 @@ func (d *Distributed) ApplyDelta(newGlobal *store.Store, _ *partition.Assignment
 // every run, shard and page the delta does not write (Store.Apply,
 // vertexSet.with), and the crossing list, when the delta writes it,
 // copies its header and the runs the delta's crossing edges land in.
+// A fragment that reads the coordinator's index has no index to splice:
+// only Patch, which has the next one, applies its share.
 //
 // The delta may come off the wire, so it is checked against f first,
 // and a delta that fails leaves no trace: Owned must strictly increase,
 // every triple must have an owned endpoint, an owned vertex f already
 // holds must be internal to f, and an endpoint internal to f must be
 // owned.
-func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
+func (f *Fragment) Apply(d *Delta) (*Fragment, error) { return f.apply(d, nil) }
+
+// apply is Apply, given global, the global store after the delta.
+func (f *Fragment) apply(d *Delta, global *store.Store) (*Fragment, error) {
 	owns := func(v rdf.TermID) bool {
 		_, ok := slices.BinarySearch(d.Owned, v)
 		return ok
@@ -172,19 +180,27 @@ func (f *Fragment) Apply(d *Delta) (*Fragment, error) {
 			}
 		}
 	}
+	if !f.Store.OwnsIndex() && global == nil {
+		return nil, fmt.Errorf("fragment %d reads the coordinator's index: Patch applies its share", f.ID)
+	}
 
 	next := &Fragment{
 		ID:               f.ID,
-		Store:            f.Store.Apply(d.Inserted, d.Deleted),
 		crossCount:       maps.Clone(f.crossCount),
 		crossTotal:       f.crossTotal,
 		NumInternalEdges: f.NumInternalEdges,
 	}
 	// V_i follows the owned vertices (one the delta does not name cannot
 	// have appeared or vanished). Every edge of an owned vertex lives in
-	// this fragment, so it is internal exactly when the new local store
-	// still holds it.
-	next.internal = f.internal.with(d.Owned, next.Store.HasVertex)
+	// this fragment, so it is internal exactly when it keeps an edge, in
+	// the fragment's own index or else in the global one.
+	if f.Store.OwnsIndex() {
+		next.Store = f.Store.Apply(d.Inserted, d.Deleted)
+		next.internal = f.internal.with(d.Owned, next.Store.HasVertex)
+	} else {
+		next.internal = f.internal.with(d.Owned, global.HasVertex)
+		next.Store = f.Store.Follow(global, next.internal.has, d.Inserted, d.Deleted)
+	}
 	// count moves the counts by n instances of t entering (n > 0) or
 	// leaving (n < 0), and reports whether t is a crossing edge.
 	count := func(t rdf.Triple, n int) bool {

@@ -60,11 +60,11 @@ func snapshotOf(f *Fragment) snapshot {
 			s.In = append(s.In, rdf.Triple{S: he.V, P: he.P, O: o})
 		}
 	}
-	for _, p := range f.Store.Predicates() {
+	for _, p := range predicates(f.Store) {
 		s.ByPred[p] = triplesWith(f, p)
 		s.Stats[p], _ = f.Store.Stats().Pred(p)
 	}
-	for _, p := range append(f.Store.Predicates(), rdf.NoTerm) {
+	for _, p := range append(predicates(f.Store), rdf.NoTerm) {
 		s.CrossCount[p] = [2]int{f.CrossingCount(p, true), f.CrossingCount(p, false)}
 	}
 	return s
@@ -82,16 +82,74 @@ func triplesWith(f *Fragment, p rdf.TermID) []rdf.Triple {
 	return ts
 }
 
+// sameReads holds f to w, a fragment with the same payload that owns its
+// index, read for read: at every vertex of vs, Adjacency in both
+// directions under each label of ps and under rdf.NoTerm (and Degree
+// beside it), HasVertex and IsExtended; HasTriple and CountTriples of
+// each probe. A coordinator fragment that reads a stale row of the
+// global index, or keeps a half-edge of it with no end in V_i, differs.
+func sameReads(t *testing.T, f, w *Fragment, vs, ps []rdf.TermID, probes []rdf.Triple) {
+	t.Helper()
+	for _, v := range vs {
+		if a, b := f.Store.HasVertex(v), w.Store.HasVertex(v); a != b {
+			t.Errorf("fragment %d: HasVertex(%d) = %v, its payload's %v", f.ID, v, a, b)
+		}
+		if a, b := f.IsExtended(v), w.IsExtended(v); a != b {
+			t.Errorf("fragment %d: IsExtended(%d) = %v, its payload's %v", f.ID, v, a, b)
+		}
+		for _, out := range [2]bool{true, false} {
+			for _, p := range append(slices.Clone(ps), rdf.NoTerm) {
+				a, b := f.Store.Adjacency(v, out, p), w.Store.Adjacency(v, out, p)
+				if !slices.Equal(a, b) || f.Store.Degree(v, out, p) != len(b) {
+					t.Errorf("fragment %d: Adjacency(%d, %v, %d) = %v (Degree %d), its payload's %v", f.ID, v, out, p, a, f.Store.Degree(v, out, p), b)
+				}
+			}
+		}
+	}
+	for _, tr := range probes {
+		if a, b := f.Store.CountTriples(tr.S, tr.P, tr.O), w.Store.CountTriples(tr.S, tr.P, tr.O); a != b || f.Store.HasTriple(tr.S, tr.P, tr.O) != (b > 0) {
+			t.Errorf("fragment %d: CountTriples(%v) = %d (HasTriple %v), its payload's %d", f.ID, tr, a, f.Store.HasTriple(tr.S, tr.P, tr.O), b)
+		}
+	}
+}
+
+// predicates returns the distinct labels of st's edges, ascending.
+func predicates(st *store.Store) []rdf.TermID {
+	var ps []rdf.TermID
+	for _, t := range st.Triples() {
+		ps = append(ps, t.P)
+	}
+	slices.Sort(ps)
+	return slices.Compact(ps)
+}
+
+// everyTriple is every triple over vertices vs and labels ps.
+func everyTriple(vs, ps []rdf.TermID) []rdf.Triple {
+	var out []rdf.Triple
+	for _, s := range vs {
+		for _, p := range ps {
+			for _, o := range vs {
+				out = append(out, rdf.Triple{S: s, P: p, O: o})
+			}
+		}
+	}
+	return out
+}
+
 // checkDelta applies the delta incrementally and compares against a full
 // Build over the post-delta store: the two must be the same fragment by
 // fragment — crossing lists in the same order, stores with the same
 // triples and per-predicate statistics — and the incremental result must
-// pass CheckInvariants on its own. It also plays the worker: each share
-// Patch returns, applied to the fragment a site holds for d, must give
-// the same fragment. held is that site-side generation (a nil held is a
-// full ship: FromPayload of each fragment's payload); the site-side
-// generation after the delta is returned beside the coordinator's. The
-// reference Build places each vertex as ownership says.
+// pass CheckInvariants on its own. Every coordinator fragment, touched
+// or not, must also read as the worker's rebuild of it from its payload
+// (sameReads) at every vertex and label the graph had before or after
+// the delta, and for every triple over them. It also plays the worker:
+// each share Patch returns, applied to the fragment a site holds for d,
+// must give the same fragment. held is that site-side generation (a nil
+// held is a full ship: FromPayload of each fragment's payload); the
+// site-side generation after the delta is returned beside the
+// coordinator's. The reference Build places each vertex as ownership
+// says.
 func checkDelta(t *testing.T, d *Distributed, held []*Fragment, inserted, deleted []rdf.Triple) (*Distributed, []*Fragment) {
 	t.Helper()
 	newGlobal := d.Global.Apply(inserted, deleted)
@@ -114,8 +172,17 @@ func checkDelta(t *testing.T, d *Distributed, held []*Fragment, inserted, delete
 			}
 		}
 	}
+	vs := slices.Compact(slices.Sorted(slices.Values(append(d.Global.Vertices(), newGlobal.Vertices()...))))
+	ps := slices.Compact(slices.Sorted(slices.Values(append(predicates(d.Global), predicates(newGlobal)...))))
+	probes := everyTriple(vs, ps)
 	patched := slices.Clone(held)
 	for i := range want.Fragments {
+		f := got.Fragments[i]
+		w, err := FromPayload(f.Payload(), d.Dict)
+		if err != nil {
+			t.Fatalf("fragment %d does not ship after the delta: %v", i, err)
+		}
+		sameReads(t, f, w, vs, ps, probes)
 		if deltas[i] == nil {
 			if got.Fragments[i] != d.Fragments[i] {
 				t.Errorf("fragment %d has no share of the delta but was replaced", i)
@@ -313,14 +380,45 @@ func TestApplyDeltaSelfLoop(t *testing.T) {
 	checkDeltaEquivalent(t, d, nil, []rdf.Triple{mk("a1", "q", "a1")})
 }
 
+// TestUntouchedFragmentKeepsItsIndex: a fragment that several updates in
+// a row leave untouched stays the same Fragment, reading the global
+// index of the generation it was built in while the global index moves
+// on under the others, and after every update still reads as its
+// payload's rebuild (checkDelta). A coordinator fragment has no index of
+// its own to splice, so Apply outside Patch refuses even a valid share.
+func TestUntouchedFragmentKeepsItsIndex(t *testing.T) {
+	g, d, mk := deltaFixture(t)
+	b := d.Fragments[1]
+	c := newDeltaChain(t, d)
+	for _, step := range [][2][]rdf.Triple{
+		{{mk("a2", "r", "c1")}, nil},
+		{{mk("a1", "q", "a2")}, {mk("c1", "p", "c2")}},
+		{{mk("c2", "p", "a2"), mk("c1", "q", "a1")}, nil},
+		{nil, {mk("a2", "r", "c1"), mk("c2", "r", "a1")}},
+	} {
+		c.step(t, step[0], step[1])
+		if c.d.Fragments[1] != b {
+			t.Fatalf("fragment 1 was patched by a delta between a and c vertices: %v", step)
+		}
+	}
+	a1, a2 := g.Dict.Encode(rdf.NewIRI("a1")), g.Dict.Encode(rdf.NewIRI("a2"))
+	if _, err := c.d.Fragments[0].Apply(&Delta{Inserted: []rdf.Triple{mk("a1", "p", "a2")}, Owned: sorted(a1, a2)}); err == nil {
+		t.Error("a coordinator fragment applied a share outside Patch")
+	}
+}
+
 // TestApplyRejectsHostileDelta: a share comes off the wire at a worker,
 // so each way it can contradict the fragment it is applied to is an
-// error, and the fragment is left exactly as it was. The base is the
-// fixture's fragment 0: a1 and a2 internal, b1 and c2 extended.
+// error, and the fragment is left exactly as it was. The base is a
+// worker's copy of the fixture's fragment 0: a1 and a2 internal, b1 and
+// c2 extended.
 func TestApplyRejectsHostileDelta(t *testing.T) {
 	g, d, mk := deltaFixture(t)
 	id := func(name string) rdf.TermID { return g.Dict.Encode(rdf.NewIRI(name)) }
-	base := d.Fragments[0]
+	base, err := FromPayload(d.Fragments[0].Payload(), d.Dict)
+	if err != nil {
+		t.Fatal(err)
+	}
 	was := snapshotOf(base)
 	for _, tc := range []struct {
 		name  string

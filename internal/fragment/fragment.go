@@ -15,13 +15,14 @@ import (
 
 // Fragment is F_i = (V_i ∪ V_i^e, E_i ∪ E_i^c, Σ_i), a pure function of
 // its edge set and V_i (Definition 1): newFragment is the one place that
-// function is written down. Its Store indexes the internal edges together
+// function is written down. Its Store holds the internal edges together
 // with the crossing-edge replicas, so local matching sees exactly the
-// fragment of Definition 1.
+// fragment of Definition 1: in an index of its own at a worker
+// (FromPayload), through V_i in the global one at the coordinator.
 type Fragment struct {
 	ID int
 
-	// Store indexes E_i ∪ E_i^c.
+	// Store holds E_i ∪ E_i^c.
 	Store *store.Store
 
 	// internal is V_i, a paged bitset over term IDs shared page by page
@@ -49,8 +50,9 @@ type Fragment struct {
 // be in (S,P,O) order, and internal = V_i, which it keeps. An edge with
 // both endpoints in V_i is internal, one with exactly one is a crossing
 // replica; an edge with neither, an edge out of order and an internal
-// vertex with no edge are errors (the inputs may come off the wire).
-func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal vertexSet) (*Fragment, error) {
+// vertex with no edge are errors (the inputs may come off the wire). The
+// store reads global's index through V_i, or a nil global's own.
+func newFragment(id int, dict *rdf.Dictionary, global *store.Store, triples []rdf.Triple, internal vertexSet) (*Fragment, error) {
 	f := &Fragment{ID: id, internal: internal, crossCount: make(map[rdf.TermID][2]int)}
 	var crossing []rdf.Triple
 	for i, t := range triples {
@@ -68,7 +70,11 @@ func newFragment(id int, dict *rdf.Dictionary, triples []rdf.Triple, internal ve
 		}
 	}
 	f.Crossing = runs.Of(crossing)
-	f.Store = store.New(dict, triples)
+	if global != nil {
+		f.Store = global.Within(triples, f.internal.has)
+	} else {
+		f.Store = store.New(dict, triples)
+	}
 	for _, v := range internal.members() {
 		if !f.Store.HasVertex(v) {
 			return nil, fmt.Errorf("fragment %d: internal vertex %d has no edge", id, v)
@@ -112,9 +118,6 @@ func (f *Fragment) IsInternal(v rdf.TermID) bool { return f.internal.has(v) }
 // is not internal is the far endpoint of a crossing edge.
 func (f *Fragment) IsExtended(v rdf.TermID) bool { return !f.internal.has(v) && f.Store.HasVertex(v) }
 
-// NumExtended returns |V_i^e|.
-func (f *Fragment) NumExtended() int { return f.Store.NumVertices() - f.internal.n }
-
 // InternalVertices returns V_i in ascending ID order.
 func (f *Fragment) InternalVertices() []rdf.TermID { return f.internal.members() }
 
@@ -126,7 +129,9 @@ type Distributed struct {
 	Dict      *rdf.Dictionary
 	// Global is the store over the whole graph: the write path's source of
 	// truth (updates patch it, repartitioning rebuilds the fragments from
-	// it), the store the coordinator plans on, and the tests' oracle.
+	// it), the store the coordinator plans on, the adjacency index its
+	// fragments read (an untouched one an earlier generation's: Patch),
+	// and the tests' oracle.
 	Global *store.Store
 }
 
@@ -158,65 +163,11 @@ func Build(st *store.Store, a *partition.Assignment) (*Distributed, error) {
 		Fragments: make([]*Fragment, a.K),
 	}
 	for i := range d.Fragments {
-		f, err := newFragment(i, st.Dict, triples[i], internal[i])
+		f, err := newFragment(i, st.Dict, st, triples[i], internal[i])
 		if err != nil {
 			return nil, err
 		}
 		d.Fragments[i] = f
 	}
 	return d, nil
-}
-
-// CheckInvariants verifies Definition 1 on the built fragments: internal
-// vertex sets partition V; crossing edges are replicated at exactly the two
-// fragments owning their endpoints; the vertices a fragment's store holds
-// beyond V_i (its derived V_i^e) are exactly the far endpoints of its
-// crossing edges. Intended for tests and debugging.
-func (d *Distributed) CheckInvariants() error {
-	seen := make(map[rdf.TermID]int)
-	for _, f := range d.Fragments {
-		for _, v := range f.InternalVertices() {
-			if prev, dup := seen[v]; dup {
-				return fmt.Errorf("fragment: vertex %d internal to both %d and %d", v, prev, f.ID)
-			}
-			seen[v] = f.ID
-		}
-	}
-	for _, v := range d.Global.Vertices() {
-		if _, ok := seen[v]; !ok {
-			return fmt.Errorf("fragment: vertex %d internal nowhere", v)
-		}
-	}
-	totalInternal, totalCrossing := 0, 0
-	for _, f := range d.Fragments {
-		totalInternal += f.NumInternalEdges
-		totalCrossing += f.Crossing.Len()
-		far := make(map[rdf.TermID]bool)
-		for _, t := range f.Crossing.Flat() {
-			fs, okS := seen[t.S]
-			fo, okO := seen[t.O]
-			if !okS || !okO {
-				return fmt.Errorf("fragment %d: crossing edge %v has an endpoint internal nowhere", f.ID, t)
-			}
-			if fs == fo {
-				return fmt.Errorf("fragment %d: non-crossing edge %v recorded as crossing", f.ID, t)
-			}
-			if fs != f.ID && fo != f.ID {
-				return fmt.Errorf("fragment %d: crossing edge %v touches neither endpoint", f.ID, t)
-			}
-			if fs == f.ID {
-				far[t.O] = true
-			} else {
-				far[t.S] = true
-			}
-		}
-		if len(far) != f.NumExtended() {
-			return fmt.Errorf("fragment %d: %d extended vertices, but its crossing edges have %d far endpoints", f.ID, f.NumExtended(), len(far))
-		}
-	}
-	if totalInternal+totalCrossing/2 != d.Global.Len() {
-		return fmt.Errorf("fragment: edge conservation violated: %d internal + %d/2 crossing != %d total",
-			totalInternal, totalCrossing, d.Global.Len())
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"fmt"
 	"testing"
 
 	"gstored/internal/paperexample"
@@ -91,4 +92,61 @@ func TestInternalVerticesAccessor(t *testing.T) {
 			t.Errorf("vertex %03d missing from F1", n)
 		}
 	}
+}
+
+// NumExtended returns |V_i^e|.
+func (f *Fragment) NumExtended() int { return f.Store.NumVertices() - f.internal.n }
+
+// CheckInvariants verifies Definition 1 on the built fragments: internal
+// vertex sets partition V; crossing edges are replicated at exactly the two
+// fragments owning their endpoints; the vertices a fragment's store holds
+// beyond V_i (its derived V_i^e) are exactly the far endpoints of its
+// crossing edges.
+func (d *Distributed) CheckInvariants() error {
+	seen := make(map[rdf.TermID]int)
+	for _, f := range d.Fragments {
+		for _, v := range f.InternalVertices() {
+			if prev, dup := seen[v]; dup {
+				return fmt.Errorf("fragment: vertex %d internal to both %d and %d", v, prev, f.ID)
+			}
+			seen[v] = f.ID
+		}
+	}
+	for _, v := range d.Global.Vertices() {
+		if _, ok := seen[v]; !ok {
+			return fmt.Errorf("fragment: vertex %d internal nowhere", v)
+		}
+	}
+	totalInternal, totalCrossing := 0, 0
+	for _, f := range d.Fragments {
+		totalInternal += f.NumInternalEdges
+		totalCrossing += f.Crossing.Len()
+		far := make(map[rdf.TermID]bool)
+		for _, t := range f.Crossing.Flat() {
+			fs, okS := seen[t.S]
+			fo, okO := seen[t.O]
+			if !okS || !okO {
+				return fmt.Errorf("fragment %d: crossing edge %v has an endpoint internal nowhere", f.ID, t)
+			}
+			if fs == fo {
+				return fmt.Errorf("fragment %d: non-crossing edge %v recorded as crossing", f.ID, t)
+			}
+			if fs != f.ID && fo != f.ID {
+				return fmt.Errorf("fragment %d: crossing edge %v touches neither endpoint", f.ID, t)
+			}
+			if fs == f.ID {
+				far[t.O] = true
+			} else {
+				far[t.S] = true
+			}
+		}
+		if len(far) != f.NumExtended() {
+			return fmt.Errorf("fragment %d: %d extended vertices, but its crossing edges have %d far endpoints", f.ID, f.NumExtended(), len(far))
+		}
+	}
+	if totalInternal+totalCrossing/2 != d.Global.Len() {
+		return fmt.Errorf("fragment: edge conservation violated: %d internal + %d/2 crossing != %d total",
+			totalInternal, totalCrossing, d.Global.Len())
+	}
+	return nil
 }

@@ -34,5 +34,5 @@ func FromPayload(p *Payload, dict *rdf.Dictionary) (*Fragment, error) {
 	for _, v := range p.Internal {
 		internal.add(v)
 	}
-	return newFragment(p.ID, dict, p.Triples, internal)
+	return newFragment(p.ID, dict, nil, p.Triples, internal)
 }

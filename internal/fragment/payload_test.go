@@ -14,8 +14,11 @@ import (
 )
 
 // TestPayloadRoundTrip: a fragment is a function of what its payload
-// carries, so shipping one and rebuilding it yields the same fragment,
-// field for field and index for index.
+// carries, so shipping one and rebuilding it yields the same fragment:
+// field for field beside the store, the same scan side, and the same
+// answer to every read of the store at every vertex and edge of the
+// graph, though the rebuilt store owns its index and the shipped one
+// reads the global store's.
 func TestPayloadRoundTrip(t *testing.T) {
 	ex := paperexample.New()
 	paper, err := Build(ex.Store, ex.Assignment)
@@ -32,9 +35,15 @@ func TestPayloadRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s fragment %d: %v", name, f.ID, err)
 			}
-			if !reflect.DeepEqual(got, f) {
+			gf, ff := *got, *f
+			gf.Store, ff.Store = nil, nil
+			if !reflect.DeepEqual(gf, ff) || !reflect.DeepEqual(snapshotOf(got), snapshotOf(f)) || !reflect.DeepEqual(got.Store.Stats(), f.Store.Stats()) {
 				t.Errorf("%s fragment %d does not survive Payload → FromPayload", name, f.ID)
 			}
+			if !got.Store.OwnsIndex() || f.Store.OwnsIndex() {
+				t.Errorf("%s fragment %d: the shipped store owns its index (%v), the rebuilt one (%v)", name, f.ID, f.Store.OwnsIndex(), got.Store.OwnsIndex())
+			}
+			sameReads(t, f, got, d.Global.Vertices(), predicates(d.Global), d.Global.Triples())
 		}
 	}
 }
@@ -64,18 +73,22 @@ func TestFromPayloadRejectsMalformedInput(t *testing.T) {
 	}
 }
 
-// TestFarVertexIDIsCheap: FromPayload and Apply take vertex IDs off the
-// wire, so a payload or a delta naming vertex 2³²−1 must cost V_i a page
-// directory, not a bit for every ID below it.
+// TestFarVertexIDIsCheap: FromPayload and a worker's Apply take vertex
+// IDs off the wire, so a payload or a delta naming vertex 2³²−1 must cost
+// V_i a page directory, not a bit for every ID below it.
 func TestFarVertexIDIsCheap(t *testing.T) {
 	const far = rdf.TermID(math.MaxUint32)
 	g, d, _ := deltaFixture(t)
+	held, err := FromPayload(d.Fragments[0].Payload(), d.Dict)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a1 := g.Dict.Encode(rdf.NewIRI("a1"))
 	p := Payload{Triples: []rdf.Triple{{S: 1, P: 9, O: far}}, Internal: []rdf.TermID{1, far}}
 	delta := Delta{Inserted: []rdf.Triple{{S: a1, P: g.Dict.Encode(rdf.NewIRI("p")), O: far}}, Owned: []rdf.TermID{a1, far}}
 	for name, build := range map[string]func() (*Fragment, error){
 		"payload": func() (*Fragment, error) { return FromPayload(&p, rdf.NewDictionary()) },
-		"delta":   func() (*Fragment, error) { return d.Fragments[0].Apply(&delta) },
+		"delta":   func() (*Fragment, error) { return held.Apply(&delta) },
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

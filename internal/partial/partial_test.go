@@ -286,6 +286,16 @@ func TestQueryTooLarge(t *testing.T) {
 	}
 }
 
+// predicates returns the distinct labels of st's edges, ascending.
+func predicates(st *store.Store) []rdf.TermID {
+	var ps []rdf.TermID
+	for _, t := range st.Triples() {
+		ps = append(ps, t.P)
+	}
+	slices.Sort(ps)
+	return slices.Compact(ps)
+}
+
 // definitionMatches enumerates the local partial matches of q in f
 // straight from Definition 5: every assignment of query vertices to
 // {NULL} ∪ V(F_i) and of label variables to {unbound} ∪ predicates,
@@ -296,7 +306,7 @@ func TestQueryTooLarge(t *testing.T) {
 // accepts. Matches are returned sorted by compareMatches.
 func definitionMatches(f *fragment.Fragment, q *query.Graph) []*Match {
 	domain := append([]rdf.TermID{rdf.NoTerm}, f.Store.Vertices()...)
-	labels := append([]rdf.TermID{rdf.NoTerm}, f.Store.Predicates()...)
+	labels := append([]rdf.TermID{rdf.NoTerm}, predicates(f.Store)...)
 	labelVars := q.EdgeVars()
 	vec := make([]rdf.TermID, len(q.Vertices))
 	evs := make([]rdf.TermID, len(q.Vars))

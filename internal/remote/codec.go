@@ -385,16 +385,20 @@ func appendSet(b []byte, s *partial.Set) []byte {
 	b = varint.AppendInt(b, s.Len())
 	var sign uint64
 	var row [3 * query.MaxSize]rdf.TermID // the last match's slots, as many as a query holds
+	var blank [(3*query.MaxSize + 8) / 8]byte
+	bitmap := blank[:(s.Stride+s.LabelStride+8)/8]
 	for i, next := range s.Sign {
 		at := len(b)
-		b = append(b, make([]byte, (s.Stride+s.LabelStride+8)/8)...)
+		b = append(b, bitmap...)
 		if next != sign {
 			b[at], sign = 1, next
 			b = varint.Append(b, next)
 		}
 		vec, labels := s.At(i)
 		b = appendChanges(b, at, 1, vec, row[:s.Stride])
-		b = appendChanges(b, at, 1+s.Stride, labels, row[s.Stride:])
+		if s.LabelStride > 0 {
+			b = appendChanges(b, at, 1+s.Stride, labels, row[s.Stride:])
+		}
 	}
 	return b
 }

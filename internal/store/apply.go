@@ -29,10 +29,19 @@ import (
 // mis-normalized delta degrades to multiset behavior rather than
 // corrupting the index.
 func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
+	return st.Follow(nil, nil, inserted, deleted)
+}
+
+// Follow is Apply for a store built by Within, splicing no index: the
+// next store reads the index of global, the store st's index came from
+// after the delta, through home, the home set after it. A nil global is
+// Apply, for a store that owns its index (OwnsIndex).
+func (st *Store) Follow(global *Store, home func(rdf.TermID) bool, inserted, deleted []rdf.Triple) *Store {
 	next := &Store{
 		Dict:   st.Dict,
 		byPred: make(map[rdf.TermID]runs.List[rdf.Triple], len(st.byPred)),
 		size:   st.size,
+		home:   home,
 	}
 	maps.Copy(next.byPred, st.byPred)
 	out, in := edits{}, edits{}
@@ -54,8 +63,10 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 		}
 		delSet[t] = true
 		next.size -= n
-		out.drop(&st.out, t.S, HalfEdge{t.P, t.O})
-		in.drop(&st.in, t.O, HalfEdge{t.P, t.S})
+		if global == nil {
+			out.drop(st, true, t.S, HalfEdge{t.P, t.O})
+			in.drop(st, false, t.O, HalfEdge{t.P, t.S})
+		}
 		dels[t.P] = append(dels[t.P], t)
 	}
 
@@ -63,11 +74,17 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 	// new, into the deduplicated byPred list.
 	for _, t := range inserted {
 		next.size++
-		out.insert(&st.out, t.S, HalfEdge{t.P, t.O})
-		in.insert(&st.in, t.O, HalfEdge{t.P, t.S})
+		if global == nil {
+			out.insert(st, true, t.S, HalfEdge{t.P, t.O})
+			in.insert(st, false, t.O, HalfEdge{t.P, t.S})
+		}
 		adds[t.P] = append(adds[t.P], t)
 	}
-	next.out, next.in = st.out.apply(out), st.in.apply(in)
+	if global == nil {
+		next.out, next.in = st.out.apply(out), st.in.apply(in)
+	} else {
+		next.out, next.in = global.out, global.in
+	}
 	for p := range adds {
 		if _, ok := dels[p]; !ok {
 			dels[p] = nil // every written predicate is a key of dels
@@ -84,7 +101,7 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 			return listed && !delSet[t]
 		})
 		// Emptied entries are removed outright so derived views (e.g.
-		// Predicates) match a from-scratch build of the same graph.
+		// Stats) match a from-scratch build of the same graph.
 		if ts = ts.With(add, del, rdf.Triple.Compare); ts.Len() > 0 {
 			next.byPred[p] = ts
 		} else {
@@ -107,7 +124,7 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 	}
 	for t := range delSet {
 		for _, v := range [2]rdf.TermID{t.S, t.O} {
-			if st.HasVertex(v) && len(next.out.of(v)) == 0 && len(next.in.of(v)) == 0 {
+			if st.HasVertex(v) && !next.HasVertex(v) {
 				removed = append(removed, v)
 			}
 		}
@@ -123,22 +140,23 @@ func (st *Store) Apply(inserted, deleted []rdf.Triple) *Store {
 // generation's list, so it is written in place.
 type edits map[rdf.TermID][]HalfEdge
 
-func (e edits) list(old *adjacency, v rdf.TermID) []HalfEdge {
+func (e edits) list(old *Store, out bool, v rdf.TermID) []HalfEdge {
 	l, ok := e[v]
 	if !ok {
-		l = slices.Clone(old.of(v))
+		adj, _ := old.run(v, out) // old owns its index: nothing to skip
+		l = slices.Clone(adj)
 	}
 	return l
 }
 
 // drop removes every instance of he from v's list.
-func (e edits) drop(old *adjacency, v rdf.TermID, he HalfEdge) {
-	e[v] = slices.DeleteFunc(e.list(old, v), func(x HalfEdge) bool { return x == he })
+func (e edits) drop(old *Store, out bool, v rdf.TermID, he HalfEdge) {
+	e[v] = slices.DeleteFunc(e.list(old, out, v), func(x HalfEdge) bool { return x == he })
 }
 
 // insert splices one instance of he into v's sorted list.
-func (e edits) insert(old *adjacency, v rdf.TermID, he HalfEdge) {
-	l := e.list(old, v)
+func (e edits) insert(old *Store, out bool, v rdf.TermID, he HalfEdge) {
+	l := e.list(old, out, v)
 	i, _ := slices.BinarySearchFunc(l, he, compareHalfEdges)
 	e[v] = slices.Insert(l, i, he)
 }
@@ -146,15 +164,18 @@ func (e edits) insert(old *adjacency, v rdf.TermID, he HalfEdge) {
 // apply returns a with each vertex of e holding its list there, or gone
 // when that is empty: every shard an edited vertex falls in is rebuilt
 // once, and the others are shared with a.
-func (a *adjacency) apply(e edits) adjacency {
-	next := *a
+func (a *adjacency) apply(e edits) *adjacency {
+	next := new(adjacency)
+	if a != nil {
+		*next = *a
+	}
 	touched := make(map[rdf.TermID][]rdf.TermID)
 	for v := range e {
 		touched[v%adjShards] = append(touched[v%adjShards], v)
 	}
 	for i, vs := range touched {
 		slices.Sort(vs)
-		next[i] = a[i].splice(vs, e)
+		next[i] = next[i].splice(vs, e)
 	}
 	return next
 }

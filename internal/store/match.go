@@ -108,7 +108,7 @@ func (st *Store) MatchFunc(q *query.Graph, opts MatchOptions, yield func(rows []
 		m := &matcher{Search: NewSearch(st, q), order: order, seedT: seedT, seedV: seedV, lo: lo, hi: hi,
 			cancel: opts.Cancel, stop: &stop, out: NewBatcher(len(q.Vars), emit)}
 		m.Admit = func(qv int, u rdf.TermID, via int) bool {
-			return st.signatureOK(q, qv, u, via, nil) && (opts.VertexFilter == nil || opts.VertexFilter(qv, u))
+			return (opts.VertexFilter == nil || opts.VertexFilter(qv, u)) && st.signatureOK(q, qv, u, via, nil)
 		}
 		m.Next = m.next
 		m.step()
@@ -163,8 +163,9 @@ func connectedOrder(q *query.Graph, order []int) bool {
 }
 
 // matcher drives a Search along a fixed edge order: the centralized
-// matcher of the paper's sites. Admission is the signature test, minus
-// the edge being matched, plus the caller's VertexFilter.
+// matcher of the paper's sites. Admission is the caller's VertexFilter,
+// asked first since a vertex it rejects then costs no adjacency read,
+// and the signature test minus the edge being matched.
 type matcher struct {
 	Search
 	order []int // edge evaluation order (indices into q.Edges)
@@ -226,9 +227,9 @@ func (m *matcher) step() {
 	}
 	for run := range vs.Slices(lo, hi) {
 		for _, s := range run {
-			adj := m.st.out.of(s)
+			adj, skip := m.st.run(s, true)
 			for i, he := range adj {
-				if i > 0 && he == adj[i-1] {
+				if (i > 0 && he == adj[i-1]) || (skip && !m.st.home(he.V)) {
 					continue
 				}
 				if m.Seed(ei, rdf.Triple{S: s, P: he.P, O: he.V}); m.Stop {

@@ -116,7 +116,10 @@ func (s *Search) Extend(ei int) {
 			return
 		}
 		// Open label variable: each distinct label between u and w.
-		adj := s.st.out.of(u)
+		adj, skip := s.st.run(u, true)
+		if skip && !s.st.home(w) {
+			return
+		}
 		for i, he := range adj {
 			if he.V != w || (i > 0 && he == adj[i-1]) {
 				continue
@@ -133,9 +136,10 @@ func (s *Search) Extend(ei int) {
 	if forward {
 		x, free = u, e.To
 	}
-	adj := s.st.Adjacency(x, forward, p)
+	adj, skip := s.st.run(x, forward)
+	adj = labelRun(adj, p)
 	for i, he := range adj {
-		if (i > 0 && he == adj[i-1]) || !s.admit(free, he.V, ei) {
+		if (i > 0 && he == adj[i-1]) || (skip && !s.st.home(he.V)) || !s.admit(free, he.V, ei) {
 			continue
 		}
 		s.Vertex[free] = he.V

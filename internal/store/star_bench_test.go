@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -56,28 +57,43 @@ func BenchmarkStarMatch(b *testing.B) {
 }
 
 // BenchmarkIndexGC is what the stores' indexes cost every garbage
-// collection: LUBM(32)'s global store and its 12 hash fragments are held
-// live while runtime.GC runs. It reports ns per forced collection and the
-// live heap after it (live-B); CI logs both with no threshold.
+// collection: a LUBM graph's global store and its 12 hash fragments are
+// held live while runtime.GC runs, at LUBM(32) and at LUBM(128). It
+// reports ns per forced collection, the live heap after it (live-B), and
+// fragments-B: live-B less the live heap with the global store alone,
+// what the fragments add to it, where an adjacency index per fragment
+// would show. CI logs all three with no threshold.
 func BenchmarkIndexGC(b *testing.B) {
-	ds := workload.NewLUBM(workload.LUBMConfig{Universities: 32})
-	global := store.FromGraph(ds.Graph)
-	a, err := partition.Hash{}.Partition(global, 12)
-	if err != nil {
-		b.Fatal(err)
+	for _, scale := range []int{32, 128} {
+		b.Run(fmt.Sprintf("lubm%d", scale), func(b *testing.B) {
+			global := store.FromGraph(workload.NewLUBM(workload.LUBMConfig{Universities: scale}).Graph)
+			alone := liveHeap()
+			a, err := partition.Hash{}.Partition(global, 12)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := fragment.Build(global, a)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC()
+			b.ResetTimer()
+			for range b.N {
+				runtime.GC()
+			}
+			b.StopTimer()
+			live := liveHeap()
+			b.ReportMetric(float64(live), "live-B")
+			b.ReportMetric(float64(live)-float64(alone), "fragments-B")
+			runtime.KeepAlive(d)
+		})
 	}
-	d, err := fragment.Build(global, a)
-	if err != nil {
-		b.Fatal(err)
-	}
+}
+
+// liveHeap is the heap a collection leaves live.
+func liveHeap() uint64 {
 	runtime.GC()
-	b.ResetTimer()
-	for range b.N {
-		runtime.GC()
-	}
-	b.StopTimer()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(ms.HeapAlloc), "live-B")
-	runtime.KeepAlive(d)
+	return ms.HeapAlloc
 }

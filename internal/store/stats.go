@@ -103,12 +103,12 @@ func (s *Stats) apply(st, next *Store, deleted, inserted []rdf.Triple) *Stats {
 		n := next.byPred[e.p].Len() // a predicate's later visits move Count by 0
 		out.triples += n - ps.Count
 		ps.Count = n
-		ps.Subjects += presence(next.Adjacency(e.v, true, e.p)) - presence(st.Adjacency(e.v, true, e.p))
+		ps.Subjects += min(next.Degree(e.v, true, e.p), 1) - min(st.Degree(e.v, true, e.p), 1)
 		out.preds[e.p] = ps
 	}
 	for e := range objects {
 		ps := out.preds[e.p]
-		ps.Objects += presence(next.Adjacency(e.v, false, e.p)) - presence(st.Adjacency(e.v, false, e.p))
+		ps.Objects += min(next.Degree(e.v, false, e.p), 1) - min(st.Degree(e.v, false, e.p), 1)
 		out.preds[e.p] = ps
 	}
 	for e := range subjects {
@@ -117,11 +117,4 @@ func (s *Stats) apply(st, next *Store, deleted, inserted []rdf.Triple) *Stats {
 		}
 	}
 	return out
-}
-
-func presence(adj []HalfEdge) int {
-	if len(adj) == 0 {
-		return 0
-	}
-	return 1
 }

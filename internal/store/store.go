@@ -96,10 +96,10 @@ func (sh *shard) index() {
 
 // of returns v's half-edges, capped so that an append copies.
 func (a *adjacency) of(v rdf.TermID) []HalfEdge {
-	sh := a[v%adjShards]
-	if sh == nil {
+	if a == nil || a[v%adjShards] == nil {
 		return nil
 	}
+	sh := a[v%adjShards]
 	j := sh.find(v)
 	if j < 0 {
 		return nil
@@ -111,7 +111,7 @@ func (a *adjacency) of(v rdf.TermID) []HalfEdge {
 // buildAdjacency indexes every triple under its subject when out, else
 // under its object: bucket by shard, sort each bucket by (vertex, P, V)
 // once, and cut it into a shard.
-func buildAdjacency(triples []rdf.Triple, out bool) adjacency {
+func buildAdjacency(triples []rdf.Triple, out bool) *adjacency {
 	type entry struct {
 		k  rdf.TermID
 		he HalfEdge
@@ -136,7 +136,7 @@ func buildAdjacency(triples []rdf.Triple, out bool) adjacency {
 		buf[next[e.k%adjShards]] = e
 		next[e.k%adjShards]++
 	}
-	var a adjacency
+	a := new(adjacency)
 	for i := range adjShards {
 		run := buf[start[i]:start[i+1]]
 		if len(run) == 0 {
@@ -168,16 +168,18 @@ func buildAdjacency(triples []rdf.Triple, out bool) adjacency {
 	return a
 }
 
-// Store is an immutable, indexed RDF multigraph. Build one with New; the
-// zero value is an empty graph.
+// Store is an immutable, indexed RDF multigraph. Build one with New, or
+// with Within to read another store's index through a home set (run);
+// the zero value is an empty graph.
 type Store struct {
 	Dict *rdf.Dictionary
 
 	// out[s] and in[o] are adjacency lists sorted by (P, V); duplicates are
 	// kept (RDF graphs are sets, but fragments replicate crossing edges and
 	// generators may emit multisets — matching treats entries as instances).
-	out adjacency
-	in  adjacency
+	// home is nil unless they are another store's.
+	out, in *adjacency
+	home    func(rdf.TermID) bool
 
 	// byPred[p] lists the distinct triples carrying predicate p in
 	// (S,P,O) order, and vertices every subject and object in ID order:
@@ -194,6 +196,23 @@ type Store struct {
 
 // New indexes the given triples. The dictionary is retained, not copied.
 func New(dict *rdf.Dictionary, triples []rdf.Triple) *Store {
+	st := scan(dict, triples)
+	st.out, st.in = buildAdjacency(triples, true), buildAdjacency(triples, false)
+	return st
+}
+
+// Within is the store of triples, g's edges with an end in home: it builds
+// their byPred and vertex runs and Stats, and reads g's index through home.
+func (g *Store) Within(triples []rdf.Triple, home func(rdf.TermID) bool) *Store {
+	st := scan(g.Dict, triples)
+	st.out, st.in, st.home = g.out, g.in, home
+	return st
+}
+
+// OwnsIndex reports whether st reads its own adjacency index.
+func (st *Store) OwnsIndex() bool { return st.home == nil }
+
+func scan(dict *rdf.Dictionary, triples []rdf.Triple) *Store {
 	st := &Store{
 		Dict:   dict,
 		byPred: make(map[rdf.TermID]runs.List[rdf.Triple]),
@@ -206,7 +225,6 @@ func New(dict *rdf.Dictionary, triples []rdf.Triple) *Store {
 		vset[t.S] = true
 		vset[t.O] = true
 	}
-	st.out, st.in = buildAdjacency(triples, true), buildAdjacency(triples, false)
 	// byPred lists are used to seed matching: identical triples would seed
 	// identical bindings, so deduplicate (instance multiplicity stays
 	// available through CountTriples).
@@ -251,18 +269,53 @@ func (st *Store) NumVertices() int { return st.vertices.Len() }
 // Vertices returns all vertices in ascending ID order, in a new slice.
 func (st *Store) Vertices() []rdf.TermID { return st.vertices.Flat() }
 
+// run is the store's one adjacency read: v's out- or in-edges, sorted by
+// (P, V). A store's edges are its index's with an end in its home set
+// (Definition 1's V_i), so outside the set skip is true, and the consumer
+// skips each half-edge whose far end is outside it too.
+func (st *Store) run(v rdf.TermID, out bool) (adj []HalfEdge, skip bool) {
+	a := st.in
+	if out {
+		a = st.out
+	}
+	return a.of(v), st.home != nil && !st.home(v)
+}
+
+// holds reports whether a run read with skip holds a half-edge of st.
+func (st *Store) holds(adj []HalfEdge, skip bool) bool {
+	return !skip && len(adj) > 0 ||
+		skip && slices.ContainsFunc(adj, func(he HalfEdge) bool { return st.home(he.V) })
+}
+
 // HasVertex reports whether v occurs as a subject or object: whether it
-// has a half-edge in either index.
-func (st *Store) HasVertex(v rdf.TermID) bool { return len(st.out.of(v)) > 0 || len(st.in.of(v)) > 0 }
+// has a half-edge in either direction.
+func (st *Store) HasVertex(v rdf.TermID) bool {
+	return st.Degree(v, true, rdf.NoTerm) > 0 || st.Degree(v, false, rdf.NoTerm) > 0
+}
 
 // Adjacency returns v's out-edges when out, else its in-edges, sorted by
 // (P, V) and narrowed to label p unless p is rdf.NoTerm. Callers must not
-// modify it.
+// modify it. Outside the home set it is a copy, which Degree avoids.
 func (st *Store) Adjacency(v rdf.TermID, out bool, p rdf.TermID) []HalfEdge {
-	if out {
-		return labelRun(st.out.of(v), p)
+	adj, skip := st.run(v, out)
+	if adj = labelRun(adj, p); skip {
+		adj = slices.DeleteFunc(slices.Clone(adj), func(he HalfEdge) bool { return !st.home(he.V) })
 	}
-	return labelRun(st.in.of(v), p)
+	return adj
+}
+
+// Degree is len(st.Adjacency(v, out, p)), counted without the copy.
+func (st *Store) Degree(v rdf.TermID, out bool, p rdf.TermID) (n int) {
+	adj, skip := st.run(v, out)
+	if adj = labelRun(adj, p); !skip {
+		return len(adj)
+	}
+	for _, he := range adj {
+		if st.home(he.V) {
+			n++
+		}
+	}
+	return n
 }
 
 // labelRun returns adj's half-edges labeled p, all of them when p is
@@ -289,15 +342,15 @@ func after(adj []HalfEdge, p rdf.TermID) int {
 }
 
 // HasTriple reports whether at least one ⟨s,p,o⟩ edge instance exists.
-func (st *Store) HasTriple(s, p, o rdf.TermID) bool {
-	_, found := slices.BinarySearchFunc(st.out.of(s), HalfEdge{p, o}, compareHalfEdges)
-	return found
-}
+func (st *Store) HasTriple(s, p, o rdf.TermID) bool { return st.CountTriples(s, p, o) > 0 }
 
 // CountTriples returns the number of ⟨s,p,o⟩ edge instances (multigraph
 // multiplicity).
 func (st *Store) CountTriples(s, p, o rdf.TermID) int {
-	r := st.out.of(s)
+	r, skip := st.run(s, true)
+	if skip && !st.home(o) {
+		return 0
+	}
 	lo, _ := slices.BinarySearchFunc(r, HalfEdge{p, o}, compareHalfEdges)
 	hi := lo
 	for hi < len(r) && r[hi] == (HalfEdge{p, o}) {
@@ -306,23 +359,17 @@ func (st *Store) CountTriples(s, p, o rdf.TermID) int {
 	return hi - lo
 }
 
-// Predicates returns the distinct predicates, unsorted.
-func (st *Store) Predicates() []rdf.TermID {
-	out := make([]rdf.TermID, 0, len(st.byPred))
-	for p := range st.byPred {
-		out = append(out, p)
-	}
-	return out
-}
-
 // Triples returns a copy of all indexed triples in (S,P,O) order: the
 // vertices in ID order, each with its out-edges in (P, V) order.
 func (st *Store) Triples() []rdf.Triple {
 	out := make([]rdf.Triple, 0, st.size)
 	for vs := range st.vertices.All() {
 		for _, s := range vs {
-			for _, he := range st.out.of(s) {
-				out = append(out, rdf.Triple{S: s, P: he.P, O: he.V})
+			adj, skip := st.run(s, true)
+			for _, he := range adj {
+				if !skip || st.home(he.V) {
+					out = append(out, rdf.Triple{S: s, P: he.P, O: he.V})
+				}
 			}
 		}
 	}
@@ -342,14 +389,15 @@ func (st *Store) Triples() []rdf.Triple {
 // data edge of this store that matches via, so u passes via's test by
 // construction. A self-loop via is matched only by a loop at u, which
 // passes both of its directions; a caller whose u is merely one end of an
-// edge with a self-loop's label passes -1.
+// edge with a self-loop's label passes -1. adj is exact only at a vertex
+// of the home set, the only kind a caller passing it admits.
 func (st *Store) signatureOK(q *query.Graph, qv int, u rdf.TermID, via int, adj [][]HalfEdge) bool {
 	r := reach{st: st, u: u}
 	for i, e := range q.Edges {
 		switch {
 		case e.From != qv && e.To != qv:
 		case e.From == e.To:
-			if i != via && (len(r.along(e, true)) == 0 || len(r.along(e, false)) == 0) {
+			if i != via && (!st.holds(r.along(e, true), r.skip) || !st.holds(r.along(e, false), r.skip)) {
 				return false
 			}
 		case i == via:
@@ -358,7 +406,7 @@ func (st *Store) signatureOK(q *query.Graph, qv int, u rdf.TermID, via int, adj 
 			}
 		default:
 			a := r.along(e, e.From == qv)
-			if len(a) == 0 {
+			if !st.holds(a, r.skip) {
 				return false
 			}
 			if adj != nil {
@@ -375,6 +423,7 @@ type reach struct {
 	u             rdf.TermID
 	out, in       []HalfEdge
 	gotOut, gotIn bool
+	skip          bool
 }
 
 // along returns u's half-edges that can carry query edge e at u: its
@@ -382,9 +431,11 @@ type reach struct {
 // that is a variable.
 func (r *reach) along(e query.Edge, out bool) []HalfEdge {
 	if out && !r.gotOut {
-		r.out, r.gotOut = r.st.out.of(r.u), true
+		r.out, r.skip = r.st.run(r.u, true)
+		r.gotOut = true
 	} else if !out && !r.gotIn {
-		r.in, r.gotIn = r.st.in.of(r.u), true
+		r.in, r.skip = r.st.run(r.u, false)
+		r.gotIn = true
 	}
 	if out {
 		return labelRun(r.out, e.Label)
@@ -405,25 +456,18 @@ func constantEnd(q *query.Graph, qv int, e query.Edge) (c rdf.TermID, outgoing, 
 	return rdf.NoTerm, false, false
 }
 
-// anchor returns the adjacency of the constant vertex query edge e joins
-// qv to, narrowed to e's label: its far ends are the only vertices e
-// admits at qv. ok is false when e does not join qv to a constant.
-func (st *Store) anchor(q *query.Graph, qv int, e query.Edge) (adj []HalfEdge, ok bool) {
-	c, outgoing, ok := constantEnd(q, qv, e)
-	if !ok {
-		return nil, false
-	}
-	return st.Adjacency(c, !outgoing, e.Label), true
-}
-
 // hasEdge reports whether some s→o edge instance could carry query edge
 // e: one labeled e.Label, or any at all when e's label is a variable.
 func (st *Store) hasEdge(e query.Edge, s, o rdf.TermID) bool {
 	if !e.HasVarLabel() {
 		return st.HasTriple(s, e.Label, o)
 	}
-	adj, far := st.out.of(s), o
-	if in := st.in.of(o); len(in) < len(adj) {
+	adj, skip := st.run(s, true)
+	if skip && !st.home(o) {
+		return false
+	}
+	far := o // and every s→o edge of the index is st's
+	if in, _ := st.run(o, false); len(in) < len(adj) {
 		adj, far = in, s
 	}
 	for _, he := range adj {
@@ -453,8 +497,8 @@ func (st *Store) constantsOK(q *query.Graph, qv int, u rdf.TermID) bool {
 	return true
 }
 
-// Candidates computes C(Q, v): the vertices that could match query vertex
-// qv, per the signature test and the edges qv shares with constant
+// CandidatesFunc computes C(Q, v): the vertices that could match query
+// vertex qv, per the signature test and the edges qv shares with constant
 // vertices (Section VI uses exactly this set). The result is sorted. For
 // constant vertices it is the vertex itself when present.
 //
@@ -463,13 +507,9 @@ func (st *Store) constantsOK(q *query.Graph, qv int, u rdf.TermID) bool {
 // internal vertex of a fragment's store (Definition 1). An extended vertex
 // carries only its crossing edges there and may be dropped wrongly, which
 // is why package candidates keeps the internal vertices alone.
-func (st *Store) Candidates(q *query.Graph, qv int) []rdf.TermID {
-	return st.CandidatesFunc(q, qv, nil, nil)
-}
-
-// CandidatesFunc is Candidates narrowed by two more tests, either of which
-// may be nil; a constant qv calls neither. admit sees each seed before the
-// others,
+//
+// Two more tests narrow it, either of which may be nil; a constant qv
+// calls neither. admit sees each seed before the others,
 // so that a vertex it rejects costs no adjacency read. keep sees each
 // vertex u that passes the rest with adj, where adj[i] holds u's
 // half-edges that can carry q.Edges[i] at qv's end (Adjacency's answer)
@@ -491,17 +531,19 @@ func (st *Store) CandidatesFunc(q *query.Graph, qv int, admit func(u rdf.TermID)
 	// signature test skips that edge (via) — unless it is a self-loop,
 	// whose seeds are either end of a labeled edge, not a loop.
 	var anchor []HalfEdge
+	var skip bool
 	label, via, n := -1, -1, st.vertices.Len()
 	for i, e := range q.Edges {
 		if e.From != qv && e.To != qv {
 			continue
 		}
-		if adj, ok := st.anchor(q, qv, e); ok {
-			if len(adj) == 0 {
+		if c, outgoing, ok := constantEnd(q, qv, e); ok {
+			adj, sk := st.run(c, !outgoing)
+			if adj = labelRun(adj, e.Label); !st.holds(adj, sk) {
 				return nil
 			}
 			if len(adj) <= n {
-				anchor, label, via, n = adj, -1, i, len(adj)
+				anchor, skip, label, via, n = adj, sk, -1, i, len(adj)
 			}
 		} else if c := st.byPred[e.Label].Len(); !e.HasVarLabel() && c < n {
 			anchor, label, via, n = nil, i, i, c
@@ -514,7 +556,9 @@ func (st *Store) CandidatesFunc(q *query.Graph, qv int, admit func(u rdf.TermID)
 	switch {
 	case anchor != nil:
 		for _, he := range anchor {
-			seed = append(seed, he.V)
+			if !skip || st.home(he.V) {
+				seed = append(seed, he.V)
+			}
 		}
 	case label >= 0:
 		e := q.Edges[label]

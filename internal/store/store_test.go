@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -14,6 +15,14 @@ import (
 	"gstored/internal/query"
 	"gstored/internal/rdf"
 )
+
+// Predicates returns the store's distinct predicates, unsorted.
+func (st *Store) Predicates() []rdf.TermID { return slices.Collect(maps.Keys(st.byPred)) }
+
+// Candidates is CandidatesFunc with neither admit nor keep.
+func (st *Store) Candidates(q *query.Graph, qv int) []rdf.TermID {
+	return st.CandidatesFunc(q, qv, nil, nil)
+}
 
 // tinyGraph builds a small social graph used across tests:
 //

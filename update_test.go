@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"gstored/internal/engine"
+	"gstored/internal/fragment"
 	"gstored/internal/partition"
 	"gstored/internal/rdf"
 )
@@ -38,10 +39,32 @@ func rowsOf(t *testing.T, db *DB, q string) [][]string {
 	return db.Rows(res)
 }
 
+// checkDBInvariants holds the live generation to Definition 1: the V_i
+// partition the global store's vertices, and each fragment equals Build
+// over the global store under that placement — the same V_i, crossing
+// list, internal edge count and edge set.
 func checkDBInvariants(t *testing.T, db *DB) {
 	t.Helper()
-	if err := db.Distributed().CheckInvariants(); err != nil {
+	d := db.Distributed()
+	a := &partition.Assignment{K: len(d.Fragments), Frag: map[rdf.TermID]int{}}
+	for _, f := range d.Fragments {
+		for _, v := range f.InternalVertices() {
+			if prev, dup := a.Frag[v]; dup {
+				t.Fatalf("post-update invariants: vertex %d internal to both %d and %d", v, prev, f.ID)
+			}
+			a.Frag[v] = f.ID
+		}
+	}
+	want, err := fragment.Build(d.Global, a)
+	if err != nil {
 		t.Fatalf("post-update invariants: %v", err)
+	}
+	for i, f := range d.Fragments {
+		w := want.Fragments[i]
+		if !slices.Equal(f.InternalVertices(), w.InternalVertices()) || !slices.Equal(f.Crossing.Flat(), w.Crossing.Flat()) ||
+			f.NumInternalEdges != w.NumInternalEdges || !slices.Equal(f.Store.Triples(), w.Store.Triples()) {
+			t.Fatalf("post-update invariants: fragment %d is not Build's over the global store", i)
+		}
 	}
 }
 
