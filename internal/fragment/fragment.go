@@ -49,9 +49,9 @@ type Fragment struct {
 // newFragment builds fragment id from triples = E_i ∪ E_i^c, which must
 // be in (S,P,O) order, and internal = V_i, which it keeps. An edge with
 // both endpoints in V_i is internal, one with exactly one is a crossing
-// replica; an edge with neither, an edge out of order and an internal
-// vertex with no edge are errors (the inputs may come off the wire). The
-// store reads global's index through V_i, or a nil global's own.
+// replica; an edge with neither and an edge out of order are errors (the
+// inputs may come off the wire). The store reads global's index through
+// V_i, or a nil global's own.
 func newFragment(id int, dict *rdf.Dictionary, global *store.Store, triples []rdf.Triple, internal vertexSet) (*Fragment, error) {
 	f := &Fragment{ID: id, internal: internal, crossCount: make(map[rdf.TermID][2]int)}
 	var crossing []rdf.Triple
@@ -74,11 +74,6 @@ func newFragment(id int, dict *rdf.Dictionary, global *store.Store, triples []rd
 		f.Store = global.Within(triples, f.internal.has)
 	} else {
 		f.Store = store.New(dict, triples)
-	}
-	for _, v := range internal.members() {
-		if !f.Store.HasVertex(v) {
-			return nil, fmt.Errorf("fragment %d: internal vertex %d has no edge", id, v)
-		}
 	}
 	return f, nil
 }

@@ -1,6 +1,8 @@
 package fragment
 
 import (
+	"fmt"
+
 	"gstored/internal/rdf"
 )
 
@@ -26,13 +28,25 @@ func (f *Fragment) Payload() *Payload {
 
 // FromPayload rebuilds a Fragment from its wire form, which it treats as
 // outside input: newFragment rejects an edge set that is out of order or
-// holds an edge no vertex of Internal touches. The dictionary is the
-// receiver's own (typically empty at a worker — local evaluation is pure
-// TermID matching); it is not validated against the payload.
+// holds an edge no vertex of Internal touches, and FromPayload a vertex
+// of Internal that no edge touches (Build takes each internal vertex
+// from the store together with its edges, so it needs no such check).
+// The dictionary is the receiver's own (typically empty at a worker —
+// local evaluation is pure TermID matching); it is not validated against
+// the payload.
 func FromPayload(p *Payload, dict *rdf.Dictionary) (*Fragment, error) {
 	var internal vertexSet
 	for _, v := range p.Internal {
 		internal.add(v)
 	}
-	return newFragment(p.ID, dict, nil, p.Triples, internal)
+	f, err := newFragment(p.ID, dict, nil, p.Triples, internal)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range p.Internal {
+		if !f.Store.HasVertex(v) {
+			return nil, fmt.Errorf("fragment %d: internal vertex %d has no edge", p.ID, v)
+		}
+	}
+	return f, nil
 }

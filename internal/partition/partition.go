@@ -7,7 +7,6 @@ package partition
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 
@@ -89,15 +88,21 @@ func (Hash) Partition(st *store.Store, k int) (*Assignment, error) {
 
 // HashFragment is the Hash strategy's rule for one vertex: FNV-1a over
 // v's canonical N-Triples form, modulo k. It places every vertex the
-// write path finds in no fragment.
+// write path finds in no fragment. The form is rendered into a stack
+// buffer, so a vertex costs no allocation.
 func HashFragment(dict *rdf.Dictionary, v rdf.TermID, k int) int {
-	return int(hashString(dict.MustDecode(v).String()) % uint64(k))
+	var buf [256]byte
+	return int(hashString(dict.MustDecode(v).AppendTo(buf[:0])) % uint64(k))
 }
 
-func hashString(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s)) // fnv.Write is documented to never fail
-	return h.Sum64()
+// hashString is 64-bit FNV-1a.
+func hashString[S string | []byte](s S) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for i := range len(s) {
+		h = (h ^ uint64(s[i])) * prime
+	}
+	return h
 }
 
 // ---------------------------------------------------------------------------

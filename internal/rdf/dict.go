@@ -42,19 +42,26 @@ func NewDictionary() *Dictionary {
 // nextID) rather than silently wrapping the next ID onto NoTerm and
 // aliasing existing terms.
 func (d *Dictionary) Encode(t Term) TermID {
-	key := t.String()
+	var buf [keyBuf]byte
+	key := t.AppendTo(buf[:0])
 	d.mu.RLock()
-	id, ok := d.ids[key]
+	id, ok := d.ids[string(key)]
 	d.mu.RUnlock()
 	if ok {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok := d.ids[key]; ok {
+	if id, ok := d.ids[string(key)]; ok {
 		return id
 	}
-	id = nextID(uint64(len(d.terms)))
+	return d.add(string(key), t)
+}
+
+// add assigns the next ID to term t, whose canonical form is key. The
+// caller holds the write lock, or the dictionary alone.
+func (d *Dictionary) add(key string, t Term) TermID {
+	id := nextID(uint64(len(d.terms)))
 	d.ids[key] = id
 	d.terms = append(d.terms, t)
 	return id
@@ -77,9 +84,11 @@ func nextID(n uint64) TermID {
 // Lookup returns the ID for term without assigning one. The second result
 // reports whether the term was present.
 func (d *Dictionary) Lookup(t Term) (TermID, bool) {
+	var buf [keyBuf]byte
+	key := t.AppendTo(buf[:0])
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	id, ok := d.ids[t.String()]
+	id, ok := d.ids[string(key)]
 	return id, ok
 }
 

@@ -2,10 +2,13 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ParseError describes a syntax error in an N-Triples document, with the
@@ -24,21 +27,26 @@ func (e *ParseError) Unwrap() error { return e.Err }
 // ReadNTriples parses an N-Triples document from r into a new Graph. Blank
 // lines and #-comments are skipped. Parsing stops at the first syntax
 // error, which is returned as a *ParseError.
+//
+// Each line is cut in one pass over the scanner's bytes, and each term is
+// interned by its token: an IRI, a blank node, or a literal whose token
+// already is its canonical form (see Term.AppendTo) is looked up by those
+// bytes, and a Term and the one copy its strings share are made on its
+// first sight only; any other literal is decoded first. The graph is the
+// reader's alone until it returns, so its dictionary is written without
+// the lock.
 func ReadNTriples(r io.Reader) (*Graph, error) {
 	g := NewGraph()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		s, p, o, ok, err := parseNTriplesLine(sc.Text())
+	for lineno := 1; sc.Scan(); lineno++ {
+		ts, ok, err := cutLine(sc.Bytes())
 		if err != nil {
 			return nil, &ParseError{Line: lineno, Err: err}
 		}
-		if !ok {
-			continue
+		if ok {
+			g.Triples = append(g.Triples, Triple{g.Dict.intern(&ts[0]), g.Dict.intern(&ts[1]), g.Dict.intern(&ts[2])})
 		}
-		g.Add(s, p, o)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("ntriples: read: %w", err)
@@ -46,106 +54,247 @@ func ReadNTriples(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// parseNTriplesLine parses one line. ok is false for blank/comment lines.
-func parseNTriplesLine(line string) (s, p, o Term, ok bool, err error) {
-	// The grammar allows a comment after the terminating '.', so strip it
-	// before looking for the terminator — but only a '#' outside IRI
-	// brackets and literal quotes starts a comment.
-	line = strings.TrimSpace(stripComment(line))
-	if line == "" {
-		return Term{}, Term{}, Term{}, false, nil
-	}
-	if !strings.HasSuffix(line, ".") {
-		return Term{}, Term{}, Term{}, false, fmt.Errorf("missing terminating '.'")
-	}
-	line = strings.TrimSpace(line[:len(line)-1])
-
-	rest := line
-	s, rest, err = cutTerm(rest)
-	if err != nil {
-		return Term{}, Term{}, Term{}, false, fmt.Errorf("subject: %w", err)
-	}
-	p, rest, err = cutTerm(rest)
-	if err != nil {
-		return Term{}, Term{}, Term{}, false, fmt.Errorf("predicate: %w", err)
-	}
-	o, rest, err = cutTerm(rest)
-	if err != nil {
-		return Term{}, Term{}, Term{}, false, fmt.Errorf("object: %w", err)
-	}
-	if strings.TrimSpace(rest) != "" {
-		return Term{}, Term{}, Term{}, false, fmt.Errorf("trailing tokens %q", strings.TrimSpace(rest))
-	}
-	if s.IsLiteral() {
-		return Term{}, Term{}, Term{}, false, fmt.Errorf("literal subject not allowed")
-	}
-	if !p.IsIRI() {
-		return Term{}, Term{}, Term{}, false, fmt.Errorf("predicate must be an IRI, got %s", p.Kind)
-	}
-	return s, p, o, true, nil
+// token is one term of a line. key is its canonical form, a slice of the
+// line, in which a literal's closing quote is at quote; or key is nil,
+// the line spells the term otherwise, and term is the decoded term.
+type token struct {
+	kind  TermKind
+	key   []byte
+	quote int
+	term  Term
 }
 
-// cutTerm parses the term that opens s after any spaces and tabs and
-// returns it with the rest of s: an IRI in angle brackets, a quoted literal
-// with an optional @lang or ^^<datatype> suffix, or a _:label blank node.
-// An IRI or literal ends at its closing bracket or quote; a language tag
-// or a blank node label runs to the next space or tab.
-func cutTerm(s string) (Term, string, error) {
-	s = strings.TrimLeft(s, " \t")
+// intern returns tok's ID, assigning one on first sight. The caller holds
+// the dictionary alone.
+func (d *Dictionary) intern(tok *token) TermID {
+	key := tok.key
+	if key == nil {
+		var buf [keyBuf]byte
+		key = tok.term.AppendTo(buf[:0])
+	}
+	if id, ok := d.ids[string(key)]; ok {
+		return id
+	}
+	k := string(key)
+	return d.add(k, tok.termOf(k))
+}
+
+// termOf returns tok's term, its strings slices of k, tok's key.
+func (tok *token) termOf(k string) Term {
 	switch {
-	case s == "":
-		return Term{}, "", errors.New("missing term")
-	case s[0] == '<':
-		iri, rest, ok := strings.Cut(s[1:], ">")
-		if !ok {
-			return Term{}, "", errors.New("unterminated IRI")
+	case tok.key == nil:
+		return tok.term
+	case tok.kind == IRI:
+		return NewIRI(k[1 : len(k)-1])
+	case tok.kind == Blank:
+		return NewBlank(k[2:])
+	}
+	t, suffix := NewLiteral(k[1:tok.quote]), k[tok.quote+1:]
+	if strings.HasPrefix(suffix, "@") {
+		t.Lang = suffix[1:]
+	} else if suffix != "" {
+		t.Datatype = suffix[3 : len(suffix)-1]
+	}
+	return t
+}
+
+// cutter cuts one line: b is the line, or its part before the comment
+// once cut says where that begins, and i the next byte to read. done
+// reports that the object took the terminating '.'.
+type cutter struct {
+	b         []byte
+	i         int
+	cut, done bool
+}
+
+// cutLine cuts a line into the three terms of its triple in one pass; ok
+// is false for a line that holds none (blank, or only a comment). The
+// comment is the line from its first '#' outside IRI brackets and literal
+// quotes; what precedes it, trimmed of white space, must end in '.', and
+// before that hold three terms separated by spaces or tabs.
+func cutLine(line []byte) (ts [3]token, ok bool, err error) {
+	c := cutter{b: line, i: spaceRun(line, 0)}
+	if c.atEnd() {
+		return ts, false, nil
+	}
+	for k, name := range [3]string{"subject", "predicate", "object"} {
+		for k > 0 && c.i < len(c.b) && (c.b[c.i] == ' ' || c.b[c.i] == '\t') {
+			c.i++
 		}
-		return NewIRI(iri), rest, nil
-	case s[0] == '"':
-		lex, n, err := CutQuoted(s)
+		if err := c.term(&ts[k], k == 2); err != nil {
+			return ts, false, fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	if !c.done {
+		if c.i = spaceRun(c.b, c.i); c.atEnd() {
+			return ts, false, errors.New("missing terminating '.'")
+		}
+		if c.b[c.i] == '.' {
+			c.i = spaceRun(c.b, c.i+1)
+		}
+		if !c.atEnd() {
+			return ts, false, fmt.Errorf("trailing tokens %q", c.b[c.i:])
+		}
+	}
+	if ts[0].kind == Literal {
+		return ts, false, errors.New("literal subject not allowed")
+	}
+	if ts[1].kind != IRI {
+		return ts, false, fmt.Errorf("predicate must be an IRI, got %s", ts[1].kind)
+	}
+	return ts, true, nil
+}
+
+// atEnd reports whether the line ends at i: at its last byte or at a
+// '#' that opens its comment, which it then cuts off.
+func (c *cutter) atEnd() bool {
+	if !c.cut && c.i < len(c.b) && c.b[c.i] == '#' {
+		c.b, c.cut = c.b[:c.i], true
+	}
+	return c.i == len(c.b)
+}
+
+// term cuts the term at i into tok: an IRI in angle brackets, a quoted
+// literal with an optional @lang or ^^<datatype> suffix, or a _:label
+// blank node. An IRI or literal ends at its closing bracket or quote; a
+// language tag or a blank node label runs to the next space or tab. last
+// is set for the object, whose label or tag stops short of the '.'.
+func (c *cutter) term(tok *token, last bool) error {
+	if c.atEnd() {
+		return errors.New("missing term")
+	}
+	switch i := c.i; c.b[i] {
+	case '<':
+		n := bytes.IndexByte(c.b[i+1:], '>')
+		if n < 0 {
+			return errors.New("unterminated IRI")
+		}
+		c.i = i + n + 2
+		*tok = token{kind: IRI, key: c.b[i:c.i]}
+		return nil
+	case '"':
+		return c.literal(tok, last)
+	}
+	f, err := c.field(c.i, last)
+	if err != nil {
+		return err
+	}
+	if !bytes.HasPrefix(f, []byte("_:")) || len(f) == 2 {
+		return fmt.Errorf("unrecognized term %q", f)
+	}
+	*tok = token{kind: Blank, key: f}
+	return nil
+}
+
+// literal cuts the literal at i. Its token is its key unless the lexical
+// form holds an escape, or a byte its canonical form escapes or replaces.
+func (c *cutter) literal(tok *token, last bool) error {
+	i := c.i
+	n := bytes.IndexByte(c.b[i+1:], '"')
+	lex := c.b[i+1 : i+1+max(n, 0)]
+	var value string
+	canonical := n >= 0 && bytes.IndexByte(lex, '\\') < 0
+	switch {
+	case !canonical:
+		v, n, err := CutQuoted(string(c.b[i:]))
 		if err != nil {
-			return Term{}, "", err
+			return err
 		}
-		s = s[n:]
-		if strings.HasPrefix(s, "@") {
-			end := fieldEnd(s)
-			if end == 1 {
-				return Term{}, "", errors.New("empty language tag")
-			}
-			return NewLangLiteral(lex, s[1:end]), s[end:], nil
-		}
-		if strings.HasPrefix(s, "^^<") {
-			dt, rest, ok := strings.Cut(s[3:], ">")
-			if !ok || dt == "" {
-				return Term{}, "", errors.New("malformed datatype IRI")
-			}
-			return NewTypedLiteral(lex, dt), rest, nil
-		}
-		return NewLiteral(lex), s, nil
+		value, lex = v, c.b[i+1:i+n-1]
+	case bytes.IndexAny(lex, "\t\r\n") >= 0 || !utf8.Valid(lex):
+		value, canonical = string(lex), false
 	}
-	end := fieldEnd(s)
-	if !strings.HasPrefix(s, "_:") || end == 2 {
-		return Term{}, "", fmt.Errorf("unrecognized term %q", s[:end])
+	quote := i + 1 + len(lex)
+	c.i = quote + 1
+	key := c.b[i:c.i]
+	var lang, datatype []byte
+	switch rest := c.b[c.i:]; {
+	case bytes.HasPrefix(rest, []byte("@")):
+		f, err := c.field(c.i, last)
+		if err != nil {
+			return err
+		}
+		if len(f) == 1 {
+			return errors.New("empty language tag")
+		}
+		lang, key = f[1:], c.b[i:quote+1+len(f)]
+	case bytes.HasPrefix(rest, []byte("^^<")):
+		n := bytes.IndexByte(rest[3:], '>')
+		if n <= 0 {
+			return errors.New("malformed datatype IRI")
+		}
+		datatype = rest[3 : 3+n]
+		c.i += 3 + n + 1
+		key = c.b[i:c.i]
 	}
-	return NewBlank(s[2:end]), s[end:], nil
+	if canonical {
+		*tok = token{kind: Literal, key: key, quote: quote - i}
+	} else {
+		*tok = token{kind: Literal, term: Term{Kind: Literal, Value: value, Lang: string(lang), Datatype: string(datatype)}}
+	}
+	return nil
 }
 
-// fieldEnd returns the index of the first space or tab in s, or len(s).
-func fieldEnd(s string) int {
-	if i := strings.IndexAny(s, " \t"); i >= 0 {
-		return i
+// field returns the blank node label or language tag that starts at i,
+// its '_:' or '@' included: it runs to the next space or tab, or to the
+// comment. As the object it stops short of white space that ends the
+// line, and of the '.' before it, which it takes (done).
+func (c *cutter) field(i int, last bool) ([]byte, error) {
+	j := i
+	for ; j < len(c.b) && c.b[j] != ' ' && c.b[j] != '\t'; j++ {
+		if c.cut {
+			continue
+		}
+		if c.b[j] == '#' {
+			c.b, c.cut = c.b[:j], true
+			break
+		}
+		if c.b[j] == '<' || c.b[j] == '"' {
+			// The grammar has no bracket or quote here, but the rule that
+			// finds the comment opens one: it may run past this field.
+			c.b, c.cut = c.b[:commentAt(c.b, i)], true
+		}
 	}
-	return len(s)
+	f := c.b[i:j]
+	if c.i = j; !last {
+		return f, nil
+	}
+	f = bytes.TrimRightFunc(f, unicode.IsSpace)
+	if c.i = spaceRun(c.b, j); !c.atEnd() {
+		c.i = j // the terminator follows
+		return f, nil
+	}
+	if !bytes.HasSuffix(f, []byte(".")) {
+		return nil, errors.New("missing terminating '.'")
+	}
+	c.done = true
+	return bytes.TrimRightFunc(f[:len(f)-1], unicode.IsSpace), nil
 }
 
-// stripComment truncates line at the first '#' that lies outside IRI
-// brackets and literal quotes ('#' is legal inside both: IRI fragments,
-// literal text). Escapes inside literals are honored, so an escaped
-// quote cannot fake a literal's end.
-func stripComment(line string) string {
+// spaceRun returns the index of the first byte at or after i in b that
+// does not begin a Unicode white space character, or len(b).
+func spaceRun(b []byte, i int) int {
+	for i < len(b) {
+		r, n := rune(b[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRune(b[i:])
+		}
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += n
+	}
+	return i
+}
+
+// commentAt returns where the comment of line b begins when b[i] lies
+// outside every term: at the first '#' after i outside IRI brackets and
+// literal quotes ('#' is legal inside both), or len(b). Escapes inside
+// literals are honored, so an escaped quote cannot fake a literal's end.
+func commentAt(b []byte, i int) int {
 	inIRI, inLiteral := false, false
-	for i := 0; i < len(line); i++ {
-		switch c := line[i]; {
+	for ; i < len(b); i++ {
+		switch c := b[i]; {
 		case inLiteral:
 			if c == '\\' {
 				i++ // skip the escaped character
@@ -161,10 +310,10 @@ func stripComment(line string) string {
 		case c == '"':
 			inLiteral = true
 		case c == '#':
-			return line[:i]
+			return i
 		}
 	}
-	return line
+	return len(b)
 }
 
 // WriteNTriples serializes g to w in canonical N-Triples form, one triple
@@ -184,7 +333,10 @@ func WriteNTriples(w io.Writer, g *Graph) error {
 		if !ok {
 			return fmt.Errorf("ntriples: triple references unknown object ID %d", t.O)
 		}
-		if _, err := fmt.Fprintf(bw, "%s %s %s .\n", s, p, o); err != nil {
+		b := s.AppendTo(bw.AvailableBuffer())
+		b = append(p.AppendTo(append(b, ' ')), ' ')
+		b = append(o.AppendTo(b), " .\n"...)
+		if _, err := bw.Write(b); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three kinds of RDF terms.
@@ -77,58 +78,87 @@ func (t Term) IsLiteral() bool { return t.Kind == Literal }
 // IsBlank reports whether the term is a blank node.
 func (t Term) IsBlank() bool { return t.Kind == Blank }
 
-// String renders the term in canonical N-Triples syntax. The rendered form
-// doubles as the dictionary key, so it must be injective over terms.
+// String renders the term in canonical N-Triples syntax: AppendTo's form.
 func (t Term) String() string {
-	var b strings.Builder
-	// Room for the form without escapes: one allocation for most terms.
-	b.Grow(len(t.Value) + len(t.Lang) + len(t.Datatype) + 6)
-	t.write(&b)
-	return b.String()
+	var buf [keyBuf]byte
+	return string(t.AppendTo(buf[:0]))
 }
 
-func (t Term) write(b *strings.Builder) {
+// keyBuf is the stack buffer a term is rendered into before it is hashed
+// or looked up: room for the IRIs and literals of typical data, which
+// then cost no allocation.
+const keyBuf = 256
+
+// AppendTo appends the term's canonical N-Triples form to b and returns
+// the extended slice. The form doubles as the dictionary key, so it is
+// injective over terms up to invalid UTF-8 in a literal, which renders
+// as U+FFFD: an IRI is <Value>, a blank node _:Value, and a literal is
+// Value in double quotes with ", \, LF, CR and tab escaped, followed by
+// @Lang or else ^^<Datatype> when one is set.
+func (t Term) AppendTo(b []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		b.WriteByte('<')
-		b.WriteString(t.Value)
-		b.WriteByte('>')
+		b = append(b, '<')
+		b = append(b, t.Value...)
+		b = append(b, '>')
 	case Literal:
-		b.WriteByte('"')
-		escapeLiteral(b, t.Value)
-		b.WriteByte('"')
+		b = append(b, '"')
+		b = appendEscaped(b, t.Value)
+		b = append(b, '"')
 		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
+			b = append(b, '@')
+			b = append(b, t.Lang...)
 		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
+			b = append(b, "^^<"...)
+			b = append(b, t.Datatype...)
+			b = append(b, '>')
 		}
 	case Blank:
-		b.WriteString("_:")
-		b.WriteString(t.Value)
+		b = append(b, "_:"...)
+		b = append(b, t.Value...)
 	}
+	return b
 }
 
-// escapeLiteral writes s with N-Triples string escapes applied.
-func escapeLiteral(b *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
+// appendEscaped appends s with N-Triples string escapes applied, each
+// invalid UTF-8 byte replaced by U+FFFD; runs that need neither are
+// copied whole.
+func appendEscaped(b []byte, s string) []byte {
+	from := 0 // s[from:i] is not yet appended
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, n := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && n == 1 {
+				b = append(b, s[from:i]...)
+				b = utf8.AppendRune(b, r)
+				from = i + 1
+			}
+			i += n
+			continue
 		}
+		var esc string
+		switch c {
+		case '"':
+			esc = `\"`
+		case '\\':
+			esc = `\\`
+		case '\n':
+			esc = `\n`
+		case '\r':
+			esc = `\r`
+		case '\t':
+			esc = `\t`
+		default:
+			i++
+			continue
+		}
+		b = append(b, s[from:i]...)
+		b = append(b, esc...)
+		i++
+		from = i
 	}
+	return append(b, s[from:]...)
 }
 
 // CutQuoted reads the double-quoted string that opens s in one pass and

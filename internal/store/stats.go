@@ -7,9 +7,9 @@ import (
 )
 
 // Stats is the per-predicate cardinality table. New computes it from the
-// triples (buildStats); Apply moves it with each delta (apply), at a
-// cost proportional to the delta, and the result equals buildStats of
-// the post-delta store. Query compilation reads it to order edge
+// triples (scan); Apply moves it with each delta (apply), at a cost
+// proportional to the delta, and the result equals scan's over the
+// post-delta store. Query compilation reads it to order edge
 // expansion by estimated selectivity (bound/small side first); it
 // describes the data itself, so its counts stay exact across updates.
 type Stats struct {
@@ -44,35 +44,6 @@ func (s *Stats) Triples() int {
 // Stats returns the store's cardinality table. It is immutable, like
 // the store itself.
 func (st *Store) Stats() *Stats { return st.stats }
-
-// predStatOf summarizes one deduplicated byPred list, which is sorted
-// by (S, P, O) — distinct subjects fall out of the run structure;
-// objects need a set. It walks the whole list, so only buildStats uses
-// it.
-func predStatOf(ts []rdf.Triple) PredStat {
-	ps := PredStat{Count: len(ts)}
-	objs := make(map[rdf.TermID]struct{}, len(ts))
-	for i, t := range ts {
-		if i == 0 || t.S != ts[i-1].S {
-			ps.Subjects++
-		}
-		objs[t.O] = struct{}{}
-	}
-	ps.Objects = len(objs)
-	return ps
-}
-
-// buildStats computes the table from scratch over deduplicated byPred
-// lists.
-func buildStats(byPred map[rdf.TermID][]rdf.Triple) *Stats {
-	s := &Stats{preds: make(map[rdf.TermID]PredStat, len(byPred))}
-	for p, ts := range byPred {
-		ps := predStatOf(ts)
-		s.preds[p] = ps
-		s.triples += ps.Count
-	}
-	return s
-}
 
 // apply returns the table after the delta that took st to next, moving
 // each count with the delta instead of re-walking any predicate's list:

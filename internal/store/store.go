@@ -15,7 +15,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"gstored/internal/query"
 	"gstored/internal/rdf"
@@ -212,41 +211,143 @@ func (g *Store) Within(triples []rdf.Triple, home func(rdf.TermID) bool) *Store 
 // OwnsIndex reports whether st reads its own adjacency index.
 func (st *Store) OwnsIndex() bool { return st.home == nil }
 
+// scan builds a store's byPred and vertex runs and Stats over triples,
+// which it does not write. One stable counting pass buckets the triples
+// by predicate; a bucket is sorted only when it is out of (S,P,O) order
+// (triples in that order, as fragment.Build passes, leave none so), and
+// deduplicated in place: byPred lists seed matching, where identical
+// triples would seed identical bindings (instance multiplicity stays
+// available through CountTriples).
 func scan(dict *rdf.Dictionary, triples []rdf.Triple) *Store {
+	var top rdf.TermID
+	for _, t := range triples {
+		top = max(top, t.S, t.P, t.O)
+	}
+	preds := newIDSet(top, len(triples))
+	for _, t := range triples {
+		preds.add(t.P)
+	}
+	ps := preds.sorted()
+	start := make([]int, len(ps)+1)
+	for _, t := range triples {
+		start[preds.index(t.P)+1]++
+	}
+	for k := range ps {
+		start[k+1] += start[k]
+	}
+	next := slices.Clone(start)
+	byPred := make([]rdf.Triple, len(triples))
+	for _, t := range triples {
+		k := preds.index(t.P)
+		byPred[next[k]] = t
+		next[k]++
+	}
 	st := &Store{
 		Dict:   dict,
-		byPred: make(map[rdf.TermID]runs.List[rdf.Triple]),
+		byPred: make(map[rdf.TermID]runs.List[rdf.Triple], len(ps)),
 		size:   len(triples),
+		stats:  &Stats{preds: make(map[rdf.TermID]PredStat, len(ps))},
 	}
-	byPred := make(map[rdf.TermID][]rdf.Triple)
-	vset := make(map[rdf.TermID]bool)
-	for _, t := range triples {
-		byPred[t.P] = append(byPred[t.P], t)
-		vset[t.S] = true
-		vset[t.O] = true
-	}
-	// byPred lists are used to seed matching: identical triples would seed
-	// identical bindings, so deduplicate (instance multiplicity stays
-	// available through CountTriples).
-	for p, ts := range byPred {
-		sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
-		dedup := ts[:0]
-		for i, t := range ts {
-			if i == 0 || t != ts[i-1] {
-				dedup = append(dedup, t)
-			}
+	vertices, objects := newIDSet(top, len(triples)), newIDSet(top, len(triples))
+	for k, p := range ps {
+		ts := byPred[start[k]:start[k+1]]
+		if !slices.IsSortedFunc(ts, rdf.Triple.Compare) {
+			slices.SortFunc(ts, rdf.Triple.Compare)
 		}
-		byPred[p] = dedup
-		st.byPred[p] = runs.Of(dedup)
+		ts = slices.Compact(ts)
+		stat := PredStat{Count: len(ts), Objects: objects.distinctObjects(ts)}
+		for i, t := range ts {
+			if i == 0 || t.S != ts[i-1].S {
+				stat.Subjects++
+			}
+			vertices.add(t.S)
+			vertices.add(t.O)
+		}
+		st.byPred[p] = runs.Of(ts)
+		st.stats.preds[p] = stat
+		st.stats.triples += stat.Count
 	}
-	vertices := make([]rdf.TermID, 0, len(vset))
-	for v := range vset {
-		vertices = append(vertices, v)
-	}
-	slices.Sort(vertices)
-	st.vertices = runs.Of(vertices)
-	st.stats = buildStats(byPred)
+	st.vertices = runs.Of(vertices.sorted())
 	return st
+}
+
+// idSet is a set of term IDs. It is a bitset over [0, top] when that
+// costs at most a word per triple of the list it is built from, and
+// otherwise the added IDs, which sorted sorts and compacts, so that a
+// far ID (one off the wire) never sizes an allocation.
+type idSet struct {
+	bits []uint64
+	rank []int32 // rank[w] counts the members below word w once sorted ran
+	ids  []rdf.TermID
+}
+
+func newIDSet(top rdf.TermID, triples int) *idSet {
+	if int(top>>6) < triples {
+		return &idSet{bits: make([]uint64, top>>6+1)}
+	}
+	return &idSet{}
+}
+
+func (s *idSet) add(v rdf.TermID) {
+	if s.bits == nil {
+		s.ids = append(s.ids, v)
+	} else {
+		s.bits[v>>6] |= 1 << (v & 63)
+	}
+}
+
+// sorted returns the members in ascending order.
+func (s *idSet) sorted() []rdf.TermID {
+	if s.bits == nil {
+		slices.Sort(s.ids)
+		s.ids = slices.Compact(s.ids)
+		return s.ids
+	}
+	s.rank = make([]int32, len(s.bits))
+	n := 0
+	for w, x := range s.bits {
+		s.rank[w] = int32(n)
+		n += bits.OnesCount64(x)
+	}
+	s.ids = make([]rdf.TermID, 0, n)
+	for w, x := range s.bits {
+		for ; x != 0; x &= x - 1 {
+			s.ids = append(s.ids, rdf.TermID(w<<6|bits.TrailingZeros64(x)))
+		}
+	}
+	return s.ids
+}
+
+// index returns member v's position in sorted's order, once sorted ran.
+func (s *idSet) index(v rdf.TermID) int {
+	if s.bits == nil {
+		i, _ := slices.BinarySearch(s.ids, v)
+		return i
+	}
+	return int(s.rank[v>>6]) + bits.OnesCount64(s.bits[v>>6]&(1<<(v&63)-1))
+}
+
+// distinctObjects counts the distinct objects of ts in the empty set s,
+// which it leaves empty.
+func (s *idSet) distinctObjects(ts []rdf.Triple) (n int) {
+	if s.bits == nil {
+		for _, t := range ts {
+			s.add(t.O)
+		}
+		n = len(s.sorted())
+		s.ids = s.ids[:0]
+		return n
+	}
+	for _, t := range ts {
+		if w, m := &s.bits[t.O>>6], uint64(1)<<(t.O&63); *w&m == 0 {
+			*w |= m
+			n++
+		}
+	}
+	for _, t := range ts {
+		s.bits[t.O>>6] = 0
+	}
+	return n
 }
 
 // FromGraph indexes all triples of g.
