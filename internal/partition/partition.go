@@ -91,7 +91,7 @@ func (Hash) Partition(st *store.Store, k int) (*Assignment, error) {
 // write path finds in no fragment. The form is rendered into a stack
 // buffer, so a vertex costs no allocation.
 func HashFragment(dict *rdf.Dictionary, v rdf.TermID, k int) int {
-	var buf [256]byte
+	var buf [rdf.KeyBuf]byte
 	return int(hashString(dict.MustDecode(v).AppendTo(buf[:0])) % uint64(k))
 }
 

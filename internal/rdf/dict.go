@@ -42,7 +42,7 @@ func NewDictionary() *Dictionary {
 // nextID) rather than silently wrapping the next ID onto NoTerm and
 // aliasing existing terms.
 func (d *Dictionary) Encode(t Term) TermID {
-	var buf [keyBuf]byte
+	var buf [KeyBuf]byte
 	key := t.AppendTo(buf[:0])
 	d.mu.RLock()
 	id, ok := d.ids[string(key)]
@@ -84,7 +84,7 @@ func nextID(n uint64) TermID {
 // Lookup returns the ID for term without assigning one. The second result
 // reports whether the term was present.
 func (d *Dictionary) Lookup(t Term) (TermID, bool) {
-	var buf [keyBuf]byte
+	var buf [KeyBuf]byte
 	key := t.AppendTo(buf[:0])
 	d.mu.RLock()
 	defer d.mu.RUnlock()

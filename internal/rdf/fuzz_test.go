@@ -2,7 +2,7 @@ package rdf
 
 // Native fuzz target for the N-Triples reader: arbitrary bytes must
 // produce a graph or an error, never a panic; the reader must agree with
-// oracleReadNTriples, the two-pass reader it replaced, on every input;
+// oracleReadNTriples, the reader it replaced, on every input;
 // and any graph that parses must survive a write/re-read round trip with
 // the same size.
 
@@ -50,6 +50,10 @@ func FuzzReadNTriples(f *testing.F) {
 		"<http://ex/a> <http://ex/p> _:o\v .\n<http://ex/a> <http://ex/p> \"x\"@en\u00a0.\u00a0\n",
 	} {
 		f.Add([]byte(s))
+	}
+	// Each term TestParseTermErrors rejects, as an object.
+	for _, o := range []string{"<http://no-close", "<>>", "_:", `"unterminated`, `"lit"@`, `"lit"^^<>`, `"lit"garbage`, "plainword", `"bad\qescape"`} {
+		f.Add([]byte("<http://ex/a> <http://ex/p> " + o + " .\n"))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadNTriples(bytes.NewReader(data))

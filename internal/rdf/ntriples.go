@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"unicode"
 	"unicode/utf8"
 )
 
@@ -28,13 +27,13 @@ func (e *ParseError) Unwrap() error { return e.Err }
 // lines and #-comments are skipped. Parsing stops at the first syntax
 // error, which is returned as a *ParseError.
 //
-// Each line is cut in one pass over the scanner's bytes, and each term is
-// interned by its token: an IRI, a blank node, or a literal whose token
-// already is its canonical form (see Term.AppendTo) is looked up by those
-// bytes, and a Term and the one copy its strings share are made on its
-// first sight only; any other literal is decoded first. The graph is the
-// reader's alone until it returns, so its dictionary is written without
-// the lock.
+// Each line is cut from the scanner's bytes, and each term is interned by
+// its token: an IRI, a blank node, or a literal whose token already is its
+// canonical form (see Term.AppendTo) is looked up by those bytes, and a
+// Term and the one copy its strings share are made on its first sight
+// only; any other literal is decoded first, which costs its value. The
+// graph is the reader's alone until it returns, so its dictionary is
+// written without the lock.
 func ReadNTriples(r io.Reader) (*Graph, error) {
 	g := NewGraph()
 	sc := bufio.NewScanner(r)
@@ -69,7 +68,7 @@ type token struct {
 func (d *Dictionary) intern(tok *token) TermID {
 	key := tok.key
 	if key == nil {
-		var buf [keyBuf]byte
+		var buf [KeyBuf]byte
 		key = tok.term.AppendTo(buf[:0])
 	}
 	if id, ok := d.ids[string(key)]; ok {
@@ -98,43 +97,27 @@ func (tok *token) termOf(k string) Term {
 	return t
 }
 
-// cutter cuts one line: b is the line, or its part before the comment
-// once cut says where that begins, and i the next byte to read. done
-// reports that the object took the terminating '.'.
-type cutter struct {
-	b         []byte
-	i         int
-	cut, done bool
-}
-
-// cutLine cuts a line into the three terms of its triple in one pass; ok
-// is false for a line that holds none (blank, or only a comment). The
-// comment is the line from its first '#' outside IRI brackets and literal
-// quotes; what precedes it, trimmed of white space, must end in '.', and
-// before that hold three terms separated by spaces or tabs.
+// cutLine cuts a line into the three terms of its triple; ok is false for
+// a line that holds none (blank, or only a comment). The comment is the
+// line from its first '#' outside IRI brackets and literal quotes; what
+// precedes it, trimmed of white space, must end in '.', and before that
+// hold three terms separated by spaces or tabs.
 func cutLine(line []byte) (ts [3]token, ok bool, err error) {
-	c := cutter{b: line, i: spaceRun(line, 0)}
-	if c.atEnd() {
+	line = bytes.TrimSpace(line[:commentAt(line)])
+	if len(line) == 0 {
 		return ts, false, nil
 	}
+	if line[len(line)-1] != '.' {
+		return ts, false, errors.New("missing terminating '.'")
+	}
+	rest := bytes.TrimSpace(line[:len(line)-1])
 	for k, name := range [3]string{"subject", "predicate", "object"} {
-		for k > 0 && c.i < len(c.b) && (c.b[c.i] == ' ' || c.b[c.i] == '\t') {
-			c.i++
-		}
-		if err := c.term(&ts[k], k == 2); err != nil {
+		if rest, err = cutToken(&ts[k], rest); err != nil {
 			return ts, false, fmt.Errorf("%s: %w", name, err)
 		}
 	}
-	if !c.done {
-		if c.i = spaceRun(c.b, c.i); c.atEnd() {
-			return ts, false, errors.New("missing terminating '.'")
-		}
-		if c.b[c.i] == '.' {
-			c.i = spaceRun(c.b, c.i+1)
-		}
-		if !c.atEnd() {
-			return ts, false, fmt.Errorf("trailing tokens %q", c.b[c.i:])
-		}
+	if rest = bytes.TrimSpace(rest); len(rest) > 0 {
+		return ts, false, fmt.Errorf("trailing tokens %q", rest)
 	}
 	if ts[0].kind == Literal {
 		return ts, false, errors.New("literal subject not allowed")
@@ -145,175 +128,120 @@ func cutLine(line []byte) (ts [3]token, ok bool, err error) {
 	return ts, true, nil
 }
 
-// atEnd reports whether the line ends at i: at its last byte or at a
-// '#' that opens its comment, which it then cuts off.
-func (c *cutter) atEnd() bool {
-	if !c.cut && c.i < len(c.b) && c.b[c.i] == '#' {
-		c.b, c.cut = c.b[:c.i], true
-	}
-	return c.i == len(c.b)
-}
-
-// term cuts the term at i into tok: an IRI in angle brackets, a quoted
+// cutToken cuts the term that opens b after any spaces and tabs and
+// returns it with the rest of b: an IRI in angle brackets, a quoted
 // literal with an optional @lang or ^^<datatype> suffix, or a _:label
 // blank node. An IRI or literal ends at its closing bracket or quote; a
-// language tag or a blank node label runs to the next space or tab. last
-// is set for the object, whose label or tag stops short of the '.'.
-func (c *cutter) term(tok *token, last bool) error {
-	if c.atEnd() {
-		return errors.New("missing term")
+// language tag or a blank node label runs to the next space or tab.
+func cutToken(tok *token, b []byte) (rest []byte, err error) {
+	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t') {
+		b = b[1:]
 	}
-	switch i := c.i; c.b[i] {
-	case '<':
-		n := bytes.IndexByte(c.b[i+1:], '>')
+	switch {
+	case len(b) == 0:
+		return nil, errors.New("missing term")
+	case b[0] == '<':
+		n := bytes.IndexByte(b, '>')
 		if n < 0 {
-			return errors.New("unterminated IRI")
+			return nil, errors.New("unterminated IRI")
 		}
-		c.i = i + n + 2
-		*tok = token{kind: IRI, key: c.b[i:c.i]}
-		return nil
-	case '"':
-		return c.literal(tok, last)
+		*tok = token{kind: IRI, key: b[:n+1]}
+		return b[n+1:], nil
+	case b[0] == '"':
+		return cutLiteral(tok, b)
 	}
-	f, err := c.field(c.i, last)
-	if err != nil {
-		return err
+	end := tokenEnd(b)
+	if !bytes.HasPrefix(b, []byte("_:")) || end == 2 {
+		return nil, fmt.Errorf("unrecognized term %q", b[:end])
 	}
-	if !bytes.HasPrefix(f, []byte("_:")) || len(f) == 2 {
-		return fmt.Errorf("unrecognized term %q", f)
-	}
-	*tok = token{kind: Blank, key: f}
-	return nil
+	*tok = token{kind: Blank, key: b[:end]}
+	return b[end:], nil
 }
 
-// literal cuts the literal at i. Its token is its key unless the lexical
-// form holds an escape, or a byte its canonical form escapes or replaces.
-func (c *cutter) literal(tok *token, last bool) error {
-	i := c.i
-	n := bytes.IndexByte(c.b[i+1:], '"')
-	lex := c.b[i+1 : i+1+max(n, 0)]
+// cutLiteral cuts the literal that opens b. Its token is its key unless
+// the lexical form holds an escape, or a byte its canonical form escapes
+// or replaces.
+func cutLiteral(tok *token, b []byte) (rest []byte, err error) {
+	quote := bytes.IndexByte(b[1:], '"') + 1
+	canonical := quote > 0 && bytes.IndexByte(b[1:quote], '\\') < 0
 	var value string
-	canonical := n >= 0 && bytes.IndexByte(lex, '\\') < 0
-	switch {
+	switch lex := b[1:max(quote, 1)]; {
 	case !canonical:
-		v, n, err := CutQuoted(string(c.b[i:]))
+		v, n, err := CutQuoted(b)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		value, lex = v, c.b[i+1:i+n-1]
+		value, quote = v, n-1
 	case bytes.IndexAny(lex, "\t\r\n") >= 0 || !utf8.Valid(lex):
 		value, canonical = string(lex), false
 	}
-	quote := i + 1 + len(lex)
-	c.i = quote + 1
-	key := c.b[i:c.i]
+	rest = b[quote+1:]
 	var lang, datatype []byte
-	switch rest := c.b[c.i:]; {
+	switch {
 	case bytes.HasPrefix(rest, []byte("@")):
-		f, err := c.field(c.i, last)
-		if err != nil {
-			return err
+		end := tokenEnd(rest)
+		if end == 1 {
+			return nil, errors.New("empty language tag")
 		}
-		if len(f) == 1 {
-			return errors.New("empty language tag")
-		}
-		lang, key = f[1:], c.b[i:quote+1+len(f)]
+		lang, rest = rest[1:end], rest[end:]
 	case bytes.HasPrefix(rest, []byte("^^<")):
 		n := bytes.IndexByte(rest[3:], '>')
 		if n <= 0 {
-			return errors.New("malformed datatype IRI")
+			return nil, errors.New("malformed datatype IRI")
 		}
-		datatype = rest[3 : 3+n]
-		c.i += 3 + n + 1
-		key = c.b[i:c.i]
+		datatype, rest = rest[3:3+n], rest[3+n+1:]
 	}
 	if canonical {
-		*tok = token{kind: Literal, key: key, quote: quote - i}
+		*tok = token{kind: Literal, key: b[:len(b)-len(rest)], quote: quote}
 	} else {
 		*tok = token{kind: Literal, term: Term{Kind: Literal, Value: value, Lang: string(lang), Datatype: string(datatype)}}
 	}
-	return nil
+	return rest, nil
 }
 
-// field returns the blank node label or language tag that starts at i,
-// its '_:' or '@' included: it runs to the next space or tab, or to the
-// comment. As the object it stops short of white space that ends the
-// line, and of the '.' before it, which it takes (done).
-func (c *cutter) field(i int, last bool) ([]byte, error) {
-	j := i
-	for ; j < len(c.b) && c.b[j] != ' ' && c.b[j] != '\t'; j++ {
-		if c.cut {
-			continue
-		}
-		if c.b[j] == '#' {
-			c.b, c.cut = c.b[:j], true
-			break
-		}
-		if c.b[j] == '<' || c.b[j] == '"' {
-			// The grammar has no bracket or quote here, but the rule that
-			// finds the comment opens one: it may run past this field.
-			c.b, c.cut = c.b[:commentAt(c.b, i)], true
-		}
+// tokenEnd returns the index of the first space or tab in b, or len(b).
+func tokenEnd(b []byte) int {
+	if i := bytes.IndexAny(b, " \t"); i >= 0 {
+		return i
 	}
-	f := c.b[i:j]
-	if c.i = j; !last {
-		return f, nil
-	}
-	f = bytes.TrimRightFunc(f, unicode.IsSpace)
-	if c.i = spaceRun(c.b, j); !c.atEnd() {
-		c.i = j // the terminator follows
-		return f, nil
-	}
-	if !bytes.HasSuffix(f, []byte(".")) {
-		return nil, errors.New("missing terminating '.'")
-	}
-	c.done = true
-	return bytes.TrimRightFunc(f[:len(f)-1], unicode.IsSpace), nil
+	return len(b)
 }
 
-// spaceRun returns the index of the first byte at or after i in b that
-// does not begin a Unicode white space character, or len(b).
-func spaceRun(b []byte, i int) int {
-	for i < len(b) {
-		r, n := rune(b[i]), 1
-		if r >= utf8.RuneSelf {
-			r, n = utf8.DecodeRune(b[i:])
+// commentAt returns where the comment of line b begins: at the first '#'
+// outside IRI brackets and literal quotes ('#' is legal inside both), or
+// len(b). It skips each IRI and literal whole.
+func commentAt(b []byte) int {
+	for i := 0; i < len(b); i++ {
+		n := 0
+		switch b[i] {
+		case '#':
+			return i
+		case '<':
+			n = bytes.IndexByte(b[i:], '>')
+		case '"':
+			n = quoteAt(b[i:])
 		}
-		if !unicode.IsSpace(r) {
-			break
+		if n < 0 {
+			return len(b)
 		}
 		i += n
 	}
-	return i
+	return len(b)
 }
 
-// commentAt returns where the comment of line b begins when b[i] lies
-// outside every term: at the first '#' after i outside IRI brackets and
-// literal quotes ('#' is legal inside both), or len(b). Escapes inside
-// literals are honored, so an escaped quote cannot fake a literal's end.
-func commentAt(b []byte, i int) int {
-	inIRI, inLiteral := false, false
-	for ; i < len(b); i++ {
-		switch c := b[i]; {
-		case inLiteral:
-			if c == '\\' {
-				i++ // skip the escaped character
-			} else if c == '"' {
-				inLiteral = false
-			}
-		case inIRI:
-			if c == '>' {
-				inIRI = false
-			}
-		case c == '<':
-			inIRI = true
-		case c == '"':
-			inLiteral = true
-		case c == '#':
+// quoteAt returns the index of the quote that closes the literal opening
+// b, or -1. Escapes are honored, so an escaped quote cannot fake the
+// literal's end.
+func quoteAt(b []byte) int {
+	for i := 1; i < len(b); i++ {
+		switch b[i] {
+		case '"':
 			return i
+		case '\\':
+			i++ // skip the escaped byte
 		}
 	}
-	return len(b)
+	return -1
 }
 
 // WriteNTriples serializes g to w in canonical N-Triples form, one triple

@@ -80,14 +80,14 @@ func (t Term) IsBlank() bool { return t.Kind == Blank }
 
 // String renders the term in canonical N-Triples syntax: AppendTo's form.
 func (t Term) String() string {
-	var buf [keyBuf]byte
+	var buf [KeyBuf]byte
 	return string(t.AppendTo(buf[:0]))
 }
 
-// keyBuf is the stack buffer a term is rendered into before it is hashed
-// or looked up: room for the IRIs and literals of typical data, which
-// then cost no allocation.
-const keyBuf = 256
+// KeyBuf is the size of the stack buffer a term is rendered into before
+// it is hashed or looked up: room for the IRIs and literals of typical
+// data, which then cost no allocation.
+const KeyBuf = 256
 
 // AppendTo appends the term's canonical N-Triples form to b and returns
 // the extended slice. The form doubles as the dictionary key, so it is
@@ -166,39 +166,39 @@ func appendEscaped(b []byte, s string) []byte {
 // \f \" \' \\) and UCHAR (\uXXXX, \UXXXXXXXX; a code point that is no
 // valid rune decodes to U+FFFD). Every other byte passes through. It
 // returns the decoded value and n, the length of the string in s with both
-// quotes. A string without escapes decodes to a substring of s.
-func CutQuoted(s string) (value string, n int, err error) {
-	if !strings.HasPrefix(s, `"`) {
+// quotes; s may run on past them. For a Go string s, a literal without
+// escapes decodes to a substring of s.
+func CutQuoted[S ~string | ~[]byte](s S) (value string, n int, err error) {
+	if len(s) == 0 || s[0] != '"' {
 		return "", 0, errors.New(`literal must open with '"'`)
 	}
-	var b strings.Builder
+	var b []byte
 	from := 1 // s[from:i] is text not yet copied to b; from > 1 once an escape is seen
 	for i := 1; i < len(s); i++ {
 		switch s[i] {
 		case '"':
 			if from == 1 {
-				return s[1:i], i + 1, nil
+				return string(s[1:i]), i + 1, nil
 			}
-			b.WriteString(s[from:i])
-			return b.String(), i + 1, nil
+			return string(append(b, s[from:i]...)), i + 1, nil
 		case '\\':
-			b.WriteString(s[from:i])
+			b = append(b, s[from:i]...)
 			i++
 			if i == len(s) {
 				return "", 0, errors.New("dangling escape in literal")
 			}
 			if k := strings.IndexByte(echars, s[i]); k >= 0 {
-				b.WriteByte(echarValues[k])
+				b = append(b, echarValues[k])
 			} else if s[i] == 'u' || s[i] == 'U' {
 				end := i + 5
 				if s[i] == 'U' {
 					end = i + 9
 				}
-				v, err := strconv.ParseUint(s[i+1:min(end, len(s))], 16, 32)
+				v, err := strconv.ParseUint(string(s[i+1:min(end, len(s))]), 16, 32)
 				if end > len(s) || err != nil {
 					return "", 0, fmt.Errorf("malformed \\%c escape in literal", s[i])
 				}
-				b.WriteRune(rune(v))
+				b = utf8.AppendRune(b, rune(v))
 				i = end - 1
 			} else {
 				return "", 0, fmt.Errorf("unknown escape \\%c in literal", s[i])

@@ -11,17 +11,18 @@ import (
 
 // parseTerm parses a single term in N-Triples syntax: an IRI in angle
 // brackets, a quoted literal with optional @lang or ^^<datatype> suffix, or
-// a _:label blank node — cutTerm with nothing left over. It is the inverse
-// of Term.String.
+// a _:label blank node — the reader's cutToken with nothing left over. It
+// is the inverse of Term.String.
 func parseTerm(s string) (Term, error) {
-	t, rest, err := cutTerm(strings.TrimSpace(s))
+	var tok token
+	rest, err := cutToken(&tok, []byte(strings.TrimSpace(s)))
 	switch {
 	case err != nil:
 		return Term{}, fmt.Errorf("rdf: %w", err)
-	case rest != "":
+	case len(rest) > 0:
 		return Term{}, fmt.Errorf("rdf: trailing text %q after term", rest)
 	}
-	return t, nil
+	return tok.termOf(string(tok.key)), nil
 }
 
 func TestTermString(t *testing.T) {
