@@ -74,11 +74,12 @@ type Site interface {
 // fragment.
 var ErrNeedSync = errors.New("cluster: site does not hold the generation")
 
-// CandidatesRequest asks a site for its Section VI candidate sets.
+// CandidatesRequest asks a site for its Section VI candidate sets. A
+// set whose ID list would encode larger takes the hashed form of
+// candidates.DefaultBits bits, at every site.
 type CandidatesRequest struct {
 	Query *query.Graph
-	// Bits is the length of the hashed form a set takes when its ID list
-	// would encode larger.
+	// Bits is ignored: no Site reads it.
 	Bits int
 }
 
@@ -110,18 +111,24 @@ type CandidatesReply struct {
 // PartialRequest asks a site to run its local evaluation stage. Every
 // field except Pool is serializable: a remote site reconstructs the
 // vertex filters from its own fragment (center ownership, internal
-// sets) rather than receiving closures.
+// sets) rather than receiving closures, and works out from Query and
+// Order what follows from them: a star query (query.Graph.StarCenter)
+// takes the Section VIII-B fast path — local matching only, with the
+// center restricted to internal vertices, no partial evaluation and no
+// matches in the reply — and partial evaluation expands edges by their
+// rank in Order.
 type PartialRequest struct {
 	Query *query.Graph
-	// Star selects the Section VIII-B fast path: local matching only,
-	// with query vertex Center restricted to internal vertices; no
-	// partial evaluation runs and the reply carries no matches.
-	Star   bool
-	Center int
-	// Order is the selectivity-ordered edge-evaluation order for local
-	// matching; EdgeRank the per-edge rank partial evaluation expands by.
-	Order    []int
+	// Star, Center and EdgeRank are ignored: a site derives them from
+	// Query and Order.
+	Star     bool
+	Center   int
 	EdgeRank []int
+	// Order is the selectivity-ordered edge-evaluation order for local
+	// matching and, inverted, partial evaluation's expansion rank. One
+	// that is not a permutation of the query's edges (nil, say) leaves
+	// matching to plan against the fragment and expansion unranked.
+	Order []int
 	// Union is the broadcast candidate-set union (Full mode); the
 	// site derives its extended-vertex filter from it, and runs a
 	// variable whose slot is empty unfiltered. Nil below Full.
@@ -136,6 +143,8 @@ type PartialRequest struct {
 // PartialReply is the gathered result of one site's PartialEval.
 type PartialReply struct {
 	// LocalMatches counts the complete local matches streamed into emit.
+	// Only EachRow fills it: a caller of PartialEvalBatches counts the
+	// rows it receives.
 	LocalMatches int
 	// Set holds the site's local partial matches (none on the star path),
 	// and Matches, which only EachRow fills, the same as structs.
@@ -221,7 +230,7 @@ func (s *LocalSite) Candidates(ctx context.Context, req CandidatesRequest) (Cand
 		return CandidatesReply{}, err
 	}
 	start := time.Now()
-	vecs := candidates.ComputeSite(s.frag, req.Query, req.Bits)
+	vecs := candidates.ComputeSite(s.frag, req.Query, candidates.DefaultBits)
 	return CandidatesReply{Vectors: vecs, Meter: Meter{Tasks: 1, Busy: time.Since(start)}}, nil
 }
 
@@ -230,52 +239,62 @@ func (s *LocalSite) Candidates(ctx context.Context, req CandidatesRequest) (Cand
 // filters reconstructed from the fragment's internal set. Each seed
 // chunk's matcher fills its own batch (store.Batcher).
 func (s *LocalSite) PartialEvalBatches(ctx context.Context, req PartialRequest, emit func(rows [][]rdf.TermID) bool) (PartialReply, error) {
-	frag := s.frag
-	// Seed chunks emit concurrently when the pool splits the domain, so
+	frag, q := s.frag, req.Query
+	// Seed chunks run concurrently when the pool splits the domain, so
 	// the per-site counters accumulate atomically.
-	var local, tasks, busy atomic.Int64
+	var tasks, busy atomic.Int64
 	onTask := func(d time.Duration) { tasks.Add(1); busy.Add(int64(d)) }
 	cancel := CancelPoll(ctx)
 	vf := func(qv int, u rdf.TermID) bool { return frag.IsInternal(u) }
-	if req.Star {
+	center, star := q.StarCenter()
+	if star {
 		// Star fast path: only the center is confined to internal
 		// vertices — crossing-edge replicas complete the star locally,
 		// and center ownership deduplicates across sites (§VIII-B).
-		center := req.Center
 		vf = func(qv int, u rdf.TermID) bool {
 			return qv != center || frag.IsInternal(u)
 		}
 	}
-	frag.Store.MatchFunc(req.Query, store.MatchOptions{
+	frag.Store.MatchFunc(q, store.MatchOptions{
 		VertexFilter: vf,
 		Cancel:       cancel,
 		Order:        req.Order,
 		Pool:         req.Pool,
 		OnTask:       onTask,
-	}, func(rows [][]rdf.TermID) bool {
-		local.Add(int64(len(rows)))
-		return emit(rows)
-	})
+	}, emit)
 	var set partial.Set
 	var err error
-	if !req.Star {
+	if !star {
 		var ef func(int, rdf.TermID) bool
 		if req.Union != nil {
 			ef = req.Union.Filter()
 		}
-		set, err = partial.ComputeSet(frag, req.Query, partial.Options{
+		set, err = partial.ComputeSet(frag, q, partial.Options{
 			ExtendedFilter: ef,
 			Cancel:         cancel,
-			EdgeRank:       req.EdgeRank,
+			EdgeRank:       edgeRank(req.Order, len(q.Edges)),
 			Pool:           req.Pool,
 			OnTask:         onTask,
 		})
 	}
 	return PartialReply{
-		LocalMatches: int(local.Load()),
-		Set:          set,
-		Meter:        Meter{Tasks: int(tasks.Load()), Busy: time.Duration(busy.Load())},
+		Set:   set,
+		Meter: Meter{Tasks: int(tasks.Load()), Busy: time.Duration(busy.Load())},
 	}, err
+}
+
+// edgeRank inverts an evaluation order over n edges into rank per edge,
+// the form partial.Options.EdgeRank takes; nil, for no rank, when order
+// is not a permutation of the n edges.
+func edgeRank(order []int, n int) []int {
+	if !store.ValidOrder(order, n) {
+		return nil
+	}
+	rank := make([]int, n)
+	for k, e := range order {
+		rank[e] = k
+	}
+	return rank
 }
 
 // PartialEval implements Site.
@@ -284,10 +303,13 @@ func (s *LocalSite) PartialEval(ctx context.Context, req PartialRequest, emit fu
 }
 
 // EachRow runs s.PartialEvalBatches and hands emit each row of every
-// batch, copied, and fills the reply's Matches from its Set: the one body
-// of both implementations' PartialEval.
+// batch, copied, counting each batch in LocalMatches before it hands it
+// on, and fills the reply's Matches from its Set: the one body of both
+// implementations' PartialEval.
 func EachRow(ctx context.Context, s Site, req PartialRequest, emit func(row []rdf.TermID) bool) (PartialReply, error) {
+	var local atomic.Int64
 	rep, err := s.PartialEvalBatches(ctx, req, func(rows [][]rdf.TermID) bool {
+		local.Add(int64(len(rows)))
 		for _, row := range rows {
 			if !emit(slices.Clone(row)) {
 				return false
@@ -295,7 +317,7 @@ func EachRow(ctx context.Context, s Site, req PartialRequest, emit func(row []rd
 		}
 		return true
 	})
-	rep.Matches = rep.Set.Matches()
+	rep.LocalMatches, rep.Matches = int(local.Load()), rep.Set.Matches()
 	return rep, err
 }
 

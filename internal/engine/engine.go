@@ -183,16 +183,6 @@ type Stats struct {
 // planner lives with the cardinality table it reads (store.Plan).
 type PlanEdge = store.PlanEdge
 
-// planEdgeRank inverts the plan into rank-per-edge, the form
-// partial.Options.EdgeRank takes.
-func planEdgeRank(plan []PlanEdge) []int {
-	rank := make([]int, len(plan))
-	for k, pe := range plan {
-		rank[pe.Edge] = k
-	}
-	return rank
-}
-
 // FragmentStats is one site's share of an execution: what it matched,
 // what it shipped, and how long its per-site stages ran.
 type FragmentStats struct {
@@ -686,52 +676,55 @@ func (e *Engine) run(h *holding, q *query.Graph, cfg Config, out rowOut) (Stats,
 func (e *Engine) component(h *holding, q *query.Graph, plan []PlanEdge, cfg Config, p *pool.Pool, stats *Stats, out rowOut) (*shipCounts, error) {
 	ctx := h.ctx
 	ship := &shipCounts{q: q, local: make([]int, len(e.sites)), fs: &lec.Features{}}
+	// The sites work out the star path and the expansion rank from the
+	// query and the plan order themselves.
 	req := cluster.PartialRequest{Query: q, Order: store.EdgeOrder(plan), Pool: p}
-	if center, ok := q.StarCenter(); ok {
-		ship.star, req.Star, req.Center = true, true, center
-	} else {
+	_, ship.star = q.StarCenter()
+	if !ship.star && cfg.Mode >= Full {
 		// Stage 0 (Full only): assemble variables' internal candidates.
-		if cfg.Mode >= Full {
-			vecs := make([]*candidates.SiteVectors, len(e.sites))
-			creq := cluster.CandidatesRequest{Query: q, Bits: candidates.DefaultBits}
-			if err := e.round(ctx, StageCandidates, p, stats, func(i int, s cluster.Site) (cluster.Meter, error) {
-				rep, err := s.Candidates(ctx, creq)
-				vecs[i] = rep.Vectors
-				return rep.Meter, err
-			}); err != nil {
-				return ship, err
-			}
-			union, err := candidates.Union(vecs, q, creq.Bits)
-			if err != nil {
-				return ship, err
-			}
-			vars, framing := candidates.Exchange(q, vecs, union)
-			stats.CandidateVars = append(stats.CandidateVars, vars...)
-			stats.CandidateFraming += framing
-			ship.vectors, ship.union = vecs, union
+		vecs := make([]*candidates.SiteVectors, len(e.sites))
+		if err := e.round(ctx, StageCandidates, p, stats, func(i int, s cluster.Site) (cluster.Meter, error) {
+			rep, err := s.Candidates(ctx, cluster.CandidatesRequest{Query: q})
+			vecs[i] = rep.Vectors
+			return rep.Meter, err
+		}); err != nil {
+			return ship, err
 		}
+		union, err := candidates.Union(vecs, q, candidates.DefaultBits)
+		if err != nil {
+			return ship, err
+		}
+		vars, framing := candidates.Exchange(q, vecs, union)
+		stats.CandidateVars = append(stats.CandidateVars, vars...)
+		stats.CandidateFraming += framing
 		// The union travels back to the sites inside each request.
-		req.EdgeRank, req.Union = planEdgeRank(plan), ship.union
+		ship.vectors, ship.union, req.Union = vecs, union, union
 	}
 
 	// Stage 1: partial evaluation — local complete matches stream into out
-	// as each site finds them, local partial matches come back in the
-	// replies. A sink that stopped the run still reads what was matched
-	// up to that point, so the replies count before the error.
+	// as each site finds them, counted a batch at a time as they arrive,
+	// and local partial matches come back in the replies. A sink that
+	// stopped the run still reads what was matched up to that point, so
+	// the counts stand before the error.
 	reps := make([]cluster.PartialReply, len(e.sites))
+	local := make([]atomic.Int64, len(e.sites))
 	err := e.round(ctx, StagePartial, p, stats, func(i int, s cluster.Site) (cluster.Meter, error) {
 		var err error
-		reps[i], err = s.PartialEvalBatches(ctx, req, out)
+		reps[i], err = s.PartialEvalBatches(ctx, req, func(rows [][]rdf.TermID) bool {
+			local[i].Add(int64(len(rows)))
+			return out(rows)
+		})
 		return reps[i].Meter, err
 	})
 	// Site i's matches are set i, read where they arrived; they hold
 	// their columns, 8 bytes a sign and 4 a slot.
 	sets, held := make([]partial.Set, len(reps)), 0
 	for i, rep := range reps {
-		ship.local[i], sets[i] = rep.LocalMatches, rep.Set
-		stats.Fragments[i].LocalMatches += rep.LocalMatches
+		n := int(local[i].Load())
+		ship.local[i], sets[i] = n, rep.Set
+		stats.Fragments[i].LocalMatches += n
 		stats.Fragments[i].PartialMatches += rep.Set.Len()
-		stats.NumLocalMatches += rep.LocalMatches
+		stats.NumLocalMatches += n
 		stats.NumPartialMatches += rep.Set.Len()
 		held += 8*rep.Set.Len() + 4*(len(rep.Set.Vec)+len(rep.Set.EdgeVars))
 	}

@@ -70,7 +70,7 @@ func newCrossingFixture(name string) (*crossingFixture, error) {
 	fx := &crossingFixture{eng: eng, q: q}
 	// Stage 0: the candidate union the partial evaluation filters by.
 	vecs := make([]*candidates.SiteVectors, len(fx.eng.sites))
-	creq := cluster.CandidatesRequest{Query: q, Bits: candidates.DefaultBits}
+	creq := cluster.CandidatesRequest{Query: q}
 	for i, s := range fx.eng.sites {
 		rep, err := s.Candidates(context.Background(), creq)
 		if err != nil {
@@ -78,7 +78,7 @@ func newCrossingFixture(name string) (*crossingFixture, error) {
 		}
 		vecs[i] = rep.Vectors
 	}
-	union, err := candidates.Union(vecs, q, creq.Bits)
+	union, err := candidates.Union(vecs, q, candidates.DefaultBits)
 	if err != nil {
 		return nil, err
 	}

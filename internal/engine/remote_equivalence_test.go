@@ -3,11 +3,16 @@ package engine
 import (
 	"context"
 	"net"
+	"reflect"
+	"slices"
 	"testing"
 
 	"gstored/internal/cluster"
+	"gstored/internal/partial"
 	"gstored/internal/query"
+	"gstored/internal/rdf"
 	"gstored/internal/remote"
+	"gstored/internal/store"
 )
 
 // newRemoteEngine deploys the fixture's fragments onto two worker
@@ -102,6 +107,79 @@ func TestRemoteSiteEquivalence(t *testing.T) {
 					t.Errorf("modified: streamed %d rows (duplicates %v), want %d distinct rows of the %d-row answer",
 						len(streamed), hasDuplicates(streamed), len(want), len(answer))
 				}
+			}
+		})
+	}
+}
+
+// TestRemoteSitesDeriveStarAndRank: a site works out the §VIII-B star
+// path and partial evaluation's expansion rank from the query and the
+// plan order it is sent, and the coordinator counts the local rows it
+// receives. So a star query, and a non-star query whose plan order is not
+// the identity, answer alike in process and over two workers: the same
+// ordered rows, the same local matches per fragment, and at every site
+// the same partial matches in the same order. The enumerator seeds query
+// edges in rank order, so a rank lost on the way would show as another
+// order; the unranked order differs from the ranked one at some site.
+func TestRemoteSitesDeriveStarAndRank(t *testing.T) {
+	env := newEquivEnv(t)
+	remoteEng := newRemoteEngine(t, env)
+	ctx := context.Background()
+	// Three edges of one predicate in a row, ending at a constant, which
+	// the plan puts first: a crossing edge can seed any of the three, in
+	// rank order.
+	chain := query.NewBuilder(env.dict).
+		Triple(query.Var("x"), query.IRI("http://ex.org/p0"), query.Var("y")).
+		Triple(query.Var("y"), query.IRI("http://ex.org/p0"), query.Var("z")).
+		Triple(query.Var("z"), query.IRI("http://ex.org/p0"), query.IRI("http://ex.org/v5")).
+		MustBuild()
+	for _, c := range []struct {
+		name string
+		q    *query.Graph
+		star bool
+	}{{"star", env.shape(t, "star", nil), true}, {"chain to a constant", chain, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			order := store.EdgeOrder(env.dist.Global.Plan(c.q))
+			if _, star := c.q.StarCenter(); star != c.star || (!star && slices.IsSorted(order)) {
+				t.Fatalf("star %v, plan order %v: the case no longer tests what it names", star, order)
+			}
+			want, wantStats := orderedRows(t, env.eng, c.q, Full, 4)
+			got, gotStats := orderedRows(t, remoteEng, c.q, Full, 4)
+			if len(want) == 0 {
+				t.Fatal("no rows; fixture too sparse")
+			}
+			if !sameRows(got, want) {
+				t.Errorf("ordered rows diverge: remote has %d rows, local %d", len(got), len(want))
+			}
+			if gotStats.StarFastPath != c.star || wantStats.StarFastPath != c.star {
+				t.Errorf("star fast path: remote %v, local %v, want %v", gotStats.StarFastPath, wantStats.StarFastPath, c.star)
+			}
+			for i, w := range wantStats.Fragments {
+				if g := gotStats.Fragments[i].LocalMatches; g != w.LocalMatches {
+					t.Errorf("site %d: %d local matches over the wire, %d in process", w.Site, g, w.LocalMatches)
+				}
+			}
+
+			sets := func(e *Engine, order []int) [][]*partial.Match {
+				out := make([][]*partial.Match, len(e.sites))
+				for i, s := range e.sites {
+					rep, err := s.PartialEvalBatches(ctx, cluster.PartialRequest{Query: c.q, Order: order}, func([][]rdf.TermID) bool { return true })
+					if err != nil {
+						t.Fatalf("site %d: %v", i, err)
+					}
+					out[i] = rep.Set.Matches()
+				}
+				return out
+			}
+			local, wired := sets(env.eng, order), sets(remoteEng, order)
+			if !reflect.DeepEqual(wired, local) {
+				t.Error("partial matches diverge between the worker sites and the in-process ones")
+			}
+			if n := len(slices.Concat(local...)); c.star != (n == 0) {
+				t.Errorf("%d partial matches for a query whose star is %v", n, c.star)
+			}
+			if !c.star && reflect.DeepEqual(sets(env.eng, nil), local) {
+				t.Error("the plan's rank orders no site's matches differently from none: a lost rank would pass")
 			}
 		})
 	}

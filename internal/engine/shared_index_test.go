@@ -125,7 +125,7 @@ SELECT ?d ?p ?x WHERE { ?d ?p <` + workload.LubmUniversityURI(0) + `> . ?x ub:me
 func sameSiteSets(t *testing.T, key string, global *store.Store, q *query.Graph, shared, own *Engine) {
 	t.Helper()
 	ctx := context.Background()
-	creq := cluster.CandidatesRequest{Query: q, Bits: candidates.DefaultBits}
+	creq := cluster.CandidatesRequest{Query: q}
 	vecs := make([]*candidates.SiteVectors, len(shared.sites))
 	for i := range shared.sites {
 		a, err := shared.sites[i].Candidates(ctx, creq)
@@ -141,13 +141,13 @@ func sameSiteSets(t *testing.T, key string, global *store.Store, q *query.Graph,
 		}
 		vecs[i] = a.Vectors
 	}
-	union, err := candidates.Union(vecs, q, creq.Bits)
+	union, err := candidates.Union(vecs, q, candidates.DefaultBits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := global.Plan(q)
 	for _, u := range []*candidates.SiteVectors{nil, union} {
-		req := cluster.PartialRequest{Query: q, Order: store.EdgeOrder(plan), EdgeRank: planEdgeRank(plan), Union: u}
+		req := cluster.PartialRequest{Query: q, Order: store.EdgeOrder(plan), Union: u}
 		for i := range shared.sites {
 			var rows [2]int
 			var sets [2]any

@@ -184,12 +184,7 @@ func (f *Fragment) apply(d *Delta, global *store.Store) (*Fragment, error) {
 		return nil, fmt.Errorf("fragment %d reads the coordinator's index: Patch applies its share", f.ID)
 	}
 
-	next := &Fragment{
-		ID:               f.ID,
-		crossCount:       maps.Clone(f.crossCount),
-		crossTotal:       f.crossTotal,
-		NumInternalEdges: f.NumInternalEdges,
-	}
+	next := &Fragment{ID: f.ID, crossCount: maps.Clone(f.crossCount), crossTotal: f.crossTotal}
 	// V_i follows the owned vertices (one the delta does not name cannot
 	// have appeared or vanished). Every edge of an owned vertex lives in
 	// this fragment, so it is internal exactly when it keeps an edge, in
@@ -201,11 +196,10 @@ func (f *Fragment) apply(d *Delta, global *store.Store) (*Fragment, error) {
 		next.internal = f.internal.with(d.Owned, global.HasVertex)
 		next.Store = f.Store.Follow(global, next.internal.has, d.Inserted, d.Deleted)
 	}
-	// count moves the counts by n instances of t entering (n > 0) or
-	// leaving (n < 0), and reports whether t is a crossing edge.
+	// count moves the crossing counts by n instances of t entering
+	// (n > 0) or leaving (n < 0), and reports whether t is a crossing edge.
 	count := func(t rdf.Triple, n int) bool {
 		if owns(t.S) && owns(t.O) {
-			next.NumInternalEdges += n
 			return false
 		}
 		next.countCrossing(t, owns(t.S), n)

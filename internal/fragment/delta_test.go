@@ -25,27 +25,25 @@ import (
 // as partial evaluation reads it: in a pool's chunks, each through
 // Slices, with At at every chunk's first position.
 type snapshot struct {
-	Internal         []rdf.TermID
-	Crossing         []rdf.Triple
-	NumInternalEdges int
-	NumExtended      int
-	Triples, In      []rdf.Triple
-	ByPred           map[rdf.TermID][]rdf.Triple
-	Stats            map[rdf.TermID]store.PredStat
-	CrossCount       map[rdf.TermID][2]int
+	Internal    []rdf.TermID
+	Crossing    []rdf.Triple
+	NumExtended int
+	Triples, In []rdf.Triple
+	ByPred      map[rdf.TermID][]rdf.Triple
+	Stats       map[rdf.TermID]store.PredStat
+	CrossCount  map[rdf.TermID][2]int
 }
 
 func snapshotOf(f *Fragment) snapshot {
 	s := snapshot{
-		Internal:         f.InternalVertices(),
-		Crossing:         []rdf.Triple{},
-		NumInternalEdges: f.NumInternalEdges,
-		NumExtended:      f.NumExtended(),
-		Triples:          f.Store.Triples(),
-		In:               []rdf.Triple{},
-		ByPred:           map[rdf.TermID][]rdf.Triple{},
-		Stats:            map[rdf.TermID]store.PredStat{},
-		CrossCount:       map[rdf.TermID][2]int{},
+		Internal:    f.InternalVertices(),
+		Crossing:    []rdf.Triple{},
+		NumExtended: f.NumExtended(),
+		Triples:     f.Store.Triples(),
+		In:          []rdf.Triple{},
+		ByPred:      map[rdf.TermID][]rdf.Triple{},
+		Stats:       map[rdf.TermID]store.PredStat{},
+		CrossCount:  map[rdf.TermID][2]int{},
 	}
 	for _, ch := range pool.New(3).Split(f.Crossing.Len()) {
 		if ch[0] < ch[1] && f.Crossing.At(ch[0]) != f.Crossing.Flat()[ch[0]] {

@@ -41,9 +41,6 @@ type Fragment struct {
 	// both with Crossing and Apply moves them by the delta.
 	crossCount map[rdf.TermID][2]int
 	crossTotal [2]int
-
-	// NumInternalEdges is |E_i|.
-	NumInternalEdges int
 }
 
 // newFragment builds fragment id from triples = E_i ∪ E_i^c, which must
@@ -60,13 +57,11 @@ func newFragment(id int, dict *rdf.Dictionary, global *store.Store, triples []rd
 			return nil, fmt.Errorf("fragment %d: edge %v out of (S,P,O) order", id, t)
 		}
 		switch s, o := internal.has(t.S), internal.has(t.O); {
-		case s && o:
-			f.NumInternalEdges++
-		case s || o:
+		case !s && !o:
+			return nil, fmt.Errorf("fragment %d: edge %v has no internal endpoint", id, t)
+		case s != o:
 			crossing = append(crossing, t)
 			f.countCrossing(t, s, 1)
-		default:
-			return nil, fmt.Errorf("fragment %d: edge %v has no internal endpoint", id, t)
 		}
 	}
 	f.Crossing = runs.Of(crossing)

@@ -41,8 +41,8 @@ func TestBuildPaperExample(t *testing.T) {
 	if n := len(f1.InternalVertices()); n != 5 {
 		t.Errorf("F1 internal vertices = %d, want 5", n)
 	}
-	if f1.NumInternalEdges != 3 {
-		t.Errorf("F1 internal edges = %d, want 3 (name, birthDate, label)", f1.NumInternalEdges)
+	if n := numInternalEdges(f1); n != 3 {
+		t.Errorf("F1 internal edges = %d, want 3 (name, birthDate, label)", n)
 	}
 	// The crossing replica 006→005 must be visible in F1's store.
 	inf, _ := ex.Graph.Dict.Lookup(rdf.NewIRI(paperexample.PredMainInterest))

@@ -6,6 +6,7 @@ import (
 
 	"gstored/internal/paperexample"
 	"gstored/internal/rdf"
+	"gstored/internal/store"
 )
 
 // TestCheckInvariantsDetectsCorruption: each invariant violation must be
@@ -65,8 +66,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	})
 
 	t.Run("edge conservation", func(t *testing.T) {
-		_, d := fresh()
-		d.Fragments[0].NumInternalEdges++
+		ex, d := fresh()
+		// An internal edge between two of F1's vertices that the global
+		// graph lacks: no vertex set moves, only the edge count.
+		f := d.Fragments[0]
+		extra := rdf.Triple{S: ex.V[1], P: ex.Graph.Dict.Encode(rdf.NewIRI("http://ex/extra")), O: ex.V[2]}
+		f.Store = store.New(ex.Graph.Dict, append(f.Store.Triples(), extra))
 		if err := d.CheckInvariants(); err == nil {
 			t.Error("edge count corruption not detected")
 		}
@@ -94,6 +99,18 @@ func TestInternalVerticesAccessor(t *testing.T) {
 	}
 }
 
+// numInternalEdges is |E_i|: the edges of f's store with both endpoints
+// in V_i.
+func numInternalEdges(f *Fragment) int {
+	n := 0
+	for _, t := range f.Store.Triples() {
+		if f.IsInternal(t.S) && f.IsInternal(t.O) {
+			n++
+		}
+	}
+	return n
+}
+
 // NumExtended returns |V_i^e|.
 func (f *Fragment) NumExtended() int { return f.Store.NumVertices() - f.internal.n }
 
@@ -119,7 +136,7 @@ func (d *Distributed) CheckInvariants() error {
 	}
 	totalInternal, totalCrossing := 0, 0
 	for _, f := range d.Fragments {
-		totalInternal += f.NumInternalEdges
+		totalInternal += numInternalEdges(f)
 		totalCrossing += f.Crossing.Len()
 		far := make(map[rdf.TermID]bool)
 		for _, t := range f.Crossing.Flat() {

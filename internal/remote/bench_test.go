@@ -54,7 +54,7 @@ func lubmPartialReplies(tb testing.TB) []partialReplies {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			p.replies = append(p.replies, &response{Done: true, LocalMatches: rep.LocalMatches, Set: rep.Set})
+			p.replies = append(p.replies, &response{Done: true, Set: rep.Set})
 			p.matches += rep.Set.Len()
 		}
 		out = append(out, p)

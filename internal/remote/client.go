@@ -243,37 +243,26 @@ func (s *Site) callErr(ctx context.Context, err error) error {
 
 // Candidates implements cluster.Site.
 func (s *Site) Candidates(ctx context.Context, req cluster.CandidatesRequest) (cluster.CandidatesReply, error) {
-	resp, m, err := s.call(ctx, &request{
-		Op: opCandidates, Query: req.Query, Bits: req.Bits,
-	}, nil)
+	resp, m, err := s.call(ctx, &request{Op: opCandidates, Query: req.Query}, nil)
 	return cluster.CandidatesReply{Vectors: resp.Vectors, Meter: m}, err
 }
 
 // PartialEvalBatches implements cluster.Site: each row-batch frame's
 // rows reach emit as one batch. The request's Pool does not travel — the
-// worker evaluates on its own pool. The partial matches arrive as one
-// set of columns, which gets this site's fragment, and partial.Check
-// holds it to the query's shape (the coordinator derives crossing edges
-// from the columns by indexing with the query): a reply that does not
-// fit fails the call.
+// worker evaluates on its own pool. Off the star path the partial matches
+// arrive as one set of columns, which gets this site's fragment, and
+// partial.Check holds it to the query's shape (the coordinator derives
+// crossing edges from the columns by indexing with the query): a reply
+// that does not fit fails the call.
 func (s *Site) PartialEvalBatches(ctx context.Context, req cluster.PartialRequest, emit func(rows [][]rdf.TermID) bool) (cluster.PartialReply, error) {
-	delivered := 0
-	resp, m, err := s.call(ctx, &request{
-		Op: opPartial, Query: req.Query, Star: req.Star, Center: req.Center,
-		Order: req.Order, EdgeRank: req.EdgeRank, Union: req.Union,
-	}, func(rows [][]rdf.TermID) bool { delivered += len(rows); return emit(rows) })
-	if err != nil {
-		// A call its consumer's LIMIT cancels ends on the poisoned
-		// deadline, without the final frame's count: the rows it handed
-		// to emit were matched all the same.
-		resp.LocalMatches = delivered
-	} else if !req.Star {
+	resp, m, err := s.call(ctx, &request{Op: opPartial, Query: req.Query, Order: req.Order, Union: req.Union}, emit)
+	if _, star := req.Query.StarCenter(); err == nil && !star {
 		resp.Set.Frag = s.id
 		if err = partial.Check(req.Query, &resp.Set); err != nil {
 			err = fmt.Errorf("remote: site %d (%s): %w", s.id, s.link.addr, err)
 		}
 	}
-	return cluster.PartialReply{LocalMatches: resp.LocalMatches, Set: resp.Set, Meter: m}, err
+	return cluster.PartialReply{Set: resp.Set, Meter: m}, err
 }
 
 // PartialEval implements cluster.Site.

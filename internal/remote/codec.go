@@ -18,8 +18,11 @@ import (
 // declaration order, whatever the op (DESIGN.md "The transport" has the
 // table). A field travels only when its reader uses it and cannot work it
 // out itself: a site evaluates a query's pattern, so of a query.Graph
-// only the variable count, the vertices and the edges travel, and a reply
-// does not echo the site, address or epoch the caller named. Integers are
+// only the variable count, the vertices and the edges travel; it derives
+// the star path and the expansion rank from that pattern and the plan
+// order, and builds hashed candidate vectors of the one length both ends
+// know. A reply does not echo the site, address or epoch the caller
+// named, nor count the rows the caller received. Integers are
 // shortest-form uvarints (package varint), zig-zag coded where
 // query.NoVar is a value; TermIDs are uvarints bounded to 32 bits; a
 // slice is its element count and then its elements, and decodes to nil
@@ -40,7 +43,7 @@ import (
 // wireVersion is bumped by any change to the encoding; it travels in the
 // tag byte so that builds which disagree fail the call by name instead of
 // misreading each other.
-const wireVersion = 9
+const wireVersion = 10
 
 const (
 	tagRequest  = wireVersion << 1
@@ -61,7 +64,6 @@ func checkTag(r *varint.Reader, want byte) {
 // Flag bits of the two flags bytes.
 const (
 	reqHasQuery = 1 << iota
-	reqStar
 	reqHasUnion
 	reqHasFragment
 	reqHasDelta
@@ -131,12 +133,9 @@ func (q *request) appendTo(b []byte) []byte {
 	b = varint.AppendInt(b, q.Site)
 	b = varint.Append(b, q.Epoch)
 	b = varint.AppendUint64(b, uint64(q.TimeoutNS))
-	b = append(b, bit(q.Query != nil, reqHasQuery)|bit(q.Star, reqStar)|
-		bit(q.Union != nil, reqHasUnion)|bit(q.Fragment != nil, reqHasFragment)|bit(q.Delta != nil, reqHasDelta))
-	b = varint.AppendInt(b, q.Bits)
-	b = varint.AppendInt(b, q.Center)
+	b = append(b, bit(q.Query != nil, reqHasQuery)|bit(q.Union != nil, reqHasUnion)|
+		bit(q.Fragment != nil, reqHasFragment)|bit(q.Delta != nil, reqHasDelta))
 	b = appendInts(b, q.Order)
-	b = appendInts(b, q.EdgeRank)
 	b = varint.Append(b, q.Base)
 	if q.Query != nil {
 		b = appendQuery(b, q.Query)
@@ -162,11 +161,7 @@ func (q *request) decode(body []byte) error {
 	q.Epoch = r.Uvarint()
 	q.TimeoutNS = int64(r.Uint64())
 	f := flags(r, reqFlagsEnd)
-	q.Star = f&reqStar != 0
-	q.Bits = r.Int()
-	q.Center = r.Int()
 	q.Order = cutInts(r)
-	q.EdgeRank = cutInts(r)
 	q.Base = r.Uvarint()
 	if f&reqHasQuery != 0 {
 		q.Query = cutQuery(r)
@@ -317,7 +312,6 @@ func (p *response) appendTo(b []byte) []byte {
 	if p.Vectors != nil {
 		b = appendVectors(b, p.Vectors)
 	}
-	b = varint.AppendInt(b, p.LocalMatches)
 	b = appendSet(b, &p.Set)
 	b = varint.AppendInt(b, p.Tasks)
 	b = varint.AppendUint64(b, uint64(p.BusyNS))
@@ -359,7 +353,6 @@ func (p *response) decode(body []byte) error {
 	if f&respHasVectors != 0 {
 		p.Vectors = cutVectors(r)
 	}
-	p.LocalMatches = r.Int()
 	p.Set = cutSet(r)
 	p.Tasks = r.Int()
 	p.BusyNS = int64(r.Uint64())

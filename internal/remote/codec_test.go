@@ -115,16 +115,16 @@ func goldenFrames(t testing.TB) []namedFrame {
 	req := func(name string, q request) namedFrame { return namedFrame{name, &q} }
 	resp := func(name string, p response) namedFrame { return namedFrame{name, &p} }
 	return []namedFrame{
-		req("candidates request", request{Op: opCandidates, Site: 3, Epoch: 7, Bits: candidates.DefaultBits, Query: bare(fullQuery())}),
+		req("candidates request", request{Op: opCandidates, Site: 3, Epoch: 7, Query: bare(fullQuery())}),
 		resp("candidates reply", response{Done: true, Vectors: fullReport(t)}),
 		req("partial request", request{
-			Op: opPartial, Site: 3, Epoch: 7, TimeoutNS: 1500000000, Order: []int{1, 0}, EdgeRank: []int{1, 0},
+			Op: opPartial, Site: 3, Epoch: 7, TimeoutNS: 1500000000, Order: []int{1, 0},
 			Query: bare(fullQuery()), Union: fullVectors(t),
 		}),
-		req("star request", request{Op: opPartial, Site: 1, Epoch: 7, Star: true, Center: 2, Order: []int{0, 1}, Query: bare(fullQuery())}),
+		req("star request", request{Op: opPartial, Site: 1, Epoch: 7, Order: []int{0, 1}, Query: bare(fullQuery())}),
 		resp("row batch", response{Rows: [][]rdf.TermID{{17, 9, 300}, {18, 9, 70000}}}),
 		resp("final with two matches", response{
-			Done: true, LocalMatches: 2, Set: twoMatches(), Tasks: 5, BusyNS: 1234567, EvalNS: 2345678,
+			Done: true, Set: twoMatches(), Tasks: 5, BusyNS: 1234567, EvalNS: 2345678,
 		}),
 		req("stats request", request{Op: opStats, Site: 3, Epoch: 7}),
 		resp("stats reply", response{Done: true, Fragments: 2}),
@@ -201,8 +201,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	requests := []request{
 		{}, // nil Query, Union and Fragment
 		{
-			Op: opPartial, Site: 3, Epoch: math.MaxUint64, TimeoutNS: math.MaxInt64, Star: true, Bits: 1 << 14, Center: 2,
-			Order: []int{2, 0, 1}, EdgeRank: []int{1, 2, 0}, Base: math.MaxUint64 - 1,
+			Op: opPartial, Site: 3, Epoch: math.MaxUint64, TimeoutNS: math.MaxInt64,
+			Order: []int{2, 0, 1}, Base: math.MaxUint64 - 1,
 			Query: bare(fullQuery()), Union: fullVectors(t),
 			Fragment: &fragment.Payload{
 				ID: 5, Triples: []rdf.Triple{{S: 9, P: 1, O: math.MaxUint32}, {S: 3, P: 2, O: 1}}, Internal: []rdf.TermID{9, 3, math.MaxUint32},
@@ -218,7 +218,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	responses := []response{
 		{},
 		{
-			Done: true, Rows: [][]rdf.TermID{{1, 2}, nil, {math.MaxUint32}}, Vectors: fullReport(t), LocalMatches: 3,
+			Done: true, Rows: [][]rdf.TermID{{1, 2}, nil, {math.MaxUint32}}, Vectors: fullReport(t),
 			Set: twoMatches(), Tasks: 9, BusyNS: math.MaxInt64, EvalNS: 1,
 			Fragments: 6, ErrKind: errNeedSync, ErrMsg: "why",
 		},
@@ -277,7 +277,7 @@ func TestDecodeRejects(t *testing.T) {
 		"trailing byte":     append(bytes.Clone(good), 0),
 		"spare flag bit":    with(12, reqFlagsEnd),
 		"overlong op":       append([]byte{tagRequest, 0x83, 0x00}, good[2:]...),
-		"order past input":  with(15, 200),
+		"order past input":  with(13, 200),
 		"query cut short":   with(12, reqHasQuery),
 		"union cut short":   with(12, reqHasUnion),
 		"payload cut short": with(12, reqHasFragment),
@@ -292,9 +292,9 @@ func TestDecodeRejects(t *testing.T) {
 	if err := new(response).decode(resp); err != nil {
 		t.Fatal(err)
 	}
-	// The set's strides and match count follow the tag, the flags, the
-	// rows (2 bytes) and LocalMatches.
-	const stride, count = 5, 7
+	// The set's strides and match count follow the tag, the flags and
+	// the rows (2 bytes).
+	const stride, count = 4, 6
 	for name, edit := range map[string]func(b []byte){
 		"vector stride past the columns": func(b []byte) { b[stride] = 0x7f },
 		"match count past the columns":   func(b []byte) { b[count] = 0x7f },
@@ -314,7 +314,7 @@ func TestDecodeRejects(t *testing.T) {
 // match count and the matches.
 func setFrame(set ...byte) []byte {
 	b := (&response{Done: true}).appendTo(nil)
-	return append(append(b[:5:5], set...), b[7:]...) // tag, flags, rows, terms, LocalMatches; the empty set
+	return append(append(b[:4:4], set...), b[6:]...) // tag, flags, rows, terms; the empty set
 }
 
 // setCases are set sections written by hand, each with the set it
@@ -600,8 +600,7 @@ func (g *gen) triples() []rdf.Triple {
 
 func (g *gen) request(t testing.TB) *request {
 	q := &request{
-		Op: g.int(), Site: g.int(), Epoch: g.u64(), TimeoutNS: int64(g.u64()), Star: g.bool(), Bits: g.int(),
-		Center: g.int(), Order: g.ints(), EdgeRank: g.ints(), Base: g.u64(),
+		Op: g.int(), Site: g.int(), Epoch: g.u64(), TimeoutNS: int64(g.u64()), Order: g.ints(), Base: g.u64(),
 	}
 	if g.bool() {
 		q.Query = g.query()
@@ -620,7 +619,7 @@ func (g *gen) request(t testing.TB) *request {
 
 func (g *gen) response(t testing.TB) *response {
 	p := &response{
-		Done: g.bool(), LocalMatches: g.int(), Tasks: g.int(), BusyNS: int64(g.u64()), EvalNS: int64(g.u64()),
+		Done: g.bool(), Tasks: g.int(), BusyNS: int64(g.u64()), EvalNS: int64(g.u64()),
 		Fragments: g.int(), ErrKind: errKind(g.n(int(numErrKinds) - 1)), ErrMsg: g.str(),
 	}
 	for i := g.n(3); i > 0; i-- {
@@ -677,7 +676,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add([]byte{tagResponse, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})               // a row count far past the input
-	f.Add([]byte{tagResponse, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})            // a vector stride far past its limit
+	f.Add([]byte{tagResponse, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})               // a vector stride far past its limit
 	f.Add(foreignFrame{}.appendTo(nil))                                       // another build's tag
 	f.Add((&response{ErrKind: numErrKinds}).appendTo(nil))                    // an error kind past the last this build knows
 	f.Add((&response{Done: true, Set: partial.Set{Stride: 3}}).appendTo(nil)) // a partial reply with no match

@@ -210,11 +210,11 @@ func TestRemoteSiteMatchesLocalSite(t *testing.T) {
 	for i, s := range sites {
 		oracle := cluster.NewLocalSite(i, d.Fragments[i], 1)
 
-		wantC, err := oracle.Candidates(ctx, cluster.CandidatesRequest{Query: q, Bits: 1 << 10})
+		wantC, err := oracle.Candidates(ctx, cluster.CandidatesRequest{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotC, err := s.Candidates(ctx, cluster.CandidatesRequest{Query: q, Bits: 1 << 10})
+		gotC, err := s.Candidates(ctx, cluster.CandidatesRequest{Query: q})
 		if err != nil {
 			t.Fatalf("site %d candidates: %v", i, err)
 		}
@@ -436,7 +436,7 @@ func TestSwapStateMachine(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 	s0 := c.NewSite(0)
-	req := cluster.CandidatesRequest{Query: ex.Query, Bits: 1 << 10}
+	req := cluster.CandidatesRequest{Query: ex.Query}
 	install := func(h cluster.Site, e uint64, f *fragment.Fragment) (cluster.Site, error) {
 		return h.SwapGeneration(ctx, cluster.GenerationSwap{Epoch: e, Fragment: f})
 	}
@@ -532,7 +532,7 @@ func TestSwapStateMachine(t *testing.T) {
 		w.mu.Lock()
 		got := w.sites[0][7]
 		w.mu.Unlock()
-		if !reflect.DeepEqual(got.Payload(), next.Fragments[0].Payload()) || got.NumInternalEdges != next.Fragments[0].NumInternalEdges ||
+		if !reflect.DeepEqual(got.Payload(), next.Fragments[0].Payload()) ||
 			!slices.Equal(got.Crossing.Flat(), next.Fragments[0].Crossing.Flat()) {
 			t.Errorf("delta install, try %d: the worker holds %+v, the coordinator patched %+v", try, got.Payload(), next.Fragments[0].Payload())
 		}
@@ -624,7 +624,7 @@ func TestMalformedPrepareIsAnErrorFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Candidates(ctx, cluster.CandidatesRequest{Query: ex.Query, Bits: 1 << 10}); err != nil {
+	if _, err := st.Candidates(ctx, cluster.CandidatesRequest{Query: ex.Query}); err != nil {
 		t.Errorf("query after a well-formed install: %v", err)
 	}
 }
@@ -779,13 +779,10 @@ func TestBadRequestIsAnErrorFrame(t *testing.T) {
 				g.Edges = append(g.Edges, g.Edges[0])
 			}
 		})},
-		"order too short":        {Op: opPartial, Query: q, Order: identity[:edges-1]},
-		"order repeats an edge":  {Op: opPartial, Query: q, Order: append(slices.Clone(identity[:edges-1]), 0)},
-		"order names no edge":    {Op: opPartial, Query: q, Order: append(slices.Clone(identity[:edges-1]), edges)},
-		"too few edge ranks":     {Op: opPartial, Query: q, EdgeRank: identity[:edges-1]},
-		"star center past query": {Op: opPartial, Query: q, Star: true, Center: vertices},
-		"vector length past cap": {Op: opCandidates, Query: q, Bits: maxBits + 1},
-		"unknown op":             {Op: 9, Query: q},
+		"order too short":       {Op: opPartial, Query: q, Order: identity[:edges-1]},
+		"order repeats an edge": {Op: opPartial, Query: q, Order: append(slices.Clone(identity[:edges-1]), 0)},
+		"order names no edge":   {Op: opPartial, Query: q, Order: append(slices.Clone(identity[:edges-1]), edges)},
+		"unknown op":            {Op: 9, Query: q},
 	} {
 		bad.Epoch = 1
 		final, _ := roundTrip(t, c, &bad)
@@ -799,13 +796,13 @@ func TestBadRequestIsAnErrorFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, rows := roundTrip(t, c, &request{Op: opPartial, Epoch: 1, Query: q, Order: identity, EdgeRank: identity})
+	final, rows := roundTrip(t, c, &request{Op: opPartial, Epoch: 1, Query: q, Order: identity})
 	if err := final.err(); err != nil {
 		t.Fatalf("good request after the bad ones: %v", err)
 	}
-	if rows != want.LocalMatches || final.LocalMatches != want.LocalMatches || final.Set.Len() != len(want.Matches) {
-		t.Errorf("good request: %d rows, %d local and %d partial matches; want %d and %d",
-			rows, final.LocalMatches, final.Set.Len(), want.LocalMatches, len(want.Matches))
+	if rows != want.LocalMatches || final.Set.Len() != len(want.Matches) {
+		t.Errorf("good request: %d rows and %d partial matches; want %d and %d",
+			rows, final.Set.Len(), want.LocalMatches, len(want.Matches))
 	}
 	if final.EvalNS <= 0 {
 		t.Errorf("final frame reports an evaluation wall of %d ns", final.EvalNS)
@@ -897,7 +894,7 @@ func TestWireCostIsDeterministic(t *testing.T) {
 	sites := deploy(t, c, d, 1)
 	vecs := make([]*candidates.SiteVectors, len(sites))
 	for i, s := range sites {
-		rep, err := s.Candidates(context.Background(), cluster.CandidatesRequest{Query: ex.Query, Bits: candidates.DefaultBits})
+		rep, err := s.Candidates(context.Background(), cluster.CandidatesRequest{Query: ex.Query})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,12 +67,9 @@ type request struct {
 	// the caller's context deadline so both ends give up together.
 	TimeoutNS int64
 
-	// Candidates / PartialEval:
-	Star     bool
-	Bits     int
-	Center   int
-	Order    []int
-	EdgeRank []int
+	// PartialEval: the plan order. The site works out the star path and
+	// the expansion rank from it and the query.
+	Order []int
 
 	// SwapGeneration: the epoch of the generation that a nil Fragment
 	// carries into Epoch, or that Delta patches (0 = none).
@@ -105,11 +102,10 @@ type response struct {
 	Done bool
 	Rows [][]rdf.TermID
 
-	Vectors      *candidates.SiteVectors
-	LocalMatches int
-	Set          partial.Set
-	Tasks        int
-	BusyNS       int64
+	Vectors *candidates.SiteVectors
+	Set     partial.Set
+	Tasks   int
+	BusyNS  int64
 	// EvalNS is the worker's own wall time for a PartialEval's evaluation,
 	// row batches written included and both ends' codec work excluded:
 	// what the round trip took beyond it is the transport's share.

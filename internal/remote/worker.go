@@ -15,11 +15,6 @@ import (
 	"gstored/internal/store"
 )
 
-// maxBits is the longest hashed candidate vector a request may ask a site
-// to build: 2 MiB a variable, where the engine asks for
-// candidates.DefaultBits.
-const maxBits = 1 << 24
-
 // keepEpochs is how many generations behind the last installed epoch a
 // worker keeps resident, so executions that pinned a recent generation at
 // the coordinator finish against the fragment they started on.
@@ -178,18 +173,8 @@ func (q *request) check() error {
 	if err := q.Query.Validate(); err != nil {
 		return err
 	}
-	if q.Bits > maxBits {
-		return fmt.Errorf("remote: %d-bit candidate vectors exceed the %d-bit limit", q.Bits, maxBits)
-	}
-	edges := len(q.Query.Edges)
-	if len(q.Order) != 0 && !store.ValidOrder(q.Order, edges) {
+	if edges := len(q.Query.Edges); len(q.Order) != 0 && !store.ValidOrder(q.Order, edges) {
 		return fmt.Errorf("remote: a %d-entry order is not a permutation of the query's %d edges", len(q.Order), edges)
-	}
-	if len(q.EdgeRank) != 0 && len(q.EdgeRank) != edges {
-		return fmt.Errorf("remote: %d edge ranks for %d edges", len(q.EdgeRank), edges)
-	}
-	if q.Star && (q.Center < 0 || q.Center >= len(q.Query.Vertices)) {
-		return fmt.Errorf("remote: star center %d is not one of the query's %d vertices", q.Center, len(q.Query.Vertices))
 	}
 	return nil
 }
@@ -247,7 +232,7 @@ func (w *Worker) handleCandidates(ctx context.Context, req *request, final *resp
 		return
 	}
 	local := cluster.NewLocalSite(req.Site, f, req.Epoch)
-	rep, err := local.Candidates(ctx, cluster.CandidatesRequest{Query: req.Query, Bits: req.Bits})
+	rep, err := local.Candidates(ctx, cluster.CandidatesRequest{Query: req.Query})
 	if err != nil {
 		final.setErr(err)
 		return
@@ -308,8 +293,7 @@ func (w *Worker) handlePartial(ctx context.Context, c *conn, req *request, final
 	}
 
 	rep, err := local.PartialEvalBatches(ctx, cluster.PartialRequest{
-		Query: req.Query, Star: req.Star, Center: req.Center,
-		Order: req.Order, EdgeRank: req.EdgeRank, Union: req.Union, Pool: w.pool,
+		Query: req.Query, Order: req.Order, Union: req.Union, Pool: w.pool,
 	}, emit)
 
 	emu.Lock()
@@ -328,7 +312,6 @@ func (w *Worker) handlePartial(ctx context.Context, c *conn, req *request, final
 		final.setErr(err)
 		return true
 	}
-	final.LocalMatches = rep.LocalMatches
 	final.Set = rep.Set
 	final.Tasks = rep.Tasks
 	final.BusyNS = int64(rep.Busy)

@@ -16,9 +16,10 @@ type PlanEdge struct {
 // first, then connected expansion preferring bound endpoints. It is the
 // only edge orderer. The engine plans once against the global store, so
 // every fragment evaluates the same plan and the coordinator can surface
-// it through EXPLAIN, and passes it to the sites as MatchOptions.Order
-// and partial.Options.EdgeRank; MatchFunc without an Order plans against
-// its own store.
+// it through EXPLAIN, and sends each site the order alone (EdgeOrder): a
+// site matches in it (MatchOptions.Order) and expands partial matches by
+// its inverse (partial.Options.EdgeRank). MatchFunc without an Order
+// plans against its own store.
 func (st *Store) Plan(q *query.Graph) []PlanEdge {
 	n := len(q.Edges)
 	if n == 0 {
